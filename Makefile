@@ -3,7 +3,7 @@ GO ?= go
 # 10s per fuzz target in CI and `make ci`; raise locally for deeper runs.
 FUZZTIME ?= 10s
 
-.PHONY: test test-nosimd bench fuzz build ci fuzz-smoke bench-json fmt-check bench-compare bench-cpu
+.PHONY: test test-nosimd bench fuzz build ci fuzz-smoke bench-json fmt-check bench-compare bench-cpu bench-smoke
 
 # Benchmarks the regression gate watches and the allowed ns/op slip. The
 # threshold is generous because the committed baseline may come from
@@ -16,7 +16,7 @@ GATE_MAX_REGRESS ?= 20
 # steal time on shared runners (±40% between back-to-back runs), and the
 # failure this gate exists to catch — a lost AVX2 dispatch — shows up as
 # +400% or more. allocs/op stays on the strict default (zero).
-GATE_MICRO_BENCHES ?= BenchmarkDotF32I8/dispatch,BenchmarkAxpyF32I8/dispatch,BenchmarkMatMulMicro/dispatch,BenchmarkAttendSegmentInt8
+GATE_MICRO_BENCHES ?= BenchmarkDotF32I8/dispatch,BenchmarkAxpyF32I8/dispatch,BenchmarkMatMulMicro/dispatch,BenchmarkAttendSegmentInt8,BenchmarkAttendSegmentInt8Long
 GATE_MICRO_MAX_REGRESS ?= 75
 
 # Tier-1 verification plus race detection in one command.
@@ -50,7 +50,11 @@ fmt-check:
 	fi
 
 # Short fuzz pass over every seeded fuzz target (one `go test -fuzz` run
-# per target, as the fuzzer requires).
+# per target, as the fuzzer requires), then the kernel equivalence tests
+# with dispatch pinned to the scalar twins: the raw-assembly tests key on
+# hardware, not dispatch (the Exp32Rows sweep over every float32 bit pattern
+# among them, skipped under `go test -race`), and the attention walk is held
+# to its per-head oracle on the twins as it is on AVX2 by `go test`.
 fuzz-smoke:
 	$(GO) test ./internal/kvcache  -run='^$$' -fuzz=FuzzSlotIsolation    -fuzztime=$(FUZZTIME)
 	$(GO) test ./internal/kvcache  -run='^$$' -fuzz=FuzzInt8AppendView   -fuzztime=$(FUZZTIME)
@@ -60,6 +64,20 @@ fuzz-smoke:
 	$(GO) test ./internal/collective -run='^$$' -fuzz=FuzzStreamRoundTrip -fuzztime=$(FUZZTIME)
 	$(GO) test ./internal/sampling -run='^$$' -fuzz=FuzzFilterTopKP      -fuzztime=$(FUZZTIME)
 	$(GO) test ./internal/fleet    -run='^$$' -fuzz=FuzzFaultPlan        -fuzztime=$(FUZZTIME)
+	ESTI_NOSIMD=1 $(GO) test ./internal/simd ./internal/reference -run='Asm|Segment|BitIdentical'
+
+# The end-to-end benchmark as a correctness check: three repetitions of each
+# BENCHMARK.json workload on both dispatch paths. bench/run.sh exits
+# non-zero on any token mismatch or failed request; the timings of so short
+# a run mean nothing and are not looked at.
+BENCH_SMOKE_WORKLOADS ?= chat_mesh8 longctx_int8kv shared_prefix_mix
+bench-smoke:
+	@for w in $(BENCH_SMOKE_WORKLOADS); do \
+		echo "bench-smoke: $$w"; \
+		bash bench/run.sh --workload $$w --reps 3 > /dev/null || exit 1; \
+		echo "bench-smoke: $$w, ESTI_NOSIMD=1"; \
+		ESTI_NOSIMD=1 bash bench/run.sh --workload $$w --reps 3 > /dev/null || exit 1; \
+	done
 
 # Run the benchmarks once and convert the output to the benchstat-
 # compatible JSON trajectory artifact CI uploads. No pipe: a benchmark
@@ -98,11 +116,12 @@ bench-cpu:
 	@echo "  go tool pprof -http=:8080 cpu.prof"
 
 # Mirror of .github/workflows/ci.yml so contributors can reproduce CI
-# locally before pushing: build, vet, gofmt, race tests, fuzz smoke, bench
-# artifact plus regression gate.
+# locally before pushing: build, vet, gofmt, race tests, fuzz smoke, the
+# end-to-end benchmark's token check, bench artifact plus regression gate.
 ci: build
 	$(GO) vet ./...
 	$(MAKE) fmt-check
 	$(GO) test -race ./...
 	$(MAKE) fuzz-smoke
+	$(MAKE) bench-smoke
 	$(MAKE) bench-compare

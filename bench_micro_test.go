@@ -145,21 +145,23 @@ func scalarMatMulInto(dst, a, b *tensor.Mat) {
 	}
 }
 
-// BenchmarkAttendSegmentInt8 times the fused attention segment walk over a
-// quantized KV cache at fixed depth 256: one decode step's scores, softmax
-// and weighted V sum for 8 query heads sharing one multiquery KV head
-// (scoreSegI8 + weighSegI8 via AttendSeqInto). Dispatch-path only — the
-// segment loops bind to the kernel layer at init — and allocation-free:
-// the gate pins both ns/op and the zero allocs/op figure.
-func BenchmarkAttendSegmentInt8(b *testing.B) {
-	const dh, heads, depth = 64, 8, 256
-	cache := kvcache.NewInt8(1, 1, depth+8, dh)
+// benchAttendSegment times one decode step of the fused attention walk —
+// scores, softmax and weighted V sum — for `heads` query heads over
+// `kvHeads` KV heads at the given head dim and cache depth, float32 or
+// int8 cache. Dispatch-path only, and allocation-free: the gate pins both
+// ns/op and the zero allocs/op figure.
+func benchAttendSegment(b *testing.B, int8KV bool, dh, heads, kvHeads, depth int) {
+	width := kvHeads * dh
+	cache := kvcache.New(1, 1, depth+8, width)
+	if int8KV {
+		cache = kvcache.NewInt8(1, 1, depth+8, width)
+	}
 	slot, ok := cache.Alloc()
 	if !ok {
 		b.Fatal("no cache slot")
 	}
-	krow := tensor.FromSlice(microFloats(dh), 1, dh)
-	vrow := tensor.FromSlice(microFloats(dh), 1, dh)
+	krow := tensor.FromSlice(microFloats(width), 1, width)
+	vrow := tensor.FromSlice(microFloats(width), 1, width)
 	for s := 0; s < depth-1; s++ {
 		cache.AppendSeq(0, slot, krow, vrow, 1)
 		cache.AdvanceSeq(slot, 1)
@@ -168,7 +170,7 @@ func BenchmarkAttendSegmentInt8(b *testing.B) {
 	q := tensor.FromSlice(microFloats(heads*dh), 1, heads*dh)
 	dst := tensor.New(1, heads*dh)
 	var scr reference.AttnScratch
-	scr.Reserve(depth + 8)
+	scr.Reserve(heads / kvHeads * (depth + 8))
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
@@ -176,3 +178,20 @@ func BenchmarkAttendSegmentInt8(b *testing.B) {
 	}
 	microSink = dst.Data[0]
 }
+
+// BenchmarkAttendSegmentInt8 is the walk over a quantized cache at a depth
+// that stays in L1: 8 query heads sharing one multiquery KV head, head dim
+// 64, 256 positions.
+func BenchmarkAttendSegmentInt8(b *testing.B) { benchAttendSegment(b, true, 64, 8, 1, 256) }
+
+// The Long benchmarks are the walk at the shape of the end-to-end
+// benchmark's longctx_int8kv workload — head dim 32, 1040 positions, 8
+// heads — where a slot's K and V no longer sit in L1 next to the score
+// scratch: multiquery (all 8 heads on one KV head, each K/V row read once
+// for the 8) and multihead (8 KV heads, one query head each), int8 and
+// float32 caches. The int8/float32 pairs are ROADMAP hot-path item (b)'s
+// number: what the quantized cache costs or saves per walked row.
+func BenchmarkAttendSegmentInt8Long(b *testing.B)    { benchAttendSegment(b, true, 32, 8, 1, 1040) }
+func BenchmarkAttendSegmentF32Long(b *testing.B)     { benchAttendSegment(b, false, 32, 8, 1, 1040) }
+func BenchmarkAttendSegmentInt8LongMHA(b *testing.B) { benchAttendSegment(b, true, 32, 8, 8, 1040) }
+func BenchmarkAttendSegmentF32LongMHA(b *testing.B)  { benchAttendSegment(b, false, 32, 8, 8, 1040) }

@@ -526,14 +526,19 @@ func BenchmarkEngineDecodeStep(b *testing.B) {
 // BenchmarkEngineDecodeStepInt8KV is BenchmarkEngineDecodeStep with the
 // KV cache stored quantized (engine.Options.Int8KV): the same model,
 // mesh, layout and bounded-depth harness, so the two are directly
-// comparable. The walk touches half the cache bytes and pays one scale
-// multiply per scored row plus an int8→float32 convert per element; at
-// the CI config's toy shapes the cache is L1-resident, so expect rough
-// parity (within ~10-15%) rather than a win — the bandwidth the mode
-// halves only binds once a slot's K/V stream outsizes the cache
-// hierarchy, which is exactly the long-context regime the analytic model
-// prices. The gate pins this benchmark's own baseline (ns/op and its
-// allocs/op, which must stay at the fp32 path's figure).
+// comparable. The walk touches a quarter of the cache bytes and pays one
+// scale multiply per scored row plus one int8→float32 convert per element
+// per KV head. Measured by the end-to-end benchmark's probes (bench/,
+// -trace 1) the two walks cost the same per row at this config's shape —
+// reference.attend_f32_ns_per_row ≈ 118 ns, attend_int8_ns_per_row ≈ 118
+// ns at head dim 8 and depth ≈ 50 — and at head dim 32 and depth ≈ 1040
+// too (46–53 ns against 49–50 ns): one multiquery head's K/V stays
+// cache-resident in either dtype, so the eight heads' arithmetic per row
+// is the cost and the quantized cache buys capacity, not speed. It is
+// faster where the bytes bind: eight KV heads at depth 1040
+// (BenchmarkAttendSegmentInt8LongMHA 95 µs against F32LongMHA 151 µs).
+// The gate pins this benchmark's own baseline (ns/op and its allocs/op,
+// which must stay at the fp32 path's figure).
 func BenchmarkEngineDecodeStepInt8KV(b *testing.B) {
 	benchEngineDecodeStep(b, engine.Options{
 		FFN: partition.FFN2DWeightStationary, Attn: partition.AttnShardBatch,

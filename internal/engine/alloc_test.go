@@ -99,3 +99,38 @@ func TestDecodeZeroAllocsHeadShardedSerialBlock(t *testing.T) {
 		t.Errorf("head-sharded DecodeInto allocates %v times per iteration, want 0", avg)
 	}
 }
+
+// Admission on a batch-sharded mesh: in each layer the chips that do not own
+// the slot take part in the output all-to-all with all-zero shards. Those
+// come from the chip's arena and shard table, not the heap — they used to
+// cost every non-owner chip n+1 allocations a layer, 63 a layer on this
+// mesh on top of the 97 the collectives' result tables and messages make,
+// which the per-layer slope of a warm PrefillSlot shows.
+func TestPrefillSlotBatchShardedAllocsPerLayer(t *testing.T) {
+	prev := tensor.SetWorkers(1)
+	defer tensor.SetWorkers(prev)
+
+	allocs := func(layers int) float64 {
+		cfg := ciConfig()
+		cfg.Layers = layers
+		eng, err := New(reference.NewWeights(cfg, 7), hardware.Torus{X: 2, Y: 2, Z: 2}, Options{
+			FFN: partition.FFN2DWeightStationary, Attn: partition.AttnShardBatch,
+		}, 8, 32)
+		if err != nil {
+			t.Fatal(err)
+		}
+		prompt := make([]int, 16)
+		admit := func() {
+			eng.PrefillSlot(0, prompt)
+			eng.ReleaseSlot(0)
+		}
+		for i := 0; i < 3; i++ {
+			admit()
+		}
+		return testing.AllocsPerRun(20, admit)
+	}
+	const limit = 130 // between the 97 of today and the 160 with heap-allocated zero shards
+	if perLayer := (allocs(4) - allocs(2)) / 2; perLayer > limit {
+		t.Errorf("a warm PrefillSlot allocates %.0f times per layer on 8 chips, want at most %d", perLayer, limit)
+	}
+}

@@ -324,8 +324,8 @@ type chipState struct {
 
 	// Per-chip scratch: every temporary of a forward pass comes from the
 	// arena (reset at the top of each pass) and the attention softmax runs
-	// in scr (pre-sized to maxLen), so a steady-state decode iteration
-	// performs zero heap allocations on this chip.
+	// in scr (pre-sized to heads-per-KV-head × maxLen), so a steady-state
+	// decode iteration performs zero heap allocations on this chip.
 	arena tensor.Arena
 	scr   reference.AttnScratch
 	// logits is this chip's output of the latest pass (arena-backed, valid
@@ -422,7 +422,9 @@ func New(w *reference.Weights, t hardware.Torus, opts Options, batch, maxLen int
 	e.chips = make([]*chipState, n)
 	for r := 0; r < n; r++ {
 		e.chips[r] = e.buildChip(w, r)
-		e.chips[r].scr.Reserve(maxLen)
+		// The walk scores all query heads of one KV head at once; no
+		// sharding gives a chip more of them per KV head than the model has.
+		e.chips[r].scr.Reserve(cfg.Heads / cfg.KVHeads * maxLen)
 		if opts.Int8Wire {
 			e.chips[r].wire = collective.WireInt8
 		}

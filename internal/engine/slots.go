@@ -161,7 +161,7 @@ func (e *Engine) attnSlot(c *mesh.Chip, st *chipState, cl *chipLayer, layer int,
 	} else {
 		headW := qLocal.Cols
 		qFull := agCols(ar, st.op(c), hardware.GroupXYZ, qLocal, n) // [steps, H·dh]
-		shards := make([][]float32, n)
+		shards := st.shardTab(n)
 		if c.Rank == owner {
 			st.cache.AppendSeq(layer, local, kNew, vNew, steps)
 			outFull := reference.AttendSeqInto(ar.Mat(steps, qFull.Cols),
@@ -170,8 +170,12 @@ func (e *Engine) attnSlot(c *mesh.Chip, st *chipState, cl *chipLayer, layer int,
 				shards[d] = tensor.SliceCols(outFull, d*headW, (d+1)*headW).Data
 			}
 		} else {
-			for d := 0; d < n; d++ {
-				shards[d] = make([]float32, steps*headW)
+			// Only the owner's shards carry data; the all-to-all copies what
+			// it sends, so one zeroed buffer serves every destination.
+			zero := ar.Floats(steps * headW)
+			clear(zero)
+			for d := range shards {
+				shards[d] = zero
 			}
 		}
 		recv := collective.AllToAll(st.op(c), hardware.GroupXYZ, shards)

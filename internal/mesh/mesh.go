@@ -183,12 +183,13 @@ func (m *Mesh) MeasuredOverlapFrac() float64 {
 }
 
 // Run executes fn on every chip concurrently (SPMD) and waits for all chips
-// to finish. A panic on any chip is re-raised on the caller after all other
-// chips finish or deadlock is avoided by the panic's message loss; programs
-// are expected to be deterministic and matched. A single-chip mesh runs fn
-// inline — there are no peers to message or poison, so the goroutine,
-// WaitGroup, and bookkeeping would be pure overhead on the one path that
-// can be made allocation-free end to end.
+// to finish. A panic on any chip poisons every inbox, so that a chip blocked
+// in a receive the panicking chip will never match panics too instead of
+// deadlocking, and is re-raised on the caller once every chip has returned;
+// programs are expected to be deterministic and matched. A single-chip mesh
+// runs fn inline — there are no peers to message or poison, so the
+// goroutine, WaitGroup, and bookkeeping would be pure overhead on the one
+// path that can be made allocation-free end to end.
 func (m *Mesh) Run(fn func(c *Chip)) {
 	if len(m.chips) == 1 {
 		fn(m.chips[0])

@@ -10,11 +10,11 @@ import (
 
 // FuzzKernelEquivalence is the differential fuzz over the simd layer: the
 // dispatched kernels (AVX2 on capable hardware) must agree bit for bit
-// with the exported scalar twins on every input the engine can produce —
-// arbitrary float32 bit patterns on the activation side (NaN and Inf
-// included) and int8 rows produced by the real quantize path, which is
-// exactly where adversarial NaN/Inf inputs get clamped before they reach
-// the kernels. Shapes are fuzzed too, so every vector-block boundary and
+// with the exported scalar twins (Exp32Rows: with the scalar Exp32) on
+// every input the engine can produce — arbitrary float32 bit patterns on
+// the activation side (NaN and Inf included) and int8 rows produced by the
+// real quantize path, which is exactly where adversarial NaN/Inf inputs
+// get clamped before they reach the kernels. Shapes are fuzzed too, so every vector-block boundary and
 // tail length gets hit. On hardware without AVX2 the comparison is
 // scalar-vs-scalar and trivially passes; the CI fuzz-smoke job runs on
 // x86-64 where it bites.
@@ -22,6 +22,11 @@ func FuzzKernelEquivalence(f *testing.F) {
 	f.Add([]byte{1, 2, 3, 4, 5, 6, 7, 8}, uint8(3), float32(0.5))
 	f.Add([]byte{0xff, 0xff, 0xff, 0x7f, 0, 0, 0x80, 0x7f}, uint8(16), float32(-2)) // NaN, +Inf bits
 	f.Add(make([]byte, 4*40), uint8(33), float32(1e30))
+	// Lengths whose derived segment geometry is non-degenerate: (g, dh,
+	// rows) = (2, 9, 7), (2, 17, 5), (2, 21, 4), (1, 1, 120), (2, 31, 4).
+	for _, n := range []uint8{64, 88, 100, 120, 130} {
+		f.Add([]byte{0x80, 0x3f, 0, 0, 0, 0, 0x80, 0xbf, 1, 2, 3, 4}, n-1, float32(0.125))
+	}
 	f.Fuzz(func(t *testing.T, raw []byte, nbyte uint8, s float32) {
 		n := int(nbyte)%130 + 1
 		// Activation-side floats from raw bit patterns: every special value
@@ -100,6 +105,61 @@ func FuzzKernelEquivalence(f *testing.F) {
 			for i := 0; i < m; i++ {
 				eq("MulAdd4F32", dgot[i], dwant[i])
 			}
+		}
+
+		// Segment kernels: a and q reinterpreted as g query vectors, n/dh
+		// K/V rows and a [g][rows] scratch, so head counts, head dims on
+		// both sides of the 8- and 16-lane blocks and row counts on both
+		// sides of the four-row grouping all come from the fuzzed length.
+		g, dh := n%3+1, n*7%40+1
+		if rows := n / dh; g*dh <= n && g*rows <= n {
+			newMax := func() []float32 {
+				m := make([]float32, g)
+				for h := range m {
+					m[h] = float32(math.Inf(-1))
+				}
+				return m
+			}
+			for _, int8K := range []bool{false, true} {
+				got, want := make([]float32, g*rows), make([]float32, g*rows)
+				gotMax, wantMax := newMax(), newMax()
+				if int8K {
+					simd.ScoreRowsF32I8(got, rows, gotMax, a[:g*dh], q, a, dh, rows, s, make([]float32, dh))
+					simd.ScalarScoreRowsF32I8(want, rows, wantMax, a[:g*dh], q, a, dh, rows, s)
+				} else {
+					simd.ScoreRowsF32(got, rows, gotMax, a[:g*dh], a, dh, rows, s)
+					simd.ScalarScoreRowsF32(want, rows, wantMax, a[:g*dh], a, dh, rows, s)
+				}
+				for i := range got {
+					eq("ScoreRows", got[i], want[i])
+				}
+				for h := range gotMax {
+					eq("ScoreRows max", gotMax[h], wantMax[h])
+				}
+
+				got, want = make([]float32, g*dh), make([]float32, g*dh)
+				gotW, wantW := append([]float32(nil), a[:g*rows]...), append([]float32(nil), a[:g*rows]...)
+				if int8K {
+					simd.WeighRowsF32I8(got, gotW, rows, a[:g], q, a, dh, rows)
+					simd.ScalarWeighRowsF32I8(want, wantW, rows, a[:g], q, a, dh, rows)
+				} else {
+					simd.WeighRowsF32(got, gotW, rows, a[:g], a, dh, rows)
+					simd.ScalarWeighRowsF32(want, wantW, rows, a[:g], a, dh, rows)
+				}
+				for i := range got {
+					eq("WeighRows", got[i], want[i])
+				}
+				for i := range gotW {
+					eq("WeighRows weights", gotW[i], wantW[i])
+				}
+			}
+		}
+
+		// Exp32Rows against Exp32, element by element, on the raw bits.
+		copy(dgot, a)
+		simd.Exp32Rows(dgot)
+		for i := range dgot {
+			eq("Exp32Rows", dgot[i], simd.Exp32(a[i]))
 		}
 
 		// Round trip: dequantize must be bit-identical however it is

@@ -99,17 +99,6 @@ func DequantizeRowInto(dst []float32, src []int8, scale float32) {
 	}
 }
 
-// DotF32I8 is the shared int8-dot kernel of the fused attention walk: the
-// float32 accumulation of a · b over b's raw int8 values, running
-// internal/simd's vectorized kernel (AVX2 VPMOVSXBD inner loop, or its
-// bit-identical scalar twin) with the fixed 16-lane accumulation contract.
-// The caller applies the row scale once to the result — one multiply per
-// row instead of one per element, which is what keeps the int8 score loop
-// cheaper than the fp32 walk.
-func DotF32I8(a []float32, b []int8) float32 {
-	return simd.DotF32I8(a, b)
-}
-
 // AxpyF32I8 accumulates s·v into dst over v's raw int8 values; the caller
 // folds the row scale into s.
 func AxpyF32I8(dst []float32, s float32, v []int8) {

@@ -1,6 +1,7 @@
 package reference
 
 import (
+	"fmt"
 	"math"
 
 	"esti/internal/kvcache"
@@ -14,217 +15,202 @@ import (
 // a scores matrix, an output block — and composed tensor.MatMulT, Scale,
 // SoftmaxRows and MatMul over them; at decode depth d that copied O(d)
 // rows per head per layer and dominated the profile. AttendSeqInto fuses
-// scale, causal mask, softmax and the weighted V sum into one pass per
-// query head that reads K and V directly from the kvcache's two-segment
-// zero-copy views (shared prefix + private suffix), shares a single
-// softmax buffer across heads, steps and layers, and writes straight into
-// the caller's output block. Steady state it allocates nothing.
+// scale, causal mask, softmax and the weighted V sum, reads K and V
+// directly from the kvcache's two-segment zero-copy views (shared prefix +
+// private suffix), and writes straight into the caller's output block.
+// Steady state it allocates nothing.
+//
+// The walk is organised around the KV row, not the query head — the
+// paper's Section 3.3 point that under multiquery attention the K/V
+// tensors are shared by all heads, so they are loaded once per token, not
+// once per head. For each KV head and query row: one pass over each K
+// segment scores all g = heads/kvHeads query heads that share it, one
+// softmax runs per head over the [g][depth] score scratch, and one pass
+// over each V segment accumulates all g output rows. Multihead attention
+// is the g = 1 case of the same loop; a float32 and an int8 cache differ
+// only in which pair of simd segment kernels a segment calls.
 
-// AttnScratch is the reusable buffer AttendSeqInto runs its softmax in.
-// One scratch serves a whole engine chip (or reference model): every call
-// reuses the same backing array, growing it only when the attended depth
-// first exceeds its capacity. Reserve pre-sizes it so a capacity-bounded
-// decode loop never grows it at all. Not safe for concurrent use.
+// AttnScratch is the reusable scratch AttendSeqInto scores and runs its
+// softmax in: g·depth floats for the g query heads of one KV head. One
+// scratch serves a whole engine chip (or reference model): every call
+// reuses the same backing arrays, growing them only when a call first
+// needs more. Reserve pre-sizes it so a capacity-bounded decode loop never
+// grows it at all. Not safe for concurrent use.
+//
+// Both arrays own every cache line they touch (ownLines). The score kernel
+// updates a head's running max in memory once per K row, and a mesh's chips
+// walk their caches at the same time on different cores: left to the heap,
+// the few floats of two chips' per-head state land in one cache line — which
+// two depends on where the chips' goroutines first ran — and that line then
+// bounces between the cores for the length of every walk.
 type AttnScratch struct {
-	probs []float32
+	probs []float32 // [g][depth]: scores, then softmax weights
+	small []float32 // one int8 K row as float32 | per head: running max | 1/Σ
 }
 
-// Reserve grows the scratch to cover attention depths up to maxLen.
-func (s *AttnScratch) Reserve(maxLen int) {
-	if cap(s.probs) < maxLen {
-		s.probs = make([]float32, maxLen)
+// ownLines returns n floats that start on a cache line and share none of
+// their lines with another allocation.
+func ownLines(n int) []float32 {
+	const line = 16 // floats
+	return tensor.New(1, (n+line-1)&^(line-1)).Data[:n]
+}
+
+// Reserve grows the scratch to hold n scores: g·maxLen for attention depths
+// up to maxLen with g query heads per KV head.
+func (s *AttnScratch) Reserve(n int) {
+	if cap(s.probs) < n {
+		s.probs = ownLines(n)
 	}
 }
 
 func (s *AttnScratch) buf(n int) []float32 {
-	if cap(s.probs) < n {
-		s.probs = make([]float32, n)
-	}
+	s.Reserve(n)
 	return s.probs[:n]
+}
+
+// perHead returns the per-head max and 1/Σ vectors and the int8 row buffer.
+func (s *AttnScratch) perHead(g, dh int) (maxes, invSum, widen []float32) {
+	if cap(s.small) < dh+2*g {
+		s.small = ownLines(dh + 2*g)
+	}
+	return s.small[dh : dh+g], s.small[dh+g : dh+2*g], s.small[:dh]
+}
+
+// segment is one contiguous run of a slot's K or V rows — the shared
+// prefix or the private suffix — in the cache's dtype: float32 rows, or
+// int8 rows with one dequantization scale each.
+type segment struct {
+	rows, cols int
+	f32        []float32
+	i8         []int8
+	scales     []float32
+}
+
+func floatSegments(pre, priv tensor.Mat) (segment, segment) {
+	return segment{rows: pre.Rows, cols: pre.Cols, f32: pre.Data},
+		segment{rows: priv.Rows, cols: priv.Cols, f32: priv.Data}
+}
+
+func int8Segments(pre, priv quant.Int8Rows) (segment, segment) {
+	return segment{rows: pre.Rows, cols: pre.Cols, i8: pre.Data, scales: pre.Scales},
+		segment{rows: priv.Rows, cols: priv.Cols, i8: priv.Data, scales: priv.Scales}
+}
+
+// score fills out[h*ld+j] with inv·(q_h · k_j) — times k_j's scale when
+// quantized — for the segment's first rows rows at columns [kvo, kvo+dh) and
+// every query head in q, raising maxes[h] to head h's largest score.
+func (s segment) score(out []float32, ld int, maxes, q []float32, kvo, rows int, inv float32, widen []float32) {
+	switch {
+	case rows == 0:
+	case s.i8 != nil:
+		simd.ScoreRowsF32I8(out, ld, maxes, q, s.i8[kvo:], s.scales, s.cols, rows, inv, widen)
+	default:
+		simd.ScoreRowsF32(out, ld, maxes, q, s.f32[kvo:], s.cols, rows, inv)
+	}
+}
+
+// weigh turns w[h*ld+j] from exp(score − max) into row j's softmax weight
+// for head h — times invSum[h], and v_j's scale when quantized — and
+// accumulates the segment's first rows rows, so weighted, into the
+// len(invSum) output rows in out.
+func (s segment) weigh(out, w []float32, ld int, invSum []float32, kvo, rows int) {
+	switch {
+	case rows == 0:
+	case s.i8 != nil:
+		simd.WeighRowsF32I8(out, w, ld, invSum, s.i8[kvo:], s.scales, s.cols, rows)
+	default:
+		simd.WeighRowsF32(out, w, ld, invSum, s.f32[kvo:], s.cols, rows)
+	}
 }
 
 // AttendSeqInto computes masked attention of a single sequence's queries
 // ([steps, localHeads·dh]) against cache slot `slot` into dst, which must
 // already be shaped [steps, q.Cols]. Semantics are identical to AttendSeq
 // (see its doc comment for the head mapping and depth contract); this is
-// the fused, allocation-free form the engine's hot path calls. An int8
-// cache runs the quantized walk (attendSeqInt8): same loop structure, K/V
-// read as raw int8 with one scale multiply per row.
+// the fused, allocation-free form the engine's hot path calls. It panics
+// on a head geometry the cache cannot serve: widths that are not whole
+// heads, or query heads that do not divide evenly over the KV heads.
 func AttendSeqInto(dst *tensor.Mat, dh int, q *tensor.Mat, cache *kvcache.Cache, layer, slot, steps int, scr *AttnScratch) *tensor.Mat {
-	heads := q.Cols / dh
-	kvHeads := cache.KVWidth / dh
-	headsPerKV := heads / kvHeads
+	if dh <= 0 || q.Cols%dh != 0 || cache.KVWidth%dh != 0 {
+		panic(fmt.Sprintf("reference: query width %d and KV width %d must be whole heads of dim %d", q.Cols, cache.KVWidth, dh))
+	}
+	heads, kvHeads := q.Cols/dh, cache.KVWidth/dh
+	if heads == 0 || kvHeads == 0 || heads%kvHeads != 0 {
+		panic(fmt.Sprintf("reference: %d query heads do not divide over %d KV heads (query width %d, KV width %d, head dim %d)",
+			heads, kvHeads, q.Cols, cache.KVWidth, dh))
+	}
+	if dst.Rows != steps || dst.Cols != q.Cols {
+		panic(fmt.Sprintf("reference: attention output is [%d, %d], want [%d, %d]", dst.Rows, dst.Cols, steps, q.Cols))
+	}
+	g := heads / kvHeads
 	past := cache.SeqLen(slot)
 	total := past + steps
 	inv := float32(1 / math.Sqrt(float64(dh)))
 
+	var preK, privK, preV, privV segment
 	if cache.Int8() {
-		return attendSeqInt8(dst, dh, q, cache, layer, slot, steps, scr, headsPerKV, past, inv)
+		preK, privK = int8Segments(cache.ViewK8(layer, slot, total))
+		preV, privV = int8Segments(cache.ViewV8(layer, slot, total))
+	} else {
+		preK, privK = floatSegments(cache.ViewK(layer, slot, total))
+		preV, privV = floatSegments(cache.ViewV(layer, slot, total))
 	}
+	pl := preK.rows
+	maxes, invSum, widen := scr.perHead(g, dh)
 
-	preK, privK := cache.ViewK(layer, slot, total)
-	preV, privV := cache.ViewV(layer, slot, total)
-	pl := preK.Rows
-	probs := scr.buf(total)
-
-	for h := 0; h < heads; h++ {
-		qo := h * dh
-		kvo := (h / headsPerKV) * dh
+	for kv := 0; kv < kvHeads; kv++ {
+		kvo, qo := kv*dh, kv*g*dh
 		for t := 0; t < steps; t++ {
-			qrow := q.Row(t)[qo : qo+dh]
 			limit := past + t + 1 // causal: query past+t sees keys 0..past+t
-			npre := limit
-			if npre > pl {
-				npre = pl
+			npre := min(limit, pl)
+			qg := q.Row(t)[qo : qo+g*dh]
+			probs := scr.buf(g * limit)
+			for h := range maxes {
+				maxes[h] = float32(math.Inf(-1))
 			}
-			maxV := scoreSeg(probs[:npre], preK.Data, preK.Cols, kvo, qrow, inv,
-				scoreSeg(probs[npre:limit], privK.Data, privK.Cols, kvo, qrow, inv,
-					float32(math.Inf(-1))))
-			scale := softmaxInPlace(probs[:limit], maxV)
-			orow := dst.Row(t)[qo : qo+dh]
-			for i := range orow {
-				orow[i] = 0
-			}
-			weighSeg(orow, probs[:npre], preV.Data, preV.Cols, kvo, scale)
-			weighSeg(orow, probs[npre:limit], privV.Data, privV.Cols, kvo, scale)
+			privK.score(probs[npre:], limit, maxes, qg, kvo, limit-npre, inv, widen)
+			preK.score(probs, limit, maxes, qg, kvo, npre, inv, widen)
+			softmaxHeads(probs, limit, maxes, invSum)
+			og := dst.Row(t)[qo : qo+g*dh]
+			clear(og)
+			preV.weigh(og, probs, limit, invSum, kvo, npre)
+			privV.weigh(og, probs[npre:], limit, invSum, kvo, limit-npre)
 		}
 	}
 	return dst
 }
 
-// softmaxInPlace exponentiates max-subtracted scores with the batched
-// Exp32Rows and returns the reciprocal of their sum — the 1/Σ factor both
-// weigh loops fold into their per-row weights. Shared by the float32 and
-// int8 walks.
-func softmaxInPlace(probs []float32, maxV float32) (invSum float32) {
-	for j := range probs {
-		probs[j] -= maxV
-	}
-	tensor.Exp32Rows(probs)
-	var sum float32
-	for _, p := range probs {
-		sum += p
-	}
-	return 1 / sum
-}
-
-// attendSeqInt8 is the quantized walk: the same fused score → softmax →
-// weigh structure over the cache's int8 two-segment views. Scores are
-// float32 dots over raw int8 K values with the row scale applied once per
-// row (quant.DotF32I8's contract), and the weighted V sum folds each row's
-// scale into its softmax weight — no float32 K/V is ever materialized and
-// nothing allocates, so the decode hot path keeps its zero-alloc contract
-// while touching half the cache bytes.
-func attendSeqInt8(dst *tensor.Mat, dh int, q *tensor.Mat, cache *kvcache.Cache, layer, slot, steps int, scr *AttnScratch, headsPerKV, past int, inv float32) *tensor.Mat {
-	heads := q.Cols / dh
-	total := past + steps
-	preK, privK := cache.ViewK8(layer, slot, total)
-	preV, privV := cache.ViewV8(layer, slot, total)
-	pl := preK.Rows
-	probs := scr.buf(total)
-
-	for h := 0; h < heads; h++ {
-		qo := h * dh
-		kvo := (h / headsPerKV) * dh
-		for t := 0; t < steps; t++ {
-			qrow := q.Row(t)[qo : qo+dh]
-			limit := past + t + 1
-			npre := limit
-			if npre > pl {
-				npre = pl
-			}
-			maxV := scoreSegI8(probs[:npre], preK, kvo, qrow, inv,
-				scoreSegI8(probs[npre:limit], privK, kvo, qrow, inv,
-					float32(math.Inf(-1))))
-			scale := softmaxInPlace(probs[:limit], maxV)
-			orow := dst.Row(t)[qo : qo+dh]
-			for i := range orow {
-				orow[i] = 0
-			}
-			weighSegI8(orow, probs[:npre], preV, kvo, scale)
-			weighSegI8(orow, probs[npre:limit], privV, kvo, scale)
+// softmaxHeads exponentiates each head's max-subtracted scores in place
+// (probs is [len(maxes)][ld]) and leaves the reciprocal of each head's sum
+// in invSum — the 1/Σ factor the weigh passes fold into their per-row
+// weights. Each head's sum runs in index order; four heads' sums advance
+// together because one float32 add chain alone waits on its own latency.
+func softmaxHeads(probs []float32, ld int, maxes, invSum []float32) {
+	for h, m := range maxes {
+		row := probs[h*ld : (h+1)*ld]
+		for j := range row {
+			row[j] -= m
 		}
 	}
-	return dst
-}
-
-// scoreSeg fills out[j] with inv·(q · k_j) for one K segment (rows are
-// len(out) consecutive rows of kd at stride w, columns [kvo, kvo+len(q))),
-// each row's dot running the simd layer's fixed 16-lane kernel (AVX2 or
-// its bit-identical scalar twin), and returns the running max starting
-// from maxV. Segments compose: score the later (private) segment first
-// with the prefix segment's call wrapped around it, or vice versa — max is
-// order-independent.
-func scoreSeg(out []float32, kd []float32, w, kvo int, q []float32, inv, maxV float32) float32 {
-	dh := len(q)
-	for j := range out {
-		o := j*w + kvo
-		s := inv * simd.DotF32(q, kd[o:o+dh])
-		out[j] = s
-		if s > maxV {
-			maxV = s
+	simd.Exp32Rows(probs)
+	h := 0
+	for ; h+4 <= len(invSum); h += 4 {
+		r0, r1 := probs[h*ld:(h+1)*ld], probs[(h+1)*ld:(h+2)*ld]
+		r2, r3 := probs[(h+2)*ld:(h+3)*ld], probs[(h+3)*ld:(h+4)*ld]
+		var s0, s1, s2, s3 float32
+		for j := range r0 {
+			s0 += r0[j]
+			s1 += r1[j]
+			s2 += r2[j]
+			s3 += r3[j]
 		}
+		invSum[h], invSum[h+1], invSum[h+2], invSum[h+3] = 1/s0, 1/s1, 1/s2, 1/s3
 	}
-	return maxV
-}
-
-// scoreSegI8 is scoreSeg over a quantized K segment: out[j] gets
-// inv·scales[j]·(q · k8_j), the int8×float32 dot with the row's
-// dequantization folded into one multiply after the accumulation — the
-// accumulation itself is simd.DotF32I8's VPMOVSXBD-class inner loop.
-func scoreSegI8(out []float32, seg quant.Int8Rows, kvo int, q []float32, inv, maxV float32) float32 {
-	dh := len(q)
-	kd, scales, w := seg.Data, seg.Scales, seg.Cols
-	for j := range out {
-		o := j*w + kvo
-		s := inv * scales[j] * simd.DotF32I8(q, kd[o:o+dh])
-		out[j] = s
-		if s > maxV {
-			maxV = s
+	for ; h < len(invSum); h++ {
+		var sum float32
+		for _, p := range probs[h*ld : (h+1)*ld] {
+			sum += p
 		}
-	}
-	return maxV
-}
-
-// weighSegI8 is weighSeg over a quantized V segment: each row's
-// dequantization scale folds into its softmax weight (p_j·invSum·scale_j),
-// so the inner loop is a pure int8→float32 multiply-accumulate —
-// simd.MulAdd4F32I8 four rows at a time.
-func weighSegI8(orow []float32, p []float32, seg quant.Int8Rows, kvo int, scale float32) {
-	dh := len(orow)
-	vd, scales, w := seg.Data, seg.Scales, seg.Cols
-	j := 0
-	for ; j+4 <= len(p); j += 4 {
-		o0 := j*w + kvo
-		p0 := p[j] * scale * scales[j]
-		p1 := p[j+1] * scale * scales[j+1]
-		p2 := p[j+2] * scale * scales[j+2]
-		p3 := p[j+3] * scale * scales[j+3]
-		simd.MulAdd4F32I8(orow,
-			vd[o0:o0+dh], vd[o0+w:o0+w+dh], vd[o0+2*w:o0+2*w+dh], vd[o0+3*w:o0+3*w+dh],
-			p0, p1, p2, p3)
-	}
-	for ; j < len(p); j++ {
-		o := j*w + kvo
-		quant.AxpyF32I8(orow, p[j]*scale*scales[j], vd[o:o+dh])
-	}
-}
-
-// weighSeg accumulates scale·p_j·v_j into orow over one V segment (len(p)
-// consecutive rows of vd at stride w, columns [kvo, kvo+len(orow))),
-// simd.MulAdd4F32 four rows at a time.
-func weighSeg(orow []float32, p []float32, vd []float32, w, kvo int, scale float32) {
-	dh := len(orow)
-	j := 0
-	for ; j+4 <= len(p); j += 4 {
-		o0 := j*w + kvo
-		p0, p1, p2, p3 := p[j]*scale, p[j+1]*scale, p[j+2]*scale, p[j+3]*scale
-		simd.MulAdd4F32(orow,
-			vd[o0:o0+dh], vd[o0+w:o0+w+dh], vd[o0+2*w:o0+2*w+dh], vd[o0+3*w:o0+3*w+dh],
-			p0, p1, p2, p3)
-	}
-	for ; j < len(p); j++ {
-		o := j*w + kvo
-		tensor.Axpy(orow, p[j]*scale, vd[o:o+dh])
+		invSum[h] = 1 / sum
 	}
 }

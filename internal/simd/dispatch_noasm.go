@@ -25,3 +25,14 @@ func mulAdd4F32Asm(dst []float32, b0, b1, b2, b3 []float32, a0, a1, a2, a3 float
 func mulAdd4F32I8Asm(dst []float32, q0, q1, q2, q3 []int8, a0, a1, a2, a3 float32) {
 	panic("simd: no asm kernels on this arch")
 }
+
+func scoreRowsAsm(out *float32, ld int, maxes *float32, g int, q *float32, dh int,
+	kf *float32, k8 *int8, kscales, widen *float32, strideBytes, rows int, scale float32) {
+	panic("simd: no asm kernels on this arch")
+}
+
+func weighRowsAsm(dst *float32, g, dh int, w *float32, ld int, invSum, vf *float32, v8 *int8, vscales *float32, strideBytes, rows int) {
+	panic("simd: no asm kernels on this arch")
+}
+
+func exp32RowsAsm(xs []float32) int { panic("simd: no asm kernels on this arch") }

@@ -125,3 +125,106 @@ func TestAsmOverflowIdentical(t *testing.T) {
 		t.Fatal("expected +Inf accumulation")
 	}
 }
+
+// forceASM routes the exported entry points through the assembly for the
+// rest of the test whatever dispatch chose at init, so the wrapper + AVX2
+// composition is checked under ESTI_NOSIMD=1 too.
+func forceASM(t *testing.T) {
+	skipNoAVX2(t)
+	prev := useASM
+	useASM = true
+	t.Cleanup(func() { useASM = prev })
+}
+
+func TestAsmSegmentKernelsBitIdentical(t *testing.T) {
+	forceASM(t)
+	rng := rand.New(rand.NewSource(10))
+	for _, c := range segmentCases() {
+		checkSegmentKernels(t, rng, c)
+	}
+}
+
+// The assembly widens int8 tail elements (dh%8) one at a time; the extremes
+// must convert like the vector path and like Go.
+func TestAsmSegmentInt8Extremes(t *testing.T) {
+	forceASM(t)
+	const g, dh, rows = 2, 21, 5
+	k := make([]int8, rows*dh)
+	for i := range k {
+		k[i] = []int8{-128, -127, -1, 0, 1, 127, 64}[i%7]
+	}
+	q, scales := make([]float32, g*dh), make([]float32, rows)
+	for i := range q {
+		q[i] = float32(i%5) - 2
+	}
+	for i := range scales {
+		scales[i] = 1
+	}
+	got, want := make([]float32, g*rows), make([]float32, g*rows)
+	gotMax, wantMax := []float32{-1e30, -1e30}, []float32{-1e30, -1e30}
+	ScoreRowsF32I8(got, rows, gotMax, q, k, scales, dh, rows, 1, make([]float32, dh))
+	ScalarScoreRowsF32I8(want, rows, wantMax, q, k, scales, dh, rows, 1)
+	for i := range got {
+		eqBits(t, "score extremes", got[i], want[i])
+	}
+}
+
+// expAlwaysBands are the float32 bit ranges where the assembly Exp32Rows
+// changes behaviour — its hand-off bounds ±87/88, Exp32's rails and
+// scale-split bands just outside them, ±0 and the subnormals, ±Inf and the
+// NaNs — each swept in full on every run.
+var expAlwaysBands = [][2]uint32{
+	{0x00000000, 0x00010000}, // +0, positive subnormals
+	{0x80000000, 0x80010000}, // -0, negative subnormals
+	{0x42ad0000, 0x42b40000}, // 86.5 .. 90: hand-off at 88, +Inf rail at 88.72
+	{0xc2ad0000, 0xc2b40000}, // -86.5 .. -90: hand-off at -87, zero rail at -87.34
+	{0x3eb00000, 0x3eb80000}, // around ln2/2, where n steps 0 -> 1
+	{0x7f7f0000, 0x7f810000}, // MaxFloat32, +Inf, first NaNs
+	{0xff7f0000, 0xff810000}, // -MaxFloat32, -Inf, first NaNs
+	{0x7fc00000, 0x7fc00100}, // quiet NaNs
+}
+
+// sweepExp32Rows checks Exp32Rows against Exp32 on every bit pattern in
+// [lo, hi), eight-element blocks and tails alike.
+func sweepExp32Rows(t *testing.T, lo, hi uint64) {
+	t.Helper()
+	const chunk = 1<<12 + 5 // not a multiple of 8: every chunk ends in a scalar tail
+	xs := make([]float32, chunk)
+	for base := lo; base < hi; base += chunk {
+		n := chunk
+		if hi-base < chunk {
+			n = int(hi - base)
+		}
+		for i := 0; i < n; i++ {
+			xs[i] = math.Float32frombits(uint32(base) + uint32(i))
+		}
+		Exp32Rows(xs[:n])
+		for i := 0; i < n; i++ {
+			bits := uint32(base) + uint32(i)
+			if got, want := xs[i], Exp32(math.Float32frombits(bits)); math.Float32bits(got) != math.Float32bits(want) &&
+				!(math.IsNaN(float64(got)) && math.IsNaN(float64(want))) {
+				t.Errorf("Exp32Rows(%#08x) = %#08x, Exp32 = %#08x", bits, math.Float32bits(got), math.Float32bits(want))
+				return
+			}
+		}
+	}
+}
+
+func TestAsmExp32RowsBands(t *testing.T) {
+	forceASM(t)
+	for _, b := range expAlwaysBands {
+		sweepExp32Rows(t, uint64(b[0]), uint64(b[1]))
+	}
+}
+
+// Every float32 bit pattern: the AVX2 body and its hand-off to the scalar
+// Exp32 agree with Exp32 on all 2^32 inputs. Over a minute (a quarter of
+// the inputs are so small that g*g underflows, and both sides pay the
+// subnormal penalty), so not under -short or the race detector.
+func TestAsmExp32RowsExhaustive(t *testing.T) {
+	if testing.Short() || raceEnabled {
+		t.Skip("2^32-input sweep skipped under -short and -race")
+	}
+	forceASM(t)
+	sweepExp32Rows(t, 0, 1<<32)
+}

@@ -1,4 +1,4 @@
-package tensor
+package simd
 
 import "math"
 
@@ -42,26 +42,55 @@ func Exp32(x float32) float32 {
 	return eg * scalb2(n)
 }
 
-// ln2 split into a float32-exact high part and the residual (Cody–Waite),
-// so fn·ln2 can be subtracted from x without rounding loss.
 const (
+	// log2e converts natural exponent to base-2 exponent: e^x = 2^(x·log2(e)).
+	log2e = 1.4426950408889634
+	// ln2 split into a float32-exact high part and the residual
+	// (Cody–Waite), so fn·ln2 can be subtracted from x without rounding loss.
 	ln2Hi = 0.693359375
 	ln2Lo = -2.12194440e-4
-	// Exp32's under/overflow rails, shared with the batched form.
+	// Exp32's under/overflow rails, shared with the batched forms.
 	exp32Lo = -87.33655
 	exp32Hi = 88.72283
 )
 
+// expBlock is the vector width of the assembly Exp32Rows body.
+const expBlock = 8
+
 // Exp32Rows applies Exp32 to every element of xs in place — the batched,
-// slice-at-a-time form the softmax paths of the fused attention kernel
-// (float32 and int8 alike) run over their score slices. The hot loop
-// processes four elements per iteration with the Cody–Waite reduction and
-// polynomial fully unrolled and no per-element range branches (softmax
-// inputs are max-subtracted, so the rails are cold); a block containing a
-// railed or scale-split value falls back to the scalar Exp32, which keeps
-// the two forms exactly equal everywhere — the property test asserts
-// bit-identical outputs.
+// slice-at-a-time form the softmax of the fused attention walk runs over
+// its score scratch. Every element gets exactly Exp32's value on either
+// dispatch path: the AVX2 body evaluates eight elements per iteration with
+// the same individually rounded operations in the same order and hands any
+// block holding a value near the rails (or a NaN) back to the scalar
+// Exp32, so the assembly never has to reproduce the split scaling.
 func Exp32Rows(xs []float32) {
+	if !useASM {
+		ScalarExp32Rows(xs)
+		return
+	}
+	i := 0
+	for m := len(xs) &^ (expBlock - 1); i < m; {
+		i += exp32RowsAsm(xs[i:m])
+		if i < m {
+			// The assembly stopped in front of a block it does not handle.
+			for end := i + expBlock; i < end; i++ {
+				xs[i] = Exp32(xs[i])
+			}
+		}
+	}
+	for ; i < len(xs); i++ {
+		xs[i] = Exp32(xs[i])
+	}
+}
+
+// ScalarExp32Rows is Exp32Rows' pure-Go twin. The hot loop processes four
+// elements per iteration with the Cody–Waite reduction and polynomial
+// fully unrolled and no per-element range branches (softmax inputs are
+// max-subtracted, so the rails are cold); a block containing a railed or
+// scale-split value falls back to the scalar Exp32, which keeps the forms
+// exactly equal everywhere.
+func ScalarExp32Rows(xs []float32) {
 	i := 0
 	for ; i+4 <= len(xs); i += 4 {
 		x0, x1, x2, x3 := xs[i], xs[i+1], xs[i+2], xs[i+3]

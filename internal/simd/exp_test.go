@@ -1,4 +1,4 @@
-package tensor
+package simd
 
 import (
 	"math"
@@ -6,10 +6,41 @@ import (
 	"testing"
 )
 
-// Exp32Rows must agree with the scalar Exp32 bit for bit — it is the same
-// reduction and polynomial, only batched — including at the under/overflow
-// rails, the scale-split bands, and every slice-length tail the 4-wide
-// blocking produces.
+// Exp32 must track math.Exp to a couple of float32 ulps across the softmax
+// input range, hit exact zero below the underflow cutoff, and be exact at 0.
+func TestExp32MatchesMathExp(t *testing.T) {
+	if Exp32(0) != 1 {
+		t.Fatalf("Exp32(0) = %g", Exp32(0))
+	}
+	if Exp32(-100) != 0 {
+		t.Fatalf("Exp32(-100) = %g, want 0", Exp32(-100))
+	}
+	if !math.IsInf(float64(Exp32(90)), 1) {
+		t.Fatalf("Exp32(90) = %g, want +Inf", Exp32(90))
+	}
+	rng := rand.New(rand.NewSource(29))
+	worst := 0.0
+	for i := 0; i < 100000; i++ {
+		// Softmax arguments are ≤ 0; cover a little positive range too.
+		x := float32(rng.Float64()*95 - 87)
+		got := float64(Exp32(x))
+		want := math.Exp(float64(x))
+		if want == 0 {
+			continue
+		}
+		if r := math.Abs(got-want) / want; r > worst {
+			worst = r
+		}
+	}
+	if worst > 3e-7 {
+		t.Errorf("Exp32 max relative error %g, want <= 3e-7", worst)
+	}
+}
+
+// Exp32Rows must agree with the scalar Exp32 bit for bit on both dispatch
+// paths — it is the same reduction and polynomial, only batched —
+// including at the under/overflow rails, the scale-split bands, and every
+// slice-length tail the 4- and 8-wide blockings produce.
 func TestExp32RowsMatchesExp32Exactly(t *testing.T) {
 	rng := rand.New(rand.NewSource(31))
 	edge := []float32{

@@ -20,11 +20,19 @@
 //     horizontal reduce the assembly performs.
 //   - The tail (len mod 16) folds into r one element at a time: r += a[i]·b[i].
 //
-// Elementwise kernels (AxpyF32, AxpyF32I8, MulAdd4F32, MulAdd4F32I8) have no
-// cross-element accumulation, so vector width does not affect their results;
-// they only require that every per-element operation is an individually
-// rounded float32 multiply or add in the written order (no FMA contraction —
-// the assembly uses VMULPS+VADDPS, never VFMADD).
+// Elementwise kernels (AxpyF32, AxpyF32I8, MulAdd4F32, MulAdd4F32I8,
+// Exp32Rows) have no cross-element accumulation, so vector width does not
+// affect their results; they only require that every per-element operation
+// is an individually rounded float32 multiply or add in the written order
+// (no FMA contraction — the assembly uses VMULPS+VADDPS, never VFMADD).
+//
+// The segment kernels of the attention walk (ScoreRowsF32, ScoreRowsF32I8,
+// WeighRowsF32, WeighRowsF32I8) cover a whole K or V segment and all the
+// query heads that share it in one call, but each element they produce is
+// computed by exactly the operations above: a score is a 16-lane,
+// fixed-tree, sequential-tail dot; an accumulator element takes its rows
+// four at a time in MulAdd4's left-to-right association and the last
+// rows%4 one at a time.
 //
 // Because SIMD and fallback share this exact structure, results never depend
 // on which machine (or which dispatch decision) ran the code. The
@@ -290,5 +298,201 @@ func ScalarMulAdd4F32I8(dst []float32, q0, q1, q2, q3 []int8, a0, a1, a2, a3 flo
 	q0, q1, q2, q3 = q0[:n], q1[:n], q2[:n], q3[:n]
 	for j := range dst {
 		dst[j] += a0*float32(q0[j]) + a1*float32(q1[j]) + a2*float32(q2[j]) + a3*float32(q3[j])
+	}
+}
+
+// The segment kernels below are the attention walk's inner loops, one call
+// per K or V segment instead of one per row: a segment is `rows` rows of dh
+// elements at a fixed stride, and the g query heads that share it are
+// served from the same pass, so a row is fetched — and, when int8, widened
+// to float32 — once for all of them. Scores and softmax weights live in a
+// head-major scratch: head h's value for the segment's row j is at
+// [h*ld+j]. The package comment has the arithmetic contract: a score is
+// DotF32/DotF32I8 times its scale, an accumulator element takes its rows
+// as MulAdd4F32/MulAdd4F32I8 groups and the last rows%4 as AxpyF32/AxpyF32I8.
+
+// ScoreRowsF32 writes out[h*ld+j] = scale·DotF32(q_h, k_j) for the
+// g = len(maxes) query vectors q_h = q[h*dh:(h+1)*dh], dh = len(q)/g, and
+// the rows K rows k_j = k[j*stride:j*stride+dh], and raises maxes[h] to
+// any larger score of head h.
+func ScoreRowsF32(out []float32, ld int, maxes, q, k []float32, stride, rows int, scale float32) {
+	dh := checkSegment(len(out), ld, len(maxes), len(q), len(k), stride, rows)
+	if rows == 0 {
+		return
+	}
+	if useASM {
+		scoreRowsAsm(&out[0], ld, &maxes[0], len(maxes), &q[0], dh, &k[0], nil, nil, nil, 4*stride, rows, scale)
+		return
+	}
+	ScalarScoreRowsF32(out, ld, maxes, q, k, stride, rows, scale)
+}
+
+// ScoreRowsF32I8 is ScoreRowsF32 over raw int8 K rows with one
+// dequantization scale per row: out[h*ld+j] = scale·scales[j]·DotF32I8(q_h,
+// k_j). widen is scratch for one row, at least dh long.
+func ScoreRowsF32I8(out []float32, ld int, maxes, q []float32, k []int8, scales []float32, stride, rows int, scale float32, widen []float32) {
+	dh := checkSegment(len(out), ld, len(maxes), len(q), len(k), stride, rows)
+	if rows == 0 {
+		return
+	}
+	scales = scales[:rows]
+	if useASM {
+		widen = widen[:dh]
+		scoreRowsAsm(&out[0], ld, &maxes[0], len(maxes), &q[0], dh, nil, &k[0], &scales[0], &widen[0], stride, rows, scale)
+		return
+	}
+	ScalarScoreRowsF32I8(out, ld, maxes, q, k, scales, stride, rows, scale)
+}
+
+// WeighRowsF32 turns w[h*ld+j] into head h's softmax weight of row j,
+// w·invSum[h], in place, and accumulates the rows V rows v_j =
+// v[j*stride:j*stride+dh] so weighted into the g = len(invSum)
+// accumulators dst[h*dh:(h+1)*dh], dh = len(dst)/g.
+func WeighRowsF32(dst, w []float32, ld int, invSum, v []float32, stride, rows int) {
+	g := len(invSum)
+	dh := checkSegment(len(w), ld, g, len(dst), len(v), stride, rows)
+	if rows == 0 {
+		return
+	}
+	if !useASM {
+		ScalarWeighRowsF32(dst, w, ld, invSum, v, stride, rows)
+		return
+	}
+	weighRowsAsm(&dst[0], g, dh, &w[0], ld, &invSum[0], &v[0], nil, nil, 4*stride, rows)
+	scalarWeighRowsF32(dst, g, dh, w, ld, v, stride, rows, dh&^(axpyBlock-1), dh)
+}
+
+// WeighRowsF32I8 is WeighRowsF32 over raw int8 V rows with one
+// dequantization scale per row, folded into the weights:
+// w·invSum[h]·scales[j].
+func WeighRowsF32I8(dst, w []float32, ld int, invSum []float32, v []int8, scales []float32, stride, rows int) {
+	g := len(invSum)
+	dh := checkSegment(len(w), ld, g, len(dst), len(v), stride, rows)
+	if rows == 0 {
+		return
+	}
+	scales = scales[:rows]
+	if !useASM {
+		ScalarWeighRowsF32I8(dst, w, ld, invSum, v, scales, stride, rows)
+		return
+	}
+	weighRowsAsm(&dst[0], g, dh, &w[0], ld, &invSum[0], nil, &v[0], &scales[0], stride, rows)
+	scalarWeighRowsF32I8(dst, g, dh, w, ld, v, stride, rows, dh&^(axpyBlock-1), dh)
+}
+
+// checkSegment validates the shared geometry of a segment kernel call —
+// a [g][ld] scratch of nScratch elements holding rows columns, g vectors
+// of dh = nVec/g elements, rows rows of dh elements at stride in nData —
+// and returns dh. The assembly indexes raw pointers, so nothing may reach
+// it unchecked.
+func checkSegment(nScratch, ld, g, nVec, nData, stride, rows int) int {
+	if g <= 0 || nVec == 0 || nVec%g != 0 {
+		panic("simd: segment kernel needs g > 0 vectors of equal non-zero length")
+	}
+	dh := nVec / g
+	if rows < 0 || ld < rows || stride < dh {
+		panic("simd: segment kernel rows, ld or stride out of range")
+	}
+	if rows > 0 && (nScratch < (g-1)*ld+rows || nData < (rows-1)*stride+dh) {
+		panic("simd: segment kernel slice too short for its geometry")
+	}
+	return dh
+}
+
+// ScalarScoreRowsF32 is ScoreRowsF32's pure-Go twin.
+func ScalarScoreRowsF32(out []float32, ld int, maxes, q, k []float32, stride, rows int, scale float32) {
+	dh := len(q) / len(maxes)
+	for j := 0; j < rows; j++ {
+		kr := k[j*stride : j*stride+dh]
+		for h := range maxes {
+			s := scale * ScalarDotF32(q[h*dh:(h+1)*dh], kr)
+			out[h*ld+j] = s
+			if s > maxes[h] {
+				maxes[h] = s
+			}
+		}
+	}
+}
+
+// ScalarScoreRowsF32I8 is ScoreRowsF32I8's pure-Go twin.
+func ScalarScoreRowsF32I8(out []float32, ld int, maxes, q []float32, k []int8, scales []float32, stride, rows int, scale float32) {
+	dh := len(q) / len(maxes)
+	for j := 0; j < rows; j++ {
+		kr := k[j*stride : j*stride+dh]
+		rs := scale * scales[j]
+		for h := range maxes {
+			s := rs * ScalarDotF32I8(q[h*dh:(h+1)*dh], kr)
+			out[h*ld+j] = s
+			if s > maxes[h] {
+				maxes[h] = s
+			}
+		}
+	}
+}
+
+// ScalarWeighRowsF32 is WeighRowsF32's pure-Go twin.
+func ScalarWeighRowsF32(dst, w []float32, ld int, invSum, v []float32, stride, rows int) {
+	g, dh := len(invSum), len(dst)/len(invSum)
+	for h, is := range invSum {
+		wh := w[h*ld : h*ld+rows]
+		for j := range wh {
+			wh[j] *= is
+		}
+	}
+	scalarWeighRowsF32(dst, g, dh, w, ld, v, stride, rows, 0, dh)
+}
+
+// ScalarWeighRowsF32I8 is WeighRowsF32I8's pure-Go twin.
+func ScalarWeighRowsF32I8(dst, w []float32, ld int, invSum []float32, v []int8, scales []float32, stride, rows int) {
+	g, dh := len(invSum), len(dst)/len(invSum)
+	for h, is := range invSum {
+		wh := w[h*ld : h*ld+rows]
+		for j := range wh {
+			wh[j] = wh[j] * is * scales[j]
+		}
+	}
+	scalarWeighRowsF32I8(dst, g, dh, w, ld, v, stride, rows, 0, dh)
+}
+
+// scalarWeighRowsF32 accumulates columns [lo, hi) of every row into every
+// accumulator with finished weights: the whole width when dispatch is
+// scalar, the sub-vector tail the assembly leaves otherwise.
+func scalarWeighRowsF32(dst []float32, g, dh int, w []float32, ld int, v []float32, stride, rows, lo, hi int) {
+	if lo == hi {
+		return
+	}
+	row := func(j int) []float32 { return v[j*stride+lo : j*stride+hi] }
+	j := 0
+	for ; j+4 <= rows; j += 4 {
+		v0, v1, v2, v3 := row(j), row(j+1), row(j+2), row(j+3)
+		for h := 0; h < g; h++ {
+			wh := w[h*ld+j : h*ld+j+4]
+			ScalarMulAdd4F32(dst[h*dh+lo:h*dh+hi], v0, v1, v2, v3, wh[0], wh[1], wh[2], wh[3])
+		}
+	}
+	for ; j < rows; j++ {
+		for h := 0; h < g; h++ {
+			ScalarAxpyF32(dst[h*dh+lo:h*dh+hi], w[h*ld+j], row(j))
+		}
+	}
+}
+
+func scalarWeighRowsF32I8(dst []float32, g, dh int, w []float32, ld int, v []int8, stride, rows, lo, hi int) {
+	if lo == hi {
+		return
+	}
+	row := func(j int) []int8 { return v[j*stride+lo : j*stride+hi] }
+	j := 0
+	for ; j+4 <= rows; j += 4 {
+		v0, v1, v2, v3 := row(j), row(j+1), row(j+2), row(j+3)
+		for h := 0; h < g; h++ {
+			wh := w[h*ld+j : h*ld+j+4]
+			ScalarMulAdd4F32I8(dst[h*dh+lo:h*dh+hi], v0, v1, v2, v3, wh[0], wh[1], wh[2], wh[3])
+		}
+	}
+	for ; j < rows; j++ {
+		for h := 0; h < g; h++ {
+			ScalarAxpyF32I8(dst[h*dh+lo:h*dh+hi], w[h*ld+j], row(j))
+		}
 	}
 }

@@ -146,6 +146,7 @@ func TestDotTrimsToShorter(t *testing.T) {
 	AxpyF32I8(nil, 2, nil)
 	MulAdd4F32(nil, nil, nil, nil, nil, 1, 2, 3, 4)
 	MulAdd4F32I8(nil, nil, nil, nil, nil, 1, 2, 3, 4)
+	Exp32Rows(nil)
 }
 
 func TestKindConsistent(t *testing.T) {
@@ -154,5 +155,159 @@ func TestKindConsistent(t *testing.T) {
 	}
 	if !Enabled() && Kind() != "scalar" {
 		t.Fatalf("disabled but Kind = %q", Kind())
+	}
+}
+
+// segmentCase is one geometry of the segment kernels: g heads of dh
+// elements over rows rows at the given stride, scratch leading dimension ld.
+type segmentCase struct{ g, dh, rows, stride, ld int }
+
+// segmentCases crosses head counts, head dims on both sides of the 8- and
+// 16-element blockings, and row counts on both sides of the four-row
+// grouping, with strides and leading dimensions that are not the tight ones.
+func segmentCases() []segmentCase {
+	var cs []segmentCase
+	for _, g := range []int{1, 2, 3, 8, 9} {
+		for _, dh := range []int{1, 5, 8, 15, 16, 17, 32, 40, 64, 72} {
+			for _, rows := range []int{0, 1, 3, 4, 5, 8, 13} {
+				cs = append(cs,
+					segmentCase{g, dh, rows, dh, rows},
+					segmentCase{g, dh, rows, 2*dh + 3, rows + 5})
+			}
+		}
+	}
+	return cs
+}
+
+// checkSegmentKernels runs all four segment kernels through the exported
+// (dispatching) entry points against their scalar twins on one geometry.
+func checkSegmentKernels(t *testing.T, rng *rand.Rand, c segmentCase) {
+	t.Helper()
+	q := randFloats(rng, c.g*c.dh, true)
+	n := c.dh
+	if c.rows > 0 {
+		n = (c.rows-1)*c.stride + c.dh
+	}
+	kf, k8 := randFloats(rng, n, true), randInt8s(rng, n)
+	scales := randFloats(rng, c.rows, false)
+	scale := rng.Float32() + 0.1
+	scratch := c.g * c.ld
+
+	for _, int8K := range []bool{false, true} {
+		got, want := randFloats(rng, scratch, false), make([]float32, scratch)
+		copy(want, got)
+		gotMax, wantMax := make([]float32, c.g), make([]float32, c.g)
+		for h := range gotMax {
+			gotMax[h] = float32(math.Inf(-1))
+			wantMax[h] = gotMax[h]
+		}
+		label := "ScoreRowsF32"
+		if int8K {
+			label = "ScoreRowsF32I8"
+			ScoreRowsF32I8(got, c.ld, gotMax, q, k8, scales, c.stride, c.rows, scale, make([]float32, c.dh))
+			ScalarScoreRowsF32I8(want, c.ld, wantMax, q, k8, scales, c.stride, c.rows, scale)
+		} else {
+			ScoreRowsF32(got, c.ld, gotMax, q, kf, c.stride, c.rows, scale)
+			ScalarScoreRowsF32(want, c.ld, wantMax, q, kf, c.stride, c.rows, scale)
+		}
+		for i := range got {
+			eqBits(t, label, got[i], want[i])
+		}
+		for h := range gotMax {
+			eqBits(t, label+" max", gotMax[h], wantMax[h])
+		}
+	}
+
+	w, invSum := randFloats(rng, scratch, true), randFloats(rng, c.g, false)
+	for _, int8V := range []bool{false, true} {
+		got, want := randFloats(rng, c.g*c.dh, false), make([]float32, c.g*c.dh)
+		copy(want, got)
+		gotW, wantW := append([]float32(nil), w...), append([]float32(nil), w...)
+		label := "WeighRowsF32"
+		if int8V {
+			label = "WeighRowsF32I8"
+			WeighRowsF32I8(got, gotW, c.ld, invSum, k8, scales, c.stride, c.rows)
+			ScalarWeighRowsF32I8(want, wantW, c.ld, invSum, k8, scales, c.stride, c.rows)
+		} else {
+			WeighRowsF32(got, gotW, c.ld, invSum, kf, c.stride, c.rows)
+			ScalarWeighRowsF32(want, wantW, c.ld, invSum, kf, c.stride, c.rows)
+		}
+		for i := range got {
+			eqBits(t, label, got[i], want[i])
+		}
+		for i := range gotW {
+			eqBits(t, label+" weights", gotW[i], wantW[i])
+		}
+	}
+}
+
+func TestSegmentKernelsMatchScalarTwins(t *testing.T) {
+	rng := rand.New(rand.NewSource(45))
+	for _, c := range segmentCases() {
+		checkSegmentKernels(t, rng, c)
+	}
+}
+
+// The scalar twins are, element for element, the row-at-a-time kernels:
+// a score is scale·Dot, a weight is w·invSum·scale, an accumulator takes
+// MulAdd4 groups then Axpy rows.
+func TestSegmentTwinsAreRowKernels(t *testing.T) {
+	rng := rand.New(rand.NewSource(46))
+	const g, dh, rows, stride, ld = 3, 40, 7, 43, 9
+	q := randFloats(rng, g*dh, false)
+	k8 := randInt8s(rng, (rows-1)*stride+dh)
+	scales := randFloats(rng, rows, false)
+	row := func(j int) []int8 { return k8[j*stride : j*stride+dh] }
+
+	out, maxes := make([]float32, g*ld), []float32{-1e30, -1e30, -1e30}
+	ScalarScoreRowsF32I8(out, ld, maxes, q, k8, scales, stride, rows, 0.25)
+	for h := 0; h < g; h++ {
+		for j := 0; j < rows; j++ {
+			eqBits(t, "score", out[h*ld+j], 0.25*scales[j]*ScalarDotF32I8(q[h*dh:(h+1)*dh], row(j)))
+		}
+	}
+
+	w, invSum := randFloats(rng, g*ld, false), []float32{0.5, 0.25, 3}
+	got, want := make([]float32, g*dh), make([]float32, g*dh)
+	fin := make([]float32, g*ld)
+	for h := 0; h < g; h++ {
+		for j := 0; j < rows; j++ {
+			fin[h*ld+j] = w[h*ld+j] * invSum[h] * scales[j]
+		}
+	}
+	ScalarWeighRowsF32I8(got, w, ld, invSum, k8, scales, stride, rows)
+	for h := 0; h < g; h++ {
+		d, wh := want[h*dh:(h+1)*dh], fin[h*ld:]
+		ScalarMulAdd4F32I8(d, row(0), row(1), row(2), row(3), wh[0], wh[1], wh[2], wh[3])
+		for j := 4; j < rows; j++ {
+			ScalarAxpyF32I8(d, wh[j], row(j))
+		}
+	}
+	for i := range got {
+		eqBits(t, "weigh", got[i], want[i])
+	}
+}
+
+// Geometry the raw-pointer assembly must never see is rejected up front.
+func TestSegmentKernelsRejectBadGeometry(t *testing.T) {
+	f := func(n int) []float32 { return make([]float32, n) }
+	for name, call := range map[string]func(){
+		"short K":       func() { ScoreRowsF32(f(8), 4, f(2), f(16), f(8*3+7), 8, 4, 1) },
+		"short scratch": func() { ScoreRowsF32(f(7), 4, f(2), f(16), f(32), 8, 4, 1) },
+		"ragged q":      func() { ScoreRowsF32(f(8), 4, f(2), f(15), f(32), 8, 4, 1) },
+		"ld < rows":     func() { ScoreRowsF32(f(8), 3, f(2), f(16), f(32), 8, 4, 1) },
+		"short scales":  func() { ScoreRowsF32I8(f(8), 4, f(2), f(16), make([]int8, 32), f(3), 8, 4, 1, f(8)) },
+		"short V":       func() { WeighRowsF32I8(f(16), f(8), 4, f(2), make([]int8, 31), f(4), 8, 4) },
+		"short V scale": func() { WeighRowsF32I8(f(16), f(8), 4, f(2), make([]int8, 32), f(3), 8, 4) },
+		"stride < dh":   func() { WeighRowsF32(f(16), f(8), 4, f(2), f(32), 7, 4) },
+	} {
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Errorf("%s: no panic", name)
+				}
+			}()
+			call()
+		}()
 	}
 }

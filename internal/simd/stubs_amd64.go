@@ -39,6 +39,29 @@ func mulAdd4F32AVX2(dst, b0, b1, b2, b3 *float32, a0, a1, a2, a3 float32, n int)
 //go:noescape
 func mulAdd4F32I8AVX2(dst *float32, q0, q1, q2, q3 *int8, a0, a1, a2, a3 float32, n int)
 
+// scoreRowsAVX2 scores rows K rows — float32 at kf, or int8 at k8 (kf nil)
+// with one scale per row at kscales and a dh-element scratch at widen —
+// against g query vectors of dh elements at q; see segment_amd64.s.
+//
+//go:noescape
+func scoreRowsAVX2(out *float32, ld int, maxes *float32, ng int, q *float32, dh int,
+	kf *float32, k8 *int8, kscales, widen *float32, strideBytes, rows int, scale float32)
+
+// weighRowsAVX2 finishes the softmax weights at w in place (times invSum[h],
+// and times vscales[j] when it is not nil) and accumulates columns
+// [0, dh&^7) of rows V rows — float32 at vf, or int8 at v8 (vf nil) — into
+// ng accumulators of dh elements at dst; see segment_amd64.s.
+//
+//go:noescape
+func weighRowsAVX2(dst *float32, ng, dh int, w *float32, ld int, invSum, vf *float32, v8 *int8, vscales *float32, strideBytes, rows int)
+
+// exp32RowsAVX2 applies Exp32 in place to xs[0:n], n a positive multiple
+// of 8, stopping before the first block of eight it does not handle; it
+// returns the number of elements done.
+//
+//go:noescape
+func exp32RowsAVX2(xs *float32, n int) int
+
 // cpuidex executes CPUID with the given leaf and subleaf.
 func cpuidex(leaf, sub uint32) (eax, ebx, ecx, edx uint32)
 

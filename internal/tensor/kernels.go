@@ -210,11 +210,6 @@ func Dot(a, b []float32) float32 {
 	return simd.DotF32(a, b)
 }
 
-// Axpy accumulates s·x into y over min(len(x), len(y)) elements.
-func Axpy(y []float32, s float32, x []float32) {
-	simd.AxpyF32(y, s, x)
-}
-
 // matMulNaive is the package's original triple-loop a·b, retained verbatim
 // as the oracle for property-testing the blocked kernels.
 func matMulNaive(a, b *Mat) *Mat {

@@ -15,6 +15,8 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+
+	"esti/internal/simd"
 )
 
 // Mat is a dense row-major float32 matrix.
@@ -335,13 +337,13 @@ func SiLUBase2(a *Mat) {
 	}
 }
 
-// SiLUFast is SiLU with the sigmoid's exponential computed by Exp32
+// SiLUFast is SiLU with the sigmoid's exponential computed by simd.Exp32
 // instead of float64 math.Exp — the engine's hot-path variant, within ~2
 // float32 ulps of SiLU (the same error class as the fused attention
 // softmax) at a fraction of the cost.
 func SiLUFast(a *Mat) {
 	for i, v := range a.Data {
-		a.Data[i] = v / (1 + Exp32(-v))
+		a.Data[i] = v / (1 + simd.Exp32(-v))
 	}
 }
 
