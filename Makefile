@@ -5,19 +5,11 @@ FUZZTIME ?= 10s
 
 .PHONY: test test-nosimd bench fuzz build ci fuzz-smoke bench-json fmt-check bench-compare bench-cpu bench-smoke
 
-# Benchmarks the regression gate watches and the allowed ns/op slip. The
-# threshold is generous because the committed baseline may come from
-# different hardware; the gate exists to catch order-of-magnitude slips.
-GATE_BENCHES ?= BenchmarkEngineDecodeStep,BenchmarkEngineDecodeStepInt8KV,BenchmarkEngineDecodeStepInt8Wire,BenchmarkEngineDecodeStepStreamed,BenchmarkEngineDecodeStepStreamedInt8Wire,BenchmarkContinuousBatching
-GATE_MAX_REGRESS ?= 20
-
-# The microkernel benchmarks gate separately at a looser ns/op slip:
-# pure-ALU kernels are far more sensitive to CPU frequency scaling and
-# steal time on shared runners (±40% between back-to-back runs), and the
-# failure this gate exists to catch — a lost AVX2 dispatch — shows up as
-# +400% or more. allocs/op stays on the strict default (zero).
-GATE_MICRO_BENCHES ?= BenchmarkDotF32I8/dispatch,BenchmarkAxpyF32I8/dispatch,BenchmarkMatMulMicro/dispatch,BenchmarkAttendSegmentInt8,BenchmarkAttendSegmentInt8Long
-GATE_MICRO_MAX_REGRESS ?= 75
+# Benchmarks the regression gate watches: the serving steps and the
+# microkernels behind them. cmd/benchgate fails on allocs/op only (zero
+# stays zero) and prints ns/op for information — one sample on a box that
+# drifts ±15% (bench/README.md) is not a timing measurement.
+GATE_BENCHES ?= BenchmarkEngineDecodeStep,BenchmarkEngineDecodeStepInt8KV,BenchmarkEngineDecodeStepInt8Wire,BenchmarkEngineDecodeStepStreamed,BenchmarkEngineDecodeStepStreamedInt8Wire,BenchmarkContinuousBatching,BenchmarkDotF32I8/dispatch,BenchmarkAxpyF32I8/dispatch,BenchmarkMatMulMicro/dispatch,BenchmarkAttendSegmentInt8,BenchmarkAttendSegmentInt8Long
 
 # Tier-1 verification plus race detection in one command.
 test:
@@ -101,9 +93,7 @@ bench-compare:
 	$(GO) run ./cmd/benchjson < bench_ci.txt > BENCH_local.json
 	@rm -f bench_ci.txt
 	$(GO) run ./cmd/benchgate -baseline BENCH_ci.json -new BENCH_local.json \
-		-bench '$(GATE_BENCHES)' -max-regress $(GATE_MAX_REGRESS)
-	$(GO) run ./cmd/benchgate -baseline BENCH_ci.json -new BENCH_local.json \
-		-bench '$(GATE_MICRO_BENCHES)' -max-regress $(GATE_MICRO_MAX_REGRESS)
+		-bench '$(GATE_BENCHES)'
 	@rm -f BENCH_local.json
 
 # CPU profile of the decode hot path for `go tool pprof` (see the README

@@ -524,7 +524,7 @@ func BenchmarkEngineDecodeStep(b *testing.B) {
 }
 
 // BenchmarkEngineDecodeStepInt8KV is BenchmarkEngineDecodeStep with the
-// KV cache stored quantized (engine.Options.Int8KV): the same model,
+// KV cache stored quantized (engine.Options.KVDType): the same model,
 // mesh, layout and bounded-depth harness, so the two are directly
 // comparable. The walk touches a quarter of the cache bytes and pays one
 // scale multiply per scored row plus one int8→float32 convert per element
@@ -542,13 +542,13 @@ func BenchmarkEngineDecodeStep(b *testing.B) {
 func BenchmarkEngineDecodeStepInt8KV(b *testing.B) {
 	benchEngineDecodeStep(b, engine.Options{
 		FFN: partition.FFN2DWeightStationary, Attn: partition.AttnShardBatch,
-		Int8KV: true,
+		KVDType: model.Int8,
 	})
 }
 
 // BenchmarkEngineDecodeStepInt8Wire is BenchmarkEngineDecodeStep with the
 // data-plane collectives moving per-chunk int8 payloads
-// (engine.Options.Int8Wire): same model, mesh, layout and bounded-depth
+// (engine.Options.WireDType): same model, mesh, layout and bounded-depth
 // harness. Every gather/reshard chunk pays a quantize at the sender and a
 // dequantize at the receiver in exchange for ~0.26x the wire bytes; the
 // simulated mesh charges no time per byte, so unlike real hardware the
@@ -559,7 +559,7 @@ func BenchmarkEngineDecodeStepInt8KV(b *testing.B) {
 func BenchmarkEngineDecodeStepInt8Wire(b *testing.B) {
 	benchEngineDecodeStep(b, engine.Options{
 		FFN: partition.FFN2DWeightStationary, Attn: partition.AttnShardBatch,
-		Int8Wire: true,
+		WireDType: model.Int8,
 	})
 }
 
@@ -585,7 +585,7 @@ func BenchmarkEngineDecodeStepStreamed(b *testing.B) {
 func BenchmarkEngineDecodeStepStreamedInt8Wire(b *testing.B) {
 	benchEngineDecodeStep(b, engine.Options{
 		FFN: partition.FFN2DWeightStationary, Attn: partition.AttnShardBatch,
-		Streamed: true, Int8Wire: true,
+		Streamed: true, WireDType: model.Int8,
 	})
 }
 

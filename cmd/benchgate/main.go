@@ -1,24 +1,22 @@
-// Command benchgate is the benchstat-style regression gate for the perf
-// trajectory: it compares gated benchmarks between two BENCH_ci.json
-// documents (the committed baseline and a freshly generated run) and exits
-// nonzero if any gated benchmark's ns/op regressed by more than the
-// allowed percentage.
+// Command benchgate is the regression gate on the benchmark trajectory: it
+// compares gated benchmarks between two BENCH_ci.json documents (the
+// committed baseline and a freshly generated run) and exits nonzero if any
+// gated benchmark's allocs/op grew.
 //
 //	benchgate -baseline BENCH_baseline.json -new BENCH_ci.json \
-//	    -bench BenchmarkEngineDecodeStep,BenchmarkContinuousBatching \
-//	    -max-regress 20
+//	    -bench BenchmarkEngineDecodeStep,BenchmarkContinuousBatching
 //
 // CI runs it after regenerating BENCH_ci.json (see .github/workflows/ci.yml)
-// and `make bench-compare` mirrors it locally. The ns/op threshold is
-// generous by design: the committed baseline may have been measured on
-// different hardware, so that check catches order-of-magnitude slips (an
-// accidentally quadratic hot path, a lost fast path), not single-digit
-// noise. allocs/op, by contrast, is machine-independent and deterministic,
-// so when both files carry it the gate also fails on any allocs/op growth
-// beyond -max-alloc-regress — the check that actually bites on
-// heterogeneous CI runners. A gated benchmark missing from either file is
-// an error — silently skipping a renamed benchmark would make the gate
-// vacuous.
+// and `make bench-compare` mirrors it locally. It gates allocs/op because
+// that number is machine-independent and deterministic: a zero baseline
+// must stay exactly zero, and a non-zero one may not rise by more than
+// maxAllocRegressPct. ns/op is printed beside it for information and never
+// fails the gate — one sample per name on a runner whose own speed drifts
+// ±15% from hour to hour (bench/README.md) cannot tell a regression from
+// the weather; timing claims are made with bench/'s repeated, alternating
+// runs. A gated benchmark missing from either file, or recorded without
+// allocs/op, is an error — silently skipping a renamed benchmark would make
+// the gate vacuous.
 package main
 
 import (
@@ -85,14 +83,29 @@ func load(path string) (map[string]metrics, error) {
 	return out, nil
 }
 
+// maxAllocRegressPct is the slack a non-zero allocs/op baseline gets: the
+// multi-chip steps allocate in the Go runtime (goroutines, wait-groups) as
+// well as in this repository's code, and that part moves by a few counts
+// between toolchains.
+const maxAllocRegressPct = 10
+
+// check compares one gated benchmark, returning the report line and whether
+// it passes.
+func check(name string, b, n metrics) (string, bool) {
+	ok := n.allocs <= b.allocs*(1+maxAllocRegressPct/100.0)
+	status := "ok"
+	if !ok {
+		status = "REGRESSED"
+	}
+	return fmt.Sprintf("%-40s %10.0f -> %10.0f allocs/op  %-9s  (%.0f -> %.0f ns/op, not gated)",
+		name, b.allocs, n.allocs, status, b.ns, n.ns), ok
+}
+
 func main() {
 	baselinePath := flag.String("baseline", "", "committed BENCH_ci.json to compare against")
 	newPath := flag.String("new", "", "freshly generated BENCH_ci.json")
 	benches := flag.String("bench", "BenchmarkEngineDecodeStep,BenchmarkContinuousBatching",
 		"comma-separated benchmark names to gate")
-	maxRegress := flag.Float64("max-regress", 20, "maximum allowed ns/op regression in percent")
-	maxAllocRegress := flag.Float64("max-alloc-regress", 10,
-		"maximum allowed allocs/op regression in percent (checked when both files record allocs)")
 	flag.Parse()
 	if *baselinePath == "" || *newPath == "" {
 		fmt.Fprintln(os.Stderr, "benchgate: -baseline and -new are required")
@@ -118,46 +131,18 @@ func main() {
 		}
 		b, okB := base[name]
 		n, okN := fresh[name]
-		if !okB || !okN {
-			fmt.Fprintf(os.Stderr, "benchgate: %s missing (baseline: %v, new: %v)\n", name, okB, okN)
+		if !okB || !okN || !b.hasAllocs || !n.hasAllocs {
+			fmt.Fprintf(os.Stderr, "benchgate: %s missing or without allocs/op (baseline: %v, new: %v)\n",
+				name, okB && b.hasAllocs, okN && n.hasAllocs)
 			failed = true
 			continue
 		}
-		if b.ns <= 0 {
-			fmt.Fprintf(os.Stderr, "benchgate: %s baseline ns/op is %g\n", name, b.ns)
-			failed = true
-			continue
-		}
-		deltaPct := (n.ns - b.ns) / b.ns * 100
-		status := "ok"
-		if deltaPct > *maxRegress {
-			status = "REGRESSED"
-			failed = true
-		}
-		fmt.Printf("%-40s %14.0f -> %14.0f ns/op      %+7.1f%%  %s\n", name, b.ns, n.ns, deltaPct, status)
-		if b.hasAllocs && n.hasAllocs {
-			status = "ok"
-			if b.allocs == 0 {
-				// A zero-alloc baseline is an absolute contract — any
-				// allocation at all is a regression (a percentage of
-				// zero would silently skip the check).
-				if n.allocs > 0 {
-					status = "REGRESSED"
-					failed = true
-				}
-				fmt.Printf("%-40s %14.0f -> %14.0f allocs/op  %9s  %s\n", name, b.allocs, n.allocs, "", status)
-			} else {
-				allocPct := (n.allocs - b.allocs) / b.allocs * 100
-				if allocPct > *maxAllocRegress {
-					status = "REGRESSED"
-					failed = true
-				}
-				fmt.Printf("%-40s %14.0f -> %14.0f allocs/op  %+7.1f%%  %s\n", name, b.allocs, n.allocs, allocPct, status)
-			}
-		}
+		line, ok := check(name, b, n)
+		fmt.Println(line)
+		failed = failed || !ok
 	}
 	if failed {
-		fmt.Fprintf(os.Stderr, "benchgate: regression gate failed (threshold %+.0f%%)\n", *maxRegress)
+		fmt.Fprintln(os.Stderr, "benchgate: allocs/op gate failed")
 		os.Exit(1)
 	}
 }

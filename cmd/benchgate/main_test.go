@@ -47,3 +47,23 @@ func TestLoadRejectsGarbage(t *testing.T) {
 		t.Error("expected error for missing file")
 	}
 }
+
+// The gate is on allocs/op alone: zero stays exactly zero, a non-zero
+// baseline has maxAllocRegressPct of slack, and no ns/op swing fails it.
+func TestCheckGatesAllocsOnly(t *testing.T) {
+	for _, c := range []struct {
+		base, fresh metrics
+		ok          bool
+	}{
+		{metrics{ns: 100, allocs: 0}, metrics{ns: 900, allocs: 0}, true},
+		{metrics{ns: 100, allocs: 0}, metrics{ns: 100, allocs: 1}, false},
+		{metrics{ns: 100, allocs: 88}, metrics{ns: 100, allocs: 96}, true},
+		{metrics{ns: 100, allocs: 88}, metrics{ns: 50, allocs: 97}, false},
+		{metrics{ns: 100, allocs: 5}, metrics{ns: 100, allocs: 6}, false},
+		{metrics{ns: 100, allocs: 657}, metrics{ns: 100, allocs: 600}, true},
+	} {
+		if line, ok := check("BenchmarkX", c.base, c.fresh); ok != c.ok {
+			t.Errorf("%+v -> %+v: pass = %v, want %v (%s)", c.base, c.fresh, ok, c.ok, line)
+		}
+	}
+}

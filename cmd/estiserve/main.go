@@ -38,7 +38,7 @@
 // With -int8-wire, both tiers (and the continuous pool) move their
 // activation collectives — the per-layer all-gathers/reduce-scatters and
 // the attention all-to-alls — as per-chunk-scaled int8 instead of the
-// bf16 baseline (engine.Options.Int8Wire functionally), halving exposed
+// bf16 baseline (engine.Options.WireDType functionally), halving exposed
 // communication time; a per-phase comm-time comparison line against the
 // fp32 and bf16 wire formats is printed:
 //

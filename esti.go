@@ -251,8 +251,7 @@ type (
 	EnginePair = fleet.EnginePair
 	// EngineOptions are the functional engine's feature knobs; KVDType
 	// and WireDType carry the same typed dtype vocabulary as the
-	// analytic configs (the Int8KV/Int8Wire bools are deprecated
-	// aliases).
+	// analytic configs.
 	EngineOptions = engine.Options
 	// FaultPlan is a deterministic schedule of replica and link failures
 	// for FleetConfig.Faults: build with its Crash/Drain/Straggle/LinkFail

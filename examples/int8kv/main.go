@@ -82,7 +82,7 @@ func main() {
 	if err != nil {
 		panic(err)
 	}
-	opts.Int8KV = true
+	opts.KVDType = model.Int8
 	qe, err := engine.New(w, torus, opts, batch, maxLen)
 	if err != nil {
 		panic(err)

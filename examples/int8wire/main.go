@@ -90,10 +90,10 @@ func main() {
 		prompt[i] = (i*7 + 3) % tiny.Vocab
 	}
 
-	run := func(int8wire bool) (toks [][]int, bytes, int8Bytes int64) {
+	run := func(wire model.DType) (toks [][]int, bytes, int8Bytes int64) {
 		eng, err := engine.New(w, torus, engine.Options{
 			FFN: partition.FFN2DWeightStationary, Attn: partition.AttnShardBatch,
-			Int8Wire: int8wire,
+			WireDType: wire,
 		}, batch, promptLen+gen+1)
 		if err != nil {
 			panic(err)
@@ -101,8 +101,8 @@ func main() {
 		toks = eng.Generate(prompt, promptLen, gen)
 		return toks, eng.Mesh().BytesSent(), eng.Mesh().Int8BytesSent()
 	}
-	fpToks, fpBytes, _ := run(false)
-	q8Toks, q8Bytes, q8Int8 := run(true)
+	fpToks, fpBytes, _ := run(model.FP32)
+	q8Toks, q8Bytes, q8Int8 := run(model.Int8)
 
 	fmt.Printf("\nfunctional engine, %s on %d simulated chips, %d prompts x %d greedy steps:\n",
 		tiny.Name, torus.Chips(), batch, gen)

@@ -274,7 +274,7 @@ type Config struct {
 	KVDType model.DType
 	// WireDType is the activation collective payload format (BF16
 	// default; Int8 halves every iteration's exposed communication time —
-	// the engine-level counterpart is engine.Options.Int8Wire).
+	// the engine-level counterpart is engine.Options.WireDType).
 	WireDType model.DType
 	System    hardware.System
 	FFN       partition.FFNLayout

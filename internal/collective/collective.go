@@ -13,11 +13,12 @@
 // element — which the tests assert by comparing measured mesh traffic
 // against package commcost for both formats.
 //
-// The gather and reduce-scatter rings also come in streaming form
-// (stream.go): AllGatherStream and ReduceScatterStream hand each chunk to
-// a caller callback while the next chunk is still in flight — the paper's
+// The gather and reduce-scatter rings are one loop each (stream.go):
+// AllGatherStream and ReduceScatterStream hand each chunk to an optional
+// caller callback while the next chunk is still in flight — the paper's
 // Looped CollectiveEinsum (§3.5), which fuses the per-chunk slice of a
-// matmul into the ring schedule. Overlap of this kind hides only the
+// matmul into the ring schedule — and AllGather and ReduceScatter are
+// those loops without a callback. Overlap of this kind hides only the
 // bandwidth component of the collective: the K-1 serial link traversals
 // (hops × per-hop latency) stay on the critical path no matter how the
 // compute is chunked, which is exactly the bandwidth-vs-latency-floor
@@ -92,42 +93,10 @@ func (o Op) wire() Payload {
 	return o.Wire
 }
 
-// AllGather concatenates each group member's shard in group-rank order and
-// returns the full buffer, using a bidirectional-free simple ring: K-1
-// steps, each chip forwarding the newest chunk to its ring successor.
-// Per-chip traffic: K-1 chunk transmissions = D·(K-1)/K for output size D,
-// in the op's wire format. Received chunks are decoded into the output and
-// relayed in wire form untouched, so an int8 chunk is quantized exactly
-// once at its source chip however many hops it travels; the local shard is
-// copied in exact.
+// AllGather is the ring all-gather with nothing looped into it: the
+// callback-free case of AllGatherStream, which holds the algorithm.
 func AllGather(o Op, g hardware.AxisGroup, shard []float32) []float32 {
-	c := o.Chip
-	w := o.wire()
-	rank, size := c.GroupRank(g)
-	if size == 1 {
-		out := make([]float32, len(shard))
-		copy(out, shard)
-		return out
-	}
-	chunkLen := len(shard)
-	out := c.Buffer(size * chunkLen)
-	copy(out[rank*chunkLen:(rank+1)*chunkLen], shard)
-	next := c.GroupPeer(g, (rank+1)%size)
-	prev := c.GroupPeer(g, (rank-1+size)%size)
-	var tr transit
-	for s := 0; s < size-1; s++ {
-		if s == 0 {
-			w.send(c, next, o.tag(s), shard) // the caller keeps its shard
-		} else {
-			// Relay the chunk received last step without re-encoding: its
-			// contents are already decoded into out.
-			w.relay(c, next, o.tag(s), tr)
-		}
-		idx := (rank - s - 1 + 2*size) % size
-		tr = w.recvInto(c, prev, o.tag(s), out[idx*chunkLen:(idx+1)*chunkLen])
-	}
-	w.drop(c, tr)
-	return out
+	return AllGatherStream(o, g, shard, nil)
 }
 
 // AllGatherBidirectional is the latency-optimized all-gather variant: each
@@ -189,41 +158,14 @@ func AllGatherBidirectional(o Op, g hardware.AxisGroup, shard []float32) []float
 func fwdSteps(size int) int { return (size - 1 + 1) / 2 }
 func bwdSteps(size int) int { return (size - 1) / 2 }
 
-// ReduceScatter sums `full` elementwise across the group and returns this
-// chip's shard (group-rank-indexed chunk of the sum). len(full) must divide
-// evenly by the group size. Per-chip traffic: K-1 chunk transmissions =
-// D·(K-1)/K for input size D, in the op's wire format. The running partial
-// sum is held and folded in float32 on every chip; a lossy wire format
-// re-encodes the partial fresh at each hop (one quantization of the
-// running sum per hop, K-1 total), which is what keeps int8 reduction
-// error bounded instead of compounding through stale scales.
+// ReduceScatter is the ring reduce-scatter with nothing looped into it: the
+// callback-free case of ReduceScatterStream, which holds the algorithm, run
+// on a pooled copy so that the caller keeps `full`.
 func ReduceScatter(o Op, g hardware.AxisGroup, full []float32) []float32 {
-	c := o.Chip
-	w := o.wire()
-	rank, size := c.GroupRank(g)
-	if size == 1 {
-		out := make([]float32, len(full))
-		copy(out, full)
-		return out
-	}
-	if len(full)%size != 0 {
-		panic(fmt.Sprintf("collective: reduce-scatter %d elements over %d chips", len(full), size))
-	}
-	chunkLen := len(full) / size
-	chunk := func(buf []float32, i int) []float32 { return buf[i*chunkLen : (i+1)*chunkLen] }
-	acc := c.Buffer(len(full))
+	acc := o.Chip.Buffer(len(full))
 	copy(acc, full)
-	next := c.GroupPeer(g, (rank+1)%size)
-	prev := c.GroupPeer(g, (rank-1+size)%size)
-	for s := 0; s < size-1; s++ {
-		sendIdx := (rank - 1 - s + 2*size) % size
-		w.send(c, next, o.tag(s), chunk(acc, sendIdx))
-		recvIdx := (rank - 2 - s + 3*size) % size
-		w.recvAdd(c, prev, o.tag(s), chunk(acc, recvIdx))
-	}
-	out := c.Buffer(chunkLen)
-	copy(out, chunk(acc, rank))
-	c.Recycle(acc)
+	out := ReduceScatterStream(o, g, acc, nil)
+	o.Chip.Recycle(acc)
 	return out
 }
 

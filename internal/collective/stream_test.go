@@ -148,46 +148,6 @@ func TestReduceScatterStreamBitIdenticalToBarrier(t *testing.T) {
 	}
 }
 
-// TestStreamNilCallbackMatchesBarrier: a nil consumer/producer degrades to
-// the barrier collective exactly (the documented contract the engine's
-// single-chip path and simple callers rely on).
-func TestStreamNilCallbackMatchesBarrier(t *testing.T) {
-	tr := hardware.Torus{X: 4, Y: 1, Z: 1}
-	shard := []float32{1.5, -2.25, 3}
-	ag, _ := runSPMD(tr, func(c *mesh.Chip) []float32 {
-		return AllGather(Op{Chip: c, ID: 1}, hardware.GroupX, shard)
-	})
-	ags, _ := runSPMD(tr, func(c *mesh.Chip) []float32 {
-		return AllGatherStream(Op{Chip: c, ID: 1}, hardware.GroupX, shard, nil)
-	})
-	for rank := range ag {
-		if !bitsEqual(ag[rank], ags[rank]) {
-			t.Fatalf("chip %d: nil-consumer stream differs from barrier gather", rank)
-		}
-	}
-	rs, _ := runSPMD(tr, func(c *mesh.Chip) []float32 {
-		rank, size := c.GroupRank(hardware.GroupX)
-		full := make([]float32, size*2)
-		for i := range full {
-			full[i] = float32(rank*10 + i)
-		}
-		return ReduceScatter(Op{Chip: c, ID: 1}, hardware.GroupX, full)
-	})
-	rss, _ := runSPMD(tr, func(c *mesh.Chip) []float32 {
-		rank, size := c.GroupRank(hardware.GroupX)
-		full := make([]float32, size*2)
-		for i := range full {
-			full[i] = float32(rank*10 + i)
-		}
-		return ReduceScatterStream(Op{Chip: c, ID: 1}, hardware.GroupX, full, nil)
-	})
-	for rank := range rs {
-		if !bitsEqual(rs[rank], rss[rank]) {
-			t.Fatalf("chip %d: nil-producer stream differs from barrier reduce-scatter", rank)
-		}
-	}
-}
-
 // TestStreamInterleavedWithBarrierOps: streamed and barrier collectives
 // share the same tag discipline, so a program can interleave them freely as
 // long as op ids advance — the id-consumption contract stream.go documents.
@@ -327,10 +287,21 @@ func TestStreamNoGoroutineLeak(t *testing.T) {
 
 // TestStreamMeasuresOverlap: consumer work inside the stream window is
 // attributed to the mesh's overlap counters, and the measured fraction
-// stays in [0, 1]; ResetCounters clears it.
+// stays in [0, 1]; ResetCounters clears it. The window opens only for a
+// callback: the same rings without one measure nothing.
 func TestStreamMeasuresOverlap(t *testing.T) {
 	tr := hardware.Torus{X: 4, Y: 1, Z: 1}
 	_, m := runSPMD(tr, func(c *mesh.Chip) []float32 {
+		rank, size := c.GroupRank(hardware.GroupX)
+		full := make([]float32, 2*size)
+		full[rank] = 1
+		return AllGather(Op{Chip: c, ID: 2}, hardware.GroupX,
+			ReduceScatter(Op{Chip: c, ID: 1}, hardware.GroupX, full))
+	})
+	if m.OverlapWorkNS() != 0 || m.OverlapWaitNS() != 0 {
+		t.Fatalf("barrier rings opened an overlap window: work %d ns, wait %d ns", m.OverlapWorkNS(), m.OverlapWaitNS())
+	}
+	_, m = runSPMD(tr, func(c *mesh.Chip) []float32 {
 		rank, _ := c.GroupRank(hardware.GroupX)
 		shard := []float32{float32(rank)}
 		return AllGatherStream(Op{Chip: c, ID: 1}, hardware.GroupX, shard,

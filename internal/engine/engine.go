@@ -4,43 +4,67 @@
 // (package mesh). Its contract: for any supported layout, the distributed
 // logits equal the unsharded reference model's logits.
 //
-// Layouts implemented functionally:
+// One SPMD pass. Every entry point — Prefill, Decode, DecodeSlots with its
+// per-slot mask, PrefillSlot admitting one prompt into one slot — fills in
+// the same pass descriptor (tokens, steps, mask, target slot), which is
+// checked on the host and then run by the one per-chip body bound at
+// construction. A chip works on the sequences of the pass its KV-cache
+// shard holds (seqsOn): all of them under head-sharded attention, its
+// batch/n under batch-sharded attention — possibly none of an admission.
 //
-//   - FFN 1D weight-stationary (Section 3.2.1): weights sharded along d_ff
-//     over all chips; activations all-gathered to full width before the
-//     first matmul and reduce-scattered after the second.
-//   - FFN 2D weight-stationary (Section 3.2.2): weights sharded E×F over
-//     the torus X axis and the Y·Z plane; activations alternate aggregation
-//     over the two axes and are never fully replicated.
-//   - Attention sharded over heads (Figure 4(a)/(b)): each chip owns a head
-//     block; for multiquery models the single K/V head is replicated per
-//     chip — the memory pathology the paper identifies.
-//   - Attention sharded over batch (Figure 4(c)/5(b)): the KV cache is
-//     partitioned over sequences; per-step Q and attention outputs are
-//     resharded with all-to-all collectives.
+// One feed-forward plan (ffnPlan). The paper writes its weight-stationary
+// layouts as the same einsum under different sharding annotations
+// (Sections 3.2.1–3.2.2, Figure 2); here the annotation is a pair of torus
+// axis groups. Weights are cut E×F into inner × outer blocks; per layer the
+// E/n activation shard is all-gathered over the outer group, multiplied,
+// reduce-scattered over the inner group, passed through the nonlinearity,
+// all-gathered over the inner group, multiplied, and reduce-scattered over
+// the outer group back to E/n.
+//
+//   - FFN 2D weight-stationary (Section 3.2.2): outer = Y·Z, inner = X;
+//     activations alternate aggregation over the two groups and are never
+//     fully replicated.
+//   - FFN 1D weight-stationary (Section 3.2.1): outer = all chips, inner =
+//     the empty group, whose collectives are identities — weights sharded
+//     along d_ff only, activations fully gathered before the first matmul
+//     and reduce-scattered after the second.
 //   - FFN weight-gathered XYZ (Section 3.2.3, Figure A.2(c)): activations
 //     stay token-sharded for the whole pass while each layer's weights are
-//     all-gathered from the same ExFyz at-rest shards the 2D layout stores;
+//     all-gathered from the same ExFyz at-rest blocks the 2D plan stores;
 //     all communication is weight traffic (see wgxyz.go).
+//
+// With Options.Streamed the plan's matmuls ride its rings (Section 3.5,
+// stream.go): the up/gate projections fold chunk by chunk in the outer
+// gather's consumer, and the down-projection in the inner gather's consumer
+// — or in the outer reduce-scatter's producer when the inner group has one
+// member and there is no inner ring to ride.
+//
+// Attention layouts:
+//
+//   - Sharded over heads (Figure 4(a)/(b)): each chip owns a head block; for
+//     multiquery models the single K/V head is replicated per chip — the
+//     memory pathology the paper identifies.
+//   - Sharded over batch (Figure 4(c)/5(b)): the KV cache is partitioned
+//     over sequences; per-step Q and attention outputs are resharded with
+//     all-to-all collectives.
 //
 // The partially-gathered X / XY variants remain analytic-only (packages
 // commcost/perf); their volume formulas interpolate between the 2D
 // weight-stationary and XYZ-gathered endpoints that are both validated
 // functionally here.
 //
-// Beyond the lockstep batch paths (Prefill/Decode), the engine serves a
-// continuous-batching scheduler with per-slot admission: PrefillSlot admits
-// one prompt into a freed KV-cache slot mid-stream and DecodeSlots advances
-// whatever subset of slots is live, each at its own depth. PrefillSlot is
-// incremental — it appends at the slot's current depth and attends causally
-// against everything before it — which yields two admission optimizations
-// for free (prefix.go): shared-prefix reuse, where a cached system prompt's
-// K/V are attached from a reference-counted per-chip store and only the
-// suffix is prefilled (AcquirePrefix/PrefillSlotFrom/PrefillSlotCached),
-// and chunked prefill, where a long cold prompt is admitted in bounded
-// chunks interleaved with decode iterations (PrefillSlotChunked). Both are
-// verified token-exact against the cold path and the batch-1 reference
-// across all functional layouts.
+// PrefillSlot and DecodeSlots serve a continuous-batching scheduler:
+// admission into a freed KV-cache slot mid-stream, then decode of whatever
+// subset of slots is live, each at its own depth. A pass appends at each
+// slot's current depth and attends causally against everything before it,
+// which yields two admission optimizations for free (prefix.go):
+// shared-prefix reuse, where a cached system prompt's K/V are attached from
+// a reference-counted per-chip store and only the suffix is prefilled
+// (AcquirePrefix/PrefillSlotFrom/PrefillSlotCached), and chunked prefill,
+// where a long cold prompt is admitted in bounded chunks interleaved with
+// decode iterations (PrefillSlotChunked). Both are verified token-exact
+// against the cold path and the batch-1 reference across all functional
+// layouts.
 //
 // Activations live E-sharded across all chips between layers (the residual
 // stream shard is [tokens, E/nchips]); RMS normalization uses a tiny
@@ -50,8 +74,8 @@
 // keeps each layout legible.
 //
 // Storage and wire formats are per-session options, each independently
-// togglable on every layout: Int8Weights (quantized projections), Int8KV
-// (quantized KV cache), and Int8Wire (quantized collective payloads — the
+// togglable on every layout: Int8Weights (quantized projections), KVDType
+// (quantized KV cache), and WireDType (quantized collective payloads — the
 // engine's data-plane all-gathers, reduce-scatters, all-to-alls and
 // weight-gather staging move per-chunk-scaled int8 via the payload-typed
 // collectives, at ~0.26x the float32 wire bytes, while the per-token norm
@@ -80,92 +104,60 @@ import (
 // one configuration surface flows unchanged from the analytic stack into
 // the functional engine. The zero value (model.BF16) is the default float
 // path; model.Int8 selects the quantized path; model.FP32 behaves like the
-// default (the engine computes in float32 either way). The older Int8KV /
-// Int8Wire booleans remain as deprecated aliases: a session is int8 when
-// either the typed field or its alias says so, and New normalizes both
-// views so accessors and internals agree.
+// default (the engine computes in float32 either way).
 type Options struct {
 	FFN  partition.FFNLayout
 	Attn partition.AttnLayout
-	// KVDType is the KV-cache storage format (the typed form of Int8KV;
-	// matches serve.Config.KVDType / batching.Config.KVDType).
+	// KVDType is the KV-cache storage format (matches
+	// serve.Config.KVDType / batching.Config.KVDType). model.Int8 stores
+	// every chip's KV-cache shard quantized (per-row symmetric int8,
+	// quantized at append, dequantized inside the fused attention walk),
+	// halving cache bytes per position and so roughly doubling the servable
+	// context per chip — §3.3's int8 path applied to the decode phase's
+	// dominant memory object. Orthogonal to Int8Weights and valid on every
+	// layout: the K/V projections, the resharding all-to-alls and all other
+	// wire traffic are unchanged (quantization happens at the cache boundary
+	// on each chip).
 	KVDType model.DType
-	// WireDType is the data-plane collective payload format (the typed
-	// form of Int8Wire; matches serve.Config.WireDType).
+	// WireDType is the data-plane collective payload format (matches
+	// serve.Config.WireDType). model.Int8 moves the activation all-gathers
+	// and reduce-scatters (agCols/rsCols), the attention resharding
+	// all-to-alls, and the weight-gathered layout's per-layer weight staging
+	// as per-chunk-scaled int8 instead of float32 (collective.WireInt8): 1
+	// byte per element plus one scale per chunk, ≤0.55× the fp32 wire bytes,
+	// the §3.3 move-int8-not-float insight applied to what's *on the wire*
+	// rather than what's at rest. The tiny per-token RMS-norm all-reduces
+	// stay float32: their volume is negligible (one float per token versus
+	// E-wide activations) and their result scales every activation, so
+	// quantizing them buys nothing and risks everything. Orthogonal to
+	// Int8Weights/KVDType and valid on every layout; quantize/dequantize
+	// scratch comes from the per-chip message pools, so steady-state decode
+	// stays allocation-free.
 	WireDType model.DType
 	// Int8Weights stores all projection matrices quantized (per-column
 	// symmetric int8), reproducing the paper's weight-only quantization.
 	Int8Weights bool
-	// Deprecated: set KVDType to model.Int8 instead. Honored for
-	// compatibility — either form (or both) selects the quantized cache.
-	//
-	// Int8KV stores every chip's KV-cache shard quantized (per-row
-	// symmetric int8, quantized at append, dequantized inside the fused
-	// attention walk), halving cache bytes per position and so roughly
-	// doubling the servable context per chip — §3.3's int8 path applied
-	// to the decode phase's dominant memory object. Orthogonal to
-	// Int8Weights and valid on every layout: the K/V projections, the
-	// resharding all-to-alls and all other wire traffic are unchanged
-	// (quantization happens at the cache boundary on each chip).
-	Int8KV bool
-	// Deprecated: set WireDType to model.Int8 instead. Honored for
-	// compatibility — either form (or both) selects the int8 wire.
-	//
-	// Int8Wire moves the data-plane collective payloads — the activation
-	// all-gathers and reduce-scatters (agCols/rsCols), the attention
-	// resharding all-to-alls, and the weight-gathered layout's per-layer
-	// weight staging — as per-chunk-scaled int8 instead of float32
-	// (collective.WireInt8): 1 byte per element plus one scale per chunk,
-	// ≤0.55× the fp32 wire bytes, the §3.3 move-int8-not-float insight
-	// applied to what's *on the wire* rather than what's at rest. The
-	// tiny per-token RMS-norm all-reduces stay float32: their volume is
-	// negligible (one float per token versus E-wide activations) and
-	// their result scales every activation, so quantizing them buys
-	// nothing and risks everything. Orthogonal to Int8Weights/Int8KV and
-	// valid on every layout; quantize/dequantize scratch comes from the
-	// per-chip message pools, so steady-state decode stays
-	// allocation-free.
-	Int8Wire bool
 	// Streamed fuses the FFN matmuls into the collective chunk stream —
-	// the paper's Looped CollectiveEinsum (§3.5). Activation gathers
-	// become AllGatherStream calls whose consumers fold each arriving
-	// E-chunk's slice of the blocked GEMM into a running accumulator, and
-	// the 1D layout's down-projection + reduce-scatter runs as a
-	// ReduceScatterStream whose producer computes each output chunk just
-	// before the ring needs it; the weight-gathered layout streams its
-	// per-layer staging copies the same way. Compute on chunk k proceeds
-	// while chunk k+1 is in flight, which is what the mesh's measured
-	// overlap fraction (Mesh.MeasuredOverlapFrac) observes. Results are
-	// token-exact vs the barrier path on every layout and wire format
-	// (chunked accumulation reorders float sums); on a single chip the
-	// engine uses the barrier path — there is nothing to overlap — so the
+	// the paper's Looped CollectiveEinsum (§3.5); the package comment says
+	// which matmul rides which ring. Compute on chunk k proceeds while
+	// chunk k+1 is in flight, which is what the mesh's measured overlap
+	// fraction (Mesh.MeasuredOverlapFrac) observes. Results are token-exact
+	// vs the barrier path on every layout and wire format (chunked
+	// accumulation reorders float sums); on a single chip the engine uses
+	// the barrier path — there is nothing to overlap — so the
 	// zero-allocation decode contract is unchanged. Valid on every layout,
 	// orthogonal to the Int8 options.
 	Streamed bool
 }
 
-// normalize reconciles the typed dtype fields with their deprecated bool
-// aliases: either form selects int8, and afterwards both views agree
-// (opts.Int8KV == (opts.KVDType == model.Int8), likewise for the wire), so
-// internals can keep reading the bools and accessors can report the typed
-// values without re-deriving.
-func (o *Options) normalize() error {
+// validate rejects a dtype outside the vocabulary above.
+func (o *Options) validate() error {
 	for _, d := range []model.DType{o.KVDType, o.WireDType} {
 		switch d {
 		case model.BF16, model.Int8, model.FP32:
 		default:
 			return fmt.Errorf("engine: unknown dtype %d", d)
 		}
-	}
-	if o.Int8KV {
-		o.KVDType = model.Int8
-	} else if o.KVDType == model.Int8 {
-		o.Int8KV = true
-	}
-	if o.Int8Wire {
-		o.WireDType = model.Int8
-	} else if o.WireDType == model.Int8 {
-		o.Int8Wire = true
 	}
 	return nil
 }
@@ -180,8 +172,17 @@ type weight struct {
 // the full matrix is quantized first and the quantized values sliced with
 // their shared column scales — quantize-once-then-shard, as a real
 // checkpoint pipeline does — so every chip's arithmetic is consistent with
-// the unsharded quantized model. nil rows/cols mean "all".
+// the unsharded quantized model. nil rows/cols mean "all", and so does a
+// list as long as the dimension: every index list here is strictly
+// increasing, so that one is the identity (a whole-E stripe of the 1D plan,
+// any block on one chip) and not worth a copy.
 func shardWeight(full *tensor.Mat, rows, cols []int, int8w bool) weight {
+	if len(rows) == full.Rows {
+		rows = nil
+	}
+	if len(cols) == full.Cols {
+		cols = nil
+	}
 	if int8w {
 		q := quant.Quantize(full)
 		if rows != nil {
@@ -270,8 +271,9 @@ func rowBlocks(w weight, k, blockRows int) []weight {
 }
 
 // colBlocks returns k column-block copies of w ([rows, blockCols·k] split
-// into [rows, blockCols] each) — the streamed 1D down-projection's
-// per-output-chunk slices. Column blocks are copied once at build time
+// into [rows, blockCols] each) — the per-output-chunk slices of a
+// down-projection that rides a reduce-scatter's producer. Column blocks are
+// copied once at build time
 // (columns are not contiguous in row-major storage); slicing columns
 // preserves each output element's contraction order, so a block's GEMM is
 // bit-identical to the corresponding columns of the full GEMM.
@@ -292,17 +294,68 @@ func colBlocks(w weight, k, blockCols int) []weight {
 type chipLayer struct {
 	normGain    []float32
 	ffnNormGain []float32
-	// FFN shards per the layout (see buildChip).
+	// FFN shards: this chip's E×F block of the plan (see ffnPlan).
 	wGate, wUp, wDown weight
 	// Attention shards: this chip's query-head block, K/V per variant,
 	// and the matching WO row block.
 	wq, wk, wv, wo weight
-	// Streamed-mode per-chunk weight blocks (built only under
-	// Options.Streamed): wUpBlk/wGateBlk index the gather chunk a block
-	// contracts against (row blocks, zero-copy views); wDownBlk indexes
-	// the 1D layout's output chunk (column-block copies) or the 2D
-	// layout's X-gather chunk (row blocks).
+	// Per-chunk weight blocks of a streamed session (streamFFN):
+	// wUpBlk/wGateBlk index the outer-gather chunk a block contracts
+	// against (row blocks, zero-copy views). wDownBlk indexes the
+	// inner-gather chunk the same way, or — when the inner group has one
+	// member and the down-projection rides the outer reduce-scatter — that
+	// ring's output chunk (column-block copies, which then stand in for
+	// wDown: the whole shard is never multiplied).
 	wUpBlk, wGateBlk, wDownBlk []weight
+}
+
+// ffnPlan is how the weight-stationary feed-forward is laid over the torus,
+// as one chip sees it: the paper's layouts are one einsum under different
+// sharding annotations (Section 3.2, Figure 2), and the annotation is this
+// pair of axis groups. The weights are cut E×F into nInner × nOuter blocks.
+// A layer all-gathers its E/n activation shard over the outer group (to the
+// E/nInner columns of this chip's stripe), multiplies, reduce-scatters the
+// partial sums over the inner group (to F/n), applies the nonlinearity,
+// all-gathers over the inner group (to F/nOuter), multiplies, and
+// reduce-scatters over the outer group back to E/n.
+//
+//	1D weight-stationary (3.2.1): outer = XYZ, inner = the empty group —
+//	    both inner collectives are identities and the activations are fully
+//	    gathered, the 2·tokens·E volume.
+//	2D weight-stationary (3.2.2): outer = YZ, inner = X — activations are
+//	    never fully replicated.
+//
+// The weight-gathered layout stores the 2D plan's blocks at rest.
+type ffnPlan struct {
+	outer, inner   hardware.AxisGroup
+	nOuter, nInner int // group sizes; nOuter·nInner = chips
+	iOuter, iInner int // this chip's index in each group
+}
+
+// ffnPlan returns a chip's view of the session's plan.
+func (e *Engine) ffnPlan(rank int) ffnPlan {
+	p := ffnPlan{outer: hardware.GroupYZ, inner: hardware.GroupX}
+	if e.opts.FFN == partition.FFN1DWeightStationary {
+		p.outer, p.inner = hardware.GroupXYZ, nil
+	}
+	c := e.m.Chip(rank)
+	p.iOuter, p.nOuter = c.GroupRank(p.outer)
+	p.iInner, p.nInner = c.GroupRank(p.inner)
+	return p
+}
+
+// block returns the indices of the chip's weight block: the E columns of
+// its stripe — E/n-wide blocks iInner, iInner+nInner, ..., the order the
+// outer all-gather assembles activation chunks in, so weight rows match —
+// and its contiguous F/nOuter columns.
+func (p ffnPlan) block(cfg model.Config) (eIdx, fIdx []int) {
+	eBlock := cfg.DModel / (p.nOuter * p.nInner)
+	eIdx = make([]int, 0, p.nOuter*eBlock)
+	for j := 0; j < p.nOuter; j++ {
+		eIdx = append(eIdx, contiguous((p.iInner+p.nInner*j)*eBlock, eBlock)...)
+	}
+	fBlock := cfg.DFF / p.nOuter
+	return eIdx, contiguous(p.iOuter*fBlock, fBlock)
 }
 
 // chipState is everything one chip owns.
@@ -317,8 +370,10 @@ type chipState struct {
 	prefix *kvcache.PrefixStore
 	opID   uint64
 	// wire is the payload format the data-plane collectives travel in
-	// (nil = float32; collective.WireInt8 under Options.Int8Wire).
+	// (nil = float32; collective.WireInt8 under an int8 Options.WireDType).
 	wire collective.Payload
+	// plan is the feed-forward sharding as this chip sees it.
+	plan ffnPlan
 	// wg carries the weight-gathered path's state (nil otherwise).
 	wg *wgState
 
@@ -331,23 +386,14 @@ type chipState struct {
 	// logits is this chip's output of the latest pass (arena-backed, valid
 	// until the chip's next pass; public APIs clone or copy out of it).
 	logits *tensor.Mat
-	// shards is a reusable shard-pointer table for the attention
-	// all-to-alls (shardTab); contents are transient within one layer.
+	// shards is the shard-pointer table the attention all-to-alls send
+	// from, one entry per chip; contents are transient within one layer.
 	shards [][]float32
-}
-
-// shardTab returns a reusable length-n shard table; contents are stale.
-func (st *chipState) shardTab(n int) [][]float32 {
-	if cap(st.shards) < n {
-		st.shards = make([][]float32, 2*n)
-	}
-	return st.shards[:n]
 }
 
 // Engine is a sharded inference session.
 type Engine struct {
 	cfg    model.Config
-	torus  hardware.Torus
 	opts   Options
 	m      *mesh.Mesh
 	chips  []*chipState
@@ -358,25 +404,21 @@ type Engine struct {
 	slotPfx []*PrefixRef
 
 	// fw carries the current pass's arguments to the per-chip SPMD body,
-	// and runFwd is that body bound once at construction — so issuing a
-	// decode step allocates neither an argument struct nor a closure.
-	fw struct {
-		tokens []int
-		steps  int
-		active []bool
-	}
+	// and runFwd is that body — the weight-stationary or the
+	// weight-gathered one — bound once at construction, so issuing a pass
+	// allocates neither an argument struct nor a closure.
+	fw     pass
 	runFwd func(c *mesh.Chip)
 }
 
 // New shards the reference weights onto a mesh. It validates the
 // divisibility constraints the layouts need.
 func New(w *reference.Weights, t hardware.Torus, opts Options, batch, maxLen int) (*Engine, error) {
-	if err := opts.normalize(); err != nil {
+	if err := opts.validate(); err != nil {
 		return nil, err
 	}
 	cfg := w.Cfg
 	n := t.Chips()
-	yz := t.Y * t.Z
 	if cfg.DModel%n != 0 {
 		return nil, fmt.Errorf("engine: d_model %d not divisible by %d chips", cfg.DModel, n)
 	}
@@ -387,20 +429,10 @@ func New(w *reference.Weights, t hardware.Torus, opts Options, batch, maxLen int
 		return nil, fmt.Errorf("engine: %d heads not divisible by %d chips", cfg.Heads, n)
 	}
 	switch opts.FFN {
-	case partition.FFN1DWeightStationary:
-		if cfg.DFF%n != 0 {
-			return nil, fmt.Errorf("engine: d_ff %d not divisible by %d chips", cfg.DFF, n)
-		}
-	case partition.FFN2DWeightStationary:
-		if cfg.DFF%(yz*t.X) != 0 {
-			return nil, fmt.Errorf("engine: d_ff %d not divisible by X·YZ = %d", cfg.DFF, yz*t.X)
-		}
+	case partition.FFN1DWeightStationary, partition.FFN2DWeightStationary:
 	case partition.FFNWeightGatheredXYZ:
 		// Token-sharded activations: attention must be batch-sharded and
 		// the batch must split evenly; weights gather from ExFyz shards.
-		if cfg.DFF%(yz*t.X) != 0 {
-			return nil, fmt.Errorf("engine: d_ff %d not divisible by X·YZ = %d", cfg.DFF, yz*t.X)
-		}
 		if opts.Attn != partition.AttnShardBatch {
 			return nil, fmt.Errorf("engine: weight-gathered XYZ requires batch-sharded attention")
 		}
@@ -410,6 +442,10 @@ func New(w *reference.Weights, t hardware.Torus, opts Options, batch, maxLen int
 	default:
 		return nil, fmt.Errorf("engine: layout %v not supported functionally (analytic only)", opts.FFN)
 	}
+	// Every plan cuts d_ff over all chips (inner × outer).
+	if cfg.DFF%n != 0 {
+		return nil, fmt.Errorf("engine: d_ff %d not divisible by %d chips", cfg.DFF, n)
+	}
 	if opts.Attn == partition.AttnShardBatch && batch%n != 0 {
 		return nil, fmt.Errorf("engine: batch %d not divisible by %d chips for batch sharding", batch, n)
 	}
@@ -417,7 +453,7 @@ func New(w *reference.Weights, t hardware.Torus, opts Options, batch, maxLen int
 		return nil, fmt.Errorf("engine: %d KV heads not divisible by %d chips", cfg.KVHeads, n)
 	}
 
-	e := &Engine{cfg: cfg, torus: t, opts: opts, m: mesh.New(t), batch: batch, maxLen: maxLen,
+	e := &Engine{cfg: cfg, opts: opts, m: mesh.New(t), batch: batch, maxLen: maxLen,
 		slotPfx: make([]*PrefixRef, batch)}
 	e.chips = make([]*chipState, n)
 	for r := 0; r < n; r++ {
@@ -425,11 +461,14 @@ func New(w *reference.Weights, t hardware.Torus, opts Options, batch, maxLen int
 		// The walk scores all query heads of one KV head at once; no
 		// sharding gives a chip more of them per KV head than the model has.
 		e.chips[r].scr.Reserve(cfg.Heads / cfg.KVHeads * maxLen)
-		if opts.Int8Wire {
+		if opts.WireDType == model.Int8 {
 			e.chips[r].wire = collective.WireInt8
 		}
 	}
 	e.runFwd = e.chipForward
+	if opts.FFN == partition.FFNWeightGatheredXYZ {
+		e.runFwd = e.chipForwardWG
+	}
 	return e, nil
 }
 
@@ -454,26 +493,15 @@ func (e *Engine) Reset() {
 func (e *Engine) Mesh() *mesh.Mesh { return e.m }
 
 // ChipCacheBytes returns the allocated KV-cache bytes on one chip — the
-// quantity whose sharding behavior Table 1 is about. With Int8KV it
+// quantity whose sharding behavior Table 1 is about. With an int8 KVDType it
 // reports the true quantized backing bytes (just over half the analytic
 // model's bf16 baseline per position).
 func (e *Engine) ChipCacheBytes(rank int) int { return e.chips[rank].cache.Bytes() }
 
-// Int8KV reports whether the session stores its KV cache quantized
-// (requested through either Options.KVDType or the deprecated bool).
-func (e *Engine) Int8KV() bool { return e.opts.Int8KV }
-
-// Int8Wire reports whether the session's data-plane collectives move
-// int8 payloads (requested through either form).
-func (e *Engine) Int8Wire() bool { return e.opts.Int8Wire }
-
-// KVDType returns the session's KV-cache storage format as the typed
-// vocabulary the analytic stack uses (normalized: a session built with the
-// deprecated Int8KV bool reports model.Int8 here too).
+// KVDType returns the session's KV-cache storage format.
 func (e *Engine) KVDType() model.DType { return e.opts.KVDType }
 
-// WireDType returns the session's collective payload format, normalized
-// the same way.
+// WireDType returns the session's collective payload format.
 func (e *Engine) WireDType() model.DType { return e.opts.WireDType }
 
 // Streamed reports whether the session fuses FFN compute into the
@@ -489,26 +517,6 @@ func (e *Engine) MeasuredOverlap() float64 { return e.m.MeasuredOverlapFrac() }
 
 // Batch returns the session batch size.
 func (e *Engine) Batch() int { return e.batch }
-
-// eStripe returns the ordered E-column indices a chip's 2D-WS x-stripe
-// covers: the concatenation, in yz-group order, of the E/n blocks whose
-// block index is x + X·j. This is the order AllGather(yz) assembles
-// activation chunks in, so weight shards are built with matching rows.
-func (e *Engine) eStripe(rank int) []int {
-	t := e.torus
-	n := t.Chips()
-	blockLen := e.cfg.DModel / n
-	x := rank % t.X
-	yzCount := t.Y * t.Z
-	idx := make([]int, 0, yzCount*blockLen)
-	for j := 0; j < yzCount; j++ {
-		block := x + t.X*j
-		for i := 0; i < blockLen; i++ {
-			idx = append(idx, block*blockLen+i)
-		}
-	}
-	return idx
-}
 
 // selectRows copies the given rows of m in order.
 func selectRows(m *tensor.Mat, rows []int) *tensor.Mat {
@@ -543,10 +551,7 @@ func contiguous(lo, n int) []int {
 // buildChip slices the full weights into one chip's shards.
 func (e *Engine) buildChip(w *reference.Weights, rank int) *chipState {
 	cfg := e.cfg
-	t := e.torus
-	n := t.Chips()
-	yz := t.Y * t.Z
-	yzIdx := rank / t.X
+	n := e.m.Chips()
 	eBlock := cfg.DModel / n
 	int8w := e.opts.Int8Weights
 
@@ -554,16 +559,20 @@ func (e *Engine) buildChip(w *reference.Weights, rank int) *chipState {
 		embedCols: selectCols(w.Embed, contiguous(rank*eBlock, eBlock)),
 		embedRows: selectRows(w.Embed, contiguous(rank*(cfg.Vocab/n), cfg.Vocab/n)),
 		finalGain: sliceGain(w.FinalGain, rank*eBlock, eBlock),
+		plan:      e.ffnPlan(rank),
+		shards:    make([][]float32, n),
 	}
 	if e.opts.FFN == partition.FFNWeightGatheredXYZ {
 		// Token-sharded path: full-width gains and embedding, at-rest
 		// ExFyz weight shards, batch-sharded KV cache.
-		st.wg = e.buildWG(w, rank)
+		st.wg = e.buildWG(w, rank, st.plan)
 		st.finalGain = append([]float32(nil), w.FinalGain...)
 		st.cache = e.newKVCache(e.batch/n, cfg.KVHeads*cfg.HeadDim)
 		return st
 	}
 
+	p := st.plan
+	eIdx, fIdx := p.block(cfg)
 	headsPC := cfg.Heads / n
 	dh := cfg.HeadDim
 	for l := range w.Layers {
@@ -573,43 +582,25 @@ func (e *Engine) buildChip(w *reference.Weights, rank int) *chipState {
 			ffnNormGain: sliceGain(lw.FFNNormGain, rank*eBlock, eBlock),
 		}
 
-		// FFN shards.
-		switch e.opts.FFN {
-		case partition.FFN1DWeightStationary:
-			fBlock := cfg.DFF / n
-			fCols := contiguous(rank*fBlock, fBlock)
+		// FFN shards: the chip's block of the plan.
+		if lw.WGate != nil {
+			cl.wGate = shardWeight(lw.WGate, eIdx, fIdx, int8w)
+		}
+		cl.wUp = shardWeight(lw.WUp, eIdx, fIdx, int8w)
+		cl.wDown = shardWeight(lw.WDown, fIdx, eIdx, int8w)
+		if e.streamFFN() {
+			// Outer-gather chunk j is stripe row block j; inner-gather
+			// chunk j is F-row block j of the down shard; outer
+			// reduce-scatter chunk j is its E-column block j.
+			cl.wUpBlk = rowBlocks(cl.wUp, p.nOuter, eBlock)
 			if lw.WGate != nil {
-				cl.wGate = shardWeight(lw.WGate, nil, fCols, int8w)
+				cl.wGateBlk = rowBlocks(cl.wGate, p.nOuter, eBlock)
 			}
-			cl.wUp = shardWeight(lw.WUp, nil, fCols, int8w)
-			cl.wDown = shardWeight(lw.WDown, fCols, nil, int8w)
-			if e.opts.Streamed && n > 1 {
-				// Gather chunk r carries E-block r; RS output chunk j is
-				// E-column block j of the down projection.
-				cl.wUpBlk = rowBlocks(cl.wUp, n, eBlock)
-				if lw.WGate != nil {
-					cl.wGateBlk = rowBlocks(cl.wGate, n, eBlock)
-				}
-				cl.wDownBlk = colBlocks(cl.wDown, n, eBlock)
-			}
-		case partition.FFN2DWeightStationary:
-			stripe := e.eStripe(rank)
-			fPerYZ := cfg.DFF / yz
-			fCols := contiguous(yzIdx*fPerYZ, fPerYZ)
-			if lw.WGate != nil {
-				cl.wGate = shardWeight(lw.WGate, stripe, fCols, int8w)
-			}
-			cl.wUp = shardWeight(lw.WUp, stripe, fCols, int8w)
-			cl.wDown = shardWeight(lw.WDown, fCols, stripe, int8w)
-			if e.opts.Streamed && n > 1 {
-				// YZ-gather chunk j is stripe row block j (eStripe order
-				// matches the yz-group gather order); X-gather chunk jx is
-				// F-row block jx of the down shard.
-				cl.wUpBlk = rowBlocks(cl.wUp, yz, eBlock)
-				if lw.WGate != nil {
-					cl.wGateBlk = rowBlocks(cl.wGate, yz, eBlock)
-				}
-				cl.wDownBlk = rowBlocks(cl.wDown, t.X, cfg.DFF/(yz*t.X))
+			if p.nInner == 1 {
+				cl.wDownBlk = colBlocks(cl.wDown, p.nOuter, eBlock)
+				cl.wDown = weight{}
+			} else {
+				cl.wDownBlk = rowBlocks(cl.wDown, p.nInner, cfg.DFF/n)
 			}
 		}
 
@@ -618,7 +609,7 @@ func (e *Engine) buildChip(w *reference.Weights, rank int) *chipState {
 		cl.wq = shardWeight(lw.WQ, nil, hCols, int8w)
 		cl.wo = shardWeight(lw.WO, hCols, nil, int8w)
 		switch {
-		case e.opts.Attn == partition.AttnShardBatch || cfg.KVHeads == 1:
+		case e.batchShardedCache() || cfg.KVHeads == 1:
 			// Batch sharding (any variant) and head-sharded multiquery
 			// both need the full K/V projections on every chip: the
 			// single multiquery head is replicated (Figure 4(b)), and a
@@ -652,7 +643,7 @@ func (e *Engine) buildChip(w *reference.Weights, rank int) *chipState {
 // newKVCache allocates one chip's cache shard in the session's KV storage
 // mode. Shard shapes are identical either way; only bytes per row differ.
 func (e *Engine) newKVCache(seqs, width int) *kvcache.Cache {
-	if e.opts.Int8KV {
+	if e.opts.KVDType == model.Int8 {
 		return kvcache.NewInt8(e.cfg.Layers, seqs, e.maxLen, width)
 	}
 	return kvcache.New(e.cfg.Layers, seqs, e.maxLen, width)
@@ -713,10 +704,16 @@ func rsCols(ar *tensor.Arena, o collective.Op, g hardware.AxisGroup, m *tensor.M
 		return m
 	}
 	tr := tensor.TransposeInto(ar.Mat(m.Cols, m.Rows), m)
-	shard := collective.ReduceScatter(o, g, tr.Data)
-	shMat := tensor.Mat{Rows: m.Cols / size, Cols: m.Rows, Data: shard}
-	out := tensor.TransposeInto(ar.Mat(m.Rows, m.Cols/size), &shMat)
-	o.Chip.Recycle(shard)
+	return colShard(ar, o.Chip, collective.ReduceScatter(o, g, tr.Data), m.Rows)
+}
+
+// colShard turns a reduce-scattered shard — column-major on the wire,
+// [cols, tokens] — back into the [tokens, cols] activation and hands the
+// wire buffer back to the mesh pool.
+func colShard(ar *tensor.Arena, c *mesh.Chip, shard []float32, tokens int) *tensor.Mat {
+	sh := tensor.Mat{Rows: len(shard) / tokens, Cols: tokens, Data: shard}
+	out := tensor.TransposeInto(ar.Mat(tokens, sh.Rows), &sh)
+	c.Recycle(shard)
 	return out
 }
 
@@ -729,7 +726,7 @@ func rsCols(ar *tensor.Arena, o collective.Op, g hardware.AxisGroup, m *tensor.M
 func shardNorm(c *mesh.Chip, st *chipState, x *tensor.Mat, gain []float32, eTotal int) *tensor.Mat {
 	// op() reserves collective.AllReduceIDs ids — exactly what the
 	// all-reduce below consumes. The reduction runs float32 even under
-	// Int8Wire: one float per token is noise next to the E-wide
+	// an int8 wire: one float per token is noise next to the E-wide
 	// activation collectives, and its result normalizes every channel.
 	op := st.op(c)
 	op.Wire = nil

@@ -13,22 +13,34 @@ import (
 	"esti/internal/tensor"
 )
 
+// pass is one forward pass as the per-chip SPMD bodies see it: a lockstep
+// batch pass feeds `steps` tokens to every slot (sequence-major, optionally
+// masked), an admission pass feeds one prompt to the slot it targets.
+type pass struct {
+	tokens []int
+	steps  int
+	// active masks a batch pass's slots (nil = all). An inactive slot is
+	// zero end to end: zero embedding rows, K/V neither appended nor
+	// advanced, zero attention output.
+	active []bool
+	// slot is the admission's target, or noSlot for a batch pass.
+	slot int
+}
+
+const noSlot = -1
+
 // Prefill processes `steps` new tokens per sequence (sequence-major) across
 // the mesh and returns the full logits [batch·steps, vocab]. Chip 0's copy
 // is returned and is authoritative: under fp32 wire every chip gathers
-// identical logits, but under Int8Wire each chip holds its own vocab shard
-// exact and the others' dequantized, so per-chip copies may differ within
-// the quantization bound — consumers must not argmax chip-local logits
-// independently. The returned matrix is owned by the caller.
+// identical logits, but under an int8 wire each chip holds its own vocab
+// shard exact and the others' dequantized, so per-chip copies may differ
+// within the quantization bound — consumers must not argmax chip-local
+// logits independently. The returned matrix is owned by the caller.
 func (e *Engine) Prefill(tokens []int, steps int) *tensor.Mat {
 	if len(tokens) != e.batch*steps {
 		panic(fmt.Sprintf("engine: %d tokens for batch %d × steps %d", len(tokens), e.batch, steps))
 	}
-	out := e.forward(tokens, steps, nil)
-	if e.ownsResult() {
-		return out
-	}
-	return out.Clone()
+	return e.forward(nil, pass{tokens: tokens, steps: steps, slot: noSlot})
 }
 
 // Decode runs one autoregressive step from each sequence's last token and
@@ -45,10 +57,7 @@ func (e *Engine) Decode(last []int) *tensor.Mat {
 // come from per-chip arenas, attention reads the KV cache through
 // zero-copy views, and the softmax runs in a pre-sized per-chip scratch.
 func (e *Engine) DecodeInto(dst *tensor.Mat, last []int) *tensor.Mat {
-	if len(last) != e.batch {
-		panic(fmt.Sprintf("engine: %d last-tokens for batch %d", len(last), e.batch))
-	}
-	return e.finish(dst, e.forward(last, 1, nil))
+	return e.DecodeSlotsInto(dst, last, nil)
 }
 
 // DecodeSlots runs one variable-length decode step: every active slot
@@ -72,28 +81,7 @@ func (e *Engine) DecodeSlotsInto(dst *tensor.Mat, last []int, active []bool) *te
 	if active != nil && len(active) != e.batch {
 		panic(fmt.Sprintf("engine: %d mask entries for batch %d", len(active), e.batch))
 	}
-	return e.finish(dst, e.forward(last, 1, active))
-}
-
-// finish hands the pass's logits to the caller: arena-backed results are
-// copied into dst (or cloned when dst is nil); a result the forward pass
-// freshly allocated — the weight-gathered path's host-side assembly — is
-// returned as-is when no dst is supplied, since it is already
-// caller-owned.
-func (e *Engine) finish(dst, logits *tensor.Mat) *tensor.Mat {
-	if dst == nil {
-		if e.ownsResult() {
-			return logits
-		}
-		return logits.Clone()
-	}
-	return tensor.CopyInto(dst, logits)
-}
-
-// ownsResult reports whether forward's return value is freshly allocated
-// (weight-gathered host assembly) rather than arena-backed.
-func (e *Engine) ownsResult() bool {
-	return e.opts.FFN == partition.FFNWeightGatheredXYZ
+	return e.forward(dst, pass{tokens: last, steps: 1, active: active, slot: noSlot})
 }
 
 // Generate greedily decodes `gen` tokens after prefilling, mirroring
@@ -127,43 +115,113 @@ func argmaxRow(m *tensor.Mat, r int) int {
 	return best
 }
 
-// forward runs the SPMD program on every chip and returns chip 0's logits.
-// The result is arena-backed: valid until the engine's next pass. A
-// non-nil active mask (steps must be 1) zeroes inactive slots end to end:
-// their embedding rows are zero, their K/V are neither appended nor
-// advanced, and their attention output is zero.
-func (e *Engine) forward(tokens []int, steps int, active []bool) *tensor.Mat {
-	if e.opts.FFN == partition.FFNWeightGatheredXYZ {
-		return e.forwardWG(tokens, steps, active)
+// forward checks a pass, runs the SPMD program on every chip and copies the
+// logits into dst (nil allocates).
+//
+// The check happens here, on the host, because a chip that panics mid-pass
+// stops minting collective ids while its peers carry on: a batch-sharded
+// slot overflow would panic on the slot's owner only and leave the mesh
+// wedged for every later pass. Rejected here, a bad call has moved no chip
+// state and the session stays usable.
+func (e *Engine) forward(dst *tensor.Mat, p pass) *tensor.Mat {
+	first, seqs := 0, e.batch
+	if p.slot != noSlot {
+		first, seqs = p.slot, 1
 	}
-	e.fw.tokens, e.fw.steps, e.fw.active = tokens, steps, active
+	for i := 0; i < seqs; i++ {
+		if p.active != nil && !p.active[i] {
+			continue
+		}
+		for _, tok := range p.tokens[i*p.steps : (i+1)*p.steps] {
+			if tok < 0 || tok >= e.cfg.Vocab {
+				panic(fmt.Sprintf("engine: token %d out of vocab %d", tok, e.cfg.Vocab))
+			}
+		}
+		if n := e.SlotLen(first + i); n+p.steps > e.maxLen {
+			panic(fmt.Sprintf("engine: slot %d overflow: %d+%d > capacity %d", first+i, n, p.steps, e.maxLen))
+		}
+	}
+
+	e.fw = p
 	e.m.Run(e.runFwd)
-	return e.chips[0].logits
+
+	if dst == nil {
+		dst = new(tensor.Mat)
+	}
+	if e.opts.FFN != partition.FFNWeightGatheredXYZ {
+		// Every chip gathered the full logits; chip 0's copy is the
+		// authoritative one (see Prefill).
+		return tensor.CopyInto(dst, e.chips[0].logits)
+	}
+	// Token-sharded logits: stack the chips' row blocks in rank order, on
+	// the host (no mesh traffic: results leave through the host, as with
+	// any inference service).
+	dst.Reshape(len(p.tokens), e.cfg.Vocab)
+	off := 0
+	for _, st := range e.chips {
+		off += copy(dst.Data[off:], st.logits.Data)
+	}
+	return dst
 }
 
-// chipForward is one chip's body of the forward pass, bound to e.runFwd at
-// construction so issuing a pass allocates no closure. Every temporary
-// comes from the chip's arena.
+// chipSeqs locates the pass's sequences on one chip's cache shard: the
+// shard holds `count` of them, in its slots [first, first+count), and they
+// are sequences [at, at+count) of the pass. mask is the pass's active mask
+// restricted to those sequences (nil = all).
+type chipSeqs struct {
+	first, count, at int
+	mask             []bool
+}
+
+// seqsOn returns the sequences of the current pass that a chip holds.
+// Head-sharded attention keeps every slot on every chip; batch-sharded
+// attention gives each chip batch/n of them, so a chip may hold none of an
+// admission.
+func (e *Engine) seqsOn(rank int) chipSeqs {
+	p := &e.fw
+	sq := chipSeqs{count: e.batch}
+	switch {
+	case p.slot != noSlot:
+		owner, local := e.slotOwner(p.slot)
+		if owner >= 0 && owner != rank {
+			return chipSeqs{}
+		}
+		return chipSeqs{first: local, count: 1}
+	case e.batchShardedCache():
+		sq.count = e.batch / e.m.Chips()
+		sq.at = rank * sq.count
+	}
+	if p.active != nil {
+		sq.mask = p.active[sq.at : sq.at+sq.count]
+	}
+	return sq
+}
+
+// advance commits the pass's appended positions on a chip's cache shard.
+func (e *Engine) advance(st *chipState, sq chipSeqs) {
+	for i := 0; i < sq.count; i++ {
+		if sq.mask == nil || sq.mask[i] {
+			st.cache.AdvanceSeq(sq.first+i, e.fw.steps)
+		}
+	}
+}
+
+// chipForward is one chip's body of a weight-stationary pass, bound to
+// e.runFwd at construction so issuing a pass allocates no closure. Every
+// temporary comes from the chip's arena, the logits included: st.logits is
+// valid until the chip's next pass.
 func (e *Engine) chipForward(c *mesh.Chip) {
-	tokens, steps, active := e.fw.tokens, e.fw.steps, e.fw.active
+	p := &e.fw
 	st := e.chips[c.Rank]
 	ar := &st.arena
 	ar.Reset()
-	nTok := e.batch * steps
 
-	// Embedding lookup onto this chip's residual-stream slice. With no
-	// mask every row is written below, so the arena matrix only needs
-	// zeroing (for inactive slots' rows) when a mask is present.
-	x := ar.Mat(nTok, st.embedCols.Cols)
-	if active != nil {
-		x.Zero()
-	}
-	for i, tok := range tokens {
-		if active != nil && !active[i/steps] {
-			continue // inactive slot: zero row
-		}
-		if tok < 0 || tok >= e.cfg.Vocab {
-			panic(fmt.Sprintf("engine: token %d out of vocab %d", tok, e.cfg.Vocab))
+	// Embedding lookup onto this chip's residual-stream slice.
+	x := ar.Mat(len(p.tokens), st.embedCols.Cols)
+	for i, tok := range p.tokens {
+		if p.active != nil && !p.active[i/p.steps] {
+			clear(x.Row(i))
+			continue
 		}
 		copy(x.Row(i), st.embedCols.Row(tok))
 	}
@@ -172,17 +230,17 @@ func (e *Engine) chipForward(c *mesh.Chip) {
 		cl := &st.layers[l]
 		if e.cfg.ParallelBlock {
 			h := shardNorm(c, st, x, cl.normGain, e.cfg.DModel)
-			attnY := e.attnBlock(c, st, cl, l, h, steps, active)
-			ffnY := e.ffnBlock(c, st, cl, h)
+			attnY := e.attnBlock(c, st, cl, l, h)
+			ffnY := e.ffn(c, st, cl, h)
 			x = tensor.AddInPlace(tensor.AddInPlace(x, attnY), ffnY)
 		} else {
 			h := shardNorm(c, st, x, cl.normGain, e.cfg.DModel)
-			x = tensor.AddInPlace(x, e.attnBlock(c, st, cl, l, h, steps, active))
+			x = tensor.AddInPlace(x, e.attnBlock(c, st, cl, l, h))
 			h2 := shardNorm(c, st, x, cl.ffnNormGain, e.cfg.DModel)
-			x = tensor.AddInPlace(x, e.ffnBlock(c, st, cl, h2))
+			x = tensor.AddInPlace(x, e.ffn(c, st, cl, h2))
 		}
 	}
-	e.advanceChip(c, st, steps, active)
+	e.advance(st, e.seqsOn(c.Rank))
 
 	final := shardNorm(c, st, x, st.finalGain, e.cfg.DModel)
 	// Logits: gather the full final activation, multiply by this
@@ -193,30 +251,6 @@ func (e *Engine) chipForward(c *mesh.Chip) {
 	st.logits = agCols(ar, st.op(c), hardware.GroupXYZ, logitsLocal, n)
 }
 
-// advanceChip commits the pass's appended positions on this chip's cache
-// shard: all slots in lockstep when no mask, only the active slots' local
-// indices otherwise.
-func (e *Engine) advanceChip(c *mesh.Chip, st *chipState, steps int, active []bool) {
-	if active == nil {
-		st.cache.Advance(steps)
-		return
-	}
-	if e.batchShardedCache() {
-		seqsPC := e.batch / e.m.Chips()
-		for i := 0; i < seqsPC; i++ {
-			if active[c.Rank*seqsPC+i] {
-				st.cache.AdvanceSeq(i, steps)
-			}
-		}
-		return
-	}
-	for s, a := range active {
-		if a {
-			st.cache.AdvanceSeq(s, steps)
-		}
-	}
-}
-
 // batchShardedCache reports whether each chip's cache holds a sequence
 // shard (batch-sharded attention, which the weight-gathered layout also
 // requires) rather than the whole batch.
@@ -224,184 +258,130 @@ func (e *Engine) batchShardedCache() bool {
 	return e.opts.Attn == partition.AttnShardBatch
 }
 
-// ffnBlock runs the feedforward sub-block on the E-sharded normed input,
-// returning the E-sharded output.
-func (e *Engine) ffnBlock(c *mesh.Chip, st *chipState, cl *chipLayer, h *tensor.Mat) *tensor.Mat {
-	switch e.opts.FFN {
-	case partition.FFN1DWeightStationary:
-		if e.streamFFN() {
-			return e.ffn1DStreamed(c, st, cl, h)
-		}
-		return e.ffn1D(c, st, cl, h)
-	case partition.FFN2DWeightStationary:
-		if e.streamFFN() {
-			return e.ffn2DStreamed(c, st, cl, h)
-		}
-		return e.ffn2D(c, st, cl, h)
+// ffn runs the feedforward sub-block on the E-sharded normed input,
+// returning the E-sharded output: the Figure 2 program over the chip's plan
+// (see ffnPlan). A group of one makes its collectives identities, which is
+// all that separates the 1D layout from the 2D one.
+func (e *Engine) ffn(c *mesh.Chip, st *chipState, cl *chipLayer, h *tensor.Mat) *tensor.Mat {
+	if e.streamFFN() {
+		return e.ffnStreamed(c, st, cl, h)
 	}
-	panic("engine: unsupported FFN layout")
-}
-
-// ffn1D: all-gather activations to full E, compute this chip's F block
-// completely, reduce-scatter the output back to the E shard.
-// Communication per layer: one AG and one RS of the full [tokens, E]
-// activations — the 2·B·L·E volume of Section 3.2.1.
-func (e *Engine) ffn1D(c *mesh.Chip, st *chipState, cl *chipLayer, h *tensor.Mat) *tensor.Mat {
 	ar := &st.arena
-	n := e.m.Chips()
-	hFull := agCols(ar, st.op(c), hardware.GroupXYZ, h, n)
-	act := e.activate(st, cl, hFull)
-	partial := cl.wDown.mulA(ar, act) // [tokens, E] partialsum over chips
-	return rsCols(ar, st.op(c), hardware.GroupXYZ, partial, n)
-}
-
-// ffn2D: the Figure 2(b) program. All-gather over Y·Z assembles this x
-// stripe's E columns; the first matmul leaves partial sums over X which a
-// reduce-scatter over X resolves while scattering the F dimension; the
-// activation is applied on the F/(X·YZ) shard; an all-gather over X
-// reassembles the F/YZ block for the second matmul, whose partial sums over
-// Y·Z reduce-scatter back into the E shard. Activations are never fully
-// replicated.
-func (e *Engine) ffn2D(c *mesh.Chip, st *chipState, cl *chipLayer, h *tensor.Mat) *tensor.Mat {
-	ar := &st.arena
-	t := e.torus
-	yzGroup := hardware.GroupYZ
-	xGroup := hardware.GroupX
-	yzSize := t.Y * t.Z
-
-	hx := agCols(ar, st.op(c), yzGroup, h, yzSize) // [tokens, E/X] in stripe order
-	upPartial := cl.wUp.mulA(ar, hx)
-	upShard := rsCols(ar, st.op(c), xGroup, upPartial, t.X) // [tokens, F/(X·YZ)]
-
-	var actShard *tensor.Mat
+	p := &st.plan
+	hx := agCols(ar, st.op(c), p.outer, h, p.nOuter)                   // [tokens, E/nInner] in stripe order
+	up := rsCols(ar, st.op(c), p.inner, cl.wUp.mulA(ar, hx), p.nInner) // [tokens, F/n]
+	act := up
 	if e.cfg.FFNKind == model.SwiGLU {
-		gatePartial := cl.wGate.mulA(ar, hx) // [tokens, F/YZ] partialsum-x
-		gateShard := rsCols(ar, st.op(c), xGroup, gatePartial, t.X)
-		tensor.SiLUFast(gateShard)
-		actShard = tensor.MulInto(gateShard, gateShard, upShard)
-	} else {
-		tensor.GELU(upShard)
-		actShard = upShard
-	}
-
-	actFull := agCols(ar, st.op(c), xGroup, actShard, t.X) // [tokens, F/YZ]
-	downPartial := cl.wDown.mulA(ar, actFull)              // [tokens, E/X] partialsum-yz
-	return rsCols(ar, st.op(c), yzGroup, downPartial, yzSize)
-}
-
-// activate applies the FFN nonlinearity on full-width (1D layout) blocks.
-func (e *Engine) activate(st *chipState, cl *chipLayer, hFull *tensor.Mat) *tensor.Mat {
-	ar := &st.arena
-	if e.cfg.FFNKind == model.SwiGLU {
-		gate := cl.wGate.mulA(ar, hFull)
-		up := cl.wUp.mulA(ar, hFull)
+		gate := rsCols(ar, st.op(c), p.inner, cl.wGate.mulA(ar, hx), p.nInner)
 		tensor.SiLUFast(gate)
-		return tensor.MulInto(gate, gate, up)
+		act = tensor.MulInto(gate, gate, up)
+	} else {
+		tensor.GELU(up)
 	}
-	act := cl.wUp.mulA(ar, hFull)
-	tensor.GELU(act)
-	return act
+	actFull := agCols(ar, st.op(c), p.inner, act, p.nInner) // [tokens, F/nOuter]
+	return rsCols(ar, st.op(c), p.outer, cl.wDown.mulA(ar, actFull), p.nOuter)
 }
 
 // attnBlock runs the attention sub-block on the E-sharded normed input,
 // returning the E-sharded output.
-func (e *Engine) attnBlock(c *mesh.Chip, st *chipState, cl *chipLayer, layer int, h *tensor.Mat, steps int, active []bool) *tensor.Mat {
+func (e *Engine) attnBlock(c *mesh.Chip, st *chipState, cl *chipLayer, layer int, h *tensor.Mat) *tensor.Mat {
 	ar := &st.arena
 	n := e.m.Chips()
+	steps := e.fw.steps
 	// Projections need the full-width input (head-block sharding of W_Q
 	// contracts all of E). In the production system this all-gather is
 	// fused with the FFN input collective; here it stands alone.
 	hFull := agCols(ar, st.op(c), hardware.GroupXYZ, h, n)
 	qLocal := cl.wq.mulA(ar, hFull) // [tokens, headsPC·dh]
+	// K/V only for the sequences this chip caches: all of them when the
+	// cache is head-sharded (this chip's KV heads, or the replicated
+	// multiquery head), its own batch shard otherwise — the weights are
+	// then the full K/V projections, every chip can serve any sequence, and
+	// projecting the other chips' rows would throw the result away.
+	sq := e.seqsOn(c.Rank)
+	hMine := tensor.RowsView(hFull, sq.at*steps, (sq.at+sq.count)*steps)
+	kNew := cl.wk.mulA(ar, &hMine)
+	vNew := cl.wv.mulA(ar, &hMine)
 
 	var outLocal *tensor.Mat
-	if e.opts.Attn == partition.AttnShardBatch {
-		// Batch-sharded: this chip caches only its own sequences' K/V, so
-		// project only those rows — the full-batch projection would throw
-		// away (n-1)/n of its output. The weights are still the full K/V
-		// projections (every chip can serve any sequence); only the token
-		// rows are restricted.
-		rowsPC := e.batch / n * steps
-		hMine := tensor.RowsView(hFull, c.Rank*rowsPC, (c.Rank+1)*rowsPC)
-		kMine := cl.wk.mulA(ar, &hMine)
-		vMine := cl.wv.mulA(ar, &hMine)
-		outLocal = e.attnBatchSharded(c, st, layer, qLocal, kMine, vMine, steps, active)
+	if e.batchShardedCache() && n > 1 {
+		outLocal = e.attnBatchSharded(c, st, layer, sq, qLocal, kNew, vNew)
 	} else {
-		kNew := cl.wk.mulA(ar, hFull) // full KV heads or this chip's block
-		vNew := cl.wv.mulA(ar, hFull)
-		// Head-sharded: the local cache holds this chip's KV heads (or
-		// the replicated multiquery head); everything is chip-local.
+		// The queries' sequences are all cached here: chip-local.
 		outLocal = appendAndAttendInto(ar.Mat(qLocal.Rows, qLocal.Cols),
-			e.cfg.HeadDim, qLocal, st.cache, layer, e.batch, steps, active, kNew, vNew, &st.scr)
+			e.cfg.HeadDim, qLocal, st.cache, layer, sq, steps, kNew, vNew, &st.scr)
 	}
 
 	partial := cl.wo.mulA(ar, outLocal) // [tokens, E] partialsum over chips
 	return rsCols(ar, st.op(c), hardware.GroupXYZ, partial, n)
 }
 
-// appendAndAttendInto appends the new K/V and computes attention for
-// `seqs` query blocks against the matching cache slots, writing into out
-// (which must be [q.Rows, q.Cols]). With a mask, inactive slots are
-// skipped (zero output, no append); with nil, all slots run in lockstep at
-// a uniform depth. Everything is views and fused kernels — no temporaries.
-func appendAndAttendInto(out *tensor.Mat, dh int, q *tensor.Mat, cache *kvcache.Cache, layer, seqs, steps int, active []bool, kNew, vNew *tensor.Mat, scr *reference.AttnScratch) *tensor.Mat {
-	if active == nil {
-		cache.Append(layer, kNew, vNew, steps)
-		for s := 0; s < seqs; s++ {
-			qv := tensor.RowsView(q, s*steps, (s+1)*steps)
-			ov := tensor.RowsView(out, s*steps, (s+1)*steps)
-			reference.AttendSeqInto(&ov, dh, &qv, cache, layer, s, steps, scr)
-		}
-		return out
-	}
-	out.Zero()
-	for s := 0; s < seqs; s++ {
-		if !active[s] {
+// appendAndAttendInto appends the new K/V of a chip's sequences to their
+// cache slots and attends each sequence's query block against its slot,
+// writing into out (which must be [q.Rows, q.Cols]). Sequences the mask
+// leaves out are skipped: zero output, nothing appended. Everything is
+// views and fused kernels — no temporaries.
+func appendAndAttendInto(out *tensor.Mat, dh int, q *tensor.Mat, cache *kvcache.Cache, layer int, sq chipSeqs, steps int, kNew, vNew *tensor.Mat, scr *reference.AttnScratch) *tensor.Mat {
+	for i := 0; i < sq.count; i++ {
+		ov := tensor.RowsView(out, i*steps, (i+1)*steps)
+		if sq.mask != nil && !sq.mask[i] {
+			ov.Zero()
 			continue
 		}
-		kv := tensor.RowsView(kNew, s*steps, (s+1)*steps)
-		vv := tensor.RowsView(vNew, s*steps, (s+1)*steps)
-		cache.AppendSeq(layer, s, &kv, &vv, steps)
-		qv := tensor.RowsView(q, s*steps, (s+1)*steps)
-		ov := tensor.RowsView(out, s*steps, (s+1)*steps)
-		reference.AttendSeqInto(&ov, dh, &qv, cache, layer, s, steps, scr)
+		kv := tensor.RowsView(kNew, i*steps, (i+1)*steps)
+		vv := tensor.RowsView(vNew, i*steps, (i+1)*steps)
+		cache.AppendSeq(layer, sq.first+i, &kv, &vv, steps)
+		qv := tensor.RowsView(q, i*steps, (i+1)*steps)
+		reference.AttendSeqInto(&ov, dh, &qv, cache, layer, sq.first+i, steps, scr)
 	}
 	return out
 }
 
-// attnBatchSharded reshards Q from head-sharded to batch-sharded with an
-// all-to-all, attends against this chip's sequence shard of the KV cache,
-// and reshards the attention output back (Figure 5(b)). kMine/vMine are
-// the projections of this chip's own sequences only (the weights are the
-// full K/V projections — multiquery K/V identical on every chip,
-// batch-sharded multihead full-width — but the token rows are already
-// restricted to this shard). On a single chip both all-to-alls are
-// identities and the whole exchange collapses to the chip-local fused
-// path.
-func (e *Engine) attnBatchSharded(c *mesh.Chip, st *chipState, layer int, qLocal, kMine, vMine *tensor.Mat, steps int, active []bool) *tensor.Mat {
+// attnBatchSharded moves the queries to the chips that cache their
+// sequences, attends there, and moves each head block of the output back
+// to the chip whose W_O rows contract it. kMine/vMine are the projections
+// of this chip's own sequences (multiquery K/V identical on every chip,
+// batch-sharded multihead full-width).
+//
+// A batch pass reshards Q from head-sharded to batch-sharded with an
+// all-to-all and reshards the attention output back with another (Figure
+// 5(b)). An admission has no sequence dimension to all-to-all over:
+// every chip gathers the full queries, the slot's owner attends, and the
+// return all-to-all carries data in the owner's shards only.
+func (e *Engine) attnBatchSharded(c *mesh.Chip, st *chipState, layer int, sq chipSeqs, qLocal, kMine, vMine *tensor.Mat) *tensor.Mat {
 	ar := &st.arena
 	n := e.m.Chips()
-	seqsPC := e.batch / n
-	rowsPC := seqsPC * steps
+	steps := e.fw.steps
+	headW := qLocal.Cols
+	shards := st.shards
 
-	// This chip's sequences: cache the active ones.
-	var localActive []bool
-	if active != nil {
-		localActive = active[c.Rank*seqsPC : (c.Rank+1)*seqsPC]
-	}
-
-	if n == 1 {
-		return appendAndAttendInto(ar.Mat(qLocal.Rows, qLocal.Cols),
-			e.cfg.HeadDim, qLocal, st.cache, layer, seqsPC, steps, localActive, kMine, vMine, &st.scr)
+	if slot := e.fw.slot; slot != noSlot {
+		qFull := agCols(ar, st.op(c), hardware.GroupXYZ, qLocal, n) // [steps, H·dh]
+		if sq.count > 0 {
+			outFull := appendAndAttendInto(ar.Mat(steps, qFull.Cols),
+				e.cfg.HeadDim, qFull, st.cache, layer, sq, steps, kMine, vMine, &st.scr)
+			for d := range shards {
+				shards[d] = tensor.SliceCols(outFull, d*headW, (d+1)*headW).Data
+			}
+		} else {
+			// The all-to-all copies what it sends, so one zeroed buffer
+			// serves every destination.
+			zero := ar.Floats(steps * headW)
+			clear(zero)
+			for d := range shards {
+				shards[d] = zero
+			}
+		}
+		recv := collective.AllToAll(st.op(c), hardware.GroupXYZ, shards)
+		owner, _ := e.slotOwner(slot)
+		return tensor.FromSlice(recv[owner], steps, headW)
 	}
 
 	// All-to-all #1: send each destination its sequence block of my
 	// head-block queries. Row blocks are contiguous, so the shards are
-	// zero-copy views (Send copies on the wire). The shard tables are
-	// per-chip scratch, reused every layer.
-	headW := qLocal.Cols
-	shards := st.shardTab(n)
-	for d := 0; d < n; d++ {
+	// zero-copy views (Send copies on the wire).
+	rowsPC := sq.count * steps
+	for d := range shards {
 		shards[d] = qLocal.Data[d*rowsPC*headW : (d+1)*rowsPC*headW]
 	}
 	recv := collective.AllToAll(st.op(c), hardware.GroupXYZ, shards)
@@ -416,20 +396,19 @@ func (e *Engine) attnBatchSharded(c *mesh.Chip, st *chipState, layer int, qLocal
 	}
 
 	outMine := appendAndAttendInto(ar.Mat(rowsPC, headW*n),
-		e.cfg.HeadDim, qMine, st.cache, layer, seqsPC, steps, localActive, kMine, vMine, &st.scr)
+		e.cfg.HeadDim, qMine, st.cache, layer, sq, steps, kMine, vMine, &st.scr)
 
 	// All-to-all #2: return each head block to its owner.
-	back := st.shardTab(n)
 	backBuf := ar.Mat(rowsPC*n, headW)
-	for d := 0; d < n; d++ {
+	for d := range shards {
 		blk := backBuf.Data[d*rowsPC*headW : (d+1)*rowsPC*headW]
 		for i := 0; i < rowsPC; i++ {
 			copy(blk[i*headW:(i+1)*headW], outMine.Row(i)[d*headW:(d+1)*headW])
 		}
-		back[d] = blk
+		shards[d] = blk
 	}
-	recv2 := collective.AllToAll(st.op(c), hardware.GroupXYZ, back)
-	outLocal := ar.Mat(e.batch*steps, headW) // [tokens, headsPC·dh]
+	recv2 := collective.AllToAll(st.op(c), hardware.GroupXYZ, shards)
+	outLocal := ar.Mat(rowsPC*n, headW) // [tokens, headsPC·dh]
 	for srcIdx, data := range recv2 {
 		copy(outLocal.Data[srcIdx*rowsPC*headW:(srcIdx+1)*rowsPC*headW], data)
 		c.Recycle(data)

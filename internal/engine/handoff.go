@@ -8,7 +8,7 @@ package engine
 // them into a free slot on a decode replica, which then continues the
 // sequence with DecodeSlots exactly as if it had prefilled the prompt
 // itself. Blocks are exported in the cache's native storage format (raw
-// int8 values + scales under Int8KV), so the handoff is bit-exact and the
+// int8 values + scales under an int8 KVDType), so the handoff is bit-exact and the
 // decode replica's tokens are identical to a single-replica run.
 
 import (

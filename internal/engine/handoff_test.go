@@ -4,6 +4,7 @@ import (
 	"testing"
 
 	"esti/internal/hardware"
+	"esti/internal/model"
 	"esti/internal/partition"
 	"esti/internal/reference"
 	"esti/internal/tensor"
@@ -69,7 +70,9 @@ func TestHandoffTokenExact(t *testing.T) {
 			}
 			t.Run(name, func(t *testing.T) {
 				opts := lay.opts
-				opts.Int8KV = int8kv
+				if int8kv {
+					opts.KVDType = model.Int8
+				}
 				mk := func() *Engine {
 					e, err := New(w, lay.torus, opts, batch, maxLen)
 					if err != nil {
@@ -227,7 +230,7 @@ func TestHandoffErrors(t *testing.T) {
 		t.Fatal(err)
 	}
 	int8Opts := batchOpts
-	int8Opts.Int8KV = true
+	int8Opts.KVDType = model.Int8
 	if err := mk(torus222(), int8Opts).ImportSlotKV(1, kvB); err == nil {
 		t.Error("float snapshot into int8 session should fail")
 	}

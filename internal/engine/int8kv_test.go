@@ -59,7 +59,7 @@ func TestInt8KVGreedyMatchesFP32(t *testing.T) {
 				t.Fatal(err)
 			}
 			o8 := lay.opts
-			o8.Int8KV = true
+			o8.KVDType = model.Int8
 			q8, err := New(w, lay.torus, o8, batch, maxLen)
 			if err != nil {
 				t.Fatal(err)
@@ -89,7 +89,7 @@ func TestInt8KVCacheBytesHalved(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	opts.Int8KV = true
+	opts.KVDType = model.Int8
 	q8, err := New(w, hardware.Torus{X: 1, Y: 1, Z: 1}, opts, 8, 256)
 	if err != nil {
 		t.Fatal(err)
@@ -116,7 +116,7 @@ func TestInt8KVDecodeSteadyStateZeroAllocs(t *testing.T) {
 	w := reference.NewWeights(cfg, 7)
 	eng, err := New(w, hardware.Torus{X: 1, Y: 1, Z: 1}, Options{
 		FFN: partition.FFN2DWeightStationary, Attn: partition.AttnShardBatch,
-		Int8KV: true,
+		KVDType: model.Int8,
 	}, batch, maxLen)
 	if err != nil {
 		t.Fatal(err)
@@ -157,7 +157,7 @@ func TestInt8KVPrefixCachedAdmissionExact(t *testing.T) {
 	w := reference.NewWeights(cfg, 13)
 	for _, attn := range []partition.AttnLayout{partition.AttnShardBatch, partition.AttnShardHeads} {
 		eng, err := New(w, hardware.Torus{X: 2, Y: 1, Z: 1}, Options{
-			FFN: partition.FFN1DWeightStationary, Attn: attn, Int8KV: true,
+			FFN: partition.FFN1DWeightStationary, Attn: attn, KVDType: model.Int8,
 		}, batch, maxLen)
 		if err != nil {
 			t.Fatal(err)

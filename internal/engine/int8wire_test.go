@@ -5,6 +5,7 @@ import (
 
 	"esti/internal/commcost"
 	"esti/internal/hardware"
+	"esti/internal/model"
 	"esti/internal/partition"
 	"esti/internal/reference"
 	"esti/internal/tensor"
@@ -58,7 +59,7 @@ func TestInt8WireGreedyMatchesFP32(t *testing.T) {
 				t.Fatal(err)
 			}
 			o8 := lay.opts
-			o8.Int8Wire = true
+			o8.WireDType = model.Int8
 			q8, err := New(w, lay.torus, o8, batch, maxLen)
 			if err != nil {
 				t.Fatal(err)
@@ -77,7 +78,7 @@ func TestInt8WireGreedyMatchesFP32(t *testing.T) {
 	}
 }
 
-// The wire volume contract on the mesh counters: with Int8Wire every
+// The wire volume contract on the mesh counters: with an int8 wire every
 // data-plane collective's bytes shrink to ≤0.55× the fp32 session's —
 // comfortably met, since per-chunk int8 is ~0.26× — while the float32
 // remainder is exactly the RMS-norm all-reduces, which commcost predicts
@@ -104,7 +105,7 @@ func TestInt8WireVolumeHalved(t *testing.T) {
 			}
 			fpTotal, fpInt8 := run(lay.opts)
 			o8 := lay.opts
-			o8.Int8Wire = true
+			o8.WireDType = model.Int8
 			q8Total, q8Int8 := run(o8)
 			if fpInt8 != 0 {
 				t.Fatalf("fp32 session sent %g int8 bytes", fpInt8)
@@ -144,7 +145,7 @@ func TestInt8WireVolumeHalved(t *testing.T) {
 	}
 }
 
-// Steady-state decode under Int8Wire keeps the zero-alloc contract on the
+// Steady-state decode under an int8 wire keeps the zero-alloc contract on the
 // single-chip mesh (where the whole pass is chip-local; collectives are
 // size-1 no-ops). The multi-chip wire path's buffers come from the mesh
 // message pools — covered by the volume tests above and the gated
@@ -159,7 +160,7 @@ func TestInt8WireDecodeSteadyStateZeroAllocs(t *testing.T) {
 	w := reference.NewWeights(cfg, 7)
 	eng, err := New(w, hardware.Torus{X: 1, Y: 1, Z: 1}, Options{
 		FFN: partition.FFN2DWeightStationary, Attn: partition.AttnShardBatch,
-		Int8Wire: true,
+		WireDType: model.Int8,
 	}, batch, maxLen)
 	if err != nil {
 		t.Fatal(err)
@@ -203,7 +204,7 @@ func TestInt8EverythingComposes(t *testing.T) {
 	w := reference.NewWeights(cfg, 19)
 	eng, err := New(w, hardware.Torus{X: 2, Y: 2, Z: 2}, Options{
 		FFN: partition.FFN2DWeightStationary, Attn: partition.AttnShardBatch,
-		Int8Weights: true, Int8KV: true, Int8Wire: true,
+		Int8Weights: true, KVDType: model.Int8, WireDType: model.Int8,
 	}, batch, maxLen)
 	if err != nil {
 		t.Fatal(err)
@@ -237,10 +238,10 @@ func TestInt8WireMultiChipNoExtraAllocs(t *testing.T) {
 	cfg := ciConfig()
 	const batch, maxLen = 8, 512
 	w := reference.NewWeights(cfg, 7)
-	run := func(int8wire bool) float64 {
+	run := func(wire model.DType) float64 {
 		eng, err := New(w, hardware.Torus{X: 2, Y: 2, Z: 2}, Options{
 			FFN: partition.FFN2DWeightStationary, Attn: partition.AttnShardBatch,
-			Int8Wire: int8wire,
+			WireDType: wire,
 		}, batch, maxLen)
 		if err != nil {
 			t.Fatal(err)
@@ -256,7 +257,7 @@ func TestInt8WireMultiChipNoExtraAllocs(t *testing.T) {
 			eng.DecodeInto(logits, last)
 		})
 	}
-	fp, q8 := run(false), run(true)
+	fp, q8 := run(model.FP32), run(model.Int8)
 	if q8 > fp {
 		t.Errorf("int8-wire 8-chip decode allocates %v/op vs %v/op fp32 — wire scratch not pooled?", q8, fp)
 	}

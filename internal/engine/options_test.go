@@ -8,51 +8,6 @@ import (
 	"esti/internal/reference"
 )
 
-// The typed dtype fields and their deprecated bool aliases must be
-// interchangeable: a session built with KVDType/WireDType = model.Int8
-// produces exactly the tokens of one built with Int8KV/Int8Wire = true,
-// and both normalize to the same reported options.
-func TestTypedOptionsMatchBoolAliases(t *testing.T) {
-	cfg := ciConfig()
-	const batch, promptLen, gen, maxLen = 8, 4, 16, 32
-	w := reference.NewWeights(cfg, 5)
-	prompt := tokens(batch, promptLen)
-	base := Options{FFN: partition.FFN2DWeightStationary, Attn: partition.AttnShardBatch}
-
-	typed := base
-	typed.KVDType = model.Int8
-	typed.WireDType = model.Int8
-	bools := base
-	bools.Int8KV = true
-	bools.Int8Wire = true
-
-	mk := func(o Options) *Engine {
-		e, err := New(w, torus222(), o, batch, maxLen)
-		if err != nil {
-			t.Fatal(err)
-		}
-		return e
-	}
-	et, eb := mk(typed), mk(bools)
-	for _, e := range []*Engine{et, eb} {
-		if !e.Int8KV() || !e.Int8Wire() {
-			t.Fatal("normalized bools disagree with requested int8")
-		}
-		if e.KVDType() != model.Int8 || e.WireDType() != model.Int8 {
-			t.Fatal("normalized dtypes disagree with requested int8")
-		}
-	}
-	want := et.Generate(prompt, promptLen, gen)
-	got := eb.Generate(prompt, promptLen, gen)
-	for s := range want {
-		for i := range want[s] {
-			if want[s][i] != got[s][i] {
-				t.Fatalf("seq %d token %d: typed %d vs bool %d", s, i, want[s][i], got[s][i])
-			}
-		}
-	}
-}
-
 // FP32 and the zero value (BF16) both select the engine's float path; the
 // session must not report int8 for either, and an out-of-range dtype is
 // rejected at construction.
@@ -67,8 +22,8 @@ func TestDTypeNormalization(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if e.Int8KV() || e.KVDType() != model.FP32 {
-		t.Errorf("FP32 session reports Int8KV=%v KVDType=%v", e.Int8KV(), e.KVDType())
+	if e.chips[0].cache.Int8() || e.KVDType() != model.FP32 {
+		t.Errorf("FP32 session reports int8 cache %v, KVDType %v", e.chips[0].cache.Int8(), e.KVDType())
 	}
 
 	bad := base

@@ -4,6 +4,7 @@ import (
 	"fmt"
 
 	"esti/internal/kvcache"
+	"esti/internal/model"
 	"esti/internal/tensor"
 )
 
@@ -44,7 +45,7 @@ func (r *PrefixRef) Len() int { return len(r.tokens) }
 // or attached slot becomes invalid, so reset only an idle engine).
 func (e *Engine) EnablePrefixCache(budgetPerChip int) {
 	for _, st := range e.chips {
-		if e.opts.Int8KV {
+		if e.opts.KVDType == model.Int8 {
 			// An int8 session stores its shared prefixes quantized too:
 			// attached blocks must match the cache's storage mode, and the
 			// per-chip budget then buys twice the resident templates.

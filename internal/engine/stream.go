@@ -18,92 +18,36 @@ import (
 // bit-exact); reduce-scatter-side chunks are produced on demand, each the
 // bit-exact column block of the barrier path's full product.
 
-// streamFFN reports whether this pass's FFN should take the streamed path:
+// streamFFN reports whether the session's FFN takes the streamed path:
 // single-chip meshes have nothing to overlap and keep the allocation-free
 // barrier path.
 func (e *Engine) streamFFN() bool { return e.opts.Streamed && e.m.Chips() > 1 }
 
-// ffn1DStreamed is ffn1D with both collectives streamed: the input
-// all-gather's chunks fold W_up/W_gate row-block products into F-block
-// accumulators as they arrive, and the down-projection runs inside the
-// output reduce-scatter's producer — chunk j of the transposed partial sum
-// (the E-column block j of act·W_down, transposed) is computed just before
-// the ring sends or folds it.
-func (e *Engine) ffn1DStreamed(c *mesh.Chip, st *chipState, cl *chipLayer, h *tensor.Mat) *tensor.Mat {
+// ffnStreamed is ffn with the matmuls looped into the plan's rings. The
+// outer gather's chunks fold W_up/W_gate stripe-row-block products into
+// F/nOuter accumulators as they arrive, and the inner reduce-scatters
+// stream their input transposes (rsColsStream). The down-projection rides
+// the inner gather's consumer — each arriving F chunk folds its W_down
+// row-block product into the E/nInner accumulator, which the outer
+// reduce-scatter then streams out — unless the inner group has one member
+// and so no ring to ride: then it runs inside the outer reduce-scatter's
+// producer, chunk j of the transposed partial sum (the E-column block j of
+// act·W_down, transposed) computed just before the ring sends or folds it.
+func (e *Engine) ffnStreamed(c *mesh.Chip, st *chipState, cl *chipLayer, h *tensor.Mat) *tensor.Mat {
 	ar := &st.arena
-	n := e.m.Chips()
+	p := &st.plan
 	tokens := h.Rows
 	eChunk := h.Cols
-	fBlock := e.cfg.DFF / n
+	fOuter := e.cfg.DFF / p.nOuter
 
-	up := ar.Mat(tokens, fBlock)
+	up := ar.Mat(tokens, fOuter)
 	up.Zero()
 	var gate *tensor.Mat
 	if e.cfg.FFNKind == model.SwiGLU {
-		gate = ar.Mat(tokens, fBlock)
+		gate = ar.Mat(tokens, fOuter)
 		gate.Zero()
 	}
-	full := collective.AllGatherStream(st.op(c), hardware.GroupXYZ, h.Data,
-		func(idx int, chunk []float32) {
-			cm := tensor.Mat{Rows: tokens, Cols: eChunk, Data: chunk}
-			cl.wUpBlk[idx].mulAcc(up, &cm)
-			if gate != nil {
-				cl.wGateBlk[idx].mulAcc(gate, &cm)
-			}
-		})
-	c.Recycle(full)
-	cl.wUp.finishAcc(up)
-
-	var act *tensor.Mat
-	if gate != nil {
-		cl.wGate.finishAcc(gate)
-		tensor.SiLUFast(gate)
-		act = tensor.MulInto(gate, gate, up)
-	} else {
-		tensor.GELU(up)
-		act = up
-	}
-
-	// Fused down-projection + reduce-scatter over the E dimension.
-	eBlock := e.cfg.DModel / n
-	tr := ar.Mat(e.cfg.DModel, tokens) // transposed partial, produced per chunk
-	tmp := ar.Mat(tokens, eBlock)
-	shard := collective.ReduceScatterStream(st.op(c), hardware.GroupXYZ, tr.Data,
-		func(j int, chunk []float32) {
-			cl.wDownBlk[j].mulInto(tmp, act)
-			cv := tensor.Mat{Rows: eBlock, Cols: tokens, Data: chunk}
-			tensor.TransposeInto(&cv, tmp)
-		})
-	shMat := tensor.Mat{Rows: eBlock, Cols: tokens, Data: shard}
-	out := tensor.TransposeInto(ar.Mat(tokens, eBlock), &shMat)
-	c.Recycle(shard)
-	return out
-}
-
-// ffn2DStreamed is ffn2D with every gather streamed: the YZ gather's chunks
-// fold W_up/W_gate stripe-row-block products into F/YZ accumulators, the X
-// gather's chunks fold W_down row-block products into the E/X accumulator,
-// and the column reduce-scatters stream their input transposes
-// (rsColsStream). The collective sequence — and so the op-id consumption —
-// matches ffn2D call for call.
-func (e *Engine) ffn2DStreamed(c *mesh.Chip, st *chipState, cl *chipLayer, h *tensor.Mat) *tensor.Mat {
-	ar := &st.arena
-	t := e.torus
-	yzGroup := hardware.GroupYZ
-	xGroup := hardware.GroupX
-	yzSize := t.Y * t.Z
-	tokens := h.Rows
-	eChunk := h.Cols
-	fPerYZ := e.cfg.DFF / yzSize
-
-	up := ar.Mat(tokens, fPerYZ)
-	up.Zero()
-	var gate *tensor.Mat
-	if e.cfg.FFNKind == model.SwiGLU {
-		gate = ar.Mat(tokens, fPerYZ)
-		gate.Zero()
-	}
-	full := collective.AllGatherStream(st.op(c), yzGroup, h.Data,
+	full := collective.AllGatherStream(st.op(c), p.outer, h.Data,
 		func(j int, chunk []float32) {
 			cm := tensor.Mat{Rows: tokens, Cols: eChunk, Data: chunk}
 			cl.wUpBlk[j].mulAcc(up, &cm)
@@ -113,39 +57,38 @@ func (e *Engine) ffn2DStreamed(c *mesh.Chip, st *chipState, cl *chipLayer, h *te
 		})
 	c.Recycle(full)
 	cl.wUp.finishAcc(up)
-	upShard := rsColsStream(ar, st.op(c), xGroup, up, t.X) // [tokens, F/(X·YZ)]
-
-	var actShard *tensor.Mat
+	act := rsColsStream(ar, st.op(c), p.inner, up, p.nInner) // [tokens, F/n]
 	if gate != nil {
 		cl.wGate.finishAcc(gate)
-		gateShard := rsColsStream(ar, st.op(c), xGroup, gate, t.X)
+		gateShard := rsColsStream(ar, st.op(c), p.inner, gate, p.nInner)
 		tensor.SiLUFast(gateShard)
-		actShard = tensor.MulInto(gateShard, gateShard, upShard)
+		act = tensor.MulInto(gateShard, gateShard, act)
 	} else {
-		tensor.GELU(upShard)
-		actShard = upShard
+		tensor.GELU(act)
 	}
 
-	fSub := actShard.Cols
-	eX := cl.wDown.cols()
-	down := ar.Mat(tokens, eX) // [tokens, E/X] accumulator
+	if p.nInner == 1 {
+		tr := ar.Mat(eChunk*p.nOuter, tokens) // transposed partial, produced per chunk
+		tmp := ar.Mat(tokens, eChunk)
+		shard := collective.ReduceScatterStream(st.op(c), p.outer, tr.Data,
+			func(j int, chunk []float32) {
+				cl.wDownBlk[j].mulInto(tmp, act)
+				cv := tensor.Mat{Rows: eChunk, Cols: tokens, Data: chunk}
+				tensor.TransposeInto(&cv, tmp)
+			})
+		return colShard(ar, c, shard, tokens)
+	}
+	fChunk := act.Cols
+	down := ar.Mat(tokens, eChunk*p.nOuter) // [tokens, E/nInner] accumulator
 	down.Zero()
-	fullAct := collective.AllGatherStream(st.op(c), xGroup, actShard.Data,
-		func(jx int, chunk []float32) {
-			cm := tensor.Mat{Rows: tokens, Cols: fSub, Data: chunk}
-			cl.wDownBlk[jx].mulAcc(down, &cm)
+	fullAct := collective.AllGatherStream(st.op(c), p.inner, act.Data,
+		func(j int, chunk []float32) {
+			cm := tensor.Mat{Rows: tokens, Cols: fChunk, Data: chunk}
+			cl.wDownBlk[j].mulAcc(down, &cm)
 		})
 	c.Recycle(fullAct)
 	cl.wDown.finishAcc(down)
-	return rsColsStream(ar, st.op(c), yzGroup, down, yzSize)
-}
-
-// cols is the weight shard's output width in either storage format.
-func (w weight) cols() int {
-	if w.q != nil {
-		return w.q.Cols
-	}
-	return w.f.Cols
+	return rsColsStream(ar, st.op(c), p.outer, down, p.nOuter)
 }
 
 // rsColsStream is rsCols with the input transpose folded into the ring:
@@ -172,8 +115,5 @@ func rsColsStream(ar *tensor.Arena, o collective.Op, g hardware.AxisGroup, m *te
 				}
 			}
 		})
-	shMat := tensor.Mat{Rows: rowsPer, Cols: m.Rows, Data: shard}
-	out := tensor.TransposeInto(ar.Mat(m.Rows, rowsPer), &shMat)
-	o.Chip.Recycle(shard)
-	return out
+	return colShard(ar, o.Chip, shard, m.Rows)
 }

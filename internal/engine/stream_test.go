@@ -47,9 +47,9 @@ func TestStreamedTokenExactVsBarrier(t *testing.T) {
 		{"2d-batch", tinyMQA(), Options{FFN: partition.FFN2DWeightStationary, Attn: partition.AttnShardBatch}},
 		{"wg-xyz", tinyMQA(), wgOpts()},
 		{"2d-heads-gelu-serial", tinyMHA(), Options{FFN: partition.FFN2DWeightStationary, Attn: partition.AttnShardHeads}},
-		{"1d-batch-int8wire", tinyMQA(), Options{FFN: partition.FFN1DWeightStationary, Attn: partition.AttnShardBatch, Int8Wire: true}},
-		{"2d-batch-int8wire", tinyMQA(), Options{FFN: partition.FFN2DWeightStationary, Attn: partition.AttnShardBatch, Int8Wire: true}},
-		{"wg-xyz-int8wire", tinyMQA(), func() Options { o := wgOpts(); o.Int8Wire = true; return o }()},
+		{"1d-batch-int8wire", tinyMQA(), Options{FFN: partition.FFN1DWeightStationary, Attn: partition.AttnShardBatch, WireDType: model.Int8}},
+		{"2d-batch-int8wire", tinyMQA(), Options{FFN: partition.FFN2DWeightStationary, Attn: partition.AttnShardBatch, WireDType: model.Int8}},
+		{"wg-xyz-int8wire", tinyMQA(), func() Options { o := wgOpts(); o.WireDType = model.Int8; return o }()},
 		{"2d-batch-int8weights", tinyMQA(), Options{FFN: partition.FFN2DWeightStationary, Attn: partition.AttnShardBatch, Int8Weights: true}},
 	}
 	tori := []hardware.Torus{{X: 1, Y: 1, Z: 1}, {X: 2, Y: 1, Z: 1}, {X: 2, Y: 2, Z: 2}}
@@ -151,11 +151,11 @@ func TestStreamedWireBytesIdentical(t *testing.T) {
 	for i := range prompt {
 		prompt[i] = (i*13 + 5) % cfg.Vocab
 	}
-	for _, int8wire := range []bool{false, true} {
+	for _, wire := range []model.DType{model.FP32, model.Int8} {
 		run := func(streamed bool) (int64, int64, int64) {
 			eng, err := New(w, torus222(), Options{
 				FFN: partition.FFN2DWeightStationary, Attn: partition.AttnShardBatch,
-				Int8Wire: int8wire, Streamed: streamed,
+				WireDType: wire, Streamed: streamed,
 			}, batch, promptLen+gen+1)
 			if err != nil {
 				t.Fatal(err)
@@ -167,8 +167,8 @@ func TestStreamedWireBytesIdentical(t *testing.T) {
 		bB, b8, bM := run(false)
 		sB, s8, sM := run(true)
 		if bB != sB || b8 != s8 || bM != sM {
-			t.Errorf("int8wire=%v: streamed traffic (%d B, %d int8 B, %d msgs) differs from barrier (%d, %d, %d)",
-				int8wire, sB, s8, sM, bB, b8, bM)
+			t.Errorf("wire %v: streamed traffic (%d B, %d int8 B, %d msgs) differs from barrier (%d, %d, %d)",
+				wire, sB, s8, sM, bB, b8, bM)
 		}
 	}
 }

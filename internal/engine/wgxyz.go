@@ -41,16 +41,12 @@ type wgLayerShards struct {
 	ffnNormGain    []float32
 }
 
-// buildWG slices the weights for the weight-gathered path.
-func (e *Engine) buildWG(w *reference.Weights, rank int) *wgState {
+// buildWG slices the weights for the weight-gathered path: the FFN blocks
+// the 2D plan stores (ffnPlan.block), flattened for gathering.
+func (e *Engine) buildWG(w *reference.Weights, rank int, p ffnPlan) *wgState {
 	cfg := e.cfg
-	t := e.torus
-	n := t.Chips()
-	yz := t.Y * t.Z
-	yzIdx := rank / t.X
-	stripe := e.eStripe(rank)
-	fPerYZ := cfg.DFF / yz
-	fCols := contiguous(yzIdx*fPerYZ, fPerYZ)
+	n := e.m.Chips()
+	eIdx, fIdx := p.block(cfg)
 	headsPC := cfg.Heads / n
 	dh := cfg.HeadDim
 	hCols := contiguous(rank*headsPC*dh, headsPC*dh)
@@ -63,15 +59,15 @@ func (e *Engine) buildWG(w *reference.Weights, rank int) *wgState {
 		ls := wgLayerShards{
 			normGain:    append([]float32(nil), lw.NormGain...),
 			ffnNormGain: append([]float32(nil), lw.FFNNormGain...),
-			up:          selectCols(selectRows(lw.WUp, stripe), fCols).Data,
-			down:        selectCols(selectRows(lw.WDown, fCols), stripe).Data,
+			up:          selectCols(selectRows(lw.WUp, eIdx), fIdx).Data,
+			down:        selectCols(selectRows(lw.WDown, fIdx), eIdx).Data,
 			q:           selectCols(lw.WQ, hCols).Data,
 			k:           selectRows(lw.WK, eRows).Data,
 			v:           selectRows(lw.WV, eRows).Data,
 			o:           selectRows(lw.WO, hCols).Data,
 		}
 		if lw.WGate != nil {
-			ls.gate = selectCols(selectRows(lw.WGate, stripe), fCols).Data
+			ls.gate = selectCols(selectRows(lw.WGate, eIdx), fIdx).Data
 		}
 		st.layers = append(st.layers, ls)
 	}
@@ -88,10 +84,7 @@ type gathered struct {
 // the full matrices, accounting every weight byte as mesh traffic.
 func (e *Engine) gatherLayer(c *mesh.Chip, st *chipState, ws *wgLayerShards) gathered {
 	cfg := e.cfg
-	t := e.torus
-	n := t.Chips()
-	yz := t.Y * t.Z
-	fPerYZ := cfg.DFF / yz
+	n := e.m.Chips()
 	dh := cfg.HeadDim
 	headsPC := cfg.Heads / n
 
@@ -114,8 +107,8 @@ func (e *Engine) gatherLayer(c *mesh.Chip, st *chipState, ws *wgLayerShards) gat
 		}
 		c.Recycle(all)
 	}
-	// 2D-stored FFN shards: rank r holds rows eStripe(r) × cols of its yz
-	// block; reassemble by scattering each rank's chunk.
+	// 2D-stored FFN shards: rank r holds its block of the plan; reassemble
+	// by scattering each rank's chunk.
 	assemble2D := func(flat []float32, transposed bool) *tensor.Mat {
 		rows, cols := cfg.DModel, cfg.DFF
 		if transposed {
@@ -123,19 +116,19 @@ func (e *Engine) gatherLayer(c *mesh.Chip, st *chipState, ws *wgLayerShards) gat
 		}
 		full := tensor.New(rows, cols)
 		gatherScatter(flat, func(r int, chunk []float32) {
-			stripe := e.eStripe(r)
-			fLo := (r / t.X) * fPerYZ
+			eIdx, fIdx := e.chips[r].plan.block(cfg)
+			fLo, fLen := fIdx[0], len(fIdx)
 			if !transposed {
-				// chunk is [len(stripe), fPerYZ] row-major.
-				for i, eIdx := range stripe {
-					copy(full.Row(eIdx)[fLo:fLo+fPerYZ], chunk[i*fPerYZ:(i+1)*fPerYZ])
+				// chunk is [len(eIdx), fLen] row-major.
+				for i, ei := range eIdx {
+					copy(full.Row(ei)[fLo:fLo+fLen], chunk[i*fLen:(i+1)*fLen])
 				}
 			} else {
-				// chunk is [fPerYZ, len(stripe)] row-major (W_down).
-				for i := 0; i < fPerYZ; i++ {
+				// chunk is [fLen, len(eIdx)] row-major (W_down).
+				for i := 0; i < fLen; i++ {
 					row := full.Row(fLo + i)
-					for j, eIdx := range stripe {
-						row[eIdx] = chunk[i*len(stripe)+j]
+					for j, ei := range eIdx {
+						row[ei] = chunk[i*len(eIdx)+j]
 					}
 				}
 			}
@@ -171,79 +164,58 @@ func (e *Engine) gatherLayer(c *mesh.Chip, st *chipState, ws *wgLayerShards) gat
 	return g
 }
 
-// forwardWG runs the token-sharded weight-gathered pass: each chip owns
-// batch/n sequences end to end; the only cross-chip traffic is the per-layer
-// weight gather (plus nothing for activations). A non-nil active mask
-// (steps == 1) zeroes inactive slots: no embedding, no K/V append, zero
-// attention output.
-func (e *Engine) forwardWG(tokens []int, steps int, active []bool) *tensor.Mat {
-	n := e.m.Chips()
-	seqsPC := e.batch / n
-	rowsPC := seqsPC * steps
-	vocab := e.cfg.Vocab
-	blocks := make([]*tensor.Mat, n)
-	e.m.Run(func(c *mesh.Chip) {
-		st := e.chips[c.Rank]
-		st.arena.Reset()
-		ws := st.wg
-		var localActive []bool
-		if active != nil {
-			localActive = active[c.Rank*seqsPC : (c.Rank+1)*seqsPC]
-		}
+// chipForwardWG is one chip's body of a token-sharded weight-gathered pass
+// (bound to e.runFwd like chipForward): the chip runs the sequences its
+// cache shard holds end to end, and the only cross-chip traffic is the
+// per-layer weight gather (plus nothing for activations). A chip that holds
+// none of the pass — an admission into another chip's slot — still serves
+// its weight shards to every gather and runs the rest on zero rows.
+func (e *Engine) chipForwardWG(c *mesh.Chip) {
+	p := &e.fw
+	st := e.chips[c.Rank]
+	ar := &st.arena
+	ar.Reset()
+	ws := st.wg
+	sq := e.seqsOn(c.Rank)
 
-		// Embed this chip's sequences only.
-		x := tensor.New(rowsPC, e.cfg.DModel)
-		for i := 0; i < rowsPC; i++ {
-			if localActive != nil && !localActive[i/steps] {
-				continue // inactive slot: zero row
-			}
-			tok := tokens[c.Rank*rowsPC+i]
-			if tok < 0 || tok >= vocab {
-				panic("engine: token out of vocab")
-			}
-			copy(x.Row(i), ws.fullEmbed.Row(tok))
+	// Embed this chip's sequences only.
+	x := ar.Mat(sq.count*p.steps, e.cfg.DModel)
+	for i, tok := range p.tokens[sq.at*p.steps : (sq.at+sq.count)*p.steps] {
+		if sq.mask != nil && !sq.mask[i/p.steps] {
+			clear(x.Row(i))
+			continue
 		}
+		copy(x.Row(i), ws.fullEmbed.Row(tok))
+	}
 
-		for l := range ws.layers {
-			ls := &ws.layers[l]
-			g := e.gatherLayer(c, st, ls)
-			if e.cfg.ParallelBlock {
-				h := tensor.RMSNorm(x, ls.normGain, 1e-6)
-				attnY := wgAttention(e, st, g, h, l, seqsPC, steps, localActive)
-				ffnY := wgFFN(st, e.cfg, g, h)
-				x = tensor.AddInPlace(tensor.AddInPlace(x, attnY), ffnY)
-			} else {
-				h := tensor.RMSNorm(x, ls.normGain, 1e-6)
-				x = tensor.AddInPlace(x, wgAttention(e, st, g, h, l, seqsPC, steps, localActive))
-				h2 := tensor.RMSNorm(x, ls.ffnNormGain, 1e-6)
-				x = tensor.AddInPlace(x, wgFFN(st, e.cfg, g, h2))
-			}
-		}
-		if localActive == nil {
-			st.cache.Advance(steps)
+	for l := range ws.layers {
+		ls := &ws.layers[l]
+		g := e.gatherLayer(c, st, ls)
+		if e.cfg.ParallelBlock {
+			h := tensor.RMSNorm(x, ls.normGain, 1e-6)
+			attnY := e.wgAttention(st, g, h, l, sq)
+			ffnY := wgFFN(st, e.cfg, g, h)
+			x = tensor.AddInPlace(tensor.AddInPlace(x, attnY), ffnY)
 		} else {
-			for s, a := range localActive {
-				if a {
-					st.cache.AdvanceSeq(s, steps)
-				}
-			}
+			h := tensor.RMSNorm(x, ls.normGain, 1e-6)
+			x = tensor.AddInPlace(x, e.wgAttention(st, g, h, l, sq))
+			h2 := tensor.RMSNorm(x, ls.ffnNormGain, 1e-6)
+			x = tensor.AddInPlace(x, wgFFN(st, e.cfg, g, h2))
 		}
+	}
+	e.advance(st, sq)
 
-		final := tensor.RMSNorm(x, st.finalGain, 1e-6)
-		blocks[c.Rank] = tensor.MatMulT(final, ws.fullEmbed)
-	})
-	// Host-side assembly of the token-sharded logits (no mesh traffic:
-	// results leave through the host, as with any inference service).
-	return tensor.ConcatRows(blocks...)
+	final := tensor.RMSNorm(x, st.finalGain, 1e-6)
+	st.logits = tensor.MatMulTInto(ar.Mat(final.Rows, e.cfg.Vocab), final, ws.fullEmbed)
 }
 
-func wgAttention(e *Engine, st *chipState, g gathered, h *tensor.Mat, layer, seqsPC, steps int, active []bool) *tensor.Mat {
+func (e *Engine) wgAttention(st *chipState, g gathered, h *tensor.Mat, layer int, sq chipSeqs) *tensor.Mat {
 	ar := &st.arena
 	q := tensor.MatMulInto(ar.Mat(h.Rows, g.q.Cols), h, g.q)
 	k := tensor.MatMulInto(ar.Mat(h.Rows, g.k.Cols), h, g.k)
 	v := tensor.MatMulInto(ar.Mat(h.Rows, g.v.Cols), h, g.v)
 	out := appendAndAttendInto(ar.Mat(q.Rows, q.Cols),
-		e.cfg.HeadDim, q, st.cache, layer, seqsPC, steps, active, k, v, &st.scr)
+		e.cfg.HeadDim, q, st.cache, layer, sq, e.fw.steps, k, v, &st.scr)
 	return tensor.MatMulInto(ar.Mat(out.Rows, g.o.Cols), out, g.o)
 }
 

@@ -61,7 +61,7 @@ func TestInt8WireDTypeHalvesCommTime(t *testing.T) {
 }
 
 // Weight-gathered staging follows the wire dtype too, matching the
-// functional engine (whose Int8Wire quantizes the WG layout's per-layer
+// functional engine (whose int8 wire quantizes the WG layout's per-layer
 // weight all-gathers like any other chunk): with bf16 at-rest weights an
 // int8 wire halves the WG layout's comm, while weights already at-rest
 // int8 ship as-is — no further shrink, and never an *expansion* from a

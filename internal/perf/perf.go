@@ -130,12 +130,12 @@ type Request struct {
 	// all-to-alls each layout induces, and the weight-gathered layouts'
 	// per-layer staging. The default (BF16) is the paper's baseline;
 	// Int8 models per-chunk-quantized collective payloads
-	// (engine.Options.Int8Wire functionally), halving exposed
+	// (engine.Options.WireDType functionally), halving exposed
 	// communication time in every activation-bound layout. Weight-gather
 	// traffic moves at the cheaper of the at-rest and wire formats:
 	// at-rest int8 shards ship as-is over a wider wire, and an int8 wire
 	// quantizes wider at-rest shards at the fabric boundary — matching
-	// the functional engine, whose Int8Wire quantizes the
+	// the functional engine, whose int8 wire quantizes the
 	// weight-gathered staging like any other chunk. The per-chunk scale
 	// overhead (4 bytes per message) is negligible at analytic scales
 	// and ignored here; commcost's *WireVolume forms account it exactly.

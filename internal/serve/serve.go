@@ -33,11 +33,11 @@ type Config struct {
 	// KVDType is the KV-cache storage format on both tiers (BF16 default;
 	// Int8 halves cache bytes and KV memory traffic, which roughly doubles
 	// the context or batch the decode tier can admit — the engine-level
-	// counterpart is engine.Options.Int8KV).
+	// counterpart is engine.Options.KVDType).
 	KVDType model.DType
 	// WireDType is the activation collective payload format on both tiers
 	// (BF16 default; Int8 halves exposed communication time — the
-	// engine-level counterpart is engine.Options.Int8Wire).
+	// engine-level counterpart is engine.Options.WireDType).
 	WireDType model.DType
 	Prefill   Tier
 	Decode    Tier
