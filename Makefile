@@ -6,10 +6,12 @@ FUZZTIME ?= 10s
 .PHONY: test test-nosimd bench fuzz build ci fuzz-smoke bench-json fmt-check bench-compare bench-cpu bench-smoke
 
 # Benchmarks the regression gate watches: the serving steps and the
-# microkernels behind them. cmd/benchgate fails on allocs/op only (zero
-# stays zero) and prints ns/op for information — one sample on a box that
-# drifts ±15% (bench/README.md) is not a timing measurement.
-GATE_BENCHES ?= BenchmarkEngineDecodeStep,BenchmarkEngineDecodeStepInt8KV,BenchmarkEngineDecodeStepInt8Wire,BenchmarkEngineDecodeStepStreamed,BenchmarkEngineDecodeStepStreamedInt8Wire,BenchmarkContinuousBatching,BenchmarkDotF32I8/dispatch,BenchmarkAxpyF32I8/dispatch,BenchmarkMatMulMicro/dispatch,BenchmarkAttendSegmentInt8,BenchmarkAttendSegmentInt8Long
+# microkernels behind them, the GEMM at every per-chip shape of the bench/
+# workloads among them (half of which split across the worker pool).
+# cmd/benchgate fails on allocs/op only (zero stays zero) and prints ns/op
+# for information — one sample on a box that drifts ±15% (bench/README.md)
+# is not a timing measurement.
+GATE_BENCHES ?= BenchmarkEngineDecodeStep,BenchmarkEngineDecodeStepInt8KV,BenchmarkEngineDecodeStepInt8Wire,BenchmarkEngineDecodeStepStreamed,BenchmarkEngineDecodeStepStreamedInt8Wire,BenchmarkContinuousBatching,BenchmarkDotF32I8/dispatch,BenchmarkAxpyF32I8/dispatch,BenchmarkMatMulMicro/dispatch,BenchmarkMatMulShapes/f32_8x64x8,BenchmarkMatMulShapes/f32_8x32x64,BenchmarkMatMulShapes/f32_8x32x128,BenchmarkMatMulShapes/f32_32x128x32,BenchmarkMatMulShapes/f32_8x256x1024,BenchmarkMatMulShapes/f32_64x256x1024,BenchmarkMatMulShapes/int8_8x64x8,BenchmarkMatMulShapes/int8_8x32x64,BenchmarkMatMulShapes/int8_8x32x128,BenchmarkMatMulShapes/int8_32x128x32,BenchmarkMatMulShapes/int8_8x256x1024,BenchmarkMatMulShapes/int8_64x256x1024,BenchmarkAttendSegmentInt8,BenchmarkAttendSegmentInt8Long
 
 # Tier-1 verification plus race detection in one command.
 test:
@@ -46,7 +48,8 @@ fmt-check:
 # with dispatch pinned to the scalar twins: the raw-assembly tests key on
 # hardware, not dispatch (the Exp32Rows sweep over every float32 bit pattern
 # among them, skipped under `go test -race`), and the attention walk is held
-# to its per-head oracle on the twins as it is on AVX2 by `go test`.
+# to its per-head oracle, and the GEMM tile to the retained row-pass kernels
+# of tensor and quant, on the twins as they are on AVX2 by `go test`.
 fuzz-smoke:
 	$(GO) test ./internal/kvcache  -run='^$$' -fuzz=FuzzSlotIsolation    -fuzztime=$(FUZZTIME)
 	$(GO) test ./internal/kvcache  -run='^$$' -fuzz=FuzzInt8AppendView   -fuzztime=$(FUZZTIME)
@@ -56,7 +59,7 @@ fuzz-smoke:
 	$(GO) test ./internal/collective -run='^$$' -fuzz=FuzzStreamRoundTrip -fuzztime=$(FUZZTIME)
 	$(GO) test ./internal/sampling -run='^$$' -fuzz=FuzzFilterTopKP      -fuzztime=$(FUZZTIME)
 	$(GO) test ./internal/fleet    -run='^$$' -fuzz=FuzzFaultPlan        -fuzztime=$(FUZZTIME)
-	ESTI_NOSIMD=1 $(GO) test ./internal/simd ./internal/reference -run='Asm|Segment|BitIdentical'
+	ESTI_NOSIMD=1 $(GO) test ./internal/simd ./internal/reference ./internal/tensor ./internal/quant -run='Asm|Segment|BitIdentical'
 
 # The end-to-end benchmark as a correctness check: three repetitions of each
 # BENCHMARK.json workload on both dispatch paths. bench/run.sh exits

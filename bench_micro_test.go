@@ -10,9 +10,13 @@
 package esti
 
 import (
+	"fmt"
+	"math"
 	"testing"
+	"time"
 
 	"esti/internal/kvcache"
+	"esti/internal/quant"
 	"esti/internal/reference"
 	"esti/internal/simd"
 	"esti/internal/tensor"
@@ -95,8 +99,9 @@ func BenchmarkAxpyF32I8(b *testing.B) {
 
 // BenchmarkMatMulMicro times one small dense GEMM — [8,128]·[128,128],
 // the per-chip activation-by-weight-panel shape of the CI engine config —
-// through tensor.MatMulInto (dispatch) and through the identical blocked
-// loop pinned to the scalar MulAdd4F32 twin (scalar).
+// through tensor.MatMulInto (dispatch) and through simd.ScalarGemm, the
+// register tile's pure-Go twin: the same tiles with every element on the
+// scalar row kernels (scalar).
 func BenchmarkMatMulMicro(b *testing.B) {
 	const m, k, n = 8, 128, 128
 	a := tensor.FromSlice(microFloats(m*k), m, k)
@@ -111,36 +116,69 @@ func BenchmarkMatMulMicro(b *testing.B) {
 	b.Run("scalar", func(b *testing.B) {
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
-			scalarMatMulInto(dst, a, w)
+			simd.ScalarGemm(dst.Data, n, a.Data, k, simd.GemmB{F32: w.Data, RowStride: n, StripStride: 8}, m, k, n, false)
 		}
 	})
 	microSink = dst.Data[0]
 }
 
-// scalarMatMulInto mirrors tensor's blocked row kernel (4-wide contraction
-// unroll, zero-skip) with every vector pass pinned to the scalar twins, so
-// the MatMulMicro pair isolates exactly what the kernel dispatch buys.
-func scalarMatMulInto(dst, a, b *tensor.Mat) {
-	k, n := a.Cols, b.Cols
-	dst.Reshape(a.Rows, n)
-	for i := 0; i < a.Rows; i++ {
-		arow := a.Row(i)
-		orow := dst.Row(i)
-		clear(orow)
-		kk := 0
-		for ; kk+4 <= k; kk += 4 {
-			a0, a1, a2, a3 := arow[kk], arow[kk+1], arow[kk+2], arow[kk+3]
-			if a0 == 0 && a1 == 0 && a2 == 0 && a3 == 0 {
-				continue
-			}
-			simd.ScalarMulAdd4F32(orow,
-				b.Row(kk), b.Row(kk+1), b.Row(kk+2), b.Row(kk+3),
-				a0, a1, a2, a3)
-		}
-		for ; kk < k; kk++ {
-			if av := arow[kk]; av != 0 {
-				simd.ScalarAxpyF32(orow, av, b.Row(kk))
-			}
+// matMulShapes are the per-chip projections of bench/'s four workloads,
+// [m,k]·[k,n]: the narrow panels that sharding E and F over the chips
+// leaves (chat_mesh8's 8-chip 2D layout, shared_prefix_mix's 4-chip decode
+// and 32-row prefill chunks), and the unsharded FFN of the one-chip
+// workloads at decode and prefill height, which splits across the pool.
+var matMulShapes = [][3]int{
+	{8, 64, 8}, {8, 32, 64}, {8, 32, 128}, {32, 128, 32}, {8, 256, 1024}, {64, 256, 1024},
+}
+
+// matMulCall returns one [m,k]·[k,n] product through the engine's entry
+// points, float32 or int8 weights, and its flop count.
+func matMulCall(m, k, n int, int8w bool) (call func(), flops float64) {
+	a := tensor.FromSlice(microFloats(m*k), m, k)
+	w := tensor.FromSlice(microFloats(k*n), k, n)
+	dst := tensor.New(m, n)
+	call = func() { tensor.MatMulInto(dst, a, w) }
+	if int8w {
+		q := quant.Quantize(w)
+		call = func() { quant.MatMulInto(dst, a, q) }
+	}
+	return call, 2 * float64(m) * float64(k) * float64(n)
+}
+
+// BenchmarkMatMulShapes is the GEMM at the shapes the engine drives it at,
+// each reported as GFLOP/s and as a fraction of what the same kernel does,
+// in the same process a moment earlier, on an L1-resident [8,64]·[64,64]
+// product — one full-height tile, eight strips, nothing to wait for: the
+// rate the register tile itself runs at on this machine at this minute
+// (the best of twenty short bursts, since the box's speed drifts). The
+// fraction is what a shape loses to short contractions, narrow strips,
+// weight rows a page apart and the pool's split, whatever the clock is
+// doing. The gate watches allocs/op: zero, split across the pool or not.
+func BenchmarkMatMulShapes(b *testing.B) {
+	for _, weights := range []string{"f32", "int8"} {
+		ref, refFlops := matMulCall(8, 64, 64, weights == "int8")
+		for _, sh := range matMulShapes {
+			call, flops := matMulCall(sh[0], sh[1], sh[2], weights == "int8")
+			b.Run(fmt.Sprintf("%s_%dx%dx%d", weights, sh[0], sh[1], sh[2]), func(b *testing.B) {
+				const bursts, perBurst = 20, 200
+				best := time.Duration(math.MaxInt64)
+				for r := 0; r < bursts; r++ {
+					t0 := time.Now()
+					for i := 0; i < perBurst; i++ {
+						ref()
+					}
+					best = min(best, time.Since(t0))
+				}
+				tile := refFlops * perBurst / float64(best.Nanoseconds())
+				b.ReportAllocs()
+				b.ResetTimer()
+				for i := 0; i < b.N; i++ {
+					call()
+				}
+				rate := flops * float64(b.N) / float64(b.Elapsed().Nanoseconds())
+				b.ReportMetric(rate, "GFLOP/s")
+				b.ReportMetric(rate/tile, "of-L1-tile")
+			})
 		}
 	}
 }

@@ -20,8 +20,8 @@ func randMat(rng *rand.Rand, rows, cols int) *tensor.Mat {
 }
 
 // Raw accumulation from a zero destination followed by one ScaleColumns is
-// the unsharded quantized matmul, bit for bit: matMulRowsAccRaw mirrors
-// matMulRows' loop structure exactly, minus the clear and the fused scale.
+// the unsharded quantized matmul, bit for bit: both are the same tile
+// driver, and an accumulator loaded as +0 is an accumulator cleared.
 func TestMatMulAccRawFromZeroMatchesMatMul(t *testing.T) {
 	rng := rand.New(rand.NewSource(41))
 	for _, sh := range []struct{ m, k, n int }{

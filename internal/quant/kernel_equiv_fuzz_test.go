@@ -22,6 +22,8 @@ func FuzzKernelEquivalence(f *testing.F) {
 	f.Add([]byte{1, 2, 3, 4, 5, 6, 7, 8}, uint8(3), float32(0.5))
 	f.Add([]byte{0xff, 0xff, 0xff, 0x7f, 0, 0, 0x80, 0x7f}, uint8(16), float32(-2)) // NaN, +Inf bits
 	f.Add(make([]byte, 4*40), uint8(33), float32(1e30))
+	// ±rowClampBound, ±MaxFloat32, a subnormal and -0 for the quantizer.
+	f.Add([]byte{0xff, 0xff, 0xff, 0x7e, 0xff, 0xff, 0xff, 0xfe, 0xff, 0xff, 0x7f, 0x7f, 0xff, 0xff, 0x7f, 0xff, 1, 0, 0, 0, 0, 0, 0, 0x80}, uint8(40), float32(3e-37))
 	// Lengths whose derived segment geometry is non-degenerate: (g, dh,
 	// rows) = (2, 9, 7), (2, 17, 5), (2, 21, 4), (1, 1, 120), (2, 31, 4).
 	for _, n := range []uint8{64, 88, 100, 120, 130} {
@@ -151,6 +153,62 @@ func FuzzKernelEquivalence(f *testing.F) {
 				}
 				for i := range gotW {
 					eq("WeighRows weights", gotW[i], wantW[i])
+				}
+			}
+		}
+
+		// The GEMM tile against its twin: a as m rows of k activations, as
+		// float weights and as the accumulator's start, q as int8 weights,
+		// so tile heights 1-9, step counts on both sides of the four-step
+		// group and column counts on both sides of the eight-wide strip
+		// all come from the fuzzed length. Each weight matrix is read whole,
+		// as a block of its rows and a range of its columns (row stride ≠
+		// width), and as a strip-packed panel (strip stride ≠ 8) — the
+		// bits are arbitrary, so any in-bounds geometry is a valid input.
+		k := n*3%9 + 1
+		cols := n / k
+		if rows := min(n/k, n%10+1); rows > 0 {
+			type view struct {
+				off, k, n, rowStride, stripStride int
+			}
+			views := []view{{0, k, cols, cols, 8}}
+			if k > 1 && cols > 1 {
+				views = append(views, view{cols + 1, k - 1, cols - 1, cols, 8})
+			}
+			if strips := n / (8*k + 1); strips > 0 {
+				views = append(views, view{0, k, 8*strips - n%8, 8, 8*k + 1})
+			}
+			for _, v := range views {
+				for _, int8w := range []bool{false, true} {
+					b := simd.GemmB{F32: a[v.off:], RowStride: v.rowStride, StripStride: v.stripStride}
+					if int8w {
+						b = simd.GemmB{I8: q[v.off:], RowStride: v.rowStride, StripStride: v.stripStride}
+					}
+					for _, acc := range []bool{false, true} {
+						got, want := make([]float32, rows*v.n), make([]float32, rows*v.n)
+						copy(got, a)
+						copy(want, a)
+						simd.Gemm(got, v.n, a, k, b, rows, v.k, v.n, acc)
+						simd.ScalarGemm(want, v.n, a, k, b, rows, v.k, v.n, acc)
+						for i := range got {
+							eq("Gemm", got[i], want[i])
+						}
+					}
+				}
+			}
+		}
+
+		// The row quantizer's two passes against their twins on the raw
+		// bits — NaN, ±Inf, subnormals, ±rowClampBound — under the fuzzed
+		// reciprocal when it is finite.
+		eq("MaxAbsClamped", simd.MaxAbsClamped(a, rowClampBound), simd.ScalarMaxAbsClamped(a, rowClampBound))
+		if inv := s; !math.IsNaN(float64(inv)) && !math.IsInf(float64(inv), 0) {
+			qgot, qwant := make([]int8, n), make([]int8, n)
+			simd.QuantizeScaled(qgot, a, rowClampBound, inv)
+			simd.ScalarQuantizeScaled(qwant, a, rowClampBound, inv)
+			for i := range qgot {
+				if qgot[i] != qwant[i] {
+					t.Fatalf("QuantizeScaled(%#08x · %g): dispatch %d vs scalar twin %d", math.Float32bits(a[i]), inv, qgot[i], qwant[i])
 				}
 			}
 		}

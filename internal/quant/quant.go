@@ -107,23 +107,17 @@ func MatMul(a *tensor.Mat, q *Int8Mat) *tensor.Mat {
 }
 
 // MatMulInto is the destination-passing form of MatMul: a·q into dst
-// (reshaped to [a.Rows, q.Cols]), returning dst. Like the float kernels in
-// package tensor it unrolls the contraction four-wide, reslices rows for
-// bounds-check elimination, skips all-zero activation groups, and splits
-// large row ranges across the shared worker pool. dst must not alias a.
+// (reshaped to [a.Rows, q.Cols]), returning dst. The raw product a·int8(q)
+// runs through the same driver and register tile as the float kernels of
+// package tensor (tensor.GemmInto), the int8 rows widened in registers;
+// the column scales are applied once, afterwards. dst must not alias a.
 func MatMulInto(dst, a *tensor.Mat, q *Int8Mat) *tensor.Mat {
 	if a.Cols != q.Rows {
 		panic(fmt.Sprintf("quant: matmul shape mismatch %dx%d · %dx%d", a.Rows, a.Cols, q.Rows, q.Cols))
 	}
 	dst.Reshape(a.Rows, q.Cols)
-	if !tensor.ShouldParallel(a.Rows, a.Rows*a.Cols*q.Cols) {
-		matMulRows(dst, a, q, 0, a.Rows)
-		return dst
-	}
-	dv, av := *dst, *a
-	tensor.ParallelRows(a.Rows, a.Rows*a.Cols*q.Cols, func(lo, hi int) {
-		matMulRows(&dv, &av, q, lo, hi)
-	})
+	tensor.GemmInto(dst, a, q.rowMajor(), false)
+	ScaleColumns(dst, q.Scales)
 	return dst
 }
 
@@ -132,8 +126,10 @@ func MatMulInto(dst, a *tensor.Mat, q *Int8Mat) *tensor.Mat {
 // collectives' contraction-chunked matmuls: row blocks of q (views sharing
 // one Scales array) arrive one chunk at a time, each folds its raw partial
 // product into dst, and the caller applies ScaleColumns once after the
-// last chunk — the same single scale application as the unsharded kernel.
-// dst must already have shape [a.Rows, q.Cols]; it must not alias a.
+// last chunk — the same single scale application as the unsharded kernel,
+// over sums taken in the same order, which is what makes
+// MatMulAccRawInto+ScaleColumns from a cleared dst equal MatMulInto bit for
+// bit. dst must already have shape [a.Rows, q.Cols]; it must not alias a.
 func MatMulAccRawInto(dst, a *tensor.Mat, q *Int8Mat) *tensor.Mat {
 	if a.Cols != q.Rows {
 		panic(fmt.Sprintf("quant: matmul shape mismatch %dx%d · %dx%d", a.Rows, a.Cols, q.Rows, q.Cols))
@@ -141,15 +137,13 @@ func MatMulAccRawInto(dst, a *tensor.Mat, q *Int8Mat) *tensor.Mat {
 	if dst.Rows != a.Rows || dst.Cols != q.Cols {
 		panic(fmt.Sprintf("quant: matmul-acc dst %dx%d for %dx%d result", dst.Rows, dst.Cols, a.Rows, q.Cols))
 	}
-	if !tensor.ShouldParallel(a.Rows, a.Rows*a.Cols*q.Cols) {
-		matMulRowsAccRaw(dst, a, q, 0, a.Rows)
-		return dst
-	}
-	dv, av := *dst, *a
-	tensor.ParallelRows(a.Rows, a.Rows*a.Cols*q.Cols, func(lo, hi int) {
-		matMulRowsAccRaw(&dv, &av, q, lo, hi)
-	})
+	tensor.GemmInto(dst, a, q.rowMajor(), true)
 	return dst
+}
+
+// rowMajor is q's raw values as a GEMM right operand.
+func (q *Int8Mat) rowMajor() simd.GemmB {
+	return simd.GemmB{I8: q.Data, RowStride: q.Cols, StripStride: 8}
 }
 
 // ScaleColumns applies per-column scales in place: m[i][j] *= scales[j].
@@ -167,69 +161,8 @@ func ScaleColumns(m *tensor.Mat, scales []float32) {
 	}
 }
 
-// matMulRows is the serial int8-weight kernel over output rows [lo, hi):
-// i-k-j order with the contraction unrolled four-wide, each row pass
-// handed to simd.MulAdd4F32I8 (AVX2 VPMOVSXBD/VCVTDQ2PS inner loops, or
-// the bit-identical scalar twin), zero activation groups skipped, and the
-// per-column scales applied once after the raw accumulation.
-func matMulRows(dst, a *tensor.Mat, q *Int8Mat, lo, hi int) {
-	n := q.Cols
-	od := dst.Data
-	scales := q.Scales[:n]
-	matMulRowsRaw(dst, a, q, lo, hi, true)
-	for i := lo; i < hi; i++ {
-		orow := od[i*n : i*n+n]
-		for j := range orow {
-			orow[j] *= scales[j]
-		}
-	}
-}
-
-// matMulRowsAccRaw is matMulRows without the clear and without the final
-// scale multiply: raw int8 products accumulate into the existing dst rows.
-func matMulRowsAccRaw(dst, a *tensor.Mat, q *Int8Mat, lo, hi int) {
-	matMulRowsRaw(dst, a, q, lo, hi, false)
-}
-
-// matMulRowsRaw accumulates a·int8(q) into dst rows [lo, hi), clearing
-// each row first when clearDst is set. Both entry points above share it so
-// the accumulation order is identical bit for bit — the property
-// MatMulAccRawInto+ScaleColumns == MatMulInto rests on exactly this.
-func matMulRowsRaw(dst, a *tensor.Mat, q *Int8Mat, lo, hi int, clearDst bool) {
-	k, n := a.Cols, q.Cols
-	ad, qd, od := a.Data, q.Data, dst.Data
-	for i := lo; i < hi; i++ {
-		arow := ad[i*k : i*k+k]
-		orow := od[i*n : i*n+n]
-		if clearDst {
-			clear(orow)
-		}
-		if n == 0 {
-			continue
-		}
-		kk := 0
-		for ; kk+4 <= k; kk += 4 {
-			a0, a1, a2, a3 := arow[kk], arow[kk+1], arow[kk+2], arow[kk+3]
-			if a0 == 0 && a1 == 0 && a2 == 0 && a3 == 0 {
-				continue
-			}
-			simd.MulAdd4F32I8(orow,
-				qd[kk*n:kk*n+n], qd[(kk+1)*n:(kk+1)*n+n],
-				qd[(kk+2)*n:(kk+2)*n+n], qd[(kk+3)*n:(kk+3)*n+n],
-				a0, a1, a2, a3)
-		}
-		for ; kk < k; kk++ {
-			av := arow[kk]
-			if av == 0 {
-				continue
-			}
-			simd.AxpyF32I8(orow, av, qd[kk*n:kk*n+n])
-		}
-	}
-}
-
 // matMulNaive is the original triple-loop quantized matmul, retained as
-// the oracle the blocked kernel is property-tested against.
+// the oracle the tiled kernel is property-tested against.
 func matMulNaive(a *tensor.Mat, q *Int8Mat) *tensor.Mat {
 	if a.Cols != q.Rows {
 		panic(fmt.Sprintf("quant: matmul shape mismatch %dx%d · %dx%d", a.Rows, a.Cols, q.Rows, q.Cols))

@@ -44,48 +44,31 @@ const rowClampBound = math.MaxFloat32 / 2
 // poisoned projection row can never turn the cache into a NaN factory.
 // This is the documented behavior the fuzz suite pins down. An all-zero
 // row quantizes to zeros under scale 1, like Quantize's all-zero column.
+// Both passes over the row — its largest clamped magnitude, then the
+// scaled and rounded values — are simd kernels, bit-identical on the AVX2
+// and scalar paths.
 func QuantizeRowInto(dst []int8, src []float32) (scale float32) {
 	if len(src) == 0 {
 		return 1
 	}
-	_ = dst[len(src)-1]
-	var maxAbs float32
-	for _, v := range src {
-		a := clampFinite(v)
-		if a < 0 {
-			a = -a
-		}
-		if a > maxAbs {
-			maxAbs = a
-		}
-	}
-	scale = maxAbs / 127
+	dst = dst[:len(src)]
+	scale = simd.MaxAbsClamped(src, rowClampBound) / 127
 	if scale == 0 {
-		for i := range src {
-			dst[i] = 0
-		}
+		clear(dst)
 		return 1
 	}
 	inv := 1 / scale
-	for i, v := range src {
-		dst[i] = int8(clamp(math.RoundToEven(float64(clampFinite(v)*inv)), -127, 127))
+	if math.IsInf(float64(inv), 0) {
+		// A subnormal scale (largest magnitude below about 3.7e-37) has no
+		// float32 reciprocal: multiplying by +Inf would send every element
+		// to ±127 and a zero to NaN. Divide instead.
+		for i, v := range src {
+			dst[i] = int8(clamp(math.RoundToEven(float64(simd.ClampFinite(v, rowClampBound)/scale)), -127, 127))
+		}
+		return scale
 	}
+	simd.QuantizeScaled(dst, src, rowClampBound, inv)
 	return scale
-}
-
-// clampFinite maps NaN to 0 and magnitudes beyond the row clamp bound
-// (±Inf included) to ±rowClampBound.
-func clampFinite(v float32) float32 {
-	if v != v { // NaN
-		return 0
-	}
-	if v > rowClampBound {
-		return rowClampBound
-	}
-	if v < -rowClampBound {
-		return -rowClampBound
-	}
-	return v
 }
 
 // DequantizeRowInto reconstructs a quantized row into dst.

@@ -71,3 +71,21 @@ func weighRowsAsm(dst *float32, g, dh int, w *float32, ld int, invSum, vf *float
 }
 
 func exp32RowsAsm(xs []float32) int { return exp32RowsAVX2(&xs[0], len(xs)) }
+
+// gemmTileAsm hands one checked tile to the assembly, strides in bytes of
+// the operand they walk.
+func gemmTileAsm(dst []float32, ldd int, a []float32, lda int, b GemmB, rows, kGroups, strips int, acc bool) {
+	if b.F32 != nil {
+		gemmTileAVX2(&dst[0], 4*ldd, &a[0], 4*lda, &b.F32[0], nil, 4*b.RowStride, 4*b.StripStride, rows, kGroups, strips, acc)
+		return
+	}
+	gemmTileAVX2(&dst[0], 4*ldd, &a[0], 4*lda, nil, &b.I8[0], b.RowStride, b.StripStride, rows, kGroups, strips, acc)
+}
+
+func maxAbsClampedAsm(src []float32, bound float32) float32 {
+	return maxAbsClampedAVX2(&src[0], len(src), bound)
+}
+
+func quantizeScaledAsm(dst []int8, src []float32, bound, inv float32) {
+	quantizeScaledAVX2(&dst[0], &src[0], len(src), bound, inv)
+}

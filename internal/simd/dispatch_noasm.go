@@ -36,3 +36,15 @@ func weighRowsAsm(dst *float32, g, dh int, w *float32, ld int, invSum, vf *float
 }
 
 func exp32RowsAsm(xs []float32) int { panic("simd: no asm kernels on this arch") }
+
+func gemmTileAsm(dst []float32, ldd int, a []float32, lda int, b GemmB, rows, kGroups, strips int, acc bool) {
+	panic("simd: no asm kernels on this arch")
+}
+
+func maxAbsClampedAsm(src []float32, bound float32) float32 {
+	panic("simd: no asm kernels on this arch")
+}
+
+func quantizeScaledAsm(dst []int8, src []float32, bound, inv float32) {
+	panic("simd: no asm kernels on this arch")
+}

@@ -169,6 +169,20 @@ func TestAsmSegmentInt8Extremes(t *testing.T) {
 	}
 }
 
+// The GEMM tile's assembly against the row-pass oracle and the all-zero
+// guarantee, and the row quantizer's against its twins, whatever dispatch
+// selected.
+func TestAsmGemmTileBitIdentical(t *testing.T) {
+	forceASM(t)
+	checkGemmShapes(t, rand.New(rand.NewSource(11)))
+	checkGemmZeroTiles(t, rand.New(rand.NewSource(12)))
+}
+
+func TestAsmQuantizeRowBitIdentical(t *testing.T) {
+	forceASM(t)
+	checkQuantizeKernels(t, rand.New(rand.NewSource(13)))
+}
+
 // expAlwaysBands are the float32 bit ranges where the assembly Exp32Rows
 // changes behaviour — its hand-off bounds ±87/88, Exp32's rails and
 // scale-split bands just outside them, ±0 and the subnormals, ±Inf and the

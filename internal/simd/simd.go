@@ -34,6 +34,13 @@
 // four at a time in MulAdd4's left-to-right association and the last
 // rows%4 one at a time.
 //
+// The GEMM tile (Gemm, gemm.go) holds an output element in a register for
+// its whole contraction instead of in the output row, and computes it by
+// the same operations in the same order: its k-groups of four in MulAdd4's
+// association, its last k%4 steps as Axpy's. The row quantizer's kernels
+// (MaxAbsClamped, QuantizeScaled, quantize.go) are elementwise apart from a
+// maximum, which is the same in any order.
+//
 // Because SIMD and fallback share this exact structure, results never depend
 // on which machine (or which dispatch decision) ran the code. The
 // equivalence tests and FuzzKernelEquivalence pin bit-equality between the
@@ -151,7 +158,8 @@ func AxpyF32I8(dst []float32, s float32, v []int8) {
 	ScalarAxpyF32I8(dst, s, v)
 }
 
-// MulAdd4F32 is the four-row GEMM/attention microkernel:
+// MulAdd4F32 is the four-row microkernel, the operation the GEMM tile and
+// the attention walk's weigh kernels apply to each of their elements:
 //
 //	dst[j] += a0·b0[j] + a1·b1[j] + a2·b2[j] + a3·b3[j]
 //

@@ -67,3 +67,25 @@ func cpuidex(leaf, sub uint32) (eax, ebx, ecx, edx uint32)
 
 // xgetbv0 reads XCR0 (requires OSXSAVE, checked by the caller).
 func xgetbv0() (eax, edx uint32)
+
+// gemmTileAVX2 computes one row tile of dst (+)= a·b — rows ∈ {1, 2, 4, 8}
+// output rows, strips > 0 strips of eight columns, kGroups > 0 groups of
+// four contraction steps — with the accumulators in registers for the whole
+// contraction; the weights are float32 at bf, or int8 at b8 (bf nil). See
+// gemm_amd64.s.
+//
+//go:noescape
+func gemmTileAVX2(dst *float32, lddBytes int, a *float32, ldaBytes int, bf *float32, b8 *int8,
+	rowStrideBytes, stripStrideBytes, rows, kGroups, strips int, acc bool)
+
+// maxAbsClampedAVX2 returns the largest |ClampFinite(src[i], bound)| over n
+// elements, n a positive multiple of 8.
+//
+//go:noescape
+func maxAbsClampedAVX2(src *float32, n int, bound float32) float32
+
+// quantizeScaledAVX2 writes dst[i] = round-to-even(ClampFinite(src[i],
+// bound)·inv) held to ±127 over n elements, n a positive multiple of 8.
+//
+//go:noescape
+func quantizeScaledAVX2(dst *int8, src *float32, n int, bound, inv float32)

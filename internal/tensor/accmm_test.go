@@ -7,8 +7,8 @@ import (
 )
 
 // MatMulAccInto must equal preload + a·b against the naive oracle, across
-// shapes that hit the 2-row block and the single-row tail (odd row counts —
-// the tail must accumulate, not clear).
+// shapes that hit every tile height and both tails (every tile must
+// accumulate, not clear).
 func TestMatMulAccIntoMatchesOracle(t *testing.T) {
 	rng := rand.New(rand.NewSource(23))
 	for _, sh := range propShapes {

@@ -6,16 +6,18 @@ import (
 	"esti/internal/simd"
 )
 
-// Blocked GEMM kernels over the runtime-dispatched vector layer. The naive
-// triple loops the package started with are retained below
+// GEMM kernels over the runtime-dispatched vector layer. The naive triple
+// loops the package started with are retained below
 // (matMulNaive/matMulTNaive) as the oracles the property tests compare
-// against. These kernels unroll the contraction dimension four-wide and
-// hand each output-row pass to internal/simd's MulAdd4F32 microkernel —
-// AVX2 when the CPU has it, the bit-identical scalar twin otherwise (or
-// under ESTI_NOSIMD=1) — and split large row ranges across the worker pool
-// (pool.go). All reducing kernels (Dot, MatMulT) inherit simd's fixed
-// 16-lane accumulation contract, so results are the same on every machine
-// and on both dispatch paths.
+// against. a·b is internal/simd's register tile (simd.Gemm): up to eight
+// output rows by eight columns accumulated in registers over the whole
+// contraction, four steps at a time — AVX2 when the CPU has it, the
+// bit-identical scalar twin otherwise (or under ESTI_NOSIMD=1). a·bᵀ is a
+// row of simd.DotF32 calls. Large row ranges are split across the worker
+// pool (pool.go). The reducing kernels (Dot, MatMulT) inherit simd's fixed
+// 16-lane accumulation contract and the tile its fixed per-element
+// operation order, so results are the same on every machine and on both
+// dispatch paths.
 
 // Reshape resizes m to rows×cols, reusing its backing array when capacity
 // allows — the destination-passing contract every *Into kernel applies to
@@ -50,17 +52,7 @@ func MatMulInto(dst, a, b *Mat) *Mat {
 		panic(fmt.Sprintf("tensor: matmul shape mismatch %dx%d · %dx%d", a.Rows, a.Cols, b.Rows, b.Cols))
 	}
 	dst.Reshape(a.Rows, b.Cols)
-	if !ShouldParallel(a.Rows, a.Rows*a.Cols*b.Cols) {
-		matMulRows(dst, a, b, 0, a.Rows, false)
-		return dst
-	}
-	// Capture value copies (sharing the same backing arrays) so the
-	// closure does not make the caller's *Mat headers escape — the serial
-	// path above must stay allocation-free even for stack-allocated views.
-	dv, av, bv := *dst, *a, *b
-	parallelRows(a.Rows, a.Rows*a.Cols*b.Cols, func(lo, hi int) {
-		matMulRows(&dv, &av, &bv, lo, hi, false)
-	})
+	GemmInto(dst, a, rowMajor(b), false)
 	return dst
 }
 
@@ -78,90 +70,38 @@ func MatMulAccInto(dst, a, b *Mat) *Mat {
 	if dst.Rows != a.Rows || dst.Cols != b.Cols {
 		panic(fmt.Sprintf("tensor: matmul-acc dst %dx%d for %dx%d result", dst.Rows, dst.Cols, a.Rows, b.Cols))
 	}
-	if !ShouldParallel(a.Rows, a.Rows*a.Cols*b.Cols) {
-		matMulRows(dst, a, b, 0, a.Rows, true)
-		return dst
-	}
-	dv, av, bv := *dst, *a, *b
-	parallelRows(a.Rows, a.Rows*a.Cols*b.Cols, func(lo, hi int) {
-		matMulRows(&dv, &av, &bv, lo, hi, true)
-	})
+	GemmInto(dst, a, rowMajor(b), true)
 	return dst
 }
 
-// matMulRows is the serial kernel over output rows [lo, hi): i-k-j order
-// (all row-major, stride-1 inner loops), blocked 2 output rows × 4
-// contraction steps, each row pass vectorized by simd.MulAdd4F32, with a
-// skip for all-zero activation groups so zeroed rows — inactive decode
-// slots — cost almost nothing and stay exactly zero. With acc, existing
-// dst contents are accumulated into instead of cleared (the MatMulAccInto
-// form); per output element the contraction order is identical either way.
-func matMulRows(dst, a, b *Mat, lo, hi int, acc bool) {
-	k, n := a.Cols, b.Cols
-	ad, bd, od := a.Data, b.Data, dst.Data
-	if n == 0 {
+// rowMajor is b as a GEMM right operand.
+func rowMajor(b *Mat) simd.GemmB {
+	return simd.GemmB{F32: b.Data, RowStride: b.Cols, StripStride: 8}
+}
+
+// GemmInto is the driver under every projection: dst = a·b, or dst += a·b
+// when acc, for a [m,k], dst [m,n] already shaped and b any k×n operand
+// simd.Gemm reads — float32 or raw int8 (package quant), row-major, a view
+// of row-major storage, or packed. Rows go to simd.Gemm in one range, or
+// in one range per worker when the product is large enough to split; a
+// range's tile heights are read off its row count, and per output element
+// the operation order is the same however the rows are cut. dst must not
+// alias a.
+func GemmInto(dst, a *Mat, b simd.GemmB, acc bool) {
+	if dst.Rows != a.Rows {
+		panic(fmt.Sprintf("tensor: gemm dst has %d rows for %d of a", dst.Rows, a.Rows))
+	}
+	if !shouldParallel(a.Rows, a.Rows*a.Cols*dst.Cols) {
+		gemmRows(dst, a, b, 0, a.Rows, acc)
 		return
 	}
-	i := lo
-	for ; i+2 <= hi; i += 2 {
-		arow0 := ad[i*k : i*k+k]
-		arow1 := ad[(i+1)*k : (i+1)*k+k]
-		orow0 := od[i*n : i*n+n]
-		orow1 := od[(i+1)*n : (i+1)*n+n][:n]
-		if !acc {
-			clear(orow0)
-			clear(orow1)
-		}
-		kk := 0
-		for ; kk+4 <= k; kk += 4 {
-			a00, a01, a02, a03 := arow0[kk], arow0[kk+1], arow0[kk+2], arow0[kk+3]
-			a10, a11, a12, a13 := arow1[kk], arow1[kk+1], arow1[kk+2], arow1[kk+3]
-			if a00 == 0 && a01 == 0 && a02 == 0 && a03 == 0 &&
-				a10 == 0 && a11 == 0 && a12 == 0 && a13 == 0 {
-				continue
-			}
-			b0 := bd[kk*n : kk*n+n]
-			b1 := bd[(kk+1)*n : (kk+1)*n+n]
-			b2 := bd[(kk+2)*n : (kk+2)*n+n]
-			b3 := bd[(kk+3)*n : (kk+3)*n+n]
-			simd.MulAdd4F32(orow0, b0, b1, b2, b3, a00, a01, a02, a03)
-			simd.MulAdd4F32(orow1, b0, b1, b2, b3, a10, a11, a12, a13)
-		}
-		for ; kk < k; kk++ {
-			a0, a1 := arow0[kk], arow1[kk]
-			if a0 == 0 && a1 == 0 {
-				continue
-			}
-			brow := bd[kk*n : kk*n+n]
-			simd.AxpyF32(orow0, a0, brow)
-			simd.AxpyF32(orow1, a1, brow)
-		}
-	}
-	for ; i < hi; i++ {
-		arow := ad[i*k : i*k+k]
-		orow := od[i*n : i*n+n]
-		if !acc {
-			clear(orow)
-		}
-		kk := 0
-		for ; kk+4 <= k; kk += 4 {
-			a0, a1, a2, a3 := arow[kk], arow[kk+1], arow[kk+2], arow[kk+3]
-			if a0 == 0 && a1 == 0 && a2 == 0 && a3 == 0 {
-				continue
-			}
-			simd.MulAdd4F32(orow,
-				bd[kk*n:kk*n+n], bd[(kk+1)*n:(kk+1)*n+n],
-				bd[(kk+2)*n:(kk+2)*n+n], bd[(kk+3)*n:(kk+3)*n+n],
-				a0, a1, a2, a3)
-		}
-		for ; kk < k; kk++ {
-			av := arow[kk]
-			if av == 0 {
-				continue
-			}
-			simd.AxpyF32(orow, av, bd[kk*n:kk*n+n])
-		}
-	}
+	splitRows(rowOp{dst: *dst, a: *a, b: b, acc: acc})
+}
+
+// gemmRows is rows [lo, hi) of GemmInto.
+func gemmRows(dst, a *Mat, b simd.GemmB, lo, hi int, acc bool) {
+	k, n := a.Cols, dst.Cols
+	simd.Gemm(dst.Data[lo*n:hi*n], n, a.Data[lo*k:hi*k], k, b, hi-lo, k, n, acc)
 }
 
 // MatMulT computes a·bᵀ for a [m,k] and b [n,k].
@@ -176,14 +116,11 @@ func MatMulTInto(dst, a, b *Mat) *Mat {
 		panic(fmt.Sprintf("tensor: matmulT shape mismatch %dx%d · (%dx%d)ᵀ", a.Rows, a.Cols, b.Rows, b.Cols))
 	}
 	dst.Reshape(a.Rows, b.Rows)
-	if !ShouldParallel(a.Rows, a.Rows*a.Cols*b.Rows) {
+	if !shouldParallel(a.Rows, a.Rows*a.Cols*b.Rows) {
 		matMulTRows(dst, a, b, 0, a.Rows)
 		return dst
 	}
-	dv, av, bv := *dst, *a, *b
-	parallelRows(a.Rows, a.Rows*a.Cols*b.Rows, func(lo, hi int) {
-		matMulTRows(&dv, &av, &bv, lo, hi)
-	})
+	splitRows(rowOp{dst: *dst, a: *a, bt: *b})
 	return dst
 }
 
@@ -211,7 +148,7 @@ func Dot(a, b []float32) float32 {
 }
 
 // matMulNaive is the package's original triple-loop a·b, retained verbatim
-// as the oracle for property-testing the blocked kernels.
+// as the oracle for property-testing the tiled kernel.
 func matMulNaive(a, b *Mat) *Mat {
 	if a.Cols != b.Rows {
 		panic(fmt.Sprintf("tensor: matmul shape mismatch %dx%d · %dx%d", a.Rows, a.Cols, b.Rows, b.Cols))

@@ -7,10 +7,10 @@ import (
 	"testing"
 )
 
-// Property tests for the blocked/parallel kernels against the retained
+// Property tests for the tiled/parallel kernels against the retained
 // naive oracles, over shapes chosen to stress every block boundary: empty,
 // 1×1, single row/column, tall-skinny, wide, and sizes that are not
-// multiples of the 2-row or 4-step blocking.
+// multiples of the tile's heights, its 8-column strip or its 4-step group.
 
 var propShapes = []struct{ m, k, n int }{
 	{0, 0, 0}, {0, 5, 3}, {3, 5, 0}, {1, 1, 1}, {1, 4, 1}, {2, 3, 2},
@@ -53,8 +53,8 @@ func TestMatMulMatchesNaive(t *testing.T) {
 		b := randMatZ(rng, sh.k, sh.n)
 		got := MatMul(a, b)
 		want := matMulNaive(a, b)
-		// The blocked kernel reassociates sums in groups of four; allow a
-		// few ulps of drift, nothing more.
+		// The tile reassociates sums in groups of four; allow a few ulps
+		// of drift, nothing more.
 		if r := maxRel(t, got, want); r > 1e-5 {
 			t.Errorf("%dx%d·%dx%d: blocked differs from naive by rel %g", sh.m, sh.k, sh.k, sh.n, r)
 		}
