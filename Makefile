@@ -3,15 +3,16 @@ GO ?= go
 # 10s per fuzz target in CI and `make ci`; raise locally for deeper runs.
 FUZZTIME ?= 10s
 
-.PHONY: test test-nosimd bench fuzz build ci fuzz-smoke bench-json fmt-check bench-compare bench-cpu bench-smoke
+.PHONY: test test-nosimd bench fuzz build ci fuzz-smoke bench-json fmt-check bench-gate bench-compare bench-cpu bench-smoke
 
 # Benchmarks the regression gate watches: the serving steps and the
 # microkernels behind them, the GEMM at every per-chip shape of the bench/
 # workloads among them (half of which split across the worker pool).
 # cmd/benchgate fails on allocs/op only (zero stays zero) and prints ns/op
 # for information — one sample on a box that drifts ±15% (bench/README.md)
-# is not a timing measurement.
-GATE_BENCHES ?= BenchmarkEngineDecodeStep,BenchmarkEngineDecodeStepInt8KV,BenchmarkEngineDecodeStepInt8Wire,BenchmarkEngineDecodeStepStreamed,BenchmarkEngineDecodeStepStreamedInt8Wire,BenchmarkContinuousBatching,BenchmarkDotF32I8/dispatch,BenchmarkAxpyF32I8/dispatch,BenchmarkMatMulMicro/dispatch,BenchmarkMatMulShapes/f32_8x64x8,BenchmarkMatMulShapes/f32_8x32x64,BenchmarkMatMulShapes/f32_8x32x128,BenchmarkMatMulShapes/f32_32x128x32,BenchmarkMatMulShapes/f32_8x256x1024,BenchmarkMatMulShapes/f32_64x256x1024,BenchmarkMatMulShapes/int8_8x64x8,BenchmarkMatMulShapes/int8_8x32x64,BenchmarkMatMulShapes/int8_8x32x128,BenchmarkMatMulShapes/int8_32x128x32,BenchmarkMatMulShapes/int8_8x256x1024,BenchmarkMatMulShapes/int8_64x256x1024,BenchmarkAttendSegmentInt8,BenchmarkAttendSegmentInt8Long
+# is not a timing measurement. This is the only copy of the list: CI's gate
+# step runs `make bench-gate`.
+GATE_BENCHES ?= BenchmarkEngineDecodeStep,BenchmarkEngineDecodeStepInt8KV,BenchmarkEngineDecodeStepInt8Wire,BenchmarkEngineDecodeStepStreamed,BenchmarkEngineDecodeStepStreamedInt8Wire,BenchmarkContinuousBatching,BenchmarkDotF32I8/dispatch,BenchmarkAxpyF32I8/dispatch,BenchmarkMatMulMicro/dispatch,BenchmarkMatMulShapes/f32_8x64x8,BenchmarkMatMulShapes/f32_8x32x64,BenchmarkMatMulShapes/f32_8x32x128,BenchmarkMatMulShapes/f32_32x128x32,BenchmarkMatMulShapes/f32_8x256x1024,BenchmarkMatMulShapes/f32_64x256x1024,BenchmarkMatMulShapes/int8_8x64x8,BenchmarkMatMulShapes/int8_8x32x64,BenchmarkMatMulShapes/int8_8x32x128,BenchmarkMatMulShapes/int8_32x128x32,BenchmarkMatMulShapes/int8_8x256x1024,BenchmarkMatMulShapes/int8_64x256x1024,BenchmarkAttendSegmentInt8,BenchmarkAttendSegmentInt8Long,BenchmarkAttendSegmentF32Long
 
 # Tier-1 verification plus race detection in one command.
 test:
@@ -43,13 +44,9 @@ fmt-check:
 		echo "gofmt needed on:"; echo "$$unformatted"; exit 1; \
 	fi
 
-# Short fuzz pass over every seeded fuzz target (one `go test -fuzz` run
-# per target, as the fuzzer requires), then the kernel equivalence tests
-# with dispatch pinned to the scalar twins: the raw-assembly tests key on
-# hardware, not dispatch (the Exp32Rows sweep over every float32 bit pattern
-# among them, skipped under `go test -race`), and the attention walk is held
-# to its per-head oracle, and the GEMM tile to the retained row-pass kernels
-# of tensor and quant, on the twins as they are on AVX2 by `go test`.
+# Short fuzz pass over every seeded fuzz target, one `go test -fuzz` run per
+# target, as the fuzzer requires. This is the only copy of the list: CI's
+# fuzz-smoke job runs this target.
 fuzz-smoke:
 	$(GO) test ./internal/kvcache  -run='^$$' -fuzz=FuzzSlotIsolation    -fuzztime=$(FUZZTIME)
 	$(GO) test ./internal/kvcache  -run='^$$' -fuzz=FuzzInt8AppendView   -fuzztime=$(FUZZTIME)
@@ -59,7 +56,6 @@ fuzz-smoke:
 	$(GO) test ./internal/collective -run='^$$' -fuzz=FuzzStreamRoundTrip -fuzztime=$(FUZZTIME)
 	$(GO) test ./internal/sampling -run='^$$' -fuzz=FuzzFilterTopKP      -fuzztime=$(FUZZTIME)
 	$(GO) test ./internal/fleet    -run='^$$' -fuzz=FuzzFaultPlan        -fuzztime=$(FUZZTIME)
-	ESTI_NOSIMD=1 $(GO) test ./internal/simd ./internal/reference ./internal/tensor ./internal/quant -run='Asm|Segment|BitIdentical'
 
 # The end-to-end benchmark as a correctness check: three repetitions of each
 # BENCHMARK.json workload on both dispatch paths. bench/run.sh exits
@@ -85,6 +81,12 @@ bench-json:
 	@rm -f bench_ci.txt
 	@echo "wrote BENCH_ci.json"
 
+# The allocs/op gate itself: NEW against BASELINE over GATE_BENCHES.
+BASELINE ?= BENCH_ci.json
+NEW ?= BENCH_local.json
+bench-gate:
+	$(GO) run ./cmd/benchgate -baseline $(BASELINE) -new $(NEW) -bench '$(GATE_BENCHES)'
+
 # Regression gate: run the benchmarks into a scratch BENCH_local.json and
 # compare against the committed BENCH_ci.json baseline, which is left
 # untouched — committing a new baseline is a deliberate act (run
@@ -95,8 +97,7 @@ bench-compare:
 	@cat bench_ci.txt
 	$(GO) run ./cmd/benchjson < bench_ci.txt > BENCH_local.json
 	@rm -f bench_ci.txt
-	$(GO) run ./cmd/benchgate -baseline BENCH_ci.json -new BENCH_local.json \
-		-bench '$(GATE_BENCHES)'
+	$(MAKE) bench-gate BASELINE=BENCH_ci.json NEW=BENCH_local.json
 	@rm -f BENCH_local.json
 
 # CPU profile of the decode hot path for `go tool pprof` (see the README
@@ -111,10 +112,18 @@ bench-cpu:
 # Mirror of .github/workflows/ci.yml so contributors can reproduce CI
 # locally before pushing: build, vet, gofmt, race tests, fuzz smoke, the
 # end-to-end benchmark's token check, bench artifact plus regression gate.
+# In place of CI's scalar-fallback job (the whole suite under ESTI_NOSIMD=1,
+# `make test-nosimd`) it runs the kernel equivalence tests with dispatch
+# pinned to the scalar twins: the raw-assembly tests key on hardware, not
+# dispatch (the Exp32Rows sweep over every float32 bit pattern among them,
+# skipped under `go test -race`), and the attention walk is held to its
+# per-head oracle, and the GEMM tile to the retained row-pass kernels of
+# tensor and quant, on the twins as they are on AVX2 by `go test`.
 ci: build
 	$(GO) vet ./...
 	$(MAKE) fmt-check
 	$(GO) test -race ./...
 	$(MAKE) fuzz-smoke
+	ESTI_NOSIMD=1 $(GO) test ./internal/simd ./internal/reference ./internal/tensor ./internal/quant -run='Asm|Segment|BitIdentical'
 	$(MAKE) bench-smoke
 	$(MAKE) bench-compare

@@ -417,6 +417,9 @@ func New(w *reference.Weights, t hardware.Torus, opts Options, batch, maxLen int
 	if err := opts.validate(); err != nil {
 		return nil, err
 	}
+	if batch < 1 || maxLen < 1 {
+		return nil, fmt.Errorf("engine: batch %d and maxLen %d must both be at least 1", batch, maxLen)
+	}
 	cfg := w.Cfg
 	n := t.Chips()
 	if cfg.DModel%n != 0 {

@@ -104,7 +104,7 @@ func TestInt8KVCacheBytesHalved(t *testing.T) {
 }
 
 // The quantized cache keeps the hot path's headline contract: a warm
-// decode iteration allocates nothing. The int8 walk reads ViewK8/ViewV8
+// decode iteration allocates nothing. The int8 walk reads Cache.Segments
 // (by-value views), quantizes appends into preallocated storage, and runs
 // its softmax in the same pre-sized scratch as the float32 walk.
 func TestInt8KVDecodeSteadyStateZeroAllocs(t *testing.T) {

@@ -1,8 +1,10 @@
 package engine
 
 import (
+	"strings"
 	"testing"
 
+	"esti/internal/hardware"
 	"esti/internal/model"
 	"esti/internal/partition"
 	"esti/internal/reference"
@@ -30,5 +32,19 @@ func TestDTypeNormalization(t *testing.T) {
 	bad.WireDType = model.DType(99)
 	if _, err := New(w, torus222(), bad, 8, 16); err == nil {
 		t.Error("unknown dtype should be rejected")
+	}
+}
+
+// A session needs at least one slot and one position; New says so instead
+// of returning an engine that cannot hold a token or dying in an allocator.
+func TestNewRejectsNonPositiveBatchAndMaxLen(t *testing.T) {
+	w := reference.NewWeights(ciConfig(), 5)
+	opts := Options{FFN: partition.FFN1DWeightStationary, Attn: partition.AttnShardHeads}
+	one := hardware.Torus{X: 1, Y: 1, Z: 1}
+	for _, c := range []struct{ batch, maxLen int }{{0, 8}, {1, 0}, {-1, 8}, {1, -3}} {
+		e, err := New(w, one, opts, c.batch, c.maxLen)
+		if err == nil || e != nil || !strings.HasPrefix(err.Error(), "engine:") {
+			t.Errorf("New(batch %d, maxLen %d) = %v, %v; want an engine: error", c.batch, c.maxLen, e, err)
+		}
 	}
 }

@@ -86,40 +86,23 @@ func (e *Engine) CachePrefix(slot int, tokens []int) error {
 	if got := e.SlotLen(slot); n > got {
 		return fmt.Errorf("engine: prefix of %d tokens from slot %d holding %d", n, slot, got)
 	}
+	// Head-sharded cache: each chip captures its own K/V column shard.
+	// Batch-sharded: K/V are full-width and identical on every chip, so the
+	// owner's rows are replicated into every store (a real system would
+	// broadcast them once over the interconnect). Either way the store
+	// copies the slot's stored rows as they are, so a slot that attaches the
+	// entry holds exactly what prefilling it privately would have left.
 	owner, local := e.slotOwner(slot)
-	if owner >= 0 {
-		// Batch-sharded cache: K/V are full-width and identical on every
-		// chip, so the owner's rows are replicated into every store (a real
-		// system would broadcast them once over the interconnect).
-		k, v := captureRows(e.chips[owner].cache, local, n)
-		for _, st := range e.chips {
-			if _, err := st.prefix.Insert(tokens, k, v); err != nil {
-				return err
-			}
+	for r, st := range e.chips {
+		from := r
+		if owner >= 0 {
+			from = owner
 		}
-		return nil
-	}
-	// Head-sharded cache: each chip stores its own K/V column shard.
-	for _, st := range e.chips {
-		k, v := captureRows(st.cache, local, n)
-		if _, err := st.prefix.Insert(tokens, k, v); err != nil {
+		if _, err := st.prefix.Capture(tokens, e.chips[from].cache, local); err != nil {
 			return err
 		}
 	}
 	return nil
-}
-
-// captureRows reads positions [0, n) of a slot as per-layer matrices. The
-// views may alias cache storage (or materialize an attached prefix, so
-// nested sharing captures correctly); PrefixStore.Insert deep-copies.
-func captureRows(c *kvcache.Cache, local, n int) (k, v []*tensor.Mat) {
-	k = make([]*tensor.Mat, c.Layers)
-	v = make([]*tensor.Mat, c.Layers)
-	for l := 0; l < c.Layers; l++ {
-		k[l] = c.RowsK(l, local, n)
-		v[l] = c.RowsV(l, local, n)
-	}
-	return k, v
 }
 
 // AcquirePrefix returns the longest cached prefix of `prompt`, capped at

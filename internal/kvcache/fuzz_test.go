@@ -84,12 +84,9 @@ func FuzzSlotIsolation(f *testing.F) {
 					shadow[s] = nil
 					// Release hygiene: the slot's full capacity reads zero.
 					for l := 0; l < layers; l++ {
-						for p := 0; p < maxLen; p++ {
-							row := c.K[l].Row(s*maxLen + p)
-							for _, x := range row {
-								if x != 0 {
-									t.Fatalf("slot %d layer %d pos %d: stale %g after release", s, l, p, x)
-								}
+						for i, x := range c.k[l].Slice(s*maxLen, (s+1)*maxLen).F32 {
+							if x != 0 {
+								t.Fatalf("slot %d layer %d pos %d: stale %g after release", s, l, i/width, x)
 							}
 						}
 					}

@@ -5,100 +5,63 @@ package kvcache
 // verbatim. This is the storage half of disaggregated prefill/decode
 // serving: a prefill replica fills a slot's K/V, the block travels over the
 // interconnect, and a decode replica resumes the sequence against an
-// imported copy that is bit-identical to the original. Int8 caches export
-// their raw quantized values and per-row scales (no dequantize/requantize
-// round trip), so the handoff preserves quantized storage exactly; an
-// attached shared prefix is materialized into the block, because the
-// receiving replica has no reference to the sender's PrefixStore.
+// imported copy that is bit-identical to the original. Rows travel in the
+// cache's storage format — an int8 cache exports its stored values and
+// scales, never a float32 read-back — so the handoff preserves quantized
+// storage exactly; an attached shared prefix is copied into the block,
+// because the receiving replica has no reference to the sender's
+// PrefixStore.
 
-import (
-	"fmt"
-
-	"esti/internal/tensor"
-)
+import "fmt"
 
 // KVBlock is one slot's exported K/V rows — every committed position,
-// prefix included — in the cache's native storage format. Blocks are deep
-// copies: the exporting slot may be released (and its storage zeroed) the
-// moment ExportSeq returns, which is exactly the prefill-pool lifecycle.
+// prefix included — in the cache's storage format. Blocks are deep copies:
+// the exporting slot may be released (and its storage zeroed) the moment
+// ExportSeq returns, which is exactly the prefill-pool lifecycle.
 type KVBlock struct {
 	Layers, Width, Len int
 	// Int8 reports the storage format the block carries (and the only
 	// cache mode it can be imported into — the attention walk reads one
 	// format, so a handoff never converts).
 	Int8 bool
-	// Float mode: per layer [Len, Width].
-	K, V []*tensor.Mat
-	// Int8 mode: per layer Len*Width raw values plus Len row scales.
-	K8, V8         [][]int8
-	KScale, VScale [][]float32
+	K, V []Rows // per layer: Len rows of Width
 }
 
 // Bytes is the wire footprint of the block: the K+V backing bytes that a
-// real handoff would move between replicas (float32 values, or int8 values
-// plus one float32 scale per row).
+// real handoff would move between replicas.
 func (b *KVBlock) Bytes() int {
-	per := b.Width * 4
-	if b.Int8 {
-		per = b.Width + 4
-	}
-	return 2 * b.Layers * b.Len * per
+	return 2 * b.Layers * b.Len * bytesPerRow(b.Width, b.Int8)
 }
 
 // ExportSeq deep-copies slot s's committed positions [0, SeqLen) into a
-// self-contained KVBlock. An attached shared prefix is included (its rows
-// are copied out of the store; in int8 mode the quantized values and scales
-// are copied verbatim, so the block is bit-identical to what the attention
-// walk reads). Exporting an empty slot returns an error — there is nothing
-// to hand off.
+// self-contained KVBlock, an attached shared prefix's rows first, so the
+// block holds exactly what the attention walk reads. Exporting an empty
+// slot returns an error — there is nothing to hand off.
 func (c *Cache) ExportSeq(s int) (*KVBlock, error) {
 	c.checkSlot(s)
 	n := c.SeqLen(s)
 	if n == 0 {
 		return nil, fmt.Errorf("kvcache: export of empty slot %d", s)
 	}
-	b := &KVBlock{Layers: c.Layers, Width: c.KVWidth, Len: n, Int8: c.int8Mode}
-	if c.int8Mode {
-		b.K8 = make([][]int8, c.Layers)
-		b.V8 = make([][]int8, c.Layers)
-		b.KScale = make([][]float32, c.Layers)
-		b.VScale = make([][]float32, c.Layers)
-		for l := 0; l < c.Layers; l++ {
-			b.K8[l], b.KScale[l] = c.exportRows8(l, s, n, true)
-			b.V8[l], b.VScale[l] = c.exportRows8(l, s, n, false)
-		}
-		return b, nil
-	}
-	b.K = make([]*tensor.Mat, c.Layers)
-	b.V = make([]*tensor.Mat, c.Layers)
-	for l := 0; l < c.Layers; l++ {
-		// RowsK/RowsV may return zero-copy views of live storage; the block
-		// must survive the slot's release, so clone.
-		b.K[l] = c.RowsK(l, s, n).Clone()
-		b.V[l] = c.RowsV(l, s, n).Clone()
+	b := &KVBlock{Layers: c.Layers, Width: c.KVWidth, Len: n, Int8: c.int8Mode,
+		K: make([]Rows, c.Layers), V: make([]Rows, c.Layers)}
+	for l := range b.K {
+		b.K[l], b.V[l] = newRows(n, c.KVWidth, c.int8Mode), newRows(n, c.KVWidth, c.int8Mode)
+		preK, privK, preV, privV := c.Segments(l, s, n)
+		copySegments(b.K[l], preK, privK)
+		copySegments(b.V[l], preV, privV)
 	}
 	return b, nil
-}
-
-// exportRows8 copies n raw quantized rows (prefix segment first, then the
-// private suffix) with their scales.
-func (c *Cache) exportRows8(l, s, n int, wantK bool) ([]int8, []float32) {
-	pre, priv := c.segments8(l, s, n, wantK)
-	vals := make([]int8, n*c.KVWidth)
-	scales := make([]float32, n)
-	copy(vals, pre.Data)
-	copy(vals[pre.Rows*c.KVWidth:], priv.Data)
-	copy(scales, pre.Scales)
-	copy(scales[pre.Rows:], priv.Scales)
-	return vals, scales
 }
 
 // ImportSeq writes a KVBlock into the empty slot s and commits its length,
 // after which the slot is indistinguishable from one that prefilled the
 // same positions locally. The block must match the cache's storage mode,
-// layer count, width, and fit the slot capacity; the slot must be empty
-// (no private rows, no attached prefix). The block is copied in, so the
-// caller may reuse or import it elsewhere afterwards.
+// layer count, width, and fit the slot capacity, every layer's K and V must
+// hold what the header says, and the slot must be empty (no private rows,
+// no attached prefix); all of it is checked before the first row is
+// written, so an error leaves the slot empty. The block is copied in, so
+// the caller may reuse or import it elsewhere afterwards.
 func (c *Cache) ImportSeq(s int, b *KVBlock) error {
 	c.checkSlot(s)
 	if b == nil || b.Len == 0 {
@@ -112,8 +75,8 @@ func (c *Cache) ImportSeq(s int, b *KVBlock) error {
 		return fmt.Errorf("kvcache: block stored as %s, cache is %s (a handoff never converts)",
 			storageName(b.Int8), storageName(c.int8Mode))
 	}
-	if b.Layers != c.Layers {
-		return fmt.Errorf("kvcache: block has %d layers, cache %d", b.Layers, c.Layers)
+	if b.Layers != c.Layers || len(b.K) != b.Layers || len(b.V) != b.Layers {
+		return fmt.Errorf("kvcache: block has %d layers (%d K, %d V), cache %d", b.Layers, len(b.K), len(b.V), c.Layers)
 	}
 	if b.Width != c.KVWidth {
 		return fmt.Errorf("kvcache: block width %d, cache %d", b.Width, c.KVWidth)
@@ -121,20 +84,17 @@ func (c *Cache) ImportSeq(s int, b *KVBlock) error {
 	if b.Len > c.MaxLen {
 		return fmt.Errorf("kvcache: block of %d tokens exceeds slot capacity %d", b.Len, c.MaxLen)
 	}
-	base := s * c.MaxLen
-	w := c.KVWidth
-	for l := 0; l < c.Layers; l++ {
-		if c.int8Mode {
-			copy(c.k8[l][base*w:(base+b.Len)*w], b.K8[l])
-			copy(c.v8[l][base*w:(base+b.Len)*w], b.V8[l])
-			copy(c.kScale[l][base:base+b.Len], b.KScale[l])
-			copy(c.vScale[l][base:base+b.Len], b.VScale[l])
-			continue
+	for l := range b.K {
+		for _, r := range [2]Rows{b.K[l], b.V[l]} {
+			if err := r.check(b.Len, b.Width, b.Int8); err != nil {
+				return fmt.Errorf("kvcache: block layer %d: %v", l, err)
+			}
 		}
-		for t := 0; t < b.Len; t++ {
-			copy(c.K[l].Row(base+t), b.K[l].Row(t))
-			copy(c.V[l].Row(base+t), b.V[l].Row(t))
-		}
+	}
+	lo, hi := s*c.MaxLen, s*c.MaxLen+b.Len
+	for l := range b.K {
+		copyRows(c.k[l].Slice(lo, hi), b.K[l])
+		copyRows(c.v[l].Slice(lo, hi), b.V[l])
 	}
 	c.lens[s] = b.Len
 	return nil

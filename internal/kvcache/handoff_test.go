@@ -99,21 +99,14 @@ func TestExportImportInt8BitExact(t *testing.T) {
 	}
 	// Raw storage must match bit for bit: same quantized values, same
 	// scales. Token-exact decode after handoff follows from this.
-	w := src.KVWidth
 	for l := 0; l < 3; l++ {
-		for tk := 0; tk < 7; tk++ {
-			srow, drow := 0*src.MaxLen+tk, 1*dst.MaxLen+tk
-			for i := 0; i < w; i++ {
-				if src.k8[l][srow*w+i] != dst.k8[l][drow*w+i] {
-					t.Fatalf("layer %d tok %d k8[%d] differs", l, tk, i)
-				}
-				if src.v8[l][srow*w+i] != dst.v8[l][drow*w+i] {
-					t.Fatalf("layer %d tok %d v8[%d] differs", l, tk, i)
-				}
-			}
-			if src.kScale[l][srow] != dst.kScale[l][drow] || src.vScale[l][srow] != dst.vScale[l][drow] {
-				t.Fatalf("layer %d tok %d scales differ", l, tk)
-			}
+		_, sk, _, sv := src.Segments(l, 0, 7)
+		_, dk, _, dv := dst.Segments(l, 1, 7)
+		if err := dk.check(7, 4, true); err != nil {
+			t.Fatalf("layer %d: imported %v", l, err)
+		}
+		if !sameStored(sk, dk) || !sameStored(sv, dv) {
+			t.Fatalf("layer %d: imported values or scales differ from the source's", l)
 		}
 	}
 }
@@ -196,5 +189,66 @@ func TestImportValidation(t *testing.T) {
 	dst := New(2, 1, 8, 4)
 	if err := dst.ImportSeq(0, b); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// ImportSeq must not trust a block's header: every layer's K and V is held
+// to the header's format, row count, width and scale count before the first
+// row is written, so a malformed block is an error that leaves the slot
+// empty and zero — not a panic after layer 0 landed, and not a committed
+// length over rows that were never copied.
+func TestImportRejectsMalformedBlock(t *testing.T) {
+	const layers, maxLen, width, n = 2, 8, 4, 5
+	for _, f := range formats {
+		rng := rand.New(rand.NewSource(6))
+		src := f.newCache(layers, 1, maxLen, width)
+		fillSlot(src, 0, n, rng)
+		export := func() *KVBlock {
+			b, err := src.ExportSeq(0)
+			if err != nil {
+				t.Fatal(err)
+			}
+			return b
+		}
+		other := randRows(rng, n, width, !f.int8Mode)
+		cases := map[string]func(b *KVBlock){
+			"K cut to one layer":        func(b *KVBlock) { b.K = b.K[:1] },
+			"V cut to one layer":        func(b *KVBlock) { b.V = b.V[:1] },
+			"layer-1 K cut to two rows": func(b *KVBlock) { b.K[1] = b.K[1].Slice(0, 2) },
+			"layer-1 V values cut, header kept": func(b *KVBlock) {
+				b.V[1].F32, b.V[1].I8 = b.V[1].F32[:len(b.V[1].F32)/2], b.V[1].I8[:len(b.V[1].I8)/2]
+			},
+			"layer-0 K one column narrower": func(b *KVBlock) { b.K[0] = randRows(rng, n, width-1, f.int8Mode) },
+			"layer-1 K in the other format": func(b *KVBlock) { b.K[1] = other },
+			"layer-0 V in the other format": func(b *KVBlock) { b.V[0] = other },
+			"header says the other format":  func(b *KVBlock) { b.Int8 = !b.Int8 },
+		}
+		if f.int8Mode {
+			cases["layer-1 K scales cut to two"] = func(b *KVBlock) { b.K[1].Scales = b.K[1].Scales[:2] }
+		}
+		for name, damage := range cases {
+			b := export()
+			damage(b)
+			dst := f.newCache(layers, 1, maxLen, width)
+			if err := dst.ImportSeq(0, b); err == nil {
+				t.Errorf("%s, %s: import succeeded", f.name, name)
+			}
+			if dst.SeqLen(0) != 0 {
+				t.Errorf("%s, %s: failed import committed %d positions", f.name, name, dst.SeqLen(0))
+			}
+			for l := 0; l < layers; l++ {
+				for _, m := range []*tensor.Mat{dst.RowsK(l, 0, maxLen), dst.RowsV(l, 0, maxLen)} {
+					for _, x := range m.Data {
+						if x != 0 {
+							t.Fatalf("%s, %s: failed import wrote layer %d", f.name, name, l)
+						}
+					}
+				}
+			}
+			// The slot is still importable.
+			if err := dst.ImportSeq(0, export()); err != nil {
+				t.Errorf("%s, %s: import of an intact block after the failed one: %v", f.name, name, err)
+			}
+		}
 	}
 }

@@ -56,8 +56,7 @@ func FuzzInt8AppendView(f *testing.F) {
 
 		for s := 0; s < slots; s++ {
 			for l := 0; l < layers; l++ {
-				_, privK := c.ViewK8(l, s, c.SeqLen(s))
-				_, privV := c.ViewV8(l, s, c.SeqLen(s))
+				_, privK, _, privV := c.Segments(l, s, c.SeqLen(s))
 				for _, sc := range privK.Scales {
 					if !finitePositive(sc) {
 						t.Fatalf("slot %d layer %d: K scale %g not finite-positive", s, l, sc)

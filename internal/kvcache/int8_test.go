@@ -90,7 +90,7 @@ func TestInt8BytesAccounting(t *testing.T) {
 
 // An int8 store holds its blocks quantized: budget accounting runs in
 // quantized units, the entries attach only to int8 caches, and the
-// two-segment quantized views serve the prefix rows.
+// two-segment views serve the prefix rows.
 func TestInt8PrefixStore(t *testing.T) {
 	const layers, width, n = 2, 8, 4
 	rng := rand.New(rand.NewSource(9))
@@ -147,9 +147,9 @@ func TestInt8PrefixStore(t *testing.T) {
 	if q8.SeqLen(0) != n+2 {
 		t.Fatalf("SeqLen = %d, want %d", q8.SeqLen(0), n+2)
 	}
-	pre, priv := q8.ViewK8(0, 0, n+2)
-	if pre.Rows != n || priv.Rows != 2 {
-		t.Fatalf("segments %d+%d rows, want %d+%d", pre.Rows, priv.Rows, n, 2)
+	pre, priv, _, _ := q8.Segments(0, 0, n+2)
+	if pre.N != n || priv.N != 2 {
+		t.Fatalf("segments %d+%d rows, want %d+%d", pre.N, priv.N, n, 2)
 	}
 	back := q8.Keys(0, 0)
 	for r := 0; r < n; r++ {
@@ -160,18 +160,6 @@ func TestInt8PrefixStore(t *testing.T) {
 		}
 	}
 
-	// Materialize keeps content identical (bit-copied quantized rows).
-	before := q8.Keys(1, 0).Clone()
-	det := q8.MaterializePrefix(0)
-	if det != p {
-		t.Fatal("MaterializePrefix returned a different prefix")
-	}
-	if d := tensor.MaxAbsDiff(before, q8.Keys(1, 0)); d != 0 {
-		t.Errorf("materialize changed slot contents by %g", d)
-	}
-	if q8.SeqLen(0) != n+2 || q8.PrefixLen(0) != 0 {
-		t.Errorf("after materialize: SeqLen %d, PrefixLen %d", q8.SeqLen(0), q8.PrefixLen(0))
-	}
 }
 
 // ResetSeq hygiene in int8 mode: values and scales of the released slot
@@ -190,8 +178,8 @@ func TestInt8ResetSeqZeroes(t *testing.T) {
 	if c.SeqLen(0) != 0 {
 		t.Fatalf("SeqLen = %d after reset", c.SeqLen(0))
 	}
-	_, priv := c.ViewK8(0, 0, maxLen)
-	for i, b := range priv.Data {
+	_, priv, _, _ := c.Segments(0, 0, maxLen)
+	for i, b := range priv.I8 {
 		if b != 0 {
 			t.Fatalf("released slot value %d nonzero at %d", b, i)
 		}
@@ -204,23 +192,4 @@ func TestInt8ResetSeqZeroes(t *testing.T) {
 	if d := tensor.MaxAbsDiff(keep, c.Keys(0, 1)); d != 0 {
 		t.Errorf("neighbor slot changed by %g", d)
 	}
-}
-
-// Mode guards: the float32 views panic on an int8 cache and vice versa —
-// a kernel reading the wrong format is a programming error, not data.
-func TestViewModeGuards(t *testing.T) {
-	fp := New(1, 1, 4, 8)
-	q8 := NewInt8(1, 1, 4, 8)
-	assertPanics(t, "ViewK on int8", func() { q8.ViewK(0, 0, 1) })
-	assertPanics(t, "ViewK8 on float32", func() { fp.ViewK8(0, 0, 1) })
-}
-
-func assertPanics(t *testing.T, name string, f func()) {
-	t.Helper()
-	defer func() {
-		if recover() == nil {
-			t.Errorf("%s did not panic", name)
-		}
-	}()
-	f()
 }

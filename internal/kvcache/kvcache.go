@@ -16,6 +16,23 @@
 // (prefix.go): positions [0, PrefixLen) are served from a PrefixStore's
 // single copy while appends fill only the private suffix, so many requests
 // carrying the same system prompt neither recompute nor re-store its K/V.
+//
+// Storage is float32 rows (New) or int8 rows with one scale per row
+// (NewInt8), and that choice lives in one type, Rows (rows.go): a Cache, a
+// Prefix and a KVBlock each hold a Rows of K and of V per layer, every
+// operation that moves rows — append, capture into a prefix store, export,
+// import, the float read-back — is copyRows between slices of them, and the
+// attention walk reads the slices Segments returns. At large batch and long
+// context the KV cache, not the weights, dominates per-chip memory and the
+// decode step's memory traffic (§3.3, Figure 11; DeepSpeed Inference makes
+// the same point for serving), so halving its bytes per token roughly
+// doubles the servable context or batch per chip. Rows are quantized where
+// they enter the cache, so everything upstream (projections, collectives,
+// wire volume) is unchanged, and once quantized they are only ever copied
+// verbatim: a slot, a prefix captured from it and a block exported from it
+// hold the same bytes. The scale is per row because a K/V row is one
+// token's projection — unlike a weight column its dynamic range is per
+// token — and the walk applies it once per scored position.
 package kvcache
 
 import (
@@ -28,11 +45,6 @@ import (
 // Rows are (slot, position)-major: row = slot*MaxLen + pos. The slot
 // dimension here is whatever slice of the logical batch the owner holds —
 // the whole batch on the reference model, a shard on a batch-sharded chip.
-//
-// Storage is either float32 (New) or per-row-scaled int8 (NewInt8, see
-// int8.go): the int8 mode quantizes K/V at append and serves the attention
-// walk through quantized views (ViewK8/ViewV8), halving cache bytes per
-// position — the memory the paper shows binds maximum context (Table 1).
 type Cache struct {
 	Layers  int
 	Seqs    int // slots held by this cache (logical batch or a shard)
@@ -43,36 +55,47 @@ type Cache struct {
 	used []bool    // advisory slot-allocation map (Alloc/Release)
 	pfx  []*Prefix // attached shared prefix, per slot (nil = none)
 
-	K, V []*tensor.Mat // per layer: [Seqs*MaxLen, KVWidth] (private rows; nil in int8 mode)
-
-	// int8 mode (see int8.go): quantized values plus one scale per
-	// (slot, position) row, per layer. Nil in float32 mode.
-	int8Mode       bool
-	k8, v8         [][]int8    // per layer: Seqs*MaxLen*KVWidth values
-	kScale, vScale [][]float32 // per layer: Seqs*MaxLen row scales
+	int8Mode bool
+	k, v     []Rows // per layer: the Seqs*MaxLen private rows
 }
 
 // New allocates an empty float32 cache. All slots start free and
 // zero-length.
 func New(layers, seqs, maxLen, kvWidth int) *Cache {
-	c := newCommon(layers, seqs, maxLen, kvWidth)
-	c.K = make([]*tensor.Mat, layers)
-	c.V = make([]*tensor.Mat, layers)
-	for l := 0; l < layers; l++ {
-		c.K[l] = tensor.New(seqs*maxLen, kvWidth)
-		c.V[l] = tensor.New(seqs*maxLen, kvWidth)
+	return newCache(layers, seqs, maxLen, kvWidth, false)
+}
+
+// NewInt8 allocates an empty cache whose rows are stored as int8 with one
+// scale each: same slot discipline and API as New at just over a quarter of
+// the bytes per position — the memory the paper shows binds maximum context
+// (Table 1).
+func NewInt8(layers, seqs, maxLen, kvWidth int) *Cache {
+	return newCache(layers, seqs, maxLen, kvWidth, true)
+}
+
+func newCache(layers, seqs, maxLen, kvWidth int, int8Mode bool) *Cache {
+	if layers < 1 || seqs < 1 || maxLen < 1 || kvWidth < 1 {
+		panic(fmt.Sprintf("kvcache: cache with %d layers, %d slots of %d positions, width %d",
+			layers, seqs, maxLen, kvWidth))
+	}
+	c := &Cache{
+		Layers: layers, Seqs: seqs, MaxLen: maxLen, KVWidth: kvWidth,
+		lens:     make([]int, seqs),
+		used:     make([]bool, seqs),
+		pfx:      make([]*Prefix, seqs),
+		int8Mode: int8Mode,
+		k:        make([]Rows, layers),
+		v:        make([]Rows, layers),
+	}
+	for l := range c.k {
+		c.k[l] = newRows(seqs*maxLen, kvWidth, int8Mode)
+		c.v[l] = newRows(seqs*maxLen, kvWidth, int8Mode)
 	}
 	return c
 }
 
-func newCommon(layers, seqs, maxLen, kvWidth int) *Cache {
-	return &Cache{
-		Layers: layers, Seqs: seqs, MaxLen: maxLen, KVWidth: kvWidth,
-		lens: make([]int, seqs),
-		used: make([]bool, seqs),
-		pfx:  make([]*Prefix, seqs),
-	}
-}
+// Int8 reports whether the cache stores K/V quantized.
+func (c *Cache) Int8() bool { return c.int8Mode }
 
 func (c *Cache) checkSlot(s int) {
 	if s < 0 || s >= c.Seqs {
@@ -121,8 +144,8 @@ func (c *Cache) AttachPrefix(s int, p *Prefix) error {
 		return fmt.Errorf("kvcache: prefix stored as %s, cache is %s (the attention walk reads one format)",
 			storageName(p.int8Mode), storageName(c.int8Mode))
 	}
-	if p.layers != c.Layers {
-		return fmt.Errorf("kvcache: prefix has %d layers, cache %d", p.layers, c.Layers)
+	if len(p.k) != c.Layers {
+		return fmt.Errorf("kvcache: prefix has %d layers, cache %d", len(p.k), c.Layers)
 	}
 	if p.width != c.KVWidth {
 		return fmt.Errorf("kvcache: prefix width %d, cache %d", p.width, c.KVWidth)
@@ -132,51 +155,6 @@ func (c *Cache) AttachPrefix(s int, p *Prefix) error {
 	}
 	c.pfx[s] = p
 	return nil
-}
-
-// DetachPrefix removes and returns slot s's shared prefix (nil if none).
-// The slot's private suffix, if any, keeps its content but loses its first
-// PrefixLen positions of context, so detaching a non-empty slot is only
-// meaningful right before a reset; use MaterializePrefix to keep a live
-// slot intact.
-func (c *Cache) DetachPrefix(s int) *Prefix {
-	c.checkSlot(s)
-	p := c.pfx[s]
-	c.pfx[s] = nil
-	return p
-}
-
-// MaterializePrefix is the copy-on-divergence escape hatch: it copies the
-// attached prefix's rows into slot s's private storage, shifting the private
-// suffix up, and returns the detached prefix so the caller can release its
-// reference. The slot's contents and SeqLen are unchanged; it simply no
-// longer aliases the store, so the prefix becomes evictable.
-func (c *Cache) MaterializePrefix(s int) *Prefix {
-	c.checkSlot(s)
-	p := c.pfx[s]
-	if p == nil {
-		return nil
-	}
-	pl := p.Len()
-	if c.int8Mode {
-		c.materializePrefix8(s, p, pl)
-	} else {
-		for l := 0; l < c.Layers; l++ {
-			base := s * c.MaxLen
-			// Private rows move up by pl; copy backwards so ranges may overlap.
-			for t := c.lens[s] - 1; t >= 0; t-- {
-				copy(c.K[l].Row(base+pl+t), c.K[l].Row(base+t))
-				copy(c.V[l].Row(base+pl+t), c.V[l].Row(base+t))
-			}
-			for t := 0; t < pl; t++ {
-				copy(c.K[l].Row(base+t), p.K[l].Row(t))
-				copy(c.V[l].Row(base+t), p.V[l].Row(t))
-			}
-		}
-	}
-	c.lens[s] += pl
-	c.pfx[s] = nil
-	return p
 }
 
 // Len returns the maximum filled length over all slots. For the lockstep
@@ -226,15 +204,9 @@ func (c *Cache) appendAt(l, s int, k, v *tensor.Mat, src, steps int) {
 		panic(fmt.Sprintf("kvcache: slot %d overflow: %d+%d > capacity %d",
 			s, c.SeqLen(s), steps, c.MaxLen))
 	}
-	for t := 0; t < steps; t++ {
-		dst := s*c.MaxLen + c.lens[s] + t
-		if c.int8Mode {
-			c.appendRow8(l, dst, k.Row(src+t), v.Row(src+t))
-			continue
-		}
-		copy(c.K[l].Row(dst), k.Row(src+t))
-		copy(c.V[l].Row(dst), v.Row(src+t))
-	}
+	at := s*c.MaxLen + c.lens[s]
+	copyRows(c.k[l].Slice(at, at+steps), matRows(k).Slice(src, src+steps))
+	copyRows(c.v[l].Slice(at, at+steps), matRows(v).Slice(src, src+steps))
 }
 
 // Advance commits `steps` appended positions on every slot after all
@@ -314,25 +286,13 @@ func (c *Cache) FreeSlots() int {
 // its store reference.
 func (c *Cache) ResetSeq(s int) *Prefix {
 	c.checkSlot(s)
-	c.lens[s] = 0
-	p := c.DetachPrefix(s)
-	if c.int8Mode {
-		c.resetSeq8(s)
-		return p
-	}
-	for l := 0; l < c.Layers; l++ {
-		for t := 0; t < c.MaxLen; t++ {
-			zero(c.K[l].Row(s*c.MaxLen + t))
-			zero(c.V[l].Row(s*c.MaxLen + t))
-		}
+	p := c.pfx[s]
+	c.lens[s], c.pfx[s] = 0, nil
+	for l := range c.k {
+		c.k[l].Slice(s*c.MaxLen, (s+1)*c.MaxLen).zero()
+		c.v[l].Slice(s*c.MaxLen, (s+1)*c.MaxLen).zero()
 	}
 	return p
-}
-
-func zero(row []float32) {
-	for i := range row {
-		row[i] = 0
-	}
 }
 
 // Keys returns the filled K rows of slot s in layer l: [SeqLen(s), KVWidth],
@@ -346,100 +306,53 @@ func (c *Cache) Values(l, s int) *tensor.Mat {
 	return c.RowsV(l, s, c.SeqLen(s))
 }
 
-// RowsK returns K rows for positions [0, total) of slot s in layer l. The
-// range may extend past the committed SeqLen into rows already written by
-// Append*/AppendSeq but not yet committed — the window attention reads
-// mid-pass. Without an attached prefix (or when the range stays inside
-// one) this is a zero-copy view of live storage; a range spanning both a
-// prefix and the private suffix is materialized into a contiguous matrix.
-// Kernels that must never copy or allocate use ViewK/ViewV instead.
+// RowsK returns a float32 copy of K rows [0, total) of slot s in layer l —
+// attached prefix first, int8 rows multiplied back by their scales. It is
+// the cold read for tests and tools; the walk reads Segments in place.
 func (c *Cache) RowsK(l, s, total int) *tensor.Mat {
-	if c.int8Mode {
-		// Cold-path reads of a quantized cache (prefix capture, tests)
-		// materialize a dequantized copy; the hot path reads ViewK8.
-		return c.rows8(l, s, total, true)
-	}
-	return c.rows(c.K, l, s, total, func(p *Prefix) []*tensor.Mat { return p.K })
+	pre, priv, _, _ := c.Segments(l, s, total)
+	return floatRows(pre, priv)
 }
 
 // RowsV is RowsK for the V tensor.
 func (c *Cache) RowsV(l, s, total int) *tensor.Mat {
-	if c.int8Mode {
-		return c.rows8(l, s, total, false)
-	}
-	return c.rows(c.V, l, s, total, func(p *Prefix) []*tensor.Mat { return p.V })
+	_, _, pre, priv := c.Segments(l, s, total)
+	return floatRows(pre, priv)
 }
 
-func (c *Cache) rows(store []*tensor.Mat, l, s, total int, side func(*Prefix) []*tensor.Mat) *tensor.Mat {
-	c.checkSlot(s)
-	if total < 0 || total > c.MaxLen {
-		panic(fmt.Sprintf("kvcache: slot %d row range %d out of capacity %d", s, total, c.MaxLen))
-	}
-	p := c.pfx[s]
-	if p == nil {
-		v := tensor.RowsView(store[l], s*c.MaxLen, s*c.MaxLen+total)
-		return &v
-	}
-	shared := side(p)
-	pl := p.Len()
-	if total <= pl {
-		v := tensor.RowsView(shared[l], 0, total)
-		return &v
-	}
-	out := tensor.New(total, c.KVWidth)
-	for t := 0; t < pl; t++ {
-		copy(out.Row(t), shared[l].Row(t))
-	}
-	for t := pl; t < total; t++ {
-		copy(out.Row(t), store[l].Row(s*c.MaxLen+t-pl))
-	}
+func floatRows(pre, priv Rows) *tensor.Mat {
+	out := tensor.New(pre.N+priv.N, priv.Cols)
+	copySegments(matRows(out), pre, priv)
 	return out
 }
 
-// ViewK returns zero-copy views of slot s's K rows covering positions
-// [0, total): the shared-prefix segment (zero rows when no prefix is
-// attached) followed by the slot's private segment. Both views alias live
-// storage and are returned by value so the attention hot loop can walk a
-// slot's keys with no copy and no allocation. As with RowsK, total may
-// extend past the committed SeqLen into rows appended mid-pass.
-func (c *Cache) ViewK(l, s, total int) (pre, priv tensor.Mat) {
-	return c.segments(c.K, l, s, total, func(p *Prefix) []*tensor.Mat { return p.K })
-}
-
-// ViewV is ViewK for the V tensor.
-func (c *Cache) ViewV(l, s, total int) (pre, priv tensor.Mat) {
-	return c.segments(c.V, l, s, total, func(p *Prefix) []*tensor.Mat { return p.V })
-}
-
-func (c *Cache) segments(store []*tensor.Mat, l, s, total int, side func(*Prefix) []*tensor.Mat) (pre, priv tensor.Mat) {
-	if c.int8Mode {
-		panic("kvcache: float32 ViewK/ViewV on an int8 cache; the fused walk reads ViewK8/ViewV8")
-	}
+// Segments returns zero-copy views of slot s's K and V rows covering
+// positions [0, total): the shared-prefix segment (no rows when no prefix is
+// attached) followed by the slot's private segment, in the cache's storage
+// format. All four alias live storage and are returned by value, so the
+// attention walk reads a slot with no copy and no allocation. total may
+// extend past the committed SeqLen into rows already written by
+// Append/AppendSeq but not yet committed — the window attention reads
+// mid-pass.
+func (c *Cache) Segments(l, s, total int) (preK, privK, preV, privV Rows) {
 	c.checkSlot(s)
 	if total < 0 || total > c.MaxLen {
 		panic(fmt.Sprintf("kvcache: slot %d row range %d out of capacity %d", s, total, c.MaxLen))
 	}
+	preK, preV = c.k[l].Slice(0, 0), c.v[l].Slice(0, 0)
 	pl := 0
 	if p := c.pfx[s]; p != nil {
-		pl = p.Len()
-		if pl > total {
-			pl = total
-		}
-		pre = tensor.RowsView(side(p)[l], 0, pl)
-	} else {
-		pre = tensor.Mat{Cols: c.KVWidth}
+		pl = min(p.Len(), total)
+		preK, preV = p.k[l].Slice(0, pl), p.v[l].Slice(0, pl)
 	}
-	priv = tensor.RowsView(store[l], s*c.MaxLen, s*c.MaxLen+total-pl)
-	return pre, priv
+	lo, hi := s*c.MaxLen, s*c.MaxLen+total-pl
+	return preK, c.k[l].Slice(lo, hi), preV, c.v[l].Slice(lo, hi)
 }
 
-// Bytes is the allocated footprint of the true backing storage: float32
-// values in the default mode, int8 values plus one float32 scale per
-// (position, tensor) row in int8 mode — just over a quarter of the
-// float32 bytes per position (the analytic model's bf16 baseline makes it
-// one half, the paper's Table 1 doubling).
+// Bytes is the allocated footprint of the backing storage, in the cache's
+// storage format (bytesPerRow).
 func (c *Cache) Bytes() int {
-	return 2 * c.Layers * c.Seqs * c.MaxLen * c.bytesPerRow()
+	return 2 * c.Layers * c.Seqs * c.MaxLen * bytesPerRow(c.KVWidth, c.int8Mode)
 }
 
 // UsedBytes is the footprint of filled *private* positions only, summed
@@ -451,16 +364,7 @@ func (c *Cache) UsedBytes() int {
 	for _, l := range c.lens {
 		total += l
 	}
-	return 2 * c.Layers * total * c.bytesPerRow()
-}
-
-// bytesPerRow is the backing bytes of one stored K (or V) row: KVWidth
-// float32s, or KVWidth int8s plus the row's float32 scale.
-func (c *Cache) bytesPerRow() int {
-	if c.int8Mode {
-		return c.KVWidth + 4
-	}
-	return c.KVWidth * 4
+	return 2 * c.Layers * total * bytesPerRow(c.KVWidth, c.int8Mode)
 }
 
 // Reset empties the cache without reallocating: every slot becomes free

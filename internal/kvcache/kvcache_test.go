@@ -1,6 +1,7 @@
 package kvcache
 
 import (
+	"strings"
 	"testing"
 
 	"esti/internal/tensor"
@@ -157,7 +158,7 @@ func TestAllocRelease(t *testing.T) {
 	}
 	// Eviction hygiene: the released slot's storage is zeroed.
 	for p := 0; p < c.MaxLen; p++ {
-		if c.K[0].At(s0*c.MaxLen+p, 0) != 0 {
+		if c.k[0].F32[(s0*c.MaxLen+p)*c.KVWidth] != 0 {
 			t.Fatalf("stale K data at position %d after release", p)
 		}
 	}
@@ -245,5 +246,22 @@ func TestDoubleReleaseIsError(t *testing.T) {
 	fill(c, s2, 1, 9)
 	if got := c.Keys(0, s2).At(0, 0); got != 9 {
 		t.Errorf("slot content after realloc = %g, want 9", got)
+	}
+}
+
+// A cache with no layer, slot, position or column is a caller bug; both
+// constructors name it rather than failing later in an allocator.
+func TestNonPositiveShapePanics(t *testing.T) {
+	for _, f := range formats {
+		for _, shape := range [][4]int{{0, 1, 1, 1}, {1, 0, 1, 1}, {1, 1, -3, 1}, {1, 1, 1, 0}} {
+			func() {
+				defer func() {
+					if msg, _ := recover().(string); !strings.HasPrefix(msg, "kvcache: cache with ") {
+						t.Errorf("%s cache of shape %v: panic %q", f.name, shape, msg)
+					}
+				}()
+				f.newCache(shape[0], shape[1], shape[2], shape[3])
+			}()
+		}
 	}
 }

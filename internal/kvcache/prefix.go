@@ -11,8 +11,7 @@ package kvcache
 // slot attaches a prefix (Cache.AttachPrefix) and then appends only its
 // private suffix: divergence after the shared part needs no copy at all,
 // because appends are always past the prefix boundary — the copy-on-
-// divergence degenerate case. The one real copy, MaterializePrefix, turns an
-// alias into private rows when a slot must outlive its prefix's residency.
+// divergence degenerate case.
 //
 // Eviction is LRU over unreferenced entries under a byte budget, the same
 // admission-shaping role the serving tier plays for slots themselves.
@@ -20,27 +19,19 @@ package kvcache
 import (
 	"fmt"
 
-	"esti/internal/quant"
 	"esti/internal/tensor"
 )
 
-// Prefix is one immutable cached prefix: per-layer K/V for its tokens.
-// It is created by PrefixStore.Insert and shared read-only between any
-// number of cache slots; refcounts are managed by Acquire/Release. In an
-// int8 store the block is held quantized (per-row scaled int8, the same
-// format as an int8 Cache), so a shared system prompt is resident at half
-// the bf16 bytes and attaches only to int8 caches.
+// Prefix is one immutable cached prefix: per-layer K/V for its tokens, in
+// its store's storage format. It is created by PrefixStore.Insert or
+// Capture and shared read-only between any number of cache slots; refcounts
+// are managed by Acquire/Release. An int8 store's blocks are resident at
+// half the bf16 bytes and attach only to int8 caches.
 type Prefix struct {
-	tokens        []int
-	layers, width int
-	// K and V are per layer [len(tokens), width], read-only once inserted
-	// (float32 stores only).
-	K, V []*tensor.Mat
-	// int8 stores only: quantized values and per-row scales, per layer —
-	// the storage ViewK8/ViewV8 serve the prefix segment from.
-	int8Mode       bool
-	k8, v8         [][]int8
-	kScale, vScale [][]float32
+	tokens   []int
+	width    int
+	int8Mode bool
+	k, v     []Rows // per layer: len(tokens) rows, read-only once inserted
 
 	refs    int
 	lastUse int64
@@ -56,17 +47,11 @@ func (p *Prefix) Tokens() []int { return append([]int(nil), p.tokens...) }
 // Refs returns the number of live references (attached slots).
 func (p *Prefix) Refs() int { return p.refs }
 
-// Bytes is the true K+V backing footprint of the prefix: float32 values,
-// or — in an int8 store — int8 values plus one float32 scale per row, so
-// budget accounting and LRU eviction run in quantized units.
+// Bytes is the K+V backing footprint of the prefix in its storage format,
+// so budget accounting and LRU eviction run in quantized units in an int8
+// store.
 func (p *Prefix) Bytes() int {
-	if p.layers == 0 {
-		return 0
-	}
-	if p.int8Mode {
-		return 2 * p.layers * len(p.tokens) * (p.width + 4)
-	}
-	return 2 * p.layers * len(p.tokens) * p.width * 4
+	return 2 * len(p.k) * len(p.tokens) * bytesPerRow(p.width, p.int8Mode)
 }
 
 // trieNode is one token edge in the prefix trie. An entry may sit on an
@@ -125,11 +110,12 @@ func NewPrefixStore(layers, width, budgetBytes int) *PrefixStore {
 	return &PrefixStore{layers: layers, width: width, budget: budgetBytes}
 }
 
-// NewPrefixStoreInt8 creates an empty store that holds its blocks
-// quantized (per-row scaled int8): Insert still takes float32 K/V and
-// quantizes them on the way in, entries attach only to int8 caches, and
-// the byte budget governs quantized bytes — the same prefixes resident at
-// half the bf16 footprint, or twice the prefixes under one budget.
+// NewPrefixStoreInt8 creates an empty store that holds its blocks as int8
+// rows: Insert still takes float32 K/V and quantizes them on the way in,
+// Capture copies an int8 slot's rows verbatim, entries attach only to int8
+// caches, and the byte budget governs quantized bytes — the same prefixes
+// resident at half the bf16 footprint, or twice the prefixes under one
+// budget.
 func NewPrefixStoreInt8(layers, width, budgetBytes int) *PrefixStore {
 	ps := NewPrefixStore(layers, width, budgetBytes)
 	ps.int8Mode = true
@@ -163,9 +149,6 @@ func (ps *PrefixStore) Entries() int { return ps.entries }
 // LRU-first; if the new entry cannot fit even then, it is not stored and an
 // error is returned.
 func (ps *PrefixStore) Insert(tokens []int, k, v []*tensor.Mat) (*Prefix, error) {
-	if len(tokens) == 0 {
-		return nil, fmt.Errorf("kvcache: empty prefix")
-	}
 	if len(k) != ps.layers || len(v) != ps.layers {
 		return nil, fmt.Errorf("kvcache: prefix has %d/%d layer blocks, store wants %d", len(k), len(v), ps.layers)
 	}
@@ -176,7 +159,40 @@ func (ps *PrefixStore) Insert(tokens []int, k, v []*tensor.Mat) (*Prefix, error)
 				l, k[l].Rows, k[l].Cols, len(tokens), ps.width)
 		}
 	}
+	return ps.insert(tokens, func(l int, dk, dv Rows) {
+		copyRows(dk, matRows(k[l]))
+		copyRows(dv, matRows(v[l]))
+	})
+}
 
+// Capture stores the first len(tokens) positions of slot s of c — which
+// must be the positions those tokens produced; the store trusts the key —
+// as a prefix, with Insert's duplicate, budget and eviction behaviour. The
+// slot's stored segments are copied as they are, an attached prefix of its
+// own included, so a slot that later attaches the entry walks the same rows
+// the captured slot does; only a float32 slot captured into an int8 store
+// (or the reverse) is converted on the way.
+func (ps *PrefixStore) Capture(tokens []int, c *Cache, s int) (*Prefix, error) {
+	if c.Layers != ps.layers || c.KVWidth != ps.width {
+		return nil, fmt.Errorf("kvcache: capture from a cache of %d layers, width %d into a store of %d, %d",
+			c.Layers, c.KVWidth, ps.layers, ps.width)
+	}
+	if have := c.SeqLen(s); len(tokens) > have {
+		return nil, fmt.Errorf("kvcache: capture of %d tokens from slot %d holding %d", len(tokens), s, have)
+	}
+	return ps.insert(tokens, func(l int, dk, dv Rows) {
+		preK, privK, preV, privV := c.Segments(l, s, len(tokens))
+		copySegments(dk, preK, privK)
+		copySegments(dv, preV, privV)
+	})
+}
+
+// insert finds the entry keyed by tokens or creates it, calling fill once
+// per layer to write a new entry's rows.
+func (ps *PrefixStore) insert(tokens []int, fill func(l int, k, v Rows)) (*Prefix, error) {
+	if len(tokens) == 0 {
+		return nil, fmt.Errorf("kvcache: empty prefix")
+	}
 	node := &ps.root
 	for _, tok := range tokens {
 		child, ok := node.children[tok]
@@ -196,33 +212,14 @@ func (ps *PrefixStore) Insert(tokens []int, k, v []*tensor.Mat) (*Prefix, error)
 
 	p := &Prefix{
 		tokens: append([]int(nil), tokens...),
-		layers: ps.layers, width: ps.width,
-		int8Mode: ps.int8Mode,
-		node:     node,
+		width:  ps.width, int8Mode: ps.int8Mode,
+		k: make([]Rows, ps.layers), v: make([]Rows, ps.layers),
+		node: node,
 	}
-	if ps.int8Mode {
-		n := len(tokens)
-		p.k8 = make([][]int8, ps.layers)
-		p.v8 = make([][]int8, ps.layers)
-		p.kScale = make([][]float32, ps.layers)
-		p.vScale = make([][]float32, ps.layers)
-		for l := 0; l < ps.layers; l++ {
-			p.k8[l] = make([]int8, n*ps.width)
-			p.v8[l] = make([]int8, n*ps.width)
-			p.kScale[l] = make([]float32, n)
-			p.vScale[l] = make([]float32, n)
-			for t := 0; t < n; t++ {
-				p.kScale[l][t] = quant.QuantizeRowInto(p.k8[l][t*ps.width:(t+1)*ps.width], k[l].Row(t))
-				p.vScale[l][t] = quant.QuantizeRowInto(p.v8[l][t*ps.width:(t+1)*ps.width], v[l].Row(t))
-			}
-		}
-	} else {
-		p.K = make([]*tensor.Mat, ps.layers)
-		p.V = make([]*tensor.Mat, ps.layers)
-		for l := 0; l < ps.layers; l++ {
-			p.K[l] = k[l].Clone()
-			p.V[l] = v[l].Clone()
-		}
+	for l := range p.k {
+		p.k[l] = newRows(len(tokens), ps.width, ps.int8Mode)
+		p.v[l] = newRows(len(tokens), ps.width, ps.int8Mode)
+		fill(l, p.k[l], p.v[l])
 	}
 	node.entry = p
 	p.lastUse = ps.tick()

@@ -1,6 +1,7 @@
 package kvcache
 
 import (
+	"math/rand"
 	"testing"
 
 	"esti/internal/tensor"
@@ -41,8 +42,8 @@ func TestPrefixStoreLongestMatch(t *testing.T) {
 	if p == nil || n != 5 {
 		t.Fatalf("acquire = %v len %d, want the 5-token entry", p, n)
 	}
-	if p.K[1].At(4, 0) != 24 {
-		t.Errorf("acquired wrong block: K[1][4][0] = %g, want 24", p.K[1].At(4, 0))
+	if got := p.k[1].Slice(4, 5).F32[0]; got != 24 {
+		t.Errorf("acquired wrong block: K[1][4][0] = %g, want 24", got)
 	}
 	p3, n3 := ps.Acquire([]int{1, 2, 3, 9})
 	if p3 == nil || n3 != 3 {
@@ -246,52 +247,6 @@ func TestCacheAttachPrefix(t *testing.T) {
 	}
 }
 
-// MaterializePrefix converts the alias into private rows: same content and
-// SeqLen, but the store copy is no longer referenced — copy-on-divergence
-// for a slot that must outlive its prefix's residency.
-func TestCacheMaterializePrefix(t *testing.T) {
-	const layers, maxLen, width = 2, 8, 4
-	c := New(layers, 1, maxLen, width)
-	ps := NewPrefixStore(layers, width, 0)
-	k, v := prefixBlocks(layers, 3, width, 10)
-	ps.Insert([]int{1, 2, 3}, k, v)
-	p, _ := ps.Acquire([]int{1, 2, 3})
-	if err := c.AttachPrefix(0, p); err != nil {
-		t.Fatal(err)
-	}
-	fill(c, 0, 2, 77)
-
-	before := c.Keys(0, 0).Clone()
-	got := c.MaterializePrefix(0)
-	if got != p {
-		t.Fatal("materialize did not return the prefix")
-	}
-	ps.Release(got)
-	if c.PrefixLen(0) != 0 || c.SeqLen(0) != 5 {
-		t.Fatalf("materialized slot: prefix %d, len %d", c.PrefixLen(0), c.SeqLen(0))
-	}
-	after := c.Keys(0, 0)
-	for pos := 0; pos < 5; pos++ {
-		for i := 0; i < width; i++ {
-			if before.At(pos, i) != after.At(pos, i) {
-				t.Fatalf("content changed at [%d][%d]: %g -> %g",
-					pos, i, before.At(pos, i), after.At(pos, i))
-			}
-		}
-	}
-	// Evicting the now-unreferenced prefix must not disturb the slot.
-	if err := ps.Evict(p); err != nil {
-		t.Fatal(err)
-	}
-	if c.Keys(0, 0).At(0, 0) != 10 {
-		t.Error("slot lost materialized prefix content after store eviction")
-	}
-	// Materializing a prefix-free slot is a no-op.
-	if c.MaterializePrefix(0) != nil {
-		t.Error("materialize of plain slot returned a prefix")
-	}
-}
-
 // Bulk Reset must hand back attached prefixes for refcount release, like
 // ResetSeq/Release do — silently dropping them would pin the store copies
 // forever.
@@ -320,5 +275,84 @@ func TestResetReturnsAttachedPrefixes(t *testing.T) {
 	}
 	if c.PrefixLen(0) != 0 || c.PrefixLen(2) != 0 {
 		t.Error("Reset left prefixes attached")
+	}
+}
+
+// A slot that attaches a captured prefix must walk exactly the rows the
+// slot that prefilled them holds — every stored value and scale, not a
+// float32 read-back quantized again — and that must survive a second
+// capture taken from a slot that itself has a prefix attached.
+func TestCaptureIsWhatThePrefilledSlotHolds(t *testing.T) {
+	const layers, maxLen, width = 2, 8, 5
+	tokens := []int{9, 8, 7, 6, 5, 4}
+	for _, f := range formats {
+		rng := rand.New(rand.NewSource(21))
+		rows := make([][2]*tensor.Mat, layers) // six positions of K and V per layer
+		for l := range rows {
+			rows[l] = [2]*tensor.Mat{tensor.New(6, width).FillRand(rng, 3), tensor.New(6, width).FillRand(rng, 0.1)}
+		}
+		c := f.newCache(layers, 3, maxLen, width)
+		store := f.newStore(layers, width, 0)
+		appendRange := func(slot, lo, hi int) {
+			for l := range rows {
+				k, v := tensor.RowsView(rows[l][0], lo, hi), tensor.RowsView(rows[l][1], lo, hi)
+				c.AppendSeq(l, slot, &k, &v, hi-lo)
+			}
+			c.AdvanceSeq(slot, hi-lo)
+		}
+		same := func(what string, slot, n int) {
+			t.Helper()
+			for l := 0; l < layers; l++ {
+				_, wantK, _, wantV := c.Segments(l, 0, n)
+				preK, privK, preV, privV := c.Segments(l, slot, n)
+				if !sameStored(flat(preK, privK), wantK) || !sameStored(flat(preV, privV), wantV) {
+					t.Errorf("%s, %s: layer %d of slot %d differs from the rows slot 0 prefilled", f.name, what, l, slot)
+				}
+			}
+		}
+
+		// Slot 0 prefills all six positions privately.
+		appendRange(0, 0, 6)
+		// Slot 1 attaches slot 0's first four and prefills the other two.
+		p4, err := store.Capture(tokens[:4], c, 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got, want := p4.Bytes(), 2*layers*4*bytesPerRow(width, f.int8Mode); got != want || store.Bytes() != want {
+			t.Errorf("%s: captured prefix is %d bytes, store %d, want %d", f.name, got, store.Bytes(), want)
+		}
+		if err := c.AttachPrefix(1, p4); err != nil {
+			t.Fatal(err)
+		}
+		appendRange(1, 4, 6)
+		same("attached", 1, 6)
+		// Slot 2 attaches all six captured from slot 1: four rows out of
+		// slot 1's own prefix, two out of its private suffix.
+		p6, err := store.Capture(tokens, c, 1)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := c.AttachPrefix(2, p6); err != nil {
+			t.Fatal(err)
+		}
+		if c.SeqLen(2) != 6 || c.PrefixLen(2) != 6 {
+			t.Fatalf("%s: nested capture attached as len %d, prefix %d", f.name, c.SeqLen(2), c.PrefixLen(2))
+		}
+		same("nested capture", 2, 6)
+
+		// Capturing a key again is Insert's duplicate: the entry, not a copy.
+		if again, err := store.Capture(tokens[:4], c, 2); err != nil || again != p4 {
+			t.Errorf("%s: duplicate capture returned %v, %v", f.name, again, err)
+		}
+		// The store refuses what the slot does not hold or cannot match.
+		if _, err := store.Capture(append(tokens, 3), c, 0); err == nil {
+			t.Errorf("%s: captured seven positions from a slot holding six", f.name)
+		}
+		if _, err := store.Capture(nil, c, 0); err == nil {
+			t.Errorf("%s: captured an empty prefix", f.name)
+		}
+		if _, err := f.newStore(layers, width+1, 0).Capture(tokens[:2], c, 0); err == nil {
+			t.Errorf("%s: captured into a store of another width", f.name)
+		}
 	}
 }

@@ -12,22 +12,9 @@ import (
 // for weights, whose statistics are per output channel), a K/V row is one
 // token's projection: its dynamic range is per token, so the cache stores
 // one scale per row and the attention walk applies it once per scored
-// position. These kernels are shared by kvcache (quantize at append,
-// dequantize for cold-path reads) and reference's fused int8 attention
-// walk (the dot/axpy tails of its 4-row-blocked loops).
-
-// Int8Rows is a zero-copy view of consecutive quantized rows: Data holds
-// Rows×Cols int8 values row-major and Scales one float32 per row, with
-// value ≈ int8 · scale. It is passed by value so hot paths can take views
-// without a heap allocation, mirroring tensor.RowsView.
-type Int8Rows struct {
-	Rows, Cols int
-	Data       []int8
-	Scales     []float32
-}
-
-// Row returns row r's quantized values.
-func (v Int8Rows) Row(r int) []int8 { return v.Data[r*v.Cols : (r+1)*v.Cols] }
+// position. The stored layout — values plus scales — is kvcache.Rows;
+// these are the per-row kernels its copy routine calls (quantize at append,
+// dequantize for cold-path reads).
 
 // rowClampBound bounds the magnitude a row element may carry into
 // quantization. Half the largest float32 rather than the largest: with a

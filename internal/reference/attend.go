@@ -5,7 +5,6 @@ import (
 	"math"
 
 	"esti/internal/kvcache"
-	"esti/internal/quant"
 	"esti/internal/simd"
 	"esti/internal/tensor"
 )
@@ -16,8 +15,8 @@ import (
 // SoftmaxRows and MatMul over them; at decode depth d that copied O(d)
 // rows per head per layer and dominated the profile. AttendSeqInto fuses
 // scale, causal mask, softmax and the weighted V sum, reads K and V
-// directly from the kvcache's two-segment zero-copy views (shared prefix +
-// private suffix), and writes straight into the caller's output block.
+// directly from the kvcache's zero-copy segments (Cache.Segments: shared
+// prefix + private suffix), and writes straight into the caller's output block.
 // Steady state it allocates nothing.
 //
 // The walk is organised around the KV row, not the query head — the
@@ -28,7 +27,7 @@ import (
 // softmax runs per head over the [g][depth] score scratch, and one pass
 // over each V segment accumulates all g output rows. Multihead attention
 // is the g = 1 case of the same loop; a float32 and an int8 cache differ
-// only in which pair of simd segment kernels a segment calls.
+// only in which pair of simd segment kernels score and weigh pick.
 
 // AttnScratch is the reusable scratch AttendSeqInto scores and runs its
 // softmax in: g·depth floats for the g query heads of one KV head. One
@@ -76,50 +75,31 @@ func (s *AttnScratch) perHead(g, dh int) (maxes, invSum, widen []float32) {
 	return s.small[dh : dh+g], s.small[dh+g : dh+2*g], s.small[:dh]
 }
 
-// segment is one contiguous run of a slot's K or V rows — the shared
-// prefix or the private suffix — in the cache's dtype: float32 rows, or
-// int8 rows with one dequantization scale each.
-type segment struct {
-	rows, cols int
-	f32        []float32
-	i8         []int8
-	scales     []float32
-}
-
-func floatSegments(pre, priv tensor.Mat) (segment, segment) {
-	return segment{rows: pre.Rows, cols: pre.Cols, f32: pre.Data},
-		segment{rows: priv.Rows, cols: priv.Cols, f32: priv.Data}
-}
-
-func int8Segments(pre, priv quant.Int8Rows) (segment, segment) {
-	return segment{rows: pre.Rows, cols: pre.Cols, i8: pre.Data, scales: pre.Scales},
-		segment{rows: priv.Rows, cols: priv.Cols, i8: priv.Data, scales: priv.Scales}
-}
-
 // score fills out[h*ld+j] with inv·(q_h · k_j) — times k_j's scale when
-// quantized — for the segment's first rows rows at columns [kvo, kvo+dh) and
-// every query head in q, raising maxes[h] to head h's largest score.
-func (s segment) score(out []float32, ld int, maxes, q []float32, kvo, rows int, inv float32, widen []float32) {
+// quantized — for the first rows rows of s, one of a slot's K segments, at
+// columns [kvo, kvo+dh) and every query head in q, raising maxes[h] to head
+// h's largest score.
+func score(s kvcache.Rows, out []float32, ld int, maxes, q []float32, kvo, rows int, inv float32, widen []float32) {
 	switch {
 	case rows == 0:
-	case s.i8 != nil:
-		simd.ScoreRowsF32I8(out, ld, maxes, q, s.i8[kvo:], s.scales, s.cols, rows, inv, widen)
+	case s.I8 != nil:
+		simd.ScoreRowsF32I8(out, ld, maxes, q, s.I8[kvo:], s.Scales, s.Cols, rows, inv, widen)
 	default:
-		simd.ScoreRowsF32(out, ld, maxes, q, s.f32[kvo:], s.cols, rows, inv)
+		simd.ScoreRowsF32(out, ld, maxes, q, s.F32[kvo:], s.Cols, rows, inv)
 	}
 }
 
 // weigh turns w[h*ld+j] from exp(score − max) into row j's softmax weight
 // for head h — times invSum[h], and v_j's scale when quantized — and
-// accumulates the segment's first rows rows, so weighted, into the
-// len(invSum) output rows in out.
-func (s segment) weigh(out, w []float32, ld int, invSum []float32, kvo, rows int) {
+// accumulates the first rows rows of s, one of a slot's V segments, so
+// weighted, into the len(invSum) output rows in out.
+func weigh(s kvcache.Rows, out, w []float32, ld int, invSum []float32, kvo, rows int) {
 	switch {
 	case rows == 0:
-	case s.i8 != nil:
-		simd.WeighRowsF32I8(out, w, ld, invSum, s.i8[kvo:], s.scales, s.cols, rows)
+	case s.I8 != nil:
+		simd.WeighRowsF32I8(out, w, ld, invSum, s.I8[kvo:], s.Scales, s.Cols, rows)
 	default:
-		simd.WeighRowsF32(out, w, ld, invSum, s.f32[kvo:], s.cols, rows)
+		simd.WeighRowsF32(out, w, ld, invSum, s.F32[kvo:], s.Cols, rows)
 	}
 }
 
@@ -147,15 +127,8 @@ func AttendSeqInto(dst *tensor.Mat, dh int, q *tensor.Mat, cache *kvcache.Cache,
 	total := past + steps
 	inv := float32(1 / math.Sqrt(float64(dh)))
 
-	var preK, privK, preV, privV segment
-	if cache.Int8() {
-		preK, privK = int8Segments(cache.ViewK8(layer, slot, total))
-		preV, privV = int8Segments(cache.ViewV8(layer, slot, total))
-	} else {
-		preK, privK = floatSegments(cache.ViewK(layer, slot, total))
-		preV, privV = floatSegments(cache.ViewV(layer, slot, total))
-	}
-	pl := preK.rows
+	preK, privK, preV, privV := cache.Segments(layer, slot, total)
+	pl := preK.N
 	maxes, invSum, widen := scr.perHead(g, dh)
 
 	for kv := 0; kv < kvHeads; kv++ {
@@ -168,13 +141,13 @@ func AttendSeqInto(dst *tensor.Mat, dh int, q *tensor.Mat, cache *kvcache.Cache,
 			for h := range maxes {
 				maxes[h] = float32(math.Inf(-1))
 			}
-			privK.score(probs[npre:], limit, maxes, qg, kvo, limit-npre, inv, widen)
-			preK.score(probs, limit, maxes, qg, kvo, npre, inv, widen)
+			score(privK, probs[npre:], limit, maxes, qg, kvo, limit-npre, inv, widen)
+			score(preK, probs, limit, maxes, qg, kvo, npre, inv, widen)
 			softmaxHeads(probs, limit, maxes, invSum)
 			og := dst.Row(t)[qo : qo+g*dh]
 			clear(og)
-			preV.weigh(og, probs, limit, invSum, kvo, npre)
-			privV.weigh(og, probs[npre:], limit, invSum, kvo, limit-npre)
+			weigh(preV, og, probs, limit, invSum, kvo, npre)
+			weigh(privV, og, probs[npre:], limit, invSum, kvo, limit-npre)
 		}
 	}
 	return dst

@@ -162,37 +162,16 @@ func attendSeqPerHead(dh int, q *tensor.Mat, cache *kvcache.Cache, layer, slot, 
 	dst := tensor.New(steps, q.Cols)
 	probs := make([]float32, total)
 
-	// One K or V segment, either dtype: row j's values at columns [kvo,
-	// kvo+dh) and its dequantization scale (1 for float32).
-	type seg struct {
-		f32    []float32
-		i8     []int8
-		scales []float32
-		cols   int
-	}
-	var preK, privK, preV, privV seg
-	var pl int
-	if cache.Int8() {
-		a, b := cache.ViewK8(layer, slot, total)
-		preK, privK = seg{i8: a.Data, scales: a.Scales, cols: a.Cols}, seg{i8: b.Data, scales: b.Scales, cols: b.Cols}
-		c, d := cache.ViewV8(layer, slot, total)
-		preV, privV = seg{i8: c.Data, scales: c.Scales, cols: c.Cols}, seg{i8: d.Data, scales: d.Scales, cols: d.Cols}
-		pl = a.Rows
-	} else {
-		a, b := cache.ViewK(layer, slot, total)
-		preK, privK = seg{f32: a.Data, cols: a.Cols}, seg{f32: b.Data, cols: b.Cols}
-		c, d := cache.ViewV(layer, slot, total)
-		preV, privV = seg{f32: c.Data, cols: c.Cols}, seg{f32: d.Data, cols: d.Cols}
-		pl = a.Rows
-	}
-	score := func(out []float32, k seg, kvo int, qrow []float32, maxV float32) float32 {
+	preK, privK, preV, privV := cache.Segments(layer, slot, total)
+	pl := preK.N
+	score := func(out []float32, k kvcache.Rows, kvo int, qrow []float32, maxV float32) float32 {
 		for j := range out {
-			o := j*k.cols + kvo
+			o := j*k.Cols + kvo
 			var s float32
-			if k.i8 != nil {
-				s = inv * k.scales[j] * simd.DotF32I8(qrow, k.i8[o:o+dh])
+			if k.I8 != nil {
+				s = inv * k.Scales[j] * simd.DotF32I8(qrow, k.I8[o:o+dh])
 			} else {
-				s = inv * simd.DotF32(qrow, k.f32[o:o+dh])
+				s = inv * simd.DotF32(qrow, k.F32[o:o+dh])
 			}
 			out[j] = s
 			if s > maxV {
@@ -201,30 +180,30 @@ func attendSeqPerHead(dh int, q *tensor.Mat, cache *kvcache.Cache, layer, slot, 
 		}
 		return maxV
 	}
-	weigh := func(orow, p []float32, v seg, kvo int, scale float32) {
+	weigh := func(orow, p []float32, v kvcache.Rows, kvo int, scale float32) {
 		w := func(j int) float32 {
-			if v.i8 != nil {
-				return p[j] * scale * v.scales[j]
+			if v.I8 != nil {
+				return p[j] * scale * v.Scales[j]
 			}
 			return p[j] * scale
 		}
 		j := 0
 		for ; j+4 <= len(p); j += 4 {
-			o, c := j*v.cols+kvo, v.cols
-			if v.i8 != nil {
-				simd.MulAdd4F32I8(orow, v.i8[o:o+dh], v.i8[o+c:o+c+dh], v.i8[o+2*c:o+2*c+dh], v.i8[o+3*c:o+3*c+dh],
+			o, c := j*v.Cols+kvo, v.Cols
+			if v.I8 != nil {
+				simd.MulAdd4F32I8(orow, v.I8[o:o+dh], v.I8[o+c:o+c+dh], v.I8[o+2*c:o+2*c+dh], v.I8[o+3*c:o+3*c+dh],
 					w(j), w(j+1), w(j+2), w(j+3))
 			} else {
-				simd.MulAdd4F32(orow, v.f32[o:o+dh], v.f32[o+c:o+c+dh], v.f32[o+2*c:o+2*c+dh], v.f32[o+3*c:o+3*c+dh],
+				simd.MulAdd4F32(orow, v.F32[o:o+dh], v.F32[o+c:o+c+dh], v.F32[o+2*c:o+2*c+dh], v.F32[o+3*c:o+3*c+dh],
 					w(j), w(j+1), w(j+2), w(j+3))
 			}
 		}
 		for ; j < len(p); j++ {
-			o := j*v.cols + kvo
-			if v.i8 != nil {
-				simd.AxpyF32I8(orow, w(j), v.i8[o:o+dh])
+			o := j*v.Cols + kvo
+			if v.I8 != nil {
+				simd.AxpyF32I8(orow, w(j), v.I8[o:o+dh])
 			} else {
-				simd.AxpyF32(orow, w(j), v.f32[o:o+dh])
+				simd.AxpyF32(orow, w(j), v.F32[o:o+dh])
 			}
 		}
 	}
