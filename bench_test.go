@@ -589,6 +589,17 @@ func BenchmarkEngineDecodeStepStreamedInt8Wire(b *testing.B) {
 	})
 }
 
+// BenchmarkEngineDecodeStepWG is BenchmarkEngineDecodeStep under the
+// weight-gathered XYZ layout: every layer's weights are all-gathered into
+// staging buffers allocated at construction before the layer runs, so its
+// allocs/op — gated — stays near the weight-stationary step's instead of
+// growing with the weights.
+func BenchmarkEngineDecodeStepWG(b *testing.B) {
+	benchEngineDecodeStep(b, engine.Options{
+		FFN: partition.FFNWeightGatheredXYZ, Attn: partition.AttnShardBatch,
+	})
+}
+
 func benchEngineDecodeStep(b *testing.B, opts engine.Options) {
 	cfg := model.Config{
 		Name: "bench", Layers: 2, DModel: 64, DFF: 128,

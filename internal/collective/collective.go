@@ -111,7 +111,7 @@ func AllGatherBidirectional(o Op, g hardware.AxisGroup, shard []float32) []float
 	w := o.wire()
 	rank, size := c.GroupRank(g)
 	if size == 1 {
-		out := make([]float32, len(shard))
+		out := c.Buffer(len(shard))
 		copy(out, shard)
 		return out
 	}

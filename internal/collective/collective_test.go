@@ -327,3 +327,28 @@ func TestSequentialCollectivesIsolated(t *testing.T) {
 		}
 	}
 }
+
+// A group of one moves nothing, and its result comes from the chip's pool
+// as every other group size's does: handed back with Recycle, a warm
+// collective over one chip allocates nothing.
+func TestGroupOfOneAllocatesNothing(t *testing.T) {
+	c := mesh.New(hardware.Torus{X: 1, Y: 1, Z: 1}).Chip(0)
+	o, g := Op{Chip: c, ID: 1}, hardware.GroupXYZ
+	shard := make([]float32, 64)
+	for _, tc := range []struct {
+		name string
+		call func() []float32
+	}{
+		{"AllGather", func() []float32 { return AllGather(o, g, shard) }},
+		{"AllGatherStream", func() []float32 { return AllGatherStream(o, g, shard, func(int, []float32) {}) }},
+		{"ReduceScatter", func() []float32 { return ReduceScatter(o, g, shard) }},
+		{"ReduceScatterStream", func() []float32 { return ReduceScatterStream(o, g, shard, func(int, []float32) {}) }},
+		{"AllGatherBidirectional", func() []float32 { return AllGatherBidirectional(o, g, shard) }},
+	} {
+		run := func() { c.Recycle(tc.call()) }
+		run()
+		if avg := testing.AllocsPerRun(20, run); avg != 0 {
+			t.Errorf("%s over one chip allocates %v times per call, want 0", tc.name, avg)
+		}
+	}
+}

@@ -51,7 +51,7 @@ func AllGatherStream(o Op, g hardware.AxisGroup, shard []float32, consume func(c
 	w := o.wire()
 	rank, size := c.GroupRank(g)
 	if size == 1 {
-		out := make([]float32, len(shard))
+		out := c.Buffer(len(shard))
 		copy(out, shard)
 		if consume != nil {
 			consume(0, out)
@@ -113,7 +113,7 @@ func ReduceScatterStream(o Op, g hardware.AxisGroup, full []float32, produce fun
 		if produce != nil {
 			produce(0, full)
 		}
-		out := make([]float32, len(full))
+		out := c.Buffer(len(full))
 		copy(out, full)
 		return out
 	}

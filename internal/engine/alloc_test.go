@@ -17,7 +17,9 @@ import (
 // is a closure bound at construction, and the caller reuses the logits
 // buffer. The single-chip mesh is the configuration where the whole
 // program is chip-local (a multi-chip mesh adds goroutine scheduling and
-// wire copies that are part of the simulation, not the compute path).
+// wire copies that are part of the simulation, not the compute path). The
+// weight-gathered layout's per-layer gather runs there too, over a group of
+// one, into staging weights allocated at construction.
 func TestDecodeSteadyStateZeroAllocs(t *testing.T) {
 	// Force serial kernels so the worker pool's task dispatch (which does
 	// allocate) can't trigger on machines where the matmuls clear the
@@ -32,38 +34,40 @@ func TestDecodeSteadyStateZeroAllocs(t *testing.T) {
 	}
 	const batch, maxLen = 4, 512
 	w := reference.NewWeights(cfg, 7)
-	eng, err := New(w, hardware.Torus{X: 1, Y: 1, Z: 1}, Options{
-		FFN: partition.FFN2DWeightStationary, Attn: partition.AttnShardBatch,
-	}, batch, maxLen)
-	if err != nil {
-		t.Fatal(err)
-	}
+	for _, ffn := range []partition.FFNLayout{partition.FFN2DWeightStationary, partition.FFNWeightGatheredXYZ} {
+		eng, err := New(w, hardware.Torus{X: 1, Y: 1, Z: 1}, Options{
+			FFN: ffn, Attn: partition.AttnShardBatch,
+		}, batch, maxLen)
+		if err != nil {
+			t.Fatal(err)
+		}
 
-	tokens := make([]int, batch*4)
-	for i := range tokens {
-		tokens[i] = i % cfg.Vocab
-	}
-	eng.Prefill(tokens, 4)
+		tokens := make([]int, batch*4)
+		for i := range tokens {
+			tokens[i] = i % cfg.Vocab
+		}
+		eng.Prefill(tokens, 4)
 
-	last := make([]int, batch)
-	active := []bool{true, false, true, true} // exercise the masked path too
-	logits := tensor.New(batch, cfg.Vocab)
+		last := make([]int, batch)
+		active := []bool{true, false, true, true} // exercise the masked path too
+		logits := tensor.New(batch, cfg.Vocab)
 
-	// Warm the arenas and scratch through both hot entry points.
-	for i := 0; i < 8; i++ {
-		eng.DecodeInto(logits, last)
-		eng.DecodeSlotsInto(logits, last, active)
-	}
+		// Warm the arenas and scratch through both hot entry points.
+		for i := 0; i < 8; i++ {
+			eng.DecodeInto(logits, last)
+			eng.DecodeSlotsInto(logits, last, active)
+		}
 
-	if avg := testing.AllocsPerRun(100, func() {
-		eng.DecodeInto(logits, last)
-	}); avg != 0 {
-		t.Errorf("DecodeInto allocates %v times per steady-state iteration, want 0", avg)
-	}
-	if avg := testing.AllocsPerRun(100, func() {
-		eng.DecodeSlotsInto(logits, last, active)
-	}); avg != 0 {
-		t.Errorf("DecodeSlotsInto allocates %v times per steady-state iteration, want 0", avg)
+		if avg := testing.AllocsPerRun(100, func() {
+			eng.DecodeInto(logits, last)
+		}); avg != 0 {
+			t.Errorf("%v: DecodeInto allocates %v times per steady-state iteration, want 0", ffn, avg)
+		}
+		if avg := testing.AllocsPerRun(100, func() {
+			eng.DecodeSlotsInto(logits, last, active)
+		}); avg != 0 {
+			t.Errorf("%v: DecodeSlotsInto allocates %v times per steady-state iteration, want 0", ffn, avg)
+		}
 	}
 }
 
@@ -132,5 +136,41 @@ func TestPrefillSlotBatchShardedAllocsPerLayer(t *testing.T) {
 	const limit = 130 // between the 97 of today and the 160 with heap-allocated zero shards
 	if perLayer := (allocs(4) - allocs(2)) / 2; perLayer > limit {
 		t.Errorf("a warm PrefillSlot allocates %.0f times per layer on 8 chips, want at most %d", perLayer, limit)
+	}
+}
+
+// A weight-gathered decode step stages each layer's weights into buffers
+// allocated at construction, so per layer it allocates no more than the 2D
+// weight-stationary step on the same mesh — what the collectives and their
+// messages cost — where it once allocated every layer's full weights again
+// (2,627 allocations a step at two layers).
+func TestWGDecodeAllocsPerLayer(t *testing.T) {
+	prev := tensor.SetWorkers(1)
+	defer tensor.SetWorkers(prev)
+
+	perLayer := func(ffn partition.FFNLayout) float64 {
+		allocs := func(layers int) float64 {
+			cfg := ciConfig()
+			cfg.Layers = layers
+			eng, err := New(reference.NewWeights(cfg, 7), torus222(), Options{
+				FFN: ffn, Attn: partition.AttnShardBatch,
+			}, 8, 64)
+			if err != nil {
+				t.Fatal(err)
+			}
+			eng.Prefill(tokens(8, 4), 4)
+			last := make([]int, 8)
+			logits := tensor.New(8, cfg.Vocab)
+			step := func() { eng.DecodeInto(logits, last) }
+			for i := 0; i < 3; i++ {
+				step()
+			}
+			return testing.AllocsPerRun(20, step)
+		}
+		return (allocs(4) - allocs(2)) / 2
+	}
+	ws, wg := perLayer(partition.FFN2DWeightStationary), perLayer(partition.FFNWeightGatheredXYZ)
+	if wg > ws {
+		t.Errorf("a warm weight-gathered decode step allocates %.0f times per layer on 8 chips, 2D weight-stationary %.0f", wg, ws)
 	}
 }

@@ -12,32 +12,40 @@
 // shard holds (seqsOn): all of them under head-sharded attention, its
 // batch/n under batch-sharded attention — possibly none of an admission.
 //
-// One feed-forward plan (ffnPlan). The paper writes its weight-stationary
-// layouts as the same einsum under different sharding annotations
-// (Sections 3.2.1–3.2.2, Figure 2); here the annotation is a pair of torus
-// axis groups. Weights are cut E×F into inner × outer blocks; per layer the
-// E/n activation shard is all-gathered over the outer group, multiplied,
-// reduce-scattered over the inner group, passed through the nonlinearity,
-// all-gathered over the inner group, multiplied, and reduce-scattered over
-// the outer group back to E/n.
+// One per-chip program for every layout. The paper writes its layouts as
+// the same einsum under different sharding annotations (Section 3.2,
+// Figure 2); here the annotation is data — torus axis groups — and the
+// three functional layouts run the same body, differing only in their
+// groups plus the weight-gathered layout's per-layer gather. The residual
+// stream is E-sharded over the chip's activation group: all chips under
+// weight-stationary, the empty group under weight-gathered, whose chips
+// hold their own sequences at full width. Over a group of one every
+// collective is an identity, so a weight-gathered chip runs the one-chip
+// program on its sequences, its weights all-gathered into staging before
+// each layer (wgxyz.go).
+//
+// The feed-forward plan (ffnPlan) is a pair of groups. Weights are cut E×F
+// into inner × outer blocks; per layer the activation shard is all-gathered
+// over the outer group, multiplied, reduce-scattered over the inner group,
+// passed through the nonlinearity, all-gathered over the inner group,
+// multiplied, and reduce-scattered over the outer group back to its shard.
 //
 //   - FFN 2D weight-stationary (Section 3.2.2): outer = Y·Z, inner = X;
 //     activations alternate aggregation over the two groups and are never
 //     fully replicated.
 //   - FFN 1D weight-stationary (Section 3.2.1): outer = all chips, inner =
-//     the empty group, whose collectives are identities — weights sharded
-//     along d_ff only, activations fully gathered before the first matmul
-//     and reduce-scattered after the second.
-//   - FFN weight-gathered XYZ (Section 3.2.3, Figure A.2(c)): activations
-//     stay token-sharded for the whole pass while each layer's weights are
-//     all-gathered from the same ExFyz at-rest blocks the 2D plan stores;
-//     all communication is weight traffic (see wgxyz.go).
+//     the empty group — weights sharded along d_ff only, activations fully
+//     gathered before the first matmul and reduce-scattered after the second.
+//   - FFN weight-gathered XYZ (Section 3.2.3, Figure A.2(c)): both groups
+//     empty; each layer's weights are all-gathered from the same ExFyz
+//     at-rest blocks the 2D plan stores, so all communication is weight
+//     traffic.
 //
-// With Options.Streamed the plan's matmuls ride its rings (Section 3.5,
-// stream.go): the up/gate projections fold chunk by chunk in the outer
-// gather's consumer, and the down-projection in the inner gather's consumer
-// — or in the outer reduce-scatter's producer when the inner group has one
-// member and there is no inner ring to ride.
+// With Options.Streamed a weight-stationary plan's matmuls ride its rings
+// (Section 3.5, stream.go): the up/gate projections fold chunk by chunk in
+// the outer gather's consumer, and the down-projection in the inner gather's
+// consumer — or in the outer reduce-scatter's producer when the inner group
+// has one member and there is no inner ring to ride.
 //
 // Attention layouts:
 //
@@ -66,9 +74,8 @@
 // against the cold path and the batch-1 reference across all functional
 // layouts.
 //
-// Activations live E-sharded across all chips between layers (the residual
-// stream shard is [tokens, E/nchips]); RMS normalization uses a tiny
-// per-token all-reduce of sums of squares. Unlike the production system the
+// RMS normalization of the E-sharded residual stream uses a tiny per-token
+// all-reduce of sums of squares. Unlike the production system the
 // attention projections are not fused into the FFN matmuls — fusion is a
 // throughput optimization with identical numerics, and keeping them separate
 // keeps each layout legible.
@@ -137,16 +144,17 @@ type Options struct {
 	// Int8Weights stores all projection matrices quantized (per-column
 	// symmetric int8), reproducing the paper's weight-only quantization.
 	Int8Weights bool
-	// Streamed fuses the FFN matmuls into the collective chunk stream —
-	// the paper's Looped CollectiveEinsum (§3.5); the package comment says
-	// which matmul rides which ring. Compute on chunk k proceeds while
-	// chunk k+1 is in flight, which is what the mesh's measured overlap
-	// fraction (Mesh.MeasuredOverlapFrac) observes. Results are token-exact
-	// vs the barrier path on every layout and wire format (chunked
-	// accumulation reorders float sums); on a single chip the engine uses
-	// the barrier path — there is nothing to overlap — so the
-	// zero-allocation decode contract is unchanged. Valid on every layout,
-	// orthogonal to the Int8 options.
+	// Streamed fuses the weight-stationary FFN's matmuls into the
+	// collective chunk stream — the paper's Looped CollectiveEinsum (§3.5);
+	// the package comment says which matmul rides which ring. Compute on
+	// chunk k proceeds while chunk k+1 is in flight, which is what the
+	// mesh's measured overlap fraction (Mesh.MeasuredOverlapFrac) observes.
+	// Results are token-exact vs the barrier path on every layout and wire
+	// format (chunked accumulation reorders float sums). A plan over one
+	// chip — a single-chip mesh, or the weight-gathered layout, whose
+	// per-layer weight gather streams either way — has nothing to overlap
+	// and keeps the barrier path and its zero-allocation decode contract.
+	// Valid on every layout, orthogonal to the Int8 options.
 	Streamed bool
 }
 
@@ -324,19 +332,23 @@ type chipLayer struct {
 //	    gathered, the 2·tokens·E volume.
 //	2D weight-stationary (3.2.2): outer = YZ, inner = X — activations are
 //	    never fully replicated.
-//
-// The weight-gathered layout stores the 2D plan's blocks at rest.
+//	weight-gathered XYZ (3.2.3): both groups empty — the chip multiplies
+//	    the full weights gatherLayer stages; its at-rest blocks are the 2D
+//	    plan's.
 type ffnPlan struct {
 	outer, inner   hardware.AxisGroup
-	nOuter, nInner int // group sizes; nOuter·nInner = chips
+	nOuter, nInner int // group sizes; nOuter·nInner = nAct
 	iOuter, iInner int // this chip's index in each group
 }
 
-// ffnPlan returns a chip's view of the session's plan.
-func (e *Engine) ffnPlan(rank int) ffnPlan {
+// ffnPlan returns a chip's view of a layout's plan.
+func (e *Engine) ffnPlan(rank int, layout partition.FFNLayout) ffnPlan {
 	p := ffnPlan{outer: hardware.GroupYZ, inner: hardware.GroupX}
-	if e.opts.FFN == partition.FFN1DWeightStationary {
+	switch layout {
+	case partition.FFN1DWeightStationary:
 		p.outer, p.inner = hardware.GroupXYZ, nil
+	case partition.FFNWeightGatheredXYZ:
+		p.outer, p.inner = nil, nil
 	}
 	c := e.m.Chip(rank)
 	p.iOuter, p.nOuter = c.GroupRank(p.outer)
@@ -360,11 +372,18 @@ func (p ffnPlan) block(cfg model.Config) (eIdx, fIdx []int) {
 
 // chipState is everything one chip owns.
 type chipState struct {
-	layers    []chipLayer
-	embedCols *tensor.Mat // [vocab, E/n]: this chip's residual-stream slice
-	embedRows *tensor.Mat // [vocab/n, E]: this chip's logit rows
-	finalGain []float32
-	cache     *kvcache.Cache
+	// layers are this chip's weights, per layer; under weight-gathered every
+	// entry shares one set of staging weights (gatherLayer).
+	layers []chipLayer
+	// act is the group the residual stream is E-sharded over — every chip
+	// under weight-stationary, the empty group under weight-gathered — with
+	// its size and this chip's index in it.
+	act        hardware.AxisGroup
+	nAct, iAct int
+	embedCols  *tensor.Mat // [vocab, E/nAct]: this chip's residual-stream slice
+	embedRows  *tensor.Mat // [vocab/nAct, E]: this chip's logit rows
+	finalGain  []float32
+	cache      *kvcache.Cache
 	// prefix is this chip's shard of the shared-prefix store (nil until
 	// EnablePrefixCache).
 	prefix *kvcache.PrefixStore
@@ -374,7 +393,7 @@ type chipState struct {
 	wire collective.Payload
 	// plan is the feed-forward sharding as this chip sees it.
 	plan ffnPlan
-	// wg carries the weight-gathered path's state (nil otherwise).
+	// wg holds the weight-gathered layout's at-rest shards (nil otherwise).
 	wg *wgState
 
 	// Per-chip scratch: every temporary of a forward pass comes from the
@@ -404,9 +423,8 @@ type Engine struct {
 	slotPfx []*PrefixRef
 
 	// fw carries the current pass's arguments to the per-chip SPMD body,
-	// and runFwd is that body — the weight-stationary or the
-	// weight-gathered one — bound once at construction, so issuing a pass
-	// allocates neither an argument struct nor a closure.
+	// and runFwd is that body (chipForward) bound once at construction, so
+	// issuing a pass allocates neither an argument struct nor a closure.
 	fw     pass
 	runFwd func(c *mesh.Chip)
 }
@@ -469,9 +487,6 @@ func New(w *reference.Weights, t hardware.Torus, opts Options, batch, maxLen int
 		}
 	}
 	e.runFwd = e.chipForward
-	if opts.FFN == partition.FFNWeightGatheredXYZ {
-		e.runFwd = e.chipForwardWG
-	}
 	return e, nil
 }
 
@@ -554,25 +569,23 @@ func contiguous(lo, n int) []int {
 // buildChip slices the full weights into one chip's shards.
 func (e *Engine) buildChip(w *reference.Weights, rank int) *chipState {
 	cfg := e.cfg
-	n := e.m.Chips()
-	eBlock := cfg.DModel / n
 	int8w := e.opts.Int8Weights
-
-	st := &chipState{
-		embedCols: selectCols(w.Embed, contiguous(rank*eBlock, eBlock)),
-		embedRows: selectRows(w.Embed, contiguous(rank*(cfg.Vocab/n), cfg.Vocab/n)),
-		finalGain: sliceGain(w.FinalGain, rank*eBlock, eBlock),
-		plan:      e.ffnPlan(rank),
-		shards:    make([][]float32, n),
-	}
+	st := &chipState{plan: e.ffnPlan(rank, e.opts.FFN), act: hardware.GroupXYZ}
 	if e.opts.FFN == partition.FFNWeightGatheredXYZ {
-		// Token-sharded path: full-width gains and embedding, at-rest
-		// ExFyz weight shards, batch-sharded KV cache.
-		st.wg = e.buildWG(w, rank, st.plan)
-		st.finalGain = append([]float32(nil), w.FinalGain...)
-		st.cache = e.newKVCache(e.batch/n, cfg.KVHeads*cfg.HeadDim)
-		return st
+		// Token-sharded: no activation group, and at-rest ExFyz shards
+		// that gatherLayer stages before each layer.
+		st.act, st.wg = nil, e.buildWG(w, rank)
 	}
+	st.iAct, st.nAct = e.m.Chip(rank).GroupRank(st.act)
+	n := st.nAct
+	eBlock, vBlock := cfg.DModel/n, cfg.Vocab/n
+	st.embedCols = selectCols(w.Embed, contiguous(st.iAct*eBlock, eBlock))
+	st.embedRows = st.embedCols // a group of one: both are the full table
+	if n > 1 {
+		st.embedRows = selectRows(w.Embed, contiguous(st.iAct*vBlock, vBlock))
+	}
+	st.finalGain = sliceGain(w.FinalGain, st.iAct*eBlock, eBlock)
+	st.shards = make([][]float32, n)
 
 	p := st.plan
 	eIdx, fIdx := p.block(cfg)
@@ -581,8 +594,15 @@ func (e *Engine) buildChip(w *reference.Weights, rank int) *chipState {
 	for l := range w.Layers {
 		lw := &w.Layers[l]
 		cl := chipLayer{
-			normGain:    sliceGain(lw.NormGain, rank*eBlock, eBlock),
-			ffnNormGain: sliceGain(lw.FFNNormGain, rank*eBlock, eBlock),
+			normGain:    sliceGain(lw.NormGain, st.iAct*eBlock, eBlock),
+			ffnNormGain: sliceGain(lw.FFNNormGain, st.iAct*eBlock, eBlock),
+		}
+		if st.wg != nil && l > 0 {
+			// Every layer shares layer 0's full-size weights as staging.
+			stage := st.layers[0]
+			stage.normGain, stage.ffnNormGain = cl.normGain, cl.ffnNormGain
+			st.layers = append(st.layers, stage)
+			continue
 		}
 
 		// FFN shards: the chip's block of the plan.
@@ -591,7 +611,7 @@ func (e *Engine) buildChip(w *reference.Weights, rank int) *chipState {
 		}
 		cl.wUp = shardWeight(lw.WUp, eIdx, fIdx, int8w)
 		cl.wDown = shardWeight(lw.WDown, fIdx, eIdx, int8w)
-		if e.streamFFN() {
+		if e.streamFFN(&p) {
 			// Outer-gather chunk j is stripe row block j; inner-gather
 			// chunk j is F-row block j of the down shard; outer
 			// reduce-scatter chunk j is its E-column block j.
@@ -607,8 +627,8 @@ func (e *Engine) buildChip(w *reference.Weights, rank int) *chipState {
 			}
 		}
 
-		// Attention shards: query heads split over all chips.
-		hCols := contiguous(rank*headsPC*dh, headsPC*dh)
+		// Attention shards: query heads split over the activation group.
+		hCols := contiguous(st.iAct*headsPC*dh, headsPC*dh)
 		cl.wq = shardWeight(lw.WQ, nil, hCols, int8w)
 		cl.wo = shardWeight(lw.WO, hCols, nil, int8w)
 		switch {
@@ -622,7 +642,7 @@ func (e *Engine) buildChip(w *reference.Weights, rank int) *chipState {
 		default:
 			// Head-sharded multihead: K/V columns for this chip's heads.
 			kvPC := cfg.KVHeads / n
-			kvCols := contiguous(rank*kvPC*dh, kvPC*dh)
+			kvCols := contiguous(st.iAct*kvPC*dh, kvPC*dh)
 			cl.wk = shardWeight(lw.WK, nil, kvCols, int8w)
 			cl.wv = shardWeight(lw.WV, nil, kvCols, int8w)
 		}
@@ -632,7 +652,7 @@ func (e *Engine) buildChip(w *reference.Weights, rank int) *chipState {
 	// KV cache shard.
 	switch e.opts.Attn {
 	case partition.AttnShardBatch:
-		st.cache = e.newKVCache(e.batch/n, cfg.KVHeads*dh)
+		st.cache = e.newKVCache(e.batch/e.m.Chips(), cfg.KVHeads*dh)
 	case partition.AttnShardHeads:
 		width := cfg.KVHeads * dh // multiquery: replicated single head
 		if cfg.KVHeads > 1 {
@@ -720,12 +740,12 @@ func colShard(ar *tensor.Arena, c *mesh.Chip, shard []float32, tokens int) *tens
 	return out
 }
 
-// shardNorm RMS-normalizes an E-sharded activation using a per-token
-// all-reduce of local sums of squares. The buffer is padded to a multiple
-// of the group size so row counts that don't divide the chip count — e.g.
-// a single admitted prompt's tokens — reduce cleanly. The op id is always
-// minted (ids stay in lockstep); a group of one skips the zero-byte
-// all-reduce itself.
+// shardNorm RMS-normalizes an activation E-sharded over the chip's
+// activation group using a per-token all-reduce of local sums of squares.
+// The buffer is padded to a multiple of the group size so row counts that
+// don't divide the chip count — e.g. a single admitted prompt's tokens —
+// reduce cleanly. The op id is always minted (ids stay in lockstep); a
+// group of one skips the zero-byte all-reduce itself.
 func shardNorm(c *mesh.Chip, st *chipState, x *tensor.Mat, gain []float32, eTotal int) *tensor.Mat {
 	// op() reserves collective.AllReduceIDs ids — exactly what the
 	// all-reduce below consumes. The reduction runs float32 even under
@@ -733,7 +753,7 @@ func shardNorm(c *mesh.Chip, st *chipState, x *tensor.Mat, gain []float32, eTota
 	// activation collectives, and its result normalizes every channel.
 	op := st.op(c)
 	op.Wire = nil
-	_, groupSize := c.GroupRank(hardware.GroupXYZ)
+	groupSize := st.nAct
 	padded := (x.Rows + groupSize - 1) / groupSize * groupSize
 	sumsq := st.arena.Floats(padded)
 	for i := x.Rows; i < padded; i++ {
@@ -748,7 +768,7 @@ func shardNorm(c *mesh.Chip, st *chipState, x *tensor.Mat, gain []float32, eTota
 	}
 	total := sumsq
 	if groupSize > 1 {
-		total = collective.AllReduce(op, hardware.GroupXYZ, sumsq)
+		total = collective.AllReduce(op, st.act, sumsq)
 	}
 	out := st.arena.Mat(x.Rows, x.Cols)
 	gain = gain[:x.Cols]

@@ -4,7 +4,6 @@ import (
 	"fmt"
 
 	"esti/internal/collective"
-	"esti/internal/hardware"
 	"esti/internal/kvcache"
 	"esti/internal/mesh"
 	"esti/internal/model"
@@ -124,6 +123,9 @@ func argmaxRow(m *tensor.Mat, r int) int {
 // wedged for every later pass. Rejected here, a bad call has moved no chip
 // state and the session stays usable.
 func (e *Engine) forward(dst *tensor.Mat, p pass) *tensor.Mat {
+	if p.steps < 1 {
+		panic(fmt.Sprintf("engine: %d steps per sequence, want at least 1", p.steps))
+	}
 	first, seqs := 0, e.batch
 	if p.slot != noSlot {
 		first, seqs = p.slot, 1
@@ -148,14 +150,14 @@ func (e *Engine) forward(dst *tensor.Mat, p pass) *tensor.Mat {
 	if dst == nil {
 		dst = new(tensor.Mat)
 	}
-	if e.opts.FFN != partition.FFNWeightGatheredXYZ {
+	if e.chips[0].nAct > 1 {
 		// Every chip gathered the full logits; chip 0's copy is the
 		// authoritative one (see Prefill).
 		return tensor.CopyInto(dst, e.chips[0].logits)
 	}
-	// Token-sharded logits: stack the chips' row blocks in rank order, on
-	// the host (no mesh traffic: results leave through the host, as with
-	// any inference service).
+	// Each chip holds its own sequences' logits: stack the row blocks in
+	// rank order, on the host (no mesh traffic: results leave through the
+	// host, as with any inference service).
 	dst.Reshape(len(p.tokens), e.cfg.Vocab)
 	off := 0
 	for _, st := range e.chips {
@@ -206,20 +208,29 @@ func (e *Engine) advance(st *chipState, sq chipSeqs) {
 	}
 }
 
-// chipForward is one chip's body of a weight-stationary pass, bound to
+// chipForward is one chip's body of a pass under every layout, bound to
 // e.runFwd at construction so issuing a pass allocates no closure. Every
 // temporary comes from the chip's arena, the logits included: st.logits is
-// valid until the chip's next pass.
+// valid until the chip's next pass. A weight-gathered chip that holds none
+// of the pass — an admission into another chip's slot — still serves its
+// weight shards to every gather and runs the rest on zero rows.
 func (e *Engine) chipForward(c *mesh.Chip) {
 	p := &e.fw
 	st := e.chips[c.Rank]
 	ar := &st.arena
 	ar.Reset()
 
-	// Embedding lookup onto this chip's residual-stream slice.
-	x := ar.Mat(len(p.tokens), st.embedCols.Cols)
-	for i, tok := range p.tokens {
-		if p.active != nil && !p.active[i/p.steps] {
+	// Embedding lookup onto this chip's residual stream: every token of the
+	// pass, E-sharded over the activation group — or, with no group, the
+	// chip's own sequences at full width.
+	sq := e.seqsOn(c.Rank)
+	toks, mask := p.tokens, p.active
+	if st.nAct == 1 {
+		toks, mask = p.tokens[sq.at*p.steps:(sq.at+sq.count)*p.steps], sq.mask
+	}
+	x := ar.Mat(len(toks), st.embedCols.Cols)
+	for i, tok := range toks {
+		if mask != nil && !mask[i/p.steps] {
 			clear(x.Row(i))
 			continue
 		}
@@ -227,28 +238,25 @@ func (e *Engine) chipForward(c *mesh.Chip) {
 	}
 
 	for l := range st.layers {
-		cl := &st.layers[l]
-		if e.cfg.ParallelBlock {
-			h := shardNorm(c, st, x, cl.normGain, e.cfg.DModel)
-			attnY := e.attnBlock(c, st, cl, l, h)
-			ffnY := e.ffn(c, st, cl, h)
-			x = tensor.AddInPlace(tensor.AddInPlace(x, attnY), ffnY)
-		} else {
-			h := shardNorm(c, st, x, cl.normGain, e.cfg.DModel)
-			x = tensor.AddInPlace(x, e.attnBlock(c, st, cl, l, h))
-			h2 := shardNorm(c, st, x, cl.ffnNormGain, e.cfg.DModel)
-			x = tensor.AddInPlace(x, e.ffn(c, st, cl, h2))
+		if st.wg != nil {
+			e.gatherLayer(c, st, l)
 		}
+		cl := &st.layers[l]
+		h := shardNorm(c, st, x, cl.normGain, e.cfg.DModel)
+		x = tensor.AddInPlace(x, e.attnBlock(c, st, cl, l, h))
+		if !e.cfg.ParallelBlock {
+			h = shardNorm(c, st, x, cl.ffnNormGain, e.cfg.DModel)
+		}
+		x = tensor.AddInPlace(x, e.ffn(c, st, cl, h))
 	}
-	e.advance(st, e.seqsOn(c.Rank))
+	e.advance(st, sq)
 
 	final := shardNorm(c, st, x, st.finalGain, e.cfg.DModel)
 	// Logits: gather the full final activation, multiply by this
 	// chip's vocab-row block, then gather the vocab dimension.
-	n := e.m.Chips()
-	fullFinal := agCols(ar, st.op(c), hardware.GroupXYZ, final, n)
+	fullFinal := agCols(ar, st.op(c), st.act, final, st.nAct)
 	logitsLocal := tensor.MatMulTInto(ar.Mat(fullFinal.Rows, st.embedRows.Rows), fullFinal, st.embedRows)
-	st.logits = agCols(ar, st.op(c), hardware.GroupXYZ, logitsLocal, n)
+	st.logits = agCols(ar, st.op(c), st.act, logitsLocal, st.nAct)
 }
 
 // batchShardedCache reports whether each chip's cache holds a sequence
@@ -263,7 +271,7 @@ func (e *Engine) batchShardedCache() bool {
 // (see ffnPlan). A group of one makes its collectives identities, which is
 // all that separates the 1D layout from the 2D one.
 func (e *Engine) ffn(c *mesh.Chip, st *chipState, cl *chipLayer, h *tensor.Mat) *tensor.Mat {
-	if e.streamFFN() {
+	if e.streamFFN(&st.plan) {
 		return e.ffnStreamed(c, st, cl, h)
 	}
 	ar := &st.arena
@@ -283,28 +291,33 @@ func (e *Engine) ffn(c *mesh.Chip, st *chipState, cl *chipLayer, h *tensor.Mat) 
 }
 
 // attnBlock runs the attention sub-block on the E-sharded normed input,
-// returning the E-sharded output.
+// returning the E-sharded output. Query heads are split over the activation
+// group; with no group the chip holds all of them and attends locally.
 func (e *Engine) attnBlock(c *mesh.Chip, st *chipState, cl *chipLayer, layer int, h *tensor.Mat) *tensor.Mat {
 	ar := &st.arena
-	n := e.m.Chips()
 	steps := e.fw.steps
 	// Projections need the full-width input (head-block sharding of W_Q
 	// contracts all of E). In the production system this all-gather is
 	// fused with the FFN input collective; here it stands alone.
-	hFull := agCols(ar, st.op(c), hardware.GroupXYZ, h, n)
+	hFull := agCols(ar, st.op(c), st.act, h, st.nAct)
 	qLocal := cl.wq.mulA(ar, hFull) // [tokens, headsPC·dh]
 	// K/V only for the sequences this chip caches: all of them when the
 	// cache is head-sharded (this chip's KV heads, or the replicated
 	// multiquery head), its own batch shard otherwise — the weights are
 	// then the full K/V projections, every chip can serve any sequence, and
-	// projecting the other chips' rows would throw the result away.
+	// projecting the other chips' rows would throw the result away. With
+	// no activation group hFull holds only those rows.
 	sq := e.seqsOn(c.Rank)
-	hMine := tensor.RowsView(hFull, sq.at*steps, (sq.at+sq.count)*steps)
+	lo := sq.at * steps
+	if st.nAct == 1 {
+		lo = 0
+	}
+	hMine := tensor.RowsView(hFull, lo, lo+sq.count*steps)
 	kNew := cl.wk.mulA(ar, &hMine)
 	vNew := cl.wv.mulA(ar, &hMine)
 
 	var outLocal *tensor.Mat
-	if e.batchShardedCache() && n > 1 {
+	if e.batchShardedCache() && st.nAct > 1 {
 		outLocal = e.attnBatchSharded(c, st, layer, sq, qLocal, kNew, vNew)
 	} else {
 		// The queries' sequences are all cached here: chip-local.
@@ -313,7 +326,7 @@ func (e *Engine) attnBlock(c *mesh.Chip, st *chipState, cl *chipLayer, layer int
 	}
 
 	partial := cl.wo.mulA(ar, outLocal) // [tokens, E] partialsum over chips
-	return rsCols(ar, st.op(c), hardware.GroupXYZ, partial, n)
+	return rsCols(ar, st.op(c), st.act, partial, st.nAct)
 }
 
 // appendAndAttendInto appends the new K/V of a chip's sequences to their
@@ -350,13 +363,13 @@ func appendAndAttendInto(out *tensor.Mat, dh int, q *tensor.Mat, cache *kvcache.
 // return all-to-all carries data in the owner's shards only.
 func (e *Engine) attnBatchSharded(c *mesh.Chip, st *chipState, layer int, sq chipSeqs, qLocal, kMine, vMine *tensor.Mat) *tensor.Mat {
 	ar := &st.arena
-	n := e.m.Chips()
+	n := st.nAct
 	steps := e.fw.steps
 	headW := qLocal.Cols
 	shards := st.shards
 
 	if slot := e.fw.slot; slot != noSlot {
-		qFull := agCols(ar, st.op(c), hardware.GroupXYZ, qLocal, n) // [steps, H·dh]
+		qFull := agCols(ar, st.op(c), st.act, qLocal, n) // [steps, H·dh]
 		if sq.count > 0 {
 			outFull := appendAndAttendInto(ar.Mat(steps, qFull.Cols),
 				e.cfg.HeadDim, qFull, st.cache, layer, sq, steps, kMine, vMine, &st.scr)
@@ -372,7 +385,7 @@ func (e *Engine) attnBatchSharded(c *mesh.Chip, st *chipState, layer int, sq chi
 				shards[d] = zero
 			}
 		}
-		recv := collective.AllToAll(st.op(c), hardware.GroupXYZ, shards)
+		recv := collective.AllToAll(st.op(c), st.act, shards)
 		owner, _ := e.slotOwner(slot)
 		return tensor.FromSlice(recv[owner], steps, headW)
 	}
@@ -384,7 +397,7 @@ func (e *Engine) attnBatchSharded(c *mesh.Chip, st *chipState, layer int, sq chi
 	for d := range shards {
 		shards[d] = qLocal.Data[d*rowsPC*headW : (d+1)*rowsPC*headW]
 	}
-	recv := collective.AllToAll(st.op(c), hardware.GroupXYZ, shards)
+	recv := collective.AllToAll(st.op(c), st.act, shards)
 	// Assemble my sequences' full-width queries [rowsPC, H·dh]: source
 	// srcIdx's chunk is its head block, i.e. my column block srcIdx.
 	qMine := ar.Mat(rowsPC, headW*n)
@@ -407,7 +420,7 @@ func (e *Engine) attnBatchSharded(c *mesh.Chip, st *chipState, layer int, sq chi
 		}
 		shards[d] = blk
 	}
-	recv2 := collective.AllToAll(st.op(c), hardware.GroupXYZ, shards)
+	recv2 := collective.AllToAll(st.op(c), st.act, shards)
 	outLocal := ar.Mat(rowsPC*n, headW) // [tokens, headsPC·dh]
 	for srcIdx, data := range recv2 {
 		copy(outLocal.Data[srcIdx*rowsPC*headW:(srcIdx+1)*rowsPC*headW], data)

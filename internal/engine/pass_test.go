@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"strings"
 	"testing"
 
 	"esti/internal/hardware"
@@ -42,8 +43,9 @@ func TestRejectedCallLeavesMeshUsable(t *testing.T) {
 				t.Helper()
 				func() {
 					defer func() {
-						if recover() == nil {
-							t.Errorf("%s: expected a panic", what)
+						r := recover()
+						if msg, _ := r.(string); !strings.HasPrefix(msg, "engine:") {
+							t.Errorf("%s: recovered %v, want an engine: panic", what, r)
 						}
 					}()
 					call()
@@ -58,6 +60,7 @@ func TestRejectedCallLeavesMeshUsable(t *testing.T) {
 			active := make([]bool, batch)
 			active[slot] = true
 
+			rejected("Prefill of no steps", func() { eng.Prefill(nil, 0) })
 			eng.PrefillSlot(slot, []int{1, 2, 3})
 			rejected("PrefillSlot overflow", func() { eng.PrefillSlot(slot, []int{4, 5, 6}) })
 			eng.DecodeSlots(last, active) // fills the slot
@@ -140,6 +143,46 @@ func TestFFN1DIs2DWithTrivialInnerAxis(t *testing.T) {
 			for j, v := range l1[p].Data {
 				if math.Float32bits(v) != math.Float32bits(l2[p].Data[j]) {
 					t.Fatalf("%s: pass %d logit %d: 1D %g, 2D over 1×n×1 %g", name, p, j, v, l2[p].Data[j])
+				}
+			}
+		}
+	}
+}
+
+// Weight-gathered XYZ is the one-chip program run on each chip's sequences:
+// its activation and FFN groups are empty, so once a layer's weights are
+// staged a chip computes what a one-chip 2D weight-stationary engine
+// computes for the same sequences. A prefill and three decode steps give
+// bit-equal logits on every mesh shape, for the parallel-block SwiGLU
+// multiquery model and the serial-block GELU multihead one.
+func TestWGIsOneChipProgram(t *testing.T) {
+	const batch, steps, maxLen = 8, 3, 8
+	for _, cfg := range []model.Config{tinyMQA(), tinyMHA()} {
+		w := reference.NewWeights(cfg, 61)
+		run := func(opts Options, tr hardware.Torus) (logits []*tensor.Mat) {
+			eng, err := New(w, tr, opts, batch, maxLen)
+			if err != nil {
+				t.Fatalf("%s on %v: %v", cfg.Name, tr, err)
+			}
+			logits = append(logits, eng.Prefill(tokens(batch, steps), steps))
+			last := make([]int, batch)
+			for g := 0; g < 3; g++ {
+				for s := range last {
+					last[s] = argmaxRow(logits[g], (s+1)*logits[g].Rows/batch-1)
+				}
+				logits = append(logits, eng.Decode(last))
+			}
+			return logits
+		}
+		want := run(Options{FFN: partition.FFN2DWeightStationary, Attn: partition.AttnShardBatch}, hardware.Torus{X: 1, Y: 1, Z: 1})
+		for _, tr := range []hardware.Torus{{X: 2, Y: 2, Z: 2}, {X: 8, Y: 1, Z: 1}, {X: 1, Y: 4, Z: 2}} {
+			got := run(wgOpts(), tr)
+			for p := range want {
+				for j, v := range want[p].Data {
+					if math.Float32bits(v) != math.Float32bits(got[p].Data[j]) {
+						t.Fatalf("%s on %v: pass %d logit %d: weight-gathered %g, one chip %g",
+							cfg.Name, tr, p, j, got[p].Data[j], v)
+					}
 				}
 			}
 		}

@@ -70,7 +70,7 @@ func (e *Engine) checkSlot(slot int) {
 // the same SPMD program a batch pass runs, aimed at one slot: every chip
 // participates in the same collectives, and on layouts where the slot's KV
 // lives on a single chip only that owner holds rows of the pass (see
-// attnBatchSharded and chipForwardWG).
+// attnBatchSharded and chipForward).
 func (e *Engine) PrefillSlot(slot int, prompt []int) *tensor.Mat {
 	e.checkSlot(slot)
 	if len(prompt) == 0 {

@@ -18,10 +18,11 @@ import (
 // bit-exact); reduce-scatter-side chunks are produced on demand, each the
 // bit-exact column block of the barrier path's full product.
 
-// streamFFN reports whether the session's FFN takes the streamed path:
-// single-chip meshes have nothing to overlap and keep the allocation-free
-// barrier path.
-func (e *Engine) streamFFN() bool { return e.opts.Streamed && e.m.Chips() > 1 }
+// streamFFN reports whether a chip's FFN plan takes the streamed path: a
+// plan over one chip — a single-chip mesh, or weight-gathered's empty
+// groups — has nothing to overlap and keeps the allocation-free barrier
+// path.
+func (e *Engine) streamFFN(p *ffnPlan) bool { return e.opts.Streamed && p.nOuter*p.nInner > 1 }
 
 // ffnStreamed is ffn with the matmuls looped into the plan's rings. The
 // outer gather's chunks fold W_up/W_gate stripe-row-block products into
