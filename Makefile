@@ -3,7 +3,7 @@ GO ?= go
 # 10s per fuzz target in CI and `make ci`; raise locally for deeper runs.
 FUZZTIME ?= 10s
 
-.PHONY: test test-nosimd bench fuzz build ci fuzz-smoke bench-json fmt-check bench-gate bench-compare bench-cpu bench-smoke
+.PHONY: test test-nosimd bench fuzz build ci fuzz-smoke bench-json fmt-check bench-gate bench-compare bench-cpu bench-smoke bench-pairs
 
 # Benchmarks the regression gate watches: the serving steps and the
 # microkernels behind them, the GEMM at every per-chip shape of the bench/
@@ -99,6 +99,17 @@ bench-compare:
 	@rm -f bench_ci.txt
 	$(MAKE) bench-gate BASELINE=BENCH_ci.json NEW=BENCH_local.json
 	@rm -f BENCH_local.json
+
+# A speed claim measured the settled way: PAIRS alternating runs of PARENT's
+# bench and the working tree's on WORKLOAD, fresh seeds, every run printed,
+# and the claim rule checked on METRIC (cmd/benchpairs). Exits 1 when the
+# rule does not hold. PARENT and WORKLOAD have no default: leaving either
+# out is an error. LOG=FILE keeps every run's full report.
+PAIRS ?= 10
+METRIC ?= itl_ms_p50
+SEED ?= 1
+bench-pairs:
+	$(GO) run ./cmd/benchpairs -parent=$(PARENT) -workload=$(WORKLOAD) -pairs $(PAIRS) -metric $(METRIC) -seed $(SEED) $(if $(LOG),-log $(LOG))
 
 # CPU profile of the decode hot path for `go tool pprof` (see the README
 # "Performance" section for the reading guide).

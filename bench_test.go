@@ -547,10 +547,10 @@ func BenchmarkEngineDecodeStepInt8KV(b *testing.B) {
 }
 
 // BenchmarkEngineDecodeStepInt8Wire is BenchmarkEngineDecodeStep with the
-// data-plane collectives moving per-chunk int8 payloads
-// (engine.Options.WireDType): same model, mesh, layout and bounded-depth
-// harness. Every gather/reshard chunk pays a quantize at the sender and a
-// dequantize at the receiver in exchange for ~0.26x the wire bytes; the
+// data-plane collectives moving int8 payloads (engine.Options.WireDType):
+// same model, mesh, layout and bounded-depth harness. Every gather/reshard
+// chunk pays a quantize at the sender and a dequantize at the receiver in
+// exchange for about 0.3x the wire bytes; the
 // simulated mesh charges no time per byte, so unlike real hardware the
 // benchmark can only *lose* the encode/decode compute — expect mild
 // overhead versus the fp32-wire twin, bounded by the gate. allocs/op must

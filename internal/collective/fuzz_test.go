@@ -31,8 +31,8 @@ import (
 // FuzzStreamRoundTrip pins the streaming collectives' defining contract
 // under adversarial payloads: for arbitrary float32 bit patterns (NaN and
 // ±Inf included), AllGatherStream and ReduceScatterStream return exactly
-// the same bits as their barrier twins, for both the fp32 and int8 wire
-// formats. The streamed forms share the barrier forms' message sizes, tags,
+// the same bits as their barrier twins, for the fp32, int8 and per-row int8
+// wire formats. The streamed forms share the barrier forms' message sizes, tags,
 // and quantization points, so any divergence — a reordered fold, a
 // re-quantized chunk, a consumer observing a half-decoded buffer — shows up
 // as a bit mismatch here.
@@ -54,7 +54,7 @@ func FuzzStreamRoundTrip(f *testing.F) {
 			chunks[1][i] = -v / 3
 		}
 		tr := hardware.Torus{X: 2, Y: 1, Z: 1}
-		for _, wire := range []Payload{nil, WireInt8} {
+		for _, wire := range []Payload{nil, WireInt8, WireInt8Rows(1)} {
 			run := func(streamed bool) (ag, rs [2][]float32) {
 				m := mesh.New(tr)
 				m.Run(func(c *mesh.Chip) {

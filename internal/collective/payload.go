@@ -11,13 +11,14 @@ import (
 // algorithms in this package are written once against this interface and
 // stay format-agnostic: every chunk a collective moves is encoded by the
 // op's payload on send, decoded (or folded) on receive, and relayed in
-// transit form without re-encoding. Two formats ship today —
+// transit form without re-encoding. Three formats ship today —
 //
 //	WireF32:  4 bytes per element, exact (the default).
 //	WireInt8: 1 byte per element plus one float32 scale per transmitted
 //	          chunk (symmetric per-chunk quantization via package quant),
 //	          the paper's §3.3 insight — charge collectives by bytes, then
 //	          shrink the bytes — applied to activations on the wire.
+//	WireInt8Rows(cols): WireInt8 with one scale per row of cols elements.
 //
 // A future fp16 or block-quantized format is one more implementation of
 // this interface; nothing in the ring algorithms changes. Implementations
@@ -148,6 +149,99 @@ func (int8Payload) recvTake(c *mesh.Chip, src int, tag uint64) []float32 {
 	q, scale := c.Recv8(src, tag)
 	out := c.Buffer(len(q))
 	quant.DequantizeRowInto(out, q, scale)
+	c.Recycle8(q)
+	return out
+}
+
+// WireInt8Rows is WireInt8 with one scale per row of cols elements instead
+// of one per chunk, for chunks whose rows can differ in magnitude by
+// orders: a raw residual, where one loud token would otherwise set every
+// token's quantization step. Each row keeps WireInt8's error bound on its
+// own max magnitude. The message's scale field carries the first row's
+// scale and the others ride after the elements, four bytes each, so a
+// chunk of r rows costs r·(cols+4) bytes. Chunks must be whole rows.
+func WireInt8Rows(cols int) Payload { return int8RowsPayload{cols} }
+
+type int8RowsPayload struct{ cols int }
+
+// elems is how many elements a wire payload of length wire carries.
+func (p int8RowsPayload) elems(wire int) int {
+	if wire == 0 {
+		return 0
+	}
+	return (wire + 4) * p.cols / (p.cols + 4)
+}
+
+// scale returns row r's scale from a payload of n elements.
+func (p int8RowsPayload) scale(q []int8, n, r int, first float32) float32 {
+	if r == 0 {
+		return first
+	}
+	b := q[n+4*(r-1):]
+	return math.Float32frombits(uint32(uint8(b[0])) | uint32(uint8(b[1]))<<8 |
+		uint32(uint8(b[2]))<<16 | uint32(uint8(b[3]))<<24)
+}
+
+func (p int8RowsPayload) send(c *mesh.Chip, dst int, tag uint64, data []float32) {
+	n := len(data)
+	if n%p.cols != 0 {
+		panic("collective: chunk is not whole rows")
+	}
+	var q []int8
+	first := float32(1) // an empty chunk's, as QuantizeRowInto gives an empty row
+	if n > 0 {
+		q = c.Buffer8(n + 4*(n/p.cols-1))
+		first = quant.QuantizeRowInto(q[:p.cols], data[:p.cols])
+	}
+	for r := 1; r*p.cols < n; r++ {
+		bits := math.Float32bits(quant.QuantizeRowInto(q[r*p.cols:(r+1)*p.cols], data[r*p.cols:(r+1)*p.cols]))
+		b := q[n+4*(r-1):]
+		b[0], b[1], b[2], b[3] = int8(bits), int8(bits>>8), int8(bits>>16), int8(bits>>24)
+	}
+	c.SendOwned8(dst, tag, q, first)
+}
+
+// decode dequantizes a payload of len(dst) elements into dst, or adds it
+// to dst.
+func (p int8RowsPayload) decode(dst []float32, q []int8, first float32, add bool) {
+	n := len(dst)
+	if p.elems(len(q)) != n {
+		panic("collective: chunk size mismatch")
+	}
+	for r := 0; r*p.cols < n; r++ {
+		d, s := dst[r*p.cols:(r+1)*p.cols], q[r*p.cols:(r+1)*p.cols]
+		if add {
+			quant.AxpyF32I8(d, p.scale(q, n, r, first), s)
+		} else {
+			quant.DequantizeRowInto(d, s, p.scale(q, n, r, first))
+		}
+	}
+}
+
+func (p int8RowsPayload) recvInto(c *mesh.Chip, src int, tag uint64, dst []float32) transit {
+	q, scale := c.Recv8(src, tag)
+	p.decode(dst, q, scale, false)
+	return transit{q: q, scale: scale}
+}
+
+func (int8RowsPayload) relay(c *mesh.Chip, dst int, tag uint64, t transit) {
+	c.SendOwned8(dst, tag, t.q, t.scale)
+}
+
+func (int8RowsPayload) drop(c *mesh.Chip, t transit) {
+	c.Recycle8(t.q)
+}
+
+func (p int8RowsPayload) recvAdd(c *mesh.Chip, src int, tag uint64, dst []float32) {
+	q, scale := c.Recv8(src, tag)
+	p.decode(dst, q, scale, true)
+	c.Recycle8(q)
+}
+
+func (p int8RowsPayload) recvTake(c *mesh.Chip, src int, tag uint64) []float32 {
+	q, scale := c.Recv8(src, tag)
+	out := c.Buffer(p.elems(len(q)))
+	p.decode(out, q, scale, false)
 	c.Recycle8(q)
 	return out
 }

@@ -140,6 +140,101 @@ func TestInt8AllGatherWithinBound(t *testing.T) {
 	}
 }
 
+// The per-row int8 format holds every row to half a quantization step of
+// its own max magnitude, however loud the rows beside it, and costs four
+// bytes a row on top of the elements — through the ring gather, the
+// bidirectional one, the reduce-scatter and the all-to-all alike.
+func TestInt8RowsWithinRowBound(t *testing.T) {
+	const rows, cols = 3, 5
+	tr := hardware.Torus{X: 2, Y: 2, Z: 1}
+	k := tr.Chips()
+	rng := rand.New(rand.NewSource(3))
+	// data[c] holds k chunks of rows×cols; row r is 1000^r times louder.
+	data := make([][]float32, k)
+	for c := range data {
+		data[c] = make([]float32, k*rows*cols)
+		for j := range data[c] {
+			data[c][j] = (rng.Float32() - 0.5) * float32(math.Pow(1000, float64(j/cols%rows)))
+		}
+	}
+	// rowBound is the half step of every row of src (whole rows) on its
+	// own, times steps.
+	rowBound := func(src []float32, steps int) []float64 {
+		b := make([]float64, len(src))
+		for r := 0; r*cols < len(src); r++ {
+			var m float64
+			for _, v := range src[r*cols : (r+1)*cols] {
+				m = max(m, math.Abs(float64(v)))
+			}
+			for j := r * cols; j < (r+1)*cols; j++ {
+				b[j] = float64(steps)*Int8WireError(m) + 1e-9
+			}
+		}
+		return b
+	}
+	check := func(name string, got, want []float32, bound []float64, wantBytes int64, m *mesh.Mesh) {
+		t.Helper()
+		for j := range want {
+			if e := math.Abs(float64(got[j] - want[j])); e > bound[j] {
+				t.Fatalf("%s [%d]: error %g > its row's bound %g", name, j, e, bound[j])
+			}
+		}
+		if m.BytesSent() != wantBytes || m.Int8BytesSent() != wantBytes {
+			t.Errorf("%s: %d B (%d int8), want %d", name, m.BytesSent(), m.Int8BytesSent(), wantBytes)
+		}
+	}
+	chunkBytes := int64(rows * (cols + 4))
+	wire := WireInt8Rows(cols)
+	for _, gather := range []func(Op, hardware.AxisGroup, []float32) []float32{AllGather, AllGatherBidirectional} {
+		shard := func(c int) []float32 { return data[c][:rows*cols] }
+		got, m := runSPMD(tr, func(c *mesh.Chip) []float32 {
+			return gather(Op{Chip: c, ID: 1, Wire: wire}, hardware.GroupXYZ, shard(c.Rank))
+		})
+		for rank := range got {
+			for src := 0; src < k; src++ {
+				check("all-gather", got[rank][src*rows*cols:(src+1)*rows*cols], shard(src),
+					rowBound(shard(src), 1), int64(k*(k-1))*chunkBytes, m)
+			}
+		}
+	}
+	got, m := runSPMD(tr, func(c *mesh.Chip) []float32 {
+		return ReduceScatter(Op{Chip: c, ID: 1, Wire: wire}, hardware.GroupXYZ, data[c.Rank])
+	})
+	for rank := range got {
+		sum := make([]float32, rows*cols)
+		for c := range data {
+			for j := range sum {
+				sum[j] += float32(math.Abs(float64(data[c][rank*rows*cols+j])))
+			}
+		}
+		want := make([]float32, rows*cols)
+		for c := range data {
+			for j := range want {
+				want[j] += data[c][rank*rows*cols+j]
+			}
+		}
+		check("reduce-scatter", got[rank], want, rowBound(sum, k-1), int64(k*(k-1))*chunkBytes, m)
+	}
+	got, m = runSPMD(tr, func(c *mesh.Chip) []float32 {
+		shards := make([][]float32, k)
+		for i := range shards {
+			shards[i] = data[c.Rank][i*rows*cols : (i+1)*rows*cols]
+		}
+		var flat []float32
+		for _, s := range AllToAll(Op{Chip: c, ID: 1, Wire: wire}, hardware.GroupXYZ, shards) {
+			flat = append(flat, s...)
+		}
+		return flat
+	})
+	for rank := range got {
+		for src := 0; src < k; src++ {
+			want := data[src][rank*rows*cols : (rank+1)*rows*cols]
+			check("all-to-all", got[rank][src*rows*cols:(src+1)*rows*cols], want,
+				rowBound(want, 1), int64(k*(k-1))*chunkBytes, m)
+		}
+	}
+}
+
 // Int8 reduce-scatter semantics: the result is within K-1 quantization
 // half-steps (of the running partial-sum magnitude) of the exact sum —
 // the bounded-error contract of fold-in-float32, requantize-per-hop.

@@ -24,28 +24,40 @@
 // program on its sequences, its weights all-gathered into staging before
 // each layer (wgxyz.go).
 //
+// One input gather per block. Each block all-gathers the residual over the
+// activation group once (gatherNorm) and RMS-normalizes the full rows on
+// every chip, so the norm needs no collective of its own. Attention and the
+// FFN both read that gather: attention contracts the full rows, and the FFN
+// picks its plan's stripe out of them (stripe). This is the input side of
+// the paper's parallel block (Section 3.4), whose attention and FFN input
+// projections share one collective. A serial block gathers a second time
+// before its FFN, over the whole activation group: under 2D that moves more
+// bytes than a norm all-reduce plus a Y·Z gather of the FFN's stripe would,
+// in fewer messages.
+//
 // The feed-forward plan (ffnPlan) is a pair of groups. Weights are cut E×F
-// into inner × outer blocks; per layer the activation shard is all-gathered
-// over the outer group, multiplied, reduce-scattered over the inner group,
-// passed through the nonlinearity, all-gathered over the inner group,
-// multiplied, and reduce-scattered over the outer group back to its shard.
+// into inner × outer blocks; per layer the chip multiplies its stripe of the
+// gathered rows, reduce-scatters over the inner group, applies the
+// nonlinearity, all-gathers over the inner group, multiplies, and
+// reduce-scatters over the outer group back to its E-shard.
 //
 //   - FFN 2D weight-stationary (Section 3.2.2): outer = Y·Z, inner = X;
-//     activations alternate aggregation over the two groups and are never
-//     fully replicated.
+//     the FFN's own activations alternate aggregation over the two groups
+//     and are never fully replicated.
 //   - FFN 1D weight-stationary (Section 3.2.1): outer = all chips, inner =
-//     the empty group — weights sharded along d_ff only, activations fully
-//     gathered before the first matmul and reduce-scattered after the second.
+//     the empty group — weights sharded along d_ff only, the stripe is the
+//     whole gathered row, and the output is reduce-scattered after the
+//     second matmul.
 //   - FFN weight-gathered XYZ (Section 3.2.3, Figure A.2(c)): both groups
 //     empty; each layer's weights are all-gathered from the same ExFyz
 //     at-rest blocks the 2D plan stores, so all communication is weight
 //     traffic.
 //
-// With Options.Streamed a weight-stationary plan's matmuls ride its rings
-// (Section 3.5, stream.go): the up/gate projections fold chunk by chunk in
-// the outer gather's consumer, and the down-projection in the inner gather's
-// consumer — or in the outer reduce-scatter's producer when the inner group
-// has one member and there is no inner ring to ride.
+// With Options.Streamed a weight-stationary plan's down-projection rides its
+// rings (Section 3.5, stream.go): it folds chunk by chunk in the inner
+// gather's consumer — or runs in the outer reduce-scatter's producer when
+// the inner group has one member and there is no inner ring to ride — and
+// the reduce-scatters stream their input transposes.
 //
 // Attention layouts:
 //
@@ -74,19 +86,18 @@
 // against the cold path and the batch-1 reference across all functional
 // layouts.
 //
-// RMS normalization of the E-sharded residual stream uses a tiny per-token
-// all-reduce of sums of squares. Unlike the production system the
-// attention projections are not fused into the FFN matmuls — fusion is a
-// throughput optimization with identical numerics, and keeping them separate
-// keeps each layout legible.
+// The attention and FFN projections share their input gather but remain
+// separate matmuls, and their output partials are reduce-scattered
+// separately: fusing the weights is a throughput optimization with
+// identical numerics, and keeping them apart keeps each layout legible.
 //
 // Storage and wire formats are per-session options, each independently
 // togglable on every layout: Int8Weights (quantized projections), KVDType
-// (quantized KV cache), and WireDType (quantized collective payloads — the
-// engine's data-plane all-gathers, reduce-scatters, all-to-alls and
-// weight-gather staging move per-chunk-scaled int8 via the payload-typed
-// collectives, at ~0.26x the float32 wire bytes, while the per-token norm
-// all-reduces stay exact).
+// (quantized KV cache), and WireDType (quantized collective payloads — every
+// collective the engine issues, its all-gathers, reduce-scatters,
+// all-to-alls and weight-gather staging, moves per-chunk-scaled int8 via the
+// payload-typed collectives, the residual gather per-token-scaled, at about
+// 0.3x the float32 wire bytes).
 package engine
 
 import (
@@ -126,17 +137,21 @@ type Options struct {
 	// wire traffic are unchanged (quantization happens at the cache boundary
 	// on each chip).
 	KVDType model.DType
-	// WireDType is the data-plane collective payload format (matches
+	// WireDType is the collective payload format (matches
 	// serve.Config.WireDType). model.Int8 moves the activation all-gathers
 	// and reduce-scatters (agCols/rsCols), the attention resharding
 	// all-to-alls, and the weight-gathered layout's per-layer weight staging
 	// as per-chunk-scaled int8 instead of float32 (collective.WireInt8): 1
 	// byte per element plus one scale per chunk, ≤0.55× the fp32 wire bytes,
 	// the §3.3 move-int8-not-float insight applied to what's *on the wire*
-	// rather than what's at rest. The tiny per-token RMS-norm all-reduces
-	// stay float32: their volume is negligible (one float per token versus
-	// E-wide activations) and their result scales every activation, so
-	// quantizing them buys nothing and risks everything. Orthogonal to
+	// rather than what's at rest. That is every collective the engine
+	// issues: the RMS norm gathers the residual and normalizes full rows
+	// locally (gatherNorm), so no float32 all-reduce remains, and an int8-wire
+	// session sends no float32 bytes at all. That gather carries one scale
+	// per token rather than per chunk (collective.WireInt8Rows), because the
+	// raw residual's rows, unlike normalized ones, can differ in magnitude by
+	// orders. Each chip normalizes its own shard exact and its peers'
+	// dequantized. Orthogonal to
 	// Int8Weights/KVDType and valid on every layout; quantize/dequantize
 	// scratch comes from the per-chip message pools, so steady-state decode
 	// stays allocation-free.
@@ -144,14 +159,15 @@ type Options struct {
 	// Int8Weights stores all projection matrices quantized (per-column
 	// symmetric int8), reproducing the paper's weight-only quantization.
 	Int8Weights bool
-	// Streamed fuses the weight-stationary FFN's matmuls into the
+	// Streamed fuses the weight-stationary FFN's down-projection into the
 	// collective chunk stream — the paper's Looped CollectiveEinsum (§3.5);
-	// the package comment says which matmul rides which ring. Compute on
-	// chunk k proceeds while chunk k+1 is in flight, which is what the
-	// mesh's measured overlap fraction (Mesh.MeasuredOverlapFrac) observes.
+	// the package comment says which ring it rides. Compute on chunk k
+	// proceeds while chunk k+1 is in flight, which is what the mesh's
+	// measured overlap fraction (Mesh.MeasuredOverlapFrac) observes.
 	// Results are token-exact vs the barrier path on every layout and wire
-	// format (chunked accumulation reorders float sums). A plan over one
-	// chip — a single-chip mesh, or the weight-gathered layout, whose
+	// format, and bit-exact where the inner group has one member (1D): only
+	// the inner gather's chunked accumulation reorders float sums. A plan
+	// over one chip — a single-chip mesh, or the weight-gathered layout, whose
 	// per-layer weight gather streams either way — has nothing to overlap
 	// and keeps the barrier path and its zero-allocation decode contract.
 	// Valid on every layout, orthogonal to the Int8 options.
@@ -307,31 +323,30 @@ type chipLayer struct {
 	// Attention shards: this chip's query-head block, K/V per variant,
 	// and the matching WO row block.
 	wq, wk, wv, wo weight
-	// Per-chunk weight blocks of a streamed session (streamFFN):
-	// wUpBlk/wGateBlk index the outer-gather chunk a block contracts
-	// against (row blocks, zero-copy views). wDownBlk indexes the
-	// inner-gather chunk the same way, or — when the inner group has one
-	// member and the down-projection rides the outer reduce-scatter — that
-	// ring's output chunk (column-block copies, which then stand in for
-	// wDown: the whole shard is never multiplied).
-	wUpBlk, wGateBlk, wDownBlk []weight
+	// Per-chunk down-projection blocks of a streamed session (streamFFN):
+	// wDownBlk[j] contracts inner-gather chunk j (row blocks, zero-copy
+	// views), or — when the inner group has one member and the
+	// down-projection rides the outer reduce-scatter — produces that ring's
+	// output chunk j (column-block copies, which then stand in for wDown:
+	// the whole shard is never multiplied).
+	wDownBlk []weight
 }
 
 // ffnPlan is how the weight-stationary feed-forward is laid over the torus,
 // as one chip sees it: the paper's layouts are one einsum under different
 // sharding annotations (Section 3.2, Figure 2), and the annotation is this
 // pair of axis groups. The weights are cut E×F into nInner × nOuter blocks.
-// A layer all-gathers its E/n activation shard over the outer group (to the
-// E/nInner columns of this chip's stripe), multiplies, reduce-scatters the
-// partial sums over the inner group (to F/n), applies the nonlinearity,
-// all-gathers over the inner group (to F/nOuter), multiplies, and
-// reduce-scatters over the outer group back to E/n.
+// A layer takes the E/nInner columns of this chip's stripe from the block's
+// gathered input (stripe), multiplies, reduce-scatters the partial sums over
+// the inner group (to F/n), applies the nonlinearity, all-gathers over the
+// inner group (to F/nOuter), multiplies, and reduce-scatters over the outer
+// group back to E/n.
 //
 //	1D weight-stationary (3.2.1): outer = XYZ, inner = the empty group —
-//	    both inner collectives are identities and the activations are fully
-//	    gathered, the 2·tokens·E volume.
-//	2D weight-stationary (3.2.2): outer = YZ, inner = X — activations are
-//	    never fully replicated.
+//	    both inner collectives are identities and the stripe is the whole
+//	    gathered row.
+//	2D weight-stationary (3.2.2): outer = YZ, inner = X — the FFN's hidden
+//	    activations are never fully replicated.
 //	weight-gathered XYZ (3.2.3): both groups empty — the chip multiplies
 //	    the full weights gatherLayer stages; its at-rest blocks are the 2D
 //	    plan's.
@@ -357,9 +372,8 @@ func (e *Engine) ffnPlan(rank int, layout partition.FFNLayout) ffnPlan {
 }
 
 // block returns the indices of the chip's weight block: the E columns of
-// its stripe — E/n-wide blocks iInner, iInner+nInner, ..., the order the
-// outer all-gather assembles activation chunks in, so weight rows match —
-// and its contiguous F/nOuter columns.
+// its stripe — E/n-wide blocks iInner, iInner+nInner, ..., the order stripe
+// takes them in, so weight rows match — and its contiguous F/nOuter columns.
 func (p ffnPlan) block(cfg model.Config) (eIdx, fIdx []int) {
 	eBlock := cfg.DModel / (p.nOuter * p.nInner)
 	eIdx = make([]int, 0, p.nOuter*eBlock)
@@ -368,6 +382,28 @@ func (p ffnPlan) block(cfg model.Config) (eIdx, fIdx []int) {
 	}
 	fBlock := cfg.DFF / p.nOuter
 	return eIdx, contiguous(p.iOuter*fBlock, fBlock)
+}
+
+// stripe picks the chip's FFN input out of the block's gathered rows h: the
+// E/n-wide column blocks iInner + nInner·j, in the order block cuts the
+// weight rows. The gather assembles h in activation-group order, whose index
+// is iInner + nInner·iOuter, so the stripe is what an all-gather of the
+// E-shards over the outer group would assemble. With no inner group the
+// stripe is all of h, returned as is.
+func stripe(ar *tensor.Arena, h *tensor.Mat, p *ffnPlan) *tensor.Mat {
+	if p.nInner == 1 {
+		return h
+	}
+	eBlock := h.Cols / (p.nOuter * p.nInner)
+	out := ar.Mat(h.Rows, p.nOuter*eBlock)
+	for i := 0; i < h.Rows; i++ {
+		src, dst := h.Row(i), out.Row(i)
+		for j := 0; j < p.nOuter; j++ {
+			lo := (p.iInner + p.nInner*j) * eBlock
+			copy(dst[j*eBlock:(j+1)*eBlock], src[lo:lo+eBlock])
+		}
+	}
+	return out
 }
 
 // chipState is everything one chip owns.
@@ -391,6 +427,10 @@ type chipState struct {
 	// wire is the payload format the data-plane collectives travel in
 	// (nil = float32; collective.WireInt8 under an int8 Options.WireDType).
 	wire collective.Payload
+	// normWire is the format gatherNorm moves the residual in: float32, or
+	// int8 with one scale per token (collective.WireInt8Rows), since a raw
+	// residual's rows can differ in magnitude by orders.
+	normWire collective.Payload
 	// plan is the feed-forward sharding as this chip sees it.
 	plan ffnPlan
 	// wg holds the weight-gathered layout's at-rest shards (nil otherwise).
@@ -484,6 +524,7 @@ func New(w *reference.Weights, t hardware.Torus, opts Options, batch, maxLen int
 		e.chips[r].scr.Reserve(cfg.Heads / cfg.KVHeads * maxLen)
 		if opts.WireDType == model.Int8 {
 			e.chips[r].wire = collective.WireInt8
+			e.chips[r].normWire = collective.WireInt8Rows(e.chips[r].embedCols.Cols)
 		}
 	}
 	e.runFwd = e.chipForward
@@ -584,7 +625,7 @@ func (e *Engine) buildChip(w *reference.Weights, rank int) *chipState {
 	if n > 1 {
 		st.embedRows = selectRows(w.Embed, contiguous(st.iAct*vBlock, vBlock))
 	}
-	st.finalGain = sliceGain(w.FinalGain, st.iAct*eBlock, eBlock)
+	st.finalGain = sliceGain(w.FinalGain, 0, cfg.DModel)
 	st.shards = make([][]float32, n)
 
 	p := st.plan
@@ -594,8 +635,8 @@ func (e *Engine) buildChip(w *reference.Weights, rank int) *chipState {
 	for l := range w.Layers {
 		lw := &w.Layers[l]
 		cl := chipLayer{
-			normGain:    sliceGain(lw.NormGain, st.iAct*eBlock, eBlock),
-			ffnNormGain: sliceGain(lw.FFNNormGain, st.iAct*eBlock, eBlock),
+			normGain:    sliceGain(lw.NormGain, 0, cfg.DModel),
+			ffnNormGain: sliceGain(lw.FFNNormGain, 0, cfg.DModel),
 		}
 		if st.wg != nil && l > 0 {
 			// Every layer shares layer 0's full-size weights as staging.
@@ -612,13 +653,8 @@ func (e *Engine) buildChip(w *reference.Weights, rank int) *chipState {
 		cl.wUp = shardWeight(lw.WUp, eIdx, fIdx, int8w)
 		cl.wDown = shardWeight(lw.WDown, fIdx, eIdx, int8w)
 		if e.streamFFN(&p) {
-			// Outer-gather chunk j is stripe row block j; inner-gather
-			// chunk j is F-row block j of the down shard; outer
-			// reduce-scatter chunk j is its E-column block j.
-			cl.wUpBlk = rowBlocks(cl.wUp, p.nOuter, eBlock)
-			if lw.WGate != nil {
-				cl.wGateBlk = rowBlocks(cl.wGate, p.nOuter, eBlock)
-			}
+			// Inner-gather chunk j is F-row block j of the down shard;
+			// outer reduce-scatter chunk j is its E-column block j.
 			if p.nInner == 1 {
 				cl.wDownBlk = colBlocks(cl.wDown, p.nOuter, eBlock)
 				cl.wDown = weight{}
@@ -680,13 +716,12 @@ func sliceGain(g []float32, lo, n int) []float32 {
 
 // op mints a fresh collective op context (same id sequence on every chip
 // because the program is SPMD-deterministic) carrying the session's wire
-// format. Each slot reserves collective.AllReduceIDs consecutive ids —
-// the widest consumer (shardNorm's all-reduce) needs both, and plain
-// collectives simply leave the second unused; the mesh's tag-collision
-// check would catch any miscounted reservation.
+// format. Each reserves one id: every collective the engine issues is a
+// single gather, reduce-scatter or all-to-all (no all-reduce), and the
+// mesh's tag-collision check would catch any miscounted reservation.
 func (st *chipState) op(c *mesh.Chip) collective.Op {
 	o := collective.Op{Chip: c, ID: st.opID, Wire: st.wire}
-	st.opID += collective.AllReduceIDs
+	st.opID++
 	return o
 }
 
@@ -740,47 +775,32 @@ func colShard(ar *tensor.Arena, c *mesh.Chip, shard []float32, tokens int) *tens
 	return out
 }
 
-// shardNorm RMS-normalizes an activation E-sharded over the chip's
-// activation group using a per-token all-reduce of local sums of squares.
-// The buffer is padded to a multiple of the group size so row counts that
-// don't divide the chip count — e.g. a single admitted prompt's tokens —
-// reduce cleanly. The op id is always minted (ids stay in lockstep); a
-// group of one skips the zero-byte all-reduce itself.
-func shardNorm(c *mesh.Chip, st *chipState, x *tensor.Mat, gain []float32, eTotal int) *tensor.Mat {
-	// op() reserves collective.AllReduceIDs ids — exactly what the
-	// all-reduce below consumes. The reduction runs float32 even under
-	// an int8 wire: one float per token is noise next to the E-wide
-	// activation collectives, and its result normalizes every channel.
-	op := st.op(c)
-	op.Wire = nil
-	groupSize := st.nAct
-	padded := (x.Rows + groupSize - 1) / groupSize * groupSize
-	sumsq := st.arena.Floats(padded)
-	for i := x.Rows; i < padded; i++ {
-		sumsq[i] = 0
+// gatherNorm all-gathers the residual x, E-sharded over the chip's
+// activation group, and RMS-normalizes every full row locally with the
+// full-width gain: the block's one input collective, which attention and
+// the FFN then share. The rows are normalized in place in the gathered
+// copy; over a group of one the gather returns x itself, the residual, so
+// they go to a fresh arena matrix instead. Under an int8 wire every token's
+// shard travels with its own scale (st.normWire), so a loud token costs the
+// others none of their resolution.
+func gatherNorm(c *mesh.Chip, st *chipState, x *tensor.Mat, gain []float32) *tensor.Mat {
+	o := st.op(c)
+	o.Wire = st.normWire
+	full := agCols(&st.arena, o, st.act, x, st.nAct)
+	out := full
+	if st.nAct == 1 {
+		out = st.arena.Mat(x.Rows, x.Cols)
 	}
-	for i := 0; i < x.Rows; i++ {
+	for i := 0; i < full.Rows; i++ {
+		src, dst := full.Row(i), out.Row(i)
 		var s float32
-		for _, v := range x.Row(i) {
+		for _, v := range src {
 			s += v * v
 		}
-		sumsq[i] = s
-	}
-	total := sumsq
-	if groupSize > 1 {
-		total = collective.AllReduce(op, st.act, sumsq)
-	}
-	out := st.arena.Mat(x.Rows, x.Cols)
-	gain = gain[:x.Cols]
-	for i := 0; i < x.Rows; i++ {
-		inv := invSqrt(total[i]/float32(eTotal) + 1e-6)
-		src, dst := x.Row(i), out.Row(i)
-		for j := range src {
-			dst[j] = src[j] * inv * gain[j]
+		inv := invSqrt(s/float32(len(src)) + 1e-6)
+		for j, v := range src {
+			dst[j] = v * inv * gain[j]
 		}
-	}
-	if groupSize > 1 {
-		c.Recycle(total)
 	}
 	return out
 }

@@ -212,7 +212,12 @@ func TestKVCacheShardingBytes(t *testing.T) {
 // Measured per-layer FFN communication must match the analytic volume
 // formulas (Appendix A.2). The attention path and norms add their own
 // traffic, so we isolate FFN bytes by differencing two engines that share
-// everything except the FFN layout.
+// everything except the FFN layout. The FFN's input rides the block's one
+// gather (gatherNorm) in both layouts, so only the FFN's own collectives
+// differ: 1D reduce-scatters its output over all chips, 2D reduce-scatters
+// over YZ and moves its hidden activations over X. On this model 2D moves
+// more (the difference is negative, −4,096 B/chip): its hidden-activation
+// traffic over X outweighs the smaller output reduce-scatter.
 func TestFFNCommMatchesAnalyticDifference(t *testing.T) {
 	cfg := tinyMQA()
 	w := reference.NewWeights(cfg, 11)
@@ -236,12 +241,11 @@ func TestFFNCommMatchesAnalyticDifference(t *testing.T) {
 	layers := float64(cfg.Layers)
 	// SwiGLU has two X-axis pairs (gate and up) where the paper's abstract
 	// MLP has one, so compute the expected volumes from first principles.
-	want1D := layers * (commcost.AllGatherVolume(nTok*e*actBytes, 8) +
-		commcost.ReduceScatterVolume(nTok*e*actBytes, 8))
+	want1D := layers * commcost.ReduceScatterVolume(nTok*e*actBytes, 8)
 	p2 := partition.PlanFFN(partition.FFN2DWeightStationary, tr)
 	ePer := nTok * (e / float64(p2.ESplit)) * actBytes
 	fPer := nTok * (f / float64(p2.FSplit)) * actBytes
-	want2D := layers * (commcost.AllGatherVolume(ePer, 4) + commcost.ReduceScatterVolume(ePer, 4) +
+	want2D := layers * (commcost.ReduceScatterVolume(ePer, 4) +
 		2*commcost.ReduceScatterVolume(fPer, 2) + commcost.AllGatherVolume(fPer, 2))
 
 	gotDiff := got1D - got2D

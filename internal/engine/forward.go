@@ -242,20 +242,21 @@ func (e *Engine) chipForward(c *mesh.Chip) {
 			e.gatherLayer(c, st, l)
 		}
 		cl := &st.layers[l]
-		h := shardNorm(c, st, x, cl.normGain, e.cfg.DModel)
+		// One gather feeds both sub-blocks of a parallel block; a serial
+		// block gathers the updated residual again before its FFN.
+		h := gatherNorm(c, st, x, cl.normGain)
 		x = tensor.AddInPlace(x, e.attnBlock(c, st, cl, l, h))
 		if !e.cfg.ParallelBlock {
-			h = shardNorm(c, st, x, cl.ffnNormGain, e.cfg.DModel)
+			h = gatherNorm(c, st, x, cl.ffnNormGain)
 		}
 		x = tensor.AddInPlace(x, e.ffn(c, st, cl, h))
 	}
 	e.advance(st, sq)
 
-	final := shardNorm(c, st, x, st.finalGain, e.cfg.DModel)
-	// Logits: gather the full final activation, multiply by this
-	// chip's vocab-row block, then gather the vocab dimension.
-	fullFinal := agCols(ar, st.op(c), st.act, final, st.nAct)
-	logitsLocal := tensor.MatMulTInto(ar.Mat(fullFinal.Rows, st.embedRows.Rows), fullFinal, st.embedRows)
+	// Logits: the full normed final rows times this chip's vocab-row
+	// block, then gather the vocab dimension.
+	final := gatherNorm(c, st, x, st.finalGain)
+	logitsLocal := tensor.MatMulTInto(ar.Mat(final.Rows, st.embedRows.Rows), final, st.embedRows)
 	st.logits = agCols(ar, st.op(c), st.act, logitsLocal, st.nAct)
 }
 
@@ -266,40 +267,43 @@ func (e *Engine) batchShardedCache() bool {
 	return e.opts.Attn == partition.AttnShardBatch
 }
 
-// ffn runs the feedforward sub-block on the E-sharded normed input,
+// ffn runs the feedforward sub-block on the block's gathered normed rows,
 // returning the E-sharded output: the Figure 2 program over the chip's plan
 // (see ffnPlan). A group of one makes its collectives identities, which is
-// all that separates the 1D layout from the 2D one.
+// all that separates the 1D layout from the 2D one. A streamed session
+// streams the reduce-scatters' transposes and loops the down-projection
+// into its ring (ffnDownStreamed); the values are the barrier path's up to
+// the inner gather's chunked accumulation.
 func (e *Engine) ffn(c *mesh.Chip, st *chipState, cl *chipLayer, h *tensor.Mat) *tensor.Mat {
-	if e.streamFFN(&st.plan) {
-		return e.ffnStreamed(c, st, cl, h)
-	}
 	ar := &st.arena
 	p := &st.plan
-	hx := agCols(ar, st.op(c), p.outer, h, p.nOuter)                   // [tokens, E/nInner] in stripe order
-	up := rsCols(ar, st.op(c), p.inner, cl.wUp.mulA(ar, hx), p.nInner) // [tokens, F/n]
-	act := up
+	streamed := e.streamFFN(p)
+	rs := rsCols
+	if streamed {
+		rs = rsColsStream
+	}
+	hx := stripe(ar, h, p)                                          // [tokens, E/nInner]
+	act := rs(ar, st.op(c), p.inner, cl.wUp.mulA(ar, hx), p.nInner) // [tokens, F/n]
 	if e.cfg.FFNKind == model.SwiGLU {
-		gate := rsCols(ar, st.op(c), p.inner, cl.wGate.mulA(ar, hx), p.nInner)
+		gate := rs(ar, st.op(c), p.inner, cl.wGate.mulA(ar, hx), p.nInner)
 		tensor.SiLUFast(gate)
-		act = tensor.MulInto(gate, gate, up)
+		act = tensor.MulInto(gate, gate, act)
 	} else {
-		tensor.GELU(up)
+		tensor.GELU(act)
+	}
+	if streamed {
+		return e.ffnDownStreamed(c, st, cl, act)
 	}
 	actFull := agCols(ar, st.op(c), p.inner, act, p.nInner) // [tokens, F/nOuter]
 	return rsCols(ar, st.op(c), p.outer, cl.wDown.mulA(ar, actFull), p.nOuter)
 }
 
-// attnBlock runs the attention sub-block on the E-sharded normed input,
+// attnBlock runs the attention sub-block on the block's gathered normed rows,
 // returning the E-sharded output. Query heads are split over the activation
 // group; with no group the chip holds all of them and attends locally.
-func (e *Engine) attnBlock(c *mesh.Chip, st *chipState, cl *chipLayer, layer int, h *tensor.Mat) *tensor.Mat {
+func (e *Engine) attnBlock(c *mesh.Chip, st *chipState, cl *chipLayer, layer int, hFull *tensor.Mat) *tensor.Mat {
 	ar := &st.arena
 	steps := e.fw.steps
-	// Projections need the full-width input (head-block sharding of W_Q
-	// contracts all of E). In the production system this all-gather is
-	// fused with the FFN input collective; here it stands alone.
-	hFull := agCols(ar, st.op(c), st.act, h, st.nAct)
 	qLocal := cl.wq.mulA(ar, hFull) // [tokens, headsPC·dh]
 	// K/V only for the sequences this chip caches: all of them when the
 	// cache is head-sharded (this chip's KV heads, or the replicated

@@ -189,6 +189,95 @@ func TestWGIsOneChipProgram(t *testing.T) {
 	}
 }
 
+// A pass's whole wire schedule is a closed form: every chip sends the same
+// messages, and their count and sizes follow from the layout alone. Per
+// layer a block makes one input gather (gatherNorm), its attention
+// collectives and its FFN's own, and the pass ends with the final norm's
+// gather and the logit gather. On 2×2×2 2D batch-sharded that is 34
+// messages a chip a layer plus 14; on 2×2×1 1D head-sharded streamed, 9
+// plus 6. Checked for a decode step and an admission of an odd-length
+// prompt, on both wire formats, to the message and the byte.
+func TestPassWireSchedule(t *testing.T) {
+	cfg := tinyMQA()
+	e, f, v, hd := cfg.DModel, cfg.DFF, cfg.Vocab, cfg.Heads*cfg.HeadDim
+	const batch, promptLen = 8, 5
+	// sends is one chip's share of a collective: count messages of elems
+	// elements each, with rows int8 scales apiece (0 for one chunk scale:
+	// only the residual gathers scale each token's row).
+	type sends struct{ count, elems, rows int }
+	cases := []struct {
+		name  string
+		tr    hardware.Torus
+		opts  Options
+		layer func(tok int, admission bool) []sends
+		final func(tok int) []sends
+	}{
+		{"2d-batch", torus222(), Options{FFN: partition.FFN2DWeightStationary, Attn: partition.AttnShardBatch},
+			func(tok int, admission bool) []sends {
+				s := []sends{{7, tok * e / 8, tok}} // the block's input gather over XYZ
+				if admission {
+					// The queries gathered, the slot owner's output all-to-all.
+					s = append(s, sends{7, tok * hd / 8, 0}, sends{7, tok * hd / 8, 0})
+				} else {
+					s = append(s, sends{14, tok / 8 * hd / 8, 0}) // two all-to-alls
+				}
+				return append(s,
+					sends{7, tok * e / 8, 0}, // attention output reduce-scatter over XYZ
+					sends{2, tok * f / 8, 0}, // up and gate reduce-scatters over X
+					sends{1, tok * f / 8, 0}, // the hidden gather over X
+					sends{3, tok * e / 8, 0}) // the output reduce-scatter over YZ
+			},
+			func(tok int) []sends { return []sends{{7, tok * e / 8, tok}, {7, tok * v / 8, 0}} }},
+		{"1d-heads-streamed", hardware.Torus{X: 2, Y: 2, Z: 1},
+			Options{FFN: partition.FFN1DWeightStationary, Attn: partition.AttnShardHeads, Streamed: true},
+			func(tok int, _ bool) []sends {
+				// Input gather, then attention and FFN output reduce-scatters.
+				return []sends{{3, tok * e / 4, tok}, {6, tok * e / 4, 0}}
+			},
+			func(tok int) []sends { return []sends{{3, tok * e / 4, tok}, {3, tok * v / 4, 0}} }},
+	}
+	w := reference.NewWeights(cfg, 5)
+	for _, tc := range cases {
+		for _, wire := range []model.DType{model.FP32, model.Int8} {
+			t.Run(fmt.Sprintf("%s/%v", tc.name, wire), func(t *testing.T) {
+				opts := tc.opts
+				opts.WireDType = wire
+				eng, err := New(w, tc.tr, opts, batch, 16)
+				if err != nil {
+					t.Fatal(err)
+				}
+				check := func(what string, tok int, admission bool, run func()) {
+					t.Helper()
+					var msgs, bytes int64
+					all := tc.final(tok)
+					for l := 0; l < cfg.Layers; l++ {
+						all = append(all, tc.layer(tok, admission)...)
+					}
+					for _, s := range all {
+						per := 4 * s.elems
+						if wire == model.Int8 {
+							per = s.elems + 4*max(s.rows, 1) // a byte an element, and the scales
+						}
+						msgs += int64(s.count)
+						bytes += int64(s.count * per)
+					}
+					n := int64(tc.tr.Chips())
+					eng.Mesh().ResetCounters()
+					run()
+					m := eng.Mesh()
+					if m.MessagesSent() != n*msgs || m.BytesSent() != n*bytes {
+						t.Errorf("%s: %d messages, %d B; want %d, %d", what, m.MessagesSent(), m.BytesSent(), n*msgs, n*bytes)
+					}
+				}
+				eng.Prefill(tokens(batch, 2), 2)
+				check("decode step", batch, false, func() { eng.Decode(tokens(batch, 1)) })
+				eng.ReleaseSlot(3)
+				check("admission", promptLen, true, func() { eng.PrefillSlot(3, tokens(1, promptLen)) })
+			})
+		}
+	}
+}
+
 // Admission runs the pass body that decode runs, so on one chip a warm
 // PrefillSlot allocates only the logits it returns.
 func TestPrefillSlotSingleChipAllocatesOnlyResult(t *testing.T) {

@@ -4,19 +4,23 @@ import (
 	"esti/internal/collective"
 	"esti/internal/hardware"
 	"esti/internal/mesh"
-	"esti/internal/model"
 	"esti/internal/tensor"
 )
 
 // This file is the engine's Looped CollectiveEinsum path (Options.Streamed,
-// Section 3.5): the FFN's matmuls run one contraction- or output-chunk at a
-// time inside the streaming collectives' callbacks, so each chunk's GEMM
-// slice — still the blocked, worker-pool-parallel kernels — executes while
-// the ring relays the next chunk. Gather-side chunks fold into running
-// accumulators with mulAcc (summation order across chunks differs from the
-// barrier path's single full-width GEMM, hence token-exact rather than
-// bit-exact); reduce-scatter-side chunks are produced on demand, each the
-// bit-exact column block of the barrier path's full product.
+// Section 3.5): the FFN's down-projection runs one contraction- or
+// output-chunk at a time inside the streaming collectives' callbacks, so
+// each chunk's GEMM slice — still the blocked, worker-pool-parallel kernels
+// — executes while the ring relays the next chunk, and the reduce-scatters
+// transpose their input chunk by chunk as the ring needs it. The up and gate
+// projections have no input ring to ride: their input is the stripe of the
+// block's one gather (gatherNorm), so they are plain GEMMs on both paths.
+// Inner-gather chunks fold into a running accumulator with mulAcc
+// (summation order across chunks differs from the barrier path's single
+// full-width GEMM, hence token-exact rather than bit-exact); reduce-scatter
+// chunks are produced on demand, each the bit-exact column block of the
+// barrier path's full product. A plan with no inner group has no inner
+// gather, so its streamed pass is the barrier pass bit for bit.
 
 // streamFFN reports whether a chip's FFN plan takes the streamed path: a
 // plan over one chip — a single-chip mesh, or weight-gathered's empty
@@ -24,49 +28,20 @@ import (
 // path.
 func (e *Engine) streamFFN(p *ffnPlan) bool { return e.opts.Streamed && p.nOuter*p.nInner > 1 }
 
-// ffnStreamed is ffn with the matmuls looped into the plan's rings. The
-// outer gather's chunks fold W_up/W_gate stripe-row-block products into
-// F/nOuter accumulators as they arrive, and the inner reduce-scatters
-// stream their input transposes (rsColsStream). The down-projection rides
-// the inner gather's consumer — each arriving F chunk folds its W_down
-// row-block product into the E/nInner accumulator, which the outer
-// reduce-scatter then streams out — unless the inner group has one member
-// and so no ring to ride: then it runs inside the outer reduce-scatter's
-// producer, chunk j of the transposed partial sum (the E-column block j of
-// act·W_down, transposed) computed just before the ring sends or folds it.
-func (e *Engine) ffnStreamed(c *mesh.Chip, st *chipState, cl *chipLayer, h *tensor.Mat) *tensor.Mat {
+// ffnDownStreamed is the down half of ffn with the matmul looped into the
+// plan's rings: act is the [tokens, F/n] activated shard. The
+// down-projection rides the inner gather's consumer — each arriving F chunk
+// folds its W_down row-block product into the E/nInner accumulator, which
+// the outer reduce-scatter then streams out — unless the inner group has one
+// member and so no ring to ride: then it runs inside the outer
+// reduce-scatter's producer, chunk j of the transposed partial sum (the
+// E-column block j of act·W_down, transposed) computed just before the ring
+// sends or folds it.
+func (e *Engine) ffnDownStreamed(c *mesh.Chip, st *chipState, cl *chipLayer, act *tensor.Mat) *tensor.Mat {
 	ar := &st.arena
 	p := &st.plan
-	tokens := h.Rows
-	eChunk := h.Cols
-	fOuter := e.cfg.DFF / p.nOuter
-
-	up := ar.Mat(tokens, fOuter)
-	up.Zero()
-	var gate *tensor.Mat
-	if e.cfg.FFNKind == model.SwiGLU {
-		gate = ar.Mat(tokens, fOuter)
-		gate.Zero()
-	}
-	full := collective.AllGatherStream(st.op(c), p.outer, h.Data,
-		func(j int, chunk []float32) {
-			cm := tensor.Mat{Rows: tokens, Cols: eChunk, Data: chunk}
-			cl.wUpBlk[j].mulAcc(up, &cm)
-			if gate != nil {
-				cl.wGateBlk[j].mulAcc(gate, &cm)
-			}
-		})
-	c.Recycle(full)
-	cl.wUp.finishAcc(up)
-	act := rsColsStream(ar, st.op(c), p.inner, up, p.nInner) // [tokens, F/n]
-	if gate != nil {
-		cl.wGate.finishAcc(gate)
-		gateShard := rsColsStream(ar, st.op(c), p.inner, gate, p.nInner)
-		tensor.SiLUFast(gateShard)
-		act = tensor.MulInto(gateShard, gateShard, act)
-	} else {
-		tensor.GELU(act)
-	}
+	tokens := act.Rows
+	eChunk := e.cfg.DModel / (p.nOuter * p.nInner)
 
 	if p.nInner == 1 {
 		tr := ar.Mat(eChunk*p.nOuter, tokens) // transposed partial, produced per chunk

@@ -2,6 +2,7 @@ package engine
 
 import (
 	"fmt"
+	"math"
 	"testing"
 
 	"esti/internal/hardware"
@@ -33,9 +34,9 @@ func generateWith(t *testing.T, cfg model.Config, tr hardware.Torus, opts Option
 // greedy tokens as the barrier engine on 1-, 2-, and 8-chip meshes, across
 // the weight-stationary layouts and the weight-gathered path, for fp32 and
 // int8 wire, with float and int8 weights, SwiGLU-parallel and GELU-serial
-// blocks. Token-exact (not logit-bitwise: gather-side chunked accumulation
-// reorders float sums; the down-projection chunks are bitwise by
-// construction).
+// blocks. Token-exact (not logit-bitwise: the 2D plan's inner-gather
+// chunked accumulation reorders float sums; 1D is bitwise, see
+// TestStreamed1DIsBarrier).
 func TestStreamedTokenExactVsBarrier(t *testing.T) {
 	type tcase struct {
 		name string
@@ -76,6 +77,60 @@ func TestStreamedTokenExactVsBarrier(t *testing.T) {
 					t.Errorf("multi-chip streamed run measured zero overlap work")
 				}
 			})
+		}
+	}
+}
+
+// With no inner group there is no chunked accumulation left: up and gate
+// are plain GEMMs on the block's gathered rows, the down-projection's
+// column blocks are the exact columns of the barrier GEMM, and the streamed
+// reduce-scatter reduces what the barrier one does in the same order. So
+// streamed 1D weight-stationary is the barrier pass bit for bit: a prefill
+// and three decode steps give Float32bits-equal logits for the SwiGLU
+// multiquery and GELU multihead models, on 4 and 8 chips, on both wire
+// formats, with float and int8 weights.
+func TestStreamed1DIsBarrier(t *testing.T) {
+	const batch, steps, maxLen = 8, 3, 8
+	for _, cfg := range []model.Config{tinyMQA(), tinyMHA()} {
+		attn := partition.AttnShardBatch
+		if cfg.Attn == model.Multihead {
+			attn = partition.AttnShardHeads
+		}
+		w := reference.NewWeights(cfg, 71)
+		for _, tr := range []hardware.Torus{{X: 2, Y: 2, Z: 1}, {X: 2, Y: 2, Z: 2}} {
+			for _, wire := range []model.DType{model.FP32, model.Int8} {
+				for _, int8w := range []bool{false, true} {
+					opts := Options{FFN: partition.FFN1DWeightStationary, Attn: attn, WireDType: wire, Int8Weights: int8w}
+					name := fmt.Sprintf("%s/%v/wire=%v/int8weights=%v", cfg.Name, tr, wire, int8w)
+					t.Run(name, func(t *testing.T) {
+						run := func(streamed bool) (logits []*tensor.Mat) {
+							o := opts
+							o.Streamed = streamed
+							eng, err := New(w, tr, o, batch, maxLen)
+							if err != nil {
+								t.Fatal(err)
+							}
+							logits = append(logits, eng.Prefill(tokens(batch, steps), steps))
+							last := make([]int, batch)
+							for g := 0; g < 3; g++ {
+								for s := range last {
+									last[s] = argmaxRow(logits[g], (s+1)*logits[g].Rows/batch-1)
+								}
+								logits = append(logits, eng.Decode(last))
+							}
+							return logits
+						}
+						want, got := run(false), run(true)
+						for p := range want {
+							for j, v := range want[p].Data {
+								if math.Float32bits(v) != math.Float32bits(got[p].Data[j]) {
+									t.Fatalf("pass %d logit %d: streamed %g, barrier %g", p, j, got[p].Data[j], v)
+								}
+							}
+						}
+					})
+				}
+			}
 		}
 	}
 }

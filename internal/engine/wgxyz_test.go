@@ -33,8 +33,8 @@ func TestWGTorusShapes(t *testing.T) {
 
 // The defining property of XYZ weight gathering: per-chip communication is
 // the gathered weight volume, layerBytes·(n-1)/n per layer — independent of
-// batch — and there is no activation traffic at all beyond the tiny
-// norm all-reduces (which this path doesn't even need: norms are token-local).
+// batch — and there is no activation traffic at all: every activation
+// collective runs over the empty group.
 func TestWGCommIsWeightVolumeOnly(t *testing.T) {
 	cfg := tinyMQA()
 	w := reference.NewWeights(cfg, 51)

@@ -87,11 +87,13 @@ func Validate() []ValidationRow {
 	got := prefillBytes(ws1) - prefillBytes(ws2)
 	e, f := float64(cfg.DModel), float64(cfg.DFF)
 	layers := float64(cfg.Layers)
-	vol1D := commcost.AllGatherVolume(nTok*e*fb, n) + commcost.ReduceScatterVolume(nTok*e*fb, n)
+	// The FFN input rides the block's shared gather in both layouts, so
+	// only the FFN's own collectives differ.
+	vol1D := commcost.ReduceScatterVolume(nTok*e*fb, n)
 	p2 := partition.PlanFFN(partition.FFN2DWeightStationary, tr)
 	ePer := nTok * (e / float64(p2.ESplit)) * fb
 	fPer := nTok * (f / float64(p2.FSplit)) * fb
-	vol2D := commcost.AllGatherVolume(ePer, p2.FSplit) + commcost.ReduceScatterVolume(ePer, p2.FSplit) +
+	vol2D := commcost.ReduceScatterVolume(ePer, p2.FSplit) +
 		2*commcost.ReduceScatterVolume(fPer, p2.ESplit) + commcost.AllGatherVolume(fPer, p2.ESplit)
 	add("Appendix A.2: (1D − 2D) WS traffic", got, layers*(vol1D-vol2D), "B/chip", 1e-9)
 

@@ -574,7 +574,12 @@ func (b *inbox) take(src int, tag uint64) Message {
 		}
 		for i, m := range b.pending {
 			if m.Src == src && m.Tag == tag {
-				b.pending = append(b.pending[:i], b.pending[i+1:]...)
+				// Close the gap and clear the vacated last slot, so the
+				// backing array does not pin a delivered payload.
+				last := len(b.pending) - 1
+				copy(b.pending[i:], b.pending[i+1:])
+				b.pending[last] = Message{}
+				b.pending = b.pending[:last]
 				return m
 			}
 		}
@@ -591,9 +596,13 @@ func (b *inbox) poison(v any) {
 	b.cond.Broadcast()
 }
 
+// clearPoison readies the inbox for the next Run: no poison, no pending
+// message, and the queue's backing array kept (cleared, so it pins no
+// payload) so the next pass does not grow it again.
 func (b *inbox) clearPoison() {
 	b.mu.Lock()
 	b.poisonV = nil
-	b.pending = nil
+	clear(b.pending)
+	b.pending = b.pending[:0]
 	b.mu.Unlock()
 }

@@ -240,6 +240,46 @@ func TestTagCollisionPanics(t *testing.T) {
 	})
 }
 
+// Inbox queues outlive a pass: once warm, a Run whose chips exchange
+// matched, recycled messages allocates no more than a Run that sends
+// nothing, because the queues keep their backing arrays between passes
+// instead of growing them again.
+func TestWarmRunQueuesDoNotAllocate(t *testing.T) {
+	m := New(hardware.Torus{X: 2, Y: 2, Z: 2})
+	n := m.Chips()
+	payload := make([]float32, 16)
+	exchange := func(c *Chip) {
+		next, prev := (c.Rank+1)%n, (c.Rank+n-1)%n
+		for tag := uint64(0); tag < 4; tag++ {
+			c.Send(next, tag, payload)
+		}
+		for tag := uint64(0); tag < 4; tag++ {
+			c.Recycle(c.Recv(prev, tag))
+		}
+	}
+	empty := func(*Chip) {}
+	for i := 0; i < 3; i++ {
+		m.Run(exchange)
+	}
+	base := testing.AllocsPerRun(50, func() { m.Run(empty) })
+	if got := testing.AllocsPerRun(50, func() { m.Run(exchange) }); got > base {
+		t.Errorf("a warm Run exchanging messages allocates %v times, an empty Run %v", got, base)
+	}
+}
+
+// A delivered message leaves nothing behind in the queue's backing array,
+// so the payload it carried is not kept alive by the inbox.
+func TestTakeClearsVacatedSlot(t *testing.T) {
+	var b inbox
+	b.init()
+	b.put(Message{Src: 1, Tag: 1, Data: []float32{1}})
+	b.put(Message{Src: 1, Tag: 2, Data: []float32{2}})
+	b.take(1, 1)
+	if vacated := b.pending[:2][1]; vacated.Data != nil {
+		t.Errorf("vacated queue slot still holds %v", vacated)
+	}
+}
+
 // Recycled int8 buffers are reused: steady-state int8 traffic draws from
 // the pool instead of allocating.
 func TestBuffer8PoolReuse(t *testing.T) {
