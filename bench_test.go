@@ -578,6 +578,18 @@ func BenchmarkEngineDecodeStepStreamed(b *testing.B) {
 	})
 }
 
+// BenchmarkEngineDecodeStepStreamed1D is the streamed step under the 1D
+// weight-stationary layout with head-sharded attention: its inner group has
+// one member, so the down-projection runs in the outer reduce-scatter's
+// producer, one column range of the stored W_down shard per ring chunk (the
+// path the 2D benchmarks, riding the inner gather's row blocks, never take).
+func BenchmarkEngineDecodeStepStreamed1D(b *testing.B) {
+	benchEngineDecodeStep(b, engine.Options{
+		FFN: partition.FFN1DWeightStationary, Attn: partition.AttnShardHeads,
+		Streamed: true,
+	})
+}
+
 // BenchmarkEngineDecodeStepStreamedInt8Wire combines the chunk-streamed
 // paths with int8 wire payloads — the production pairing for multi-chip
 // decode (quantized chunks on the ring, dequantized once at delivery into

@@ -19,11 +19,11 @@ var wireGroups = []hardware.Torus{
 }
 
 // Measured per-chip traffic must equal the closed-form wire volumes for
-// BOTH payload formats, chunk overheads included — the byte-accurate
-// counters are what make the int8 claim checkable — and the int8 format
-// must move at most 0.55× the fp32 bytes for every collective.
+// every payload format, chunk and row overheads included — the
+// byte-accurate counters are what make the int8 claims checkable — and the
+// int8 formats must move at most 0.55× the fp32 bytes for every collective.
 func TestWireVolumesMatchCostModelBothFormats(t *testing.T) {
-	const shardLen = 24
+	const shardLen, rowLen = 24, 6
 	formats := []struct {
 		name string
 		p    Payload
@@ -31,6 +31,7 @@ func TestWireVolumesMatchCostModelBothFormats(t *testing.T) {
 	}{
 		{"fp32", WireF32, commcost.WireFP32},
 		{"int8", WireInt8, commcost.WireInt8},
+		{"int8rows", WireInt8Rows(rowLen), commcost.WireInt8Rows(rowLen)},
 	}
 	for _, tr := range wireGroups {
 		k := tr.Chips()
@@ -43,7 +44,7 @@ func TestWireVolumesMatchCostModelBothFormats(t *testing.T) {
 					if f.name == "fp32" && m.Int8BytesSent() != 0 {
 						t.Fatalf("fp32 payload sent %d int8 bytes", m.Int8BytesSent())
 					}
-					if f.name == "int8" && m.Int8BytesSent() != m.BytesSent() {
+					if f.name != "fp32" && m.Int8BytesSent() != m.BytesSent() {
 						t.Fatalf("int8 payload sent %d of %d bytes as int8",
 							m.Int8BytesSent(), m.BytesSent())
 					}
@@ -91,9 +92,11 @@ func TestWireVolumesMatchCostModelBothFormats(t *testing.T) {
 		}
 		names := [4]string{"all-gather", "reduce-scatter", "all-reduce", "all-to-all"}
 		for i := range names {
-			fp, q8 := perCollective["fp32"][i], perCollective["int8"][i]
-			if q8 > 0.55*fp {
-				t.Errorf("%v %s: int8 %g bytes/chip not <= 0.55x fp32 %g", tr, names[i], q8, fp)
+			for _, q := range []string{"int8", "int8rows"} {
+				fp, q8 := perCollective["fp32"][i], perCollective[q][i]
+				if q8 > 0.55*fp {
+					t.Errorf("%v %s: %s %g bytes/chip not <= 0.55x fp32 %g", tr, names[i], q, q8, fp)
+				}
 			}
 		}
 	}

@@ -14,9 +14,9 @@
 //
 // The model charges by bytes, not elements — which is exactly why wire
 // dtype is a latency lever: the *WireVolume forms parameterize every
-// collective by a WireFormat (float32, bf16, or per-chunk-scaled int8),
-// and the int8 format's volumes are what the typed collectives in package
-// collective measurably move.
+// collective by a WireFormat (float32, bf16, or int8 scaled per chunk or
+// per row), and the int8 formats' volumes are what the typed collectives in
+// package collective measurably move.
 package commcost
 
 import (
@@ -39,8 +39,11 @@ type WireFormat struct {
 	// ElemBytes is the wire size of one element.
 	ElemBytes float64
 	// ChunkOverhead is the fixed wire bytes added to every transmitted
-	// chunk (message), independent of its element count.
+	// chunk (message), independent of its element count — or, when RowElems
+	// is set, to every row of RowElems elements in it.
 	ChunkOverhead float64
+	// RowElems, when positive, is the row length ChunkOverhead is paid per.
+	RowElems float64
 }
 
 // The wire formats in use: the functional engine's exact float32, the
@@ -52,8 +55,18 @@ var (
 	WireInt8 = WireFormat{ElemBytes: 1, ChunkOverhead: 4}
 )
 
+// WireInt8Rows is int8 with a 4-byte scale per row of cols elements instead
+// of per chunk, the format of the engine's residual gather
+// (collective.WireInt8Rows): a chunk of r rows costs r·(cols+4) bytes.
+func WireInt8Rows(cols int) WireFormat {
+	return WireFormat{ElemBytes: 1, ChunkOverhead: 4, RowElems: float64(cols)}
+}
+
 // Chunk is the wire bytes of one transmitted chunk of `elems` elements.
 func (w WireFormat) Chunk(elems float64) float64 {
+	if w.RowElems > 0 {
+		return elems*w.ElemBytes + elems/w.RowElems*w.ChunkOverhead
+	}
 	return elems*w.ElemBytes + w.ChunkOverhead
 }
 

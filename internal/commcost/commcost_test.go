@@ -272,7 +272,8 @@ func TestFFNLayerCommPanicsOnUnknownLayout(t *testing.T) {
 
 // The wire-format forms are exact per-chunk accountings: they reduce to
 // the classic (K-1)/K volumes for zero-overhead formats and add exactly
-// one chunk overhead per transmission for int8.
+// one chunk overhead per transmission for int8, or one per row for per-row
+// int8.
 func TestWireVolumesReduceToClassicForms(t *testing.T) {
 	const elems, k = 96, 8
 	// fp32, zero overhead: element form × 4 B == byte form.
@@ -295,8 +296,12 @@ func TestWireVolumesReduceToClassicForms(t *testing.T) {
 	if got, want := AllToAllWireVolume(elems*k, k, WireInt8), float64((k-1)*(elems+4)); got != want {
 		t.Errorf("int8 all-to-all %g != %g", got, want)
 	}
+	// Per-row int8 over rows of 12: 4 B of scale per row, not per chunk.
+	if got, want := AllGatherWireVolume(elems, k, WireInt8Rows(12)), float64((k-1)*(elems+4*elems/12)); got != want {
+		t.Errorf("int8 rows all-gather %g != %g", got, want)
+	}
 	// One chip: free in every format.
-	for _, w := range []WireFormat{WireFP32, WireBF16, WireInt8} {
+	for _, w := range []WireFormat{WireFP32, WireBF16, WireInt8, WireInt8Rows(12)} {
 		if AllGatherWireVolume(elems, 1, w)+ReduceScatterWireVolume(elems, 1, w)+
 			AllReduceWireVolume(elems, 1, w)+AllToAllWireVolume(elems, 1, w) != 0 {
 			t.Errorf("single-chip collectives not free in %+v", w)

@@ -57,7 +57,14 @@
 // rings (Section 3.5, stream.go): it folds chunk by chunk in the inner
 // gather's consumer — or runs in the outer reduce-scatter's producer when
 // the inner group has one member and there is no inner ring to ride — and
-// the reduce-scatters stream their input transposes.
+// the reduce-scatters stream their input transposes. Each chunk multiplies a
+// zero-copy row block or column range of the one stored W_down shard.
+//
+// One weight type. A shard is a GEMM operand (simd.GemmB) over float32 or
+// raw int8 weights, plus the int8 column scales; every projection runs the
+// one tile under the one driver and applies the scales, if any, once per
+// output. Under Int8Weights each full matrix is quantized once and every
+// chip cuts its shards from that quantization.
 //
 // Attention layouts:
 //
@@ -112,6 +119,7 @@ import (
 	"esti/internal/partition"
 	"esti/internal/quant"
 	"esti/internal/reference"
+	"esti/internal/simd"
 	"esti/internal/tensor"
 )
 
@@ -157,7 +165,8 @@ type Options struct {
 	// stays allocation-free.
 	WireDType model.DType
 	// Int8Weights stores all projection matrices quantized (per-column
-	// symmetric int8), reproducing the paper's weight-only quantization.
+	// symmetric int8, each full matrix quantized once and then cut into
+	// shards), reproducing the paper's weight-only quantization.
 	Int8Weights bool
 	// Streamed fuses the weight-stationary FFN's down-projection into the
 	// collective chunk stream — the paper's Looped CollectiveEinsum (§3.5);
@@ -174,8 +183,12 @@ type Options struct {
 	Streamed bool
 }
 
-// validate rejects a dtype outside the vocabulary above.
+// validate rejects an attention layout or a dtype outside the vocabulary
+// above.
 func (o *Options) validate() error {
+	if o.Attn != partition.AttnShardHeads && o.Attn != partition.AttnShardBatch {
+		return fmt.Errorf("engine: unknown attention layout %v", o.Attn)
+	}
 	for _, d := range []model.DType{o.KVDType, o.WireDType} {
 		switch d {
 		case model.BF16, model.Int8, model.FP32:
@@ -186,150 +199,129 @@ func (o *Options) validate() error {
 	return nil
 }
 
-// weight is a matrix in either float or int8 form.
-type weight struct {
-	f *tensor.Mat
-	q *quant.Int8Mat
+// shard is a weight matrix on a chip, or a block of one, as the GEMM reads
+// it: k rows of n weights behind a simd.GemmB, float32 or raw int8, and for
+// int8 the per-column scales that make them weights (nil for float). The
+// format is data, not a code path. Every multiply runs the one driver,
+// tensor.GemmInto, over b and then applies the scales, if any, once per
+// output: the paper's weight-only int8 (Section 3.6) saves weight bytes, not
+// compute. A block of rows or a range of columns is the same strides over a
+// sub-slice (rows, cols), so a streamed down-projection's per-chunk blocks
+// are views of the one stored shard.
+type shard struct {
+	k, n   int
+	b      simd.GemmB
+	scales []float32
 }
 
-// shardWeight slices a full weight matrix to a chip's shard. In int8 mode
-// the full matrix is quantized first and the quantized values sliced with
-// their shared column scales — quantize-once-then-shard, as a real
-// checkpoint pipeline does — so every chip's arithmetic is consistent with
-// the unsharded quantized model. nil rows/cols mean "all", and so does a
-// list as long as the dimension: every index list here is strictly
-// increasing, so that one is the identity (a whole-E stripe of the 1D plan,
-// any block on one chip) and not worth a copy.
-func shardWeight(full *tensor.Mat, rows, cols []int, int8w bool) weight {
-	if len(rows) == full.Rows {
-		rows = nil
+// matShard wraps a row-major k×n array as a shard.
+func matShard[T float32 | int8](data []T, k, n int, scales []float32) shard {
+	s := shard{k: k, n: n, b: simd.GemmB{RowStride: n, StripStride: 8}, scales: scales}
+	switch d := any(data).(type) {
+	case []float32:
+		s.b.F32 = d
+	case []int8:
+		s.b.I8 = d
 	}
-	if len(cols) == full.Cols {
-		cols = nil
-	}
-	if int8w {
-		q := quant.Quantize(full)
-		if rows != nil {
-			q = q.SelectRows(rows)
-		}
-		if cols != nil {
-			q = q.SelectCols(cols)
-		}
-		return weight{q: q}
-	}
-	m := full
-	if rows != nil {
-		m = selectRows(m, rows)
-	}
-	if cols != nil {
-		m = selectCols(m, cols)
-	}
-	if m == full {
-		m = full.Clone()
-	}
-	return weight{f: m}
+	return s
 }
 
-// mulA multiplies activations by the weight shard with the output taken
-// from a chip's scratch arena — the only multiply form the per-pass code
-// uses, so a steady-state pass allocates nothing.
-func (w weight) mulA(ar *tensor.Arena, a *tensor.Mat) *tensor.Mat {
-	if w.q != nil {
-		return quant.MatMulInto(ar.Mat(a.Rows, w.q.Cols), a, w.q)
+// take copies block ct of a row-major shard into a shard of its own, with
+// the block's column scales. Cutting int8 weights quantized whole (quantize
+// once, then shard, as a real checkpoint pipeline does) keeps every chip's
+// arithmetic consistent with the unsharded quantized model; quantizing each
+// shard would give it scales of its own.
+func (s shard) take(ct cut) shard {
+	var scales []float32
+	if s.scales != nil {
+		scales = cutOut(s.scales, s.n, cut{rows: []int{0}, cols: ct.cols})
 	}
-	return tensor.MatMulInto(ar.Mat(a.Rows, w.f.Cols), a, w.f)
+	if s.b.I8 != nil {
+		return matShard(cutOut(s.b.I8, s.n, ct), len(ct.rows), len(ct.cols), scales)
+	}
+	return matShard(cutOut(s.b.F32, s.n, ct), len(ct.rows), len(ct.cols), scales)
 }
 
-// mulInto multiplies into a caller-provided destination (the streamed
-// down-projection's per-chunk GEMM, whose output is reused every chunk).
-func (w weight) mulInto(dst, a *tensor.Mat) *tensor.Mat {
-	if w.q != nil {
-		return quant.MatMulInto(dst, a, w.q)
-	}
-	return tensor.MatMulInto(dst, a, w.f)
+// rows is the zero-copy block of rows [lo, hi): the contraction chunk an
+// inner gather delivers. It keeps all of s's scales.
+func (s shard) rows(lo, hi int) shard {
+	s.b, s.k = s.from(lo*s.b.RowStride), hi-lo
+	return s
 }
 
-// mulAcc folds a contraction chunk's partial product into dst: dst must
-// already be [a.Rows, cols] and zeroed (or hold prior chunks' partials).
-// Int8 weights accumulate raw — the caller applies the shared column
-// scales once with finishAcc after the last chunk, matching the unsharded
-// kernel's single scale application.
-func (w weight) mulAcc(dst, a *tensor.Mat) {
-	if w.q != nil {
-		quant.MatMulAccRawInto(dst, a, w.q)
-		return
+// cols is the zero-copy range of columns [lo, hi) of row-major weights, with
+// their scales: the output chunk a reduce-scatter's producer computes. Each
+// output's contraction is the full product's, so a range's product is
+// bit-identical to those columns of the whole.
+func (s shard) cols(lo, hi int) shard {
+	s.b, s.n = s.from(lo), hi-lo
+	if s.scales != nil {
+		s.scales = s.scales[lo:hi]
 	}
-	tensor.MatMulAccInto(dst, a, w.f)
+	return s
 }
 
-// finishAcc completes a mulAcc accumulation (applies int8 column scales;
-// no-op for float weights). Call it on the weight whose blocks were
-// accumulated — the blocks share its Scales array.
-func (w weight) finishAcc(dst *tensor.Mat) {
-	if w.q != nil {
-		quant.ScaleColumns(dst, w.q.Scales)
+// from is s's operand starting off elements into its weights.
+func (s shard) from(off int) simd.GemmB {
+	b := s.b
+	if b.I8 != nil {
+		b.I8 = b.I8[off:]
+	} else {
+		b.F32 = b.F32[off:]
+	}
+	return b
+}
+
+// mulA multiplies activations by the shard into an arena matrix, the
+// multiply form the per-pass code uses, so a steady-state pass allocates
+// nothing.
+func (s shard) mulA(ar *tensor.Arena, a *tensor.Mat) *tensor.Mat {
+	return s.mulInto(ar.Mat(a.Rows, s.n), a)
+}
+
+// mulInto sets dst, reshaped to [a.Rows, n], to a·s and returns it (the
+// streamed down-projection reuses one dst for every chunk).
+func (s shard) mulInto(dst, a *tensor.Mat) *tensor.Mat {
+	dst.Reshape(a.Rows, s.n)
+	s.gemm(dst, a, false)
+	s.finishAcc(dst)
+	return dst
+}
+
+// mulAcc folds a contraction chunk's raw partial product into dst, which
+// must already be [a.Rows, n] and zeroed or hold earlier chunks' partials.
+// The caller applies int8 scales once with finishAcc after the last chunk,
+// matching the unsharded multiply's single scale application.
+func (s shard) mulAcc(dst, a *tensor.Mat) { s.gemm(dst, a, true) }
+
+// finishAcc applies the column scales of int8 weights; float weights have
+// none. Call it on the shard whose row blocks were accumulated: they share
+// its scales.
+func (s shard) finishAcc(dst *tensor.Mat) {
+	if s.scales != nil {
+		quant.ScaleColumns(dst, s.scales)
 	}
 }
 
-// rowBlocks returns k zero-copy row-block views of w ([blockRows·k, cols]
-// sliced into [blockRows, cols] each) — the per-chunk weight slices the
-// streamed gathers contract against. Int8 views share w's Scales.
-func rowBlocks(w weight, k, blockRows int) []weight {
-	out := make([]weight, k)
-	for j := 0; j < k; j++ {
-		lo := j * blockRows
-		if w.q != nil {
-			out[j] = weight{q: &quant.Int8Mat{
-				Rows: blockRows, Cols: w.q.Cols,
-				Data:   w.q.Data[lo*w.q.Cols : (lo+blockRows)*w.q.Cols],
-				Scales: w.q.Scales,
-			}}
-		} else {
-			out[j] = weight{f: &tensor.Mat{
-				Rows: blockRows, Cols: w.f.Cols,
-				Data: w.f.Data[lo*w.f.Cols : (lo+blockRows)*w.f.Cols],
-			}}
-		}
+// gemm is dst = a·s, or dst += a·s when acc, over the raw weights.
+func (s shard) gemm(dst, a *tensor.Mat, acc bool) {
+	if a.Cols != s.k || dst.Rows != a.Rows || dst.Cols != s.n {
+		panic(fmt.Sprintf("engine: [%d,%d]·[%d,%d] weights into [%d,%d]", a.Rows, a.Cols, s.k, s.n, dst.Rows, dst.Cols))
 	}
-	return out
+	tensor.GemmInto(dst, a, s.b, acc)
 }
 
-// colBlocks returns k column-block copies of w ([rows, blockCols·k] split
-// into [rows, blockCols] each) — the per-output-chunk slices of a
-// down-projection that rides a reduce-scatter's producer. Column blocks are
-// copied once at build time
-// (columns are not contiguous in row-major storage); slicing columns
-// preserves each output element's contraction order, so a block's GEMM is
-// bit-identical to the corresponding columns of the full GEMM.
-func colBlocks(w weight, k, blockCols int) []weight {
-	out := make([]weight, k)
-	for j := 0; j < k; j++ {
-		cols := contiguous(j*blockCols, blockCols)
-		if w.q != nil {
-			out[j] = weight{q: w.q.SelectCols(cols)}
-		} else {
-			out[j] = weight{f: selectCols(w.f, cols)}
-		}
-	}
-	return out
-}
-
-// chipLayer is one layer's weight shards on one chip.
+// chipLayer is one layer's weight shards on one chip, each stored once: a
+// streamed session's per-chunk blocks of wDown are views taken as the chunks
+// arrive (ffnDownStreamed).
 type chipLayer struct {
 	normGain    []float32
 	ffnNormGain []float32
 	// FFN shards: this chip's E×F block of the plan (see ffnPlan).
-	wGate, wUp, wDown weight
+	wGate, wUp, wDown shard
 	// Attention shards: this chip's query-head block, K/V per variant,
 	// and the matching WO row block.
-	wq, wk, wv, wo weight
-	// Per-chunk down-projection blocks of a streamed session (streamFFN):
-	// wDownBlk[j] contracts inner-gather chunk j (row blocks, zero-copy
-	// views), or — when the inner group has one member and the
-	// down-projection rides the outer reduce-scatter — produces that ring's
-	// output chunk j (column-block copies, which then stand in for wDown:
-	// the whole shard is never multiplied).
-	wDownBlk []weight
+	wq, wk, wv, wo shard
 }
 
 // ffnPlan is how the weight-stationary feed-forward is laid over the torus,
@@ -517,8 +509,9 @@ func New(w *reference.Weights, t hardware.Torus, opts Options, batch, maxLen int
 	e := &Engine{cfg: cfg, opts: opts, m: mesh.New(t), batch: batch, maxLen: maxLen,
 		slotPfx: make([]*PrefixRef, batch)}
 	e.chips = make([]*chipState, n)
+	full := e.fullShards(w)
 	for r := 0; r < n; r++ {
-		e.chips[r] = e.buildChip(w, r)
+		e.chips[r] = e.buildChip(w, full, r)
 		// The walk scores all query heads of one KV head at once; no
 		// sharding gives a chip more of them per KV head than the model has.
 		e.chips[r].scr.Reserve(cfg.Heads / cfg.KVHeads * maxLen)
@@ -577,22 +570,17 @@ func (e *Engine) MeasuredOverlap() float64 { return e.m.MeasuredOverlapFrac() }
 // Batch returns the session batch size.
 func (e *Engine) Batch() int { return e.batch }
 
-// selectRows copies the given rows of m in order.
-func selectRows(m *tensor.Mat, rows []int) *tensor.Mat {
-	out := tensor.New(len(rows), m.Cols)
-	for i, r := range rows {
-		copy(out.Row(i), m.Row(r))
-	}
-	return out
-}
+// cut is a block of a matrix: the rows and the columns it holds, each
+// strictly increasing.
+type cut struct{ rows, cols []int }
 
-// selectCols copies the given columns of m in order.
-func selectCols(m *tensor.Mat, cols []int) *tensor.Mat {
-	out := tensor.New(m.Rows, len(cols))
-	for i := 0; i < m.Rows; i++ {
-		src := m.Row(i)
-		dst := out.Row(i)
-		for j, c := range cols {
+// cutOut copies block ct out of a row-major matrix with n columns.
+func cutOut[T float32 | int8](data []T, n int, ct cut) []T {
+	w := len(ct.cols)
+	out := make([]T, len(ct.rows)*w)
+	for i, r := range ct.rows {
+		src, dst := data[r*n:(r+1)*n], out[i*w:(i+1)*w]
+		for j, c := range ct.cols {
 			dst[j] = src[c]
 		}
 	}
@@ -607,31 +595,68 @@ func contiguous(lo, n int) []int {
 	return out
 }
 
-// buildChip slices the full weights into one chip's shards.
-func (e *Engine) buildChip(w *reference.Weights, rank int) *chipState {
+// fullShards returns every layer's weight matrices, in gather order (no
+// gate for GELU), whole: the reference float32 values, or under Int8Weights
+// their quantization, computed once per matrix for every chip to cut its
+// shards from.
+func (e *Engine) fullShards(w *reference.Weights) [][wgMats]shard {
+	out := make([][wgMats]shard, len(w.Layers))
+	for l := range w.Layers {
+		lw := &w.Layers[l]
+		for k, m := range [wgMats]*tensor.Mat{lw.WGate, lw.WUp, lw.WDown, lw.WQ, lw.WK, lw.WV, lw.WO} {
+			if m != nil {
+				out[l][k] = wholeShard(m, e.opts.Int8Weights)
+			}
+		}
+	}
+	return out
+}
+
+// wholeShard is m as a shard: its float32 values, or with int8w its
+// quantization.
+func wholeShard(m *tensor.Mat, int8w bool) shard {
+	if int8w {
+		q := quant.Quantize(m)
+		return matShard(q.Data, m.Rows, m.Cols, q.Scales)
+	}
+	return matShard(m.Data, m.Rows, m.Cols, nil)
+}
+
+// buildChip cuts one chip's shards from the full weights.
+func (e *Engine) buildChip(w *reference.Weights, full [][wgMats]shard, rank int) *chipState {
 	cfg := e.cfg
-	int8w := e.opts.Int8Weights
 	st := &chipState{plan: e.ffnPlan(rank, e.opts.FFN), act: hardware.GroupXYZ}
 	if e.opts.FFN == partition.FFNWeightGatheredXYZ {
 		// Token-sharded: no activation group, and at-rest ExFyz shards
 		// that gatherLayer stages before each layer.
-		st.act, st.wg = nil, e.buildWG(w, rank)
+		st.act, st.wg = nil, e.buildWG(full, rank)
 	}
 	st.iAct, st.nAct = e.m.Chip(rank).GroupRank(st.act)
 	n := st.nAct
 	eBlock, vBlock := cfg.DModel/n, cfg.Vocab/n
-	st.embedCols = selectCols(w.Embed, contiguous(st.iAct*eBlock, eBlock))
+	st.embedCols = tensor.SliceCols(w.Embed, st.iAct*eBlock, (st.iAct+1)*eBlock)
 	st.embedRows = st.embedCols // a group of one: both are the full table
 	if n > 1 {
-		st.embedRows = selectRows(w.Embed, contiguous(st.iAct*vBlock, vBlock))
+		st.embedRows = tensor.SliceRows(w.Embed, st.iAct*vBlock, (st.iAct+1)*vBlock)
 	}
 	st.finalGain = sliceGain(w.FinalGain, 0, cfg.DModel)
 	st.shards = make([][]float32, n)
 
-	p := st.plan
-	eIdx, fIdx := p.block(cfg)
-	headsPC := cfg.Heads / n
-	dh := cfg.HeadDim
+	eIdx, fIdx := st.plan.block(cfg)
+	eAll := contiguous(0, cfg.DModel)
+	hq := cfg.Heads / n * cfg.HeadDim
+	hCols := contiguous(st.iAct*hq, hq)
+	// Batch sharding (any variant) and head-sharded multiquery both need
+	// the full K/V projections on every chip: the single multiquery head is
+	// replicated (Figure 4(b)), and a batch shard attends with all heads.
+	// Head-sharded multihead takes the K/V columns of this chip's heads.
+	kvCols := contiguous(0, cfg.KVHeads*cfg.HeadDim)
+	if !e.batchShardedCache() && cfg.KVHeads > 1 {
+		kvPC := cfg.KVHeads / n * cfg.HeadDim
+		kvCols = contiguous(st.iAct*kvPC, kvPC)
+	}
+	cuts := [wgMats]cut{{eIdx, fIdx}, {eIdx, fIdx}, {fIdx, eIdx},
+		{eAll, hCols}, {eAll, kvCols}, {eAll, kvCols}, {hCols, eAll}}
 	for l := range w.Layers {
 		lw := &w.Layers[l]
 		cl := chipLayer{
@@ -645,56 +670,21 @@ func (e *Engine) buildChip(w *reference.Weights, rank int) *chipState {
 			st.layers = append(st.layers, stage)
 			continue
 		}
-
-		// FFN shards: the chip's block of the plan.
-		if lw.WGate != nil {
-			cl.wGate = shardWeight(lw.WGate, eIdx, fIdx, int8w)
-		}
-		cl.wUp = shardWeight(lw.WUp, eIdx, fIdx, int8w)
-		cl.wDown = shardWeight(lw.WDown, fIdx, eIdx, int8w)
-		if e.streamFFN(&p) {
-			// Inner-gather chunk j is F-row block j of the down shard;
-			// outer reduce-scatter chunk j is its E-column block j.
-			if p.nInner == 1 {
-				cl.wDownBlk = colBlocks(cl.wDown, p.nOuter, eBlock)
-				cl.wDown = weight{}
-			} else {
-				cl.wDownBlk = rowBlocks(cl.wDown, p.nInner, cfg.DFF/n)
+		var ws [wgMats]shard
+		for k, m := range full[l] {
+			if m.k > 0 {
+				ws[k] = m.take(cuts[k])
 			}
 		}
-
-		// Attention shards: query heads split over the activation group.
-		hCols := contiguous(st.iAct*headsPC*dh, headsPC*dh)
-		cl.wq = shardWeight(lw.WQ, nil, hCols, int8w)
-		cl.wo = shardWeight(lw.WO, hCols, nil, int8w)
-		switch {
-		case e.batchShardedCache() || cfg.KVHeads == 1:
-			// Batch sharding (any variant) and head-sharded multiquery
-			// both need the full K/V projections on every chip: the
-			// single multiquery head is replicated (Figure 4(b)), and a
-			// batch shard attends with all heads.
-			cl.wk = shardWeight(lw.WK, nil, nil, int8w)
-			cl.wv = shardWeight(lw.WV, nil, nil, int8w)
-		default:
-			// Head-sharded multihead: K/V columns for this chip's heads.
-			kvPC := cfg.KVHeads / n
-			kvCols := contiguous(st.iAct*kvPC*dh, kvPC*dh)
-			cl.wk = shardWeight(lw.WK, nil, kvCols, int8w)
-			cl.wv = shardWeight(lw.WV, nil, kvCols, int8w)
-		}
+		cl.wGate, cl.wUp, cl.wDown, cl.wq, cl.wk, cl.wv, cl.wo = ws[0], ws[1], ws[2], ws[3], ws[4], ws[5], ws[6]
 		st.layers = append(st.layers, cl)
 	}
 
 	// KV cache shard.
-	switch e.opts.Attn {
-	case partition.AttnShardBatch:
-		st.cache = e.newKVCache(e.batch/e.m.Chips(), cfg.KVHeads*dh)
-	case partition.AttnShardHeads:
-		width := cfg.KVHeads * dh // multiquery: replicated single head
-		if cfg.KVHeads > 1 {
-			width = cfg.KVHeads / n * dh
-		}
-		st.cache = e.newKVCache(e.batch, width)
+	if e.batchShardedCache() {
+		st.cache = e.newKVCache(e.batch/e.m.Chips(), cfg.KVHeads*cfg.HeadDim)
+	} else {
+		st.cache = e.newKVCache(e.batch, len(kvCols))
 	}
 	return st
 }

@@ -48,3 +48,15 @@ func TestNewRejectsNonPositiveBatchAndMaxLen(t *testing.T) {
 		}
 	}
 }
+
+// An attention layout outside the two the engine runs is refused at
+// construction, not left to dereference a chip's missing cache on the first
+// pass.
+func TestNewRejectsUnknownAttnLayout(t *testing.T) {
+	w := reference.NewWeights(ciConfig(), 5)
+	opts := Options{FFN: partition.FFN1DWeightStationary, Attn: partition.AttnLayout(2)}
+	e, err := New(w, torus222(), opts, 8, 16)
+	if err == nil || e != nil || !strings.HasPrefix(err.Error(), "engine:") {
+		t.Fatalf("New(Attn %v): engine returned %v, err %v; want an engine: error", opts.Attn, e != nil, err)
+	}
+}

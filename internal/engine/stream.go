@@ -31,12 +31,12 @@ func (e *Engine) streamFFN(p *ffnPlan) bool { return e.opts.Streamed && p.nOuter
 // ffnDownStreamed is the down half of ffn with the matmul looped into the
 // plan's rings: act is the [tokens, F/n] activated shard. The
 // down-projection rides the inner gather's consumer — each arriving F chunk
-// folds its W_down row-block product into the E/nInner accumulator, which
-// the outer reduce-scatter then streams out — unless the inner group has one
-// member and so no ring to ride: then it runs inside the outer
-// reduce-scatter's producer, chunk j of the transposed partial sum (the
-// E-column block j of act·W_down, transposed) computed just before the ring
-// sends or folds it.
+// folds its product with a row block of W_down into the E/nInner
+// accumulator, which the outer reduce-scatter then streams out — unless the
+// inner group has one member and so no ring to ride: then it runs inside the
+// outer reduce-scatter's producer, chunk j of the transposed partial sum
+// (act times E-column block j of W_down, transposed) computed just before
+// the ring sends or folds it. The blocks are zero-copy views of cl.wDown.
 func (e *Engine) ffnDownStreamed(c *mesh.Chip, st *chipState, cl *chipLayer, act *tensor.Mat) *tensor.Mat {
 	ar := &st.arena
 	p := &st.plan
@@ -46,13 +46,13 @@ func (e *Engine) ffnDownStreamed(c *mesh.Chip, st *chipState, cl *chipLayer, act
 	if p.nInner == 1 {
 		tr := ar.Mat(eChunk*p.nOuter, tokens) // transposed partial, produced per chunk
 		tmp := ar.Mat(tokens, eChunk)
-		shard := collective.ReduceScatterStream(st.op(c), p.outer, tr.Data,
+		mine := collective.ReduceScatterStream(st.op(c), p.outer, tr.Data,
 			func(j int, chunk []float32) {
-				cl.wDownBlk[j].mulInto(tmp, act)
+				cl.wDown.cols(j*eChunk, (j+1)*eChunk).mulInto(tmp, act)
 				cv := tensor.Mat{Rows: eChunk, Cols: tokens, Data: chunk}
 				tensor.TransposeInto(&cv, tmp)
 			})
-		return colShard(ar, c, shard, tokens)
+		return colShard(ar, c, mine, tokens)
 	}
 	fChunk := act.Cols
 	down := ar.Mat(tokens, eChunk*p.nOuter) // [tokens, E/nInner] accumulator
@@ -60,7 +60,7 @@ func (e *Engine) ffnDownStreamed(c *mesh.Chip, st *chipState, cl *chipLayer, act
 	fullAct := collective.AllGatherStream(st.op(c), p.inner, act.Data,
 		func(j int, chunk []float32) {
 			cm := tensor.Mat{Rows: tokens, Cols: fChunk, Data: chunk}
-			cl.wDownBlk[j].mulAcc(down, &cm)
+			cl.wDown.rows(j*fChunk, (j+1)*fChunk).mulAcc(down, &cm)
 		})
 	c.Recycle(fullAct)
 	cl.wDown.finishAcc(down)

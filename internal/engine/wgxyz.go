@@ -5,8 +5,6 @@ import (
 	"esti/internal/hardware"
 	"esti/internal/mesh"
 	"esti/internal/partition"
-	"esti/internal/reference"
-	"esti/internal/tensor"
 )
 
 // This file is what the XYZ-weight-gathered layout (Section 3.2.3 / Figure
@@ -30,10 +28,6 @@ import (
 // gate, up, down, W_Q, W_K, W_V, W_O.
 const wgMats = 7
 
-// cut is where an at-rest shard sits in its full matrix: the rows and the
-// columns it holds, each strictly increasing.
-type cut struct{ rows, cols []int }
-
 // wgState is a chip's at-rest weight shards, flattened for gathering, per
 // layer in gather order (nil gate for GELU), and their cuts.
 type wgState struct {
@@ -41,10 +35,10 @@ type wgState struct {
 	cuts   [wgMats]cut
 }
 
-// buildWG cuts a chip's at-rest shards: its block of the 2D plan for the
-// FFN (ffnPlan.block), a column block of query heads of W_Q, and row blocks
-// of W_K, W_V and W_O.
-func (e *Engine) buildWG(w *reference.Weights, rank int) *wgState {
+// buildWG cuts a chip's at-rest shards from the full weights: its block of
+// the 2D plan for the FFN (ffnPlan.block), a column block of query heads of
+// W_Q, and row blocks of W_K, W_V and W_O.
+func (e *Engine) buildWG(full [][wgMats]shard, rank int) *wgState {
 	cfg := e.cfg
 	n := e.m.Chips()
 	eIdx, fIdx := e.ffnPlan(rank, partition.FFN2DWeightStationary).block(cfg)
@@ -53,12 +47,11 @@ func (e *Engine) buildWG(w *reference.Weights, rank int) *wgState {
 	eAll, kvAll := contiguous(0, cfg.DModel), contiguous(0, cfg.KVHeads*cfg.HeadDim)
 	ws := &wgState{cuts: [wgMats]cut{{eIdx, fIdx}, {eIdx, fIdx}, {fIdx, eIdx},
 		{eAll, heads}, {eRows, kvAll}, {eRows, kvAll}, {heads, eAll}}}
-	for l := range w.Layers {
-		lw := &w.Layers[l]
+	for _, mats := range full {
 		var shards [wgMats][]float32
-		for k, m := range [wgMats]*tensor.Mat{lw.WGate, lw.WUp, lw.WDown, lw.WQ, lw.WK, lw.WV, lw.WO} {
-			if m != nil {
-				shards[k] = selectCols(selectRows(m, ws.cuts[k].rows), ws.cuts[k].cols).Data
+		for k, m := range mats {
+			if m.k > 0 {
+				shards[k] = m.take(ws.cuts[k]).b.F32
 			}
 		}
 		ws.layers = append(ws.layers, shards)
@@ -73,25 +66,26 @@ func (e *Engine) buildWG(w *reference.Weights, rank int) *wgState {
 // their per-chunk dequantization).
 func (e *Engine) gatherLayer(c *mesh.Chip, st *chipState, l int) {
 	cl := &st.layers[l]
-	stage := [wgMats]*tensor.Mat{cl.wGate.f, cl.wUp.f, cl.wDown.f, cl.wq.f, cl.wk.f, cl.wv.f, cl.wo.f}
-	for k, shard := range st.wg.layers[l] {
-		if shard == nil {
+	stage := [wgMats]shard{cl.wGate, cl.wUp, cl.wDown, cl.wq, cl.wk, cl.wv, cl.wo}
+	for k, at := range st.wg.layers[l] {
+		if at == nil {
 			continue // no gate
 		}
-		full := stage[k]
-		all := collective.AllGatherStream(st.op(c), hardware.GroupXYZ, shard, func(r int, chunk []float32) {
-			place(full, chunk, e.chips[r].wg.cuts[k])
+		full, n := stage[k].b.F32, stage[k].n
+		all := collective.AllGatherStream(st.op(c), hardware.GroupXYZ, at, func(r int, chunk []float32) {
+			place(full, n, chunk, e.chips[r].wg.cuts[k])
 		})
 		c.Recycle(all)
 	}
 }
 
-// place copies a gathered shard into its cut of the full matrix.
-func place(full *tensor.Mat, chunk []float32, ct cut) {
+// place copies a gathered shard into its cut of a full row-major matrix
+// with n columns.
+func place(full []float32, n int, chunk []float32, ct cut) {
 	w := len(ct.cols)
 	runs := ct.cols[w-1]-ct.cols[0] == w-1 // contiguous columns: row copies
 	for i, r := range ct.rows {
-		src, dst := chunk[i*w:(i+1)*w], full.Row(r)
+		src, dst := chunk[i*w:(i+1)*w], full[r*n:(r+1)*n]
 		if runs {
 			copy(dst[ct.cols[0]:], src)
 			continue

@@ -19,6 +19,10 @@ func randMat(rng *rand.Rand, rows, cols int) *tensor.Mat {
 	return m
 }
 
+// accRaw is dst += a·int8(q) with no scales applied: the raw accumulation
+// the engine's streamed down-projection folds chunk by chunk.
+func accRaw(dst, a *tensor.Mat, q *Int8Mat) { tensor.GemmInto(dst, a, q.rowMajor(), true) }
+
 // Raw accumulation from a zero destination followed by one ScaleColumns is
 // the unsharded quantized matmul, bit for bit: both are the same tile
 // driver, and an accumulator loaded as +0 is an accumulator cleared.
@@ -31,7 +35,7 @@ func TestMatMulAccRawFromZeroMatchesMatMul(t *testing.T) {
 		q := Quantize(randMat(rng, sh.k, sh.n))
 		want := MatMul(a, q)
 		dst := tensor.New(sh.m, sh.n)
-		MatMulAccRawInto(dst, a, q)
+		accRaw(dst, a, q)
 		ScaleColumns(dst, q.Scales)
 		for i := range want.Data {
 			if math.Float32bits(dst.Data[i]) != math.Float32bits(want.Data[i]) {
@@ -59,13 +63,13 @@ func TestMatMulAccRawRowBlocks(t *testing.T) {
 		qBlk := &Int8Mat{
 			Rows: kb, Cols: n,
 			Data:   q.Data[blk*kb*n : (blk+1)*kb*n],
-			Scales: q.Scales, // shared, unscoped — AccRaw never reads them
+			Scales: q.Scales, // shared, unscoped — accRaw never reads them
 		}
 		aBlk := tensor.New(m, kb)
 		for i := 0; i < m; i++ {
 			copy(aBlk.Row(i), a.Row(i)[blk*kb:(blk+1)*kb])
 		}
-		MatMulAccRawInto(dst, aBlk, qBlk)
+		accRaw(dst, aBlk, qBlk)
 	}
 	ScaleColumns(dst, q.Scales)
 	for i := range want.Data {
@@ -86,11 +90,11 @@ func TestParallelMatMulAccRawExact(t *testing.T) {
 	prev := tensor.SetWorkers(1)
 	defer tensor.SetWorkers(prev)
 	serial := base.Clone()
-	MatMulAccRawInto(serial, a, q)
+	accRaw(serial, a, q)
 
 	tensor.SetWorkers(4)
 	parallel := base.Clone()
-	MatMulAccRawInto(parallel, a, q)
+	accRaw(parallel, a, q)
 	for i := range serial.Data {
 		if math.Float32bits(serial.Data[i]) != math.Float32bits(parallel.Data[i]) {
 			t.Fatalf("parallel acc-raw differs from serial at %d", i)
@@ -108,7 +112,7 @@ func TestAccRawShapeAndScalePanics(t *testing.T) {
 					t.Errorf("no panic for dst %dx%d", bad.Rows, bad.Cols)
 				}
 			}()
-			MatMulAccRawInto(bad, a, q)
+			accRaw(bad, a, q)
 		}()
 	}
 	func() {

@@ -62,43 +62,6 @@ func (q *Int8Mat) Dequantize() *tensor.Mat {
 // Bytes is the storage footprint: one byte per element plus four per scale.
 func (q *Int8Mat) Bytes() int { return len(q.Data) + 4*len(q.Scales) }
 
-// SelectRows copies the given rows, preserving the column scales. Sharding
-// a quantized checkpoint this way (quantize once, then slice) keeps every
-// chip's arithmetic bit-consistent with the unsharded quantized model —
-// per-shard re-quantization would compute different scales per shard.
-func (q *Int8Mat) SelectRows(rows []int) *Int8Mat {
-	out := &Int8Mat{
-		Rows: len(rows), Cols: q.Cols,
-		Data:   make([]int8, len(rows)*q.Cols),
-		Scales: make([]float32, q.Cols),
-	}
-	copy(out.Scales, q.Scales)
-	for i, r := range rows {
-		copy(out.Data[i*q.Cols:(i+1)*q.Cols], q.Data[r*q.Cols:(r+1)*q.Cols])
-	}
-	return out
-}
-
-// SelectCols copies the given columns with their scales.
-func (q *Int8Mat) SelectCols(cols []int) *Int8Mat {
-	out := &Int8Mat{
-		Rows: q.Rows, Cols: len(cols),
-		Data:   make([]int8, q.Rows*len(cols)),
-		Scales: make([]float32, len(cols)),
-	}
-	for j, c := range cols {
-		out.Scales[j] = q.Scales[c]
-	}
-	for i := 0; i < q.Rows; i++ {
-		src := q.Data[i*q.Cols : (i+1)*q.Cols]
-		dst := out.Data[i*len(cols) : (i+1)*len(cols)]
-		for j, c := range cols {
-			dst[j] = src[c]
-		}
-	}
-	return out
-}
-
 // MatMul multiplies float activations by the quantized weights, accumulating
 // in float32 over the int8 values and applying the column scale once per
 // output (the standard weight-only quantized matmul).
@@ -121,33 +84,14 @@ func MatMulInto(dst, a *tensor.Mat, q *Int8Mat) *tensor.Mat {
 	return dst
 }
 
-// MatMulAccRawInto accumulates the unscaled product into dst: dst +=
-// a·int8(q), with no column scales applied. It exists for the streamed
-// collectives' contraction-chunked matmuls: row blocks of q (views sharing
-// one Scales array) arrive one chunk at a time, each folds its raw partial
-// product into dst, and the caller applies ScaleColumns once after the
-// last chunk — the same single scale application as the unsharded kernel,
-// over sums taken in the same order, which is what makes
-// MatMulAccRawInto+ScaleColumns from a cleared dst equal MatMulInto bit for
-// bit. dst must already have shape [a.Rows, q.Cols]; it must not alias a.
-func MatMulAccRawInto(dst, a *tensor.Mat, q *Int8Mat) *tensor.Mat {
-	if a.Cols != q.Rows {
-		panic(fmt.Sprintf("quant: matmul shape mismatch %dx%d · %dx%d", a.Rows, a.Cols, q.Rows, q.Cols))
-	}
-	if dst.Rows != a.Rows || dst.Cols != q.Cols {
-		panic(fmt.Sprintf("quant: matmul-acc dst %dx%d for %dx%d result", dst.Rows, dst.Cols, a.Rows, q.Cols))
-	}
-	tensor.GemmInto(dst, a, q.rowMajor(), true)
-	return dst
-}
-
 // rowMajor is q's raw values as a GEMM right operand.
 func (q *Int8Mat) rowMajor() simd.GemmB {
 	return simd.GemmB{I8: q.Data, RowStride: q.Cols, StripStride: 8}
 }
 
 // ScaleColumns applies per-column scales in place: m[i][j] *= scales[j].
-// It finishes a MatMulAccRawInto accumulation.
+// It finishes a raw product: a·int8(q), taken whole or accumulated chunk by
+// chunk with tensor.GemmInto, scaled once.
 func ScaleColumns(m *tensor.Mat, scales []float32) {
 	if len(scales) < m.Cols {
 		panic(fmt.Sprintf("quant: %d scales for %d columns", len(scales), m.Cols))

@@ -94,65 +94,6 @@ func TestExtremesPreserved(t *testing.T) {
 	}
 }
 
-// Quantize-then-slice must equal slice-then-dequantize on the same index
-// sets (shared scales are the point).
-func TestSelectRowsCols(t *testing.T) {
-	rng := rand.New(rand.NewSource(5))
-	w := tensor.New(8, 6).FillRand(rng, 1)
-	q := Quantize(w)
-	rows := []int{1, 3, 4}
-	cols := []int{0, 2, 5}
-
-	qr := q.SelectRows(rows)
-	if qr.Rows != 3 || qr.Cols != 6 {
-		t.Fatalf("SelectRows shape %dx%d", qr.Rows, qr.Cols)
-	}
-	full := q.Dequantize()
-	for i, r := range rows {
-		for c := 0; c < 6; c++ {
-			if qr.Dequantize().At(i, c) != full.At(r, c) {
-				t.Fatalf("row slice mismatch at (%d,%d)", i, c)
-			}
-		}
-	}
-
-	qc := q.SelectCols(cols)
-	if qc.Rows != 8 || qc.Cols != 3 {
-		t.Fatalf("SelectCols shape %dx%d", qc.Rows, qc.Cols)
-	}
-	for r := 0; r < 8; r++ {
-		for j, c := range cols {
-			if qc.Dequantize().At(r, j) != full.At(r, c) {
-				t.Fatalf("col slice mismatch at (%d,%d)", r, j)
-			}
-		}
-	}
-
-	// Composition: row then column slicing preserves scale identity.
-	qrc := qr.SelectCols(cols)
-	for j, c := range cols {
-		if qrc.Scales[j] != q.Scales[c] {
-			t.Fatalf("scale %d not shared through slicing", j)
-		}
-	}
-}
-
-// Row-blocked quantized matmuls must sum exactly to the full quantized
-// matmul (shared scales make partial sums well-defined) — the property the
-// sharded engine's int8 mode relies on.
-func TestQuantizedPartialSums(t *testing.T) {
-	rng := rand.New(rand.NewSource(6))
-	a := tensor.New(3, 8).FillRand(rng, 1)
-	w := tensor.New(8, 5).FillRand(rng, 1)
-	q := Quantize(w)
-	full := MatMul(a, q)
-	top := MatMul(tensor.SliceCols(a, 0, 4), q.SelectRows([]int{0, 1, 2, 3}))
-	bot := MatMul(tensor.SliceCols(a, 4, 8), q.SelectRows([]int{4, 5, 6, 7}))
-	if d := tensor.MaxAbsDiff(full, tensor.Add(top, bot)); d > 1e-5 {
-		t.Errorf("quantized partial sums differ from full by %g", d)
-	}
-}
-
 func TestMatMulShapePanic(t *testing.T) {
 	defer func() {
 		if recover() == nil {

@@ -83,9 +83,9 @@ func sameBits(t *testing.T, label string, got, want *tensor.Mat) {
 	}
 }
 
-// MatMulInto and MatMulAccRawInto equal the retained row-pass kernel on
-// every bit over the tile contract's generated shapes (the same lists as
-// package tensor's float test), serially and — SetWorkers(2), for the
+// MatMulInto and raw accumulation (accRaw) equal the retained row-pass
+// kernel on every bit over the tile contract's generated shapes (the same
+// lists as package tensor's float test), serially and — SetWorkers(2), for the
 // shapes past the pool's threshold — split in two; and raw accumulation
 // from a cleared dst followed by ScaleColumns still equals MatMulInto. The
 // accumulating form starts from an earlier raw product, as in the engine.
@@ -107,7 +107,7 @@ func TestMatMulBitIdenticalToRowPass(t *testing.T) {
 					sameBits(t, label, got, want)
 
 					raw := tensor.New(m, n)
-					MatMulAccRawInto(raw, a, q)
+					accRaw(raw, a, q)
 					ScaleColumns(raw, q.Scales)
 					sameBits(t, label+" acc-raw+scale", raw, got)
 
@@ -116,7 +116,7 @@ func TestMatMulBitIdenticalToRowPass(t *testing.T) {
 					matMulRowPass(want, a, q, true, false)
 					got = want.Clone()
 					matMulRowPass(want, a2, q, false, false)
-					MatMulAccRawInto(got, a2, q)
+					accRaw(got, a2, q)
 					sameBits(t, label+" acc-raw", got, want)
 				}
 			}
@@ -135,7 +135,7 @@ func TestMatMulZeroRowsStayPositiveZero(t *testing.T) {
 		dst := tensor.New(m, n).FillRand(rng, 1)
 		MatMulInto(dst, a, q)
 		raw := tensor.New(m, n)
-		MatMulAccRawInto(raw, a, q)
+		accRaw(raw, a, q)
 		for j := 0; j < n; j++ {
 			if math.Float32bits(dst.At(masked, j)) != 0 || math.Float32bits(raw.At(masked, j)) != 0 {
 				t.Fatalf("masked row %d col %d: %#08x scaled, %#08x raw, want +0",
@@ -157,8 +157,8 @@ func TestParallelMatMulAllocatesNothing(t *testing.T) {
 	if avg := testing.AllocsPerRun(50, func() { MatMulInto(dst, a, q) }); avg != 0 {
 		t.Errorf("parallel MatMulInto allocates %v times", avg)
 	}
-	if avg := testing.AllocsPerRun(50, func() { MatMulAccRawInto(dst, a, q) }); avg != 0 {
-		t.Errorf("parallel MatMulAccRawInto allocates %v times", avg)
+	if avg := testing.AllocsPerRun(50, func() { accRaw(dst, a, q) }); avg != 0 {
+		t.Errorf("parallel raw accumulation allocates %v times", avg)
 	}
 }
 

@@ -6,10 +6,10 @@ import (
 	"testing"
 )
 
-// MatMulAccInto must equal preload + a·b against the naive oracle, across
-// shapes that hit every tile height and both tails (every tile must
+// GemmInto with acc must equal preload + a·b against the naive oracle,
+// across shapes that hit every tile height and both tails (every tile must
 // accumulate, not clear).
-func TestMatMulAccIntoMatchesOracle(t *testing.T) {
+func TestGemmAccMatchesOracle(t *testing.T) {
 	rng := rand.New(rand.NewSource(23))
 	for _, sh := range propShapes {
 		a := randMatZ(rng, sh.m, sh.k)
@@ -19,7 +19,7 @@ func TestMatMulAccIntoMatchesOracle(t *testing.T) {
 		for i := range want.Data {
 			want.Data[i] += dst.Data[i]
 		}
-		MatMulAccInto(dst, a, b)
+		GemmInto(dst, a, rowMajor(b), true)
 		if r := maxRel(t, dst, want); r > 1e-5 {
 			t.Errorf("%dx%d·%dx%d acc: differs from oracle by rel %g", sh.m, sh.k, sh.k, sh.n, r)
 		}
@@ -30,7 +30,7 @@ func TestMatMulAccIntoMatchesOracle(t *testing.T) {
 // gather-side pattern: one GEMM slice per arriving chunk) must agree with
 // the one-shot product: the per-element addition order is identical when
 // blocks fold in sequence.
-func TestMatMulAccIntoContractionBlocks(t *testing.T) {
+func TestGemmAccContractionBlocks(t *testing.T) {
 	rng := rand.New(rand.NewSource(29))
 	const m, k, n, blocks = 7, 32, 9, 4
 	a := randMatZ(rng, m, k)
@@ -48,7 +48,7 @@ func TestMatMulAccIntoContractionBlocks(t *testing.T) {
 		for i := 0; i < kb; i++ {
 			copy(bb.Row(i), b.Row(blk*kb+i))
 		}
-		MatMulAccInto(dst, ab, bb)
+		GemmInto(dst, ab, rowMajor(bb), true)
 	}
 	if r := maxRel(t, dst, want); r > 1e-5 {
 		t.Errorf("blockwise accumulation differs from one-shot by rel %g", r)
@@ -57,7 +57,7 @@ func TestMatMulAccIntoContractionBlocks(t *testing.T) {
 
 // The parallel accumulate path must agree with the serial one exactly:
 // tiles split output rows, and each row's accumulation order is unchanged.
-func TestParallelMatMulAccIntoExact(t *testing.T) {
+func TestParallelGemmAccExact(t *testing.T) {
 	rng := rand.New(rand.NewSource(31))
 	a := randMatZ(rng, 96, 80)
 	b := randMatZ(rng, 80, 64)
@@ -66,11 +66,11 @@ func TestParallelMatMulAccIntoExact(t *testing.T) {
 	prev := SetWorkers(1)
 	defer SetWorkers(prev)
 	serial := base.Clone()
-	MatMulAccInto(serial, a, b)
+	GemmInto(serial, a, rowMajor(b), true)
 
 	SetWorkers(4)
 	parallel := base.Clone()
-	MatMulAccInto(parallel, a, b)
+	GemmInto(parallel, a, rowMajor(b), true)
 	for i := range serial.Data {
 		if math.Float32bits(serial.Data[i]) != math.Float32bits(parallel.Data[i]) {
 			t.Fatalf("parallel acc differs from serial at %d: %g != %g",
@@ -79,7 +79,11 @@ func TestParallelMatMulAccIntoExact(t *testing.T) {
 	}
 }
 
-func TestMatMulAccIntoShapePanics(t *testing.T) {
+// A destination whose rows differ from a's, or weights too short for the
+// destination's columns, panic instead of reading or writing out of range.
+// (GemmInto takes its contraction length from a; the engine's weight shards
+// check it against their own row count.)
+func TestGemmAccShapePanics(t *testing.T) {
 	a, b := New(2, 3), New(3, 4)
 	for _, bad := range []*Mat{New(3, 4), New(2, 5)} {
 		func() {
@@ -88,15 +92,7 @@ func TestMatMulAccIntoShapePanics(t *testing.T) {
 					t.Errorf("no panic for dst %dx%d", bad.Rows, bad.Cols)
 				}
 			}()
-			MatMulAccInto(bad, a, b)
+			GemmInto(bad, a, rowMajor(b), true)
 		}()
 	}
-	func() {
-		defer func() {
-			if recover() == nil {
-				t.Error("no panic for inner-dimension mismatch")
-			}
-		}()
-		MatMulAccInto(New(2, 4), a, New(5, 4))
-	}()
 }

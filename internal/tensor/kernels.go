@@ -56,24 +56,6 @@ func MatMulInto(dst, a, b *Mat) *Mat {
 	return dst
 }
 
-// MatMulAccInto accumulates a·b into dst (dst += a·b) and returns dst.
-// Unlike MatMulInto, dst must already have shape [a.Rows, b.Cols] — its
-// existing contents are the accumulator, so no reshape and no clear. This
-// is the contraction-chunked form the streamed collectives drive: a
-// gathered activation arrives one K-chunk at a time and each chunk's
-// partial product folds into the running output while the next chunk is
-// still on the wire. dst must not alias a or b.
-func MatMulAccInto(dst, a, b *Mat) *Mat {
-	if a.Cols != b.Rows {
-		panic(fmt.Sprintf("tensor: matmul shape mismatch %dx%d · %dx%d", a.Rows, a.Cols, b.Rows, b.Cols))
-	}
-	if dst.Rows != a.Rows || dst.Cols != b.Cols {
-		panic(fmt.Sprintf("tensor: matmul-acc dst %dx%d for %dx%d result", dst.Rows, dst.Cols, a.Rows, b.Cols))
-	}
-	GemmInto(dst, a, rowMajor(b), true)
-	return dst
-}
-
 // rowMajor is b as a GEMM right operand.
 func rowMajor(b *Mat) simd.GemmB {
 	return simd.GemmB{F32: b.Data, RowStride: b.Cols, StripStride: 8}
@@ -85,8 +67,10 @@ func rowMajor(b *Mat) simd.GemmB {
 // of row-major storage, or packed. Rows go to simd.Gemm in one range, or
 // in one range per worker when the product is large enough to split; a
 // range's tile heights are read off its row count, and per output element
-// the operation order is the same however the rows are cut. dst must not
-// alias a.
+// the operation order is the same however the rows are cut. With acc the
+// contents of dst are the accumulator, so a contraction that arrives chunk
+// by chunk (the engine's streamed collectives) folds each chunk's partial
+// product into the running output. dst must not alias a.
 func GemmInto(dst, a *Mat, b simd.GemmB, acc bool) {
 	if dst.Rows != a.Rows {
 		panic(fmt.Sprintf("tensor: gemm dst has %d rows for %d of a", dst.Rows, a.Rows))

@@ -122,11 +122,11 @@ func sameBits(t *testing.T, label string, got, want *Mat) {
 	}
 }
 
-// MatMulInto and MatMulAccInto equal the retained row-pass kernel on every
-// bit, serially and cut in two across the pool, on whichever dispatch path
-// the run selected (CI runs this under ESTI_NOSIMD=1 as well). The
-// accumulating form starts from an earlier product, as every caller in the
-// engine does: such a dst holds no -0, which is what makes multiplying
+// MatMulInto and GemmInto's accumulating form equal the retained row-pass
+// kernel on every bit, serially and cut in two across the pool, on whichever
+// dispatch path the run selected (CI runs this under ESTI_NOSIMD=1 as well).
+// The accumulating form starts from an earlier product, as every caller in
+// the engine does: such a dst holds no -0, which is what makes multiplying
 // through a zero group the identity the oracle's skip is.
 func TestMatMulBitIdenticalToRowPass(t *testing.T) {
 	rng := rand.New(rand.NewSource(59))
@@ -144,7 +144,7 @@ func TestMatMulBitIdenticalToRowPass(t *testing.T) {
 
 					got := base.Clone()
 					if acc {
-						MatMulAccInto(got, a, b)
+						GemmInto(got, a, rowMajor(b), true)
 					} else {
 						MatMulInto(got, a, b)
 					}
@@ -178,7 +178,7 @@ func TestMatMulZeroRowsStayPositiveZero(t *testing.T) {
 			for _, acc := range []bool{false, true} {
 				dst := New(m, n)
 				if acc {
-					MatMulAccInto(dst, a, b)
+					GemmInto(dst, a, rowMajor(b), true)
 				} else {
 					dst.FillRand(rng, 1)
 					MatMulInto(dst, a, b)
@@ -213,9 +213,9 @@ func TestParallelMatMulAllocatesNothing(t *testing.T) {
 	}
 	MatMulInto(dst, a, b) // starts the pool, makes the first job record
 	for name, f := range map[string]func(){
-		"MatMulInto":    func() { MatMulInto(dst, a, b) },
-		"MatMulAccInto": func() { MatMulAccInto(dst, a, b) },
-		"MatMulTInto":   func() { MatMulTInto(dst, a, bt) },
+		"MatMulInto":   func() { MatMulInto(dst, a, b) },
+		"GemmInto acc": func() { GemmInto(dst, a, rowMajor(b), true) },
+		"MatMulTInto":  func() { MatMulTInto(dst, a, bt) },
 	} {
 		if avg := testing.AllocsPerRun(50, f); avg != 0 {
 			t.Errorf("parallel %s allocates %v times", name, avg)
