@@ -4,16 +4,29 @@ import (
 	"errors"
 	"math"
 	"testing"
+
+	"esti/internal/batching"
+	"esti/internal/faults"
+	"esti/internal/fleet"
+	"esti/internal/hardware"
+	"esti/internal/model"
+	"esti/internal/partition"
+	"esti/internal/perf"
+	"esti/internal/planner"
 )
 
-// The facade must reproduce the paper's headline through the public API
-// alone: 540B int8 batch-64 decode at ~29 ms/token on 64 chips.
+// End-to-end checks of the module's top-level claims, each made across the
+// packages a caller combines: model presets, the torus system, the perf
+// model, the planner, and the fleet with its fault vocabulary.
+
+// The paper's headline: 540B int8 batch-64 decode at ~29 ms/token on 64
+// chips.
 func TestFacadeHeadline(t *testing.T) {
-	res := Decode(Request{
-		Model: PaLM540B(), System: TPUv4Slice(4, 4, 4), Weights: Int8,
-		FFN: FFN2DWeightStationary, Attn: AttnShardBatch,
+	res := perf.Decode(perf.Request{
+		Model: model.PaLM540BPadded(), System: hardware.TPUv4Slice(4, 4, 4), Weights: model.Int8,
+		FFN: partition.FFN2DWeightStationary, Attn: partition.AttnShardBatch,
 		Batch: 64, Context: 2048, Gen: 64,
-	}, DefaultKnobs())
+	}, perf.DefaultKnobs())
 	if !res.Feasible {
 		t.Fatalf("infeasible: %s", res.Reason)
 	}
@@ -25,10 +38,10 @@ func TestFacadeHeadline(t *testing.T) {
 
 func TestFacadePresets(t *testing.T) {
 	for _, tc := range []struct {
-		cfg   Model
+		cfg   model.Config
 		wantB float64
 	}{
-		{PaLM8B(), 8.6}, {PaLM62B(), 62.5}, {PaLM540B(), 558}, {MTNLG530B(), 530},
+		{model.PaLM8B(), 8.6}, {model.PaLM62B(), 62.5}, {model.PaLM540BPadded(), 558}, {model.MTNLG530B(), 530},
 	} {
 		gotB := tc.cfg.Params() / 1e9
 		if math.Abs(gotB-tc.wantB)/tc.wantB > 0.05 {
@@ -38,32 +51,34 @@ func TestFacadePresets(t *testing.T) {
 }
 
 func TestFacadeMakePlan(t *testing.T) {
-	p := MakePlan(PaLM62B(), TPUv4Slice(2, 2, 2), BF16,
-		Workload{Batch: 32, Context: 512, Gen: 32}, DefaultKnobs())
+	p := planner.Make(model.PaLM62B(), hardware.TPUv4Slice(2, 2, 2), model.BF16,
+		planner.Workload{Batch: 32, Context: 512, Gen: 32}, planner.MinLatency, perf.DefaultKnobs())
 	if !p.Feasible {
 		t.Fatalf("plan infeasible: %s", p.Reason)
 	}
 	if p.TotalLatency <= 0 {
 		t.Error("non-positive latency")
 	}
-	if p.Decode.FFN != FFN2DWeightStationary && p.Decode.FFN != FFN1DWeightStationary {
+	if p.Decode.FFN != partition.FFN2DWeightStationary && p.Decode.FFN != partition.FFN1DWeightStationary {
 		t.Errorf("decode picked %v, want a weight-stationary layout", p.Decode.FFN)
 	}
 }
 
-// The fleet layer through the facade alone: a Zipf trace routed across two
-// replicas with affinity, plus the sentinel vocabulary via errors.Is.
-func TestFacadeFleet(t *testing.T) {
-	c := FleetConfig{
-		Replica: ContinuousConfig{
-			Model: PaLM540B(), Weights: Int8, System: TPUv4Slice(4, 4, 4),
-			FFN: FFN2DWeightStationary, Attn: AttnShardBatch,
-			Slots: 64, MaxLen: 2048 + 256, PrefixCache: true, Knobs: DefaultKnobs(),
-		},
-		Replicas: 2, Policy: Affinity,
+// fleetReplica is the 540B int8 replica both fleet checks stamp out.
+func fleetReplica() batching.Config {
+	return batching.Config{
+		Model: model.PaLM540BPadded(), Weights: model.Int8, System: hardware.TPUv4Slice(4, 4, 4),
+		FFN: partition.FFN2DWeightStationary, Attn: partition.AttnShardBatch,
+		Slots: 64, MaxLen: 2048 + 256, PrefixCache: true, Knobs: perf.DefaultKnobs(),
 	}
-	trace := WithSLO(ZipfPrefixTrace(60, 0.05, 512, 8, 1.3, 1), 60, 0.25, 2)
-	res, err := SimulateFleet(c, trace)
+}
+
+// A Zipf trace routed across two replicas with affinity, plus the sentinel
+// vocabulary via errors.Is.
+func TestFacadeFleet(t *testing.T) {
+	c := fleet.Config{Replica: fleetReplica(), Replicas: 2, Policy: fleet.Affinity}
+	trace := batching.WithSLO(batching.ZipfPrefixTrace(60, 0.05, 512, 8, 1.3, 1), 60, 0.25, 2)
+	res, err := fleet.Simulate(c, trace)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -73,17 +88,17 @@ func TestFacadeFleet(t *testing.T) {
 	if res.AffinityHits == 0 || res.GoodputPerChip <= 0 {
 		t.Errorf("degenerate fleet result: hits %d goodput %.3f", res.AffinityHits, res.GoodputPerChip)
 	}
-	if _, err := SimulateFleet(FleetConfig{Replica: c.Replica}, trace); !errors.Is(err, ErrInvalidConfig) {
+	if _, err := fleet.Simulate(fleet.Config{Replica: c.Replica}, trace); !errors.Is(err, batching.ErrInvalidConfig) {
 		t.Errorf("zero replicas: got %v, want ErrInvalidConfig", err)
 	}
 }
 
 func TestFacadePrefill(t *testing.T) {
-	res := Prefill(Request{
-		Model: PaLM62B(), System: TPUv4Slice(4, 2, 2), Weights: Int8,
-		FFN: FFN2DWeightStationary, Attn: AttnShardHeads,
+	res := perf.Prefill(perf.Request{
+		Model: model.PaLM62B(), System: hardware.TPUv4Slice(4, 2, 2), Weights: model.Int8,
+		FFN: partition.FFN2DWeightStationary, Attn: partition.AttnShardHeads,
 		Batch: 1, Context: 2048,
-	}, DefaultKnobs())
+	}, perf.DefaultKnobs())
 	if !res.Feasible {
 		t.Fatalf("infeasible: %s", res.Reason)
 	}
@@ -93,28 +108,22 @@ func TestFacadePrefill(t *testing.T) {
 	}
 }
 
-// The fault-tolerance surface works through the facade alone: a parsed
-// fault plan injects a crash, the fleet recovers with retries, and the
-// sentinel family identifies what happened to each request.
+// A parsed fault plan injects a crash, the fleet recovers with retries, and
+// the sentinel family identifies what happened to each request.
 func TestFacadeFaults(t *testing.T) {
-	plan, err := ParseFaultPlan("crash:1@0.5+4, slow:0@1-3x2")
+	plan, err := faults.Parse("crash:1@0.5+4, slow:0@1-3x2")
 	if err != nil {
 		t.Fatal(err)
 	}
 	if len(plan.Events) != 4 {
 		t.Fatalf("parsed %d events, want 4", len(plan.Events))
 	}
-	c := FleetConfig{
-		Replica: ContinuousConfig{
-			Model: PaLM540B(), Weights: Int8, System: TPUv4Slice(4, 4, 4),
-			FFN: FFN2DWeightStationary, Attn: AttnShardBatch,
-			Slots: 64, MaxLen: 2048 + 256, PrefixCache: true, Knobs: DefaultKnobs(),
-		},
-		Replicas: 2, Policy: Affinity, Faults: plan,
-		Recovery: FleetRecoveryPolicy{BrownoutBelow: 0.4},
+	c := fleet.Config{
+		Replica: fleetReplica(), Replicas: 2, Policy: fleet.Affinity, Faults: plan,
+		Recovery: fleet.RecoveryPolicy{BrownoutBelow: 0.4},
 	}
-	trace := ZipfPrefixTrace(80, 0.02, 512, 8, 1.3, 1)
-	res, err := SimulateFleet(c, trace)
+	trace := batching.ZipfPrefixTrace(80, 0.02, 512, 8, 1.3, 1)
+	res, err := fleet.Simulate(c, trace)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -125,20 +134,20 @@ func TestFacadeFaults(t *testing.T) {
 		t.Error("a crash with in-flight work should force retries")
 	}
 	for _, o := range res.Outcomes {
-		if o.Err != nil && !errors.Is(o.Err, ErrReplicaDown) && !errors.Is(o.Err, ErrDeadline) &&
-			!errors.Is(o.Err, ErrOverloaded) {
-			t.Errorf("outcome error outside the exported family: %v", o.Err)
+		if o.Err != nil && !errors.Is(o.Err, batching.ErrReplicaDown) && !errors.Is(o.Err, batching.ErrDeadline) &&
+			!errors.Is(o.Err, batching.ErrOverloaded) {
+			t.Errorf("outcome error outside the sentinel family: %v", o.Err)
 		}
 	}
 	for _, w := range res.Wasted {
-		if !errors.Is(w.Cause, ErrReplicaDown) && !errors.Is(w.Cause, ErrHedged) {
-			t.Errorf("wasted-work cause outside the exported family: %v", w.Cause)
+		if !errors.Is(w.Cause, batching.ErrReplicaDown) && !errors.Is(w.Cause, batching.ErrHedged) {
+			t.Errorf("wasted-work cause outside the sentinel family: %v", w.Cause)
 		}
 	}
-	if rp := RandomFaultPlan(7, 4, 10); rp.Validate(4) != nil || len(rp.Events) == 0 {
-		t.Errorf("RandomFaultPlan invalid or empty: %+v", rp)
+	if rp := faults.RandomPlan(7, 4, 10); rp.Validate(4) != nil || len(rp.Events) == 0 {
+		t.Errorf("RandomPlan invalid or empty: %+v", rp)
 	}
-	if _, err := ParseFaultPlan("crash:x@2"); err == nil {
+	if _, err := faults.Parse("crash:x@2"); err == nil {
 		t.Error("malformed DSL accepted")
 	}
 }

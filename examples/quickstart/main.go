@@ -1,17 +1,26 @@
 // Quickstart: cost a Transformer inference configuration with the
-// analytical model, then let the planner pick the best partitioning.
+// analytical model, let the planner pick the best partitioning, price the
+// paper's interactive chatbot turn, then run a small multiquery model
+// across 8 simulated chips and check its logits against the unsharded
+// reference. Exits 1 if the sharded logits diverge.
 //
 //	go run ./examples/quickstart
 package main
 
 import (
 	"fmt"
+	"math"
+	"os"
 
+	"esti/internal/engine"
 	"esti/internal/hardware"
 	"esti/internal/model"
 	"esti/internal/partition"
 	"esti/internal/perf"
 	"esti/internal/planner"
+	"esti/internal/reference"
+	"esti/internal/sampling"
+	"esti/internal/tensor"
 )
 
 func main() {
@@ -27,11 +36,12 @@ func main() {
 	// 1. Cost a specific configuration by hand: batch-64 decode with int8
 	// weights, 2D weight-stationary FFN, batch-sharded multiquery
 	// attention — the paper's low-latency operating point.
-	res := perf.Decode(perf.Request{
+	req := perf.Request{
 		Model: cfg, System: sys, Weights: model.Int8,
 		FFN: partition.FFN2DWeightStationary, Attn: partition.AttnShardBatch,
 		Batch: 64, Context: 2048, Gen: 64,
-	}, knobs)
+	}
+	res := perf.Decode(req, knobs)
 	fmt.Printf("decode, batch 64, int8: %.1f ms/token at %.1f%% MFU\n",
 		res.StepTime*1000, res.MFU*100)
 	fmt.Printf("  breakdown per 64-token generation: compute %.0fms, weights %.0fms, KV %.0fms, comm %.0fms\n\n",
@@ -44,12 +54,64 @@ func main() {
 		planner.MinCost, knobs)
 	if !plan.Feasible {
 		fmt.Println("no feasible plan:", plan.Reason)
-		return
+		os.Exit(1)
 	}
 	fmt.Printf("planner (batch 512, min cost):\n")
 	fmt.Printf("  prefill: %-7s + %-11s → %.1fs at %.1f%% MFU\n",
 		plan.Prefill.FFN, plan.Prefill.Attn, plan.Prefill.Result.Time, plan.Prefill.Result.MFU*100)
 	fmt.Printf("  decode:  %-7s + %-11s → %.1fs at %.1f%% MFU\n",
 		plan.Decode.FFN, plan.Decode.Attn, plan.Decode.Result.Time, plan.Decode.Result.MFU*100)
-	fmt.Printf("  cost: %.3f chip-ms per generated token\n", plan.Decode.Result.Cost*1000)
+	fmt.Printf("  cost: %.3f chip-ms per generated token\n\n", plan.Decode.Result.Cost*1000)
+
+	// 3. The paper's Section 1 chatbot turn: 64 new user tokens against a
+	// 1920-token cached history, then a 64-token reply.
+	req.Context, req.Past = 64, 1920
+	turn := perf.Prefill(req, knobs).Time + perf.Decode(req, knobs).Time
+	fmt.Printf("chatbot turn (1920 cached + 64 in + 64 out): %.2fs total (paper: 1.9s)\n\n", turn)
+
+	// 4. The same layout, functionally: a small multiquery model on a
+	// 2×2×2 mesh, every prefill and greedy decode logit checked against
+	// the unsharded reference.
+	mini := model.Config{
+		Name: "mini-palm", Layers: 4, DModel: 128, DFF: 256,
+		Heads: 16, HeadDim: 8, KVHeads: 1, Attn: model.Multiquery,
+		FFNKind: model.SwiGLU, ParallelBlock: true, Vocab: 256,
+	}
+	torus := hardware.Torus{X: 2, Y: 2, Z: 2}
+	const batch, promptLen, gen = 8, 8, 12
+	w := reference.NewWeights(mini, 2024)
+	eng, err := engine.New(w, torus, engine.Options{
+		FFN: partition.FFN2DWeightStationary, Attn: partition.AttnShardBatch,
+	}, batch, promptLen+gen)
+	if err != nil {
+		fmt.Println("engine:", err)
+		os.Exit(1)
+	}
+	ref := reference.New(w, batch, promptLen+gen)
+	prompt := make([]int, batch*promptLen)
+	for i := range prompt {
+		prompt[i] = (i*31 + 3) % mini.Vocab
+	}
+	engL, refL := eng.Prefill(prompt, promptLen), ref.Prefill(prompt, promptLen)
+	worst := tensor.MaxAbsDiff(engL, refL)
+	last := make([]int, batch)
+	for s := range last {
+		last[s] = sampling.Greedy(engL.Row(s*promptLen + promptLen - 1))
+	}
+	for g := 0; g < gen; g++ {
+		engL, refL = eng.Decode(last), ref.Decode(last)
+		worst = math.Max(worst, tensor.MaxAbsDiff(engL, refL))
+		for s := range last {
+			last[s] = sampling.Greedy(engL.Row(s))
+		}
+	}
+	m := eng.Mesh()
+	fmt.Printf("%s on a %s mesh, 2D weight-stationary + batch-sharded attention:\n", mini.Name, torus)
+	fmt.Printf("  %d-token prefill + %d greedy steps, sharded vs reference max |Δ| = %.2e\n",
+		promptLen, gen, worst)
+	fmt.Printf("  mesh traffic: %d messages, %.2f MB\n", m.MessagesSent(), float64(m.BytesSent())/1e6)
+	if worst > 1e-3 {
+		fmt.Println("FAIL: sharded logits diverge from the reference")
+		os.Exit(1)
+	}
 }

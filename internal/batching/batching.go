@@ -28,8 +28,8 @@
 // # Sentinel errors
 //
 // This package is the single home of the sentinel family every serving
-// layer (serve, batching, fleet, the esti facade) shares; all of them are
-// checkable with errors.Is against wrapped returns:
+// layer (serve, batching, fleet) shares; all of them are checkable with
+// errors.Is against wrapped returns:
 //
 //   - ErrInvalidConfig — a configuration that can never run (bad slot
 //     count, capacity, chunk size; an invalid fault plan). Identical to

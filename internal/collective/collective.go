@@ -99,65 +99,6 @@ func AllGather(o Op, g hardware.AxisGroup, shard []float32) []float32 {
 	return AllGatherStream(o, g, shard, nil)
 }
 
-// AllGatherBidirectional is the latency-optimized all-gather variant: each
-// chip forwards chunks around the ring in both directions simultaneously, so
-// the collective completes in ceil((K-1)/2) steps instead of K-1 at the same
-// total volume. This mirrors the paper's Section 3.5 note that they built "a
-// suite of variants of the CollectiveEinsum concept, to optimize for
-// different scenarios: latency versus throughput". Results are identical to
-// AllGather; only the step count (and hence fixed latency) differs.
-func AllGatherBidirectional(o Op, g hardware.AxisGroup, shard []float32) []float32 {
-	c := o.Chip
-	w := o.wire()
-	rank, size := c.GroupRank(g)
-	if size == 1 {
-		out := c.Buffer(len(shard))
-		copy(out, shard)
-		return out
-	}
-	chunkLen := len(shard)
-	out := c.Buffer(size * chunkLen)
-	copy(out[rank*chunkLen:(rank+1)*chunkLen], shard)
-	next := c.GroupPeer(g, (rank+1)%size)
-	prev := c.GroupPeer(g, (rank-1+size)%size)
-	var fwd, bwd transit
-	// The forward lane delivers chunks rank-1-s, the backward lane chunks
-	// rank+1+s; together they cover all K-1 remote chunks in
-	// ceil((K-1)/2) steps, the backward lane idling on the last step when
-	// K-1 is odd. As in AllGather, relayed chunks are handed off in wire
-	// form once their contents are decoded into out.
-	for s := 0; s < fwdSteps(size); s++ {
-		backActive := s < bwdSteps(size)
-		if s == 0 {
-			w.send(c, next, o.tag(2*s), shard)
-			if backActive {
-				w.send(c, prev, o.tag(2*s+1), shard)
-			}
-		} else {
-			w.relay(c, next, o.tag(2*s), fwd)
-			if backActive {
-				w.relay(c, prev, o.tag(2*s+1), bwd)
-			}
-		}
-		idx := (rank - s - 1 + 2*size) % size
-		fwd = w.recvInto(c, prev, o.tag(2*s), out[idx*chunkLen:(idx+1)*chunkLen])
-		if backActive {
-			idx = (rank + s + 1) % size
-			bwd = w.recvInto(c, next, o.tag(2*s+1), out[idx*chunkLen:(idx+1)*chunkLen])
-		}
-	}
-	w.drop(c, fwd)
-	if bwdSteps(size) > 0 {
-		w.drop(c, bwd)
-	}
-	return out
-}
-
-// fwdSteps and bwdSteps split the K-1 chunk deliveries between the two ring
-// directions: forward carries ceil((K-1)/2), backward floor((K-1)/2).
-func fwdSteps(size int) int { return (size - 1 + 1) / 2 }
-func bwdSteps(size int) int { return (size - 1) / 2 }
-
 // ReduceScatter is the ring reduce-scatter with nothing looped into it: the
 // callback-free case of ReduceScatterStream, which holds the algorithm, run
 // on a pooled copy so that the caller keeps `full`.

@@ -252,60 +252,6 @@ func TestReduceScatterUnevenPanics(t *testing.T) {
 	})
 }
 
-// The bidirectional (latency-optimized) all-gather must produce identical
-// output to the unidirectional ring at identical per-chip volume, for even
-// and odd ring sizes.
-func TestAllGatherBidirectionalEquivalent(t *testing.T) {
-	for _, tr := range []hardware.Torus{
-		{X: 4, Y: 1, Z: 1}, {X: 5, Y: 1, Z: 1}, {X: 2, Y: 2, Z: 2}, {X: 1, Y: 1, Z: 1},
-	} {
-		var uniBytes, biBytes int64
-		uni, m1 := runSPMD(tr, func(c *mesh.Chip) []float32 {
-			rank, _ := c.GroupRank(hardware.GroupXYZ)
-			return AllGather(Op{Chip: c, ID: 1}, hardware.GroupXYZ,
-				[]float32{float32(rank), float32(rank) * 2})
-		})
-		uniBytes = m1.BytesSent()
-		bi, m2 := runSPMD(tr, func(c *mesh.Chip) []float32 {
-			rank, _ := c.GroupRank(hardware.GroupXYZ)
-			return AllGatherBidirectional(Op{Chip: c, ID: 1}, hardware.GroupXYZ,
-				[]float32{float32(rank), float32(rank) * 2})
-		})
-		biBytes = m2.BytesSent()
-		for rank := range uni {
-			if len(uni[rank]) != len(bi[rank]) {
-				t.Fatalf("%v chip %d: lengths differ", tr, rank)
-			}
-			for i := range uni[rank] {
-				if uni[rank][i] != bi[rank][i] {
-					t.Fatalf("%v chip %d: element %d differs: %g vs %g",
-						tr, rank, i, uni[rank][i], bi[rank][i])
-				}
-			}
-		}
-		if uniBytes != biBytes {
-			t.Errorf("%v: bidirectional moved %d bytes vs ring %d", tr, biBytes, uniBytes)
-		}
-	}
-}
-
-// The point of the bidirectional variant is fewer serial steps: on an
-// 8-chip ring it needs 4 rounds instead of 7. Message *count* is the same
-// (volume conservation); the step saving shows up as wall-clock on real
-// links, which the mesh does not clock — so assert the structural property:
-// it completes with both lanes making ceil/floor splits of K-1.
-func TestBidirectionalStepSplit(t *testing.T) {
-	if fwdSteps(8) != 4 || bwdSteps(8) != 3 {
-		t.Errorf("8-ring split = %d+%d, want 4+3", fwdSteps(8), bwdSteps(8))
-	}
-	if fwdSteps(5) != 2 || bwdSteps(5) != 2 {
-		t.Errorf("5-ring split = %d+%d, want 2+2", fwdSteps(5), bwdSteps(5))
-	}
-	if fwdSteps(2) != 1 || bwdSteps(2) != 0 {
-		t.Errorf("2-ring split = %d+%d, want 1+0", fwdSteps(2), bwdSteps(2))
-	}
-}
-
 // Consecutive collectives with distinct op ids must not cross-contaminate
 // even though messages may interleave in inboxes.
 func TestSequentialCollectivesIsolated(t *testing.T) {
@@ -343,7 +289,6 @@ func TestGroupOfOneAllocatesNothing(t *testing.T) {
 		{"AllGatherStream", func() []float32 { return AllGatherStream(o, g, shard, func(int, []float32) {}) }},
 		{"ReduceScatter", func() []float32 { return ReduceScatter(o, g, shard) }},
 		{"ReduceScatterStream", func() []float32 { return ReduceScatterStream(o, g, shard, func(int, []float32) {}) }},
-		{"AllGatherBidirectional", func() []float32 { return AllGatherBidirectional(o, g, shard) }},
 	} {
 		run := func() { c.Recycle(tc.call()) }
 		run()

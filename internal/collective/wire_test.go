@@ -56,12 +56,6 @@ func TestWireVolumesMatchCostModelBothFormats(t *testing.T) {
 				if want := commcost.AllGatherWireVolume(shardLen, k, f.w); ag != want {
 					t.Errorf("all-gather bytes/chip = %g, want %g", ag, want)
 				}
-				agBi := measure(func(c *mesh.Chip) {
-					AllGatherBidirectional(Op{Chip: c, ID: 1, Wire: f.p}, hardware.GroupXYZ, make([]float32, shardLen))
-				})
-				if agBi != ag {
-					t.Errorf("bidirectional all-gather bytes/chip = %g, want %g (same as ring)", agBi, ag)
-				}
 				rs := measure(func(c *mesh.Chip) {
 					ReduceScatter(Op{Chip: c, ID: 1, Wire: f.p}, hardware.GroupXYZ, make([]float32, k*shardLen))
 				})
@@ -146,7 +140,7 @@ func TestInt8AllGatherWithinBound(t *testing.T) {
 // The per-row int8 format holds every row to half a quantization step of
 // its own max magnitude, however loud the rows beside it, and costs four
 // bytes a row on top of the elements — through the ring gather, the
-// bidirectional one, the reduce-scatter and the all-to-all alike.
+// reduce-scatter and the all-to-all alike.
 func TestInt8RowsWithinRowBound(t *testing.T) {
 	const rows, cols = 3, 5
 	tr := hardware.Torus{X: 2, Y: 2, Z: 1}
@@ -188,19 +182,17 @@ func TestInt8RowsWithinRowBound(t *testing.T) {
 	}
 	chunkBytes := int64(rows * (cols + 4))
 	wire := WireInt8Rows(cols)
-	for _, gather := range []func(Op, hardware.AxisGroup, []float32) []float32{AllGather, AllGatherBidirectional} {
-		shard := func(c int) []float32 { return data[c][:rows*cols] }
-		got, m := runSPMD(tr, func(c *mesh.Chip) []float32 {
-			return gather(Op{Chip: c, ID: 1, Wire: wire}, hardware.GroupXYZ, shard(c.Rank))
-		})
-		for rank := range got {
-			for src := 0; src < k; src++ {
-				check("all-gather", got[rank][src*rows*cols:(src+1)*rows*cols], shard(src),
-					rowBound(shard(src), 1), int64(k*(k-1))*chunkBytes, m)
-			}
+	shard := func(c int) []float32 { return data[c][:rows*cols] }
+	got, m := runSPMD(tr, func(c *mesh.Chip) []float32 {
+		return AllGather(Op{Chip: c, ID: 1, Wire: wire}, hardware.GroupXYZ, shard(c.Rank))
+	})
+	for rank := range got {
+		for src := 0; src < k; src++ {
+			check("all-gather", got[rank][src*rows*cols:(src+1)*rows*cols], shard(src),
+				rowBound(shard(src), 1), int64(k*(k-1))*chunkBytes, m)
 		}
 	}
-	got, m := runSPMD(tr, func(c *mesh.Chip) []float32 {
+	got, m = runSPMD(tr, func(c *mesh.Chip) []float32 {
 		return ReduceScatter(Op{Chip: c, ID: 1, Wire: wire}, hardware.GroupXYZ, data[c.Rank])
 	})
 	for rank := range got {

@@ -280,3 +280,67 @@ func TestFleetRejectsOversizedAndInvalid(t *testing.T) {
 		t.Error("disaggregated fleet without decode replicas accepted")
 	}
 }
+
+// A one-replica fleet with no faults, no autoscale and no SLO is the
+// single-replica scheduler behind a router with one choice: it must
+// reproduce batching.Simulate request by request and in every aggregate.
+// This is the equivalence that lets one serving loop wrap the other.
+func TestOneReplicaFleetIsBatchingSimulate(t *testing.T) {
+	noCache := replicaConfig()
+	noCache.PrefixCache, noCache.MaxAdmit = false, 4
+	chunked := replicaConfig()
+	chunked.PrefillChunk = 256
+	for _, tc := range []struct {
+		name  string
+		c     batching.Config
+		trace batching.Trace
+	}{
+		{"prefix-cache", replicaConfig(), zipfTrace(200, 0.02, 7)},
+		{"no-cache-maxadmit4", noCache, batching.ChatbotTrace(200, 0.05, 1)},
+		{"chunk256", chunked, zipfTrace(150, 0.01, 3)},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			want, err := batching.Simulate(tc.c, tc.trace)
+			if err != nil {
+				t.Fatal(err)
+			}
+			got, err := Simulate(Config{Replica: tc.c, Replicas: 1, Policy: Affinity}, tc.trace)
+			if err != nil {
+				t.Fatal(err)
+			}
+			byID := map[int]*batching.Request{}
+			var lat []float64
+			for _, o := range got.Outcomes {
+				if o.Err != nil {
+					t.Fatalf("request %d: %v", o.Req.ID, o.Err)
+				}
+				byID[o.Req.ID] = o.Req
+				lat = append(lat, o.Req.Latency())
+			}
+			if len(byID) != len(want.PerRequest) {
+				t.Fatalf("fleet finished %d requests, batching %d", len(byID), len(want.PerRequest))
+			}
+			for _, w := range want.PerRequest {
+				g := byID[w.ID]
+				if g == nil || g.Admitted != w.Admitted || g.Done != w.Done || g.Slot != w.Slot {
+					t.Fatalf("first differing request %d: fleet %+v, batching %+v", w.ID, g, w)
+				}
+			}
+			// The fleet reports no admission-time prefix hits: its
+			// AffinityHits count arrivals routed to an already-warm
+			// replica, a different quantity (a request queued behind its
+			// template's first prefill misses at arrival and hits at
+			// admission). An admission that skipped a different prefix
+			// would show in the Admitted and Done times compared above.
+			type agg struct {
+				Completed, GenTokens    int
+				Makespan, P50, P95, P99 float64
+			}
+			g := agg{got.Completed, got.GenTokens, got.Makespan, got.P50, batching.Percentile(lat, 0.95), got.P99}
+			w := agg{want.Completed, want.GenTokens, want.Makespan, want.P50, want.P95, want.P99}
+			if g != w {
+				t.Errorf("aggregates differ:\nfleet    %+v\nbatching %+v", g, w)
+			}
+		})
+	}
+}

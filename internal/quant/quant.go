@@ -132,33 +132,6 @@ func matMulNaive(a *tensor.Mat, q *Int8Mat) *tensor.Mat {
 	return out
 }
 
-// RelError returns the max relative reconstruction error of quantizing w,
-// normalized by the per-column max magnitude (the symmetric quantization
-// error bound is 0.5/127 ≈ 0.4%).
-func RelError(w *tensor.Mat) float64 {
-	q := Quantize(w)
-	d := q.Dequantize()
-	var worst float64
-	for c := 0; c < w.Cols; c++ {
-		var maxAbs float64
-		for r := 0; r < w.Rows; r++ {
-			if a := math.Abs(float64(w.At(r, c))); a > maxAbs {
-				maxAbs = a
-			}
-		}
-		if maxAbs == 0 {
-			continue
-		}
-		for r := 0; r < w.Rows; r++ {
-			e := math.Abs(float64(w.At(r, c)-d.At(r, c))) / maxAbs
-			if e > worst {
-				worst = e
-			}
-		}
-	}
-	return worst
-}
-
 func abs32(v float32) float32 {
 	if v < 0 {
 		return -v

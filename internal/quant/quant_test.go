@@ -9,11 +9,22 @@ import (
 	"esti/internal/tensor"
 )
 
+// Every dequantized weight is within half a step of its column's scale:
+// 0.5/127 of the column's max magnitude.
 func TestQuantizeRoundTripError(t *testing.T) {
 	rng := rand.New(rand.NewSource(1))
 	w := tensor.New(32, 16).FillRand(rng, 0.5)
-	if e := RelError(w); e > 0.5/127+1e-6 {
-		t.Errorf("relative error %g exceeds symmetric int8 bound %g", e, 0.5/127)
+	d := Quantize(w).Dequantize()
+	for c := 0; c < w.Cols; c++ {
+		var maxAbs float64
+		for r := 0; r < w.Rows; r++ {
+			maxAbs = max(maxAbs, math.Abs(float64(w.At(r, c))))
+		}
+		for r := 0; r < w.Rows; r++ {
+			if e := math.Abs(float64(w.At(r, c) - d.At(r, c))); e > maxAbs*(0.5/127+1e-6) {
+				t.Errorf("[%d,%d]: error %g exceeds symmetric int8 bound %g of max %g", r, c, e, 0.5/127, maxAbs)
+			}
+		}
 	}
 }
 

@@ -120,31 +120,25 @@ func TestSetWorkersClampsAndRestores(t *testing.T) {
 // the edge a fully-masked attention query produces.
 func TestSoftmaxRowsFullyMaskedRowIsZero(t *testing.T) {
 	inf := float32(math.Inf(-1))
-	for _, base2 := range []bool{false, true} {
-		a := FromSlice([]float32{
-			inf, inf, inf,
-			1, 2, inf,
-		}, 2, 3)
-		if base2 {
-			SoftmaxRowsBase2(a)
-		} else {
-			SoftmaxRows(a)
+	a := FromSlice([]float32{
+		inf, inf, inf,
+		1, 2, inf,
+	}, 2, 3)
+	SoftmaxRows(a)
+	for j, v := range a.Row(0) {
+		if v != 0 {
+			t.Errorf("masked row[%d] = %g, want 0", j, v)
 		}
-		for j, v := range a.Row(0) {
-			if v != 0 {
-				t.Errorf("base2=%v: masked row[%d] = %g, want 0", base2, j, v)
-			}
+	}
+	var sum float32
+	for _, v := range a.Row(1) {
+		if math.IsNaN(float64(v)) {
+			t.Fatal("partially masked row went NaN")
 		}
-		var sum float32
-		for _, v := range a.Row(1) {
-			if math.IsNaN(float64(v)) {
-				t.Fatalf("base2=%v: partially masked row went NaN", base2)
-			}
-			sum += v
-		}
-		if math.Abs(float64(sum)-1) > 1e-5 {
-			t.Errorf("base2=%v: partially masked row sums to %g", base2, sum)
-		}
+		sum += v
+	}
+	if math.Abs(float64(sum)-1) > 1e-5 {
+		t.Errorf("partially masked row sums to %g", sum)
 	}
 }
 
@@ -219,10 +213,6 @@ func TestIntoVariantsMatchAllocating(t *testing.T) {
 	}
 	if d := MaxAbsDiff(CopyInto(New(1, 1), a), a); d != 0 {
 		t.Errorf("CopyInto differs by %g", d)
-	}
-	s := ScaleInPlace(a.Clone(), 2.5)
-	if d := MaxAbsDiff(s, Scale(a, 2.5)); d != 0 {
-		t.Errorf("ScaleInPlace differs by %g", d)
 	}
 	// SiLUFast tracks SiLU within a couple of ulps.
 	f1, f2 := a.Clone(), a.Clone()

@@ -116,14 +116,6 @@ func Scale(a *Mat, s float32) *Mat {
 	return out
 }
 
-// ScaleInPlace multiplies every element by s in place and returns a.
-func ScaleInPlace(a *Mat, s float32) *Mat {
-	for i := range a.Data {
-		a.Data[i] *= s
-	}
-	return a
-}
-
 // CopyInto copies src into dst (reshaped to src's shape) and returns dst.
 func CopyInto(dst, src *Mat) *Mat {
 	dst.Reshape(src.Rows, src.Cols)
@@ -236,23 +228,8 @@ func TransposeInto(dst, a *Mat) *Mat {
 	return dst
 }
 
-// log2e converts natural exponent to base-2 exponent: e^x = 2^(x·log2(e)).
-const log2e = 1.4426950408889634
-
 // SoftmaxRows applies a numerically stable softmax to each row in place.
 func SoftmaxRows(a *Mat) {
-	softmaxRows(a, false)
-}
-
-// SoftmaxRowsBase2 is the paper's "faster log-base-2 implementation of
-// Softmax" (Section 3.5): it computes 2^((x-max)·log2 e) instead of
-// e^(x-max), which maps to cheaper exponent hardware. Numerically it is the
-// same function; the test suite asserts equality with SoftmaxRows.
-func SoftmaxRowsBase2(a *Mat) {
-	softmaxRows(a, true)
-}
-
-func softmaxRows(a *Mat, base2 bool) {
 	for i := 0; i < a.Rows; i++ {
 		row := a.Row(i)
 		maxV := float32(math.Inf(-1))
@@ -273,13 +250,7 @@ func softmaxRows(a *Mat, base2 bool) {
 		}
 		var sum float32
 		for j, v := range row {
-			var e float64
-			if base2 {
-				e = math.Exp2(float64(v-maxV) * log2e)
-			} else {
-				e = math.Exp(float64(v - maxV))
-			}
-			row[j] = float32(e)
+			row[j] = float32(math.Exp(float64(v - maxV)))
 			sum += row[j]
 		}
 		inv := 1 / sum
@@ -328,15 +299,6 @@ func SiLU(a *Mat) {
 	}
 }
 
-// SiLUBase2 is the log-base-2 swish variant of Section 3.5: sigmoid via
-// 2^(-x·log2 e). Identical function, asserted equal in tests.
-func SiLUBase2(a *Mat) {
-	for i, v := range a.Data {
-		e := float32(math.Exp2(float64(-v) * log2e))
-		a.Data[i] = v / (1 + e)
-	}
-}
-
 // SiLUFast is SiLU with the sigmoid's exponential computed by simd.Exp32
 // instead of float64 math.Exp — the engine's hot-path variant, within ~2
 // float32 ulps of SiLU (the same error class as the fused attention
@@ -371,18 +333,4 @@ func MaxAbsDiff(a, b *Mat) float64 {
 		}
 	}
 	return maxD
-}
-
-// AllClose reports whether all elements agree within atol + rtol·|b|.
-func AllClose(a, b *Mat, rtol, atol float64) bool {
-	if a.Rows != b.Rows || a.Cols != b.Cols {
-		return false
-	}
-	for i := range a.Data {
-		av, bv := float64(a.Data[i]), float64(b.Data[i])
-		if math.Abs(av-bv) > atol+rtol*math.Abs(bv) {
-			return false
-		}
-	}
-	return true
 }
