@@ -127,7 +127,7 @@ bench-cpu:
 # `make test-nosimd`) it runs the kernel equivalence tests with dispatch
 # pinned to the scalar twins: the raw-assembly tests key on hardware, not
 # dispatch (the Exp32Rows sweep over every float32 bit pattern among them,
-# skipped under `go test -race`), and the attention walk is held to its
+# behind the `exhaustive` build tag), and the attention walk is held to its
 # per-head oracle, and the GEMM tile to the retained row-pass kernels of
 # tensor and quant, on the twins as they are on AVX2 by `go test`.
 ci: build
@@ -136,5 +136,6 @@ ci: build
 	$(GO) test -race ./...
 	$(MAKE) fuzz-smoke
 	ESTI_NOSIMD=1 $(GO) test ./internal/simd ./internal/reference ./internal/tensor ./internal/quant -run='Asm|Segment|BitIdentical'
+	$(GO) test -tags exhaustive -run TestAsmExp32RowsExhaustive ./internal/simd
 	$(MAKE) bench-smoke
 	$(MAKE) bench-compare

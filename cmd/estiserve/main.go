@@ -80,6 +80,7 @@ package main
 import (
 	"flag"
 	"fmt"
+	"math"
 	"os"
 	"strings"
 
@@ -123,6 +124,18 @@ func main() {
 	faultPlan := flag.String("fault-plan", "", "fleet: inject faults, e.g. 'crash:1@2+4,slow:0@1-3x2.5,link:2.5-3' (crash:R@T[+D] drain:R@T[+D] slow:R@T1[-T2]xF link:T1[-T2]); compares no-fault vs recovered vs naive no-retry")
 	autoscaled := flag.Bool("autoscale", false, "fleet: rerun with the perf-model-driven autoscaler armed and compare goodput and replica-seconds against the static fleet")
 	flag.Parse()
+
+	// Refuse numeric flags no run can use before doing any work: a zero or
+	// infinite load makes the interarrival infinite, and an overlap outside
+	// [0, 1] hides more (or less) than all of the bandwidth term.
+	if !(*load > 0) || math.IsInf(*load, 1) {
+		fmt.Fprintf(os.Stderr, "estiserve: -load %g must be finite and > 0\n", *load)
+		os.Exit(2)
+	}
+	if !(*overlap >= 0 && *overlap <= 1) {
+		fmt.Fprintf(os.Stderr, "estiserve: -overlap %g must be in [0, 1]\n", *overlap)
+		os.Exit(2)
+	}
 
 	cfg, ok := modelByName(*modelName)
 	if !ok {

@@ -19,6 +19,7 @@ import (
 	"esti/internal/model"
 	"esti/internal/partition"
 	"esti/internal/reference"
+	"esti/internal/sampling"
 	"esti/internal/tensor"
 )
 
@@ -97,21 +98,21 @@ func main() {
 
 	last := make([]int, *batch)
 	for s := 0; s < *batch; s++ {
-		last[s] = argmax(refLogits.Row(s**promptLen + *promptLen - 1))
+		last[s] = sampling.Greedy(refLogits.Row(s**promptLen + *promptLen - 1))
 	}
 	for g := 0; g < *gen; g++ {
 		refL := ref.Decode(last)
 		engL := eng.Decode(last)
 		match := ""
 		for s := 0; s < *batch; s++ {
-			if argmax(refL.Row(s)) != argmax(engL.Row(s)) {
+			if sampling.Greedy(refL.Row(s)) != sampling.Greedy(engL.Row(s)) {
 				match = "  (greedy token mismatch!)"
 			}
 		}
 		fmt.Printf("decode step %d:          max |logit Δ| vs reference = %.2e%s\n",
 			g+1, tensor.MaxAbsDiff(refL, engL), match)
 		for s := 0; s < *batch; s++ {
-			last[s] = argmax(refL.Row(s))
+			last[s] = sampling.Greedy(refL.Row(s))
 		}
 	}
 
@@ -121,16 +122,6 @@ func main() {
 		float64(m.BytesSent())/1e6/float64(torus.Chips()))
 	perChipKV := eng.ChipCacheBytes(0)
 	fmt.Printf("per-chip KV cache: %.1f KB (%s sharding)\n", float64(perChipKV)/1e3, opts.Attn)
-}
-
-func argmax(row []float32) int {
-	best := 0
-	for i, v := range row {
-		if v > row[best] {
-			best = i
-		}
-	}
-	return best
 }
 
 func blockName(parallel bool) string {

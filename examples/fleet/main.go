@@ -21,6 +21,7 @@ import (
 	"esti/internal/partition"
 	"esti/internal/perf"
 	"esti/internal/reference"
+	"esti/internal/sampling"
 )
 
 func main() {
@@ -121,7 +122,7 @@ func main() {
 	// one slot, greedy argmax at every step.
 	base := mk()
 	logits := base.PrefillSlot(1, prompt)
-	tok := argmax(logits.Row(logits.Rows - 1))
+	tok := sampling.Greedy(logits.Row(logits.Rows - 1))
 	want := []int{tok}
 	last := make([]int, base.Batch())
 	active := make([]bool, base.Batch())
@@ -129,7 +130,7 @@ func main() {
 	for len(want) < gen {
 		last[1] = tok
 		logits = base.DecodeSlotsInto(logits, last, active)
-		tok = argmax(logits.Row(1))
+		tok = sampling.Greedy(logits.Row(1))
 		want = append(want, tok)
 	}
 	match := len(got) == len(want)
@@ -141,14 +142,4 @@ func main() {
 	fmt.Printf("\nexecutable handoff (tiny model, int8 KV, 8-chip mesh x2): %d tokens, %d KV bytes moved, token-exact: %v\n",
 		gen, pair.HandoffBytes, match)
 	fmt.Printf("  tokens: %v\n", got)
-}
-
-func argmax(row []float32) int {
-	best := 0
-	for i, v := range row {
-		if v > row[best] {
-			best = i
-		}
-	}
-	return best
 }

@@ -8,7 +8,7 @@
 // admission to completion; the moment a sequence finishes, its slot is
 // released and the next queued prompt is prefilled into it while the rest
 // of the batch keeps decoding (the engine-level counterpart is
-// engine.PrefillSlot + engine.DecodeSlots).
+// engine.PrefillSlot + engine.DecodeSlotsInto).
 //
 // All times come from the calibrated perf model: admission pays the batch-1
 // prefill cost of the actual prompt length, and every iteration pays one

@@ -282,19 +282,6 @@ func (s *Scheduler) Snapshot() Backlog {
 	return b
 }
 
-// DrainToEmpty steps the scheduler until no work remains — queue included —
-// and returns every completion in finish order: the local flush a scale-in
-// performs after the router stops feeding the replica. Resident KV is never
-// dropped; each in-flight sequence runs to its last token.
-func (s *Scheduler) DrainToEmpty() []*Request {
-	var done []*Request
-	for s.Busy() {
-		_, d := s.Step()
-		done = append(done, d...)
-	}
-	return done
-}
-
 // Step runs one scheduler iteration — admissions, chunked prefill, one
 // decode step, completions — advancing the replica's clock by the
 // iteration's modeled time. Completed requests are returned with Done set;

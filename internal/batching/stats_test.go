@@ -48,10 +48,10 @@ func TestPercentileTable(t *testing.T) {
 	}
 }
 
-// Snapshot prices the backlog the way EstimateFinish does, and DrainToEmpty
-// realizes it: the snapshot's drain estimate must be positive exactly when
-// the scheduler is busy, fall as work completes, and hit zero when
-// DrainToEmpty has flushed everything.
+// Snapshot prices the backlog the way EstimateFinish does, and stepping
+// until idle realizes it: the snapshot's drain estimate must be positive
+// exactly when the scheduler is busy, fall as work completes, and hit zero
+// once the drain has flushed everything.
 func TestSnapshotAndDrainToEmpty(t *testing.T) {
 	s, err := NewScheduler(palm540bConfig())
 	if err != nil {
@@ -91,12 +91,16 @@ func TestSnapshotAndDrainToEmpty(t *testing.T) {
 	}
 	s.SetSlowdown(1)
 	pre := completedBefore(reqs)
-	done := s.DrainToEmpty()
+	var done []*Request
+	for s.Busy() {
+		_, d := s.Step()
+		done = append(done, d...)
+	}
 	if len(done)+pre != 3 {
 		t.Fatalf("drain-to-empty finished %d + %d already done, want 3 total", len(done), pre)
 	}
 	if s.Busy() {
-		t.Error("scheduler busy after DrainToEmpty")
+		t.Error("scheduler busy after the drain")
 	}
 	if b := s.Snapshot(); b.DrainTime != 0 || b.RemainingTokens != 0 {
 		t.Errorf("drained snapshot %+v, want empty", b)
@@ -108,7 +112,7 @@ func TestSnapshotAndDrainToEmpty(t *testing.T) {
 	}
 }
 
-// completedBefore counts requests that already finished before DrainToEmpty
+// completedBefore counts requests that already finished before the drain
 // ran (the first Step may complete short requests).
 func completedBefore(reqs []Request) int {
 	n := 0

@@ -11,14 +11,14 @@ import (
 // algorithms in this package are written once against this interface and
 // stay format-agnostic: every chunk a collective moves is encoded by the
 // op's payload on send, decoded (or folded) on receive, and relayed in
-// transit form without re-encoding. Three formats ship today —
+// transit form without re-encoding. Two implementations ship today —
 //
 //	WireF32:  4 bytes per element, exact (the default).
-//	WireInt8: 1 byte per element plus one float32 scale per transmitted
-//	          chunk (symmetric per-chunk quantization via package quant),
-//	          the paper's §3.3 insight — charge collectives by bytes, then
+//	int8 rows: 1 byte per element plus one float32 scale per row, the
+//	          paper's §3.3 insight — charge collectives by bytes, then
 //	          shrink the bytes — applied to activations on the wire.
-//	WireInt8Rows(cols): WireInt8 with one scale per row of cols elements.
+//	          WireInt8Rows(cols) puts a row every cols elements; WireInt8
+//	          is its one-row-per-chunk case, one scale per chunk.
 //
 // A future fp16 or block-quantized format is one more implementation of
 // this interface; nothing in the ring algorithms changes. Implementations
@@ -62,7 +62,8 @@ var WireF32 Payload = f32Payload{}
 // WireInt8 is the per-chunk-scaled int8 wire format: one byte per element
 // plus a 4-byte scale per chunk, quartering activation collective volume
 // versus float32 (halving it versus the analytic model's bf16 baseline).
-var WireInt8 Payload = int8Payload{}
+// It is the int8 rows payload with the whole chunk as its one row.
+var WireInt8 Payload = int8RowsPayload{}
 
 // transit is a received chunk in wire form, held between the receive that
 // folded it into the output and the send that relays it onward.
@@ -111,48 +112,6 @@ func (f32Payload) recvTake(c *mesh.Chip, src int, tag uint64) []float32 {
 	return c.Recv(src, tag)
 }
 
-type int8Payload struct{}
-
-func (int8Payload) send(c *mesh.Chip, dst int, tag uint64, data []float32) {
-	q := c.Buffer8(len(data))
-	scale := quant.QuantizeRowInto(q, data)
-	c.SendOwned8(dst, tag, q, scale)
-}
-
-func (int8Payload) recvInto(c *mesh.Chip, src int, tag uint64, dst []float32) transit {
-	q, scale := c.Recv8(src, tag)
-	if len(q) != len(dst) {
-		panic("collective: chunk size mismatch")
-	}
-	quant.DequantizeRowInto(dst, q, scale)
-	return transit{q: q, scale: scale}
-}
-
-func (int8Payload) relay(c *mesh.Chip, dst int, tag uint64, t transit) {
-	c.SendOwned8(dst, tag, t.q, t.scale)
-}
-
-func (int8Payload) drop(c *mesh.Chip, t transit) {
-	c.Recycle8(t.q)
-}
-
-func (int8Payload) recvAdd(c *mesh.Chip, src int, tag uint64, dst []float32) {
-	q, scale := c.Recv8(src, tag)
-	if len(q) != len(dst) {
-		panic("collective: chunk size mismatch")
-	}
-	quant.AxpyF32I8(dst, scale, q)
-	c.Recycle8(q)
-}
-
-func (int8Payload) recvTake(c *mesh.Chip, src int, tag uint64) []float32 {
-	q, scale := c.Recv8(src, tag)
-	out := c.Buffer(len(q))
-	quant.DequantizeRowInto(out, q, scale)
-	c.Recycle8(q)
-	return out
-}
-
 // WireInt8Rows is WireInt8 with one scale per row of cols elements instead
 // of one per chunk, for chunks whose rows can differ in magnitude by
 // orders: a raw residual, where one loud token would otherwise set every
@@ -162,12 +121,22 @@ func (int8Payload) recvTake(c *mesh.Chip, src int, tag uint64) []float32 {
 // chunk of r rows costs r·(cols+4) bytes. Chunks must be whole rows.
 func WireInt8Rows(cols int) Payload { return int8RowsPayload{cols} }
 
+// int8RowsPayload quantizes each row of cols elements with its own scale;
+// a zero cols makes the whole chunk one row (WireInt8).
 type int8RowsPayload struct{ cols int }
+
+// rowLen is the row length of a chunk of n elements.
+func (p int8RowsPayload) rowLen(n int) int {
+	if p.cols == 0 {
+		return n
+	}
+	return p.cols
+}
 
 // elems is how many elements a wire payload of length wire carries.
 func (p int8RowsPayload) elems(wire int) int {
-	if wire == 0 {
-		return 0
+	if wire == 0 || p.cols == 0 {
+		return wire
 	}
 	return (wire + 4) * p.cols / (p.cols + 4)
 }
@@ -184,17 +153,18 @@ func (p int8RowsPayload) scale(q []int8, n, r int, first float32) float32 {
 
 func (p int8RowsPayload) send(c *mesh.Chip, dst int, tag uint64, data []float32) {
 	n := len(data)
-	if n%p.cols != 0 {
+	cols := p.rowLen(n)
+	if n > 0 && n%cols != 0 {
 		panic("collective: chunk is not whole rows")
 	}
 	var q []int8
 	first := float32(1) // an empty chunk's, as QuantizeRowInto gives an empty row
 	if n > 0 {
-		q = c.Buffer8(n + 4*(n/p.cols-1))
-		first = quant.QuantizeRowInto(q[:p.cols], data[:p.cols])
+		q = c.Buffer8(n + 4*(n/cols-1))
+		first = quant.QuantizeRowInto(q[:cols], data[:cols])
 	}
-	for r := 1; r*p.cols < n; r++ {
-		bits := math.Float32bits(quant.QuantizeRowInto(q[r*p.cols:(r+1)*p.cols], data[r*p.cols:(r+1)*p.cols]))
+	for r := 1; r*cols < n; r++ {
+		bits := math.Float32bits(quant.QuantizeRowInto(q[r*cols:(r+1)*cols], data[r*cols:(r+1)*cols]))
 		b := q[n+4*(r-1):]
 		b[0], b[1], b[2], b[3] = int8(bits), int8(bits>>8), int8(bits>>16), int8(bits>>24)
 	}
@@ -208,8 +178,9 @@ func (p int8RowsPayload) decode(dst []float32, q []int8, first float32, add bool
 	if p.elems(len(q)) != n {
 		panic("collective: chunk size mismatch")
 	}
-	for r := 0; r*p.cols < n; r++ {
-		d, s := dst[r*p.cols:(r+1)*p.cols], q[r*p.cols:(r+1)*p.cols]
+	cols := p.rowLen(n)
+	for r := 0; r*cols < n; r++ {
+		d, s := dst[r*cols:(r+1)*cols], q[r*cols:(r+1)*cols]
 		if add {
 			quant.AxpyF32I8(d, p.scale(q, n, r, first), s)
 		} else {

@@ -243,11 +243,15 @@ func TestStreamTagCollisionPanics(t *testing.T) {
 	m := mesh.New(tr)
 	m.Run(func(c *mesh.Chip) {
 		shard := []float32{1, 2}
-		if c.Rank == 0 {
-			// Plant a message on the wire with the tag the stream's step-0
-			// send will reuse: (src 0, tag 5<<20|0) is now in flight twice.
-			c.Send(1, Op{ID: 5}.tag(0), shard)
+		if c.Rank == 1 {
+			// Wait for a message that never comes, so the planted one is
+			// still pending when chip 0's stream sends; the collision
+			// poisons this receive, and only chip 0 goes on.
+			c.Recv(0, 99)
 		}
+		// Plant a message on the wire with the tag the stream's step-0
+		// send will reuse: (src 0, tag 5<<20|0) is now in flight twice.
+		c.Send(1, Op{ID: 5}.tag(0), shard)
 		AllGatherStream(Op{Chip: c, ID: 5}, hardware.GroupX, shard, nil)
 	})
 }

@@ -127,10 +127,6 @@ func AllGatherVolume(outBytes float64, k int) float64 { return outBytes * frac(k
 // over k chips whose per-chip input is inBytes.
 func ReduceScatterVolume(inBytes float64, k int) float64 { return inBytes * frac(k) }
 
-// AllReduceVolume composes a reduce-scatter and an all-gather over the same
-// per-chip buffer.
-func AllReduceVolume(bytes float64, k int) float64 { return 2 * bytes * frac(k) }
-
 // AllToAllVolume is the bytes each chip transfers resharding a per-chip
 // buffer of the given size across k chips: each chip keeps 1/k of its data
 // and sends the rest directly to its destination.

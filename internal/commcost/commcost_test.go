@@ -18,8 +18,8 @@ func TestPrimitiveVolumes(t *testing.T) {
 	if got := ReduceScatterVolume(1000, 4); got != 750 {
 		t.Errorf("ReduceScatterVolume = %g, want 750", got)
 	}
-	if got := AllReduceVolume(1000, 4); got != 1500 {
-		t.Errorf("AllReduceVolume = %g, want 1500", got)
+	if got := AllReduceWireVolume(250, 4, WireFP32); got != 1500 {
+		t.Errorf("AllReduceWireVolume = %g, want 1500", got)
 	}
 	if got := AllToAllVolume(1000, 4); got != 750 {
 		t.Errorf("AllToAllVolume = %g, want 750", got)
@@ -28,17 +28,19 @@ func TestPrimitiveVolumes(t *testing.T) {
 
 func TestCollectiveOverOneChipIsFree(t *testing.T) {
 	if AllGatherVolume(1e9, 1) != 0 || ReduceScatterVolume(1e9, 1) != 0 ||
-		AllReduceVolume(1e9, 1) != 0 || AllToAllVolume(1e9, 1) != 0 {
+		AllReduceWireVolume(1e9, 1, WireFP32) != 0 || AllToAllVolume(1e9, 1) != 0 {
 		t.Error("collectives over a single chip must move zero bytes")
 	}
 }
 
-// Appendix A.1: all-reduce = reduce-scatter + all-gather.
+// Appendix A.1: all-reduce = reduce-scatter + all-gather, the ring's
+// 2·(k-1) chunk transmissions against the classic byte forms.
 func TestAllReduceComposition(t *testing.T) {
-	f := func(kRaw uint8, bytesRaw uint32) bool {
+	f := func(kRaw uint8, chunkRaw uint16) bool {
 		k := int(kRaw%16) + 1
-		b := float64(bytesRaw)
-		return AllReduceVolume(b, k) == ReduceScatterVolume(b, k)+AllGatherVolume(b, k)
+		elems := float64(k) * float64(chunkRaw)
+		b := 4 * elems
+		return AllReduceWireVolume(elems, k, WireFP32) == ReduceScatterVolume(b, k)+AllGatherVolume(b, k)
 	}
 	if err := quick.Check(f, nil); err != nil {
 		t.Error(err)
@@ -283,7 +285,7 @@ func TestWireVolumesReduceToClassicForms(t *testing.T) {
 	if got, want := ReduceScatterWireVolume(elems*k, k, WireFP32), ReduceScatterVolume(4*elems*k, k); got != want {
 		t.Errorf("fp32 reduce-scatter %g != classic %g", got, want)
 	}
-	if got, want := AllReduceWireVolume(elems*k, k, WireFP32), AllReduceVolume(4*elems*k, k); got != want {
+	if got, want := AllReduceWireVolume(elems*k, k, WireFP32), ReduceScatterVolume(4*elems*k, k)+AllGatherVolume(4*elems*k, k); got != want {
 		t.Errorf("fp32 all-reduce %g != classic %g", got, want)
 	}
 	if got, want := AllToAllWireVolume(elems*k, k, WireFP32), AllToAllVolume(4*elems*k, k); got != want {

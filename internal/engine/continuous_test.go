@@ -8,6 +8,7 @@ import (
 	"esti/internal/model"
 	"esti/internal/partition"
 	"esti/internal/reference"
+	"esti/internal/sampling"
 	"esti/internal/tensor"
 )
 
@@ -36,7 +37,7 @@ func continuousScript() []admission {
 }
 
 // checkContinuousAgainstReference drives the engine through interleaved
-// PrefillSlot admissions and variable-length DecodeSlots steps, comparing
+// PrefillSlot admissions and variable-length DecodeSlotsInto steps, comparing
 // every logit row against an independent batch-1 reference model per
 // request. This is the engine-level contract of continuous batching: a
 // batch whose sequences sit at different KV depths, with slots freed and
@@ -90,7 +91,7 @@ func checkContinuousAgainstReference(t *testing.T, cfg model.Config, opts Option
 				t.Fatalf("iter %d: slot %d len %d after prefill, want %d", iter, a.slot, got, a.promptLen)
 			}
 			active[a.slot] = true
-			last[a.slot] = argmaxRow(refL, a.promptLen-1)
+			last[a.slot] = sampling.Greedy(refL.Row(a.promptLen - 1))
 			remaining[a.slot] = a.decodes
 		}
 
@@ -104,7 +105,7 @@ func checkContinuousAgainstReference(t *testing.T, cfg model.Config, opts Option
 
 		// One variable-length decode step over whatever is active; slots
 		// sit at different depths by construction.
-		engL := eng.DecodeSlots(last, active)
+		engL := eng.DecodeSlotsInto(nil, last, active)
 		for s := 0; s < batch; s++ {
 			if !active[s] {
 				// Inactive slots must stay untouched: zero logits, no
@@ -119,7 +120,7 @@ func checkContinuousAgainstReference(t *testing.T, cfg model.Config, opts Option
 			refL := refs[s].Decode([]int{last[s]})
 			engRow := tensor.FromSlice(engL.Row(s), 1, engL.Cols)
 			assertClose(t, fmt.Sprintf("iter %d: slot %d decode", iter, s), refL, engRow)
-			last[s] = argmaxRow(refL, 0)
+			last[s] = sampling.Greedy(refL.Row(0))
 			remaining[s]--
 			if remaining[s] == 0 {
 				eng.ReleaseSlot(s)
@@ -162,7 +163,7 @@ func TestContinuousBatchingMatchesReference(t *testing.T) {
 	}
 }
 
-// A static lockstep batch run through DecodeSlots with a nil mask must be
+// A static lockstep batch run through DecodeSlotsInto with a nil mask must be
 // identical to Decode — the uniform path is a special case of the
 // variable-length one.
 func TestDecodeSlotsNilMaskEqualsDecode(t *testing.T) {
@@ -182,7 +183,7 @@ func TestDecodeSlotsNilMaskEqualsDecode(t *testing.T) {
 	a.Prefill(prompt, 3)
 	b.Prefill(prompt, 3)
 	lastTok := tokens(8, 1)
-	assertClose(t, "nil-mask decode", a.Decode(lastTok), b.DecodeSlots(lastTok, nil))
+	assertClose(t, "nil-mask decode", a.Decode(lastTok), b.DecodeSlotsInto(nil, lastTok, nil))
 }
 
 // Single-chip sanity: slot admission and variable-length decode with no
@@ -199,7 +200,7 @@ func TestContinuousSingleChip(t *testing.T) {
 	ref := reference.New(w, 1, 12)
 	p := []int{1, 2, 3}
 	assertClose(t, "single-chip admission", ref.Prefill(p, 3), eng.PrefillSlot(1, p))
-	engL := eng.DecodeSlots([]int{0, 5}, []bool{false, true})
+	engL := eng.DecodeSlotsInto(nil, []int{0, 5}, []bool{false, true})
 	refL := ref.Decode([]int{5})
 	assertClose(t, "single-chip decode", refL, tensor.FromSlice(engL.Row(1), 1, engL.Cols))
 }

@@ -4,8 +4,8 @@
 // (package mesh). Its contract: for any supported layout, the distributed
 // logits equal the unsharded reference model's logits.
 //
-// One SPMD pass. Every entry point — Prefill, Decode, DecodeSlots with its
-// per-slot mask, PrefillSlot admitting one prompt into one slot — fills in
+// One SPMD pass. Every entry point — Prefill, Decode, DecodeSlotsInto with
+// its per-slot mask, PrefillSlot admitting one prompt into one slot — fills in
 // the same pass descriptor (tokens, steps, mask, target slot), which is
 // checked on the host and then run by the one per-chip body bound at
 // construction. A chip works on the sequences of the pass its KV-cache
@@ -80,7 +80,7 @@
 // weight-stationary and XYZ-gathered endpoints that are both validated
 // functionally here.
 //
-// PrefillSlot and DecodeSlots serve a continuous-batching scheduler:
+// PrefillSlot and DecodeSlotsInto serve a continuous-batching scheduler:
 // admission into a freed KV-cache slot mid-stream, then decode of whatever
 // subset of slots is live, each at its own depth. A pass appends at each
 // slot's current depth and attends causally against everything before it,
@@ -89,7 +89,7 @@
 // a reference-counted per-chip store and only the suffix is prefilled
 // (AcquirePrefix/PrefillSlotFrom/PrefillSlotCached), and chunked prefill,
 // where a long cold prompt is admitted in bounded chunks interleaved with
-// decode iterations (PrefillSlotChunked). Both are verified token-exact
+// decode iterations (successive PrefillSlot calls). Both are verified token-exact
 // against the cold path and the batch-1 reference across all functional
 // layouts.
 //
@@ -549,16 +549,6 @@ func (e *Engine) Mesh() *mesh.Mesh { return e.m }
 // reports the true quantized backing bytes (just over half the analytic
 // model's bf16 baseline per position).
 func (e *Engine) ChipCacheBytes(rank int) int { return e.chips[rank].cache.Bytes() }
-
-// KVDType returns the session's KV-cache storage format.
-func (e *Engine) KVDType() model.DType { return e.opts.KVDType }
-
-// WireDType returns the session's collective payload format.
-func (e *Engine) WireDType() model.DType { return e.opts.WireDType }
-
-// Streamed reports whether the session fuses FFN compute into the
-// collective chunk stream (Options.Streamed).
-func (e *Engine) Streamed() bool { return e.opts.Streamed }
 
 // MeasuredOverlap is the mesh's observed compute-communication overlap
 // fraction across the session's streamed collectives so far: the share of

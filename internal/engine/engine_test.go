@@ -9,6 +9,7 @@ import (
 	"esti/internal/model"
 	"esti/internal/partition"
 	"esti/internal/reference"
+	"esti/internal/sampling"
 	"esti/internal/tensor"
 )
 
@@ -60,14 +61,14 @@ func checkAgainstReference(t *testing.T, cfg model.Config, tr hardware.Torus, op
 
 	last := make([]int, batch)
 	for s := 0; s < batch; s++ {
-		last[s] = argmaxRow(refLogits, s*promptLen+promptLen-1)
+		last[s] = sampling.Greedy(refLogits.Row(s*promptLen + promptLen - 1))
 	}
 	for g := 0; g < gen; g++ {
 		refL := ref.Decode(last)
 		engL := eng.Decode(last)
 		assertClose(t, fmt.Sprintf("decode step %d", g), refL, engL)
 		for s := 0; s < batch; s++ {
-			last[s] = argmaxRow(refL, s)
+			last[s] = sampling.Greedy(refL.Row(s))
 		}
 	}
 }

@@ -9,6 +9,7 @@ import (
 	"esti/internal/model"
 	"esti/internal/partition"
 	"esti/internal/reference"
+	"esti/internal/sampling"
 	"esti/internal/tensor"
 )
 
@@ -59,20 +60,15 @@ func (e *Engine) DecodeInto(dst *tensor.Mat, last []int) *tensor.Mat {
 	return e.DecodeSlotsInto(dst, last, nil)
 }
 
-// DecodeSlots runs one variable-length decode step: every active slot
+// DecodeSlotsInto runs one variable-length decode step: every active slot
 // advances one token against its own KV-cache depth, which may differ per
 // slot — the iteration a continuous-batching scheduler issues. Slots with
 // active[s] == false are skipped entirely: their last[s] is ignored, their
 // logits row is zero, and their cache does not grow, so a freed slot idles
 // at no cost until PrefillSlot admits the next request into it. A nil mask
-// decodes every slot. Returns [batch, vocab] logits (caller-owned).
-func (e *Engine) DecodeSlots(last []int, active []bool) *tensor.Mat {
-	return e.DecodeSlotsInto(nil, last, active)
-}
-
-// DecodeSlotsInto is DecodeSlots writing into dst (nil allocates): the
-// allocation-free hot path a scheduler drives, with the same zero-alloc
-// contract as DecodeInto.
+// decodes every slot. It writes [batch, vocab] logits into dst (nil
+// allocates): the allocation-free hot path a scheduler drives, with the
+// same zero-alloc contract as DecodeInto.
 func (e *Engine) DecodeSlotsInto(dst *tensor.Mat, last []int, active []bool) *tensor.Mat {
 	if len(last) != e.batch {
 		panic(fmt.Sprintf("engine: %d last-tokens for batch %d", len(last), e.batch))
@@ -90,28 +86,17 @@ func (e *Engine) Generate(prompt []int, promptLen, gen int) [][]int {
 	out := make([][]int, e.batch)
 	last := make([]int, e.batch)
 	for s := 0; s < e.batch; s++ {
-		last[s] = argmaxRow(logits, s*promptLen+promptLen-1)
+		last[s] = sampling.Greedy(logits.Row(s*promptLen + promptLen - 1))
 		out[s] = append(out[s], last[s])
 	}
 	for g := 1; g < gen; g++ {
 		logits = e.DecodeInto(logits, last)
 		for s := 0; s < e.batch; s++ {
-			last[s] = argmaxRow(logits, s)
+			last[s] = sampling.Greedy(logits.Row(s))
 			out[s] = append(out[s], last[s])
 		}
 	}
 	return out
-}
-
-func argmaxRow(m *tensor.Mat, r int) int {
-	row := m.Row(r)
-	best := 0
-	for i, v := range row {
-		if v > row[best] {
-			best = i
-		}
-	}
-	return best
 }
 
 // forward checks a pass, runs the SPMD program on every chip and copies the

@@ -6,7 +6,7 @@ package engine
 // slot's KV cache, ExportSlotKV snapshots that slot's state across the
 // mesh, the blocks travel over the interconnect, and ImportSlotKV installs
 // them into a free slot on a decode replica, which then continues the
-// sequence with DecodeSlots exactly as if it had prefilled the prompt
+// sequence with DecodeSlotsInto exactly as if it had prefilled the prompt
 // itself. Blocks are exported in the cache's native storage format (raw
 // int8 values + scales under an int8 KVDType), so the handoff is bit-exact and the
 // decode replica's tokens are identical to a single-replica run.
@@ -26,9 +26,6 @@ type SlotKV struct {
 	batchSharded bool
 	blocks       []*kvcache.KVBlock
 }
-
-// Len is the number of cached positions the snapshot carries.
-func (kv *SlotKV) Len() int { return kv.blocks[0].Len }
 
 // Bytes is the total wire footprint of the handoff: the sum of every
 // chip-block's K+V backing bytes. Under batch sharding this is one shard's
@@ -69,7 +66,7 @@ func (e *Engine) ExportSlotKV(slot int) (*SlotKV, error) {
 }
 
 // ImportSlotKV installs an exported snapshot into the empty slot, after
-// which DecodeSlots continues the sequence token-exactly. The receiving
+// which DecodeSlotsInto continues the sequence token-exactly. The receiving
 // session must shard attention the same way (batch- vs head-sharded KV),
 // span the same number of chips when head-sharded, and match the blocks'
 // storage mode, layer count, and per-chip KV width — re-sharding KV between

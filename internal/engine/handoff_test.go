@@ -7,6 +7,7 @@ import (
 	"esti/internal/model"
 	"esti/internal/partition"
 	"esti/internal/reference"
+	"esti/internal/sampling"
 	"esti/internal/tensor"
 )
 
@@ -17,7 +18,7 @@ import (
 func greedySlot(t *testing.T, e *Engine, slot int, prompt []int, gen int) []int {
 	t.Helper()
 	logits := e.PrefillSlot(slot, prompt)
-	tok := argmaxRow(logits, len(prompt)-1)
+	tok := sampling.Greedy(logits.Row(len(prompt) - 1))
 	return append([]int{tok}, decodeSlotFrom(e, slot, tok, gen-1)...)
 }
 
@@ -32,7 +33,7 @@ func decodeSlotFrom(e *Engine, slot, tok, gen int) []int {
 	for g := 0; g < gen; g++ {
 		last[slot] = tok
 		logits = e.DecodeSlotsInto(logits, last, active)
-		tok = argmaxRow(logits, slot)
+		tok = sampling.Greedy(logits.Row(slot))
 		out = append(out, tok)
 	}
 	return out
@@ -85,7 +86,7 @@ func TestHandoffTokenExact(t *testing.T) {
 
 				pre, dec := mk(), mk()
 				logits := pre.PrefillSlot(2, prompt)
-				tok := argmaxRow(logits, promptLen-1)
+				tok := sampling.Greedy(logits.Row(promptLen - 1))
 				if tok != want[0] {
 					t.Fatalf("prefill replica's first token %d, baseline %d", tok, want[0])
 				}
@@ -93,8 +94,8 @@ func TestHandoffTokenExact(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
-				if kv.Len() != promptLen {
-					t.Fatalf("snapshot Len = %d, want %d", kv.Len(), promptLen)
+				if kv.blocks[0].Len != promptLen {
+					t.Fatalf("snapshot Len = %d, want %d", kv.blocks[0].Len, promptLen)
 				}
 				if kv.Bytes() <= 0 {
 					t.Fatal("snapshot reports no wire bytes")
@@ -153,7 +154,7 @@ func TestHandoffCarriesSharedPrefix(t *testing.T) {
 	if cached != len(template) {
 		t.Fatalf("prefix hit %d tokens, want %d", cached, len(template))
 	}
-	tok := argmaxRow(logits, logits.Rows-1)
+	tok := sampling.Greedy(logits.Row(logits.Rows - 1))
 	if tok != want[0] {
 		t.Fatalf("prefill replica's first token %d, baseline %d", tok, want[0])
 	}
@@ -161,8 +162,8 @@ func TestHandoffCarriesSharedPrefix(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if kv.Len() != len(full) {
-		t.Fatalf("snapshot Len = %d, want the full %d (prefix materialized)", kv.Len(), len(full))
+	if kv.blocks[0].Len != len(full) {
+		t.Fatalf("snapshot Len = %d, want the full %d (prefix materialized)", kv.blocks[0].Len, len(full))
 	}
 	pre.ReleaseSlot(1)
 

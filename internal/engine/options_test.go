@@ -24,8 +24,8 @@ func TestDTypeNormalization(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if e.chips[0].cache.Int8() || e.KVDType() != model.FP32 {
-		t.Errorf("FP32 session reports int8 cache %v, KVDType %v", e.chips[0].cache.Int8(), e.KVDType())
+	if e.chips[0].cache.Int8() || e.opts.KVDType != model.FP32 {
+		t.Errorf("FP32 session reports int8 cache %v, KVDType %v", e.chips[0].cache.Int8(), e.opts.KVDType)
 	}
 
 	bad := base

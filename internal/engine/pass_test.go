@@ -11,6 +11,7 @@ import (
 	"esti/internal/model"
 	"esti/internal/partition"
 	"esti/internal/reference"
+	"esti/internal/sampling"
 	"esti/internal/tensor"
 )
 
@@ -63,11 +64,11 @@ func TestRejectedCallLeavesMeshUsable(t *testing.T) {
 			rejected("Prefill of no steps", func() { eng.Prefill(nil, 0) })
 			eng.PrefillSlot(slot, []int{1, 2, 3})
 			rejected("PrefillSlot overflow", func() { eng.PrefillSlot(slot, []int{4, 5, 6}) })
-			eng.DecodeSlots(last, active) // fills the slot
-			rejected("DecodeSlots overflow", func() { eng.DecodeSlots(last, active) })
+			eng.DecodeSlotsInto(nil, last, active) // fills the slot
+			rejected("DecodeSlotsInto overflow", func() { eng.DecodeSlotsInto(nil, last, active) })
 			rejected("PrefillSlot bad token", func() { eng.PrefillSlot(5, []int{1, cfg.Vocab}) })
 			last[slot] = -1
-			rejected("DecodeSlots bad token", func() { eng.DecodeSlots(last, active) })
+			rejected("DecodeSlotsInto bad token", func() { eng.DecodeSlotsInto(nil, last, active) })
 			if got := eng.SlotLen(slot); got != maxLen {
 				t.Fatalf("rejected calls moved slot %d to length %d, want %d", slot, got, maxLen)
 			}
@@ -128,7 +129,7 @@ func TestFFN1DIs2DWithTrivialInnerAxis(t *testing.T) {
 			last := make([]int, batch)
 			for g := 0; g < 2; g++ {
 				for s := range last {
-					last[s] = argmaxRow(logits[g], (s+1)*logits[g].Rows/batch-1)
+					last[s] = sampling.Greedy(logits[g].Row((s+1)*logits[g].Rows/batch - 1))
 				}
 				logits = append(logits, eng.Decode(last))
 			}
@@ -168,7 +169,7 @@ func TestWGIsOneChipProgram(t *testing.T) {
 			last := make([]int, batch)
 			for g := 0; g < 3; g++ {
 				for s := range last {
-					last[s] = argmaxRow(logits[g], (s+1)*logits[g].Rows/batch-1)
+					last[s] = sampling.Greedy(logits[g].Row((s+1)*logits[g].Rows/batch - 1))
 				}
 				logits = append(logits, eng.Decode(last))
 			}

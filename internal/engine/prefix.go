@@ -17,7 +17,7 @@ import (
 // the prefix's prefill FLOPs and a private copy of its K/V. Because
 // PrefillSlot is already incremental (it appends at the slot's current
 // depth and attends against everything before it), the cached path and
-// chunked prefill (PrefillSlotChunked) fall out of the same SPMD program
+// chunked prefill (one PrefillSlot call per chunk) fall out of the same SPMD program
 // that the cold path runs, and inherit its token-exactness contract.
 //
 // Prefix placement mirrors KV-cache placement. Head-sharded attention keeps
@@ -207,26 +207,4 @@ func (e *Engine) PrefillSlotCached(slot int, prompt []int, remember int) (*tenso
 		_ = e.CachePrefix(slot, prompt[:remember])
 	}
 	return logits, cached
-}
-
-// PrefillSlotChunked admits a prompt in bounded chunks of at most `chunk`
-// tokens, one engine pass per chunk. Because PrefillSlot appends at the
-// slot's current depth and attends causally against everything before it,
-// the concatenated chunk logits are identical to a single-shot prefill —
-// what lets a scheduler interleave decode iterations between the chunks of
-// a long cold prompt instead of stalling the whole batch for its duration.
-// chunk <= 0 means unchunked. Returns [len(prompt), vocab] logits.
-func (e *Engine) PrefillSlotChunked(slot int, prompt []int, chunk int) *tensor.Mat {
-	if chunk <= 0 || chunk >= len(prompt) {
-		return e.PrefillSlot(slot, prompt)
-	}
-	var parts []*tensor.Mat
-	for lo := 0; lo < len(prompt); lo += chunk {
-		hi := lo + chunk
-		if hi > len(prompt) {
-			hi = len(prompt)
-		}
-		parts = append(parts, e.PrefillSlot(slot, prompt[lo:hi]))
-	}
-	return tensor.ConcatRows(parts...)
 }

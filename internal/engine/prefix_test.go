@@ -7,6 +7,7 @@ import (
 	"esti/internal/model"
 	"esti/internal/partition"
 	"esti/internal/reference"
+	"esti/internal/sampling"
 	"esti/internal/tensor"
 )
 
@@ -89,7 +90,7 @@ func checkPrefixCachedAgainstCold(t *testing.T, cfg model.Config, opts Options) 
 			t.Fatalf("slot %d: len %d after cached prefill, want %d", rq.slot, got, len(prompt))
 		}
 		active[rq.slot] = true
-		last[rq.slot] = argmaxRow(refL, len(prompt)-1)
+		last[rq.slot] = sampling.Greedy(refL.Row(len(prompt) - 1))
 		lastCold[rq.slot] = last[rq.slot]
 	}
 	if st := warm.PrefixStats(); st.Hits != 2 || st.HitTokens != int64(2*len(sys)) {
@@ -108,8 +109,8 @@ func checkPrefixCachedAgainstCold(t *testing.T, cfg model.Config, opts Options) 
 		}
 	}
 	for step := 0; step < maxDecodes; step++ {
-		warmL := warm.DecodeSlots(last, active)
-		coldL := cold.DecodeSlots(lastCold, active)
+		warmL := warm.DecodeSlotsInto(nil, last, active)
+		coldL := cold.DecodeSlotsInto(nil, lastCold, active)
 		for s := 0; s < batch; s++ {
 			if !active[s] {
 				continue
@@ -119,7 +120,7 @@ func checkPrefixCachedAgainstCold(t *testing.T, cfg model.Config, opts Options) 
 			coldRow := tensor.FromSlice(coldL.Row(s), 1, coldL.Cols)
 			assertClose(t, fmt.Sprintf("step %d slot %d cached decode vs reference", step, s), refL, warmRow)
 			assertClose(t, fmt.Sprintf("step %d slot %d cached decode vs cold path", step, s), refL, coldRow)
-			last[s] = argmaxRow(refL, 0)
+			last[s] = sampling.Greedy(refL.Row(0))
 			lastCold[s] = last[s]
 			remaining[s]--
 			if remaining[s] == 0 {
@@ -230,9 +231,12 @@ func TestPrefillSlotChunkedMatchesSingleShot(t *testing.T) {
 			}
 			chunked, single := mk(), mk()
 			prompt := []int{5, 9, 2, 11, 3, 7, 1} // 7 tokens in chunks of 3: 3+3+1
-			lc := chunked.PrefillSlotChunked(2, prompt, 3)
 			ls := single.PrefillSlot(2, prompt)
-			assertClose(t, "chunked vs single-shot prefill", ls, lc)
+			for lo := 0; lo < len(prompt); lo += 3 {
+				hi := min(lo+3, len(prompt))
+				lc := chunked.PrefillSlot(2, prompt[lo:hi])
+				assertClose(t, "chunked vs single-shot prefill", tensor.SliceRows(ls, lo, hi), lc)
+			}
 			if got := chunked.SlotLen(2); got != len(prompt) {
 				t.Fatalf("chunked slot len %d, want %d", got, len(prompt))
 			}
@@ -242,13 +246,13 @@ func TestPrefillSlotChunkedMatchesSingleShot(t *testing.T) {
 			last := make([]int, 8)
 			active := make([]bool, 8)
 			active[2] = true
-			last[2] = argmaxRow(refL, len(prompt)-1)
+			last[2] = sampling.Greedy(refL.Row(len(prompt) - 1))
 			for step := 0; step < 3; step++ {
 				refD := rm.Decode([]int{last[2]})
-				engD := chunked.DecodeSlots(last, active)
+				engD := chunked.DecodeSlotsInto(nil, last, active)
 				assertClose(t, fmt.Sprintf("decode %d after chunked prefill", step),
 					refD, tensor.FromSlice(engD.Row(2), 1, engD.Cols))
-				last[2] = argmaxRow(refD, 0)
+				last[2] = sampling.Greedy(refD.Row(0))
 			}
 		})
 	}

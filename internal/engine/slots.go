@@ -9,7 +9,7 @@ import (
 // This file implements mid-stream slot admission: prefilling a single new
 // prompt into one freed KV-cache slot while the other slots keep their
 // decode state — the operation a continuous-batching scheduler issues
-// between variable-length decode steps (DecodeSlots). Together they let one
+// between variable-length decode steps (DecodeSlotsInto). Together they let one
 // engine session serve a rolling population of requests instead of a fixed
 // batch.
 
@@ -66,7 +66,7 @@ func (e *Engine) checkSlot(slot int) {
 // PrefillSlot admits a new prompt into one (freed or fresh) slot: it runs a
 // full prefill pass for just that sequence, fills the slot's KV cache, and
 // returns the prompt's logits [len(prompt), vocab]. The other slots are
-// untouched, so admission can interleave with DecodeSlots mid-stream. It is
+// untouched, so admission can interleave with DecodeSlotsInto mid-stream. It is
 // the same SPMD program a batch pass runs, aimed at one slot: every chip
 // participates in the same collectives, and on layouts where the slot's KV
 // lives on a single chip only that owner holds rows of the pass (see

@@ -7,6 +7,7 @@ import (
 	"esti/internal/hardware"
 	"esti/internal/partition"
 	"esti/internal/reference"
+	"esti/internal/sampling"
 	"esti/internal/tensor"
 )
 
@@ -140,7 +141,7 @@ func TestWGPrefillThenWSDecodeEquivalent(t *testing.T) {
 	}
 	last := make([]int, batch)
 	for s := range last {
-		last[s] = argmaxRow(a, s*promptLen+promptLen-1)
+		last[s] = sampling.Greedy(a.Row(s*promptLen + promptLen - 1))
 	}
 	da := wgEng.Decode(last)
 	db := wsEng.Decode(last)

@@ -132,9 +132,6 @@ type Plan struct {
 	Events []Event
 }
 
-// Empty reports a fault-free plan.
-func (p Plan) Empty() bool { return len(p.Events) == 0 }
-
 // Crash schedules a crash of replica at time at; if recoverAt > at, the
 // replica recovers (cold) at recoverAt, otherwise it stays down. Returns the
 // plan for chaining.

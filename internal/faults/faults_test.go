@@ -10,7 +10,7 @@ import (
 func TestBuildersAndSorted(t *testing.T) {
 	var p Plan
 	p.Crash(1, 2.0, 6.0).Straggle(0, 1.0, 3.0, 2.5).LinkFail(2.5, 3.0).Drain(2, 0.5, -1)
-	if p.Empty() {
+	if len(p.Events) == 0 {
 		t.Fatal("plan should not be empty")
 	}
 	if err := p.Validate(4); err != nil {
@@ -100,7 +100,7 @@ func TestParse(t *testing.T) {
 	if !reflect.DeepEqual(p, want) {
 		t.Fatalf("Parse mismatch:\n got %+v\nwant %+v", p.Events, want.Events)
 	}
-	if pp, err := Parse(""); err != nil || !pp.Empty() {
+	if pp, err := Parse(""); err != nil || len(pp.Events) != 0 {
 		t.Fatalf("empty spec: plan %+v, err %v", pp, err)
 	}
 }
@@ -127,7 +127,7 @@ func TestRandomPlanDeterministicAndValid(t *testing.T) {
 			t.Fatalf("seed %d: RandomPlan invalid: %v", seed, err)
 		}
 	}
-	if !RandomPlan(1, 0, 10).Empty() || !RandomPlan(1, 4, 0).Empty() {
+	if len(RandomPlan(1, 0, 10).Events) != 0 || len(RandomPlan(1, 4, 0).Events) != 0 {
 		t.Error("degenerate fleet/horizon should yield empty plan")
 	}
 	// Across seeds the generator should exercise every fault kind.

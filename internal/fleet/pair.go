@@ -4,6 +4,7 @@ import (
 	"fmt"
 
 	"esti/internal/engine"
+	"esti/internal/sampling"
 	"esti/internal/tensor"
 )
 
@@ -31,35 +32,17 @@ type EnginePair struct {
 // decode until `gen` tokens exist (the first comes from the prefill
 // engine's logits). Both slots are released before returning.
 func (p *EnginePair) Generate(prefillSlot, decodeSlot int, prompt []int, gen int) ([]int, error) {
-	if gen < 1 {
-		return nil, fmt.Errorf("fleet: gen %d < 1", gen)
+	if err := checkRequest(prompt, gen); err != nil {
+		return nil, err
 	}
-	if len(prompt) == 0 {
-		return nil, fmt.Errorf("fleet: empty prompt")
-	}
-	logits := p.Prefill.PrefillSlot(prefillSlot, prompt)
-	tok := argmax(logits.Row(logits.Rows - 1))
-	kv, err := p.Prefill.ExportSlotKV(prefillSlot)
+	first, kv, err := p.handoff(prefillSlot, prompt)
 	if err != nil {
 		return nil, err
 	}
-	p.Prefill.ReleaseSlot(prefillSlot)
-	p.HandoffBytes += kv.Bytes()
 	if err := p.Decode.ImportSlotKV(decodeSlot, kv); err != nil {
 		return nil, err
 	}
-	out := make([]int, 0, gen)
-	out = append(out, tok)
-	last := make([]int, p.Decode.Batch())
-	active := make([]bool, p.Decode.Batch())
-	active[decodeSlot] = true
-	var lg *tensor.Mat
-	for len(out) < gen {
-		last[decodeSlot] = tok
-		lg = p.Decode.DecodeSlotsInto(lg, last, active)
-		tok = argmax(lg.Row(decodeSlot))
-		out = append(out, tok)
-	}
+	out := p.decode(decodeSlot, append(make([]int, 0, gen), first), gen)
 	p.Decode.ReleaseSlot(decodeSlot)
 	return out, nil
 }
@@ -77,39 +60,23 @@ func (p *EnginePair) Generate(prefillSlot, decodeSlot int, prompt []int, gen int
 // run, which TestEnginePairRecoveryTokenExact asserts in float and int8 KV
 // modes.
 func (p *EnginePair) GenerateWithFailure(prefillSlot, decodeSlot, recoverSlot int, prompt []int, gen, failAfter int) ([]int, error) {
-	if gen < 1 {
-		return nil, fmt.Errorf("fleet: gen %d < 1", gen)
-	}
-	if len(prompt) == 0 {
-		return nil, fmt.Errorf("fleet: empty prompt")
+	if err := checkRequest(prompt, gen); err != nil {
+		return nil, err
 	}
 	if failAfter < 0 || failAfter >= gen-1 {
 		return nil, fmt.Errorf("fleet: failAfter %d outside [0, gen-1)", failAfter)
 	}
-	logits := p.Prefill.PrefillSlot(prefillSlot, prompt)
-	out := make([]int, 0, gen)
-	out = append(out, argmax(logits.Row(logits.Rows-1)))
-	ckpt, err := p.Prefill.ExportSlotKV(prefillSlot)
+	first, ckpt, err := p.handoff(prefillSlot, prompt)
 	if err != nil {
 		return nil, err
 	}
-	p.Prefill.ReleaseSlot(prefillSlot)
-	p.HandoffBytes += ckpt.Bytes()
 
 	// First attempt: the decode replica imports the KV, produces failAfter
 	// tokens, then crashes — its cache copy is gone.
 	if err := p.Decode.ImportSlotKV(decodeSlot, ckpt); err != nil {
 		return nil, err
 	}
-	last := make([]int, p.Decode.Batch())
-	active := make([]bool, p.Decode.Batch())
-	active[decodeSlot] = true
-	var lg *tensor.Mat
-	for i := 0; i < failAfter; i++ {
-		last[decodeSlot] = out[len(out)-1]
-		lg = p.Decode.DecodeSlotsInto(lg, last, active)
-		out = append(out, argmax(lg.Row(decodeSlot)))
-	}
+	out := p.decode(decodeSlot, append(make([]int, 0, gen), first), 1+failAfter)
 	p.Decode.ReleaseSlot(decodeSlot)
 	p.Failures++
 
@@ -119,34 +86,56 @@ func (p *EnginePair) GenerateWithFailure(prefillSlot, decodeSlot, recoverSlot in
 	if err := p.Decode.RestoreSlotKV(recoverSlot, ckpt); err != nil {
 		return nil, err
 	}
-	for i := range last {
-		last[i] = 0
-		active[i] = false
-	}
-	active[recoverSlot] = true
-	for i := 0; i+1 < len(out); i++ {
-		last[recoverSlot] = out[i]
-		lg = p.Decode.DecodeSlotsInto(lg, last, active)
-		p.RecoveredTokens++
-		if got := argmax(lg.Row(recoverSlot)); got != out[i+1] {
-			return nil, fmt.Errorf("fleet: recovery replay diverged at token %d: got %d, recorded %d", i+1, got, out[i+1])
+	replay := p.decode(recoverSlot, []int{first}, len(out))
+	p.RecoveredTokens += len(replay) - 1
+	for i := 1; i < len(out); i++ {
+		if replay[i] != out[i] {
+			return nil, fmt.Errorf("fleet: recovery replay diverged at token %d: got %d, recorded %d", i, replay[i], out[i])
 		}
 	}
-	for len(out) < gen {
-		last[recoverSlot] = out[len(out)-1]
-		lg = p.Decode.DecodeSlotsInto(lg, last, active)
-		out = append(out, argmax(lg.Row(recoverSlot)))
-	}
+	out = p.decode(recoverSlot, out, gen)
 	p.Decode.ReleaseSlot(recoverSlot)
 	return out, nil
 }
 
-func argmax(row []float32) int {
-	best := 0
-	for i, v := range row {
-		if v > row[best] {
-			best = i
-		}
+// checkRequest rejects a request the pair cannot serve.
+func checkRequest(prompt []int, gen int) error {
+	if gen < 1 {
+		return fmt.Errorf("fleet: gen %d < 1", gen)
 	}
-	return best
+	if len(prompt) == 0 {
+		return fmt.Errorf("fleet: empty prompt")
+	}
+	return nil
+}
+
+// handoff prefills prompt on prefillSlot and exports the slot's KV,
+// releasing the slot and charging the export to HandoffBytes. It returns the
+// first token, from the prefill logits, and the export: a deep copy, which
+// a failed decode replica's recovery can re-send.
+func (p *EnginePair) handoff(prefillSlot int, prompt []int) (int, *engine.SlotKV, error) {
+	logits := p.Prefill.PrefillSlot(prefillSlot, prompt)
+	first := sampling.Greedy(logits.Row(logits.Rows - 1))
+	kv, err := p.Prefill.ExportSlotKV(prefillSlot)
+	if err != nil {
+		return 0, nil, err
+	}
+	p.Prefill.ReleaseSlot(prefillSlot)
+	p.HandoffBytes += kv.Bytes()
+	return first, kv, nil
+}
+
+// decode runs greedy decode steps on slot alone, each feeding the last
+// token of out and appending the argmax, until out holds n tokens.
+func (p *EnginePair) decode(slot int, out []int, n int) []int {
+	last := make([]int, p.Decode.Batch())
+	active := make([]bool, p.Decode.Batch())
+	active[slot] = true
+	var lg *tensor.Mat
+	for len(out) < n {
+		last[slot] = out[len(out)-1]
+		lg = p.Decode.DecodeSlotsInto(lg, last, active)
+		out = append(out, sampling.Greedy(lg.Row(slot)))
+	}
+	return out
 }

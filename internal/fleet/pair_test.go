@@ -8,6 +8,7 @@ import (
 	"esti/internal/model"
 	"esti/internal/partition"
 	"esti/internal/reference"
+	"esti/internal/sampling"
 	"esti/internal/tensor"
 )
 
@@ -24,7 +25,7 @@ func tinyConfig() model.Config {
 func singleEngineGreedy(t *testing.T, e *engine.Engine, slot int, prompt []int, gen int) []int {
 	t.Helper()
 	logits := e.PrefillSlot(slot, prompt)
-	tok := argmax(logits.Row(logits.Rows - 1))
+	tok := sampling.Greedy(logits.Row(logits.Rows - 1))
 	out := []int{tok}
 	last := make([]int, e.Batch())
 	active := make([]bool, e.Batch())
@@ -33,7 +34,7 @@ func singleEngineGreedy(t *testing.T, e *engine.Engine, slot int, prompt []int, 
 	for len(out) < gen {
 		last[slot] = tok
 		lg = e.DecodeSlotsInto(lg, last, active)
-		tok = argmax(lg.Row(slot))
+		tok = sampling.Greedy(lg.Row(slot))
 		out = append(out, tok)
 	}
 	return out

@@ -133,22 +133,3 @@ func Bench128In8Out() Benchmark {
 func All() []Benchmark {
 	return []Benchmark{Bench20In8Out(), Bench60In20Out(), Bench128In8Out()}
 }
-
-// BestMFUAtOrBelow returns the best published FasterTransformer MFU across
-// all configs whose total latency is at or below the given milliseconds
-// (used to assert "our implementation offers the best MFU for all but one
-// latency target").
-func (b Benchmark) BestMFUAtOrBelow(ms float64) float64 {
-	best := 0.0
-	for _, cfg := range Configs {
-		for _, p := range b.Results[cfg] {
-			if p.OOM || p.TimeMS > ms {
-				continue
-			}
-			if p.MFU > best {
-				best = p.MFU
-			}
-		}
-	}
-	return best
-}

@@ -66,16 +66,3 @@ func TestPublishedMFUCeilings(t *testing.T) {
 		t.Errorf("TP16 ceiling = %.2f, want 0.46", got)
 	}
 }
-
-func TestBestMFUAtOrBelow(t *testing.T) {
-	b := Bench60In20Out()
-	if got := b.BestMFUAtOrBelow(1150); got != 0.02 {
-		t.Errorf("best MFU <= 1150ms = %.2f, want 0.02 (TP32 b=2 at 1110ms)", got)
-	}
-	if got := b.BestMFUAtOrBelow(100); got != 0 {
-		t.Errorf("best MFU <= 100ms = %.2f, want 0", got)
-	}
-	if got := b.BestMFUAtOrBelow(1e9); got != 0.40 {
-		t.Errorf("unbounded best MFU = %.2f, want 0.40", got)
-	}
-}

@@ -130,16 +130,6 @@ func (g AxisGroup) String() string {
 	return s
 }
 
-// Contains reports whether the group includes axis a.
-func (g AxisGroup) Contains(a Axis) bool {
-	for _, m := range g {
-		if m == a {
-			return true
-		}
-	}
-	return false
-}
-
 // Convenient named groups used throughout the layouts.
 var (
 	GroupX   = AxisGroup{AxisX}
@@ -176,11 +166,6 @@ func (s System) Chips() int { return s.Torus.Chips() }
 // PeakSystemFLOPS is the aggregate peak FLOP/s of the slice.
 func (s System) PeakSystemFLOPS() float64 {
 	return s.Chip.PeakFLOPS * float64(s.Chips())
-}
-
-// TotalHBMBytes is the aggregate HBM capacity of the slice.
-func (s System) TotalHBMBytes() float64 {
-	return s.Chip.HBMBytes * float64(s.Chips())
 }
 
 // SliceShapes enumerates plausible X×Y×Z decompositions for a chip count,

@@ -9,9 +9,10 @@
 // 4-byte float32 scale per message) — the wire format package collective's
 // int8 payload mode transmits, per the paper's Appendix A charging
 // collectives by bytes rather than elements. Each format has its own send
-// and receive calls and its own recycled buffer pool; the traffic counters
-// record the true wire bytes of whichever format moved, split per dtype so
-// tests can assert exact volumes against package commcost for both.
+// and receive calls over one delivery path and one generic recycled buffer
+// pool; the traffic counters record the true wire bytes of whichever format
+// moved, split per dtype so tests can assert exact volumes against package
+// commcost for both.
 //
 // The fabric is deliberately faithful to the paper's cost model: all traffic
 // is explicit messages whose byte counts the tests compare against the
@@ -53,6 +54,15 @@ type Mesh struct {
 	maxPerChip int // inbox soft cap (debugging aid; 0 = unlimited)
 }
 
+// pool is a message-buffer free list bucketed by power-of-two capacity. An
+// SPMD step sends the same message sizes every iteration, so recycling
+// delivered payloads makes steady-state traffic allocation-free instead of
+// pure GC churn. Each chip's pools are touched only by its own goroutine
+// (Send draws from the sender, Recycle returns to the consumer), so no lock
+// is needed; buffers migrate between chips and that's fine. Best-effort:
+// buffers that are never recycled are simply collected.
+type pool[T float32 | int8] [31][][]T
+
 // poolBucket returns the smallest b with 1<<b >= n.
 func poolBucket(n int) int {
 	b := 0
@@ -60,6 +70,35 @@ func poolBucket(n int) int {
 		b++
 	}
 	return b
+}
+
+// get returns a length-n buffer, reused when the pool holds one.
+func (p *pool[T]) get(n int) []T {
+	if n == 0 {
+		return nil
+	}
+	b := poolBucket(n)
+	free := p[b]
+	if len(free) > 0 {
+		buf := free[len(free)-1]
+		p[b] = free[:len(free)-1]
+		return buf[:n]
+	}
+	return make([]T, n, 1<<b)
+}
+
+// put files buf under the largest bucket its capacity fully covers, so get
+// can always reslice what it pops to the bucket's maximum length.
+func (p *pool[T]) put(buf []T) {
+	n := cap(buf)
+	if n == 0 {
+		return
+	}
+	b := poolBucket(n)
+	if 1<<b > n {
+		b--
+	}
+	p[b] = append(p[b], buf[:0])
 }
 
 // New builds a mesh for a torus shape.
@@ -246,18 +285,11 @@ type Chip struct {
 	overlapWaitNS int64
 	overlapWorkNS int64
 
-	// Message buffer free lists, bucketed by power-of-two capacity. An
-	// SPMD step sends the same message sizes every iteration, so
-	// recycling delivered payloads (Recycle) makes steady-state traffic
-	// allocation-free instead of pure GC churn. Each chip's pool is
-	// touched only by its own goroutine (Send draws from the sender,
-	// Recycle returns to the consumer), so no lock is needed; buffers
-	// migrate between chips and that's fine. Best-effort: buffers that
-	// are never recycled are simply collected. pool8 is the int8 twin:
-	// quantized payloads and the collectives' encode scratch draw from it
-	// so int8-wire steady-state traffic is allocation-free too.
-	pool  [31][][]float32
-	pool8 [31][][]int8
+	// Message buffers: float32 payloads, and the int8 payloads and encode
+	// scratch of the int8 wire, so its steady-state traffic is
+	// allocation-free too.
+	pool  pool[float32]
+	pool8 pool[int8]
 
 	// groups caches per-group ranks and peer tables (groupInfoFor).
 	groups []groupInfo
@@ -276,77 +308,27 @@ func (c *Chip) Int8BytesSent() int64 { return c.bytesSent8 }
 // message pool. Collectives allocate their results from it so receivers
 // can give them back with Recycle once consumed. Must be called from the
 // chip's own goroutine (as all chip operations are).
-func (c *Chip) Buffer(n int) []float32 {
-	if n == 0 {
-		return nil
-	}
-	b := poolBucket(n)
-	free := c.pool[b]
-	if len(free) > 0 {
-		buf := free[len(free)-1]
-		c.pool[b] = free[:len(free)-1]
-		return buf[:n]
-	}
-	return make([]float32, n, 1<<b)
-}
+func (c *Chip) Buffer(n int) []float32 { return c.pool.get(n) }
 
 // Recycle returns a buffer obtained from Recv, Buffer, or a collective to
 // this chip's pool. Callers must not touch the buffer afterwards;
 // recycling is optional (unrecycled buffers are garbage collected).
-func (c *Chip) Recycle(buf []float32) {
-	n := cap(buf)
-	if n == 0 {
-		return
-	}
-	// File under the largest bucket the capacity fully covers, so Buffer
-	// can always reslice what it pops to the bucket's maximum length.
-	b := poolBucket(n)
-	if 1<<b > n {
-		b--
-	}
-	c.pool[b] = append(c.pool[b], buf[:0])
-}
+func (c *Chip) Recycle(buf []float32) { c.pool.put(buf) }
 
-// Buffer8 is Buffer for int8 payloads: a reusable length-n scratch from
-// this chip's int8 pool, used by the collectives to quantize chunks before
-// transmission and recycled by receivers after dequantization.
-func (c *Chip) Buffer8(n int) []int8 {
-	if n == 0 {
-		return nil
-	}
-	b := poolBucket(n)
-	free := c.pool8[b]
-	if len(free) > 0 {
-		buf := free[len(free)-1]
-		c.pool8[b] = free[:len(free)-1]
-		return buf[:n]
-	}
-	return make([]int8, n, 1<<b)
-}
+// Buffer8 is Buffer for int8 payloads: the collectives quantize chunks into
+// it before transmission, and receivers recycle it after dequantization.
+func (c *Chip) Buffer8(n int) []int8 { return c.pool8.get(n) }
 
 // Recycle8 returns an int8 buffer obtained from Recv8 or Buffer8 to this
 // chip's pool, under the same contract as Recycle.
-func (c *Chip) Recycle8(buf []int8) {
-	n := cap(buf)
-	if n == 0 {
-		return
-	}
-	b := poolBucket(n)
-	if 1<<b > n {
-		b--
-	}
-	c.pool8[b] = append(c.pool8[b], buf[:0])
-}
+func (c *Chip) Recycle8(buf []int8) { c.pool8.put(buf) }
 
 // Send delivers data to dst with a tag. The payload is copied (into a
 // pooled buffer), so senders may reuse their buffer.
 func (c *Chip) Send(dst int, tag uint64, data []float32) {
-	if dst == c.Rank {
-		panic("mesh: self-send")
-	}
 	cp := c.Buffer(len(data))
 	copy(cp, data)
-	c.deliver(dst, tag, cp)
+	c.deliver(dst, Message{Tag: tag, Data: cp}, false)
 }
 
 // SendOwned delivers buf to dst, transferring ownership instead of
@@ -356,47 +338,32 @@ func (c *Chip) Send(dst int, tag uint64, data []float32) {
 // pure overhead the real hardware doesn't pay either. Traffic accounting
 // is identical to Send.
 func (c *Chip) SendOwned(dst int, tag uint64, buf []float32) {
-	if dst == c.Rank {
-		panic("mesh: self-send")
-	}
-	c.deliver(dst, tag, buf)
-}
-
-func (c *Chip) deliver(dst int, tag uint64, payload []float32) {
-	c.bytesSent += int64(4 * len(payload))
-	c.msgsSent++
-	c.mesh.chips[dst].inbox.put(Message{Src: c.Rank, Tag: tag, Data: payload})
-}
-
-// Send8 delivers a per-chunk-scaled int8 payload to dst with a tag, copying
-// data into a pooled buffer like Send. On-wire accounting is byte-accurate:
-// one byte per element plus four for the chunk scale.
-func (c *Chip) Send8(dst int, tag uint64, data []int8, scale float32) {
-	if dst == c.Rank {
-		panic("mesh: self-send")
-	}
-	cp := c.Buffer8(len(data))
-	copy(cp, data)
-	c.deliver8(dst, tag, cp, scale)
+	c.deliver(dst, Message{Tag: tag, Data: buf}, false)
 }
 
 // SendOwned8 is SendOwned for int8 payloads: ownership of buf transfers to
-// the receiver with no copy — the relay form of the int8 ring collectives,
-// which forward received chunks untouched (so a gathered chunk is quantized
-// exactly once, at its source, however many hops it travels).
+// the receiver with no copy. The int8 ring collectives send and relay with
+// it, forwarding received chunks untouched (so a gathered chunk is
+// quantized exactly once, at its source, however many hops it travels).
 func (c *Chip) SendOwned8(dst int, tag uint64, buf []int8, scale float32) {
+	c.deliver(dst, Message{Tag: tag, Data8: buf, Scale: scale}, true)
+}
+
+// deliver posts m to dst's inbox and charges its true wire bytes: four per
+// float32 element, or one per int8 element plus four for the scale.
+func (c *Chip) deliver(dst int, m Message, quantized bool) {
 	if dst == c.Rank {
 		panic("mesh: self-send")
 	}
-	c.deliver8(dst, tag, buf, scale)
-}
-
-func (c *Chip) deliver8(dst int, tag uint64, payload []int8, scale float32) {
-	wire := int64(len(payload)) + 4 // elements + the float32 scale
+	wire := int64(4 * len(m.Data))
+	if quantized {
+		wire = int64(len(m.Data8)) + 4
+		c.bytesSent8 += wire
+	}
 	c.bytesSent += wire
-	c.bytesSent8 += wire
 	c.msgsSent++
-	c.mesh.chips[dst].inbox.put(Message{Src: c.Rank, Tag: tag, Data8: payload, Scale: scale})
+	m.Src = c.Rank
+	c.mesh.chips[dst].inbox.put(m)
 }
 
 // Recv blocks until a message with the given source and tag arrives. It is

@@ -181,16 +181,10 @@ func (c Config) WeightBytesPerLayer(d DType) float64 {
 	return c.ParamsPerLayer() * d.Bytes()
 }
 
-// KVBytesPerTokenPerLayer is the KV-cache footprint of one token in one
-// layer (K and V, stored in bf16: 2 bytes each element).
-func (c Config) KVBytesPerTokenPerLayer() float64 {
-	return c.KVBytesPerTokenPerLayerAs(BF16)
-}
-
-// KVBytesPerTokenPerLayerAs is KVBytesPerTokenPerLayer with the cache
-// stored in the given dtype: an int8 KV cache (quantize at append,
-// dequantize in the attention walk) halves the bytes per cached token,
-// which halves the decode step's dominant HBM traffic and doubles the
+// KVBytesPerTokenPerLayerAs is the KV-cache footprint of one token in one
+// layer (K and V) with the cache stored in the given dtype: an int8 KV
+// cache (quantize at append, dequantize in the attention walk) halves the
+// bytes per cached token, which halves the decode step's dominant HBM traffic and doubles the
 // context that fits a chip's memory budget. The per-row quantization
 // scales are a <2% overhead at real KV widths and are ignored here, like
 // every other sub-percent constant in the analytic model.
@@ -215,12 +209,6 @@ func (c Config) KVBytesPerTokenAs(d DType) float64 {
 // are shared with the output projection, so 2·Params is the standard count
 // the paper uses as "2N").
 func (c Config) MatmulFLOPsPerToken() float64 { return 2 * c.Params() }
-
-// AttnFLOPsPerToken is the attention-mechanism matmul work (QK^T and
-// attention·V) for one token attending to a context of length ctx.
-func (c Config) AttnFLOPsPerToken(ctx int) float64 {
-	return 2 * 2 * float64(c.Heads) * float64(c.HeadDim) * float64(ctx)
-}
 
 // WithHeads returns a copy with the query-head count (and, for multihead
 // models, the KV-head count) replaced. Used for the paper's 48→64 head
@@ -306,9 +294,4 @@ func MTNLG530B() Config {
 		Heads: 128, HeadDim: 160, KVHeads: 128, Attn: Multihead,
 		FFNKind: GELU, ParallelBlock: false, Vocab: 51200,
 	}
-}
-
-// All returns the named presets the experiments sweep over.
-func All() []Config {
-	return []Config{PaLM8B(), PaLM62B(), PaLM540BPadded(), MTNLG530B()}
 }

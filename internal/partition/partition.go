@@ -127,9 +127,6 @@ type FFNPlan struct {
 	StoredESplit, StoredFSplit int
 }
 
-// Chips returns the torus chip count.
-func (p FFNPlan) Chips() int { return p.Torus.Chips() }
-
 // PlanFFN computes the shard algebra for a layout on a torus.
 func PlanFFN(l FFNLayout, t hardware.Torus) FFNPlan {
 	n := t.Chips()
@@ -169,45 +166,6 @@ func (p FFNPlan) GatherFactor() int {
 	return p.GatherGroup.Size(p.Torus)
 }
 
-// MatmulShape is the per-chip dense matmul [M,K]×[K,N] a layout produces.
-type MatmulShape struct {
-	M, K, N float64
-}
-
-// Stage identifies the two matmul stages of a Transformer layer under the
-// fused parallel formulation: the input projections (FFN-in fused with
-// W_Q/W_K/W_V) and the output projections (FFN-out fused with W_O).
-type Stage int
-
-const (
-	// StageIn is the fused input projection.
-	StageIn Stage = iota
-	// StageOut is the fused output projection.
-	StageOut
-)
-
-// MatmulShapes returns the per-chip matmul shapes of both stages for a layer
-// with logical dims E (d_model) and F (d_ff representative width), given the
-// number of logical tokens in the pass. The shapes drive the efficiency
-// model in package perf: narrow per-chip K/N dims and small M are what make
-// sharded decode matmuls inefficient.
-func (p FFNPlan) MatmulShapes(tokens, e, f float64) [2]MatmulShape {
-	m := tokens / float64(p.TokenSplit)
-	ke := e / float64(p.ESplit)
-	nf := f / float64(p.FSplit)
-	return [2]MatmulShape{
-		StageIn:  {M: m, K: ke, N: nf},
-		StageOut: {M: m, K: nf, N: ke},
-	}
-}
-
-// WeightBytesPerChip is the at-rest weight storage per chip for a layer of
-// layerBytes total (identical for every layout: weight-gathered layouts
-// transfer but do not duplicate storage).
-func (p FFNPlan) WeightBytesPerChip(layerBytes float64) float64 {
-	return layerBytes / float64(p.Chips())
-}
-
 // AttnPlan is the shard algebra for the attention KV cache and the per-step
 // attention tensors.
 type AttnPlan struct {
@@ -241,24 +199,6 @@ func (p AttnPlan) KVReplication() float64 {
 	panic(fmt.Sprintf("partition: unknown attention layout %d", int(p.Layout)))
 }
 
-// KVBytesPerChip converts a logical KV-cache size (bytes for the whole
-// batch·context·model) into the per-chip footprint under this layout.
-func (p AttnPlan) KVBytesPerChip(logicalBytes float64) float64 {
-	n := float64(p.Torus.Chips())
-	return logicalBytes * p.KVReplication() / n
-}
-
 // NeedsAllToAll reports whether the layout reshards per-step activations
 // with all-to-all collectives (the batch-sharded layout does, Figure 5(b)).
 func (p AttnPlan) NeedsAllToAll() bool { return p.Layout == AttnShardBatch }
-
-// BatchDivisibility is the minimum batch size the layout can shard without
-// padding: batch-sharding needs at least one example per chip in the
-// all-to-all group. The paper notes no speedup below batch 4 (the minimum
-// TPU v4 torus axis); we expose the constraint so sweeps can respect it.
-func (p AttnPlan) BatchDivisibility() int {
-	if p.Layout == AttnShardBatch {
-		return p.Torus.Chips()
-	}
-	return 1
-}

@@ -54,29 +54,29 @@ func TestPlanFFNShardConservation(t *testing.T) {
 	}
 }
 
+// The per-chip matmul shapes perf prices are [tokens/TokenSplit,
+// E/ESplit]×[E/ESplit, F/FSplit] and back: 2D weight-stationary keeps every
+// token and splits both weight dims, weight-gathered XYZ splits only the
+// tokens.
 func TestMatmulShapes(t *testing.T) {
+	const tokens, e, f = 512, 18432, 73728
 	p := PlanFFN(FFN2DWeightStationary, torus444())
-	shapes := p.MatmulShapes(512, 18432, 73728)
-	in, out := shapes[StageIn], shapes[StageOut]
-	if in.M != 512 || in.K != 4608 || in.N != 4608 {
-		t.Errorf("stage-in shape = %+v, want M=512 K=4608 N=4608", in)
+	if m, k, n := tokens/p.TokenSplit, e/p.ESplit, f/p.FSplit; m != 512 || k != 4608 || n != 4608 {
+		t.Errorf("2D WS per-chip shape = %d×%d×%d, want 512×4608×4608", m, k, n)
 	}
-	if out.M != 512 || out.K != 4608 || out.N != 4608 {
-		t.Errorf("stage-out shape = %+v, want M=512 K=4608 N=4608", out)
-	}
-
 	p = PlanFFN(FFNWeightGatheredXYZ, torus444())
-	shapes = p.MatmulShapes(1048576, 18432, 73728)
-	if shapes[StageIn].M != 16384 || shapes[StageIn].K != 18432 || shapes[StageIn].N != 73728 {
-		t.Errorf("WG-XYZ stage-in = %+v, want M=16384 K=18432 N=73728", shapes[StageIn])
+	if m, k, n := 1048576/p.TokenSplit, e/p.ESplit, f/p.FSplit; m != 16384 || k != e || n != f {
+		t.Errorf("WG-XYZ per-chip shape = %d×%d×%d, want 16384×%d×%d", m, k, n, e, f)
 	}
 }
 
+// At-rest weight storage is one 1/nchips block per chip under every layout:
+// weight-gathered layouts transfer weights but do not duplicate them.
 func TestWeightBytesPerChipUniformAcrossLayouts(t *testing.T) {
 	const layerBytes = 4.69e9
 	for _, l := range FFNLayouts {
 		p := PlanFFN(l, torus444())
-		if got, want := p.WeightBytesPerChip(layerBytes), layerBytes/64; got != want {
+		if got, want := layerBytes/float64(p.StoredESplit*p.StoredFSplit), layerBytes/64; got != want {
 			t.Errorf("%v: weight bytes/chip = %g, want %g", l, got, want)
 		}
 	}
@@ -107,18 +107,21 @@ func TestKVReplication(t *testing.T) {
 
 // The heart of Section 3.3: batch sharding divides per-chip KV bytes by
 // nchips; head sharding of a multiquery model does not shrink them at all.
+// A chip holds KVReplication/nchips of the logical cache (perf's
+// kvShardFactor at full batch).
 func TestKVBytesPerChipMultiquery(t *testing.T) {
 	tr := torus444()
 	const logical = 1 << 30
-	batch := PlanAttn(AttnShardBatch, tr, 48, 1)
-	heads := PlanAttn(AttnShardHeads, tr, 48, 1)
-	if got, want := batch.KVBytesPerChip(logical), float64(logical)/64; got != want {
-		t.Errorf("batch-sharded KV/chip = %g, want %g", got, want)
+	perChip := func(p AttnPlan) float64 { return logical * p.KVReplication() / float64(tr.Chips()) }
+	batch := perChip(PlanAttn(AttnShardBatch, tr, 48, 1))
+	heads := perChip(PlanAttn(AttnShardHeads, tr, 48, 1))
+	if want := float64(logical) / 64; batch != want {
+		t.Errorf("batch-sharded KV/chip = %g, want %g", batch, want)
 	}
-	if got, want := heads.KVBytesPerChip(logical), float64(logical); got != want {
-		t.Errorf("head-sharded MQA KV/chip = %g, want %g (fully replicated)", got, want)
+	if want := float64(logical); heads != want {
+		t.Errorf("head-sharded MQA KV/chip = %g, want %g (fully replicated)", heads, want)
 	}
-	if ratio := heads.KVBytesPerChip(logical) / batch.KVBytesPerChip(logical); ratio != 64 {
+	if ratio := heads / batch; ratio != 64 {
 		t.Errorf("optimized/baseline ratio = %g, want nchips = 64", ratio)
 	}
 }
@@ -130,16 +133,6 @@ func TestNeedsAllToAll(t *testing.T) {
 	}
 	if PlanAttn(AttnShardHeads, tr, 48, 1).NeedsAllToAll() {
 		t.Error("head-sharded must not need all-to-all")
-	}
-}
-
-func TestBatchDivisibility(t *testing.T) {
-	tr := torus444()
-	if got := PlanAttn(AttnShardBatch, tr, 48, 1).BatchDivisibility(); got != 64 {
-		t.Errorf("batch-sharded divisibility = %d, want 64", got)
-	}
-	if got := PlanAttn(AttnShardHeads, tr, 48, 1).BatchDivisibility(); got != 1 {
-		t.Errorf("head-sharded divisibility = %d, want 1", got)
 	}
 }
 

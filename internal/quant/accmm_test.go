@@ -33,7 +33,7 @@ func TestMatMulAccRawFromZeroMatchesMatMul(t *testing.T) {
 	} {
 		a := randMat(rng, sh.m, sh.k)
 		q := Quantize(randMat(rng, sh.k, sh.n))
-		want := MatMul(a, q)
+		want := MatMulInto(tensor.New(a.Rows, q.Cols), a, q)
 		dst := tensor.New(sh.m, sh.n)
 		accRaw(dst, a, q)
 		ScaleColumns(dst, q.Scales)
@@ -55,7 +55,7 @@ func TestMatMulAccRawRowBlocks(t *testing.T) {
 	const m, k, n, blocks = 6, 32, 10, 4
 	a := randMat(rng, m, k)
 	q := Quantize(randMat(rng, k, n))
-	want := MatMul(a, q)
+	want := MatMulInto(tensor.New(a.Rows, q.Cols), a, q)
 
 	dst := tensor.New(m, n)
 	kb := k / blocks

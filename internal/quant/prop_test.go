@@ -25,7 +25,7 @@ func TestQuantMatMulMatchesNaive(t *testing.T) {
 			}
 		}
 		q := Quantize(tensor.New(sh.k, sh.n).FillRand(rng, 1))
-		got := MatMul(a, q)
+		got := MatMulInto(tensor.New(a.Rows, q.Cols), a, q)
 		want := matMulNaive(a, q)
 		for i := range want.Data {
 			d := math.Abs(float64(got.Data[i] - want.Data[i]))
@@ -46,11 +46,11 @@ func TestQuantMatMulParallelExact(t *testing.T) {
 
 	prev := tensor.SetWorkers(1)
 	defer tensor.SetWorkers(prev)
-	serial := MatMul(a, q)
+	serial := MatMulInto(tensor.New(a.Rows, q.Cols), a, q)
 
 	tensor.SetWorkers(4)
 	for i := 0; i < 10; i++ {
-		if d := tensor.MaxAbsDiff(serial, MatMul(a, q)); d != 0 {
+		if d := tensor.MaxAbsDiff(serial, MatMulInto(tensor.New(a.Rows, q.Cols), a, q)); d != 0 {
 			t.Fatalf("parallel differs from serial by %g", d)
 		}
 	}
@@ -67,7 +67,7 @@ func TestQuantMatMulIntoReusesDst(t *testing.T) {
 	if &dst.Data[0] != ptr {
 		t.Error("MatMulInto reallocated a sufficient destination")
 	}
-	if d := tensor.MaxAbsDiff(dst, MatMul(a, q)); d != 0 {
-		t.Errorf("MatMulInto differs from MatMul by %g", d)
+	if d := tensor.MaxAbsDiff(dst, MatMulInto(tensor.New(a.Rows, q.Cols), a, q)); d != 0 {
+		t.Errorf("MatMulInto into a reused dst differs from a fresh one by %g", d)
 	}
 }

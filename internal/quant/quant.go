@@ -59,18 +59,9 @@ func (q *Int8Mat) Dequantize() *tensor.Mat {
 	return out
 }
 
-// Bytes is the storage footprint: one byte per element plus four per scale.
-func (q *Int8Mat) Bytes() int { return len(q.Data) + 4*len(q.Scales) }
-
-// MatMul multiplies float activations by the quantized weights, accumulating
-// in float32 over the int8 values and applying the column scale once per
-// output (the standard weight-only quantized matmul).
-func MatMul(a *tensor.Mat, q *Int8Mat) *tensor.Mat {
-	return MatMulInto(tensor.New(a.Rows, q.Cols), a, q)
-}
-
-// MatMulInto is the destination-passing form of MatMul: a·q into dst
-// (reshaped to [a.Rows, q.Cols]), returning dst. The raw product a·int8(q)
+// MatMulInto multiplies float activations by the quantized weights, a·q
+// into dst (reshaped to [a.Rows, q.Cols]), returning dst: the standard
+// weight-only quantized matmul. The raw product a·int8(q)
 // runs through the same driver and register tile as the float kernels of
 // package tensor (tensor.GemmInto), the int8 rows widened in registers;
 // the column scales are applied once, afterwards. dst must not alias a.

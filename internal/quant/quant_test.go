@@ -34,7 +34,8 @@ func TestQuantizedMatMulCloseToFloat(t *testing.T) {
 		a := tensor.New(4, 24).FillRand(rng, 1)
 		w := tensor.New(24, 8).FillRand(rng, 0.1)
 		exact := tensor.MatMul(a, w)
-		approx := MatMul(a, Quantize(w))
+		q := Quantize(w)
+		approx := MatMulInto(tensor.New(a.Rows, q.Cols), a, q)
 		// Error per output ≤ sum_k |a_k| · scale/2; with |a|≤1 and
 		// scale ≈ 0.1/127·2, a loose bound of 2% of max output works.
 		return tensor.MaxAbsDiff(exact, approx) < 0.05
@@ -51,7 +52,7 @@ func TestMatMulMatchesDequantized(t *testing.T) {
 	a := tensor.New(3, 10).FillRand(rng, 1)
 	w := tensor.New(10, 6).FillRand(rng, 1)
 	q := Quantize(w)
-	got := MatMul(a, q)
+	got := MatMulInto(tensor.New(a.Rows, q.Cols), a, q)
 	want := tensor.MatMul(a, q.Dequantize())
 	if d := tensor.MaxAbsDiff(got, want); d > 1e-4 {
 		t.Errorf("quantized matmul differs from dequantized by %g", d)
@@ -62,8 +63,8 @@ func TestBytesHalved(t *testing.T) {
 	w := tensor.New(128, 64)
 	q := Quantize(w)
 	floatBytes := 4 * 128 * 64
-	if q.Bytes() >= floatBytes/2 {
-		t.Errorf("int8 bytes %d not under half of float32 %d", q.Bytes(), floatBytes)
+	if int8Bytes := len(q.Data) + 4*len(q.Scales); int8Bytes >= floatBytes/2 {
+		t.Errorf("int8 bytes %d not under half of float32 %d", int8Bytes, floatBytes)
 	}
 }
 
@@ -111,5 +112,5 @@ func TestMatMulShapePanic(t *testing.T) {
 			t.Error("expected shape panic")
 		}
 	}()
-	MatMul(tensor.New(2, 3), Quantize(tensor.New(4, 2)))
+	MatMulInto(tensor.New(2, 2), tensor.New(2, 3), Quantize(tensor.New(4, 2)))
 }

@@ -165,7 +165,7 @@ func Simulate(c Config, nRequests int, interarrival float64) (SimResult, error) 
 	if nRequests < 1 {
 		return SimResult{}, fmt.Errorf("serve: %w: %d requests to simulate", ErrInvalidConfig, nRequests)
 	}
-	if interarrival < 0 || math.IsNaN(interarrival) {
+	if interarrival < 0 || math.IsNaN(interarrival) || math.IsInf(interarrival, 0) {
 		return SimResult{}, fmt.Errorf("serve: %w: interarrival %g", ErrInvalidConfig, interarrival)
 	}
 	m, err := Analyze(c)
@@ -173,58 +173,24 @@ func Simulate(c Config, nRequests int, interarrival float64) (SimResult, error) 
 		return SimResult{}, err
 	}
 	reqs := make([]Request, nRequests)
+	order := make([]int, nRequests)
+	ready := make([]float64, nRequests)
 	for i := range reqs {
 		reqs[i] = Request{ID: i, Arrival: float64(i) * interarrival}
+		order[i] = i
+		ready[i] = reqs[i].Arrival
 	}
 
 	// Prefill tier: batch up whatever is queued when the server frees.
-	serverFree := 0.0
-	for i := 0; i < nRequests; {
-		first := &reqs[i]
-		start := math.Max(first.Arrival, serverFree)
-		// Admit up to Batch requests that have arrived by start.
-		j := i
-		for j < nRequests && j-i < c.Prefill.Batch && reqs[j].Arrival <= start {
-			j++
-		}
-		if j == i {
-			j = i + 1 // serve the next arrival alone
-			start = math.Max(reqs[i].Arrival, serverFree)
-		}
-		for k := i; k < j; k++ {
-			reqs[k].PrefillStart = start
-			reqs[k].PrefillDone = start + m.PrefillService
-		}
-		serverFree = start + m.PrefillService
-		i = j
+	for i, t := range runTier(order, ready, c.Prefill.Batch, m.PrefillService) {
+		reqs[i].PrefillStart, reqs[i].PrefillDone = t, t+m.PrefillService
+		ready[i] = reqs[i].PrefillDone
 	}
 
 	// Decode tier: same batching discipline over prefill completions.
-	order := make([]int, nRequests)
-	for i := range order {
-		order[i] = i
-	}
-	sort.Slice(order, func(a, b int) bool {
-		return reqs[order[a]].PrefillDone < reqs[order[b]].PrefillDone
-	})
-	decFree := 0.0
-	for i := 0; i < nRequests; {
-		first := &reqs[order[i]]
-		start := math.Max(first.PrefillDone, decFree)
-		j := i
-		for j < nRequests && j-i < c.Decode.Batch && reqs[order[j]].PrefillDone <= start {
-			j++
-		}
-		if j == i {
-			j = i + 1
-			start = math.Max(first.PrefillDone, decFree)
-		}
-		for k := i; k < j; k++ {
-			reqs[order[k]].DecodeStart = start
-			reqs[order[k]].Done = start + m.DecodeService
-		}
-		decFree = start + m.DecodeService
-		i = j
+	sort.Slice(order, func(a, b int) bool { return ready[order[a]] < ready[order[b]] })
+	for i, t := range runTier(order, ready, c.Decode.Batch, m.DecodeService) {
+		reqs[i].DecodeStart, reqs[i].Done = t, t+m.DecodeService
 	}
 
 	lat := make([]float64, nRequests)
@@ -259,6 +225,29 @@ func Simulate(c Config, nRequests int, interarrival float64) (SimResult, error) 
 		return r.DecodeStart, r.Done
 	}, m.DecodeService, c.Decode.Batch)
 	return res, nil
+}
+
+// runTier serves requests through one tier in order, which must sort them
+// by ready time: whenever the server frees, it starts a batch of up to
+// batch requests, every one ready by the time the first is, and each batch
+// takes service seconds whatever its occupancy. It returns each request's
+// batch start time, indexed like ready.
+func runTier(order []int, ready []float64, batch int, service float64) []float64 {
+	start := make([]float64, len(ready))
+	free := 0.0
+	for i := 0; i < len(order); {
+		t := math.Max(ready[order[i]], free)
+		j := i + 1
+		for j < len(order) && j-i < batch && ready[order[j]] <= t {
+			j++
+		}
+		for _, k := range order[i:j] {
+			start[k] = t
+		}
+		free = t + service
+		i = j
+	}
+	return start
 }
 
 // TuneResult is the outcome of Tune: the chosen tier batches with their

@@ -305,6 +305,8 @@ func TestSimulateErrorPaths(t *testing.T) {
 		{"negative requests", nil, -3, 1.0},
 		{"negative interarrival", nil, 10, -0.5},
 		{"NaN interarrival", nil, 10, math.NaN()},
+		// Every arrival after the first at +Inf, the first at 0·Inf = NaN.
+		{"infinite interarrival", nil, 5, math.Inf(1)},
 		{"zero gen config", func(c *Config) { c.Gen = 0 }, 10, 1.0},
 		{"zero decode batch", func(c *Config) { c.Decode.Batch = 0 }, 10, 1.0},
 	}

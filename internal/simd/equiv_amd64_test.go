@@ -230,15 +230,3 @@ func TestAsmExp32RowsBands(t *testing.T) {
 		sweepExp32Rows(t, uint64(b[0]), uint64(b[1]))
 	}
 }
-
-// Every float32 bit pattern: the AVX2 body and its hand-off to the scalar
-// Exp32 agree with Exp32 on all 2^32 inputs. Over a minute (a quarter of
-// the inputs are so small that g*g underflows, and both sides pay the
-// subnormal penalty), so not under -short or the race detector.
-func TestAsmExp32RowsExhaustive(t *testing.T) {
-	if testing.Short() || raceEnabled {
-		t.Skip("2^32-input sweep skipped under -short and -race")
-	}
-	forceASM(t)
-	sweepExp32Rows(t, 0, 1<<32)
-}

@@ -128,8 +128,7 @@ func TestMulAdd4MatchesScalarTwin(t *testing.T) {
 	}
 }
 
-// The dot kernels trim to the shorter operand, mirroring tensor.Dot's
-// historical contract.
+// The dot kernels trim to the shorter operand.
 func TestDotTrimsToShorter(t *testing.T) {
 	a := []float32{1, 2, 3}
 	b := []float32{4, 5, 6, 7}

@@ -123,14 +123,6 @@ func matMulTRows(dst, a, b *Mat, lo, hi int) {
 	}
 }
 
-// Dot exposes the vectorized dot-product kernel: sum of a[i]·b[i] over
-// min(len(a), len(b)) — the building block fused kernels outside this
-// package (attention) are written with. Accumulation follows simd's fixed
-// 16-lane contract, identical on the AVX2 and scalar paths.
-func Dot(a, b []float32) float32 {
-	return simd.DotF32(a, b)
-}
-
 // matMulNaive is the package's original triple-loop a·b, retained verbatim
 // as the oracle for property-testing the tiled kernel.
 func matMulNaive(a, b *Mat) *Mat {

@@ -208,8 +208,13 @@ func TestIntoVariantsMatchAllocating(t *testing.T) {
 	if d := MaxAbsDiff(MulInto(dst, a, b), Mul(a, b)); d != 0 {
 		t.Errorf("MulInto differs by %g", d)
 	}
-	if d := MaxAbsDiff(TransposeInto(New(1, 1), a), Transpose(a)); d != 0 {
-		t.Errorf("TransposeInto differs by %g", d)
+	tr := TransposeInto(New(1, 1), a)
+	for i := 0; i < a.Rows; i++ {
+		for j := 0; j < a.Cols; j++ {
+			if tr.At(j, i) != a.At(i, j) {
+				t.Fatalf("TransposeInto [%d,%d] = %g, want %g", j, i, tr.At(j, i), a.At(i, j))
+			}
+		}
 	}
 	if d := MaxAbsDiff(CopyInto(New(1, 1), a), a); d != 0 {
 		t.Errorf("CopyInto differs by %g", d)

@@ -161,58 +161,6 @@ func RowsView(a *Mat, lo, hi int) Mat {
 	return Mat{Rows: hi - lo, Cols: a.Cols, Data: a.Data[lo*a.Cols : hi*a.Cols]}
 }
 
-// ConcatCols concatenates matrices with equal row counts side by side.
-func ConcatCols(ms ...*Mat) *Mat {
-	if len(ms) == 0 {
-		panic("tensor: concat of nothing")
-	}
-	rows := ms[0].Rows
-	cols := 0
-	for _, m := range ms {
-		if m.Rows != rows {
-			panic("tensor: concatCols row mismatch")
-		}
-		cols += m.Cols
-	}
-	out := New(rows, cols)
-	for i := 0; i < rows; i++ {
-		orow := out.Row(i)
-		off := 0
-		for _, m := range ms {
-			copy(orow[off:off+m.Cols], m.Row(i))
-			off += m.Cols
-		}
-	}
-	return out
-}
-
-// ConcatRows stacks matrices with equal column counts.
-func ConcatRows(ms ...*Mat) *Mat {
-	if len(ms) == 0 {
-		panic("tensor: concat of nothing")
-	}
-	cols := ms[0].Cols
-	rows := 0
-	for _, m := range ms {
-		if m.Cols != cols {
-			panic("tensor: concatRows col mismatch")
-		}
-		rows += m.Rows
-	}
-	out := New(rows, cols)
-	off := 0
-	for _, m := range ms {
-		copy(out.Data[off:off+len(m.Data)], m.Data)
-		off += len(m.Data)
-	}
-	return out
-}
-
-// Transpose returns aᵀ.
-func Transpose(a *Mat) *Mat {
-	return TransposeInto(New(a.Cols, a.Rows), a)
-}
-
 // TransposeInto computes aᵀ into dst (reshaped to [a.Cols, a.Rows]) and
 // returns dst. dst must not alias a.
 func TransposeInto(dst, a *Mat) *Mat {

@@ -40,7 +40,7 @@ func TestMatMulTMatchesExplicitTranspose(t *testing.T) {
 	a := randMat(rng, 4, 6)
 	b := randMat(rng, 3, 6)
 	got := MatMulT(a, b)
-	want := MatMul(a, Transpose(b))
+	want := MatMul(a, TransposeInto(New(1, 1), b))
 	if MaxAbsDiff(got, want) > 1e-5 {
 		t.Errorf("MatMulT differs from MatMul(a, bᵀ) by %g", MaxAbsDiff(got, want))
 	}
@@ -56,7 +56,7 @@ func TestMatMulColumnBlocking(t *testing.T) {
 		full := MatMul(a, b)
 		left := MatMul(a, SliceCols(b, 0, 3))
 		right := MatMul(a, SliceCols(b, 3, 6))
-		return MaxAbsDiff(full, ConcatCols(left, right)) < 1e-5
+		return MaxAbsDiff(SliceCols(full, 0, 3), left) < 1e-5 && MaxAbsDiff(SliceCols(full, 3, 6), right) < 1e-5
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 25}); err != nil {
 		t.Error(err)
@@ -82,17 +82,14 @@ func TestMatMulRowBlockingPartialSums(t *testing.T) {
 
 func TestShapePanics(t *testing.T) {
 	for name, fn := range map[string]func(){
-		"matmul":     func() { MatMul(New(2, 3), New(4, 2)) },
-		"matmulT":    func() { MatMulT(New(2, 3), New(2, 4)) },
-		"add":        func() { Add(New(2, 2), New(2, 3)) },
-		"fromSlice":  func() { FromSlice([]float32{1}, 2, 2) },
-		"sliceCols":  func() { SliceCols(New(2, 2), 0, 3) },
-		"sliceRows":  func() { SliceRows(New(2, 2), -1, 1) },
-		"concatCols": func() { ConcatCols(New(2, 2), New(3, 2)) },
-		"concatRows": func() { ConcatRows(New(2, 2), New(2, 3)) },
-		"rmsnorm":    func() { RMSNorm(New(2, 4), []float32{1}, 1e-6) },
-		"negShape":   func() { New(-1, 2) },
-		"emptyCat":   func() { ConcatCols() },
+		"matmul":    func() { MatMul(New(2, 3), New(4, 2)) },
+		"matmulT":   func() { MatMulT(New(2, 3), New(2, 4)) },
+		"add":       func() { Add(New(2, 2), New(2, 3)) },
+		"fromSlice": func() { FromSlice([]float32{1}, 2, 2) },
+		"sliceCols": func() { SliceCols(New(2, 2), 0, 3) },
+		"sliceRows": func() { SliceRows(New(2, 2), -1, 1) },
+		"rmsnorm":   func() { RMSNorm(New(2, 4), []float32{1}, 1e-6) },
+		"negShape":  func() { New(-1, 2) },
 	} {
 		func() {
 			defer func() {
@@ -173,23 +170,33 @@ func TestActivations(t *testing.T) {
 	}
 }
 
+// Column and row slices tile the matrix: reassembled by offset, they give
+// back every element.
 func TestSliceConcatRoundTrip(t *testing.T) {
 	rng := rand.New(rand.NewSource(4))
 	a := randMat(rng, 5, 12)
-	parts := []*Mat{SliceCols(a, 0, 4), SliceCols(a, 4, 8), SliceCols(a, 8, 12)}
-	if MaxAbsDiff(ConcatCols(parts...), a) != 0 {
-		t.Error("column slice/concat round trip failed")
+	for off := 0; off < 12; off += 4 {
+		part := SliceCols(a, off, off+4)
+		for i := 0; i < a.Rows; i++ {
+			for j := 0; j < 4; j++ {
+				if part.At(i, j) != a.At(i, off+j) {
+					t.Fatalf("column slice at %d: [%d,%d] = %g, want %g", off, i, j, part.At(i, j), a.At(i, off+j))
+				}
+			}
+		}
 	}
-	rparts := []*Mat{SliceRows(a, 0, 2), SliceRows(a, 2, 5)}
-	if MaxAbsDiff(ConcatRows(rparts...), a) != 0 {
-		t.Error("row slice/concat round trip failed")
+	for _, r := range [][2]int{{0, 2}, {2, 5}} {
+		part := SliceRows(a, r[0], r[1])
+		if MaxAbsDiff(part, FromSlice(a.Data[r[0]*a.Cols:r[1]*a.Cols], r[1]-r[0], a.Cols)) != 0 {
+			t.Errorf("row slice [%d,%d) differs from a's rows", r[0], r[1])
+		}
 	}
 }
 
 func TestTransposeInvolution(t *testing.T) {
 	rng := rand.New(rand.NewSource(5))
 	a := randMat(rng, 3, 7)
-	if MaxAbsDiff(Transpose(Transpose(a)), a) != 0 {
+	if MaxAbsDiff(TransposeInto(New(1, 1), TransposeInto(New(1, 1), a)), a) != 0 {
 		t.Error("(aᵀ)ᵀ != a")
 	}
 }
