@@ -1,7 +1,8 @@
 // Command estisim runs the functional sharded-inference engine on a small
 // Transformer across a simulated chip mesh, verifies its logits against the
 // unsharded reference, and reports the measured per-chip communication so
-// the partitioning semantics can be inspected end to end.
+// the partitioning semantics can be inspected end to end. It exits 1 if any
+// greedy token differs from the reference's, and 2 on a bad flag.
 //
 // Example:
 //
@@ -34,6 +35,12 @@ func main() {
 	mha := flag.Bool("mha", false, "use the multihead control architecture")
 	seed := flag.Int64("seed", 42, "weight seed")
 	flag.Parse()
+
+	// Refuse a chip count no torus shape fits before doing any work.
+	if *chips < 1 || *chips&(*chips-1) != 0 {
+		fmt.Fprintf(os.Stderr, "estisim: -chips %d must be a power of two\n", *chips)
+		os.Exit(2)
+	}
 
 	cfg := model.Config{
 		Name: "sim-mqa", Layers: 4, DModel: 128, DFF: 256,
@@ -96,6 +103,7 @@ func main() {
 	fmt.Printf("prefill  %2d tokens/seq: max |logit Δ| vs reference = %.2e\n",
 		*promptLen, tensor.MaxAbsDiff(refLogits, engLogits))
 
+	mismatches := 0
 	last := make([]int, *batch)
 	for s := 0; s < *batch; s++ {
 		last[s] = sampling.Greedy(refLogits.Row(s**promptLen + *promptLen - 1))
@@ -107,6 +115,7 @@ func main() {
 		for s := 0; s < *batch; s++ {
 			if sampling.Greedy(refL.Row(s)) != sampling.Greedy(engL.Row(s)) {
 				match = "  (greedy token mismatch!)"
+				mismatches++
 			}
 		}
 		fmt.Printf("decode step %d:          max |logit Δ| vs reference = %.2e%s\n",
@@ -122,6 +131,10 @@ func main() {
 		float64(m.BytesSent())/1e6/float64(torus.Chips()))
 	perChipKV := eng.ChipCacheBytes(0)
 	fmt.Printf("per-chip KV cache: %.1f KB (%s sharding)\n", float64(perChipKV)/1e3, opts.Attn)
+	if mismatches > 0 {
+		fmt.Fprintf(os.Stderr, "estisim: %d greedy tokens differ from the reference\n", mismatches)
+		os.Exit(1)
+	}
 }
 
 func blockName(parallel bool) string {

@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"esti/internal/hardware"
+	"esti/internal/partition"
 )
 
 func drain(t *testing.T, s *Scheduler) []*Request {
@@ -193,6 +194,11 @@ func TestSentinelErrors(t *testing.T) {
 	huge.System = hardware.TPUv4Slice(1, 1, 1)
 	if _, err := NewScheduler(huge); !errors.Is(err, ErrInfeasible) {
 		t.Errorf("540B on one chip: got %v, want ErrInfeasible", err)
+	}
+	unpriced := c
+	unpriced.FFN = partition.FFNLayout(42)
+	if _, err := NewScheduler(unpriced); !errors.Is(err, ErrInfeasible) {
+		t.Errorf("unknown FFN layout: got %v, want ErrInfeasible", err)
 	}
 
 	if err := c.CheckRequest(Request{Context: c.MaxLen, Gen: 64}); !errors.Is(err, ErrPromptTooLong) {

@@ -167,44 +167,22 @@ func (c FFNComm) Total() float64 { return c.ActBytes + c.WeightBytes }
 // feedforward width f, activation element size actBytes, and total layer
 // weight footprint layerWeightBytes (already in bytes, i.e. params·dtype).
 //
-// The formulas are Section 3.2 / Appendix A.2 with exact (K-1)/K factors:
-//
-//	1D WS:  one AG + one RS over all chips on full BLE activations.
-//	2D WS:  an AG/RS pair over Y·Z on E/X-wide activations plus a pair
-//	        over X on F/(Y·Z)-wide activations.
-//	WG-N:   weights all-gathered over the N-chip group; activations keep a
-//	        single AG/RS pair over the complement axes (none for XYZ).
+// It is Section 3.2 / Appendix A.2 with exact (K-1)/K factors, read off
+// the plan's axis groups (the layout table in package partition): a weight
+// all-gather over Gather, an AG/RS pair over Outer on the E/|Inner|-wide
+// rows of the chip's tokens/|Gather| tokens, and a pair over Inner on their
+// F/|Outer|-wide rows. A group of one moves nothing.
 func FFNLayerComm(p partition.FFNPlan, tokens, e, f, actBytes, layerWeightBytes float64) FFNComm {
-	t := p.Torus
-	n := t.Chips()
-	yz := t.Y * t.Z
-	switch p.Layout {
-	case partition.FFN1DWeightStationary:
-		per := tokens * e * actBytes
-		return FFNComm{ActBytes: AllGatherVolume(per, n) + ReduceScatterVolume(per, n)}
-	case partition.FFN2DWeightStationary:
-		ePer := tokens * (e / float64(t.X)) * actBytes
-		fPer := tokens * (f / float64(yz)) * actBytes
-		act := AllGatherVolume(ePer, yz) + ReduceScatterVolume(ePer, yz) +
-			AllGatherVolume(fPer, t.X) + ReduceScatterVolume(fPer, t.X)
-		return FFNComm{ActBytes: act}
-	case partition.FFNWeightGatheredX:
-		ng := t.X
-		w := AllGatherVolume(layerWeightBytes*float64(ng)/float64(n), ng)
-		per := (tokens / float64(ng)) * e * actBytes
-		act := AllGatherVolume(per, yz) + ReduceScatterVolume(per, yz)
-		return FFNComm{ActBytes: act, WeightBytes: w}
-	case partition.FFNWeightGatheredXY:
-		ng := t.X * t.Y
-		w := AllGatherVolume(layerWeightBytes*float64(ng)/float64(n), ng)
-		per := (tokens / float64(ng)) * e * actBytes
-		act := AllGatherVolume(per, t.Z) + ReduceScatterVolume(per, t.Z)
-		return FFNComm{ActBytes: act, WeightBytes: w}
-	case partition.FFNWeightGatheredXYZ:
-		w := AllGatherVolume(layerWeightBytes, n)
-		return FFNComm{WeightBytes: w}
+	if p.ESplit == 0 {
+		panic("commcost: FFN plan not built by partition.PlanFFN")
 	}
-	panic("commcost: unknown FFN layout")
+	g, o, i := p.TokenSplit, p.FSplit, p.ESplit // |Gather|, |Outer|, |Inner|
+	w := AllGatherVolume(layerWeightBytes*float64(g)/float64(p.Torus.Chips()), g)
+	ePer := (tokens / float64(g)) * (e / float64(i)) * actBytes
+	fPer := (tokens / float64(g)) * (f / float64(o)) * actBytes
+	act := AllGatherVolume(ePer, o) + ReduceScatterVolume(ePer, o) +
+		AllGatherVolume(fPer, i) + ReduceScatterVolume(fPer, i)
+	return FFNComm{ActBytes: act, WeightBytes: w}
 }
 
 // AttnAllToAllBytes is the per-chip volume of the two all-to-all reshards

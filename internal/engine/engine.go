@@ -35,23 +35,15 @@
 // bytes than a norm all-reduce plus a Y·Z gather of the FFN's stripe would,
 // in fewer messages.
 //
-// The feed-forward plan (ffnPlan) is a pair of groups. Weights are cut E×F
-// into inner × outer blocks; per layer the chip multiplies its stripe of the
-// gathered rows, reduce-scatters over the inner group, applies the
-// nonlinearity, all-gathers over the inner group, multiplies, and
-// reduce-scatters over the outer group back to its E-shard.
-//
-//   - FFN 2D weight-stationary (Section 3.2.2): outer = Y·Z, inner = X;
-//     the FFN's own activations alternate aggregation over the two groups
-//     and are never fully replicated.
-//   - FFN 1D weight-stationary (Section 3.2.1): outer = all chips, inner =
-//     the empty group — weights sharded along d_ff only, the stripe is the
-//     whole gathered row, and the output is reduce-scattered after the
-//     second matmul.
-//   - FFN weight-gathered XYZ (Section 3.2.3, Figure A.2(c)): both groups
-//     empty; each layer's weights are all-gathered from the same ExFyz
-//     at-rest blocks the 2D plan stores, so all communication is weight
-//     traffic.
+// The feed-forward plan is partition.PlanFFN's for Options.FFN, read once in
+// New: the layout table in package partition gives each layout's Gather,
+// Outer and Inner axis groups. Weights are cut E×F into inner × outer
+// blocks (ffnPlan); per layer the chip multiplies its stripe of the gathered
+// rows, reduce-scatters over the inner group, applies the nonlinearity,
+// all-gathers over the inner group, multiplies, and reduce-scatters over the
+// outer group back to its E-shard. The engine runs the layouts whose Gather
+// is empty (1D and 2D weight-stationary) or all three axes (weight-gathered
+// XYZ, whose per-layer weight gather stages the blocks of plan.Stored).
 //
 // With Options.Streamed a weight-stationary plan's down-projection rides its
 // rings (Section 3.5, stream.go): it folds chunk by chunk in the inner
@@ -183,16 +175,16 @@ type Options struct {
 	Streamed bool
 }
 
-// validate rejects an attention layout or a dtype outside the vocabulary
-// above.
+// validate rejects a layout or a dtype outside the vocabulary above.
 func (o *Options) validate() error {
-	if o.Attn != partition.AttnShardHeads && o.Attn != partition.AttnShardBatch {
+	if !o.FFN.Known() {
+		return fmt.Errorf("engine: unknown FFN layout %v", o.FFN)
+	}
+	if !o.Attn.Known() {
 		return fmt.Errorf("engine: unknown attention layout %v", o.Attn)
 	}
 	for _, d := range []model.DType{o.KVDType, o.WireDType} {
-		switch d {
-		case model.BF16, model.Int8, model.FP32:
-		default:
+		if !d.Known() {
 			return fmt.Errorf("engine: unknown dtype %d", d)
 		}
 	}
@@ -324,39 +316,24 @@ type chipLayer struct {
 	wq, wk, wv, wo shard
 }
 
-// ffnPlan is how the weight-stationary feed-forward is laid over the torus,
-// as one chip sees it: the paper's layouts are one einsum under different
-// sharding annotations (Section 3.2, Figure 2), and the annotation is this
-// pair of axis groups. The weights are cut E×F into nInner × nOuter blocks.
-// A layer takes the E/nInner columns of this chip's stripe from the block's
-// gathered input (stripe), multiplies, reduce-scatters the partial sums over
-// the inner group (to F/n), applies the nonlinearity, all-gathers over the
-// inner group (to F/nOuter), multiplies, and reduce-scatters over the outer
-// group back to E/n.
-//
-//	1D weight-stationary (3.2.1): outer = XYZ, inner = the empty group —
-//	    both inner collectives are identities and the stripe is the whole
-//	    gathered row.
-//	2D weight-stationary (3.2.2): outer = YZ, inner = X — the FFN's hidden
-//	    activations are never fully replicated.
-//	weight-gathered XYZ (3.2.3): both groups empty — the chip multiplies
-//	    the full weights gatherLayer stages; its at-rest blocks are the 2D
-//	    plan's.
+// ffnPlan is a feed-forward plan as one chip sees it: the plan's Outer and
+// Inner axis groups (partition.FFNPlan, whose table maps each layout to
+// them), their sizes and this chip's index in each. The weights are cut E×F
+// into nInner × nOuter blocks. A layer takes the E/nInner columns of this
+// chip's stripe from the block's gathered input (stripe), multiplies,
+// reduce-scatters the partial sums over the inner group (to F/n), applies
+// the nonlinearity, all-gathers over the inner group (to F/nOuter),
+// multiplies, and reduce-scatters over the outer group back to E/n. An
+// empty group makes its collectives identities.
 type ffnPlan struct {
 	outer, inner   hardware.AxisGroup
 	nOuter, nInner int // group sizes; nOuter·nInner = nAct
 	iOuter, iInner int // this chip's index in each group
 }
 
-// ffnPlan returns a chip's view of a layout's plan.
-func (e *Engine) ffnPlan(rank int, layout partition.FFNLayout) ffnPlan {
-	p := ffnPlan{outer: hardware.GroupYZ, inner: hardware.GroupX}
-	switch layout {
-	case partition.FFN1DWeightStationary:
-		p.outer, p.inner = hardware.GroupXYZ, nil
-	case partition.FFNWeightGatheredXYZ:
-		p.outer, p.inner = nil, nil
-	}
+// ffnPlan returns a chip's view of a plan.
+func (e *Engine) ffnPlan(rank int, plan partition.FFNPlan) ffnPlan {
+	p := ffnPlan{outer: plan.Outer, inner: plan.Inner}
 	c := e.m.Chip(rank)
 	p.iOuter, p.nOuter = c.GroupRank(p.outer)
 	p.iInner, p.nInner = c.GroupRank(p.inner)
@@ -481,9 +458,10 @@ func New(w *reference.Weights, t hardware.Torus, opts Options, batch, maxLen int
 	if cfg.Heads%n != 0 {
 		return nil, fmt.Errorf("engine: %d heads not divisible by %d chips", cfg.Heads, n)
 	}
-	switch opts.FFN {
-	case partition.FFN1DWeightStationary, partition.FFN2DWeightStationary:
-	case partition.FFNWeightGatheredXYZ:
+	plan := partition.PlanFFN(opts.FFN, t)
+	switch len(plan.Gather) {
+	case 0:
+	case 3:
 		// Token-sharded activations: attention must be batch-sharded and
 		// the batch must split evenly; weights gather from ExFyz shards.
 		if opts.Attn != partition.AttnShardBatch {
@@ -493,6 +471,8 @@ func New(w *reference.Weights, t hardware.Torus, opts Options, batch, maxLen int
 			return nil, fmt.Errorf("engine: weight-gathered XYZ is float-only in the functional engine")
 		}
 	default:
+		// A partial gather would shard tokens over some axes and
+		// activations over the rest.
 		return nil, fmt.Errorf("engine: layout %v not supported functionally (analytic only)", opts.FFN)
 	}
 	// Every plan cuts d_ff over all chips (inner × outer).
@@ -511,7 +491,7 @@ func New(w *reference.Weights, t hardware.Torus, opts Options, batch, maxLen int
 	e.chips = make([]*chipState, n)
 	full := e.fullShards(w)
 	for r := 0; r < n; r++ {
-		e.chips[r] = e.buildChip(w, full, r)
+		e.chips[r] = e.buildChip(w, full, plan, r)
 		// The walk scores all query heads of one KV head at once; no
 		// sharding gives a chip more of them per KV head than the model has.
 		e.chips[r].scr.Reserve(cfg.Heads / cfg.KVHeads * maxLen)
@@ -612,14 +592,14 @@ func wholeShard(m *tensor.Mat, int8w bool) shard {
 	return matShard(m.Data, m.Rows, m.Cols, nil)
 }
 
-// buildChip cuts one chip's shards from the full weights.
-func (e *Engine) buildChip(w *reference.Weights, full [][wgMats]shard, rank int) *chipState {
+// buildChip cuts one chip's shards of plan from the full weights.
+func (e *Engine) buildChip(w *reference.Weights, full [][wgMats]shard, plan partition.FFNPlan, rank int) *chipState {
 	cfg := e.cfg
-	st := &chipState{plan: e.ffnPlan(rank, e.opts.FFN), act: hardware.GroupXYZ}
-	if e.opts.FFN == partition.FFNWeightGatheredXYZ {
-		// Token-sharded: no activation group, and at-rest ExFyz shards
-		// that gatherLayer stages before each layer.
-		st.act, st.wg = nil, e.buildWG(full, rank)
+	st := &chipState{plan: e.ffnPlan(rank, plan), act: hardware.GroupXYZ}
+	if plan.Gather != nil {
+		// Token-sharded: no activation group, and at-rest shards that
+		// gatherLayer stages before each layer.
+		st.act, st.wg = nil, e.buildWG(full, plan, rank)
 	}
 	st.iAct, st.nAct = e.m.Chip(rank).GroupRank(st.act)
 	n := st.nAct

@@ -327,6 +327,14 @@ func TestNewRejectsBadShapes(t *testing.T) {
 			Options{FFN: partition.FFNWeightGatheredXYZ}, 8},
 		{"too many chips for heads", hardware.Torus{X: 16, Y: 1, Z: 1},
 			Options{FFN: partition.FFN1DWeightStationary}, 16},
+		{"partial weight gather", torus222(),
+			Options{FFN: partition.FFNWeightGatheredX, Attn: partition.AttnShardBatch}, 8},
+		// On one chip every group has size one: support is decided by the
+		// groups, not their sizes.
+		{"one-chip weight-gathered, head-sharded", hardware.Torus{X: 1, Y: 1, Z: 1},
+			Options{FFN: partition.FFNWeightGatheredXYZ, Attn: partition.AttnShardHeads}, 8},
+		{"one-chip weight-gathered, int8 weights", hardware.Torus{X: 1, Y: 1, Z: 1},
+			Options{FFN: partition.FFNWeightGatheredXYZ, Attn: partition.AttnShardBatch, Int8Weights: true}, 8},
 	}
 	for _, tc := range cases {
 		if _, err := New(w, tc.torus, tc.opts, tc.batch, 8); err == nil {

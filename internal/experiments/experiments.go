@@ -63,49 +63,72 @@ func PalmFamily() []struct {
 	return out
 }
 
-// bestDecode costs a decode workload on the best torus shape and layouts for
-// a chip count.
-func bestDecode(cfg model.Config, chips int, dt model.DType, w planner.Workload, k perf.Knobs) (CurvePoint, bool) {
-	best := CurvePoint{Latency: math.Inf(1), Cost: math.Inf(1)}
+// best costs a workload on the best torus shape and layouts for a chip
+// count: a workload that generates tokens is a decode, priced per step, and
+// one that does not is a prefill, priced per pass.
+func best(cfg model.Config, chips int, dt model.DType, w planner.Workload, k perf.Knobs) (CurvePoint, bool) {
+	choose := planner.ChoosePrefill
+	if w.Gen > 0 {
+		choose = planner.ChooseDecode
+	}
+	pt := CurvePoint{Latency: math.Inf(1), Cost: math.Inf(1)}
 	found := false
 	for _, shape := range hardware.SliceShapes(chips) {
-		sys := hardware.NewSystem(hardware.TPUv4(), shape)
-		c, ok := planner.ChooseDecode(cfg, sys, dt, w, planner.MinLatency, k)
+		c, ok := choose(cfg, hardware.NewSystem(hardware.TPUv4(), shape), dt, w, planner.MinLatency, k)
 		if !ok {
 			continue
 		}
-		if c.Result.StepTime < best.Latency {
-			best = CurvePoint{
+		lat := c.Result.Time
+		if w.Gen > 0 {
+			lat = c.Result.StepTime
+		}
+		if lat < pt.Latency {
+			pt = CurvePoint{
 				Chips: chips, Batch: w.Batch, Torus: shape,
-				Latency: c.Result.StepTime, Cost: c.Result.Cost, MFU: c.Result.MFU,
-				Label: fmt.Sprintf("C:%d, B:%d", chips, w.Batch),
+				Latency: lat, Cost: c.Result.Cost, MFU: c.Result.MFU,
 			}
 			found = true
 		}
 	}
-	return best, found
+	return pt, found
 }
 
-// bestPrefill costs a prefill workload on the best torus shape and layouts.
-func bestPrefill(cfg model.Config, chips int, dt model.DType, w planner.Workload, k perf.Knobs) (CurvePoint, bool) {
-	best := CurvePoint{Latency: math.Inf(1), Cost: math.Inf(1)}
-	found := false
-	for _, shape := range hardware.SliceShapes(chips) {
-		sys := hardware.NewSystem(hardware.TPUv4(), shape)
-		c, ok := planner.ChoosePrefill(cfg, sys, dt, w, planner.MinLatency, k)
-		if !ok {
-			continue
-		}
-		if c.Result.Time < best.Latency {
-			best = CurvePoint{
-				Chips: chips, Batch: w.Batch, Torus: shape,
-				Latency: c.Result.Time, Cost: c.Result.Cost, MFU: c.Result.MFU,
-				Label: fmt.Sprintf("C:%d, B:%d", chips, w.Batch),
+// sweep costs each workload at its best on every chip count, for each
+// model × dtype of the PaLM family, labels the points, and keeps each
+// curve's frontier.
+func sweep(k perf.Knobs, workloads []planner.Workload, label func(chips int, w planner.Workload) string,
+	frontier func([]CurvePoint) []CurvePoint) []Curve {
+	var curves []Curve
+	for _, md := range PalmFamily() {
+		var pts []CurvePoint
+		for _, chips := range ChipCounts {
+			for _, w := range workloads {
+				if p, ok := best(md.Model, chips, md.DType, w, k); ok {
+					p.Label = label(chips, w)
+					pts = append(pts, p)
+				}
 			}
-			found = true
 		}
+		curves = append(curves, Curve{
+			Name:   fmt.Sprintf("%s-%s", md.Model.Name, md.DType),
+			Points: frontier(pts),
+		})
 	}
-	return best, found
+	return curves
+}
+
+// batchSweep is Figure 1's batch sweep at context 2048, generating gen
+// tokens (0 for the prefill panels).
+func batchSweep(gen int) []planner.Workload {
+	out := make([]planner.Workload, len(Batches))
+	for i, b := range Batches {
+		out[i] = planner.Workload{Batch: b, Context: 2048, Gen: gen}
+	}
+	return out
+}
+
+func batchLabel(chips int, w planner.Workload) string {
+	return fmt.Sprintf("C:%d, B:%d", chips, w.Batch)
 }
 
 func frontierMinMin(points []CurvePoint) []CurvePoint {
@@ -146,111 +169,35 @@ func fromPareto(points []CurvePoint, frontier []pareto.Point) []CurvePoint {
 // frontier of the decode phase for the PaLM family at context 2048,
 // generating 64 tokens, sweeping batch size and chip count.
 func Fig1Decode(k perf.Knobs) []Curve {
-	var curves []Curve
-	for _, md := range PalmFamily() {
-		var pts []CurvePoint
-		for _, chips := range ChipCounts {
-			for _, b := range Batches {
-				w := planner.Workload{Batch: b, Context: 2048, Gen: 64}
-				if p, ok := bestDecode(md.Model, chips, md.DType, w, k); ok {
-					pts = append(pts, p)
-				}
-			}
-		}
-		curves = append(curves, Curve{
-			Name:   fmt.Sprintf("%s-%s", md.Model.Name, md.DType),
-			Points: frontierMinMin(pts),
-		})
-	}
-	return curves
+	return sweep(k, batchSweep(64), batchLabel, frontierMinMin)
 }
 
 // Fig1Prefill regenerates Figure 1 (right): prefill of 2048 input tokens.
 func Fig1Prefill(k perf.Knobs) []Curve {
-	var curves []Curve
-	for _, md := range PalmFamily() {
-		var pts []CurvePoint
-		for _, chips := range ChipCounts {
-			for _, b := range Batches {
-				w := planner.Workload{Batch: b, Context: 2048}
-				if p, ok := bestPrefill(md.Model, chips, md.DType, w, k); ok {
-					pts = append(pts, p)
-				}
-			}
-		}
-		curves = append(curves, Curve{
-			Name:   fmt.Sprintf("%s-%s", md.Model.Name, md.DType),
-			Points: frontierMinMin(pts),
-		})
-	}
-	return curves
+	return sweep(k, batchSweep(0), batchLabel, frontierMinMin)
 }
 
 // FigC1Decode regenerates Figure C.1 (left): the MFU-vs-latency dual of
 // Figure 1's decode panel.
 func FigC1Decode(k perf.Knobs) []Curve {
-	var curves []Curve
-	for _, md := range PalmFamily() {
-		var pts []CurvePoint
-		for _, chips := range ChipCounts {
-			for _, b := range Batches {
-				w := planner.Workload{Batch: b, Context: 2048, Gen: 64}
-				if p, ok := bestDecode(md.Model, chips, md.DType, w, k); ok {
-					pts = append(pts, p)
-				}
-			}
-		}
-		curves = append(curves, Curve{
-			Name:   fmt.Sprintf("%s-%s", md.Model.Name, md.DType),
-			Points: frontierMinMaxMFU(pts),
-		})
-	}
-	return curves
+	return sweep(k, batchSweep(64), batchLabel, frontierMinMaxMFU)
 }
 
 // FigC1Prefill regenerates Figure C.1 (right).
 func FigC1Prefill(k perf.Knobs) []Curve {
-	var curves []Curve
-	for _, md := range PalmFamily() {
-		var pts []CurvePoint
-		for _, chips := range ChipCounts {
-			for _, b := range Batches {
-				w := planner.Workload{Batch: b, Context: 2048}
-				if p, ok := bestPrefill(md.Model, chips, md.DType, w, k); ok {
-					pts = append(pts, p)
-				}
-			}
-		}
-		curves = append(curves, Curve{
-			Name:   fmt.Sprintf("%s-%s", md.Model.Name, md.DType),
-			Points: frontierMinMaxMFU(pts),
-		})
-	}
-	return curves
+	return sweep(k, batchSweep(0), batchLabel, frontierMinMaxMFU)
 }
 
 // FigB1 regenerates Figure B.1: minimum prefill latency — batch 1, sequence
 // length swept 32..1024, cost vs latency frontier.
 func FigB1(k perf.Knobs) []Curve {
-	seqs := []int{32, 64, 128, 256, 512, 1024}
-	var curves []Curve
-	for _, md := range PalmFamily() {
-		var pts []CurvePoint
-		for _, chips := range ChipCounts {
-			for _, s := range seqs {
-				w := planner.Workload{Batch: 1, Context: s}
-				if p, ok := bestPrefill(md.Model, chips, md.DType, w, k); ok {
-					p.Label = fmt.Sprintf("C=%d, S=%d", chips, s)
-					pts = append(pts, p)
-				}
-			}
-		}
-		curves = append(curves, Curve{
-			Name:   fmt.Sprintf("%s-%s", md.Model.Name, md.DType),
-			Points: frontierMinMin(pts),
-		})
+	var seqs []planner.Workload
+	for _, s := range []int{32, 64, 128, 256, 512, 1024} {
+		seqs = append(seqs, planner.Workload{Batch: 1, Context: s})
 	}
-	return curves
+	return sweep(k, seqs, func(chips int, w planner.Workload) string {
+		return fmt.Sprintf("C=%d, S=%d", chips, w.Context)
+	}, frontierMinMin)
 }
 
 // CurvesTable renders frontier curves as a table.

@@ -88,14 +88,18 @@ func Validate() []ValidationRow {
 	e, f := float64(cfg.DModel), float64(cfg.DFF)
 	layers := float64(cfg.Layers)
 	// The FFN input rides the block's shared gather in both layouts, so
-	// only the FFN's own collectives differ.
-	vol1D := commcost.ReduceScatterVolume(nTok*e*fb, n)
-	p2 := partition.PlanFFN(partition.FFN2DWeightStationary, tr)
-	ePer := nTok * (e / float64(p2.ESplit)) * fb
-	fPer := nTok * (f / float64(p2.FSplit)) * fb
-	vol2D := commcost.ReduceScatterVolume(ePer, p2.FSplit) +
-		2*commcost.ReduceScatterVolume(fPer, p2.ESplit) + commcost.AllGatherVolume(fPer, p2.ESplit)
-	add("Appendix A.2: (1D − 2D) WS traffic", got, layers*(vol1D-vol2D), "B/chip", 1e-9)
+	// only the FFN's own collectives differ: a reduce-scatter over Outer of
+	// the E/|Inner|-wide output, and the up and gate reduce-scatters and
+	// the hidden all-gather over Inner on F/|Outer|-wide rows.
+	ffnBytes := func(l partition.FFNLayout) float64 {
+		p := partition.PlanFFN(l, tr)
+		ePer := nTok * (e / float64(p.ESplit)) * fb
+		fPer := nTok * (f / float64(p.FSplit)) * fb
+		return commcost.ReduceScatterVolume(ePer, p.FSplit) +
+			2*commcost.ReduceScatterVolume(fPer, p.ESplit) + commcost.AllGatherVolume(fPer, p.ESplit)
+	}
+	add("Appendix A.2: (1D − 2D) WS traffic", got,
+		layers*(ffnBytes(ws1.FFN)-ffnBytes(ws2.FFN)), "B/chip", 1e-9)
 
 	// (2) Batch sharding adds exactly the decode all-to-alls.
 	heads := engine.Options{FFN: partition.FFN2DWeightStationary, Attn: partition.AttnShardHeads}

@@ -72,6 +72,9 @@ const (
 	FP32
 )
 
+// Known reports whether d is one of the three formats above.
+func (d DType) Known() bool { return d >= BF16 && d <= FP32 }
+
 // Bytes returns the storage size of one element.
 func (d DType) Bytes() float64 {
 	switch d {

@@ -18,27 +18,21 @@ import (
 )
 
 // FFNLayout enumerates the feedforward partitioning strategies of
-// Sections 3.2.1-3.2.3.
+// Sections 3.2.1-3.2.3; the layout table below gives each one's torus axes.
 type FFNLayout int
 
 const (
-	// FFN1DWeightStationary shards each weight matrix along d_ff over all
-	// chips (Megatron-style); activations are aggregated over all chips
-	// between every pair of matmuls.
+	// FFN1DWeightStationary is Megatron-style: weights split along d_ff
+	// over every chip.
 	FFN1DWeightStationary FFNLayout = iota
-	// FFN2DWeightStationary shards weights along both d_model (over the
-	// torus X axis) and d_ff (over Y·Z); activation aggregation alternates
-	// between the two axes, so communication scales as 1/sqrt(nchips).
+	// FFN2DWeightStationary splits weights along d_model and d_ff, so
+	// communication scales as 1/sqrt(nchips).
 	FFN2DWeightStationary
-	// FFNWeightGatheredX keeps activations batch-sharded over X and
-	// all-gathers weights over X just before each matmul.
+	// FFNWeightGatheredX, FFNWeightGatheredXY and FFNWeightGatheredXYZ
+	// all-gather the weights over the named axes just before each matmul
+	// and shard the tokens over them.
 	FFNWeightGatheredX
-	// FFNWeightGatheredXY gathers weights over X and Y; activations are
-	// batch-sharded over X·Y.
 	FFNWeightGatheredXY
-	// FFNWeightGatheredXYZ fully gathers weights over all chips;
-	// activations stay batch-sharded over all chips and need no
-	// aggregation at all.
 	FFNWeightGatheredXYZ
 )
 
@@ -51,31 +45,49 @@ var FFNLayouts = []FFNLayout{
 	FFNWeightGatheredXYZ,
 }
 
+// ffnTable is the paper's sharding annotation of each layout (Section 3.2,
+// Figure 2: E_x F_yz, weights gathered over x, xy or xyz) as three torus
+// axis groups. It is the one place a layout maps to torus axes; FFNPlan,
+// commcost, perf and the functional engine all read it.
+//
+//	layout  Gather  Outer  Inner
+//	WS 1D   ∅       XYZ    ∅      (3.2.1: d_ff over every chip)
+//	WS 2D   ∅       YZ     X      (3.2.2: communication ∝ 1/√n)
+//	WG X    X       YZ     ∅      (3.2.3: weights gathered over X)
+//	WG XY   XY      Z      ∅
+//	WG XYZ  XYZ     ∅      ∅      (no activation traffic at all)
+//
+// Weights are all-gathered over Gather before each matmul, and tokens are
+// sharded over it. d_ff is split over Outer (the F_yz of 2D), and the FFN's
+// E-wide activations are all-gathered and reduce-scattered over it.
+// d_model is split over Inner (the E_x of 2D), and the FFN's F-wide hidden
+// activations are reduce-scattered and all-gathered over it. Rows hold the
+// hardware.Group* variables themselves, not equal slices: the mesh
+// identifies a group by its slice.
+var ffnTable = [...]struct {
+	name                 string
+	gather, outer, inner hardware.AxisGroup
+}{
+	FFN1DWeightStationary: {"WS 1D", nil, hardware.GroupXYZ, nil},
+	FFN2DWeightStationary: {"WS 2D", nil, hardware.GroupYZ, hardware.GroupX},
+	FFNWeightGatheredX:    {"WG X", hardware.GroupX, hardware.GroupYZ, nil},
+	FFNWeightGatheredXY:   {"WG XY", hardware.GroupXY, hardware.GroupZ, nil},
+	FFNWeightGatheredXYZ:  {"WG XYZ", hardware.GroupXYZ, nil, nil},
+}
+
+// Known reports whether l is one of FFNLayouts.
+func (l FFNLayout) Known() bool { return l >= 0 && int(l) < len(ffnTable) }
+
 func (l FFNLayout) String() string {
-	switch l {
-	case FFN1DWeightStationary:
-		return "WS 1D"
-	case FFN2DWeightStationary:
-		return "WS 2D"
-	case FFNWeightGatheredX:
-		return "WG X"
-	case FFNWeightGatheredXY:
-		return "WG XY"
-	case FFNWeightGatheredXYZ:
-		return "WG XYZ"
+	if !l.Known() {
+		return fmt.Sprintf("FFNLayout(%d)", int(l))
 	}
-	return fmt.Sprintf("FFNLayout(%d)", int(l))
+	return ffnTable[l].name
 }
 
 // WeightGathered reports whether the layout transfers weights rather than
 // keeping them stationary.
-func (l FFNLayout) WeightGathered() bool {
-	switch l {
-	case FFNWeightGatheredX, FFNWeightGatheredXY, FFNWeightGatheredXYZ:
-		return true
-	}
-	return false
-}
+func (l FFNLayout) WeightGathered() bool { return l.Known() && ffnTable[l].gather != nil }
 
 // AttnLayout enumerates the attention sharding strategies of Section 3.3.
 type AttnLayout int
@@ -91,6 +103,9 @@ const (
 	AttnShardBatch
 )
 
+// Known reports whether l is one of the two attention layouts.
+func (l AttnLayout) Known() bool { return l == AttnShardHeads || l == AttnShardBatch }
+
 func (l AttnLayout) String() string {
 	switch l {
 	case AttnShardHeads:
@@ -102,69 +117,57 @@ func (l AttnLayout) String() string {
 }
 
 // FFNPlan is the shard algebra a feedforward layout induces on a given
-// torus. All splits are counts of equal parts; dimensions must be divisible
-// by their split in a functional execution (the analytical model works with
-// real-valued shard sizes).
+// torus: the layout's row of ffnTable and the splits it gives. All splits
+// are counts of equal parts; dimensions must be divisible by their split in
+// a functional execution (the analytical model works with real-valued
+// shard sizes).
 type FFNPlan struct {
 	Layout FFNLayout
 	Torus  hardware.Torus
 
+	// Gather, Outer and Inner are the layout's axis groups (see ffnTable);
+	// nil is the empty group.
+	Gather, Outer, Inner hardware.AxisGroup
 	// ESplit and FSplit are the number of ways the d_model and d_ff
-	// dimensions are split at *compute* time (after any weight gathering).
+	// dimensions are split at *compute* time (after any weight gathering):
+	// the sizes of Inner and Outer.
 	ESplit, FSplit int
 	// TokenSplit is the number of ways the token (batch·sequence)
-	// dimension is split at compute time. Weight-stationary layouts keep
-	// tokens replicated (split 1); weight-gathered layouts shard tokens
-	// over the gather group.
+	// dimension is split at compute time: the size of Gather.
 	TokenSplit int
-	// GatherGroup is the set of torus axes weights are all-gathered over
-	// (nil for weight-stationary layouts).
-	GatherGroup hardware.AxisGroup
-	// StoredESplit and StoredFSplit describe the at-rest weight sharding,
-	// which is ExFyz for every layout except 1D weight-stationary (the
-	// paper keeps storage identical so prefill and decode can switch
-	// layouts without resharding weights).
+	// StoredESplit and StoredFSplit are the splits of the at-rest plan
+	// (Stored).
 	StoredESplit, StoredFSplit int
 }
 
 // PlanFFN computes the shard algebra for a layout on a torus.
 func PlanFFN(l FFNLayout, t hardware.Torus) FFNPlan {
-	n := t.Chips()
-	yz := t.Y * t.Z
-	p := FFNPlan{Layout: l, Torus: t}
-	switch l {
-	case FFN1DWeightStationary:
-		p.ESplit, p.FSplit, p.TokenSplit = 1, n, 1
-		p.StoredESplit, p.StoredFSplit = 1, n
-	case FFN2DWeightStationary:
-		p.ESplit, p.FSplit, p.TokenSplit = t.X, yz, 1
-		p.StoredESplit, p.StoredFSplit = t.X, yz
-	case FFNWeightGatheredX:
-		p.ESplit, p.FSplit, p.TokenSplit = 1, yz, t.X
-		p.GatherGroup = hardware.GroupX
-		p.StoredESplit, p.StoredFSplit = t.X, yz
-	case FFNWeightGatheredXY:
-		p.ESplit, p.FSplit, p.TokenSplit = 1, t.Z, t.X*t.Y
-		p.GatherGroup = hardware.GroupXY
-		p.StoredESplit, p.StoredFSplit = t.X, yz
-	case FFNWeightGatheredXYZ:
-		p.ESplit, p.FSplit, p.TokenSplit = 1, 1, n
-		p.GatherGroup = hardware.GroupXYZ
-		p.StoredESplit, p.StoredFSplit = t.X, yz
-	default:
+	if !l.Known() {
 		panic(fmt.Sprintf("partition: unknown FFN layout %d", int(l)))
 	}
+	row := ffnTable[l]
+	p := FFNPlan{Layout: l, Torus: t, Gather: row.gather, Outer: row.outer, Inner: row.inner,
+		ESplit: row.inner.Size(t), FSplit: row.outer.Size(t), TokenSplit: row.gather.Size(t)}
+	s := p.Stored()
+	p.StoredESplit, p.StoredFSplit = s.ESplit, s.FSplit
 	return p
+}
+
+// Stored is the plan the weights rest in: the plan itself for a
+// weight-stationary layout, the 2D plan's ExFyz blocks for a weight-gathered
+// one. The paper keeps storage identical "so that we can use the same
+// weight layout for weight-gathered (during prefill) and weight-stationary
+// (during decoding)" (Section 3.2.3).
+func (p FFNPlan) Stored() FFNPlan {
+	if p.Gather == nil {
+		return p
+	}
+	return PlanFFN(FFN2DWeightStationary, p.Torus)
 }
 
 // GatherFactor is the number of chips weights are all-gathered over
 // (the paper's N; 1 for weight-stationary layouts).
-func (p FFNPlan) GatherFactor() int {
-	if p.GatherGroup == nil {
-		return 1
-	}
-	return p.GatherGroup.Size(p.Torus)
-}
+func (p FFNPlan) GatherFactor() int { return p.Gather.Size(p.Torus) }
 
 // AttnPlan is the shard algebra for the attention KV cache and the per-step
 // attention tensors.

@@ -4,6 +4,7 @@ import (
 	"math"
 	"testing"
 
+	"esti/internal/hardware"
 	"esti/internal/model"
 	"esti/internal/partition"
 )
@@ -41,6 +42,42 @@ func TestHopFloorSurvivesFullOverlap(t *testing.T) {
 	// collapses to exactly the floor.
 	if math.Abs(b.Comm-b.CommFloor)/b.CommFloor > 1e-9 {
 		t.Errorf("full overlap should pin Comm (%g) to the floor (%g)", b.Comm, b.CommFloor)
+	}
+}
+
+// Ring steps per layer, pinned per layout from outside the layout table:
+// K-1 per all-gather or reduce-scatter over a K-chip group, one AG/RS pair
+// per activation group and one weight all-gather, plus the torus diameter
+// for a batch-sharded decode's all-to-alls.
+func TestCollectiveHopsPerLayout(t *testing.T) {
+	for _, tr := range []hardware.Torus{{X: 4, Y: 4, Z: 4}, {X: 2, Y: 4, Z: 8}} {
+		n, yz, xy := tr.Chips(), tr.Y*tr.Z, tr.X*tr.Y
+		want := map[partition.FFNLayout]int{
+			partition.FFN1DWeightStationary: 2 * (n - 1),
+			partition.FFN2DWeightStationary: 2*(tr.X-1) + 2*(yz-1),
+			partition.FFNWeightGatheredX:    2*(yz-1) + (tr.X - 1),
+			partition.FFNWeightGatheredXY:   2*(tr.Z-1) + (xy - 1),
+			partition.FFNWeightGatheredXYZ:  n - 1,
+		}
+		for _, l := range partition.FFNLayouts {
+			plan := partition.PlanFFN(l, tr)
+			heads := partition.PlanAttn(partition.AttnShardHeads, tr, 48, 1)
+			batch := partition.PlanAttn(partition.AttnShardBatch, tr, 48, 1)
+			for _, c := range []struct {
+				name  string
+				attn  partition.AttnPlan
+				phase Phase
+				want  int
+			}{
+				{"head-sharded decode", heads, PhaseDecode, want[l]},
+				{"batch-sharded prefill", batch, PhasePrefill, want[l]},
+				{"batch-sharded decode", batch, PhaseDecode, want[l] + tr.X + tr.Y + tr.Z},
+			} {
+				if got := collectiveHops(plan, c.attn, c.phase); got != c.want {
+					t.Errorf("%v on %v, %s: %d ring steps, want %d", l, tr, c.name, got, c.want)
+				}
+			}
+		}
 	}
 }
 

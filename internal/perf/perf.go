@@ -158,7 +158,9 @@ type Request struct {
 	Gen int
 }
 
-// Validate sanity-checks the request.
+// Validate sanity-checks the request: a valid model, batch and lengths,
+// layouts and dtypes this package can price, and a torus of at least one
+// chip per axis.
 func (r Request) Validate() error {
 	if err := r.Model.Validate(); err != nil {
 		return err
@@ -168,6 +170,20 @@ func (r Request) Validate() error {
 	}
 	if r.Context < 0 || r.Gen < 0 || r.Past < 0 {
 		return fmt.Errorf("perf: negative context, past or gen")
+	}
+	if !r.FFN.Known() {
+		return fmt.Errorf("perf: unknown FFN layout %v", r.FFN)
+	}
+	if !r.Attn.Known() {
+		return fmt.Errorf("perf: unknown attention layout %v", r.Attn)
+	}
+	if !r.System.Torus.Valid() {
+		return fmt.Errorf("perf: invalid torus %v", r.System.Torus)
+	}
+	for _, d := range []model.DType{r.Weights, r.KVDType, r.WireDType} {
+		if !d.Known() {
+			return fmt.Errorf("perf: unknown dtype %d", d)
+		}
 	}
 	return nil
 }
@@ -386,25 +402,14 @@ func layerStep(r Request, k Knobs, plan partition.FFNPlan, attn partition.AttnPl
 }
 
 // collectiveHops counts the ring steps of one layer's collectives under a
-// layout: each all-gather or reduce-scatter over a K-chip group is K-1
-// steps; the batch-sharding all-to-all is counted as one group traversal.
+// plan (its axis groups come from the layout table in package partition):
+// each all-gather or reduce-scatter over a K-chip group is K-1 steps — an
+// AG/RS pair over Outer, one over Inner, and the weight all-gather over
+// Gather; the batch-sharding all-to-all is counted as one group traversal.
 func collectiveHops(plan partition.FFNPlan, attn partition.AttnPlan, phase Phase) int {
 	t := plan.Torus
-	n := t.Chips()
-	yz := t.Y * t.Z
-	hops := 0
-	switch plan.Layout {
-	case partition.FFN1DWeightStationary:
-		hops = 2 * (n - 1) // AG + RS over all chips
-	case partition.FFN2DWeightStationary:
-		hops = 2*(t.X-1) + 2*(yz-1)
-	case partition.FFNWeightGatheredX:
-		hops = 2*(yz-1) + (t.X - 1)
-	case partition.FFNWeightGatheredXY:
-		hops = 2*(t.Z-1) + (t.X*t.Y - 1)
-	case partition.FFNWeightGatheredXYZ:
-		hops = n - 1
-	}
+	g, o, i := plan.TokenSplit, plan.FSplit, plan.ESplit // |Gather|, |Outer|, |Inner|
+	hops := 2*(o-1) + 2*(i-1) + (g - 1)
 	if phase == PhaseDecode && attn.NeedsAllToAll() {
 		// All-to-all is direct pairwise communication; its latency is the
 		// torus diameter, not a ring traversal. Two all-to-alls per layer.

@@ -2,6 +2,7 @@ package perf
 
 import (
 	"math"
+	"strings"
 	"testing"
 	"testing/quick"
 
@@ -282,6 +283,28 @@ func TestValidation(t *testing.T) {
 	bad.Model.Layers = 0
 	if res := Prefill(bad, k); res.Feasible {
 		t.Error("invalid model should be infeasible")
+	}
+	// What the model cannot price is infeasible in every entry point, not a
+	// panic and not a price.
+	for name, mut := range map[string]func(*Request){
+		"unknown FFN layout":       func(r *Request) { r.FFN = partition.FFNLayout(42) },
+		"unknown attention layout": func(r *Request) { r.Attn = partition.AttnLayout(42) },
+		"zero torus":               func(r *Request) { r.System.Torus = hardware.Torus{} },
+		"unknown weight dtype":     func(r *Request) { r.Weights = model.DType(42) },
+		"unknown KV dtype":         func(r *Request) { r.KVDType = model.DType(42) },
+		"unknown wire dtype":       func(r *Request) { r.WireDType = model.DType(42) },
+	} {
+		r := req540(model.BF16, 8)
+		mut(&r)
+		if res := Prefill(r, k); res.Feasible {
+			t.Errorf("%s: Prefill is feasible", name)
+		}
+		if res := Decode(r, k); res.Feasible || !strings.HasPrefix(res.Reason, "perf: ") {
+			t.Errorf("%s: Decode feasible %v, reason %q; want a perf: rejection", name, res.Feasible, res.Reason)
+		}
+		if prof := DecodeProfile(r, k); prof != nil {
+			t.Errorf("%s: DecodeProfile returned %d steps", name, len(prof))
+		}
 	}
 }
 

@@ -243,6 +243,9 @@ func TestAnalyzeErrorPaths(t *testing.T) {
 			c.Context = 8192
 			c.Decode.Batch = 512
 		}},
+		{"unknown prefill FFN layout", func(c *Config) { c.Prefill.FFN = partition.FFNLayout(42) }},
+		{"unknown decode attention layout", func(c *Config) { c.Decode.Attn = partition.AttnLayout(42) }},
+		{"zero decode torus", func(c *Config) { c.Decode.System.Torus = hardware.Torus{} }},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
