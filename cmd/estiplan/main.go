@@ -23,7 +23,7 @@ import (
 )
 
 func main() {
-	modelName := flag.String("model", "palm540b", "model: palm8b, palm62b, palm540b, palm540b-mha, mtnlg530b")
+	modelName := flag.String("model", "palm540b", "model: "+model.PresetNames)
 	chips := flag.Int("chips", 64, "number of chips (power of two)")
 	weights := flag.String("weights", "bf16", "weight format: bf16 or int8")
 	batch := flag.Int("batch", 64, "batch size (sequences)")
@@ -33,9 +33,39 @@ func main() {
 	objective := flag.String("objective", "latency", "optimize for: latency or cost")
 	flag.Parse()
 
-	cfg, ok := modelByName(*modelName)
+	// Refuse a flag no plan can honour before doing any work, rather than
+	// planning for something else or reporting an infeasible workload.
+	bad := func(format string, a ...any) {
+		fmt.Fprintf(os.Stderr, "estiplan: "+format+"\n", a...)
+		os.Exit(2)
+	}
+	if *chips < 1 || *chips&(*chips-1) != 0 {
+		bad("-chips %d must be a power of two", *chips)
+	}
+	if *batch < 1 {
+		bad("-batch %d must be at least 1", *batch)
+	}
+	for _, f := range []struct {
+		name string
+		v    int
+	}{{"context", *context}, {"past", *past}, {"gen", *gen}} {
+		if f.v < 0 {
+			bad("-%s %d must not be negative", f.name, f.v)
+		}
+	}
+	var obj planner.Objective
+	switch strings.ToLower(*objective) {
+	case "latency":
+		obj = planner.MinLatency
+	case "cost":
+		obj = planner.MinCost
+	default:
+		bad("unknown objective %q (latency, cost)", *objective)
+	}
+
+	cfg, ok := model.ByName(*modelName)
 	if !ok {
-		fmt.Fprintf(os.Stderr, "unknown model %q (palm8b, palm62b, palm540b, palm540b-mha, mtnlg530b)\n", *modelName)
+		fmt.Fprintf(os.Stderr, "unknown model %q (%s)\n", *modelName, model.PresetNames)
 		os.Exit(2)
 	}
 	var dt model.DType
@@ -48,11 +78,6 @@ func main() {
 		fmt.Fprintf(os.Stderr, "unknown weight format %q\n", *weights)
 		os.Exit(2)
 	}
-	obj := planner.MinLatency
-	if *objective == "cost" {
-		obj = planner.MinCost
-	}
-
 	w := planner.Workload{Batch: *batch, Context: *context, Past: *past, Gen: *gen}
 	plan, found := planner.BestSystem(cfg, hardware.TPUv4(), *chips, dt, w, obj, perf.DefaultKnobs())
 	if !found {
@@ -87,20 +112,4 @@ func main() {
 	addPhase("decode", plan.Decode)
 	fmt.Println(t.String())
 	fmt.Printf("end-to-end latency: %.3fs\n", plan.TotalLatency)
-}
-
-func modelByName(name string) (model.Config, bool) {
-	switch strings.ToLower(name) {
-	case "palm8b":
-		return model.PaLM8B(), true
-	case "palm62b":
-		return model.PaLM62B(), true
-	case "palm540b":
-		return model.PaLM540BPadded(), true
-	case "palm540b-mha":
-		return model.PaLM540BMHA(), true
-	case "mtnlg530b":
-		return model.MTNLG530B(), true
-	}
-	return model.Config{}, false
 }

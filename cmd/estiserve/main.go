@@ -97,7 +97,7 @@ import (
 )
 
 func main() {
-	modelName := flag.String("model", "palm540b", "model: palm8b, palm62b, palm540b, mtnlg530b")
+	modelName := flag.String("model", "palm540b", "model: "+model.PresetNames)
 	weights := flag.String("weights", "int8", "weight format: bf16 or int8")
 	int8KV := flag.Bool("int8-kv", false, "store the KV cache int8 (half the cache bytes; ~2x the servable context per chip)")
 	int8Wire := flag.Bool("int8-wire", false, "move activation collectives as per-chunk int8 (half the bf16 wire bytes; halves exposed comm time)")
@@ -137,7 +137,7 @@ func main() {
 		os.Exit(2)
 	}
 
-	cfg, ok := modelByName(*modelName)
+	cfg, ok := model.ByName(*modelName)
 	if !ok {
 		fmt.Fprintf(os.Stderr, "unknown model %q\n", *modelName)
 		os.Exit(2)
@@ -503,18 +503,4 @@ func decodeAttn(cfg model.Config) partition.AttnLayout {
 		return partition.AttnShardBatch
 	}
 	return partition.AttnShardHeads
-}
-
-func modelByName(name string) (model.Config, bool) {
-	switch strings.ToLower(name) {
-	case "palm8b":
-		return model.PaLM8B(), true
-	case "palm62b":
-		return model.PaLM62B(), true
-	case "palm540b":
-		return model.PaLM540BPadded(), true
-	case "mtnlg530b":
-		return model.MTNLG530B(), true
-	}
-	return model.Config{}, false
 }

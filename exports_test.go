@@ -53,23 +53,10 @@ var exportKeep = map[string]string{
 	"mesh.Chip.BytesSent":                "per-chip traffic counter the mesh accounting tests read",
 	"mesh.Chip.Int8BytesSent":            "per-chip traffic counter the mesh accounting tests read",
 	"mesh.Chip.Mesh":                     "the chip's mesh, which the SPMD tests reach from inside Run",
-	"kvcache.Cache.Alloc":                "slot allocator FuzzSlotIsolation drives",
-	"kvcache.Cache.Release":              "slot allocator FuzzSlotIsolation drives",
-	"kvcache.Cache.FreeSlots":            "slot accounting the cache invariant tests read",
-	"kvcache.Cache.InUse":                "slot accounting the cache invariant tests read",
-	"kvcache.Cache.Len":                  "slot accounting the cache invariant tests read",
-	"kvcache.Cache.PrefixLen":            "slot accounting the prefix aliasing tests read",
 	"kvcache.Cache.UsedBytes":            "byte accounting the cache invariant tests read",
-	"kvcache.Cache.Int8":                 "storage mode the int8 cache tests check",
-	"kvcache.Cache.Keys":                 "raw row views the cache round-trip tests read",
-	"kvcache.Cache.Values":               "raw row views the cache round-trip tests read",
+	"kvcache.Cache.RowsK":                "float read-back the cache round-trip and fuzz tests compare rows through",
+	"kvcache.Cache.RowsV":                "float read-back the cache round-trip and fuzz tests compare rows through",
 	"kvcache.Prefix.Refs":                "refcount the prefix store tests check returns to baseline",
-	"kvcache.Prefix.Tokens":              "entry key the prefix store tests check",
-	"kvcache.PrefixStats.HitRate":        "hit rate the prefix-cache serving tests assert",
-	"kvcache.PrefixStore.Bytes":          "byte budget accounting the eviction tests assert",
-	"kvcache.PrefixStore.Entries":        "entry count the eviction tests assert",
-	"kvcache.PrefixStore.Evict":          "explicit eviction the LRU tests drive",
-	"kvcache.PrefixStore.Int8":           "storage mode the int8 prefix tests check",
 	"partition.FFNLayout.WeightGathered": "layout class the planner and partition tests branch on",
 
 	// Called by the gated root benchmarks.

@@ -188,23 +188,7 @@ func (s *Scheduler) decodeT(batch, ctx int) float64 {
 // for SLO admission (shed when even this optimistic bound misses the
 // deadline), not a simulation.
 func (s *Scheduler) EstimateFinish(r *Request, decodeOnly bool) float64 {
-	prefillWork := 0.0
-	remaining := 0
-	for _, ss := range s.slots {
-		if ss == nil {
-			continue
-		}
-		if ss.toGo > 0 {
-			prefillWork += s.prefillT(ss.ctxDone, ss.toGo)
-		}
-		remaining += ss.req.Gen - ss.produced
-	}
-	for _, q := range s.queue {
-		if !q.decodeOnly {
-			prefillWork += s.prefillT(0, q.r.Context)
-		}
-		remaining += q.r.Gen
-	}
+	prefillWork, remaining, _, _ := s.backlog()
 	if !decodeOnly {
 		prefillWork += s.prefillT(0, r.Context)
 	}
@@ -219,6 +203,34 @@ func (s *Scheduler) EstimateFinish(r *Request, decodeOnly bool) float64 {
 	}
 	step := s.decodeT(b, r.Context+r.Gen/2)
 	return s.now + (prefillWork+float64(remaining)*step/float64(b))*s.slowdown
+}
+
+// backlog walks the work in flight and queued, slots first: the batch-1
+// prefill time still owed (unprefilled slot remainders, then queued
+// prompts that need a prefill), the decode tokens still owed, and the sum
+// over the n requests of their mid-generation context (prompt plus half
+// the generation). EstimateFinish and Snapshot both price this walk.
+func (s *Scheduler) backlog() (prefillWork float64, remaining, ctxSum, n int) {
+	for _, ss := range s.slots {
+		if ss == nil {
+			continue
+		}
+		if ss.toGo > 0 {
+			prefillWork += s.prefillT(ss.ctxDone, ss.toGo)
+		}
+		remaining += ss.req.Gen - ss.produced
+		ctxSum += ss.req.Context + ss.req.Gen/2
+		n++
+	}
+	for _, q := range s.queue {
+		if !q.decodeOnly {
+			prefillWork += s.prefillT(0, q.r.Context)
+		}
+		remaining += q.r.Gen
+		ctxSum += q.r.Context + q.r.Gen/2
+		n++
+	}
+	return prefillWork, remaining, ctxSum, n
 }
 
 // Backlog is a load snapshot of one scheduler: what is queued, what is in
@@ -246,26 +258,8 @@ type Backlog struct {
 // step cost, all stretched by the straggler slowdown.
 func (s *Scheduler) Snapshot() Backlog {
 	b := Backlog{Pending: s.Pending(), Active: s.Active()}
-	ctxSum, n := 0, 0
-	for _, ss := range s.slots {
-		if ss == nil {
-			continue
-		}
-		if ss.toGo > 0 {
-			b.PrefillWork += s.prefillT(ss.ctxDone, ss.toGo)
-		}
-		b.RemainingTokens += ss.req.Gen - ss.produced
-		ctxSum += ss.req.Context + ss.req.Gen/2
-		n++
-	}
-	for _, q := range s.queue {
-		if !q.decodeOnly {
-			b.PrefillWork += s.prefillT(0, q.r.Context)
-		}
-		b.RemainingTokens += q.r.Gen
-		ctxSum += q.r.Context + q.r.Gen/2
-		n++
-	}
+	var ctxSum, n int
+	b.PrefillWork, b.RemainingTokens, ctxSum, n = s.backlog()
 	if n == 0 {
 		return b
 	}

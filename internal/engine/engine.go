@@ -83,7 +83,13 @@
 // where a long cold prompt is admitted in bounded chunks interleaved with
 // decode iterations (successive PrefillSlot calls). Both are verified token-exact
 // against the cold path and the batch-1 reference across all functional
-// layouts.
+// layouts. A slot's KV rows sit on every chip under head sharding and on
+// one owner under batch sharding; every per-slot operation — length,
+// release, prefix capture and attach, handoff export and import — reaches
+// them through one map (slotHolders, slots.go), and the engine alone owns
+// the prefix references its slots hold (slotPfx). The blocks those
+// operations move are one kvcache.KVBlock type, whether a store entry or a
+// handoff.
 //
 // The attention and FFN projections share their input gather but remain
 // separate matmuls, and their output partials are reduce-scattered
@@ -428,7 +434,9 @@ type Engine struct {
 	batch  int
 	maxLen int
 	// slotPfx holds, per slot, the acquired prefix ref whose store
-	// references ReleaseSlot must give back.
+	// references ReleaseSlot must give back: one reference per chip, the
+	// chips that never attach it under batch sharding included. It is the
+	// only owner of those references; the caches only alias the blocks.
 	slotPfx []*PrefixRef
 
 	// fw carries the current pass's arguments to the per-chip SPMD body,
@@ -504,11 +512,11 @@ func New(w *reference.Weights, t hardware.Torus, opts Options, batch, maxLen int
 	return e, nil
 }
 
-// Reset returns every slot to empty — lengths zeroed, allocations freed,
-// acquired prefix references given back — without reallocating any
-// storage, so a benchmark or serving loop can reuse one engine session
-// across logical sessions. Like kvcache.Reset, slot storage is not zeroed;
-// use ReleaseSlot for per-slot eviction hygiene on a live batch.
+// Reset returns every slot to empty — lengths zeroed, prefixes detached and
+// their references given back — without reallocating any storage, so a
+// benchmark or serving loop can reuse one engine session across logical
+// sessions. Like kvcache.Reset, slot storage is not zeroed; use ReleaseSlot
+// for per-slot eviction hygiene on a live batch.
 func (e *Engine) Reset() {
 	for _, st := range e.chips {
 		st.cache.Reset()

@@ -169,8 +169,8 @@ func (e *Engine) seqsOn(rank int) chipSeqs {
 	sq := chipSeqs{count: e.batch}
 	switch {
 	case p.slot != noSlot:
-		owner, local := e.slotOwner(p.slot)
-		if owner >= 0 && owner != rank {
+		lo, hi, local := e.slotHolders(p.slot)
+		if rank < lo || rank >= hi {
 			return chipSeqs{}
 		}
 		return chipSeqs{first: local, count: 1}
@@ -375,7 +375,7 @@ func (e *Engine) attnBatchSharded(c *mesh.Chip, st *chipState, layer int, sq chi
 			}
 		}
 		recv := collective.AllToAll(st.op(c), st.act, shards)
-		owner, _ := e.slotOwner(slot)
+		owner, _, _ := e.slotHolders(slot)
 		return tensor.FromSlice(recv[owner], steps, headW)
 	}
 

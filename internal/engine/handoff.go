@@ -7,9 +7,11 @@ package engine
 // mesh, the blocks travel over the interconnect, and ImportSlotKV installs
 // them into a free slot on a decode replica, which then continues the
 // sequence with DecodeSlotsInto exactly as if it had prefilled the prompt
-// itself. Blocks are exported in the cache's native storage format (raw
-// int8 values + scales under an int8 KVDType), so the handoff is bit-exact and the
-// decode replica's tokens are identical to a single-replica run.
+// itself. The snapshot holds one kvcache.KVBlock per chip holding the slot
+// (slotHolders) — the same block type a prefix store entry is — exported in
+// the cache's native storage format (raw int8 values + scales under an int8
+// KVDType), so the handoff is bit-exact and the decode replica's tokens are
+// identical to a single-replica run.
 
 import (
 	"fmt"
@@ -45,24 +47,16 @@ func (kv *SlotKV) Bytes() int {
 // mesh geometry, attention sharding, and KV storage mode can import.
 // Exporting an empty slot is an error.
 func (e *Engine) ExportSlotKV(slot int) (*SlotKV, error) {
-	e.checkSlot(slot)
-	owner, local := e.slotOwner(slot)
-	if owner >= 0 {
-		b, err := e.chips[owner].cache.ExportSeq(local)
-		if err != nil {
-			return nil, err
-		}
-		return &SlotKV{batchSharded: true, blocks: []*kvcache.KVBlock{b}}, nil
-	}
-	blocks := make([]*kvcache.KVBlock, len(e.chips))
-	for r, st := range e.chips {
+	lo, hi, local := e.slotHolders(slot)
+	kv := &SlotKV{batchSharded: e.batchShardedCache(), blocks: make([]*kvcache.KVBlock, hi-lo)}
+	for i, st := range e.chips[lo:hi] {
 		b, err := st.cache.ExportSeq(local)
 		if err != nil {
 			return nil, err
 		}
-		blocks[r] = b
+		kv.blocks[i] = b
 	}
-	return &SlotKV{blocks: blocks}, nil
+	return kv, nil
 }
 
 // ImportSlotKV installs an exported snapshot into the empty slot, after
@@ -70,10 +64,11 @@ func (e *Engine) ExportSlotKV(slot int) (*SlotKV, error) {
 // session must shard attention the same way (batch- vs head-sharded KV),
 // span the same number of chips when head-sharded, and match the blocks'
 // storage mode, layer count, and per-chip KV width — re-sharding KV between
-// different layouts is a transform this engine does not perform. On error
-// the slot is left empty on every chip.
+// different layouts is a transform this engine does not perform. Every
+// holder's block is checked before any is written, so on error the slot is
+// left empty on every chip.
 func (e *Engine) ImportSlotKV(slot int, kv *SlotKV) error {
-	e.checkSlot(slot)
+	lo, hi, local := e.slotHolders(slot)
 	if kv == nil || len(kv.blocks) == 0 {
 		return fmt.Errorf("engine: import of empty slot snapshot")
 	}
@@ -81,18 +76,18 @@ func (e *Engine) ImportSlotKV(slot int, kv *SlotKV) error {
 		return fmt.Errorf("engine: snapshot from a %s cache into a %s session (cross-layout KV handoff is not supported)",
 			shardingName(kv.batchSharded), shardingName(e.batchShardedCache()))
 	}
-	owner, local := e.slotOwner(slot)
-	if owner >= 0 {
-		return e.chips[owner].cache.ImportSeq(local, kv.blocks[0])
+	holders := e.chips[lo:hi]
+	if len(kv.blocks) != len(holders) {
+		return fmt.Errorf("engine: snapshot spans %d chips, session has %d", len(kv.blocks), len(holders))
 	}
-	if len(kv.blocks) != len(e.chips) {
-		return fmt.Errorf("engine: snapshot spans %d chips, session has %d", len(kv.blocks), len(e.chips))
+	for i, st := range holders {
+		if err := st.cache.CheckImport(local, kv.blocks[i]); err != nil {
+			return err
+		}
 	}
-	for r, st := range e.chips {
-		if err := st.cache.ImportSeq(local, kv.blocks[r]); err != nil {
-			for rr := 0; rr < r; rr++ {
-				e.chips[rr].cache.ResetSeq(local)
-			}
+	for i, st := range holders {
+		// Cannot fail: CheckImport passed on every holder.
+		if err := st.cache.ImportSeq(local, kv.blocks[i]); err != nil {
 			return err
 		}
 	}

@@ -4,6 +4,7 @@ import (
 	"testing"
 
 	"esti/internal/hardware"
+	"esti/internal/kvcache"
 	"esti/internal/model"
 	"esti/internal/partition"
 	"esti/internal/reference"
@@ -211,6 +212,22 @@ func TestHandoffErrors(t *testing.T) {
 	}
 	if err := mk(torus222(), headOpts).ImportSlotKV(0, nil); err == nil {
 		t.Error("nil snapshot import should fail")
+	}
+
+	// Every holder's block is checked before any is written: a snapshot
+	// whose last chip's block is malformed leaves every chip's slot empty.
+	bad := &SlotKV{blocks: append([]*kvcache.KVBlock(nil), kvHead.blocks...)}
+	last := *bad.blocks[len(bad.blocks)-1]
+	last.Len++ // the header claims a row the block does not hold
+	bad.blocks[len(bad.blocks)-1] = &last
+	fresh := mk(torus222(), headOpts)
+	if err := fresh.ImportSlotKV(0, bad); err == nil {
+		t.Error("snapshot with a malformed last block should fail")
+	}
+	for r, st := range fresh.chips {
+		if n := st.cache.SeqLen(0); n != 0 {
+			t.Errorf("refused import left %d positions on chip %d", n, r)
+		}
 	}
 
 	occupied := mk(torus222(), headOpts)

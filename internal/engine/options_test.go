@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"esti/internal/hardware"
+	"esti/internal/kvcache"
 	"esti/internal/model"
 	"esti/internal/partition"
 	"esti/internal/reference"
@@ -24,8 +25,9 @@ func TestDTypeNormalization(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if e.chips[0].cache.Int8() || e.opts.KVDType != model.FP32 {
-		t.Errorf("FP32 session reports int8 cache %v, KVDType %v", e.chips[0].cache.Int8(), e.opts.KVDType)
+	c := e.chips[0].cache
+	if float := kvcache.New(c.Layers, c.Seqs, c.MaxLen, c.KVWidth).Bytes(); c.Bytes() != float || e.opts.KVDType != model.FP32 {
+		t.Errorf("FP32 session holds a %d-byte cache (float32: %d), KVDType %v", c.Bytes(), float, e.opts.KVDType)
 	}
 
 	bad := base

@@ -25,7 +25,11 @@ import (
 // Batch-sharded attention (and the weight-gathered layout, which requires
 // it) computes full-width K/V identically on every chip, so the capture is
 // replicated into every chip's store: a future request can then land in a
-// slot owned by any chip and still hit.
+// slot owned by any chip and still hit. A store entry is a kvcache.KVBlock
+// copied out of the slot the way ExportSlotKV copies one, and a slot
+// attaches it through the same admission check an import passes; the
+// attach touches only the slot's holders (slotHolders), while the slot's
+// PrefixRef keeps one reference on every chip until ReleaseSlot.
 
 // PrefixRef is an acquired shared prefix: one store entry per chip, all
 // keyed on the same tokens. It is returned by AcquirePrefix holding one
@@ -78,7 +82,7 @@ func (e *Engine) CachePrefix(slot int, tokens []int) error {
 	if !e.PrefixCacheEnabled() {
 		return fmt.Errorf("engine: prefix cache not enabled")
 	}
-	e.checkSlot(slot)
+	lo, hi, local := e.slotHolders(slot)
 	n := len(tokens)
 	if n == 0 {
 		return fmt.Errorf("engine: empty prefix")
@@ -86,17 +90,18 @@ func (e *Engine) CachePrefix(slot int, tokens []int) error {
 	if got := e.SlotLen(slot); n > got {
 		return fmt.Errorf("engine: prefix of %d tokens from slot %d holding %d", n, slot, got)
 	}
-	// Head-sharded cache: each chip captures its own K/V column shard.
-	// Batch-sharded: K/V are full-width and identical on every chip, so the
-	// owner's rows are replicated into every store (a real system would
-	// broadcast them once over the interconnect). Either way the store
-	// copies the slot's stored rows as they are, so a slot that attaches the
-	// entry holds exactly what prefilling it privately would have left.
-	owner, local := e.slotOwner(slot)
+	// Every chip's store gets the entry, and a chip that holds the slot
+	// captures its own rows: under head sharding each its K/V column shard.
+	// Under batch sharding K/V are full-width and identical on every chip,
+	// so the owner's rows are replicated into the other stores (a real
+	// system would broadcast them once over the interconnect). Either way
+	// the store copies the slot's stored rows as they are, so a slot that
+	// attaches the entry holds exactly what prefilling it privately would
+	// have left.
 	for r, st := range e.chips {
 		from := r
-		if owner >= 0 {
-			from = owner
+		if r < lo || r >= hi {
+			from = lo
 		}
 		if _, err := st.prefix.Capture(tokens, e.chips[from].cache, local); err != nil {
 			return err
@@ -158,7 +163,7 @@ func (e *Engine) PrefillSlotFrom(slot int, ref *PrefixRef, suffix []int) *tensor
 	if ref == nil {
 		return e.PrefillSlot(slot, suffix)
 	}
-	e.checkSlot(slot)
+	lo, hi, local := e.slotHolders(slot)
 	if len(suffix) == 0 {
 		panic("engine: empty suffix (AcquirePrefix caps hits at len(prompt)-1)")
 	}
@@ -169,12 +174,8 @@ func (e *Engine) PrefillSlotFrom(slot int, ref *PrefixRef, suffix []int) *tensor
 		panic(fmt.Sprintf("engine: prefix %d + suffix %d exceed slot capacity %d",
 			ref.Len(), len(suffix), e.maxLen))
 	}
-	owner, local := e.slotOwner(slot)
-	for r, st := range e.chips {
-		if owner >= 0 && r != owner {
-			continue
-		}
-		if err := st.cache.AttachPrefix(local, ref.perChip[r]); err != nil {
+	for r := lo; r < hi; r++ {
+		if err := e.chips[r].cache.AttachPrefix(local, ref.perChip[r]); err != nil {
 			panic(fmt.Sprintf("engine: %v", err))
 		}
 	}

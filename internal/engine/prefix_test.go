@@ -295,7 +295,10 @@ func TestPrefixCacheBudgetEvictsLRU(t *testing.T) {
 		t.Error("remember succeeded with the only evictable entry pinned")
 	}
 
-	// Release the slot; now B's insert evicts A (LRU, unreferenced).
+	// Release the slot; now B's insert evicts A (LRU, unreferenced). A
+	// second release of the slot gives nothing back twice: the slot's
+	// references have one owner, and a double decrement would panic.
+	eng.ReleaseSlot(1)
 	eng.ReleaseSlot(1)
 	if err := eng.CachePrefix(2, pB); err != nil {
 		t.Fatalf("remember after unpin: %v", err)

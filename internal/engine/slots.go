@@ -13,27 +13,25 @@ import (
 // engine session serve a rolling population of requests instead of a fixed
 // batch.
 
-// slotOwner maps a logical slot to the chip holding its KV rows and the
-// slot's index within that chip's cache shard. Head-sharded attention
-// replicates the slot on every chip (owner -1); batch-sharded attention
-// (including the weight-gathered layout, which requires it) places it on
-// one chip.
-func (e *Engine) slotOwner(slot int) (owner, local int) {
+// slotHolders names the chips holding a logical slot's KV rows, as the
+// rank range [lo, hi), and the slot's index in each of their caches.
+// Head-sharded attention keeps the slot on every chip (each holds its head
+// columns); batch-sharded attention (including the weight-gathered layout,
+// which requires it) places it on one owner, rank lo. Every per-slot cache
+// operation reaches the slot through here.
+func (e *Engine) slotHolders(slot int) (lo, hi, local int) {
+	e.checkSlot(slot)
 	if !e.batchShardedCache() {
-		return -1, slot
+		return 0, len(e.chips), slot
 	}
 	seqsPC := e.batch / e.m.Chips()
-	return slot / seqsPC, slot % seqsPC
+	return slot / seqsPC, slot/seqsPC + 1, slot % seqsPC
 }
 
 // SlotLen returns the committed KV length of a slot.
 func (e *Engine) SlotLen(slot int) int {
-	e.checkSlot(slot)
-	owner, local := e.slotOwner(slot)
-	if owner < 0 {
-		owner = 0
-	}
-	return e.chips[owner].cache.SeqLen(local)
+	lo, _, local := e.slotHolders(slot)
+	return e.chips[lo].cache.SeqLen(local)
 }
 
 // ReleaseSlot evicts a completed sequence: the slot's KV storage is zeroed
@@ -42,14 +40,9 @@ func (e *Engine) SlotLen(slot int) int {
 // detached and its per-chip store references are given back, so the prefix
 // becomes LRU-evictable once its last slot departs.
 func (e *Engine) ReleaseSlot(slot int) {
-	e.checkSlot(slot)
-	owner, local := e.slotOwner(slot)
-	if owner >= 0 {
-		e.chips[owner].cache.ResetSeq(local)
-	} else {
-		for _, st := range e.chips {
-			st.cache.ResetSeq(local)
-		}
+	lo, hi, local := e.slotHolders(slot)
+	for _, st := range e.chips[lo:hi] {
+		st.cache.ResetSeq(local)
 	}
 	if ref := e.slotPfx[slot]; ref != nil {
 		e.slotPfx[slot] = nil

@@ -168,22 +168,29 @@ func TestImportValidation(t *testing.T) {
 	if err := New(2, 1, 8, 4).ImportSeq(0, nil); err == nil {
 		t.Error("nil block import should fail")
 	}
-	if err := NewInt8(2, 1, 8, 4).ImportSeq(0, b); err == nil {
-		t.Error("float block into int8 cache should fail")
-	}
-	if err := New(3, 1, 8, 4).ImportSeq(0, b); err == nil {
-		t.Error("layer mismatch should fail")
-	}
-	if err := New(2, 1, 8, 8).ImportSeq(0, b); err == nil {
-		t.Error("width mismatch should fail")
-	}
-	if err := New(2, 1, 2, 4).ImportSeq(0, b); err == nil {
-		t.Error("capacity overflow should fail")
+	if err := New(2, 1, 8, 4).AttachPrefix(0, nil); err == nil {
+		t.Error("nil prefix attach should fail")
 	}
 	full := New(2, 1, 8, 4)
 	fillSlot(full, 0, 1, rng)
-	if err := full.ImportSeq(0, b); err == nil {
-		t.Error("import into non-empty slot should fail")
+	// A block enters a slot by import or, held by a prefix, by attach; the
+	// two share one admission check, so each case fails both ways.
+	for _, c := range []struct {
+		name string
+		dst  *Cache
+	}{
+		{"float block into int8 cache", NewInt8(2, 1, 8, 4)},
+		{"layer mismatch", New(3, 1, 8, 4)},
+		{"width mismatch", New(2, 1, 8, 8)},
+		{"capacity overflow", New(2, 1, 2, 4)},
+		{"non-empty slot", full},
+	} {
+		if err := c.dst.ImportSeq(0, b); err == nil {
+			t.Errorf("%s: import should fail", c.name)
+		}
+		if err := c.dst.AttachPrefix(0, &Prefix{block: *b}); err == nil {
+			t.Errorf("%s: attach should fail", c.name)
+		}
 	}
 	// Happy path still works after all the failed attempts.
 	dst := New(2, 1, 8, 4)

@@ -67,7 +67,7 @@ func FuzzInt8AppendView(f *testing.F) {
 						t.Fatalf("slot %d layer %d: V scale %g not finite-positive", s, l, sc)
 					}
 				}
-				back := c.Keys(l, s)
+				back := c.RowsK(l, s, c.SeqLen(s))
 				for i, x := range back.Data {
 					if math.IsNaN(float64(x)) || math.IsInf(float64(x), 0) {
 						t.Fatalf("slot %d layer %d: dequantized value %g at %d not finite", s, l, x, i)

@@ -31,7 +31,7 @@ func TestInt8AppendRoundTrip(t *testing.T) {
 	for s := 0; s < slots; s++ {
 		for l := 0; l < layers; l++ {
 			k := orig[[2]int{s, l}]
-			got := c.Keys(l, s)
+			got := c.RowsK(l, s, c.SeqLen(s))
 			if got.Rows != k.Rows {
 				t.Fatalf("slot %d layer %d: %d rows back, appended %d", s, l, got.Rows, k.Rows)
 			}
@@ -103,19 +103,19 @@ func TestInt8PrefixStore(t *testing.T) {
 	tokens := []int{3, 1, 4, 1}
 
 	ps := NewPrefixStoreInt8(layers, width, 0)
-	if !ps.Int8() {
-		t.Fatal("store does not report int8 mode")
-	}
 	p, err := ps.Insert(tokens, k, v)
 	if err != nil {
 		t.Fatal(err)
+	}
+	if !p.block.Int8 {
+		t.Fatal("store did not quantize its block")
 	}
 	wantBytes := 2 * layers * n * (width + 4)
 	if p.Bytes() != wantBytes {
 		t.Errorf("quantized prefix Bytes = %d, want %d", p.Bytes(), wantBytes)
 	}
-	if ps.Bytes() != wantBytes {
-		t.Errorf("store Bytes = %d, want %d (quantized units)", ps.Bytes(), wantBytes)
+	if got := ps.Stats().Bytes; got != wantBytes {
+		t.Errorf("store Bytes = %d, want %d (quantized units)", got, wantBytes)
 	}
 
 	// Mode mismatch is rejected in both directions.
@@ -151,7 +151,7 @@ func TestInt8PrefixStore(t *testing.T) {
 	if pre.N != n || priv.N != 2 {
 		t.Fatalf("segments %d+%d rows, want %d+%d", pre.N, priv.N, n, 2)
 	}
-	back := q8.Keys(0, 0)
+	back := q8.RowsK(0, 0, q8.SeqLen(0))
 	for r := 0; r < n; r++ {
 		for i := 0; i < width; i++ {
 			if err := math.Abs(float64(back.At(r, i) - k[0].At(r, i))); err > 1.0/127+1e-6 {
@@ -173,7 +173,7 @@ func TestInt8ResetSeqZeroes(t *testing.T) {
 		c.AppendSeq(0, s, k, k, 2)
 		c.AdvanceSeq(s, 2)
 	}
-	keep := c.Keys(0, 1).Clone()
+	keep := c.RowsK(0, 1, c.SeqLen(1))
 	c.ResetSeq(0)
 	if c.SeqLen(0) != 0 {
 		t.Fatalf("SeqLen = %d after reset", c.SeqLen(0))
@@ -189,7 +189,7 @@ func TestInt8ResetSeqZeroes(t *testing.T) {
 			t.Fatalf("released slot scale %g nonzero at %d", s, i)
 		}
 	}
-	if d := tensor.MaxAbsDiff(keep, c.Keys(0, 1)); d != 0 {
+	if d := tensor.MaxAbsDiff(keep, c.RowsK(0, 1, c.SeqLen(1))); d != 0 {
 		t.Errorf("neighbor slot changed by %g", d)
 	}
 }

@@ -15,13 +15,17 @@ func TestAppendAndRead(t *testing.T) {
 		k.Data[i] = float32(i)
 		v.Data[i] = float32(-i)
 	}
-	c.Append(0, k, v, 2)
-	c.Append(1, k, v, 2)
-	c.Advance(2)
-	if c.Len() != 2 {
-		t.Fatalf("len %d", c.Len())
+	for s := 0; s < 3; s++ {
+		ks, vs := tensor.RowsView(k, 2*s, 2*s+2), tensor.RowsView(v, 2*s, 2*s+2)
+		for l := 0; l < 2; l++ {
+			c.AppendSeq(l, s, &ks, &vs, 2)
+		}
+		c.AdvanceSeq(s, 2)
 	}
-	keys := c.Keys(0, 1) // sequence 1
+	if c.SeqLen(1) != 2 {
+		t.Fatalf("len %d", c.SeqLen(1))
+	}
+	keys := c.RowsK(0, 1, c.SeqLen(1)) // sequence 1
 	if keys.Rows != 2 || keys.Cols != 4 {
 		t.Fatalf("keys shape %dx%d", keys.Rows, keys.Cols)
 	}
@@ -29,7 +33,7 @@ func TestAppendAndRead(t *testing.T) {
 	if keys.At(0, 0) != k.At(2, 0) {
 		t.Errorf("keys[0][0] = %g, want %g", keys.At(0, 0), k.At(2, 0))
 	}
-	vals := c.Values(0, 1)
+	vals := c.RowsV(0, 1, c.SeqLen(1))
 	if vals.At(1, 3) != v.At(3, 3) {
 		t.Errorf("vals[1][3] = %g, want %g", vals.At(1, 3), v.At(3, 3))
 	}
@@ -44,7 +48,8 @@ func TestBytesAccounting(t *testing.T) {
 	if c.UsedBytes() != 0 {
 		t.Error("empty cache should use 0 bytes")
 	}
-	c.Advance(3)
+	c.AdvanceSeq(0, 3)
+	c.AdvanceSeq(1, 3)
 	if got, want := c.UsedBytes(), 2*4*2*3*8*4; got != want {
 		t.Errorf("UsedBytes = %d, want %d", got, want)
 	}
@@ -52,13 +57,13 @@ func TestBytesAccounting(t *testing.T) {
 
 func TestOverflowPanics(t *testing.T) {
 	c := New(1, 1, 2, 4)
-	c.Advance(2)
+	c.AdvanceSeq(0, 2)
 	defer func() {
 		if recover() == nil {
 			t.Error("expected overflow panic")
 		}
 	}()
-	c.Advance(1)
+	c.AdvanceSeq(0, 1)
 }
 
 func TestAppendShapePanics(t *testing.T) {
@@ -68,26 +73,69 @@ func TestAppendShapePanics(t *testing.T) {
 			t.Error("expected shape panic")
 		}
 	}()
-	c.Append(0, tensor.New(3, 4), tensor.New(3, 4), 1) // want 2 rows
+	c.AppendSeq(0, 0, tensor.New(1, 3), tensor.New(1, 3), 1) // want 4 columns
 }
 
+// An append that only partly fits panics rather than writing the rows that
+// do.
 func TestAppendBeyondCapacityPanics(t *testing.T) {
 	c := New(1, 1, 2, 4)
-	c.Advance(2)
+	c.AdvanceSeq(0, 1)
 	defer func() {
 		if recover() == nil {
 			t.Error("expected capacity panic")
 		}
 	}()
-	c.Append(0, tensor.New(1, 4), tensor.New(1, 4), 1)
+	c.AppendSeq(0, 0, tensor.New(2, 4), tensor.New(2, 4), 2)
 }
 
 func TestReset(t *testing.T) {
-	c := New(1, 1, 4, 4)
-	c.Advance(3)
+	c := New(1, 2, 4, 4)
+	fill(c, 0, 3, 1)
+	fill(c, 1, 2, 1)
 	c.Reset()
-	if c.Len() != 0 {
-		t.Error("reset did not clear length")
+	for s := 0; s < c.Seqs; s++ {
+		if c.SeqLen(s) != 0 {
+			t.Errorf("reset did not clear slot %d's length", s)
+		}
+	}
+}
+
+// Reset empties every slot and detaches attached prefixes, leaving their
+// reference counts alone: a reference belongs to whoever acquired it (the
+// engine's per-slot ref), which gives it back to the store.
+func TestResetReturnsAttachedPrefixes(t *testing.T) {
+	const layers, width = 1, 2
+	c := New(layers, 3, 4, width)
+	ps := NewPrefixStore(layers, width, 0)
+	k, v := prefixBlocks(layers, 2, width, 1)
+	ps.Insert([]int{1, 2}, k, v)
+	p0, _ := ps.Acquire([]int{1, 2})
+	p2, _ := ps.Acquire([]int{1, 2})
+	c.AttachPrefix(0, p0)
+	c.AttachPrefix(2, p2)
+	fill(c, 1, 3, 5)
+
+	c.Reset()
+	for s := 0; s < c.Seqs; s++ {
+		if c.SeqLen(s) != 0 || c.prefixLen(s) != 0 {
+			t.Errorf("slot %d: len %d, prefix %d after Reset", s, c.SeqLen(s), c.prefixLen(s))
+		}
+	}
+	if p0.Refs() != 2 {
+		t.Errorf("refs = %d after Reset, want the acquirers' 2", p0.Refs())
+	}
+	for _, p := range []*Prefix{p0, p2} {
+		if err := ps.Release(p); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if p0.Refs() != 0 {
+		t.Errorf("refs = %d after the acquirers released", p0.Refs())
+	}
+	// The reset slots take a prefix again.
+	if err := c.AttachPrefix(0, p0); err != nil {
+		t.Errorf("attach after Reset: %v", err)
 	}
 }
 
@@ -115,57 +163,44 @@ func TestPerSlotLengths(t *testing.T) {
 			t.Errorf("SeqLen(%d) = %d, want %d", s, got, want)
 		}
 	}
-	if c.Len() != 5 {
-		t.Errorf("Len() = %d, want max slot length 5", c.Len())
-	}
 	if got, want := c.UsedBytes(), 2*2*(3+5)*4*4; got != want {
 		t.Errorf("UsedBytes = %d, want %d", got, want)
 	}
 	// Slot 0's data must be its own, not slot 2's.
-	if got := c.Keys(0, 0).At(0, 0); got != 1 {
+	if got := c.RowsK(0, 0, c.SeqLen(0)).At(0, 0); got != 1 {
 		t.Errorf("slot 0 key = %g, want 1", got)
 	}
-	if got := c.Keys(1, 2).At(4, 3); got != 2 {
+	if got := c.RowsK(1, 2, c.SeqLen(2)).At(4, 3); got != 2 {
 		t.Errorf("slot 2 key = %g, want 2", got)
 	}
 }
 
+// ResetSeq empties one slot and zeroes its storage, so stale K/V from the
+// previous occupant can never leak into the next sequence, without
+// touching its neighbors; the slot is then reusable.
+// A slot is taken by appending to it and released by ResetSeq: the release
+// clears its length and zeroes its storage, and the slot takes new rows.
 func TestAllocRelease(t *testing.T) {
 	c := New(1, 2, 4, 4)
-	s0, ok := c.Alloc()
-	if !ok || s0 != 0 {
-		t.Fatalf("first alloc = %d, %v", s0, ok)
-	}
-	s1, ok := c.Alloc()
-	if !ok || s1 != 1 {
-		t.Fatalf("second alloc = %d, %v", s1, ok)
-	}
-	if _, ok := c.Alloc(); ok {
-		t.Error("alloc on a full cache should fail")
-	}
-	if c.FreeSlots() != 0 {
-		t.Errorf("FreeSlots = %d, want 0", c.FreeSlots())
-	}
-	fill(c, s0, 3, 7)
-	if _, err := c.Release(s0); err != nil {
-		t.Fatalf("release of allocated slot: %v", err)
-	}
-	if c.InUse(s0) || c.FreeSlots() != 1 {
-		t.Error("release did not free the slot")
-	}
-	if c.SeqLen(s0) != 0 {
+	fill(c, 0, 3, 7)
+	fill(c, 1, 2, 8)
+	c.ResetSeq(0)
+	if c.SeqLen(0) != 0 {
 		t.Error("release did not reset the length")
 	}
 	// Eviction hygiene: the released slot's storage is zeroed.
-	for p := 0; p < c.MaxLen; p++ {
-		if c.k[0].F32[(s0*c.MaxLen+p)*c.KVWidth] != 0 {
-			t.Fatalf("stale K data at position %d after release", p)
+	for i, x := range c.k[0].Slice(0, c.MaxLen).F32 {
+		if x != 0 {
+			t.Fatalf("stale K data at position %d after release", i/c.KVWidth)
 		}
 	}
-	// Reallocation reuses the freed slot.
-	s, ok := c.Alloc()
-	if !ok || s != s0 {
-		t.Errorf("realloc = %d, %v; want %d", s, ok, s0)
+	// The released slot is reused.
+	fill(c, 0, 1, 9)
+	if c.SeqLen(0) != 1 {
+		t.Errorf("reused slot length = %d, want 1", c.SeqLen(0))
+	}
+	if got := c.RowsK(0, 0, c.SeqLen(0)).At(0, 0); got != 9 {
+		t.Errorf("reused slot content = %g, want 9", got)
 	}
 }
 
@@ -178,10 +213,10 @@ func TestReleaseDoesNotTouchNeighbors(t *testing.T) {
 	if c.SeqLen(0) != 2 || c.SeqLen(2) != 1 {
 		t.Error("reset of slot 1 changed neighbor lengths")
 	}
-	if got := c.Keys(0, 0).At(1, 2); got != 5 {
+	if got := c.RowsK(0, 0, c.SeqLen(0)).At(1, 2); got != 5 {
 		t.Errorf("slot 0 data corrupted: %g", got)
 	}
-	if got := c.Values(1, 2).At(0, 0); got != -7 {
+	if got := c.RowsV(1, 2, c.SeqLen(2)).At(0, 0); got != -7 {
 		t.Errorf("slot 2 data corrupted: %g", got)
 	}
 }
@@ -215,38 +250,6 @@ func TestSlotOutOfRangePanics(t *testing.T) {
 		}
 	}()
 	c.SeqLen(2)
-}
-
-// Regression: releasing a slot twice (or one never allocated) must be an
-// error, not a silent success. With reference-counted prefix blocks a
-// double release would drop a shared refcount twice and free a prefix other
-// slots still alias.
-func TestDoubleReleaseIsError(t *testing.T) {
-	c := New(1, 2, 4, 4)
-	if _, err := c.Release(0); err == nil {
-		t.Error("release of never-allocated slot succeeded")
-	}
-	s, ok := c.Alloc()
-	if !ok {
-		t.Fatal("alloc failed")
-	}
-	fill(c, s, 2, 3)
-	if _, err := c.Release(s); err != nil {
-		t.Fatalf("first release: %v", err)
-	}
-	if _, err := c.Release(s); err == nil {
-		t.Error("double release succeeded silently")
-	}
-	// The failed second release must not have re-zeroed or re-freed
-	// anything a new occupant relies on.
-	s2, ok := c.Alloc()
-	if !ok || s2 != s {
-		t.Fatalf("realloc after double-release attempt: slot %d ok=%v", s2, ok)
-	}
-	fill(c, s2, 1, 9)
-	if got := c.Keys(0, s2).At(0, 0); got != 9 {
-		t.Errorf("slot content after realloc = %g, want 9", got)
-	}
 }
 
 // A cache with no layer, slot, position or column is a caller bug; both

@@ -7,11 +7,13 @@ package kvcache
 // the resource the decode phase is short on (HBM, Table 1). A PrefixStore
 // holds one immutable K/V block per distinct prefix, keyed by its token IDs
 // in a trie so lookup finds the *longest* cached prefix of a new prompt, and
-// reference-counted so any number of live slots alias the same block. A
-// slot attaches a prefix (Cache.AttachPrefix) and then appends only its
-// private suffix: divergence after the shared part needs no copy at all,
-// because appends are always past the prefix boundary — the copy-on-
-// divergence degenerate case.
+// reference-counted so any number of live slots alias the same block. The
+// block is a KVBlock, the same type a handoff carries: Capture copies it out
+// of a slot with the copy ExportSeq uses, and a slot attaches it
+// (Cache.AttachPrefix) through the admission check ImportSeq uses, then
+// appends only its private suffix: divergence after the shared part needs
+// no copy at all, because appends are always past the prefix boundary —
+// the copy-on-divergence degenerate case.
 //
 // Eviction is LRU over unreferenced entries under a byte budget, the same
 // admission-shaping role the serving tier plays for slots themselves.
@@ -22,27 +24,22 @@ import (
 	"esti/internal/tensor"
 )
 
-// Prefix is one immutable cached prefix: per-layer K/V for its tokens, in
-// its store's storage format. It is created by PrefixStore.Insert or
-// Capture and shared read-only between any number of cache slots; refcounts
-// are managed by Acquire/Release. An int8 store's blocks are resident at
-// half the bf16 bytes and attach only to int8 caches.
+// Prefix is one immutable cached prefix: a block of K/V rows for its
+// tokens, in its store's storage format, plus the store's bookkeeping. It
+// is created by PrefixStore.Insert or Capture and shared read-only between
+// any number of cache slots; refcounts are managed by Acquire/Release. An
+// int8 store's blocks are resident at half the bf16 bytes and attach only
+// to int8 caches.
 type Prefix struct {
-	tokens   []int
-	width    int
-	int8Mode bool
-	k, v     []Rows // per layer: len(tokens) rows, read-only once inserted
-
+	block KVBlock // read-only once inserted
+	// node is the trie node the entry's key ends at (nil once removed).
+	node    *trieNode
 	refs    int
 	lastUse int64
-	node    *trieNode
 }
 
 // Len returns the prefix length in tokens.
-func (p *Prefix) Len() int { return len(p.tokens) }
-
-// Tokens returns a copy of the token IDs the prefix was keyed on.
-func (p *Prefix) Tokens() []int { return append([]int(nil), p.tokens...) }
+func (p *Prefix) Len() int { return p.block.Len }
 
 // Refs returns the number of live references (attached slots).
 func (p *Prefix) Refs() int { return p.refs }
@@ -50,9 +47,7 @@ func (p *Prefix) Refs() int { return p.refs }
 // Bytes is the K+V backing footprint of the prefix in its storage format,
 // so budget accounting and LRU eviction run in quantized units in an int8
 // store.
-func (p *Prefix) Bytes() int {
-	return 2 * len(p.k) * len(p.tokens) * bytesPerRow(p.width, p.int8Mode)
-}
+func (p *Prefix) Bytes() int { return p.block.Bytes() }
 
 // trieNode is one token edge in the prefix trie. An entry may sit on an
 // interior node: a short system prompt can be a prefix of a longer cached
@@ -93,14 +88,6 @@ type PrefixStats struct {
 	Insertions, Evictions int64
 }
 
-// HitRate returns hits/(hits+misses), or 0 before any lookup.
-func (s PrefixStats) HitRate() float64 {
-	if s.Hits+s.Misses == 0 {
-		return 0
-	}
-	return float64(s.Hits) / float64(s.Hits+s.Misses)
-}
-
 // NewPrefixStore creates an empty store for prefixes of the given per-layer
 // K/V width. budgetBytes bounds resident K+V bytes (0 = unlimited).
 func NewPrefixStore(layers, width, budgetBytes int) *PrefixStore {
@@ -122,9 +109,6 @@ func NewPrefixStoreInt8(layers, width, budgetBytes int) *PrefixStore {
 	return ps
 }
 
-// Int8 reports whether the store holds its blocks quantized.
-func (ps *PrefixStore) Int8() bool { return ps.int8Mode }
-
 // Stats returns a snapshot of store counters.
 func (ps *PrefixStore) Stats() PrefixStats {
 	return PrefixStats{
@@ -134,12 +118,6 @@ func (ps *PrefixStore) Stats() PrefixStats {
 		Insertions: ps.insertions, Evictions: ps.evicts,
 	}
 }
-
-// Bytes returns the resident K+V bytes of all stored prefixes.
-func (ps *PrefixStore) Bytes() int { return ps.bytes }
-
-// Entries returns the number of stored prefixes.
-func (ps *PrefixStore) Entries() int { return ps.entries }
 
 // Insert stores per-layer K/V blocks for the exact token sequence `tokens`.
 // k and v are per layer [len(tokens), width]; the store keeps deep copies,
@@ -159,37 +137,37 @@ func (ps *PrefixStore) Insert(tokens []int, k, v []*tensor.Mat) (*Prefix, error)
 				l, k[l].Rows, k[l].Cols, len(tokens), ps.width)
 		}
 	}
-	return ps.insert(tokens, func(l int, dk, dv Rows) {
-		copyRows(dk, matRows(k[l]))
-		copyRows(dv, matRows(v[l]))
+	return ps.insert(tokens, func() KVBlock {
+		b := newBlock(ps.layers, len(tokens), ps.width, ps.int8Mode)
+		for l := range b.K {
+			copyRows(b.K[l], matRows(k[l]))
+			copyRows(b.V[l], matRows(v[l]))
+		}
+		return b
 	})
 }
 
 // Capture stores the first len(tokens) positions of slot s of c — which
 // must be the positions those tokens produced; the store trusts the key —
 // as a prefix, with Insert's duplicate, budget and eviction behaviour. The
-// slot's stored segments are copied as they are, an attached prefix of its
-// own included, so a slot that later attaches the entry walks the same rows
-// the captured slot does; only a float32 slot captured into an int8 store
-// (or the reverse) is converted on the way.
+// rows are copied out as the slot stores them (Cache.block, the copy
+// ExportSeq makes), an attached prefix of its own included, so a slot that
+// later attaches the entry walks the same rows the captured slot does. The
+// cache must store the store's format: a capture never converts.
 func (ps *PrefixStore) Capture(tokens []int, c *Cache, s int) (*Prefix, error) {
-	if c.Layers != ps.layers || c.KVWidth != ps.width {
-		return nil, fmt.Errorf("kvcache: capture from a cache of %d layers, width %d into a store of %d, %d",
-			c.Layers, c.KVWidth, ps.layers, ps.width)
+	if c.Layers != ps.layers || c.KVWidth != ps.width || c.int8Mode != ps.int8Mode {
+		return nil, fmt.Errorf("kvcache: capture from a %s cache of %d layers, width %d into a %s store of %d, %d",
+			storageName(c.int8Mode), c.Layers, c.KVWidth, storageName(ps.int8Mode), ps.layers, ps.width)
 	}
 	if have := c.SeqLen(s); len(tokens) > have {
 		return nil, fmt.Errorf("kvcache: capture of %d tokens from slot %d holding %d", len(tokens), s, have)
 	}
-	return ps.insert(tokens, func(l int, dk, dv Rows) {
-		preK, privK, preV, privV := c.Segments(l, s, len(tokens))
-		copySegments(dk, preK, privK)
-		copySegments(dv, preV, privV)
-	})
+	return ps.insert(tokens, func() KVBlock { return c.block(s, len(tokens)) })
 }
 
-// insert finds the entry keyed by tokens or creates it, calling fill once
-// per layer to write a new entry's rows.
-func (ps *PrefixStore) insert(tokens []int, fill func(l int, k, v Rows)) (*Prefix, error) {
+// insert finds the entry keyed by tokens or creates it from the block
+// build returns, which runs only when the key is new.
+func (ps *PrefixStore) insert(tokens []int, build func() KVBlock) (*Prefix, error) {
 	if len(tokens) == 0 {
 		return nil, fmt.Errorf("kvcache: empty prefix")
 	}
@@ -210,17 +188,7 @@ func (ps *PrefixStore) insert(tokens []int, fill func(l int, k, v Rows)) (*Prefi
 		return node.entry, nil
 	}
 
-	p := &Prefix{
-		tokens: append([]int(nil), tokens...),
-		width:  ps.width, int8Mode: ps.int8Mode,
-		k: make([]Rows, ps.layers), v: make([]Rows, ps.layers),
-		node: node,
-	}
-	for l := range p.k {
-		p.k[l] = newRows(len(tokens), ps.width, ps.int8Mode)
-		p.v[l] = newRows(len(tokens), ps.width, ps.int8Mode)
-		fill(l, p.k[l], p.v[l])
-	}
+	p := &Prefix{block: build(), node: node}
 	node.entry = p
 	p.lastUse = ps.tick()
 	ps.bytes += p.Bytes()
@@ -277,20 +245,6 @@ func (ps *PrefixStore) Release(p *Prefix) error {
 		return fmt.Errorf("kvcache: prefix of %d tokens released more times than acquired", p.Len())
 	}
 	p.refs--
-	return nil
-}
-
-// Evict removes p from the store regardless of the byte budget; it fails if
-// the prefix is still referenced by a slot.
-func (ps *PrefixStore) Evict(p *Prefix) error {
-	if p == nil || p.node == nil || p.node.entry != p {
-		return fmt.Errorf("kvcache: evict of prefix not in store")
-	}
-	if p.refs > 0 {
-		return fmt.Errorf("kvcache: prefix of %d tokens still referenced by %d slots", p.Len(), p.refs)
-	}
-	ps.remove(p)
-	ps.evicts++
 	return nil
 }
 

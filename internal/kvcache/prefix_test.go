@@ -42,7 +42,7 @@ func TestPrefixStoreLongestMatch(t *testing.T) {
 	if p == nil || n != 5 {
 		t.Fatalf("acquire = %v len %d, want the 5-token entry", p, n)
 	}
-	if got := p.k[1].Slice(4, 5).F32[0]; got != 24 {
+	if got := p.block.K[1].Slice(4, 5).F32[0]; got != 24 {
 		t.Errorf("acquired wrong block: K[1][4][0] = %g, want 24", got)
 	}
 	p3, n3 := ps.Acquire([]int{1, 2, 3, 9})
@@ -63,8 +63,8 @@ func TestPrefixStoreLongestMatch(t *testing.T) {
 }
 
 func TestPrefixStoreRefcounting(t *testing.T) {
-	ps := NewPrefixStore(1, 2, 0)
 	k, v := prefixBlocks(1, 2, 2, 1)
+	ps := NewPrefixStore(1, 2, 2*1*2*2*4) // room for one two-token entry
 	p, err := ps.Insert([]int{7, 8}, k, v)
 	if err != nil {
 		t.Fatal(err)
@@ -77,8 +77,8 @@ func TestPrefixStoreRefcounting(t *testing.T) {
 	if p.Refs() != 2 {
 		t.Fatalf("refs = %d, want 2", p.Refs())
 	}
-	if err := ps.Evict(p); err == nil {
-		t.Error("evict of a referenced prefix succeeded")
+	if _, err := ps.Insert([]int{5, 6}, k, v); err == nil {
+		t.Error("an insert evicted a referenced prefix")
 	}
 	if err := ps.Release(p); err != nil {
 		t.Fatal(err)
@@ -90,11 +90,12 @@ func TestPrefixStoreRefcounting(t *testing.T) {
 	if err := ps.Release(p); err == nil {
 		t.Error("release below zero succeeded")
 	}
-	if err := ps.Evict(p); err != nil {
-		t.Fatalf("evict of unreferenced prefix: %v", err)
+	if _, err := ps.Insert([]int{5, 6}, k, v); err != nil {
+		t.Fatalf("insert over an unreferenced prefix: %v", err)
 	}
-	if ps.Entries() != 0 || ps.Bytes() != 0 {
-		t.Errorf("store not empty after evict: %d entries, %d bytes", ps.Entries(), ps.Bytes())
+	if st := ps.Stats(); st.Entries != 1 || st.Bytes != p.Bytes() || st.Evictions != 1 {
+		t.Errorf("after evicting the released prefix: %d entries, %d bytes, %d evictions; want 1, %d, 1",
+			st.Entries, st.Bytes, st.Evictions, p.Bytes())
 	}
 	if got, _ := ps.Acquire([]int{7, 8}); got != nil {
 		t.Error("evicted prefix still acquirable")
@@ -131,8 +132,8 @@ func TestPrefixStoreLRUEvictionUnderBudget(t *testing.T) {
 	if _, err := ps.Insert([]int{4, 4}, k, v); err == nil {
 		t.Error("insert succeeded with no evictable entry and no budget")
 	}
-	if ps.Entries() != 2 {
-		t.Errorf("failed insert left %d entries", ps.Entries())
+	if n := ps.Stats().Entries; n != 2 {
+		t.Errorf("failed insert left %d entries", n)
 	}
 	ps.Release(p1)
 	ps.Release(p3)
@@ -164,8 +165,8 @@ func TestPrefixStoreShapeValidation(t *testing.T) {
 	if err != nil || p1 != p2 {
 		t.Errorf("duplicate insert: %v, same=%v", err, p1 == p2)
 	}
-	if ps.Entries() != 1 {
-		t.Errorf("duplicate insert changed residency: %d entries", ps.Entries())
+	if n := ps.Stats().Entries; n != 1 {
+		t.Errorf("duplicate insert changed residency: %d entries", n)
 	}
 }
 
@@ -187,8 +188,8 @@ func TestCacheAttachPrefix(t *testing.T) {
 	if err := c.AttachPrefix(0, p); err != nil {
 		t.Fatal(err)
 	}
-	if c.SeqLen(0) != 3 || c.PrefixLen(0) != 3 {
-		t.Fatalf("attached slot len %d prefix %d, want 3/3", c.SeqLen(0), c.PrefixLen(0))
+	if c.SeqLen(0) != 3 || c.prefixLen(0) != 3 {
+		t.Fatalf("attached slot len %d prefix %d, want 3/3", c.SeqLen(0), c.prefixLen(0))
 	}
 	// Attach over a non-empty slot must fail.
 	fill(c, 1, 1, 50)
@@ -204,14 +205,14 @@ func TestCacheAttachPrefix(t *testing.T) {
 	if c.SeqLen(0) != 5 {
 		t.Fatalf("len after suffix = %d, want 5", c.SeqLen(0))
 	}
-	keys := c.Keys(1, 0)
+	keys := c.RowsK(1, 0, c.SeqLen(0))
 	wantFirstCol := []float32{100, 101, 102, 200, 200}
 	for pos, want := range wantFirstCol {
 		if got := keys.At(pos, 0); got != want {
 			t.Errorf("keys[%d][0] = %g, want %g", pos, got, want)
 		}
 	}
-	vals := c.Values(0, 0)
+	vals := c.RowsV(0, 0, c.SeqLen(0))
 	if vals.At(1, 2) != -101 || vals.At(4, 1) != -200 {
 		t.Errorf("values view wrong: %g, %g", vals.At(1, 2), vals.At(4, 1))
 	}
@@ -231,50 +232,20 @@ func TestCacheAttachPrefix(t *testing.T) {
 		t.Errorf("UsedBytes = %d, want %d (private rows only)", got, want)
 	}
 
-	// Reset detaches and hands the prefix back for refcount release.
-	got := c.ResetSeq(0)
-	if got != p {
-		t.Fatal("ResetSeq did not return the attached prefix")
+	// Reset detaches the prefix; the reference stays with its acquirer,
+	// which releases it.
+	c.ResetSeq(0)
+	if c.SeqLen(0) != 0 || c.prefixLen(0) != 0 {
+		t.Error("reset slot still reports prefix content")
 	}
-	if err := ps.Release(got); err != nil {
+	if p.Refs() != 1 {
+		t.Errorf("refs = %d after ResetSeq, want the acquirer's 1", p.Refs())
+	}
+	if err := ps.Release(p); err != nil {
 		t.Fatal(err)
 	}
 	if p.Refs() != 0 {
 		t.Errorf("refs = %d after release", p.Refs())
-	}
-	if c.SeqLen(0) != 0 || c.PrefixLen(0) != 0 {
-		t.Error("reset slot still reports prefix content")
-	}
-}
-
-// Bulk Reset must hand back attached prefixes for refcount release, like
-// ResetSeq/Release do — silently dropping them would pin the store copies
-// forever.
-func TestResetReturnsAttachedPrefixes(t *testing.T) {
-	const layers, width = 1, 2
-	c := New(layers, 3, 4, width)
-	ps := NewPrefixStore(layers, width, 0)
-	k, v := prefixBlocks(layers, 2, width, 1)
-	ps.Insert([]int{1, 2}, k, v)
-	p0, _ := ps.Acquire([]int{1, 2})
-	p2, _ := ps.Acquire([]int{1, 2})
-	c.AttachPrefix(0, p0)
-	c.AttachPrefix(2, p2)
-
-	detached := c.Reset()
-	if len(detached) != 2 {
-		t.Fatalf("Reset returned %d prefixes, want 2", len(detached))
-	}
-	for _, p := range detached {
-		if err := ps.Release(p); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if p0.Refs() != 0 {
-		t.Errorf("refs = %d after releasing Reset's returns", p0.Refs())
-	}
-	if c.PrefixLen(0) != 0 || c.PrefixLen(2) != 0 {
-		t.Error("Reset left prefixes attached")
 	}
 }
 
@@ -318,8 +289,8 @@ func TestCaptureIsWhatThePrefilledSlotHolds(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if got, want := p4.Bytes(), 2*layers*4*bytesPerRow(width, f.int8Mode); got != want || store.Bytes() != want {
-			t.Errorf("%s: captured prefix is %d bytes, store %d, want %d", f.name, got, store.Bytes(), want)
+		if got, want := p4.Bytes(), 2*layers*4*bytesPerRow(width, f.int8Mode); got != want || store.Stats().Bytes != want {
+			t.Errorf("%s: captured prefix is %d bytes, store %d, want %d", f.name, got, store.Stats().Bytes, want)
 		}
 		if err := c.AttachPrefix(1, p4); err != nil {
 			t.Fatal(err)
@@ -335,8 +306,8 @@ func TestCaptureIsWhatThePrefilledSlotHolds(t *testing.T) {
 		if err := c.AttachPrefix(2, p6); err != nil {
 			t.Fatal(err)
 		}
-		if c.SeqLen(2) != 6 || c.PrefixLen(2) != 6 {
-			t.Fatalf("%s: nested capture attached as len %d, prefix %d", f.name, c.SeqLen(2), c.PrefixLen(2))
+		if c.SeqLen(2) != 6 || c.prefixLen(2) != 6 {
+			t.Fatalf("%s: nested capture attached as len %d, prefix %d", f.name, c.SeqLen(2), c.prefixLen(2))
 		}
 		same("nested capture", 2, 6)
 
@@ -353,6 +324,13 @@ func TestCaptureIsWhatThePrefilledSlotHolds(t *testing.T) {
 		}
 		if _, err := f.newStore(layers, width+1, 0).Capture(tokens[:2], c, 0); err == nil {
 			t.Errorf("%s: captured into a store of another width", f.name)
+		}
+		other := NewPrefixStoreInt8
+		if f.int8Mode {
+			other = NewPrefixStore
+		}
+		if _, err := other(layers, width, 0).Capture(tokens[:2], c, 0); err == nil {
+			t.Errorf("%s: captured into a store of the other format", f.name)
 		}
 	}
 }

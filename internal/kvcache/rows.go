@@ -11,8 +11,8 @@ import (
 // one of the cache's two storage formats: float32 (F32 holds N·Cols values
 // row-major, I8 and Scales are nil), or int8 with one symmetric scale per
 // row (I8 holds the N·Cols values, Scales the N scales, value ≈ int8 ·
-// scale, F32 is nil). It is what Cache, Prefix and KVBlock store per layer
-// and what the attention walk reads, passed by value so a hot path takes
+// scale, F32 is nil). It is what Cache and KVBlock store per layer and
+// what the attention walk reads, passed by value so a hot path takes
 // views without allocating. This file is the only code that knows how the
 // two formats are laid out, allocated, sliced, sized and turned into one
 // another; everything else in the package moves rows with copyRows.

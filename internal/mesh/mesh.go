@@ -50,8 +50,6 @@ type Message struct {
 type Mesh struct {
 	Torus hardware.Torus
 	chips []*Chip
-
-	maxPerChip int // inbox soft cap (debugging aid; 0 = unlimited)
 }
 
 // pool is a message-buffer free list bucketed by power-of-two capacity. An

@@ -9,7 +9,10 @@
 // (Table D.1), plus the reduced variants used in Figure 8.
 package model
 
-import "fmt"
+import (
+	"fmt"
+	"strings"
+)
 
 // Attention enumerates the attention variants the paper analyzes.
 type Attention int
@@ -287,6 +290,28 @@ func PaLM540BMHA() Config {
 		Heads: 64, HeadDim: 128, KVHeads: 64, Attn: Multihead,
 		FFNKind: SwiGLU, ParallelBlock: true, Vocab: palmVocab,
 	}
+}
+
+// PresetNames lists the names ByName accepts, for usage and error text.
+const PresetNames = "palm8b, palm62b, palm540b, palm540b-mha, mtnlg530b"
+
+// ByName returns the preset a command-line name selects, in any case:
+// palm540b is the 64-head padding the paper benchmarks (PaLM540BPadded).
+// The second result is false for an unknown name.
+func ByName(name string) (Config, bool) {
+	switch strings.ToLower(name) {
+	case "palm8b":
+		return PaLM8B(), true
+	case "palm62b":
+		return PaLM62B(), true
+	case "palm540b":
+		return PaLM540BPadded(), true
+	case "palm540b-mha":
+		return PaLM540BMHA(), true
+	case "mtnlg530b":
+		return MTNLG530B(), true
+	}
+	return Config{}, false
 }
 
 // MTNLG530B is Megatron-Turing NLG 530B per Table D.1: 105 layers, d_model

@@ -2,6 +2,7 @@ package model
 
 import (
 	"math"
+	"strings"
 	"testing"
 )
 
@@ -46,6 +47,29 @@ func TestValidatePresets(t *testing.T) {
 		if err := c.Validate(); err != nil {
 			t.Errorf("%s: %v", c.Name, err)
 		}
+	}
+}
+
+// Every name PresetNames advertises selects its preset, in any case, and
+// an unknown name selects none.
+func TestByName(t *testing.T) {
+	want := map[string]string{
+		"palm8b": PaLM8B().Name, "palm62b": PaLM62B().Name, "palm540b": PaLM540BPadded().Name,
+		"palm540b-mha": PaLM540BMHA().Name, "mtnlg530b": MTNLG530B().Name,
+	}
+	names := strings.Split(PresetNames, ", ")
+	if len(names) != len(want) {
+		t.Fatalf("PresetNames lists %d names, want %d", len(names), len(want))
+	}
+	for _, name := range names {
+		for _, spelt := range []string{name, strings.ToUpper(name)} {
+			if c, ok := ByName(spelt); !ok || c.Name != want[name] {
+				t.Errorf("ByName(%q) = %q, %v; want %q", spelt, c.Name, ok, want[name])
+			}
+		}
+	}
+	if _, ok := ByName("palm540"); ok {
+		t.Error("ByName accepted an unknown name")
 	}
 }
 

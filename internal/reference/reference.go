@@ -149,7 +149,9 @@ func (m *Model) forward(tokens []int, steps int) *tensor.Mat {
 			x = tensor.AddInPlace(x, ffn(cfg, lw, h2))
 		}
 	}
-	m.Cache.Advance(steps)
+	for s := 0; s < m.batch; s++ {
+		m.Cache.AdvanceSeq(s, steps)
+	}
 
 	final := tensor.RMSNorm(x, m.W.FinalGain, 1e-6)
 	return tensor.MatMulT(final, m.W.Embed)
@@ -162,7 +164,10 @@ func (m *Model) attention(l int, lw *LayerWeights, h *tensor.Mat, steps int) *te
 	q := tensor.MatMul(h, lw.WQ)
 	k := tensor.MatMul(h, lw.WK)
 	v := tensor.MatMul(h, lw.WV)
-	m.Cache.Append(l, k, v, steps)
+	for s := 0; s < m.batch; s++ {
+		ks, vs := tensor.RowsView(k, s*steps, (s+1)*steps), tensor.RowsView(v, s*steps, (s+1)*steps)
+		m.Cache.AppendSeq(l, s, &ks, &vs, steps)
+	}
 
 	out := Attend(cfg.HeadDim, q, m.Cache, l, m.batch, steps)
 	return tensor.MatMul(out, lw.WO)
@@ -175,8 +180,8 @@ func (m *Model) attention(l int, lw *LayerWeights, h *tensor.Mat, steps int) *te
 // the full tensor (reference), a head shard with matching KV columns (MHA
 // head-sharded), and a batch shard against the shared multiquery head. q is
 // [seqs·steps, localHeads·dh] sequence-major; query block s attends against
-// cache slot s. Each slot's `past` is its own SeqLen (Append writes the new
-// K/V without advancing it), so slots at different depths — the
+// cache slot s. Each slot's `past` is its own SeqLen (AppendSeq writes the
+// new K/V without advancing it), so slots at different depths — the
 // continuous-batching case — are handled with no extra bookkeeping.
 func Attend(dh int, q *tensor.Mat, cache *kvcache.Cache, layer, seqs, steps int) *tensor.Mat {
 	out := tensor.New(q.Rows, q.Cols)

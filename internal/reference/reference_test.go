@@ -43,8 +43,10 @@ func TestPrefillShapes(t *testing.T) {
 	if logits.Rows != 15 || logits.Cols != 64 {
 		t.Fatalf("logits shape %dx%d, want 15x64", logits.Rows, logits.Cols)
 	}
-	if m.Cache.Len() != 5 {
-		t.Errorf("cache len %d, want 5", m.Cache.Len())
+	for s := 0; s < 3; s++ {
+		if m.Cache.SeqLen(s) != 5 {
+			t.Errorf("slot %d cache len %d, want 5", s, m.Cache.SeqLen(s))
+		}
 	}
 }
 
