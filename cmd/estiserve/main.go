@@ -425,7 +425,7 @@ func main() {
 				os.Exit(1)
 			}
 			fcn := fcf
-			fcn.Recovery = fleet.RecoveryPolicy{MaxRetries: -1}
+			fcn.Recovery = fleet.RecoveryPolicy{Naive: true}
 			naive, err := fleet.Simulate(fcn, trace)
 			if err != nil {
 				fmt.Fprintln(os.Stderr, err)

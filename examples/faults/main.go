@@ -57,7 +57,7 @@ func main() {
 	crashCfg.Faults.Crash(1, 0.5, 8.0)
 	crash := run(crashCfg)
 	naiveCfg := crashCfg
-	naiveCfg.Recovery = fleet.RecoveryPolicy{MaxRetries: -1}
+	naiveCfg.Recovery = fleet.RecoveryPolicy{Naive: true}
 	naive := run(naiveCfg)
 
 	// Scenario 2: replica 0 runs 8x slow from t=1 and never recovers. The

@@ -174,23 +174,7 @@ func SharedPrefixTrace(n int, interarrival float64, prefixLen, templates int, se
 		templates = 1
 	}
 	rng := rand.New(rand.NewSource(seed))
-	suffixes := []int{32, 64, 128, 256}
-	sufWeights := []float64{0.3, 0.3, 0.25, 0.15}
-	gens := []int{16, 32, 64, 128}
-	genWeights := []float64{0.25, 0.35, 0.25, 0.15}
-	reqs := make([]Request, n)
-	for i := range reqs {
-		reqs[i] = Request{
-			ID:        i,
-			Arrival:   float64(i) * interarrival,
-			Context:   prefixLen + suffixes[pick(rng, sufWeights)],
-			Gen:       gens[pick(rng, genWeights)],
-			Template:  1 + rng.Intn(templates),
-			PrefixLen: prefixLen,
-			Slot:      -1,
-		}
-	}
-	return Trace{Requests: reqs}
+	return templateTrace(n, interarrival, prefixLen, rng, func() int { return 1 + rng.Intn(templates) })
 }
 
 // ZipfPrefixTrace is SharedPrefixTrace with Zipf-distributed template
@@ -211,6 +195,14 @@ func ZipfPrefixTrace(n int, interarrival float64, prefixLen, templates int, s fl
 	}
 	rng := rand.New(rand.NewSource(seed))
 	zipf := rand.NewZipf(rng, s, 1, uint64(templates-1))
+	return templateTrace(n, interarrival, prefixLen, rng, func() int { return 1 + int(zipf.Uint64()) })
+}
+
+// templateTrace is the body of both template traces; draw picks each
+// request's template. Per request the suffix length, the generation length
+// and then the template are drawn, in that order, so each trace's stream
+// of rng draws is fixed by its seed.
+func templateTrace(n int, interarrival float64, prefixLen int, rng *rand.Rand, draw func() int) Trace {
 	suffixes := []int{32, 64, 128, 256}
 	sufWeights := []float64{0.3, 0.3, 0.25, 0.15}
 	gens := []int{16, 32, 64, 128}
@@ -222,7 +214,7 @@ func ZipfPrefixTrace(n int, interarrival float64, prefixLen, templates int, s fl
 			Arrival:   float64(i) * interarrival,
 			Context:   prefixLen + suffixes[pick(rng, sufWeights)],
 			Gen:       gens[pick(rng, genWeights)],
-			Template:  1 + int(zipf.Uint64()),
+			Template:  draw(),
 			PrefixLen: prefixLen,
 			Slot:      -1,
 		}

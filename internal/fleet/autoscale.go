@@ -77,7 +77,6 @@ func (s *sim) initAutoscale() error {
 // tick runs one control interval: snapshot, decide per pool, execute, and
 // schedule the next tick while the run still has work in flight.
 func (s *sim) tick(t float64) {
-	s.res.Ticks++
 	s.recordTick(t)
 	d := s.ctlIngress.Decide(s.poolSignals(t, s.ingress, true))
 	s.executeVerdict(t, d, true)
@@ -87,11 +86,17 @@ func (s *sim) tick(t float64) {
 	}
 	s.prevShed = s.res.Shed + s.res.ShedRetry
 	s.prevMiss = s.res.DeadlineMisses + s.res.Failed
+	// Handoffs buffered on a link that nothing is left to bring back are
+	// stranded, as run() finds them in a fleet without ticks: fail them now
+	// (their retries are queued events) rather than tick over them forever.
+	if len(s.events) == 0 && len(s.held) > 0 && !s.anyBusy() {
+		s.failHeld()
+	}
 	// The loop stays alive only while something can still happen: queued
-	// events (arrivals, retries, provisions), busy replicas, or handoffs
-	// buffered on a dead link. An idle fleet schedules no next tick, so the
-	// simulation terminates exactly like a static run.
-	if len(s.events) > 0 || len(s.held) > 0 || s.anyBusy() {
+	// events (arrivals, retries, provisions) or busy replicas. An idle fleet
+	// schedules no next tick, so the simulation terminates exactly like a
+	// static run.
+	if len(s.events) > 0 || s.anyBusy() {
 		s.events.push(event{t: t + s.auto.Interval, seq: s.nextSeq(), kind: evTick})
 	}
 }
@@ -187,42 +192,12 @@ func (s *sim) poolName(ingress bool) string {
 // serves with a stone-cold prefix cache until its first completion (the
 // warm-up cost the controller's payback check already priced in).
 func (s *sim) scaleOut(t float64, ingress bool, reason string) {
-	prefill := s.c.Disaggregated && ingress && !s.fallback
-	var sch *batching.Scheduler
-	var err error
-	if prefill {
-		sch, err = batching.NewPrefillScheduler(s.c.Replica)
-	} else {
-		sch, err = batching.NewScheduler(s.c.Replica)
-	}
+	rep, err := s.addReplica(ingress, t)
 	if err != nil {
 		// The blueprint built N replicas at newSim; it cannot fail now.
 		return
 	}
-	role := "unified"
-	if s.c.Disaggregated {
-		switch {
-		case !ingress:
-			role = "decode"
-		case s.fallback:
-			role = "prefill→unified"
-		default:
-			role = "prefill"
-		}
-	}
-	rep := &replica{
-		idx: len(s.all), s: sch, prefill: prefill,
-		health: faults.Down, provisioning: true,
-		addedAt: t, downSince: t,
-		stats: ReplicaStats{Role: role},
-	}
-	s.all = append(s.all, rep)
-	if ingress {
-		s.ingress = append(s.ingress, rep)
-	} else {
-		s.decode = append(s.decode, rep)
-	}
-	s.res.ScaleOuts++
+	rep.health, rep.provisioning = faults.Down, true
 	s.res.ScaleEvents = append(s.res.ScaleEvents, ScaleEvent{
 		T: t, Pool: s.poolName(ingress), Verdict: autoscale.ScaleOut.String(),
 		Replica: rep.idx, Reason: reason,
@@ -254,14 +229,15 @@ func (s *sim) scaleIn(t float64, ingress bool, reason string) {
 	pool := s.ingress
 	if !ingress {
 		pool = s.decode
-		// Never drain the decode pool into its own fallback watermark.
+		// Never release the last live decode replica: that would trip the
+		// unified fallback.
 		live := 0
 		for _, rep := range pool {
 			if !rep.retired && rep.health.Routable() {
 				live++
 			}
 		}
-		if live-1 < s.minDecode {
+		if live <= 1 {
 			return
 		}
 	}
@@ -279,19 +255,7 @@ func (s *sim) scaleIn(t float64, ingress bool, reason string) {
 		return
 	}
 	victim.retired = true
-	victim.health = faults.Draining
-	for _, r := range victim.s.EvictQueued() {
-		st := s.states[r]
-		st.live--
-		if st.done || st.live > 0 {
-			continue
-		}
-		s.events.push(event{t: t, seq: s.nextSeq(), kind: evRetry, req: r})
-	}
-	if !victim.s.Busy() {
-		s.setDown(victim, t)
-	}
-	s.res.ScaleIns++
+	s.drain(victim, t)
 	s.res.ScaleEvents = append(s.res.ScaleEvents, ScaleEvent{
 		T: t, Pool: s.poolName(ingress), Verdict: autoscale.ScaleIn.String(),
 		Replica: victim.idx, Reason: reason,

@@ -377,7 +377,7 @@ func TestAutoscaleConfigErrors(t *testing.T) {
 	trace := zipfTrace(10, 0.01, 1)
 	naive := Config{
 		Replica: replicaConfig(), Replicas: 2, Policy: Affinity,
-		Recovery:  RecoveryPolicy{MaxRetries: -1},
+		Recovery:  RecoveryPolicy{Naive: true},
 		Autoscale: autoPolicy(),
 	}
 	if _, err := Simulate(naive, trace); !errors.Is(err, batching.ErrInvalidConfig) {

@@ -8,7 +8,9 @@ import (
 	"strconv"
 	"strings"
 	"testing"
+	"time"
 
+	"esti/internal/autoscale"
 	"esti/internal/batching"
 	"esti/internal/faults"
 )
@@ -96,7 +98,7 @@ func TestCrashGoodputFloor(t *testing.T) {
 		t.Fatal(err)
 	}
 	naiveCfg := smartCfg
-	naiveCfg.Recovery = RecoveryPolicy{MaxRetries: -1}
+	naiveCfg.Recovery = RecoveryPolicy{Naive: true}
 	naive, err := Simulate(naiveCfg, trace)
 	if err != nil {
 		t.Fatal(err)
@@ -314,7 +316,7 @@ func TestUnifiedFallback(t *testing.T) {
 	// Without the fallback (naive mode is health-blind and never falls
 	// back), the dead decode pool eats every handoff sent after the crash.
 	cn := c
-	cn.Recovery = RecoveryPolicy{MaxRetries: -1}
+	cn.Recovery = RecoveryPolicy{Naive: true}
 	naive, err := Simulate(cn, trace)
 	if err != nil {
 		t.Fatal(err)
@@ -375,6 +377,47 @@ func TestLinkFailure(t *testing.T) {
 		windowed.P99, base.P99, dead.Failed, dead.WastedPrefillTokens, dead.Retries)
 }
 
+// autoDisaggPolicy is the autoscale policy the disaggregated fault tests
+// run: each pool may shrink to one replica or grow to four.
+func autoDisaggPolicy() *autoscale.Policy {
+	return &autoscale.Policy{MinReplicas: 1, MaxReplicas: 4}
+}
+
+// A handoff link that never recovers, with autoscaling on: the stranded
+// handoffs fail and retry as they do without control ticks, and the run
+// ends. Simulate runs under a deadline so a run that never ends fails the
+// test instead of hanging the suite.
+func TestLinkFailureAutoscaled(t *testing.T) {
+	c := Config{
+		Replica: replicaConfig(), Disaggregated: true,
+		PrefillReplicas: 2, DecodeReplicas: 2, Policy: Affinity,
+		Faults:    *new(faults.Plan).LinkFail(1.0, -1),
+		Autoscale: autoDisaggPolicy(),
+	}
+	trace := zipfTrace(120, 0.05, 3)
+	done := make(chan Result, 1)
+	go func() {
+		res, err := Simulate(c, trace)
+		if err != nil {
+			t.Error(err)
+		}
+		done <- res
+	}()
+	var res Result
+	select {
+	case res = <-done:
+	case <-time.After(60 * time.Second):
+		t.Fatal("autoscaled fleet with a dead handoff link did not finish within 60 s")
+	}
+	checkFaultInvariants(t, res, 120)
+	if res.Failed == 0 || res.Retries == 0 || res.WastedPrefillTokens == 0 {
+		t.Errorf("dead link: failed %d, retries %d, wasted prefill %d; want stranded handoffs retried, then failed",
+			res.Failed, res.Retries, res.WastedPrefillTokens)
+	}
+	t.Logf("dead link, autoscaled: completed %d, failed %d, shed on retry %d, %d ticks",
+		res.Completed, res.Failed, res.ShedRetry, res.Ticks)
+}
+
 // Graceful drain: queued work re-routes, in-flight work finishes locally,
 // nothing is wasted, and the replica ends the run down.
 func TestDrainGraceful(t *testing.T) {
@@ -402,8 +445,10 @@ func TestDrainGraceful(t *testing.T) {
 }
 
 // Satellite property test: under any seeded fault plan — and under the
-// naive policy, and disaggregated — the partition and token-accounting
-// invariants hold. CI sweeps CHAOS_SEED_BASE across a matrix.
+// naive policy, disaggregated, and autoscaled in both layouts — the
+// partition and token-accounting invariants hold, a second run replays the
+// first byte for byte, and the replicas' lifetime windows sum to
+// ReplicaSeconds. CI sweeps CHAOS_SEED_BASE across a matrix.
 func TestFaultPlanInvariants(t *testing.T) {
 	base := int64(1)
 	if v := os.Getenv("CHAOS_SEED_BASE"); v != "" {
@@ -413,7 +458,7 @@ func TestFaultPlanInvariants(t *testing.T) {
 		}
 		base = b
 	}
-	for seed := base; seed < base+8; seed++ {
+	for seed := base; seed < base+32; seed++ {
 		seed := seed
 		t.Run(fmt.Sprintf("seed%d", seed), func(t *testing.T) {
 			plan := faults.RandomPlan(seed, 4, 8.0)
@@ -423,13 +468,32 @@ func TestFaultPlanInvariants(t *testing.T) {
 			disagg := Config{Replica: replicaConfig(), Disaggregated: true,
 				PrefillReplicas: 2, DecodeReplicas: 2, Policy: Affinity, Seed: seed, Faults: plan}
 			naive := unified
-			naive.Recovery = RecoveryPolicy{MaxRetries: -1}
-			for name, c := range map[string]Config{"unified": unified, "disagg": disagg, "naive": naive} {
+			naive.Recovery = RecoveryPolicy{Naive: true}
+			autoUnified := unified
+			autoUnified.Autoscale = autoPolicy()
+			autoDisagg := disagg
+			autoDisagg.Autoscale = autoDisaggPolicy()
+			for name, c := range map[string]Config{"unified": unified, "disagg": disagg, "naive": naive,
+				"auto-unified": autoUnified, "auto-disagg": autoDisagg} {
 				res, err := Simulate(c, trace)
 				if err != nil {
 					t.Fatalf("%s: %v", name, err)
 				}
 				checkFaultInvariants(t, res, 120)
+				again, err := Simulate(c, trace)
+				if err != nil {
+					t.Fatalf("%s replay: %v", name, err)
+				}
+				if resultFingerprint(t, res) != resultFingerprint(t, again) {
+					t.Errorf("%s: a second run of the same config differs", name)
+				}
+				windows := 0.0
+				for _, r := range res.PerReplica {
+					windows += r.RetiredAt - r.AddedAt
+				}
+				if windows != res.ReplicaSeconds {
+					t.Errorf("%s: lifetime windows sum %.9f != ReplicaSeconds %.9f", name, windows, res.ReplicaSeconds)
+				}
 			}
 		})
 	}

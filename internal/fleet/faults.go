@@ -13,31 +13,26 @@ import (
 	"esti/internal/faults"
 )
 
-// Recovery defaults: three re-route attempts, 50 ms base backoff doubling
-// to a 1 s cap.
+// Recovery constants: a request whose last copy is lost re-routes up to
+// three times, after a backoff of 50 ms doubling per attempt to a 1 s cap.
+// A disaggregated fleet falls back to unified serving once no decode
+// replica is live.
 const (
-	defaultMaxRetries = 3
-	defaultBackoff    = 0.05
-	defaultBackoffCap = 1.0
+	maxRetries = 3
+	backoff    = 0.05
+	backoffCap = 1.0
 )
 
-// RecoveryPolicy tunes the router's fault handling. The zero value selects
-// the defaults; MaxRetries -1 selects the naive baseline that measures what
-// the machinery is worth.
+// RecoveryPolicy tunes the router's fault handling. The zero value is the
+// health-aware router with hedging on and no brownout.
 type RecoveryPolicy struct {
-	// MaxRetries caps per-request re-route attempts after the request's
-	// last copy is lost to a replica failure (0 = default 3). -1 is the
-	// naive health-blind baseline: crashed replicas keep receiving traffic
-	// and silently eat their queues, lost requests are never retried, and
-	// no hedging or fallback happens — the failure mode the fault layer
-	// exists to prevent, kept runnable so the difference is measurable.
-	MaxRetries int
-	// Backoff is the delay before a lost request's first re-route,
-	// doubling per attempt up to BackoffCap (defaults 50 ms / 1 s). A
-	// retry whose completion estimate already misses the request's
-	// deadline is shed as ErrDeadline and counted in Result.ShedRetry.
-	Backoff    float64
-	BackoffCap float64
+	// Naive selects the health-blind baseline that measures what the fault
+	// machinery is worth: crashed replicas keep receiving traffic and
+	// silently eat their queues, lost requests are never retried, and no
+	// hedging, brownout or fallback happens — the failure mode the fault
+	// layer exists to prevent, kept runnable so the difference is
+	// measurable.
+	Naive bool
 	// NoHedge disables straggler hedging. By default, when a replica
 	// degrades, every request it holds is duplicated once to the best
 	// other live replica; the first completed copy wins and the loser's
@@ -45,14 +40,9 @@ type RecoveryPolicy struct {
 	NoHedge bool
 	// BrownoutBelow sheds Priority<=0 arrivals with ErrOverloaded while
 	// the live ingress-replica fraction is below this watermark (0 =
-	// disabled). High-tier traffic is never brownout-shed: capacity
-	// contracts around it.
+	// disabled; NaN or above 1 is invalid). High-tier traffic is never
+	// brownout-shed: capacity contracts around it.
 	BrownoutBelow float64
-	// FallbackDecodeMin is the live decode-pool size below which a
-	// disaggregated fleet falls back to unified serving on the surviving
-	// prefill replicas (default 1: fall back only when the pool is empty).
-	// The fallback is one-way for the run.
-	FallbackDecodeMin int
 }
 
 // applyFault transitions replica health (and link state) for one scheduled
@@ -92,20 +82,7 @@ func (s *sim) applyFault(e event) {
 		if rep.health == faults.Down || rep.health == faults.Draining {
 			return
 		}
-		rep.health = faults.Draining
-		// Queued work re-routes immediately; in-flight slots finish
-		// locally, then run() takes the replica Down.
-		for _, r := range rep.s.EvictQueued() {
-			st := s.states[r]
-			st.live--
-			if st.done || st.live > 0 {
-				continue
-			}
-			s.events.push(event{t: e.t, seq: s.nextSeq(), kind: evRetry, req: r})
-		}
-		if !rep.s.Busy() {
-			s.setDown(rep, e.t)
-		}
+		s.drain(rep, e.t)
 	case faults.Recover:
 		switch rep.health {
 		case faults.Down:
@@ -141,18 +118,27 @@ func (s *sim) crash(rep *replica, t float64) {
 	rep.health = faults.Down
 	rep.downSince = t
 	for _, lw := range rep.s.Crash() {
-		st := s.states[lw.Req]
-		st.live--
-		if lw.Prefilled+lw.Decoded > 0 {
-			s.waste(lw.Req.ID, rep, batching.ErrReplicaDown, lw.Prefilled, lw.Decoded)
-		}
 		delete(s.origin, lw.Req)
-		if st.done || st.live > 0 {
-			continue
+		if s.lose(lw.Req, rep, batching.ErrReplicaDown, lw.Prefilled, lw.Decoded) {
+			s.retryOrFail(s.states[lw.Req], t)
 		}
-		s.retryOrFail(st, t)
 	}
 	s.checkFallback()
+}
+
+// drain takes rep out of routing: its queued requests re-route now, its
+// resident slots finish locally, and run() takes it Down once it runs dry.
+// A fault-plan Drain and an autoscale release share this path.
+func (s *sim) drain(rep *replica, t float64) {
+	rep.health = faults.Draining
+	for _, r := range rep.s.EvictQueued() {
+		if s.lose(r, rep, nil, 0, 0) {
+			s.reroute(r, t)
+		}
+	}
+	if !rep.s.Busy() {
+		s.setDown(rep, t)
+	}
 }
 
 // setDown finishes a drain: the replica served its last in-flight sequence
@@ -169,27 +155,22 @@ func (s *sim) setDown(rep *replica, t float64) {
 }
 
 // retryOrFail re-routes a request whose last live copy was just lost:
-// capped exponential backoff, then evRetry re-enters the router (which
-// sheds it as ErrDeadline if the SLO is already unmeetable). With retries
-// exhausted — or under the naive policy, immediately — the request fails
-// for good as ErrReplicaDown.
+// capped exponential backoff, then it re-enters the router (which sheds it
+// as ErrDeadline if the SLO is already unmeetable). With retries exhausted
+// — or under the naive policy, immediately — the request fails for good as
+// ErrReplicaDown.
 func (s *sim) retryOrFail(st *reqState, t float64) {
 	if st.firstLoss < 0 {
 		st.firstLoss = t
 	}
-	if st.attempts >= s.maxRetries {
-		s.res.Failed++
-		s.setOutcome(st, -1, fmt.Errorf("fleet: %w: request %d lost after %d retries",
+	if s.c.Recovery.Naive || st.attempts >= maxRetries {
+		s.settle(st, -1, fmt.Errorf("fleet: %w: request %d lost after %d retries",
 			batching.ErrReplicaDown, st.orig.ID, st.attempts))
 		return
 	}
 	st.attempts++
 	s.res.Retries++
-	d := s.backoff * math.Pow(2, float64(st.attempts-1))
-	if d > s.backoffCap {
-		d = s.backoffCap
-	}
-	s.events.push(event{t: t + d, seq: s.nextSeq(), kind: evRetry, req: st.orig})
+	s.reroute(st.orig, t+math.Min(backoff*math.Pow(2, float64(st.attempts-1)), backoffCap))
 }
 
 // hedgeStraggler duplicates every request stuck on a newly degraded replica
@@ -197,7 +178,7 @@ func (s *sim) retryOrFail(st *reqState, t float64) {
 // completed copy wins, the loser's tokens become wasted work. Warm-template
 // duplicates recover cheaply through the target's prefix cache.
 func (s *sim) hedgeStraggler(rep *replica, t float64) {
-	if s.naive || s.c.Recovery.NoHedge {
+	if s.c.Recovery.Naive || s.c.Recovery.NoHedge {
 		return
 	}
 	for _, r := range rep.s.Requests() {
@@ -239,22 +220,11 @@ func (s *sim) bestOther(rep *replica) *replica {
 	return best
 }
 
-// waste books one discarded piece of computed work, exactly once.
-func (s *sim) waste(reqID int, on *replica, cause error, prefilled, decoded int) {
-	s.res.Wasted = append(s.res.Wasted, WastedWork{
-		ReqID: reqID, Replica: on.idx, Cause: cause,
-		PrefillTokens: prefilled, DecodedTokens: decoded,
-	})
-	s.res.WastedPrefillTokens += prefilled
-	s.res.WastedDecodeTokens += decoded
-	on.stats.WastedTokens += prefilled + decoded
-}
-
 // brownout reports whether low-tier arrivals should be shed: the live
 // ingress fraction is below the configured watermark.
 func (s *sim) brownout() bool {
 	w := s.c.Recovery.BrownoutBelow
-	if s.naive || w <= 0 {
+	if s.c.Recovery.Naive || w <= 0 {
 		return false
 	}
 	live, total := s.liveFraction()
@@ -278,21 +248,17 @@ func (s *sim) liveFraction() (live, total int) {
 	return live, total
 }
 
-// checkFallback converts the prefill pool to unified serving when the live
-// decode pool shrinks below the watermark — graceful degradation instead of
-// a fleet that prefills forever and decodes nothing. One-way for the run.
+// checkFallback converts the prefill pool to unified serving once no decode
+// replica is live — graceful degradation instead of a fleet that prefills
+// forever and decodes nothing. One-way for the run.
 func (s *sim) checkFallback() {
-	if !s.c.Disaggregated || s.fallback || s.naive {
+	if !s.c.Disaggregated || s.fallback || s.c.Recovery.Naive {
 		return
 	}
-	live := 0
 	for _, rep := range s.decode {
 		if rep.health.Routable() {
-			live++
+			return
 		}
-	}
-	if live >= s.minDecode {
-		return
 	}
 	s.fallback = true
 	for _, rep := range s.ingress {
@@ -309,12 +275,8 @@ func (s *sim) failHeld() {
 	held := s.held
 	s.held = nil
 	for _, h := range held {
-		st := s.states[h.req]
-		st.live--
-		s.waste(h.req.ID, h.from, batching.ErrReplicaDown, h.req.Context, 1)
-		if st.done || st.live > 0 {
-			continue
+		if s.lose(h.req, h.from, batching.ErrReplicaDown, h.req.Context, 1) {
+			s.retryOrFail(s.states[h.req], s.lastT)
 		}
-		s.retryOrFail(st, s.lastT)
 	}
 }

@@ -32,9 +32,17 @@
 //     tokens are wasted work under ErrHedged), and the fleet degrades
 //     gracefully — disaggregated serving falls back to unified when the
 //     decode pool dies, and a brownout watermark sheds low-tier arrivals
-//     while capacity is short. RecoveryPolicy tunes all of it; Result's
-//     fault accounting (Retries, Hedges, Wasted*, per-replica Downtime,
-//     RecoveryP99) turns goodput-under-faults into a measured number.
+//     while capacity is short. RecoveryPolicy picks the naive baseline,
+//     turns hedging off and sets the watermark; Result's fault accounting
+//     (Retries, Hedges, Wasted*, per-replica Downtime, RecoveryP99) turns
+//     goodput-under-faults into a measured number.
+//
+// Each state transition of the simulation is written once: settle books a
+// request's terminal state, lose drops one copy of a request, reroute sends
+// a request back through the router, drain takes a replica out of routing
+// and addReplica builds one. Result's totals that an itemized ledger
+// already holds (Ticks, ScaleOuts/ScaleIns, the Wasted* totals) are read
+// off that ledger when the run ends.
 package fleet
 
 import (
@@ -90,25 +98,24 @@ type Config struct {
 	// Replicas is the fleet size in unified mode (each replica runs both
 	// phases). Ignored when Disaggregated.
 	Replicas int
-	// Policy is the routing policy for arrivals.
+	// Policy is the routing policy for arrivals; a value other than the
+	// three named policies is invalid.
 	Policy Policy
 	// Disaggregated splits the fleet into PrefillReplicas prefill-only
 	// replicas and DecodeReplicas decode replicas. A request prefills on
 	// one pool, then its slot KV crosses the interconnect and decoding
 	// resumes on the other — the fleet-scale version of the paper's
 	// two-tier pipeline, with per-request handoff instead of tier batches.
+	// Each handoff delays the decode admission by Context ×
+	// KV-bytes-per-token / the replica chip's NetworkBandwidth.
 	Disaggregated   bool
 	PrefillReplicas int
 	DecodeReplicas  int
-	// MaxQueue bounds each replica's admission queue (0 = unbounded).
-	// When the routed replica's queue is full, Priority-0 requests are
-	// shed with ErrOverloaded; higher tiers are admitted past the bound —
-	// the bound exists to protect them.
+	// MaxQueue bounds each replica's admission queue (0 = unbounded;
+	// negative is invalid). When the routed replica's queue is full,
+	// Priority-0 requests are shed with ErrOverloaded; higher tiers are
+	// admitted past the bound — the bound exists to protect them.
 	MaxQueue int
-	// HandoffBandwidth is the bytes/s available for KV handoff between
-	// pools (0 = the replica chip's NetworkBandwidth). Each handoff delays
-	// the decode admission by Context × KV-bytes-per-token / bandwidth.
-	HandoffBandwidth float64
 	// Seed drives the Random policy.
 	Seed int64
 	// Faults schedules deterministic fault injection: crashes, drains,
@@ -118,8 +125,8 @@ type Config struct {
 	// (prefill pool first in disaggregated mode).
 	Faults faults.Plan
 	// Recovery tunes how the router survives the fault plan. The zero
-	// value is the sensible default (3 retries, 50 ms base backoff,
-	// hedging on); MaxRetries -1 selects the naive health-blind baseline.
+	// value is the default (3 retries, 50 ms base backoff, hedging on);
+	// Naive selects the health-blind baseline.
 	Recovery RecoveryPolicy
 	// Autoscale arms the perf-model-driven control loop: control ticks run
 	// as first-class events in the simulation heap, and each pool (prefill
@@ -127,7 +134,7 @@ type Config struct {
 	// the policy's hysteresis bands. Nil disables autoscaling (the fleet
 	// stays at its configured size); zero fields in a non-nil policy take
 	// the autoscale package defaults. Incompatible with the naive baseline
-	// (Recovery.MaxRetries -1): a health-blind router would route work to
+	// (Recovery.Naive): a health-blind router would route work to
 	// still-provisioning replicas.
 	Autoscale *autoscale.Policy
 }
@@ -298,7 +305,6 @@ type eventKind int
 const (
 	evArrival eventKind = iota
 	evHandoff
-	evRetry
 	evFault
 	// evTick is an autoscale control tick; evScaleReady delivers a
 	// provisioned replica (event.from) into service.
@@ -344,6 +350,10 @@ type reqState struct {
 	hedged bool
 	// attempts counts post-loss re-routes consumed.
 	attempts int
+	// rerouted marks a request the router has sent back through admission
+	// (a retry, or an eviction by a drain): its later deliveries skip the
+	// arrival-only screens, and a deadline shed books as ShedRetry.
+	rerouted bool
 	// firstLoss is when the request first lost a replica (-1 = never).
 	firstLoss float64
 	// outIdx is the request's slot in Result.Outcomes (-1 until first
@@ -365,18 +375,13 @@ type sim struct {
 	lat     []float64
 
 	// Fault state.
-	states     map[*batching.Request]*reqState
-	origin     map[*batching.Request]*replica // in-handoff request → prefill replica owed first-token credit
-	linkDown   bool
-	held       []event // handoffs buffered while the link is down
-	fallback   bool    // prefill pool converted to unified serving
-	naive      bool    // Recovery.MaxRetries < 0: health-blind, no retries, no hedges
-	maxRetries int
-	backoff    float64
-	backoffCap float64
-	minDecode  int
-	recov      []float64 // completion − firstLoss per recovered request
-	lastT      float64   // latest simulation time observed
+	states   map[*batching.Request]*reqState
+	origin   map[*batching.Request]*replica // in-handoff request → prefill replica owed first-token credit
+	linkDown bool
+	held     []event   // handoffs buffered while the link is down
+	fallback bool      // prefill pool converted to unified serving
+	recov    []float64 // completion − firstLoss per recovered request
+	lastT    float64   // latest simulation time observed
 
 	// Autoscale state (nil/zero when Config.Autoscale is nil).
 	auto       *autoscale.Policy     // effective (defaulted) policy
@@ -428,85 +433,42 @@ func newSim(c Config) (*sim, error) {
 		states: map[*batching.Request]*reqState{},
 		origin: map[*batching.Request]*replica{},
 	}
-	mk := func(prefill bool, role string) error {
-		var sch *batching.Scheduler
-		var err error
-		if prefill {
-			sch, err = batching.NewPrefillScheduler(c.Replica)
-		} else {
-			sch, err = batching.NewScheduler(c.Replica)
-		}
-		if err != nil {
-			return err
-		}
-		r := &replica{idx: len(s.all), s: sch, prefill: prefill, stats: ReplicaStats{Role: role}}
-		s.all = append(s.all, r)
-		if prefill || !c.Disaggregated {
-			s.ingress = append(s.ingress, r)
-		} else {
-			s.decode = append(s.decode, r)
-		}
-		return nil
+	switch w := c.Recovery.BrownoutBelow; {
+	case c.Policy < Affinity || c.Policy > Random:
+		return nil, fmt.Errorf("fleet: %w: unknown routing %v", batching.ErrInvalidConfig, c.Policy)
+	case c.MaxQueue < 0:
+		return nil, fmt.Errorf("fleet: %w: max queue %d", batching.ErrInvalidConfig, c.MaxQueue)
+	case math.IsNaN(w) || w > 1:
+		return nil, fmt.Errorf("fleet: %w: brownout watermark %g is not a fraction of the fleet",
+			batching.ErrInvalidConfig, w)
 	}
+	ingress, decode := c.Replicas, 0
 	if c.Disaggregated {
 		if c.PrefillReplicas < 1 || c.DecodeReplicas < 1 {
 			return nil, fmt.Errorf("fleet: %w: disaggregated needs prefill and decode replicas, got %d/%d",
 				batching.ErrInvalidConfig, c.PrefillReplicas, c.DecodeReplicas)
 		}
-		for i := 0; i < c.PrefillReplicas; i++ {
-			if err := mk(true, "prefill"); err != nil {
-				return nil, err
-			}
+		ingress, decode = c.PrefillReplicas, c.DecodeReplicas
+	} else if c.Replicas < 1 {
+		return nil, fmt.Errorf("fleet: %w: %d replicas", batching.ErrInvalidConfig, c.Replicas)
+	}
+	for i := 0; i < ingress+decode; i++ {
+		if _, err := s.addReplica(i < ingress, 0); err != nil {
+			return nil, err
 		}
-		for i := 0; i < c.DecodeReplicas; i++ {
-			if err := mk(false, "decode"); err != nil {
-				return nil, err
-			}
-		}
+	}
+	if c.Disaggregated {
 		s.kvBytes = c.Replica.Model.KVBytesPerTokenAs(c.Replica.KVDType)
-		s.bw = c.HandoffBandwidth
-		if s.bw <= 0 {
-			s.bw = c.Replica.System.Chip.NetworkBandwidth
-		}
+		s.bw = c.Replica.System.Chip.NetworkBandwidth
 		if s.bw <= 0 || math.IsNaN(s.bw) {
 			return nil, fmt.Errorf("fleet: %w: handoff bandwidth %g", batching.ErrInvalidConfig, s.bw)
-		}
-	} else {
-		if c.Replicas < 1 {
-			return nil, fmt.Errorf("fleet: %w: %d replicas", batching.ErrInvalidConfig, c.Replicas)
-		}
-		for i := 0; i < c.Replicas; i++ {
-			if err := mk(false, "unified"); err != nil {
-				return nil, err
-			}
 		}
 	}
 	if err := c.Faults.Validate(len(s.all)); err != nil {
 		return nil, fmt.Errorf("fleet: %w: %v", batching.ErrInvalidConfig, err)
 	}
-	p := c.Recovery
-	s.naive = p.MaxRetries < 0
-	s.maxRetries = p.MaxRetries
-	if s.maxRetries <= 0 {
-		s.maxRetries = defaultMaxRetries
-	}
-	if s.naive {
-		s.maxRetries = 0
-	}
-	s.backoff = p.Backoff
-	if s.backoff <= 0 {
-		s.backoff = defaultBackoff
-	}
-	s.backoffCap = p.BackoffCap
-	if s.backoffCap <= 0 {
-		s.backoffCap = defaultBackoffCap
-	}
-	s.minDecode = p.FallbackDecodeMin
-	if s.minDecode < 1 {
-		s.minDecode = 1
-	}
-	if c.Autoscale != nil && s.naive {
-		return nil, fmt.Errorf("fleet: %w: autoscale requires health-aware recovery (Recovery.MaxRetries >= 0)",
+	if c.Autoscale != nil && c.Recovery.Naive {
+		return nil, fmt.Errorf("fleet: %w: autoscale requires health-aware recovery, not Recovery.Naive",
 			batching.ErrInvalidConfig)
 	}
 	if err := s.initAutoscale(); err != nil {
@@ -515,11 +477,42 @@ func newSim(c Config) (*sim, error) {
 	return s, nil
 }
 
+// addReplica builds one replica at time t and appends it to the ingress
+// pool (unified replicas, or the prefill pool) or to the decode pool. An
+// ingress replica of a disaggregated fleet runs prefill-only until the
+// unified fallback; one built after it serves unified. Replicas are only
+// ever appended, so a replica's index is stable for the run.
+func (s *sim) addReplica(ingress bool, t float64) (*replica, error) {
+	prefill := s.c.Disaggregated && ingress && !s.fallback
+	build := batching.NewScheduler
+	if prefill {
+		build = batching.NewPrefillScheduler
+	}
+	sch, err := build(s.c.Replica)
+	if err != nil {
+		return nil, err
+	}
+	role := s.poolName(ingress)
+	if ingress && s.fallback {
+		role = "prefill→unified"
+	}
+	rep := &replica{idx: len(s.all), s: sch, prefill: prefill, addedAt: t, downSince: t,
+		stats: ReplicaStats{Role: role}}
+	s.all = append(s.all, rep)
+	if ingress {
+		s.ingress = append(s.ingress, rep)
+	} else {
+		s.decode = append(s.decode, rep)
+	}
+	return rep, nil
+}
+
 func (s *sim) nextSeq() int { s.seq++; return s.seq }
 
 // run is the fleet's event loop: repeatedly step the busy live replica with
-// the earliest clock, unless the next router event (arrival, handoff,
-// retry, or fault) precedes every busy replica — then deliver that event.
+// the earliest clock, unless the next router event (arrival or re-route,
+// handoff, fault, or autoscale event) precedes every busy replica — then
+// deliver that event.
 // Replica iterations are atomic (a request arriving mid-iteration queues
 // until the next), the same granularity the single-replica Simulate has.
 // Down replicas never step: under the naive policy their queues sit there,
@@ -575,29 +568,27 @@ func (s *sim) run() {
 			s.applyFault(e)
 		case evHandoff:
 			s.admitDecode(e)
-		case evRetry:
-			s.deliver(e.req, e.t, true)
 		case evTick:
 			s.tick(e.t)
 		case evScaleReady:
 			s.scaleReady(e)
 		default:
-			s.deliver(e.req, e.t, false)
+			s.deliver(e.req, e.t)
 		}
 	}
 }
 
-// deliver routes one arrival or retry: screen it, pick a live ingress
-// replica, apply brownout and SLO admission, enqueue.
-func (s *sim) deliver(r *batching.Request, t float64, isRetry bool) {
+// deliver routes one arrival or re-route: screen it, pick a live ingress
+// replica, apply brownout and SLO admission, enqueue. A re-routed request
+// already passed the arrival-only screens (capacity, brownout, queue cap).
+func (s *sim) deliver(r *batching.Request, t float64) {
 	st := s.states[r]
 	if st.done {
 		return
 	}
-	if !isRetry {
+	if !st.rerouted {
 		if err := s.c.Replica.CheckRequest(*r); err != nil {
-			s.res.Rejected++
-			s.setOutcome(st, -1, err)
+			s.settle(st, -1, err)
 			return
 		}
 	}
@@ -609,17 +600,16 @@ func (s *sim) deliver(r *batching.Request, t float64, isRetry bool) {
 		s.retryOrFail(st, t)
 		return
 	}
-	if !isRetry && r.Priority <= 0 && s.brownout() {
+	if !st.rerouted && r.Priority <= 0 && s.brownout() {
 		live, total := s.liveFraction()
-		s.res.Shed++
-		s.setOutcome(st, -1, fmt.Errorf("fleet: %w: request %d shed in brownout (%d/%d replicas live)",
+		s.settle(st, -1, fmt.Errorf("fleet: %w: request %d shed in brownout (%d/%d replicas live)",
 			batching.ErrOverloaded, r.ID, live, total))
 		return
 	}
 	idx := s.pick(r, cand)
 	target := s.ingress[idx]
 	target.s.AdvanceTo(t)
-	if !isRetry && r.Template != 0 && s.c.Replica.PrefixCache {
+	if !st.rerouted && r.Template != 0 && s.c.Replica.PrefixCache {
 		if target.s.HasTemplate(r.Template) {
 			s.res.AffinityHits++
 		} else {
@@ -627,20 +617,17 @@ func (s *sim) deliver(r *batching.Request, t float64, isRetry bool) {
 		}
 	}
 	if r.Deadline > 0 && s.estimate(target, r) > r.Deadline {
-		if isRetry {
-			s.res.ShedRetry++
-			s.setOutcome(st, idx, fmt.Errorf("fleet: %w: request %d retry %d estimated past %.3f",
+		if st.rerouted {
+			s.settle(st, idx, fmt.Errorf("fleet: %w: request %d retry %d estimated past %.3f",
 				batching.ErrDeadline, r.ID, st.attempts, r.Deadline))
 		} else {
-			s.res.Shed++
-			s.setOutcome(st, idx, fmt.Errorf("fleet: %w: request %d estimated past %.3f",
+			s.settle(st, idx, fmt.Errorf("fleet: %w: request %d estimated past %.3f",
 				batching.ErrDeadline, r.ID, r.Deadline))
 		}
 		return
 	}
-	if !isRetry && s.c.MaxQueue > 0 && target.s.Pending() >= s.c.MaxQueue && r.Priority <= 0 {
-		s.res.Shed++
-		s.setOutcome(st, idx, fmt.Errorf("fleet: %w: request %d, queue %d full",
+	if !st.rerouted && s.c.MaxQueue > 0 && target.s.Pending() >= s.c.MaxQueue && r.Priority <= 0 {
+		s.settle(st, idx, fmt.Errorf("fleet: %w: request %d, queue %d full",
 			batching.ErrOverloaded, r.ID, target.s.Pending()))
 		return
 	}
@@ -648,6 +635,52 @@ func (s *sim) deliver(r *batching.Request, t float64, isRetry bool) {
 	target.stats.Routed++
 	st.live++
 	s.setOutcome(st, idx, nil)
+}
+
+// reroute sends a request back through the router at time at: a retry
+// after a loss, or a queued request evicted by a drain.
+func (s *sim) reroute(r *batching.Request, at float64) {
+	s.states[r].rerouted = true
+	s.events.push(event{t: at, seq: s.nextSeq(), kind: evArrival, req: r})
+}
+
+// settle books a request's terminal state — served (nil), rejected, shed
+// at admission or on re-route, or failed — into its Outcome and the one
+// Result counter its error's sentinel names. It is the only writer of
+// Completed, Rejected, Shed, ShedRetry and Failed, so the counters
+// partition the trace exactly as Outcomes does.
+func (s *sim) settle(st *reqState, replica int, err error) {
+	switch {
+	case err == nil:
+		s.res.Completed++
+	case errors.Is(err, batching.ErrReplicaDown):
+		s.res.Failed++
+	case errors.Is(err, batching.ErrDeadline), errors.Is(err, batching.ErrOverloaded):
+		if st.rerouted {
+			s.res.ShedRetry++
+		} else {
+			s.res.Shed++
+		}
+	default:
+		s.res.Rejected++
+	}
+	s.setOutcome(st, replica, err)
+}
+
+// lose drops one copy of request r from replica on: it ledgers the copy's
+// computed work as wasted under cause (when there is any), and reports
+// whether that was the last live copy of a request not yet served — the
+// caller then re-routes or fails it.
+func (s *sim) lose(r *batching.Request, on *replica, cause error, prefilled, decoded int) bool {
+	st := s.states[r]
+	st.live--
+	if prefilled+decoded > 0 {
+		s.res.Wasted = append(s.res.Wasted, WastedWork{
+			ReqID: r.ID, Replica: on.idx, Cause: cause,
+			PrefillTokens: prefilled, DecodedTokens: decoded,
+		})
+	}
+	return !st.done && st.live <= 0
 }
 
 // setOutcome records (or updates in place) the request's single Outcome
@@ -669,7 +702,7 @@ func (s *sim) setOutcome(st *reqState, replica int, err error) {
 func (s *sim) routable() []int {
 	cand := make([]int, 0, len(s.ingress))
 	for i, rep := range s.ingress {
-		if s.naive || rep.health.Routable() {
+		if s.c.Recovery.Naive || rep.health.Routable() {
 			cand = append(cand, i)
 		}
 	}
@@ -752,8 +785,7 @@ func (s *sim) handoff(from *replica, r *batching.Request) {
 	if st.done {
 		// A hedge twin already served the request; this copy's prefill is
 		// wasted before it ever crossed the wire.
-		st.live--
-		s.waste(r.ID, from, batching.ErrHedged, r.Context, 1)
+		s.lose(r, from, batching.ErrHedged, r.Context, 1)
 		return
 	}
 	bytes := float64(r.Context) * s.kvBytes
@@ -774,8 +806,7 @@ func (s *sim) handoff(from *replica, r *batching.Request) {
 func (s *sim) admitDecode(e event) {
 	st := s.states[e.req]
 	if st.done {
-		st.live--
-		s.waste(e.req.ID, e.from, batching.ErrHedged, e.req.Context, 1)
+		s.lose(e.req, e.from, batching.ErrHedged, e.req.Context, 1)
 		return
 	}
 	idx := s.pickDecode()
@@ -788,9 +819,7 @@ func (s *sim) admitDecode(e event) {
 	default:
 		// KV arrived with no live decode replica and no fallback path:
 		// the transfer is lost, retry from scratch.
-		st.live--
-		s.waste(e.req.ID, e.from, batching.ErrReplicaDown, e.req.Context, 1)
-		if !st.done && st.live <= 0 {
+		if s.lose(e.req, e.from, batching.ErrReplicaDown, e.req.Context, 1) {
 			s.retryOrFail(st, e.t)
 		}
 		return
@@ -806,7 +835,7 @@ func (s *sim) admitDecode(e event) {
 func (s *sim) pickDecode() int {
 	best := -1
 	for i, rep := range s.decode {
-		if !s.naive && !rep.health.Routable() {
+		if !s.c.Recovery.Naive && !rep.health.Routable() {
 			continue
 		}
 		if best < 0 || s.effLoad(rep) < s.effLoad(s.decode[best]) {
@@ -821,7 +850,6 @@ func (s *sim) pickDecode() int {
 // race and its tokens are wasted.
 func (s *sim) complete(on *replica, r *batching.Request) {
 	st := s.states[r]
-	st.live--
 	org, fromHandoff := s.origin[r]
 	if fromHandoff {
 		delete(s.origin, r)
@@ -834,14 +862,14 @@ func (s *sim) complete(on *replica, r *batching.Request) {
 		if !fromHandoff {
 			pre = r.Context
 		}
-		s.waste(r.ID, on, batching.ErrHedged, pre, r.Gen)
+		s.lose(r, on, batching.ErrHedged, pre, r.Gen)
 		return
 	}
+	st.live--
 	st.done = true
 	if st.hedged && r != st.orig {
 		s.res.HedgeWins++
 	}
-	s.res.Completed++
 	s.res.GenTokens += r.Gen
 	on.stats.Completed++
 	if fromHandoff {
@@ -854,7 +882,7 @@ func (s *sim) complete(on *replica, r *batching.Request) {
 	st.orig.Admitted = r.Admitted
 	st.orig.Done = r.Done
 	st.orig.Slot = r.Slot
-	s.setOutcome(st, on.idx, nil)
+	s.settle(st, on.idx, nil)
 	if r.Deadline > 0 && r.Done > r.Deadline {
 		s.res.DeadlineMisses++
 	} else {
@@ -875,17 +903,10 @@ func (s *sim) finish() Result {
 	for _, rep := range s.all {
 		if rep.health == faults.Down && rep.s.Busy() {
 			for _, lw := range rep.s.Crash() {
-				st := s.states[lw.Req]
-				st.live--
-				if lw.Prefilled+lw.Decoded > 0 {
-					s.waste(lw.Req.ID, rep, batching.ErrReplicaDown, lw.Prefilled, lw.Decoded)
+				if s.lose(lw.Req, rep, batching.ErrReplicaDown, lw.Prefilled, lw.Decoded) {
+					s.settle(s.states[lw.Req], rep.idx, fmt.Errorf("fleet: %w: request %d eaten by dead replica %d",
+						batching.ErrReplicaDown, lw.Req.ID, rep.idx))
 				}
-				if st.done || st.live > 0 {
-					continue
-				}
-				s.res.Failed++
-				s.setOutcome(st, rep.idx, fmt.Errorf("fleet: %w: request %d eaten by dead replica %d",
-					batching.ErrReplicaDown, lw.Req.ID, rep.idx))
 			}
 		}
 		// A replica the autoscaler released is not down, it is gone; a
@@ -910,6 +931,20 @@ func (s *sim) finish() Result {
 	for _, r := range s.all {
 		res.PerReplica = append(res.PerReplica, r.stats)
 		res.ReplicaSeconds += r.stats.RetiredAt - r.stats.AddedAt
+	}
+	// Totals an itemized ledger already holds are read off it.
+	for _, w := range res.Wasted {
+		res.WastedPrefillTokens += w.PrefillTokens
+		res.WastedDecodeTokens += w.DecodedTokens
+		res.PerReplica[w.Replica].WastedTokens += w.PrefillTokens + w.DecodedTokens
+	}
+	res.Ticks = len(res.TickStats)
+	for _, ev := range res.ScaleEvents {
+		if ev.Verdict == autoscale.ScaleOut.String() {
+			res.ScaleOuts++
+		} else {
+			res.ScaleIns++
+		}
 	}
 	if res.ReplicaSeconds > 0 {
 		res.GoodputPerReplicaSec = float64(res.GoodTokens) / res.ReplicaSeconds

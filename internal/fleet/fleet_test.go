@@ -2,6 +2,7 @@ package fleet
 
 import (
 	"errors"
+	"math"
 	"testing"
 
 	"esti/internal/batching"
@@ -278,6 +279,16 @@ func TestFleetRejectsOversizedAndInvalid(t *testing.T) {
 	}
 	if _, err := Simulate(Config{Replica: replicaConfig(), Disaggregated: true, PrefillReplicas: 1}, trace); !errors.Is(err, batching.ErrInvalidConfig) {
 		t.Error("disaggregated fleet without decode replicas accepted")
+	}
+	for name, bad := range map[string]Config{
+		"negative MaxQueue":     {Replica: replicaConfig(), Replicas: 2, MaxQueue: -1},
+		"NaN BrownoutBelow":     {Replica: replicaConfig(), Replicas: 2, Recovery: RecoveryPolicy{BrownoutBelow: math.NaN()}},
+		"BrownoutBelow above 1": {Replica: replicaConfig(), Replicas: 2, Recovery: RecoveryPolicy{BrownoutBelow: 1.5}},
+		"unknown Policy":        {Replica: replicaConfig(), Replicas: 2, Policy: Random + 1},
+	} {
+		if _, err := Simulate(bad, trace); !errors.Is(err, batching.ErrInvalidConfig) {
+			t.Errorf("%s accepted: err %v, want ErrInvalidConfig", name, err)
+		}
 	}
 }
 
