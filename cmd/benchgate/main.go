@@ -6,8 +6,9 @@
 //	benchgate -baseline BENCH_baseline.json -new BENCH_ci.json \
 //	    -bench BenchmarkEngineDecodeStep,BenchmarkContinuousBatching
 //
-// CI runs it after regenerating BENCH_ci.json (see .github/workflows/ci.yml)
-// and `make bench-compare` mirrors it locally. It gates allocs/op because
+// -bench is required: the gated names are the Makefile's GATE_BENCHES, and
+// `make bench-gate` passes them (CI calls that target after regenerating
+// BENCH_ci.json, and `make bench-compare` mirrors it locally). It gates allocs/op because
 // that number is machine-independent and deterministic: a zero baseline
 // must stay exactly zero, and a non-zero one may not rise by more than
 // maxAllocRegressPct. ns/op is printed beside it for information and never
@@ -33,29 +34,10 @@ type Benchmark struct {
 	Name        string   `json:"name"`
 	NsPerOp     float64  `json:"ns_per_op"`
 	AllocsPerOp *float64 `json:"allocs_per_op"`
-	// Values is the fallback for baselines written before the hoisted
-	// fields existed.
-	Values map[string]float64 `json:"values"`
 }
 
 type Report struct {
 	Benchmarks []Benchmark `json:"benchmarks"`
-}
-
-func (b Benchmark) ns() float64 {
-	if b.NsPerOp > 0 {
-		return b.NsPerOp
-	}
-	return b.Values["ns/op"]
-}
-
-// allocs returns allocs/op and whether the run recorded it.
-func (b Benchmark) allocs() (float64, bool) {
-	if b.AllocsPerOp != nil {
-		return *b.AllocsPerOp, true
-	}
-	v, ok := b.Values["allocs/op"]
-	return v, ok
 }
 
 // metrics is one benchmark's gated readings.
@@ -76,8 +58,10 @@ func load(path string) (map[string]metrics, error) {
 	}
 	out := make(map[string]metrics, len(rep.Benchmarks))
 	for _, b := range rep.Benchmarks {
-		m := metrics{ns: b.ns()}
-		m.allocs, m.hasAllocs = b.allocs()
+		m := metrics{ns: b.NsPerOp, hasAllocs: b.AllocsPerOp != nil}
+		if m.hasAllocs {
+			m.allocs = *b.AllocsPerOp
+		}
 		out[b.Name] = m
 	}
 	return out, nil
@@ -104,11 +88,10 @@ func check(name string, b, n metrics) (string, bool) {
 func main() {
 	baselinePath := flag.String("baseline", "", "committed BENCH_ci.json to compare against")
 	newPath := flag.String("new", "", "freshly generated BENCH_ci.json")
-	benches := flag.String("bench", "BenchmarkEngineDecodeStep,BenchmarkContinuousBatching",
-		"comma-separated benchmark names to gate")
+	benches := flag.String("bench", "", "comma-separated benchmark names to gate")
 	flag.Parse()
-	if *baselinePath == "" || *newPath == "" {
-		fmt.Fprintln(os.Stderr, "benchgate: -baseline and -new are required")
+	if *baselinePath == "" || *newPath == "" || strings.TrimSpace(*benches) == "" {
+		fmt.Fprintln(os.Stderr, "benchgate: -baseline, -new and -bench are required")
 		os.Exit(2)
 	}
 

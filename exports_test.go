@@ -61,6 +61,7 @@ var exportKeep = map[string]string{
 
 	// Called by the gated root benchmarks.
 	"engine.Engine.Reset": "the root gated benchmarks reset the engine between iterations",
+	"tensor.FromSlice":    "the root gated benchmarks wrap their operands with it",
 }
 
 // exportIface names the standard interfaces whose methods are called

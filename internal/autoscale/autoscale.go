@@ -139,8 +139,6 @@ func (p Policy) Validate() error {
 
 // Signals is one pool's state at a control tick, as the fleet measures it.
 type Signals struct {
-	// T is the tick's simulation time.
-	T float64
 	// Live counts replicas currently accepting work (Healthy, Degraded, or
 	// Recovering — a Recovering replica serves, just cold).
 	Live int
@@ -158,8 +156,6 @@ type Signals struct {
 	// TotalBacklog is the sum of per-replica drain estimates — the pool's
 	// backlog in replica-seconds, the quantity the payback check spends.
 	TotalBacklog float64
-	// QueueDepth is the pool's total pending (unadmitted) request count.
-	QueueDepth int
 	// Idle counts live replicas with zero backlog — the preferred scale-in
 	// victims (informational: the executor drains the emptiest replica
 	// gracefully either way).

@@ -65,7 +65,7 @@ func TestPolicyValidate(t *testing.T) {
 // after exactly OverTicks ticks, not on the first breach.
 func TestScaleOutAfterDebounce(t *testing.T) {
 	c := New(testPolicy())
-	hot := Signals{Live: 2, DrainTime: 3.0, TotalBacklog: 6.0, QueueDepth: 10}
+	hot := Signals{Live: 2, DrainTime: 3.0, TotalBacklog: 6.0}
 	if d := c.Decide(hot); d.Verdict != Hold {
 		t.Fatalf("first breach acted immediately: %+v", d)
 	}

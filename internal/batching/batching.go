@@ -19,7 +19,7 @@
 // Two admission optimizations ride on top. Prefix caching
 // (Config.PrefixCache) lets requests that share a prompt template skip its
 // prefill after the template's first admission — the serving-layer view of
-// engine.PrefillSlotFrom — and CompareNoCache quantifies the useful-token
+// engine.PrefillSlotCached — and CompareNoCache quantifies the useful-token
 // win on template-heavy traffic. Chunked prefill (Config.PrefillChunk)
 // admits long cold prompts in bounded per-iteration chunks interleaved
 // with decode steps, capping the decode-latency stall an arrival can
@@ -284,7 +284,7 @@ type Config struct {
 	// PrefixCache enables shared-prefix reuse: the first admission of each
 	// Template prefills and caches its PrefixLen-token prompt prefix; every
 	// later admission of that template skips it, prefilling only the
-	// suffix (the engine-level counterpart is engine.PrefillSlotFrom).
+	// suffix (the engine-level counterpart is engine.PrefillSlotCached).
 	PrefixCache bool
 	// PrefillChunk bounds the *total* prompt tokens prefilled per
 	// iteration across all slots (0 = whole prompts inline at admission).

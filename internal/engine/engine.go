@@ -65,7 +65,9 @@
 //     memory pathology the paper identifies.
 //   - Sharded over batch (Figure 4(c)/5(b)): the KV cache is partitioned
 //     over sequences; per-step Q and attention outputs are resharded with
-//     all-to-all collectives.
+//     two all-to-alls. An admission is the batch pass of one sequence: the
+//     all-to-alls carry its rows to the slot's owner and back, and empty
+//     shards between the other chips.
 //
 // The partially-gathered X / XY variants remain analytic-only (packages
 // commcost/perf); their volume formulas interpolate between the 2D
@@ -78,18 +80,17 @@
 // slot's current depth and attends causally against everything before it,
 // which yields two admission optimizations for free (prefix.go):
 // shared-prefix reuse, where a cached system prompt's K/V are attached from
-// a reference-counted per-chip store and only the suffix is prefilled
-// (AcquirePrefix/PrefillSlotFrom/PrefillSlotCached), and chunked prefill,
-// where a long cold prompt is admitted in bounded chunks interleaved with
-// decode iterations (successive PrefillSlot calls). Both are verified token-exact
-// against the cold path and the batch-1 reference across all functional
-// layouts. A slot's KV rows sit on every chip under head sharding and on
-// one owner under batch sharding; every per-slot operation — length,
-// release, prefix capture and attach, handoff export and import — reaches
-// them through one map (slotHolders, slots.go), and the engine alone owns
-// the prefix references its slots hold (slotPfx). The blocks those
-// operations move are one kvcache.KVBlock type, whether a store entry or a
-// handoff.
+// the mesh's one reference-counted prefix index and only the suffix is
+// prefilled (PrefillSlotCached), and chunked prefill, where a long cold
+// prompt is admitted in bounded chunks interleaved with decode iterations
+// (successive PrefillSlot calls). Both are verified token-exact against the
+// cold path and the batch-1 reference across all functional layouts. A
+// slot's KV rows sit on every chip under head sharding and on one owner
+// under batch sharding; every per-slot operation — length, release, prefix
+// capture and attach, handoff export and import — reaches them through one
+// map (slotHolders, slots.go), and the engine alone owns the prefix
+// references its slots hold (slotPfx). The blocks those operations move
+// are one kvcache.KVBlock type, whether a prefix entry's or a handoff's.
 //
 // The attention and FFN projections share their input gather but remain
 // separate matmuls, and their output partials are reduce-scattered
@@ -395,10 +396,7 @@ type chipState struct {
 	embedRows  *tensor.Mat // [vocab/nAct, E]: this chip's logit rows
 	finalGain  []float32
 	cache      *kvcache.Cache
-	// prefix is this chip's shard of the shared-prefix store (nil until
-	// EnablePrefixCache).
-	prefix *kvcache.PrefixStore
-	opID   uint64
+	opID       uint64
 	// wire is the payload format the data-plane collectives travel in
 	// (nil = float32; collective.WireInt8 under an int8 Options.WireDType).
 	wire collective.Payload
@@ -433,11 +431,12 @@ type Engine struct {
 	chips  []*chipState
 	batch  int
 	maxLen int
-	// slotPfx holds, per slot, the acquired prefix ref whose store
-	// references ReleaseSlot must give back: one reference per chip, the
-	// chips that never attach it under batch sharding included. It is the
-	// only owner of those references; the caches only alias the blocks.
-	slotPfx []*PrefixRef
+	// prefix is the mesh's one shared-prefix index (nil until
+	// EnablePrefixCache), and slotPfx holds, per slot, the acquired entry
+	// whose reference ReleaseSlot must give back. slotPfx is the only owner
+	// of those references; the caches only alias the entries' blocks.
+	prefix  *kvcache.PrefixStore
+	slotPfx []*kvcache.Prefix
 
 	// fw carries the current pass's arguments to the per-chip SPMD body,
 	// and runFwd is that body (chipForward) bound once at construction, so
@@ -495,7 +494,7 @@ func New(w *reference.Weights, t hardware.Torus, opts Options, batch, maxLen int
 	}
 
 	e := &Engine{cfg: cfg, opts: opts, m: mesh.New(t), batch: batch, maxLen: maxLen,
-		slotPfx: make([]*PrefixRef, batch)}
+		slotPfx: make([]*kvcache.Prefix, batch)}
 	e.chips = make([]*chipState, n)
 	full := e.fullShards(w)
 	for r := 0; r < n; r++ {
@@ -521,10 +520,10 @@ func (e *Engine) Reset() {
 	for _, st := range e.chips {
 		st.cache.Reset()
 	}
-	for s, ref := range e.slotPfx {
-		if ref != nil {
+	for s, p := range e.slotPfx {
+		if p != nil {
 			e.slotPfx[s] = nil
-			e.ReleasePrefix(ref)
+			e.releasePrefix(p)
 		}
 	}
 }

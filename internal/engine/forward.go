@@ -163,7 +163,8 @@ type chipSeqs struct {
 // seqsOn returns the sequences of the current pass that a chip holds.
 // Head-sharded attention keeps every slot on every chip; batch-sharded
 // attention gives each chip batch/n of them, so a chip may hold none of an
-// admission.
+// admission. It returns a value, so the attention all-to-alls can ask it
+// for every destination without allocating.
 func (e *Engine) seqsOn(rank int) chipSeqs {
 	p := &e.fw
 	sq := chipSeqs{count: e.batch}
@@ -345,11 +346,11 @@ func appendAndAttendInto(out *tensor.Mat, dh int, q *tensor.Mat, cache *kvcache.
 // of this chip's own sequences (multiquery K/V identical on every chip,
 // batch-sharded multihead full-width).
 //
-// A batch pass reshards Q from head-sharded to batch-sharded with an
-// all-to-all and reshards the attention output back with another (Figure
-// 5(b)). An admission has no sequence dimension to all-to-all over:
-// every chip gathers the full queries, the slot's owner attends, and the
-// return all-to-all carries data in the owner's shards only.
+// Q is resharded from head-sharded to batch-sharded with an all-to-all and
+// the attention output back with another (Figure 5(b)). Each destination
+// gets the rows of the sequences seqsOn puts on it: equal blocks for a
+// batch pass, and for an admission the whole prompt to the slot's owner and
+// empty shards to the rest.
 func (e *Engine) attnBatchSharded(c *mesh.Chip, st *chipState, layer int, sq chipSeqs, qLocal, kMine, vMine *tensor.Mat) *tensor.Mat {
 	ar := &st.arena
 	n := st.nAct
@@ -357,38 +358,17 @@ func (e *Engine) attnBatchSharded(c *mesh.Chip, st *chipState, layer int, sq chi
 	headW := qLocal.Cols
 	shards := st.shards
 
-	if slot := e.fw.slot; slot != noSlot {
-		qFull := agCols(ar, st.op(c), st.act, qLocal, n) // [steps, H·dh]
-		if sq.count > 0 {
-			outFull := appendAndAttendInto(ar.Mat(steps, qFull.Cols),
-				e.cfg.HeadDim, qFull, st.cache, layer, sq, steps, kMine, vMine, &st.scr)
-			for d := range shards {
-				shards[d] = tensor.SliceCols(outFull, d*headW, (d+1)*headW).Data
-			}
-		} else {
-			// The all-to-all copies what it sends, so one zeroed buffer
-			// serves every destination.
-			zero := ar.Floats(steps * headW)
-			clear(zero)
-			for d := range shards {
-				shards[d] = zero
-			}
-		}
-		recv := collective.AllToAll(st.op(c), st.act, shards)
-		owner, _, _ := e.slotHolders(slot)
-		return tensor.FromSlice(recv[owner], steps, headW)
-	}
-
-	// All-to-all #1: send each destination its sequence block of my
+	// All-to-all #1: send each destination its sequences' rows of my
 	// head-block queries. Row blocks are contiguous, so the shards are
 	// zero-copy views (Send copies on the wire).
-	rowsPC := sq.count * steps
 	for d := range shards {
-		shards[d] = qLocal.Data[d*rowsPC*headW : (d+1)*rowsPC*headW]
+		dq := e.seqsOn(d)
+		shards[d] = qLocal.Data[dq.at*steps*headW : (dq.at+dq.count)*steps*headW]
 	}
 	recv := collective.AllToAll(st.op(c), st.act, shards)
 	// Assemble my sequences' full-width queries [rowsPC, H·dh]: source
 	// srcIdx's chunk is its head block, i.e. my column block srcIdx.
+	rowsPC := sq.count * steps
 	qMine := ar.Mat(rowsPC, headW*n)
 	for srcIdx, data := range recv {
 		for i := 0; i < rowsPC; i++ {
@@ -409,10 +389,13 @@ func (e *Engine) attnBatchSharded(c *mesh.Chip, st *chipState, layer int, sq chi
 		}
 		shards[d] = blk
 	}
-	recv2 := collective.AllToAll(st.op(c), st.act, shards)
-	outLocal := ar.Mat(rowsPC*n, headW) // [tokens, headsPC·dh]
-	for srcIdx, data := range recv2 {
-		copy(outLocal.Data[srcIdx*rowsPC*headW:(srcIdx+1)*rowsPC*headW], data)
+	recv = collective.AllToAll(st.op(c), st.act, shards)
+	// Sources hold the pass's sequences in rank order, so their blocks
+	// stack into my head block of every row [tokens, headsPC·dh].
+	outLocal := ar.Mat(qLocal.Rows, headW)
+	off := 0
+	for _, data := range recv {
+		off += copy(outLocal.Data[off:], data)
 		c.Recycle(data)
 	}
 	return outLocal

@@ -190,21 +190,25 @@ func TestWGIsOneChipProgram(t *testing.T) {
 	}
 }
 
-// A pass's whole wire schedule is a closed form: every chip sends the same
-// messages, and their count and sizes follow from the layout alone. Per
-// layer a block makes one input gather (gatherNorm), its attention
-// collectives and its FFN's own, and the pass ends with the final norm's
-// gather and the logit gather. On 2×2×2 2D batch-sharded that is 34
-// messages a chip a layer plus 14; on 2×2×1 1D head-sharded streamed, 9
-// plus 6. Checked for a decode step and an admission of an odd-length
-// prompt, on both wire formats, to the message and the byte.
+// A pass's whole wire schedule is a closed form: its messages' count and
+// sizes, summed over the mesh, follow from the layout alone. Per layer a
+// block makes one input gather (gatherNorm), its attention collectives and
+// its FFN's own, and the pass ends with the final norm's gather and the
+// logit gather. On 2×2×2 2D batch-sharded a decode step sends 34 messages a
+// chip a layer plus 14; on 2×2×1 1D head-sharded streamed, 9 plus 6. A
+// batch-sharded admission's two attention all-to-alls carry its rows to the
+// slot's owner and back and nothing between the other chips, so there the
+// chips' shares differ and only the mesh totals are a closed form. Checked
+// for a decode step and an admission of an odd-length prompt, on both wire
+// formats, to the message and the byte.
 func TestPassWireSchedule(t *testing.T) {
 	cfg := tinyMQA()
 	e, f, v, hd := cfg.DModel, cfg.DFF, cfg.Vocab, cfg.Heads*cfg.HeadDim
 	const batch, promptLen = 8, 5
-	// sends is one chip's share of a collective: count messages of elems
+	// sends is the mesh's share of a collective: count messages of elems
 	// elements each, with rows int8 scales apiece (0 for one chunk scale:
-	// only the residual gathers scale each token's row).
+	// only the residual gathers scale each token's row). An empty message
+	// still carries its chunk scale on the int8 wire.
 	type sends struct{ count, elems, rows int }
 	cases := []struct {
 		name  string
@@ -215,27 +219,29 @@ func TestPassWireSchedule(t *testing.T) {
 	}{
 		{"2d-batch", torus222(), Options{FFN: partition.FFN2DWeightStationary, Attn: partition.AttnShardBatch},
 			func(tok int, admission bool) []sends {
-				s := []sends{{7, tok * e / 8, tok}} // the block's input gather over XYZ
+				s := []sends{{8 * 7, tok * e / 8, tok}} // the block's input gather over XYZ
 				if admission {
-					// The queries gathered, the slot owner's output all-to-all.
-					s = append(s, sends{7, tok * hd / 8, 0}, sends{7, tok * hd / 8, 0})
+					// The two all-to-alls: the prompt's head blocks in to
+					// the slot's owner and out again, and an empty shard
+					// from every chip to every other chip but the owner.
+					s = append(s, sends{2 * 7, tok * hd / 8, 0}, sends{2 * 7 * 7, 0, 0})
 				} else {
-					s = append(s, sends{14, tok / 8 * hd / 8, 0}) // two all-to-alls
+					s = append(s, sends{8 * 14, tok / 8 * hd / 8, 0}) // two all-to-alls
 				}
 				return append(s,
-					sends{7, tok * e / 8, 0}, // attention output reduce-scatter over XYZ
-					sends{2, tok * f / 8, 0}, // up and gate reduce-scatters over X
-					sends{1, tok * f / 8, 0}, // the hidden gather over X
-					sends{3, tok * e / 8, 0}) // the output reduce-scatter over YZ
+					sends{8 * 7, tok * e / 8, 0}, // attention output reduce-scatter over XYZ
+					sends{8 * 2, tok * f / 8, 0}, // up and gate reduce-scatters over X
+					sends{8 * 1, tok * f / 8, 0}, // the hidden gather over X
+					sends{8 * 3, tok * e / 8, 0}) // the output reduce-scatter over YZ
 			},
-			func(tok int) []sends { return []sends{{7, tok * e / 8, tok}, {7, tok * v / 8, 0}} }},
+			func(tok int) []sends { return []sends{{8 * 7, tok * e / 8, tok}, {8 * 7, tok * v / 8, 0}} }},
 		{"1d-heads-streamed", hardware.Torus{X: 2, Y: 2, Z: 1},
 			Options{FFN: partition.FFN1DWeightStationary, Attn: partition.AttnShardHeads, Streamed: true},
 			func(tok int, _ bool) []sends {
 				// Input gather, then attention and FFN output reduce-scatters.
-				return []sends{{3, tok * e / 4, tok}, {6, tok * e / 4, 0}}
+				return []sends{{4 * 3, tok * e / 4, tok}, {4 * 6, tok * e / 4, 0}}
 			},
-			func(tok int) []sends { return []sends{{3, tok * e / 4, tok}, {3, tok * v / 4, 0}} }},
+			func(tok int) []sends { return []sends{{4 * 3, tok * e / 4, tok}, {4 * 3, tok * v / 4, 0}} }},
 	}
 	w := reference.NewWeights(cfg, 5)
 	for _, tc := range cases {
@@ -262,12 +268,11 @@ func TestPassWireSchedule(t *testing.T) {
 						msgs += int64(s.count)
 						bytes += int64(s.count * per)
 					}
-					n := int64(tc.tr.Chips())
 					eng.Mesh().ResetCounters()
 					run()
 					m := eng.Mesh()
-					if m.MessagesSent() != n*msgs || m.BytesSent() != n*bytes {
-						t.Errorf("%s: %d messages, %d B; want %d, %d", what, m.MessagesSent(), m.BytesSent(), n*msgs, n*bytes)
+					if m.MessagesSent() != msgs || m.BytesSent() != bytes {
+						t.Errorf("%s: %d messages, %d B; want %d, %d", what, m.MessagesSent(), m.BytesSent(), msgs, bytes)
 					}
 				}
 				eng.Prefill(tokens(batch, 2), 2)

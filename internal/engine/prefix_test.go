@@ -4,6 +4,8 @@ import (
 	"fmt"
 	"testing"
 
+	"esti/internal/hardware"
+	"esti/internal/kvcache"
 	"esti/internal/model"
 	"esti/internal/partition"
 	"esti/internal/reference"
@@ -67,14 +69,14 @@ func checkPrefixCachedAgainstCold(t *testing.T, cfg model.Config, opts Options) 
 
 	for _, rq := range reqs {
 		prompt := append(append([]int(nil), sys...), rq.suffix...)
-		ref := warm.AcquirePrefix(prompt)
+		ref := warm.acquirePrefix(prompt)
 		if ref == nil {
 			t.Fatalf("slot %d: prefix miss for a seeded prompt", rq.slot)
 		}
 		if ref.Len() != len(sys) {
 			t.Fatalf("slot %d: acquired %d tokens, want %d", rq.slot, ref.Len(), len(sys))
 		}
-		warmL := warm.PrefillSlotFrom(rq.slot, ref, rq.suffix)
+		warmL := warm.prefillSlotFrom(rq.slot, ref, rq.suffix)
 		coldL := cold.PrefillSlot(rq.slot, prompt)
 
 		rm := reference.New(w, 1, maxLen)
@@ -133,11 +135,11 @@ func checkPrefixCachedAgainstCold(t *testing.T, cfg model.Config, opts Options) 
 
 	// All refs returned: the seeded prefix must be reacquirable (and would
 	// now be LRU-evictable).
-	ref := warm.AcquirePrefix(append(append([]int(nil), sys...), 2))
+	ref := warm.acquirePrefix(append(append([]int(nil), sys...), 2))
 	if ref == nil || ref.Len() != len(sys) {
 		t.Fatal("prefix not reacquirable after slots released")
 	}
-	warm.ReleasePrefix(ref)
+	warm.releasePrefix(ref)
 }
 
 // The tentpole acceptance matrix: cached-prefix admission and decode are
@@ -203,6 +205,62 @@ func TestPrefillSlotCachedServingPath(t *testing.T) {
 	}
 	eng.ReleaseSlot(0)
 	eng.ReleaseSlot(1)
+}
+
+// The mesh keeps one prefix index, and an entry's blocks are the chips'
+// rows of the slot it was captured from: under batch sharding the owner's
+// full-width rows, stored once and shared by every rank; under head sharding
+// each chip's own K/V column shard. The store counts one chip's block.
+func TestPrefixEntryHoldsOneBlockPerDistinctShard(t *testing.T) {
+	cfg := tinyMHA()
+	full := cfg.KVHeads * cfg.HeadDim
+	for _, tc := range []struct {
+		name  string
+		tr    hardware.Torus
+		attn  partition.AttnLayout
+		width int
+	}{
+		{"2x2x2-batch", torus222(), partition.AttnShardBatch, full},
+		{"2x2x1-heads", hardware.Torus{X: 2, Y: 2, Z: 1}, partition.AttnShardHeads, full / 4},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			eng, err := New(reference.NewWeights(cfg, 42), tc.tr, Options{
+				FFN: partition.FFN2DWeightStationary, Attn: tc.attn,
+			}, 8, 16)
+			if err != nil {
+				t.Fatal(err)
+			}
+			eng.EnablePrefixCache(0)
+			sys := sysPrompt(cfg)
+			eng.PrefillSlot(5, sys)
+			if err := eng.CachePrefix(5, sys); err != nil {
+				t.Fatal(err)
+			}
+			p := eng.acquirePrefix(append(append([]int(nil), sys...), 2))
+			if p == nil {
+				t.Fatal("captured prefix missed")
+			}
+			defer eng.releasePrefix(p)
+			seen := map[*kvcache.KVBlock]bool{}
+			for r := range eng.chips {
+				b := p.Block(r)
+				seen[b] = true
+				if b.Width != tc.width || b.Len != len(sys) {
+					t.Errorf("rank %d block is %d positions of width %d, want %d of %d", r, b.Len, b.Width, len(sys), tc.width)
+				}
+			}
+			distinct := len(eng.chips)
+			if tc.attn == partition.AttnShardBatch {
+				distinct = 1
+			}
+			if len(seen) != distinct {
+				t.Errorf("%d distinct blocks over %d ranks, want %d", len(seen), len(eng.chips), distinct)
+			}
+			if got, want := eng.PrefixStats().Bytes, p.Block(0).Bytes(); got != want {
+				t.Errorf("store counts %d B, want one chip's block, %d B", got, want)
+			}
+		})
+	}
 }
 
 // Chunked prefill must be bit-for-bit the same computation: concatenated
@@ -285,11 +343,11 @@ func TestPrefixCacheBudgetEvictsLRU(t *testing.T) {
 
 	// While A is attached to a live slot it is pinned: remembering B must
 	// fail rather than evict it.
-	ref := eng.AcquirePrefix(append(append([]int(nil), pA...), 11))
+	ref := eng.acquirePrefix(append(append([]int(nil), pA...), 11))
 	if ref == nil {
 		t.Fatal("seeded prefix missed")
 	}
-	eng.PrefillSlotFrom(1, ref, []int{11})
+	eng.prefillSlotFrom(1, ref, []int{11})
 	eng.PrefillSlot(2, pB)
 	if err := eng.CachePrefix(2, pB); err == nil {
 		t.Error("remember succeeded with the only evictable entry pinned")
@@ -303,13 +361,13 @@ func TestPrefixCacheBudgetEvictsLRU(t *testing.T) {
 	if err := eng.CachePrefix(2, pB); err != nil {
 		t.Fatalf("remember after unpin: %v", err)
 	}
-	if got := eng.AcquirePrefix(append(append([]int(nil), pA...), 11)); got != nil {
+	if got := eng.acquirePrefix(append(append([]int(nil), pA...), 11)); got != nil {
 		t.Error("evicted prefix still acquirable")
 	}
-	if got := eng.AcquirePrefix(append(append([]int(nil), pB...), 11)); got == nil {
+	if got := eng.acquirePrefix(append(append([]int(nil), pB...), 11)); got == nil {
 		t.Error("new prefix not acquirable")
 	} else {
-		eng.ReleasePrefix(got)
+		eng.releasePrefix(got)
 	}
 	eng.ReleaseSlot(2)
 }

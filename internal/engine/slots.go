@@ -36,17 +36,17 @@ func (e *Engine) SlotLen(slot int) int {
 
 // ReleaseSlot evicts a completed sequence: the slot's KV storage is zeroed
 // and its length reset on every chip that holds it, making the slot ready
-// for the next PrefillSlot. A shared prefix attached by PrefillSlotFrom is
-// detached and its per-chip store references are given back, so the prefix
-// becomes LRU-evictable once its last slot departs.
+// for the next PrefillSlot. A shared prefix attached by PrefillSlotCached is
+// detached and its store reference is given back, so the prefix becomes
+// LRU-evictable once its last slot departs.
 func (e *Engine) ReleaseSlot(slot int) {
 	lo, hi, local := e.slotHolders(slot)
 	for _, st := range e.chips[lo:hi] {
 		st.cache.ResetSeq(local)
 	}
-	if ref := e.slotPfx[slot]; ref != nil {
+	if p := e.slotPfx[slot]; p != nil {
 		e.slotPfx[slot] = nil
-		e.ReleasePrefix(ref)
+		e.releasePrefix(p)
 	}
 }
 

@@ -112,7 +112,7 @@ func (s *sim) anyBusy() bool {
 
 // poolSignals measures one pool for the controller.
 func (s *sim) poolSignals(t float64, pool []*replica, ingress bool) autoscale.Signals {
-	sig := autoscale.Signals{T: t}
+	var sig autoscale.Signals
 	for _, rep := range pool {
 		if rep.retired {
 			// A release still draining its resident work counts as the
@@ -141,7 +141,6 @@ func (s *sim) poolSignals(t float64, pool []*replica, ingress bool) autoscale.Si
 			sig.DrainTime = b.DrainTime
 		}
 		sig.TotalBacklog += b.DrainTime
-		sig.QueueDepth += b.Pending
 		// Recovering replicas are live capacity but not release candidates:
 		// the fleet just paid their warm-up.
 		if !rep.s.Busy() && b.Pending == 0 && rep.health != faults.Recovering {

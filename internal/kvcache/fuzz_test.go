@@ -97,7 +97,7 @@ func FuzzSlotIsolation(f *testing.F) {
 				for i, x := range shadow[s][:n] {
 					tokens[i] = int(x)
 				}
-				p, err := store.Capture(tokens, c, s)
+				p, err := store.Capture(tokens, []*Cache{c}, s)
 				if err != nil || p.Len() != n {
 					t.Fatalf("capture of %d positions from slot %d: %v", n, s, err)
 				}
@@ -107,7 +107,7 @@ func FuzzSlotIsolation(f *testing.F) {
 					continue
 				}
 				e := entries[arg%len(entries)]
-				err := c.AttachPrefix(s, e.p)
+				err := c.AttachPrefix(s, e.p.Block(0))
 				if len(shadow[s]) > 0 {
 					if err == nil {
 						t.Fatalf("attach over slot %d holding %d positions succeeded", s, len(shadow[s]))

@@ -128,7 +128,7 @@ func TestExportMaterializesPrefix(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := src.AttachPrefix(0, p); err != nil {
+	if err := src.AttachPrefix(0, p.Block(0)); err != nil {
 		t.Fatal(err)
 	}
 	fillSlot(src, 0, 3, rng) // private suffix
@@ -188,7 +188,7 @@ func TestImportValidation(t *testing.T) {
 		if err := c.dst.ImportSeq(0, b); err == nil {
 			t.Errorf("%s: import should fail", c.name)
 		}
-		if err := c.dst.AttachPrefix(0, &Prefix{block: *b}); err == nil {
+		if err := c.dst.AttachPrefix(0, b); err == nil {
 			t.Errorf("%s: attach should fail", c.name)
 		}
 	}

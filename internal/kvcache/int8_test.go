@@ -107,7 +107,7 @@ func TestInt8PrefixStore(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !p.block.Int8 {
+	if !p.Block(0).Int8 {
 		t.Fatal("store did not quantize its block")
 	}
 	wantBytes := 2 * layers * n * (width + 4)
@@ -120,7 +120,7 @@ func TestInt8PrefixStore(t *testing.T) {
 
 	// Mode mismatch is rejected in both directions.
 	fpCache := New(layers, 1, 16, width)
-	if err := fpCache.AttachPrefix(0, p); err == nil {
+	if err := fpCache.AttachPrefix(0, p.Block(0)); err == nil {
 		t.Error("float32 cache accepted an int8 prefix")
 	}
 	fpStore := NewPrefixStore(layers, width, 0)
@@ -129,14 +129,14 @@ func TestInt8PrefixStore(t *testing.T) {
 		t.Fatal(err)
 	}
 	q8 := NewInt8(layers, 1, 16, width)
-	if err := q8.AttachPrefix(0, pf); err == nil {
+	if err := q8.AttachPrefix(0, pf.Block(0)); err == nil {
 		t.Error("int8 cache accepted a float32 prefix")
 	}
 
 	// Attach + append a suffix: the quantized views cover prefix then
 	// private rows, and a dequantized read matches the source within the
 	// per-row half step.
-	if err := q8.AttachPrefix(0, p); err != nil {
+	if err := q8.AttachPrefix(0, p.Block(0)); err != nil {
 		t.Fatal(err)
 	}
 	suffix := tensor.New(2, width).FillRand(rng, 1)

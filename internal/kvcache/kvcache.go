@@ -14,10 +14,11 @@
 //
 // A KVBlock (handoff.go) is n positions of a slot's rows copied out, in
 // the cache's storage format. It is the one block type: a shared prefix in
-// a PrefixStore (prefix.go) holds one, captured from a slot or inserted,
-// and a slot attaches it (AttachPrefix) so positions [0, n) are served from
-// the store's single copy while appends fill only the private suffix; a
-// handoff exports one (ExportSeq) and another cache imports it (ImportSeq).
+// a PrefixStore (prefix.go) holds one per cache it was captured from, or
+// one inserted, and a slot attaches one (AttachPrefix) so positions [0, n)
+// are served from the store's single copy while appends fill only the
+// private suffix; a handoff exports one (ExportSeq) and another cache
+// imports it (ImportSeq).
 // Both ways in pass the same admission check, and both ways out are the
 // same copy.
 //
@@ -55,8 +56,8 @@ type Cache struct {
 	MaxLen  int // capacity in positions per slot
 	KVWidth int // KV heads × head dim
 
-	lens []int     // *private* positions currently filled, per slot
-	pfx  []*Prefix // attached shared prefix, per slot (nil = none)
+	lens []int      // *private* positions currently filled, per slot
+	pfx  []*KVBlock // attached shared-prefix rows, per slot (nil = none)
 
 	int8Mode bool
 	k, v     []Rows // per layer: the Seqs*MaxLen private rows
@@ -83,7 +84,7 @@ func newCache(layers, seqs, maxLen, kvWidth int, int8Mode bool) *Cache {
 	c := &Cache{
 		Layers: layers, Seqs: seqs, MaxLen: maxLen, KVWidth: kvWidth,
 		lens:     make([]int, seqs),
-		pfx:      make([]*Prefix, seqs),
+		pfx:      make([]*KVBlock, seqs),
 		int8Mode: int8Mode,
 		k:        make([]Rows, layers),
 		v:        make([]Rows, layers),
@@ -112,8 +113,8 @@ func (c *Cache) SeqLen(s int) int {
 }
 
 func (c *Cache) prefixLen(s int) int {
-	if p := c.pfx[s]; p != nil {
-		return p.Len()
+	if b := c.pfx[s]; b != nil {
+		return b.Len
 	}
 	return 0
 }
@@ -144,20 +145,20 @@ func (c *Cache) admit(s int, b *KVBlock) error {
 	return nil
 }
 
-// AttachPrefix aliases slot s onto a shared prefix: the slot's positions
-// [0, p.Len()) are served from the store's single copy, and subsequent
-// appends write only the private suffix. The slot must be empty, and the
-// prefix must match the cache's storage format, layers and K/V width and
-// fit its capacity. The caller (not the cache) owns the prefix's
-// reference count.
-func (c *Cache) AttachPrefix(s int, p *Prefix) error {
-	if p == nil {
+// AttachPrefix aliases slot s onto a shared prefix's block (Prefix.Block):
+// the slot's positions [0, b.Len) are served from the store's single copy,
+// and subsequent appends write only the private suffix. The slot must be
+// empty, and the block must match the cache's storage format, layers and
+// K/V width and fit its capacity. The caller (not the cache) owns the
+// prefix's reference count.
+func (c *Cache) AttachPrefix(s int, b *KVBlock) error {
+	if b == nil {
 		return fmt.Errorf("kvcache: attach of nil prefix")
 	}
-	if err := c.admit(s, &p.block); err != nil {
+	if err := c.admit(s, b); err != nil {
 		return err
 	}
-	c.pfx[s] = p
+	c.pfx[s] = b
 	return nil
 }
 
@@ -238,9 +239,9 @@ func (c *Cache) Segments(l, s, total int) (preK, privK, preV, privV Rows) {
 	}
 	preK, preV = c.k[l].Slice(0, 0), c.v[l].Slice(0, 0)
 	pl := 0
-	if p := c.pfx[s]; p != nil {
-		pl = min(p.Len(), total)
-		preK, preV = p.block.K[l].Slice(0, pl), p.block.V[l].Slice(0, pl)
+	if b := c.pfx[s]; b != nil {
+		pl = min(b.Len, total)
+		preK, preV = b.K[l].Slice(0, pl), b.V[l].Slice(0, pl)
 	}
 	lo, hi := s*c.MaxLen, s*c.MaxLen+total-pl
 	return preK, c.k[l].Slice(lo, hi), preV, c.v[l].Slice(lo, hi)

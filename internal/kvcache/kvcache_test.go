@@ -112,8 +112,8 @@ func TestResetReturnsAttachedPrefixes(t *testing.T) {
 	ps.Insert([]int{1, 2}, k, v)
 	p0, _ := ps.Acquire([]int{1, 2})
 	p2, _ := ps.Acquire([]int{1, 2})
-	c.AttachPrefix(0, p0)
-	c.AttachPrefix(2, p2)
+	c.AttachPrefix(0, p0.Block(0))
+	c.AttachPrefix(2, p2.Block(0))
 	fill(c, 1, 3, 5)
 
 	c.Reset()
@@ -134,7 +134,7 @@ func TestResetReturnsAttachedPrefixes(t *testing.T) {
 		t.Errorf("refs = %d after the acquirers released", p0.Refs())
 	}
 	// The reset slots take a prefix again.
-	if err := c.AttachPrefix(0, p0); err != nil {
+	if err := c.AttachPrefix(0, p0.Block(0)); err != nil {
 		t.Errorf("attach after Reset: %v", err)
 	}
 }

@@ -5,11 +5,13 @@ package kvcache
 // admission spends exactly the resource the paper shows the prefill phase is
 // short on (compute, Section 2), and storing a private copy per slot spends
 // the resource the decode phase is short on (HBM, Table 1). A PrefixStore
-// holds one immutable K/V block per distinct prefix, keyed by its token IDs
-// in a trie so lookup finds the *longest* cached prefix of a new prompt, and
-// reference-counted so any number of live slots alias the same block. The
-// block is a KVBlock, the same type a handoff carries: Capture copies it out
-// of a slot with the copy ExportSeq uses, and a slot attaches it
+// holds one immutable entry per distinct prefix, keyed by its token IDs in
+// a trie so lookup finds the *longest* cached prefix of a new prompt, and
+// reference-counted so any number of live slots alias it. An entry holds
+// one KVBlock, the type a handoff carries, per cache it was captured from —
+// a sharded engine's chips each hold their own slice of a slot's rows — and
+// caches that hold the same rows share one block. Capture copies a block
+// out of a slot with the copy ExportSeq uses, and a slot attaches one
 // (Cache.AttachPrefix) through the admission check ImportSeq uses, then
 // appends only its private suffix: divergence after the shared part needs
 // no copy at all, because appends are always past the prefix boundary —
@@ -24,14 +26,14 @@ import (
 	"esti/internal/tensor"
 )
 
-// Prefix is one immutable cached prefix: a block of K/V rows for its
-// tokens, in its store's storage format, plus the store's bookkeeping. It
-// is created by PrefixStore.Insert or Capture and shared read-only between
-// any number of cache slots; refcounts are managed by Acquire/Release. An
-// int8 store's blocks are resident at half the bf16 bytes and attach only
-// to int8 caches.
+// Prefix is one immutable cached prefix: blocks of K/V rows for its tokens,
+// one per cache it was captured from (Block), in its store's storage
+// format, plus the store's bookkeeping. It is created by PrefixStore.Insert
+// or Capture and shared read-only between any number of cache slots;
+// refcounts are managed by Acquire/Release. An int8 store's blocks are
+// resident at half the bf16 bytes and attach only to int8 caches.
 type Prefix struct {
-	block KVBlock // read-only once inserted
+	blocks []*KVBlock // read-only once inserted; repeats share a block
 	// node is the trie node the entry's key ends at (nil once removed).
 	node    *trieNode
 	refs    int
@@ -39,15 +41,20 @@ type Prefix struct {
 }
 
 // Len returns the prefix length in tokens.
-func (p *Prefix) Len() int { return p.block.Len }
+func (p *Prefix) Len() int { return p.blocks[0].Len }
+
+// Block returns the rows captured from the i-th cache Capture was given
+// (Insert makes one block), for Cache.AttachPrefix.
+func (p *Prefix) Block(i int) *KVBlock { return p.blocks[i] }
 
 // Refs returns the number of live references (attached slots).
 func (p *Prefix) Refs() int { return p.refs }
 
-// Bytes is the K+V backing footprint of the prefix in its storage format,
-// so budget accounting and LRU eviction run in quantized units in an int8
-// store.
-func (p *Prefix) Bytes() int { return p.block.Bytes() }
+// Bytes is the K+V backing footprint of one of the prefix's blocks in its
+// storage format, so budget accounting and LRU eviction run in quantized
+// units in an int8 store, and count one cache's share of the rows. Every
+// block has the store's width, so they all weigh the same.
+func (p *Prefix) Bytes() int { return p.blocks[0].Bytes() }
 
 // trieNode is one token edge in the prefix trie. An entry may sit on an
 // interior node: a short system prompt can be a prefix of a longer cached
@@ -137,37 +144,55 @@ func (ps *PrefixStore) Insert(tokens []int, k, v []*tensor.Mat) (*Prefix, error)
 				l, k[l].Rows, k[l].Cols, len(tokens), ps.width)
 		}
 	}
-	return ps.insert(tokens, func() KVBlock {
+	return ps.insert(tokens, func() []*KVBlock {
 		b := newBlock(ps.layers, len(tokens), ps.width, ps.int8Mode)
 		for l := range b.K {
 			copyRows(b.K[l], matRows(k[l]))
 			copyRows(b.V[l], matRows(v[l]))
 		}
-		return b
+		return []*KVBlock{&b}
 	})
 }
 
-// Capture stores the first len(tokens) positions of slot s of c — which
-// must be the positions those tokens produced; the store trusts the key —
-// as a prefix, with Insert's duplicate, budget and eviction behaviour. The
+// Capture stores the first len(tokens) positions of slot s of every cache
+// in from — which must be the positions those tokens produced; the store
+// trusts the key — as one prefix, with Insert's duplicate, budget and
+// eviction behaviour. Block(i) is from[i]'s rows, and a cache listed again
+// in a row shares the previous block instead of being copied twice. The
 // rows are copied out as the slot stores them (Cache.block, the copy
 // ExportSeq makes), an attached prefix of its own included, so a slot that
-// later attaches the entry walks the same rows the captured slot does. The
-// cache must store the store's format: a capture never converts.
-func (ps *PrefixStore) Capture(tokens []int, c *Cache, s int) (*Prefix, error) {
-	if c.Layers != ps.layers || c.KVWidth != ps.width || c.int8Mode != ps.int8Mode {
-		return nil, fmt.Errorf("kvcache: capture from a %s cache of %d layers, width %d into a %s store of %d, %d",
-			storageName(c.int8Mode), c.Layers, c.KVWidth, storageName(ps.int8Mode), ps.layers, ps.width)
+// later attaches the entry walks the same rows the captured slot does.
+// Every cache must store the store's format: a capture never converts.
+func (ps *PrefixStore) Capture(tokens []int, from []*Cache, s int) (*Prefix, error) {
+	if len(from) == 0 {
+		return nil, fmt.Errorf("kvcache: capture from no cache")
 	}
-	if have := c.SeqLen(s); len(tokens) > have {
-		return nil, fmt.Errorf("kvcache: capture of %d tokens from slot %d holding %d", len(tokens), s, have)
+	for _, c := range from {
+		if c.Layers != ps.layers || c.KVWidth != ps.width || c.int8Mode != ps.int8Mode {
+			return nil, fmt.Errorf("kvcache: capture from a %s cache of %d layers, width %d into a %s store of %d, %d",
+				storageName(c.int8Mode), c.Layers, c.KVWidth, storageName(ps.int8Mode), ps.layers, ps.width)
+		}
+		if have := c.SeqLen(s); len(tokens) > have {
+			return nil, fmt.Errorf("kvcache: capture of %d tokens from slot %d holding %d", len(tokens), s, have)
+		}
 	}
-	return ps.insert(tokens, func() KVBlock { return c.block(s, len(tokens)) })
+	return ps.insert(tokens, func() []*KVBlock {
+		blocks := make([]*KVBlock, len(from))
+		for i, c := range from {
+			if i > 0 && c == from[i-1] {
+				blocks[i] = blocks[i-1]
+				continue
+			}
+			b := c.block(s, len(tokens))
+			blocks[i] = &b
+		}
+		return blocks
+	})
 }
 
-// insert finds the entry keyed by tokens or creates it from the block
+// insert finds the entry keyed by tokens or creates it from the blocks
 // build returns, which runs only when the key is new.
-func (ps *PrefixStore) insert(tokens []int, build func() KVBlock) (*Prefix, error) {
+func (ps *PrefixStore) insert(tokens []int, build func() []*KVBlock) (*Prefix, error) {
 	if len(tokens) == 0 {
 		return nil, fmt.Errorf("kvcache: empty prefix")
 	}
@@ -188,7 +213,7 @@ func (ps *PrefixStore) insert(tokens []int, build func() KVBlock) (*Prefix, erro
 		return node.entry, nil
 	}
 
-	p := &Prefix{block: build(), node: node}
+	p := &Prefix{blocks: build(), node: node}
 	node.entry = p
 	p.lastUse = ps.tick()
 	ps.bytes += p.Bytes()

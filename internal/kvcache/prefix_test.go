@@ -42,7 +42,7 @@ func TestPrefixStoreLongestMatch(t *testing.T) {
 	if p == nil || n != 5 {
 		t.Fatalf("acquire = %v len %d, want the 5-token entry", p, n)
 	}
-	if got := p.block.K[1].Slice(4, 5).F32[0]; got != 24 {
+	if got := p.Block(0).K[1].Slice(4, 5).F32[0]; got != 24 {
 		t.Errorf("acquired wrong block: K[1][4][0] = %g, want 24", got)
 	}
 	p3, n3 := ps.Acquire([]int{1, 2, 3, 9})
@@ -185,7 +185,7 @@ func TestCacheAttachPrefix(t *testing.T) {
 	if n != 3 {
 		t.Fatalf("acquired %d tokens, want 3", n)
 	}
-	if err := c.AttachPrefix(0, p); err != nil {
+	if err := c.AttachPrefix(0, p.Block(0)); err != nil {
 		t.Fatal(err)
 	}
 	if c.SeqLen(0) != 3 || c.prefixLen(0) != 3 {
@@ -193,10 +193,10 @@ func TestCacheAttachPrefix(t *testing.T) {
 	}
 	// Attach over a non-empty slot must fail.
 	fill(c, 1, 1, 50)
-	if err := c.AttachPrefix(1, p); err == nil {
+	if err := c.AttachPrefix(1, p.Block(0)); err == nil {
 		t.Error("attach over non-empty slot succeeded")
 	}
-	if err := c.AttachPrefix(0, p); err == nil {
+	if err := c.AttachPrefix(0, p.Block(0)); err == nil {
 		t.Error("second attach over prefixed slot succeeded")
 	}
 
@@ -285,25 +285,25 @@ func TestCaptureIsWhatThePrefilledSlotHolds(t *testing.T) {
 		// Slot 0 prefills all six positions privately.
 		appendRange(0, 0, 6)
 		// Slot 1 attaches slot 0's first four and prefills the other two.
-		p4, err := store.Capture(tokens[:4], c, 0)
+		p4, err := store.Capture(tokens[:4], []*Cache{c}, 0)
 		if err != nil {
 			t.Fatal(err)
 		}
 		if got, want := p4.Bytes(), 2*layers*4*bytesPerRow(width, f.int8Mode); got != want || store.Stats().Bytes != want {
 			t.Errorf("%s: captured prefix is %d bytes, store %d, want %d", f.name, got, store.Stats().Bytes, want)
 		}
-		if err := c.AttachPrefix(1, p4); err != nil {
+		if err := c.AttachPrefix(1, p4.Block(0)); err != nil {
 			t.Fatal(err)
 		}
 		appendRange(1, 4, 6)
 		same("attached", 1, 6)
 		// Slot 2 attaches all six captured from slot 1: four rows out of
 		// slot 1's own prefix, two out of its private suffix.
-		p6, err := store.Capture(tokens, c, 1)
+		p6, err := store.Capture(tokens, []*Cache{c}, 1)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if err := c.AttachPrefix(2, p6); err != nil {
+		if err := c.AttachPrefix(2, p6.Block(0)); err != nil {
 			t.Fatal(err)
 		}
 		if c.SeqLen(2) != 6 || c.prefixLen(2) != 6 {
@@ -312,25 +312,54 @@ func TestCaptureIsWhatThePrefilledSlotHolds(t *testing.T) {
 		same("nested capture", 2, 6)
 
 		// Capturing a key again is Insert's duplicate: the entry, not a copy.
-		if again, err := store.Capture(tokens[:4], c, 2); err != nil || again != p4 {
+		if again, err := store.Capture(tokens[:4], []*Cache{c}, 2); err != nil || again != p4 {
 			t.Errorf("%s: duplicate capture returned %v, %v", f.name, again, err)
 		}
 		// The store refuses what the slot does not hold or cannot match.
-		if _, err := store.Capture(append(tokens, 3), c, 0); err == nil {
+		if _, err := store.Capture(append(tokens, 3), []*Cache{c}, 0); err == nil {
 			t.Errorf("%s: captured seven positions from a slot holding six", f.name)
 		}
-		if _, err := store.Capture(nil, c, 0); err == nil {
+		if _, err := store.Capture(nil, []*Cache{c}, 0); err == nil {
 			t.Errorf("%s: captured an empty prefix", f.name)
 		}
-		if _, err := f.newStore(layers, width+1, 0).Capture(tokens[:2], c, 0); err == nil {
+		if _, err := f.newStore(layers, width+1, 0).Capture(tokens[:2], []*Cache{c}, 0); err == nil {
 			t.Errorf("%s: captured into a store of another width", f.name)
 		}
 		other := NewPrefixStoreInt8
 		if f.int8Mode {
 			other = NewPrefixStore
 		}
-		if _, err := other(layers, width, 0).Capture(tokens[:2], c, 0); err == nil {
+		if _, err := other(layers, width, 0).Capture(tokens[:2], []*Cache{c}, 0); err == nil {
 			t.Errorf("%s: captured into a store of the other format", f.name)
 		}
+	}
+}
+
+// One entry holds a block per cache it was captured from, and a cache
+// listed again in a row shares the block before it: caches that hold the
+// same rows are copied once. The store counts one block.
+func TestCaptureSharesRepeatedCache(t *testing.T) {
+	const layers, width = 2, 4
+	c, d := New(layers, 1, 8, width), New(layers, 1, 8, width)
+	for i, cache := range []*Cache{c, d} {
+		k, v := prefixBlocks(layers, 3, width, float32(10*(i+1)))
+		for l := 0; l < layers; l++ {
+			cache.AppendSeq(l, 0, k[l], v[l], 3)
+		}
+		cache.AdvanceSeq(0, 3)
+	}
+	store := NewPrefixStore(layers, width, 0)
+	p, err := store.Capture([]int{1, 2, 3}, []*Cache{c, c, d}, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if p.Block(0) != p.Block(1) || p.Block(1) == p.Block(2) {
+		t.Errorf("blocks %p %p %p: want the first two shared and the third its own", p.Block(0), p.Block(1), p.Block(2))
+	}
+	if got := p.Block(2).K[0].Slice(2, 3).F32[0]; got != 22 {
+		t.Errorf("third block K[0][2][0] = %g, want 22 (d's rows)", got)
+	}
+	if got, want := store.Stats().Bytes, 2*layers*3*width*4; got != want || p.Bytes() != want {
+		t.Errorf("store counts %d B, entry %d B; want one block, %d B", got, p.Bytes(), want)
 	}
 }

@@ -79,7 +79,7 @@ func TestViewsMatchRowsAcrossPrefixStates(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			if err := c.AttachPrefix(1, p); err != nil {
+			if err := c.AttachPrefix(1, p.Block(0)); err != nil {
 				t.Fatal(err)
 			}
 
@@ -163,7 +163,7 @@ func TestViewsMatchRowsAcrossPrefixStates(t *testing.T) {
 			// The prefix segment aliases the store's single copy (read-only by
 			// convention, but the aliasing is the point).
 			pre, _, _, _ := c.Segments(0, 1, 3)
-			if f.int8Mode && &pre.I8[0] != &p.block.K[0].I8[0] || !f.int8Mode && &pre.F32[0] != &p.block.K[0].F32[0] {
+			if f.int8Mode && &pre.I8[0] != &p.Block(0).K[0].I8[0] || !f.int8Mode && &pre.F32[0] != &p.Block(0).K[0].F32[0] {
 				t.Error("prefix view does not alias the store block")
 			}
 

@@ -8,10 +8,10 @@ import (
 	"esti/internal/perf"
 )
 
-// Workload.Overlap overrides the caller's OverlapFrac for candidate costing
-// — and because only the bandwidth component overlaps, the chosen decode
-// layout's comm term pins to its hop floor instead of vanishing, keeping
-// the predicted latency honest at small batch.
+// The caller's OverlapFrac reaches candidate costing — and because only the
+// bandwidth component overlaps, the chosen decode layout's comm term pins to
+// its hop floor instead of vanishing, keeping the predicted latency honest
+// at small batch.
 func TestWorkloadOverlapAppliedAndFloored(t *testing.T) {
 	k := perf.DefaultKnobs()
 	cfg := model.PaLM540BPadded()
@@ -21,9 +21,9 @@ func TestWorkloadOverlapAppliedAndFloored(t *testing.T) {
 	if !ok {
 		t.Fatal("no feasible decode layout")
 	}
-	over := base
-	over.Overlap = 1.0
-	full, ok := ChooseDecode(cfg, sys64(), model.Int8, over, MinLatency, k)
+	kFull := k
+	kFull.OverlapFrac = 1
+	full, ok := ChooseDecode(cfg, sys64(), model.Int8, base, MinLatency, kFull)
 	if !ok {
 		t.Fatal("no feasible decode layout with overlap")
 	}
@@ -39,27 +39,15 @@ func TestWorkloadOverlapAppliedAndFloored(t *testing.T) {
 		t.Errorf("full overlap should pin the winning candidate's Comm (%g) to its floor (%g)",
 			b.Comm, b.CommFloor)
 	}
-
-	// An explicit knob set by the caller is preserved when Overlap is zero.
-	k2 := k
-	k2.OverlapFrac = 0.5
-	half, ok := ChooseDecode(cfg, sys64(), model.Int8, base, MinLatency, k2)
-	if !ok {
-		t.Fatal("no feasible decode layout at caller overlap 0.5")
-	}
-	if half.Result.Time > plain.Result.Time {
-		t.Errorf("caller-set overlap 0.5 increased predicted time: %g vs %g",
-			half.Result.Time, plain.Result.Time)
-	}
 }
 
-// Make threads the workload's overlap into both phases.
+// Make threads the caller's overlap into both phases.
 func TestMakeAppliesWorkloadOverlap(t *testing.T) {
 	k := perf.DefaultKnobs()
 	cfg := model.PaLM540BPadded()
 	w := Workload{Batch: 8, Context: 2048, Gen: 64}
 	plain := Make(cfg, sys64(), model.Int8, w, MinLatency, k)
-	w.Overlap = 1.0
+	k.OverlapFrac = 1
 	over := Make(cfg, sys64(), model.Int8, w, MinLatency, k)
 	if !plain.Feasible || !over.Feasible {
 		t.Fatalf("plans infeasible: %v / %v", plain.Reason, over.Reason)

@@ -27,31 +27,6 @@ type Workload struct {
 	Context int // new input tokens per sequence this turn
 	Past    int // tokens already in the KV cache (cached conversation history)
 	Gen     int // output tokens per sequence
-	// Wire is the activation collective payload format the deployment
-	// runs (BF16 default; Int8 halves every candidate layout's exposed
-	// communication time, which can shift the chosen layout — cheaper
-	// collectives favor the aggregation-heavier weight-stationary
-	// layouts at small batch).
-	Wire model.DType
-	// KV is the KV-cache storage format (BF16 default; Int8 halves cache
-	// bytes, moving the OOM feasibility boundary the planner prunes on).
-	KV model.DType
-	// Overlap, when positive, overrides perf.Knobs.OverlapFrac for
-	// candidate costing: the fraction of each candidate's *bandwidth*
-	// communication component hidden under compute. The serial
-	// hop-latency floor is charged regardless (see package perf), so
-	// even Overlap=1 cannot make a latency-bound layout look free —
-	// which keeps the planner honest at small batch where the floor
-	// dominates.
-	Overlap float64
-}
-
-// knobs applies the workload's overlap override to the caller's knobs.
-func (w Workload) knobs(k perf.Knobs) perf.Knobs {
-	if w.Overlap > 0 {
-		k.OverlapFrac = w.Overlap
-	}
-	return k
 }
 
 // Objective selects what the planner minimizes.
@@ -118,7 +93,6 @@ func pick(obj Objective, r perf.Result) float64 {
 func ChoosePrefill(cfg model.Config, sys hardware.System, dt model.DType,
 	w Workload, obj Objective, k perf.Knobs) (Choice, bool) {
 
-	k = w.knobs(k)
 	best := Choice{}
 	bestVal := math.Inf(1)
 	found := false
@@ -126,7 +100,6 @@ func ChoosePrefill(cfg model.Config, sys hardware.System, dt model.DType,
 		for _, attn := range attnCandidates(cfg) {
 			r := perf.Prefill(perf.Request{
 				Model: cfg, System: sys, Weights: dt,
-				KVDType: w.KV, WireDType: w.Wire,
 				FFN: ffn, Attn: attn,
 				Batch: w.Batch, Context: w.Context, Past: w.Past, Gen: w.Gen,
 			}, k)
@@ -147,7 +120,6 @@ func ChoosePrefill(cfg model.Config, sys hardware.System, dt model.DType,
 func ChooseDecode(cfg model.Config, sys hardware.System, dt model.DType,
 	w Workload, obj Objective, k perf.Knobs) (Choice, bool) {
 
-	k = w.knobs(k)
 	best := Choice{}
 	bestVal := math.Inf(1)
 	found := false
@@ -155,7 +127,6 @@ func ChooseDecode(cfg model.Config, sys hardware.System, dt model.DType,
 		for _, attn := range attnCandidates(cfg) {
 			r := perf.Decode(perf.Request{
 				Model: cfg, System: sys, Weights: dt,
-				KVDType: w.KV, WireDType: w.Wire,
 				FFN: ffn, Attn: attn,
 				Batch: w.Batch, Context: w.Context, Past: w.Past, Gen: w.Gen,
 			}, k)

@@ -62,10 +62,10 @@ func TestAttendSeqInt8MatchesFP32(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
-				if err := fp.AttachPrefix(0, fpP); err != nil {
+				if err := fp.AttachPrefix(0, fpP.Block(0)); err != nil {
 					t.Fatal(err)
 				}
-				if err := q8.AttachPrefix(0, q8P); err != nil {
+				if err := q8.AttachPrefix(0, q8P.Block(0)); err != nil {
 					t.Fatal(err)
 				}
 			}

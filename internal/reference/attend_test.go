@@ -88,7 +88,7 @@ func TestAttendSeqIntoMatchesNaive(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
-				if err := cache.AttachPrefix(0, p); err != nil {
+				if err := cache.AttachPrefix(0, p.Block(0)); err != nil {
 					t.Fatal(err)
 				}
 			}
@@ -262,7 +262,7 @@ func TestAttendSeqIntoBitIdenticalToPerHeadWalk(t *testing.T) {
 							if err != nil {
 								t.Fatal(name, err)
 							}
-							if err := cache.AttachPrefix(0, p); err != nil {
+							if err := cache.AttachPrefix(0, p.Block(0)); err != nil {
 								t.Fatal(name, err)
 							}
 						}

@@ -59,5 +59,4 @@ func TestArenaMatsAligned(t *testing.T) {
 	// Growth replaces the buffer; the replacement must be aligned too.
 	ar.Reset()
 	requireAligned(t, "Arena grown", ar.Mat(64, 256).Data)
-	requireAligned(t, "Arena floats", FromSlice(ar.Floats(100), 1, 100).Data)
 }

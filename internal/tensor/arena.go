@@ -62,9 +62,3 @@ func (a *Arena) Mat(rows, cols int) *Mat {
 	a.next++
 	return m
 }
-
-// Floats returns a float slice of length n with unspecified contents,
-// backed by the same reuse discipline as Mat.
-func (a *Arena) Floats(n int) []float32 {
-	return a.Mat(1, n).Data
-}
