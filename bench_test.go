@@ -502,16 +502,19 @@ func BenchmarkEnginePrefill(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
+	counts := []int{4, 4, 4, 4, 4, 4, 4, 4}
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		eng.Reset()
-		eng.Prefill(tokens, 4)
+		if _, err := eng.Step(nil, tokens, counts); err != nil {
+			b.Fatal(err)
+		}
 	}
 }
 
 // BenchmarkEngineDecodeStep measures one sharded decode step through the
-// allocation-free hot path (DecodeInto with a reused logits buffer). The
+// allocation-free hot path (Step with a reused logits buffer). The
 // KV depth is bounded at 256 positions — the session is Reset and
 // re-prefilled untimed whenever the cache nears capacity — so ns/op is
 // comparable across -benchtime values and across commits (the regression
@@ -628,7 +631,13 @@ func benchEngineDecodeStep(b *testing.B, opts engine.Options) {
 	for i := range tokens {
 		tokens[i] = i % 64
 	}
-	eng.Prefill(tokens, 4)
+	prefill, decode := []int{4, 4, 4, 4, 4, 4, 4, 4}, []int{1, 1, 1, 1, 1, 1, 1, 1}
+	step := func(dst *tensor.Mat, toks, counts []int) {
+		if _, err := eng.Step(dst, toks, counts); err != nil {
+			b.Fatal(err)
+		}
+	}
+	step(nil, tokens, prefill)
 	depth := 4
 	last := make([]int, 8)
 	logits := tensor.New(8, cfg.Vocab)
@@ -638,11 +647,11 @@ func benchEngineDecodeStep(b *testing.B, opts engine.Options) {
 		if depth >= maxLen-1 {
 			b.StopTimer()
 			eng.Reset()
-			eng.Prefill(tokens, 4)
+			step(nil, tokens, prefill)
 			depth = 4
 			b.StartTimer()
 		}
-		eng.DecodeInto(logits, last)
+		step(logits, last, decode)
 		depth++
 	}
 }

@@ -99,7 +99,7 @@ func main() {
 		torus, torus.Chips(), opts.FFN, opts.Attn, *int8w)
 
 	refLogits := ref.Prefill(prompt, *promptLen)
-	engLogits := eng.Prefill(prompt, *promptLen)
+	engLogits := pass(eng, prompt, *promptLen)
 	fmt.Printf("prefill  %2d tokens/seq: max |logit Δ| vs reference = %.2e\n",
 		*promptLen, tensor.MaxAbsDiff(refLogits, engLogits))
 
@@ -110,7 +110,7 @@ func main() {
 	}
 	for g := 0; g < *gen; g++ {
 		refL := ref.Decode(last)
-		engL := eng.Decode(last)
+		engL := pass(eng, last, 1)
 		match := ""
 		for s := 0; s < *batch; s++ {
 			if sampling.Greedy(refL.Row(s)) != sampling.Greedy(engL.Row(s)) {
@@ -142,4 +142,19 @@ func blockName(parallel bool) string {
 		return "parallel"
 	}
 	return "serial"
+}
+
+// pass feeds every sequence of eng n tokens (sequence-major) in one Step
+// and returns their logits, exiting 1 if the engine rejects the pass.
+func pass(eng *engine.Engine, toks []int, n int) *tensor.Mat {
+	counts := make([]int, eng.Batch())
+	for s := range counts {
+		counts[s] = n
+	}
+	logits, err := eng.Step(nil, toks, counts)
+	if err != nil {
+		fmt.Fprintln(os.Stderr, err)
+		os.Exit(1)
+	}
+	return logits
 }

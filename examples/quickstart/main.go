@@ -92,14 +92,14 @@ func main() {
 	for i := range prompt {
 		prompt[i] = (i*31 + 3) % mini.Vocab
 	}
-	engL, refL := eng.Prefill(prompt, promptLen), ref.Prefill(prompt, promptLen)
+	engL, refL := pass(eng, prompt, promptLen), ref.Prefill(prompt, promptLen)
 	worst := tensor.MaxAbsDiff(engL, refL)
 	last := make([]int, batch)
 	for s := range last {
 		last[s] = sampling.Greedy(engL.Row(s*promptLen + promptLen - 1))
 	}
 	for g := 0; g < gen; g++ {
-		engL, refL = eng.Decode(last), ref.Decode(last)
+		engL, refL = pass(eng, last, 1), ref.Decode(last)
 		worst = math.Max(worst, tensor.MaxAbsDiff(engL, refL))
 		for s := range last {
 			last[s] = sampling.Greedy(engL.Row(s))
@@ -114,4 +114,19 @@ func main() {
 		fmt.Println("FAIL: sharded logits diverge from the reference")
 		os.Exit(1)
 	}
+}
+
+// pass feeds every sequence of eng n tokens (sequence-major) in one Step
+// and returns their logits, exiting 1 if the engine rejects the pass.
+func pass(eng *engine.Engine, toks []int, n int) *tensor.Mat {
+	counts := make([]int, eng.Batch())
+	for s := range counts {
+		counts[s] = n
+	}
+	logits, err := eng.Step(nil, toks, counts)
+	if err != nil {
+		fmt.Fprintln(os.Stderr, err)
+		os.Exit(1)
+	}
+	return logits
 }

@@ -24,7 +24,6 @@ var exportKeep = map[string]string{
 	"reference.AttendSeq":      "allocating form of the attention oracle the walk tests compare against",
 	"reference.Model.Batch":    "oracle geometry the engine exactness tests read",
 	"reference.Model.Generate": "the batch-1 token oracle the engine exactness tests compare against",
-	"engine.Engine.Generate":   "batch generate the exactness tests hold to reference.Model.Generate",
 	"tensor.SoftmaxRows":       "reference softmax the attention kernel tests compare against",
 	"tensor.Scale":             "allocating reference the in-place kernel tests compare against",
 	"tensor.Add":               "allocating reference the in-place kernel tests compare against",

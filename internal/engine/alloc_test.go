@@ -11,7 +11,7 @@ import (
 )
 
 // The decode hot path's headline contract: once warm, a decode iteration
-// through DecodeSlotsInto/DecodeInto performs zero heap allocations. Every
+// through Step or DecodeSlotsInto performs zero heap allocations. Every
 // temporary comes from per-chip arenas, attention reads the KV cache
 // through zero-copy views with a pre-sized softmax scratch, the SPMD body
 // is a closure bound at construction, and the caller reuses the logits
@@ -46,22 +46,22 @@ func TestDecodeSteadyStateZeroAllocs(t *testing.T) {
 		for i := range tokens {
 			tokens[i] = i % cfg.Vocab
 		}
-		eng.Prefill(tokens, 4)
+		prefill(t, eng, tokens, 4)
 
-		last := make([]int, batch)
+		last, ones := make([]int, batch), uniform(batch, 1)
 		active := []bool{true, false, true, true} // exercise the masked path too
 		logits := tensor.New(batch, cfg.Vocab)
 
 		// Warm the arenas and scratch through both hot entry points.
 		for i := 0; i < 8; i++ {
-			eng.DecodeInto(logits, last)
+			eng.Step(logits, last, ones)
 			eng.DecodeSlotsInto(logits, last, active)
 		}
 
 		if avg := testing.AllocsPerRun(100, func() {
-			eng.DecodeInto(logits, last)
+			eng.Step(logits, last, ones)
 		}); avg != 0 {
-			t.Errorf("%v: DecodeInto allocates %v times per steady-state iteration, want 0", ffn, avg)
+			t.Errorf("%v: Step allocates %v times per steady-state iteration, want 0", ffn, avg)
 		}
 		if avg := testing.AllocsPerRun(100, func() {
 			eng.DecodeSlotsInto(logits, last, active)
@@ -90,17 +90,57 @@ func TestDecodeZeroAllocsHeadShardedSerialBlock(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	eng.Prefill([]int{1, 2, 3, 4}, 2)
+	prefill(t, eng, []int{1, 2, 3, 4}, 2)
 
-	last := make([]int, batch)
+	last, ones := make([]int, batch), uniform(batch, 1)
 	logits := tensor.New(batch, cfg.Vocab)
 	for i := 0; i < 8; i++ {
-		eng.DecodeInto(logits, last)
+		eng.Step(logits, last, ones)
 	}
 	if avg := testing.AllocsPerRun(100, func() {
-		eng.DecodeInto(logits, last)
+		eng.Step(logits, last, ones)
 	}); avg != 0 {
-		t.Errorf("head-sharded DecodeInto allocates %v times per iteration, want 0", avg)
+		t.Errorf("head-sharded Step allocates %v times per iteration, want 0", avg)
+	}
+}
+
+// Step's allocation contract on a ragged pass: a warm one-chip Step whose
+// pass holds a prompt chunk, decodes and idle slots allocates nothing when
+// the caller reuses dst — the offsets come from a buffer allocated at New,
+// and an idle slot costs no row. The chunk's slot is released between
+// passes so the pass repeats at a fixed depth.
+func TestStepRaggedPassZeroAllocs(t *testing.T) {
+	prev := tensor.SetWorkers(1)
+	defer tensor.SetWorkers(prev)
+
+	cfg := ciConfig()
+	const batch, maxLen = 4, 512
+	w := reference.NewWeights(cfg, 7)
+	for _, attn := range []partition.AttnLayout{partition.AttnShardBatch, partition.AttnShardHeads} {
+		eng, err := New(w, hardware.Torus{X: 1, Y: 1, Z: 1}, Options{
+			FFN: partition.FFN2DWeightStationary, Attn: attn,
+		}, batch, maxLen)
+		if err != nil {
+			t.Fatal(err)
+		}
+		counts := []int{1, 5, 0, 1} // a decode, a 5-token chunk, an idle slot, a decode
+		toks := tokens(1, 7)
+		logits := new(tensor.Mat)
+		pass := func() {
+			eng.ReleaseSlot(1)
+			if _, err := eng.Step(logits, toks, counts); err != nil {
+				t.Fatal(err)
+			}
+		}
+		for i := 0; i < 8; i++ {
+			pass()
+		}
+		if logits.Rows != len(toks) {
+			t.Fatalf("%v: %d logits rows for %d tokens", attn, logits.Rows, len(toks))
+		}
+		if avg := testing.AllocsPerRun(100, pass); avg != 0 {
+			t.Errorf("%v: a warm ragged Step allocates %v times, want 0", attn, avg)
+		}
 	}
 }
 
@@ -158,10 +198,10 @@ func TestWGDecodeAllocsPerLayer(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			eng.Prefill(tokens(8, 4), 4)
-			last := make([]int, 8)
+			prefill(t, eng, tokens(8, 4), 4)
+			last, ones := make([]int, 8), uniform(8, 1)
 			logits := tensor.New(8, cfg.Vocab)
-			step := func() { eng.DecodeInto(logits, last) }
+			step := func() { eng.Step(logits, last, ones) }
 			for i := 0; i < 3; i++ {
 				step()
 			}

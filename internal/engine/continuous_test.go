@@ -180,10 +180,10 @@ func TestDecodeSlotsNilMaskEqualsDecode(t *testing.T) {
 	}
 	a, b := mk(), mk()
 	prompt := tokens(8, 3)
-	a.Prefill(prompt, 3)
-	b.Prefill(prompt, 3)
+	prefill(t, a, prompt, 3)
+	prefill(t, b, prompt, 3)
 	lastTok := tokens(8, 1)
-	assertClose(t, "nil-mask decode", a.Decode(lastTok), b.DecodeSlotsInto(nil, lastTok, nil))
+	assertClose(t, "nil-mask decode", decode(t, a, nil, lastTok), b.DecodeSlotsInto(nil, lastTok, nil))
 }
 
 // Single-chip sanity: slot admission and variable-length decode with no

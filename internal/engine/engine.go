@@ -4,13 +4,16 @@
 // (package mesh). Its contract: for any supported layout, the distributed
 // logits equal the unsharded reference model's logits.
 //
-// One SPMD pass. Every entry point — Prefill, Decode, DecodeSlotsInto with
-// its per-slot mask, PrefillSlot admitting one prompt into one slot — fills in
-// the same pass descriptor (tokens, steps, mask, target slot), which is
-// checked on the host and then run by the one per-chip body bound at
-// construction. A chip works on the sequences of the pass its KV-cache
-// shard holds (seqsOn): all of them under head-sharded attention, its
-// batch/n under batch-sharded attention — possibly none of an admission.
+// One SPMD pass. A pass is a token count per slot — 0 idle, 1 a decode, k a
+// prompt chunk — with the tokens concatenated in slot order, and Step runs
+// it: the counts are checked on the host, each slot's rows located once
+// (pass.off), and the one per-chip body bound at construction runs. A
+// lockstep batch, a decode of the live slots (DecodeSlotsInto) and an
+// admission into one slot (PrefillSlot) are fillings of the counts, and an
+// idle slot carries no row through any GEMM or collective. A chip works on
+// the rows of its block of slots, fixed at New (seqsOn): every slot under
+// head-sharded attention, its batch/n under batch-sharded attention —
+// possibly no rows at all.
 //
 // One per-chip program for every layout. The paper writes its layouts as
 // the same einsum under different sharding annotations (Section 3.2,
@@ -65,9 +68,9 @@
 //     memory pathology the paper identifies.
 //   - Sharded over batch (Figure 4(c)/5(b)): the KV cache is partitioned
 //     over sequences; per-step Q and attention outputs are resharded with
-//     two all-to-alls. An admission is the batch pass of one sequence: the
-//     all-to-alls carry its rows to the slot's owner and back, and empty
-//     shards between the other chips.
+//     two all-to-alls. Each chip's shard carries its slots' rows of the
+//     pass, so an admission's rows go to the slot's owner and back, and
+//     empty shards pass between the other chips.
 //
 // The partially-gathered X / XY variants remain analytic-only (packages
 // commcost/perf); their volume formulas interpolate between the 2D
@@ -443,6 +446,9 @@ type Engine struct {
 	// issuing a pass allocates neither an argument struct nor a closure.
 	fw     pass
 	runFwd func(c *mesh.Chip)
+	// counts and toks are the slot wrappers' pass (PrefillSlot,
+	// DecodeSlotsInto), allocated once like fw.off.
+	counts, toks []int
 }
 
 // New shards the reference weights onto a mesh. It validates the
@@ -494,7 +500,8 @@ func New(w *reference.Weights, t hardware.Torus, opts Options, batch, maxLen int
 	}
 
 	e := &Engine{cfg: cfg, opts: opts, m: mesh.New(t), batch: batch, maxLen: maxLen,
-		slotPfx: make([]*kvcache.Prefix, batch)}
+		slotPfx: make([]*kvcache.Prefix, batch), fw: pass{off: make([]int, batch+1)},
+		counts: make([]int, batch), toks: make([]int, 0, batch)}
 	e.chips = make([]*chipState, n)
 	full := e.fullShards(w)
 	for r := 0; r < n; r++ {

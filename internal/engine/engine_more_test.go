@@ -29,7 +29,7 @@ func TestEngineIncrementalPrefill(t *testing.T) {
 	}
 
 	full := tokens(batch, 6)
-	oneShot.Prefill(full, 6)
+	prefill(t, oneShot, full, 6)
 
 	// Chunk each sequence's 6 tokens into 2 + 4.
 	chunk1 := make([]int, 0, batch*2)
@@ -38,15 +38,15 @@ func TestEngineIncrementalPrefill(t *testing.T) {
 		chunk1 = append(chunk1, full[s*6:s*6+2]...)
 		chunk2 = append(chunk2, full[s*6+2:(s+1)*6]...)
 	}
-	chunked.Prefill(chunk1, 2)
-	chunked.Prefill(chunk2, 4)
+	prefill(t, chunked, chunk1, 2)
+	prefill(t, chunked, chunk2, 4)
 
 	last := make([]int, batch)
 	for s := range last {
 		last[s] = (s * 3) % cfg.Vocab
 	}
-	a := oneShot.Decode(last)
-	b := chunked.Decode(last)
+	a := decode(t, oneShot, nil, last)
+	b := decode(t, chunked, nil, last)
 	if d := tensor.MaxAbsDiff(a, b); d > 1e-4 {
 		t.Errorf("chunked mesh prefill diverges from one-shot by %g", d)
 	}
@@ -88,8 +88,8 @@ func TestInt8ShardedMatchesInt8SingleChip(t *testing.T) {
 		t.Fatal(err)
 	}
 	p := tokens(batch, steps)
-	a := sharded.Prefill(p, steps)
-	b := solo.Prefill(p, steps)
+	a := prefill(t, sharded, p, steps)
+	b := prefill(t, solo, p, steps)
 	// Not bit-identical (summation order differs across shards) but far
 	// tighter than the int8-vs-float tolerance.
 	if d := tensor.MaxAbsDiff(a, b); d > 1e-3 {
@@ -107,14 +107,14 @@ func TestTrafficDeterministic(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	eng.Prefill(tokens(8, 2), 2)
+	prefill(t, eng, tokens(8, 2), 2)
 	last := make([]int, 8)
 
 	eng.Mesh().ResetCounters()
-	eng.Decode(last)
+	decode(t, eng, nil, last)
 	first := eng.Mesh().BytesSent()
 	eng.Mesh().ResetCounters()
-	eng.Decode(last)
+	decode(t, eng, nil, last)
 	second := eng.Mesh().BytesSent()
 	if first != second {
 		t.Errorf("decode traffic varied: %d then %d bytes", first, second)
@@ -140,12 +140,13 @@ func TestAllChipsAgreeOnLogits(t *testing.T) {
 	// the engine by construction of the final all-gather.)
 	ref := reference.New(w, 8, 8)
 	p := tokens(8, 3)
-	if d := tensor.MaxAbsDiff(ref.Prefill(p, 3), eng.Prefill(p, 3)); d > 2e-3 {
+	if d := tensor.MaxAbsDiff(ref.Prefill(p, 3), prefill(t, eng, p, 3)); d > 2e-3 {
 		t.Errorf("logits differ by %g", d)
 	}
 }
 
-// KV overflow panics propagate out of the mesh run rather than deadlocking.
+// A KV overflow is rejected on the host rather than deadlocking the mesh:
+// Step returns an error, and the DecodeSlotsInto wrapper panics with it.
 func TestEngineCacheOverflowPanics(t *testing.T) {
 	cfg := tinyMQA()
 	w := reference.NewWeights(cfg, 37)
@@ -154,13 +155,16 @@ func TestEngineCacheOverflowPanics(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	eng.Prefill(tokens(8, 3), 3)
+	prefill(t, eng, tokens(8, 3), 3)
+	if _, err := eng.Step(nil, make([]int, 8), uniform(8, 1)); err == nil {
+		t.Error("Step: expected an overflow error")
+	}
 	defer func() {
 		if recover() == nil {
-			t.Error("expected overflow panic")
+			t.Error("DecodeSlotsInto: expected overflow panic")
 		}
 	}()
-	eng.Decode(make([]int, 8))
+	eng.DecodeSlotsInto(nil, make([]int, 8), nil)
 }
 
 func TestEngineTokenValidation(t *testing.T) {
@@ -171,17 +175,17 @@ func TestEngineTokenValidation(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for name, fn := range map[string]func(){
-		"wrong count": func() { eng.Prefill([]int{1, 2}, 1) },
-		"bad token":   func() { eng.Decode([]int{0, 0, 0, 0, 0, 0, 0, 9999}) },
+	for name, pass := range map[string]struct{ toks, counts []int }{
+		"wrong count":    {[]int{1, 2}, uniform(8, 1)},
+		"short counts":   {[]int{1, 2}, []int{1, 1}},
+		"negative count": {[]int{1, 2}, []int{3, -1, 0, 0, 0, 0, 0, 0}},
+		"bad token":      {[]int{0, 0, 0, 0, 0, 0, 0, 9999}, uniform(8, 1)},
 	} {
-		func() {
-			defer func() {
-				if recover() == nil {
-					t.Errorf("%s: expected panic", name)
-				}
-			}()
-			fn()
-		}()
+		if _, err := eng.Step(nil, pass.toks, pass.counts); err == nil {
+			t.Errorf("%s: expected an error", name)
+		}
+	}
+	if got := eng.SlotLen(0); got != 0 {
+		t.Errorf("rejected passes moved slot 0 to length %d", got)
 	}
 }

@@ -41,6 +41,57 @@ func tokens(batch, steps int) []int {
 	return out
 }
 
+// uniform is a lockstep pass's counts: n tokens for each of batch slots.
+func uniform(batch, n int) []int {
+	counts := make([]int, batch)
+	for s := range counts {
+		counts[s] = n
+	}
+	return counts
+}
+
+// step is Step for a test, which fails on an error.
+func step(t testing.TB, e *Engine, dst *tensor.Mat, toks, counts []int) *tensor.Mat {
+	t.Helper()
+	out, err := e.Step(dst, toks, counts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return out
+}
+
+// prefill feeds every slot steps tokens (slot-major) and returns their
+// logits, [batch·steps, vocab].
+func prefill(t testing.TB, e *Engine, toks []int, steps int) *tensor.Mat {
+	t.Helper()
+	return step(t, e, nil, toks, uniform(e.batch, steps))
+}
+
+// decode feeds every slot one token, writing [batch, vocab] logits into dst.
+func decode(t testing.TB, e *Engine, dst *tensor.Mat, last []int) *tensor.Mat {
+	t.Helper()
+	return step(t, e, dst, last, uniform(e.batch, 1))
+}
+
+// generate greedily decodes gen tokens per slot after a lockstep prefill of
+// promptLen tokens each, mirroring reference.Model.Generate.
+func generate(t testing.TB, e *Engine, prompt []int, promptLen, gen int) [][]int {
+	t.Helper()
+	logits := prefill(t, e, prompt, promptLen)
+	out := make([][]int, e.batch)
+	last := make([]int, e.batch)
+	for g := 0; g < gen; g++ {
+		for s := range last {
+			last[s] = sampling.Greedy(logits.Row((s+1)*logits.Rows/e.batch - 1))
+			out[s] = append(out[s], last[s])
+		}
+		if g+1 < gen {
+			logits = decode(t, e, logits, last)
+		}
+	}
+	return out
+}
+
 // checkAgainstReference runs the same prefill+decode on the sharded engine
 // and the reference model and requires near-identical logits at every step.
 func checkAgainstReference(t *testing.T, cfg model.Config, tr hardware.Torus, opts Options, batch int) {
@@ -56,7 +107,7 @@ func checkAgainstReference(t *testing.T, cfg model.Config, tr hardware.Torus, op
 	}
 
 	refLogits := ref.Prefill(prompt, promptLen)
-	engLogits := eng.Prefill(prompt, promptLen)
+	engLogits := prefill(t, eng, prompt, promptLen)
 	assertClose(t, "prefill", refLogits, engLogits)
 
 	last := make([]int, batch)
@@ -65,7 +116,7 @@ func checkAgainstReference(t *testing.T, cfg model.Config, tr hardware.Torus, op
 	}
 	for g := 0; g < gen; g++ {
 		refL := ref.Decode(last)
-		engL := eng.Decode(last)
+		engL := decode(t, eng, nil, last)
 		assertClose(t, fmt.Sprintf("decode step %d", g), refL, engL)
 		for s := 0; s < batch; s++ {
 			last[s] = sampling.Greedy(refL.Row(s))
@@ -141,7 +192,7 @@ func TestInt8CloseToFloat(t *testing.T) {
 		t.Fatal(err)
 	}
 	refL := ref.Prefill(prompt, promptLen)
-	engL := eng.Prefill(prompt, promptLen)
+	engL := prefill(t, eng, prompt, promptLen)
 	d := tensor.MaxAbsDiff(refL, engL)
 	if d == 0 {
 		t.Error("int8 engine suspiciously identical to float reference")
@@ -165,7 +216,7 @@ func TestGenerateMatchesReference(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	engOut := eng.Generate(prompt, promptLen, gen)
+	engOut := generate(t, eng, prompt, promptLen, gen)
 	for s := range refOut {
 		for i := range refOut[s] {
 			if refOut[s][i] != engOut[s][i] {
@@ -230,7 +281,7 @@ func TestFFNCommMatchesAnalyticDifference(t *testing.T) {
 			t.Fatal(err)
 		}
 		eng.Mesh().ResetCounters()
-		eng.Prefill(tokens(batch, steps), steps)
+		prefill(t, eng, tokens(batch, steps), steps)
 		return float64(eng.Mesh().BytesSent()) / float64(tr.Chips())
 	}
 	got1D := run(partition.FFN1DWeightStationary)
@@ -289,9 +340,9 @@ func TestBatchShardingAddsOnlySmallAllToAll(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		eng.Prefill(tokens(batch, 2), 2)
+		prefill(t, eng, tokens(batch, 2), 2)
 		eng.Mesh().ResetCounters()
-		eng.Decode(tokens(batch, 1))
+		decode(t, eng, nil, tokens(batch, 1))
 		return float64(eng.Mesh().BytesSent()) / 8
 	}
 	headBytes := run(partition.AttnShardHeads)
@@ -355,7 +406,7 @@ func TestSingleChipNoComm(t *testing.T) {
 	}
 	ref := reference.New(w, 2, 8)
 	prompt := tokens(2, 3)
-	assertClose(t, "single chip", ref.Prefill(prompt, 3), eng.Prefill(prompt, 3))
+	assertClose(t, "single chip", ref.Prefill(prompt, 3), prefill(t, eng, prompt, 3))
 	if eng.Mesh().BytesSent() != 0 {
 		t.Errorf("single chip sent %d bytes", eng.Mesh().BytesSent())
 	}

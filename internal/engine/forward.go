@@ -9,66 +9,100 @@ import (
 	"esti/internal/model"
 	"esti/internal/partition"
 	"esti/internal/reference"
-	"esti/internal/sampling"
 	"esti/internal/tensor"
 )
 
-// pass is one forward pass as the per-chip SPMD bodies see it: a lockstep
-// batch pass feeds `steps` tokens to every slot (sequence-major, optionally
-// masked), an admission pass feeds one prompt to the slot it targets.
+// pass is one forward pass as the per-chip SPMD bodies see it: counts[s]
+// new tokens for slot s — 0 leaves it idle, 1 decodes it, k prefills a
+// chunk — concatenated in slot order in tokens. Slot s's rows of every
+// activation of the pass are [off[s], off[s+1]): Step fills off once per
+// pass, into a buffer allocated at New, and an idle slot has no row at all.
 type pass struct {
-	tokens []int
-	steps  int
-	// active masks a batch pass's slots (nil = all). An inactive slot is
-	// zero end to end: zero embedding rows, K/V neither appended nor
-	// advanced, zero attention output.
-	active []bool
-	// slot is the admission's target, or noSlot for a batch pass.
-	slot int
+	tokens, counts, off []int
 }
 
-const noSlot = -1
-
-// Prefill processes `steps` new tokens per sequence (sequence-major) across
-// the mesh and returns the full logits [batch·steps, vocab]. Chip 0's copy
-// is returned and is authoritative: under fp32 wire every chip gathers
-// identical logits, but under an int8 wire each chip holds its own vocab
-// shard exact and the others' dequantized, so per-chip copies may differ
-// within the quantization bound — consumers must not argmax chip-local
-// logits independently. The returned matrix is owned by the caller.
-func (e *Engine) Prefill(tokens []int, steps int) *tensor.Mat {
-	if len(tokens) != e.batch*steps {
-		panic(fmt.Sprintf("engine: %d tokens for batch %d × steps %d", len(tokens), e.batch, steps))
+// Step runs one forward pass: counts[s] tokens for slot s, taken in slot
+// order from tokens, each appended at its slot's current depth and attending
+// causally against everything before it. It writes one logits row per token,
+// in the same order, into dst (reshaped, reusing its buffer; nil allocates)
+// and returns it. A lockstep batch, a decode of some slots and an admission
+// into one slot are all fillings of counts; a pass of no tokens runs nothing.
+//
+// Chip 0's logits are returned and are authoritative: under fp32 wire every
+// chip gathers identical logits, but under an int8 wire each chip holds its
+// own vocab shard exact and the others' dequantized, so per-chip copies may
+// differ within the quantization bound. With a caller-reused dst a warm step
+// on one chip performs zero heap allocations: temporaries come from per-chip
+// arenas, attention reads the KV cache through zero-copy views, and the
+// softmax runs in a pre-sized per-chip scratch.
+//
+// The pass is checked here, on the host, because a chip that panics
+// mid-pass stops minting collective ids while its peers carry on: a slot
+// overflow would panic on the slot's holders only and leave the mesh wedged
+// for every later pass. A rejected pass returns an error having moved no
+// chip state, and the session stays usable.
+func (e *Engine) Step(dst *tensor.Mat, tokens, counts []int) (*tensor.Mat, error) {
+	if len(counts) != e.batch {
+		return nil, fmt.Errorf("engine: %d counts for batch %d", len(counts), e.batch)
 	}
-	return e.forward(nil, pass{tokens: tokens, steps: steps, slot: noSlot})
+	off := e.fw.off
+	for s, n := range counts {
+		if n < 0 {
+			return nil, fmt.Errorf("engine: %d tokens for slot %d", n, s)
+		}
+		if got := e.SlotLen(s); got+n > e.maxLen {
+			return nil, fmt.Errorf("engine: slot %d overflow: %d+%d > capacity %d", s, got, n, e.maxLen)
+		}
+		off[s+1] = off[s] + n
+	}
+	if len(tokens) != off[e.batch] {
+		return nil, fmt.Errorf("engine: %d tokens for counts summing to %d", len(tokens), off[e.batch])
+	}
+	for _, tok := range tokens {
+		if tok < 0 || tok >= e.cfg.Vocab {
+			return nil, fmt.Errorf("engine: token %d out of vocab %d", tok, e.cfg.Vocab)
+		}
+	}
+	if dst == nil {
+		dst = new(tensor.Mat)
+	}
+	if len(tokens) == 0 {
+		return dst.Reshape(0, e.cfg.Vocab), nil
+	}
+
+	e.fw.tokens, e.fw.counts = tokens, counts
+	e.m.Run(e.runFwd)
+
+	if e.chips[0].nAct > 1 {
+		// Every chip gathered the full logits; chip 0's is authoritative.
+		return tensor.CopyInto(dst, e.chips[0].logits), nil
+	}
+	// Each chip holds its own slots' logits: stack the row blocks in rank
+	// order, which is slot order, on the host (no mesh traffic: results
+	// leave through the host, as with any inference service).
+	dst.Reshape(len(tokens), e.cfg.Vocab)
+	at := 0
+	for _, st := range e.chips {
+		at += copy(dst.Data[at:], st.logits.Data)
+	}
+	return dst, nil
 }
 
-// Decode runs one autoregressive step from each sequence's last token and
-// returns [batch, vocab] logits (caller-owned). The allocation-free form
-// is DecodeInto.
-func (e *Engine) Decode(last []int) *tensor.Mat {
-	return e.DecodeInto(nil, last)
+// must is a Step result for the slot wrappers, which panic on an error.
+func must(m *tensor.Mat, err error) *tensor.Mat {
+	if err != nil {
+		panic(err.Error())
+	}
+	return m
 }
 
-// DecodeInto runs one decode step writing the [batch, vocab] logits into
-// dst (reshaped, reusing its buffer) and returns dst; a nil dst allocates
-// a fresh matrix. With a caller-reused dst, a steady-state decode step
-// performs zero heap allocations end to end — the engine's temporaries
-// come from per-chip arenas, attention reads the KV cache through
-// zero-copy views, and the softmax runs in a pre-sized per-chip scratch.
-func (e *Engine) DecodeInto(dst *tensor.Mat, last []int) *tensor.Mat {
-	return e.DecodeSlotsInto(dst, last, nil)
-}
-
-// DecodeSlotsInto runs one variable-length decode step: every active slot
-// advances one token against its own KV-cache depth, which may differ per
-// slot — the iteration a continuous-batching scheduler issues. Slots with
-// active[s] == false are skipped entirely: their last[s] is ignored, their
-// logits row is zero, and their cache does not grow, so a freed slot idles
-// at no cost until PrefillSlot admits the next request into it. A nil mask
-// decodes every slot. It writes [batch, vocab] logits into dst (nil
-// allocates): the allocation-free hot path a scheduler drives, with the
-// same zero-alloc contract as DecodeInto.
+// DecodeSlotsInto decodes every active slot one token from last[s], each
+// against its own KV-cache depth: the iteration a continuous-batching
+// scheduler issues. It is Step with a count of 1 per active slot (a nil mask
+// decodes every slot), laid out as [batch, vocab] logits in dst (nil
+// allocates): an inactive slot's last[s] is ignored, its cache does not
+// grow and its logits row is zero. With a caller-reused dst it keeps Step's
+// zero-allocation contract.
 func (e *Engine) DecodeSlotsInto(dst *tensor.Mat, last []int, active []bool) *tensor.Mat {
 	if len(last) != e.batch {
 		panic(fmt.Sprintf("engine: %d last-tokens for batch %d", len(last), e.batch))
@@ -76,130 +110,71 @@ func (e *Engine) DecodeSlotsInto(dst *tensor.Mat, last []int, active []bool) *te
 	if active != nil && len(active) != e.batch {
 		panic(fmt.Sprintf("engine: %d mask entries for batch %d", len(active), e.batch))
 	}
-	return e.forward(dst, pass{tokens: last, steps: 1, active: active, slot: noSlot})
-}
-
-// Generate greedily decodes `gen` tokens after prefilling, mirroring
-// reference.Model.Generate.
-func (e *Engine) Generate(prompt []int, promptLen, gen int) [][]int {
-	logits := e.Prefill(prompt, promptLen)
-	out := make([][]int, e.batch)
-	last := make([]int, e.batch)
-	for s := 0; s < e.batch; s++ {
-		last[s] = sampling.Greedy(logits.Row(s*promptLen + promptLen - 1))
-		out[s] = append(out[s], last[s])
-	}
-	for g := 1; g < gen; g++ {
-		logits = e.DecodeInto(logits, last)
-		for s := 0; s < e.batch; s++ {
-			last[s] = sampling.Greedy(logits.Row(s))
-			out[s] = append(out[s], last[s])
+	toks := e.toks[:0]
+	for s, tok := range last {
+		e.counts[s] = 0
+		if active == nil || active[s] {
+			e.counts[s] = 1
+			toks = append(toks, tok)
 		}
 	}
-	return out
-}
-
-// forward checks a pass, runs the SPMD program on every chip and copies the
-// logits into dst (nil allocates).
-//
-// The check happens here, on the host, because a chip that panics mid-pass
-// stops minting collective ids while its peers carry on: a batch-sharded
-// slot overflow would panic on the slot's owner only and leave the mesh
-// wedged for every later pass. Rejected here, a bad call has moved no chip
-// state and the session stays usable.
-func (e *Engine) forward(dst *tensor.Mat, p pass) *tensor.Mat {
-	if p.steps < 1 {
-		panic(fmt.Sprintf("engine: %d steps per sequence, want at least 1", p.steps))
-	}
-	first, seqs := 0, e.batch
-	if p.slot != noSlot {
-		first, seqs = p.slot, 1
-	}
-	for i := 0; i < seqs; i++ {
-		if p.active != nil && !p.active[i] {
-			continue
-		}
-		for _, tok := range p.tokens[i*p.steps : (i+1)*p.steps] {
-			if tok < 0 || tok >= e.cfg.Vocab {
-				panic(fmt.Sprintf("engine: token %d out of vocab %d", tok, e.cfg.Vocab))
-			}
-		}
-		if n := e.SlotLen(first + i); n+p.steps > e.maxLen {
-			panic(fmt.Sprintf("engine: slot %d overflow: %d+%d > capacity %d", first+i, n, p.steps, e.maxLen))
-		}
-	}
-
-	e.fw = p
-	e.m.Run(e.runFwd)
-
 	if dst == nil {
 		dst = new(tensor.Mat)
 	}
-	if e.chips[0].nAct > 1 {
-		// Every chip gathered the full logits; chip 0's copy is the
-		// authoritative one (see Prefill).
-		return tensor.CopyInto(dst, e.chips[0].logits)
-	}
-	// Each chip holds its own sequences' logits: stack the row blocks in
-	// rank order, on the host (no mesh traffic: results leave through the
-	// host, as with any inference service).
-	dst.Reshape(len(p.tokens), e.cfg.Vocab)
-	off := 0
-	for _, st := range e.chips {
-		off += copy(dst.Data[off:], st.logits.Data)
+	// Sized for the batch first, so Step's live rows and their spread
+	// below share one buffer.
+	dst.Reshape(e.batch, e.cfg.Vocab)
+	live := must(e.Step(dst, toks, e.counts)).Rows
+	dst.Reshape(e.batch, e.cfg.Vocab)
+	// Spread the live rows to their slots', last first so none is
+	// overwritten before it moves, and zero the idle slots' rows.
+	for s := e.batch - 1; s >= 0; s-- {
+		if e.counts[s] == 0 {
+			clear(dst.Row(s))
+			continue
+		}
+		if live--; live != s {
+			copy(dst.Row(s), dst.Row(live))
+		}
 	}
 	return dst
 }
 
-// chipSeqs locates the pass's sequences on one chip's cache shard: the
-// shard holds `count` of them, in its slots [first, first+count), and they
-// are sequences [at, at+count) of the pass. mask is the pass's active mask
-// restricted to those sequences (nil = all).
-type chipSeqs struct {
-	first, count, at int
-	mask             []bool
+// chipSeqs is the block of slots a chip's cache shard holds: slots
+// [at, at+count), slot at+i at index i of the shard.
+type chipSeqs struct{ at, count int }
+
+// seqsOn returns a chip's block of slots, fixed at New: every slot under
+// head-sharded attention, its batch/n under batch-sharded attention. It
+// returns a value, so the attention all-to-alls can ask it for every
+// destination without allocating.
+func (e *Engine) seqsOn(rank int) chipSeqs {
+	if !e.batchShardedCache() {
+		return chipSeqs{count: e.batch}
+	}
+	n := e.batch / e.m.Chips()
+	return chipSeqs{at: rank * n, count: n}
 }
 
-// seqsOn returns the sequences of the current pass that a chip holds.
-// Head-sharded attention keeps every slot on every chip; batch-sharded
-// attention gives each chip batch/n of them, so a chip may hold none of an
-// admission. It returns a value, so the attention all-to-alls can ask it
-// for every destination without allocating.
-func (e *Engine) seqsOn(rank int) chipSeqs {
-	p := &e.fw
-	sq := chipSeqs{count: e.batch}
-	switch {
-	case p.slot != noSlot:
-		lo, hi, local := e.slotHolders(p.slot)
-		if rank < lo || rank >= hi {
-			return chipSeqs{}
-		}
-		return chipSeqs{first: local, count: 1}
-	case e.batchShardedCache():
-		sq.count = e.batch / e.m.Chips()
-		sq.at = rank * sq.count
-	}
-	if p.active != nil {
-		sq.mask = p.active[sq.at : sq.at+sq.count]
-	}
-	return sq
-}
+// rows is the block's rows of pass p, [lo, hi).
+func (sq chipSeqs) rows(p *pass) (lo, hi int) { return p.off[sq.at], p.off[sq.at+sq.count] }
+
+// counts is the block's slots' token counts in pass p.
+func (sq chipSeqs) counts(p *pass) []int { return p.counts[sq.at : sq.at+sq.count] }
 
 // advance commits the pass's appended positions on a chip's cache shard.
 func (e *Engine) advance(st *chipState, sq chipSeqs) {
-	for i := 0; i < sq.count; i++ {
-		if sq.mask == nil || sq.mask[i] {
-			st.cache.AdvanceSeq(sq.first+i, e.fw.steps)
-		}
+	for i, n := range sq.counts(&e.fw) {
+		st.cache.AdvanceSeq(i, n)
 	}
 }
 
 // chipForward is one chip's body of a pass under every layout, bound to
 // e.runFwd at construction so issuing a pass allocates no closure. Every
 // temporary comes from the chip's arena, the logits included: st.logits is
-// valid until the chip's next pass. A weight-gathered chip that holds none
-// of the pass — an admission into another chip's slot — still serves its
-// weight shards to every gather and runs the rest on zero rows.
+// valid until the chip's next pass. A weight-gathered chip whose slots are
+// all idle — an admission into another chip's slot — still serves its
+// weight shards to every gather and runs the rest on no rows.
 func (e *Engine) chipForward(c *mesh.Chip) {
 	p := &e.fw
 	st := e.chips[c.Rank]
@@ -208,18 +183,15 @@ func (e *Engine) chipForward(c *mesh.Chip) {
 
 	// Embedding lookup onto this chip's residual stream: every token of the
 	// pass, E-sharded over the activation group — or, with no group, the
-	// chip's own sequences at full width.
+	// tokens of the chip's own slots at full width.
 	sq := e.seqsOn(c.Rank)
-	toks, mask := p.tokens, p.active
+	toks := p.tokens
 	if st.nAct == 1 {
-		toks, mask = p.tokens[sq.at*p.steps:(sq.at+sq.count)*p.steps], sq.mask
+		lo, hi := sq.rows(p)
+		toks = p.tokens[lo:hi]
 	}
 	x := ar.Mat(len(toks), st.embedCols.Cols)
 	for i, tok := range toks {
-		if mask != nil && !mask[i/p.steps] {
-			clear(x.Row(i))
-			continue
-		}
 		copy(x.Row(i), st.embedCols.Row(tok))
 	}
 
@@ -289,7 +261,6 @@ func (e *Engine) ffn(c *mesh.Chip, st *chipState, cl *chipLayer, h *tensor.Mat) 
 // group; with no group the chip holds all of them and attends locally.
 func (e *Engine) attnBlock(c *mesh.Chip, st *chipState, cl *chipLayer, layer int, hFull *tensor.Mat) *tensor.Mat {
 	ar := &st.arena
-	steps := e.fw.steps
 	qLocal := cl.wq.mulA(ar, hFull) // [tokens, headsPC·dh]
 	// K/V only for the sequences this chip caches: all of them when the
 	// cache is head-sharded (this chip's KV heads, or the replicated
@@ -298,11 +269,11 @@ func (e *Engine) attnBlock(c *mesh.Chip, st *chipState, cl *chipLayer, layer int
 	// projecting the other chips' rows would throw the result away. With
 	// no activation group hFull holds only those rows.
 	sq := e.seqsOn(c.Rank)
-	lo := sq.at * steps
+	lo, hi := sq.rows(&e.fw)
 	if st.nAct == 1 {
-		lo = 0
+		lo, hi = 0, hi-lo
 	}
-	hMine := tensor.RowsView(hFull, lo, lo+sq.count*steps)
+	hMine := tensor.RowsView(hFull, lo, hi)
 	kNew := cl.wk.mulA(ar, &hMine)
 	vNew := cl.wv.mulA(ar, &hMine)
 
@@ -312,30 +283,30 @@ func (e *Engine) attnBlock(c *mesh.Chip, st *chipState, cl *chipLayer, layer int
 	} else {
 		// The queries' sequences are all cached here: chip-local.
 		outLocal = appendAndAttendInto(ar.Mat(qLocal.Rows, qLocal.Cols),
-			e.cfg.HeadDim, qLocal, st.cache, layer, sq, steps, kNew, vNew, &st.scr)
+			e.cfg.HeadDim, qLocal, st.cache, layer, sq.counts(&e.fw), kNew, vNew, &st.scr)
 	}
 
 	partial := cl.wo.mulA(ar, outLocal) // [tokens, E] partialsum over chips
 	return rsCols(ar, st.op(c), st.act, partial, st.nAct)
 }
 
-// appendAndAttendInto appends the new K/V of a chip's sequences to their
-// cache slots and attends each sequence's query block against its slot,
-// writing into out (which must be [q.Rows, q.Cols]). Sequences the mask
-// leaves out are skipped: zero output, nothing appended. Everything is
-// views and fused kernels — no temporaries.
-func appendAndAttendInto(out *tensor.Mat, dh int, q *tensor.Mat, cache *kvcache.Cache, layer int, sq chipSeqs, steps int, kNew, vNew *tensor.Mat, scr *reference.AttnScratch) *tensor.Mat {
-	for i := 0; i < sq.count; i++ {
-		ov := tensor.RowsView(out, i*steps, (i+1)*steps)
-		if sq.mask != nil && !sq.mask[i] {
-			ov.Zero()
+// appendAndAttendInto appends the new K/V of a chip's slots to its cache
+// shard and attends each slot's query rows against it, writing into out
+// (which must be [q.Rows, q.Cols]). counts[i] is the number of rows of the
+// shard's slot i, which follow slot i-1's; an idle slot has none. Everything
+// is views and fused kernels — no temporaries.
+func appendAndAttendInto(out *tensor.Mat, dh int, q *tensor.Mat, cache *kvcache.Cache, layer int, counts []int, kNew, vNew *tensor.Mat, scr *reference.AttnScratch) *tensor.Mat {
+	lo := 0
+	for i, n := range counts {
+		if n == 0 {
 			continue
 		}
-		kv := tensor.RowsView(kNew, i*steps, (i+1)*steps)
-		vv := tensor.RowsView(vNew, i*steps, (i+1)*steps)
-		cache.AppendSeq(layer, sq.first+i, &kv, &vv, steps)
-		qv := tensor.RowsView(q, i*steps, (i+1)*steps)
-		reference.AttendSeqInto(&ov, dh, &qv, cache, layer, sq.first+i, steps, scr)
+		hi := lo + n
+		kv, vv := tensor.RowsView(kNew, lo, hi), tensor.RowsView(vNew, lo, hi)
+		cache.AppendSeq(layer, i, &kv, &vv, n)
+		ov, qv := tensor.RowsView(out, lo, hi), tensor.RowsView(q, lo, hi)
+		reference.AttendSeqInto(&ov, dh, &qv, cache, layer, i, n, scr)
+		lo = hi
 	}
 	return out
 }
@@ -348,27 +319,27 @@ func appendAndAttendInto(out *tensor.Mat, dh int, q *tensor.Mat, cache *kvcache.
 //
 // Q is resharded from head-sharded to batch-sharded with an all-to-all and
 // the attention output back with another (Figure 5(b)). Each destination
-// gets the rows of the sequences seqsOn puts on it: equal blocks for a
-// batch pass, and for an admission the whole prompt to the slot's owner and
-// empty shards to the rest.
+// gets the rows of its block of slots (seqsOn), as many as the pass gives
+// them: a chip whose slots are all idle gets an empty shard.
 func (e *Engine) attnBatchSharded(c *mesh.Chip, st *chipState, layer int, sq chipSeqs, qLocal, kMine, vMine *tensor.Mat) *tensor.Mat {
 	ar := &st.arena
+	p := &e.fw
 	n := st.nAct
-	steps := e.fw.steps
 	headW := qLocal.Cols
 	shards := st.shards
 
-	// All-to-all #1: send each destination its sequences' rows of my
-	// head-block queries. Row blocks are contiguous, so the shards are
-	// zero-copy views (Send copies on the wire).
+	// All-to-all #1: send each destination its slots' rows of my head-block
+	// queries. Row blocks are contiguous, so the shards are zero-copy views
+	// (Send copies on the wire).
 	for d := range shards {
-		dq := e.seqsOn(d)
-		shards[d] = qLocal.Data[dq.at*steps*headW : (dq.at+dq.count)*steps*headW]
+		lo, hi := e.seqsOn(d).rows(p)
+		shards[d] = qLocal.Data[lo*headW : hi*headW]
 	}
 	recv := collective.AllToAll(st.op(c), st.act, shards)
-	// Assemble my sequences' full-width queries [rowsPC, H·dh]: source
-	// srcIdx's chunk is its head block, i.e. my column block srcIdx.
-	rowsPC := sq.count * steps
+	// Assemble my slots' full-width queries [rowsPC, H·dh]: source srcIdx's
+	// chunk is its head block, i.e. my column block srcIdx.
+	lo, hi := sq.rows(p)
+	rowsPC := hi - lo
 	qMine := ar.Mat(rowsPC, headW*n)
 	for srcIdx, data := range recv {
 		for i := 0; i < rowsPC; i++ {
@@ -378,7 +349,7 @@ func (e *Engine) attnBatchSharded(c *mesh.Chip, st *chipState, layer int, sq chi
 	}
 
 	outMine := appendAndAttendInto(ar.Mat(rowsPC, headW*n),
-		e.cfg.HeadDim, qMine, st.cache, layer, sq, steps, kMine, vMine, &st.scr)
+		e.cfg.HeadDim, qMine, st.cache, layer, sq.counts(p), kMine, vMine, &st.scr)
 
 	// All-to-all #2: return each head block to its owner.
 	backBuf := ar.Mat(rowsPC*n, headW)
@@ -390,8 +361,8 @@ func (e *Engine) attnBatchSharded(c *mesh.Chip, st *chipState, layer int, sq chi
 		shards[d] = blk
 	}
 	recv = collective.AllToAll(st.op(c), st.act, shards)
-	// Sources hold the pass's sequences in rank order, so their blocks
-	// stack into my head block of every row [tokens, headsPC·dh].
+	// Sources hold the slots in rank order, so their blocks stack into my
+	// head block of every row [tokens, headsPC·dh].
 	outLocal := ar.Mat(qLocal.Rows, headW)
 	off := 0
 	for _, data := range recv {

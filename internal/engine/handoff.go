@@ -47,6 +47,9 @@ func (kv *SlotKV) Bytes() int {
 // mesh geometry, attention sharding, and KV storage mode can import.
 // Exporting an empty slot is an error.
 func (e *Engine) ExportSlotKV(slot int) (*SlotKV, error) {
+	if err := e.checkSlot(slot); err != nil {
+		return nil, err
+	}
 	lo, hi, local := e.slotHolders(slot)
 	kv := &SlotKV{batchSharded: e.batchShardedCache(), blocks: make([]*kvcache.KVBlock, hi-lo)}
 	for i, st := range e.chips[lo:hi] {
@@ -68,6 +71,9 @@ func (e *Engine) ExportSlotKV(slot int) (*SlotKV, error) {
 // holder's block is checked before any is written, so on error the slot is
 // left empty on every chip.
 func (e *Engine) ImportSlotKV(slot int, kv *SlotKV) error {
+	if err := e.checkSlot(slot); err != nil {
+		return err
+	}
 	lo, hi, local := e.slotHolders(slot)
 	if kv == nil || len(kv.blocks) == 0 {
 		return fmt.Errorf("engine: import of empty slot snapshot")
@@ -101,7 +107,9 @@ func (e *Engine) ImportSlotKV(slot int, kv *SlotKV) error {
 // copies, the same SlotKV can be imported once for the normal handoff and
 // again after the consumer dies — the checkpoint outlives the replica.
 func (e *Engine) RestoreSlotKV(slot int, kv *SlotKV) error {
-	e.checkSlot(slot)
+	if err := e.checkSlot(slot); err != nil {
+		return err
+	}
 	e.ReleaseSlot(slot)
 	return e.ImportSlotKV(slot, kv)
 }

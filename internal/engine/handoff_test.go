@@ -253,3 +253,48 @@ func TestHandoffErrors(t *testing.T) {
 		t.Error("float snapshot into int8 session should fail")
 	}
 }
+
+// The slot methods that return errors return one for a slot outside the
+// batch, on either sharding, rather than panicking.
+func TestSlotMethodsRejectBadSlot(t *testing.T) {
+	cfg := ciConfig()
+	w := reference.NewWeights(cfg, 3)
+	for _, opts := range []Options{
+		{FFN: partition.FFN2DWeightStationary, Attn: partition.AttnShardBatch},
+		{FFN: partition.FFN1DWeightStationary, Attn: partition.AttnShardHeads},
+	} {
+		eng, err := New(w, hardware.Torus{X: 2, Y: 1, Z: 1}, opts, 2, 16)
+		if err != nil {
+			t.Fatal(err)
+		}
+		eng.EnablePrefixCache(0)
+		eng.PrefillSlot(0, tokens(1, 4))
+		kv, err := eng.ExportSlotKV(0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, tc := range []struct {
+			name string
+			slot int
+			call func(slot int) error
+		}{
+			{"ExportSlotKV", 5, func(s int) error { _, err := eng.ExportSlotKV(s); return err }},
+			{"ImportSlotKV", -1, func(s int) error { return eng.ImportSlotKV(s, kv) }},
+			{"RestoreSlotKV", 9, func(s int) error { return eng.RestoreSlotKV(s, kv) }},
+			{"CachePrefix", 7, func(s int) error { return eng.CachePrefix(s, tokens(1, 2)) }},
+		} {
+			var err error
+			func() {
+				defer func() {
+					if r := recover(); r != nil {
+						t.Errorf("%v %s(%d) panicked: %v", opts.Attn, tc.name, tc.slot, r)
+					}
+				}()
+				err = tc.call(tc.slot)
+			}()
+			if err == nil {
+				t.Errorf("%v %s(%d) returned no error", opts.Attn, tc.name, tc.slot)
+			}
+		}
+	}
+}

@@ -64,8 +64,8 @@ func TestInt8KVGreedyMatchesFP32(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			want := fp.Generate(prompt, promptLen, gen)
-			got := q8.Generate(prompt, promptLen, gen)
+			want := generate(t, fp, prompt, promptLen, gen)
+			got := generate(t, q8, prompt, promptLen, gen)
 			for s := 0; s < batch; s++ {
 				for g := 0; g < gen; g++ {
 					if got[s][g] != want[s][g] {
@@ -125,19 +125,19 @@ func TestInt8KVDecodeSteadyStateZeroAllocs(t *testing.T) {
 	for i := range tokens {
 		tokens[i] = i % cfg.Vocab
 	}
-	eng.Prefill(tokens, 4)
+	prefill(t, eng, tokens, 4)
 
-	last := make([]int, batch)
+	last, ones := make([]int, batch), uniform(batch, 1)
 	active := []bool{true, false, true, true}
 	logits := tensor.New(batch, cfg.Vocab)
 	for i := 0; i < 8; i++ {
-		eng.DecodeInto(logits, last)
+		eng.Step(logits, last, ones)
 		eng.DecodeSlotsInto(logits, last, active)
 	}
 	if avg := testing.AllocsPerRun(100, func() {
-		eng.DecodeInto(logits, last)
+		eng.Step(logits, last, ones)
 	}); avg != 0 {
-		t.Errorf("int8-KV DecodeInto allocates %v times per steady-state iteration, want 0", avg)
+		t.Errorf("int8-KV Step allocates %v times per steady-state iteration, want 0", avg)
 	}
 	if avg := testing.AllocsPerRun(100, func() {
 		eng.DecodeSlotsInto(logits, last, active)

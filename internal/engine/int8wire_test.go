@@ -64,8 +64,8 @@ func TestInt8WireGreedyMatchesFP32(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			want := fp.Generate(prompt, promptLen, gen)
-			got := q8.Generate(prompt, promptLen, gen)
+			want := generate(t, fp, prompt, promptLen, gen)
+			got := generate(t, q8, prompt, promptLen, gen)
 			for s := 0; s < batch; s++ {
 				for g := 0; g < gen; g++ {
 					if got[s][g] != want[s][g] {
@@ -120,7 +120,7 @@ func TestInt8WireLoudTokenKeepsOthersResolution(t *testing.T) {
 					if err != nil {
 						t.Fatal(err)
 					}
-					return eng.Prefill(prompt, promptLen)
+					return prefill(t, eng, prompt, promptLen)
 				}
 				fp, q8 := logits(model.FP32), logits(model.Int8)
 				var worst float64
@@ -164,8 +164,8 @@ func TestInt8WireVolumeHalved(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
-				eng.Prefill(tokens(batch, steps), steps)
-				eng.Decode(tokens(batch, 1))
+				prefill(t, eng, tokens(batch, steps), steps)
+				decode(t, eng, nil, tokens(batch, 1))
 				m := eng.Mesh()
 				return float64(m.BytesSent()), float64(m.Int8BytesSent())
 			}
@@ -211,19 +211,19 @@ func TestInt8WireDecodeSteadyStateZeroAllocs(t *testing.T) {
 	for i := range tokens {
 		tokens[i] = i % cfg.Vocab
 	}
-	eng.Prefill(tokens, 4)
+	prefill(t, eng, tokens, 4)
 
-	last := make([]int, batch)
+	last, ones := make([]int, batch), uniform(batch, 1)
 	active := []bool{true, false, true, true}
 	logits := tensor.New(batch, cfg.Vocab)
 	for i := 0; i < 8; i++ {
-		eng.DecodeInto(logits, last)
+		eng.Step(logits, last, ones)
 		eng.DecodeSlotsInto(logits, last, active)
 	}
 	if avg := testing.AllocsPerRun(100, func() {
-		eng.DecodeInto(logits, last)
+		eng.Step(logits, last, ones)
 	}); avg != 0 {
-		t.Errorf("int8-wire DecodeInto allocates %v times per steady-state iteration, want 0", avg)
+		t.Errorf("int8-wire Step allocates %v times per steady-state iteration, want 0", avg)
 	}
 	if avg := testing.AllocsPerRun(100, func() {
 		eng.DecodeSlotsInto(logits, last, active)
@@ -251,7 +251,7 @@ func TestInt8EverythingComposes(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	out := eng.Generate(prompt, promptLen, gen)
+	out := generate(t, eng, prompt, promptLen, gen)
 	for s := range out {
 		if len(out[s]) != gen {
 			t.Fatalf("seq %d generated %d tokens, want %d", s, len(out[s]), gen)
@@ -289,14 +289,14 @@ func TestInt8WireMultiChipNoExtraAllocs(t *testing.T) {
 			t.Fatal(err)
 		}
 		toks := make([]int, batch*4)
-		eng.Prefill(toks, 4)
-		last := make([]int, batch)
+		prefill(t, eng, toks, 4)
+		last, ones := make([]int, batch), uniform(batch, 1)
 		logits := tensor.New(batch, cfg.Vocab)
 		for i := 0; i < 16; i++ {
-			eng.DecodeInto(logits, last)
+			eng.Step(logits, last, ones)
 		}
 		return testing.AllocsPerRun(50, func() {
-			eng.DecodeInto(logits, last)
+			eng.Step(logits, last, ones)
 		})
 	}
 	fp, q8 := run(model.FP32), run(model.Int8)

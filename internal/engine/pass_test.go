@@ -40,17 +40,24 @@ func TestRejectedCallLeavesMeshUsable(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			rejected := func(what string, call func()) {
+			// rejected runs a call that must fail: a Step returns its error,
+			// a slot wrapper panics with it.
+			rejected := func(what string, call func() error) {
 				t.Helper()
+				var msg string
 				func() {
 					defer func() {
-						r := recover()
-						if msg, _ := r.(string); !strings.HasPrefix(msg, "engine:") {
-							t.Errorf("%s: recovered %v, want an engine: panic", what, r)
+						if r := recover(); r != nil {
+							msg, _ = r.(string)
 						}
 					}()
-					call()
+					if err := call(); err != nil {
+						msg = err.Error()
+					}
 				}()
+				if !strings.HasPrefix(msg, "engine:") {
+					t.Errorf("%s: failed with %q, want an engine: error or panic", what, msg)
+				}
 				for r, st := range eng.chips {
 					if st.opID != eng.chips[0].opID {
 						t.Fatalf("%s: chip %d minted %d collective ids, chip 0 %d", what, r, st.opID, eng.chips[0].opID)
@@ -61,14 +68,20 @@ func TestRejectedCallLeavesMeshUsable(t *testing.T) {
 			active := make([]bool, batch)
 			active[slot] = true
 
-			rejected("Prefill of no steps", func() { eng.Prefill(nil, 0) })
+			counts := make([]int, batch)
+			counts[slot] = 1
+			stepErr := func(toks, counts []int) func() error {
+				return func() error { _, err := eng.Step(nil, toks, counts); return err }
+			}
+			rejected("Step of too few counts", stepErr(nil, counts[1:]))
 			eng.PrefillSlot(slot, []int{1, 2, 3})
-			rejected("PrefillSlot overflow", func() { eng.PrefillSlot(slot, []int{4, 5, 6}) })
+			rejected("PrefillSlot overflow", func() error { eng.PrefillSlot(slot, []int{4, 5, 6}); return nil })
 			eng.DecodeSlotsInto(nil, last, active) // fills the slot
-			rejected("DecodeSlotsInto overflow", func() { eng.DecodeSlotsInto(nil, last, active) })
-			rejected("PrefillSlot bad token", func() { eng.PrefillSlot(5, []int{1, cfg.Vocab}) })
+			rejected("DecodeSlotsInto overflow", func() error { eng.DecodeSlotsInto(nil, last, active); return nil })
+			rejected("Step overflow", stepErr([]int{1}, counts))
+			rejected("PrefillSlot bad token", func() error { eng.PrefillSlot(5, []int{1, cfg.Vocab}); return nil })
 			last[slot] = -1
-			rejected("DecodeSlotsInto bad token", func() { eng.DecodeSlotsInto(nil, last, active) })
+			rejected("DecodeSlotsInto bad token", func() error { eng.DecodeSlotsInto(nil, last, active); return nil })
 			if got := eng.SlotLen(slot); got != maxLen {
 				t.Fatalf("rejected calls moved slot %d to length %d, want %d", slot, got, maxLen)
 			}
@@ -125,13 +138,13 @@ func TestFFN1DIs2DWithTrivialInnerAxis(t *testing.T) {
 			if err != nil {
 				t.Fatalf("%s: %v", name, err)
 			}
-			logits = append(logits, eng.Prefill(tokens(batch, steps), steps))
+			logits = append(logits, prefill(t, eng, tokens(batch, steps), steps))
 			last := make([]int, batch)
 			for g := 0; g < 2; g++ {
 				for s := range last {
 					last[s] = sampling.Greedy(logits[g].Row((s+1)*logits[g].Rows/batch - 1))
 				}
-				logits = append(logits, eng.Decode(last))
+				logits = append(logits, decode(t, eng, nil, last))
 			}
 			return logits, eng.Mesh().BytesSent(), eng.Mesh().MessagesSent()
 		}
@@ -165,13 +178,13 @@ func TestWGIsOneChipProgram(t *testing.T) {
 			if err != nil {
 				t.Fatalf("%s on %v: %v", cfg.Name, tr, err)
 			}
-			logits = append(logits, eng.Prefill(tokens(batch, steps), steps))
+			logits = append(logits, prefill(t, eng, tokens(batch, steps), steps))
 			last := make([]int, batch)
 			for g := 0; g < 3; g++ {
 				for s := range last {
 					last[s] = sampling.Greedy(logits[g].Row((s+1)*logits[g].Rows/batch - 1))
 				}
-				logits = append(logits, eng.Decode(last))
+				logits = append(logits, decode(t, eng, nil, last))
 			}
 			return logits
 		}
@@ -191,16 +204,17 @@ func TestWGIsOneChipProgram(t *testing.T) {
 }
 
 // A pass's whole wire schedule is a closed form: its messages' count and
-// sizes, summed over the mesh, follow from the layout alone. Per layer a
-// block makes one input gather (gatherNorm), its attention collectives and
-// its FFN's own, and the pass ends with the final norm's gather and the
-// logit gather. On 2×2×2 2D batch-sharded a decode step sends 34 messages a
-// chip a layer plus 14; on 2×2×1 1D head-sharded streamed, 9 plus 6. A
-// batch-sharded admission's two attention all-to-alls carry its rows to the
-// slot's owner and back and nothing between the other chips, so there the
-// chips' shares differ and only the mesh totals are a closed form. Checked
-// for a decode step and an admission of an odd-length prompt, on both wire
-// formats, to the message and the byte.
+// sizes, summed over the mesh, follow from the layout and the pass's rows
+// per chip alone. Per layer a block makes one input gather (gatherNorm), its
+// attention collectives and its FFN's own, and the pass ends with the final
+// norm's gather and the logit gather. On 2×2×2 2D batch-sharded a pass
+// sends 34 messages a chip a layer plus 14; on 2×2×1 1D head-sharded
+// streamed, 9 plus 6. Only the live rows travel: the batch-sharded
+// all-to-alls carry each chip's slots' rows to it and back, an empty shard
+// where its slots are idle, so there the chips' shares differ and only the
+// mesh totals are a closed form. Checked for a decode step, an admission of
+// an odd-length prompt and a ragged pass (a 5-token chunk, three decodes,
+// four idle slots), on both wire formats, to the message and the byte.
 func TestPassWireSchedule(t *testing.T) {
 	cfg := tinyMQA()
 	e, f, v, hd := cfg.DModel, cfg.DFF, cfg.Vocab, cfg.Heads*cfg.HeadDim
@@ -211,22 +225,22 @@ func TestPassWireSchedule(t *testing.T) {
 	// still carries its chunk scale on the int8 wire.
 	type sends struct{ count, elems, rows int }
 	cases := []struct {
-		name  string
-		tr    hardware.Torus
-		opts  Options
-		layer func(tok int, admission bool) []sends
+		name string
+		tr   hardware.Torus
+		opts Options
+		// layer is one layer's sends for a pass of tok rows, of which
+		// counts[s] are slot s's.
+		layer func(tok int, counts []int) []sends
 		final func(tok int) []sends
 	}{
 		{"2d-batch", torus222(), Options{FFN: partition.FFN2DWeightStationary, Attn: partition.AttnShardBatch},
-			func(tok int, admission bool) []sends {
+			func(tok int, counts []int) []sends {
 				s := []sends{{8 * 7, tok * e / 8, tok}} // the block's input gather over XYZ
-				if admission {
-					// The two all-to-alls: the prompt's head blocks in to
-					// the slot's owner and out again, and an empty shard
-					// from every chip to every other chip but the owner.
-					s = append(s, sends{2 * 7, tok * hd / 8, 0}, sends{2 * 7 * 7, 0, 0})
-				} else {
-					s = append(s, sends{8 * 14, tok / 8 * hd / 8, 0}) // two all-to-alls
+				for _, rows := range counts {
+					// Chip d caches slot d: the two all-to-alls carry its
+					// rows' head blocks in from the 7 other chips and out
+					// to them again.
+					s = append(s, sends{2 * 7, rows * hd / 8, 0})
 				}
 				return append(s,
 					sends{8 * 7, tok * e / 8, 0}, // attention output reduce-scatter over XYZ
@@ -237,7 +251,7 @@ func TestPassWireSchedule(t *testing.T) {
 			func(tok int) []sends { return []sends{{8 * 7, tok * e / 8, tok}, {8 * 7, tok * v / 8, 0}} }},
 		{"1d-heads-streamed", hardware.Torus{X: 2, Y: 2, Z: 1},
 			Options{FFN: partition.FFN1DWeightStationary, Attn: partition.AttnShardHeads, Streamed: true},
-			func(tok int, _ bool) []sends {
+			func(tok int, _ []int) []sends {
 				// Input gather, then attention and FFN output reduce-scatters.
 				return []sends{{4 * 3, tok * e / 4, tok}, {4 * 6, tok * e / 4, 0}}
 			},
@@ -253,12 +267,16 @@ func TestPassWireSchedule(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
-				check := func(what string, tok int, admission bool, run func()) {
+				check := func(what string, counts []int, run func()) {
 					t.Helper()
+					tok := 0
+					for _, n := range counts {
+						tok += n
+					}
 					var msgs, bytes int64
 					all := tc.final(tok)
 					for l := 0; l < cfg.Layers; l++ {
-						all = append(all, tc.layer(tok, admission)...)
+						all = append(all, tc.layer(tok, counts)...)
 					}
 					for _, s := range all {
 						per := 4 * s.elems
@@ -275,10 +293,16 @@ func TestPassWireSchedule(t *testing.T) {
 						t.Errorf("%s: %d messages, %d B; want %d, %d", what, m.MessagesSent(), m.BytesSent(), msgs, bytes)
 					}
 				}
-				eng.Prefill(tokens(batch, 2), 2)
-				check("decode step", batch, false, func() { eng.Decode(tokens(batch, 1)) })
+				prefill(t, eng, tokens(batch, 2), 2)
+				ones := uniform(batch, 1)
+				check("decode step", ones, func() { decode(t, eng, nil, tokens(batch, 1)) })
 				eng.ReleaseSlot(3)
-				check("admission", promptLen, true, func() { eng.PrefillSlot(3, tokens(1, promptLen)) })
+				admit := make([]int, batch)
+				admit[3] = promptLen
+				check("admission", admit, func() { eng.PrefillSlot(3, tokens(1, promptLen)) })
+				eng.ReleaseSlot(1)
+				ragged := []int{1, 5, 0, 0, 1, 0, 1, 0}
+				check("ragged pass", ragged, func() { step(t, eng, nil, tokens(1, 8), ragged) })
 			})
 		}
 	}

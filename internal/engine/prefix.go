@@ -66,6 +66,9 @@ func (e *Engine) CachePrefix(slot int, tokens []int) error {
 	if e.prefix == nil {
 		return fmt.Errorf("engine: prefix cache not enabled")
 	}
+	if err := e.checkSlot(slot); err != nil {
+		return err
+	}
 	lo, hi, local := e.slotHolders(slot)
 	n := len(tokens)
 	if n == 0 {

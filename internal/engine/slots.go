@@ -20,7 +20,9 @@ import (
 // which requires it) places it on one owner, rank lo. Every per-slot cache
 // operation reaches the slot through here.
 func (e *Engine) slotHolders(slot int) (lo, hi, local int) {
-	e.checkSlot(slot)
+	if err := e.checkSlot(slot); err != nil {
+		panic(err.Error())
+	}
 	if !e.batchShardedCache() {
 		return 0, len(e.chips), slot
 	}
@@ -50,24 +52,29 @@ func (e *Engine) ReleaseSlot(slot int) {
 	}
 }
 
-func (e *Engine) checkSlot(slot int) {
+// checkSlot rejects a slot outside the batch.
+func (e *Engine) checkSlot(slot int) error {
 	if slot < 0 || slot >= e.batch {
-		panic(fmt.Sprintf("engine: slot %d out of batch %d", slot, e.batch))
+		return fmt.Errorf("engine: slot %d out of batch %d", slot, e.batch)
 	}
+	return nil
 }
 
-// PrefillSlot admits a new prompt into one (freed or fresh) slot: it runs a
-// full prefill pass for just that sequence, fills the slot's KV cache, and
-// returns the prompt's logits [len(prompt), vocab]. The other slots are
-// untouched, so admission can interleave with DecodeSlotsInto mid-stream. It is
-// the same SPMD program a batch pass runs, aimed at one slot: every chip
-// participates in the same collectives, and on layouts where the slot's KV
-// lives on a single chip only that owner holds rows of the pass (see
-// attnBatchSharded and chipForward).
+// PrefillSlot admits a new prompt into one (freed or fresh) slot: the Step
+// whose only count is len(prompt), on that slot. It fills the slot's KV
+// cache and returns the prompt's logits [len(prompt), vocab], panicking
+// where Step would return an error. The other slots are untouched, so
+// admission can interleave with DecodeSlotsInto mid-stream; on layouts where
+// the slot's KV lives on a single chip only that owner holds rows of the
+// pass (see attnBatchSharded and chipForward).
 func (e *Engine) PrefillSlot(slot int, prompt []int) *tensor.Mat {
-	e.checkSlot(slot)
+	if err := e.checkSlot(slot); err != nil {
+		panic(err.Error())
+	}
 	if len(prompt) == 0 {
 		panic("engine: empty prompt")
 	}
-	return e.forward(nil, pass{tokens: prompt, steps: len(prompt), slot: slot})
+	clear(e.counts)
+	e.counts[slot] = len(prompt)
+	return must(e.Step(nil, prompt, e.counts))
 }

@@ -27,7 +27,7 @@ func generateWith(t *testing.T, cfg model.Config, tr hardware.Torus, opts Option
 	if err != nil {
 		t.Fatalf("engine: %v", err)
 	}
-	return eng.Generate(prompt, promptLen, gen), eng.MeasuredOverlap()
+	return generate(t, eng, prompt, promptLen, gen), eng.MeasuredOverlap()
 }
 
 // TestStreamedTokenExactVsBarrier is the tentpole acceptance matrix: the
@@ -111,13 +111,13 @@ func TestStreamed1DIsBarrier(t *testing.T) {
 							if err != nil {
 								t.Fatal(err)
 							}
-							logits = append(logits, eng.Prefill(tokens(batch, steps), steps))
+							logits = append(logits, prefill(t, eng, tokens(batch, steps), steps))
 							last := make([]int, batch)
 							for g := 0; g < 3; g++ {
 								for s := range last {
 									last[s] = sampling.Greedy(logits[g].Row((s+1)*logits[g].Rows/batch - 1))
 								}
-								logits = append(logits, eng.Decode(last))
+								logits = append(logits, decode(t, eng, nil, last))
 							}
 							return logits
 						}
@@ -161,16 +161,16 @@ func TestStreamedSingleChipDecodeZeroAllocs(t *testing.T) {
 	for i := range toks {
 		toks[i] = i % cfg.Vocab
 	}
-	eng.Prefill(toks, 4)
-	last := make([]int, batch)
+	prefill(t, eng, toks, 4)
+	last, ones := make([]int, batch), uniform(batch, 1)
 	logits := tensor.New(batch, cfg.Vocab)
 	for i := 0; i < 8; i++ {
-		eng.DecodeInto(logits, last)
+		eng.Step(logits, last, ones)
 	}
 	if avg := testing.AllocsPerRun(100, func() {
-		eng.DecodeInto(logits, last)
+		eng.Step(logits, last, ones)
 	}); avg != 0 {
-		t.Errorf("streamed single-chip DecodeInto allocates %v times per iteration, want 0", avg)
+		t.Errorf("streamed single-chip Step allocates %v times per iteration, want 0", avg)
 	}
 }
 
@@ -213,7 +213,7 @@ func TestStreamedWireBytesIdentical(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			eng.Generate(prompt, promptLen, gen)
+			generate(t, eng, prompt, promptLen, gen)
 			m := eng.Mesh()
 			return m.BytesSent(), m.Int8BytesSent(), m.MessagesSent()
 		}

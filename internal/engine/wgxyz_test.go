@@ -46,7 +46,7 @@ func TestWGCommIsWeightVolumeOnly(t *testing.T) {
 			t.Fatal(err)
 		}
 		eng.Mesh().ResetCounters()
-		eng.Prefill(tokens(batch, steps), steps)
+		prefill(t, eng, tokens(batch, steps), steps)
 		return float64(eng.Mesh().BytesSent()) / float64(tr.Chips())
 	}
 	small := run(8, 1)
@@ -78,7 +78,7 @@ func TestWGvsWSMeasuredCrossover(t *testing.T) {
 			t.Fatal(err)
 		}
 		eng.Mesh().ResetCounters()
-		eng.Prefill(tokens(batch, steps), steps)
+		prefill(t, eng, tokens(batch, steps), steps)
 		return float64(eng.Mesh().BytesSent())
 	}
 	ws := Options{FFN: partition.FFN2DWeightStationary, Attn: partition.AttnShardBatch}
@@ -103,7 +103,7 @@ func TestWGGenerate(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	engOut := eng.Generate(prompt, promptLen, gen)
+	engOut := generate(t, eng, prompt, promptLen, gen)
 	for s := range refOut {
 		for i := range refOut[s] {
 			if refOut[s][i] != engOut[s][i] {
@@ -134,8 +134,8 @@ func TestWGPrefillThenWSDecodeEquivalent(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	a := wgEng.Prefill(prompt, promptLen)
-	b := wsEng.Prefill(prompt, promptLen)
+	a := prefill(t, wgEng, prompt, promptLen)
+	b := prefill(t, wsEng, prompt, promptLen)
 	if d := tensor.MaxAbsDiff(a, b); d > 1e-4 {
 		t.Fatalf("WG and WS prefill logits differ by %g", d)
 	}
@@ -143,8 +143,8 @@ func TestWGPrefillThenWSDecodeEquivalent(t *testing.T) {
 	for s := range last {
 		last[s] = sampling.Greedy(a.Row(s*promptLen + promptLen - 1))
 	}
-	da := wgEng.Decode(last)
-	db := wsEng.Decode(last)
+	da := decode(t, wgEng, nil, last)
+	db := decode(t, wsEng, nil, last)
 	if d := tensor.MaxAbsDiff(da, db); d > 1e-4 {
 		t.Errorf("decode after WG vs WS prefill differs by %g", d)
 	}

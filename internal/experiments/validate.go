@@ -54,13 +54,25 @@ func Validate() []ValidationRow {
 	nTok := float64(batch * steps)
 	const fb = 4.0 // float32 bytes on the functional mesh
 
+	// pass runs n tokens per sequence through every slot of eng.
+	pass := func(eng *engine.Engine, toks []int, n int) *tensor.Mat {
+		counts := make([]int, batch)
+		for s := range counts {
+			counts[s] = n
+		}
+		logits, err := eng.Step(nil, toks, counts)
+		if err != nil {
+			panic(err)
+		}
+		return logits
+	}
 	prefillBytes := func(opts engine.Options) float64 {
 		eng, err := engine.New(w, tr, opts, batch, 8)
 		if err != nil {
 			panic(err)
 		}
 		eng.Mesh().ResetCounters()
-		eng.Prefill(seqTokensFor(batch, steps, cfg.Vocab), steps)
+		pass(eng, seqTokensFor(batch, steps, cfg.Vocab), steps)
 		return float64(eng.Mesh().BytesSent()) / float64(n)
 	}
 	decodeBytes := func(opts engine.Options) float64 {
@@ -68,9 +80,9 @@ func Validate() []ValidationRow {
 		if err != nil {
 			panic(err)
 		}
-		eng.Prefill(seqTokensFor(batch, steps, cfg.Vocab), steps)
+		pass(eng, seqTokensFor(batch, steps, cfg.Vocab), steps)
 		eng.Mesh().ResetCounters()
-		eng.Decode(make([]int, batch))
+		pass(eng, make([]int, batch), 1)
 		return float64(eng.Mesh().BytesSent()) / float64(n)
 	}
 
@@ -129,7 +141,7 @@ func Validate() []ValidationRow {
 	ref := reference.New(w, batch, 8)
 	engV, _ := engine.New(w, tr, batchOpts, batch, 8)
 	prompt := seqTokensFor(batch, steps, cfg.Vocab)
-	d := tensor.MaxAbsDiff(ref.Prefill(prompt, steps), engV.Prefill(prompt, steps))
+	d := tensor.MaxAbsDiff(ref.Prefill(prompt, steps), pass(engV, prompt, steps))
 	rows = append(rows, ValidationRow{
 		Check:    "sharded logits vs unsharded reference (max |Δ|)",
 		Measured: d, Predicted: 0, Unit: "", Pass: d < 2e-3,

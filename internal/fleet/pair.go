@@ -42,8 +42,11 @@ func (p *EnginePair) Generate(prefillSlot, decodeSlot int, prompt []int, gen int
 	if err := p.Decode.ImportSlotKV(decodeSlot, kv); err != nil {
 		return nil, err
 	}
-	out := p.decode(decodeSlot, append(make([]int, 0, gen), first), gen)
+	out, err := p.decode(decodeSlot, append(make([]int, 0, gen), first), gen)
 	p.Decode.ReleaseSlot(decodeSlot)
+	if err != nil {
+		return nil, err
+	}
 	return out, nil
 }
 
@@ -76,8 +79,11 @@ func (p *EnginePair) GenerateWithFailure(prefillSlot, decodeSlot, recoverSlot in
 	if err := p.Decode.ImportSlotKV(decodeSlot, ckpt); err != nil {
 		return nil, err
 	}
-	out := p.decode(decodeSlot, append(make([]int, 0, gen), first), 1+failAfter)
+	out, err := p.decode(decodeSlot, append(make([]int, 0, gen), first), 1+failAfter)
 	p.Decode.ReleaseSlot(decodeSlot)
+	if err != nil {
+		return nil, err
+	}
 	p.Failures++
 
 	// Recovery: re-send the checkpoint, restore it into a fresh slot, and
@@ -86,15 +92,21 @@ func (p *EnginePair) GenerateWithFailure(prefillSlot, decodeSlot, recoverSlot in
 	if err := p.Decode.RestoreSlotKV(recoverSlot, ckpt); err != nil {
 		return nil, err
 	}
-	replay := p.decode(recoverSlot, []int{first}, len(out))
+	replay, err := p.decode(recoverSlot, []int{first}, len(out))
+	if err != nil {
+		return nil, err
+	}
 	p.RecoveredTokens += len(replay) - 1
 	for i := 1; i < len(out); i++ {
 		if replay[i] != out[i] {
 			return nil, fmt.Errorf("fleet: recovery replay diverged at token %d: got %d, recorded %d", i, replay[i], out[i])
 		}
 	}
-	out = p.decode(recoverSlot, out, gen)
+	out, err = p.decode(recoverSlot, out, gen)
 	p.Decode.ReleaseSlot(recoverSlot)
+	if err != nil {
+		return nil, err
+	}
 	return out, nil
 }
 
@@ -109,12 +121,29 @@ func checkRequest(prompt []int, gen int) error {
 	return nil
 }
 
+// slotCounts is the counts of a pass that feeds n tokens to slot alone.
+func slotCounts(e *engine.Engine, slot, n int) ([]int, error) {
+	if slot < 0 || slot >= e.Batch() {
+		return nil, fmt.Errorf("fleet: slot %d out of batch %d", slot, e.Batch())
+	}
+	counts := make([]int, e.Batch())
+	counts[slot] = n
+	return counts, nil
+}
+
 // handoff prefills prompt on prefillSlot and exports the slot's KV,
 // releasing the slot and charging the export to HandoffBytes. It returns the
 // first token, from the prefill logits, and the export: a deep copy, which
 // a failed decode replica's recovery can re-send.
 func (p *EnginePair) handoff(prefillSlot int, prompt []int) (int, *engine.SlotKV, error) {
-	logits := p.Prefill.PrefillSlot(prefillSlot, prompt)
+	counts, err := slotCounts(p.Prefill, prefillSlot, len(prompt))
+	if err != nil {
+		return 0, nil, err
+	}
+	logits, err := p.Prefill.Step(nil, prompt, counts)
+	if err != nil {
+		return 0, nil, err
+	}
 	first := sampling.Greedy(logits.Row(logits.Rows - 1))
 	kv, err := p.Prefill.ExportSlotKV(prefillSlot)
 	if err != nil {
@@ -127,15 +156,17 @@ func (p *EnginePair) handoff(prefillSlot int, prompt []int) (int, *engine.SlotKV
 
 // decode runs greedy decode steps on slot alone, each feeding the last
 // token of out and appending the argmax, until out holds n tokens.
-func (p *EnginePair) decode(slot int, out []int, n int) []int {
-	last := make([]int, p.Decode.Batch())
-	active := make([]bool, p.Decode.Batch())
-	active[slot] = true
+func (p *EnginePair) decode(slot int, out []int, n int) ([]int, error) {
+	counts, err := slotCounts(p.Decode, slot, 1)
+	if err != nil {
+		return nil, err
+	}
 	var lg *tensor.Mat
 	for len(out) < n {
-		last[slot] = out[len(out)-1]
-		lg = p.Decode.DecodeSlotsInto(lg, last, active)
-		out = append(out, sampling.Greedy(lg.Row(slot)))
+		if lg, err = p.Decode.Step(lg, out[len(out)-1:], counts); err != nil {
+			return nil, err
+		}
+		out = append(out, sampling.Greedy(lg.Row(0)))
 	}
-	return out
+	return out, nil
 }

@@ -196,6 +196,12 @@ func TestEnginePairRecoveryErrors(t *testing.T) {
 		return e
 	}
 	pair := &EnginePair{Prefill: mk(), Decode: mk()}
+	if _, err := pair.GenerateWithFailure(0, 1, 2, []int{1, cfg.Vocab}, 8, 0); err == nil {
+		t.Error("out-of-vocab prompt token should fail")
+	}
+	if _, err := pair.GenerateWithFailure(0, 1, 4, []int{1, 2}, 8, 0); err == nil {
+		t.Error("out-of-range recovery slot should fail")
+	}
 	if _, err := pair.GenerateWithFailure(0, 1, 2, nil, 8, 0); err == nil {
 		t.Error("empty prompt should fail")
 	}
@@ -236,5 +242,18 @@ func TestEnginePairErrors(t *testing.T) {
 	}
 	if _, err := pair.Generate(0, 0, nil, 4); err == nil {
 		t.Error("empty prompt should fail")
+	}
+
+	same := &EnginePair{Prefill: mk(hardware.Torus{X: 2, Y: 1, Z: 1}, opts), Decode: mk(hardware.Torus{X: 2, Y: 1, Z: 1}, opts)}
+	if _, err := same.Generate(0, 0, []int{1, cfg.Vocab}, 4); err == nil {
+		t.Error("out-of-vocab prompt token should fail")
+	}
+	for _, slots := range [][2]int{{8, 0}, {-1, 0}, {0, 8}} {
+		if _, err := same.Generate(slots[0], slots[1], []int{1, 2, 3}, 4); err == nil {
+			t.Errorf("prefill slot %d, decode slot %d should fail", slots[0], slots[1])
+		}
+	}
+	if _, err := same.Generate(0, 0, []int{1, 2, 3}, 4); err != nil {
+		t.Errorf("rejected requests left the pair unusable: %v", err)
 	}
 }
