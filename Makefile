@@ -116,8 +116,8 @@ bench-pairs:
 # in that tree and in the working tree, and compare each pair of outputs
 # byte for byte. Every run is seeded, so any difference is a behaviour
 # change. Exits 1 at the first difference. The commands are CI's fleet-sim
-# estiserve lines, the prefix-cache and continuous-batching replays, and
-# the three fleet examples.
+# estiserve lines, the prefix-cache and continuous-batching replays, an
+# unequal-tier static pipeline replay, and the three fleet examples.
 FLEET_DIFF_CMDS = \
 	"./cmd/estiserve -model palm540b -replicas 4 -requests 200" \
 	"./cmd/estiserve -model palm540b -replicas 4 -disaggregated -requests 200" \
@@ -127,6 +127,7 @@ FLEET_DIFF_CMDS = \
 	"./cmd/estiserve -model palm540b -replicas 4 -disaggregated -autoscale -requests 200 -load 1.2 -fault-plan crash:3@1" \
 	"./cmd/estiserve -model palm540b -prefix-cache -prefill-chunk 256 -requests 200" \
 	"./cmd/estiserve -model palm540b -continuous -requests 200" \
+	"./cmd/estiserve -model palm540b -prefill-chips 32 -decode-chips 64 -decode-batch 128 -requests 200" \
 	"./examples/fleet" \
 	"./examples/faults" \
 	"./examples/autoscale"

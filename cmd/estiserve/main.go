@@ -1,7 +1,10 @@
 // Command estiserve analyzes a disaggregated two-tier serving deployment
 // (prefill tier → decode tier, the pattern the paper sketches under Table 2)
-// and optionally replays a synthetic request stream through the
-// discrete-event simulator.
+// and replays -requests identical requests through the same two tiers run
+// as a fleet: one static-batching replica per tier with per-request KV
+// handoff (fleet.Pipeline). With -prefix-hit, that share of the replayed
+// requests opens with one shared -prefix-len template the prefill replica
+// caches.
 //
 // Example:
 //
@@ -13,7 +16,7 @@
 // With -continuous, the same total chip budget is additionally run as one
 // continuous-batching pool (iteration-level scheduling, per-slot KV cache)
 // over a mixed-length chatbot trace and compared head-to-head against the
-// tuned static pipeline:
+// tuned static pipeline replayed on the same arrivals (fleet.CompareStatic):
 //
 //	estiserve -model palm540b -continuous -requests 200 -slots 64
 //
@@ -22,8 +25,8 @@
 // cache on and off — to show the useful-tok/s win of skipping recomputed
 // template prefills; -prefill-chunk bounds the prompt tokens prefilled per
 // iteration so long cold prompts stop stalling running decodes, and
-// -prefix-hit feeds the same knob into the static pipeline's analytic
-// model:
+// -prefix-hit feeds the same knob into the static pipeline's analysis and
+// replay:
 //
 //	estiserve -model palm540b -prefix-cache -prefill-chunk 256 -requests 200
 //
@@ -78,8 +81,10 @@
 package main
 
 import (
+	"errors"
 	"flag"
 	"fmt"
+	"io"
 	"math"
 	"os"
 	"strings"
@@ -96,51 +101,63 @@ import (
 	"esti/internal/serve"
 )
 
-func main() {
-	modelName := flag.String("model", "palm540b", "model: "+model.PresetNames)
-	weights := flag.String("weights", "int8", "weight format: bf16 or int8")
-	int8KV := flag.Bool("int8-kv", false, "store the KV cache int8 (half the cache bytes; ~2x the servable context per chip)")
-	int8Wire := flag.Bool("int8-wire", false, "move activation collectives as per-chunk int8 (half the bf16 wire bytes; halves exposed comm time)")
-	overlap := flag.Float64("overlap", 0, "fraction of the bandwidth comm component overlapped with compute (0-1); the hop-latency floor is always charged")
-	preChips := flag.Int("prefill-chips", 64, "prefill tier chip count")
-	preBatch := flag.Int("prefill-batch", 1, "prefill tier batch")
-	decChips := flag.Int("decode-chips", 64, "decode tier chip count")
-	decBatch := flag.Int("decode-batch", 64, "decode tier batch")
-	context := flag.Int("context", 2048, "input tokens per request")
-	gen := flag.Int("gen", 64, "output tokens per request")
-	load := flag.Float64("load", 0.8, "offered load as a fraction of pipeline capacity")
-	requests := flag.Int("requests", 200, "requests to simulate (0 = analysis only)")
-	continuous := flag.Bool("continuous", false, "also run a continuous-batching pool on the total chips and compare")
-	slots := flag.Int("slots", 64, "continuous batching: concurrent KV-cache slots")
-	maxAdmit := flag.Int("max-admit", 4, "continuous batching: admissions per iteration (0 = unlimited)")
-	seed := flag.Int64("seed", 1, "continuous batching: trace seed")
-	prefixCache := flag.Bool("prefix-cache", false, "continuous batching: serve a shared-system-prompt trace and compare prefix cache on vs off")
-	prefixLen := flag.Int("prefix-len", 1792, "shared prompt prefix length in tokens (with -prefix-cache / -prefix-hit)")
-	templates := flag.Int("templates", 3, "distinct prompt templates in the shared-prefix trace")
-	prefillChunk := flag.Int("prefill-chunk", 0, "continuous batching: prefill token budget per iteration (0 = whole prompt at admission)")
-	prefixHit := flag.Float64("prefix-hit", 0, "static pipeline: fraction of requests whose prefix-len tokens hit a shared-prefix cache")
-	replicas := flag.Int("replicas", 0, "fleet: run N replicas of the decode-tier slice behind a router over a Zipf-template trace (0 = off)")
-	disaggregated := flag.Bool("disaggregated", false, "fleet: split the replicas into prefill and decode pools with per-request KV handoff")
-	faultPlan := flag.String("fault-plan", "", "fleet: inject faults, e.g. 'crash:1@2+4,slow:0@1-3x2.5,link:2.5-3' (crash:R@T[+D] drain:R@T[+D] slow:R@T1[-T2]xF link:T1[-T2]); compares no-fault vs recovered vs naive no-retry")
-	autoscaled := flag.Bool("autoscale", false, "fleet: rerun with the perf-model-driven autoscaler armed and compare goodput and replica-seconds against the static fleet")
-	flag.Parse()
+func main() { os.Exit(run(os.Args[1:], os.Stdout, os.Stderr)) }
+
+// run is the command: it parses args, writes the report to stdout and
+// errors to stderr, and returns the exit status (2 for a bad flag, 1 for a
+// run that fails).
+func run(args []string, stdout, stderr io.Writer) int {
+	fs := flag.NewFlagSet("estiserve", flag.ContinueOnError)
+	fs.SetOutput(stderr)
+	modelName := fs.String("model", "palm540b", "model: "+model.PresetNames)
+	weights := fs.String("weights", "int8", "weight format: bf16 or int8")
+	int8KV := fs.Bool("int8-kv", false, "store the KV cache int8 (half the cache bytes; ~2x the servable context per chip)")
+	int8Wire := fs.Bool("int8-wire", false, "move activation collectives as per-chunk int8 (half the bf16 wire bytes; halves exposed comm time)")
+	overlap := fs.Float64("overlap", 0, "fraction of the bandwidth comm component overlapped with compute (0-1); the hop-latency floor is always charged")
+	preChips := fs.Int("prefill-chips", 64, "prefill tier chip count")
+	preBatch := fs.Int("prefill-batch", 1, "prefill tier batch")
+	decChips := fs.Int("decode-chips", 64, "decode tier chip count")
+	decBatch := fs.Int("decode-batch", 64, "decode tier batch")
+	context := fs.Int("context", 2048, "input tokens per request")
+	gen := fs.Int("gen", 64, "output tokens per request")
+	load := fs.Float64("load", 0.8, "offered load as a fraction of pipeline capacity")
+	requests := fs.Int("requests", 200, "requests to simulate (0 = analysis only)")
+	continuous := fs.Bool("continuous", false, "also run a continuous-batching pool on the total chips and compare")
+	slots := fs.Int("slots", 64, "continuous batching: concurrent KV-cache slots")
+	maxAdmit := fs.Int("max-admit", 4, "continuous batching: admissions per iteration (0 = unlimited)")
+	seed := fs.Int64("seed", 1, "continuous batching: trace seed")
+	prefixCache := fs.Bool("prefix-cache", false, "continuous batching: serve a shared-system-prompt trace and compare prefix cache on vs off")
+	prefixLen := fs.Int("prefix-len", 1792, "shared prompt prefix length in tokens (with -prefix-cache / -prefix-hit)")
+	templates := fs.Int("templates", 3, "distinct prompt templates in the shared-prefix trace")
+	prefillChunk := fs.Int("prefill-chunk", 0, "continuous batching: prefill token budget per iteration (0 = whole prompt at admission)")
+	prefixHit := fs.Float64("prefix-hit", 0, "static pipeline: fraction of requests whose prefix-len tokens hit a shared-prefix cache")
+	replicas := fs.Int("replicas", 0, "fleet: run N replicas of the decode-tier slice behind a router over a Zipf-template trace (0 = off)")
+	disaggregated := fs.Bool("disaggregated", false, "fleet: split the replicas into prefill and decode pools with per-request KV handoff")
+	faultPlan := fs.String("fault-plan", "", "fleet: inject faults, e.g. 'crash:1@2+4,slow:0@1-3x2.5,link:2.5-3' (crash:R@T[+D] drain:R@T[+D] slow:R@T1[-T2]xF link:T1[-T2]); compares no-fault vs recovered vs naive no-retry")
+	autoscaled := fs.Bool("autoscale", false, "fleet: rerun with the perf-model-driven autoscaler armed and compare goodput and replica-seconds against the static fleet")
+	if err := fs.Parse(args); err != nil {
+		if errors.Is(err, flag.ErrHelp) {
+			return 0
+		}
+		return 2
+	}
 
 	// Refuse numeric flags no run can use before doing any work: a zero or
 	// infinite load makes the interarrival infinite, and an overlap outside
 	// [0, 1] hides more (or less) than all of the bandwidth term.
 	if !(*load > 0) || math.IsInf(*load, 1) {
-		fmt.Fprintf(os.Stderr, "estiserve: -load %g must be finite and > 0\n", *load)
-		os.Exit(2)
+		fmt.Fprintf(stderr, "estiserve: -load %g must be finite and > 0\n", *load)
+		return 2
 	}
 	if !(*overlap >= 0 && *overlap <= 1) {
-		fmt.Fprintf(os.Stderr, "estiserve: -overlap %g must be in [0, 1]\n", *overlap)
-		os.Exit(2)
+		fmt.Fprintf(stderr, "estiserve: -overlap %g must be in [0, 1]\n", *overlap)
+		return 2
 	}
 
 	cfg, ok := model.ByName(*modelName)
 	if !ok {
-		fmt.Fprintf(os.Stderr, "unknown model %q\n", *modelName)
-		os.Exit(2)
+		fmt.Fprintf(stderr, "unknown model %q\n", *modelName)
+		return 2
 	}
 	dt := model.BF16
 	if strings.EqualFold(*weights, "int8") {
@@ -190,10 +207,10 @@ func main() {
 
 	m, err := serve.Analyze(sc)
 	if err != nil {
-		fmt.Fprintln(os.Stderr, err)
-		os.Exit(1)
+		fmt.Fprintln(stderr, err)
+		return 1
 	}
-	fmt.Printf("%s, %s weights, %s KV cache, %s wire — %d-chip prefill (batch %d) → %d-chip decode (batch %d)\n",
+	fmt.Fprintf(stdout, "%s, %s weights, %s KV cache, %s wire — %d-chip prefill (batch %d) → %d-chip decode (batch %d)\n",
 		cfg.Name, dt, kvDT, wireDT, *preChips, *preBatch, *decChips, *decBatch)
 	// commT costs one tier's exposed communication under the configured
 	// knobs (per batch for prefill, per step for decode) with an arbitrary
@@ -223,13 +240,13 @@ func main() {
 		pre8 := commT(sc.Prefill, *context, 0, model.Int8)
 		preBF := commT(sc.Prefill, *context, 0, model.BF16)
 		preFP := commT(sc.Prefill, *context, 0, model.FP32)
-		fmt.Printf("  int8 wire: prefill comm %.1f ms/batch vs %.1f bf16 (%.2fx) / %.1f fp32 (%.2fx)\n",
+		fmt.Fprintf(stdout, "  int8 wire: prefill comm %.1f ms/batch vs %.1f bf16 (%.2fx) / %.1f fp32 (%.2fx)\n",
 			pre8*1000, preBF*1000, ratio(pre8, preBF), preFP*1000, ratio(pre8, preFP))
 		if *gen > 0 {
 			dec8 := commT(sc.Decode, *context, *gen, model.Int8)
 			decBF := commT(sc.Decode, *context, *gen, model.BF16)
 			decFP := commT(sc.Decode, *context, *gen, model.FP32)
-			fmt.Printf("  int8 wire: decode comm %.3f ms/step vs %.3f bf16 (%.2fx) / %.3f fp32 (%.2fx)\n",
+			fmt.Fprintf(stdout, "  int8 wire: decode comm %.3f ms/step vs %.3f bf16 (%.2fx) / %.3f fp32 (%.2fx)\n",
 				dec8*1000, decBF*1000, ratio(dec8, decBF), decFP*1000, ratio(dec8, decFP))
 		}
 	}
@@ -240,11 +257,11 @@ func main() {
 		bfCtx := planner.MaxContextKV(cfg, decSys, sc.Decode.Attn, *decBatch, 0.30, model.BF16)
 		q8Ctx := planner.MaxContextKV(cfg, decSys, sc.Decode.Attn, *decBatch, 0.30, model.Int8)
 		if bfCtx > 0 {
-			fmt.Printf("  int8 KV: %.0f B/token vs %.0f bf16; max context at batch %d: %d vs %d tokens (%.1fx)\n",
+			fmt.Fprintf(stdout, "  int8 KV: %.0f B/token vs %.0f bf16; max context at batch %d: %d vs %d tokens (%.1fx)\n",
 				cfg.KVBytesPerTokenAs(model.Int8), cfg.KVBytesPerToken(),
 				*decBatch, q8Ctx, bfCtx, float64(q8Ctx)/float64(bfCtx))
 		} else {
-			fmt.Printf("  int8 KV: %.0f B/token vs %.0f bf16; batch %d admits no context under the Table 1 budget in bf16 (%d tokens int8)\n",
+			fmt.Fprintf(stdout, "  int8 KV: %.0f B/token vs %.0f bf16; batch %d admits no context under the Table 1 budget in bf16 (%d tokens int8)\n",
 				cfg.KVBytesPerTokenAs(model.Int8), cfg.KVBytesPerToken(), *decBatch, q8Ctx)
 		}
 	}
@@ -252,11 +269,11 @@ func main() {
 		// The overlap-aware split: Comm - CommFloor is the bandwidth
 		// component (the part -overlap can hide); CommFloor is the serial
 		// hop-latency term that no amount of overlap removes.
-		fmt.Printf("  overlap %.2f: prefill comm %.1f ms/batch (hop floor %.1f ms, bandwidth %.1f ms)\n",
+		fmt.Fprintf(stdout, "  overlap %.2f: prefill comm %.1f ms/batch (hop floor %.1f ms, bandwidth %.1f ms)\n",
 			*overlap, m.PrefillComm*1000, m.PrefillCommFloor*1000,
 			(m.PrefillComm-m.PrefillCommFloor)*1000)
 		if *gen > 0 {
-			fmt.Printf("  overlap %.2f: decode comm %.3f ms/step (hop floor %.3f ms, bandwidth %.3f ms)\n",
+			fmt.Fprintf(stdout, "  overlap %.2f: decode comm %.3f ms/step (hop floor %.3f ms, bandwidth %.3f ms)\n",
 				*overlap, m.DecodeStepComm*1000, m.DecodeStepCommFloor*1000,
 				(m.DecodeStepComm-m.DecodeStepCommFloor)*1000)
 			// The honest version of the int8-wire decode story: with the
@@ -265,28 +282,35 @@ func main() {
 			// subtractive model's fictitious sub-floor numbers.
 			dec8 := commT(sc.Decode, *context, *gen, model.Int8)
 			decBF := commT(sc.Decode, *context, *gen, model.BF16)
-			fmt.Printf("  overlap %.2f: int8-vs-bf16 decode comm ratio %.2fx (both pinned toward the hop-latency floor)\n",
+			fmt.Fprintf(stdout, "  overlap %.2f: int8-vs-bf16 decode comm ratio %.2fx (both pinned toward the hop-latency floor)\n",
 				*overlap, ratio(dec8, decBF))
 		}
 	}
-	fmt.Printf("  prefill: %.2fs per batch (%.2f req/s)\n", m.PrefillService, m.PrefillRate)
-	fmt.Printf("  decode:  %.2fs per batch (%.2f req/s)\n", m.DecodeService, m.DecodeRate)
-	fmt.Printf("  pipeline: %.2f req/s, %s-bound; min latency %.2fs; %.3f chip-s/generated token\n",
+	fmt.Fprintf(stdout, "  prefill: %.2fs per batch (%.2f req/s)\n", m.PrefillService, m.PrefillRate)
+	fmt.Fprintf(stdout, "  decode:  %.2fs per batch (%.2f req/s)\n", m.DecodeService, m.DecodeRate)
+	fmt.Fprintf(stdout, "  pipeline: %.2f req/s, %s-bound; min latency %.2fs; %.3f chip-s/generated token\n",
 		m.Throughput, m.Bottleneck, m.MinLatency, m.CostPerToken)
 
 	if *requests > 0 {
 		inter := 1 / (m.Throughput * *load)
-		res, err := serve.Simulate(sc, *requests, inter)
+		res, err := fleet.Simulate(fleet.Pipeline(sc), pipelineTrace(sc, *requests, inter))
 		if err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			os.Exit(1)
+			fmt.Fprintln(stderr, err)
+			return 1
 		}
-		fmt.Printf("\nsimulated %d requests at %.0f%% load (interarrival %.2fs):\n",
+		var lat []float64
+		for _, o := range res.Outcomes {
+			if o.Err == nil {
+				lat = append(lat, o.Req.Latency())
+			}
+		}
+		fmt.Fprintf(stdout, "\nsimulated %d requests at %.0f%% load (interarrival %.2fs):\n",
 			res.Completed, *load*100, inter)
-		fmt.Printf("  latency p50/p95/p99: %.2fs / %.2fs / %.2fs (mean %.2fs)\n",
-			res.P50, res.P95, res.P99, res.MeanLatency)
-		fmt.Printf("  achieved throughput: %.2f req/s; tier busy: prefill %.0f%%, decode %.0f%%\n",
-			res.Throughput, res.PrefillBusyFrac*100, res.DecodeBusyFrac*100)
+		fmt.Fprintf(stdout, "  latency p50/p95/p99: %.2fs / %.2fs / %.2fs (mean %.2fs)\n",
+			res.P50, batching.Percentile(lat, 0.95), res.P99, res.MeanLatency)
+		fmt.Fprintf(stdout, "  achieved throughput: %.2f req/s; tier busy: prefill %.0f%%, decode %.0f%%\n",
+			ratio(float64(res.Completed), res.Makespan),
+			ratio(res.PerReplica[0].Busy, res.Makespan)*100, ratio(res.PerReplica[1].Busy, res.Makespan)*100)
 	}
 
 	if *continuous || *prefixCache {
@@ -318,35 +342,35 @@ func main() {
 			bc.Knobs.OverlapFrac = *overlap
 		}
 		if *continuous {
-			cmp, err := batching.CompareStatic(bc, trace)
+			cmp, err := fleet.CompareStatic(bc, trace)
 			if err != nil {
-				fmt.Fprintln(os.Stderr, err)
-				os.Exit(1)
+				fmt.Fprintln(stderr, err)
+				return 1
 			}
 			cres := cmp.Continuous
-			fmt.Printf("\ncontinuous batching: %d chips as one pool, %d slots, mixed trace of %d requests:\n",
+			fmt.Fprintf(stdout, "\ncontinuous batching: %d chips as one pool, %d slots, mixed trace of %d requests:\n",
 				totalChips, *slots, n)
-			fmt.Printf("  useful throughput: %.1f tok/s continuous vs %.1f tok/s static two-tier (%.2fx)\n",
+			fmt.Fprintf(stdout, "  useful throughput: %.1f tok/s continuous vs %.1f tok/s static two-tier (%.2fx)\n",
 				cmp.ContinuousTokensPerSec, cmp.StaticTokensPerSec, cmp.Speedup)
-			fmt.Printf("  static baseline tuned to prefill batch %d / decode batch %d (padded to %d ctx, %d gen)\n",
+			fmt.Fprintf(stdout, "  static baseline tuned to prefill batch %d / decode batch %d (padded to %d ctx, %d gen)\n",
 				cmp.StaticTuned.PrefillBatch, cmp.StaticTuned.DecodeBatch, trace.MaxContext(), trace.MaxGen())
-			fmt.Printf("  occupancy %.0f%%, %d iterations; latency p50/p95/p99: %.2fs / %.2fs / %.2fs\n",
+			fmt.Fprintf(stdout, "  occupancy %.0f%%, %d iterations; latency p50/p95/p99: %.2fs / %.2fs / %.2fs\n",
 				cres.MeanOccupancy*100, cres.Iterations, cres.P50, cres.P95, cres.P99)
 		}
 		if *prefixCache {
 			cmp, err := batching.CompareNoCache(bc, trace)
 			if err != nil {
-				fmt.Fprintln(os.Stderr, err)
-				os.Exit(1)
+				fmt.Fprintln(stderr, err)
+				return 1
 			}
-			fmt.Printf("\nprefix cache: %d-token shared prompts, %d templates over %d requests:\n",
+			fmt.Fprintf(stdout, "\nprefix cache: %d-token shared prompts, %d templates over %d requests:\n",
 				*prefixLen, *templates, n)
-			fmt.Printf("  useful throughput: %.1f tok/s cached vs %.1f tok/s uncached (%.2fx)\n",
+			fmt.Fprintf(stdout, "  useful throughput: %.1f tok/s cached vs %.1f tok/s uncached (%.2fx)\n",
 				cmp.Cached.GenTokensPerSec, cmp.Uncached.GenTokensPerSec, cmp.Speedup)
-			fmt.Printf("  %d hits / %d misses; %d prompt tokens served from cache\n",
+			fmt.Fprintf(stdout, "  %d hits / %d misses; %d prompt tokens served from cache\n",
 				cmp.Cached.PrefixHits, cmp.Cached.PrefixMisses, cmp.Cached.CachedTokens)
 			if *prefillChunk > 0 {
-				fmt.Printf("  prefill chunk %d tokens/iteration: worst iteration %.3fs cached, %.3fs uncached\n",
+				fmt.Fprintf(stdout, "  prefill chunk %d tokens/iteration: worst iteration %.3fs cached, %.3fs uncached\n",
 					*prefillChunk, cmp.Cached.MaxIterTime, cmp.Uncached.MaxIterTime)
 			}
 		}
@@ -391,59 +415,59 @@ func main() {
 		}
 		cmp, err := fleet.CompareRouting(fc, trace)
 		if err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			os.Exit(1)
+			fmt.Fprintln(stderr, err)
+			return 1
 		}
 		aff, rnd := cmp.Affinity, cmp.Random
 		shape := fmt.Sprintf("%d unified replicas", nRep)
 		if *disaggregated {
 			shape = fmt.Sprintf("%d prefill + %d decode replicas", fc.PrefillReplicas, fc.DecodeReplicas)
 		}
-		fmt.Printf("\nfleet: %s x %d chips, Zipf trace of %d requests (%d templates, %d-token prefixes):\n",
+		fmt.Fprintf(stdout, "\nfleet: %s x %d chips, Zipf trace of %d requests (%d templates, %d-token prefixes):\n",
 			shape, sc.Decode.System.Chips(), n, 4*nRep, pl)
-		fmt.Printf("  affinity routing: %.1f tok/s, p50/p99 %.2fs/%.2fs, %.2f good tok/s/chip, %d/%d prefix-warm routes\n",
+		fmt.Fprintf(stdout, "  affinity routing: %.1f tok/s, p50/p99 %.2fs/%.2fs, %.2f good tok/s/chip, %d/%d prefix-warm routes\n",
 			aff.GenTokensPerSec, aff.P50, aff.P99, aff.GoodputPerChip,
 			aff.AffinityHits, aff.AffinityHits+aff.AffinityMisses)
-		fmt.Printf("  random routing:   %.1f tok/s, p50/p99 %.2fs/%.2fs, %.2f good tok/s/chip (affinity %.2fx)\n",
+		fmt.Fprintf(stdout, "  random routing:   %.1f tok/s, p50/p99 %.2fs/%.2fs, %.2f good tok/s/chip (affinity %.2fx)\n",
 			rnd.GenTokensPerSec, rnd.P50, rnd.P99, rnd.GoodputPerChip, cmp.Speedup)
 		if *disaggregated {
-			fmt.Printf("  KV handoff: %d transfers, %.1f GB total (%.1f MB/request)\n",
+			fmt.Fprintf(stdout, "  KV handoff: %d transfers, %.1f GB total (%.1f MB/request)\n",
 				aff.Handoffs, aff.HandoffBytes/1e9, aff.HandoffBytes/float64(aff.Handoffs)/1e6)
 		}
 
 		if *faultPlan != "" {
 			plan, err := faults.Parse(*faultPlan)
 			if err != nil {
-				fmt.Fprintln(os.Stderr, err)
-				os.Exit(1)
+				fmt.Fprintln(stderr, err)
+				return 1
 			}
 			fcf := fc
 			fcf.Faults = plan
 			faulted, err := fleet.Simulate(fcf, trace)
 			if err != nil {
-				fmt.Fprintln(os.Stderr, err)
-				os.Exit(1)
+				fmt.Fprintln(stderr, err)
+				return 1
 			}
 			fcn := fcf
 			fcn.Recovery = fleet.RecoveryPolicy{Naive: true}
 			naive, err := fleet.Simulate(fcn, trace)
 			if err != nil {
-				fmt.Fprintln(os.Stderr, err)
-				os.Exit(1)
+				fmt.Fprintln(stderr, err)
+				return 1
 			}
-			fmt.Printf("\nfault injection (%s):\n", *faultPlan)
-			fmt.Printf("  no faults:  %.2f good tok/s/chip, %d/%d served\n",
+			fmt.Fprintf(stdout, "\nfault injection (%s):\n", *faultPlan)
+			fmt.Fprintf(stdout, "  no faults:  %.2f good tok/s/chip, %d/%d served\n",
 				aff.GoodputPerChip, aff.Completed, n)
-			fmt.Printf("  recovered:  %.2f good tok/s/chip (%.2fx), %d/%d served, %d retries, %d hedges (%d won), %d failed, %.1fk tokens wasted, recovery p99 %.2fs\n",
+			fmt.Fprintf(stdout, "  recovered:  %.2f good tok/s/chip (%.2fx), %d/%d served, %d retries, %d hedges (%d won), %d failed, %.1fk tokens wasted, recovery p99 %.2fs\n",
 				faulted.GoodputPerChip, ratio(faulted.GoodputPerChip, aff.GoodputPerChip),
 				faulted.Completed, n, faulted.Retries, faulted.Hedges, faulted.HedgeWins, faulted.Failed,
 				float64(faulted.WastedPrefillTokens+faulted.WastedDecodeTokens)/1e3, faulted.RecoveryP99)
-			fmt.Printf("  naive:      %.2f good tok/s/chip (%.2fx), %d/%d served, %d failed (no retries, health-blind routing)\n",
+			fmt.Fprintf(stdout, "  naive:      %.2f good tok/s/chip (%.2fx), %d/%d served, %d failed (no retries, health-blind routing)\n",
 				naive.GoodputPerChip, ratio(naive.GoodputPerChip, aff.GoodputPerChip),
 				naive.Completed, n, naive.Failed)
 			for i, r := range faulted.PerReplica {
 				if r.Crashes > 0 || r.Downtime > 0 || r.FinalHealth != "healthy" {
-					fmt.Printf("  replica %d (%s): %d crashes, %.2fs down, %d tokens wasted, ends %s\n",
+					fmt.Fprintf(stdout, "  replica %d (%s): %d crashes, %.2fs down, %d tokens wasted, ends %s\n",
 						i, r.Role, r.Crashes, r.Downtime, r.WastedTokens, r.FinalHealth)
 				}
 			}
@@ -454,15 +478,15 @@ func main() {
 			if *faultPlan != "" {
 				plan, err := faults.Parse(*faultPlan)
 				if err != nil {
-					fmt.Fprintln(os.Stderr, err)
-					os.Exit(1)
+					fmt.Fprintln(stderr, err)
+					return 1
 				}
 				fcs.Faults = plan
 			}
 			static, err := fleet.Simulate(fcs, trace)
 			if err != nil {
-				fmt.Fprintln(os.Stderr, err)
-				os.Exit(1)
+				fmt.Fprintln(stderr, err)
+				return 1
 			}
 			fca := fcs
 			fca.Autoscale = &autoscale.Policy{
@@ -471,24 +495,39 @@ func main() {
 			}
 			auto, err := fleet.Simulate(fca, trace)
 			if err != nil {
-				fmt.Fprintln(os.Stderr, err)
-				os.Exit(1)
+				fmt.Fprintln(stderr, err)
+				return 1
 			}
-			fmt.Printf("\nautoscale (%d..%d replicas, start %d):\n",
+			fmt.Fprintf(stdout, "\nautoscale (%d..%d replicas, start %d):\n",
 				fca.Autoscale.MinReplicas, fca.Autoscale.MaxReplicas, nRep)
-			fmt.Printf("  static:     %d good tok, %.1f replica-s, %.1f good tok/replica-s, %d/%d served\n",
+			fmt.Fprintf(stdout, "  static:     %d good tok, %.1f replica-s, %.1f good tok/replica-s, %d/%d served\n",
 				static.GoodTokens, static.ReplicaSeconds, static.GoodputPerReplicaSec, static.Completed, n)
-			fmt.Printf("  autoscaled: %d good tok (%.2fx), %.1f replica-s (%.2fx), %.1f good tok/replica-s, %d/%d served\n",
+			fmt.Fprintf(stdout, "  autoscaled: %d good tok (%.2fx), %.1f replica-s (%.2fx), %.1f good tok/replica-s, %d/%d served\n",
 				auto.GoodTokens, ratio(float64(auto.GoodTokens), float64(static.GoodTokens)),
 				auto.ReplicaSeconds, ratio(auto.ReplicaSeconds, static.ReplicaSeconds),
 				auto.GoodputPerReplicaSec, auto.Completed, n)
-			fmt.Printf("  %d control ticks, %d scale-outs, %d scale-ins, %d replicas at peak\n",
+			fmt.Fprintf(stdout, "  %d control ticks, %d scale-outs, %d scale-ins, %d replicas at peak\n",
 				auto.Ticks, auto.ScaleOuts, auto.ScaleIns, len(auto.PerReplica))
 			for _, ev := range auto.ScaleEvents {
-				fmt.Printf("  t=%.2f %-7s %s replica %d: %s\n", ev.T, ev.Pool, ev.Verdict, ev.Replica, ev.Reason)
+				fmt.Fprintf(stdout, "  t=%.2f %-7s %s replica %d: %s\n", ev.T, ev.Pool, ev.Verdict, ev.Replica, ev.Reason)
 			}
 		}
 	}
+	return 0
+}
+
+// pipelineTrace is the static replay's request stream: n requests of the
+// configured shape, one every inter seconds, of which a PrefixHitRate share
+// (spread evenly) open with one shared PrefixLen-token template.
+func pipelineTrace(c serve.Config, n int, inter float64) batching.Trace {
+	reqs := make([]batching.Request, n)
+	for i := range reqs {
+		reqs[i] = batching.Request{ID: i, Arrival: float64(i) * inter, Context: c.Context, Gen: c.Gen}
+		if int(float64(i+1)*c.PrefixHitRate) > int(float64(i)*c.PrefixHitRate) {
+			reqs[i].Template, reqs[i].PrefixLen = 1, c.PrefixLen
+		}
+	}
+	return batching.Trace{Requests: reqs}
 }
 
 func ratio(num, den float64) float64 {

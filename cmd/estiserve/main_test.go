@@ -1,0 +1,81 @@
+package main
+
+import (
+	"bytes"
+	"regexp"
+	"strconv"
+	"strings"
+	"testing"
+)
+
+// estiserve runs the command with args and returns its exit status and
+// output streams.
+func estiserve(t *testing.T, args ...string) (code int, stdout, stderr string) {
+	t.Helper()
+	var out, errOut bytes.Buffer
+	code = run(args, &out, &errOut)
+	return code, out.String(), errOut.String()
+}
+
+// number extracts the first capture of re from out as a float.
+func number(t *testing.T, re, out string) float64 {
+	t.Helper()
+	m := regexp.MustCompile(re).FindStringSubmatch(out)
+	if m == nil {
+		t.Fatalf("no match for %q in:\n%s", re, out)
+	}
+	v, err := strconv.ParseFloat(m[1], 64)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return v
+}
+
+// Numeric flags no run can use are refused with status 2 before any work.
+func TestBadFlagsExitTwo(t *testing.T) {
+	for _, args := range [][]string{{"-load", "0"}, {"-overlap", "2"}, {"-no-such-flag"}} {
+		code, stdout, stderr := estiserve(t, args...)
+		if code != 2 || stdout != "" || stderr == "" {
+			t.Errorf("%v: status %d, stdout %q, stderr %q; want 2, no report, an error", args, code, stdout, stderr)
+		}
+	}
+}
+
+// Unequal tiers replay as a two-pool fleet.
+func TestUnequalTierReplay(t *testing.T) {
+	code, stdout, stderr := estiserve(t, "-prefill-chips", "32", "-decode-chips", "64", "-requests", "50")
+	if code != 0 {
+		t.Fatalf("status %d: %s", code, stderr)
+	}
+	for _, want := range []string{"32-chip prefill", "64-chip decode", "simulated 50 requests", "latency p50/p95/p99", "tier busy"} {
+		if !strings.Contains(stdout, want) {
+			t.Errorf("report lacks %q:\n%s", want, stdout)
+		}
+	}
+}
+
+// Continuous batching beats the tuned static pipeline on the mixed trace.
+func TestContinuousSpeedup(t *testing.T) {
+	code, stdout, stderr := estiserve(t, "-continuous", "-requests", "100")
+	if code != 0 {
+		t.Fatalf("status %d: %s", code, stderr)
+	}
+	if x := number(t, `static two-tier \(([0-9.]+)x\)`, stdout); x <= 1 {
+		t.Errorf("continuous speedup %.2fx, want > 1:\n%s", x, stdout)
+	}
+}
+
+// -prefix-hit reaches the replay: cached template prefixes shorten the
+// prefill tier's batches, so the median request finishes sooner.
+func TestPrefixHitShortensReplay(t *testing.T) {
+	p50 := func(hit string) float64 {
+		code, stdout, stderr := estiserve(t, "-prefix-hit", hit, "-requests", "200")
+		if code != 0 {
+			t.Fatalf("-prefix-hit %s: status %d: %s", hit, code, stderr)
+		}
+		return number(t, `simulated [\s\S]*?latency p50/p95/p99: ([0-9.]+)s`, stdout)
+	}
+	if hot, cold := p50("0.9"), p50("0"); hot >= cold {
+		t.Errorf("replay p50 %.2fs at -prefix-hit 0.9, not below %.2fs at 0", hot, cold)
+	}
+}

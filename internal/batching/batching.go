@@ -1,20 +1,20 @@
 // Package batching implements iteration-level ("continuous") batching for
 // the decode phase, the scheduling discipline serving systems such as
 // DeepSpeed Inference and Orca use to keep the decode batch full under
-// heavy, mixed-length traffic. Where package serve models *static* batches
-// — every sequence enters and leaves together, padded to a common shape —
-// this package schedules at the granularity the paper's cost model already
-// exposes: one decode step. Each request owns one KV-cache slot from
-// admission to completion; the moment a sequence finishes, its slot is
-// released and the next queued prompt is prefilled into it while the rest
-// of the batch keeps decoding (the engine-level counterpart is
-// engine.PrefillSlot + engine.DecodeSlotsInto).
+// heavy, mixed-length traffic. It schedules at the granularity the paper's
+// cost model already exposes: one decode step. Each request owns one
+// KV-cache slot from admission to completion; the moment a sequence
+// finishes, its slot is released and the next queued prompt is prefilled
+// into it while the rest of the batch keeps decoding (the engine-level
+// counterpart is engine.PrefillSlot + engine.DecodeSlotsInto).
 //
 // All times come from the calibrated perf model: admission pays the batch-1
 // prefill cost of the actual prompt length, and every iteration pays one
 // decode-step cost at the *actual* batch occupancy and mean context — no
-// padding to the longest sequence, which is exactly the waste the
-// comparison against package serve quantifies (CompareStatic).
+// padding to the longest sequence. Config.Static selects the other
+// discipline, the static batches of the paper's two-tier pipeline (every
+// sequence enters and leaves together, padded to a common shape), on the
+// same scheduler; package fleet sets the two against each other.
 //
 // Two admission optimizations ride on top. Prefix caching
 // (Config.PrefixCache) lets requests that share a prompt template skip its
@@ -32,8 +32,7 @@
 // errors.Is against wrapped returns:
 //
 //   - ErrInvalidConfig — a configuration that can never run (bad slot
-//     count, capacity, chunk size; an invalid fault plan). Identical to
-//     serve.ErrInvalidConfig.
+//     count, capacity, chunk size; an invalid fault plan).
 //   - ErrInfeasible — a deployment the perf model rejects at full
 //     occupancy. Identical to serve.ErrInfeasible.
 //   - ErrInvalidTrace — a malformed trace request (non-finite arrival,
@@ -294,7 +293,17 @@ type Config struct {
 	// entire prompt — Result.MaxIterTime is the decode-latency cap this
 	// buys, at the price of later first tokens for the chunked prompts.
 	PrefillChunk int
-	Knobs        perf.Knobs
+	// Static selects the static batching of the paper's two-tier pipeline
+	// instead of slot-level admission: the replica admits only when every
+	// slot is free, taking up to Slots queued requests as one group; the
+	// group prefills in one pass at batch Slots over its padded shape (the
+	// longest uncached suffix on top of the shortest cached prefix), and
+	// every decode step costs a full batch of Slots at the group's longest
+	// context whatever the occupancy — partial batches pay full batch
+	// service time. EstimateFinish and Snapshot keep their slot-level
+	// estimates, an optimistic bound here. Incompatible with PrefillChunk.
+	Static bool
+	Knobs  perf.Knobs
 }
 
 func (c Config) validate() error {
@@ -306,6 +315,10 @@ func (c Config) validate() error {
 	}
 	if c.PrefillChunk < 0 {
 		return fmt.Errorf("batching: %w: negative prefill chunk %d", ErrInvalidConfig, c.PrefillChunk)
+	}
+	if c.Static && c.PrefillChunk > 0 {
+		return fmt.Errorf("batching: %w: a static batch prefills whole, not in %d-token chunks",
+			ErrInvalidConfig, c.PrefillChunk)
 	}
 	// Feasibility at full occupancy and depth: if the KV cache of Slots
 	// sequences at MaxLen doesn't fit beside the weights, the deployment

@@ -1,105 +1,5 @@
 package batching
 
-import (
-	"fmt"
-	"math"
-
-	"esti/internal/hardware"
-	"esti/internal/serve"
-)
-
-// Comparison holds the head-to-head of continuous batching against the
-// static two-tier pipeline on the same trace and total chip count.
-type Comparison struct {
-	Continuous Result
-	Static     serve.SimResult
-	// StaticTuned records the tier batches serve.Tune picked for the
-	// baseline (it gets its best configuration, not a strawman).
-	StaticTuned serve.TuneResult
-	// Useful generated-token throughput: each request contributes its
-	// actual Gen, so the static pipeline's padded decode steps earn
-	// nothing for the padding.
-	ContinuousTokensPerSec float64
-	StaticTokensPerSec     float64
-	// Speedup = continuous / static useful-token throughput.
-	Speedup float64
-}
-
-// CompareStatic replays the same request trace through both serving
-// disciplines at equal total chip count:
-//
-//   - Continuous: every chip in c.System forms one pool; slot-level
-//     admission, per-iteration costs at actual lengths (Simulate).
-//   - Static: the chips split into a prefill tier and a decode tier
-//     (package serve's disaggregated pipeline, half each), with tier
-//     batches chosen by serve.Tune for maximum throughput. A static batch
-//     has a single shape, so every request is padded to the trace's
-//     maximum context and generation length — the padding and
-//     batch-drain waste this comparison quantifies.
-//
-// Useful-token throughput counts only each request's actual Gen tokens.
-// For a clean comparison the trace should fit c.MaxLen (no rejections).
-func CompareStatic(c Config, trace Trace) (Comparison, error) {
-	n := c.System.Chips()
-	if n < 2 {
-		return Comparison{}, fmt.Errorf("batching: need >= 2 chips to form two static tiers, have %d", n)
-	}
-	if len(trace.Requests) < 2 {
-		return Comparison{}, fmt.Errorf("batching: trace too short to compare")
-	}
-
-	cont, err := Simulate(c, trace)
-	if err != nil {
-		return Comparison{}, err
-	}
-	if cont.Rejected > 0 {
-		// The static side is costed over the whole trace, so rejections
-		// would skew the comparison in continuous batching's favor.
-		return Comparison{}, fmt.Errorf("batching: %d requests exceed the %d-token slot capacity; comparison requires a fully eligible trace", cont.Rejected, c.MaxLen)
-	}
-
-	half := hardware.NewSystem(c.System.Chip, hardware.BestSlice(n/2))
-	staticCfg := serve.Config{
-		Model:     c.Model,
-		Weights:   c.Weights,
-		KVDType:   c.KVDType,
-		WireDType: c.WireDType,
-		Prefill:   serve.Tier{System: half, Batch: 1, FFN: c.FFN, Attn: c.Attn},
-		Decode:    serve.Tier{System: half, Batch: 64, FFN: c.FFN, Attn: c.Attn},
-		Context:   trace.MaxContext(),
-		Gen:       trace.MaxGen(),
-		Knobs:     c.Knobs,
-	}
-	tuned, ok := serve.Tune(staticCfg, math.Inf(1))
-	if ok {
-		staticCfg.Prefill.Batch = tuned.PrefillBatch
-		staticCfg.Decode.Batch = tuned.DecodeBatch
-	}
-
-	// Same arrival process: serve.Simulate generates fixed-interarrival
-	// requests, so feed it the trace's mean gap and count.
-	reqs := trace.Requests
-	inter := (reqs[len(reqs)-1].Arrival - reqs[0].Arrival) / float64(len(reqs)-1)
-	stat, err := serve.Simulate(staticCfg, len(reqs), inter)
-	if err != nil {
-		return Comparison{}, fmt.Errorf("batching: static baseline: %w", err)
-	}
-
-	cmp := Comparison{
-		Continuous:             cont,
-		Static:                 stat,
-		StaticTuned:            tuned,
-		ContinuousTokensPerSec: cont.GenTokensPerSec,
-	}
-	if stat.Makespan > 0 {
-		cmp.StaticTokensPerSec = float64(trace.TotalGen()) / stat.Makespan
-	}
-	if cmp.StaticTokensPerSec > 0 {
-		cmp.Speedup = cmp.ContinuousTokensPerSec / cmp.StaticTokensPerSec
-	}
-	return cmp, nil
-}
-
 // CacheComparison is the head-to-head of the same continuous pool with and
 // without shared-prefix reuse on the same trace.
 type CacheComparison struct {

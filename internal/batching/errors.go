@@ -7,13 +7,13 @@ import (
 )
 
 // Sentinel errors for admission and validation, checkable with errors.Is.
-// ErrInvalidConfig and ErrInfeasible are the same values package serve
-// exports (one target matches either layer); the rest are the per-request
-// admission outcomes the fleet router's shed decisions reuse.
+// ErrInfeasible is the value package serve's Analyze returns (one target
+// matches either layer); the rest are the per-request admission outcomes
+// the fleet router's shed decisions reuse.
 var (
 	// ErrInvalidConfig marks a Config that can never run (bad slot count,
-	// capacity, chunk size). Identical to serve.ErrInvalidConfig.
-	ErrInvalidConfig = serve.ErrInvalidConfig
+	// capacity, chunk size).
+	ErrInvalidConfig = errors.New("invalid serving configuration")
 	// ErrInfeasible marks a deployment the perf model rejects at full
 	// occupancy. Identical to serve.ErrInfeasible.
 	ErrInfeasible = serve.ErrInfeasible

@@ -19,8 +19,13 @@ package batching
 //     KV already arrived via handoff: it skips prefill entirely, joining
 //     the decode batch on its admission iteration and generating its
 //     remaining Gen-1 tokens (the first came from the prefill pool).
+//
+// Config.Static runs either mode (and unified serving) as the paper's
+// static pipeline tier instead: whole-batch admission into an empty
+// replica, every pass priced at the full batch.
 
 import (
+	"math"
 	"sort"
 
 	"esti/internal/perf"
@@ -31,7 +36,7 @@ type queued struct {
 	decodeOnly bool
 }
 
-type preKey struct{ past, ctx int }
+type preKey struct{ batch, past, ctx int }
 type stepKey struct{ batch, ctx int }
 
 // Scheduler holds one replica's iteration-level scheduling state.
@@ -145,18 +150,18 @@ func (s *Scheduler) enqueue(q queued) {
 	s.queue[at] = q
 }
 
-// prefillT is the memoized batch-1 prefill cost of ctx tokens on top of
-// `past` cached positions.
-func (s *Scheduler) prefillT(past, ctx int) float64 {
+// prefillT is the memoized cost of prefilling ctx tokens on top of `past`
+// cached positions for each of batch sequences.
+func (s *Scheduler) prefillT(batch, past, ctx int) float64 {
 	c := s.c
-	key := preKey{past, ctx}
+	key := preKey{batch, past, ctx}
 	if t, ok := s.prefillMemo[key]; ok {
 		return t
 	}
 	res := perf.Prefill(perf.Request{
 		Model: c.Model, System: c.System, Weights: c.Weights,
 		KVDType: c.KVDType, WireDType: c.WireDType,
-		FFN: c.FFN, Attn: c.Attn, Batch: 1, Context: ctx, Past: past,
+		FFN: c.FFN, Attn: c.Attn, Batch: batch, Context: ctx, Past: past,
 	}, c.Knobs)
 	s.prefillMemo[key] = res.Time
 	return res.Time
@@ -190,7 +195,7 @@ func (s *Scheduler) decodeT(batch, ctx int) float64 {
 func (s *Scheduler) EstimateFinish(r *Request, decodeOnly bool) float64 {
 	prefillWork, remaining, _, _ := s.backlog()
 	if !decodeOnly {
-		prefillWork += s.prefillT(0, r.Context)
+		prefillWork += s.prefillT(1, 0, r.Context)
 	}
 	remaining += r.Gen
 	if s.prefillOnly {
@@ -216,7 +221,7 @@ func (s *Scheduler) backlog() (prefillWork float64, remaining, ctxSum, n int) {
 			continue
 		}
 		if ss.toGo > 0 {
-			prefillWork += s.prefillT(ss.ctxDone, ss.toGo)
+			prefillWork += s.prefillT(1, ss.ctxDone, ss.toGo)
 		}
 		remaining += ss.req.Gen - ss.produced
 		ctxSum += ss.req.Context + ss.req.Gen/2
@@ -224,7 +229,7 @@ func (s *Scheduler) backlog() (prefillWork float64, remaining, ctxSum, n int) {
 	}
 	for _, q := range s.queue {
 		if !q.decodeOnly {
-			prefillWork += s.prefillT(0, q.r.Context)
+			prefillWork += s.prefillT(1, 0, q.r.Context)
 		}
 		remaining += q.r.Gen
 		ctxSum += q.r.Context + q.r.Gen/2
@@ -291,7 +296,12 @@ func (s *Scheduler) Step() (iterTime float64, done []*Request) {
 	// (completed) prefill rather than from the decode step.
 	firstToken := map[int]bool{}
 	admitted := 0
-	for s.free > 0 && len(s.queue) > 0 {
+	// A static replica admits only into an empty batch, and prefills the
+	// admitted group in one pass over its padded shape: the longest
+	// uncached suffix on top of the shortest cached prefix.
+	open := !c.Static || s.free == c.Slots
+	groupPast, groupSuffix := math.MaxInt, 0
+	for open && s.free > 0 && len(s.queue) > 0 {
 		if c.MaxAdmit > 0 && admitted >= c.MaxAdmit {
 			break
 		}
@@ -342,7 +352,12 @@ func (s *Scheduler) Step() (iterTime float64, done []*Request) {
 		if c.PrefillChunk == 0 {
 			// Inline admission: the whole (remaining) prompt prefills now
 			// and yields the request's first token.
-			iterTime += s.prefillT(ss.ctxDone, ss.toGo)
+			if c.Static {
+				groupPast = min(groupPast, ss.ctxDone)
+				groupSuffix = max(groupSuffix, ss.toGo)
+			} else {
+				iterTime += s.prefillT(1, ss.ctxDone, ss.toGo)
+			}
 			ss.ctxDone = r.Context
 			ss.toGo = 0
 			ss.produced = 1
@@ -351,6 +366,10 @@ func (s *Scheduler) Step() (iterTime float64, done []*Request) {
 				s.warm[ss.seedsTemplate] = true
 			}
 		}
+	}
+
+	if groupSuffix > 0 {
+		iterTime += s.prefillT(c.Slots, groupPast, groupSuffix)
 	}
 
 	// Chunked prefill: spend this iteration's prefill-token budget on
@@ -370,7 +389,7 @@ func (s *Scheduler) Step() (iterTime float64, done []*Request) {
 			if adv > ss.toGo {
 				adv = ss.toGo
 			}
-			iterTime += s.prefillT(ss.ctxDone, adv)
+			iterTime += s.prefillT(1, ss.ctxDone, adv)
 			ss.ctxDone += adv
 			ss.toGo -= adv
 			budget -= adv
@@ -386,18 +405,22 @@ func (s *Scheduler) Step() (iterTime float64, done []*Request) {
 
 	// Decode step over the slots that were already running; slots still
 	// prefilling and those that just got their first token sit out. A
-	// prefill-only pool never decodes.
+	// prefill-only pool never decodes; a static one pays a full batch at
+	// its longest context.
 	if !s.prefillOnly {
-		decodeBatch := 0
-		ctxSum := 0
+		decodeBatch, ctxSum, ctxMax := 0, 0, 0
 		for slot, ss := range s.slots {
 			if ss == nil || ss.toGo > 0 || firstToken[slot] {
 				continue
 			}
 			decodeBatch++
 			ctxSum += ss.req.Context + ss.produced
+			ctxMax = max(ctxMax, ss.req.Context+ss.produced)
 		}
-		if decodeBatch > 0 {
+		switch {
+		case decodeBatch > 0 && c.Static:
+			iterTime += s.decodeT(c.Slots, ctxMax)
+		case decodeBatch > 0:
 			iterTime += s.decodeT(decodeBatch, ctxSum/decodeBatch)
 		}
 	}

@@ -2,10 +2,12 @@ package batching
 
 import (
 	"errors"
+	"math"
 	"testing"
 
 	"esti/internal/hardware"
 	"esti/internal/partition"
+	"esti/internal/perf"
 )
 
 func drain(t *testing.T, s *Scheduler) []*Request {
@@ -96,6 +98,63 @@ func TestDecodeOnlyAdmission(t *testing.T) {
 	}
 }
 
+// A static scheduler admits only into an empty batch, takes up to Slots
+// requests as one group, and prices every pass at the full batch over the
+// group's padded shape: two requests in four slots pay one batch-4 prefill
+// of the longer prompt and batch-4 decode steps at the longest context.
+func TestStaticBatchDiscipline(t *testing.T) {
+	c := palm540bConfig()
+	c.Slots, c.Static = 4, true
+	s, err := NewScheduler(c)
+	if err != nil {
+		t.Fatal(err)
+	}
+	short := &Request{ID: 0, Context: 256, Gen: 3, Slot: -1}
+	long := &Request{ID: 1, Context: 512, Gen: 5, Slot: -1}
+	s.Enqueue(short)
+	s.Enqueue(long)
+	// The third arrives once the group runs: it must wait for the whole
+	// group to drain, though three slots sit free the whole time.
+	s.Step()
+	late := &Request{ID: 2, Context: 128, Gen: 2, Slot: -1}
+	s.Enqueue(late)
+	drain(t, s)
+
+	k := perf.DefaultKnobs()
+	req := perf.Request{Model: c.Model, System: c.System, Weights: c.Weights,
+		FFN: c.FFN, Attn: c.Attn, Batch: c.Slots}
+	cost := func(ctx int, prefill bool) float64 {
+		r := req
+		if prefill {
+			r.Context = ctx
+			return perf.Prefill(r, k).Time
+		}
+		r.Context, r.Gen = (ctx+31)/32*32, 1
+		return perf.Decode(r, k).Time
+	}
+	// Prefill yields token 1; decode steps produce tokens 2..Gen at the
+	// longest context in the batch, the short request riding along until
+	// it finishes and its slot then idling until the long one ends.
+	want := cost(512, true)
+	for tok := 1; tok < long.Gen; tok++ {
+		want += cost(512+tok, false)
+	}
+	if math.Abs(long.Done-want) > 1e-12 {
+		t.Errorf("group done at %.6f, want %.6f (full-batch prefill and steps)", long.Done, want)
+	}
+	if short.Done >= long.Done {
+		t.Errorf("short request done %.4f not before the long one %.4f", short.Done, long.Done)
+	}
+	if late.Admitted != long.Done {
+		t.Errorf("late request admitted at %.4f, want when the group drained (%.4f)", late.Admitted, long.Done)
+	}
+
+	c.PrefillChunk = 64
+	if _, err := NewScheduler(c); !errors.Is(err, ErrInvalidConfig) {
+		t.Errorf("static with chunked prefill: got %v, want ErrInvalidConfig", err)
+	}
+}
+
 // Priority orders admission under contention; equal priorities stay FIFO.
 func TestPriorityAdmissionOrder(t *testing.T) {
 	c := palm540bConfig()
@@ -181,7 +240,7 @@ func TestEstimateFinishMonotonic(t *testing.T) {
 }
 
 // The sentinel errors must be reachable with errors.Is through every wrapped
-// path, and the batching aliases must match the serve values.
+// path.
 func TestSentinelErrors(t *testing.T) {
 	c := palm540bConfig()
 

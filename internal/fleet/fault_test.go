@@ -445,7 +445,8 @@ func TestDrainGraceful(t *testing.T) {
 }
 
 // Satellite property test: under any seeded fault plan — and under the
-// naive policy, disaggregated, and autoscaled in both layouts — the
+// naive policy, disaggregated (equal and unequal pools, and the paper's
+// static 1 + 1 pipeline), and autoscaled in both layouts — the
 // partition and token-accounting invariants hold, a second run replays the
 // first byte for byte, and the replicas' lifetime windows sum to
 // ReplicaSeconds. CI sweeps CHAOS_SEED_BASE across a matrix.
@@ -473,8 +474,14 @@ func TestFaultPlanInvariants(t *testing.T) {
 			autoUnified.Autoscale = autoPolicy()
 			autoDisagg := disagg
 			autoDisagg.Autoscale = autoDisaggPolicy()
+			unequal := unequalPools()
+			unequal.Seed, unequal.Faults = seed, plan
+			// The paper's pipeline has two replicas: the same generator
+			// draws its plan at that size.
+			pipeline := Pipeline(paperPipeline())
+			pipeline.Seed, pipeline.Faults = seed, faults.RandomPlan(seed, 2, 8.0)
 			for name, c := range map[string]Config{"unified": unified, "disagg": disagg, "naive": naive,
-				"auto-unified": autoUnified, "auto-disagg": autoDisagg} {
+				"auto-unified": autoUnified, "auto-disagg": autoDisagg, "unequal": unequal, "pipeline": pipeline} {
 				res, err := Simulate(c, trace)
 				if err != nil {
 					t.Fatalf("%s: %v", name, err)

@@ -17,7 +17,10 @@
 //   - Disaggregated pools: prefill-only replicas complete a request at its
 //     first token and hand the slot's KV to a decode replica over the
 //     interconnect (the executable counterpart is EnginePair, which moves
-//     real cache blocks between engines token-exactly).
+//     real cache blocks between engines token-exactly). The two pools may
+//     run different slices, slot counts and batching disciplines; Pipeline
+//     is the paper's static two-tier pipeline as a 1 + 1 fleet, and
+//     CompareStatic sets continuous batching against it.
 //   - SLO admission: per-request deadlines and priority tiers; the router
 //     sheds work the perf model says cannot finish in time (ErrDeadline)
 //     and low-priority work when queues saturate (ErrOverloaded), keeping
@@ -89,12 +92,18 @@ func (p Policy) String() string {
 	return fmt.Sprintf("policy(%d)", int(p))
 }
 
-// Config describes a fleet: one replica blueprint stamped N times, a
-// routing policy, and optionally a disaggregated split.
+// Config describes a fleet: a replica blueprint per pool stamped N times,
+// a routing policy, and optionally a disaggregated split.
 type Config struct {
 	// Replica is the per-replica serving configuration (model, slice,
-	// layout, slots). Every replica in the fleet is identical.
+	// layout, slots, batching discipline) of every unified replica, and of
+	// the decode pool when Disaggregated.
 	Replica batching.Config
+	// PrefillReplica is the prefill pool's replica configuration when
+	// Disaggregated (nil = Replica). It must hold the KV the decode pool
+	// imports: the same Model and KVDType, and a MaxLen no larger than
+	// Replica's. Ignored in unified mode.
+	PrefillReplica *batching.Config
 	// Replicas is the fleet size in unified mode (each replica runs both
 	// phases). Ignored when Disaggregated.
 	Replicas int
@@ -105,9 +114,9 @@ type Config struct {
 	// replicas and DecodeReplicas decode replicas. A request prefills on
 	// one pool, then its slot KV crosses the interconnect and decoding
 	// resumes on the other — the fleet-scale version of the paper's
-	// two-tier pipeline, with per-request handoff instead of tier batches.
-	// Each handoff delays the decode admission by Context ×
-	// KV-bytes-per-token / the replica chip's NetworkBandwidth.
+	// two-tier pipeline (Pipeline builds the paper's own: one static
+	// replica per pool). Each handoff delays the decode admission by
+	// Context × KV-bytes-per-token / the prefill chip's NetworkBandwidth.
 	Disaggregated   bool
 	PrefillReplicas int
 	DecodeReplicas  int
@@ -181,6 +190,8 @@ type ReplicaStats struct {
 	LocalTokens int
 	// Crashes counts Crash fault events this replica absorbed.
 	Crashes int
+	// Busy is the time the replica spent running iterations.
+	Busy float64
 	// Downtime is total time spent Down (crash to recovery, or to the end
 	// of the run).
 	Downtime float64
@@ -218,7 +229,8 @@ type Result struct {
 	Makespan        float64
 	GenTokensPerSec float64
 	// GoodputPerChip is goodput tokens/s divided by the fleet's total chip
-	// count — the paper's cost axis, extended to SLO-aware serving.
+	// count, each replica counted at its own pool's slice — the paper's
+	// cost axis, extended to SLO-aware serving.
 	GoodputPerChip float64
 	MeanLatency    float64
 	P50, P99       float64
@@ -285,6 +297,7 @@ type WastedWork struct {
 type replica struct {
 	idx     int
 	s       *batching.Scheduler
+	chips   int
 	prefill bool
 	health  faults.Health
 	// downSince is when the replica last went Down (for Downtime).
@@ -362,7 +375,10 @@ type reqState struct {
 }
 
 type sim struct {
-	c       Config
+	c Config
+	// in is the ingress pool's replica config: the arrival screens and
+	// affinity routing read it.
+	in      batching.Config
 	ingress []*replica // unified replicas, or the prefill pool
 	decode  []*replica // nil in unified mode
 	all     []*replica
@@ -415,7 +431,7 @@ func Simulate(c Config, trace batching.Trace) (Result, error) {
 		s.events.push(event{t: s.auto.Interval, seq: s.nextSeq(), kind: evTick})
 	}
 	for i := range reqs {
-		if err := c.Replica.CheckRequest(reqs[i]); errors.Is(err, batching.ErrInvalidTrace) {
+		if err := s.in.CheckRequest(reqs[i]); errors.Is(err, batching.ErrInvalidTrace) {
 			return Result{}, err
 		}
 		reqs[i].Slot = -1
@@ -429,6 +445,7 @@ func Simulate(c Config, trace batching.Trace) (Result, error) {
 func newSim(c Config) (*sim, error) {
 	s := &sim{
 		c:      c,
+		in:     c.Replica,
 		rng:    rand.New(rand.NewSource(c.Seed)),
 		states: map[*batching.Request]*reqState{},
 		origin: map[*batching.Request]*replica{},
@@ -449,6 +466,13 @@ func newSim(c Config) (*sim, error) {
 				batching.ErrInvalidConfig, c.PrefillReplicas, c.DecodeReplicas)
 		}
 		ingress, decode = c.PrefillReplicas, c.DecodeReplicas
+		if p := c.PrefillReplica; p != nil {
+			if p.Model != c.Replica.Model || p.KVDType != c.Replica.KVDType || p.MaxLen > c.Replica.MaxLen {
+				return nil, fmt.Errorf("fleet: %w: the decode pool cannot hold the prefill pool's KV "+
+					"(model, KV format or per-slot capacity differ)", batching.ErrInvalidConfig)
+			}
+			s.in = *p
+		}
 	} else if c.Replicas < 1 {
 		return nil, fmt.Errorf("fleet: %w: %d replicas", batching.ErrInvalidConfig, c.Replicas)
 	}
@@ -458,8 +482,8 @@ func newSim(c Config) (*sim, error) {
 		}
 	}
 	if c.Disaggregated {
-		s.kvBytes = c.Replica.Model.KVBytesPerTokenAs(c.Replica.KVDType)
-		s.bw = c.Replica.System.Chip.NetworkBandwidth
+		s.kvBytes = s.in.Model.KVBytesPerTokenAs(s.in.KVDType)
+		s.bw = s.in.System.Chip.NetworkBandwidth
 		if s.bw <= 0 || math.IsNaN(s.bw) {
 			return nil, fmt.Errorf("fleet: %w: handoff bandwidth %g", batching.ErrInvalidConfig, s.bw)
 		}
@@ -477,18 +501,23 @@ func newSim(c Config) (*sim, error) {
 	return s, nil
 }
 
-// addReplica builds one replica at time t and appends it to the ingress
-// pool (unified replicas, or the prefill pool) or to the decode pool. An
-// ingress replica of a disaggregated fleet runs prefill-only until the
-// unified fallback; one built after it serves unified. Replicas are only
-// ever appended, so a replica's index is stable for the run.
+// addReplica builds one replica at time t from its pool's config and
+// appends it to the ingress pool (unified replicas, or the prefill pool) or
+// to the decode pool. An ingress replica of a disaggregated fleet runs
+// prefill-only until the unified fallback; one built after it serves
+// unified. Replicas are only ever appended, so a replica's index is stable
+// for the run.
 func (s *sim) addReplica(ingress bool, t float64) (*replica, error) {
 	prefill := s.c.Disaggregated && ingress && !s.fallback
 	build := batching.NewScheduler
 	if prefill {
 		build = batching.NewPrefillScheduler
 	}
-	sch, err := build(s.c.Replica)
+	cfg := s.c.Replica
+	if ingress {
+		cfg = s.in
+	}
+	sch, err := build(cfg)
 	if err != nil {
 		return nil, err
 	}
@@ -496,8 +525,8 @@ func (s *sim) addReplica(ingress bool, t float64) (*replica, error) {
 	if ingress && s.fallback {
 		role = "prefill→unified"
 	}
-	rep := &replica{idx: len(s.all), s: sch, prefill: prefill, addedAt: t, downSince: t,
-		stats: ReplicaStats{Role: role}}
+	rep := &replica{idx: len(s.all), s: sch, chips: cfg.System.Chips(), prefill: prefill,
+		addedAt: t, downSince: t, stats: ReplicaStats{Role: role}}
 	s.all = append(s.all, rep)
 	if ingress {
 		s.ingress = append(s.ingress, rep)
@@ -533,7 +562,8 @@ func (s *sim) run() {
 			}
 		}
 		if b != nil {
-			_, done := b.s.Step()
+			iter, done := b.s.Step()
+			b.stats.Busy += iter
 			if b.s.Now() > s.lastT {
 				s.lastT = b.s.Now()
 			}
@@ -587,7 +617,7 @@ func (s *sim) deliver(r *batching.Request, t float64) {
 		return
 	}
 	if !st.rerouted {
-		if err := s.c.Replica.CheckRequest(*r); err != nil {
+		if err := s.in.CheckRequest(*r); err != nil {
 			s.settle(st, -1, err)
 			return
 		}
@@ -609,7 +639,7 @@ func (s *sim) deliver(r *batching.Request, t float64) {
 	idx := s.pick(r, cand)
 	target := s.ingress[idx]
 	target.s.AdvanceTo(t)
-	if !st.rerouted && r.Template != 0 && s.c.Replica.PrefixCache {
+	if !st.rerouted && r.Template != 0 && s.in.PrefixCache {
 		if target.s.HasTemplate(r.Template) {
 			s.res.AffinityHits++
 		} else {
@@ -731,7 +761,7 @@ func (s *sim) pick(r *batching.Request, cand []int) int {
 	case Random:
 		return cand[s.rng.Intn(len(cand))]
 	case Affinity:
-		if r.Template != 0 && s.c.Replica.PrefixCache {
+		if r.Template != 0 && s.in.PrefixCache {
 			best, total := -1, 0.0
 			for _, i := range cand {
 				rep := s.ingress[i]
@@ -928,9 +958,11 @@ func (s *sim) finish() Result {
 		}
 	}
 	res := s.res
+	chips := 0
 	for _, r := range s.all {
 		res.PerReplica = append(res.PerReplica, r.stats)
 		res.ReplicaSeconds += r.stats.RetiredAt - r.stats.AddedAt
+		chips += r.chips
 	}
 	// Totals an itemized ledger already holds are read off it.
 	for _, w := range res.Wasted {
@@ -949,10 +981,9 @@ func (s *sim) finish() Result {
 	if res.ReplicaSeconds > 0 {
 		res.GoodputPerReplicaSec = float64(res.GoodTokens) / res.ReplicaSeconds
 	}
-	chips := float64(len(s.all) * s.c.Replica.System.Chips())
 	if res.Makespan > 0 {
 		res.GenTokensPerSec = float64(res.GenTokens) / res.Makespan
-		res.GoodputPerChip = float64(res.GoodTokens) / (res.Makespan * chips)
+		res.GoodputPerChip = float64(res.GoodTokens) / (res.Makespan * float64(chips))
 	}
 	if len(s.lat) > 0 {
 		sum := 0.0

@@ -301,6 +301,8 @@ func TestOneReplicaFleetIsBatchingSimulate(t *testing.T) {
 	noCache.PrefixCache, noCache.MaxAdmit = false, 4
 	chunked := replicaConfig()
 	chunked.PrefillChunk = 256
+	static := replicaConfig()
+	static.Static = true
 	for _, tc := range []struct {
 		name  string
 		c     batching.Config
@@ -309,6 +311,7 @@ func TestOneReplicaFleetIsBatchingSimulate(t *testing.T) {
 		{"prefix-cache", replicaConfig(), zipfTrace(200, 0.02, 7)},
 		{"no-cache-maxadmit4", noCache, batching.ChatbotTrace(200, 0.05, 1)},
 		{"chunk256", chunked, zipfTrace(150, 0.01, 3)},
+		{"static", static, zipfTrace(200, 0.02, 5)},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			want, err := batching.Simulate(tc.c, tc.trace)

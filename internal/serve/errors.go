@@ -2,16 +2,9 @@ package serve
 
 import "errors"
 
-// Sentinel errors for the serving stack's validation and admission paths.
-// Callers branch with errors.Is; the wrapped message carries the specifics
-// (which tier, which parameter). Package batching aliases these same
-// values, so one errors.Is target covers both the static-pipeline and
-// continuous-batching layers.
-var (
-	// ErrInvalidConfig marks a configuration or argument that can never
-	// run: non-positive counts, NaN rates, malformed tiers.
-	ErrInvalidConfig = errors.New("invalid serving configuration")
-	// ErrInfeasible marks a deployment the perf model rejects: the chosen
-	// batch/context does not fit the hardware (weights + KV exceed HBM).
-	ErrInfeasible = errors.New("deployment infeasible")
-)
+// ErrInfeasible marks a deployment the perf model rejects: the chosen
+// batch/context does not fit the hardware (weights + KV exceed HBM).
+// Callers branch with errors.Is; the wrapped message names the tier.
+// Package batching aliases this value, so one errors.Is target covers both
+// the pipeline analysis and the serving simulators.
+var ErrInfeasible = errors.New("deployment infeasible")

@@ -1,15 +1,15 @@
 // Package serve models the disaggregated serving topology the paper
 // sketches under Table 2: a prefill tier running at a latency-optimal batch
 // feeding a decode tier running at a throughput-optimal batch ("pipelining a
-// batch-1 prefill server into a batch-64 decoding server"). It provides a
-// steady-state pipeline analysis and a deterministic discrete-event
-// simulation of a request stream, both costed with the perf model.
+// batch-1 prefill server into a batch-64 decoding server"). It provides the
+// steady-state pipeline analysis, costed with the perf model, and a tuner
+// over the tier batches; fleet.Pipeline replays a request stream through
+// the same two tiers.
 package serve
 
 import (
 	"fmt"
 	"math"
-	"sort"
 
 	"esti/internal/hardware"
 	"esti/internal/model"
@@ -53,7 +53,7 @@ type Config struct {
 	Knobs         perf.Knobs
 }
 
-// Metrics is the outcome of an analysis or simulation.
+// Metrics is the outcome of an analysis.
 type Metrics struct {
 	// PrefillService and DecodeService are the batch service times.
 	PrefillService float64
@@ -130,126 +130,6 @@ func Analyze(c Config) (Metrics, error) {
 	return m, nil
 }
 
-// Request is one simulated request.
-type Request struct {
-	ID      int
-	Arrival float64
-	// Filled by Simulate:
-	PrefillStart, PrefillDone float64
-	DecodeStart, Done         float64
-}
-
-// Latency is the request's end-to-end time.
-func (r Request) Latency() float64 { return r.Done - r.Arrival }
-
-// SimResult summarizes a simulation run.
-type SimResult struct {
-	Completed       int
-	MeanLatency     float64
-	P50, P95, P99   float64
-	Throughput      float64 // completed requests / makespan
-	PrefillBusyFrac float64
-	DecodeBusyFrac  float64
-	Makespan        float64
-	PerRequest      []Request
-}
-
-// Simulate runs a deterministic discrete-event simulation: requests arrive
-// at a fixed interarrival time, the prefill tier serves them in batches of
-// up to Prefill.Batch (partial batches pay full batch service time — the
-// server runs whenever work is queued), and the decode tier likewise forms
-// batches of up to Decode.Batch. Batch service times come from Analyze's
-// perf results, scaled down for partial batches only in occupancy, not
-// time (a half-empty batch wastes the idle slots, as in real serving).
-func Simulate(c Config, nRequests int, interarrival float64) (SimResult, error) {
-	if nRequests < 1 {
-		return SimResult{}, fmt.Errorf("serve: %w: %d requests to simulate", ErrInvalidConfig, nRequests)
-	}
-	if interarrival < 0 || math.IsNaN(interarrival) || math.IsInf(interarrival, 0) {
-		return SimResult{}, fmt.Errorf("serve: %w: interarrival %g", ErrInvalidConfig, interarrival)
-	}
-	m, err := Analyze(c)
-	if err != nil {
-		return SimResult{}, err
-	}
-	reqs := make([]Request, nRequests)
-	order := make([]int, nRequests)
-	ready := make([]float64, nRequests)
-	for i := range reqs {
-		reqs[i] = Request{ID: i, Arrival: float64(i) * interarrival}
-		order[i] = i
-		ready[i] = reqs[i].Arrival
-	}
-
-	// Prefill tier: batch up whatever is queued when the server frees.
-	for i, t := range runTier(order, ready, c.Prefill.Batch, m.PrefillService) {
-		reqs[i].PrefillStart, reqs[i].PrefillDone = t, t+m.PrefillService
-		ready[i] = reqs[i].PrefillDone
-	}
-
-	// Decode tier: same batching discipline over prefill completions.
-	sort.Slice(order, func(a, b int) bool { return ready[order[a]] < ready[order[b]] })
-	for i, t := range runTier(order, ready, c.Decode.Batch, m.DecodeService) {
-		reqs[i].DecodeStart, reqs[i].Done = t, t+m.DecodeService
-	}
-
-	lat := make([]float64, nRequests)
-	makespan := 0.0
-	var sum float64
-	for i, r := range reqs {
-		lat[i] = r.Latency()
-		sum += lat[i]
-		if r.Done > makespan {
-			makespan = r.Done
-		}
-	}
-	sort.Float64s(lat)
-	pct := func(p float64) float64 {
-		idx := int(p * float64(nRequests-1))
-		return lat[idx]
-	}
-	res := SimResult{
-		Completed:   nRequests,
-		MeanLatency: sum / float64(nRequests),
-		P50:         pct(0.50),
-		P95:         pct(0.95),
-		P99:         pct(0.99),
-		Throughput:  float64(nRequests) / makespan,
-		Makespan:    makespan,
-		PerRequest:  reqs,
-	}
-	res.PrefillBusyFrac = busyFrac(reqs, makespan, func(r Request) (float64, float64) {
-		return r.PrefillStart, r.PrefillDone
-	}, m.PrefillService, c.Prefill.Batch)
-	res.DecodeBusyFrac = busyFrac(reqs, makespan, func(r Request) (float64, float64) {
-		return r.DecodeStart, r.Done
-	}, m.DecodeService, c.Decode.Batch)
-	return res, nil
-}
-
-// runTier serves requests through one tier in order, which must sort them
-// by ready time: whenever the server frees, it starts a batch of up to
-// batch requests, every one ready by the time the first is, and each batch
-// takes service seconds whatever its occupancy. It returns each request's
-// batch start time, indexed like ready.
-func runTier(order []int, ready []float64, batch int, service float64) []float64 {
-	start := make([]float64, len(ready))
-	free := 0.0
-	for i := 0; i < len(order); {
-		t := math.Max(ready[order[i]], free)
-		j := i + 1
-		for j < len(order) && j-i < batch && ready[order[j]] <= t {
-			j++
-		}
-		for _, k := range order[i:j] {
-			start[k] = t
-		}
-		free = t + service
-		i = j
-	}
-	return start
-}
-
 // TuneResult is the outcome of Tune: the chosen tier batches with their
 // steady-state metrics.
 type TuneResult struct {
@@ -281,17 +161,4 @@ func Tune(c Config, slo float64) (TuneResult, bool) {
 		}
 	}
 	return best, found
-}
-
-// busyFrac estimates tier utilization from distinct service windows.
-func busyFrac(reqs []Request, makespan float64, window func(Request) (float64, float64), service float64, batch int) float64 {
-	if makespan <= 0 {
-		return 0
-	}
-	seen := map[float64]bool{}
-	for _, r := range reqs {
-		s, _ := window(r)
-		seen[s] = true
-	}
-	return service * float64(len(seen)) / makespan
 }

@@ -104,95 +104,6 @@ func TestAnalyzeInfeasibleTier(t *testing.T) {
 	}
 }
 
-func TestSimulateLightLoad(t *testing.T) {
-	c := paperConfig()
-	m, err := Analyze(c)
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Arrivals slower than a full pipeline traversal: each request
-	// completes before the next arrives, so latency ≈ MinLatency with no
-	// queueing and no batch-formation delay.
-	slow := 2 * (m.PrefillService + m.DecodeService)
-	res, err := Simulate(c, 20, slow)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.Completed != 20 {
-		t.Fatalf("completed %d", res.Completed)
-	}
-	if res.MeanLatency > m.MinLatency*1.05 {
-		t.Errorf("light-load mean latency %.2fs exceeds min %.2fs", res.MeanLatency, m.MinLatency)
-	}
-	if res.P99 < res.P50 {
-		t.Error("percentiles out of order")
-	}
-}
-
-func TestSimulateHeavyLoadQueues(t *testing.T) {
-	c := paperConfig()
-	m, err := Analyze(c)
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Arrivals 3x faster than sustainable: latency must grow well beyond
-	// MinLatency and throughput must cap near the bottleneck rate.
-	fast := 1 / (3 * m.Throughput)
-	res, err := Simulate(c, 200, fast)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.MeanLatency < 2*m.MinLatency {
-		t.Errorf("overloaded mean latency %.2fs should be >> min %.2fs", res.MeanLatency, m.MinLatency)
-	}
-	if res.Throughput > m.Throughput*1.15 {
-		t.Errorf("simulated throughput %.3f exceeds analytical cap %.3f", res.Throughput, m.Throughput)
-	}
-	if res.P99 < res.MeanLatency {
-		t.Errorf("p99 %.2f below mean %.2f under overload", res.P99, res.MeanLatency)
-	}
-}
-
-// Latencies must be non-negative and causally ordered for every request.
-func TestSimulateCausality(t *testing.T) {
-	c := paperConfig()
-	res, err := Simulate(c, 50, 0.2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, r := range res.PerRequest {
-		if r.PrefillStart < r.Arrival || r.PrefillDone < r.PrefillStart ||
-			r.DecodeStart < r.PrefillDone || r.Done < r.DecodeStart {
-			t.Fatalf("request %d violates causality: %+v", r.ID, r)
-		}
-	}
-}
-
-// Utilizations are sane fractions, and the bottleneck tier is busier under
-// load.
-func TestSimulateUtilization(t *testing.T) {
-	c := paperConfig()
-	m, _ := Analyze(c)
-	res, err := Simulate(c, 100, 1/(2*m.Throughput))
-	if err != nil {
-		t.Fatal(err)
-	}
-	for name, u := range map[string]float64{
-		"prefill": res.PrefillBusyFrac, "decode": res.DecodeBusyFrac,
-	} {
-		if u < 0 || u > 1.02 {
-			t.Errorf("%s utilization %.2f out of range", name, u)
-		}
-	}
-	// Under sustained load the bottleneck tier saturates. (The decode
-	// tier can also read near-busy while running mostly-empty batches, so
-	// only the bottleneck's absolute utilization is asserted.)
-	if res.PrefillBusyFrac < 0.7 {
-		t.Errorf("prefill (bottleneck) utilization %.2f, want >= 0.7 under load",
-			res.PrefillBusyFrac)
-	}
-}
-
 // Tune must find the hand-picked pairing's neighborhood: under a 2.5s SLO
 // it keeps a small prefill batch; relaxing the SLO lets throughput rise by
 // batching prefill.
@@ -292,60 +203,6 @@ func TestBottleneckTable(t *testing.T) {
 				t.Errorf("throughput %.3f != %s rate %.3f", m.Throughput, tc.want, wantRate)
 			}
 		})
-	}
-}
-
-// Simulate must reject degenerate run parameters instead of panicking or
-// dividing by zero.
-func TestSimulateErrorPaths(t *testing.T) {
-	cases := []struct {
-		name         string
-		mutate       func(*Config)
-		nRequests    int
-		interarrival float64
-	}{
-		{"zero requests", nil, 0, 1.0},
-		{"negative requests", nil, -3, 1.0},
-		{"negative interarrival", nil, 10, -0.5},
-		{"NaN interarrival", nil, 10, math.NaN()},
-		// Every arrival after the first at +Inf, the first at 0·Inf = NaN.
-		{"infinite interarrival", nil, 5, math.Inf(1)},
-		{"zero gen config", func(c *Config) { c.Gen = 0 }, 10, 1.0},
-		{"zero decode batch", func(c *Config) { c.Decode.Batch = 0 }, 10, 1.0},
-	}
-	for _, tc := range cases {
-		t.Run(tc.name, func(t *testing.T) {
-			c := paperConfig()
-			if tc.mutate != nil {
-				tc.mutate(&c)
-			}
-			if _, err := Simulate(c, tc.nRequests, tc.interarrival); err == nil {
-				t.Error("expected error")
-			}
-		})
-	}
-}
-
-// A single request and zero interarrival are valid edge shapes: one batch
-// through each tier, latency = MinLatency.
-func TestSimulateSingleRequest(t *testing.T) {
-	c := paperConfig()
-	m, err := Analyze(c)
-	if err != nil {
-		t.Fatal(err)
-	}
-	res, err := Simulate(c, 1, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.Completed != 1 {
-		t.Fatalf("completed %d", res.Completed)
-	}
-	if math.Abs(res.MeanLatency-m.MinLatency) > 1e-9 {
-		t.Errorf("single-request latency %.3f != min latency %.3f", res.MeanLatency, m.MinLatency)
-	}
-	if res.P50 != res.P99 {
-		t.Error("percentiles of one sample must coincide")
 	}
 }
 
