@@ -28,6 +28,7 @@ var exportKeep = map[string]string{
 	"tensor.Scale":             "allocating reference the in-place kernel tests compare against",
 	"tensor.Add":               "allocating reference the in-place kernel tests compare against",
 	"tensor.Mat.Clone":         "copies the inputs the destination-passing kernel tests overwrite",
+	"tensor.TransposeInto":     "the transpose the MatMulT tests build their expected product with",
 	"quant.Int8Mat.Dequantize": "reference the int8 GEMM and quantizer tests compare against",
 	"simd.ScalarGemm":          "scalar twin the AVX2 tile is held to bit for bit",
 	"simd.AxpyF32":             "row kernel the kernel-equivalence fuzz holds to its scalar twin",
@@ -44,7 +45,8 @@ var exportKeep = map[string]string{
 
 	// Wire-format cost forms and bounds the mesh byte tests match to the byte.
 	"commcost.AllReduceWireVolume": "wire-format volume the collective byte tests match the mesh to",
-	"commcost.AllToAllWireVolume":  "wire-format volume the collective byte tests match the mesh to",
+	"commcost.ReduceScatterVolume": "Appendix A's byte form the wire-format volumes reduce to in the tests",
+	"commcost.AllToAllVolume":      "Appendix A's byte form the wire-format volumes reduce to in the tests",
 	"commcost.WireInt8Rows":        "cost-model form of the per-row int8 wire the byte tests price",
 	"collective.Int8WireError":     "the int8 wire's error bound the collective tests size tolerances with",
 

@@ -123,29 +123,35 @@ func AllReduce(o Op, g hardware.AxisGroup, full []float32) []float32 {
 // AllToAll sends shards[i] to group member i and returns the received
 // shards in group-rank order (own shard passed through exact). Transfers
 // are direct pairwise messages in the op's wire format, matching the
-// collective's use for resharding in Figure 5(b).
+// collective's use for resharding in Figure 5(b). It allocates the result
+// table; AllToAllInto fills one the caller keeps.
 func AllToAll(o Op, g hardware.AxisGroup, shards [][]float32) [][]float32 {
+	return AllToAllInto(o, g, make([][]float32, len(shards)), shards)
+}
+
+// AllToAllInto is AllToAll writing the received shards into out, which must
+// have one entry per group member and may be shards itself (each entry is
+// sent before it is replaced). The shards are pool buffers the caller may
+// Recycle; a steady-state loop that reuses out allocates nothing.
+func AllToAllInto(o Op, g hardware.AxisGroup, out, shards [][]float32) [][]float32 {
 	c := o.Chip
 	w := o.wire()
 	rank, size := c.GroupRank(g)
-	if len(shards) != size {
-		panic(fmt.Sprintf("collective: all-to-all %d shards for group of %d", len(shards), size))
+	if len(shards) != size || len(out) != size {
+		panic(fmt.Sprintf("collective: all-to-all %d shards into %d for group of %d", len(shards), len(out), size))
 	}
-	out := make([][]float32, size)
+	for i := 0; i < size; i++ {
+		if i != rank {
+			w.send(c, c.GroupPeer(g, i), o.tag(i), shards[i])
+		}
+	}
 	own := c.Buffer(len(shards[rank]))
 	copy(own, shards[rank])
 	out[rank] = own
 	for i := 0; i < size; i++ {
-		if i == rank {
-			continue
+		if i != rank {
+			out[i] = w.recvTake(c, c.GroupPeer(g, i), o.tag(rank))
 		}
-		w.send(c, c.GroupPeer(g, i), o.tag(i), shards[i])
-	}
-	for i := 0; i < size; i++ {
-		if i == rank {
-			continue
-		}
-		out[i] = w.recvTake(c, c.GroupPeer(g, i), o.tag(rank))
 	}
 	return out
 }

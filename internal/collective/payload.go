@@ -18,7 +18,8 @@ import (
 //	          paper's §3.3 insight — charge collectives by bytes, then
 //	          shrink the bytes — applied to activations on the wire.
 //	          WireInt8Rows(cols) puts a row every cols elements; WireInt8
-//	          is its one-row-per-chunk case, one scale per chunk.
+//	          is its one-row-per-chunk case, one scale per chunk; and
+//	          WireInt8RowsStat(cols) adds an exact float32 statistic a row.
 //
 // A future fp16 or block-quantized format is one more implementation of
 // this interface; nothing in the ring algorithms changes. Implementations
@@ -119,18 +120,36 @@ func (f32Payload) recvTake(c *mesh.Chip, src int, tag uint64) []float32 {
 // own max magnitude. The message's scale field carries the first row's
 // scale and the others ride after the elements, four bytes each, so a
 // chunk of r rows costs r·(cols+4) bytes. Chunks must be whole rows.
-func WireInt8Rows(cols int) Payload { return int8RowsPayload{cols} }
+func WireInt8Rows(cols int) Payload { return int8RowsPayload{cols: cols} }
+
+// WireInt8RowsStat is WireInt8Rows for a chunk of r rows of cols elements
+// followed by r per-row statistics, which travel as exact float32 after the
+// scales: a chunk of r·(cols+1) elements costs r·(cols+8) bytes. The
+// statistic is a quantity on another scale than its row, which the row's
+// int8 step would crush — the fused block's partial sum of squares of a
+// token's un-normalized input, summed by the reduce-scatter it rides.
+func WireInt8RowsStat(cols int) Payload { return int8RowsPayload{cols: cols, stat: true} }
 
 // int8RowsPayload quantizes each row of cols elements with its own scale;
-// a zero cols makes the whole chunk one row (WireInt8).
-type int8RowsPayload struct{ cols int }
+// a zero cols makes the whole chunk one row (WireInt8). With stat, each row
+// has one float32 statistic, stored after all the rows.
+type int8RowsPayload struct {
+	cols int
+	stat bool
+}
 
-// rowLen is the row length of a chunk of n elements.
-func (p int8RowsPayload) rowLen(n int) int {
-	if p.cols == 0 {
-		return n
+// rows splits a chunk of n elements into r rows of cols int8 elements; with
+// stat the last r elements are the rows' statistics.
+func (p int8RowsPayload) rows(n int) (r, cols int) {
+	switch {
+	case n == 0:
+		return 0, 0
+	case p.cols == 0:
+		return 1, n
+	case p.stat:
+		return n / (p.cols + 1), p.cols
 	}
-	return p.cols
+	return n / p.cols, p.cols
 }
 
 // elems is how many elements a wire payload of length wire carries.
@@ -138,35 +157,52 @@ func (p int8RowsPayload) elems(wire int) int {
 	if wire == 0 || p.cols == 0 {
 		return wire
 	}
+	if p.stat {
+		return (wire + 4) / (p.cols + 8) * (p.cols + 1)
+	}
 	return (wire + 4) * p.cols / (p.cols + 4)
 }
 
-// scale returns row r's scale from a payload of n elements.
-func (p int8RowsPayload) scale(q []int8, n, r int, first float32) float32 {
-	if r == 0 {
+// scale returns row i's scale from a payload whose int8 rows end at q[at].
+func scaleAt(q []int8, at, i int, first float32) float32 {
+	if i == 0 {
 		return first
 	}
-	b := q[n+4*(r-1):]
+	return getF32(q[at+4*(i-1):])
+}
+
+func getF32(b []int8) float32 {
 	return math.Float32frombits(uint32(uint8(b[0])) | uint32(uint8(b[1]))<<8 |
 		uint32(uint8(b[2]))<<16 | uint32(uint8(b[3]))<<24)
 }
 
+func putF32(b []int8, v float32) {
+	bits := math.Float32bits(v)
+	b[0], b[1], b[2], b[3] = int8(bits), int8(bits>>8), int8(bits>>16), int8(bits>>24)
+}
+
 func (p int8RowsPayload) send(c *mesh.Chip, dst int, tag uint64, data []float32) {
 	n := len(data)
-	cols := p.rowLen(n)
-	if n > 0 && n%cols != 0 {
+	r, cols := p.rows(n)
+	stat := 0
+	if p.stat {
+		stat = r
+	}
+	if r*cols+stat != n {
 		panic("collective: chunk is not whole rows")
 	}
 	var q []int8
 	first := float32(1) // an empty chunk's, as QuantizeRowInto gives an empty row
-	if n > 0 {
-		q = c.Buffer8(n + 4*(n/cols-1))
+	if r > 0 {
+		q = c.Buffer8(r*cols + 4*(r-1) + 4*stat)
 		first = quant.QuantizeRowInto(q[:cols], data[:cols])
 	}
-	for r := 1; r*cols < n; r++ {
-		bits := math.Float32bits(quant.QuantizeRowInto(q[r*cols:(r+1)*cols], data[r*cols:(r+1)*cols]))
-		b := q[n+4*(r-1):]
-		b[0], b[1], b[2], b[3] = int8(bits), int8(bits>>8), int8(bits>>16), int8(bits>>24)
+	at := r * cols
+	for i := 1; i < r; i++ {
+		putF32(q[at+4*(i-1):], quant.QuantizeRowInto(q[i*cols:(i+1)*cols], data[i*cols:(i+1)*cols]))
+	}
+	for i, v := range data[at : at+stat] {
+		putF32(q[at+4*(r-1)+4*i:], v)
 	}
 	c.SendOwned8(dst, tag, q, first)
 }
@@ -178,14 +214,25 @@ func (p int8RowsPayload) decode(dst []float32, q []int8, first float32, add bool
 	if p.elems(len(q)) != n {
 		panic("collective: chunk size mismatch")
 	}
-	cols := p.rowLen(n)
-	for r := 0; r*cols < n; r++ {
-		d, s := dst[r*cols:(r+1)*cols], q[r*cols:(r+1)*cols]
+	r, cols := p.rows(n)
+	at := r * cols
+	for i := 0; i < r; i++ {
+		d, s := dst[i*cols:(i+1)*cols], q[i*cols:(i+1)*cols]
 		if add {
-			quant.AxpyF32I8(d, p.scale(q, n, r, first), s)
+			quant.AxpyF32I8(d, scaleAt(q, at, i, first), s)
 		} else {
-			quant.DequantizeRowInto(d, s, p.scale(q, n, r, first))
+			quant.DequantizeRowInto(d, s, scaleAt(q, at, i, first))
 		}
+	}
+	if !p.stat {
+		return
+	}
+	for i := range dst[at:] {
+		v := getF32(q[at+4*(r-1)+4*i:])
+		if add {
+			v += dst[at+i]
+		}
+		dst[at+i] = v
 	}
 }
 

@@ -383,3 +383,80 @@ func TestTagStepGuard(t *testing.T) {
 	}()
 	Op{ID: 1}.tag(opSteps)
 }
+
+// WireInt8RowsStat: each row of a chunk is int8 with its own scale and each
+// row's statistic, stored after the rows, travels as exact float32. Summed
+// by a reduce-scatter, the rows keep the per-row bound and the statistics
+// are the float32 sums of the inputs' — though they are orders of magnitude
+// larger than their rows, whose step they would otherwise set. A chunk of r
+// rows costs r·(cols+8) bytes.
+func TestInt8RowsStatKeepsStatisticExact(t *testing.T) {
+	tr := hardware.Torus{X: 2, Y: 2, Z: 2}
+	k := tr.Chips()
+	const rows, cols = 3, 5
+	per := rows*cols + rows
+	rng := rand.New(rand.NewSource(21))
+	data := make([][]float32, k)
+	for c := range data {
+		data[c] = make([]float32, k*per)
+		for j := range data[c] {
+			data[c][j] = float32(rng.NormFloat64())
+			if j%per >= rows*cols {
+				data[c][j] = 1e4 * float32(1+rng.Float64())
+			}
+		}
+	}
+	got, m := runSPMD(tr, func(c *mesh.Chip) []float32 {
+		return ReduceScatter(Op{Chip: c, ID: 1, Wire: WireInt8RowsStat(cols)}, hardware.GroupXYZ, data[c.Rank])
+	})
+	if want := int64(k * (k - 1) * rows * (cols + 8)); m.BytesSent() != want || m.Int8BytesSent() != want {
+		t.Errorf("%d B (%d int8), want %d", m.BytesSent(), m.Int8BytesSent(), want)
+	}
+	for rank, g := range got {
+		for j := 0; j < per; j++ {
+			var want, mag float64
+			for c := range data {
+				v := float64(data[c][rank*per+j])
+				want, mag = want+v, mag+math.Abs(v)
+			}
+			bound := mag * 1e-6 // a statistic: float32 sums only
+			if j < rows*cols {
+				bound = float64(k-1) * 4 * mag / 127 // a row element: every hop's half step
+			}
+			if e := math.Abs(float64(g[j]) - want); e > bound {
+				t.Fatalf("chip %d element %d: %g, want %g ± %g", rank, j, g[j], want, bound)
+			}
+		}
+	}
+}
+
+// AllToAllInto fills the caller's table, so a steady-state loop that
+// recycles what it receives allocates nothing beyond the mesh's own run.
+func TestAllToAllIntoAllocatesNothing(t *testing.T) {
+	m := mesh.New(hardware.Torus{X: 2, Y: 2, Z: 1})
+	k := m.Chips()
+	outs, shards := make([][][]float32, k), make([][][]float32, k)
+	for c := range outs {
+		outs[c], shards[c] = make([][]float32, k), make([][]float32, k)
+		for i := range shards[c] {
+			shards[c][i] = make([]float32, 16)
+		}
+	}
+	var id uint64
+	exchange := func(c *mesh.Chip) {
+		for _, r := range AllToAllInto(Op{Chip: c, ID: id}, hardware.GroupXYZ, outs[c.Rank], shards[c.Rank]) {
+			c.Recycle(r)
+		}
+	}
+	run := func(fn func(*mesh.Chip)) func() {
+		return func() { id++; m.Run(fn) }
+	}
+	empty := run(func(*mesh.Chip) {})
+	full := run(exchange)
+	for i := 0; i < 4; i++ {
+		full()
+	}
+	if base, got := testing.AllocsPerRun(50, empty), testing.AllocsPerRun(50, full); got != base {
+		t.Errorf("a warm all-to-all run allocates %v times, an empty run %v", got, base)
+	}
+}

@@ -23,6 +23,7 @@ import (
 	"math"
 
 	"esti/internal/hardware"
+	"esti/internal/model"
 	"esti/internal/partition"
 )
 
@@ -162,42 +163,106 @@ type FFNComm struct {
 // Total is the combined per-chip volume.
 func (c FFNComm) Total() float64 { return c.ActBytes + c.WeightBytes }
 
-// FFNLayerComm evaluates the layout's per-layer communication for a pass of
-// `tokens` logical tokens through a layer with model width e and
-// feedforward width f, activation element size actBytes, and total layer
-// weight footprint layerWeightBytes (already in bytes, i.e. params·dtype).
+// FFNLayerComm evaluates a block's per-layer communication for a pass of
+// `tokens` logical tokens through a layer with model width e, whose
+// in-projection has fIn output columns and whose out-projection contracts
+// fOut rows, at activation element size actBytes, with total layer weight
+// footprint layerWeightBytes (already in bytes, i.e. params·dtype). For the
+// paper's abstract MLP fIn = fOut = F; for the fused parallel block of
+// Section 3.4 they are BlockWidths' sums.
 //
 // It is Section 3.2 / Appendix A.2 with exact (K-1)/K factors, read off
 // the plan's axis groups (the layout table in package partition): a weight
 // all-gather over Gather, an AG/RS pair over Outer on the E/|Inner|-wide
-// rows of the chip's tokens/|Gather| tokens, and a pair over Inner on their
-// F/|Outer|-wide rows. A group of one moves nothing.
-func FFNLayerComm(p partition.FFNPlan, tokens, e, f, actBytes, layerWeightBytes float64) FFNComm {
+// rows of the chip's tokens/|Gather| tokens, a reduce-scatter over Inner of
+// their fIn/|Outer|-wide in-projection and an all-gather over Inner of the
+// fOut/|Outer|-wide input of the out-projection (BlockWireVolume). A group
+// of one moves nothing. The norm statistic the Inner reduce-scatter also
+// carries is NormStatVolume.
+func FFNLayerComm(p partition.FFNPlan, tokens, e, fIn, fOut, actBytes, layerWeightBytes float64) FFNComm {
+	g := p.TokenSplit
+	w := AllGatherVolume(layerWeightBytes*float64(g)/float64(p.Torus.Chips()), g)
+	return FFNComm{ActBytes: BlockWireVolume(p, tokens, e, fIn, fOut, WireFormat{ElemBytes: actBytes}), WeightBytes: w}
+}
+
+// BlockWireVolume is the exact per-chip wire bytes of one block body's
+// activation collectives (FFNLayerComm's ActBytes) in wire format w, paid
+// per token row: each message carries its tokens' rows, so a format's
+// per-chunk overhead is one scale per token, the engine's int8 activation
+// format (collective.WireInt8Rows).
+func BlockWireVolume(p partition.FFNPlan, tokens, e, fIn, fOut float64, w WireFormat) float64 {
 	if p.ESplit == 0 {
 		panic("commcost: FFN plan not built by partition.PlanFFN")
 	}
-	g, o, i := p.TokenSplit, p.FSplit, p.ESplit // |Gather|, |Outer|, |Inner|
-	w := AllGatherVolume(layerWeightBytes*float64(g)/float64(p.Torus.Chips()), g)
-	ePer := (tokens / float64(g)) * (e / float64(i)) * actBytes
-	fPer := (tokens / float64(g)) * (f / float64(o)) * actBytes
-	act := AllGatherVolume(ePer, o) + ReduceScatterVolume(ePer, o) +
-		AllGatherVolume(fPer, i) + ReduceScatterVolume(fPer, i)
-	return FFNComm{ActBytes: act, WeightBytes: w}
+	o, i := p.FSplit, p.ESplit // |Outer|, |Inner|
+	rows := tokens / float64(p.TokenSplit)
+	n := float64(o * i)
+	return rows * (2*float64(o-1)*w.Chunk(e/n) + float64(i-1)*(w.Chunk(fIn/n)+w.Chunk(fOut/n)))
+}
+
+// NormStatBytes is the wire size of a token's norm statistic: the float32
+// partial sum of squares of its row.
+const NormStatBytes = 4
+
+// NormStatVolume is the per-chip wire bytes of the fused block's norm
+// statistic. After the Outer gather a chip holds only its E/|Inner| stripe
+// of each row, so it cannot take the row's RMS alone; it multiplies the
+// un-normalized stripe, carries each token's partial sum of squares in the
+// Inner reduce-scatter beside its partial products, and applies 1/rms to the
+// summed projection, which is linear in its input. That adds no message, one
+// statistic a token per Inner ring step; with no Inner group every chip
+// holds whole rows and nothing travels.
+func NormStatVolume(p partition.FFNPlan, tokens float64) float64 {
+	return tokens / float64(p.TokenSplit) * float64(p.ESplit-1) * NormStatBytes
+}
+
+// BlockWidths are a block's projection widths as the engine lays out one
+// layer's two matrices, W_in = [W_Q | W_K | W_V | W_up | W_gate] and
+// W_out = [W_O ; W_down]: the attention's and the FFN's in-projection
+// output columns and out-projection contraction rows, with the K/V columns
+// once. A parallel block (Section 3.4) moves their sums through one set of
+// collectives, a serial block each half through its own. The attention
+// all-to-alls then carry only queries and outputs (AttnAllToAllBytes).
+func BlockWidths(c model.Config) (attnIn, ffnIn, attnOut, ffnOut float64) {
+	hq := float64(c.Heads * c.HeadDim)
+	f := float64(c.DFF)
+	return hq + float64(2*c.KVHeads*c.HeadDim), float64(c.FFNMatrices()-1) * f, hq, f
+}
+
+// KVCopies is how many copies of the K/V columns the functional engine's
+// in-projection holds across the mesh. Columns too narrow to cut over the
+// chips — a multiquery head, or any K/V under batch-sharded attention,
+// whose owner needs every head of its sequences — ride every chip's
+// in-projection whole, n copies; head-sharded multihead K/V are cut like
+// the query heads, one copy. The attention's in-projection width is then
+// attnIn + (KVCopies-1)·2·KVHeads·HeadDim. Package perf prices the paper's
+// one copy.
+func KVCopies(c model.Config, a partition.AttnPlan) int {
+	if n := a.Torus.Chips(); a.Layout == partition.AttnShardBatch || c.KVHeads%n != 0 {
+		return n
+	}
+	return 1
 }
 
 // AttnAllToAllBytes is the per-chip volume of the two all-to-all reshards
-// the batch-sharded multiquery layout adds (Figure 5(b)): Q, K and V move
-// from head-sharded to batch-sharded before attention, and the attention
-// output moves back. tokens is the per-step token count (the batch during
-// decode), actBytes the activation element size.
+// the batch-sharded layout adds (Figure 5(b)): the queries move from
+// head-sharded to batch-sharded before attention, and the attention output
+// moves back. The K/V projections reach their owners inside the block's
+// in-projection (BlockWidths). tokens is the per-step token count (the
+// batch during decode), actBytes the activation element size.
 func AttnAllToAllBytes(p partition.AttnPlan, tokens float64, headDim int, actBytes float64) float64 {
+	return AttnAllToAllWireVolume(p, tokens, headDim, WireFormat{ElemBytes: actBytes})
+}
+
+// AttnAllToAllWireVolume is AttnAllToAllBytes in wire format w, one
+// per-chunk overhead a message. It is linear in the tokens, so a pass whose
+// chips hold unequal shares of them moves, mesh-wide, n times this.
+func AttnAllToAllWireVolume(p partition.AttnPlan, tokens float64, headDim int, w WireFormat) float64 {
 	if !p.NeedsAllToAll() {
 		return 0
 	}
 	n := p.Torus.Chips()
-	qkv := tokens * float64(p.Heads+2*p.KVHeads) * float64(headDim) * actBytes / float64(n)
-	out := tokens * float64(p.Heads) * float64(headDim) * actBytes / float64(n)
-	return AllToAllVolume(qkv, n) + AllToAllVolume(out, n)
+	return 2 * AllToAllWireVolume(tokens*float64(p.Heads*headDim)/float64(n), n, w)
 }
 
 // OptimalGatherFactor is the continuous minimizer of the weight-gathered
@@ -221,7 +286,7 @@ func BestFFNLayout(t hardware.Torus, tokens, e, f, actBytes, layerWeightBytes fl
 	var bestComm FFNComm
 	bestTotal := math.Inf(1)
 	for _, l := range partition.FFNLayouts {
-		c := FFNLayerComm(partition.PlanFFN(l, t), tokens, e, f, actBytes, layerWeightBytes)
+		c := FFNLayerComm(partition.PlanFFN(l, t), tokens, e, f, f, actBytes, layerWeightBytes)
 		if c.Total() < bestTotal {
 			best, bestComm, bestTotal = l, c, c.Total()
 		}

@@ -6,6 +6,7 @@ import (
 	"testing/quick"
 
 	"esti/internal/hardware"
+	"esti/internal/model"
 	"esti/internal/partition"
 )
 
@@ -98,7 +99,7 @@ func Test1DWSVolumeMatchesPaperFormula(t *testing.T) {
 	const tokens, e, f = 512, 18432, 73728
 	const ab = 2.0
 	p := partition.PlanFFN(partition.FFN1DWeightStationary, torus444())
-	c := FFNLayerComm(p, tokens, e, f, ab, 4.7e9)
+	c := FFNLayerComm(p, tokens, e, f, f, ab, 4.7e9)
 	want := 2 * tokens * e * ab * 63.0 / 64.0
 	if math.Abs(c.Total()-want) > 1 {
 		t.Errorf("1D WS volume = %g, want %g", c.Total(), want)
@@ -118,7 +119,7 @@ func Test2DWSVolumeMatchesPaperFormula(t *testing.T) {
 	const ab = 2.0
 	// Optimal split for 64 chips: X = 4, Y·Z = 16 (a 4x4x4 torus).
 	p := partition.PlanFFN(partition.FFN2DWeightStationary, torus444())
-	c := FFNLayerComm(p, tokens, e, f, ab, 0)
+	c := FFNLayerComm(p, tokens, e, f, f, ab, 0)
 	// Exact with (K-1)/K factors:
 	want := 2*tokens*(e/4)*ab*(15.0/16.0) + 2*tokens*(f/16)*ab*(3.0/4.0)
 	if math.Abs(c.Total()-want) > 1 {
@@ -138,7 +139,7 @@ func Test2Dvs1DCrossover(t *testing.T) {
 	const f = 4 * e
 	const ab = 2.0
 	vol := func(l partition.FFNLayout, tr hardware.Torus) float64 {
-		return FFNLayerComm(partition.PlanFFN(l, tr), tokens, e, f, ab, 0).Total()
+		return FFNLayerComm(partition.PlanFFN(l, tr), tokens, e, f, f, ab, 0).Total()
 	}
 	// At 64 chips 2D wins.
 	big := torus444()
@@ -182,8 +183,8 @@ func TestFig3LayoutProgression(t *testing.T) {
 		prev = g
 	}
 	// XYZ-WG volume is flat in tokens (weights only).
-	c1 := FFNLayerComm(partition.PlanFFN(partition.FFNWeightGatheredXYZ, tr), 2e3, e, f, ab, layerW)
-	c2 := FFNLayerComm(partition.PlanFFN(partition.FFNWeightGatheredXYZ, tr), 2e6, e, f, ab, layerW)
+	c1 := FFNLayerComm(partition.PlanFFN(partition.FFNWeightGatheredXYZ, tr), 2e3, e, f, f, ab, layerW)
+	c2 := FFNLayerComm(partition.PlanFFN(partition.FFNWeightGatheredXYZ, tr), 2e6, e, f, f, ab, layerW)
 	if c1.Total() != c2.Total() {
 		t.Errorf("XYZ-WG volume should not depend on tokens: %g vs %g", c1.Total(), c2.Total())
 	}
@@ -225,8 +226,8 @@ func TestWGBeatsWSAtLargeBatch(t *testing.T) {
 	const e, f = 16384.0, 65536.0
 	const ab = 2.0
 	layerW := 2 * e * f * ab
-	ws := FFNLayerComm(partition.PlanFFN(partition.FFN2DWeightStationary, tr), 1e6, e, f, ab, layerW)
-	wg := FFNLayerComm(partition.PlanFFN(partition.FFNWeightGatheredXYZ, tr), 1e6, e, f, ab, layerW)
+	ws := FFNLayerComm(partition.PlanFFN(partition.FFN2DWeightStationary, tr), 1e6, e, f, f, ab, layerW)
+	wg := FFNLayerComm(partition.PlanFFN(partition.FFNWeightGatheredXYZ, tr), 1e6, e, f, f, ab, layerW)
 	if wg.Total() >= ws.Total() {
 		t.Errorf("at 1M tokens WG XYZ (%g) should beat WS 2D (%g)", wg.Total(), ws.Total())
 	}
@@ -240,9 +241,10 @@ func TestAttnAllToAllBytes(t *testing.T) {
 	}
 	batchPlan := partition.PlanAttn(partition.AttnShardBatch, tr, 48, 1)
 	got := AttnAllToAllBytes(batchPlan, 512, 256, 2)
-	qkv := 512.0 * 50 * 256 * 2 / 64
-	out := 512.0 * 48 * 256 * 2 / 64
-	want := (qkv + out) * 63 / 64
+	// The queries go out and the outputs come back; K/V ride the
+	// in-projection (BlockWidths).
+	q := 512.0 * 48 * 256 * 2 / 64
+	want := 2 * q * 63 / 64
 	if math.Abs(got-want) > 1e-6 {
 		t.Errorf("batch-sharded all-to-all bytes = %g, want %g", got, want)
 	}
@@ -269,7 +271,7 @@ func TestFFNLayerCommPanicsOnUnknownLayout(t *testing.T) {
 		}
 	}()
 	p := partition.FFNPlan{Layout: partition.FFNLayout(42), Torus: torus444()}
-	FFNLayerComm(p, 1, 1, 1, 2, 0)
+	FFNLayerComm(p, 1, 1, 1, 1, 2, 0)
 }
 
 // The wire-format forms are exact per-chunk accountings: they reduce to
@@ -315,5 +317,54 @@ func TestWireVolumesReduceToClassicForms(t *testing.T) {
 	q8 := AllGatherWireVolume(elems, k, WireInt8)
 	if q8 > 0.55*fp {
 		t.Errorf("int8 all-gather %g not <= 0.55x fp32 %g", q8, fp)
+	}
+}
+
+// The fused block's closed forms: FFNLayerComm's activation volume is
+// BlockWireVolume at the element size, whose int8 form pays a scale per
+// token row; the norm statistic rides the Inner reduce-scatter only; and
+// the K/V columns are copied to every chip unless head-sharded multihead
+// attention cuts them like the query heads.
+func TestFusedBlockForms(t *testing.T) {
+	tr := hardware.Torus{X: 2, Y: 2, Z: 2}
+	const tokens, e, fIn, fOut = 8.0, 64.0, 336.0, 192.0
+	for _, l := range partition.FFNLayouts {
+		p := partition.PlanFFN(l, tr)
+		if got, want := FFNLayerComm(p, tokens, e, fIn, fOut, 4, 0).ActBytes, BlockWireVolume(p, tokens, e, fIn, fOut, WireFP32); got != want {
+			t.Errorf("%v: FFNLayerComm moves %g activation bytes, BlockWireVolume %g", l, got, want)
+		}
+	}
+	p2 := partition.PlanFFN(partition.FFN2DWeightStationary, tr)
+	// X = 2, Y·Z = 4: per token three E/8 chunks out and three back, and
+	// one fIn/8 and one fOut/8 chunk over X.
+	want8 := tokens * (6*(e/8+4) + (fIn/8 + 4) + (fOut/8 + 4))
+	if got := BlockWireVolume(p2, tokens, e, fIn, fOut, WireInt8); got != want8 {
+		t.Errorf("2D int8 block volume %g, want %g", got, want8)
+	}
+	if got := NormStatVolume(p2, tokens); got != tokens*NormStatBytes {
+		t.Errorf("2D norm statistic %g B, want %g", got, tokens*NormStatBytes)
+	}
+	if got := NormStatVolume(partition.PlanFFN(partition.FFN1DWeightStationary, tr), tokens); got != 0 {
+		t.Errorf("1D norm statistic %g B, want 0: every chip holds whole rows", got)
+	}
+	mqa := model.Config{Heads: 8, HeadDim: 8, KVHeads: 1, DFF: 128, FFNKind: model.SwiGLU}
+	mha := mqa
+	mha.KVHeads = 8
+	for _, c := range []struct {
+		cfg  model.Config
+		attn partition.AttnLayout
+		want int
+	}{
+		{mqa, partition.AttnShardHeads, 8},
+		{mqa, partition.AttnShardBatch, 8},
+		{mha, partition.AttnShardHeads, 1},
+		{mha, partition.AttnShardBatch, 8},
+	} {
+		if got := KVCopies(c.cfg, partition.PlanAttn(c.attn, tr, c.cfg.Heads, c.cfg.KVHeads)); got != c.want {
+			t.Errorf("%d KV heads, %v: %d K/V copies, want %d", c.cfg.KVHeads, c.attn, got, c.want)
+		}
+	}
+	if ai, fi, ao, fo := BlockWidths(mqa); ai != 64+16 || fi != 256 || ao != 64 || fo != 128 {
+		t.Errorf("BlockWidths = %g, %g, %g, %g; want 80, 256, 64, 128", ai, fi, ao, fo)
 	}
 }

@@ -27,33 +27,45 @@
 // program on its sequences, its weights all-gathered into staging before
 // each layer (wgxyz.go).
 //
-// One input gather per block. Each block all-gathers the residual over the
-// activation group once (gatherNorm) and RMS-normalizes the full rows on
-// every chip, so the norm needs no collective of its own. Attention and the
-// FFN both read that gather: attention contracts the full rows, and the FFN
-// picks its plan's stripe out of them (stripe). This is the input side of
-// the paper's parallel block (Section 3.4), whose attention and FFN input
-// projections share one collective. A serial block gathers a second time
-// before its FFN, over the whole activation group: under 2D that moves more
-// bytes than a norm all-reduce plus a Y·Z gather of the FFN's stripe would,
-// in fewer messages.
+// The paper's fused parallel block (Section 3.4). Each layer stores two
+// matrices, W_in = [W_Q | W_K | W_V | W_up | W_gate] and W_out =
+// [W_O ; W_down], and one block body runs over the plan's axis groups
+// (partition.PlanFFN's Outer and Inner for Options.FFN, read once in New):
+// all-gather the residual over Outer, one in-projection GEMM, reduce-scatter
+// over Inner, attention on the chip's heads and the nonlinearity on its F
+// block, all-gather over Inner, one out-projection GEMM, reduce-scatter over
+// Outer back to the chip's E-shard (block, forward.go). Under 2D
+// weight-stationary (Outer = Y·Z, Inner = X) that is 3+1+1+3 ring steps a
+// layer on 2×2×2, the eight package perf prices; under 1D (Outer = XYZ,
+// Inner empty) one gather and one reduce-scatter, the attention and FFN
+// output partials summed by the one out-projection; under weight-gathered
+// both groups are empty and every activation collective is an identity. A
+// serial block runs the same body twice, once over the attention's columns
+// and rows and once over the FFN's, and so gathers twice.
 //
-// The feed-forward plan is partition.PlanFFN's for Options.FFN, read once in
-// New: the layout table in package partition gives each layout's Gather,
-// Outer and Inner axis groups. Weights are cut E×F into inner × outer
-// blocks (ffnPlan); per layer the chip multiplies its stripe of the gathered
-// rows, reduce-scatters over the inner group, applies the nonlinearity,
-// all-gathers over the inner group, multiplies, and reduce-scatters over the
-// outer group back to its E-shard. The engine runs the layouts whose Gather
-// is empty (1D and 2D weight-stationary) or all three axes (weight-gathered
-// XYZ, whose per-layer weight gather stages the blocks of plan.Stored).
+// Each matrix is cut once per chip (blockPlan.cuts), its columns and rows
+// ordered by collective chunk: a reduce-scatter's chunk is a column range of
+// W_in or W_out and an inner gather's chunk a row block of W_out, so every
+// projection is a zero-copy view of the one stored matrix. The norm costs no
+// message: after the Outer gather a chip holds only its E/|Inner| stripe of
+// each row, so it multiplies the un-normalized stripe (the gains are folded
+// into W_in's rows), carries each token's partial sum of squares beside its
+// partial products through the Inner reduce-scatter, and applies 1/rms to
+// the summed projection. K/V columns too narrow to cut over the chips — a
+// multiquery head, or any K/V under batch-sharded attention — ride every
+// chip's in-projection whole; head-sharded multihead K/V are cut like the
+// query heads (commcost.BlockWidths, commcost.KVCopies). The engine runs the
+// layouts whose Gather is empty (1D and 2D weight-stationary) or all three
+// axes (weight-gathered XYZ, whose per-layer weight gather stages both
+// matrices from row blocks held at rest, wgxyz.go).
 //
-// With Options.Streamed a weight-stationary plan's down-projection rides its
-// rings (Section 3.5, stream.go): it folds chunk by chunk in the inner
-// gather's consumer — or runs in the outer reduce-scatter's producer when
-// the inner group has one member and there is no inner ring to ride — and
-// the reduce-scatters stream their input transposes. Each chunk multiplies a
-// zero-copy row block or column range of the one stored W_down shard.
+// With Options.Streamed the block's collectives ride their rings (Section
+// 3.5, stream.go): each reduce-scatter's chunks are computed in its producer
+// as the ring needs them — under 1D the out-projection's column chunks of
+// [attn | act]·W_out — and under 2D the inner gather's consumer folds each
+// arriving chunk's product with a row block of W_out. The values are the
+// barrier path's bit for bit: both compute the same chunks in the same
+// order.
 //
 // One weight type. A shard is a GEMM operand (simd.GemmB) over float32 or
 // raw int8 weights, plus the int8 column scales; every projection runs the
@@ -95,18 +107,13 @@
 // references its slots hold (slotPfx). The blocks those operations move
 // are one kvcache.KVBlock type, whether a prefix entry's or a handoff's.
 //
-// The attention and FFN projections share their input gather but remain
-// separate matmuls, and their output partials are reduce-scattered
-// separately: fusing the weights is a throughput optimization with
-// identical numerics, and keeping them apart keeps each layout legible.
-//
 // Storage and wire formats are per-session options, each independently
 // togglable on every layout: Int8Weights (quantized projections), KVDType
 // (quantized KV cache), and WireDType (quantized collective payloads — every
-// collective the engine issues, its all-gathers, reduce-scatters,
-// all-to-alls and weight-gather staging, moves per-chunk-scaled int8 via the
-// payload-typed collectives, the residual gather per-token-scaled, at about
-// 0.3x the float32 wire bytes).
+// collective the engine issues moves int8 via the payload-typed
+// collectives, the block's activations with one scale per token, the
+// all-to-alls and weight-gather staging with one per chunk, at about 0.3x
+// the float32 wire bytes).
 package engine
 
 import (
@@ -114,6 +121,7 @@ import (
 	"math"
 
 	"esti/internal/collective"
+	"esti/internal/commcost"
 	"esti/internal/hardware"
 	"esti/internal/kvcache"
 	"esti/internal/mesh"
@@ -148,39 +156,35 @@ type Options struct {
 	// on each chip).
 	KVDType model.DType
 	// WireDType is the collective payload format (matches
-	// serve.Config.WireDType). model.Int8 moves the activation all-gathers
-	// and reduce-scatters (agCols/rsCols), the attention resharding
-	// all-to-alls, and the weight-gathered layout's per-layer weight staging
-	// as per-chunk-scaled int8 instead of float32 (collective.WireInt8): 1
-	// byte per element plus one scale per chunk, ≤0.55× the fp32 wire bytes,
-	// the §3.3 move-int8-not-float insight applied to what's *on the wire*
-	// rather than what's at rest. That is every collective the engine
-	// issues: the RMS norm gathers the residual and normalizes full rows
-	// locally (gatherNorm), so no float32 all-reduce remains, and an int8-wire
-	// session sends no float32 bytes at all. That gather carries one scale
-	// per token rather than per chunk (collective.WireInt8Rows), because the
-	// raw residual's rows, unlike normalized ones, can differ in magnitude by
-	// orders. Each chip normalizes its own shard exact and its peers'
-	// dequantized. Orthogonal to
-	// Int8Weights/KVDType and valid on every layout; quantize/dequantize
-	// scratch comes from the per-chip message pools, so steady-state decode
-	// stays allocation-free.
+	// serve.Config.WireDType). model.Int8 moves every collective the engine
+	// issues as int8 (collective.WireInt8Rows and friends): 1 byte per
+	// element plus float32 scales, about 0.3× the fp32 wire bytes — the §3.3
+	// move-int8-not-float insight applied to what's *on the wire* rather
+	// than what's at rest, so an int8-wire session sends no float32 element.
+	// The block's activation collectives carry one scale per token, because
+	// the raw residual's rows and the un-normalized in-projection's, unlike
+	// normalized ones, can differ in magnitude by orders; the in-projection's
+	// reduce-scatter also carries each token's float32 norm statistic
+	// (collective.WireInt8RowsStat). The attention all-to-alls, the
+	// weight-gathered layout's staging and the logit gather carry one scale
+	// per chunk. Each chip keeps its own shard exact and its peers'
+	// dequantized. Orthogonal to Int8Weights/KVDType and valid on every
+	// layout; quantize/dequantize scratch comes from the per-chip message
+	// pools, so steady-state decode stays allocation-free.
 	WireDType model.DType
-	// Int8Weights stores all projection matrices quantized (per-column
-	// symmetric int8, each full matrix quantized once and then cut into
-	// shards), reproducing the paper's weight-only quantization.
+	// Int8Weights stores both of each layer's matrices quantized (per-column
+	// symmetric int8, each fused matrix quantized once and then cut into
+	// shards), reproducing the paper's weight-only quantization. A column of
+	// W_out spans W_O and W_down and has one scale.
 	Int8Weights bool
-	// Streamed fuses the weight-stationary FFN's down-projection into the
-	// collective chunk stream — the paper's Looped CollectiveEinsum (§3.5);
-	// the package comment says which ring it rides. Compute on chunk k
-	// proceeds while chunk k+1 is in flight, which is what the mesh's
-	// measured overlap fraction (Mesh.MeasuredOverlapFrac) observes.
-	// Results are token-exact vs the barrier path on every layout and wire
-	// format, and bit-exact where the inner group has one member (1D): only
-	// the inner gather's chunked accumulation reorders float sums. A plan
-	// over one chip — a single-chip mesh, or the weight-gathered layout, whose
-	// per-layer weight gather streams either way — has nothing to overlap
-	// and keeps the barrier path and its zero-allocation decode contract.
+	// Streamed runs the block's projections inside its rings — the paper's
+	// Looped CollectiveEinsum (§3.5); the package comment says which.
+	// Compute on chunk k proceeds while chunk k+1 is in flight, which is what
+	// the mesh's measured overlap fraction (Mesh.MeasuredOverlapFrac)
+	// observes. The chunks and their order are the barrier path's, so the
+	// results are bit-identical on every layout and wire format. A plan over
+	// one chip — a single-chip mesh, or the weight-gathered layout, whose
+	// per-layer weight gather streams either way — has nothing to overlap.
 	// Valid on every layout, orthogonal to the Int8 options.
 	Streamed bool
 }
@@ -313,76 +317,92 @@ func (s shard) gemm(dst, a *tensor.Mat, acc bool) {
 	tensor.GemmInto(dst, a, s.b, acc)
 }
 
-// chipLayer is one layer's weight shards on one chip, each stored once: a
-// streamed session's per-chunk blocks of wDown are views taken as the chunks
-// arrive (ffnDownStreamed).
+// chipLayer is one layer's weights on one chip: the chip's blocks of W_in =
+// [W_Q | W_K | W_V | W_up | W_gate] and W_out = [W_O ; W_down], each stored
+// once (blockPlan.cuts). Under weight-gathered every layer shares one pair
+// of staging matrices (gatherLayer).
 type chipLayer struct {
-	normGain    []float32
-	ffnNormGain []float32
-	// FFN shards: this chip's E×F block of the plan (see ffnPlan).
-	wGate, wUp, wDown shard
-	// Attention shards: this chip's query-head block, K/V per variant,
-	// and the matching WO row block.
-	wq, wk, wv, wo shard
+	win, wout shard
 }
 
-// ffnPlan is a feed-forward plan as one chip sees it: the plan's Outer and
-// Inner axis groups (partition.FFNPlan, whose table maps each layout to
-// them), their sizes and this chip's index in each. The weights are cut E×F
-// into nInner × nOuter blocks. A layer takes the E/nInner columns of this
-// chip's stripe from the block's gathered input (stripe), multiplies,
-// reduce-scatters the partial sums over the inner group (to F/n), applies
-// the nonlinearity, all-gathers over the inner group (to F/nOuter),
-// multiplies, and reduce-scatters over the outer group back to E/n. An
-// empty group makes its collectives identities.
-type ffnPlan struct {
+// blockPlan is a plan as one chip sees it: the plan's Outer and Inner axis
+// groups (partition.FFNPlan, whose table maps each layout to them), their
+// sizes and this chip's index in each, and the widths of one chunk. The
+// chip with index a = iInner + nInner·iOuter in the activation group owns
+// chunk a of each projection: query heads a (qw columns), the K/V columns
+// (kvw each: all of them, or K/V heads a), and F block a (fw columns of up
+// and of gate); and the matching rows of W_out, O rows a and down rows a.
+// A chip stores the E/nInner rows of its stripe — the E/n blocks iInner +
+// nInner·j, in the order the outer gather assembles them — of the nInner
+// in-chunks its inner group reduces, and those out-chunks' rows of the
+// stripe's columns. An empty group makes its collectives identities.
+type blockPlan struct {
 	outer, inner   hardware.AxisGroup
 	nOuter, nInner int // group sizes; nOuter·nInner = nAct
 	iOuter, iInner int // this chip's index in each group
+	// qw, kvw and fw are a chunk's query, K (and V) and F widths; inW =
+	// qw + 2·kvw + (FFN input matrices)·fw and outW = qw + fw are the
+	// in-projection's columns and the out-projection's rows a chunk.
+	qw, kvw, fw, inW, outW int
 }
 
-// ffnPlan returns a chip's view of a plan.
-func (e *Engine) ffnPlan(rank int, plan partition.FFNPlan) ffnPlan {
-	p := ffnPlan{outer: plan.Outer, inner: plan.Inner}
+// blockPlan returns a chip's view of a plan.
+func (e *Engine) blockPlan(rank int, plan partition.FFNPlan) blockPlan {
+	cfg := e.cfg
+	p := blockPlan{outer: plan.Outer, inner: plan.Inner}
 	c := e.m.Chip(rank)
 	p.iOuter, p.nOuter = c.GroupRank(p.outer)
 	p.iInner, p.nInner = c.GroupRank(p.inner)
+	n := p.nOuter * p.nInner
+	p.qw, p.fw = cfg.Heads*cfg.HeadDim/n, cfg.DFF/n
+	p.kvw = cfg.KVHeads * cfg.HeadDim
+	if attn := partition.PlanAttn(e.opts.Attn, e.m.Torus, cfg.Heads, cfg.KVHeads); commcost.KVCopies(cfg, attn) == 1 {
+		p.kvw /= n
+	}
+	p.inW = p.qw + 2*p.kvw + (cfg.FFNMatrices()-1)*p.fw
+	p.outW = p.qw + p.fw
 	return p
 }
 
-// block returns the indices of the chip's weight block: the E columns of
-// its stripe — E/n-wide blocks iInner, iInner+nInner, ..., the order stripe
-// takes them in, so weight rows match — and its contiguous F/nOuter columns.
-func (p ffnPlan) block(cfg model.Config) (eIdx, fIdx []int) {
-	eBlock := cfg.DModel / (p.nOuter * p.nInner)
-	eIdx = make([]int, 0, p.nOuter*eBlock)
+// cuts returns the chip's blocks of the fused matrices, in the full
+// matrices' coordinates (fullShards): rows of the stripe and columns of
+// each in-chunk of W_in, rows of each out-chunk and columns of the stripe of
+// W_out.
+func (p *blockPlan) cuts(cfg model.Config) (in, out cut) {
+	n := p.nOuter * p.nInner
+	eb := cfg.DModel / n
+	hq, kvq, f := cfg.Heads*cfg.HeadDim, cfg.KVHeads*cfg.HeadDim, cfg.DFF
+	var stripe []int
 	for j := 0; j < p.nOuter; j++ {
-		eIdx = append(eIdx, contiguous((p.iInner+p.nInner*j)*eBlock, eBlock)...)
+		stripe = append(stripe, contiguous((p.iInner+p.nInner*j)*eb, eb)...)
 	}
-	fBlock := cfg.DFF / p.nOuter
-	return eIdx, contiguous(p.iOuter*fBlock, fBlock)
+	var cols, rows []int
+	for i := 0; i < p.nInner; i++ {
+		a := i + p.nInner*p.iOuter
+		kv := 0
+		if p.kvw < kvq {
+			kv = a * p.kvw
+		}
+		cols = append(cols, contiguous(a*p.qw, p.qw)...)
+		cols = append(cols, contiguous(hq+kv, p.kvw)...)
+		cols = append(cols, contiguous(hq+kvq+kv, p.kvw)...)
+		for g := 0; g < cfg.FFNMatrices()-1; g++ {
+			cols = append(cols, contiguous(hq+2*kvq+g*f+a*p.fw, p.fw)...)
+		}
+		rows = append(rows, contiguous(a*p.qw, p.qw)...)
+		rows = append(rows, contiguous(hq+a*p.fw, p.fw)...)
+	}
+	return cut{stripe, cols}, cut{rows, stripe}
 }
 
-// stripe picks the chip's FFN input out of the block's gathered rows h: the
-// E/n-wide column blocks iInner + nInner·j, in the order block cuts the
-// weight rows. The gather assembles h in activation-group order, whose index
-// is iInner + nInner·iOuter, so the stripe is what an all-gather of the
-// E-shards over the outer group would assemble. With no inner group the
-// stripe is all of h, returned as is.
-func stripe(ar *tensor.Arena, h *tensor.Mat, p *ffnPlan) *tensor.Mat {
-	if p.nInner == 1 {
-		return h
-	}
-	eBlock := h.Cols / (p.nOuter * p.nInner)
-	out := ar.Mat(h.Rows, p.nOuter*eBlock)
-	for i := 0; i < h.Rows; i++ {
-		src, dst := h.Row(i), out.Row(i)
-		for j := 0; j < p.nOuter; j++ {
-			lo := (p.iInner + p.nInner*j) * eBlock
-			copy(dst[j*eBlock:(j+1)*eBlock], src[lo:lo+eBlock])
-		}
-	}
-	return out
+// part is the span of a chunk one block body runs over: columns [inLo,
+// inHi) of each in-chunk and rows [outLo, outHi) of each out-chunk — all of
+// them for a parallel block, the attention's or the FFN's for a serial one
+// — with the int8 wire formats of its inner reduce-scatter and gather (nil
+// on a float32 wire).
+type part struct {
+	inLo, inHi, outLo, outHi int
+	rsWire, agWire           collective.Payload
 }
 
 // chipState is everything one chip owns.
@@ -403,12 +423,14 @@ type chipState struct {
 	// wire is the payload format the data-plane collectives travel in
 	// (nil = float32; collective.WireInt8 under an int8 Options.WireDType).
 	wire collective.Payload
-	// normWire is the format gatherNorm moves the residual in: float32, or
-	// int8 with one scale per token (collective.WireInt8Rows), since a raw
-	// residual's rows can differ in magnitude by orders.
-	normWire collective.Payload
-	// plan is the feed-forward sharding as this chip sees it.
-	plan ffnPlan
+	// rowsWire is the format the block's outer gather and reduce-scatter and
+	// the final norm's gather move E/nAct-wide token rows in: float32, or
+	// int8 with one scale per token (collective.WireInt8Rows).
+	rowsWire collective.Payload
+	// plan is the block sharding as this chip sees it, and parts its block
+	// bodies: the whole chunk, its attention span and its FFN span.
+	plan  blockPlan
+	parts [3]part
 	// wg holds the weight-gathered layout's at-rest shards (nil otherwise).
 	wg *wgState
 
@@ -422,8 +444,11 @@ type chipState struct {
 	// until the chip's next pass; public APIs clone or copy out of it).
 	logits *tensor.Mat
 	// shards is the shard-pointer table the attention all-to-alls send
-	// from, one entry per chip; contents are transient within one layer.
-	shards [][]float32
+	// from and recv the table they receive into, one entry per chip;
+	// contents are transient within one layer. view is a matrix header the
+	// collectives' chunk callbacks wrap a chunk in.
+	shards, recv [][]float32
+	view         tensor.Mat
 }
 
 // Engine is a sharded inference session.
@@ -503,15 +528,31 @@ func New(w *reference.Weights, t hardware.Torus, opts Options, batch, maxLen int
 		slotPfx: make([]*kvcache.Prefix, batch), fw: pass{off: make([]int, batch+1)},
 		counts: make([]int, batch), toks: make([]int, 0, batch)}
 	e.chips = make([]*chipState, n)
-	full := e.fullShards(w)
+	cuts := make([][wgMats]cut, n)
 	for r := 0; r < n; r++ {
-		e.chips[r] = e.buildChip(w, full, plan, r)
+		e.chips[r] = e.buildChip(w, plan, r)
+		cuts[r][0], cuts[r][1] = e.chips[r].plan.cuts(cfg)
 		// The walk scores all query heads of one KV head at once; no
 		// sharding gives a chip more of them per KV head than the model has.
 		e.chips[r].scr.Reserve(cfg.Heads / cfg.KVHeads * maxLen)
 		if opts.WireDType == model.Int8 {
-			e.chips[r].wire = collective.WireInt8
-			e.chips[r].normWire = collective.WireInt8Rows(e.chips[r].embedCols.Cols)
+			e.chips[r].setInt8Wire()
+		}
+	}
+	// One layer at a time, fused into scratch every chip cuts from.
+	var scratch [wgMats]*tensor.Mat
+	for l := range w.Layers {
+		full := e.fuse(&w.Layers[l], &scratch)
+		for r, st := range e.chips {
+			if st.wg != nil {
+				st.wg.add(full, e.m.Chip(r))
+				if l > 0 {
+					// Every layer shares layer 0's full-size weights as staging.
+					st.layers = append(st.layers, st.layers[0])
+					continue
+				}
+			}
+			st.layers = append(st.layers, chipLayer{win: full[0].take(cuts[r][0]), wout: full[1].take(cuts[r][1])})
 		}
 	}
 	e.runFwd = e.chipForward
@@ -554,18 +595,28 @@ func (e *Engine) MeasuredOverlap() float64 { return e.m.MeasuredOverlapFrac() }
 // Batch returns the session batch size.
 func (e *Engine) Batch() int { return e.batch }
 
-// cut is a block of a matrix: the rows and the columns it holds, each
-// strictly increasing.
+// cut is a block of a matrix: the rows and the columns it holds, in the
+// order the block stores them.
 type cut struct{ rows, cols []int }
 
-// cutOut copies block ct out of a row-major matrix with n columns.
+// cutOut copies block ct out of a row-major matrix with n columns, each
+// run of consecutive columns as one copy.
 func cutOut[T float32 | int8](data []T, n int, ct cut) []T {
 	w := len(ct.cols)
+	var runs []int // [at, from, len] triples
+	for j := 0; j < w; {
+		k := j + 1
+		for k < w && ct.cols[k] == ct.cols[k-1]+1 {
+			k++
+		}
+		runs = append(runs, j, ct.cols[j], k-j)
+		j = k
+	}
 	out := make([]T, len(ct.rows)*w)
 	for i, r := range ct.rows {
 		src, dst := data[r*n:(r+1)*n], out[i*w:(i+1)*w]
-		for j, c := range ct.cols {
-			dst[j] = src[c]
+		for q := 0; q < len(runs); q += 3 {
+			copy(dst[runs[q]:runs[q]+runs[q+2]], src[runs[q+1]:])
 		}
 	}
 	return out
@@ -579,21 +630,80 @@ func contiguous(lo, n int) []int {
 	return out
 }
 
-// fullShards returns every layer's weight matrices, in gather order (no
-// gate for GELU), whole: the reference float32 values, or under Int8Weights
-// their quantization, computed once per matrix for every chip to cut its
-// shards from.
-func (e *Engine) fullShards(w *reference.Weights) [][wgMats]shard {
-	out := make([][wgMats]shard, len(w.Layers))
-	for l := range w.Layers {
-		lw := &w.Layers[l]
-		for k, m := range [wgMats]*tensor.Mat{lw.WGate, lw.WUp, lw.WDown, lw.WQ, lw.WK, lw.WV, lw.WO} {
-			if m != nil {
-				out[l][k] = wholeShard(m, e.opts.Int8Weights)
+// The block bodies of a layer: the whole chunk, for a parallel block, and
+// for a serial block its attention span, then its FFN span.
+const (
+	partAll = iota
+	partAttn
+	partFFN
+)
+
+// setParts sets the chip's block bodies' spans.
+func (st *chipState) setParts() {
+	p := &st.plan
+	attnIn := p.qw + 2*p.kvw
+	st.parts = [3]part{
+		partAll:  {inHi: p.inW, outHi: p.outW},
+		partAttn: {inHi: attnIn, outHi: p.qw},
+		partFFN:  {inLo: attnIn, inHi: p.inW, outLo: p.qw, outHi: p.outW},
+	}
+}
+
+// setInt8Wire switches every collective the chip issues to int8: one scale
+// per chunk for the all-to-alls, weight staging and logit gather, one per
+// token row for the block's activations, and the norm statistic exact
+// beside each row of the in-projection's reduce-scatter.
+func (st *chipState) setInt8Wire() {
+	st.wire = collective.WireInt8
+	st.rowsWire = collective.WireInt8Rows(st.embedCols.Cols)
+	for i := range st.parts {
+		pt := &st.parts[i]
+		pt.rsWire = collective.WireInt8RowsStat(pt.inHi - pt.inLo)
+		pt.agWire = collective.WireInt8Rows(pt.outHi - pt.outLo)
+	}
+}
+
+// fuse returns one layer's two fused matrices whole, in the coordinates
+// blockPlan.cuts reads: W_in = [W_Q | W_K | W_V | W_up | W_gate] (no gate
+// for GELU) with each row scaled by its norm gain — the pre-block gain, or
+// under a serial block the FFN's for the up and gate columns — and W_out =
+// [W_O ; W_down]. They hold the reference float32 values, assembled in
+// scratch that the next layer reuses, or under Int8Weights their
+// quantization, one scale per fused column, computed once per matrix for
+// every chip to cut its shards from.
+func (e *Engine) fuse(lw *reference.LayerWeights, scratch *[wgMats]*tensor.Mat) [wgMats]shard {
+	ffnGain := lw.FFNNormGain
+	if e.cfg.ParallelBlock {
+		ffnGain = lw.NormGain
+	}
+	in := []*tensor.Mat{lw.WQ, lw.WK, lw.WV, lw.WUp}
+	gains := [][]float32{lw.NormGain, lw.NormGain, lw.NormGain, ffnGain}
+	if lw.WGate != nil {
+		in, gains = append(in, lw.WGate), append(gains, ffnGain)
+	}
+	cols := 0
+	for _, m := range in {
+		cols += m.Cols
+	}
+	if scratch[0] == nil {
+		scratch[0] = tensor.New(e.cfg.DModel, cols)
+		scratch[1] = tensor.New(lw.WO.Rows+lw.WDown.Rows, e.cfg.DModel)
+	}
+	win, wout := scratch[0], scratch[1]
+	at := 0
+	for k, m := range in {
+		for r := 0; r < m.Rows; r++ {
+			src, g := m.Row(r), gains[k][r]
+			dst := win.Row(r)[at : at+len(src)]
+			for j, v := range src {
+				dst[j] = v * g
 			}
 		}
+		at += m.Cols
 	}
-	return out
+	copy(wout.Data, lw.WO.Data)
+	copy(wout.Data[len(lw.WO.Data):], lw.WDown.Data)
+	return [wgMats]shard{wholeShard(win, e.opts.Int8Weights), wholeShard(wout, e.opts.Int8Weights)}
 }
 
 // wholeShard is m as a shard: its float32 values, or with int8w its
@@ -606,14 +716,16 @@ func wholeShard(m *tensor.Mat, int8w bool) shard {
 	return matShard(m.Data, m.Rows, m.Cols, nil)
 }
 
-// buildChip cuts one chip's shards of plan from the full weights.
-func (e *Engine) buildChip(w *reference.Weights, full [][wgMats]shard, plan partition.FFNPlan, rank int) *chipState {
+// buildChip sets up one chip of plan: everything but its layers' weights,
+// which New cuts for it layer by layer.
+func (e *Engine) buildChip(w *reference.Weights, plan partition.FFNPlan, rank int) *chipState {
 	cfg := e.cfg
-	st := &chipState{plan: e.ffnPlan(rank, plan), act: hardware.GroupXYZ}
+	st := &chipState{plan: e.blockPlan(rank, plan), act: hardware.GroupXYZ}
+	st.setParts()
 	if plan.Gather != nil {
 		// Token-sharded: no activation group, and at-rest shards that
 		// gatherLayer stages before each layer.
-		st.act, st.wg = nil, e.buildWG(full, plan, rank)
+		st.act, st.wg = nil, &wgState{gather: plan.Gather}
 	}
 	st.iAct, st.nAct = e.m.Chip(rank).GroupRank(st.act)
 	n := st.nAct
@@ -624,51 +736,13 @@ func (e *Engine) buildChip(w *reference.Weights, full [][wgMats]shard, plan part
 		st.embedRows = tensor.SliceRows(w.Embed, st.iAct*vBlock, (st.iAct+1)*vBlock)
 	}
 	st.finalGain = sliceGain(w.FinalGain, 0, cfg.DModel)
-	st.shards = make([][]float32, n)
-
-	eIdx, fIdx := st.plan.block(cfg)
-	eAll := contiguous(0, cfg.DModel)
-	hq := cfg.Heads / n * cfg.HeadDim
-	hCols := contiguous(st.iAct*hq, hq)
-	// Batch sharding (any variant) and head-sharded multiquery both need
-	// the full K/V projections on every chip: the single multiquery head is
-	// replicated (Figure 4(b)), and a batch shard attends with all heads.
-	// Head-sharded multihead takes the K/V columns of this chip's heads.
-	kvCols := contiguous(0, cfg.KVHeads*cfg.HeadDim)
-	if !e.batchShardedCache() && cfg.KVHeads > 1 {
-		kvPC := cfg.KVHeads / n * cfg.HeadDim
-		kvCols = contiguous(st.iAct*kvPC, kvPC)
-	}
-	cuts := [wgMats]cut{{eIdx, fIdx}, {eIdx, fIdx}, {fIdx, eIdx},
-		{eAll, hCols}, {eAll, kvCols}, {eAll, kvCols}, {hCols, eAll}}
-	for l := range w.Layers {
-		lw := &w.Layers[l]
-		cl := chipLayer{
-			normGain:    sliceGain(lw.NormGain, 0, cfg.DModel),
-			ffnNormGain: sliceGain(lw.FFNNormGain, 0, cfg.DModel),
-		}
-		if st.wg != nil && l > 0 {
-			// Every layer shares layer 0's full-size weights as staging.
-			stage := st.layers[0]
-			stage.normGain, stage.ffnNormGain = cl.normGain, cl.ffnNormGain
-			st.layers = append(st.layers, stage)
-			continue
-		}
-		var ws [wgMats]shard
-		for k, m := range full[l] {
-			if m.k > 0 {
-				ws[k] = m.take(cuts[k])
-			}
-		}
-		cl.wGate, cl.wUp, cl.wDown, cl.wq, cl.wk, cl.wv, cl.wo = ws[0], ws[1], ws[2], ws[3], ws[4], ws[5], ws[6]
-		st.layers = append(st.layers, cl)
-	}
+	st.shards, st.recv = make([][]float32, n), make([][]float32, n)
 
 	// KV cache shard.
 	if e.batchShardedCache() {
 		st.cache = e.newKVCache(e.batch/e.m.Chips(), cfg.KVHeads*cfg.HeadDim)
 	} else {
-		st.cache = e.newKVCache(e.batch, len(kvCols))
+		st.cache = e.newKVCache(e.batch, st.plan.kvw)
 	}
 	return st
 }
@@ -725,41 +799,17 @@ func agCols(ar *tensor.Arena, o collective.Op, g hardware.AxisGroup, m *tensor.M
 	return out
 }
 
-// rsCols reduce-scatters a partial-sum matrix over its columns, returning
-// this chip's column chunk of the summed matrix. The reduction needs
-// column chunks contiguous on the wire, so the input is transposed in and
-// the shard transposed back. Group-of-one returns m itself; callers treat
-// the result as freshly computed either way (the inputs are always arena
-// temporaries that are not read again).
-func rsCols(ar *tensor.Arena, o collective.Op, g hardware.AxisGroup, m *tensor.Mat, size int) *tensor.Mat {
-	if size == 1 {
-		return m
-	}
-	tr := tensor.TransposeInto(ar.Mat(m.Cols, m.Rows), m)
-	return colShard(ar, o.Chip, collective.ReduceScatter(o, g, tr.Data), m.Rows)
-}
-
-// colShard turns a reduce-scattered shard — column-major on the wire,
-// [cols, tokens] — back into the [tokens, cols] activation and hands the
-// wire buffer back to the mesh pool.
-func colShard(ar *tensor.Arena, c *mesh.Chip, shard []float32, tokens int) *tensor.Mat {
-	sh := tensor.Mat{Rows: len(shard) / tokens, Cols: tokens, Data: shard}
-	out := tensor.TransposeInto(ar.Mat(tokens, sh.Rows), &sh)
-	c.Recycle(shard)
-	return out
-}
-
 // gatherNorm all-gathers the residual x, E-sharded over the chip's
 // activation group, and RMS-normalizes every full row locally with the
-// full-width gain: the block's one input collective, which attention and
-// the FFN then share. The rows are normalized in place in the gathered
-// copy; over a group of one the gather returns x itself, the residual, so
-// they go to a fresh arena matrix instead. Under an int8 wire every token's
-// shard travels with its own scale (st.normWire), so a loud token costs the
-// others none of their resolution.
+// full-width gain: the final norm before the logits. The rows are
+// normalized in place in the gathered copy; over a group of one the gather
+// returns x itself, the residual, so they go to a fresh arena matrix
+// instead. Under an int8 wire every token's shard travels with its own
+// scale (st.rowsWire), so a loud token costs the others none of their
+// resolution.
 func gatherNorm(c *mesh.Chip, st *chipState, x *tensor.Mat, gain []float32) *tensor.Mat {
 	o := st.op(c)
-	o.Wire = st.normWire
+	o.Wire = st.rowsWire
 	full := agCols(&st.arena, o, st.act, x, st.nAct)
 	out := full
 	if st.nAct == 1 {

@@ -261,15 +261,16 @@ func TestKVCacheShardingBytes(t *testing.T) {
 	}
 }
 
-// Measured per-layer FFN communication must match the analytic volume
-// formulas (Appendix A.2). The attention path and norms add their own
-// traffic, so we isolate FFN bytes by differencing two engines that share
-// everything except the FFN layout. The FFN's input rides the block's one
-// gather (gatherNorm) in both layouts, so only the FFN's own collectives
-// differ: 1D reduce-scatters its output over all chips, 2D reduce-scatters
-// over YZ and moves its hidden activations over X. On this model 2D moves
-// more (the difference is negative, −4,096 B/chip): its hidden-activation
-// traffic over X outweighs the smaller output reduce-scatter.
+// Measured per-layer block communication must match the analytic volume
+// formulas (Appendix A.2). The final norm and logit gathers add their own
+// traffic, so we isolate the blocks' bytes by differencing two engines that
+// share everything but the layout: commcost.FFNLayerComm at the fused
+// widths, plus the norm statistic the 2D in-projection's reduce-scatter
+// carries. 1D gathers and reduce-scatters over all chips; 2D gathers and
+// reduce-scatters over YZ and moves the fused projections over X. On this
+// model 2D moves more (the difference is negative, −4,352 B/chip): its
+// in-projection traffic over X, with the multiquery K/V in every chunk,
+// outweighs the smaller YZ collectives.
 func TestFFNCommMatchesAnalyticDifference(t *testing.T) {
 	cfg := tinyMQA()
 	w := reference.NewWeights(cfg, 11)
@@ -289,21 +290,18 @@ func TestFFNCommMatchesAnalyticDifference(t *testing.T) {
 
 	nTok := float64(batch * steps)
 	const actBytes = 4 // engine activations are float32
-	e, f := float64(cfg.DModel), float64(cfg.DFF)
-	layers := float64(cfg.Layers)
-	// SwiGLU has two X-axis pairs (gate and up) where the paper's abstract
-	// MLP has one, so compute the expected volumes from first principles.
-	want1D := layers * commcost.ReduceScatterVolume(nTok*e*actBytes, 8)
-	p2 := partition.PlanFFN(partition.FFN2DWeightStationary, tr)
-	ePer := nTok * (e / float64(p2.ESplit)) * actBytes
-	fPer := nTok * (f / float64(p2.FSplit)) * actBytes
-	want2D := layers * (commcost.ReduceScatterVolume(ePer, 4) +
-		2*commcost.ReduceScatterVolume(fPer, 2) + commcost.AllGatherVolume(fPer, 2))
-
+	attn := partition.PlanAttn(partition.AttnShardHeads, tr, cfg.Heads, cfg.KVHeads)
+	attnIn, ffnIn, attnOut, ffnOut := commcost.BlockWidths(cfg)
+	fIn := attnIn + ffnIn + float64((commcost.KVCopies(cfg, attn)-1)*2*cfg.KVHeads*cfg.HeadDim)
+	block := func(l partition.FFNLayout) float64 {
+		p := partition.PlanFFN(l, tr)
+		return float64(cfg.Layers) * (commcost.FFNLayerComm(p, nTok, float64(cfg.DModel), fIn, attnOut+ffnOut, actBytes, 0).Total() +
+			commcost.NormStatVolume(p, nTok))
+	}
 	gotDiff := got1D - got2D
-	wantDiff := want1D - want2D
+	wantDiff := block(partition.FFN1DWeightStationary) - block(partition.FFN2DWeightStationary)
 	if relErr(gotDiff, wantDiff) > 1e-9 {
-		t.Errorf("FFN comm difference %g bytes/chip, want %g (1D: %g, 2D: %g)",
+		t.Errorf("block comm difference %g bytes/chip, want %g (1D: %g, 2D: %g)",
 			gotDiff, wantDiff, got1D, got2D)
 	}
 }

@@ -195,19 +195,22 @@ func (e *Engine) chipForward(c *mesh.Chip) {
 		copy(x.Row(i), st.embedCols.Row(tok))
 	}
 
+	// A block's temporaries die with it: each body takes the same ones
+	// again.
+	mark := ar.Mark()
 	for l := range st.layers {
 		if st.wg != nil {
 			e.gatherLayer(c, st, l)
 		}
 		cl := &st.layers[l]
-		// One gather feeds both sub-blocks of a parallel block; a serial
-		// block gathers the updated residual again before its FFN.
-		h := gatherNorm(c, st, x, cl.normGain)
-		x = tensor.AddInPlace(x, e.attnBlock(c, st, cl, l, h))
-		if !e.cfg.ParallelBlock {
-			h = gatherNorm(c, st, x, cl.ffnNormGain)
+		if e.cfg.ParallelBlock {
+			e.block(c, st, cl, l, x, &st.parts[partAll])
+		} else {
+			e.block(c, st, cl, l, x, &st.parts[partAttn])
+			ar.Release(mark)
+			e.block(c, st, cl, l, x, &st.parts[partFFN])
 		}
-		x = tensor.AddInPlace(x, e.ffn(c, st, cl, h))
+		ar.Release(mark)
 	}
 	e.advance(st, sq)
 
@@ -225,69 +228,149 @@ func (e *Engine) batchShardedCache() bool {
 	return e.opts.Attn == partition.AttnShardBatch
 }
 
-// ffn runs the feedforward sub-block on the block's gathered normed rows,
-// returning the E-sharded output: the Figure 2 program over the chip's plan
-// (see ffnPlan). A group of one makes its collectives identities, which is
-// all that separates the 1D layout from the 2D one. A streamed session
-// streams the reduce-scatters' transposes and loops the down-projection
-// into its ring (ffnDownStreamed); the values are the barrier path's up to
-// the inner gather's chunked accumulation.
-func (e *Engine) ffn(c *mesh.Chip, st *chipState, cl *chipLayer, h *tensor.Mat) *tensor.Mat {
+// block runs one block body over pt — the whole fused block, or a serial
+// block's attention or FFN span — and adds its output into the residual x:
+// the outer gather of the residual stripe, the in-projection reduce-scattered
+// over the inner group with each token's norm statistic, attention and the
+// nonlinearity on the chip's chunk, the inner gather, and the out-projection
+// reduce-scattered over the outer group (see the package comment).
+func (e *Engine) block(c *mesh.Chip, st *chipState, cl *chipLayer, layer int, x *tensor.Mat, pt *part) {
 	ar := &st.arena
 	p := &st.plan
-	streamed := e.streamFFN(p)
-	rs := rsCols
-	if streamed {
-		rs = rsColsStream
+	streamed := e.opts.Streamed && p.nOuter*p.nInner > 1
+
+	// The residual's E/nInner stripe, and each token's sum of squares over
+	// it: over the whole row when the inner group is empty, else a partial
+	// the in-projection's reduce-scatter sums. Over a group of one h is x.
+	o := st.op(c)
+	o.Wire = st.rowsWire
+	h := agCols(ar, o, p.outer, x, p.nOuter)
+	tokens := h.Rows
+	ss := ar.Mat(1, tokens).Data
+	for t := range ss {
+		var s float32
+		for _, v := range h.Row(t) {
+			s += v * v
+		}
+		ss[t] = s
 	}
-	hx := stripe(ar, h, p)                                          // [tokens, E/nInner]
-	act := rs(ar, st.op(c), p.inner, cl.wUp.mulA(ar, hx), p.nInner) // [tokens, F/n]
-	if e.cfg.FFNKind == model.SwiGLU {
-		gate := rs(ar, st.op(c), p.inner, cl.wGate.mulA(ar, hx), p.nInner)
-		tensor.SiLUFast(gate)
-		act = tensor.MulInto(gate, gate, act)
+	var stat []float32
+	if p.nInner > 1 {
+		stat = ss
+	}
+	y, sum := st.reduceScatter(c, p.inner, p.nInner, tokens, pt.inHi-pt.inLo, stat, pt.rsWire, streamed,
+		func(i int, dst *tensor.Mat) {
+			cl.win.cols(i*p.inW+pt.inLo, i*p.inW+pt.inHi).mulInto(dst, h)
+		})
+	if sum != nil {
+		ss = sum
+	}
+	inv := ss // 1/rms per token, in place
+	for t, s := range ss {
+		inv[t] = invSqrt(s/float32(e.cfg.DModel) + 1e-6)
+	}
+
+	// Attention on the chip's query heads and the nonlinearity on its F
+	// block, each span normalized as it is read out of y, into out: the
+	// [attn | act] rows the out-projection contracts.
+	var attn *tensor.Mat
+	col := 0 // y's column of the span at hand
+	if pt.inLo == 0 {
+		attn = e.attention(c, st, layer, y, inv)
+		col = p.qw + 2*p.kvw
+	}
+	out := attn
+	if pt.inHi == p.inW {
+		out = ar.Mat(tokens, pt.outHi-pt.outLo)
+		at := out.Cols - p.fw // act's first column
+		for t := 0; t < tokens; t++ {
+			row, s := out.Row(t), inv[t]
+			if attn != nil {
+				copy(row, attn.Row(t))
+			}
+			act := tensor.Mat{Rows: 1, Cols: p.fw, Data: row[at:]}
+			up := y.Row(t)[col : col+p.fw]
+			if e.cfg.FFNKind != model.SwiGLU {
+				for j, v := range up {
+					act.Data[j] = v * s
+				}
+				tensor.GELU(&act)
+				continue
+			}
+			for j, v := range y.Row(t)[col+p.fw : col+2*p.fw] {
+				act.Data[j] = v * s
+			}
+			tensor.SiLUFast(&act)
+			for j, v := range up {
+				act.Data[j] *= v * s
+			}
+		}
+	}
+
+	// The out-projection, reduce-scattered over the outer group back to
+	// the chip's E-shard. With no inner group the chip holds the whole
+	// contraction and the reduce-scatter's producer computes each E chunk
+	// of out·W_out; otherwise each inner chunk folds its product with its
+	// row block of W_out, and the producer hands out the sum's E chunks.
+	eb := e.cfg.DModel / (p.nOuter * p.nInner)
+	var produce func(j int, dst *tensor.Mat)
+	if p.nInner == 1 {
+		wo := cl.wout.rows(pt.outLo, pt.outHi)
+		produce = func(j int, dst *tensor.Mat) { wo.cols(j*eb, (j+1)*eb).mulInto(dst, out) }
 	} else {
-		tensor.GELU(act)
+		acc := ar.Mat(tokens, p.nOuter*eb)
+		acc.Zero()
+		st.gatherFold(c, p.inner, p.nInner, out, pt.agWire, streamed, func(i int, chunk *tensor.Mat) {
+			cl.wout.rows(i*p.outW+pt.outLo, i*p.outW+pt.outHi).mulAcc(acc, chunk)
+		})
+		cl.wout.finishAcc(acc)
+		produce = func(j int, dst *tensor.Mat) {
+			for t := 0; t < tokens; t++ {
+				copy(dst.Row(t), acc.Row(t)[j*eb:(j+1)*eb])
+			}
+		}
 	}
-	if streamed {
-		return e.ffnDownStreamed(c, st, cl, act)
-	}
-	actFull := agCols(ar, st.op(c), p.inner, act, p.nInner) // [tokens, F/nOuter]
-	return rsCols(ar, st.op(c), p.outer, cl.wDown.mulA(ar, actFull), p.nOuter)
+	res, _ := st.reduceScatter(c, p.outer, p.nOuter, tokens, eb, nil, st.rowsWire, streamed, produce)
+	tensor.AddInPlace(x, res)
 }
 
-// attnBlock runs the attention sub-block on the block's gathered normed rows,
-// returning the E-sharded output. Query heads are split over the activation
-// group; with no group the chip holds all of them and attends locally.
-func (e *Engine) attnBlock(c *mesh.Chip, st *chipState, cl *chipLayer, layer int, hFull *tensor.Mat) *tensor.Mat {
+// normCols copies columns [lo, hi) of y into a fresh arena matrix, each row
+// scaled by its inv.
+func normCols(ar *tensor.Arena, y *tensor.Mat, lo, hi int, inv []float32) *tensor.Mat {
+	out := ar.Mat(y.Rows, hi-lo)
+	for t := 0; t < y.Rows; t++ {
+		s, dst := inv[t], out.Row(t)
+		for j, v := range y.Row(t)[lo:hi] {
+			dst[j] = v * s
+		}
+	}
+	return out
+}
+
+// attention runs the attention on the chip's query heads of y's Q columns,
+// appending the K/V rows of the sequences this chip caches — all of them
+// when the cache is head-sharded (this chip's KV heads, or the replicated
+// multiquery head), its own batch shard otherwise — and returns the
+// [tokens, qw] head block of the output. Query heads are split over the
+// activation group; with no group the chip holds all of them and attends
+// locally.
+func (e *Engine) attention(c *mesh.Chip, st *chipState, layer int, y *tensor.Mat, inv []float32) *tensor.Mat {
 	ar := &st.arena
-	qLocal := cl.wq.mulA(ar, hFull) // [tokens, headsPC·dh]
-	// K/V only for the sequences this chip caches: all of them when the
-	// cache is head-sharded (this chip's KV heads, or the replicated
-	// multiquery head), its own batch shard otherwise — the weights are
-	// then the full K/V projections, every chip can serve any sequence, and
-	// projecting the other chips' rows would throw the result away. With
-	// no activation group hFull holds only those rows.
+	p := &st.plan
+	q := normCols(ar, y, 0, p.qw, inv)
 	sq := e.seqsOn(c.Rank)
 	lo, hi := sq.rows(&e.fw)
 	if st.nAct == 1 {
 		lo, hi = 0, hi-lo
 	}
-	hMine := tensor.RowsView(hFull, lo, hi)
-	kNew := cl.wk.mulA(ar, &hMine)
-	vNew := cl.wv.mulA(ar, &hMine)
-
-	var outLocal *tensor.Mat
+	yMine := tensor.RowsView(y, lo, hi)
+	k := normCols(ar, &yMine, p.qw, p.qw+p.kvw, inv[lo:hi])
+	v := normCols(ar, &yMine, p.qw+p.kvw, p.qw+2*p.kvw, inv[lo:hi])
 	if e.batchShardedCache() && st.nAct > 1 {
-		outLocal = e.attnBatchSharded(c, st, layer, sq, qLocal, kNew, vNew)
-	} else {
-		// The queries' sequences are all cached here: chip-local.
-		outLocal = appendAndAttendInto(ar.Mat(qLocal.Rows, qLocal.Cols),
-			e.cfg.HeadDim, qLocal, st.cache, layer, sq.counts(&e.fw), kNew, vNew, &st.scr)
+		return e.attnBatchSharded(c, st, layer, sq, q, k, v)
 	}
-
-	partial := cl.wo.mulA(ar, outLocal) // [tokens, E] partialsum over chips
-	return rsCols(ar, st.op(c), st.act, partial, st.nAct)
+	// The queries' sequences are all cached here: chip-local.
+	return appendAndAttendInto(ar.Mat(q.Rows, q.Cols), e.cfg.HeadDim, q, st.cache, layer, sq.counts(&e.fw), k, v, &st.scr)
 }
 
 // appendAndAttendInto appends the new K/V of a chip's slots to its cache
@@ -335,7 +418,7 @@ func (e *Engine) attnBatchSharded(c *mesh.Chip, st *chipState, layer int, sq chi
 		lo, hi := e.seqsOn(d).rows(p)
 		shards[d] = qLocal.Data[lo*headW : hi*headW]
 	}
-	recv := collective.AllToAll(st.op(c), st.act, shards)
+	recv := collective.AllToAllInto(st.op(c), st.act, st.recv, shards)
 	// Assemble my slots' full-width queries [rowsPC, H·dh]: source srcIdx's
 	// chunk is its head block, i.e. my column block srcIdx.
 	lo, hi := sq.rows(p)
@@ -360,7 +443,7 @@ func (e *Engine) attnBatchSharded(c *mesh.Chip, st *chipState, layer int, sq chi
 		}
 		shards[d] = blk
 	}
-	recv = collective.AllToAll(st.op(c), st.act, shards)
+	recv = collective.AllToAllInto(st.op(c), st.act, st.recv, shards)
 	// Sources hold the slots in rank order, so their blocks stack into my
 	// head block of every row [tokens, headsPC·dh].
 	outLocal := ar.Mat(qLocal.Rows, headW)

@@ -7,9 +7,11 @@ import (
 	"strings"
 	"testing"
 
+	"esti/internal/commcost"
 	"esti/internal/hardware"
 	"esti/internal/model"
 	"esti/internal/partition"
+	"esti/internal/perf"
 	"esti/internal/reference"
 	"esti/internal/sampling"
 	"esti/internal/tensor"
@@ -203,109 +205,140 @@ func TestWGIsOneChipProgram(t *testing.T) {
 	}
 }
 
-// A pass's whole wire schedule is a closed form: its messages' count and
-// sizes, summed over the mesh, follow from the layout and the pass's rows
-// per chip alone. Per layer a block makes one input gather (gatherNorm), its
-// attention collectives and its FFN's own, and the pass ends with the final
-// norm's gather and the logit gather. On 2×2×2 2D batch-sharded a pass
-// sends 34 messages a chip a layer plus 14; on 2×2×1 1D head-sharded
-// streamed, 9 plus 6. Only the live rows travel: the batch-sharded
-// all-to-alls carry each chip's slots' rows to it and back, an empty shard
-// where its slots are idle, so there the chips' shares differ and only the
-// mesh totals are a closed form. Checked for a decode step, an admission of
-// an odd-length prompt and a ragged pass (a 5-token chunk, three decodes,
-// four idle slots), on both wire formats, to the message and the byte.
+// A pass's whole wire schedule is one closed form, built from one
+// partition.PlanFFN per configuration: per layer, perf.ChipMessages — the
+// ring steps of perf.CollectiveHops, with the 2·(n-1) direct messages of
+// the all-to-alls in place of its diameter term — and the bytes commcost
+// prices the
+// block's collectives (BlockWireVolume and NormStatVolume, at the widths of
+// BlockWidths with KVCopies of the K/V columns), the all-to-alls
+// (AttnAllToAllWireVolume) and the weight gather; per pass, the final norm's
+// gather and the logit gather. Generated over tori from one chip to
+// 2×2×2; the 1D, 2D and weight-gathered layouts; head- and batch-sharded
+// attention; barrier and streamed; parallel and serial blocks of multiquery
+// and multihead models; both wire formats; and a decode step, an admission
+// of an odd-length prompt and a ragged pass (a 5-token chunk, three decodes,
+// four idle slots). Only the live rows travel, and the batch-sharded
+// all-to-alls carry each chip's slots' rows to it and back, so the chips'
+// shares differ; the mesh totals are the closed form, to the message and
+// the byte.
 func TestPassWireSchedule(t *testing.T) {
-	cfg := tinyMQA()
-	e, f, v, hd := cfg.DModel, cfg.DFF, cfg.Vocab, cfg.Heads*cfg.HeadDim
 	const batch, promptLen = 8, 5
-	// sends is the mesh's share of a collective: count messages of elems
-	// elements each, with rows int8 scales apiece (0 for one chunk scale:
-	// only the residual gathers scale each token's row). An empty message
-	// still carries its chunk scale on the int8 wire.
-	type sends struct{ count, elems, rows int }
-	cases := []struct {
-		name string
-		tr   hardware.Torus
-		opts Options
-		// layer is one layer's sends for a pass of tok rows, of which
-		// counts[s] are slot s's.
-		layer func(tok int, counts []int) []sends
-		final func(tok int) []sends
-	}{
-		{"2d-batch", torus222(), Options{FFN: partition.FFN2DWeightStationary, Attn: partition.AttnShardBatch},
-			func(tok int, counts []int) []sends {
-				s := []sends{{8 * 7, tok * e / 8, tok}} // the block's input gather over XYZ
-				for _, rows := range counts {
-					// Chip d caches slot d: the two all-to-alls carry its
-					// rows' head blocks in from the 7 other chips and out
-					// to them again.
-					s = append(s, sends{2 * 7, rows * hd / 8, 0})
-				}
-				return append(s,
-					sends{8 * 7, tok * e / 8, 0}, // attention output reduce-scatter over XYZ
-					sends{8 * 2, tok * f / 8, 0}, // up and gate reduce-scatters over X
-					sends{8 * 1, tok * f / 8, 0}, // the hidden gather over X
-					sends{8 * 3, tok * e / 8, 0}) // the output reduce-scatter over YZ
-			},
-			func(tok int) []sends { return []sends{{8 * 7, tok * e / 8, tok}, {8 * 7, tok * v / 8, 0}} }},
-		{"1d-heads-streamed", hardware.Torus{X: 2, Y: 2, Z: 1},
-			Options{FFN: partition.FFN1DWeightStationary, Attn: partition.AttnShardHeads, Streamed: true},
-			func(tok int, _ []int) []sends {
-				// Input gather, then attention and FFN output reduce-scatters.
-				return []sends{{4 * 3, tok * e / 4, tok}, {4 * 6, tok * e / 4, 0}}
-			},
-			func(tok int) []sends { return []sends{{4 * 3, tok * e / 4, tok}, {4 * 3, tok * v / 4, 0}} }},
+	tori := []hardware.Torus{{X: 1, Y: 1, Z: 1}, {X: 2, Y: 1, Z: 1}, {X: 1, Y: 2, Z: 2}, {X: 2, Y: 2, Z: 1}, {X: 2, Y: 2, Z: 2}}
+	var models []model.Config
+	for _, base := range []model.Config{tinyMQA(), tinyMHA()} {
+		for _, parallel := range []bool{true, false} {
+			cfg := base
+			cfg.ParallelBlock = parallel
+			models = append(models, cfg)
+		}
 	}
-	w := reference.NewWeights(cfg, 5)
-	for _, tc := range cases {
+	type layout struct {
+		name string
+		opts Options
+	}
+	var layouts []layout
+	for _, ffn := range []struct {
+		name string
+		l    partition.FFNLayout
+	}{{"1d", partition.FFN1DWeightStationary}, {"2d", partition.FFN2DWeightStationary}, {"wg", partition.FFNWeightGatheredXYZ}} {
+		for _, attn := range []partition.AttnLayout{partition.AttnShardHeads, partition.AttnShardBatch} {
+			if ffn.l.WeightGathered() && attn != partition.AttnShardBatch {
+				continue
+			}
+			for _, streamed := range []bool{false, true} {
+				name := ffn.name + "-" + map[partition.AttnLayout]string{partition.AttnShardHeads: "heads", partition.AttnShardBatch: "batch"}[attn]
+				if streamed {
+					name += "-streamed"
+				}
+				layouts = append(layouts, layout{name, Options{FFN: ffn.l, Attn: attn, Streamed: streamed}})
+			}
+		}
+	}
+	for _, lay := range layouts {
 		for _, wire := range []model.DType{model.FP32, model.Int8} {
-			t.Run(fmt.Sprintf("%s/%v", tc.name, wire), func(t *testing.T) {
-				opts := tc.opts
-				opts.WireDType = wire
-				eng, err := New(w, tc.tr, opts, batch, 16)
-				if err != nil {
-					t.Fatal(err)
+			t.Run(fmt.Sprintf("%s/%v", lay.name, wire), func(t *testing.T) {
+				for i, tr := range tori {
+					cfg := models[i%len(models)]
+					if lay.opts.Streamed {
+						cfg = models[(i+1)%len(models)]
+					}
+					opts := lay.opts
+					opts.WireDType = wire
+					checkWireSchedule(t, cfg, tr, opts, batch, promptLen)
 				}
-				check := func(what string, counts []int, run func()) {
-					t.Helper()
-					tok := 0
-					for _, n := range counts {
-						tok += n
-					}
-					var msgs, bytes int64
-					all := tc.final(tok)
-					for l := 0; l < cfg.Layers; l++ {
-						all = append(all, tc.layer(tok, counts)...)
-					}
-					for _, s := range all {
-						per := 4 * s.elems
-						if wire == model.Int8 {
-							per = s.elems + 4*max(s.rows, 1) // a byte an element, and the scales
-						}
-						msgs += int64(s.count)
-						bytes += int64(s.count * per)
-					}
-					eng.Mesh().ResetCounters()
-					run()
-					m := eng.Mesh()
-					if m.MessagesSent() != msgs || m.BytesSent() != bytes {
-						t.Errorf("%s: %d messages, %d B; want %d, %d", what, m.MessagesSent(), m.BytesSent(), msgs, bytes)
-					}
-				}
-				prefill(t, eng, tokens(batch, 2), 2)
-				ones := uniform(batch, 1)
-				check("decode step", ones, func() { decode(t, eng, nil, tokens(batch, 1)) })
-				eng.ReleaseSlot(3)
-				admit := make([]int, batch)
-				admit[3] = promptLen
-				check("admission", admit, func() { eng.PrefillSlot(3, tokens(1, promptLen)) })
-				eng.ReleaseSlot(1)
-				ragged := []int{1, 5, 0, 0, 1, 0, 1, 0}
-				check("ragged pass", ragged, func() { step(t, eng, nil, tokens(1, 8), ragged) })
 			})
 		}
 	}
+}
+
+// checkWireSchedule runs TestPassWireSchedule's three passes on one
+// configuration and checks each against the closed form.
+func checkWireSchedule(t *testing.T, cfg model.Config, tr hardware.Torus, opts Options, batch, promptLen int) {
+	t.Helper()
+	name := fmt.Sprintf("%v %s parallel=%v", tr, cfg.Name, cfg.ParallelBlock)
+	eng, err := New(reference.NewWeights(cfg, 5), tr, opts, batch, 16)
+	if err != nil {
+		t.Fatalf("%s: %v", name, err)
+	}
+	plan := partition.PlanFFN(opts.FFN, tr)
+	attn := partition.PlanAttn(opts.Attn, tr, cfg.Heads, cfg.KVHeads)
+	n := tr.Chips()
+	nAct := n / plan.GatherFactor()
+	rowsWire, chunkWire := commcost.WireFP32, commcost.WireFP32
+	if opts.WireDType == model.Int8 {
+		rowsWire, chunkWire = commcost.WireInt8, commcost.WireInt8
+	}
+	e := float64(cfg.DModel)
+	attnIn, ffnIn, attnOut, ffnOut := commcost.BlockWidths(cfg)
+	kv := float64(2 * cfg.KVHeads * cfg.HeadDim)
+	attnIn += float64(commcost.KVCopies(cfg, attn)-1) * kv
+	sets := [][2]float64{{attnIn + ffnIn, attnOut + ffnOut}}
+	if !cfg.ParallelBlock {
+		sets = [][2]float64{{attnIn, attnOut}, {ffnIn, ffnOut}}
+	}
+	layerElems := e*(attnIn+ffnIn-float64(commcost.KVCopies(cfg, attn)-1)*kv) + (attnOut+ffnOut)*e
+
+	msgs := perf.ChipMessages(plan, attn, cfg.ParallelBlock)
+	want := func(tok int) (int64, int64) {
+		tk := float64(tok)
+		var bytes float64 // per chip, every chip alike but the all-to-alls
+		for _, s := range sets {
+			bytes += commcost.BlockWireVolume(plan, tk, e, s[0], s[1], rowsWire) + commcost.NormStatVolume(plan, tk)
+		}
+		bytes += commcost.AllGatherWireVolume(layerElems/float64(plan.GatherFactor()), plan.GatherFactor(), chunkWire)
+		if nAct > 1 {
+			bytes += commcost.AttnAllToAllWireVolume(attn, tk, cfg.HeadDim, chunkWire)
+		}
+		bytes *= float64(cfg.Layers)
+		// The final norm's gather and the logit gather.
+		bytes += tk*commcost.AllGatherWireVolume(e/float64(nAct), nAct, rowsWire) +
+			commcost.AllGatherWireVolume(tk*float64(cfg.Vocab)/float64(nAct), nAct, chunkWire)
+		return int64(n * (msgs*cfg.Layers + 2*(nAct-1))), int64(math.Round(float64(n) * bytes))
+	}
+	check := func(what string, counts []int, run func()) {
+		t.Helper()
+		tok := 0
+		for _, c := range counts {
+			tok += c
+		}
+		wantMsgs, wantBytes := want(tok)
+		eng.Mesh().ResetCounters()
+		run()
+		m := eng.Mesh()
+		if m.MessagesSent() != wantMsgs || m.BytesSent() != wantBytes {
+			t.Errorf("%s, %s: %d messages, %d B; want %d, %d", name, what, m.MessagesSent(), m.BytesSent(), wantMsgs, wantBytes)
+		}
+	}
+	prefill(t, eng, tokens(batch, 2), 2)
+	check("decode step", uniform(batch, 1), func() { decode(t, eng, nil, tokens(batch, 1)) })
+	eng.ReleaseSlot(3)
+	admit := make([]int, batch)
+	admit[3] = promptLen
+	check("admission", admit, func() { eng.PrefillSlot(3, tokens(1, promptLen)) })
+	eng.ReleaseSlot(1)
+	ragged := []int{1, 5, 0, 0, 1, 0, 1, 0}
+	check("ragged pass", ragged, func() { step(t, eng, nil, tokens(1, 8), ragged) })
 }
 
 // Admission runs the pass body that decode runs, so on one chip a warm

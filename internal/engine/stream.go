@@ -7,89 +7,90 @@ import (
 	"esti/internal/tensor"
 )
 
-// This file is the engine's Looped CollectiveEinsum path (Options.Streamed,
-// Section 3.5): the FFN's down-projection runs one contraction- or
-// output-chunk at a time inside the streaming collectives' callbacks, so
-// each chunk's GEMM slice — still the blocked, worker-pool-parallel kernels
-// — executes while the ring relays the next chunk, and the reduce-scatters
-// transpose their input chunk by chunk as the ring needs it. The up and gate
-// projections have no input ring to ride: their input is the stripe of the
-// block's one gather (gatherNorm), so they are plain GEMMs on both paths.
-// Inner-gather chunks fold into a running accumulator with mulAcc
-// (summation order across chunks differs from the barrier path's single
-// full-width GEMM, hence token-exact rather than bit-exact); reduce-scatter
-// chunks are produced on demand, each the bit-exact column block of the
-// barrier path's full product. A plan with no inner group has no inner
-// gather, so its streamed pass is the barrier pass bit for bit.
+// This file holds the block's two ring shapes, each with the Looped
+// CollectiveEinsum of Options.Streamed (Section 3.5): a reduce-scatter whose
+// chunks a producer computes, and the inner all-gather whose chunks a
+// consumer folds. Streamed, the producer runs inside the ring just before
+// the ring sends or folds each chunk, and the consumer as each chunk lands,
+// so each chunk's GEMM — still the blocked kernels — executes while the ring
+// relays the next chunk. Unstreamed, the same producer fills every chunk
+// before the ring starts and the same consumer folds the gathered chunks
+// after it ends, in the order the ring would have handed them over: the
+// results are bit-identical either way. The weights are zero-copy views:
+// a reduce-scatter's chunk j multiplies a column range of a stored matrix
+// (or, after a 2D inner gather, is a column block of the folded sum), and
+// the gather's chunk i multiplies a row block of W_out.
 
-// streamFFN reports whether a chip's FFN plan takes the streamed path: a
-// plan over one chip — a single-chip mesh, or weight-gathered's empty
-// groups — has nothing to overlap and keeps the allocation-free barrier
-// path.
-func (e *Engine) streamFFN(p *ffnPlan) bool { return e.opts.Streamed && p.nOuter*p.nInner > 1 }
-
-// ffnDownStreamed is the down half of ffn with the matmul looped into the
-// plan's rings: act is the [tokens, F/n] activated shard. The
-// down-projection rides the inner gather's consumer — each arriving F chunk
-// folds its product with a row block of W_down into the E/nInner
-// accumulator, which the outer reduce-scatter then streams out — unless the
-// inner group has one member and so no ring to ride: then it runs inside the
-// outer reduce-scatter's producer, chunk j of the transposed partial sum
-// (act times E-column block j of W_down, transposed) computed just before
-// the ring sends or folds it. The blocks are zero-copy views of cl.wDown.
-func (e *Engine) ffnDownStreamed(c *mesh.Chip, st *chipState, cl *chipLayer, act *tensor.Mat) *tensor.Mat {
+// reduceScatter sums, over group g of size chips, a matrix whose chunk j —
+// tokens rows of w columns — produce writes into dst, and returns this
+// chip's chunk of the sum in arena storage. With a non-nil stat each chunk
+// also carries those tokens' statistics after its rows, summed the same
+// way and returned second. Over a group of one produce writes the result
+// directly and stat comes back as it is.
+func (st *chipState) reduceScatter(c *mesh.Chip, g hardware.AxisGroup, size, tokens, w int, stat []float32,
+	wire collective.Payload, streamed bool, produce func(j int, dst *tensor.Mat)) (*tensor.Mat, []float32) {
 	ar := &st.arena
-	p := &st.plan
-	tokens := act.Rows
-	eChunk := e.cfg.DModel / (p.nOuter * p.nInner)
-
-	if p.nInner == 1 {
-		tr := ar.Mat(eChunk*p.nOuter, tokens) // transposed partial, produced per chunk
-		tmp := ar.Mat(tokens, eChunk)
-		mine := collective.ReduceScatterStream(st.op(c), p.outer, tr.Data,
-			func(j int, chunk []float32) {
-				cl.wDown.cols(j*eChunk, (j+1)*eChunk).mulInto(tmp, act)
-				cv := tensor.Mat{Rows: eChunk, Cols: tokens, Data: chunk}
-				tensor.TransposeInto(&cv, tmp)
-			})
-		return colShard(ar, c, mine, tokens)
+	o := st.op(c)
+	if size == 1 {
+		dst := ar.Mat(tokens, w)
+		produce(0, dst)
+		return dst, stat
 	}
-	fChunk := act.Cols
-	down := ar.Mat(tokens, eChunk*p.nOuter) // [tokens, E/nInner] accumulator
-	down.Zero()
-	fullAct := collective.AllGatherStream(st.op(c), p.inner, act.Data,
-		func(j int, chunk []float32) {
-			cm := tensor.Mat{Rows: tokens, Cols: fChunk, Data: chunk}
-			cl.wDown.rows(j*fChunk, (j+1)*fChunk).mulAcc(down, &cm)
-		})
-	c.Recycle(fullAct)
-	cl.wDown.finishAcc(down)
-	return rsColsStream(ar, st.op(c), p.outer, down, p.nOuter)
+	if wire != nil {
+		o.Wire = wire
+	}
+	rows := tokens * w
+	ws := ar.Mat(size, rows+len(stat))
+	fill := func(j int, chunk []float32) {
+		v := &st.view
+		v.Rows, v.Cols, v.Data = tokens, w, chunk[:rows]
+		produce(j, v)
+		copy(chunk[rows:], stat)
+	}
+	var mine []float32
+	if streamed {
+		mine = collective.ReduceScatterStream(o, g, ws.Data, fill)
+	} else {
+		for j := 0; j < size; j++ {
+			fill(j, ws.Row(j))
+		}
+		mine = collective.ReduceScatterStream(o, g, ws.Data, nil)
+	}
+	out := ar.Mat(tokens, w)
+	copy(out.Data, mine[:rows])
+	if stat != nil {
+		stat = ar.Mat(1, tokens).Data
+		copy(stat, mine[rows:])
+	}
+	c.Recycle(mine)
+	return out, stat
 }
 
-// rsColsStream is rsCols with the input transpose folded into the ring:
-// each chunk of the transposed partial — a column block of m — is
-// transposed into the reduce-scatter workspace just before the ring sends
-// or folds it, instead of transposing the whole matrix up front. Values on
-// the wire are identical to rsCols (transposition is pure data movement),
-// so the result is bit-identical. Group-of-one returns m, like rsCols.
-func rsColsStream(ar *tensor.Arena, o collective.Op, g hardware.AxisGroup, m *tensor.Mat, size int) *tensor.Mat {
-	if size == 1 {
-		return m
+// gatherFold all-gathers m, [tokens, w], over group g of size chips and
+// hands each member's chunk to fold as a [tokens, w] matrix — in ring order,
+// the chip's own first, then rank-1, rank-2, ... — streamed as the chunks
+// land or, unstreamed, after the gather completes.
+func (st *chipState) gatherFold(c *mesh.Chip, g hardware.AxisGroup, size int, m *tensor.Mat,
+	wire collective.Payload, streamed bool, fold func(i int, chunk *tensor.Mat)) {
+	o := st.op(c)
+	if wire != nil {
+		o.Wire = wire
 	}
-	rowsPer := m.Cols / size
-	tr := ar.Mat(m.Cols, m.Rows)
-	md, cols := m.Data, m.Cols
-	shard := collective.ReduceScatterStream(o, g, tr.Data,
-		func(j int, chunk []float32) {
-			// Row i of the chunk is column j·rowsPer+i of m.
-			for i := 0; i < rowsPer; i++ {
-				cc := j*rowsPer + i
-				dst := chunk[i*m.Rows : (i+1)*m.Rows]
-				for r := range dst {
-					dst[r] = md[r*cols+cc]
-				}
-			}
-		})
-	return colShard(ar, o.Chip, shard, m.Rows)
+	consume := func(i int, chunk []float32) {
+		v := &st.view
+		v.Rows, v.Cols, v.Data = m.Rows, m.Cols, chunk
+		fold(i, v)
+	}
+	if streamed {
+		c.Recycle(collective.AllGatherStream(o, g, m.Data, consume))
+		return
+	}
+	all := collective.AllGather(o, g, m.Data)
+	rank, _ := c.GroupRank(g)
+	per := len(m.Data)
+	for s := 0; s < size; s++ {
+		i := (rank - s + size) % size
+		consume(i, all[i*per:(i+1)*per])
+	}
+	c.Recycle(all)
 }

@@ -38,7 +38,7 @@ func Fig3() []Fig3Row {
 		row := Fig3Row{Tokens: tokens, Volumes: map[partition.FFNLayout]float64{}}
 		bestV := -1.0
 		for _, l := range layouts {
-			v := commcost.FFNLayerComm(partition.PlanFFN(l, tr), tokens, e, f, ab, layerW).Total()
+			v := commcost.FFNLayerComm(partition.PlanFFN(l, tr), tokens, e, f, f, ab, layerW).Total()
 			row.Volumes[l] = v
 			if bestV < 0 || v < bestV {
 				bestV, row.Best = v, l

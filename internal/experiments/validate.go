@@ -9,6 +9,7 @@ import (
 	"esti/internal/hardware"
 	"esti/internal/model"
 	"esti/internal/partition"
+	"esti/internal/perf"
 	"esti/internal/reference"
 	"esti/internal/tableio"
 	"esti/internal/tensor"
@@ -37,14 +38,16 @@ func validationConfig() model.Config {
 // mesh and checks the quantities the paper's analysis rests on:
 //
 //  1. the 1D-vs-2D weight-stationary communication difference equals the
-//     Appendix A.2 volume formulas;
+//     Appendix A.2 volume formulas at the fused block's widths;
 //  2. batch-sharding attention adds exactly the two all-to-alls of
 //     Figure 5(b), and nothing else;
 //  3. XYZ-weight-gathered traffic equals the gathered weight volume and is
 //     independent of the token count (Figure 3's flat line);
 //  4. per-chip KV-cache bytes divide by nchips under batch sharding and
 //     replicate fully under head-sharded multiquery (Table 1's mechanism);
-//  5. the sharded logits match the unsharded reference.
+//  5. the sharded logits match the unsharded reference;
+//  6. the messages a chip sends a layer are perf's ring steps, with the
+//     all-to-alls' direct messages in place of its diameter term.
 func Validate() []ValidationRow {
 	cfg := validationConfig()
 	w := reference.NewWeights(cfg, 99)
@@ -93,40 +96,38 @@ func Validate() []ValidationRow {
 		rows = append(rows, ValidationRow{check, measured, predicted, unit, pass})
 	}
 
-	// (1) 1D − 2D weight-stationary FFN traffic difference.
+	// (1) 1D − 2D weight-stationary block traffic difference: the final
+	// norm and logit gathers are common to both, so the difference is the
+	// blocks' own, FFNLayerComm at the fused widths plus the norm statistic.
 	ws1 := engine.Options{FFN: partition.FFN1DWeightStationary, Attn: partition.AttnShardHeads}
 	ws2 := engine.Options{FFN: partition.FFN2DWeightStationary, Attn: partition.AttnShardHeads}
 	got := prefillBytes(ws1) - prefillBytes(ws2)
-	e, f := float64(cfg.DModel), float64(cfg.DFF)
+	e := float64(cfg.DModel)
 	layers := float64(cfg.Layers)
-	// The FFN input rides the block's shared gather in both layouts, so
-	// only the FFN's own collectives differ: a reduce-scatter over Outer of
-	// the E/|Inner|-wide output, and the up and gate reduce-scatters and
-	// the hidden all-gather over Inner on F/|Outer|-wide rows.
-	ffnBytes := func(l partition.FFNLayout) float64 {
+	headsPlan := partition.PlanAttn(ws1.Attn, tr, cfg.Heads, cfg.KVHeads)
+	attnIn, ffnIn, attnOut, ffnOut := commcost.BlockWidths(cfg)
+	kvq := float64(2 * cfg.KVHeads * cfg.HeadDim)
+	fIn := attnIn + ffnIn + float64(commcost.KVCopies(cfg, headsPlan)-1)*kvq
+	blockBytes := func(l partition.FFNLayout) float64 {
 		p := partition.PlanFFN(l, tr)
-		ePer := nTok * (e / float64(p.ESplit)) * fb
-		fPer := nTok * (f / float64(p.FSplit)) * fb
-		return commcost.ReduceScatterVolume(ePer, p.FSplit) +
-			2*commcost.ReduceScatterVolume(fPer, p.ESplit) + commcost.AllGatherVolume(fPer, p.ESplit)
+		return commcost.FFNLayerComm(p, nTok, e, fIn, attnOut+ffnOut, fb, 0).Total() + commcost.NormStatVolume(p, nTok)
 	}
 	add("Appendix A.2: (1D − 2D) WS traffic", got,
-		layers*(ffnBytes(ws1.FFN)-ffnBytes(ws2.FFN)), "B/chip", 1e-9)
+		layers*(blockBytes(ws1.FFN)-blockBytes(ws2.FFN)), "B/chip", 1e-9)
 
-	// (2) Batch sharding adds exactly the decode all-to-alls.
+	// (2) Batch sharding adds exactly the decode all-to-alls: the
+	// multiquery K/V ride the in-projection whole under either layout.
 	heads := engine.Options{FFN: partition.FFN2DWeightStationary, Attn: partition.AttnShardHeads}
 	batchOpts := engine.Options{FFN: partition.FFN2DWeightStationary, Attn: partition.AttnShardBatch}
 	extra := decodeBytes(batchOpts) - decodeBytes(heads)
-	perChip := float64(batch*cfg.Heads*cfg.HeadDim) * fb / float64(n)
-	wantA2A := layers * 2 * commcost.AllToAllVolume(perChip, n)
-	add("Figure 5(b): all-to-all cost of batch sharding", extra, wantA2A, "B/chip", 1e-9)
+	batchPlan := partition.PlanAttn(batchOpts.Attn, tr, cfg.Heads, cfg.KVHeads)
+	add("Figure 5(b): all-to-all cost of batch sharding", extra,
+		layers*commcost.AttnAllToAllBytes(batchPlan, batch, cfg.HeadDim, fb), "B/chip", 1e-9)
 
 	// (3) XYZ-weight-gathered traffic: weight volume only, batch-invariant.
 	wg := engine.Options{FFN: partition.FFNWeightGatheredXYZ, Attn: partition.AttnShardBatch}
 	small := prefillBytes(wg)
-	hq := float64(cfg.Heads * cfg.HeadDim)
-	kvq := float64(cfg.KVHeads * cfg.HeadDim)
-	perLayerW := (2*e*f + e*f + e*hq + 2*e*kvq + hq*e) * fb
+	perLayerW := e * (attnIn + ffnIn + attnOut + ffnOut) * fb
 	add("Figure 3: WG-XYZ traffic = gathered weights", small,
 		layers*commcost.AllGatherVolume(perLayerW, n), "B/chip", 1e-9)
 
@@ -146,6 +147,19 @@ func Validate() []ValidationRow {
 		Check:    "sharded logits vs unsharded reference (max |Δ|)",
 		Measured: d, Predicted: 0, Unit: "", Pass: d < 2e-3,
 	})
+
+	// (6) Messages a chip a layer against perf's ring steps
+	// (perf.ChipMessages): perf prices the all-to-alls as one torus-diameter
+	// traversal, X+Y+Z hops; the mesh sends them as 2·(n-1) direct
+	// messages, which replace that term.
+	engM, _ := engine.New(w, tr, batchOpts, batch, 8)
+	pass(engM, seqTokensFor(batch, steps, cfg.Vocab), steps)
+	engM.Mesh().ResetCounters()
+	pass(engM, make([]int, batch), 1)
+	final := 2 * (n - 1) // the final norm's gather and the logit gather
+	msgs := (float64(engM.Mesh().MessagesSent())/float64(n) - float64(final)) / layers
+	add("Section 3.4: messages a chip a layer = perf ring steps", msgs,
+		float64(perf.ChipMessages(partition.PlanFFN(batchOpts.FFN, tr), batchPlan, cfg.ParallelBlock)), "msgs", 0)
 	return rows
 }
 

@@ -6,8 +6,8 @@ import "testing"
 // the mesh-measured reality and the closed-form model everything else uses.
 func TestValidationAllPass(t *testing.T) {
 	rows := Validate()
-	if len(rows) != 5 {
-		t.Fatalf("got %d validation rows, want 5", len(rows))
+	if len(rows) != 6 {
+		t.Fatalf("got %d validation rows, want 6", len(rows))
 	}
 	for _, r := range rows {
 		if !r.Pass {

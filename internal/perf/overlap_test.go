@@ -28,12 +28,12 @@ func TestHopFloorSurvivesFullOverlap(t *testing.T) {
 	if b.Comm < b.CommFloor-1e-15 {
 		t.Fatalf("Comm %g below its own floor %g", b.Comm, b.CommFloor)
 	}
-	// White-box: the floor is Gen · Layers · collectiveHops · HopLatency
+	// White-box: the floor is Gen · Layers · CollectiveHops · HopLatency
 	// (embedStep adds no communication).
 	req := req540(model.Int8, 8)
 	plan := partition.PlanFFN(req.FFN, req.System.Torus)
 	attn := partition.PlanAttn(req.Attn, req.System.Torus, req.Model.Heads, req.Model.KVHeads)
-	hops := collectiveHops(plan, attn, PhaseDecode)
+	hops := CollectiveHops(plan, attn, req.Model.ParallelBlock, PhaseDecode)
 	want := float64(req.Gen) * float64(req.Model.Layers) * float64(hops) * k.HopLatency
 	if math.Abs(b.CommFloor-want)/want > 1e-9 {
 		t.Errorf("CommFloor %g, want Gen·Layers·hops·HopLatency = %g (hops %d)", b.CommFloor, want, hops)
@@ -48,7 +48,9 @@ func TestHopFloorSurvivesFullOverlap(t *testing.T) {
 // Ring steps per layer, pinned per layout from outside the layout table:
 // K-1 per all-gather or reduce-scatter over a K-chip group, one AG/RS pair
 // per activation group and one weight all-gather, plus the torus diameter
-// for a batch-sharded decode's all-to-alls.
+// for a batch-sharded decode's all-to-alls. A serial block pays its
+// activation pairs twice, once for the attention and once for the FFN, and
+// its weight all-gather once.
 func TestCollectiveHopsPerLayout(t *testing.T) {
 	for _, tr := range []hardware.Torus{{X: 4, Y: 4, Z: 4}, {X: 2, Y: 4, Z: 8}} {
 		n, yz, xy := tr.Chips(), tr.Y*tr.Z, tr.X*tr.Y
@@ -73,8 +75,12 @@ func TestCollectiveHopsPerLayout(t *testing.T) {
 				{"batch-sharded prefill", batch, PhasePrefill, want[l]},
 				{"batch-sharded decode", batch, PhaseDecode, want[l] + tr.X + tr.Y + tr.Z},
 			} {
-				if got := collectiveHops(plan, c.attn, c.phase); got != c.want {
+				if got := CollectiveHops(plan, c.attn, true, c.phase); got != c.want {
 					t.Errorf("%v on %v, %s: %d ring steps, want %d", l, tr, c.name, got, c.want)
+				}
+				act := want[l] - (plan.TokenSplit - 1)
+				if got := CollectiveHops(plan, c.attn, false, c.phase); got != c.want+act {
+					t.Errorf("%v on %v, %s, serial: %d ring steps, want %d", l, tr, c.name, got, c.want+act)
 				}
 			}
 		}

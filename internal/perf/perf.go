@@ -20,7 +20,7 @@
 // The comm term splits into a bandwidth component and a latency floor:
 // bytes-over-bandwidth per collective (which Looped-CollectiveEinsum
 // overlap, Knobs.OverlapFrac, can hide behind compute) plus
-// collectiveHops × HopLatency of serial ring-step latency (which no
+// CollectiveHops × HopLatency of serial ring-step latency (which no
 // overlap can hide — each step's link traversal is on the critical path).
 // Breakdown.CommFloor reports the floor inside Breakdown.Comm; at high
 // chip counts and small batches the floor dominates, which is why decode
@@ -54,7 +54,7 @@ type Knobs struct {
 	// OverlapFrac is the fraction of per-layer matmul time that can hide
 	// communication (Looped CollectiveEinsum, Section 3.5). Overlap
 	// applies only to the bandwidth component of the comm term: the
-	// hop-latency floor (collectiveHops × HopLatency) is charged
+	// hop-latency floor (CollectiveHops × HopLatency) is charged
 	// unconditionally, because chunk-streamed compute hides bytes in
 	// flight but cannot remove the serial link traversals of the ring.
 	// The functional counterpart is mesh.MeasuredOverlapFrac on a
@@ -195,7 +195,7 @@ type Breakdown struct {
 	KVMem     float64 // KV-cache HBM traffic time
 	Comm      float64 // exposed interconnect time (bandwidth + hop floor)
 	// CommFloor is the serial hop-latency portion of Comm — the
-	// collectiveHops × HopLatency term no compute overlap can hide (one
+	// CollectiveHops × HopLatency term no compute overlap can hide (one
 	// link traversal per ring step on the critical path). Comm - CommFloor
 	// is the exposed bandwidth component, the only part OverlapFrac
 	// shrinks. Informational: CommFloor is already inside Comm, so Total
@@ -364,15 +364,21 @@ func layerStep(r Request, k Knobs, plan partition.FFNPlan, attn partition.AttnPl
 		commWeights = r.WireDType
 	}
 	layerCommBytes := c.WeightBytesPerLayer(commWeights)
+	// A parallel block fuses its projections into one in- and one
+	// out-projection and pays one set of collectives (Section 3.4); a
+	// serial block pays a set for its attention and another for its FFN,
+	// each moving half the layer's weights under a weight-gathered layout.
+	// Every set carries the norm statistic (commcost.NormStatVolume).
+	attnIn, ffnIn, attnOut, ffnOut := commcost.BlockWidths(c)
+	set := func(fIn, fOut, weightBytes float64) float64 {
+		v := commcost.FFNLayerComm(plan, tokens, e, fIn, fOut, actBytes, weightBytes).Total() + commcost.NormStatVolume(plan, tokens)
+		return commcost.Time(v, sys.Chip.NetworkBandwidth)
+	}
 	var comm float64
 	if c.ParallelBlock {
-		fused := stages(c)[0].params / e
-		comm = commcost.Time(commcost.FFNLayerComm(plan, tokens, e, fused, actBytes, layerCommBytes).Total(), sys.Chip.NetworkBandwidth)
+		comm = set(attnIn+ffnIn, attnOut+ffnOut, layerCommBytes)
 	} else {
-		ffnW := float64(c.FFNMatrices()-1) * float64(c.DFF)
-		attnW := float64(c.Heads*c.HeadDim + 2*c.KVHeads*c.HeadDim)
-		comm = commcost.Time(commcost.FFNLayerComm(plan, tokens, e, ffnW, actBytes, layerCommBytes*0.5).Total(), sys.Chip.NetworkBandwidth) +
-			commcost.Time(commcost.FFNLayerComm(plan, tokens, e, attnW, actBytes, layerCommBytes*0.5).Total(), sys.Chip.NetworkBandwidth)
+		comm = set(ffnIn, ffnOut, layerCommBytes*0.5) + set(attnIn, attnOut, layerCommBytes*0.5)
 	}
 	if phase == PhaseDecode {
 		comm += commcost.Time(commcost.AttnAllToAllBytes(attn, tokens, c.HeadDim, actBytes), sys.Chip.NetworkBandwidth)
@@ -393,7 +399,7 @@ func layerStep(r Request, k Knobs, plan partition.FFNPlan, attn partition.AttnPl
 	// Fixed per-step latency of the ring collectives: bandwidth terms
 	// shrink with more chips, but step counts grow, flooring the minimum
 	// latency at high chip counts.
-	floor := float64(collectiveHops(plan, attn, phase)) * k.HopLatency
+	floor := float64(CollectiveHops(plan, attn, c.ParallelBlock, phase)) * k.HopLatency
 	b.Comm = exposed + floor
 	b.CommFloor = floor
 
@@ -401,21 +407,46 @@ func layerStep(r Request, k Knobs, plan partition.FFNPlan, attn partition.AttnPl
 	return b
 }
 
-// collectiveHops counts the ring steps of one layer's collectives under a
+// CollectiveHops counts the ring steps of one layer's collectives under a
 // plan (its axis groups come from the layout table in package partition):
-// each all-gather or reduce-scatter over a K-chip group is K-1 steps — an
-// AG/RS pair over Outer, one over Inner, and the weight all-gather over
-// Gather; the batch-sharding all-to-all is counted as one group traversal.
-func collectiveHops(plan partition.FFNPlan, attn partition.AttnPlan, phase Phase) int {
+// each all-gather or reduce-scatter over a K-chip group is K-1 steps. A
+// block body is an all-gather over Outer, a reduce-scatter over Inner, an
+// all-gather over Inner and a reduce-scatter over Outer; a parallel block
+// runs one body, a serial block two. The weight all-gather over Gather
+// stages the layer once. The batch-sharding all-to-alls are counted as one
+// torus-diameter traversal, X+Y+Z hops, not as ring steps: they are direct
+// pairwise messages, 2·(n-1) of them a chip a layer on the functional mesh,
+// sent at once rather than relayed.
+func CollectiveHops(plan partition.FFNPlan, attn partition.AttnPlan, parallel bool, phase Phase) int {
 	t := plan.Torus
 	g, o, i := plan.TokenSplit, plan.FSplit, plan.ESplit // |Gather|, |Outer|, |Inner|
-	hops := 2*(o-1) + 2*(i-1) + (g - 1)
+	sets := 2
+	if parallel {
+		sets = 1
+	}
+	hops := sets*(2*(o-1)+2*(i-1)) + (g - 1)
 	if phase == PhaseDecode && attn.NeedsAllToAll() {
-		// All-to-all is direct pairwise communication; its latency is the
-		// torus diameter, not a ring traversal. Two all-to-alls per layer.
 		hops += t.X + t.Y + t.Z
 	}
 	return hops
+}
+
+// ChipMessages is the messages a chip sends a layer on the functional mesh
+// (package engine) running the program CollectiveHops prices for a decode
+// step: one a ring step, and in place of the all-to-alls' diameter term
+// their 2·(n-1) direct messages over the n-chip activation group — none
+// under a weight-gathered layout, whose chips hold their own sequences and
+// attend locally.
+func ChipMessages(plan partition.FFNPlan, attn partition.AttnPlan, parallel bool) int {
+	msgs := CollectiveHops(plan, attn, parallel, PhaseDecode)
+	if attn.NeedsAllToAll() {
+		t := plan.Torus
+		msgs -= t.X + t.Y + t.Z
+		if n := t.Chips() / plan.TokenSplit; n > 1 {
+			msgs += 2 * (n - 1)
+		}
+	}
+	return msgs
 }
 
 // kvShardFactor returns the fraction of the logical KV cache each chip

@@ -42,6 +42,14 @@ type Arena struct {
 // Reset recycles all matrices taken since the previous Reset.
 func (a *Arena) Reset() { a.next = 0 }
 
+// Mark is the arena's position, for Release.
+func (a *Arena) Mark() int { return a.next }
+
+// Release recycles the matrices taken since Mark returned m, as Reset does
+// all of them: a loop whose iterations each take the same temporaries,
+// such as the layers of a pass, then holds one iteration's worth.
+func (a *Arena) Release(m int) { a.next = m }
+
 // Mat returns a rows×cols matrix with unspecified contents. The backing
 // buffer is reused from the previous cycle when its capacity suffices and
 // replaced (grown) otherwise. Buffers are cache-line aligned
