@@ -230,3 +230,10 @@ func BenchmarkAttendSegmentInt8Long(b *testing.B)    { benchAttendSegment(b, tru
 func BenchmarkAttendSegmentF32Long(b *testing.B)     { benchAttendSegment(b, false, 32, 8, 1, 1040) }
 func BenchmarkAttendSegmentInt8LongMHA(b *testing.B) { benchAttendSegment(b, true, 32, 8, 8, 1040) }
 func BenchmarkAttendSegmentF32LongMHA(b *testing.B)  { benchAttendSegment(b, false, 32, 8, 8, 1040) }
+
+// BenchmarkAttendSegmentF32Head8 is one chip's batch-sharded walk on the
+// end-to-end benchmark's chat_mesh8 workload: head dim 8, all 8 query
+// heads on one KV head, 48 positions. At head dim 8 a dot product has no
+// 16-lane block, so one head at a time each score is eight dependent
+// scalar adds; eight heads to a vector they are eight vector adds.
+func BenchmarkAttendSegmentF32Head8(b *testing.B) { benchAttendSegment(b, false, 8, 8, 1, 48) }

@@ -532,9 +532,12 @@ func New(w *reference.Weights, t hardware.Torus, opts Options, batch, maxLen int
 	for r := 0; r < n; r++ {
 		e.chips[r] = e.buildChip(w, plan, r)
 		cuts[r][0], cuts[r][1] = e.chips[r].plan.cuts(cfg)
-		// The walk scores all query heads of one KV head at once; no
+		// The walk scores all query heads of one KV head at once, into a
+		// [depth][g] scratch beside the query row laid out in lanes; no
 		// sharding gives a chip more of them per KV head than the model has.
-		e.chips[r].scr.Reserve(cfg.Heads / cfg.KVHeads * maxLen)
+		g := cfg.Heads / cfg.KVHeads
+		e.chips[r].scr.Reserve(g * maxLen)
+		e.chips[r].scr.ReserveHeads(g, cfg.HeadDim)
 		if opts.WireDType == model.Int8 {
 			e.chips[r].setInt8Wire()
 		}

@@ -25,9 +25,15 @@ func FuzzKernelEquivalence(f *testing.F) {
 	// ±rowClampBound, ±MaxFloat32, a subnormal and -0 for the quantizer.
 	f.Add([]byte{0xff, 0xff, 0xff, 0x7e, 0xff, 0xff, 0xff, 0xfe, 0xff, 0xff, 0x7f, 0x7f, 0xff, 0xff, 0x7f, 0xff, 1, 0, 0, 0, 0, 0, 0, 0x80}, uint8(40), float32(3e-37))
 	// Lengths whose derived segment geometry is non-degenerate: (g, dh,
-	// rows) = (2, 9, 7), (2, 17, 5), (2, 21, 4), (1, 1, 120), (2, 31, 4).
+	// rows) = (16, 4, 4), (8, 11, 8), (1, 21, 4), (1, 1, 120), (1, 31, 4).
 	for _, n := range []uint8{64, 88, 100, 120, 130} {
 		f.Add([]byte{0x80, 0x3f, 0, 0, 0, 0, 0x80, 0xbf, 1, 2, 3, 4}, n-1, float32(0.125))
+	}
+	// Eight heads to a vector — (g, dh, rows) = (8, 16, 8), (8, 15, 8) and
+	// (16, 8, 8) — over -0, +0, NaN, -Inf and +Inf bit patterns, so the
+	// vector max meets NaN and signed-zero scores.
+	for _, n := range []uint8{128, 123, 129} {
+		f.Add([]byte{0, 0, 0, 0x80, 0, 0, 0, 0, 0, 0, 0xc0, 0x7f, 0, 0, 0x80, 0xff, 0, 0, 0x80, 0x7f, 0, 0, 0, 0x80}, n-1, float32(-1))
 	}
 	f.Fuzz(func(t *testing.T, raw []byte, nbyte uint8, s float32) {
 		n := int(nbyte)%130 + 1
@@ -109,12 +115,17 @@ func FuzzKernelEquivalence(f *testing.F) {
 			}
 		}
 
-		// Segment kernels: a and q reinterpreted as g query vectors, n/dh
-		// K/V rows and a [g][rows] scratch, so head counts, head dims on
-		// both sides of the 8- and 16-lane blocks and row counts on both
-		// sides of the four-row grouping all come from the fuzzed length.
-		g, dh := n%3+1, n*7%40+1
-		if rows := n / dh; g*dh <= n && g*rows <= n {
+		// Segment kernels: a and q reinterpreted as g query vectors, rows
+		// K/V rows of dh and a [rows][g] scratch, so head counts (one, a
+		// few, and one or two whole 8-head vectors, which the assembly
+		// scores eight to a vector), head dims on both sides of the 8- and
+		// 16-lane blocks and row counts on both sides of the four-row
+		// grouping all come from the fuzzed length.
+		g := []int{1, 2, 3, 8, 16}[n%5]
+		if dh := min(n*7%40+1, n/g); dh > 0 {
+			rows := min(n/dh, n/g)
+			qh := a[:g*dh]
+			qt := simd.HeadsInLanes(make([]float32, len(qh)), qh, g)
 			newMax := func() []float32 {
 				m := make([]float32, g)
 				for h := range m {
@@ -126,11 +137,11 @@ func FuzzKernelEquivalence(f *testing.F) {
 				got, want := make([]float32, g*rows), make([]float32, g*rows)
 				gotMax, wantMax := newMax(), newMax()
 				if int8K {
-					simd.ScoreRowsF32I8(got, rows, gotMax, a[:g*dh], q, a, dh, rows, s, make([]float32, dh))
-					simd.ScalarScoreRowsF32I8(want, rows, wantMax, a[:g*dh], q, a, dh, rows, s)
+					simd.ScoreRowsF32I8(got, gotMax, qh, qt, q, a, dh, rows, s, make([]float32, dh))
+					simd.ScalarScoreRowsF32I8(want, wantMax, qh, q, a, dh, rows, s)
 				} else {
-					simd.ScoreRowsF32(got, rows, gotMax, a[:g*dh], a, dh, rows, s)
-					simd.ScalarScoreRowsF32(want, rows, wantMax, a[:g*dh], a, dh, rows, s)
+					simd.ScoreRowsF32(got, gotMax, qh, qt, a, dh, rows, s)
+					simd.ScalarScoreRowsF32(want, wantMax, qh, a, dh, rows, s)
 				}
 				for i := range got {
 					eq("ScoreRows", got[i], want[i])
@@ -142,11 +153,11 @@ func FuzzKernelEquivalence(f *testing.F) {
 				got, want = make([]float32, g*dh), make([]float32, g*dh)
 				gotW, wantW := append([]float32(nil), a[:g*rows]...), append([]float32(nil), a[:g*rows]...)
 				if int8K {
-					simd.WeighRowsF32I8(got, gotW, rows, a[:g], q, a, dh, rows)
-					simd.ScalarWeighRowsF32I8(want, wantW, rows, a[:g], q, a, dh, rows)
+					simd.WeighRowsF32I8(got, gotW, a[:g], q, a, dh, rows)
+					simd.ScalarWeighRowsF32I8(want, wantW, a[:g], q, a, dh, rows)
 				} else {
-					simd.WeighRowsF32(got, gotW, rows, a[:g], a, dh, rows)
-					simd.ScalarWeighRowsF32(want, wantW, rows, a[:g], a, dh, rows)
+					simd.WeighRowsF32(got, gotW, a[:g], a, dh, rows)
+					simd.ScalarWeighRowsF32(want, wantW, a[:g], a, dh, rows)
 				}
 				for i := range got {
 					eq("WeighRows", got[i], want[i])

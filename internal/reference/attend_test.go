@@ -236,50 +236,52 @@ func attendSeqPerHead(dh int, q *tensor.Mat, cache *kvcache.Cache, layer, slot, 
 // The segment-at-a-time walk must reproduce the per-head oracle bit for
 // bit over generated geometry: head dims on both sides of the 8- and
 // 16-element kernel blocks, multiquery / grouped / multihead sharing,
-// decode, short and chunk-sized query blocks, depths that are not
+// decode, short and chunk-sized query blocks, one and two whole 8-head
+// vectors per KV head (the lane-parallel score path), depths that are not
 // multiples of the four-row grouping, the shared-prefix split at nowhere,
 // mid-depth and the boundary, float32 and int8 caches. (Both dispatch paths
 // run it: the default suite on AVX2, the ESTI_NOSIMD=1 suite on the twins.)
 func TestAttendSeqIntoBitIdenticalToPerHeadWalk(t *testing.T) {
 	rng := rand.New(rand.NewSource(71))
-	const heads = 4
-	for _, dh := range []int{5, 8, 16, 32, 40, 64} {
-		for _, kvHeads := range []int{1, 2, heads} {
-			for _, steps := range []int{1, 3, 16} {
-				for _, int8KV := range []bool{false, true} {
-					past := []int{1, 6, 21, 37}[rng.Intn(4)] + rng.Intn(2)*16
-					for _, prefix := range []int{0, past / 2, past} {
-						name := fmt.Sprintf("dh%d/kv%d/steps%d/int8=%v/past%d/prefix%d", dh, kvHeads, steps, int8KV, past, prefix)
-						width := kvHeads * dh
-						cache, store := kvcache.New(1, 1, past+steps, width), kvcache.NewPrefixStore(1, width, 0)
-						if int8KV {
-							cache, store = kvcache.NewInt8(1, 1, past+steps, width), kvcache.NewPrefixStoreInt8(1, width, 0)
-						}
-						rows := func(n int) *tensor.Mat { return tensor.New(n, width).FillRand(rng, 1) }
-						if prefix > 0 {
-							toks := make([]int, prefix)
-							p, err := store.Insert(toks, []*tensor.Mat{rows(prefix)}, []*tensor.Mat{rows(prefix)})
-							if err != nil {
-								t.Fatal(name, err)
+	for _, heads := range []int{4, 16} {
+		for _, dh := range []int{5, 8, 16, 32, 40, 64} {
+			for _, kvHeads := range []int{1, 2, heads} {
+				for _, steps := range []int{1, 3, 16} {
+					for _, int8KV := range []bool{false, true} {
+						past := []int{1, 6, 21, 37}[rng.Intn(4)] + rng.Intn(2)*16
+						for _, prefix := range []int{0, past / 2, past} {
+							name := fmt.Sprintf("heads%d/dh%d/kv%d/steps%d/int8=%v/past%d/prefix%d", heads, dh, kvHeads, steps, int8KV, past, prefix)
+							width := kvHeads * dh
+							cache, store := kvcache.New(1, 1, past+steps, width), kvcache.NewPrefixStore(1, width, 0)
+							if int8KV {
+								cache, store = kvcache.NewInt8(1, 1, past+steps, width), kvcache.NewPrefixStoreInt8(1, width, 0)
 							}
-							if err := cache.AttachPrefix(0, p.Block(0)); err != nil {
-								t.Fatal(name, err)
+							rows := func(n int) *tensor.Mat { return tensor.New(n, width).FillRand(rng, 1) }
+							if prefix > 0 {
+								toks := make([]int, prefix)
+								p, err := store.Insert(toks, []*tensor.Mat{rows(prefix)}, []*tensor.Mat{rows(prefix)})
+								if err != nil {
+									t.Fatal(name, err)
+								}
+								if err := cache.AttachPrefix(0, p.Block(0)); err != nil {
+									t.Fatal(name, err)
+								}
 							}
-						}
-						if n := past - prefix; n > 0 {
-							cache.AppendSeq(0, 0, rows(n), rows(n), n)
-							cache.AdvanceSeq(0, n)
-						}
-						cache.AppendSeq(0, 0, rows(steps), rows(steps), steps)
+							if n := past - prefix; n > 0 {
+								cache.AppendSeq(0, 0, rows(n), rows(n), n)
+								cache.AdvanceSeq(0, n)
+							}
+							cache.AppendSeq(0, 0, rows(steps), rows(steps), steps)
 
-						q := tensor.New(steps, heads*dh).FillRand(rng, 1)
-						want := attendSeqPerHead(dh, q, cache, 0, 0, steps)
-						var scr AttnScratch
-						got := AttendSeqInto(tensor.New(steps, q.Cols), dh, q, cache, 0, 0, steps, &scr)
-						for i := range got.Data {
-							if math.Float32bits(got.Data[i]) != math.Float32bits(want.Data[i]) {
-								t.Fatalf("%s: element %d = %g (%#08x), per-head walk %g (%#08x)", name, i,
-									got.Data[i], math.Float32bits(got.Data[i]), want.Data[i], math.Float32bits(want.Data[i]))
+							q := tensor.New(steps, heads*dh).FillRand(rng, 1)
+							want := attendSeqPerHead(dh, q, cache, 0, 0, steps)
+							var scr AttnScratch
+							got := AttendSeqInto(tensor.New(steps, q.Cols), dh, q, cache, 0, 0, steps, &scr)
+							for i := range got.Data {
+								if math.Float32bits(got.Data[i]) != math.Float32bits(want.Data[i]) {
+									t.Fatalf("%s: element %d = %g (%#08x), per-head walk %g (%#08x)", name, i,
+										got.Data[i], math.Float32bits(got.Data[i]), want.Data[i], math.Float32bits(want.Data[i]))
+								}
 							}
 						}
 					}
@@ -340,11 +342,11 @@ func TestAttnScratchOwnsItsCacheLines(t *testing.T) {
 	for _, c := range []struct{ g, dh, n int }{{1, 5, 1}, {1, 16, 224}, {2, 40, 77}, {8, 32, 8 * 1041}} {
 		var scr AttnScratch
 		scr.Reserve(c.n)
-		maxes, invSum, widen := scr.perHead(c.g, c.dh)
-		if len(maxes) != c.g || len(invSum) != c.g || len(widen) != c.dh {
-			t.Fatalf("perHead(%d, %d) returned lengths %d, %d, %d", c.g, c.dh, len(maxes), len(invSum), len(widen))
+		maxes, invSum, widen, lanes := scr.perHead(c.g, c.dh)
+		if len(maxes) != c.g || len(invSum) != c.g || len(widen) != c.dh || len(lanes) != c.g*c.dh {
+			t.Fatalf("perHead(%d, %d) returned lengths %d, %d, %d, %d", c.g, c.dh, len(maxes), len(invSum), len(widen), len(lanes))
 		}
 		owns("probs", scr.buf(c.n))
-		owns("per-head state", scr.small[:c.dh+2*c.g])
+		owns("per-head state", scr.small[:c.g*c.dh+c.dh+2*c.g])
 	}
 }

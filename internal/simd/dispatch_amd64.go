@@ -61,13 +61,18 @@ func mulAdd4F32I8Asm(dst []float32, q0, q1, q2, q3 []int8, a0, a1, a2, a3 float3
 	mulAdd4F32I8AVX2(&dst[0], &q0[0], &q1[0], &q2[0], &q3[0], a0, a1, a2, a3, len(dst))
 }
 
-func scoreRowsAsm(out *float32, ld int, maxes *float32, g int, q *float32, dh int,
-	kf *float32, k8 *int8, kscales, widen *float32, strideBytes, rows int, scale float32) {
-	scoreRowsAVX2(out, ld, maxes, g, q, dh, kf, k8, kscales, widen, strideBytes, rows, scale)
+// scoreRowsAsm scores eight heads to a vector when the caller laid the
+// queries out in lanes, one head at a time otherwise.
+func scoreRowsAsm(out, maxes, q, qt []float32, dh int, kf *float32, k8 *int8, kscales, widen *float32, strideBytes, rows int, scale float32) {
+	if len(qt) != 0 {
+		scoreLanesAVX2(&out[0], &maxes[0], len(maxes), &qt[0], dh, kf, k8, kscales, widen, strideBytes, rows, scale)
+		return
+	}
+	scoreRowsAVX2(&out[0], &maxes[0], len(maxes), &q[0], dh, kf, k8, kscales, widen, strideBytes, rows, scale)
 }
 
-func weighRowsAsm(dst *float32, g, dh int, w *float32, ld int, invSum, vf *float32, v8 *int8, vscales *float32, strideBytes, rows int) {
-	weighRowsAVX2(dst, g, dh, w, ld, invSum, vf, v8, vscales, strideBytes, rows)
+func weighRowsAsm(dst *float32, g, dh int, w, invSum, vf *float32, v8 *int8, vscales *float32, strideBytes, rows int) {
+	weighRowsAVX2(dst, g, dh, w, invSum, vf, v8, vscales, strideBytes, rows)
 }
 
 func exp32RowsAsm(xs []float32) int { return exp32RowsAVX2(&xs[0], len(xs)) }

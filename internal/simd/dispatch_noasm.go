@@ -26,12 +26,11 @@ func mulAdd4F32I8Asm(dst []float32, q0, q1, q2, q3 []int8, a0, a1, a2, a3 float3
 	panic("simd: no asm kernels on this arch")
 }
 
-func scoreRowsAsm(out *float32, ld int, maxes *float32, g int, q *float32, dh int,
-	kf *float32, k8 *int8, kscales, widen *float32, strideBytes, rows int, scale float32) {
+func scoreRowsAsm(out, maxes, q, qt []float32, dh int, kf *float32, k8 *int8, kscales, widen *float32, strideBytes, rows int, scale float32) {
 	panic("simd: no asm kernels on this arch")
 }
 
-func weighRowsAsm(dst *float32, g, dh int, w *float32, ld int, invSum, vf *float32, v8 *int8, vscales *float32, strideBytes, rows int) {
+func weighRowsAsm(dst *float32, g, dh int, w, invSum, vf *float32, v8 *int8, vscales *float32, strideBytes, rows int) {
 	panic("simd: no asm kernels on this arch")
 }
 

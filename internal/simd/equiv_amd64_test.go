@@ -1,6 +1,7 @@
 package simd
 
 import (
+	"fmt"
 	"math"
 	"math/rand"
 	"testing"
@@ -145,27 +146,37 @@ func TestAsmSegmentKernelsBitIdentical(t *testing.T) {
 }
 
 // The assembly widens int8 tail elements (dh%8) one at a time; the extremes
-// must convert like the vector path and like Go.
+// must convert like the vector path and like Go, one head at a time and
+// eight heads to a vector.
 func TestAsmSegmentInt8Extremes(t *testing.T) {
 	forceASM(t)
-	const g, dh, rows = 2, 21, 5
-	k := make([]int8, rows*dh)
-	for i := range k {
-		k[i] = []int8{-128, -127, -1, 0, 1, 127, 64}[i%7]
-	}
-	q, scales := make([]float32, g*dh), make([]float32, rows)
-	for i := range q {
-		q[i] = float32(i%5) - 2
-	}
-	for i := range scales {
-		scales[i] = 1
-	}
-	got, want := make([]float32, g*rows), make([]float32, g*rows)
-	gotMax, wantMax := []float32{-1e30, -1e30}, []float32{-1e30, -1e30}
-	ScoreRowsF32I8(got, rows, gotMax, q, k, scales, dh, rows, 1, make([]float32, dh))
-	ScalarScoreRowsF32I8(want, rows, wantMax, q, k, scales, dh, rows, 1)
-	for i := range got {
-		eqBits(t, "score extremes", got[i], want[i])
+	for _, g := range []int{2, 8} {
+		const dh, rows = 21, 5
+		k := make([]int8, rows*dh)
+		for i := range k {
+			k[i] = []int8{-128, -127, -1, 0, 1, 127, 64}[i%7]
+		}
+		q, scales := make([]float32, g*dh), make([]float32, rows)
+		for i := range q {
+			q[i] = float32(i%5) - 2
+		}
+		for i := range scales {
+			scales[i] = 1
+		}
+		got, want := make([]float32, g*rows), make([]float32, g*rows)
+		gotMax, wantMax := make([]float32, g), make([]float32, g)
+		for h := range gotMax {
+			gotMax[h], wantMax[h] = -1e30, -1e30
+		}
+		qt := HeadsInLanes(make([]float32, len(q)), q, g)
+		ScoreRowsF32I8(got, gotMax, q, qt, k, scales, dh, rows, 1, make([]float32, dh))
+		ScalarScoreRowsF32I8(want, wantMax, q, k, scales, dh, rows, 1)
+		for i := range got {
+			eqBits(t, fmt.Sprintf("g=%d score extremes", g), got[i], want[i])
+		}
+		for h := range gotMax {
+			eqBits(t, fmt.Sprintf("g=%d max", g), gotMax[h], wantMax[h])
+		}
 	}
 }
 

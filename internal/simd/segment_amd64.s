@@ -2,49 +2,56 @@
 //
 // The bit-compatibility rules of kernels_amd64.s hold here unchanged:
 // VMULPS/VADDPS only (no FMA), products as a*b with a the first source,
-// sums as acc+term, 16 dot lanes in two YMM accumulators reduced by the one
-// fixed tree, tails folded in one element at a time, int8 widened with
-// VPMOVSXBD+VCVTDQ2PS (vector) or a sign-extending move+VCVTSI2SS (scalar),
-// all exact. What is new is the loop structure around those operations: a
-// call covers a whole segment, and each row is loaded (and widened) once
-// for all g heads.
+// sums as acc+term, 16 dot lanes reduced by the one fixed tree, tails
+// folded in one element at a time, int8 widened with VPMOVSXBD+VCVTDQ2PS
+// (vector) or a sign-extending move+VCVTSI2SS (scalar), all exact. What is new is the loop structure around those
+// operations: a call covers a whole segment, each row is loaded (and
+// widened) once for all the heads it serves, and scores and weights sit in
+// a row-major [rows][g] scratch, so a row's heads are contiguous.
+//
+// Two score kernels share that contract. scoreRowsAVX2 takes one head at a
+// time: 16 lanes in two YMM accumulators and a horizontal tree per score.
+// scoreLanesAVX2, for g a multiple of 8, puts eight heads in the eight
+// lanes of a YMM register instead: each of the 16 dot lanes is one vector
+// over heads (VBROADCASTSS k, VMULPS, VADDPS), and the tree and the tail
+// run lane-wise, so every head's score is formed by the same operations in
+// the same order as its one-head dot.
 
 #include "textflag.h"
 
-// func scoreRowsAVX2(out *float32, ld int, maxes *float32, ng int, q *float32, dh int,
+// func scoreRowsAVX2(out, maxes *float32, ng int, q *float32, dh int,
 //	kf *float32, k8 *int8, kscales, widen *float32, strideBytes, rows int, scale float32)
 //
 // For each of rows K rows and each of g heads: s = rowscale·dot(q_h, k_j),
-// out[h*ld+j] = s, maxes[h] = s if s > maxes[h]. Float rows (kf) are read
+// out[j*g+h] = s, maxes[h] = s if s > maxes[h]. Float rows (kf) are read
 // in place and rowscale = scale; int8 rows (k8, kf nil) are widened once
-// into widen[0:dh] and rowscale = scale·kscales[j].
-TEXT ·scoreRowsAVX2(SB), NOSPLIT, $0-100
-	MOVQ  out+0(FP), DI          // &out[0*ld+j]
-	MOVQ  ld+8(FP), R8
-	SHLQ  $2, R8                 // ld in bytes
-	MOVQ  dh+40(FP), R11
+// into widen[0:dh] and rowscale = scale·kscales[j]. One head at a time:
+// each score is one 16-lane dot and one horizontal tree.
+TEXT ·scoreRowsAVX2(SB), NOSPLIT, $0-92
+	MOVQ  out+0(FP), DI          // &out[j*g+h], one float per head
+	MOVQ  dh+32(FP), R11
 	MOVQ  R11, R13
 	ANDQ  $~15, R13
 	SHLQ  $2, R13                // bytes of q covered by 16-lane blocks
-	MOVQ  kf+48(FP), DX          // current row, float or int8
-	MOVQ  kscales+64(FP), R10
+	MOVQ  kf+40(FP), DX          // current row, float or int8
+	MOVQ  kscales+56(FP), R10
 	TESTQ DX, DX
 	JNZ   sr_start
-	MOVQ  k8+56(FP), DX
+	MOVQ  k8+48(FP), DX
 
 sr_start:
-	MOVQ  strideBytes+80(FP), R12
-	MOVQ  rows+88(FP), CX
-	VMOVSS scale+96(FP), X15
+	MOVQ   strideBytes+72(FP), R12
+	MOVQ   rows+80(FP), CX
+	VMOVSS scale+88(FP), X15
 
 sr_row:
 	MOVQ    DX, SI               // SI: the row as float32
 	VMOVAPS X15, X14             // X14: this row's scale
-	CMPQ    kf+48(FP), $0
+	CMPQ    kf+40(FP), $0
 	JNE     sr_heads
 
 	// int8 row: widen it once for every head.
-	MOVQ widen+72(FP), SI
+	MOVQ widen+64(FP), SI
 	MOVQ R11, AX
 	ANDQ $~7, AX
 	XORQ R9, R9
@@ -72,10 +79,9 @@ sr_widened:
 	ADDQ   $4, R10
 
 sr_heads:
-	MOVQ q+32(FP), BX
-	MOVQ maxes+16(FP), R14
-	MOVQ ng+24(FP), R15
-	MOVQ DI, AX
+	MOVQ q+24(FP), BX
+	MOVQ maxes+8(FP), R14
+	MOVQ ng+16(FP), R15
 
 sr_head:
 	VXORPS Y0, Y0, Y0            // lanes 0-7
@@ -116,16 +122,15 @@ sr_tail:
 
 sr_scored:
 	VMULSS X0, X14, X0           // rowscale * dot
-	VMOVSS X0, (AX)
+	VMOVSS X0, (DI)
 	VMAXSS (R14), X0, X1         // s if s > max, else max (NaN and ±0 keep max)
 	VMOVSS X1, (R14)
-	ADDQ   R8, AX
+	ADDQ   $4, DI
 	LEAQ   (BX)(R11*4), BX
 	ADDQ   $4, R14
 	DECQ   R15
 	JNZ    sr_head
 
-	ADDQ $4, DI
 	ADDQ R12, DX
 	DECQ CX
 	JNZ  sr_row
@@ -133,30 +138,259 @@ sr_scored:
 	VZEROUPPER
 	RET
 
-// func weighRowsAVX2(dst *float32, ng, dh int, w *float32, ld int, invSum, vf *float32, v8 *int8,
+// func scoreLanesAVX2(out, maxes *float32, ng int, qt *float32, dh int,
+//	kf *float32, k8 *int8, kscales, widen *float32, strideBytes, rows int, scale float32)
+//
+// scoreRowsAVX2 for ng a multiple of 8, eight heads to a vector. qt holds
+// the queries heads in lanes: for each group of eight heads, [dh][8]. Each
+// of the dot product's 16 lanes is a vector over the group's heads,
+// L[l] += qt[16b+l]·k[16b+l] over blocks b (the query vector loaded, the K
+// element broadcast), and the fixed tree and the
+// sequential tail run lane-wise, so each head's score takes exactly the
+// operations of its one-head dot. A group's eight scores of a row are one
+// store and one VMAXPS, and its running maxes stay in Y15 for the whole
+// segment; the groups take turns over the segment.
+//
+// Lanes are accumulated in two passes so that they fit the registers:
+// {0-3, 8-11}, which leave u0..u3 = L[j]+L[j+8], then {4-7, 12-15}.
+TEXT ·scoreLanesAVX2(SB), NOSPLIT, $0-92
+	MOVQ out+0(FP), R8           // the group's column of out
+	MOVQ maxes+8(FP), R14        // the group's maxes
+	MOVQ qt+24(FP), R15          // the group's [dh][8] queries
+	MOVQ ng+16(FP), R12
+	SHLQ $2, R12                 // bytes per row of out
+	MOVQ dh+32(FP), R11
+	MOVQ R11, R13
+	ANDQ $~15, R13               // elements covered by 16-lane blocks
+
+sl_group:
+	VMOVUPS      (R14), Y15      // the group's running maxes
+	VBROADCASTSS scale+88(FP), Y14
+	MOVQ         kscales+56(FP), R10
+	MOVQ         rows+80(FP), CX
+	MOVQ         R8, DI
+	MOVQ         kf+40(FP), DX   // current row, float or int8
+	TESTQ        DX, DX
+	JNZ          sl_row
+	MOVQ         k8+48(FP), DX
+
+sl_row:
+	MOVQ DX, SI                  // SI: the row as float32
+	CMPQ kf+40(FP), $0
+	JNE  sl_lanes
+
+	// int8 row: widen it once for the group.
+	MOVQ widen+64(FP), SI
+	MOVQ R11, AX
+	ANDQ $~7, AX
+	XORQ R9, R9
+
+sl_widen8:
+	CMPQ      R9, AX
+	JGE       sl_widen1
+	VPMOVSXBD (DX)(R9*1), Y2
+	VCVTDQ2PS Y2, Y2
+	VMOVUPS   Y2, (SI)(R9*4)
+	ADDQ      $8, R9
+	JMP       sl_widen8
+
+sl_widen1:
+	CMPQ       R9, R11
+	JGE        sl_widened
+	MOVBQSX    (DX)(R9*1), BX
+	VCVTSI2SSQ BX, X2, X2
+	VMOVSS     X2, (SI)(R9*4)
+	INCQ       R9
+	JMP        sl_widen1
+
+sl_widened:
+	VMOVSS       scale+88(FP), X14
+	VMULSS       (R10), X14, X14 // scale * kscales[j]
+	VBROADCASTSS X14, Y14
+	ADDQ         $4, R10
+
+sl_lanes:
+	MOVQ  R15, AX                // qt[i] for the block's first element i
+	XORQ  R9, R9                 // i
+	TESTQ R13, R13
+	JNZ   sl_passA
+	VXORPS Y0, Y0, Y0            // no block: the tree of zero lanes is +0
+	JMP   sl_tail
+
+sl_passA:
+	VXORPS Y0, Y0, Y0            // L0
+	VXORPS Y1, Y1, Y1            // L1
+	VXORPS Y2, Y2, Y2            // L2
+	VXORPS Y3, Y3, Y3            // L3
+	VXORPS Y4, Y4, Y4            // L8
+	VXORPS Y5, Y5, Y5            // L9
+	VXORPS Y6, Y6, Y6            // L10
+	VXORPS Y7, Y7, Y7            // L11
+
+sl_blockA:
+	VMOVUPS      0(AX), Y8
+	VBROADCASTSS 0(SI)(R9*4), Y9
+	VMULPS       Y9, Y8, Y8      // q * k, for eight heads
+	VADDPS       Y8, Y0, Y0      // lane + product
+	VMOVUPS      32(AX), Y10
+	VBROADCASTSS 4(SI)(R9*4), Y11
+	VMULPS       Y11, Y10, Y10
+	VADDPS       Y10, Y1, Y1
+	VMOVUPS      64(AX), Y12
+	VBROADCASTSS 8(SI)(R9*4), Y13
+	VMULPS       Y13, Y12, Y12
+	VADDPS       Y12, Y2, Y2
+	VMOVUPS      96(AX), Y8
+	VBROADCASTSS 12(SI)(R9*4), Y9
+	VMULPS       Y9, Y8, Y8
+	VADDPS       Y8, Y3, Y3
+	VMOVUPS      256(AX), Y10
+	VBROADCASTSS 32(SI)(R9*4), Y11
+	VMULPS       Y11, Y10, Y10
+	VADDPS       Y10, Y4, Y4
+	VMOVUPS      288(AX), Y12
+	VBROADCASTSS 36(SI)(R9*4), Y13
+	VMULPS       Y13, Y12, Y12
+	VADDPS       Y12, Y5, Y5
+	VMOVUPS      320(AX), Y8
+	VBROADCASTSS 40(SI)(R9*4), Y9
+	VMULPS       Y9, Y8, Y8
+	VADDPS       Y8, Y6, Y6
+	VMOVUPS      352(AX), Y10
+	VBROADCASTSS 44(SI)(R9*4), Y11
+	VMULPS       Y11, Y10, Y10
+	VADDPS       Y10, Y7, Y7
+	ADDQ         $16, R9
+	ADDQ         $512, AX
+	CMPQ         R9, R13
+	JL           sl_blockA
+
+	VADDPS Y4, Y0, Y0            // u0 = L0 + L8
+	VADDPS Y5, Y1, Y1            // u1
+	VADDPS Y6, Y2, Y2            // u2
+	VADDPS Y7, Y3, Y3            // u3
+	MOVQ   R15, AX
+	XORQ   R9, R9
+	VXORPS Y4, Y4, Y4            // L4
+	VXORPS Y5, Y5, Y5            // L5
+	VXORPS Y6, Y6, Y6            // L6
+	VXORPS Y7, Y7, Y7            // L7
+	VXORPS Y8, Y8, Y8            // L12
+	VXORPS Y9, Y9, Y9            // L13
+	VXORPS Y10, Y10, Y10         // L14
+	VXORPS Y11, Y11, Y11         // L15
+
+sl_blockB:
+	VMOVUPS      128(AX), Y12
+	VBROADCASTSS 16(SI)(R9*4), Y13
+	VMULPS       Y13, Y12, Y12   // q * k, for eight heads
+	VADDPS       Y12, Y4, Y4     // lane + product
+	VMOVUPS      160(AX), Y12
+	VBROADCASTSS 20(SI)(R9*4), Y13
+	VMULPS       Y13, Y12, Y12
+	VADDPS       Y12, Y5, Y5
+	VMOVUPS      192(AX), Y12
+	VBROADCASTSS 24(SI)(R9*4), Y13
+	VMULPS       Y13, Y12, Y12
+	VADDPS       Y12, Y6, Y6
+	VMOVUPS      224(AX), Y12
+	VBROADCASTSS 28(SI)(R9*4), Y13
+	VMULPS       Y13, Y12, Y12
+	VADDPS       Y12, Y7, Y7
+	VMOVUPS      384(AX), Y12
+	VBROADCASTSS 48(SI)(R9*4), Y13
+	VMULPS       Y13, Y12, Y12
+	VADDPS       Y12, Y8, Y8
+	VMOVUPS      416(AX), Y12
+	VBROADCASTSS 52(SI)(R9*4), Y13
+	VMULPS       Y13, Y12, Y12
+	VADDPS       Y12, Y9, Y9
+	VMOVUPS      448(AX), Y12
+	VBROADCASTSS 56(SI)(R9*4), Y13
+	VMULPS       Y13, Y12, Y12
+	VADDPS       Y12, Y10, Y10
+	VMOVUPS      480(AX), Y12
+	VBROADCASTSS 60(SI)(R9*4), Y13
+	VMULPS       Y13, Y12, Y12
+	VADDPS       Y12, Y11, Y11
+	ADDQ         $16, R9
+	ADDQ         $512, AX
+	CMPQ         R9, R13
+	JL           sl_blockB
+
+	VADDPS Y8, Y4, Y4            // u4 = L4 + L12
+	VADDPS Y9, Y5, Y5            // u5
+	VADDPS Y10, Y6, Y6           // u6
+	VADDPS Y11, Y7, Y7           // u7
+	VADDPS Y4, Y0, Y0            // v0 = u0 + u4
+	VADDPS Y5, Y1, Y1            // v1
+	VADDPS Y6, Y2, Y2            // v2
+	VADDPS Y7, Y3, Y3            // v3
+	VADDPS Y2, Y0, Y0            // w0 = v0 + v2
+	VADDPS Y3, Y1, Y1            // w1 = v1 + v3
+	VADDPS Y1, Y0, Y0            // r = w0 + w1
+
+sl_tail:
+	CMPQ         R9, R11
+	JGE          sl_scored
+	VMOVUPS      (AX), Y8
+	VBROADCASTSS (SI)(R9*4), Y9
+	VMULPS       Y9, Y8, Y8
+	VADDPS       Y8, Y0, Y0      // r += q[i]*k[i]
+	INCQ         R9
+	ADDQ         $32, AX
+	JMP          sl_tail
+
+sl_scored:
+	VMULPS  Y0, Y14, Y0          // rowscale * dot
+	VMOVUPS Y0, (DI)
+	VMAXPS  Y15, Y0, Y15         // s if s > max, else max (NaN and ±0 keep max)
+	ADDQ    R12, DI
+	ADDQ    strideBytes+72(FP), DX
+	DECQ    CX
+	JNZ     sl_row
+
+	VMOVUPS Y15, (R14)
+	ADDQ    $32, R8
+	ADDQ    $32, R14
+	MOVQ    R11, AX
+	SHLQ    $5, AX
+	ADDQ    AX, R15              // next group's queries: dh·8 floats on
+	MOVQ    maxes+8(FP), AX
+	ADDQ    R12, AX
+	CMPQ    R14, AX
+	JL      sl_group
+
+	VZEROUPPER
+	RET
+
+// func weighRowsAVX2(dst *float32, ng, dh int, w, invSum, vf *float32, v8 *int8,
 //	vscales *float32, strideBytes, rows int)
 //
-// First the weights: w[h*ld+j] = w[h*ld+j]·invSum[h], then ·vscales[j] when
-// vscales is not nil, in place. Then columns [0, dh&^7) of dst[h*dh+i] +=
-// Σ_j w[h*ld+j]·v_j[i]: rows four at a time as a0*v0 + a1*v1 + a2*v2 + a3*v3
-// (left to right) added to dst, then the last rows%4 one at a time as
-// dst + a*v. Each 8-column chunk of a row group is loaded — int8 (v8, vf
-// nil) widened — once and applied to all ng accumulators. The Go wrapper
-// runs the dh%8 tail columns.
-TEXT ·weighRowsAVX2(SB), NOSPLIT, $0-88
-	MOVQ w+24(FP), R10           // &w[0*ld+j]
-	MOVQ ld+32(FP), R8
-	SHLQ $2, R8
-	MOVQ rows+80(FP), CX
-	MOVQ vscales+64(FP), DI
-	MOVQ invSum+40(FP), SI
-	MOVQ ng+8(FP), R9
+// First the weights of the [rows][ng] scratch at w: w[j*ng+h] =
+// w[j*ng+h]·invSum[h], then ·vscales[j] when vscales is not nil, in place —
+// one head eight rows to a vector, a multiple of 8 heads a row's heads
+// eight to a vector, any other head count one weight at a time. Then
+// columns [0, dh&^7) of dst[h*dh+i] += Σ_j w[j*ng+h]·v_j[i]: rows four at a
+// time as a0*v0 + a1*v1 + a2*v2 + a3*v3 (left to right) added to dst, then
+// the last rows%4 one at a time as dst + a*v. Each 8-column chunk of a row
+// group is loaded — int8 (v8, vf nil) widened — once and applied to all ng
+// accumulators. The Go wrapper runs the dh%8 tail columns.
+TEXT ·weighRowsAVX2(SB), NOSPLIT, $0-80
+	MOVQ w+24(FP), R10           // &w[j*ng]
+	MOVQ ng+8(FP), R8
+	SHLQ $2, R8                  // bytes per row of w
+	MOVQ rows+72(FP), CX
+	MOVQ vscales+56(FP), DI
+	MOVQ invSum+32(FP), SI
 	MOVQ R10, BX
-	MOVQ CX, R12
-	ANDQ $~7, R12
+	CMPQ R8, $4
+	JNE  ww_rows
 
-ww_head:
+	// One head: its weights are contiguous, eight rows to a vector.
 	VBROADCASTSS (SI), Y12
+	MOVQ         CX, R12
+	ANDQ         $~7, R12
 	XORQ         AX, AX
 
 ww_8:
@@ -175,7 +409,7 @@ ww_8store:
 
 ww_1:
 	CMPQ   AX, CX
-	JGE    ww_next
+	JGE    ww_done
 	VMOVSS (BX)(AX*4), X2
 	VMULSS X12, X2, X2
 	TESTQ  DI, DI
@@ -187,57 +421,106 @@ ww_1store:
 	INCQ   AX
 	JMP    ww_1
 
-ww_next:
-	ADDQ R8, BX
-	ADDQ $4, SI
-	DECQ R9
-	JNZ  ww_head
+	// A multiple of 8 heads: a row's heads eight to a vector.
+ww_rows:
+	MOVQ R8, R12
+	ANDQ $31, R12
+	JNZ  ww_heads1
+	MOVQ CX, R9
 
+ww_row8:
+	TESTQ        DI, DI
+	JZ           ww_row8h
+	VBROADCASTSS (DI), Y13       // vscales[j]
+	ADDQ         $4, DI
+
+ww_row8h:
+	XORQ AX, AX
+
+ww_h8:
+	VMOVUPS (BX)(AX*1), Y2
+	VMULPS  (SI)(AX*1), Y2, Y2   // w * invSum[h]
+	TESTQ   DI, DI
+	JZ      ww_h8store
+	VMULPS  Y13, Y2, Y2          // * vscales[j]
+
+ww_h8store:
+	VMOVUPS Y2, (BX)(AX*1)
+	ADDQ    $32, AX
+	CMPQ    AX, R8
+	JL      ww_h8
+	ADDQ    R8, BX
+	DECQ    R9
+	JNZ     ww_row8
+	JMP     ww_done
+
+	// Any other head count: one weight at a time.
+ww_heads1:
+	MOVQ CX, R9
+
+ww_row1:
+	XORQ AX, AX
+
+ww_h1:
+	VMOVSS (BX)(AX*1), X2
+	VMULSS (SI)(AX*1), X2, X2    // w * invSum[h]
+	TESTQ  DI, DI
+	JZ     ww_h1store
+	VMULSS (DI), X2, X2          // * vscales[j]
+
+ww_h1store:
+	VMOVSS X2, (BX)(AX*1)
+	ADDQ   $4, AX
+	CMPQ   AX, R8
+	JL     ww_h1
+	ADDQ   R8, BX
+	TESTQ  DI, DI
+	JZ     ww_row1next
+	ADDQ   $4, DI
+
+ww_row1next:
+	DECQ R9
+	JNZ  ww_row1
+
+ww_done:
 	MOVQ  dh+16(FP), R11
-	MOVQ  vf+48(FP), DX          // current row group, float or int8
+	MOVQ  strideBytes+64(FP), R13
+	LEAQ  (R13)(R13*2), R14      // three rows of V
+	LEAQ  (R8)(R8*2), R15        // three rows of w
+	MOVQ  vf+40(FP), DX          // current row group, float or int8
 	TESTQ DX, DX
 	JNZ   wr_group
-	MOVQ  v8+56(FP), DX
+	MOVQ  v8+48(FP), DX
 
 wr_group:
 	CMPQ CX, $4
 	JL   wr_single
-	MOVQ strideBytes+72(FP), AX
 	MOVQ DX, SI
-	LEAQ (SI)(AX*1), R13
-	LEAQ (R13)(AX*1), R14
-	LEAQ (R14)(AX*1), R15
 	MOVQ dst+0(FP), DI
 	MOVQ R11, R12                // columns left
 
 wr_chunk4:
 	CMPQ R12, $8
 	JL   wr_group_done
-	CMPQ vf+48(FP), $0
+	CMPQ vf+40(FP), $0
 	JNE  wr_load4f
 	VPMOVSXBD (SI), Y4
-	VPMOVSXBD (R13), Y5
-	VPMOVSXBD (R14), Y6
-	VPMOVSXBD (R15), Y7
+	VPMOVSXBD (SI)(R13*1), Y5
+	VPMOVSXBD (SI)(R13*2), Y6
+	VPMOVSXBD (SI)(R14*1), Y7
 	VCVTDQ2PS Y4, Y4
 	VCVTDQ2PS Y5, Y5
 	VCVTDQ2PS Y6, Y6
 	VCVTDQ2PS Y7, Y7
 	ADDQ      $8, SI
-	ADDQ      $8, R13
-	ADDQ      $8, R14
-	ADDQ      $8, R15
 	JMP       wr_heads4
 
 wr_load4f:
 	VMOVUPS (SI), Y4
-	VMOVUPS (R13), Y5
-	VMOVUPS (R14), Y6
-	VMOVUPS (R15), Y7
+	VMOVUPS (SI)(R13*1), Y5
+	VMOVUPS (SI)(R13*2), Y6
+	VMOVUPS (SI)(R14*1), Y7
 	ADDQ    $32, SI
-	ADDQ    $32, R13
-	ADDQ    $32, R14
-	ADDQ    $32, R15
 
 wr_heads4:
 	MOVQ DI, AX
@@ -246,9 +529,9 @@ wr_heads4:
 
 wr_head4:
 	VBROADCASTSS (BX), Y12
-	VBROADCASTSS 4(BX), Y13
-	VBROADCASTSS 8(BX), Y14
-	VBROADCASTSS 12(BX), Y15
+	VBROADCASTSS (BX)(R8*1), Y13
+	VBROADCASTSS (BX)(R8*2), Y14
+	VBROADCASTSS (BX)(R15*1), Y15
 	VMULPS       Y4, Y12, Y2     // a0 * v0
 	VMULPS       Y5, Y13, Y3
 	VADDPS       Y3, Y2, Y2      // + a1*v1
@@ -260,7 +543,7 @@ wr_head4:
 	VADDPS       Y2, Y3, Y3      // dst + sum
 	VMOVUPS      Y3, (AX)
 	LEAQ         (AX)(R11*4), AX
-	ADDQ         R8, BX
+	ADDQ         $4, BX
 	DECQ         R9
 	JNZ          wr_head4
 
@@ -269,9 +552,8 @@ wr_head4:
 	JMP  wr_chunk4
 
 wr_group_done:
-	MOVQ strideBytes+72(FP), AX
-	LEAQ (DX)(AX*4), DX
-	ADDQ $16, R10
+	LEAQ (DX)(R13*4), DX
+	LEAQ (R10)(R8*4), R10
 	SUBQ $4, CX
 	JMP  wr_group
 
@@ -285,7 +567,7 @@ wr_single:
 wr_chunk1:
 	CMPQ R12, $8
 	JL   wr_single_done
-	CMPQ vf+48(FP), $0
+	CMPQ vf+40(FP), $0
 	JNE  wr_load1f
 	VPMOVSXBD (SI), Y4
 	VCVTDQ2PS Y4, Y4
@@ -308,7 +590,7 @@ wr_head1:
 	VADDPS       Y2, Y3, Y3      // dst + product
 	VMOVUPS      Y3, (AX)
 	LEAQ         (AX)(R11*4), AX
-	ADDQ         R8, BX
+	ADDQ         $4, BX
 	DECQ         R9
 	JNZ          wr_head1
 
@@ -317,8 +599,8 @@ wr_head1:
 	JMP  wr_chunk1
 
 wr_single_done:
-	ADDQ strideBytes+72(FP), DX
-	ADDQ $4, R10
+	ADDQ R13, DX
+	ADDQ R8, R10
 	DECQ CX
 	JMP  wr_single
 

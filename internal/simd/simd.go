@@ -32,7 +32,10 @@
 // computed by exactly the operations above: a score is a 16-lane,
 // fixed-tree, sequential-tail dot; an accumulator element takes its rows
 // four at a time in MulAdd4's left-to-right association and the last
-// rows%4 one at a time.
+// rows%4 one at a time. The score kernels' vector path for eight heads
+// holds the heads, not the elements, in the YMM lanes: each of the 16 dot
+// lanes becomes one vector over heads and the tree and the tail run
+// lane-wise, which is the same arithmetic per head.
 //
 // The GEMM tile (Gemm, gemm.go) holds an output element in a register for
 // its whole contraction instead of in the output row, and computes it by
@@ -314,107 +317,151 @@ func ScalarMulAdd4F32I8(dst []float32, q0, q1, q2, q3 []int8, a0, a1, a2, a3 flo
 // elements at a fixed stride, and the g query heads that share it are
 // served from the same pass, so a row is fetched — and, when int8, widened
 // to float32 — once for all of them. Scores and softmax weights live in a
-// head-major scratch: head h's value for the segment's row j is at
-// [h*ld+j]. The package comment has the arithmetic contract: a score is
-// DotF32/DotF32I8 times its scale, an accumulator element takes its rows
-// as MulAdd4F32/MulAdd4F32I8 groups and the last rows%4 as AxpyF32/AxpyF32I8.
+// row-major scratch: head h's value for the segment's row j is at [j*g+h],
+// so the g heads of a row are contiguous. The package comment has the
+// arithmetic contract: a score is DotF32/DotF32I8 times its scale, an
+// accumulator element takes its rows as MulAdd4F32/MulAdd4F32I8 groups and
+// the last rows%4 as AxpyF32/AxpyF32I8.
+//
+// When g is a multiple of 8 the score kernels can hold eight heads in the
+// eight lanes of a vector: each of the dot product's 16 lanes becomes one
+// vector over heads, so the fixed tree and the sequential tail run
+// lane-wise and every score keeps its bits. That path reads the queries
+// with their heads in lanes, as HeadsInLanes lays them out.
 
-// ScoreRowsF32 writes out[h*ld+j] = scale·DotF32(q_h, k_j) for the
+// laneHeads is the number of query heads the lane-parallel score path holds
+// in one vector.
+const laneHeads = 8
+
+// HeadsInLanes lays the g query vectors of q (head-major, dh = len(q)/g
+// elements each) out with their heads in lanes — [g/8][dh][8], head
+// 8b+l's element i at dst[(b*dh+i)*8+l] — and returns dst[:len(q)]. It
+// returns nil when g is not a multiple of 8: the score kernels then take
+// one head at a time.
+func HeadsInLanes(dst, q []float32, g int) []float32 {
+	if g <= 0 || g%laneHeads != 0 || len(q)%g != 0 {
+		return nil
+	}
+	dh := len(q) / g
+	dst = dst[:len(q)]
+	for b := 0; b < g; b += laneHeads {
+		blk := dst[b*dh : (b+laneHeads)*dh]
+		for l := 0; l < laneHeads; l++ {
+			for i, x := range q[(b+l)*dh : (b+l+1)*dh] {
+				blk[i*laneHeads+l] = x
+			}
+		}
+	}
+	return dst
+}
+
+// ScoreRowsF32 writes out[j*g+h] = scale·DotF32(q_h, k_j) for the
 // g = len(maxes) query vectors q_h = q[h*dh:(h+1)*dh], dh = len(q)/g, and
 // the rows K rows k_j = k[j*stride:j*stride+dh], and raises maxes[h] to
-// any larger score of head h.
-func ScoreRowsF32(out []float32, ld int, maxes, q, k []float32, stride, rows int, scale float32) {
-	dh := checkSegment(len(out), ld, len(maxes), len(q), len(k), stride, rows)
+// any larger score of head h. qt is nil or HeadsInLanes(·, q, g): given
+// it, the assembly scores eight heads to a vector.
+func ScoreRowsF32(out, maxes, q, qt, k []float32, stride, rows int, scale float32) {
+	dh := checkScore(len(out), len(maxes), len(q), len(qt), len(k), stride, rows)
 	if rows == 0 {
 		return
 	}
 	if useASM {
-		scoreRowsAsm(&out[0], ld, &maxes[0], len(maxes), &q[0], dh, &k[0], nil, nil, nil, 4*stride, rows, scale)
+		scoreRowsAsm(out, maxes, q, qt, dh, &k[0], nil, nil, nil, 4*stride, rows, scale)
 		return
 	}
-	ScalarScoreRowsF32(out, ld, maxes, q, k, stride, rows, scale)
+	ScalarScoreRowsF32(out, maxes, q, k, stride, rows, scale)
 }
 
 // ScoreRowsF32I8 is ScoreRowsF32 over raw int8 K rows with one
-// dequantization scale per row: out[h*ld+j] = scale·scales[j]·DotF32I8(q_h,
+// dequantization scale per row: out[j*g+h] = scale·scales[j]·DotF32I8(q_h,
 // k_j). widen is scratch for one row, at least dh long.
-func ScoreRowsF32I8(out []float32, ld int, maxes, q []float32, k []int8, scales []float32, stride, rows int, scale float32, widen []float32) {
-	dh := checkSegment(len(out), ld, len(maxes), len(q), len(k), stride, rows)
+func ScoreRowsF32I8(out, maxes, q, qt []float32, k []int8, scales []float32, stride, rows int, scale float32, widen []float32) {
+	dh := checkScore(len(out), len(maxes), len(q), len(qt), len(k), stride, rows)
 	if rows == 0 {
 		return
 	}
 	scales = scales[:rows]
 	if useASM {
 		widen = widen[:dh]
-		scoreRowsAsm(&out[0], ld, &maxes[0], len(maxes), &q[0], dh, nil, &k[0], &scales[0], &widen[0], stride, rows, scale)
+		scoreRowsAsm(out, maxes, q, qt, dh, nil, &k[0], &scales[0], &widen[0], stride, rows, scale)
 		return
 	}
-	ScalarScoreRowsF32I8(out, ld, maxes, q, k, scales, stride, rows, scale)
+	ScalarScoreRowsF32I8(out, maxes, q, k, scales, stride, rows, scale)
 }
 
-// WeighRowsF32 turns w[h*ld+j] into head h's softmax weight of row j,
+// WeighRowsF32 turns w[j*g+h] into head h's softmax weight of row j,
 // w·invSum[h], in place, and accumulates the rows V rows v_j =
 // v[j*stride:j*stride+dh] so weighted into the g = len(invSum)
 // accumulators dst[h*dh:(h+1)*dh], dh = len(dst)/g.
-func WeighRowsF32(dst, w []float32, ld int, invSum, v []float32, stride, rows int) {
+func WeighRowsF32(dst, w, invSum, v []float32, stride, rows int) {
 	g := len(invSum)
-	dh := checkSegment(len(w), ld, g, len(dst), len(v), stride, rows)
+	dh := checkSegment(len(w), g, len(dst), len(v), stride, rows)
 	if rows == 0 {
 		return
 	}
 	if !useASM {
-		ScalarWeighRowsF32(dst, w, ld, invSum, v, stride, rows)
+		ScalarWeighRowsF32(dst, w, invSum, v, stride, rows)
 		return
 	}
-	weighRowsAsm(&dst[0], g, dh, &w[0], ld, &invSum[0], &v[0], nil, nil, 4*stride, rows)
-	scalarWeighRowsF32(dst, g, dh, w, ld, v, stride, rows, dh&^(axpyBlock-1), dh)
+	weighRowsAsm(&dst[0], g, dh, &w[0], &invSum[0], &v[0], nil, nil, 4*stride, rows)
+	scalarWeighRowsF32(dst, g, dh, w, v, stride, rows, dh&^(axpyBlock-1), dh)
 }
 
 // WeighRowsF32I8 is WeighRowsF32 over raw int8 V rows with one
 // dequantization scale per row, folded into the weights:
 // w·invSum[h]·scales[j].
-func WeighRowsF32I8(dst, w []float32, ld int, invSum []float32, v []int8, scales []float32, stride, rows int) {
+func WeighRowsF32I8(dst, w, invSum []float32, v []int8, scales []float32, stride, rows int) {
 	g := len(invSum)
-	dh := checkSegment(len(w), ld, g, len(dst), len(v), stride, rows)
+	dh := checkSegment(len(w), g, len(dst), len(v), stride, rows)
 	if rows == 0 {
 		return
 	}
 	scales = scales[:rows]
 	if !useASM {
-		ScalarWeighRowsF32I8(dst, w, ld, invSum, v, scales, stride, rows)
+		ScalarWeighRowsF32I8(dst, w, invSum, v, scales, stride, rows)
 		return
 	}
-	weighRowsAsm(&dst[0], g, dh, &w[0], ld, &invSum[0], nil, &v[0], &scales[0], stride, rows)
-	scalarWeighRowsF32I8(dst, g, dh, w, ld, v, stride, rows, dh&^(axpyBlock-1), dh)
+	weighRowsAsm(&dst[0], g, dh, &w[0], &invSum[0], nil, &v[0], &scales[0], stride, rows)
+	scalarWeighRowsF32I8(dst, g, dh, w, v, stride, rows, dh&^(axpyBlock-1), dh)
 }
 
 // checkSegment validates the shared geometry of a segment kernel call —
-// a [g][ld] scratch of nScratch elements holding rows columns, g vectors
-// of dh = nVec/g elements, rows rows of dh elements at stride in nData —
-// and returns dh. The assembly indexes raw pointers, so nothing may reach
-// it unchecked.
-func checkSegment(nScratch, ld, g, nVec, nData, stride, rows int) int {
+// a [rows][g] scratch of nScratch elements, g vectors of dh = nVec/g
+// elements, rows rows of dh elements at stride in nData — and returns dh.
+// The assembly indexes raw pointers, so nothing may reach it unchecked.
+func checkSegment(nScratch, g, nVec, nData, stride, rows int) int {
 	if g <= 0 || nVec == 0 || nVec%g != 0 {
 		panic("simd: segment kernel needs g > 0 vectors of equal non-zero length")
 	}
 	dh := nVec / g
-	if rows < 0 || ld < rows || stride < dh {
-		panic("simd: segment kernel rows, ld or stride out of range")
+	if rows < 0 || stride < dh {
+		panic("simd: segment kernel rows or stride out of range")
 	}
-	if rows > 0 && (nScratch < (g-1)*ld+rows || nData < (rows-1)*stride+dh) {
+	if rows > 0 && (nScratch < rows*g || nData < (rows-1)*stride+dh) {
 		panic("simd: segment kernel slice too short for its geometry")
 	}
 	return dh
 }
 
+// checkScore is checkSegment for a score kernel, whose lane-ordered
+// queries, when given, are the nVec queries of a multiple of 8 heads.
+func checkScore(nScratch, g, nVec, nLanes, nData, stride, rows int) int {
+	dh := checkSegment(nScratch, g, nVec, nData, stride, rows)
+	if nLanes != 0 && (nLanes != nVec || g%laneHeads != 0) {
+		panic("simd: score kernel's lane-ordered queries do not match its heads")
+	}
+	return dh
+}
+
 // ScalarScoreRowsF32 is ScoreRowsF32's pure-Go twin.
-func ScalarScoreRowsF32(out []float32, ld int, maxes, q, k []float32, stride, rows int, scale float32) {
-	dh := len(q) / len(maxes)
+func ScalarScoreRowsF32(out, maxes, q, k []float32, stride, rows int, scale float32) {
+	g := len(maxes)
+	dh := len(q) / g
 	for j := 0; j < rows; j++ {
 		kr := k[j*stride : j*stride+dh]
 		for h := range maxes {
 			s := scale * ScalarDotF32(q[h*dh:(h+1)*dh], kr)
-			out[h*ld+j] = s
+			out[j*g+h] = s
 			if s > maxes[h] {
 				maxes[h] = s
 			}
@@ -423,14 +470,15 @@ func ScalarScoreRowsF32(out []float32, ld int, maxes, q, k []float32, stride, ro
 }
 
 // ScalarScoreRowsF32I8 is ScoreRowsF32I8's pure-Go twin.
-func ScalarScoreRowsF32I8(out []float32, ld int, maxes, q []float32, k []int8, scales []float32, stride, rows int, scale float32) {
-	dh := len(q) / len(maxes)
+func ScalarScoreRowsF32I8(out, maxes, q []float32, k []int8, scales []float32, stride, rows int, scale float32) {
+	g := len(maxes)
+	dh := len(q) / g
 	for j := 0; j < rows; j++ {
 		kr := k[j*stride : j*stride+dh]
 		rs := scale * scales[j]
 		for h := range maxes {
 			s := rs * ScalarDotF32I8(q[h*dh:(h+1)*dh], kr)
-			out[h*ld+j] = s
+			out[j*g+h] = s
 			if s > maxes[h] {
 				maxes[h] = s
 			}
@@ -439,33 +487,33 @@ func ScalarScoreRowsF32I8(out []float32, ld int, maxes, q []float32, k []int8, s
 }
 
 // ScalarWeighRowsF32 is WeighRowsF32's pure-Go twin.
-func ScalarWeighRowsF32(dst, w []float32, ld int, invSum, v []float32, stride, rows int) {
+func ScalarWeighRowsF32(dst, w, invSum, v []float32, stride, rows int) {
 	g, dh := len(invSum), len(dst)/len(invSum)
-	for h, is := range invSum {
-		wh := w[h*ld : h*ld+rows]
-		for j := range wh {
-			wh[j] *= is
+	for j := 0; j < rows; j++ {
+		wj := w[j*g : (j+1)*g]
+		for h, is := range invSum {
+			wj[h] *= is
 		}
 	}
-	scalarWeighRowsF32(dst, g, dh, w, ld, v, stride, rows, 0, dh)
+	scalarWeighRowsF32(dst, g, dh, w, v, stride, rows, 0, dh)
 }
 
 // ScalarWeighRowsF32I8 is WeighRowsF32I8's pure-Go twin.
-func ScalarWeighRowsF32I8(dst, w []float32, ld int, invSum []float32, v []int8, scales []float32, stride, rows int) {
+func ScalarWeighRowsF32I8(dst, w, invSum []float32, v []int8, scales []float32, stride, rows int) {
 	g, dh := len(invSum), len(dst)/len(invSum)
-	for h, is := range invSum {
-		wh := w[h*ld : h*ld+rows]
-		for j := range wh {
-			wh[j] = wh[j] * is * scales[j]
+	for j := 0; j < rows; j++ {
+		wj := w[j*g : (j+1)*g]
+		for h, is := range invSum {
+			wj[h] = wj[h] * is * scales[j]
 		}
 	}
-	scalarWeighRowsF32I8(dst, g, dh, w, ld, v, stride, rows, 0, dh)
+	scalarWeighRowsF32I8(dst, g, dh, w, v, stride, rows, 0, dh)
 }
 
 // scalarWeighRowsF32 accumulates columns [lo, hi) of every row into every
 // accumulator with finished weights: the whole width when dispatch is
 // scalar, the sub-vector tail the assembly leaves otherwise.
-func scalarWeighRowsF32(dst []float32, g, dh int, w []float32, ld int, v []float32, stride, rows, lo, hi int) {
+func scalarWeighRowsF32(dst []float32, g, dh int, w, v []float32, stride, rows, lo, hi int) {
 	if lo == hi {
 		return
 	}
@@ -474,18 +522,17 @@ func scalarWeighRowsF32(dst []float32, g, dh int, w []float32, ld int, v []float
 	for ; j+4 <= rows; j += 4 {
 		v0, v1, v2, v3 := row(j), row(j+1), row(j+2), row(j+3)
 		for h := 0; h < g; h++ {
-			wh := w[h*ld+j : h*ld+j+4]
-			ScalarMulAdd4F32(dst[h*dh+lo:h*dh+hi], v0, v1, v2, v3, wh[0], wh[1], wh[2], wh[3])
+			ScalarMulAdd4F32(dst[h*dh+lo:h*dh+hi], v0, v1, v2, v3, w[j*g+h], w[(j+1)*g+h], w[(j+2)*g+h], w[(j+3)*g+h])
 		}
 	}
 	for ; j < rows; j++ {
 		for h := 0; h < g; h++ {
-			ScalarAxpyF32(dst[h*dh+lo:h*dh+hi], w[h*ld+j], row(j))
+			ScalarAxpyF32(dst[h*dh+lo:h*dh+hi], w[j*g+h], row(j))
 		}
 	}
 }
 
-func scalarWeighRowsF32I8(dst []float32, g, dh int, w []float32, ld int, v []int8, stride, rows, lo, hi int) {
+func scalarWeighRowsF32I8(dst []float32, g, dh int, w []float32, v []int8, stride, rows, lo, hi int) {
 	if lo == hi {
 		return
 	}
@@ -494,13 +541,12 @@ func scalarWeighRowsF32I8(dst []float32, g, dh int, w []float32, ld int, v []int
 	for ; j+4 <= rows; j += 4 {
 		v0, v1, v2, v3 := row(j), row(j+1), row(j+2), row(j+3)
 		for h := 0; h < g; h++ {
-			wh := w[h*ld+j : h*ld+j+4]
-			ScalarMulAdd4F32I8(dst[h*dh+lo:h*dh+hi], v0, v1, v2, v3, wh[0], wh[1], wh[2], wh[3])
+			ScalarMulAdd4F32I8(dst[h*dh+lo:h*dh+hi], v0, v1, v2, v3, w[j*g+h], w[(j+1)*g+h], w[(j+2)*g+h], w[(j+3)*g+h])
 		}
 	}
 	for ; j < rows; j++ {
 		for h := 0; h < g; h++ {
-			ScalarAxpyF32I8(dst[h*dh+lo:h*dh+hi], w[h*ld+j], row(j))
+			ScalarAxpyF32I8(dst[h*dh+lo:h*dh+hi], w[j*g+h], row(j))
 		}
 	}
 }

@@ -1,6 +1,7 @@
 package simd
 
 import (
+	"fmt"
 	"math"
 	"math/rand"
 	"testing"
@@ -158,20 +159,22 @@ func TestKindConsistent(t *testing.T) {
 }
 
 // segmentCase is one geometry of the segment kernels: g heads of dh
-// elements over rows rows at the given stride, scratch leading dimension ld.
-type segmentCase struct{ g, dh, rows, stride, ld int }
+// elements over rows rows at the given stride.
+type segmentCase struct{ g, dh, rows, stride int }
 
-// segmentCases crosses head counts, head dims on both sides of the 8- and
-// 16-element blockings, and row counts on both sides of the four-row
-// grouping, with strides and leading dimensions that are not the tight ones.
+// segmentCases crosses head counts — one head, groups of heads that are
+// not whole vectors, and one to three whole 8-head vectors — head dims on
+// both sides of the 8- and 16-element blockings (24 and 48 mix a 16-lane
+// block with an 8-element tail), and row counts on both sides of the
+// four-row grouping, with strides that are and are not the tight ones.
 func segmentCases() []segmentCase {
 	var cs []segmentCase
-	for _, g := range []int{1, 2, 3, 8, 9} {
-		for _, dh := range []int{1, 5, 8, 15, 16, 17, 32, 40, 64, 72} {
+	for _, g := range []int{1, 2, 3, 8, 9, 16, 24} {
+		for _, dh := range []int{1, 5, 8, 15, 16, 17, 24, 32, 40, 48, 64, 72} {
 			for _, rows := range []int{0, 1, 3, 4, 5, 8, 13} {
 				cs = append(cs,
-					segmentCase{g, dh, rows, dh, rows},
-					segmentCase{g, dh, rows, 2*dh + 3, rows + 5})
+					segmentCase{g, dh, rows, dh},
+					segmentCase{g, dh, rows, 2*dh + 3})
 			}
 		}
 	}
@@ -179,10 +182,17 @@ func segmentCases() []segmentCase {
 }
 
 // checkSegmentKernels runs all four segment kernels through the exported
-// (dispatching) entry points against their scalar twins on one geometry.
+// (dispatching) entry points against their scalar twins on one geometry:
+// the score kernels both with the queries in lanes (when g is a multiple
+// of 8) and one head at a time. The scratch runs past the segment's
+// [rows][g] block, so a write beyond it shows as a mismatch.
 func checkSegmentKernels(t *testing.T, rng *rand.Rand, c segmentCase) {
 	t.Helper()
 	q := randFloats(rng, c.g*c.dh, true)
+	qts := [][]float32{nil}
+	if qt := HeadsInLanes(make([]float32, len(q)), q, c.g); qt != nil {
+		qts = append(qts, qt)
+	}
 	n := c.dh
 	if c.rows > 0 {
 		n = (c.rows-1)*c.stride + c.dh
@@ -190,30 +200,32 @@ func checkSegmentKernels(t *testing.T, rng *rand.Rand, c segmentCase) {
 	kf, k8 := randFloats(rng, n, true), randInt8s(rng, n)
 	scales := randFloats(rng, c.rows, false)
 	scale := rng.Float32() + 0.1
-	scratch := c.g * c.ld
+	scratch := c.rows*c.g + c.g + 3
 
-	for _, int8K := range []bool{false, true} {
-		got, want := randFloats(rng, scratch, false), make([]float32, scratch)
-		copy(want, got)
-		gotMax, wantMax := make([]float32, c.g), make([]float32, c.g)
-		for h := range gotMax {
-			gotMax[h] = float32(math.Inf(-1))
-			wantMax[h] = gotMax[h]
-		}
-		label := "ScoreRowsF32"
-		if int8K {
-			label = "ScoreRowsF32I8"
-			ScoreRowsF32I8(got, c.ld, gotMax, q, k8, scales, c.stride, c.rows, scale, make([]float32, c.dh))
-			ScalarScoreRowsF32I8(want, c.ld, wantMax, q, k8, scales, c.stride, c.rows, scale)
-		} else {
-			ScoreRowsF32(got, c.ld, gotMax, q, kf, c.stride, c.rows, scale)
-			ScalarScoreRowsF32(want, c.ld, wantMax, q, kf, c.stride, c.rows, scale)
-		}
-		for i := range got {
-			eqBits(t, label, got[i], want[i])
-		}
-		for h := range gotMax {
-			eqBits(t, label+" max", gotMax[h], wantMax[h])
+	for _, qt := range qts {
+		for _, int8K := range []bool{false, true} {
+			got, want := randFloats(rng, scratch, false), make([]float32, scratch)
+			copy(want, got)
+			gotMax, wantMax := make([]float32, c.g), make([]float32, c.g)
+			for h := range gotMax {
+				gotMax[h] = float32(math.Inf(-1))
+				wantMax[h] = gotMax[h]
+			}
+			label := fmt.Sprintf("ScoreRowsF32 %+v lanes=%v", c, qt != nil)
+			if int8K {
+				label = fmt.Sprintf("ScoreRowsF32I8 %+v lanes=%v", c, qt != nil)
+				ScoreRowsF32I8(got, gotMax, q, qt, k8, scales, c.stride, c.rows, scale, make([]float32, c.dh))
+				ScalarScoreRowsF32I8(want, wantMax, q, k8, scales, c.stride, c.rows, scale)
+			} else {
+				ScoreRowsF32(got, gotMax, q, qt, kf, c.stride, c.rows, scale)
+				ScalarScoreRowsF32(want, wantMax, q, kf, c.stride, c.rows, scale)
+			}
+			for i := range got {
+				eqBits(t, label, got[i], want[i])
+			}
+			for h := range gotMax {
+				eqBits(t, label+" max", gotMax[h], wantMax[h])
+			}
 		}
 	}
 
@@ -222,14 +234,14 @@ func checkSegmentKernels(t *testing.T, rng *rand.Rand, c segmentCase) {
 		got, want := randFloats(rng, c.g*c.dh, false), make([]float32, c.g*c.dh)
 		copy(want, got)
 		gotW, wantW := append([]float32(nil), w...), append([]float32(nil), w...)
-		label := "WeighRowsF32"
+		label := fmt.Sprintf("WeighRowsF32 %+v", c)
 		if int8V {
-			label = "WeighRowsF32I8"
-			WeighRowsF32I8(got, gotW, c.ld, invSum, k8, scales, c.stride, c.rows)
-			ScalarWeighRowsF32I8(want, wantW, c.ld, invSum, k8, scales, c.stride, c.rows)
+			label = fmt.Sprintf("WeighRowsF32I8 %+v", c)
+			WeighRowsF32I8(got, gotW, invSum, k8, scales, c.stride, c.rows)
+			ScalarWeighRowsF32I8(want, wantW, invSum, k8, scales, c.stride, c.rows)
 		} else {
-			WeighRowsF32(got, gotW, c.ld, invSum, kf, c.stride, c.rows)
-			ScalarWeighRowsF32(want, wantW, c.ld, invSum, kf, c.stride, c.rows)
+			WeighRowsF32(got, gotW, invSum, kf, c.stride, c.rows)
+			ScalarWeighRowsF32(want, wantW, invSum, kf, c.stride, c.rows)
 		}
 		for i := range got {
 			eqBits(t, label, got[i], want[i])
@@ -252,34 +264,34 @@ func TestSegmentKernelsMatchScalarTwins(t *testing.T) {
 // MulAdd4 groups then Axpy rows.
 func TestSegmentTwinsAreRowKernels(t *testing.T) {
 	rng := rand.New(rand.NewSource(46))
-	const g, dh, rows, stride, ld = 3, 40, 7, 43, 9
+	const g, dh, rows, stride = 3, 40, 7, 43
 	q := randFloats(rng, g*dh, false)
 	k8 := randInt8s(rng, (rows-1)*stride+dh)
 	scales := randFloats(rng, rows, false)
 	row := func(j int) []int8 { return k8[j*stride : j*stride+dh] }
 
-	out, maxes := make([]float32, g*ld), []float32{-1e30, -1e30, -1e30}
-	ScalarScoreRowsF32I8(out, ld, maxes, q, k8, scales, stride, rows, 0.25)
+	out, maxes := make([]float32, rows*g), []float32{-1e30, -1e30, -1e30}
+	ScalarScoreRowsF32I8(out, maxes, q, k8, scales, stride, rows, 0.25)
 	for h := 0; h < g; h++ {
 		for j := 0; j < rows; j++ {
-			eqBits(t, "score", out[h*ld+j], 0.25*scales[j]*ScalarDotF32I8(q[h*dh:(h+1)*dh], row(j)))
+			eqBits(t, "score", out[j*g+h], 0.25*scales[j]*ScalarDotF32I8(q[h*dh:(h+1)*dh], row(j)))
 		}
 	}
 
-	w, invSum := randFloats(rng, g*ld, false), []float32{0.5, 0.25, 3}
+	w, invSum := randFloats(rng, rows*g, false), []float32{0.5, 0.25, 3}
 	got, want := make([]float32, g*dh), make([]float32, g*dh)
-	fin := make([]float32, g*ld)
+	fin := make([]float32, rows*g)
 	for h := 0; h < g; h++ {
 		for j := 0; j < rows; j++ {
-			fin[h*ld+j] = w[h*ld+j] * invSum[h] * scales[j]
+			fin[j*g+h] = w[j*g+h] * invSum[h] * scales[j]
 		}
 	}
-	ScalarWeighRowsF32I8(got, w, ld, invSum, k8, scales, stride, rows)
+	ScalarWeighRowsF32I8(got, w, invSum, k8, scales, stride, rows)
 	for h := 0; h < g; h++ {
-		d, wh := want[h*dh:(h+1)*dh], fin[h*ld:]
-		ScalarMulAdd4F32I8(d, row(0), row(1), row(2), row(3), wh[0], wh[1], wh[2], wh[3])
+		d, wh := want[h*dh:(h+1)*dh], func(j int) float32 { return fin[j*g+h] }
+		ScalarMulAdd4F32I8(d, row(0), row(1), row(2), row(3), wh(0), wh(1), wh(2), wh(3))
 		for j := 4; j < rows; j++ {
-			ScalarAxpyF32I8(d, wh[j], row(j))
+			ScalarAxpyF32I8(d, wh(j), row(j))
 		}
 	}
 	for i := range got {
@@ -287,18 +299,47 @@ func TestSegmentTwinsAreRowKernels(t *testing.T) {
 	}
 }
 
+// HeadsInLanes puts head 8b+l's element i at [(b*dh+i)*8+l] and declines a
+// head count the lane path does not take.
+func TestHeadsInLanes(t *testing.T) {
+	const g, dh = 16, 3
+	q := make([]float32, g*dh)
+	for i := range q {
+		q[i] = float32(i)
+	}
+	qt := HeadsInLanes(make([]float32, len(q)+4), q, g)
+	if len(qt) != len(q) {
+		t.Fatalf("len = %d, want %d", len(qt), len(q))
+	}
+	for h := 0; h < g; h++ {
+		for i := 0; i < dh; i++ {
+			if got := qt[((h/8)*dh+i)*8+h%8]; got != q[h*dh+i] {
+				t.Fatalf("head %d element %d = %g, want %g", h, i, got, q[h*dh+i])
+			}
+		}
+	}
+	for _, g := range []int{1, 3, 9, 12} {
+		if qt := HeadsInLanes(make([]float32, g*dh), make([]float32, g*dh), g); qt != nil {
+			t.Errorf("g = %d: lanes %v, want nil", g, qt)
+		}
+	}
+}
+
 // Geometry the raw-pointer assembly must never see is rejected up front.
 func TestSegmentKernelsRejectBadGeometry(t *testing.T) {
 	f := func(n int) []float32 { return make([]float32, n) }
 	for name, call := range map[string]func(){
-		"short K":       func() { ScoreRowsF32(f(8), 4, f(2), f(16), f(8*3+7), 8, 4, 1) },
-		"short scratch": func() { ScoreRowsF32(f(7), 4, f(2), f(16), f(32), 8, 4, 1) },
-		"ragged q":      func() { ScoreRowsF32(f(8), 4, f(2), f(15), f(32), 8, 4, 1) },
-		"ld < rows":     func() { ScoreRowsF32(f(8), 3, f(2), f(16), f(32), 8, 4, 1) },
-		"short scales":  func() { ScoreRowsF32I8(f(8), 4, f(2), f(16), make([]int8, 32), f(3), 8, 4, 1, f(8)) },
-		"short V":       func() { WeighRowsF32I8(f(16), f(8), 4, f(2), make([]int8, 31), f(4), 8, 4) },
-		"short V scale": func() { WeighRowsF32I8(f(16), f(8), 4, f(2), make([]int8, 32), f(3), 8, 4) },
-		"stride < dh":   func() { WeighRowsF32(f(16), f(8), 4, f(2), f(32), 7, 4) },
+		"short K":       func() { ScoreRowsF32(f(8), f(2), f(16), nil, f(8*3+7), 8, 4, 1) },
+		"short scratch": func() { ScoreRowsF32(f(7), f(2), f(16), nil, f(32), 8, 4, 1) },
+		"ragged q":      func() { ScoreRowsF32(f(8), f(2), f(15), nil, f(32), 8, 4, 1) },
+		"negative rows": func() { ScoreRowsF32(f(8), f(2), f(16), nil, f(32), 8, -1, 1) },
+		"lanes not q":   func() { ScoreRowsF32(f(32), f(8), f(64), f(56), f(32), 8, 4, 1) },
+		"lanes for 2":   func() { ScoreRowsF32(f(8), f(2), f(16), f(16), f(32), 8, 4, 1) },
+		"short scales":  func() { ScoreRowsF32I8(f(8), f(2), f(16), nil, make([]int8, 32), f(3), 8, 4, 1, f(8)) },
+		"short V":       func() { WeighRowsF32I8(f(16), f(8), f(2), make([]int8, 31), f(4), 8, 4) },
+		"short V scale": func() { WeighRowsF32I8(f(16), f(8), f(2), make([]int8, 32), f(3), 8, 4) },
+		"short weights": func() { WeighRowsF32(f(16), f(7), f(2), f(32), 8, 4) },
+		"stride < dh":   func() { WeighRowsF32(f(16), f(8), f(2), f(32), 7, 4) },
 	} {
 		func() {
 			defer func() {

@@ -41,19 +41,28 @@ func mulAdd4F32I8AVX2(dst *float32, q0, q1, q2, q3 *int8, a0, a1, a2, a3 float32
 
 // scoreRowsAVX2 scores rows K rows — float32 at kf, or int8 at k8 (kf nil)
 // with one scale per row at kscales and a dh-element scratch at widen —
-// against g query vectors of dh elements at q; see segment_amd64.s.
+// against g query vectors of dh elements at q, one head at a time, into a
+// [rows][g] scratch at out; see segment_amd64.s.
 //
 //go:noescape
-func scoreRowsAVX2(out *float32, ld int, maxes *float32, ng int, q *float32, dh int,
+func scoreRowsAVX2(out, maxes *float32, ng int, q *float32, dh int,
 	kf *float32, k8 *int8, kscales, widen *float32, strideBytes, rows int, scale float32)
 
-// weighRowsAVX2 finishes the softmax weights at w in place (times invSum[h],
-// and times vscales[j] when it is not nil) and accumulates columns
-// [0, dh&^7) of rows V rows — float32 at vf, or int8 at v8 (vf nil) — into
-// ng accumulators of dh elements at dst; see segment_amd64.s.
+// scoreLanesAVX2 is scoreRowsAVX2 for ng a multiple of 8 with the queries
+// at qt laid out heads in lanes (HeadsInLanes): eight heads to a vector.
 //
 //go:noescape
-func weighRowsAVX2(dst *float32, ng, dh int, w *float32, ld int, invSum, vf *float32, v8 *int8, vscales *float32, strideBytes, rows int)
+func scoreLanesAVX2(out, maxes *float32, ng int, qt *float32, dh int,
+	kf *float32, k8 *int8, kscales, widen *float32, strideBytes, rows int, scale float32)
+
+// weighRowsAVX2 finishes the softmax weights of the [rows][ng] scratch at w
+// in place (times invSum[h], and times vscales[j] when it is not nil) and
+// accumulates columns [0, dh&^7) of rows V rows — float32 at vf, or int8 at
+// v8 (vf nil) — into ng accumulators of dh elements at dst; see
+// segment_amd64.s.
+//
+//go:noescape
+func weighRowsAVX2(dst *float32, ng, dh int, w, invSum, vf *float32, v8 *int8, vscales *float32, strideBytes, rows int)
 
 // exp32RowsAVX2 applies Exp32 in place to xs[0:n], n a positive multiple
 // of 8, stopping before the first block of eight it does not handle; it
