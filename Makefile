@@ -115,9 +115,11 @@ bench-pairs:
 # `git archive` into .bench_build/fleet-<commit>/, run every command below
 # in that tree and in the working tree, and compare each pair of outputs
 # byte for byte. Every run is seeded, so any difference is a behaviour
-# change. Exits 1 at the first difference. The commands are CI's fleet-sim
-# estiserve lines, the prefix-cache and continuous-batching replays, an
-# unequal-tier static pipeline replay, and the three fleet examples.
+# change. Every command runs and reports same or differs; the target exits 1
+# at the end if any differed. The commands are CI's fleet-sim estiserve
+# lines (the last pins the prefill pool's scale-in), the prefix-cache and
+# continuous-batching replays, an unequal-tier static pipeline replay, and
+# the three fleet examples.
 FLEET_DIFF_CMDS = \
 	"./cmd/estiserve -model palm540b -replicas 4 -requests 200" \
 	"./cmd/estiserve -model palm540b -replicas 4 -disaggregated -requests 200" \
@@ -125,6 +127,7 @@ FLEET_DIFF_CMDS = \
 	"./cmd/estiserve -model palm540b -replicas 4 -disaggregated -requests 200 -fault-plan link:1-2,drain:0@3" \
 	"./cmd/estiserve -model palm540b -replicas 4 -autoscale -requests 200 -load 1.2 -fault-plan crash:1@2+4" \
 	"./cmd/estiserve -model palm540b -replicas 4 -disaggregated -autoscale -requests 200 -load 1.2 -fault-plan crash:3@1" \
+	"./cmd/estiserve -model palm540b -replicas 4 -disaggregated -autoscale -requests 400 -load 4" \
 	"./cmd/estiserve -model palm540b -prefix-cache -prefill-chunk 256 -requests 200" \
 	"./cmd/estiserve -model palm540b -continuous -requests 200" \
 	"./cmd/estiserve -model palm540b -prefill-chips 32 -decode-chips 64 -decode-batch 128 -requests 200" \
@@ -141,17 +144,20 @@ fleet-diff:
 		git archive --format=tar $$commit | tar -x -C $$tree.tmp; \
 		mv $$tree.tmp $$tree; \
 	fi; \
-	rm -rf $$out; mkdir -p $$out; i=0; \
+	rm -rf $$out; mkdir -p $$out; i=0; differ=0; \
 	for c in $(FLEET_DIFF_CMDS); do \
 		i=$$((i+1)); \
 		(cd $$tree && $(GO) run $$c) > $$out/$$i.parent; \
 		$(GO) run $$c > $$out/$$i.work; \
-		if ! cmp -s $$out/$$i.parent $$out/$$i.work; then \
-			echo "fleet-diff: '$$c' differs from $(PARENT):"; \
-			diff $$out/$$i.parent $$out/$$i.work | head -20; exit 1; \
+		if cmp -s $$out/$$i.parent $$out/$$i.work; then \
+			echo "fleet-diff: same: $$c"; \
+		else \
+			differ=$$((differ+1)); \
+			echo "fleet-diff: differs: $$c"; \
+			diff $$out/$$i.parent $$out/$$i.work | head -20; \
 		fi; \
-		echo "fleet-diff: same: $$c"; \
-	done
+	done; \
+	if [ $$differ -gt 0 ]; then echo "fleet-diff: $$differ of $$i commands differ from $(PARENT)"; exit 1; fi
 
 # CPU profile of the decode hot path for `go tool pprof` (see the README
 # "Performance" section for the reading guide).

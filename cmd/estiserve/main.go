@@ -409,7 +409,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 		}
 		fc := fleet.Config{Replica: rc, Replicas: nRep, Policy: fleet.Affinity, Seed: *seed}
 		if *disaggregated {
-			fc.Disaggregated = true
 			fc.PrefillReplicas = nRep / 2
 			fc.DecodeReplicas = nRep - nRep/2
 		}

@@ -53,7 +53,6 @@ func main() {
 
 	dc := fleet.Config{
 		Replica:         replica,
-		Disaggregated:   true,
 		PrefillReplicas: 2,
 		DecodeReplicas:  2,
 		Policy:          fleet.Affinity,

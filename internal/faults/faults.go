@@ -2,7 +2,8 @@
 // scheduled replica crashes and recoveries, graceful drains, straggler
 // slowdown windows, and handoff-link outages. A Plan is data, not behavior —
 // the fleet's event loop injects each Event into its heap as a first-class
-// event and reacts per its recovery policy — so the same plan replayed
+// event, moves the replica through its lifecycle (package fleet owns the
+// stages) and reacts per its recovery policy — so the same plan replayed
 // against the same configuration and trace produces byte-identical results,
 // which is what makes goodput-under-faults a measurable, assertable number
 // rather than an anecdote.
@@ -19,52 +20,6 @@ import (
 	"math/rand"
 	"sort"
 )
-
-// Health is a replica's position in the fault state machine:
-//
-//	Healthy → Degraded   (a straggler fault slows it; still serving)
-//	Healthy → Draining   (graceful drain: finishes in-flight, accepts nothing)
-//	any     → Down       (crash: all slot KV and queue state lost)
-//	Down    → Recovering (back up, cache cold, serving again)
-//	Recovering → Healthy (first completed request after recovery)
-type Health int
-
-const (
-	Healthy Health = iota
-	// Degraded marks a straggler: serving, but every iteration stretched by
-	// the fault's slowdown factor. The router steers new work away and
-	// hedges the work already stuck there.
-	Degraded
-	// Draining replicas finish their in-flight sequences but accept no new
-	// work; when the last sequence completes they go Down. No KV is lost.
-	Draining
-	// Down replicas serve nothing; their slot KV, queue, and warm-prefix
-	// set died with them.
-	Down
-	// Recovering replicas are routable again but start cold: empty cache,
-	// empty warm set. They become Healthy at their first completion.
-	Recovering
-)
-
-// String names the health state for reports.
-func (h Health) String() string {
-	switch h {
-	case Healthy:
-		return "healthy"
-	case Degraded:
-		return "degraded"
-	case Draining:
-		return "draining"
-	case Down:
-		return "down"
-	case Recovering:
-		return "recovering"
-	}
-	return fmt.Sprintf("health(%d)", int(h))
-}
-
-// Routable reports whether a replica in this state accepts new work.
-func (h Health) Routable() bool { return h != Down && h != Draining }
 
 // Kind discriminates fault events.
 type Kind int

@@ -59,21 +59,7 @@ func TestValidateRejects(t *testing.T) {
 	}
 }
 
-func TestHealthAndKindStrings(t *testing.T) {
-	for h, want := range map[Health]string{
-		Healthy: "healthy", Degraded: "degraded", Draining: "draining",
-		Down: "down", Recovering: "recovering",
-	} {
-		if h.String() != want {
-			t.Errorf("Health(%d).String() = %q, want %q", int(h), h.String(), want)
-		}
-	}
-	if !Healthy.Routable() || !Degraded.Routable() || !Recovering.Routable() {
-		t.Error("serving states must be routable")
-	}
-	if Down.Routable() || Draining.Routable() {
-		t.Error("down/draining must not be routable")
-	}
+func TestKindStrings(t *testing.T) {
 	for k := Crash; k <= LinkUp; k++ {
 		if strings.HasPrefix(k.String(), "kind(") {
 			t.Errorf("Kind %d has no name", int(k))

@@ -8,10 +8,9 @@ package fleet
 // reads the signals the serving stack already exports — per-replica backlog
 // drain estimates from the perf model, queue depths, shed/miss deltas,
 // health states, the brownout watermark — and the controller's verdict is
-// executed here: scale-out provisions a cold replica that joins Recovering
-// after ProvisionDelay, scale-in picks an idle replica and retires it
-// through the drain path (resident KV always finishes; we only ever release
-// a replica with nothing resident).
+// executed here: scale-out provisions a cold replica that joins recovering
+// after ProvisionDelay, scale-in picks the emptiest replica and retires it
+// through the drain path (resident KV finishes before the release).
 
 import (
 	"esti/internal/autoscale"
@@ -59,16 +58,16 @@ func (s *sim) initAutoscale() error {
 	s.ctlIngress = autoscale.New(*s.c.Autoscale)
 	p := s.ctlIngress.Policy()
 	s.auto = &p
-	if s.c.Disaggregated {
+	if s.c.disaggregated() {
 		s.ctlDecode = autoscale.New(*s.c.Autoscale)
 	}
 	// Recover events scheduled in the fault plan are capacity about to
 	// return: the controller must not scale out over a crash the plan is
 	// about to heal.
-	s.recovers = map[int][]float64{}
+	s.recovers = map[int]float64{}
 	for _, f := range s.c.Faults.Sorted() {
 		if f.Kind == faults.Recover {
-			s.recovers[f.Replica] = append(s.recovers[f.Replica], f.At)
+			s.recovers[f.Replica] = f.At
 		}
 	}
 	return nil
@@ -103,7 +102,7 @@ func (s *sim) tick(t float64) {
 
 func (s *sim) anyBusy() bool {
 	for _, rep := range s.all {
-		if rep.health != faults.Down && rep.s.Busy() {
+		if rep.stage.up() && rep.s.Busy() {
 			return true
 		}
 	}
@@ -114,37 +113,29 @@ func (s *sim) anyBusy() bool {
 func (s *sim) poolSignals(t float64, pool []*replica, ingress bool) autoscale.Signals {
 	var sig autoscale.Signals
 	for _, rep := range pool {
-		if rep.retired {
-			// A release still draining its resident work counts as the
-			// in-flight drain (one at a time); a finished one is gone.
-			if rep.health == faults.Draining {
-				sig.Draining++
-			}
-			continue
-		}
-		switch {
-		case rep.provisioning:
+		switch rep.stage {
+		case provisioning:
 			sig.Arriving++
-			continue
-		case rep.health == faults.Down:
-			if s.willRecover(rep, t) {
+		case down:
+			if s.recovers[rep.idx] > t {
 				sig.Arriving++
 			}
-			continue
-		case rep.health == faults.Draining:
+		case draining, retiring:
+			// A release still draining its resident work counts as the
+			// in-flight drain (one at a time); a retired one is gone.
 			sig.Draining++
-			continue
-		}
-		sig.Live++
-		b := rep.s.Snapshot()
-		if b.DrainTime > sig.DrainTime {
-			sig.DrainTime = b.DrainTime
-		}
-		sig.TotalBacklog += b.DrainTime
-		// Recovering replicas are live capacity but not release candidates:
-		// the fleet just paid their warm-up.
-		if !rep.s.Busy() && b.Pending == 0 && rep.health != faults.Recovering {
-			sig.Idle++
+		case healthy, degraded, recovering:
+			sig.Live++
+			b := rep.s.Snapshot()
+			if b.DrainTime > sig.DrainTime {
+				sig.DrainTime = b.DrainTime
+			}
+			sig.TotalBacklog += b.DrainTime
+			// Recovering replicas are live capacity but not release
+			// candidates: the fleet just paid their warm-up.
+			if !rep.s.Busy() && b.Pending == 0 && rep.stage != recovering {
+				sig.Idle++
+			}
 		}
 	}
 	if ingress {
@@ -153,17 +144,6 @@ func (s *sim) poolSignals(t float64, pool []*replica, ingress bool) autoscale.Si
 		sig.Brownout = s.brownout()
 	}
 	return sig
-}
-
-// willRecover reports whether the fault plan schedules a Recover for this
-// replica after time t.
-func (s *sim) willRecover(rep *replica, t float64) bool {
-	for _, rt := range s.recovers[rep.idx] {
-		if rt > t {
-			return true
-		}
-	}
-	return false
 }
 
 func (s *sim) executeVerdict(t float64, d autoscale.Decision, ingress bool) {
@@ -176,7 +156,7 @@ func (s *sim) executeVerdict(t float64, d autoscale.Decision, ingress bool) {
 }
 
 func (s *sim) poolName(ingress bool) string {
-	if !s.c.Disaggregated {
+	if !s.c.disaggregated() {
 		return "unified"
 	}
 	if ingress {
@@ -186,17 +166,16 @@ func (s *sim) poolName(ingress bool) string {
 }
 
 // scaleOut provisions one replica into the pool. The replica is appended —
-// indices are stable for the run — and joins Down+provisioning; after
-// ProvisionDelay an evScaleReady event flips it to Recovering, where it
-// serves with a stone-cold prefix cache until its first completion (the
+// indices are stable for the run — and joins provisioning; after
+// ProvisionDelay an evScaleReady event moves it to recovering, where it
+// serves with a stone-cold prefix cache until its first completed work (the
 // warm-up cost the controller's payback check already priced in).
 func (s *sim) scaleOut(t float64, ingress bool, reason string) {
-	rep, err := s.addReplica(ingress, t)
+	rep, err := s.addReplica(ingress, onScaleOut, t)
 	if err != nil {
 		// The blueprint built N replicas at newSim; it cannot fail now.
 		return
 	}
-	rep.health, rep.provisioning = faults.Down, true
 	s.res.ScaleEvents = append(s.res.ScaleEvents, ScaleEvent{
 		T: t, Pool: s.poolName(ingress), Verdict: autoscale.ScaleOut.String(),
 		Replica: rep.idx, Reason: reason,
@@ -204,45 +183,26 @@ func (s *sim) scaleOut(t float64, ingress bool, reason string) {
 	s.events.push(event{t: t + s.auto.ProvisionDelay, seq: s.nextSeq(), kind: evScaleReady, from: rep})
 }
 
-// scaleReady delivers a provisioned replica: it joins the pool Recovering
-// (routable, cold) and warms up through real traffic.
-func (s *sim) scaleReady(e event) {
-	rep := e.from
-	if rep.retired {
-		return
-	}
-	rep.provisioning = false
-	rep.health = faults.Recovering
-	rep.s.AdvanceTo(e.t)
-}
-
 // scaleIn retires one replica through the graceful-drain path: its queued
-// requests re-route to peers, its resident slots finish locally (no KV is
-// ever dropped), and only then does the replica leave the fleet — the same
-// machinery a fault-injected Drain uses, so run()'s drained-dry check
-// completes the release. The victim is the emptiest eligible replica
-// (ties to the newest, so autoscaled capacity releases before the initial
-// fleet and fault-plan indices stay meaningful). Retired replicas keep
-// their index — stats stay addressable — but never serve or count again.
+// requests re-route to peers, its resident slots finish locally, and only
+// then does the replica leave the fleet — the same machinery a
+// fault-injected Drain uses, so run()'s drained-dry check completes the
+// release. The victim is the emptiest healthy or degraded replica (ties to
+// the newest, so autoscaled capacity releases before the initial fleet and
+// fault-plan indices stay meaningful). Retired replicas keep their index —
+// stats stay addressable — but never serve or count again.
 func (s *sim) scaleIn(t float64, ingress bool, reason string) {
 	pool := s.ingress
 	if !ingress {
 		pool = s.decode
-		// Never release the last live decode replica: that would trip the
-		// unified fallback.
-		live := 0
-		for _, rep := range pool {
-			if !rep.retired && rep.health.Routable() {
-				live++
-			}
-		}
-		if live <= 1 {
-			return
-		}
 	}
+	live := 0
 	var victim *replica
 	for _, rep := range pool {
-		if rep.retired || rep.provisioning || !rep.health.Routable() || rep.health == faults.Recovering {
+		if rep.stage.routable() {
+			live++
+		}
+		if rep.stage != healthy && rep.stage != degraded {
 			continue
 		}
 		if victim == nil || s.effLoad(rep) < s.effLoad(victim) ||
@@ -250,10 +210,12 @@ func (s *sim) scaleIn(t float64, ingress bool, reason string) {
 			victim = rep
 		}
 	}
-	if victim == nil {
+	// Never release the last live decode replica: that would trip the
+	// unified fallback.
+	if victim == nil || !ingress && live <= 1 {
 		return
 	}
-	victim.retired = true
+	victim.move(onScaleIn, t)
 	s.drain(victim, t)
 	s.res.ScaleEvents = append(s.res.ScaleEvents, ScaleEvent{
 		T: t, Pool: s.poolName(ingress), Verdict: autoscale.ScaleIn.String(),
@@ -266,19 +228,12 @@ func (s *sim) recordTick(t float64) {
 	ts := TickStat{T: t}
 	var drains []float64
 	for _, rep := range s.all {
-		if rep.retired {
-			if rep.health == faults.Draining {
-				ts.Draining++
-			}
-			continue
-		}
-		switch {
-		case rep.provisioning:
+		switch rep.stage {
+		case provisioning:
 			ts.Provisioning++
-		case rep.health == faults.Down:
-		case rep.health == faults.Draining:
+		case draining, retiring:
 			ts.Draining++
-		default:
+		case healthy, degraded, recovering:
 			ts.Live++
 			b := rep.s.Snapshot()
 			ts.QueueDepth += b.Pending

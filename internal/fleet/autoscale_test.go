@@ -342,7 +342,7 @@ func TestAutoscaleDisaggregated(t *testing.T) {
 	trace := batching.WithSLO(zipfTrace(400, 0.01, 11), 10.0, 0.3, 5)
 	c := Config{
 		Replica: replicaConfig(), Policy: Affinity,
-		Disaggregated: true, PrefillReplicas: 2, DecodeReplicas: 2,
+		PrefillReplicas: 2, DecodeReplicas: 2,
 		Faults:    plan,
 		Autoscale: &autoscale.Policy{Interval: 0.25, MinReplicas: 1, MaxReplicas: 4},
 	}
@@ -389,5 +389,92 @@ func TestAutoscaleConfigErrors(t *testing.T) {
 	}
 	if _, err := Simulate(bad, trace); !errors.Is(err, batching.ErrInvalidConfig) {
 		t.Errorf("inverted bands: %v, want ErrInvalidConfig", err)
+	}
+}
+
+// A prefill handoff is a replica's completed work, as a decode completion
+// is: a prefill replica that joins by scale-out leaves recovering at its
+// first handoff, so the autoscaler may release it instead of the initial
+// fleet.
+func TestAutoscalePrefillLeavesRecovering(t *testing.T) {
+	c := Config{
+		Replica: replicaConfig(), PrefillReplicas: 2, DecodeReplicas: 2, Policy: Affinity,
+		Faults:    chaosPlan(),
+		Recovery:  RecoveryPolicy{BrownoutBelow: 0.6},
+		Autoscale: autoPolicy(),
+	}
+	res, err := Simulate(c, chaosTrace(chaosTraceN))
+	if err != nil {
+		t.Fatal(err)
+	}
+	checkFaultInvariants(t, res, chaosTraceN)
+	checked := 0
+	for _, r := range res.PerReplica {
+		// A prefill replica that never crashed handed off every request it
+		// routed, unless a scale-in evicted it (and then it is retired).
+		if r.Role != "prefill" || r.Crashes > 0 || r.Routed == 0 {
+			continue
+		}
+		checked++
+		if r.FinalHealth == "recovering" {
+			t.Errorf("prefill replica %d produced %d first tokens but ended recovering", r.ID, r.LocalTokens)
+		}
+	}
+	if checked == 0 || res.ScaleOuts == 0 {
+		t.Fatalf("scenario exercised no prefill scale-out (%d checked, %d out) — rebuild it", checked, res.ScaleOuts)
+	}
+}
+
+// A crash of a replica the autoscaler is releasing loses its resident work
+// like any crash — to the wasted ledger, then retries — and retires the
+// replica at the crash. A straggler window on it slows the release as it
+// would slow any replica.
+func TestFaultsReachRetiringReplica(t *testing.T) {
+	trace := chaosTrace(chaosTraceN)
+	c := Config{Replica: replicaConfig(), Replicas: 4, Policy: Affinity, Autoscale: autoPolicy()}
+	base, err := Simulate(c, trace)
+	if err != nil {
+		t.Fatal(err)
+	}
+	// The release of an initial replica (a fault plan can name it) that
+	// still had resident work when the autoscaler picked it.
+	var in *ScaleEvent
+	for i, ev := range base.ScaleEvents {
+		if ev.Verdict == "scale-in" && ev.Replica < 4 && base.PerReplica[ev.Replica].RetiredAt > ev.T {
+			in = &base.ScaleEvents[i]
+			break
+		}
+	}
+	if in == nil {
+		t.Fatal("no slow release of an initial replica — rebuild the scenario")
+	}
+	id, released := in.Replica, base.PerReplica[in.Replica].RetiredAt
+	at := (in.T + released) / 2
+
+	c.Faults = *new(faults.Plan).Crash(id, at, at+1)
+	res, err := Simulate(c, trace)
+	if err != nil {
+		t.Fatal(err)
+	}
+	checkFaultInvariants(t, res, chaosTraceN)
+	r := res.PerReplica[id]
+	if r.Crashes != 1 || !r.Retired || r.RetiredAt != at || r.FinalHealth != "retired" || r.Downtime != 0 {
+		t.Errorf("crash at %.3f while retiring: crashes %d, retired %v at %.3f, final %q, downtime %g; "+
+			"want the crash absorbed and the replica retired at the crash", at, r.Crashes, r.Retired, r.RetiredAt,
+			r.FinalHealth, r.Downtime)
+	}
+	if r.WastedTokens == 0 || res.Retries == 0 {
+		t.Errorf("crash while retiring wasted %d tokens with %d retries; want its resident work lost and retried",
+			r.WastedTokens, res.Retries)
+	}
+
+	c.Faults = *new(faults.Plan).Straggle(id, at, -1, 4)
+	slow, err := Simulate(c, trace)
+	if err != nil {
+		t.Fatal(err)
+	}
+	checkFaultInvariants(t, slow, chaosTraceN)
+	if got := slow.PerReplica[id].RetiredAt; got <= released {
+		t.Errorf("straggling from %.3f, the release finished at %.3f, not after %.3f", at, got, released)
 	}
 }

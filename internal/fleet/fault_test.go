@@ -4,6 +4,8 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"math"
+	"math/rand"
 	"os"
 	"strconv"
 	"strings"
@@ -291,8 +293,7 @@ func TestUnifiedFallback(t *testing.T) {
 	var plan faults.Plan
 	plan.Crash(2, 1.0, -1).Crash(3, 1.0, -1)
 	c := Config{
-		Replica: replicaConfig(), Disaggregated: true,
-		PrefillReplicas: 2, DecodeReplicas: 2, Policy: Affinity, Faults: plan,
+		Replica: replicaConfig(), PrefillReplicas: 2, DecodeReplicas: 2, Policy: Affinity, Faults: plan,
 	}
 	trace := zipfTrace(120, 0.05, 3)
 	res, err := Simulate(c, trace)
@@ -336,8 +337,7 @@ func TestUnifiedFallback(t *testing.T) {
 // attempts run out.
 func TestLinkFailure(t *testing.T) {
 	c := Config{
-		Replica: replicaConfig(), Disaggregated: true,
-		PrefillReplicas: 2, DecodeReplicas: 2, Policy: Affinity,
+		Replica: replicaConfig(), PrefillReplicas: 2, DecodeReplicas: 2, Policy: Affinity,
 	}
 	trace := zipfTrace(120, 0.05, 3)
 	base, err := Simulate(c, trace)
@@ -389,8 +389,7 @@ func autoDisaggPolicy() *autoscale.Policy {
 // test instead of hanging the suite.
 func TestLinkFailureAutoscaled(t *testing.T) {
 	c := Config{
-		Replica: replicaConfig(), Disaggregated: true,
-		PrefillReplicas: 2, DecodeReplicas: 2, Policy: Affinity,
+		Replica: replicaConfig(), PrefillReplicas: 2, DecodeReplicas: 2, Policy: Affinity,
 		Faults:    *new(faults.Plan).LinkFail(1.0, -1),
 		Autoscale: autoDisaggPolicy(),
 	}
@@ -444,10 +443,49 @@ func TestDrainGraceful(t *testing.T) {
 	}
 }
 
+// checkLifetimes asserts each replica's lifecycle bookkeeping: its window
+// opens no later than it closes, and closes by the end of the run (exactly
+// there unless the replica was released); its downtime fits in the window;
+// and it is Retired exactly when its final stage is retired.
+func checkLifetimes(t *testing.T, res Result) {
+	t.Helper()
+	end := res.Makespan
+	for _, r := range res.PerReplica {
+		end = math.Max(end, r.RetiredAt)
+	}
+	for _, r := range res.PerReplica {
+		if r.AddedAt > r.RetiredAt || !r.Retired && r.RetiredAt != end {
+			t.Errorf("replica %d window [%.3f, %.3f], retired %v, run ends %.3f", r.ID, r.AddedAt, r.RetiredAt, r.Retired, end)
+		}
+		if r.Downtime > r.RetiredAt-r.AddedAt+1e-9 {
+			t.Errorf("replica %d down %.3f s of a %.3f s window", r.ID, r.Downtime, r.RetiredAt-r.AddedAt)
+		}
+		if r.Retired != (r.FinalHealth == "retired") {
+			t.Errorf("replica %d retired %v but final stage %q", r.ID, r.Retired, r.FinalHealth)
+		}
+	}
+}
+
+// drawPolicy draws an autoscale tuning — tick, bounds, bands, debounce,
+// cooldown and warm-up — so the property tests reach tunings the
+// hand-picked policies do not.
+func drawPolicy(rng *rand.Rand) *autoscale.Policy {
+	out, lo := 0.5+2*rng.Float64(), 1+rng.Intn(2)
+	return &autoscale.Policy{
+		Interval:    0.1 + 0.4*rng.Float64(),
+		MinReplicas: lo, MaxReplicas: lo + rng.Intn(6),
+		ScaleOutAbove: out, ScaleInBelow: out * (0.1 + 0.6*rng.Float64()),
+		OverTicks: 1 + rng.Intn(3), UnderTicks: 1 + rng.Intn(4),
+		CooldownTicks:  rng.Intn(6) - 1, // -1: none, 0: the default
+		ProvisionDelay: 0.1 + rng.Float64(), WarmupCost: 0.05 + rng.Float64(),
+	}
+}
+
 // Satellite property test: under any seeded fault plan — and under the
 // naive policy, disaggregated (equal and unequal pools, and the paper's
-// static 1 + 1 pipeline), and autoscaled in both layouts — the
-// partition and token-accounting invariants hold, a second run replays the
+// static 1 + 1 pipeline), and autoscaled in both layouts, with the
+// hand-picked policies and with ones drawn from the seed — the partition,
+// token-accounting and lifetime invariants hold, a second run replays the
 // first byte for byte, and the replicas' lifetime windows sum to
 // ReplicaSeconds. CI sweeps CHAOS_SEED_BASE across a matrix.
 func TestFaultPlanInvariants(t *testing.T) {
@@ -466,14 +504,17 @@ func TestFaultPlanInvariants(t *testing.T) {
 			trace := batching.WithSLO(zipfTrace(120, 0.01, seed), 30, 0.25, seed)
 			unified := Config{Replica: replicaConfig(), Replicas: 4, Policy: Affinity,
 				Seed: seed, Faults: plan, Recovery: RecoveryPolicy{BrownoutBelow: 0.5}}
-			disagg := Config{Replica: replicaConfig(), Disaggregated: true,
-				PrefillReplicas: 2, DecodeReplicas: 2, Policy: Affinity, Seed: seed, Faults: plan}
+			disagg := Config{Replica: replicaConfig(), PrefillReplicas: 2, DecodeReplicas: 2,
+				Policy: Affinity, Seed: seed, Faults: plan}
 			naive := unified
 			naive.Recovery = RecoveryPolicy{Naive: true}
 			autoUnified := unified
 			autoUnified.Autoscale = autoPolicy()
 			autoDisagg := disagg
 			autoDisagg.Autoscale = autoDisaggPolicy()
+			rng := rand.New(rand.NewSource(seed))
+			drawnUnified, drawnDisagg := unified, disagg
+			drawnUnified.Autoscale, drawnDisagg.Autoscale = drawPolicy(rng), drawPolicy(rng)
 			unequal := unequalPools()
 			unequal.Seed, unequal.Faults = seed, plan
 			// The paper's pipeline has two replicas: the same generator
@@ -481,12 +522,14 @@ func TestFaultPlanInvariants(t *testing.T) {
 			pipeline := Pipeline(paperPipeline())
 			pipeline.Seed, pipeline.Faults = seed, faults.RandomPlan(seed, 2, 8.0)
 			for name, c := range map[string]Config{"unified": unified, "disagg": disagg, "naive": naive,
-				"auto-unified": autoUnified, "auto-disagg": autoDisagg, "unequal": unequal, "pipeline": pipeline} {
+				"auto-unified": autoUnified, "auto-disagg": autoDisagg, "drawn-unified": drawnUnified,
+				"drawn-disagg": drawnDisagg, "unequal": unequal, "pipeline": pipeline} {
 				res, err := Simulate(c, trace)
 				if err != nil {
 					t.Fatalf("%s: %v", name, err)
 				}
 				checkFaultInvariants(t, res, 120)
+				checkLifetimes(t, res)
 				again, err := Simulate(c, trace)
 				if err != nil {
 					t.Fatalf("%s replay: %v", name, err)

@@ -45,8 +45,9 @@ type RecoveryPolicy struct {
 	BrownoutBelow float64
 }
 
-// applyFault transitions replica health (and link state) for one scheduled
-// fault event, re-routing or hedging work as the state machine demands.
+// applyFault moves the replica (or sets the link state) for one scheduled
+// fault event, re-routing or hedging work as the move demands. An event the
+// replica's stage does not take changes nothing.
 func (s *sim) applyFault(e event) {
 	f := e.fault
 	switch f.Kind {
@@ -66,92 +67,57 @@ func (s *sim) applyFault(e event) {
 		return
 	}
 	rep := s.all[f.Replica]
-	if rep.retired {
-		// The autoscaler released this replica before the plan reached it;
-		// there is nothing left to crash, drain, or recover.
+	if !rep.move(faultEvent[f.Kind], e.t) {
 		return
 	}
 	switch f.Kind {
 	case faults.Crash:
-		if rep.health == faults.Down {
-			return
-		}
+		// The replica's entire state is lost: every resident request's KV
+		// and tokens go to the wasted ledger, and each request whose last
+		// copy died is retried (or failed). In-flight handoffs it already
+		// sent survive — the exported KV is self-contained, exactly like
+		// EnginePair's SlotKV.
 		rep.stats.Crashes++
-		s.crash(rep, e.t)
-	case faults.Drain:
-		if rep.health == faults.Down || rep.health == faults.Draining {
-			return
+		for _, lw := range rep.s.Crash() {
+			delete(s.origin, lw.Req)
+			if s.lose(lw.Req, rep, batching.ErrReplicaDown, lw.Prefilled, lw.Decoded) {
+				s.retryOrFail(s.states[lw.Req], e.t)
+			}
 		}
+		s.checkFallback()
+	case faults.Drain:
 		s.drain(rep, e.t)
 	case faults.Recover:
-		switch rep.health {
-		case faults.Down:
-			rep.health = faults.Recovering
-			rep.stats.Downtime += e.t - rep.downSince
-			rep.s.AdvanceTo(e.t)
-		case faults.Draining:
-			// Recover during a drain cancels it.
-			rep.health = faults.Healthy
-		}
+		// A recovered replica restarts its clock; a cancelled drain is
+		// busy, so its clock is already past e.t.
+		rep.s.AdvanceTo(e.t)
 	case faults.SlowStart:
-		if rep.health == faults.Down {
-			return
-		}
 		rep.s.SetSlowdown(f.Factor)
-		if rep.health == faults.Healthy || rep.health == faults.Recovering {
-			rep.health = faults.Degraded
-		}
 		s.hedgeStraggler(rep, e.t)
 	case faults.SlowEnd:
 		rep.s.SetSlowdown(1)
-		if rep.health == faults.Degraded {
-			rep.health = faults.Healthy
-		}
 	}
 }
 
-// crash loses the replica's entire state: every resident request's KV and
-// tokens go to the wasted ledger, and each request whose last copy died is
-// retried (or failed). In-flight handoffs the replica already sent survive
-// — the exported KV is self-contained, exactly like EnginePair's SlotKV.
-func (s *sim) crash(rep *replica, t float64) {
-	rep.health = faults.Down
-	rep.downSince = t
-	for _, lw := range rep.s.Crash() {
-		delete(s.origin, lw.Req)
-		if s.lose(lw.Req, rep, batching.ErrReplicaDown, lw.Prefilled, lw.Decoded) {
-			s.retryOrFail(s.states[lw.Req], t)
-		}
-	}
-	s.checkFallback()
-}
+// faultEvent is the lifecycle event of each replica fault.
+var faultEvent = map[faults.Kind]lifeEvent{faults.Crash: onCrash, faults.Drain: onDrain,
+	faults.Recover: onRecover, faults.SlowStart: onSlowStart, faults.SlowEnd: onSlowEnd}
 
-// drain takes rep out of routing: its queued requests re-route now, its
-// resident slots finish locally, and run() takes it Down once it runs dry.
-// A fault-plan Drain and an autoscale release share this path.
+// drain empties a replica just moved to draining or retiring: its queued
+// requests re-route now, and its resident slots finish locally. Once it runs
+// dry (now, or in run()) the drain ends, losing nothing: the replica goes
+// down, or an autoscale release retires — the moment its capacity is handed
+// back, so its lifetime window closes there, not at the scale-in decision.
 func (s *sim) drain(rep *replica, t float64) {
-	rep.health = faults.Draining
 	for _, r := range rep.s.EvictQueued() {
 		if s.lose(r, rep, nil, 0, 0) {
 			s.reroute(r, t)
 		}
 	}
 	if !rep.s.Busy() {
-		s.setDown(rep, t)
+		rep.move(onDrained, t)
+		s.checkFallback()
 	}
-}
-
-// setDown finishes a drain: the replica served its last in-flight sequence
-// and leaves the fleet (losing nothing). For an autoscale release this is
-// the moment the capacity is actually handed back, so the lifetime window
-// closes here, not at the scale-in decision.
-func (s *sim) setDown(rep *replica, t float64) {
-	rep.health = faults.Down
-	rep.downSince = t
-	if rep.retired {
-		rep.retiredAt = t
-	}
-	s.checkFallback()
 }
 
 // retryOrFail re-routes a request whose last live copy was just lost:
@@ -210,7 +176,7 @@ func (s *sim) hedgeStraggler(rep *replica, t float64) {
 func (s *sim) bestOther(rep *replica) *replica {
 	var best *replica
 	for _, cand := range s.ingress {
-		if cand == rep || !cand.health.Routable() || cand.health == faults.Degraded {
+		if cand == rep || !cand.stage.routable() || cand.stage == degraded {
 			continue
 		}
 		if best == nil || s.effLoad(cand) < s.effLoad(best) {
@@ -231,18 +197,18 @@ func (s *sim) brownout() bool {
 	return float64(live) < w*float64(total)
 }
 
-// liveFraction counts routable ingress replicas out of the total. Retired
-// replicas are gone (a scaled-in fleet is smaller, not browner), and
-// still-provisioning ones are not yet capacity — neither may depress the
-// brownout fraction.
+// liveFraction counts routable ingress replicas out of the total. Retiring
+// and retired replicas are leaving (a scaled-in fleet is smaller, not
+// browner), and provisioning ones are not yet capacity — none may depress
+// the brownout fraction.
 func (s *sim) liveFraction() (live, total int) {
 	for _, rep := range s.ingress {
-		if rep.retired || rep.provisioning {
-			continue
-		}
-		total++
-		if rep.health.Routable() {
+		switch rep.stage {
+		case healthy, degraded, recovering:
 			live++
+			total++
+		case draining, down:
+			total++
 		}
 	}
 	return live, total
@@ -252,11 +218,11 @@ func (s *sim) liveFraction() (live, total int) {
 // replica is live — graceful degradation instead of a fleet that prefills
 // forever and decodes nothing. One-way for the run.
 func (s *sim) checkFallback() {
-	if !s.c.Disaggregated || s.fallback || s.c.Recovery.Naive {
+	if !s.c.disaggregated() || s.fallback || s.c.Recovery.Naive {
 		return
 	}
 	for _, rep := range s.decode {
-		if rep.health.Routable() {
+		if rep.stage.routable() {
 			return
 		}
 	}

@@ -27,7 +27,7 @@
 //     chips on tokens that still count toward goodput.
 //   - Fault tolerance: a deterministic faults.Plan injects replica crashes,
 //     graceful drains, straggler slowdowns, and handoff-link outages into
-//     the same event heap. Replicas move through a health state machine,
+//     the same event heap. Replicas move through their lifecycle (below),
 //     crashed requests re-route with capped exponential backoff (or are
 //     shed as ErrDeadline when the retry cannot make its SLO, or fail as
 //     ErrReplicaDown when retries run out), stragglers get their stuck
@@ -42,10 +42,32 @@
 //
 // Each state transition of the simulation is written once: settle books a
 // request's terminal state, lose drops one copy of a request, reroute sends
-// a request back through the router, drain takes a replica out of routing
-// and addReplica builds one. Result's totals that an itemized ledger
-// already holds (Ticks, ScaleOuts/ScaleIns, the Wasted* totals) are read
-// off that ledger when the run ends.
+// a request back through the router, drain takes a replica out of routing,
+// addReplica builds one and move changes its lifecycle stage. Result's
+// totals that an itemized ledger already holds (Ticks, ScaleOuts/ScaleIns,
+// the Wasted* totals) are read off that ledger when the run ends.
+//
+// A replica's lifecycle is one stage, changed only by move, which checks
+// every move against one table (lifecycle.go). Per event:
+//
+//	build        absent → healthy (the initial fleet)
+//	scale-out    absent → provisioning
+//	provisioned  provisioning → recovering (serving, cache cold)
+//	served       recovering → healthy (first final token or prefill handoff)
+//	slow-start   healthy, recovering → degraded; draining, retiring slow down
+//	slow-end     degraded → healthy; draining, retiring, down speed up
+//	drain        healthy, degraded, recovering → draining
+//	recover      down → recovering; draining → healthy (the drain cancelled)
+//	crash        healthy, degraded, draining, recovering → down;
+//	             retiring → retired (its resident work lost and retried)
+//	scale-in     healthy, degraded → retiring
+//	drained      draining → down; retiring → retired
+//
+// Served leaves any other stage as it is. A fault that finds its replica in
+// a stage not listed does nothing (so a recover never cancels a release);
+// any other unlisted move is a simulator bug and panics. Healthy, degraded
+// and recovering replicas take new work; draining and retiring ones finish
+// theirs.
 package fleet
 
 import (
@@ -97,27 +119,27 @@ func (p Policy) String() string {
 type Config struct {
 	// Replica is the per-replica serving configuration (model, slice,
 	// layout, slots, batching discipline) of every unified replica, and of
-	// the decode pool when Disaggregated.
+	// the decode pool when disaggregated.
 	Replica batching.Config
 	// PrefillReplica is the prefill pool's replica configuration when
-	// Disaggregated (nil = Replica). It must hold the KV the decode pool
+	// disaggregated (nil = Replica). It must hold the KV the decode pool
 	// imports: the same Model and KVDType, and a MaxLen no larger than
 	// Replica's. Ignored in unified mode.
 	PrefillReplica *batching.Config
 	// Replicas is the fleet size in unified mode (each replica runs both
-	// phases). Ignored when Disaggregated.
+	// phases). Ignored when disaggregated.
 	Replicas int
 	// Policy is the routing policy for arrivals; a value other than the
 	// three named policies is invalid.
 	Policy Policy
-	// Disaggregated splits the fleet into PrefillReplicas prefill-only
-	// replicas and DecodeReplicas decode replicas. A request prefills on
-	// one pool, then its slot KV crosses the interconnect and decoding
-	// resumes on the other — the fleet-scale version of the paper's
-	// two-tier pipeline (Pipeline builds the paper's own: one static
-	// replica per pool). Each handoff delays the decode admission by
-	// Context × KV-bytes-per-token / the prefill chip's NetworkBandwidth.
-	Disaggregated   bool
+	// PrefillReplicas and DecodeReplicas, when either is set, disaggregate
+	// the fleet into that many prefill-only and decode replicas (both at
+	// least 1). A request prefills on one pool, then its slot KV crosses the
+	// interconnect and decoding resumes on the other — the fleet-scale
+	// version of the paper's two-tier pipeline (Pipeline builds the paper's
+	// own: one static replica per pool). Each handoff delays the decode
+	// admission by Context × KV-bytes-per-token / the prefill chip's
+	// NetworkBandwidth.
 	PrefillReplicas int
 	DecodeReplicas  int
 	// MaxQueue bounds each replica's admission queue (0 = unbounded;
@@ -139,7 +161,7 @@ type Config struct {
 	Recovery RecoveryPolicy
 	// Autoscale arms the perf-model-driven control loop: control ticks run
 	// as first-class events in the simulation heap, and each pool (prefill
-	// and decode independently when Disaggregated) scales out or in under
+	// and decode independently when disaggregated) scales out or in under
 	// the policy's hysteresis bands. Nil disables autoscaling (the fleet
 	// stays at its configured size); zero fields in a non-nil policy take
 	// the autoscale package defaults. Incompatible with the naive baseline
@@ -293,24 +315,15 @@ type WastedWork struct {
 	DecodedTokens int
 }
 
-// replica couples a scheduler with its fleet role and health.
+// replica couples a scheduler with its fleet role and lifecycle stage.
 type replica struct {
 	idx     int
 	s       *batching.Scheduler
 	chips   int
 	prefill bool
-	health  faults.Health
-	// downSince is when the replica last went Down (for Downtime).
-	downSince float64
-	// Autoscale lifecycle: addedAt is when the replica was provisioned (0
-	// for the initial fleet), provisioning marks the window before its
-	// evScaleReady fires, and retired/retiredAt mark an autoscale release —
-	// a retired replica keeps its index but never serves or counts again.
-	addedAt      float64
-	provisioning bool
-	retired      bool
-	retiredAt    float64
-	stats        ReplicaStats
+	stage   stage
+	since   float64 // when the replica entered its stage
+	stats   ReplicaStats
 }
 
 type eventKind int
@@ -403,7 +416,7 @@ type sim struct {
 	auto       *autoscale.Policy     // effective (defaulted) policy
 	ctlIngress *autoscale.Controller // unified fleet or prefill pool
 	ctlDecode  *autoscale.Controller // decode pool when disaggregated
-	recovers   map[int][]float64     // plan-scheduled Recover times per replica
+	recovers   map[int]float64       // each replica's last plan-scheduled Recover
 	prevShed   int                   // shed counter at the previous tick
 	prevMiss   int                   // miss+fail counter at the previous tick
 }
@@ -460,7 +473,7 @@ func newSim(c Config) (*sim, error) {
 			batching.ErrInvalidConfig, w)
 	}
 	ingress, decode := c.Replicas, 0
-	if c.Disaggregated {
+	if c.disaggregated() {
 		if c.PrefillReplicas < 1 || c.DecodeReplicas < 1 {
 			return nil, fmt.Errorf("fleet: %w: disaggregated needs prefill and decode replicas, got %d/%d",
 				batching.ErrInvalidConfig, c.PrefillReplicas, c.DecodeReplicas)
@@ -477,11 +490,11 @@ func newSim(c Config) (*sim, error) {
 		return nil, fmt.Errorf("fleet: %w: %d replicas", batching.ErrInvalidConfig, c.Replicas)
 	}
 	for i := 0; i < ingress+decode; i++ {
-		if _, err := s.addReplica(i < ingress, 0); err != nil {
+		if _, err := s.addReplica(i < ingress, onBuild, 0); err != nil {
 			return nil, err
 		}
 	}
-	if c.Disaggregated {
+	if c.disaggregated() {
 		s.kvBytes = s.in.Model.KVBytesPerTokenAs(s.in.KVDType)
 		s.bw = s.in.System.Chip.NetworkBandwidth
 		if s.bw <= 0 || math.IsNaN(s.bw) {
@@ -501,14 +514,18 @@ func newSim(c Config) (*sim, error) {
 	return s, nil
 }
 
-// addReplica builds one replica at time t from its pool's config and
-// appends it to the ingress pool (unified replicas, or the prefill pool) or
-// to the decode pool. An ingress replica of a disaggregated fleet runs
-// prefill-only until the unified fallback; one built after it serves
-// unified. Replicas are only ever appended, so a replica's index is stable
-// for the run.
-func (s *sim) addReplica(ingress bool, t float64) (*replica, error) {
-	prefill := s.c.Disaggregated && ingress && !s.fallback
+// disaggregated reports whether the config names pool sizes.
+func (c Config) disaggregated() bool { return c.PrefillReplicas != 0 || c.DecodeReplicas != 0 }
+
+// addReplica builds one replica at time t from its pool's config, moves it
+// out of absent by ev (onBuild for the initial fleet, onScaleOut for a
+// scale-out) and appends it to the ingress pool (unified replicas, or the
+// prefill pool) or to the decode pool. An ingress replica of a
+// disaggregated fleet runs prefill-only until the unified fallback; one
+// built after it serves unified. Replicas are only ever appended, so a
+// replica's index is stable for the run.
+func (s *sim) addReplica(ingress bool, ev lifeEvent, t float64) (*replica, error) {
+	prefill := s.c.disaggregated() && ingress && !s.fallback
 	build := batching.NewScheduler
 	if prefill {
 		build = batching.NewPrefillScheduler
@@ -526,7 +543,8 @@ func (s *sim) addReplica(ingress bool, t float64) (*replica, error) {
 		role = "prefill→unified"
 	}
 	rep := &replica{idx: len(s.all), s: sch, chips: cfg.System.Chips(), prefill: prefill,
-		addedAt: t, downSince: t, stats: ReplicaStats{Role: role}}
+		stats: ReplicaStats{ID: len(s.all), Role: role}}
+	rep.move(ev, t)
 	s.all = append(s.all, rep)
 	if ingress {
 		s.ingress = append(s.ingress, rep)
@@ -544,8 +562,9 @@ func (s *sim) nextSeq() int { s.seq++; return s.seq }
 // deliver that event.
 // Replica iterations are atomic (a request arriving mid-iteration queues
 // until the next), the same granularity the single-replica Simulate has.
-// Down replicas never step: under the naive policy their queues sit there,
-// silently eaten, until finish() books them as failures.
+// Replicas that are not up never step: under the naive policy a down
+// replica's queue sits there, silently eaten, until finish() books it as
+// failures.
 func (s *sim) run() {
 	for {
 		next := math.Inf(1)
@@ -554,10 +573,7 @@ func (s *sim) run() {
 		}
 		var b *replica
 		for _, r := range s.all {
-			if r.health == faults.Down {
-				continue
-			}
-			if r.s.Busy() && r.s.Now() < next && (b == nil || r.s.Now() < b.s.Now()) {
+			if r.stage.up() && r.s.Busy() && r.s.Now() < next && (b == nil || r.s.Now() < b.s.Now()) {
 				b = r
 			}
 		}
@@ -574,9 +590,10 @@ func (s *sim) run() {
 					s.complete(b, req)
 				}
 			}
-			if b.health == faults.Draining && !b.s.Busy() {
+			if (b.stage == draining || b.stage == retiring) && !b.s.Busy() {
 				// Drained dry: the last in-flight sequence finished.
-				s.setDown(b, b.s.Now())
+				b.move(onDrained, b.s.Now())
+				s.checkFallback()
 			}
 			continue
 		}
@@ -601,7 +618,8 @@ func (s *sim) run() {
 		case evTick:
 			s.tick(e.t)
 		case evScaleReady:
-			s.scaleReady(e)
+			e.from.move(onProvisioned, e.t)
+			e.from.s.AdvanceTo(e.t)
 		default:
 			s.deliver(e.req, e.t)
 		}
@@ -732,7 +750,7 @@ func (s *sim) setOutcome(st *reqState, replica int, err error) {
 func (s *sim) routable() []int {
 	cand := make([]int, 0, len(s.ingress))
 	for i, rep := range s.ingress {
-		if s.c.Recovery.Naive || rep.health.Routable() {
+		if s.c.Recovery.Naive || rep.stage.routable() {
 			cand = append(cand, i)
 		}
 	}
@@ -791,7 +809,7 @@ func (s *sim) pick(r *batching.Request, cand []int) int {
 // delay and the decode pool's service — for the shed-on-deadline decision.
 func (s *sim) estimate(target *replica, r *batching.Request) float64 {
 	est := target.s.EstimateFinish(r, false)
-	if !s.c.Disaggregated || !target.prefill {
+	if !target.prefill {
 		return est
 	}
 	di := s.pickDecode()
@@ -811,6 +829,7 @@ func (s *sim) handoffDelay(r *batching.Request) float64 {
 // replica is booked at completion (so a request lost later lands in the
 // wasted ledger instead).
 func (s *sim) handoff(from *replica, r *batching.Request) {
+	from.move(onServed, from.s.Now())
 	st := s.states[r]
 	if st.done {
 		// A hedge twin already served the request; this copy's prefill is
@@ -844,7 +863,7 @@ func (s *sim) admitDecode(e event) {
 	switch {
 	case idx >= 0:
 		target = s.decode[idx]
-	case s.fallback && e.from != nil && e.from.health != faults.Down:
+	case s.fallback && e.from != nil && e.from.stage.up():
 		target = e.from
 	default:
 		// KV arrived with no live decode replica and no fallback path:
@@ -865,7 +884,7 @@ func (s *sim) admitDecode(e event) {
 func (s *sim) pickDecode() int {
 	best := -1
 	for i, rep := range s.decode {
-		if !s.c.Recovery.Naive && !rep.health.Routable() {
+		if !s.c.Recovery.Naive && !rep.stage.routable() {
 			continue
 		}
 		if best < 0 || s.effLoad(rep) < s.effLoad(s.decode[best]) {
@@ -884,9 +903,7 @@ func (s *sim) complete(on *replica, r *batching.Request) {
 	if fromHandoff {
 		delete(s.origin, r)
 	}
-	if on.health == faults.Recovering {
-		on.health = faults.Healthy
-	}
+	on.move(onServed, on.s.Now())
 	if st.done {
 		pre := 0
 		if !fromHandoff {
@@ -928,10 +945,13 @@ func (s *sim) complete(on *replica, r *batching.Request) {
 }
 
 func (s *sim) finish() Result {
-	// Down replicas may still hold work the naive health-blind router kept
-	// feeding them: those requests were silently eaten.
+	// The run's end closes a down replica's downtime and every window but a
+	// released replica's, which move closed at its release. A down replica
+	// may still hold work the naive health-blind router kept feeding it:
+	// those requests were silently eaten.
 	for _, rep := range s.all {
-		if rep.health == faults.Down && rep.s.Busy() {
+		if rep.stage == down {
+			rep.stats.Downtime += math.Max(0, s.lastT-rep.since)
 			for _, lw := range rep.s.Crash() {
 				if s.lose(lw.Req, rep, batching.ErrReplicaDown, lw.Prefilled, lw.Decoded) {
 					s.settle(s.states[lw.Req], rep.idx, fmt.Errorf("fleet: %w: request %d eaten by dead replica %d",
@@ -939,21 +959,9 @@ func (s *sim) finish() Result {
 				}
 			}
 		}
-		// A replica the autoscaler released is not down, it is gone; a
-		// still-provisioning replica never served. Neither accrues downtime.
-		if rep.health == faults.Down && !rep.retired && !rep.provisioning {
-			rep.stats.Downtime += math.Max(0, s.lastT-rep.downSince)
-		}
-		rep.stats.FinalHealth = rep.health.String()
-		if rep.retired {
-			rep.stats.FinalHealth = "retired"
-		}
-		rep.stats.ID = rep.idx
-		rep.stats.AddedAt = rep.addedAt
-		rep.stats.Retired = rep.retired
-		if rep.retired {
-			rep.stats.RetiredAt = rep.retiredAt
-		} else {
+		rep.stats.FinalHealth = rep.stage.String()
+		rep.stats.Retired = rep.stage == retired
+		if !rep.stats.Retired {
 			rep.stats.RetiredAt = s.lastT
 		}
 	}

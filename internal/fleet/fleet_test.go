@@ -129,7 +129,6 @@ func TestAffinityBeatsRandom(t *testing.T) {
 func TestDisaggregatedPools(t *testing.T) {
 	c := Config{
 		Replica:         replicaConfig(),
-		Disaggregated:   true,
 		PrefillReplicas: 2,
 		DecodeReplicas:  2,
 		Policy:          Affinity,
@@ -277,7 +276,7 @@ func TestFleetRejectsOversizedAndInvalid(t *testing.T) {
 	if _, err := Simulate(Config{Replica: replicaConfig()}, trace); !errors.Is(err, batching.ErrInvalidConfig) {
 		t.Error("zero replicas accepted")
 	}
-	if _, err := Simulate(Config{Replica: replicaConfig(), Disaggregated: true, PrefillReplicas: 1}, trace); !errors.Is(err, batching.ErrInvalidConfig) {
+	if _, err := Simulate(Config{Replica: replicaConfig(), PrefillReplicas: 1}, trace); !errors.Is(err, batching.ErrInvalidConfig) {
 		t.Error("disaggregated fleet without decode replicas accepted")
 	}
 	for name, bad := range map[string]Config{

@@ -30,7 +30,7 @@ func Pipeline(c serve.Config) Config {
 	pre.PrefixCache = c.PrefixHitRate > 0
 	return Config{
 		Replica: pool(c.Decode), PrefillReplica: &pre,
-		Disaggregated: true, PrefillReplicas: 1, DecodeReplicas: 1,
+		PrefillReplicas: 1, DecodeReplicas: 1,
 	}
 }
 

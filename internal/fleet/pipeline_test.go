@@ -27,7 +27,7 @@ func unequalPools() Config {
 	pre := replicaConfig()
 	pre.System = hardware.TPUv4Slice(2, 4, 4)
 	pre.Slots = 32
-	return Config{Replica: replicaConfig(), PrefillReplica: &pre, Disaggregated: true,
+	return Config{Replica: replicaConfig(), PrefillReplica: &pre,
 		PrefillReplicas: 2, DecodeReplicas: 2, Policy: Affinity}
 }
 
