@@ -3,7 +3,7 @@ GO ?= go
 # 10s per fuzz target in CI and `make ci`; raise locally for deeper runs.
 FUZZTIME ?= 10s
 
-.PHONY: test test-nosimd bench fuzz build ci fuzz-smoke bench-json fmt-check bench-gate bench-compare bench-cpu bench-smoke bench-pairs fleet-diff
+.PHONY: test test-nosimd bench fuzz build ci fuzz-smoke bench-json fmt-check bench-gate bench-compare bench-cpu bench-smoke bench-pairs
 
 # Benchmarks the regression gate watches: the serving steps and the
 # microkernels behind them, the GEMM at every per-chip shape of the bench/
@@ -111,54 +111,6 @@ SEED ?= 1
 bench-pairs:
 	$(GO) run ./cmd/benchpairs -parent=$(PARENT) -workload=$(WORKLOAD) -pairs $(PAIRS) -metric $(METRIC) -seed $(SEED) $(if $(LOG),-log $(LOG))
 
-# Same-behaviour check for a fleet or scheduler refactor: export PARENT with
-# `git archive` into .bench_build/fleet-<commit>/, run every command below
-# in that tree and in the working tree, and compare each pair of outputs
-# byte for byte. Every run is seeded, so any difference is a behaviour
-# change. Every command runs and reports same or differs; the target exits 1
-# at the end if any differed. The commands are CI's fleet-sim estiserve
-# lines (the last pins the prefill pool's scale-in), the prefix-cache and
-# continuous-batching replays, an unequal-tier static pipeline replay, and
-# the three fleet examples.
-FLEET_DIFF_CMDS = \
-	"./cmd/estiserve -model palm540b -replicas 4 -requests 200" \
-	"./cmd/estiserve -model palm540b -replicas 4 -disaggregated -requests 200" \
-	"./cmd/estiserve -model palm540b -replicas 4 -requests 200 -fault-plan crash:1@2+4,slow:0@1-3x2.5" \
-	"./cmd/estiserve -model palm540b -replicas 4 -disaggregated -requests 200 -fault-plan link:1-2,drain:0@3" \
-	"./cmd/estiserve -model palm540b -replicas 4 -autoscale -requests 200 -load 1.2 -fault-plan crash:1@2+4" \
-	"./cmd/estiserve -model palm540b -replicas 4 -disaggregated -autoscale -requests 200 -load 1.2 -fault-plan crash:3@1" \
-	"./cmd/estiserve -model palm540b -replicas 4 -disaggregated -autoscale -requests 400 -load 4" \
-	"./cmd/estiserve -model palm540b -prefix-cache -prefill-chunk 256 -requests 200" \
-	"./cmd/estiserve -model palm540b -continuous -requests 200" \
-	"./cmd/estiserve -model palm540b -prefill-chips 32 -decode-chips 64 -decode-batch 128 -requests 200" \
-	"./examples/fleet" \
-	"./examples/faults" \
-	"./examples/autoscale"
-fleet-diff:
-	@test -n "$(PARENT)" || { echo "fleet-diff: PARENT=<rev> is required"; exit 2; }
-	@set -e; \
-	commit=$$(git rev-parse --verify "$(PARENT)^{commit}"); \
-	tree=.bench_build/fleet-$$commit; out=.bench_build/fleet-diff; \
-	if [ ! -d $$tree ]; then \
-		rm -rf $$tree.tmp; mkdir -p $$tree.tmp; \
-		git archive --format=tar $$commit | tar -x -C $$tree.tmp; \
-		mv $$tree.tmp $$tree; \
-	fi; \
-	rm -rf $$out; mkdir -p $$out; i=0; differ=0; \
-	for c in $(FLEET_DIFF_CMDS); do \
-		i=$$((i+1)); \
-		(cd $$tree && $(GO) run $$c) > $$out/$$i.parent; \
-		$(GO) run $$c > $$out/$$i.work; \
-		if cmp -s $$out/$$i.parent $$out/$$i.work; then \
-			echo "fleet-diff: same: $$c"; \
-		else \
-			differ=$$((differ+1)); \
-			echo "fleet-diff: differs: $$c"; \
-			diff $$out/$$i.parent $$out/$$i.work | head -20; \
-		fi; \
-	done; \
-	if [ $$differ -gt 0 ]; then echo "fleet-diff: $$differ of $$i commands differ from $(PARENT)"; exit 1; fi
-
 # CPU profile of the decode hot path for `go tool pprof` (see the README
 # "Performance" section for the reading guide).
 bench-cpu:
@@ -169,7 +121,8 @@ bench-cpu:
 	@echo "  go tool pprof -http=:8080 cpu.prof"
 
 # Mirror of .github/workflows/ci.yml so contributors can reproduce CI
-# locally before pushing: build, vet, gofmt, race tests, fuzz smoke, the
+# locally before pushing: build, vet, gofmt, race tests (every command's
+# output against its testdata/*.golden among them), fuzz smoke, the
 # end-to-end benchmark's token check, bench artifact plus regression gate.
 # In place of CI's scalar-fallback job (the whole suite under ESTI_NOSIMD=1,
 # `make test-nosimd`) it runs the kernel equivalence tests with dispatch

@@ -11,35 +11,49 @@
 package main
 
 import (
+	"errors"
 	"flag"
 	"fmt"
+	"io"
 	"os"
 
 	"esti/internal/experiments"
 	"esti/internal/perf"
 )
 
-func main() {
-	exp := flag.String("exp", "all", "experiment id to regenerate (or 'all')")
-	flag.Parse()
+func main() { os.Exit(run(os.Args[1:], os.Stdout, os.Stderr)) }
+
+// run is the command: it parses args, writes the artifacts to stdout and
+// errors to stderr, and returns the exit status (2 for a bad flag).
+func run(args []string, stdout, stderr io.Writer) int {
+	fs := flag.NewFlagSet("estibench", flag.ContinueOnError)
+	fs.SetOutput(stderr)
+	exp := fs.String("exp", "all", "experiment id to regenerate (or 'all')")
+	if err := fs.Parse(args); err != nil {
+		if errors.Is(err, flag.ErrHelp) {
+			return 0
+		}
+		return 2
+	}
 
 	k := perf.DefaultKnobs()
 	gens := experiments.Registry(k)
 
 	if *exp == "all" {
 		for _, id := range experiments.RegistryIDs(k) {
-			fmt.Println(gens[id]())
-			fmt.Println()
+			fmt.Fprintln(stdout, gens[id]())
+			fmt.Fprintln(stdout)
 		}
-		return
+		return 0
 	}
 	gen, ok := gens[*exp]
 	if !ok {
-		fmt.Fprintf(os.Stderr, "unknown experiment %q; known:\n", *exp)
+		fmt.Fprintf(stderr, "unknown experiment %q; known:\n", *exp)
 		for _, id := range experiments.RegistryIDs(k) {
-			fmt.Fprintf(os.Stderr, "  %s\n", id)
+			fmt.Fprintf(stderr, "  %s\n", id)
 		}
-		os.Exit(2)
+		return 2
 	}
-	fmt.Println(gen())
+	fmt.Fprintln(stdout, gen())
+	return 0
 }

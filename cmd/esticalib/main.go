@@ -12,8 +12,11 @@
 package main
 
 import (
+	"errors"
 	"flag"
 	"fmt"
+	"io"
+	"os"
 
 	"esti/internal/hardware"
 	"esti/internal/model"
@@ -50,8 +53,8 @@ func anchors() []anchor {
 
 // score is the calibration loss: squared relative time error plus squared
 // MFU error scaled so 5 MFU points weigh like a 50% time error (MFU is the
-// paper's headline metric).
-func score(k perf.Knobs, verbose bool) float64 {
+// paper's headline metric). Each anchor's residual line goes to w.
+func score(k perf.Knobs, w io.Writer) float64 {
 	tot := 0.0
 	for _, a := range anchors() {
 		var r perf.Result
@@ -61,49 +64,57 @@ func score(k perf.Knobs, verbose bool) float64 {
 			r = perf.Prefill(a.req, k)
 		}
 		if !r.Feasible {
-			if verbose {
-				fmt.Printf("  %-22s INFEASIBLE: %s\n", a.name, r.Reason)
-			}
+			fmt.Fprintf(w, "  %-22s INFEASIBLE: %s\n", a.name, r.Reason)
 			tot += 100
 			continue
 		}
 		relT := (r.Time - a.time) / a.time
 		dMFU := r.MFU - a.mfu
 		tot += relT*relT + (dMFU/0.05)*(dMFU/0.05)*0.25
-		if verbose {
-			fmt.Printf("  %-22s time %7.3fs (paper %7.3fs, %+5.1f%%)  MFU %5.1f%% (paper %4.0f%%)\n",
-				a.name, r.Time, a.time, relT*100, r.MFU*100, a.mfu*100)
-		}
+		fmt.Fprintf(w, "  %-22s time %7.3fs (paper %7.3fs, %+5.1f%%)  MFU %5.1f%% (paper %4.0f%%)\n",
+			a.name, r.Time, a.time, relT*100, r.MFU*100, a.mfu*100)
 	}
 	return tot
 }
 
-func main() {
-	grid := flag.Bool("grid", false, "grid-search knob constants instead of only reporting defaults")
-	flag.Parse()
+func main() { os.Exit(run(os.Args[1:], os.Stdout, os.Stderr)) }
+
+// run is the command: it parses args, writes the residuals to stdout and
+// errors to stderr, and returns the exit status (2 for a bad flag).
+func run(args []string, stdout, stderr io.Writer) int {
+	fs := flag.NewFlagSet("esticalib", flag.ContinueOnError)
+	fs.SetOutput(stderr)
+	grid := fs.Bool("grid", false, "grid-search knob constants instead of only reporting defaults")
+	if err := fs.Parse(args); err != nil {
+		if errors.Is(err, flag.ErrHelp) {
+			return 0
+		}
+		return 2
+	}
 
 	if *grid {
 		best := perf.DefaultKnobs()
-		bestS := score(best, false)
+		bestS := score(best, io.Discard)
 		for _, e0 := range []float64{0.76, 0.78, 0.8, 0.82, 0.85, 0.88, 0.9} {
 			for _, ms := range []float64{80, 100, 120, 150} {
 				for _, ks := range []float64{500, 700, 900, 1100, 1400, 1700} {
 					for _, ae := range []float64{0.35, 0.5, 0.7} {
 						k := perf.DefaultKnobs()
 						k.MatmulEffMax, k.MSat, k.KSat, k.NSat, k.AttnEff = e0, ms, ks, ks, ae
-						if s := score(k, false); s < bestS {
+						if s := score(k, io.Discard); s < bestS {
 							best, bestS = k, s
 						}
 					}
 				}
 			}
 		}
-		fmt.Printf("grid best: e0=%.2f MSat=%.0f KSat=%.0f NSat=%.0f AttnEff=%.2f (loss %.3f)\n",
+		fmt.Fprintf(stdout, "grid best: e0=%.2f MSat=%.0f KSat=%.0f NSat=%.0f AttnEff=%.2f (loss %.3f)\n",
 			best.MatmulEffMax, best.MSat, best.KSat, best.NSat, best.AttnEff, bestS)
-		score(best, true)
-		fmt.Println()
+		score(best, stdout)
+		fmt.Fprintln(stdout)
 	}
 
-	fmt.Printf("shipped defaults (loss %.3f):\n", score(perf.DefaultKnobs(), false))
-	score(perf.DefaultKnobs(), true)
+	fmt.Fprintf(stdout, "shipped defaults (loss %.3f):\n", score(perf.DefaultKnobs(), io.Discard))
+	score(perf.DefaultKnobs(), stdout)
+	return 0
 }

@@ -10,8 +10,10 @@
 package main
 
 import (
+	"errors"
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"strings"
 
@@ -22,36 +24,51 @@ import (
 	"esti/internal/tableio"
 )
 
-func main() {
-	modelName := flag.String("model", "palm540b", "model: "+model.PresetNames)
-	chips := flag.Int("chips", 64, "number of chips (power of two)")
-	weights := flag.String("weights", "bf16", "weight format: bf16 or int8")
-	batch := flag.Int("batch", 64, "batch size (sequences)")
-	context := flag.Int("context", 2048, "input tokens per sequence")
-	past := flag.Int("past", 0, "tokens already cached (incremental prefill)")
-	gen := flag.Int("gen", 64, "output tokens per sequence")
-	objective := flag.String("objective", "latency", "optimize for: latency or cost")
-	flag.Parse()
+func main() { os.Exit(run(os.Args[1:], os.Stdout, os.Stderr)) }
+
+// run is the command: it parses args, writes the plan to stdout and errors
+// to stderr, and returns the exit status (2 for a bad flag, 1 for a
+// workload no configuration can serve).
+func run(args []string, stdout, stderr io.Writer) int {
+	fs := flag.NewFlagSet("estiplan", flag.ContinueOnError)
+	fs.SetOutput(stderr)
+	modelName := fs.String("model", "palm540b", "model: "+model.PresetNames)
+	chips := fs.Int("chips", 64, "number of chips (power of two)")
+	weights := fs.String("weights", "bf16", "weight format: bf16 or int8")
+	batch := fs.Int("batch", 64, "batch size (sequences)")
+	context := fs.Int("context", 2048, "input tokens per sequence")
+	past := fs.Int("past", 0, "tokens already cached (incremental prefill)")
+	gen := fs.Int("gen", 64, "output tokens per sequence")
+	objective := fs.String("objective", "latency", "optimize for: latency or cost")
+	if err := fs.Parse(args); err != nil {
+		if errors.Is(err, flag.ErrHelp) {
+			return 0
+		}
+		return 2
+	}
 
 	// Refuse a flag no plan can honour before doing any work, rather than
 	// planning for something else or reporting an infeasible workload.
-	bad := func(format string, a ...any) {
-		fmt.Fprintf(os.Stderr, "estiplan: "+format+"\n", a...)
-		os.Exit(2)
+	bad := func(format string, a ...any) int {
+		fmt.Fprintf(stderr, "estiplan: "+format+"\n", a...)
+		return 2
 	}
 	if *chips < 1 || *chips&(*chips-1) != 0 {
-		bad("-chips %d must be a power of two", *chips)
+		return bad("-chips %d must be a power of two", *chips)
 	}
 	if *batch < 1 {
-		bad("-batch %d must be at least 1", *batch)
+		return bad("-batch %d must be at least 1", *batch)
 	}
 	for _, f := range []struct {
 		name string
 		v    int
 	}{{"context", *context}, {"past", *past}, {"gen", *gen}} {
 		if f.v < 0 {
-			bad("-%s %d must not be negative", f.name, f.v)
+			return bad("-%s %d must not be negative", f.name, f.v)
 		}
+	}
+	if *context+*gen == 0 {
+		return bad("-context 0 and -gen 0 leave no token to prefill or generate")
 	}
 	var obj planner.Objective
 	switch strings.ToLower(*objective) {
@@ -60,13 +77,13 @@ func main() {
 	case "cost":
 		obj = planner.MinCost
 	default:
-		bad("unknown objective %q (latency, cost)", *objective)
+		return bad("unknown objective %q (latency, cost)", *objective)
 	}
 
 	cfg, ok := model.ByName(*modelName)
 	if !ok {
-		fmt.Fprintf(os.Stderr, "unknown model %q (%s)\n", *modelName, model.PresetNames)
-		os.Exit(2)
+		fmt.Fprintf(stderr, "unknown model %q (%s)\n", *modelName, model.PresetNames)
+		return 2
 	}
 	var dt model.DType
 	switch strings.ToLower(*weights) {
@@ -75,20 +92,20 @@ func main() {
 	case "int8":
 		dt = model.Int8
 	default:
-		fmt.Fprintf(os.Stderr, "unknown weight format %q\n", *weights)
-		os.Exit(2)
+		fmt.Fprintf(stderr, "unknown weight format %q\n", *weights)
+		return 2
 	}
 	w := planner.Workload{Batch: *batch, Context: *context, Past: *past, Gen: *gen}
 	plan, found := planner.BestSystem(cfg, hardware.TPUv4(), *chips, dt, w, obj, perf.DefaultKnobs())
 	if !found {
-		fmt.Fprintf(os.Stderr, "no feasible configuration for %s on %d chips at batch %d, context %d\n",
+		fmt.Fprintf(stderr, "no feasible configuration for %s on %d chips at batch %d, context %d\n",
 			cfg.Name, *chips, *batch, *context+*past+*gen)
-		os.Exit(1)
+		return 1
 	}
 
-	fmt.Printf("%s, %s weights, %d chips (torus %s), objective %s\n",
+	fmt.Fprintf(stdout, "%s, %s weights, %d chips (torus %s), objective %s\n",
 		cfg.Name, dt, *chips, plan.System.Torus, obj)
-	fmt.Printf("workload: batch %d, %d new + %d cached context tokens, %d generated\n\n",
+	fmt.Fprintf(stdout, "workload: batch %d, %d new + %d cached context tokens, %d generated\n\n",
 		*batch, *context, *past, *gen)
 
 	t := tableio.Table{
@@ -110,6 +127,7 @@ func main() {
 	}
 	addPhase("prefill", plan.Prefill)
 	addPhase("decode", plan.Decode)
-	fmt.Println(t.String())
-	fmt.Printf("end-to-end latency: %.3fs\n", plan.TotalLatency)
+	fmt.Fprintln(stdout, t.String())
+	fmt.Fprintf(stdout, "end-to-end latency: %.3fs\n", plan.TotalLatency)
+	return 0
 }

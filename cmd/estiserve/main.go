@@ -143,15 +143,40 @@ func run(args []string, stdout, stderr io.Writer) int {
 	}
 
 	// Refuse numeric flags no run can use before doing any work: a zero or
-	// infinite load makes the interarrival infinite, and an overlap outside
-	// [0, 1] hides more (or less) than all of the bandwidth term.
-	if !(*load > 0) || math.IsInf(*load, 1) {
-		fmt.Fprintf(stderr, "estiserve: -load %g must be finite and > 0\n", *load)
+	// infinite load makes the interarrival infinite, an overlap outside
+	// [0, 1] hides more (or less) than all of the bandwidth term, a slice
+	// is a power of two chips, and a count below its floor would be
+	// misread (no requests simulated, no fleet run, one template).
+	bad := func(format string, a ...any) int {
+		fmt.Fprintf(stderr, "estiserve: "+format+"\n", a...)
 		return 2
 	}
+	if !(*load > 0) || math.IsInf(*load, 1) {
+		return bad("-load %g must be finite and > 0", *load)
+	}
 	if !(*overlap >= 0 && *overlap <= 1) {
-		fmt.Fprintf(stderr, "estiserve: -overlap %g must be in [0, 1]\n", *overlap)
-		return 2
+		return bad("-overlap %g must be in [0, 1]", *overlap)
+	}
+	pow2 := func(n int) bool { return n > 0 && n&(n-1) == 0 }
+	for _, f := range []struct {
+		name string
+		v    int
+	}{{"prefill-chips", *preChips}, {"decode-chips", *decChips}} {
+		if !pow2(f.v) {
+			return bad("-%s %d must be a power of two", f.name, f.v)
+		}
+	}
+	if (*continuous || *prefixCache) && !pow2(*preChips+*decChips) {
+		return bad("-prefill-chips %d + -decode-chips %d must be a power of two for the one pool of -continuous and -prefix-cache",
+			*preChips, *decChips)
+	}
+	for _, f := range []struct {
+		name   string
+		v, min int
+	}{{"context", *context, 1}, {"templates", *templates, 1}, {"requests", *requests, 0}, {"replicas", *replicas, 0}} {
+		if f.v < f.min {
+			return bad("-%s %d must be at least %d", f.name, f.v, f.min)
+		}
 	}
 
 	cfg, ok := model.ByName(*modelName)

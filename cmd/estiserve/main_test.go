@@ -6,6 +6,8 @@ import (
 	"strconv"
 	"strings"
 	"testing"
+
+	"esti/internal/golden"
 )
 
 // estiserve runs the command with args and returns its exit status and
@@ -78,4 +80,34 @@ func TestPrefixHitShortensReplay(t *testing.T) {
 	if hot, cold := p50("0.9"), p50("0"); hot >= cold {
 		t.Errorf("replay p50 %.2fs at -prefix-hit 0.9, not below %.2fs at 0", hot, cold)
 	}
+}
+
+// Every estiserve line CI has run, byte for byte: the static pipeline
+// replays, the continuous and prefix-cache comparisons, the fleet's routing,
+// fault, autoscale and pool runs, and the wire comparison; then each flag
+// value that would be misread or would panic, refused with status 2.
+func TestGolden(t *testing.T) {
+	palm := func(args ...string) []string { return append([]string{"-model", "palm540b"}, args...) }
+	golden.Run(t, run, []golden.Case{
+		{Name: "replicas", Args: palm("-replicas", "4", "-requests", "200")},
+		{Name: "disagg", Args: palm("-replicas", "4", "-disaggregated", "-requests", "200")},
+		{Name: "faults", Args: palm("-replicas", "4", "-requests", "200", "-fault-plan", "crash:1@2+4,slow:0@1-3x2.5")},
+		{Name: "disagg-faults", Args: palm("-replicas", "4", "-disaggregated", "-requests", "200", "-fault-plan", "link:1-2,drain:0@3")},
+		{Name: "autoscale", Args: palm("-replicas", "4", "-autoscale", "-requests", "200", "-load", "1.2", "-fault-plan", "crash:1@2+4")},
+		{Name: "disagg-autoscale", Args: palm("-replicas", "4", "-disaggregated", "-autoscale", "-requests", "200", "-load", "1.2", "-fault-plan", "crash:3@1")},
+		// The prefill pool's scale-in.
+		{Name: "disagg-autoscale-load4", Args: palm("-replicas", "4", "-disaggregated", "-autoscale", "-requests", "400", "-load", "4")},
+		{Name: "prefix-cache", Args: palm("-prefix-cache", "-prefill-chunk", "256", "-requests", "200")},
+		{Name: "continuous", Args: palm("-continuous", "-requests", "200")},
+		{Name: "unequal-tiers", Args: palm("-prefill-chips", "32", "-decode-chips", "64", "-decode-batch", "128", "-requests", "200")},
+		{Name: "int8-wire", Args: palm("-int8-wire", "-overlap", "1", "-decode-batch", "8", "-requests", "0")},
+
+		{Name: "bad-prefill-chips", Args: palm("-prefill-chips", "3")},
+		{Name: "bad-decode-chips", Args: palm("-decode-chips", "48")},
+		{Name: "bad-pool-chips", Args: palm("-prefill-chips", "32", "-continuous")},
+		{Name: "bad-context", Args: palm("-context", "0")},
+		{Name: "bad-replicas", Args: palm("-replicas", "-2")},
+		{Name: "bad-requests", Args: palm("-requests", "-5")},
+		{Name: "bad-templates", Args: palm("-templates", "0", "-prefix-cache")},
+	})
 }

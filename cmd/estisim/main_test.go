@@ -4,7 +4,24 @@ import (
 	"bytes"
 	"strings"
 	"testing"
+
+	"esti/internal/golden"
 )
+
+// The seven layouts CI has always run, each checked against the unsharded
+// reference and perf's message count by the command itself, byte for byte:
+// every layout's logit differences, traffic and cache bytes.
+func TestGolden(t *testing.T) {
+	golden.Run(t, run, []golden.Case{
+		{Name: "ws1d-heads", Args: []string{"-ffn", "ws1d", "-attn", "heads"}},
+		{Name: "ws1d-batch", Args: []string{"-ffn", "ws1d", "-attn", "batch"}},
+		{Name: "ws2d-heads", Args: []string{"-ffn", "ws2d", "-attn", "heads"}},
+		{Name: "ws2d-batch", Args: []string{"-ffn", "ws2d", "-attn", "batch"}},
+		{Name: "wgxyz-batch", Args: []string{"-ffn", "wgxyz", "-attn", "batch"}},
+		{Name: "mha-ws2d-heads", Args: []string{"-mha", "-ffn", "ws2d", "-attn", "heads"}},
+		{Name: "int8-ws2d-batch", Args: []string{"-int8", "-ffn", "ws2d", "-attn", "batch"}},
+	})
+}
 
 // runCmd runs the command in-process and returns its exit code and output.
 func runCmd(args ...string) (int, string, string) {

@@ -8,7 +8,10 @@
 package main
 
 import (
+	"errors"
+	"flag"
 	"fmt"
+	"io"
 	"math"
 	"os"
 
@@ -23,15 +26,29 @@ import (
 	"esti/internal/tensor"
 )
 
-func main() {
+func main() { os.Exit(run(os.Args[1:], os.Stdout, os.Stderr)) }
+
+// run is the tour: it takes no flags, writes to stdout and errors to
+// stderr, and returns the exit status (1 if the sharded run fails or
+// diverges).
+func run(args []string, stdout, stderr io.Writer) int {
+	fs := flag.NewFlagSet("quickstart", flag.ContinueOnError)
+	fs.SetOutput(stderr)
+	if err := fs.Parse(args); err != nil {
+		if errors.Is(err, flag.ErrHelp) {
+			return 0
+		}
+		return 2
+	}
+
 	// A PaLM 540B-class model on a 64-chip TPU v4 slice.
 	cfg := model.PaLM540BPadded()
 	sys := hardware.TPUv4Slice(4, 4, 4)
 	knobs := perf.DefaultKnobs()
 
-	fmt.Printf("model: %s (%.0fB params, %d layers, d_model %d)\n",
+	fmt.Fprintf(stdout, "model: %s (%.0fB params, %d layers, d_model %d)\n",
 		cfg.Name, cfg.Params()/1e9, cfg.Layers, cfg.DModel)
-	fmt.Printf("system: %d × TPU v4 (torus %s)\n\n", sys.Chips(), sys.Torus)
+	fmt.Fprintf(stdout, "system: %d × TPU v4 (torus %s)\n\n", sys.Chips(), sys.Torus)
 
 	// 1. Cost a specific configuration by hand: batch-64 decode with int8
 	// weights, 2D weight-stationary FFN, batch-sharded multiquery
@@ -42,9 +59,9 @@ func main() {
 		Batch: 64, Context: 2048, Gen: 64,
 	}
 	res := perf.Decode(req, knobs)
-	fmt.Printf("decode, batch 64, int8: %.1f ms/token at %.1f%% MFU\n",
+	fmt.Fprintf(stdout, "decode, batch 64, int8: %.1f ms/token at %.1f%% MFU\n",
 		res.StepTime*1000, res.MFU*100)
-	fmt.Printf("  breakdown per 64-token generation: compute %.0fms, weights %.0fms, KV %.0fms, comm %.0fms\n\n",
+	fmt.Fprintf(stdout, "  breakdown per 64-token generation: compute %.0fms, weights %.0fms, KV %.0fms, comm %.0fms\n\n",
 		res.Breakdown.Compute*1000, res.Breakdown.WeightMem*1000,
 		res.Breakdown.KVMem*1000, res.Breakdown.Comm*1000)
 
@@ -53,21 +70,21 @@ func main() {
 		planner.Workload{Batch: 512, Context: 2048, Gen: 64},
 		planner.MinCost, knobs)
 	if !plan.Feasible {
-		fmt.Println("no feasible plan:", plan.Reason)
-		os.Exit(1)
+		fmt.Fprintln(stderr, "no feasible plan:", plan.Reason)
+		return 1
 	}
-	fmt.Printf("planner (batch 512, min cost):\n")
-	fmt.Printf("  prefill: %-7s + %-11s → %.1fs at %.1f%% MFU\n",
+	fmt.Fprintf(stdout, "planner (batch 512, min cost):\n")
+	fmt.Fprintf(stdout, "  prefill: %-7s + %-11s → %.1fs at %.1f%% MFU\n",
 		plan.Prefill.FFN, plan.Prefill.Attn, plan.Prefill.Result.Time, plan.Prefill.Result.MFU*100)
-	fmt.Printf("  decode:  %-7s + %-11s → %.1fs at %.1f%% MFU\n",
+	fmt.Fprintf(stdout, "  decode:  %-7s + %-11s → %.1fs at %.1f%% MFU\n",
 		plan.Decode.FFN, plan.Decode.Attn, plan.Decode.Result.Time, plan.Decode.Result.MFU*100)
-	fmt.Printf("  cost: %.3f chip-ms per generated token\n\n", plan.Decode.Result.Cost*1000)
+	fmt.Fprintf(stdout, "  cost: %.3f chip-ms per generated token\n\n", plan.Decode.Result.Cost*1000)
 
 	// 3. The paper's Section 1 chatbot turn: 64 new user tokens against a
 	// 1920-token cached history, then a 64-token reply.
 	req.Context, req.Past = 64, 1920
 	turn := perf.Prefill(req, knobs).Time + perf.Decode(req, knobs).Time
-	fmt.Printf("chatbot turn (1920 cached + 64 in + 64 out): %.2fs total (paper: 1.9s)\n\n", turn)
+	fmt.Fprintf(stdout, "chatbot turn (1920 cached + 64 in + 64 out): %.2fs total (paper: 1.9s)\n\n", turn)
 
 	// 4. The same layout, functionally: a small multiquery model on a
 	// 2×2×2 mesh, every prefill and greedy decode logit checked against
@@ -84,49 +101,52 @@ func main() {
 		FFN: partition.FFN2DWeightStationary, Attn: partition.AttnShardBatch,
 	}, batch, promptLen+gen)
 	if err != nil {
-		fmt.Println("engine:", err)
-		os.Exit(1)
+		fmt.Fprintln(stderr, "engine:", err)
+		return 1
 	}
 	ref := reference.New(w, batch, promptLen+gen)
 	prompt := make([]int, batch*promptLen)
 	for i := range prompt {
 		prompt[i] = (i*31 + 3) % mini.Vocab
 	}
-	engL, refL := pass(eng, prompt, promptLen), ref.Prefill(prompt, promptLen)
-	worst := tensor.MaxAbsDiff(engL, refL)
+	engL, err := pass(eng, prompt, promptLen)
+	if err != nil {
+		fmt.Fprintln(stderr, err)
+		return 1
+	}
+	worst := tensor.MaxAbsDiff(engL, ref.Prefill(prompt, promptLen))
 	last := make([]int, batch)
 	for s := range last {
 		last[s] = sampling.Greedy(engL.Row(s*promptLen + promptLen - 1))
 	}
 	for g := 0; g < gen; g++ {
-		engL, refL = pass(eng, last, 1), ref.Decode(last)
-		worst = math.Max(worst, tensor.MaxAbsDiff(engL, refL))
+		if engL, err = pass(eng, last, 1); err != nil {
+			fmt.Fprintln(stderr, err)
+			return 1
+		}
+		worst = math.Max(worst, tensor.MaxAbsDiff(engL, ref.Decode(last)))
 		for s := range last {
 			last[s] = sampling.Greedy(engL.Row(s))
 		}
 	}
 	m := eng.Mesh()
-	fmt.Printf("%s on a %s mesh, 2D weight-stationary + batch-sharded attention:\n", mini.Name, torus)
-	fmt.Printf("  %d-token prefill + %d greedy steps, sharded vs reference max |Δ| = %.2e\n",
+	fmt.Fprintf(stdout, "%s on a %s mesh, 2D weight-stationary + batch-sharded attention:\n", mini.Name, torus)
+	fmt.Fprintf(stdout, "  %d-token prefill + %d greedy steps, sharded vs reference max |Δ| = %.2e\n",
 		promptLen, gen, worst)
-	fmt.Printf("  mesh traffic: %d messages, %.2f MB\n", m.MessagesSent(), float64(m.BytesSent())/1e6)
+	fmt.Fprintf(stdout, "  mesh traffic: %d messages, %.2f MB\n", m.MessagesSent(), float64(m.BytesSent())/1e6)
 	if worst > 1e-3 {
-		fmt.Println("FAIL: sharded logits diverge from the reference")
-		os.Exit(1)
+		fmt.Fprintln(stderr, "FAIL: sharded logits diverge from the reference")
+		return 1
 	}
+	return 0
 }
 
 // pass feeds every sequence of eng n tokens (sequence-major) in one Step
-// and returns their logits, exiting 1 if the engine rejects the pass.
-func pass(eng *engine.Engine, toks []int, n int) *tensor.Mat {
+// and returns their logits.
+func pass(eng *engine.Engine, toks []int, n int) (*tensor.Mat, error) {
 	counts := make([]int, eng.Batch())
 	for s := range counts {
 		counts[s] = n
 	}
-	logits, err := eng.Step(nil, toks, counts)
-	if err != nil {
-		fmt.Fprintln(os.Stderr, err)
-		os.Exit(1)
-	}
-	return logits
+	return eng.Step(nil, toks, counts)
 }

@@ -49,6 +49,7 @@ var exportKeep = map[string]string{
 	"commcost.AllToAllVolume":      "Appendix A's byte form the wire-format volumes reduce to in the tests",
 	"commcost.WireInt8Rows":        "cost-model form of the per-row int8 wire the byte tests price",
 	"collective.Int8WireError":     "the int8 wire's error bound the collective tests size tolerances with",
+	"engine.SlotKV.Bytes":          "a handoff's wire bytes, which the handoff test pins to the closed form: head-sharded multiquery n× batch-sharded, Fig. 4(b)'s replication",
 
 	// Accounting the invariant and fuzz tests assert through.
 	"mesh.Chip.BytesSent":                "per-chip traffic counter the mesh accounting tests read",
@@ -59,6 +60,9 @@ var exportKeep = map[string]string{
 	"kvcache.Cache.RowsV":                "float read-back the cache round-trip and fuzz tests compare rows through",
 	"kvcache.Prefix.Refs":                "refcount the prefix store tests check returns to baseline",
 	"partition.FFNLayout.WeightGathered": "layout class the planner and partition tests branch on",
+
+	// The one helper every command's golden test runs its cases through.
+	"golden.Run": "compares each command's output with its committed golden file; only tests run commands in-process",
 
 	// Called by the gated root benchmarks.
 	"engine.Engine.Reset": "the root gated benchmarks reset the engine between iterations",

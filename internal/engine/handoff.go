@@ -100,20 +100,6 @@ func (e *Engine) ImportSlotKV(slot int, kv *SlotKV) error {
 	return nil
 }
 
-// RestoreSlotKV reinstalls a snapshot into a slot regardless of what the
-// slot currently holds: the crash-recovery form of ImportSlotKV. The slot
-// is released first (stale KV zeroed, any attached shared prefix detached),
-// then the snapshot imports as usual. Because exported blocks are deep
-// copies, the same SlotKV can be imported once for the normal handoff and
-// again after the consumer dies — the checkpoint outlives the replica.
-func (e *Engine) RestoreSlotKV(slot int, kv *SlotKV) error {
-	if err := e.checkSlot(slot); err != nil {
-		return err
-	}
-	e.ReleaseSlot(slot)
-	return e.ImportSlotKV(slot, kv)
-}
-
 func shardingName(batchSharded bool) string {
 	if batchSharded {
 		return "batch-sharded"

@@ -91,7 +91,7 @@ func TestRejectedCallLeavesMeshUsable(t *testing.T) {
 			eng.ReleaseSlot(slot)
 			prompt := []int{7, 11}
 			want := reference.New(w, 1, maxLen).Generate(prompt, len(prompt), 3)[0]
-			got := greedySlot(t, eng, slot, prompt, 3)
+			got, _ := greedyLogits(eng, slot, prompt, 3)
 			for i := range want {
 				if got[i] != want[i] {
 					t.Fatalf("after recovery: tokens %v, batch-1 reference %v", got, want)

@@ -76,7 +76,7 @@ func (s *sim) applyFault(e event) {
 		// and tokens go to the wasted ledger, and each request whose last
 		// copy died is retried (or failed). In-flight handoffs it already
 		// sent survive — the exported KV is self-contained, exactly like
-		// EnginePair's SlotKV.
+		// an engine.SlotKV, a deep copy.
 		rep.stats.Crashes++
 		for _, lw := range rep.s.Crash() {
 			delete(s.origin, lw.Req)

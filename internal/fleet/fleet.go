@@ -16,11 +16,12 @@
 //     invariant. Compare against Random with CompareRouting.
 //   - Disaggregated pools: prefill-only replicas complete a request at its
 //     first token and hand the slot's KV to a decode replica over the
-//     interconnect (the executable counterpart is EnginePair, which moves
-//     real cache blocks between engines token-exactly). The two pools may
-//     run different slices, slot counts and batching disciplines; Pipeline
-//     is the paper's static two-tier pipeline as a 1 + 1 fleet, and
-//     CompareStatic sets continuous batching against it.
+//     interconnect (executed, engine.ExportSlotKV and ImportSlotKV move
+//     real cache blocks between engines, and engine.TestHandoffTokenExact
+//     holds the receiver's logits to a single replica's bit for bit). The
+//     two pools may run different slices, slot counts and batching
+//     disciplines; Pipeline is the paper's static two-tier pipeline as a
+//     1 + 1 fleet, and CompareStatic sets continuous batching against it.
 //   - SLO admission: per-request deadlines and priority tiers; the router
 //     sheds work the perf model says cannot finish in time (ErrDeadline)
 //     and low-priority work when queues saturate (ErrOverloaded), keeping
