@@ -7,12 +7,14 @@ FUZZTIME ?= 10s
 
 # Benchmarks the regression gate watches: the serving steps and the
 # microkernels behind them, the GEMM at every per-chip shape of the bench/
-# workloads among them (half of which split across the worker pool).
+# workloads among them (half of which split across the worker pool), and
+# longctx_int8kv's two decode projections over strip-packed int8 panels, the
+# layout the engine stores its weights in.
 # cmd/benchgate fails on allocs/op only (zero stays zero) and prints ns/op
 # for information — one sample on a box that drifts ±15% (bench/README.md)
 # is not a timing measurement. This is the only copy of the list: CI's gate
 # step runs `make bench-gate`.
-GATE_BENCHES ?= BenchmarkEngineDecodeStep,BenchmarkEngineDecodeStepWG,BenchmarkEngineDecodeStepInt8KV,BenchmarkEngineDecodeStepInt8Wire,BenchmarkEngineDecodeStepStreamed,BenchmarkEngineDecodeStepStreamed1D,BenchmarkEngineDecodeStepStreamedInt8Wire,BenchmarkContinuousBatching,BenchmarkDotF32I8/dispatch,BenchmarkAxpyF32I8/dispatch,BenchmarkMatMulMicro/dispatch,BenchmarkMatMulShapes/f32_8x64x8,BenchmarkMatMulShapes/f32_8x32x64,BenchmarkMatMulShapes/f32_8x32x128,BenchmarkMatMulShapes/f32_32x128x32,BenchmarkMatMulShapes/f32_8x256x1024,BenchmarkMatMulShapes/f32_64x256x1024,BenchmarkMatMulShapes/int8_8x64x8,BenchmarkMatMulShapes/int8_8x32x64,BenchmarkMatMulShapes/int8_8x32x128,BenchmarkMatMulShapes/int8_32x128x32,BenchmarkMatMulShapes/int8_8x256x1024,BenchmarkMatMulShapes/int8_64x256x1024,BenchmarkAttendSegmentInt8,BenchmarkAttendSegmentInt8Long,BenchmarkAttendSegmentF32Long,BenchmarkAttendSegmentF32Head8
+GATE_BENCHES ?= BenchmarkEngineDecodeStep,BenchmarkEngineDecodeStepWG,BenchmarkEngineDecodeStepInt8KV,BenchmarkEngineDecodeStepInt8Wire,BenchmarkEngineDecodeStepStreamed,BenchmarkEngineDecodeStepStreamed1D,BenchmarkEngineDecodeStepStreamedInt8Wire,BenchmarkContinuousBatching,BenchmarkDotF32I8/dispatch,BenchmarkAxpyF32I8/dispatch,BenchmarkMatMulMicro/dispatch,BenchmarkMatMulShapes/f32_8x64x8,BenchmarkMatMulShapes/f32_8x32x64,BenchmarkMatMulShapes/f32_8x32x128,BenchmarkMatMulShapes/f32_32x128x32,BenchmarkMatMulShapes/f32_8x256x1024,BenchmarkMatMulShapes/f32_64x256x1024,BenchmarkMatMulShapes/int8_8x64x8,BenchmarkMatMulShapes/int8_8x32x64,BenchmarkMatMulShapes/int8_8x32x128,BenchmarkMatMulShapes/int8_32x128x32,BenchmarkMatMulShapes/int8_8x256x1024,BenchmarkMatMulShapes/int8_64x256x1024,BenchmarkMatMulShapes/packed_int8_8x256x2368,BenchmarkMatMulShapes/packed_int8_8x1280x256,BenchmarkAttendSegmentInt8,BenchmarkAttendSegmentInt8Long,BenchmarkAttendSegmentF32Long,BenchmarkAttendSegmentF32Head8
 
 # Tier-1 verification plus race detection in one command.
 test:

@@ -131,16 +131,39 @@ var matMulShapes = [][3]int{
 	{8, 64, 8}, {8, 32, 64}, {8, 32, 128}, {32, 128, 32}, {8, 256, 1024}, {64, 256, 1024},
 }
 
+// packedShapes are longctx_int8kv's decode projections — the fused
+// in-projection [8,256]·[256,2368] and out-projection [8,1280]·[1280,256] —
+// over int8 weights strip-packed as the engine stores them.
+var packedShapes = [][3]int{{8, 256, 2368}, {8, 1280, 256}}
+
 // matMulCall returns one [m,k]·[k,n] product through the engine's entry
-// points, float32 or int8 weights, and its flop count.
-func matMulCall(m, k, n int, int8w bool) (call func(), flops float64) {
+// points and its flop count: float32 ("f32") or int8 ("int8") row-major
+// weights, or int8 weights strip-packed ("packed_int8": eight columns down
+// all k rows, strip after strip) through tensor.GemmInto and the column
+// scales, as an engine shard multiplies.
+func matMulCall(m, k, n int, weights string) (call func(), flops float64) {
 	a := tensor.FromSlice(microFloats(m*k), m, k)
 	w := tensor.FromSlice(microFloats(k*n), k, n)
 	dst := tensor.New(m, n)
-	call = func() { tensor.MatMulInto(dst, a, w) }
-	if int8w {
+	switch weights {
+	case "f32":
+		call = func() { tensor.MatMulInto(dst, a, w) }
+	case "int8":
 		q := quant.Quantize(w)
 		call = func() { quant.MatMulInto(dst, a, q) }
+	case "packed_int8":
+		q := quant.Quantize(w)
+		panel := make([]int8, (n+7)/8*8*k)
+		for kk := 0; kk < k; kk++ {
+			for j := 0; j < n; j++ {
+				panel[j/8*8*k+kk*8+j%8] = q.Data[kk*n+j]
+			}
+		}
+		b := simd.GemmB{I8: panel, RowStride: 8, StripStride: 8 * k}
+		call = func() {
+			tensor.GemmInto(dst, a, b, false)
+			quant.ScaleColumns(dst, q.Scales)
+		}
 	}
 	return call, 2 * float64(m) * float64(k) * float64(n)
 }
@@ -155,10 +178,14 @@ func matMulCall(m, k, n int, int8w bool) (call func(), flops float64) {
 // weight rows a page apart and the pool's split, whatever the clock is
 // doing. The gate watches allocs/op: zero, split across the pool or not.
 func BenchmarkMatMulShapes(b *testing.B) {
-	for _, weights := range []string{"f32", "int8"} {
-		ref, refFlops := matMulCall(8, 64, 64, weights == "int8")
-		for _, sh := range matMulShapes {
-			call, flops := matMulCall(sh[0], sh[1], sh[2], weights == "int8")
+	for _, weights := range []string{"f32", "int8", "packed_int8"} {
+		ref, refFlops := matMulCall(8, 64, 64, weights)
+		shapes := matMulShapes
+		if weights == "packed_int8" {
+			shapes = packedShapes
+		}
+		for _, sh := range shapes {
+			call, flops := matMulCall(sh[0], sh[1], sh[2], weights)
 			b.Run(fmt.Sprintf("%s_%dx%dx%d", weights, sh[0], sh[1], sh[2]), func(b *testing.B) {
 				const bursts, perBurst = 20, 200
 				best := time.Duration(math.MaxInt64)

@@ -46,7 +46,9 @@
 // Each matrix is cut once per chip (blockPlan.cuts), its columns and rows
 // ordered by collective chunk: a reduce-scatter's chunk is a column range of
 // W_in or W_out and an inner gather's chunk a row block of W_out, so every
-// projection is a zero-copy view of the one stored matrix. The norm costs no
+// projection is a zero-copy view of the one stored matrix. Each column range
+// one GEMM reads is stored as its own strip-packed panel (shard), so a
+// decode GEMM streams each weight byte once. The norm costs no
 // message: after the Outer gather a chip holds only its E/|Inner| stripe of
 // each row, so it multiplies the un-normalized stripe (the gains are folded
 // into W_in's rows), carries each token's partial sum of squares beside its
@@ -68,10 +70,11 @@
 // order.
 //
 // One weight type. A shard is a GEMM operand (simd.GemmB) over float32 or
-// raw int8 weights, plus the int8 column scales; every projection runs the
-// one tile under the one driver and applies the scales, if any, once per
-// output. Under Int8Weights each full matrix is quantized once and every
-// chip cuts its shards from that quantization.
+// raw int8 weights in strip-packed panels, plus the int8 column scales;
+// every projection runs the one tile under the one driver and applies the
+// scales, if any, once per output. Under Int8Weights each full matrix is
+// quantized once and every chip packs its shards from that quantization;
+// the row-major fused matrices exist only while New cuts from them.
 //
 // Attention layouts:
 //
@@ -211,71 +214,79 @@ func (o *Options) validate() error {
 // format is data, not a code path. Every multiply runs the one driver,
 // tensor.GemmInto, over b and then applies the scales, if any, once per
 // output: the paper's weight-only int8 (Section 3.6) saves weight bytes, not
-// compute. A block of rows or a range of columns is the same strides over a
-// sub-slice (rows, cols), so a streamed down-projection's per-chunk blocks
-// are views of the one stored shard.
+// compute.
+//
+// The weights are stored strip-packed: the columns fall into panels, each
+// the column block one GEMM reads (blockPlan.cuts), and a panel is stored
+// strip by strip — eight columns down all k rows, its last strip
+// zero-padded — so b is {RowStride: 8, StripStride: 8·k} and the tile
+// streams each weight byte once, in order. The panels lie one after another
+// in b. A panel's block of rows (rows) or a range of its strips (cols) is
+// the same strides over a sub-slice, so a streamed down-projection's
+// per-chunk blocks are views of the one stored shard.
 type shard struct {
 	k, n   int
 	b      simd.GemmB
 	scales []float32
+	// panels are the column bounds of the panels — panel p is columns
+	// [panels[p], panels[p+1]) — or nil for a single panel of all n.
+	panels []int
 }
 
-// matShard wraps a row-major k×n array as a shard.
-func matShard[T float32 | int8](data []T, k, n int, scales []float32) shard {
-	s := shard{k: k, n: n, b: simd.GemmB{RowStride: n, StripStride: 8}, scales: scales}
-	switch d := any(data).(type) {
-	case []float32:
-		s.b.F32 = d
-	case []int8:
-		s.b.I8 = d
+// strips calls f for every strip of a block n columns wide whose panels
+// have the given bounds (nil: one panel), in storage order: the strip's
+// index in storage, its first column and its width.
+func strips(panels []int, n int, f func(s, j, w int)) {
+	if panels == nil {
+		panels = []int{0, n}
 	}
-	return s
+	s := 0
+	for p := 0; p+1 < len(panels); p++ {
+		for j := panels[p]; j < panels[p+1]; j += simd.GemmStrip {
+			f(s, j, min(simd.GemmStrip, panels[p+1]-j))
+			s++
+		}
+	}
 }
 
-// take copies block ct of a row-major shard into a shard of its own, with
-// the block's column scales. Cutting int8 weights quantized whole (quantize
-// once, then shard, as a real checkpoint pipeline does) keeps every chip's
-// arithmetic consistent with the unsharded quantized model; quantizing each
-// shard would give it scales of its own.
-func (s shard) take(ct cut) shard {
-	var scales []float32
-	if s.scales != nil {
-		scales = cutOut(s.scales, s.n, cut{rows: []int{0}, cols: ct.cols})
-	}
-	if s.b.I8 != nil {
-		return matShard(cutOut(s.b.I8, s.n, ct), len(ct.rows), len(ct.cols), scales)
-	}
-	return matShard(cutOut(s.b.F32, s.n, ct), len(ct.rows), len(ct.cols), scales)
+// stripCount is the number of strips strips visits.
+func stripCount(panels []int, n int) int {
+	c := 0
+	strips(panels, n, func(int, int, int) { c++ })
+	return c
 }
 
 // rows is the zero-copy block of rows [lo, hi): the contraction chunk an
-// inner gather delivers. It keeps all of s's scales.
+// inner gather delivers. It keeps all of s's panels and scales.
 func (s shard) rows(lo, hi int) shard {
-	s.b, s.k = s.from(lo*s.b.RowStride), hi-lo
+	s.b, s.k = s.b.From(lo*s.b.RowStride), hi-lo
 	return s
 }
 
-// cols is the zero-copy range of columns [lo, hi) of row-major weights, with
-// their scales: the output chunk a reduce-scatter's producer computes. Each
-// output's contraction is the full product's, so a range's product is
-// bit-identical to those columns of the whole.
+// cols is the zero-copy range of columns [lo, hi) of one panel, with their
+// scales: the output chunk a reduce-scatter's producer computes. lo must
+// start a strip of its panel. Each output's contraction is the full
+// product's, so a range's product is bit-identical to those columns of the
+// whole.
 func (s shard) cols(lo, hi int) shard {
-	s.b, s.n = s.from(lo), hi-lo
+	strip, first, end := 0, 0, s.n // the panel's first strip and its columns
+	if s.panels != nil {
+		p := 1
+		for p+1 < len(s.panels) && s.panels[p] <= lo {
+			strip += (s.panels[p] - s.panels[p-1] + simd.GemmStrip - 1) / simd.GemmStrip
+			p++
+		}
+		first, end = s.panels[p-1], s.panels[p]
+	}
+	if lo >= hi || hi > end || (lo-first)%simd.GemmStrip != 0 {
+		panic(fmt.Sprintf("engine: columns [%d,%d) are not strips of one panel of [%d,%d)", lo, hi, first, end))
+	}
+	s.b = s.b.From((strip + (lo-first)/simd.GemmStrip) * s.b.StripStride)
+	s.n, s.panels = hi-lo, nil
 	if s.scales != nil {
 		s.scales = s.scales[lo:hi]
 	}
 	return s
-}
-
-// from is s's operand starting off elements into its weights.
-func (s shard) from(off int) simd.GemmB {
-	b := s.b
-	if b.I8 != nil {
-		b.I8 = b.I8[off:]
-	} else {
-		b.F32 = b.F32[off:]
-	}
-	return b
 }
 
 // mulA multiplies activations by the shard into an arena matrix, the
@@ -313,6 +324,9 @@ func (s shard) finishAcc(dst *tensor.Mat) {
 func (s shard) gemm(dst, a *tensor.Mat, acc bool) {
 	if a.Cols != s.k || dst.Rows != a.Rows || dst.Cols != s.n {
 		panic(fmt.Sprintf("engine: [%d,%d]·[%d,%d] weights into [%d,%d]", a.Rows, a.Cols, s.k, s.n, dst.Rows, dst.Cols))
+	}
+	if s.panels != nil {
+		panic(fmt.Sprintf("engine: a GEMM reads one panel, not %d", len(s.panels)-1))
 	}
 	tensor.GemmInto(dst, a, s.b, acc)
 }
@@ -365,9 +379,12 @@ func (e *Engine) blockPlan(rank int, plan partition.FFNPlan) blockPlan {
 }
 
 // cuts returns the chip's blocks of the fused matrices, in the full
-// matrices' coordinates (fullShards): rows of the stripe and columns of
+// matrices' coordinates (Engine.fuse): rows of the stripe and columns of
 // each in-chunk of W_in, rows of each out-chunk and columns of the stripe of
-// W_out.
+// W_out. Their panels are the column blocks one GEMM reads: each in-chunk
+// of W_in — under a serial block its attention span and its FFN span — and
+// with no inner group each of the outer reduce-scatter's E chunks of W_out,
+// otherwise the whole stripe.
 func (p *blockPlan) cuts(cfg model.Config) (in, out cut) {
 	n := p.nOuter * p.nInner
 	eb := cfg.DModel / n
@@ -392,7 +409,19 @@ func (p *blockPlan) cuts(cfg model.Config) (in, out cut) {
 		rows = append(rows, contiguous(a*p.qw, p.qw)...)
 		rows = append(rows, contiguous(hq+a*p.fw, p.fw)...)
 	}
-	return cut{stripe, cols}, cut{rows, stripe}
+	in, out = cut{stripe, cols, []int{0}}, cut{rows, stripe, []int{0}}
+	for i := 1; i <= p.nInner; i++ {
+		if !cfg.ParallelBlock {
+			in.panels = append(in.panels, (i-1)*p.inW+p.qw+2*p.kvw)
+		}
+		in.panels = append(in.panels, i*p.inW)
+	}
+	for j := 1; j <= p.nOuter; j++ {
+		if p.nInner == 1 || j == p.nOuter {
+			out.panels = append(out.panels, j*eb)
+		}
+	}
+	return in, out
 }
 
 // part is the span of a chunk one block body runs over: columns [inLo,
@@ -548,7 +577,7 @@ func New(w *reference.Weights, t hardware.Torus, opts Options, batch, maxLen int
 		full := e.fuse(&w.Layers[l], &scratch)
 		for r, st := range e.chips {
 			if st.wg != nil {
-				st.wg.add(full, e.m.Chip(r))
+				st.wg.add(full, cuts[r], e.m.Chip(r))
 				if l > 0 {
 					// Every layer shares layer 0's full-size weights as staging.
 					st.layers = append(st.layers, st.layers[0])
@@ -599,30 +628,92 @@ func (e *Engine) MeasuredOverlap() float64 { return e.m.MeasuredOverlapFrac() }
 func (e *Engine) Batch() int { return e.batch }
 
 // cut is a block of a matrix: the rows and the columns it holds, in the
-// order the block stores them.
-type cut struct{ rows, cols []int }
+// order the block stores them, and the bounds of the panels its columns
+// fall into — panel p is the block's columns [panels[p], panels[p+1]) — or
+// nil for one panel.
+type cut struct{ rows, cols, panels []int }
 
-// cutOut copies block ct out of a row-major matrix with n columns, each
-// run of consecutive columns as one copy.
-func cutOut[T float32 | int8](data []T, n int, ct cut) []T {
-	w := len(ct.cols)
-	var runs []int // [at, from, len] triples
-	for j := 0; j < w; {
-		k := j + 1
-		for k < w && ct.cols[k] == ct.cols[k-1]+1 {
-			k++
-		}
-		runs = append(runs, j, ct.cols[j], k-j)
-		j = k
+// matrix is a row-major k×n weight matrix, float32 or raw int8 with its
+// per-column scales: the transient source New cuts every chip's shards
+// from. Nothing multiplies it.
+type matrix struct {
+	k, n   int
+	f32    []float32
+	i8     []int8
+	scales []float32
+}
+
+// wholeMatrix is m as a source: its float32 values, or with int8w its
+// quantization, one scale per column.
+func wholeMatrix(m *tensor.Mat, int8w bool) matrix {
+	if int8w {
+		q := quant.Quantize(m)
+		return matrix{k: m.Rows, n: m.Cols, i8: q.Data, scales: q.Scales}
 	}
-	out := make([]T, len(ct.rows)*w)
-	for i, r := range ct.rows {
-		src, dst := data[r*n:(r+1)*n], out[i*w:(i+1)*w]
-		for q := 0; q < len(runs); q += 3 {
-			copy(dst[runs[q]:runs[q]+runs[q+2]], src[runs[q+1]:])
+	return matrix{k: m.Rows, n: m.Cols, f32: m.Data}
+}
+
+// take packs block ct of m into a shard of its own, in one pass: each
+// panel strip by strip, with the block's column scales. Cutting int8
+// weights quantized whole (quantize once, then shard, as a real checkpoint
+// pipeline does) keeps every chip's arithmetic consistent with the
+// unsharded quantized model; quantizing each shard would give it scales of
+// its own.
+func (m matrix) take(ct cut) shard {
+	s := shard{k: len(ct.rows), n: len(ct.cols), b: simd.GemmB{RowStride: simd.GemmStrip, StripStride: simd.GemmStrip * len(ct.rows)}}
+	if len(ct.panels) > 2 {
+		s.panels = ct.panels
+	}
+	if m.scales != nil {
+		s.scales = make([]float32, s.n)
+		for j, c := range ct.cols {
+			s.scales[j] = m.scales[c]
 		}
 	}
-	return out
+	n := stripCount(ct.panels, s.n)
+	if m.i8 != nil {
+		s.b.I8 = make([]int8, n*s.b.StripStride)
+		pack(s.b.I8, m.i8, m.n, ct, 0, s.k, simd.GemmStrip)
+	} else {
+		s.b.F32 = make([]float32, n*s.b.StripStride)
+		pack(s.b.F32, m.f32, m.n, ct, 0, s.k, simd.GemmStrip)
+	}
+	return s
+}
+
+// pack copies rows [lo, hi) of block ct of row-major src, n columns wide,
+// into dst strip by strip in storage order (ct's panels as in shard), each
+// strip's rows rowStride apart: the strip width for a panel, whose padding
+// dst keeps as it is, or 0 for the strip's own width, runs with no padding
+// at all (the weight-gathered layout's at-rest rows). dst is written in
+// order; a strip of eight abutting source columns moves as one array.
+func pack[T float32 | int8](dst, src []T, n int, ct cut, lo, hi, rowStride int) {
+	at := 0
+	strips(ct.panels, len(ct.cols), func(_, j, w int) {
+		cols, c0 := ct.cols[j:j+w], ct.cols[j]
+		abut := true
+		for q, c := range cols {
+			abut = abut && c == c0+q
+		}
+		stride := rowStride
+		if stride == 0 {
+			stride = w
+		}
+		for _, r := range ct.rows[lo:hi] {
+			row := src[r*n : (r+1)*n]
+			switch {
+			case abut && w == simd.GemmStrip:
+				*(*[simd.GemmStrip]T)(dst[at:]) = *(*[simd.GemmStrip]T)(row[c0:])
+			case abut:
+				copy(dst[at:at+w], row[c0:])
+			default:
+				for q, c := range cols {
+					dst[at+q] = row[c]
+				}
+			}
+			at += stride
+		}
+	})
 }
 
 func contiguous(lo, n int) []int {
@@ -674,7 +765,7 @@ func (st *chipState) setInt8Wire() {
 // scratch that the next layer reuses, or under Int8Weights their
 // quantization, one scale per fused column, computed once per matrix for
 // every chip to cut its shards from.
-func (e *Engine) fuse(lw *reference.LayerWeights, scratch *[wgMats]*tensor.Mat) [wgMats]shard {
+func (e *Engine) fuse(lw *reference.LayerWeights, scratch *[wgMats]*tensor.Mat) [wgMats]matrix {
 	ffnGain := lw.FFNNormGain
 	if e.cfg.ParallelBlock {
 		ffnGain = lw.NormGain
@@ -706,17 +797,7 @@ func (e *Engine) fuse(lw *reference.LayerWeights, scratch *[wgMats]*tensor.Mat) 
 	}
 	copy(wout.Data, lw.WO.Data)
 	copy(wout.Data[len(lw.WO.Data):], lw.WDown.Data)
-	return [wgMats]shard{wholeShard(win, e.opts.Int8Weights), wholeShard(wout, e.opts.Int8Weights)}
-}
-
-// wholeShard is m as a shard: its float32 values, or with int8w its
-// quantization.
-func wholeShard(m *tensor.Mat, int8w bool) shard {
-	if int8w {
-		q := quant.Quantize(m)
-		return matShard(q.Data, m.Rows, m.Cols, q.Scales)
-	}
-	return matShard(m.Data, m.Rows, m.Cols, nil)
+	return [wgMats]matrix{wholeMatrix(win, e.opts.Int8Weights), wholeMatrix(wout, e.opts.Int8Weights)}
 }
 
 // buildChip sets up one chip of plan: everything but its layers' weights,

@@ -17,7 +17,7 @@ import (
 // before the ring starts and the same consumer folds the gathered chunks
 // after it ends, in the order the ring would have handed them over: the
 // results are bit-identical either way. The weights are zero-copy views:
-// a reduce-scatter's chunk j multiplies a column range of a stored matrix
+// a reduce-scatter's chunk j multiplies a panel of a stored matrix
 // (or, after a 2D inner gather, is a column block of the folded sum), and
 // the gather's chunk i multiplies a row block of W_out.
 

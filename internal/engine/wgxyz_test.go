@@ -1,6 +1,7 @@
 package engine
 
 import (
+	"math"
 	"testing"
 
 	"esti/internal/commcost"
@@ -163,5 +164,39 @@ func TestWGValidation(t *testing.T) {
 	}
 	if _, err := New(w, torus222(), wgOpts(), 6, 8); err == nil {
 		t.Error("WG with indivisible batch should be rejected")
+	}
+}
+
+// Panels that are not whole strips: a head dim of 3 leaves a serial
+// block's attention span of W_in 30 columns wide, so its last strip is
+// padded, and the weight-gathered staging places that strip's rows one by
+// one. The one-chip engine still matches the reference, and the
+// weight-gathered layout still reproduces it bit for bit.
+func TestOddPanelWidths(t *testing.T) {
+	cfg := tinyMQA()
+	cfg.Name, cfg.HeadDim, cfg.ParallelBlock = "tiny-dh3", 3, false
+	one := hardware.Torus{X: 1, Y: 1, Z: 1}
+	checkAgainstReference(t, cfg, one, Options{FFN: partition.FFN1DWeightStationary}, 8)
+	checkAgainstReference(t, cfg, torus222(), Options{FFN: partition.FFN2DWeightStationary}, 8)
+
+	const batch, steps, maxLen = 8, 3, 8
+	w := reference.NewWeights(cfg, 61)
+	run := func(opts Options, tr hardware.Torus) *tensor.Mat {
+		eng, err := New(w, tr, opts, batch, maxLen)
+		if err != nil {
+			t.Fatal(err)
+		}
+		prefill(t, eng, tokens(batch, steps), steps)
+		last := make([]int, batch)
+		for s := range last {
+			last[s] = s
+		}
+		return decode(t, eng, nil, last)
+	}
+	want, got := run(Options{FFN: partition.FFN1DWeightStationary, Attn: partition.AttnShardBatch}, one), run(wgOpts(), torus222())
+	for j, v := range want.Data {
+		if math.Float32bits(v) != math.Float32bits(got.Data[j]) {
+			t.Fatalf("logit %d: weight-gathered %g, one chip %g", j, got.Data[j], v)
+		}
 	}
 }

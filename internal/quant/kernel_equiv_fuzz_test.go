@@ -174,8 +174,9 @@ func FuzzKernelEquivalence(f *testing.F) {
 		// group and column counts on both sides of the eight-wide strip
 		// all come from the fuzzed length. Each weight matrix is read whole,
 		// as a block of its rows and a range of its columns (row stride ≠
-		// width), and as a strip-packed panel (strip stride ≠ 8) — the
-		// bits are arbitrary, so any in-bounds geometry is a valid input.
+		// width), as a strip-packed panel (strip stride ≠ 8), and as a row
+		// block and a strip range of a gapless one — the bits are
+		// arbitrary, so any in-bounds geometry is a valid input.
 		k := n*3%9 + 1
 		cols := n / k
 		if rows := min(n/k, n%10+1); rows > 0 {
@@ -188,6 +189,20 @@ func FuzzKernelEquivalence(f *testing.F) {
 			}
 			if strips := n / (8*k + 1); strips > 0 {
 				views = append(views, view{0, k, 8*strips - n%8, 8, 8*k + 1})
+			}
+			// A panel packed with no gap, as the engine stores its weights:
+			// a block of its rows (the contraction chunk an inner gather
+			// delivers) and its strips from the second on (the operand a
+			// strip-split product hands a worker).
+			if strips := n / (8 * k); strips > 0 {
+				width := 8*strips - n%8
+				if k > 1 {
+					r0 := 1 + n%(k-1)
+					views = append(views, view{8 * r0, k - r0, width, 8, 8 * k})
+				}
+				if strips > 1 {
+					views = append(views, view{8 * k, k, width - 8, 8, 8 * k})
+				}
 			}
 			for _, v := range views {
 				for _, int8w := range []bool{false, true} {

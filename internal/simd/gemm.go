@@ -19,9 +19,9 @@ package simd
 // cleared or as an earlier product is never -0 (x + -x rounds to +0), so
 // adding it is the identity.
 
-// gemmStrip is the tile's width in columns, the unit GemmB addresses
+// GemmStrip is the tile's width in columns, the unit GemmB addresses
 // weights in.
-const gemmStrip = 8
+const GemmStrip = 8
 
 // GemmB is Gemm's right operand: k rows of n weights, float32 (F32) or raw
 // int8 (I8, F32 nil), addressed in strips of eight columns — element
@@ -33,6 +33,18 @@ type GemmB struct {
 	F32                    []float32
 	I8                     []int8
 	RowStride, StripStride int
+}
+
+// From is b starting off elements into its weights, with the same strides:
+// at off = r·RowStride the block of its rows from r on, at off =
+// s·StripStride its columns from strip s on.
+func (b GemmB) From(off int) GemmB {
+	if b.I8 != nil {
+		b.I8 = b.I8[off:]
+	} else {
+		b.F32 = b.F32[off:]
+	}
+	return b
 }
 
 // Gemm computes dst = a·b, or dst += a·b when acc, for m rows of k
@@ -87,17 +99,17 @@ func gemmTile[T float32 | int8](dst []float32, ldd int, a []float32, lda int, w 
 	}
 	k4 := k &^ 3
 	n8 := 0 // columns the assembly has finished over the first k4 steps
-	if asm && k4 > 0 && n >= gemmStrip {
-		n8 = n &^ (gemmStrip - 1)
-		gemmTileAsm(dst, ldd, a, lda, b, h, k4/4, n8/gemmStrip, acc)
+	if asm && k4 > 0 && n >= GemmStrip {
+		n8 = n &^ (GemmStrip - 1)
+		gemmTileAsm(dst, ldd, a, lda, b, h, k4/4, n8/GemmStrip, acc)
 		if n8 == n && k4 == k {
 			return
 		}
 	}
 	// Columns are walked in runs that are contiguous in w: a strip, or
 	// everything that is left of a row when strips abut.
-	run := gemmStrip
-	if b.StripStride == gemmStrip {
+	run := GemmStrip
+	if b.StripStride == GemmStrip {
 		run = n
 	}
 	for r := 0; r < h; r++ {
@@ -108,7 +120,7 @@ func gemmTile[T float32 | int8](dst []float32, ldd int, a []float32, lda int, w 
 		}
 		for j := n8; j < n; j += run {
 			o := orow[j:min(j+run, n)]
-			at := j / gemmStrip * b.StripStride
+			at := j / GemmStrip * b.StripStride
 			for kk := 0; kk < k4; kk += 4 {
 				mulAdd4(o, w[at+kk*b.RowStride:], w[at+(kk+1)*b.RowStride:], w[at+(kk+2)*b.RowStride:], w[at+(kk+3)*b.RowStride:],
 					arow[kk], arow[kk+1], arow[kk+2], arow[kk+3])
@@ -116,7 +128,7 @@ func gemmTile[T float32 | int8](dst []float32, ldd int, a []float32, lda int, w 
 		}
 		for j := 0; j < n && k4 < k; j += run {
 			o := orow[j:min(j+run, n)]
-			at := j / gemmStrip * b.StripStride
+			at := j / GemmStrip * b.StripStride
 			for kk := k4; kk < k; kk++ {
 				axpy(o, arow[kk], w[at+kk*b.RowStride:])
 			}
@@ -151,9 +163,9 @@ func checkGemm(nDst, ldd, nA, lda int, b GemmB, m, k, n int) {
 	if k*n == 0 {
 		return
 	}
-	last := (n - 1) / gemmStrip // the last strip, n-last*gemmStrip columns wide
-	if b.RowStride < 0 || (last > 0 && b.StripStride < gemmStrip) ||
-		len(b.F32)+len(b.I8) < last*b.StripStride+(k-1)*b.RowStride+n-last*gemmStrip {
+	last := (n - 1) / GemmStrip // the last strip, n-last*GemmStrip columns wide
+	if b.RowStride < 0 || (last > 0 && b.StripStride < GemmStrip) ||
+		len(b.F32)+len(b.I8) < last*b.StripStride+(k-1)*b.RowStride+n-last*GemmStrip {
 		panic("simd: gemm weight slice too short for its strides")
 	}
 }

@@ -18,7 +18,7 @@ func gemmRowPass(dst []float32, ldd int, a []float32, lda int, b GemmB, m, k, n 
 	for kk := range rowF {
 		rowF[kk], row8[kk] = make([]float32, n), make([]int8, n)
 		for j := 0; j < n; j++ {
-			at := j/gemmStrip*b.StripStride + kk*b.RowStride + j%gemmStrip
+			at := j/GemmStrip*b.StripStride + kk*b.RowStride + j%GemmStrip
 			if b.F32 != nil {
 				rowF[kk][j] = b.F32[at]
 			} else {
@@ -56,19 +56,19 @@ func gemmRowPass(dst []float32, ldd int, a []float32, lda int, b GemmB, m, k, n 
 // strips (strip stride ≠ 8).
 func gemmLayouts(wf []float32, w8 []int8, k, n int) map[string]GemmB {
 	const pad = 5
-	wide, strips := n+2*pad, (n+gemmStrip-1)/gemmStrip
+	wide, strips := n+2*pad, (n+GemmStrip-1)/GemmStrip
 	out := map[string]GemmB{
-		"rowmajor": {RowStride: n, StripStride: gemmStrip},
-		"colrange": {RowStride: wide, StripStride: gemmStrip},
-		"packed":   {RowStride: gemmStrip, StripStride: gemmStrip*k + pad},
+		"rowmajor": {RowStride: n, StripStride: GemmStrip},
+		"colrange": {RowStride: wide, StripStride: GemmStrip},
+		"packed":   {RowStride: GemmStrip, StripStride: GemmStrip*k + pad},
 	}
-	size := map[string]int{"rowmajor": k * n, "colrange": k*wide + pad, "packed": strips*(gemmStrip*k+pad) + pad}
+	size := map[string]int{"rowmajor": k * n, "colrange": k*wide + pad, "packed": strips*(GemmStrip*k+pad) + pad}
 	for name, b := range out {
 		off := 0
 		if name != "rowmajor" {
 			off = pad
 		}
-		at := func(kk, j int) int { return off + j/gemmStrip*b.StripStride + kk*b.RowStride + j%gemmStrip }
+		at := func(kk, j int) int { return off + j/GemmStrip*b.StripStride + kk*b.RowStride + j%GemmStrip }
 		if wf != nil {
 			buf := make([]float32, size[name])
 			for kk := 0; kk < k; kk++ {
@@ -173,11 +173,11 @@ func TestGemmMatchesRowPass(t *testing.T) {
 func checkGemmZeroTiles(t *testing.T, rng *rand.Rand) {
 	t.Helper()
 	const k, n = 12, 19
-	poisonW := GemmB{F32: make([]float32, k*n), RowStride: n, StripStride: gemmStrip}
+	poisonW := GemmB{F32: make([]float32, k*n), RowStride: n, StripStride: GemmStrip}
 	for i := range poisonW.F32 {
 		poisonW.F32[i] = []float32{float32(math.Inf(1)), float32(math.NaN()), float32(math.Inf(-1))}[i%3]
 	}
-	finiteW := GemmB{F32: randFloats(rng, k*n, false), RowStride: n, StripStride: gemmStrip}
+	finiteW := GemmB{F32: randFloats(rng, k*n, false), RowStride: n, StripStride: GemmStrip}
 	negZero := math.Float32frombits(1 << 31)
 	// 15 rows are one tile of each height: rows 0-7, 8-11, 12-13 and 14.
 	const m = 15
@@ -237,7 +237,7 @@ func TestGemmZeroTiles(t *testing.T) {
 }
 
 func TestGemmPanicsOnBadGeometry(t *testing.T) {
-	w := GemmB{F32: make([]float32, 4*8), RowStride: 8, StripStride: gemmStrip}
+	w := GemmB{F32: make([]float32, 4*8), RowStride: 8, StripStride: GemmStrip}
 	for name, f := range map[string]func(){
 		"short dst":     func() { Gemm(make([]float32, 15), 8, make([]float32, 8), 4, w, 2, 4, 8, false) },
 		"short a":       func() { Gemm(make([]float32, 16), 8, make([]float32, 7), 4, w, 2, 4, 8, false) },
@@ -247,7 +247,7 @@ func TestGemmPanicsOnBadGeometry(t *testing.T) {
 			Gemm(make([]float32, 32), 16, make([]float32, 8), 4, GemmB{F32: make([]float32, 64), RowStride: 16, StripStride: 4}, 2, 4, 16, false)
 		},
 		"two weight types": func() {
-			Gemm(make([]float32, 16), 8, make([]float32, 8), 4, GemmB{F32: w.F32, I8: make([]int8, 32), RowStride: 8, StripStride: gemmStrip}, 2, 4, 8, false)
+			Gemm(make([]float32, 16), 8, make([]float32, 8), 4, GemmB{F32: w.F32, I8: make([]int8, 32), RowStride: 8, StripStride: GemmStrip}, 2, 4, 8, false)
 		},
 	} {
 		func() {

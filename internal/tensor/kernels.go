@@ -13,11 +13,11 @@ import (
 // output rows by eight columns accumulated in registers over the whole
 // contraction, four steps at a time — AVX2 when the CPU has it, the
 // bit-identical scalar twin otherwise (or under ESTI_NOSIMD=1). a·bᵀ is a
-// row of simd.DotF32 calls. Large row ranges are split across the worker
-// pool (pool.go). The reducing kernels (Dot, MatMulT) inherit simd's fixed
-// 16-lane accumulation contract and the tile its fixed per-element
-// operation order, so results are the same on every machine and on both
-// dispatch paths.
+// row of simd.DotF32 calls. Large products are split across the worker
+// pool (pool.go), by strips or by rows. The reducing kernels (Dot,
+// MatMulT) inherit simd's fixed 16-lane accumulation contract and the tile
+// its fixed per-element operation order, so results are the same on every
+// machine and on both dispatch paths.
 
 // Reshape resizes m to rows×cols, reusing its backing array when capacity
 // allows — the destination-passing contract every *Into kernel applies to
@@ -64,10 +64,12 @@ func rowMajor(b *Mat) simd.GemmB {
 // GemmInto is the driver under every projection: dst = a·b, or dst += a·b
 // when acc, for a [m,k], dst [m,n] already shaped and b any k×n operand
 // simd.Gemm reads — float32 or raw int8 (package quant), row-major, a view
-// of row-major storage, or packed. Rows go to simd.Gemm in one range, or
-// in one range per worker when the product is large enough to split; a
-// range's tile heights are read off its row count, and per output element
-// the operation order is the same however the rows are cut. With acc the
+// of row-major storage, or packed. The product goes to simd.Gemm whole, or
+// in one range per worker when it is large enough to split: a product of
+// one tile's height (at most eight rows) by strips, so each worker reads
+// only its strips of the weights at full height, and a taller one by rows.
+// A range's tile heights are read off its row count, and per output element
+// the operation order is the same however the product is cut. With acc the
 // contents of dst are the accumulator, so a contraction that arrives chunk
 // by chunk (the engine's streamed collectives) folds each chunk's partial
 // product into the running output. dst must not alias a.
@@ -75,17 +77,32 @@ func GemmInto(dst, a *Mat, b simd.GemmB, acc bool) {
 	if dst.Rows != a.Rows {
 		panic(fmt.Sprintf("tensor: gemm dst has %d rows for %d of a", dst.Rows, a.Rows))
 	}
-	if !shouldParallel(a.Rows, a.Rows*a.Cols*dst.Cols) {
+	flops := a.Rows * a.Cols * dst.Cols
+	switch strips := (dst.Cols + simd.GemmStrip - 1) / simd.GemmStrip; {
+	case a.Rows <= tileRows && shouldParallel(strips, flops):
+		split(rowOp{dst: *dst, a: *a, b: b, acc: acc, strips: true}, strips)
+	case shouldParallel(a.Rows, flops):
+		split(rowOp{dst: *dst, a: *a, b: b, acc: acc}, a.Rows)
+	default:
 		gemmRows(dst, a, b, 0, a.Rows, acc)
-		return
 	}
-	splitRows(rowOp{dst: *dst, a: *a, b: b, acc: acc})
 }
+
+// tileRows is the register tile's height: a product at most this many rows
+// high is one row of tiles.
+const tileRows = 8
 
 // gemmRows is rows [lo, hi) of GemmInto.
 func gemmRows(dst, a *Mat, b simd.GemmB, lo, hi int, acc bool) {
 	k, n := a.Cols, dst.Cols
 	simd.Gemm(dst.Data[lo*n:hi*n], n, a.Data[lo*k:hi*k], k, b, hi-lo, k, n, acc)
+}
+
+// gemmStrips is strips [lo, hi) of GemmInto, every row: columns [8·lo,
+// min(8·hi, n)) of dst and of b.
+func gemmStrips(dst, a *Mat, b simd.GemmB, lo, hi int, acc bool) {
+	n, j := dst.Cols, lo*simd.GemmStrip
+	simd.Gemm(dst.Data[j:], n, a.Data, a.Cols, b.From(lo*b.StripStride), a.Rows, a.Cols, min(hi*simd.GemmStrip, n)-j, acc)
 }
 
 // MatMulT computes a·bᵀ for a [m,k] and b [n,k].
@@ -104,7 +121,7 @@ func MatMulTInto(dst, a, b *Mat) *Mat {
 		matMulTRows(dst, a, b, 0, a.Rows)
 		return dst
 	}
-	splitRows(rowOp{dst: *dst, a: *a, bt: *b})
+	split(rowOp{dst: *dst, a: *a, bt: *b}, a.Rows)
 	return dst
 }
 

@@ -8,19 +8,23 @@ import (
 	"esti/internal/simd"
 )
 
-// Worker pool for the GEMM kernels. Large matmuls split their rows into
-// one range per worker and run them on a fixed set of long-lived
-// goroutines sized by GOMAXPROCS; small matmuls (and any matmul when only
-// one worker is configured) run serially in the caller and never touch the
-// pool. A split matmul pays two channel operations per range and allocates
-// nothing: its operands and its completion count travel in a job record
-// taken from a free list. The pool is started lazily on first parallel use
-// and its goroutine count never grows afterwards — the property tests
-// assert repeated parallel matmuls leak no goroutines.
+// Worker pool for the GEMM kernels. Large matmuls split their rows, or a
+// product one tile high its strips, into one range per worker and run them
+// on a fixed set of long-lived goroutines sized by GOMAXPROCS; small
+// matmuls (and any matmul when only one worker is configured) run serially
+// in the caller and never touch the pool. A split matmul pays two channel
+// operations per range and allocates nothing: its operands and its
+// completion count travel in a job record taken from a free list. The pool
+// is started lazily on first parallel use and its goroutine count never
+// grows afterwards — the property tests assert repeated parallel matmuls
+// leak no goroutines.
 
 // parallelMinFlops is the approximate multiply-add count below which
-// splitting a matmul across workers costs more than it saves. Decode-step
-// matmuls in the test configs sit well below it.
+// splitting a matmul across workers costs more than it saves. At decode
+// height (eight rows) both projections of bench/'s one-chip workloads
+// clear it, and so does shared_prefix_mix's 4-chip in-projection
+// ([8,128]·[128,352]); chat_mesh8's 8-chip products and every per-chunk
+// out-projection of the sharded workloads sit below it.
 const parallelMinFlops = 1 << 17
 
 var pool struct {
@@ -32,22 +36,24 @@ var pool struct {
 }
 
 // rowOp is a matmul's operands by value, so that a split one makes no
-// caller's *Mat escape: GemmInto's a·b, or with bt set MatMulTInto's a·bᵀ.
+// caller's *Mat escape: GemmInto's a·b, cut by rows or with strips set by
+// strips, or with bt set MatMulTInto's a·bᵀ.
 type rowOp struct {
 	dst, a Mat
 	b      simd.GemmB
 	bt     Mat
 	acc    bool
+	strips bool
 }
 
 // rowJob is one split matmul in flight: what to compute, and the count of
-// row ranges still out with the workers.
+// ranges still out with the workers.
 type rowJob struct {
 	op      rowOp
 	pending sync.WaitGroup
 }
 
-// poolTask is rows [lo, hi) of a job.
+// poolTask is rows, or strips, [lo, hi) of a job.
 type poolTask struct {
 	job    *rowJob
 	lo, hi int
@@ -109,44 +115,45 @@ func startJob(want int) (chan poolTask, *rowJob) {
 
 func poolWorker(tasks chan poolTask) {
 	for t := range tasks {
-		t.job.op.rows(t.lo, t.hi)
+		t.job.op.run(t.lo, t.hi)
 		t.job.pending.Done()
 	}
 }
 
-// shouldParallel reports whether a row kernel of the given shape (flops is
-// its multiply-add count) clears the pool's split thresholds.
-func shouldParallel(rows, flops int) bool {
-	return rows >= 2 && flops >= parallelMinFlops && Workers() >= 2
+// shouldParallel reports whether a kernel of units rows (or strips) and
+// flops multiply-adds clears the pool's split thresholds.
+func shouldParallel(units, flops int) bool {
+	return units >= 2 && flops >= parallelMinFlops && Workers() >= 2
 }
 
-func (op *rowOp) rows(lo, hi int) {
-	if op.bt.Data != nil {
+// run computes rows, or strips, [lo, hi) of op.
+func (op *rowOp) run(lo, hi int) {
+	switch {
+	case op.bt.Data != nil:
 		matMulTRows(&op.dst, &op.a, &op.bt, lo, hi)
-		return
+	case op.strips:
+		gemmStrips(&op.dst, &op.a, op.b, lo, hi, op.acc)
+	default:
+		gemmRows(&op.dst, &op.a, op.b, lo, hi, op.acc)
 	}
-	gemmRows(&op.dst, &op.a, op.b, lo, hi, op.acc)
 }
 
-// splitRows computes every row of op — the caller has checked
-// shouldParallel — one range per worker. The caller always executes the
-// last range itself, so at least one never waits on the pool.
-func splitRows(op rowOp) {
-	rows, w := op.a.Rows, Workers()
-	ranges := w
-	if ranges > rows {
-		ranges = rows
-	}
+// split computes all units rows, or strips, of op — the caller has checked
+// shouldParallel — one contiguous range per worker. The caller always
+// executes the last range itself, so at least one never waits on the pool.
+func split(op rowOp, units int) {
+	w := Workers()
+	ranges := min(w, units)
 	tasks, j := startJob(w)
 	j.op = op
-	chunk := (rows + ranges - 1) / ranges
+	chunk := (units + ranges - 1) / ranges
 	lo := 0
-	for lo+chunk < rows {
+	for lo+chunk < units {
 		j.pending.Add(1)
 		tasks <- poolTask{job: j, lo: lo, hi: lo + chunk}
 		lo += chunk
 	}
-	j.op.rows(lo, rows)
+	j.op.run(lo, units)
 	j.pending.Wait()
 
 	j.op = rowOp{} // an idle record must not pin a caller's buffers

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"runtime"
 	"testing"
 	"time"
 
@@ -122,9 +123,25 @@ func sameBits(t *testing.T, label string, got, want *Mat) {
 	}
 }
 
+// packStrips is b strip-packed: each strip of eight columns stored down all
+// its rows, the last strip zero-padded.
+func packStrips(b *Mat) simd.GemmB {
+	k, n := b.Rows, b.Cols
+	strips := (n + simd.GemmStrip - 1) / simd.GemmStrip
+	out := make([]float32, strips*simd.GemmStrip*k)
+	for j := 0; j < n; j++ {
+		for kk := 0; kk < k; kk++ {
+			out[j/simd.GemmStrip*simd.GemmStrip*k+kk*simd.GemmStrip+j%simd.GemmStrip] = b.At(kk, j)
+		}
+	}
+	return simd.GemmB{F32: out, RowStride: simd.GemmStrip, StripStride: simd.GemmStrip * k}
+}
+
 // MatMulInto and GemmInto's accumulating form equal the retained row-pass
-// kernel on every bit, serially and cut in two across the pool, on whichever
-// dispatch path the run selected (CI runs this under ESTI_NOSIMD=1 as well).
+// kernel on every bit, serially and cut across the pool — by rows, and for
+// a product at most one tile high by strips, over row-major and packed
+// weights — on whichever dispatch path the run selected (CI runs this under
+// ESTI_NOSIMD=1 as well).
 // The accumulating form starts from an earlier product, as every caller in
 // the engine does: such a dst holds no -0, which is what makes multiplying
 // through a zero group the identity the oracle's skip is.
@@ -150,11 +167,21 @@ func TestMatMulBitIdenticalToRowPass(t *testing.T) {
 					}
 					sameBits(t, label, got, want)
 
-					// The split path whatever the size: what GemmInto
-					// does past the flops threshold.
+					// The split paths whatever the size: what GemmInto
+					// does past the flops threshold, by rows, and for a
+					// product one tile high by strips, over the row-major
+					// operand and over the same weights strip-packed.
 					got = base.Clone()
-					splitRows(rowOp{dst: *got, a: *a, b: rowMajor(b), acc: acc})
+					split(rowOp{dst: *got, a: *a, b: rowMajor(b), acc: acc}, m)
 					sameBits(t, label+" split", got, want)
+					if m <= tileRows {
+						strips := (n + simd.GemmStrip - 1) / simd.GemmStrip
+						for name, op := range map[string]simd.GemmB{"row-major": rowMajor(b), "packed": packStrips(b)} {
+							got = base.Clone()
+							split(rowOp{dst: *got, a: *a, b: op, acc: acc, strips: true}, strips)
+							sameBits(t, label+" strip split "+name, got, want)
+						}
+					}
 				}
 			}
 		}
@@ -199,27 +226,42 @@ func TestMatMulZeroRowsStayPositiveZero(t *testing.T) {
 	}
 }
 
-// A matmul split across the pool allocates nothing: its operands and its
-// completion count ride in a recycled job record.
+// A matmul split across the pool allocates nothing and leaves no goroutine
+// behind: its operands and its completion count ride in a recycled job
+// record. Products one tile high (m ∈ {1, 2, 4, 8}, n%8 ≠ 0) split by
+// strips, over row-major and packed weights, and come out equal to the
+// serial product; a taller one splits by rows.
 func TestParallelMatMulAllocatesNothing(t *testing.T) {
 	rng := rand.New(rand.NewSource(67))
-	a, b := New(8, 256).FillRand(rng, 1), New(256, 1024).FillRand(rng, 1)
-	bt := New(1024, 256).FillRand(rng, 1)
-	dst := New(8, 1024)
+	const k, n = 256, 1020
+	b, bt := New(k, n).FillRand(rng, 1), New(n, k).FillRand(rng, 1)
+	packed := packStrips(b)
 	prev := SetWorkers(2)
 	defer SetWorkers(prev)
-	if !shouldParallel(a.Rows, a.Rows*a.Cols*b.Cols) {
-		t.Fatal("shape does not reach the pool")
+	cases := map[string]func(){}
+	for _, m := range []int{1, 2, 4, 8, 16} {
+		a, dst, dstT := New(m, k).FillRand(rng, 1), New(m, n), New(m, n)
+		if m*k*n < parallelMinFlops {
+			t.Fatalf("m=%d does not reach the pool", m)
+		}
+		serial := New(m, n)
+		gemmRows(serial, a, rowMajor(b), 0, m, false)
+		for name, op := range map[string]simd.GemmB{"row-major": rowMajor(b), "packed": packed} {
+			GemmInto(dst, a, op, false) // starts the pool, makes the first job record
+			sameBits(t, fmt.Sprintf("m=%d %s", m, name), dst, serial)
+			cases[fmt.Sprintf("m=%d %s", m, name)] = func() { GemmInto(dst, a, op, false) }
+		}
+		cases[fmt.Sprintf("m=%d acc", m)] = func() { GemmInto(dst, a, rowMajor(b), true) }
+		cases[fmt.Sprintf("m=%d MatMulTInto", m)] = func() { MatMulTInto(dstT, a, bt) }
 	}
-	MatMulInto(dst, a, b) // starts the pool, makes the first job record
-	for name, f := range map[string]func(){
-		"MatMulInto":   func() { MatMulInto(dst, a, b) },
-		"GemmInto acc": func() { GemmInto(dst, a, rowMajor(b), true) },
-		"MatMulTInto":  func() { MatMulTInto(dst, a, bt) },
-	} {
+	before := runtime.NumGoroutine()
+	for name, f := range cases {
 		if avg := testing.AllocsPerRun(50, f); avg != 0 {
 			t.Errorf("parallel %s allocates %v times", name, avg)
 		}
+	}
+	if after := runtime.NumGoroutine(); after > before {
+		t.Errorf("split matmuls leaked goroutines: %d before, %d after", before, after)
 	}
 }
 
