@@ -3,10 +3,11 @@
 // (whatever internal/simd selected at init — AVX2 on capable x86-64,
 // scalar otherwise or under ESTI_NOSIMD=1) and a `scalar` sub-benchmark
 // pinned to the exported scalar twins. The dispatch/scalar ratio printed
-// by one run IS the measured SIMD speedup on the current machine; the
-// regression gate watches the dispatch figures so a kernel or dispatch
-// regression fails CI even when the end-to-end engine benchmarks hide it
-// behind model-evaluation overhead.
+// by one run IS the measured SIMD speedup on the current machine. Each
+// benchmark's loop body is built by one function that the allocation tests
+// below run too, so each microkernel, the GEMM at every benchmarked shape
+// and the attention walk at every benchmarked geometry are held to zero
+// heap allocations by `go test`.
 package esti
 
 import (
@@ -48,78 +49,98 @@ var microSink float32
 
 // microRows is how many distinct rows the dot/axpy benchmarks sweep per
 // b.N iteration — the score/weigh loops walk a cache segment, not one
-// row, and a ~100µs-per-op figure is stable enough for the 20% gate where
-// a single 25ns call is not.
+// row, and a ~100µs-per-op figure is steadier than a single 25ns call.
 const microRows = 64
 
-// BenchmarkDotF32I8 times the mixed-precision dot product at the int8-KV
-// attention score shape: a float32 query row against each quantized row
-// of a 64-row cache segment. ns/op covers the whole 64-row sweep.
-func BenchmarkDotF32I8(b *testing.B) {
+// benchPaths runs a microkernel benchmark's dispatch and scalar bodies as
+// its two sub-benchmarks.
+func benchPaths(b *testing.B, body func(scalar bool) func()) {
+	for _, path := range []string{"dispatch", "scalar"} {
+		call := body(path == "scalar")
+		b.Run(path, func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				call()
+			}
+		})
+	}
+}
+
+// dotF32I8Sweep is the mixed-precision dot product at the int8-KV
+// attention score shape: a float32 query row against each quantized row of
+// a 64-row cache segment.
+func dotF32I8Sweep(scalar bool) func() {
+	dot := simd.DotF32I8
+	if scalar {
+		dot = simd.ScalarDotF32I8
+	}
 	a := microFloats(microN)
 	q := microInt8s(microRows * microN)
-	b.Run("dispatch", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			for r := 0; r < microRows; r++ {
-				microSink = simd.DotF32I8(a, q[r*microN:(r+1)*microN])
-			}
+	return func() {
+		for r := 0; r < microRows; r++ {
+			microSink = dot(a, q[r*microN:(r+1)*microN])
 		}
-	})
-	b.Run("scalar", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			for r := 0; r < microRows; r++ {
-				microSink = simd.ScalarDotF32I8(a, q[r*microN:(r+1)*microN])
-			}
-		}
-	})
+	}
 }
 
-// BenchmarkAxpyF32I8 times the quantized weighted accumulate at the
-// int8-KV attention value shape: each row of a 64-row quantized V segment
-// folded into the float32 output row. ns/op covers the 64-row sweep.
-func BenchmarkAxpyF32I8(b *testing.B) {
+// BenchmarkDotF32I8 times dotF32I8Sweep; ns/op covers the whole 64-row
+// sweep.
+func BenchmarkDotF32I8(b *testing.B) { benchPaths(b, dotF32I8Sweep) }
+
+// axpyF32I8Sweep is the quantized weighted accumulate at the int8-KV
+// attention value shape: each row of a 64-row quantized V segment folded
+// into the float32 output row.
+func axpyF32I8Sweep(scalar bool) func() {
+	axpy := simd.AxpyF32I8
+	if scalar {
+		axpy = simd.ScalarAxpyF32I8
+	}
 	dst := microFloats(microN)
 	q := microInt8s(microRows * microN)
-	b.Run("dispatch", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			for r := 0; r < microRows; r++ {
-				simd.AxpyF32I8(dst, 0.25, q[r*microN:(r+1)*microN])
-			}
+	return func() {
+		for r := 0; r < microRows; r++ {
+			axpy(dst, 0.25, q[r*microN:(r+1)*microN])
 		}
-	})
-	b.Run("scalar", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			for r := 0; r < microRows; r++ {
-				simd.ScalarAxpyF32I8(dst, 0.25, q[r*microN:(r+1)*microN])
-			}
-		}
-	})
-	microSink = dst[0]
+		microSink = dst[0]
+	}
 }
 
-// BenchmarkMatMulMicro times one small dense GEMM — [8,128]·[128,128],
-// the per-chip activation-by-weight-panel shape of the CI engine config —
-// through tensor.MatMulInto (dispatch) and through simd.ScalarGemm, the
-// register tile's pure-Go twin: the same tiles with every element on the
-// scalar row kernels (scalar).
-func BenchmarkMatMulMicro(b *testing.B) {
+// BenchmarkAxpyF32I8 times axpyF32I8Sweep; ns/op covers the 64-row sweep.
+func BenchmarkAxpyF32I8(b *testing.B) { benchPaths(b, axpyF32I8Sweep) }
+
+// matMulMicro is one small dense GEMM — [8,128]·[128,128], the per-chip
+// activation-by-weight-panel shape of the CI engine config — through
+// tensor.MatMulInto (dispatch) or through simd.ScalarGemm, the register
+// tile's pure-Go twin: the same tiles with every element on the scalar row
+// kernels (scalar).
+func matMulMicro(scalar bool) func() {
 	const m, k, n = 8, 128, 128
 	a := tensor.FromSlice(microFloats(m*k), m, k)
 	w := tensor.FromSlice(microFloats(k*n), k, n)
 	dst := tensor.New(m, n)
-	b.Run("dispatch", func(b *testing.B) {
-		b.ReportAllocs()
-		for i := 0; i < b.N; i++ {
-			tensor.MatMulInto(dst, a, w)
-		}
-	})
-	b.Run("scalar", func(b *testing.B) {
-		b.ReportAllocs()
-		for i := 0; i < b.N; i++ {
+	if scalar {
+		return func() {
 			simd.ScalarGemm(dst.Data, n, a.Data, k, simd.GemmB{F32: w.Data, RowStride: n, StripStride: 8}, m, k, n, false)
 		}
-	})
-	microSink = dst.Data[0]
+	}
+	return func() { tensor.MatMulInto(dst, a, w) }
+}
+
+// BenchmarkMatMulMicro times matMulMicro.
+func BenchmarkMatMulMicro(b *testing.B) { benchPaths(b, matMulMicro) }
+
+// TestMicrokernelsAllocateNothing: each microkernel benchmark's body, on
+// the dispatch path and on the scalar twins, makes no heap allocation.
+func TestMicrokernelsAllocateNothing(t *testing.T) {
+	for name, body := range map[string]func(bool) func(){
+		"DotF32I8": dotF32I8Sweep, "AxpyF32I8": axpyF32I8Sweep, "MatMulMicro": matMulMicro,
+	} {
+		for _, scalar := range []bool{false, true} {
+			if got := testing.AllocsPerRun(20, body(scalar)); got != 0 {
+				t.Errorf("%s (scalar %v) allocates %v times a call, want 0", name, scalar, got)
+			}
+		}
+	}
 }
 
 // matMulShapes are the per-chip projections of bench/'s four workloads,
@@ -135,6 +156,34 @@ var matMulShapes = [][3]int{
 // in-projection [8,256]·[256,2368] and out-projection [8,1280]·[1280,256] —
 // over int8 weights strip-packed as the engine stores them.
 var packedShapes = [][3]int{{8, 256, 2368}, {8, 1280, 256}}
+
+// matMulCase is one of BenchmarkMatMulShapes' products: a weight format
+// (see matMulCall) at one [m,k]·[k,n] shape.
+type matMulCase struct {
+	weights string
+	shape   [3]int
+}
+
+func (c matMulCase) String() string {
+	return fmt.Sprintf("%s_%dx%dx%d", c.weights, c.shape[0], c.shape[1], c.shape[2])
+}
+
+// matMulCases are BenchmarkMatMulShapes' products: float32 and int8
+// row-major weights at every matMulShapes shape, packed int8 at the
+// packedShapes.
+func matMulCases() []matMulCase {
+	var cases []matMulCase
+	for _, weights := range []string{"f32", "int8", "packed_int8"} {
+		shapes := matMulShapes
+		if weights == "packed_int8" {
+			shapes = packedShapes
+		}
+		for _, sh := range shapes {
+			cases = append(cases, matMulCase{weights, sh})
+		}
+	}
+	return cases
+}
 
 // matMulCall returns one [m,k]·[k,n] product through the engine's entry
 // points and its flop count: float32 ("f32") or int8 ("int8") row-major
@@ -176,91 +225,137 @@ func matMulCall(m, k, n int, weights string) (call func(), flops float64) {
 // (the best of twenty short bursts, since the box's speed drifts). The
 // fraction is what a shape loses to short contractions, narrow strips,
 // weight rows a page apart and the pool's split, whatever the clock is
-// doing. The gate watches allocs/op: zero, split across the pool or not.
+// doing. TestMatMulShapesAllocateNothing holds every shape to zero
+// allocations, split across the pool or not.
 func BenchmarkMatMulShapes(b *testing.B) {
-	for _, weights := range []string{"f32", "int8", "packed_int8"} {
-		ref, refFlops := matMulCall(8, 64, 64, weights)
-		shapes := matMulShapes
-		if weights == "packed_int8" {
-			shapes = packedShapes
-		}
-		for _, sh := range shapes {
-			call, flops := matMulCall(sh[0], sh[1], sh[2], weights)
-			b.Run(fmt.Sprintf("%s_%dx%dx%d", weights, sh[0], sh[1], sh[2]), func(b *testing.B) {
-				const bursts, perBurst = 20, 200
-				best := time.Duration(math.MaxInt64)
-				for r := 0; r < bursts; r++ {
-					t0 := time.Now()
-					for i := 0; i < perBurst; i++ {
-						ref()
-					}
-					best = min(best, time.Since(t0))
+	for _, c := range matMulCases() {
+		ref, refFlops := matMulCall(8, 64, 64, c.weights)
+		call, flops := matMulCall(c.shape[0], c.shape[1], c.shape[2], c.weights)
+		b.Run(c.String(), func(b *testing.B) {
+			const bursts, perBurst = 20, 200
+			best := time.Duration(math.MaxInt64)
+			for r := 0; r < bursts; r++ {
+				t0 := time.Now()
+				for i := 0; i < perBurst; i++ {
+					ref()
 				}
-				tile := refFlops * perBurst / float64(best.Nanoseconds())
-				b.ReportAllocs()
-				b.ResetTimer()
-				for i := 0; i < b.N; i++ {
-					call()
-				}
-				rate := flops * float64(b.N) / float64(b.Elapsed().Nanoseconds())
-				b.ReportMetric(rate, "GFLOP/s")
-				b.ReportMetric(rate/tile, "of-L1-tile")
-			})
+				best = min(best, time.Since(t0))
+			}
+			tile := refFlops * perBurst / float64(best.Nanoseconds())
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				call()
+			}
+			rate := flops * float64(b.N) / float64(b.Elapsed().Nanoseconds())
+			b.ReportMetric(rate, "GFLOP/s")
+			b.ReportMetric(rate/tile, "of-L1-tile")
+		})
+	}
+}
+
+// TestMatMulShapesAllocateNothing: every BenchmarkMatMulShapes product
+// makes no heap allocation, run serially and with two workers, where the
+// products that clear the pool's threshold split across it (AllocsPerRun
+// measures at GOMAXPROCS 1, where the pool would otherwise stay idle).
+func TestMatMulShapesAllocateNothing(t *testing.T) {
+	defer tensor.SetWorkers(tensor.SetWorkers(1))
+	for _, c := range matMulCases() {
+		call, _ := matMulCall(c.shape[0], c.shape[1], c.shape[2], c.weights)
+		for _, workers := range []int{1, 2} {
+			tensor.SetWorkers(workers)
+			if got := testing.AllocsPerRun(20, call); got != 0 {
+				t.Errorf("%v with %d workers allocates %v times a call, want 0", c, workers, got)
+			}
 		}
 	}
 }
 
-// benchAttendSegment times one decode step of the fused attention walk —
-// scores, softmax and weighted V sum — for `heads` query heads over
-// `kvHeads` KV heads at the given head dim and cache depth, float32 or
-// int8 cache. Dispatch-path only, and allocation-free: the gate pins both
-// ns/op and the zero allocs/op figure.
-func benchAttendSegment(b *testing.B, int8KV bool, dh, heads, kvHeads, depth int) {
-	width := kvHeads * dh
-	cache := kvcache.New(1, 1, depth+8, width)
-	if int8KV {
-		cache = kvcache.NewInt8(1, 1, depth+8, width)
-	}
-	const slot = 0
-	krow := tensor.FromSlice(microFloats(width), 1, width)
-	vrow := tensor.FromSlice(microFloats(width), 1, width)
-	for s := 0; s < depth-1; s++ {
-		cache.AppendSeq(0, slot, krow, vrow, 1)
-		cache.AdvanceSeq(slot, 1)
-	}
-	cache.AppendSeq(0, slot, krow, vrow, 1) // current step's K/V, not yet advanced
-	q := tensor.FromSlice(microFloats(heads*dh), 1, heads*dh)
-	dst := tensor.New(1, heads*dh)
-	var scr reference.AttnScratch
-	scr.Reserve(heads / kvHeads * (depth + 8))
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		reference.AttendSeqInto(dst, dh, q, cache, 0, slot, 1, &scr)
-	}
-	microSink = dst.Data[0]
+// attendGeometry is one decode step of the fused attention walk — scores,
+// softmax and weighted V sum — for heads query heads over kvHeads KV heads
+// at head dim dh and cache depth, over a float32 or int8 cache.
+type attendGeometry struct {
+	int8KV                    bool
+	dh, heads, kvHeads, depth int
 }
 
-// BenchmarkAttendSegmentInt8 is the walk over a quantized cache at a depth
-// that stays in L1: 8 query heads sharing one multiquery KV head, head dim
-// 64, 256 positions.
-func BenchmarkAttendSegmentInt8(b *testing.B) { benchAttendSegment(b, true, 64, 8, 1, 256) }
-
-// The Long benchmarks are the walk at the shape of the end-to-end
+// attendSegments are the BenchmarkAttendSegment* geometries by name suffix.
+//
+// Int8 is the walk over a quantized cache at a depth that stays in L1: 8
+// query heads sharing one multiquery KV head, head dim 64, 256 positions.
+//
+// The Long geometries are the walk at the shape of the end-to-end
 // benchmark's longctx_int8kv workload — head dim 32, 1040 positions, 8
 // heads — where a slot's K and V no longer sit in L1 next to the score
 // scratch: multiquery (all 8 heads on one KV head, each K/V row read once
 // for the 8) and multihead (8 KV heads, one query head each), int8 and
 // float32 caches. The int8/float32 pairs are ROADMAP hot-path item (b)'s
 // number: what the quantized cache costs or saves per walked row.
-func BenchmarkAttendSegmentInt8Long(b *testing.B)    { benchAttendSegment(b, true, 32, 8, 1, 1040) }
-func BenchmarkAttendSegmentF32Long(b *testing.B)     { benchAttendSegment(b, false, 32, 8, 1, 1040) }
-func BenchmarkAttendSegmentInt8LongMHA(b *testing.B) { benchAttendSegment(b, true, 32, 8, 8, 1040) }
-func BenchmarkAttendSegmentF32LongMHA(b *testing.B)  { benchAttendSegment(b, false, 32, 8, 8, 1040) }
+//
+// F32Head8 is one chip's batch-sharded walk on the end-to-end benchmark's
+// chat_mesh8 workload: head dim 8, all 8 query heads on one KV head, 48
+// positions. At head dim 8 a dot product has no 16-lane block, so one head
+// at a time each score is eight dependent scalar adds; eight heads to a
+// vector they are eight vector adds.
+var attendSegments = map[string]attendGeometry{
+	"Int8":        {true, 64, 8, 1, 256},
+	"Int8Long":    {true, 32, 8, 1, 1040},
+	"F32Long":     {false, 32, 8, 1, 1040},
+	"Int8LongMHA": {true, 32, 8, 8, 1040},
+	"F32LongMHA":  {false, 32, 8, 8, 1040},
+	"F32Head8":    {false, 8, 8, 1, 48},
+}
 
-// BenchmarkAttendSegmentF32Head8 is one chip's batch-sharded walk on the
-// end-to-end benchmark's chat_mesh8 workload: head dim 8, all 8 query
-// heads on one KV head, 48 positions. At head dim 8 a dot product has no
-// 16-lane block, so one head at a time each score is eight dependent
-// scalar adds; eight heads to a vector they are eight vector adds.
-func BenchmarkAttendSegmentF32Head8(b *testing.B) { benchAttendSegment(b, false, 8, 8, 1, 48) }
+// attendSegment fills a one-slot cache to g's depth — the current step's
+// K/V appended, not yet advanced — and returns the dispatch-path walk over
+// it.
+func attendSegment(g attendGeometry) func() {
+	width := g.kvHeads * g.dh
+	cache := kvcache.New(1, 1, g.depth+8, width)
+	if g.int8KV {
+		cache = kvcache.NewInt8(1, 1, g.depth+8, width)
+	}
+	const slot = 0
+	krow := tensor.FromSlice(microFloats(width), 1, width)
+	vrow := tensor.FromSlice(microFloats(width), 1, width)
+	for s := 0; s < g.depth-1; s++ {
+		cache.AppendSeq(0, slot, krow, vrow, 1)
+		cache.AdvanceSeq(slot, 1)
+	}
+	cache.AppendSeq(0, slot, krow, vrow, 1)
+	q := tensor.FromSlice(microFloats(g.heads*g.dh), 1, g.heads*g.dh)
+	dst := tensor.New(1, g.heads*g.dh)
+	var scr reference.AttnScratch
+	scr.Reserve(g.heads / g.kvHeads * (g.depth + 8))
+	return func() {
+		reference.AttendSeqInto(dst, g.dh, q, cache, 0, slot, 1, &scr)
+		microSink = dst.Data[0]
+	}
+}
+
+func benchAttendSegment(b *testing.B, name string) {
+	call := attendSegment(attendSegments[name])
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		call()
+	}
+}
+
+func BenchmarkAttendSegmentInt8(b *testing.B)        { benchAttendSegment(b, "Int8") }
+func BenchmarkAttendSegmentInt8Long(b *testing.B)    { benchAttendSegment(b, "Int8Long") }
+func BenchmarkAttendSegmentF32Long(b *testing.B)     { benchAttendSegment(b, "F32Long") }
+func BenchmarkAttendSegmentInt8LongMHA(b *testing.B) { benchAttendSegment(b, "Int8LongMHA") }
+func BenchmarkAttendSegmentF32LongMHA(b *testing.B)  { benchAttendSegment(b, "F32LongMHA") }
+func BenchmarkAttendSegmentF32Head8(b *testing.B)    { benchAttendSegment(b, "F32Head8") }
+
+// TestAttendSegmentsAllocateNothing: the attention walk makes no heap
+// allocation at any benchmarked geometry, its softmax scratch reserved
+// once up front.
+func TestAttendSegmentsAllocateNothing(t *testing.T) {
+	for name, g := range attendSegments {
+		if got := testing.AllocsPerRun(20, attendSegment(g)); got != 0 {
+			t.Errorf("AttendSegment%s allocates %v times a step, want 0", name, got)
+		}
+	}
+}

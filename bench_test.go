@@ -6,8 +6,7 @@
 //	go test -bench=. -benchmem
 //
 // The correctness of each artifact's *content* is asserted in
-// internal/experiments' tests; these benchmarks are the regeneration entry
-// points the EXPERIMENTS.md index refers to.
+// internal/experiments' tests; these benchmarks time their regeneration.
 package esti
 
 import (
@@ -20,6 +19,7 @@ import (
 	"esti/internal/fleet"
 	"esti/internal/ftdata"
 	"esti/internal/hardware"
+	"esti/internal/mesh"
 	"esti/internal/model"
 	"esti/internal/partition"
 	"esti/internal/perf"
@@ -247,11 +247,10 @@ func BenchmarkPerfModelDecode(b *testing.B) {
 	}
 }
 
-// BenchmarkContinuousBatching measures the iteration-level scheduler
-// replaying a 200-request mixed-length chatbot trace against the PaLM 540B
-// continuous pool — the throughput baseline future scheduling and caching
-// PRs are measured against.
-func BenchmarkContinuousBatching(b *testing.B) {
+// continuousBatching is BenchmarkContinuousBatching's run: the
+// iteration-level scheduler replaying a 200-request mixed-length chatbot
+// trace against the PaLM 540B continuous pool.
+func continuousBatching(tb testing.TB) func() {
 	c := batching.Config{
 		Model:    model.PaLM540BPadded(),
 		Weights:  model.Int8,
@@ -264,16 +263,39 @@ func BenchmarkContinuousBatching(b *testing.B) {
 		Knobs:    knobs(),
 	}
 	trace := batching.ChatbotTrace(200, 0.05, 1)
+	return func() {
+		res, err := batching.Simulate(c, trace)
+		if err != nil {
+			tb.Fatal(err)
+		}
+		if res.Completed != 200 {
+			tb.Fatalf("completed %d/200", res.Completed)
+		}
+	}
+}
+
+// BenchmarkContinuousBatching measures continuousBatching — the
+// throughput baseline future scheduling and caching PRs are measured
+// against.
+func BenchmarkContinuousBatching(b *testing.B) {
+	run := continuousBatching(b)
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		res, err := batching.Simulate(c, trace)
-		if err != nil {
-			b.Fatal(err)
-		}
-		if res.Completed != 200 {
-			b.Fatalf("completed %d/200", res.Completed)
-		}
+		run()
+	}
+}
+
+// continuousBatchingAllocs is what a continuousBatching replay allocated
+// when this bound was set.
+const continuousBatchingAllocs = 548
+
+// TestContinuousBatchingAllocs: a replay allocates no more than
+// continuousBatchingAllocs, so a per-iteration or per-request allocation
+// in the scheduler fails here.
+func TestContinuousBatchingAllocs(t *testing.T) {
+	if got := testing.AllocsPerRun(3, continuousBatching(t)); got > continuousBatchingAllocs {
+		t.Errorf("a 200-request continuous-batching replay allocates %v times, want at most %d", got, continuousBatchingAllocs)
 	}
 }
 
@@ -513,18 +535,28 @@ func BenchmarkEnginePrefill(b *testing.B) {
 	}
 }
 
+// decodeSteps are the engine configurations of the
+// BenchmarkEngineDecodeStep* family, keyed by the name's suffix. Each runs
+// on decodeSession's model, mesh and bounded-depth harness, so the family's
+// figures compare with one another.
+var decodeSteps = map[string]engine.Options{
+	"":                 {FFN: partition.FFN2DWeightStationary, Attn: partition.AttnShardBatch},
+	"Int8KV":           {FFN: partition.FFN2DWeightStationary, Attn: partition.AttnShardBatch, KVDType: model.Int8},
+	"Int8Wire":         {FFN: partition.FFN2DWeightStationary, Attn: partition.AttnShardBatch, WireDType: model.Int8},
+	"Streamed":         {FFN: partition.FFN2DWeightStationary, Attn: partition.AttnShardBatch, Streamed: true},
+	"Streamed1D":       {FFN: partition.FFN1DWeightStationary, Attn: partition.AttnShardHeads, Streamed: true},
+	"StreamedInt8Wire": {FFN: partition.FFN2DWeightStationary, Attn: partition.AttnShardBatch, Streamed: true, WireDType: model.Int8},
+	"WG":               {FFN: partition.FFNWeightGatheredXYZ, Attn: partition.AttnShardBatch},
+}
+
 // BenchmarkEngineDecodeStep measures one sharded decode step through the
 // allocation-free hot path (Step with a reused logits buffer). The
 // KV depth is bounded at 256 positions — the session is Reset and
 // re-prefilled untimed whenever the cache nears capacity — so ns/op is
-// comparable across -benchtime values and across commits (the regression
-// gate depends on that stability; the original unbounded form attended an
-// ever-deeper cache and its ns/op scaled with b.N).
-func BenchmarkEngineDecodeStep(b *testing.B) {
-	benchEngineDecodeStep(b, engine.Options{
-		FFN: partition.FFN2DWeightStationary, Attn: partition.AttnShardBatch,
-	})
-}
+// comparable across -benchtime values and across commits (the original
+// unbounded form attended an ever-deeper cache and its ns/op scaled with
+// b.N).
+func BenchmarkEngineDecodeStep(b *testing.B) { benchEngineDecodeStep(b, "") }
 
 // BenchmarkEngineDecodeStepInt8KV is BenchmarkEngineDecodeStep with the
 // KV cache stored quantized (engine.Options.KVDType): the same model,
@@ -540,31 +572,18 @@ func BenchmarkEngineDecodeStep(b *testing.B) {
 // is the cost and the quantized cache buys capacity, not speed. It is
 // faster where the bytes bind: eight KV heads at depth 1040
 // (BenchmarkAttendSegmentInt8LongMHA 95 µs against F32LongMHA 151 µs).
-// The gate pins this benchmark's own baseline (ns/op and its allocs/op,
-// which must stay at the fp32 path's figure).
-func BenchmarkEngineDecodeStepInt8KV(b *testing.B) {
-	benchEngineDecodeStep(b, engine.Options{
-		FFN: partition.FFN2DWeightStationary, Attn: partition.AttnShardBatch,
-		KVDType: model.Int8,
-	})
-}
+func BenchmarkEngineDecodeStepInt8KV(b *testing.B) { benchEngineDecodeStep(b, "Int8KV") }
 
 // BenchmarkEngineDecodeStepInt8Wire is BenchmarkEngineDecodeStep with the
 // data-plane collectives moving int8 payloads (engine.Options.WireDType):
 // same model, mesh, layout and bounded-depth harness. Every gather/reshard
 // chunk pays a quantize at the sender and a dequantize at the receiver in
-// exchange for about 0.3x the wire bytes; the
-// simulated mesh charges no time per byte, so unlike real hardware the
-// benchmark can only *lose* the encode/decode compute — expect mild
-// overhead versus the fp32-wire twin, bounded by the gate. allocs/op must
-// stay at the fp32 figure: the int8 scratch comes from the per-chip
-// message pools.
-func BenchmarkEngineDecodeStepInt8Wire(b *testing.B) {
-	benchEngineDecodeStep(b, engine.Options{
-		FFN: partition.FFN2DWeightStationary, Attn: partition.AttnShardBatch,
-		WireDType: model.Int8,
-	})
-}
+// exchange for about 0.3x the wire bytes; the simulated mesh charges no
+// time per byte, so unlike real hardware the benchmark can only *lose* the
+// encode/decode compute — expect mild overhead versus the fp32-wire twin.
+// The int8 scratch comes from the per-chip message pools, so the step
+// allocates no more than the fp32 one.
+func BenchmarkEngineDecodeStepInt8Wire(b *testing.B) { benchEngineDecodeStep(b, "Int8Wire") }
 
 // BenchmarkEngineDecodeStepStreamed is BenchmarkEngineDecodeStep with the
 // chunk-streamed FFN and weight-staging paths (engine.Options.Streamed):
@@ -573,85 +592,113 @@ func BenchmarkEngineDecodeStepInt8Wire(b *testing.B) {
 // so the wire schedule is identical to the barrier twin; on the simulated
 // mesh (which charges no transfer time) the mode trades slightly smaller
 // GEMM calls for the same arithmetic, so expect rough parity with the
-// barrier figure, bounded by the gate.
-func BenchmarkEngineDecodeStepStreamed(b *testing.B) {
-	benchEngineDecodeStep(b, engine.Options{
-		FFN: partition.FFN2DWeightStationary, Attn: partition.AttnShardBatch,
-		Streamed: true,
-	})
-}
+// barrier figure.
+func BenchmarkEngineDecodeStepStreamed(b *testing.B) { benchEngineDecodeStep(b, "Streamed") }
 
 // BenchmarkEngineDecodeStepStreamed1D is the streamed step under the 1D
 // weight-stationary layout with head-sharded attention: its inner group has
 // one member, so the down-projection runs in the outer reduce-scatter's
 // producer, one column range of the stored W_down shard per ring chunk (the
 // path the 2D benchmarks, riding the inner gather's row blocks, never take).
-func BenchmarkEngineDecodeStepStreamed1D(b *testing.B) {
-	benchEngineDecodeStep(b, engine.Options{
-		FFN: partition.FFN1DWeightStationary, Attn: partition.AttnShardHeads,
-		Streamed: true,
-	})
-}
+func BenchmarkEngineDecodeStepStreamed1D(b *testing.B) { benchEngineDecodeStep(b, "Streamed1D") }
 
 // BenchmarkEngineDecodeStepStreamedInt8Wire combines the chunk-streamed
 // paths with int8 wire payloads — the production pairing for multi-chip
 // decode (quantized chunks on the ring, dequantized once at delivery into
 // the consumer's GEMM slice). Comparable to both single-mode twins above.
 func BenchmarkEngineDecodeStepStreamedInt8Wire(b *testing.B) {
-	benchEngineDecodeStep(b, engine.Options{
-		FFN: partition.FFN2DWeightStationary, Attn: partition.AttnShardBatch,
-		Streamed: true, WireDType: model.Int8,
-	})
+	benchEngineDecodeStep(b, "StreamedInt8Wire")
 }
 
 // BenchmarkEngineDecodeStepWG is BenchmarkEngineDecodeStep under the
 // weight-gathered XYZ layout: every layer's weights are all-gathered into
-// staging buffers allocated at construction before the layer runs, so its
-// allocs/op — gated — stays near the weight-stationary step's instead of
-// growing with the weights.
-func BenchmarkEngineDecodeStepWG(b *testing.B) {
-	benchEngineDecodeStep(b, engine.Options{
-		FFN: partition.FFNWeightGatheredXYZ, Attn: partition.AttnShardBatch,
-	})
+// staging buffers allocated at construction before the layer runs, so the
+// step allocates what the weight-stationary step does instead of growing
+// with the weights.
+func BenchmarkEngineDecodeStepWG(b *testing.B) { benchEngineDecodeStep(b, "WG") }
+
+func benchEngineDecodeStep(b *testing.B, name string) {
+	s := newDecodeSession(b, decodeSteps[name])
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if s.full() {
+			b.StopTimer()
+			s.restart(b)
+			b.StartTimer()
+		}
+		s.step(b)
+	}
 }
 
-func benchEngineDecodeStep(b *testing.B, opts engine.Options) {
+// decodeSession is the decode-step benchmarks' session: a two-layer
+// multiquery model on a 2×2×2 mesh with eight slots of decodeMaxLen
+// positions, each prefilled four tokens, then stepped one token a slot
+// into a reused logits buffer.
+type decodeSession struct {
+	eng          *engine.Engine
+	prompt, last []int
+	logits       *tensor.Mat
+	depth        int
+}
+
+const decodeMaxLen = 256
+
+var prefillCounts, decodeCounts = []int{4, 4, 4, 4, 4, 4, 4, 4}, []int{1, 1, 1, 1, 1, 1, 1, 1}
+
+func newDecodeSession(tb testing.TB, opts engine.Options) *decodeSession {
 	cfg := model.Config{
 		Name: "bench", Layers: 2, DModel: 64, DFF: 128,
 		Heads: 8, HeadDim: 8, KVHeads: 1, Attn: model.Multiquery,
 		FFNKind: model.SwiGLU, ParallelBlock: true, Vocab: 64,
 	}
-	const maxLen = 256
-	w := reference.NewWeights(cfg, 1)
-	eng, err := engine.New(w, hardware.Torus{X: 2, Y: 2, Z: 2}, opts, 8, maxLen)
+	eng, err := engine.New(reference.NewWeights(cfg, 1), hardware.Torus{X: 2, Y: 2, Z: 2}, opts, 8, decodeMaxLen)
 	if err != nil {
-		b.Fatal(err)
+		tb.Fatal(err)
 	}
-	tokens := make([]int, 8*4)
-	for i := range tokens {
-		tokens[i] = i % 64
+	s := &decodeSession{eng: eng, prompt: make([]int, 8*4), last: make([]int, 8), logits: tensor.New(8, cfg.Vocab)}
+	for i := range s.prompt {
+		s.prompt[i] = i % cfg.Vocab
 	}
-	prefill, decode := []int{4, 4, 4, 4, 4, 4, 4, 4}, []int{1, 1, 1, 1, 1, 1, 1, 1}
-	step := func(dst *tensor.Mat, toks, counts []int) {
-		if _, err := eng.Step(dst, toks, counts); err != nil {
-			b.Fatal(err)
+	s.restart(tb)
+	return s
+}
+
+// restart empties the session's cache and prefills every slot again.
+func (s *decodeSession) restart(tb testing.TB) {
+	s.eng.Reset()
+	if _, err := s.eng.Step(nil, s.prompt, prefillCounts); err != nil {
+		tb.Fatal(err)
+	}
+	s.depth = 4
+}
+
+// full reports whether a slot's cache is too deep for another step.
+func (s *decodeSession) full() bool { return s.depth >= decodeMaxLen-1 }
+
+// step decodes one token in every slot.
+func (s *decodeSession) step(tb testing.TB) {
+	if _, err := s.eng.Step(s.logits, s.last, decodeCounts); err != nil {
+		tb.Fatal(err)
+	}
+	s.depth++
+}
+
+// TestEngineDecodeStepAllocs: a warm decode step of every
+// BenchmarkEngineDecodeStep* configuration allocates exactly what an empty
+// pass of its mesh allocates — mesh.Run's per-chip goroutines and closures
+// — so the engine's own share of an eight-chip step is zero, as it is on
+// one chip (internal/engine's alloc tests). Every temporary comes from the
+// chips' arenas and every wire buffer from their message pools.
+func TestEngineDecodeStepAllocs(t *testing.T) {
+	for name, opts := range decodeSteps {
+		s := newDecodeSession(t, opts)
+		for i := 0; i < 8; i++ {
+			s.step(t)
 		}
-	}
-	step(nil, tokens, prefill)
-	depth := 4
-	last := make([]int, 8)
-	logits := tensor.New(8, cfg.Vocab)
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if depth >= maxLen-1 {
-			b.StopTimer()
-			eng.Reset()
-			step(nil, tokens, prefill)
-			depth = 4
-			b.StartTimer()
+		empty := testing.AllocsPerRun(50, func() { s.eng.Mesh().Run(func(*mesh.Chip) {}) })
+		if got := testing.AllocsPerRun(50, func() { s.step(t) }); got != empty {
+			t.Errorf("BenchmarkEngineDecodeStep%s: a warm step allocates %v times, an empty mesh pass %v", name, got, empty)
 		}
-		step(logits, last, decode)
-		depth++
 	}
 }

@@ -15,7 +15,7 @@ import (
 )
 
 // exportKeep lists the exported functions and methods under internal/ that
-// no program file calls but that stay: a test compares against them, a gate
+// no program file calls but that stay: a test compares against them, a benchmark
 // runs them, or they are the oracle an exactness test is held to. Keys are
 // "pkg.Func" or "pkg.Type.Method"; each value says why it stays.
 var exportKeep = map[string]string{
@@ -64,9 +64,9 @@ var exportKeep = map[string]string{
 	// The one helper every command's golden test runs its cases through.
 	"golden.Run": "compares each command's output with its committed golden file; only tests run commands in-process",
 
-	// Called by the gated root benchmarks.
-	"engine.Engine.Reset": "the root gated benchmarks reset the engine between iterations",
-	"tensor.FromSlice":    "the root gated benchmarks wrap their operands with it",
+	// Called by the root benchmarks and the allocation tests that share their setup.
+	"engine.Engine.Reset": "the decode-step benchmarks reset the engine when its cache fills",
+	"tensor.FromSlice":    "the microkernel benchmarks and their allocation tests wrap their operands with it",
 }
 
 // exportIface names the standard interfaces whose methods are called

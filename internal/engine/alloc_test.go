@@ -16,17 +16,12 @@ import (
 // through zero-copy views with a pre-sized softmax scratch, the SPMD body
 // is a closure bound at construction, and the caller reuses the logits
 // buffer. The single-chip mesh is the configuration where the whole
-// program is chip-local (a multi-chip mesh adds goroutine scheduling and
-// wire copies that are part of the simulation, not the compute path). The
-// weight-gathered layout's per-layer gather runs there too, over a group of
-// one, into staging weights allocated at construction.
+// program is chip-local; on eight chips a step allocates only what an empty
+// mesh.Run does, its goroutines and closures (the root package's
+// TestEngineDecodeStepAllocs). The weight-gathered layout's per-layer
+// gather runs here too, over a group of one, into staging weights
+// allocated at construction.
 func TestDecodeSteadyStateZeroAllocs(t *testing.T) {
-	// Force serial kernels so the worker pool's task dispatch (which does
-	// allocate) can't trigger on machines where the matmuls clear the
-	// parallel threshold.
-	prev := tensor.SetWorkers(1)
-	defer tensor.SetWorkers(prev)
-
 	cfg := model.Config{
 		Name: "alloc", Layers: 2, DModel: 32, DFF: 64,
 		Heads: 4, HeadDim: 8, KVHeads: 1, Attn: model.Multiquery,
@@ -74,9 +69,6 @@ func TestDecodeSteadyStateZeroAllocs(t *testing.T) {
 // The same assertion for the serial-block (non-parallel) formulation and
 // head-sharded attention — the other chip-local decode shape.
 func TestDecodeZeroAllocsHeadShardedSerialBlock(t *testing.T) {
-	prev := tensor.SetWorkers(1)
-	defer tensor.SetWorkers(prev)
-
 	cfg := model.Config{
 		Name: "alloc2", Layers: 2, DModel: 32, DFF: 64,
 		Heads: 4, HeadDim: 8, KVHeads: 4, Attn: model.Multihead,
@@ -110,9 +102,10 @@ func TestDecodeZeroAllocsHeadShardedSerialBlock(t *testing.T) {
 // and an idle slot costs no row. The chunk's slot is released between
 // passes so the pass repeats at a fixed depth.
 func TestStepRaggedPassZeroAllocs(t *testing.T) {
-	prev := tensor.SetWorkers(1)
-	defer tensor.SetWorkers(prev)
-
+	// Two workers, so the pass's seven-row in-projection splits across the
+	// pool by strips inside the measured pass: AllocsPerRun runs at
+	// GOMAXPROCS 1, where the pool would otherwise stay idle.
+	defer tensor.SetWorkers(tensor.SetWorkers(2))
 	cfg := ciConfig()
 	const batch, maxLen = 4, 512
 	w := reference.NewWeights(cfg, 7)
@@ -151,9 +144,6 @@ func TestStepRaggedPassZeroAllocs(t *testing.T) {
 // mesh on top of the 97 the collectives' result tables and messages make,
 // which the per-layer slope of a warm PrefillSlot shows.
 func TestPrefillSlotBatchShardedAllocsPerLayer(t *testing.T) {
-	prev := tensor.SetWorkers(1)
-	defer tensor.SetWorkers(prev)
-
 	allocs := func(layers int) float64 {
 		cfg := ciConfig()
 		cfg.Layers = layers
@@ -185,9 +175,6 @@ func TestPrefillSlotBatchShardedAllocsPerLayer(t *testing.T) {
 // messages cost — where it once allocated every layer's full weights again
 // (2,627 allocations a step at two layers).
 func TestWGDecodeAllocsPerLayer(t *testing.T) {
-	prev := tensor.SetWorkers(1)
-	defer tensor.SetWorkers(prev)
-
 	perLayer := func(ffn partition.FFNLayout) float64 {
 		allocs := func(layers int) float64 {
 			cfg := ciConfig()

@@ -108,9 +108,6 @@ func TestInt8KVCacheBytesHalved(t *testing.T) {
 // (by-value views), quantizes appends into preallocated storage, and runs
 // its softmax in the same pre-sized scratch as the float32 walk.
 func TestInt8KVDecodeSteadyStateZeroAllocs(t *testing.T) {
-	prev := tensor.SetWorkers(1)
-	defer tensor.SetWorkers(prev)
-
 	cfg := ciConfig()
 	const batch, maxLen = 4, 512
 	w := reference.NewWeights(cfg, 7)

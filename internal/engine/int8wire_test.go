@@ -190,13 +190,10 @@ func TestInt8WireVolumeHalved(t *testing.T) {
 // Steady-state decode under an int8 wire keeps the zero-alloc contract on the
 // single-chip mesh (where the whole pass is chip-local; collectives are
 // size-1 no-ops). The multi-chip wire path's buffers come from the mesh
-// message pools — covered by the volume tests above and the gated
-// BenchmarkEngineDecodeStepInt8Wire, whose allocs/op must stay at the
-// fp32 path's figure.
+// message pools — covered by the volume tests above and by the root
+// package's TestEngineDecodeStepAllocs, which holds an eight-chip int8-wire
+// step to an empty mesh pass's allocations.
 func TestInt8WireDecodeSteadyStateZeroAllocs(t *testing.T) {
-	prev := tensor.SetWorkers(1)
-	defer tensor.SetWorkers(prev)
-
 	cfg := ciConfig()
 	const batch, maxLen = 4, 512
 	w := reference.NewWeights(cfg, 7)
@@ -274,9 +271,6 @@ func TestInt8EverythingComposes(t *testing.T) {
 // itself allocates (goroutines, wait-group), so the assertion is that the
 // int8 session allocates no more than the fp32 session, not zero.
 func TestInt8WireMultiChipNoExtraAllocs(t *testing.T) {
-	prev := tensor.SetWorkers(1)
-	defer tensor.SetWorkers(prev)
-
 	cfg := ciConfig()
 	const batch, maxLen = 8, 512
 	w := reference.NewWeights(cfg, 7)

@@ -344,9 +344,9 @@ func checkWireSchedule(t *testing.T, cfg model.Config, tr hardware.Torus, opts O
 // Admission runs the pass body that decode runs, so on one chip a warm
 // PrefillSlot allocates only the logits it returns.
 func TestPrefillSlotSingleChipAllocatesOnlyResult(t *testing.T) {
-	prev := tensor.SetWorkers(1)
-	defer tensor.SetWorkers(prev)
-
+	// Two workers, so the 16-row projections split across the pool by rows
+	// inside the measured admission (AllocsPerRun runs at GOMAXPROCS 1).
+	defer tensor.SetWorkers(tensor.SetWorkers(2))
 	cfg := ciConfig()
 	eng, err := New(reference.NewWeights(cfg, 7), hardware.Torus{X: 1, Y: 1, Z: 1}, Options{
 		FFN: partition.FFN2DWeightStationary, Attn: partition.AttnShardBatch,

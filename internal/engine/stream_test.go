@@ -140,9 +140,6 @@ func TestStreamed1DIsBarrier(t *testing.T) {
 // overlap), so the steady-state zero-allocation decode contract holds
 // unchanged with Options.Streamed set.
 func TestStreamedSingleChipDecodeZeroAllocs(t *testing.T) {
-	prev := tensor.SetWorkers(1)
-	defer tensor.SetWorkers(prev)
-
 	cfg := model.Config{
 		Name: "alloc-stream", Layers: 2, DModel: 32, DFF: 64,
 		Heads: 4, HeadDim: 8, KVHeads: 1, Attn: model.Multiquery,

@@ -8,7 +8,8 @@ import (
 )
 
 // Registry maps every experiment id to a renderer, the single source of
-// truth for cmd/estibench and the per-artifact index in DESIGN.md.
+// truth for cmd/estibench, whose -exp all output is the artifact index
+// (cmd/estibench/testdata/exp-all.golden).
 func Registry(k perf.Knobs) map[string]func() string {
 	return map[string]func() string{
 		"fig1-decode": func() string {

@@ -6,7 +6,8 @@ import (
 )
 
 // Every registry entry must render a non-trivial table, and the id set must
-// cover every artifact in DESIGN.md's per-experiment index.
+// be exactly the paper artifacts listed here, the ones cmd/estibench -exp
+// all prints (cmd/estibench/testdata/exp-all.golden).
 func TestRegistryComplete(t *testing.T) {
 	k := knobs()
 	reg := Registry(k)

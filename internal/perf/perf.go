@@ -13,7 +13,8 @@
 // over the *per-chip* matmul shapes each layout induces: sharded decode
 // matmuls are small and narrow, which is exactly why decode MFU is low. The
 // default constants are calibrated once against the paper's published
-// anchors (Tables 2-3 and D.2-D.4); EXPERIMENTS.md records the residuals.
+// anchors (Tables 2-3 and D.2-D.4); cmd/esticalib prints the residuals
+// (cmd/esticalib/testdata/defaults.golden).
 // Communication uses the closed forms in package commcost; weight and
 // KV-cache memory time use HBM bandwidth directly.
 //
@@ -80,8 +81,8 @@ type Knobs struct {
 	Roofline bool
 }
 
-// DefaultKnobs returns the calibrated constants (see EXPERIMENTS.md,
-// "Calibration").
+// DefaultKnobs returns the calibrated constants; their residuals against
+// the paper's anchors are cmd/esticalib/testdata/defaults.golden.
 func DefaultKnobs() Knobs {
 	return Knobs{
 		MatmulEffMax:  0.88,

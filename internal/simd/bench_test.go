@@ -6,9 +6,10 @@ import (
 )
 
 // Package-local microbenchmarks of the dispatched kernels against their
-// scalar twins. The root-package bench suite (bench_test.go) re-exports
-// these shapes into BENCH_ci.json; these exist for quick in-package
-// iteration: go test ./internal/simd -bench=. -run='^$'
+// scalar twins. The root package's microkernel benchmarks
+// (bench_micro_test.go) time the engine's shapes and hold them to zero
+// allocations; these exist for quick in-package iteration:
+// go test ./internal/simd -bench=. -run='^$'
 
 const benchN = 256 // a typical head-dim×2 / row-block length
 

@@ -1,6 +1,6 @@
 // Package tableio renders experiment results as aligned plain-text tables
-// and simple XY series listings, the output format of cmd/estibench and
-// EXPERIMENTS.md.
+// and simple XY series listings, the output format of cmd/estibench (every
+// artifact at once: cmd/estibench/testdata/exp-all.golden).
 package tableio
 
 import (
