@@ -30,7 +30,7 @@ func Table1() []Table1Row {
 		r := Table1Row{Variant: name, HeadDim: cfg.HeadDim,
 			MaxCtx: map[int]int{}, PaperCtx: paper}
 		for _, b := range batches {
-			r.MaxCtx[b] = planner.MaxContext(cfg, sys, layout, b, budget)
+			r.MaxCtx[b] = planner.MaxContextKV(cfg, sys, layout, b, budget, model.BF16)
 		}
 		return r
 	}

@@ -1,16 +1,19 @@
 package fleet
 
 // Autoscaling: the control loop that re-spends the chip budget mid-trace.
-// Config.Autoscale arms a deterministic autoscale.Controller per pool
-// (prefill and decode independently when disaggregated); control ticks are
-// first-class events in the same heap as arrivals and faults, so an
-// autoscaled run replays byte-identically under the same seed. Each tick
-// reads the signals the serving stack already exports — per-replica backlog
-// drain estimates from the perf model, queue depths, shed/miss deltas,
-// health states, the brownout watermark — and the controller's verdict is
-// executed here: scale-out provisions a cold replica that joins recovering
-// after ProvisionDelay, scale-in picks the emptiest replica and retires it
-// through the drain path (resident KV finishes before the release).
+// Config.Autoscale arms a deterministic autoscale.Controller in each pool
+// (the unified pool, or the prefill and decode pools independently);
+// control ticks are first-class events in the same heap as arrivals and
+// faults, so an autoscaled run replays byte-identically under the same
+// seed. Each tick measures every pool once from the signals the serving
+// stack already exports — per-replica backlog drain estimates from the perf
+// model, queue depths, health states, and for the arrival pool the
+// shed/miss deltas and the brownout watermark — then each pool's
+// controller decides and its verdict is executed on that pool: scale-out
+// provisions a cold replica from the pool's blueprint that joins
+// recovering after ProvisionDelay, scale-in picks the pool's emptiest
+// replica and retires it through the drain path (resident KV finishes
+// before the release).
 
 import (
 	"esti/internal/autoscale"
@@ -47,7 +50,8 @@ type TickStat struct {
 	DrainP50, DrainMax float64
 }
 
-// initAutoscale validates and arms the controllers. Called from newSim.
+// initAutoscale validates the policy and arms one controller per pool.
+// Called from newSim.
 func (s *sim) initAutoscale() error {
 	if s.c.Autoscale == nil {
 		return nil
@@ -55,12 +59,11 @@ func (s *sim) initAutoscale() error {
 	if err := s.c.Autoscale.Validate(); err != nil {
 		return err
 	}
-	s.ctlIngress = autoscale.New(*s.c.Autoscale)
-	p := s.ctlIngress.Policy()
-	s.auto = &p
-	if s.c.disaggregated() {
-		s.ctlDecode = autoscale.New(*s.c.Autoscale)
+	for _, p := range s.pools {
+		p.ctl = autoscale.New(*s.c.Autoscale)
 	}
+	pol := s.pools[0].ctl.Policy()
+	s.auto = &pol
 	// Recover events scheduled in the fault plan are capacity about to
 	// return: the controller must not scale out over a crash the plan is
 	// about to heal.
@@ -73,15 +76,23 @@ func (s *sim) initAutoscale() error {
 	return nil
 }
 
-// tick runs one control interval: snapshot, decide per pool, execute, and
-// schedule the next tick while the run still has work in flight.
+// tick runs one control interval: measure every pool, then let each pool's
+// controller decide and execute its verdict, and schedule the next tick
+// while the run still has work in flight. Measuring all pools first is
+// safe: a verdict on one pool moves only that pool's replicas (a scale-in's
+// evicted requests re-route through events).
 func (s *sim) tick(t float64) {
-	s.recordTick(t)
-	d := s.ctlIngress.Decide(s.poolSignals(t, s.ingress, true))
-	s.executeVerdict(t, d, true)
-	if s.ctlDecode != nil && !s.fallback {
-		d := s.ctlDecode.Decide(s.poolSignals(t, s.decode, false))
-		s.executeVerdict(t, d, false)
+	sigs := s.measure(t)
+	for i, p := range s.pools {
+		if p.ctl == nil {
+			continue
+		}
+		switch d := p.ctl.Decide(sigs[i]); d.Verdict {
+		case autoscale.ScaleOut:
+			s.scaleOut(t, p, d.Reason)
+		case autoscale.ScaleIn:
+			s.scaleIn(t, p, d.Reason)
+		}
 	}
 	s.prevShed = s.res.Shed + s.res.ShedRetry
 	s.prevMiss = s.res.DeadlineMisses + s.res.Failed
@@ -109,96 +120,85 @@ func (s *sim) anyBusy() bool {
 	return false
 }
 
-// poolSignals measures one pool for the controller.
-func (s *sim) poolSignals(t float64, pool []*replica, ingress bool) autoscale.Signals {
-	var sig autoscale.Signals
-	for _, rep := range pool {
-		switch rep.stage {
-		case provisioning:
-			sig.Arriving++
-		case down:
-			if s.recovers[rep.idx] > t {
+// measure reads one control tick: each pool's controller signals (the
+// router's shed and miss deltas and the brownout flag go to the first pool,
+// where arrivals land) and the fleet's TickStat, appended to
+// Result.TickStats. Each live replica's backlog is snapshotted once.
+func (s *sim) measure(t float64) []autoscale.Signals {
+	ts := TickStat{T: t}
+	var drains []float64
+	sigs := make([]autoscale.Signals, len(s.pools))
+	for i, p := range s.pools {
+		sig := &sigs[i]
+		for _, rep := range p.reps {
+			switch rep.stage {
+			case provisioning:
 				sig.Arriving++
-			}
-		case draining, retiring:
-			// A release still draining its resident work counts as the
-			// in-flight drain (one at a time); a retired one is gone.
-			sig.Draining++
-		case healthy, degraded, recovering:
-			sig.Live++
-			b := rep.s.Snapshot()
-			if b.DrainTime > sig.DrainTime {
-				sig.DrainTime = b.DrainTime
-			}
-			sig.TotalBacklog += b.DrainTime
-			// Recovering replicas are live capacity but not release
-			// candidates: the fleet just paid their warm-up.
-			if !rep.s.Busy() && b.Pending == 0 && rep.stage != recovering {
-				sig.Idle++
+				ts.Provisioning++
+			case down:
+				if s.recovers[rep.idx] > t {
+					sig.Arriving++
+				}
+			case draining, retiring:
+				// A release still draining its resident work counts as the
+				// in-flight drain (one at a time); a retired one is gone.
+				sig.Draining++
+				ts.Draining++
+			case healthy, degraded, recovering:
+				sig.Live++
+				ts.Live++
+				b := rep.s.Snapshot()
+				sig.DrainTime = max(sig.DrainTime, b.DrainTime)
+				sig.TotalBacklog += b.DrainTime
+				ts.QueueDepth += b.Pending
+				drains = append(drains, b.DrainTime)
+				// Recovering replicas are live capacity but not release
+				// candidates: the fleet just paid their warm-up.
+				if !rep.s.Busy() && b.Pending == 0 && rep.stage != recovering {
+					sig.Idle++
+				}
 			}
 		}
 	}
-	if ingress {
-		sig.ShedDelta = s.res.Shed + s.res.ShedRetry - s.prevShed
-		sig.MissDelta = s.res.DeadlineMisses + s.res.Failed - s.prevMiss
-		sig.Brownout = s.brownout()
-	}
-	return sig
+	sigs[0].ShedDelta = s.res.Shed + s.res.ShedRetry - s.prevShed
+	sigs[0].MissDelta = s.res.DeadlineMisses + s.res.Failed - s.prevMiss
+	sigs[0].Brownout = s.brownout()
+	ts.DrainP50 = batching.Percentile(drains, 0.50)
+	ts.DrainMax = batching.Percentile(drains, 1)
+	s.res.TickStats = append(s.res.TickStats, ts)
+	return sigs
 }
 
-func (s *sim) executeVerdict(t float64, d autoscale.Decision, ingress bool) {
-	switch d.Verdict {
-	case autoscale.ScaleOut:
-		s.scaleOut(t, ingress, d.Reason)
-	case autoscale.ScaleIn:
-		s.scaleIn(t, ingress, d.Reason)
-	}
-}
-
-func (s *sim) poolName(ingress bool) string {
-	if !s.c.disaggregated() {
-		return "unified"
-	}
-	if ingress {
-		return "prefill"
-	}
-	return "decode"
-}
-
-// scaleOut provisions one replica into the pool. The replica is appended —
+// scaleOut provisions one replica into pool p. The replica is appended —
 // indices are stable for the run — and joins provisioning; after
 // ProvisionDelay an evScaleReady event moves it to recovering, where it
 // serves with a stone-cold prefix cache until its first completed work (the
 // warm-up cost the controller's payback check already priced in).
-func (s *sim) scaleOut(t float64, ingress bool, reason string) {
-	rep, err := s.addReplica(ingress, onScaleOut, t)
+func (s *sim) scaleOut(t float64, p *pool, reason string) {
+	rep, err := s.addReplica(p, onScaleOut, t)
 	if err != nil {
 		// The blueprint built N replicas at newSim; it cannot fail now.
 		return
 	}
 	s.res.ScaleEvents = append(s.res.ScaleEvents, ScaleEvent{
-		T: t, Pool: s.poolName(ingress), Verdict: autoscale.ScaleOut.String(),
+		T: t, Pool: p.name, Verdict: autoscale.ScaleOut.String(),
 		Replica: rep.idx, Reason: reason,
 	})
 	s.events.push(event{t: t + s.auto.ProvisionDelay, seq: s.nextSeq(), kind: evScaleReady, from: rep})
 }
 
-// scaleIn retires one replica through the graceful-drain path: its queued
-// requests re-route to peers, its resident slots finish locally, and only
-// then does the replica leave the fleet — the same machinery a
+// scaleIn retires one replica of pool p through the graceful-drain path:
+// its queued requests re-route to peers, its resident slots finish locally,
+// and only then does the replica leave the fleet — the same machinery a
 // fault-injected Drain uses, so run()'s drained-dry check completes the
 // release. The victim is the emptiest healthy or degraded replica (ties to
 // the newest, so autoscaled capacity releases before the initial fleet and
 // fault-plan indices stay meaningful). Retired replicas keep their index —
 // stats stay addressable — but never serve or count again.
-func (s *sim) scaleIn(t float64, ingress bool, reason string) {
-	pool := s.ingress
-	if !ingress {
-		pool = s.decode
-	}
+func (s *sim) scaleIn(t float64, p *pool, reason string) {
 	live := 0
 	var victim *replica
-	for _, rep := range pool {
+	for _, rep := range p.reps {
 		if rep.stage.routable() {
 			live++
 		}
@@ -210,37 +210,15 @@ func (s *sim) scaleIn(t float64, ingress bool, reason string) {
 			victim = rep
 		}
 	}
-	// Never release the last live decode replica: that would trip the
-	// unified fallback.
-	if victim == nil || !ingress && live <= 1 {
+	// Never release the last live replica of a decode pool: that would trip
+	// the unified fallback.
+	if victim == nil || p != s.pools[0] && live <= 1 {
 		return
 	}
 	victim.move(onScaleIn, t)
 	s.drain(victim, t)
 	s.res.ScaleEvents = append(s.res.ScaleEvents, ScaleEvent{
-		T: t, Pool: s.poolName(ingress), Verdict: autoscale.ScaleIn.String(),
+		T: t, Pool: p.name, Verdict: autoscale.ScaleIn.String(),
 		Replica: victim.idx, Reason: reason,
 	})
-}
-
-// recordTick appends the tick's fleet snapshot to Result.TickStats.
-func (s *sim) recordTick(t float64) {
-	ts := TickStat{T: t}
-	var drains []float64
-	for _, rep := range s.all {
-		switch rep.stage {
-		case provisioning:
-			ts.Provisioning++
-		case draining, retiring:
-			ts.Draining++
-		case healthy, degraded, recovering:
-			ts.Live++
-			b := rep.s.Snapshot()
-			ts.QueueDepth += b.Pending
-			drains = append(drains, b.DrainTime)
-		}
-	}
-	ts.DrainP50 = batching.Percentile(drains, 0.50)
-	ts.DrainMax = batching.Percentile(drains, 1)
-	s.res.TickStats = append(s.res.TickStats, ts)
 }

@@ -2,6 +2,7 @@ package fleet
 
 import (
 	"errors"
+	"fmt"
 	"os"
 	"strconv"
 	"testing"
@@ -368,6 +369,32 @@ func TestAutoscaleDisaggregated(t *testing.T) {
 		if i >= 4 && r.Role != "decode" && r.Role != "prefill" {
 			t.Errorf("autoscaled replica %d has role %q", i, r.Role)
 		}
+	}
+}
+
+// A routing shed names the replica the router picked by its stable index,
+// never by its position in the pool: after the prefill pool scales out, a
+// position past the initial prefill replicas is a decode replica's index.
+// checkFaultInvariants holds every shed off the decode pool; the burst
+// makes the prefill pool of these runs scale out.
+func TestShedNamesRoutedReplica(t *testing.T) {
+	prefillOuts := 0
+	for seed := int64(1); seed <= 40; seed++ {
+		c := Config{Replica: replicaConfig(), Policy: Affinity, PrefillReplicas: 1, DecodeReplicas: 2, Seed: seed,
+			Autoscale: &autoscale.Policy{Interval: 0.25, MinReplicas: 1, MaxReplicas: 4}}
+		res, err := Simulate(c, batching.WithSLO(zipfTrace(400, 0.004, seed), 4.0, 0.3, seed))
+		if err != nil {
+			t.Fatal(err)
+		}
+		t.Run(fmt.Sprintf("seed%d", seed), func(t *testing.T) { checkFaultInvariants(t, res, 400) })
+		for _, ev := range res.ScaleEvents {
+			if ev.Pool == "prefill" && ev.Verdict == "scale-out" {
+				prefillOuts++
+			}
+		}
+	}
+	if prefillOuts == 0 {
+		t.Error("no prefill pool scaled out: no shed could land past the initial prefill replicas")
 	}
 }
 

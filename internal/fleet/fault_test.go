@@ -21,7 +21,8 @@ import (
 // must keep: Outcomes partitions the trace exactly (served + shed + failed
 // = len(trace), one outcome per request), per-replica tokens sum to the
 // fleet's GenTokens with wasted tokens ledgered separately and exactly
-// once, and every outcome error is a sentinel from the documented family.
+// once, every outcome error is a sentinel from the documented family, and
+// no routing shed names a decode replica.
 func checkFaultInvariants(t *testing.T, res Result, n int) {
 	t.Helper()
 	if got := res.Completed + res.Rejected + res.Shed + res.ShedRetry + res.Failed; got != n {
@@ -44,6 +45,12 @@ func checkFaultInvariants(t *testing.T, res Result, n int) {
 			!errors.Is(o.Err, batching.ErrDeadline) && !errors.Is(o.Err, batching.ErrOverloaded) &&
 			!errors.Is(o.Err, batching.ErrReplicaDown) {
 			t.Errorf("outcome error outside the sentinel family: %v", o.Err)
+		}
+		// The router sheds at the replica it picked, and it picks only
+		// replicas that take arrivals.
+		if (errors.Is(o.Err, batching.ErrDeadline) || errors.Is(o.Err, batching.ErrOverloaded)) &&
+			o.Replica >= 0 && res.PerReplica[o.Replica].Role == "decode" {
+			t.Errorf("request %d shed on decode replica %d", o.Req.ID, o.Replica)
 		}
 	}
 	local, wastedLedger := 0, 0

@@ -140,9 +140,10 @@ func (s *sim) retryOrFail(st *reqState, t float64) {
 }
 
 // hedgeStraggler duplicates every request stuck on a newly degraded replica
-// to the best other live ingress replica (once per request): first
-// completed copy wins, the loser's tokens become wasted work. Warm-template
-// duplicates recover cheaply through the target's prefix cache.
+// to the least-loaded other serving, non-degraded replica of the first pool
+// (once per request): first completed copy wins, the loser's tokens become
+// wasted work. Warm-template duplicates recover cheaply through the
+// target's prefix cache.
 func (s *sim) hedgeStraggler(rep *replica, t float64) {
 	if s.c.Recovery.Naive || s.c.Recovery.NoHedge {
 		return
@@ -152,7 +153,11 @@ func (s *sim) hedgeStraggler(rep *replica, t float64) {
 		if st.done || st.hedged || st.live > 1 {
 			continue
 		}
-		tgt := s.bestOther(rep)
+		// Hedging onto another straggler would duplicate the problem, not
+		// race it.
+		tgt := s.least(s.pools[0].reps, func(c *replica) bool {
+			return c != rep && c.stage.routable() && c.stage != degraded
+		})
 		if tgt == nil {
 			continue
 		}
@@ -168,22 +173,6 @@ func (s *sim) hedgeStraggler(rep *replica, t float64) {
 		tgt.s.Enqueue(cp)
 		tgt.stats.Routed++
 	}
-}
-
-// bestOther returns the lowest-effective-load ingress replica other than
-// rep that is routable and not degraded, or nil if none exists — hedging
-// onto another straggler would duplicate the problem, not race it.
-func (s *sim) bestOther(rep *replica) *replica {
-	var best *replica
-	for _, cand := range s.ingress {
-		if cand == rep || !cand.stage.routable() || cand.stage == degraded {
-			continue
-		}
-		if best == nil || s.effLoad(cand) < s.effLoad(best) {
-			best = cand
-		}
-	}
-	return best
 }
 
 // brownout reports whether low-tier arrivals should be shed: the live
@@ -202,7 +191,7 @@ func (s *sim) brownout() bool {
 // browner), and provisioning ones are not yet capacity — none may depress
 // the brownout fraction.
 func (s *sim) liveFraction() (live, total int) {
-	for _, rep := range s.ingress {
+	for _, rep := range s.pools[0].reps {
 		switch rep.stage {
 		case healthy, degraded, recovering:
 			live++
@@ -216,21 +205,23 @@ func (s *sim) liveFraction() (live, total int) {
 
 // checkFallback converts the prefill pool to unified serving once no decode
 // replica is live — graceful degradation instead of a fleet that prefills
-// forever and decodes nothing. One-way for the run.
+// forever and decodes nothing. One-way for the run: the decode pool's
+// controller stops with it.
 func (s *sim) checkFallback() {
-	if !s.c.disaggregated() || s.fallback || s.c.Recovery.Naive {
+	in := s.pools[0]
+	if !in.prefill || s.c.Recovery.Naive {
 		return
 	}
-	for _, rep := range s.decode {
+	for _, rep := range s.pools[1].reps {
 		if rep.stage.routable() {
 			return
 		}
 	}
-	s.fallback = true
-	for _, rep := range s.ingress {
-		rep.prefill = false
+	in.prefill = false
+	s.pools[1].ctl = nil
+	for _, rep := range in.reps {
 		rep.s.SetUnified()
-		rep.stats.Role = "prefill→unified"
+		rep.stats.Role = in.role()
 	}
 }
 

@@ -1,5 +1,5 @@
-// Package fleet scales the serving stack past one replica: N engine
-// replicas behind a router, driven as one discrete-event simulation against
+// Package fleet scales the serving stack past one replica: engine replicas
+// in pools behind a router, driven as one discrete-event simulation against
 // a shared arrival stream. It composes the pieces the lower layers already
 // provide — batching.Scheduler for each replica's iteration-level
 // discipline, the perf model for iteration costs, the prefix cache's warm
@@ -8,13 +8,21 @@
 // refused, and what does disaggregating prefill from decode buy at fleet
 // scale.
 //
+// A pool is a group of replicas stamped from one batching.Config blueprint,
+// with its own autoscale controller. A unified fleet is one pool; a
+// disaggregated fleet is two, a prefill pool that takes the arrivals and a
+// decode pool that takes their KV handoffs. Every pool-level decision —
+// routing, measuring a control tick, scaling out or in — is one function
+// over a pool, and every load-based choice is one search (least) that
+// returns a replica, so results name replicas by their stable index.
+//
 // Four mechanisms, all behind one Simulate call:
 //
 //   - Prefix-affinity routing: a request opening with a known template is
 //     sent to the replica whose cache already holds that prefix, turning
 //     the fleet's prefix hit rate from per-replica luck into a routing
 //     invariant. Compare against Random with CompareRouting.
-//   - Disaggregated pools: prefill-only replicas complete a request at its
+//   - Disaggregated pools: prefill-pool replicas complete a request at its
 //     first token and hand the slot's KV to a decode replica over the
 //     interconnect (executed, engine.ExportSlotKV and ImportSlotKV move
 //     real cache blocks between engines, and engine.TestHandoffTokenExact
@@ -34,7 +42,7 @@
 //     ErrReplicaDown when retries run out), stragglers get their stuck
 //     work hedged to a second replica (first completion wins, the loser's
 //     tokens are wasted work under ErrHedged), and the fleet degrades
-//     gracefully — disaggregated serving falls back to unified when the
+//     gracefully — the prefill pool falls back to unified serving when the
 //     decode pool dies, and a brownout watermark sheds low-tier arrivals
 //     while capacity is short. RecoveryPolicy picks the naive baseline,
 //     turns hedging off and sets the watermark; Result's fault accounting
@@ -44,9 +52,10 @@
 // Each state transition of the simulation is written once: settle books a
 // request's terminal state, lose drops one copy of a request, reroute sends
 // a request back through the router, drain takes a replica out of routing,
-// addReplica builds one and move changes its lifecycle stage. Result's
-// totals that an itemized ledger already holds (Ticks, ScaleOuts/ScaleIns,
-// the Wasted* totals) are read off that ledger when the run ends.
+// addReplica builds one into its pool, move changes its lifecycle stage and
+// measure reads a control tick. Result's totals that an itemized ledger
+// already holds (Ticks, ScaleOuts/ScaleIns, the Wasted* totals) are read off
+// that ledger when the run ends.
 //
 // A replica's lifecycle is one stage, changed only by move, which checks
 // every move against one table (lifecycle.go). Per event:
@@ -171,9 +180,11 @@ type Config struct {
 	Autoscale *autoscale.Policy
 }
 
-// Outcome records what the fleet did with one request: the ingress replica
-// it was last routed to (-1 if refused before routing or failed with the
-// fleet down) and the sentinel error it ended with (nil if it completed).
+// Outcome records what the fleet did with one request: the stable index
+// (ReplicaStats.ID) of the replica it last reached — the one that completed
+// it, shed it at routing, or died holding it; -1 if refused before routing
+// or failed with the fleet down — and the sentinel error it ended with (nil
+// if it completed).
 // There is exactly one Outcome per trace request, updated in place across
 // retries, so Outcomes always partitions the trace.
 type Outcome struct {
@@ -316,15 +327,38 @@ type WastedWork struct {
 	DecodedTokens int
 }
 
-// replica couples a scheduler with its fleet role and lifecycle stage.
-type replica struct {
-	idx     int
-	s       *batching.Scheduler
-	chips   int
+// pool is one group of interchangeable replicas built from one blueprint:
+// the whole fleet when unified, the prefill or the decode pool when
+// disaggregated. Arrivals land on the fleet's first pool; a prefill pool
+// hands each request's KV to the second.
+type pool struct {
+	name string // "unified", "prefill" or "decode"
+	cfg  batching.Config
+	reps []*replica
+	// ctl is the pool's autoscale controller (nil when autoscaling is off,
+	// and for a decode pool the unified fallback has left behind).
+	ctl *autoscale.Controller
+	// prefill marks a pool whose replicas prefill only and hand off; the
+	// unified fallback clears it.
 	prefill bool
-	stage   stage
-	since   float64 // when the replica entered its stage
-	stats   ReplicaStats
+}
+
+// role names a replica of the pool in ReplicaStats.
+func (p *pool) role() string {
+	if p.name == "prefill" && !p.prefill {
+		return "prefill→unified"
+	}
+	return p.name
+}
+
+// replica couples a scheduler with its pool and lifecycle stage.
+type replica struct {
+	idx   int
+	s     *batching.Scheduler
+	pool  *pool
+	stage stage
+	since float64 // when the replica entered its stage
+	stats ReplicaStats
 }
 
 type eventKind int
@@ -390,11 +424,9 @@ type reqState struct {
 
 type sim struct {
 	c Config
-	// in is the ingress pool's replica config: the arrival screens and
-	// affinity routing read it.
-	in      batching.Config
-	ingress []*replica // unified replicas, or the prefill pool
-	decode  []*replica // nil in unified mode
+	// pools holds the unified pool, or the prefill pool then the decode
+	// pool; all holds every replica by index.
+	pools   []*pool
 	all     []*replica
 	events  eventHeap
 	seq     int
@@ -409,17 +441,14 @@ type sim struct {
 	origin   map[*batching.Request]*replica // in-handoff request → prefill replica owed first-token credit
 	linkDown bool
 	held     []event   // handoffs buffered while the link is down
-	fallback bool      // prefill pool converted to unified serving
 	recov    []float64 // completion − firstLoss per recovered request
 	lastT    float64   // latest simulation time observed
 
 	// Autoscale state (nil/zero when Config.Autoscale is nil).
-	auto       *autoscale.Policy     // effective (defaulted) policy
-	ctlIngress *autoscale.Controller // unified fleet or prefill pool
-	ctlDecode  *autoscale.Controller // decode pool when disaggregated
-	recovers   map[int]float64       // each replica's last plan-scheduled Recover
-	prevShed   int                   // shed counter at the previous tick
-	prevMiss   int                   // miss+fail counter at the previous tick
+	auto     *autoscale.Policy // effective (defaulted) policy
+	recovers map[int]float64   // each replica's last plan-scheduled Recover
+	prevShed int               // shed counter at the previous tick
+	prevMiss int               // miss+fail counter at the previous tick
 }
 
 // Simulate routes the trace through the fleet and returns the aggregate
@@ -445,7 +474,7 @@ func Simulate(c Config, trace batching.Trace) (Result, error) {
 		s.events.push(event{t: s.auto.Interval, seq: s.nextSeq(), kind: evTick})
 	}
 	for i := range reqs {
-		if err := s.in.CheckRequest(reqs[i]); errors.Is(err, batching.ErrInvalidTrace) {
+		if err := s.pools[0].cfg.CheckRequest(reqs[i]); errors.Is(err, batching.ErrInvalidTrace) {
 			return Result{}, err
 		}
 		reqs[i].Slot = -1
@@ -459,7 +488,6 @@ func Simulate(c Config, trace batching.Trace) (Result, error) {
 func newSim(c Config) (*sim, error) {
 	s := &sim{
 		c:      c,
-		in:     c.Replica,
 		rng:    rand.New(rand.NewSource(c.Seed)),
 		states: map[*batching.Request]*reqState{},
 		origin: map[*batching.Request]*replica{},
@@ -473,31 +501,37 @@ func newSim(c Config) (*sim, error) {
 		return nil, fmt.Errorf("fleet: %w: brownout watermark %g is not a fraction of the fleet",
 			batching.ErrInvalidConfig, w)
 	}
-	ingress, decode := c.Replicas, 0
+	s.pools = []*pool{{name: "unified", cfg: c.Replica}}
+	sizes := []int{c.Replicas}
 	if c.disaggregated() {
 		if c.PrefillReplicas < 1 || c.DecodeReplicas < 1 {
 			return nil, fmt.Errorf("fleet: %w: disaggregated needs prefill and decode replicas, got %d/%d",
 				batching.ErrInvalidConfig, c.PrefillReplicas, c.DecodeReplicas)
 		}
-		ingress, decode = c.PrefillReplicas, c.DecodeReplicas
+		pre := c.Replica
 		if p := c.PrefillReplica; p != nil {
 			if p.Model != c.Replica.Model || p.KVDType != c.Replica.KVDType || p.MaxLen > c.Replica.MaxLen {
 				return nil, fmt.Errorf("fleet: %w: the decode pool cannot hold the prefill pool's KV "+
 					"(model, KV format or per-slot capacity differ)", batching.ErrInvalidConfig)
 			}
-			s.in = *p
+			pre = *p
 		}
+		s.pools = []*pool{{name: "prefill", cfg: pre, prefill: true}, {name: "decode", cfg: c.Replica}}
+		sizes = []int{c.PrefillReplicas, c.DecodeReplicas}
 	} else if c.Replicas < 1 {
 		return nil, fmt.Errorf("fleet: %w: %d replicas", batching.ErrInvalidConfig, c.Replicas)
 	}
-	for i := 0; i < ingress+decode; i++ {
-		if _, err := s.addReplica(i < ingress, onBuild, 0); err != nil {
-			return nil, err
+	for i, p := range s.pools {
+		for j := 0; j < sizes[i]; j++ {
+			if _, err := s.addReplica(p, onBuild, 0); err != nil {
+				return nil, err
+			}
 		}
 	}
 	if c.disaggregated() {
-		s.kvBytes = s.in.Model.KVBytesPerTokenAs(s.in.KVDType)
-		s.bw = s.in.System.Chip.NetworkBandwidth
+		pre := s.pools[0].cfg
+		s.kvBytes = pre.Model.KVBytesPerTokenAs(pre.KVDType)
+		s.bw = pre.System.Chip.NetworkBandwidth
 		if s.bw <= 0 || math.IsNaN(s.bw) {
 			return nil, fmt.Errorf("fleet: %w: handoff bandwidth %g", batching.ErrInvalidConfig, s.bw)
 		}
@@ -518,40 +552,25 @@ func newSim(c Config) (*sim, error) {
 // disaggregated reports whether the config names pool sizes.
 func (c Config) disaggregated() bool { return c.PrefillReplicas != 0 || c.DecodeReplicas != 0 }
 
-// addReplica builds one replica at time t from its pool's config, moves it
-// out of absent by ev (onBuild for the initial fleet, onScaleOut for a
-// scale-out) and appends it to the ingress pool (unified replicas, or the
-// prefill pool) or to the decode pool. An ingress replica of a
-// disaggregated fleet runs prefill-only until the unified fallback; one
-// built after it serves unified. Replicas are only ever appended, so a
-// replica's index is stable for the run.
-func (s *sim) addReplica(ingress bool, ev lifeEvent, t float64) (*replica, error) {
-	prefill := s.c.disaggregated() && ingress && !s.fallback
+// addReplica builds one replica of pool p at time t from the pool's
+// blueprint, moves it out of absent by ev (onBuild for the initial fleet,
+// onScaleOut for a scale-out) and appends it to the pool. A replica of a
+// prefill pool runs prefill-only; one built after the unified fallback
+// serves unified. Replicas are only ever appended, so a replica's index is
+// stable for the run.
+func (s *sim) addReplica(p *pool, ev lifeEvent, t float64) (*replica, error) {
 	build := batching.NewScheduler
-	if prefill {
+	if p.prefill {
 		build = batching.NewPrefillScheduler
 	}
-	cfg := s.c.Replica
-	if ingress {
-		cfg = s.in
-	}
-	sch, err := build(cfg)
+	sch, err := build(p.cfg)
 	if err != nil {
 		return nil, err
 	}
-	role := s.poolName(ingress)
-	if ingress && s.fallback {
-		role = "prefill→unified"
-	}
-	rep := &replica{idx: len(s.all), s: sch, chips: cfg.System.Chips(), prefill: prefill,
-		stats: ReplicaStats{ID: len(s.all), Role: role}}
+	rep := &replica{idx: len(s.all), s: sch, pool: p, stats: ReplicaStats{ID: len(s.all), Role: p.role()}}
 	rep.move(ev, t)
 	s.all = append(s.all, rep)
-	if ingress {
-		s.ingress = append(s.ingress, rep)
-	} else {
-		s.decode = append(s.decode, rep)
-	}
+	p.reps = append(p.reps, rep)
 	return rep, nil
 }
 
@@ -585,7 +604,7 @@ func (s *sim) run() {
 				s.lastT = b.s.Now()
 			}
 			for _, req := range done {
-				if b.prefill {
+				if b.pool.prefill {
 					s.handoff(b, req)
 				} else {
 					s.complete(b, req)
@@ -627,22 +646,23 @@ func (s *sim) run() {
 	}
 }
 
-// deliver routes one arrival or re-route: screen it, pick a live ingress
-// replica, apply brownout and SLO admission, enqueue. A re-routed request
-// already passed the arrival-only screens (capacity, brownout, queue cap).
+// deliver routes one arrival or re-route: screen it, pick a live replica
+// of the first pool, apply brownout and SLO admission, enqueue. A re-routed
+// request already passed the arrival-only screens (capacity, brownout,
+// queue cap).
 func (s *sim) deliver(r *batching.Request, t float64) {
 	st := s.states[r]
 	if st.done {
 		return
 	}
+	in := s.pools[0]
 	if !st.rerouted {
-		if err := s.in.CheckRequest(*r); err != nil {
+		if err := in.cfg.CheckRequest(*r); err != nil {
 			s.settle(st, -1, err)
 			return
 		}
 	}
-	cand := s.routable()
-	if len(cand) == 0 {
+	if s.least(in.reps, s.canRoute) == nil {
 		// Nowhere to go: every ingress replica is down or draining. The
 		// router holds the request and retries after backoff (which fails
 		// it once attempts run out).
@@ -655,10 +675,9 @@ func (s *sim) deliver(r *batching.Request, t float64) {
 			batching.ErrOverloaded, r.ID, live, total))
 		return
 	}
-	idx := s.pick(r, cand)
-	target := s.ingress[idx]
+	target := s.pick(r, in)
 	target.s.AdvanceTo(t)
-	if !st.rerouted && r.Template != 0 && s.in.PrefixCache {
+	if !st.rerouted && r.Template != 0 && in.cfg.PrefixCache {
 		if target.s.HasTemplate(r.Template) {
 			s.res.AffinityHits++
 		} else {
@@ -667,23 +686,23 @@ func (s *sim) deliver(r *batching.Request, t float64) {
 	}
 	if r.Deadline > 0 && s.estimate(target, r) > r.Deadline {
 		if st.rerouted {
-			s.settle(st, idx, fmt.Errorf("fleet: %w: request %d retry %d estimated past %.3f",
+			s.settle(st, target.idx, fmt.Errorf("fleet: %w: request %d retry %d estimated past %.3f",
 				batching.ErrDeadline, r.ID, st.attempts, r.Deadline))
 		} else {
-			s.settle(st, idx, fmt.Errorf("fleet: %w: request %d estimated past %.3f",
+			s.settle(st, target.idx, fmt.Errorf("fleet: %w: request %d estimated past %.3f",
 				batching.ErrDeadline, r.ID, r.Deadline))
 		}
 		return
 	}
 	if !st.rerouted && s.c.MaxQueue > 0 && target.s.Pending() >= s.c.MaxQueue && r.Priority <= 0 {
-		s.settle(st, idx, fmt.Errorf("fleet: %w: request %d, queue %d full",
+		s.settle(st, target.idx, fmt.Errorf("fleet: %w: request %d, queue %d full",
 			batching.ErrOverloaded, r.ID, target.s.Pending()))
 		return
 	}
 	target.s.Enqueue(r)
 	target.stats.Routed++
 	st.live++
-	s.setOutcome(st, idx, nil)
+	s.setOutcome(st, target.idx, nil)
 }
 
 // reroute sends a request back through the router at time at: a retry
@@ -745,18 +764,10 @@ func (s *sim) setOutcome(st *reqState, replica int, err error) {
 	o.Err = err
 }
 
-// routable lists the ingress replica indices the router may target: all of
-// them under the naive health-blind policy, only serving-state replicas
+// canRoute reports whether the router may send new work to rep: any
+// replica under the naive health-blind policy, only a serving-stage one
 // otherwise.
-func (s *sim) routable() []int {
-	cand := make([]int, 0, len(s.ingress))
-	for i, rep := range s.ingress {
-		if s.c.Recovery.Naive || rep.stage.routable() {
-			cand = append(cand, i)
-		}
-	}
-	return cand
-}
+func (s *sim) canRoute(rep *replica) bool { return s.c.Recovery.Naive || rep.stage.routable() }
 
 // effLoad is a replica's backlog weighted by its straggler factor — a
 // degraded replica looks proportionally heavier so new work steers away.
@@ -764,45 +775,53 @@ func (s *sim) effLoad(rep *replica) float64 {
 	return float64(rep.s.Load()) * rep.s.Slowdown()
 }
 
-// pick chooses among the candidate ingress replicas under the configured
-// policy.
-func (s *sim) pick(r *batching.Request, cand []int) int {
-	leastLoaded := func() int {
-		best := cand[0]
-		for _, i := range cand[1:] {
-			if s.effLoad(s.ingress[i]) < s.effLoad(s.ingress[best]) {
-				best = i
-			}
+// least returns the replica of reps with the lowest effective load among
+// those ok accepts (the first in pool order on a tie), or nil if ok accepts
+// none. Every load-based choice the router makes is this search.
+func (s *sim) least(reps []*replica, ok func(*replica) bool) *replica {
+	var best *replica
+	for _, rep := range reps {
+		if ok(rep) && (best == nil || s.effLoad(rep) < s.effLoad(best)) {
+			best = rep
 		}
-		return best
 	}
+	return best
+}
+
+// pick chooses a routable replica of pool p under the configured policy;
+// the caller has checked that one exists.
+func (s *sim) pick(r *batching.Request, p *pool) *replica {
 	switch s.c.Policy {
 	case Random:
-		return cand[s.rng.Intn(len(cand))]
-	case Affinity:
-		if r.Template != 0 && s.in.PrefixCache {
-			best, total := -1, 0.0
-			for _, i := range cand {
-				rep := s.ingress[i]
-				total += s.effLoad(rep)
-				if rep.s.HasTemplate(r.Template) && (best < 0 || s.effLoad(rep) < s.effLoad(s.ingress[best])) {
-					best = i
-				}
-			}
-			// Bounded load: the warm replica wins unless its backlog is
-			// more than 1.25x the fleet average — then the request spills
-			// to the least-loaded replica, whose cold prefill warms the
-			// template there too. Hot templates thus replicate onto just
-			// enough replicas to carry their share of the traffic.
-			bound := 1.25*total/float64(len(cand)) + 1
-			if best >= 0 && s.effLoad(s.ingress[best]) <= bound {
-				return best
+		var cand []*replica
+		for _, rep := range p.reps {
+			if s.canRoute(rep) {
+				cand = append(cand, rep)
 			}
 		}
-		return leastLoaded()
-	default:
-		return leastLoaded()
+		return cand[s.rng.Intn(len(cand))]
+	case Affinity:
+		if r.Template == 0 || !p.cfg.PrefixCache {
+			break
+		}
+		total, n := 0.0, 0
+		for _, rep := range p.reps {
+			if s.canRoute(rep) {
+				total += s.effLoad(rep)
+				n++
+			}
+		}
+		warm := s.least(p.reps, func(rep *replica) bool { return s.canRoute(rep) && rep.s.HasTemplate(r.Template) })
+		// Bounded load: the warm replica wins unless its backlog is more
+		// than 1.25x the fleet average — then the request spills to the
+		// least-loaded replica, whose cold prefill warms the template there
+		// too. Hot templates thus replicate onto just enough replicas to
+		// carry their share of the traffic.
+		if warm != nil && s.effLoad(warm) <= 1.25*total/float64(n)+1 {
+			return warm
+		}
 	}
+	return s.least(p.reps, s.canRoute)
 }
 
 // estimate predicts the request's completion time on the chosen ingress
@@ -810,14 +829,13 @@ func (s *sim) pick(r *batching.Request, cand []int) int {
 // delay and the decode pool's service — for the shed-on-deadline decision.
 func (s *sim) estimate(target *replica, r *batching.Request) float64 {
 	est := target.s.EstimateFinish(r, false)
-	if !target.prefill {
+	if !target.pool.prefill {
 		return est
 	}
-	di := s.pickDecode()
-	if di < 0 {
+	dec := s.least(s.pools[1].reps, s.canRoute)
+	if dec == nil {
 		return est + s.handoffDelay(r)
 	}
-	dec := s.decode[di]
 	return est + s.handoffDelay(r) + (dec.s.EstimateFinish(r, true) - dec.s.Now())
 }
 
@@ -859,14 +877,11 @@ func (s *sim) admitDecode(e event) {
 		s.lose(e.req, e.from, batching.ErrHedged, e.req.Context, 1)
 		return
 	}
-	idx := s.pickDecode()
-	var target *replica
-	switch {
-	case idx >= 0:
-		target = s.decode[idx]
-	case s.fallback && e.from != nil && e.from.stage.up():
+	target := s.least(s.pools[1].reps, s.canRoute)
+	if target == nil && !e.from.pool.prefill && e.from.stage.up() {
 		target = e.from
-	default:
+	}
+	if target == nil {
 		// KV arrived with no live decode replica and no fallback path:
 		// the transfer is lost, retry from scratch.
 		if s.lose(e.req, e.from, batching.ErrReplicaDown, e.req.Context, 1) {
@@ -878,21 +893,6 @@ func (s *sim) admitDecode(e event) {
 	s.origin[e.req] = e.from
 	target.s.EnqueueDecodeOnly(e.req)
 	target.stats.Routed++
-}
-
-// pickDecode returns the least-loaded live decode replica's index, or -1
-// when none is routable (naive mode stays health-blind here too).
-func (s *sim) pickDecode() int {
-	best := -1
-	for i, rep := range s.decode {
-		if !s.c.Recovery.Naive && !rep.stage.routable() {
-			continue
-		}
-		if best < 0 || s.effLoad(rep) < s.effLoad(s.decode[best]) {
-			best = i
-		}
-	}
-	return best
 }
 
 // complete books a final-token completion on a unified or decode replica.
@@ -971,7 +971,7 @@ func (s *sim) finish() Result {
 	for _, r := range s.all {
 		res.PerReplica = append(res.PerReplica, r.stats)
 		res.ReplicaSeconds += r.stats.RetiredAt - r.stats.AddedAt
-		chips += r.chips
+		chips += r.pool.cfg.System.Chips()
 	}
 	// Totals an itemized ledger already holds are read off it.
 	for _, w := range res.Wasted {

@@ -64,9 +64,6 @@ type Knobs struct {
 	// (communication fully exposed on top of the calibrated compute
 	// time); raise it to ablate.
 	OverlapFrac float64
-	// PerLayerFixed is a constant per-layer overhead in seconds
-	// (layernorms, residual adds, dispatch).
-	PerLayerFixed float64
 	// HopLatency is the fixed per-ring-step latency of a collective
 	// (link/switch latency), independent of message size. A K-chip ring
 	// all-gather or reduce-scatter takes K-1 steps; this is what floors
@@ -85,15 +82,14 @@ type Knobs struct {
 // the paper's anchors are cmd/esticalib/testdata/defaults.golden.
 func DefaultKnobs() Knobs {
 	return Knobs{
-		MatmulEffMax:  0.88,
-		MSat:          100,
-		KSat:          1400,
-		NSat:          1400,
-		AttnEff:       0.70,
-		OverlapFrac:   0,
-		PerLayerFixed: 0,
-		HopLatency:    0.5e-6,
-		HBMBudget:     0.9,
+		MatmulEffMax: 0.88,
+		MSat:         100,
+		KSat:         1400,
+		NSat:         1400,
+		AttnEff:      0.70,
+		OverlapFrac:  0,
+		HopLatency:   0.5e-6,
+		HBMBudget:    0.9,
 	}
 }
 
@@ -202,12 +198,11 @@ type Breakdown struct {
 	// shrinks. Informational: CommFloor is already inside Comm, so Total
 	// does not add it again.
 	CommFloor float64
-	Fixed     float64 // per-layer constant overheads
 }
 
 // Total sums the components.
 func (b Breakdown) Total() float64 {
-	return b.Compute + b.WeightMem + b.KVMem + b.Comm + b.Fixed
+	return b.Compute + b.WeightMem + b.KVMem + b.Comm
 }
 
 func (b *Breakdown) add(o Breakdown) {
@@ -216,7 +211,6 @@ func (b *Breakdown) add(o Breakdown) {
 	b.KVMem += o.KVMem
 	b.Comm += o.Comm
 	b.CommFloor += o.CommFloor
-	b.Fixed += o.Fixed
 }
 
 func (b Breakdown) scale(f float64) Breakdown {
@@ -226,7 +220,6 @@ func (b Breakdown) scale(f float64) Breakdown {
 		KVMem:     b.KVMem * f,
 		Comm:      b.Comm * f,
 		CommFloor: b.CommFloor * f,
-		Fixed:     b.Fixed * f,
 	}
 }
 
@@ -403,8 +396,6 @@ func layerStep(r Request, k Knobs, plan partition.FFNPlan, attn partition.AttnPl
 	floor := float64(CollectiveHops(plan, attn, c.ParallelBlock, phase)) * k.HopLatency
 	b.Comm = exposed + floor
 	b.CommFloor = floor
-
-	b.Fixed = k.PerLayerFixed
 	return b
 }
 

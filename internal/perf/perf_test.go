@@ -321,20 +321,6 @@ func TestPhaseString(t *testing.T) {
 	}
 }
 
-// Per-layer fixed overhead scales with layer count and steps.
-func TestPerLayerFixed(t *testing.T) {
-	k := DefaultKnobs()
-	kf := k
-	kf.PerLayerFixed = 1e-5
-	a := Decode(req540(model.BF16, 64), k)
-	b := Decode(req540(model.BF16, 64), kf)
-	wantExtra := 1e-5 * 118 * 64 // layers × steps
-	got := b.Time - a.Time
-	if math.Abs(got-wantExtra)/wantExtra > 0.01 {
-		t.Errorf("fixed overhead added %.6f, want %.6f", got, wantExtra)
-	}
-}
-
 // DecodeProfile: per-step times are monotone in step (KV growth), and their
 // sum matches Decode's chunk-integrated total closely.
 func TestDecodeProfile(t *testing.T) {

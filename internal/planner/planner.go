@@ -194,20 +194,13 @@ func BestSystem(cfg model.Config, chip hardware.Chip, chips int, dt model.DType,
 	return best, found
 }
 
-// MaxContext computes the longest context a (model, attention layout, batch)
-// supports on a system when `kvBudget` of total HBM is reserved for the KV
-// cache — the calculation behind Table 1. Head-sharded multiquery replicates
-// KV per chip, so the *per-chip* budget binds; otherwise the aggregate
-// budget binds.
-func MaxContext(cfg model.Config, sys hardware.System, attnLayout partition.AttnLayout,
-	batch int, kvBudget float64) int {
-	return MaxContextKV(cfg, sys, attnLayout, batch, kvBudget, model.BF16)
-}
-
-// MaxContextKV is MaxContext with an explicit KV-cache storage dtype: the
-// int8 KV cache (1 byte per element instead of bf16's 2) doubles the
-// servable context under the same per-chip budget — the Table 1 numbers
-// with the cache quantized.
+// MaxContextKV computes the longest context a (model, attention layout,
+// batch) supports on a system when `kvBudget` of total HBM is reserved for a
+// KV cache stored as kv — the calculation behind Table 1 (at BF16).
+// Head-sharded multiquery replicates KV per chip, so the *per-chip* budget
+// binds; otherwise the aggregate budget binds. The int8 KV cache (1 byte per
+// element instead of bf16's 2) doubles the servable context under the same
+// budget.
 func MaxContextKV(cfg model.Config, sys hardware.System, attnLayout partition.AttnLayout,
 	batch int, kvBudget float64, kv model.DType) int {
 

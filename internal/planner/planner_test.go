@@ -162,7 +162,7 @@ func TestTable1MaxContext(t *testing.T) {
 		{"optimized MQ b512", model.PaLM540BPadded(), partition.AttnShardBatch, 512, 10700},
 	}
 	for _, c := range cases {
-		got := MaxContext(c.cfg, sys, c.layout, c.batch, 0.30)
+		got := MaxContextKV(c.cfg, sys, c.layout, c.batch, 0.30, model.BF16)
 		if math.Abs(float64(got-c.want))/float64(c.want) > 0.05 {
 			t.Errorf("%s: max context = %d, want %d ± 5%%", c.name, got, c.want)
 		}
@@ -173,9 +173,9 @@ func TestTable1MaxContext(t *testing.T) {
 // and 64x the baseline multiquery layout.
 func TestTable1Ratios(t *testing.T) {
 	sys := sys64()
-	opt := MaxContext(model.PaLM540BPadded(), sys, partition.AttnShardBatch, 512, 0.30)
-	mha := MaxContext(model.PaLM540BMHA(), sys, partition.AttnShardHeads, 512, 0.30)
-	base := MaxContext(model.PaLM540BPadded(), sys, partition.AttnShardHeads, 512, 0.30)
+	opt := MaxContextKV(model.PaLM540BPadded(), sys, partition.AttnShardBatch, 512, 0.30, model.BF16)
+	mha := MaxContextKV(model.PaLM540BMHA(), sys, partition.AttnShardHeads, 512, 0.30, model.BF16)
+	base := MaxContextKV(model.PaLM540BPadded(), sys, partition.AttnShardHeads, 512, 0.30, model.BF16)
 	if r := float64(opt) / float64(mha); r < 28 || r > 36 {
 		t.Errorf("optimized/multihead context ratio = %.1f, want ~32", r)
 	}
@@ -185,7 +185,7 @@ func TestTable1Ratios(t *testing.T) {
 }
 
 func TestMaxContextDegenerate(t *testing.T) {
-	if got := MaxContext(model.PaLM8B(), sys64(), partition.AttnShardBatch, 0, 0.3); got != 0 {
+	if got := MaxContextKV(model.PaLM8B(), sys64(), partition.AttnShardBatch, 0, 0.3, model.BF16); got != 0 {
 		t.Errorf("batch 0 max context = %d, want 0", got)
 	}
 }
@@ -210,10 +210,5 @@ func TestMaxContextKVInt8Doubles(t *testing.T) {
 			t.Errorf("batch %d: int8/bf16 max context ratio = %.3f (%d vs %d), want 2",
 				batch, r, q8, bf)
 		}
-	}
-	// The dtype-less form is the bf16 reading.
-	if MaxContext(model.PaLM540BPadded(), sys, partition.AttnShardBatch, 512, 0.30) !=
-		MaxContextKV(model.PaLM540BPadded(), sys, partition.AttnShardBatch, 512, 0.30, model.BF16) {
-		t.Error("MaxContext does not match MaxContextKV at BF16")
 	}
 }
