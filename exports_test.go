@@ -76,6 +76,7 @@ var exportIface = map[string]string{
 	"String": "fmt.Stringer", "Error": "error",
 	"Len": "sort.Interface", "Less": "sort.Interface", "Swap": "sort.Interface",
 	"Push": "container/heap.Interface", "Pop": "container/heap.Interface",
+	"Run": "esti/internal/tensor.Task",
 }
 
 // TestEveryExportHasACaller fails when an exported function or method under

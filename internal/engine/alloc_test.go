@@ -1,6 +1,7 @@
 package engine
 
 import (
+	"runtime"
 	"testing"
 
 	"esti/internal/hardware"
@@ -134,6 +135,28 @@ func TestStepRaggedPassZeroAllocs(t *testing.T) {
 		if avg := testing.AllocsPerRun(100, pass); avg != 0 {
 			t.Errorf("%v: a warm ragged Step allocates %v times, want 0", attn, avg)
 		}
+	}
+}
+
+// The split attention walk keeps the zero-allocation contract: a warm
+// long-context decode whose walk splits across two workers (the ciConfig
+// decodes above sit below the split threshold) allocates nothing — the walk
+// is a task bound at New, and each part's scratch is sized before its first
+// walk — and starts no goroutine, the warm-up having started the pool.
+func TestSplitWalkDecodeZeroAllocs(t *testing.T) {
+	defer tensor.SetWorkers(tensor.SetWorkers(2))
+	e, last := longContextEngine(t)
+	logits := new(tensor.Mat)
+	decode := func() { e.DecodeSlotsInto(logits, last, nil) }
+	for i := 0; i < 4; i++ {
+		decode()
+	}
+	before := runtime.NumGoroutine()
+	if avg := testing.AllocsPerRun(50, decode); avg != 0 {
+		t.Errorf("a warm split-walk decode allocates %v times, want 0", avg)
+	}
+	if after := runtime.NumGoroutine(); after != before {
+		t.Errorf("split-walk decodes left %d goroutines, %d before", after, before)
 	}
 }
 

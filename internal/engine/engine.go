@@ -464,11 +464,13 @@ type chipState struct {
 	wg *wgState
 
 	// Per-chip scratch: every temporary of a forward pass comes from the
-	// arena (reset at the top of each pass) and the attention softmax runs
-	// in scr (pre-sized to heads-per-KV-head × maxLen), so a steady-state
-	// decode iteration performs zero heap allocations on this chip.
+	// arena (reset at the top of each pass) and the attention walk is a
+	// task bound once whose softmax runs in one scratch per pool part, each
+	// sized to heads-per-KV-head × maxLen before its first walk, so a
+	// steady-state decode iteration performs zero heap allocations on this
+	// chip.
 	arena tensor.Arena
-	scr   reference.AttnScratch
+	walk  walk
 	// logits is this chip's output of the latest pass (arena-backed, valid
 	// until the chip's next pass; public APIs clone or copy out of it).
 	logits *tensor.Mat
@@ -561,12 +563,6 @@ func New(w *reference.Weights, t hardware.Torus, opts Options, batch, maxLen int
 	for r := 0; r < n; r++ {
 		e.chips[r] = e.buildChip(w, plan, r)
 		cuts[r][0], cuts[r][1] = e.chips[r].plan.cuts(cfg)
-		// The walk scores all query heads of one KV head at once, into a
-		// [depth][g] scratch beside the query row laid out in lanes; no
-		// sharding gives a chip more of them per KV head than the model has.
-		g := cfg.Heads / cfg.KVHeads
-		e.chips[r].scr.Reserve(g * maxLen)
-		e.chips[r].scr.ReserveHeads(g, cfg.HeadDim)
 		if opts.WireDType == model.Int8 {
 			e.chips[r].setInt8Wire()
 		}
@@ -828,6 +824,7 @@ func (e *Engine) buildChip(w *reference.Weights, plan partition.FFNPlan, rank in
 	} else {
 		st.cache = e.newKVCache(e.batch, st.plan.kvw)
 	}
+	st.walk = newWalk(st.cache, cfg.Heads/cfg.KVHeads, cfg.HeadDim)
 	return st
 }
 

@@ -370,28 +370,99 @@ func (e *Engine) attention(c *mesh.Chip, st *chipState, layer int, y *tensor.Mat
 		return e.attnBatchSharded(c, st, layer, sq, q, k, v)
 	}
 	// The queries' sequences are all cached here: chip-local.
-	return appendAndAttendInto(ar.Mat(q.Rows, q.Cols), e.cfg.HeadDim, q, st.cache, layer, sq.counts(&e.fw), k, v, &st.scr)
+	return st.walk.appendAndAttendInto(ar.Mat(q.Rows, q.Cols), q, layer, sq.counts(&e.fw), k, v)
 }
 
-// appendAndAttendInto appends the new K/V of a chip's slots to its cache
-// shard and attends each slot's query rows against it, writing into out
+// appendAndAttendInto appends the new K/V of the chip's slots to its cache
+// shard, then attends each slot's query rows against it, writing into out
 // (which must be [q.Rows, q.Cols]). counts[i] is the number of rows of the
-// shard's slot i, which follow slot i-1's; an idle slot has none. Everything
-// is views and fused kernels — no temporaries.
-func appendAndAttendInto(out *tensor.Mat, dh int, q *tensor.Mat, cache *kvcache.Cache, layer int, counts []int, kNew, vNew *tensor.Mat, scr *reference.AttnScratch) *tensor.Mat {
-	lo := 0
+// shard's slot i, which follow slot i-1's; an idle slot has none. The
+// appends run in the caller; the walks, from walkMinFlops on, run as one
+// split of w, each pool part over a contiguous range of live slots (the paper's Section 3.3 split
+// of attention over the batch: each slot's K/V is read by one worker). A
+// slot's walk is the same whichever part runs it, so the split changes no
+// bit. Everything is views and fused kernels — no temporaries.
+func (w *walk) appendAndAttendInto(out, q *tensor.Mat, layer int, counts []int, kNew, vNew *tensor.Mat) *tensor.Mat {
+	w.out, w.q, w.layer = out, q, layer
+	w.slots, w.off = w.slots[:0], w.off[:1]
+	lo, flops, heads := 0, 0, q.Cols/w.dh
 	for i, n := range counts {
 		if n == 0 {
 			continue
 		}
 		hi := lo + n
 		kv, vv := tensor.RowsView(kNew, lo, hi), tensor.RowsView(vNew, lo, hi)
-		cache.AppendSeq(layer, i, &kv, &vv, n)
-		ov, qv := tensor.RowsView(out, lo, hi), tensor.RowsView(q, lo, hi)
-		reference.AttendSeqInto(&ov, dh, &qv, cache, layer, i, n, scr)
+		w.cache.AppendSeq(layer, i, &kv, &vv, n)
+		w.slots, w.off = append(w.slots, i), append(w.off, hi)
+		flops += 2 * n * w.cache.SeqLen(i) * heads * w.dh // the appended depth
 		lo = hi
 	}
+	tensor.Split(w, len(w.slots), flops, walkMinFlops)
 	return out
+}
+
+// walkMinFlops is the walk's break-even on the pool, in multiply-adds as
+// appendAndAttendInto counts them: a smaller walk runs in the chip's
+// goroutine. BenchmarkWalkSplit (eight decode slots, bench/'s one-chip
+// geometry, on a 2-vCPU x86 box) read the walk split across two workers
+// 5–11 % slower than serial at 262 K multiply-adds, 12 % faster to 11 %
+// slower at 393 K and 524 K, and 1–36 % faster from 1 M on
+// (docs/measurements.md, "The batch-parallel walk"): four times the GEMMs'
+// break-even, tensor's parallelMinFlops. longctx_int8kv's decode
+// (about 3.9 M) clears it; prefill_1chip's decode (160–420 K) and
+// shared_prefix_mix's (80–100 K) do not, and chat_mesh8's chips hold one
+// slot each, so only longctx_int8kv's walks split.
+const walkMinFlops = 1 << 19
+
+// walk is one chip's attention walk over its cache shard as a tensor.Task,
+// bound once at New so a pass splits it without allocating:
+// appendAndAttendInto fills in the pass's operands and live slots, and
+// part p of the split walks its range of them in scr[p].
+type walk struct {
+	out, q *tensor.Mat
+	cache  *kvcache.Cache
+	layer  int
+	// slots are the pass's live slots of the cache shard, in shard order,
+	// and off their first rows in out and q, with the end of the last one.
+	slots, off []int
+	// scr is one scratch per pool part — a split has at most as many parts
+	// as the shard has slots. Each holds the scores of g query heads over
+	// the cache's capacity and the state of g heads of dim dh: part 0's,
+	// which every pass uses, from New, the others from their part's first
+	// use, so a chip whose shard holds one slot, or whose walk never
+	// splits, keeps one scratch.
+	scr   []reference.AttnScratch
+	g, dh int
+}
+
+// newWalk is the walk over cache's slots for g query heads of dim dh per KV
+// head: the walk scores all of them at once, into a [depth][g] scratch
+// beside the query row laid out in lanes, and no sharding gives a chip more
+// of them per KV head than the model has.
+func newWalk(cache *kvcache.Cache, g, dh int) walk {
+	n := cache.Seqs
+	w := walk{cache: cache, slots: make([]int, 0, n), off: make([]int, 1, n+1),
+		scr: make([]reference.AttnScratch, n), g: g, dh: dh}
+	w.scratch(0)
+	return w
+}
+
+// scratch returns part's scratch, sized for any pass.
+func (w *walk) scratch(part int) *reference.AttnScratch {
+	scr := &w.scr[part]
+	scr.Reserve(w.g * w.cache.MaxLen)
+	scr.ReserveHeads(w.g, w.dh)
+	return scr
+}
+
+// Run walks live slots [lo, hi) of the pass in part's scratch.
+func (w *walk) Run(part, lo, hi int) {
+	scr := w.scratch(part)
+	for i := lo; i < hi; i++ {
+		r0, r1 := w.off[i], w.off[i+1]
+		ov, qv := tensor.RowsView(w.out, r0, r1), tensor.RowsView(w.q, r0, r1)
+		reference.AttendSeqInto(&ov, w.dh, &qv, w.cache, w.layer, w.slots[i], r1-r0, scr)
+	}
 }
 
 // attnBatchSharded moves the queries to the chips that cache their
@@ -431,8 +502,7 @@ func (e *Engine) attnBatchSharded(c *mesh.Chip, st *chipState, layer int, sq chi
 		c.Recycle(data)
 	}
 
-	outMine := appendAndAttendInto(ar.Mat(rowsPC, headW*n),
-		e.cfg.HeadDim, qMine, st.cache, layer, sq.counts(p), kMine, vMine, &st.scr)
+	outMine := st.walk.appendAndAttendInto(ar.Mat(rowsPC, headW*n), qMine, layer, sq.counts(p), kMine, vMine)
 
 	// All-to-all #2: return each head block to its owner.
 	backBuf := ar.Mat(rowsPC*n, headW)

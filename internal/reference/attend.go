@@ -36,18 +36,20 @@ import (
 // AttnScratch is the reusable scratch AttendSeqInto scores and runs its
 // softmax in: depth·g floats for the g query heads of one KV head, plus
 // the per-head state and the query row with its heads in lanes. One
-// scratch serves a whole engine chip (or reference model): every call
-// reuses the same backing arrays, growing them only when a call first
-// needs more. Reserve and ReserveHeads pre-size it so a capacity-bounded
-// decode loop never grows it at all. Not safe for concurrent use.
+// scratch serves one walker: a reference model, or one pool part of an
+// engine chip's split walk (the chip keeps one per part, so the parts walk
+// their slots side by side). Every call reuses the same backing arrays,
+// growing them only when a call first needs more. Reserve and ReserveHeads
+// pre-size it so a capacity-bounded decode loop never grows it at all. Not
+// safe for concurrent use.
 //
 // Both arrays own every cache line they touch (ownLines). The one-head
 // score path updates a head's running max in memory once per K row (the
-// eight-head path once per segment), and a mesh's chips walk their caches
-// at the same time on different cores: left to the heap, the few floats
-// of two chips' per-head state land in one cache line — which two depends
-// on where the chips' goroutines first ran — and that line then bounces
-// between the cores for the length of every walk.
+// eight-head path once per segment), and a mesh's chips, like a chip's
+// pool parts, walk at the same time on different cores: left to the heap,
+// the few floats of two walkers' per-head state land in one cache line —
+// which two depends on where their goroutines first ran — and that line
+// then bounces between the cores for the length of every walk.
 type AttnScratch struct {
 	probs []float32 // [depth][g]: scores, then softmax weights
 	small []float32 // g·dh queries in lanes | one int8 K row as float32 | per head: running max | 1/Σ

@@ -77,15 +77,15 @@ func GemmInto(dst, a *Mat, b simd.GemmB, acc bool) {
 	if dst.Rows != a.Rows {
 		panic(fmt.Sprintf("tensor: gemm dst has %d rows for %d of a", dst.Rows, a.Rows))
 	}
-	flops := a.Rows * a.Cols * dst.Cols
-	switch strips := (dst.Cols + simd.GemmStrip - 1) / simd.GemmStrip; {
-	case a.Rows <= tileRows && shouldParallel(strips, flops):
-		split(rowOp{dst: *dst, a: *a, b: b, acc: acc, strips: true}, strips)
-	case shouldParallel(a.Rows, flops):
-		split(rowOp{dst: *dst, a: *a, b: b, acc: acc}, a.Rows)
-	default:
-		gemmRows(dst, a, b, 0, a.Rows, acc)
+	op, units := rowOp{dst: *dst, a: *a, b: b, acc: acc}, a.Rows
+	if strips := (dst.Cols + simd.GemmStrip - 1) / simd.GemmStrip; a.Rows <= tileRows && strips >= 2 {
+		op.strips, units = true, strips
 	}
+	if w := parts(units, a.Rows*a.Cols*dst.Cols, parallelMinFlops); w > 1 {
+		split(op, units, w)
+		return
+	}
+	gemmRows(dst, a, b, 0, a.Rows, acc)
 }
 
 // tileRows is the register tile's height: a product at most this many rows
@@ -117,11 +117,11 @@ func MatMulTInto(dst, a, b *Mat) *Mat {
 		panic(fmt.Sprintf("tensor: matmulT shape mismatch %dx%d · (%dx%d)ᵀ", a.Rows, a.Cols, b.Rows, b.Cols))
 	}
 	dst.Reshape(a.Rows, b.Rows)
-	if !shouldParallel(a.Rows, a.Rows*a.Cols*b.Rows) {
-		matMulTRows(dst, a, b, 0, a.Rows)
+	if w := parts(a.Rows, a.Rows*a.Cols*b.Rows, parallelMinFlops); w > 1 {
+		split(rowOp{dst: *dst, a: *a, bt: *b}, a.Rows, w)
 		return dst
 	}
-	split(rowOp{dst: *dst, a: *a, bt: *b}, a.Rows)
+	matMulTRows(dst, a, b, 0, a.Rows)
 	return dst
 }
 

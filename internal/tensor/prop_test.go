@@ -105,15 +105,90 @@ func TestParallelMatMulExactAndLeakFree(t *testing.T) {
 	}
 }
 
+// coverTask records which part ran each unit of a split.
+type coverTask struct{ part []int }
+
+func (c *coverTask) Run(part, lo, hi int) {
+	for i := lo; i < hi; i++ {
+		c.part[i] = part
+	}
+}
+
+// Split runs every unit exactly once, in contiguous ranges numbered 0, 1, …
+// in order, at most min(Workers(), units) of them — a task may index
+// per-part scratch by the number — and serially, as part 0, below the
+// threshold.
+func TestSplitCoversEachUnitOnceInNumberedRanges(t *testing.T) {
+	defer SetWorkers(SetWorkers(1))
+	for workers := 1; workers <= 4; workers++ {
+		SetWorkers(workers)
+		for units := 0; units <= 11; units++ {
+			for _, flops := range []int{0, parallelMinFlops} {
+				c := &coverTask{part: make([]int, units)}
+				for i := range c.part {
+					c.part[i] = -1
+				}
+				Split(c, units, flops, parallelMinFlops)
+				parts := min(workers, units)
+				if flops < parallelMinFlops {
+					parts = min(1, units)
+				}
+				for i, p := range c.part {
+					prev := -1
+					if i > 0 {
+						prev = c.part[i-1]
+					}
+					if p < 0 || p >= parts || p < prev || p > prev+1 {
+						t.Fatalf("%d workers, %d units, %d flops: parts %v, want ranges numbered in order below %d", workers, units, flops, c.part, parts)
+					}
+				}
+			}
+		}
+	}
+}
+
+// SetWorkers below 1 is the default, following GOMAXPROCS, and the value it
+// returns restores exactly the setting it replaced: the idiom
+// defer SetWorkers(SetWorkers(n)) run from the default must leave the pool
+// following GOMAXPROCS, not pinned at GOMAXPROCS's value at the time, or
+// every later AllocsPerRun (which runs at GOMAXPROCS 1) in the package
+// splits or not depending on test order.
 func TestSetWorkersClampsAndRestores(t *testing.T) {
+	defer SetWorkers(SetWorkers(0))
+	procs := runtime.GOMAXPROCS(0)
+	defer runtime.GOMAXPROCS(procs)
+
 	prev := SetWorkers(3)
 	if got := Workers(); got != 3 {
 		t.Errorf("Workers() = %d after SetWorkers(3)", got)
 	}
-	if SetWorkers(0); Workers() != 1 {
-		t.Errorf("SetWorkers(0) should clamp to 1, got %d", Workers())
+	if prev != 0 {
+		t.Errorf("SetWorkers(3) from the default returned %d, want 0", prev)
 	}
-	SetWorkers(prev)
+	for _, n := range []int{0, -2} {
+		if SetWorkers(n); Workers() != procs {
+			t.Errorf("SetWorkers(%d) should follow GOMAXPROCS %d, got %d", n, procs, Workers())
+		}
+	}
+
+	func() {
+		defer SetWorkers(SetWorkers(2))
+		if Workers() != 2 {
+			t.Errorf("Workers() = %d inside SetWorkers(2)", Workers())
+		}
+	}()
+	runtime.GOMAXPROCS(procs + 1)
+	if got := Workers(); got != procs+1 {
+		t.Errorf("after a set-and-restore from the default, Workers() = %d at GOMAXPROCS %d: the restore pinned the pool", got, procs+1)
+	}
+
+	SetWorkers(5)
+	func() {
+		defer SetWorkers(SetWorkers(1))
+	}()
+	if got := Workers(); got != 5 {
+		t.Errorf("a set-and-restore from SetWorkers(5) left Workers() = %d", got)
+	}
 }
 
 // Fully masked softmax rows (all -Inf) must become zero rows, not NaNs —

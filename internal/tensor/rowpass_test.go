@@ -172,13 +172,13 @@ func TestMatMulBitIdenticalToRowPass(t *testing.T) {
 					// product one tile high by strips, over the row-major
 					// operand and over the same weights strip-packed.
 					got = base.Clone()
-					split(rowOp{dst: *got, a: *a, b: rowMajor(b), acc: acc}, m)
+					split(rowOp{dst: *got, a: *a, b: rowMajor(b), acc: acc}, m, min(Workers(), m))
 					sameBits(t, label+" split", got, want)
 					if m <= tileRows {
 						strips := (n + simd.GemmStrip - 1) / simd.GemmStrip
 						for name, op := range map[string]simd.GemmB{"row-major": rowMajor(b), "packed": packStrips(b)} {
 							got = base.Clone()
-							split(rowOp{dst: *got, a: *a, b: op, acc: acc, strips: true}, strips)
+							split(rowOp{dst: *got, a: *a, b: op, acc: acc, strips: true}, strips, min(Workers(), strips))
 							sameBits(t, label+" strip split "+name, got, want)
 						}
 					}
