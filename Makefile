@@ -100,7 +100,7 @@ ci: build
 	$(GO) vet ./...
 	$(MAKE) fmt-check
 	$(GO) test -race ./...
-	GOMAXPROCS=4 $(GO) test -race -run 'Stream|SplitWalk' ./internal/collective ./internal/engine
+	GOMAXPROCS=4 $(GO) test -race -run 'Stream|SplitWalk|ChipPanic' ./internal/collective ./internal/engine
 	$(MAKE) fuzz-smoke
 	ESTI_NOSIMD=1 $(GO) test ./internal/simd ./internal/reference ./internal/tensor ./internal/quant -run='Asm|Segment|BitIdentical'
 	$(GO) test -tags exhaustive -run TestAsmExp32RowsExhaustive ./internal/simd

@@ -145,7 +145,7 @@ func TestStepRaggedPassZeroAllocs(t *testing.T) {
 // walk — and starts no goroutine, the warm-up having started the pool.
 func TestSplitWalkDecodeZeroAllocs(t *testing.T) {
 	defer tensor.SetWorkers(tensor.SetWorkers(2))
-	e, last := longContextEngine(t)
+	e, last, _ := longContextEngine(t)
 	logits := new(tensor.Mat)
 	decode := func() { e.DecodeSlotsInto(logits, last, nil) }
 	for i := 0; i < 4; i++ {
@@ -157,6 +157,35 @@ func TestSplitWalkDecodeZeroAllocs(t *testing.T) {
 	}
 	if after := runtime.NumGoroutine(); after != before {
 		t.Errorf("split-walk decodes left %d goroutines, %d before", after, before)
+	}
+}
+
+// A long-context prefill chunk keeps it too: a warm Step of four rows onto a
+// slot past the 1,024-token document, whose walk the pool cuts by rows
+// into two parts of one slot, allocates nothing — the scratch table grew
+// to the pass's rows in the warm-up — and starts no goroutine.
+func TestSplitWalkChunkZeroAllocs(t *testing.T) {
+	defer tensor.SetWorkers(tensor.SetWorkers(2))
+	e, _, _ := longContextEngine(t)
+	const chunk = 4
+	toks := make([]int, chunk)
+	counts := make([]int, e.batch)
+	counts[0] = chunk
+	logits := new(tensor.Mat)
+	pass := func() {
+		if _, err := e.Step(logits, toks, counts); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for i := 0; i < 4; i++ {
+		pass()
+	}
+	before := runtime.NumGoroutine()
+	if avg := testing.AllocsPerRun(20, pass); avg != 0 {
+		t.Errorf("a warm split-walk chunk Step allocates %v times, want 0", avg)
+	}
+	if after := runtime.NumGoroutine(); after != before {
+		t.Errorf("split-walk chunk Steps left %d goroutines, %d before", after, before)
 	}
 }
 

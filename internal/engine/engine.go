@@ -843,11 +843,12 @@ func sliceGain(g []float32, lo, n int) []float32 {
 	return out
 }
 
-// op mints a fresh collective op context (same id sequence on every chip
-// because the program is SPMD-deterministic) carrying the session's wire
-// format. Each reserves one id: every collective the engine issues is a
-// single gather, reduce-scatter or all-to-all (no all-reduce), and the
-// mesh's tag-collision check would catch any miscounted reservation.
+// op mints a fresh collective op context (same id sequence on every chip,
+// from 0 at each pass's start, because the program is SPMD-deterministic)
+// carrying the session's wire format. Each reserves one id: every
+// collective the engine issues is a single gather, reduce-scatter or
+// all-to-all (no all-reduce), and the mesh's tag-collision check would
+// catch any miscounted reservation.
 func (st *chipState) op(c *mesh.Chip) collective.Op {
 	o := collective.Op{Chip: c, ID: st.opID, Wire: st.wire}
 	st.opID++

@@ -2,6 +2,7 @@ package engine
 
 import (
 	"fmt"
+	"sort"
 
 	"esti/internal/collective"
 	"esti/internal/kvcache"
@@ -37,10 +38,10 @@ type pass struct {
 // softmax runs in a pre-sized per-chip scratch.
 //
 // The pass is checked here, on the host, because a chip that panics
-// mid-pass stops minting collective ids while its peers carry on: a slot
-// overflow would panic on the slot's holders only and leave the mesh wedged
-// for every later pass. A rejected pass returns an error having moved no
-// chip state, and the session stays usable.
+// mid-pass aborts the pass on every chip while those past their last
+// collective with it may already have committed their appends: a slot
+// overflow would panic on the slot's holders only. A rejected pass returns
+// an error having moved no chip state, and the session stays usable.
 func (e *Engine) Step(dst *tensor.Mat, tokens, counts []int) (*tensor.Mat, error) {
 	if len(counts) != e.batch {
 		return nil, fmt.Errorf("engine: %d counts for batch %d", len(counts), e.batch)
@@ -178,6 +179,11 @@ func (e *Engine) advance(st *chipState, sq chipSeqs) {
 func (e *Engine) chipForward(c *mesh.Chip) {
 	p := &e.fw
 	st := e.chips[c.Rank]
+	// Every pass mints its collective ids from 0 on every chip: a pass a
+	// chip panicked out of leaves the chips' counters apart, and mesh.Run
+	// has joined every chip and cleared every inbox before the next pass,
+	// so no message of an old id is still in flight.
+	st.opID = 0
 	ar := &st.arena
 	ar.Reset()
 
@@ -377,15 +383,16 @@ func (e *Engine) attention(c *mesh.Chip, st *chipState, layer int, y *tensor.Mat
 // shard, then attends each slot's query rows against it, writing into out
 // (which must be [q.Rows, q.Cols]). counts[i] is the number of rows of the
 // shard's slot i, which follow slot i-1's; an idle slot has none. The
-// appends run in the caller; the walks, from walkMinFlops on, run as one
-// split of w, each pool part over a contiguous range of live slots (the paper's Section 3.3 split
-// of attention over the batch: each slot's K/V is read by one worker). A
-// slot's walk is the same whichever part runs it, so the split changes no
-// bit. Everything is views and fused kernels — no temporaries.
+// appends run in the caller; the walk, from walkMinFlops on, runs as one
+// split of w, each pool part over a contiguous range of the pass's query
+// rows — the paper's Section 3.3 split of attention over the batch, carried
+// down to the rows, so that one slot's prefill chunk is cut too. A row's
+// walk is the same whichever part runs it, so the split changes no bit.
+// Everything is views and fused kernels — no temporaries.
 func (w *walk) appendAndAttendInto(out, q *tensor.Mat, layer int, counts []int, kNew, vNew *tensor.Mat) *tensor.Mat {
-	w.out, w.q, w.layer = out, q, layer
+	w.out, w.q, w.layer, w.madds = out, q, layer, 0
 	w.slots, w.off = w.slots[:0], w.off[:1]
-	lo, flops, heads := 0, 0, q.Cols/w.dh
+	lo, heads := 0, q.Cols/w.dh
 	for i, n := range counts {
 		if n == 0 {
 			continue
@@ -394,30 +401,38 @@ func (w *walk) appendAndAttendInto(out, q *tensor.Mat, layer int, counts []int, 
 		kv, vv := tensor.RowsView(kNew, lo, hi), tensor.RowsView(vNew, lo, hi)
 		w.cache.AppendSeq(layer, i, &kv, &vv, n)
 		w.slots, w.off = append(w.slots, i), append(w.off, hi)
-		flops += 2 * n * w.cache.SeqLen(i) * heads * w.dh // the appended depth
+		// n causal rows from depth p walk n·p + n(n+1)/2 positions, each
+		// one score and one weigh multiply-add per head dimension.
+		p := w.cache.SeqLen(i)
+		w.madds += (2*n*p + n*(n+1)) * heads * w.dh
 		lo = hi
 	}
-	tensor.Split(w, len(w.slots), flops, walkMinFlops)
+	w.split(walkMinFlops)
 	return out
 }
 
 // walkMinFlops is the walk's break-even on the pool, in multiply-adds as
 // appendAndAttendInto counts them: a smaller walk runs in the chip's
-// goroutine. BenchmarkWalkSplit (eight decode slots, bench/'s one-chip
-// geometry, on a 2-vCPU x86 box) read the walk split across two workers
-// 5–11 % slower than serial at 262 K multiply-adds, 12 % faster to 11 %
-// slower at 393 K and 524 K, and 1–36 % faster from 1 M on
-// (docs/measurements.md, "The batch-parallel walk"): four times the GEMMs'
-// break-even, tensor's parallelMinFlops. longctx_int8kv's decode
-// (about 3.9 M) clears it; prefill_1chip's decode (160–420 K) and
-// shared_prefix_mix's (80–100 K) do not, and chat_mesh8's chips hold one
-// slot each, so only longctx_int8kv's walks split.
+// goroutine. BenchmarkWalkSplit (bench/'s one-chip geometry on a 2-vCPU
+// x86 box) read eight decode slots split across two workers 5–11 % slower
+// than serial at 262 K multiply-adds, 12 % faster to 11 % slower at 393 K
+// and 524 K, and 1–36 % faster from 1 M on; one slot's chunks, cut by
+// rows, break even at the same size (docs/measurements.md, "The
+// batch-parallel walk" and "The row-split walk"): four times the GEMMs'
+// break-even, tensor's parallelMinFlops. What clears it: longctx_int8kv's
+// decode (about 3.9 M), its admissions (8–16 rows over the 1,024-token
+// document, 4–8 M) and its set-up template (268 M); prefill_1chip's
+// prompts from 45 rows on; shared_prefix_mix's whole-prompt admissions
+// from 128 rows on, its templates at set-up and after an eviction (a chip
+// holds 2 heads of 16). prefill_1chip's decode (160–420 K),
+// shared_prefix_mix's decode, tails and cold chunks (at most 361 K) and
+// every chat_mesh8 walk (at most 68 K, one slot a chip) do not.
 const walkMinFlops = 1 << 19
 
 // walk is one chip's attention walk over its cache shard as a tensor.Task,
 // bound once at New so a pass splits it without allocating:
 // appendAndAttendInto fills in the pass's operands and live slots, and
-// part p of the split walks its range of them in scr[p].
+// part p of the split walks its range of the pass's query rows in scr[p].
 type walk struct {
 	out, q *tensor.Mat
 	cache  *kvcache.Cache
@@ -425,12 +440,14 @@ type walk struct {
 	// slots are the pass's live slots of the cache shard, in shard order,
 	// and off their first rows in out and q, with the end of the last one.
 	slots, off []int
-	// scr is one scratch per pool part — a split has at most as many parts
-	// as the shard has slots. Each holds the scores of g query heads over
-	// the cache's capacity and the state of g heads of dim dh: part 0's,
-	// which every pass uses, from New, the others from their part's first
-	// use, so a chip whose shard holds one slot, or whose walk never
-	// splits, keeps one scratch.
+	madds      int // the pass's walk, as appendAndAttendInto counts it
+	// scr is one scratch per pool part. A split has at most as many parts
+	// as the pass has rows, so the table grows to the rows of the largest
+	// pass that splits. Each scratch holds the scores of g query heads
+	// over the cache's capacity and the state of g heads of dim dh: part
+	// 0's, which every pass uses, from New, the others from their part's
+	// first use, so a chip whose walk never splits keeps one scratch and
+	// a split allocates only the parts the pool cuts.
 	scr   []reference.AttnScratch
 	g, dh int
 }
@@ -442,7 +459,7 @@ type walk struct {
 func newWalk(cache *kvcache.Cache, g, dh int) walk {
 	n := cache.Seqs
 	w := walk{cache: cache, slots: make([]int, 0, n), off: make([]int, 1, n+1),
-		scr: make([]reference.AttnScratch, n), g: g, dh: dh}
+		scr: make([]reference.AttnScratch, 1), g: g, dh: dh}
 	w.scratch(0)
 	return w
 }
@@ -455,13 +472,28 @@ func (w *walk) scratch(part int) *reference.AttnScratch {
 	return scr
 }
 
-// Run walks live slots [lo, hi) of the pass in part's scratch.
+// split walks the pass's rows: in the caller below minFlops multiply-adds,
+// else cut into one contiguous range of rows for each of up to
+// min(tensor.Workers(), rows) pool parts.
+func (w *walk) split(minFlops int) {
+	rows := w.off[len(w.off)-1]
+	if rows > len(w.scr) && w.madds >= minFlops {
+		w.scr = append(w.scr, make([]reference.AttnScratch, rows-len(w.scr))...)
+	}
+	tensor.Split(w, rows, w.madds, minFlops)
+}
+
+// Run walks rows [lo, hi) of the pass in part's scratch. The range may
+// start or end inside a slot's chunk: each row attends as it would in its
+// whole chunk's walk.
 func (w *walk) Run(part, lo, hi int) {
 	scr := w.scratch(part)
-	for i := lo; i < hi; i++ {
-		r0, r1 := w.off[i], w.off[i+1]
-		ov, qv := tensor.RowsView(w.out, r0, r1), tensor.RowsView(w.q, r0, r1)
-		reference.AttendSeqInto(&ov, w.dh, &qv, w.cache, w.layer, w.slots[i], r1-r0, scr)
+	// The first slot whose rows end past lo.
+	for i := sort.SearchInts(w.off[1:], lo+1); lo < hi; i++ {
+		r0, r1 := w.off[i], min(w.off[i+1], hi)
+		ov, qv := tensor.RowsView(w.out, lo, r1), tensor.RowsView(w.q, lo, r1)
+		reference.AttendRowsInto(&ov, w.dh, &qv, w.cache, w.layer, w.slots[i], lo-r0, r1-lo, scr)
+		lo = r1
 	}
 }
 

@@ -6,9 +6,11 @@ import (
 	"math/rand"
 	"strings"
 	"testing"
+	"time"
 
 	"esti/internal/commcost"
 	"esti/internal/hardware"
+	"esti/internal/mesh"
 	"esti/internal/model"
 	"esti/internal/partition"
 	"esti/internal/perf"
@@ -19,12 +21,10 @@ import (
 
 // A rejected call must leave the session usable. A pass is checked on the
 // host before any chip runs: were the slot's owner to panic mid-pass on a
-// batch-sharded mesh, it would stop minting collective ids while its peers
-// carried on, and the next pass would block forever (run with -timeout: it
-// hangs rather than fails if the check moves back onto the chips). After
-// each recovered panic every chip's op counter agrees, and after all of
-// them a released slot admits a fresh prompt token-exactly against the
-// batch-1 reference.
+// batch-sharded mesh, the chips past their last collective with it could
+// commit the pass while the owner did not. After each recovered panic every
+// chip's op counter agrees, and after all of them a released slot admits a
+// fresh prompt token-exactly against the batch-1 reference.
 func TestRejectedCallLeavesMeshUsable(t *testing.T) {
 	cfg := tinyMQA()
 	const batch, maxLen, slot = 8, 4, 3
@@ -98,6 +98,76 @@ func TestRejectedCallLeavesMeshUsable(t *testing.T) {
 				}
 			}
 		})
+	}
+}
+
+// A chip that panics inside a pass does not wedge the next one. Chip 3 of
+// a batch-sharded 2D mesh panics as the pass starts, so its peers block on
+// its first collective, are poisoned and abort before any of them commits:
+// mesh.Run re-raises the panic and every slot keeps its length. The next
+// Step, on tokens the faulted pass did not carry, must return within the
+// deadline — it hung when each chip's collective ids ran on from where its
+// aborted pass left them — with logits bit-equal to those of an engine that
+// never faulted.
+func TestChipPanicLeavesMeshUsable(t *testing.T) {
+	cfg := tinyMQA()
+	const batch, maxLen = 8, 8
+	w := reference.NewWeights(cfg, 23)
+	newEng := func() *Engine {
+		e, err := New(w, torus222(), Options{FFN: partition.FFN2DWeightStationary, Attn: partition.AttnShardBatch}, batch, maxLen)
+		if err != nil {
+			t.Fatal(err)
+		}
+		prefill(t, e, tokens(batch, 2), 2)
+		return e
+	}
+	faulted, fresh := newEng(), newEng()
+
+	run := faulted.runFwd
+	faulted.runFwd = func(c *mesh.Chip) {
+		if c.Rank == 3 {
+			panic("injected chip fault")
+		}
+		run(c)
+	}
+	func() {
+		defer func() {
+			if recover() == nil {
+				t.Fatal("a pass with a faulting chip returned without a panic")
+			}
+		}()
+		faulted.Step(nil, []int{1, 2, 3, 4, 5, 6, 7, 8}, uniform(batch, 1))
+	}()
+	faulted.runFwd = run
+	for s := 0; s < batch; s++ {
+		if got := faulted.SlotLen(s); got != 2 {
+			t.Fatalf("the faulted pass moved slot %d to length %d, want 2", s, got)
+		}
+	}
+
+	next := []int{9, 10, 11, 12, 13, 14, 15, 16}
+	done := make(chan *tensor.Mat, 1)
+	go func() {
+		logits, err := faulted.Step(nil, next, uniform(batch, 1))
+		if err != nil {
+			t.Error(err)
+		}
+		done <- logits
+	}()
+	var got *tensor.Mat
+	select {
+	case got = <-done:
+	case <-time.After(10 * time.Second):
+		t.Fatal("the Step after a chip fault has not returned after 10 s")
+	}
+	if got == nil {
+		return
+	}
+	want := step(t, fresh, nil, next, uniform(batch, 1))
+	for i := range want.Data {
+		if math.Float32bits(got.Data[i]) != math.Float32bits(want.Data[i]) {
+			t.Fatalf("logit %d after a chip fault is %g, %g on an engine that never faulted", i, got.Data[i], want.Data[i])
+		}
 	}
 }
 

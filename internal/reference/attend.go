@@ -38,7 +38,7 @@ import (
 // the per-head state and the query row with its heads in lanes. One
 // scratch serves one walker: a reference model, or one pool part of an
 // engine chip's split walk (the chip keeps one per part, so the parts walk
-// their slots side by side). Every call reuses the same backing arrays,
+// their ranges of the pass's query rows side by side). Every call reuses the same backing arrays,
 // growing them only when a call first needs more. Reserve and ReserveHeads
 // pre-size it so a capacity-bounded decode loop never grows it at all. Not
 // safe for concurrent use.
@@ -123,10 +123,20 @@ func weigh(s kvcache.Rows, out, w, invSum []float32, kvo, rows int) {
 // ([steps, localHeads·dh]) against cache slot `slot` into dst, which must
 // already be shaped [steps, q.Cols]. Semantics are identical to AttendSeq
 // (see its doc comment for the head mapping and depth contract); this is
-// the fused, allocation-free form the engine's hot path calls. It panics
-// on a head geometry the cache cannot serve: widths that are not whole
-// heads, or query heads that do not divide evenly over the KV heads.
+// the fused, allocation-free form the engine's hot path calls. It is
+// AttendRowsInto from the chunk's first row.
 func AttendSeqInto(dst *tensor.Mat, dh int, q *tensor.Mat, cache *kvcache.Cache, layer, slot, steps int, scr *AttnScratch) *tensor.Mat {
+	return AttendRowsInto(dst, dh, q, cache, layer, slot, 0, steps, scr)
+}
+
+// AttendRowsInto is AttendSeqInto over rows [first, first+steps) of a chunk
+// appended to slot `slot` past its committed SeqLen: q and dst hold just
+// those rows, and row t attends SeqLen + first + t + 1 positions, as it
+// would in the whole chunk's walk. Each row's walk reads only the cache and
+// its own query, so cutting a chunk into row ranges changes no bit. It
+// panics on a head geometry the cache cannot serve: widths that are not
+// whole heads, or query heads that do not divide evenly over the KV heads.
+func AttendRowsInto(dst *tensor.Mat, dh int, q *tensor.Mat, cache *kvcache.Cache, layer, slot, first, steps int, scr *AttnScratch) *tensor.Mat {
 	if dh <= 0 || q.Cols%dh != 0 || cache.KVWidth%dh != 0 {
 		panic(fmt.Sprintf("reference: query width %d and KV width %d must be whole heads of dim %d", q.Cols, cache.KVWidth, dh))
 	}
@@ -139,7 +149,7 @@ func AttendSeqInto(dst *tensor.Mat, dh int, q *tensor.Mat, cache *kvcache.Cache,
 		panic(fmt.Sprintf("reference: attention output is [%d, %d], want [%d, %d]", dst.Rows, dst.Cols, steps, q.Cols))
 	}
 	g := heads / kvHeads
-	past := cache.SeqLen(slot)
+	past := cache.SeqLen(slot) + first
 	total := past + steps
 	inv := float32(1 / math.Sqrt(float64(dh)))
 

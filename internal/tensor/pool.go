@@ -10,7 +10,8 @@ import (
 
 // Worker pool for the GEMM kernels and the engine's attention walk. Work
 // that is large enough splits into one contiguous range per worker — a
-// matmul's rows, a product one tile high its strips, a chip's live slots —
+// matmul's rows, a product one tile high its strips, the query rows of a
+// chip's attention walk —
 // and runs on a fixed set of long-lived goroutines sized by GOMAXPROCS;
 // small work (and any work when only one worker is configured) runs
 // serially in the caller and never touches the pool. A split pays two
@@ -130,7 +131,7 @@ func poolWorker(tasks chan poolTask) {
 	}
 }
 
-// parts returns how many ranges work of units rows, strips or slots and
+// parts returns how many ranges work of units rows or strips and
 // flops multiply-adds is cut into: min(Workers(), units) when it has two
 // units or more and at least minFlops multiply-adds, its kind's break-even,
 // and 1 — run serially in the caller — otherwise.
