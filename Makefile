@@ -85,8 +85,9 @@ bench-cpu:
 
 # Mirror of .github/workflows/ci.yml so contributors can reproduce CI
 # locally before pushing: build, vet, gofmt, race tests (every command's
-# output against its testdata/*.golden among them), the streamed engine and
-# the split attention walk under race at GOMAXPROCS=4, fuzz smoke, the
+# output against its testdata/*.golden among them), the streamed engine,
+# concurrent pool splits and the split attention walk under race at
+# GOMAXPROCS=4, fuzz smoke, the
 # end-to-end benchmark's token check, and one iteration of every root
 # benchmark, so one that breaks fails here.
 # In place of CI's scalar-fallback job (the whole suite under ESTI_NOSIMD=1,
@@ -100,7 +101,7 @@ ci: build
 	$(GO) vet ./...
 	$(MAKE) fmt-check
 	$(GO) test -race ./...
-	GOMAXPROCS=4 $(GO) test -race -run 'Stream|SplitWalk|ChipPanic' ./internal/collective ./internal/engine
+	GOMAXPROCS=4 $(GO) test -race -run 'Stream|ConcurrentSplits|SplitWalk|ChipPanic' ./internal/collective ./internal/tensor ./internal/engine
 	$(MAKE) fuzz-smoke
 	ESTI_NOSIMD=1 $(GO) test ./internal/simd ./internal/reference ./internal/tensor ./internal/quant -run='Asm|Segment|BitIdentical'
 	$(GO) test -tags exhaustive -run TestAsmExp32RowsExhaustive ./internal/simd

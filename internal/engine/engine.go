@@ -470,7 +470,7 @@ type chipState struct {
 	// steady-state decode iteration performs zero heap allocations on this
 	// chip.
 	arena tensor.Arena
-	walk  walk
+	walk  *walk
 	// logits is this chip's output of the latest pass (arena-backed, valid
 	// until the chip's next pass; public APIs clone or copy out of it).
 	logits *tensor.Mat

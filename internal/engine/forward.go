@@ -3,6 +3,7 @@ package engine
 import (
 	"fmt"
 	"sort"
+	"sync/atomic"
 
 	"esti/internal/collective"
 	"esti/internal/kvcache"
@@ -385,14 +386,16 @@ func (e *Engine) attention(c *mesh.Chip, st *chipState, layer int, y *tensor.Mat
 // shard's slot i, which follow slot i-1's; an idle slot has none. The
 // appends run in the caller; the walk, from walkMinFlops on, runs as one
 // split of w, each pool part over a contiguous range of the pass's query
-// rows — the paper's Section 3.3 split of attention over the batch, carried
-// down to the rows, so that one slot's prefill chunk is cut too. A row's
-// walk is the same whichever part runs it, so the split changes no bit.
+// rows holding about an equal share of the positions they walk — the
+// paper's Section 3.3 split of attention over the batch, carried down to
+// the rows, so that one slot's prefill chunk is cut too, and cut evenly
+// though its later rows walk more of the causal prefix. A row's walk is
+// the same whichever part runs it, so the split changes no bit.
 // Everything is views and fused kernels — no temporaries.
 func (w *walk) appendAndAttendInto(out, q *tensor.Mat, layer int, counts []int, kNew, vNew *tensor.Mat) *tensor.Mat {
-	w.out, w.q, w.layer, w.madds = out, q, layer, 0
-	w.slots, w.off = w.slots[:0], w.off[:1]
-	lo, heads := 0, q.Cols/w.dh
+	w.out, w.q, w.layer = out, q, layer
+	w.slots, w.off, w.pos, w.depth = w.slots[:0], w.off[:1], w.pos[:1], w.depth[:0]
+	lo := 0
 	for i, n := range counts {
 		if n == 0 {
 			continue
@@ -400,94 +403,137 @@ func (w *walk) appendAndAttendInto(out, q *tensor.Mat, layer int, counts []int, 
 		hi := lo + n
 		kv, vv := tensor.RowsView(kNew, lo, hi), tensor.RowsView(vNew, lo, hi)
 		w.cache.AppendSeq(layer, i, &kv, &vv, n)
-		w.slots, w.off = append(w.slots, i), append(w.off, hi)
-		// n causal rows from depth p walk n·p + n(n+1)/2 positions, each
-		// one score and one weigh multiply-add per head dimension.
+		// n causal rows from depth p walk n·p + n(n+1)/2 positions.
 		p := w.cache.SeqLen(i)
-		w.madds += (2*n*p + n*(n+1)) * heads * w.dh
+		w.slots, w.off, w.depth = append(w.slots, i), append(w.off, hi), append(w.depth, p)
+		w.pos = append(w.pos, w.pos[len(w.pos)-1]+n*p+n*(n+1)/2)
 		lo = hi
 	}
 	w.split(walkMinFlops)
 	return out
 }
 
-// walkMinFlops is the walk's break-even on the pool, in multiply-adds as
-// appendAndAttendInto counts them: a smaller walk runs in the chip's
-// goroutine. BenchmarkWalkSplit (bench/'s one-chip geometry on a 2-vCPU
-// x86 box) read eight decode slots split across two workers 5–11 % slower
-// than serial at 262 K multiply-adds, 12 % faster to 11 % slower at 393 K
-// and 524 K, and 1–36 % faster from 1 M on; one slot's chunks, cut by
-// rows, break even at the same size (docs/measurements.md, "The
-// batch-parallel walk" and "The row-split walk"): four times the GEMMs'
-// break-even, tensor's parallelMinFlops. What clears it: longctx_int8kv's
-// decode (about 3.9 M), its admissions (8–16 rows over the 1,024-token
-// document, 4–8 M) and its set-up template (268 M); prefill_1chip's
-// prompts from 45 rows on; shared_prefix_mix's whole-prompt admissions
-// from 128 rows on, its templates at set-up and after an eviction (a chip
-// holds 2 heads of 16). prefill_1chip's decode (160–420 K),
-// shared_prefix_mix's decode, tails and cold chunks (at most 361 K) and
-// every chat_mesh8 walk (at most 68 K, one slot a chip) do not.
+// walkMinFlops is the walk's break-even on the pool, in multiply-adds: a
+// score and a weigh multiply-add per head dimension for each position a
+// query head walks (walk.madds). A smaller walk runs in the chip's
+// goroutine. BenchmarkWalkSplit (bench/'s one-chip geometry, two workers,
+// a 2-vCPU x86 box) reads eight decode slots split 3–8 % faster than
+// serial at 262 K multiply-adds and 20–26 % faster at 524 K, and a cold
+// 32-row chunk, cut by positions, 13–15 % faster at 270 K
+// (docs/measurements.md, "The split handoff"). The threshold was set when
+// a split's handoff cost about 70 µs and those decodes lost 24–48 %; it
+// stays, since lowering it would start splitting walks that run serially
+// today (prefill_1chip's decodes, shared_prefix_mix's tails and cold
+// chunks), a change to measure on its own. What clears it:
+// longctx_int8kv's decode (about 3.9 M), its admissions (8–16 rows over
+// the 1,024-token document, 4–8 M) and its set-up template (268 M);
+// prefill_1chip's prompts from 45 rows on; shared_prefix_mix's
+// whole-prompt admissions from 128 rows on, its templates at set-up and
+// after an eviction (a chip holds 2 heads of 16). prefill_1chip's decode
+// (160–420 K), shared_prefix_mix's decode, tails and cold chunks (at most
+// 361 K) and every chat_mesh8 walk (at most 68 K, one slot a chip) do
+// not.
 const walkMinFlops = 1 << 19
 
 // walk is one chip's attention walk over its cache shard as a tensor.Task,
 // bound once at New so a pass splits it without allocating:
-// appendAndAttendInto fills in the pass's operands and live slots, and
-// part p of the split walks its range of the pass's query rows in scr[p].
+// appendAndAttendInto fills in the pass's operands and live slots. The
+// task's units are the positions the pass's query rows walk, in row order,
+// and a range of them walks the rows whose middle position falls in it, so
+// rows stay whole and each part gets about an equal share of the walk
+// whatever the rows' depths.
 type walk struct {
 	out, q *tensor.Mat
 	cache  *kvcache.Cache
 	layer  int
 	// slots are the pass's live slots of the cache shard, in shard order,
-	// and off their first rows in out and q, with the end of the last one.
-	slots, off []int
-	madds      int // the pass's walk, as appendAndAttendInto counts it
-	// scr is one scratch per pool part. A split has at most as many parts
-	// as the pass has rows, so the table grows to the rows of the largest
-	// pass that splits. Each scratch holds the scores of g query heads
-	// over the cache's capacity and the state of g heads of dim dh: part
-	// 0's, which every pass uses, from New, the others from their part's
-	// first use, so a chip whose walk never splits keeps one scratch and
-	// a split allocates only the parts the pool cuts.
-	scr   []reference.AttnScratch
-	g, dh int
+	// and depth their committed depths. off holds their first rows in out
+	// and q, and pos the positions walked before them, each with the
+	// pass's total at the end.
+	slots, depth, off, pos []int
+	madds                  int // the pass's walk, as walkMinFlops counts it
+	// scr is one scratch per part that walks rows, each such part claiming
+	// the next (claimed counts them). No more parts walk rows than the
+	// pass has rows, so the table grows to the rows of the largest pass
+	// that splits. Each scratch holds the scores of g query heads over the
+	// cache's capacity and the state of g heads of dim dh: the first,
+	// which every pass uses, from New, the others from their first use, so
+	// a chip whose walk never splits keeps one scratch and a split
+	// allocates only the parts the pool cuts.
+	scr     []reference.AttnScratch
+	claimed atomic.Int32
+	g, dh   int
 }
 
 // newWalk is the walk over cache's slots for g query heads of dim dh per KV
 // head: the walk scores all of them at once, into a [depth][g] scratch
 // beside the query row laid out in lanes, and no sharding gives a chip more
 // of them per KV head than the model has.
-func newWalk(cache *kvcache.Cache, g, dh int) walk {
+func newWalk(cache *kvcache.Cache, g, dh int) *walk {
 	n := cache.Seqs
-	w := walk{cache: cache, slots: make([]int, 0, n), off: make([]int, 1, n+1),
+	w := &walk{cache: cache, slots: make([]int, 0, n), depth: make([]int, 0, n),
+		off: make([]int, 1, n+1), pos: make([]int, 1, n+1),
 		scr: make([]reference.AttnScratch, 1), g: g, dh: dh}
 	w.scratch(0)
 	return w
 }
 
-// scratch returns part's scratch, sized for any pass.
-func (w *walk) scratch(part int) *reference.AttnScratch {
-	scr := &w.scr[part]
+// scratch returns scratch i, sized for any pass.
+func (w *walk) scratch(i int) *reference.AttnScratch {
+	scr := &w.scr[i]
 	scr.Reserve(w.g * w.cache.MaxLen)
 	scr.ReserveHeads(w.g, w.dh)
 	return scr
 }
 
-// split walks the pass's rows: in the caller below minFlops multiply-adds,
-// else cut into one contiguous range of rows for each of up to
-// min(tensor.Workers(), rows) pool parts.
+// split walks the pass's rows: in the caller below minFlops multiply-adds
+// or below two rows, else cut by positions into one contiguous range of
+// rows for each of up to tensor.Workers() pool parts.
 func (w *walk) split(minFlops int) {
-	rows := w.off[len(w.off)-1]
+	rows, positions := w.off[len(w.off)-1], w.pos[len(w.pos)-1]
+	w.madds = 2 * positions * w.q.Cols // a score and a weigh per head dim
+	if rows < 2 {
+		w.walkRows(w.scratch(0), 0, rows)
+		return
+	}
 	if rows > len(w.scr) && w.madds >= minFlops {
 		w.scr = append(w.scr, make([]reference.AttnScratch, rows-len(w.scr))...)
 	}
-	tensor.Split(w, rows, w.madds, minFlops)
+	w.claimed.Store(0)
+	tensor.Split(w, positions, w.madds, minFlops)
 }
 
-// Run walks rows [lo, hi) of the pass in part's scratch. The range may
-// start or end inside a slot's chunk: each row attends as it would in its
-// whole chunk's walk.
-func (w *walk) Run(part, lo, hi int) {
-	scr := w.scratch(part)
+// row returns the positions the pass's rows before row r walk, and the
+// positions r walks itself: row t of a chunk from depth p walks p + t + 1.
+func (w *walk) row(r int) (before, n int) {
+	i := sort.SearchInts(w.off[1:], r+1) // the slot whose rows end past r
+	t, p := r-w.off[i], w.depth[i]
+	return w.pos[i] + t*p + t*(t+1)/2, p + t + 1
+}
+
+// cut is the first row whose middle position is at or past position x, so
+// a range of positions [lo, hi) walks rows [cut(lo), cut(hi)): every row
+// in exactly one range of a split, and a range's positions within one row
+// of its share.
+func (w *walk) cut(x int) int {
+	return sort.Search(w.off[len(w.off)-1], func(r int) bool {
+		before, n := w.row(r)
+		return 2*before+n >= 2*x
+	})
+}
+
+// Run walks the rows of positions [lo, hi) of the pass in the next
+// unclaimed scratch.
+func (w *walk) Run(_, lo, hi int) {
+	if lo, hi = w.cut(lo), w.cut(hi); lo < hi {
+		w.walkRows(w.scratch(int(w.claimed.Add(1)-1)), lo, hi)
+	}
+}
+
+// walkRows walks rows [lo, hi) of the pass in scr. The range may start or
+// end inside a slot's chunk: each row attends as it would in its whole
+// chunk's walk.
+func (w *walk) walkRows(scr *reference.AttnScratch, lo, hi int) {
 	// The first slot whose rows end past lo.
 	for i := sort.SearchInts(w.off[1:], lo+1); lo < hi; i++ {
 		r0, r1 := w.off[i], min(w.off[i+1], hi)

@@ -81,7 +81,7 @@ func TestSplitWalkBitIdentical(t *testing.T) {
 			w.split(0)
 			sameShardBits(t, "split walk", w.out, want)
 			if workers > 1 && rows > 1 {
-				cuts += chunkCuts(w.off, (rows+workers-1)/workers)
+				cuts += chunkCuts(w, workers)
 			}
 		}
 		if t.Failed() {
@@ -93,18 +93,85 @@ func TestSplitWalkBitIdentical(t *testing.T) {
 	}
 }
 
-// chunkCuts counts the boundaries of a split into ranges of size rows that
-// fall strictly inside a slot's rows [off[i], off[i+1]).
-func chunkCuts(off []int, size int) int {
-	n := 0
-	for i := 0; i+1 < len(off); i++ {
-		for b := size; b < off[len(off)-1]; b += size {
-			if off[i] < b && b < off[i+1] {
+// chunkCuts counts the row boundaries of w's split into parts ranges that
+// fall strictly inside a slot's rows [off[i], off[i+1]): the pool cuts the
+// positions into ranges of ⌈positions/parts⌉, and the walk cuts the rows
+// where those ranges end.
+func chunkCuts(w *walk, parts int) int {
+	n, positions := 0, w.pos[len(w.pos)-1]
+	size := (positions + parts - 1) / parts
+	for x := size; x < positions; x += size {
+		b := w.cut(x)
+		for i := 0; i+1 < len(w.off); i++ {
+			if w.off[i] < b && b < w.off[i+1] {
 				n++
 			}
 		}
 	}
 	return n
+}
+
+// partRows records the rows each part of a split walk would walk.
+type partRows struct {
+	w    *walk
+	rows [][2]int // by part
+}
+
+func (p *partRows) Run(part, lo, hi int) { p.rows[part] = [2]int{p.w.cut(lo), p.w.cut(hi)} }
+
+// A split walk cuts its rows where the positions they walk even out, not
+// where the rows do: a cold 1,024-row chunk's two parts, whose later rows
+// walk up to 1,024 positions against its first's one, differ by at most
+// one row's positions (cut equal in rows they walked 1:3), and so do the
+// parts of a chunk behind a cached prefix and of a decode batch of unequal
+// depths. Every row is walked by exactly one part.
+func TestSplitWalkEvensPositions(t *testing.T) {
+	defer tensor.SetWorkers(tensor.SetWorkers(2))
+	const dh = 4
+	for _, c := range []struct {
+		name         string
+		past, counts []int
+	}{
+		{"cold 1,024-row chunk", []int{0}, []int{1024}},
+		{"64 rows behind 512", []int{512}, []int{64}},
+		{"decodes at unequal depths", []int{900, 10, 30, 300, 5, 700, 60, 2}, []int{1, 1, 1, 1, 1, 1, 1, 1}},
+	} {
+		rng := rand.New(rand.NewSource(47))
+		rows, maxLen := 0, 0
+		for s := range c.counts {
+			rows += c.counts[s]
+			maxLen = max(maxLen, c.past[s]+c.counts[s])
+		}
+		cache := kvcache.New(1, len(c.counts), maxLen, dh)
+		for s, p := range c.past {
+			if p > 0 {
+				cache.AppendSeq(0, s, shardActs(rng, p, dh), shardActs(rng, p, dh), p)
+				cache.AdvanceSeq(s, p)
+			}
+		}
+		w := newWalk(cache, 1, dh)
+		w.appendAndAttendInto(tensor.New(rows, dh), shardActs(rng, rows, dh), 0, c.counts, shardActs(rng, rows, dh), shardActs(rng, rows, dh))
+		positions := w.pos[len(w.pos)-1]
+		rec := &partRows{w: w, rows: make([][2]int, 2)}
+		tensor.Split(rec, positions, positions, 0)
+		walked, longest := [2]int{}, 0
+		for part, r := range rec.rows {
+			for i := r[0]; i < r[1]; i++ {
+				_, n := w.row(i)
+				walked[part] += n
+				longest = max(longest, n)
+			}
+		}
+		if rec.rows[0][0] != 0 || rec.rows[0][1] != rec.rows[1][0] || rec.rows[1][1] != rows {
+			t.Errorf("%s: parts walk rows %v, want [0, b) and [b, %d)", c.name, rec.rows, rows)
+		}
+		if d := walked[0] - walked[1]; d > longest || -d > longest {
+			t.Errorf("%s: parts walk %d and %d positions, want within one row's (at most %d)", c.name, walked[0], walked[1], longest)
+		}
+		if walked[0]+walked[1] != positions {
+			t.Errorf("%s: parts walk %d positions in all, the pass %d", c.name, walked[0]+walked[1], positions)
+		}
+	}
 }
 
 // longContextEngine is a one-chip engine shaped like bench/'s
@@ -199,13 +266,14 @@ func TestSplitWalkGreedyLongContext(t *testing.T) {
 
 // BenchmarkWalkSplit times one attention walk in bench/'s one-chip geometry
 // (one KV head, eight query heads of 32), float and int8 KV, run serially
-// in the caller and split by rows across two workers whatever its size. The
-// shapes are a decode of eight slots at a range of cached depths, one
-// slot's 4–16-row tail over a 1,024-token document (an admission behind a
-// cached prefix), and one slot's cold 32–1,024-row chunk (a prompt or a
-// template prefilled from nothing). Each line reports the walk's
-// multiply-add count as appendAndAttendInto counts it, so where split
-// starts to beat serial is the walk's break-even: walkMinFlops.
+// in the caller and split by positions across two workers whatever its
+// size. The shapes are a decode of eight slots at a range of cached
+// depths, one slot's 4–16-row tail over a 1,024-token document (an
+// admission behind a cached prefix), and one slot's cold 32–1,024-row
+// chunk (a prompt or a template prefilled from nothing). Each line
+// reports the walk's multiply-add count as appendAndAttendInto counts it,
+// so where split starts to beat serial is the walk's break-even:
+// walkMinFlops.
 func BenchmarkWalkSplit(b *testing.B) {
 	const g, dh = 8, 32
 	type shape struct {

@@ -10,25 +10,41 @@ import (
 
 // Worker pool for the GEMM kernels and the engine's attention walk. Work
 // that is large enough splits into one contiguous range per worker — a
-// matmul's rows, a product one tile high its strips, the query rows of a
-// chip's attention walk —
-// and runs on a fixed set of long-lived goroutines sized by GOMAXPROCS;
-// small work (and any work when only one worker is configured) runs
-// serially in the caller and never touches the pool. A split pays two
-// channel operations per range and allocates nothing: what to run and the
-// completion count travel in a job record taken from a free list, and a
-// Task is a pointer its owner bound once. The pool is started lazily on
-// first parallel use and its goroutine count never grows afterwards — the
-// property tests assert repeated splits leak no goroutines.
+// matmul's rows, a product one tile high its strips, the positions of a
+// chip's attention walk — and runs on a fixed set of long-lived goroutines
+// sized by GOMAXPROCS; small work (and any work when only one worker is
+// configured) runs serially in the caller and never touches the pool.
+//
+// A split pays two channel operations per range handed out and one yield
+// of the caller, and allocates nothing: what to run and the completion
+// count travel in a job record taken from a free list, and a Task is a
+// pointer its owner bound once. The yield is what makes a split pay at
+// small sizes. A channel send readies its receiver into the sending P's
+// runnext slot, where an idle P may steal it only after a few
+// microseconds' back-off (runqgrab's usleep(3), about 70 µs under a
+// coarse timer slack), so without it the worker starts only after that
+// back-off, or once the caller parks in its wait. Yielding once after
+// the sends lets the worker start at once on the caller's P, while the
+// caller, on the global run queue, is taken by the idle P that the send
+// woke (BenchmarkSplitHandoff times what is left). The pool is started lazily
+// on first parallel use and its goroutine count never grows afterwards —
+// the property tests assert repeated splits leak no goroutines.
 
 // parallelMinFlops is the approximate multiply-add count below which
 // splitting a GEMM across workers costs more than it saves. At decode height
 // (eight rows) both projections of bench/'s one-chip workloads clear it,
 // and so does shared_prefix_mix's 4-chip in-projection ([8,128]·[128,352]);
 // chat_mesh8's 8-chip products and every per-chunk out-projection of the
-// sharded workloads sit below it. Other work split on the pool brings its
-// own break-even: the engine's attention walk splits only from four times
-// this size (engine's walkMinFlops).
+// sharded workloads sit below it. Timed alone and back to back
+// (BenchmarkGemmSplit, 2-vCPU x86 box), a decode product split across two
+// workers runs 17–34 % slower than serial up to 262 K multiply-adds, with
+// the handoff's yield as without it, and 4–28 % faster from 524 K; but in
+// the engine, where each split follows serial work, splitting from
+// here is what holds latency on shared_prefix_mix and longctx_int8kv
+// (docs/measurements.md, "Serial GEMMs, end to end" and "The split
+// handoff"). Other work split on the pool brings its own break-even: the
+// engine's attention walk splits only from four times this size (engine's
+// walkMinFlops).
 const parallelMinFlops = 1 << 17
 
 var pool struct {
@@ -183,9 +199,11 @@ func split(op rowOp, units, w int) {
 }
 
 // run cuts units into one contiguous range for each of up to w ≤ units
-// workers and hands all but the last to the pool. The caller always
-// executes the last range itself, so at least one never waits on the pool.
-// It then returns the record to the free list.
+// workers and hands all but the last to the pool. The caller yields once,
+// so that the last worker it readied starts on its P rather than waiting
+// to be stolen (the pool's header), then executes the last range itself,
+// so at least one never waits on the pool. It then returns the record to
+// the free list.
 func (j *job) run(tasks chan poolTask, w, units int) {
 	chunk := (units + w - 1) / w
 	lo, part := 0, 0
@@ -193,6 +211,7 @@ func (j *job) run(tasks chan poolTask, w, units int) {
 		j.pending.Add(1)
 		tasks <- poolTask{job: j, part: part, lo: lo, hi: lo + chunk}
 	}
+	runtime.Gosched()
 	j.task.Run(part, lo, units)
 	j.pending.Wait()
 

@@ -133,14 +133,8 @@ func TestSplitCoversEachUnitOnceInNumberedRanges(t *testing.T) {
 				if flops < parallelMinFlops {
 					parts = min(1, units)
 				}
-				for i, p := range c.part {
-					prev := -1
-					if i > 0 {
-						prev = c.part[i-1]
-					}
-					if p < 0 || p >= parts || p < prev || p > prev+1 {
-						t.Fatalf("%d workers, %d units, %d flops: parts %v, want ranges numbered in order below %d", workers, units, flops, c.part, parts)
-					}
+				if !numberedInOrder(c.part, parts) {
+					t.Fatalf("%d workers, %d units, %d flops: parts %v, want ranges numbered in order below %d", workers, units, flops, c.part, parts)
 				}
 			}
 		}
