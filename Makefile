@@ -86,8 +86,10 @@ bench-cpu:
 # Mirror of .github/workflows/ci.yml so contributors can reproduce CI
 # locally before pushing: build, vet, gofmt, race tests (every command's
 # output against its testdata/*.golden among them), the streamed engine,
-# concurrent pool splits and the split attention walk under race at
-# GOMAXPROCS=4, fuzz smoke, the
+# concurrent pool splits, the split attention walk and the chip faults
+# under race at GOMAXPROCS=4, the mesh, collectives and engine at
+# GOMAXPROCS=1 (where every receive that misses takes the yield loop),
+# fuzz smoke, the
 # end-to-end benchmark's token check, and one iteration of every root
 # benchmark, so one that breaks fails here.
 # In place of CI's scalar-fallback job (the whole suite under ESTI_NOSIMD=1,
@@ -101,7 +103,8 @@ ci: build
 	$(GO) vet ./...
 	$(MAKE) fmt-check
 	$(GO) test -race ./...
-	GOMAXPROCS=4 $(GO) test -race -run 'Stream|ConcurrentSplits|SplitWalk|ChipPanic' ./internal/collective ./internal/tensor ./internal/engine
+	GOMAXPROCS=4 $(GO) test -race -run 'Stream|ConcurrentSplits|SplitWalk|ChipPanic|ChipFault' ./internal/mesh ./internal/collective ./internal/tensor ./internal/engine
+	GOMAXPROCS=1 $(GO) test ./internal/mesh ./internal/collective ./internal/engine
 	$(MAKE) fuzz-smoke
 	ESTI_NOSIMD=1 $(GO) test ./internal/simd ./internal/reference ./internal/tensor ./internal/quant -run='Asm|Segment|BitIdentical'
 	$(GO) test -tags exhaustive -run TestAsmExp32RowsExhaustive ./internal/simd

@@ -17,10 +17,20 @@
 // The fabric is deliberately faithful to the paper's cost model: all traffic
 // is explicit messages whose byte counts the tests compare against the
 // closed-form volumes of package commcost.
+//
+// A receive whose message has not arrived first yields its P to the
+// runtime and looks again (yieldPolls times), and only then parks. A mesh
+// runs more chips than the runtime has Ps, so the chip a receiver waits on
+// is usually runnable beside it: the yield lets it run, where a park costs
+// a park, a ready and a wake per message. That handoff is the executed
+// form of the per-hop latency the paper's cost model adds to every
+// collective (perf's CollectiveHops × HopLatency), which at small batch
+// sets the step.
 package mesh
 
 import (
 	"fmt"
+	"runtime"
 	"sync"
 	"time"
 
@@ -50,6 +60,12 @@ type Message struct {
 type Mesh struct {
 	Torus hardware.Torus
 	chips []*Chip
+
+	// fault, when a test sets it, runs on a chip's goroutine at the start
+	// of each of its sends and receives, before the message moves, so a
+	// panic in it is a chip fault at that message (faultAt in the tests
+	// fails chip r at its k-th one).
+	fault func(c *Chip)
 }
 
 // pool is a message-buffer free list bucketed by power-of-two capacity. An
@@ -350,6 +366,9 @@ func (c *Chip) SendOwned8(dst int, tag uint64, buf []int8, scale float32) {
 // deliver posts m to dst's inbox and charges its true wire bytes: four per
 // float32 element, or one per int8 element plus four for the scale.
 func (c *Chip) deliver(dst int, m Message, quantized bool) {
+	if c.mesh.fault != nil {
+		c.mesh.fault(c)
+	}
 	if dst == c.Rank {
 		panic("mesh: self-send")
 	}
@@ -388,6 +407,9 @@ func (c *Chip) Recv8(src int, tag uint64) ([]int8, float32) {
 // take receives with overlap accounting: inside a streamed-collective
 // window, blocked time counts toward the chip's overlap wait.
 func (c *Chip) take(src int, tag uint64) Message {
+	if c.mesh.fault != nil {
+		c.mesh.fault(c)
+	}
 	if !c.overlapOpen {
 		return c.inbox.take(src, tag)
 	}
@@ -497,7 +519,10 @@ func setAxis(c Coord, a hardware.Axis, v int) Coord {
 	return c
 }
 
-// inbox is a condition-variable mailbox with (src, tag) matching.
+// inbox is a condition-variable mailbox with (src, tag) matching. A take
+// that misses yields before it waits on the condition variable (see
+// take), and put broadcasts, which costs nothing when no receiver is
+// parked.
 type inbox struct {
 	mu      sync.Mutex
 	cond    *sync.Cond
@@ -530,10 +555,16 @@ func (b *inbox) put(m Message) {
 	b.cond.Broadcast()
 }
 
+// take removes and returns the message from src with tag, waiting for it
+// if it has not arrived: on a miss it releases the lock, calls
+// runtime.Gosched and looks again, yieldPolls times, before it parks in
+// cond.Wait (the package comment says why). Poison is checked before
+// every look, so a yielding chip panics as soon as a peer's fault poisons
+// its inbox, as a parked one does once the poison's Broadcast wakes it.
 func (b *inbox) take(src int, tag uint64) Message {
 	b.mu.Lock()
 	defer b.mu.Unlock()
-	for {
+	for polls := 0; ; polls++ {
 		if b.poisonV != nil {
 			panic(b.poisonV)
 		}
@@ -548,9 +579,29 @@ func (b *inbox) take(src int, tag uint64) Message {
 				return m
 			}
 		}
+		if polls < yieldPolls {
+			b.mu.Unlock()
+			runtime.Gosched()
+			b.mu.Lock()
+			continue
+		}
 		b.cond.Wait()
 	}
 }
+
+// yieldPolls is how many times a receive that misses yields its P before
+// it parks (inbox.take). Measured on a 2-vCPU x86 box at GOMAXPROCS=2 for
+// 0 (park at once), 1, 2, 4 and 8 yields: BenchmarkRingMessages with 4,096
+// multiply-adds a chip between rounds reads 1,611, 1,416, 1,474, 1,478
+// and 1,580 ns a message (medians of 3–6 alternating runs), and with
+// none, where both Ps always have a chip to run and a yield only costs,
+// 342, 360, 418, 432 and 437. Short alternating runs of chat_mesh8 (eight
+// rounds of 12 s) read itl_ms_p50 6–8 % lower at 1, 2 and 4; but each
+// runtime.Gosched also wakes an idle P, whose thread then spins for work,
+// and CPU per token stayed flat at 1 yet rose 3 % at 2 and 10 % at 4. One
+// yield cuts the parks of a chat_mesh8 decode step from 509 to 164 of its
+// 1,520 receives.
+const yieldPolls = 1
 
 func (b *inbox) poison(v any) {
 	b.mu.Lock()

@@ -1,6 +1,7 @@
 package mesh
 
 import (
+	"fmt"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -22,6 +23,7 @@ func TestRankCoordRoundTrip(t *testing.T) {
 }
 
 func TestRunExecutesAllChips(t *testing.T) {
+	noLeaks(t)
 	m := New(hardware.Torus{X: 2, Y: 2, Z: 2})
 	var count atomic.Int32
 	m.Run(func(c *Chip) { count.Add(1) })
@@ -31,6 +33,7 @@ func TestRunExecutesAllChips(t *testing.T) {
 }
 
 func TestSendRecv(t *testing.T) {
+	noLeaks(t)
 	m := New(hardware.Torus{X: 2, Y: 1, Z: 1})
 	m.Run(func(c *Chip) {
 		peer := 1 - c.Rank
@@ -43,6 +46,7 @@ func TestSendRecv(t *testing.T) {
 }
 
 func TestSendCopiesPayload(t *testing.T) {
+	noLeaks(t)
 	m := New(hardware.Torus{X: 2, Y: 1, Z: 1})
 	m.Run(func(c *Chip) {
 		buf := []float32{float32(c.Rank)}
@@ -56,6 +60,7 @@ func TestSendCopiesPayload(t *testing.T) {
 }
 
 func TestTagMatching(t *testing.T) {
+	noLeaks(t)
 	m := New(hardware.Torus{X: 2, Y: 1, Z: 1})
 	m.Run(func(c *Chip) {
 		peer := 1 - c.Rank
@@ -72,6 +77,7 @@ func TestTagMatching(t *testing.T) {
 }
 
 func TestByteAccounting(t *testing.T) {
+	noLeaks(t)
 	m := New(hardware.Torus{X: 2, Y: 1, Z: 1})
 	m.Run(func(c *Chip) {
 		c.Send(1-c.Rank, 1, make([]float32, 10))
@@ -93,6 +99,7 @@ func TestByteAccounting(t *testing.T) {
 }
 
 func TestGroupRankAndPeer(t *testing.T) {
+	noLeaks(t)
 	m := New(hardware.Torus{X: 2, Y: 2, Z: 2})
 	m.Run(func(c *Chip) {
 		rank, size := c.GroupRank(hardware.GroupYZ)
@@ -131,6 +138,7 @@ func TestSelfSendPanics(t *testing.T) {
 // A panic on one chip must not deadlock chips blocked in Recv: the poison
 // propagates and Run re-raises.
 func TestPanicPropagatesWithoutDeadlock(t *testing.T) {
+	noLeaks(t)
 	m := New(hardware.Torus{X: 2, Y: 1, Z: 1})
 	defer func() {
 		if recover() == nil {
@@ -155,6 +163,7 @@ func TestNewPanicsOnInvalidTorus(t *testing.T) {
 }
 
 func TestSendRecv8(t *testing.T) {
+	noLeaks(t)
 	m := New(hardware.Torus{X: 2, Y: 1, Z: 1})
 	m.Run(func(c *Chip) {
 		peer := 1 - c.Rank
@@ -170,6 +179,7 @@ func TestSendRecv8(t *testing.T) {
 // Int8 messages are charged byte-accurately — one byte per element plus
 // four for the chunk scale — and counted separately from float32 traffic.
 func TestByteAccountingPerDType(t *testing.T) {
+	noLeaks(t)
 	m := New(hardware.Torus{X: 2, Y: 1, Z: 1})
 	m.Run(func(c *Chip) {
 		peer := 1 - c.Rank
@@ -196,6 +206,7 @@ func TestByteAccountingPerDType(t *testing.T) {
 // Receiving a message as the wrong wire format is a program error, not a
 // silent misparse.
 func TestRecvWrongFormatPanics(t *testing.T) {
+	noLeaks(t)
 	m := New(hardware.Torus{X: 2, Y: 1, Z: 1})
 	defer func() {
 		if recover() == nil {
@@ -213,6 +224,7 @@ func TestRecvWrongFormatPanics(t *testing.T) {
 // (src, tag) means two collectives were issued with overlapping op ids,
 // and panics at the send instead of corrupting a gather downstream.
 func TestTagCollisionPanics(t *testing.T) {
+	noLeaks(t)
 	m := New(hardware.Torus{X: 2, Y: 1, Z: 1})
 	defer func() {
 		if recover() == nil {
@@ -232,6 +244,7 @@ func TestTagCollisionPanics(t *testing.T) {
 // nothing, because the queues keep their backing arrays between passes
 // instead of growing them again.
 func TestWarmRunQueuesDoNotAllocate(t *testing.T) {
+	noLeaks(t)
 	m := New(hardware.Torus{X: 2, Y: 2, Z: 2})
 	n := m.Chips()
 	payload := make([]float32, 16)
@@ -286,6 +299,7 @@ func TestBuffer8PoolReuse(t *testing.T) {
 // derived fraction is work/(work+wait) in [0, 1] (0 before any streamed
 // op), and ResetCounters clears both.
 func TestOverlapCounters(t *testing.T) {
+	noLeaks(t)
 	m := New(hardware.Torus{X: 2, Y: 1, Z: 1})
 	if m.MeasuredOverlapFrac() != 0 {
 		t.Error("fresh mesh should measure zero overlap")
@@ -325,3 +339,56 @@ func TestOverlapCounters(t *testing.T) {
 		t.Error("ResetCounters did not clear overlap counters")
 	}
 }
+
+// BenchmarkRingMessages times the receive path with more chips than Ps:
+// 8 chips on 2×2×2, and each round every chip sends 32 floats to the next
+// chip of a ring and receives its predecessor's, then sends 32 to and
+// receives 32 from every other chip (an all-to-all). All rounds run in
+// one Run, so ns/msg is the cost of a message and its wait, not of the
+// pass; a round moves 64 messages. Under madds=N each chip first runs N
+// dependent multiply-adds a round, so that, as in an engine pass, chips
+// compute between collectives and a P can run out of runnable chips.
+func BenchmarkRingMessages(b *testing.B) {
+	for _, madds := range []int{0, 1024, 4096} {
+		b.Run(fmt.Sprintf("madds=%d", madds), func(b *testing.B) { benchRingMessages(b, madds) })
+	}
+}
+
+func benchRingMessages(b *testing.B, madds int) {
+	m := New(hardware.Torus{X: 2, Y: 2, Z: 2})
+	n := m.Chips()
+	payload := make([]float32, 32)
+	rounds := func(count int) func(c *Chip) {
+		return func(c *Chip) {
+			next, prev := (c.Rank+1)%n, (c.Rank+n-1)%n
+			acc := float32(c.Rank)
+			for i := 0; i < count; i++ {
+				for j := 0; j < madds; j++ {
+					acc = acc*0.999 + 1
+				}
+				ring, all := uint64(2*i), uint64(2*i+1)
+				c.Send(next, ring, payload)
+				c.Recycle(c.Recv(prev, ring))
+				for p := 0; p < n; p++ {
+					if p != c.Rank {
+						c.Send(p, all, payload)
+					}
+				}
+				for p := 0; p < n; p++ {
+					if p != c.Rank {
+						c.Recycle(c.Recv(p, all))
+					}
+				}
+			}
+			sink[c.Rank] = acc
+		}
+	}
+	m.Run(rounds(100))
+	b.ReportAllocs()
+	b.ResetTimer()
+	m.Run(rounds(b.N))
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*n*n), "ns/msg")
+}
+
+// sink keeps benchRingMessages' arithmetic from being optimised away.
+var sink [8]float32
