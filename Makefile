@@ -3,7 +3,7 @@ GO ?= go
 # 10s per fuzz target in CI and `make ci`; raise locally for deeper runs.
 FUZZTIME ?= 10s
 
-.PHONY: test test-nosimd bench fuzz build ci fuzz-smoke fmt-check bench-cpu bench-smoke bench-pairs
+.PHONY: test test-nosimd bench fuzz build ci fuzz-smoke fmt-check bench-cpu bench-smoke bench-pairs race-gomaxprocs4 test-gomaxprocs1
 
 # Tier-1 verification plus race detection in one command.
 test:
@@ -36,6 +36,19 @@ fmt-check:
 	if [ -n "$$unformatted" ]; then \
 		echo "gofmt needed on:"; echo "$$unformatted"; exit 1; \
 	fi
+
+# The streamed engine, concurrent pool splits, the split attention walk and
+# the chip faults under race at GOMAXPROCS=4: more Ps than a 2-vCPU box
+# has, so the pool's and the mesh's goroutines interleave as they would on
+# a wider host. CI's fleet-sim job runs this target.
+race-gomaxprocs4:
+	GOMAXPROCS=4 $(GO) test -race -run 'Stream|ConcurrentSplits|SplitWalk|ChipPanic|ChipFault' ./internal/mesh ./internal/collective ./internal/tensor ./internal/engine
+
+# The mesh, collectives and engine at GOMAXPROCS=1: every receive that
+# misses goes through the mesh's yield loop before it parks, and no peer
+# runs until the waiter yields. CI's test job runs this target.
+test-gomaxprocs1:
+	GOMAXPROCS=1 $(GO) test ./internal/mesh ./internal/collective ./internal/engine
 
 # Short fuzz pass over every seeded fuzz target, one `go test -fuzz` run per
 # target, as the fuzzer requires. This is the only copy of the list: CI's
@@ -103,8 +116,8 @@ ci: build
 	$(GO) vet ./...
 	$(MAKE) fmt-check
 	$(GO) test -race ./...
-	GOMAXPROCS=4 $(GO) test -race -run 'Stream|ConcurrentSplits|SplitWalk|ChipPanic|ChipFault' ./internal/mesh ./internal/collective ./internal/tensor ./internal/engine
-	GOMAXPROCS=1 $(GO) test ./internal/mesh ./internal/collective ./internal/engine
+	$(MAKE) race-gomaxprocs4
+	$(MAKE) test-gomaxprocs1
 	$(MAKE) fuzz-smoke
 	ESTI_NOSIMD=1 $(GO) test ./internal/simd ./internal/reference ./internal/tensor ./internal/quant -run='Asm|Segment|BitIdentical'
 	$(GO) test -tags exhaustive -run TestAsmExp32RowsExhaustive ./internal/simd

@@ -161,9 +161,10 @@ func TestSplitWalkDecodeZeroAllocs(t *testing.T) {
 }
 
 // A long-context prefill chunk keeps it too: a warm Step of four rows onto a
-// slot past the 1,024-token document, whose walk the pool cuts by
-// positions into two parts of one slot, allocates nothing — the scratch table grew
-// to the pass's rows in the warm-up — and starts no goroutine.
+// slot past the 1,024-token document, whose walk cuts its one slot's rows
+// into two parts by the positions they walk, allocates nothing — the
+// scratch table and the part bounds grew to the two parts in the warm-up —
+// and starts no goroutine.
 func TestSplitWalkChunkZeroAllocs(t *testing.T) {
 	defer tensor.SetWorkers(tensor.SetWorkers(2))
 	e, _, _ := longContextEngine(t)

@@ -3,7 +3,6 @@ package engine
 import (
 	"fmt"
 	"sort"
-	"sync/atomic"
 
 	"esti/internal/collective"
 	"esti/internal/kvcache"
@@ -385,16 +384,16 @@ func (e *Engine) attention(c *mesh.Chip, st *chipState, layer int, y *tensor.Mat
 // (which must be [q.Rows, q.Cols]). counts[i] is the number of rows of the
 // shard's slot i, which follow slot i-1's; an idle slot has none. The
 // appends run in the caller; the walk, from walkMinFlops on, runs as one
-// split of w, each pool part over a contiguous range of the pass's query
-// rows holding about an equal share of the positions they walk — the
-// paper's Section 3.3 split of attention over the batch, carried down to
-// the rows, so that one slot's prefill chunk is cut too, and cut evenly
-// though its later rows walk more of the causal prefix. A row's walk is
-// the same whichever part runs it, so the split changes no bit.
-// Everything is views and fused kernels — no temporaries.
+// split, each pool part over a contiguous range of the pass's query rows
+// holding about an equal share of the positions they walk — the paper's
+// Section 3.3 split of attention over the batch, carried down to the rows,
+// so that one slot's prefill chunk is cut too, and cut evenly though its
+// later rows walk more of the causal prefix. A row's walk is the same
+// whichever part runs it, so the split changes no bit. Everything is views
+// and fused kernels — no temporaries.
 func (w *walk) appendAndAttendInto(out, q *tensor.Mat, layer int, counts []int, kNew, vNew *tensor.Mat) *tensor.Mat {
 	w.out, w.q, w.layer = out, q, layer
-	w.slots, w.off, w.pos, w.depth = w.slots[:0], w.off[:1], w.pos[:1], w.depth[:0]
+	w.slots, w.off, w.depth, w.positions = w.slots[:0], w.off[:1], w.depth[:0], 0
 	lo := 0
 	for i, n := range counts {
 		if n == 0 {
@@ -406,25 +405,26 @@ func (w *walk) appendAndAttendInto(out, q *tensor.Mat, layer int, counts []int, 
 		// n causal rows from depth p walk n·p + n(n+1)/2 positions.
 		p := w.cache.SeqLen(i)
 		w.slots, w.off, w.depth = append(w.slots, i), append(w.off, hi), append(w.depth, p)
-		w.pos = append(w.pos, w.pos[len(w.pos)-1]+n*p+n*(n+1)/2)
+		w.positions += n*p + n*(n+1)/2
 		lo = hi
 	}
-	w.split(walkMinFlops)
+	// A score and a weigh multiply-add per head dimension and position.
+	w.split(tensor.Parts(lo, 2*w.positions*q.Cols, walkMinFlops))
 	return out
 }
 
 // walkMinFlops is the walk's break-even on the pool, in multiply-adds: a
 // score and a weigh multiply-add per head dimension for each position a
-// query head walks (walk.madds). A smaller walk runs in the chip's
-// goroutine. BenchmarkWalkSplit (bench/'s one-chip geometry, two workers,
-// a 2-vCPU x86 box) reads eight decode slots split 3–8 % faster than
-// serial at 262 K multiply-adds and 20–26 % faster at 524 K, and a cold
-// 32-row chunk, cut by positions, 13–15 % faster at 270 K
-// (docs/measurements.md, "The split handoff"). The threshold was set when
-// a split's handoff cost about 70 µs and those decodes lost 24–48 %; it
-// stays, since lowering it would start splitting walks that run serially
-// today (prefill_1chip's decodes, shared_prefix_mix's tails and cold
-// chunks), a change to measure on its own. What clears it:
+// query head walks, as appendAndAttendInto counts them for tensor.Parts. A
+// smaller walk runs in the chip's goroutine. BenchmarkWalkSplit (bench/'s
+// one-chip geometry, two parts, a 2-vCPU x86 box) reads eight decode slots
+// split 3–8 % faster than serial at 262 K multiply-adds and 20–26 % faster
+// at 524 K, and a cold 32-row chunk, cut by positions, 13–15 % faster at
+// 270 K (docs/measurements.md, "The split handoff"). The threshold was set
+// when a split's handoff cost about 70 µs and those decodes lost 24–48 %;
+// it stays, since lowering it would start splitting walks that run
+// serially today (prefill_1chip's decodes, shared_prefix_mix's tails and
+// cold chunks), a change to measure on its own. What clears it:
 // longctx_int8kv's decode (about 3.9 M), its admissions (8–16 rows over
 // the 1,024-token document, 4–8 M) and its set-up template (268 M);
 // prefill_1chip's prompts from 45 rows on; shared_prefix_mix's
@@ -437,32 +437,28 @@ const walkMinFlops = 1 << 19
 
 // walk is one chip's attention walk over its cache shard as a tensor.Task,
 // bound once at New so a pass splits it without allocating:
-// appendAndAttendInto fills in the pass's operands and live slots. The
-// task's units are the positions the pass's query rows walk, in row order,
-// and a range of them walks the rows whose middle position falls in it, so
-// rows stay whole and each part gets about an equal share of the walk
-// whatever the rows' depths.
+// appendAndAttendInto fills in the pass's operands and live slots, and
+// split cuts the pass's rows into the parts the pool runs.
 type walk struct {
 	out, q *tensor.Mat
 	cache  *kvcache.Cache
 	layer  int
 	// slots are the pass's live slots of the cache shard, in shard order,
 	// and depth their committed depths. off holds their first rows in out
-	// and q, and pos the positions walked before them, each with the
-	// pass's total at the end.
-	slots, depth, off, pos []int
-	madds                  int // the pass's walk, as walkMinFlops counts it
-	// scr is one scratch per part that walks rows, each such part claiming
-	// the next (claimed counts them). No more parts walk rows than the
-	// pass has rows, so the table grows to the rows of the largest pass
-	// that splits. Each scratch holds the scores of g query heads over the
-	// cache's capacity and the state of g heads of dim dh: the first,
-	// which every pass uses, from New, the others from their first use, so
-	// a chip whose walk never splits keeps one scratch and a split
-	// allocates only the parts the pool cuts.
-	scr     []reference.AttnScratch
-	claimed atomic.Int32
-	g, dh   int
+	// and q, with the pass's rows at the end, and positions counts what
+	// those rows walk: row t of a chunk from depth p walks p + t + 1.
+	slots, depth, off []int
+	positions         int
+	// first holds each part's first row, with the pass's rows at the end:
+	// part k walks rows [first[k], first[k+1]) in scr[k]. Each scratch
+	// holds the scores of g query heads over the cache's capacity and the
+	// state of g heads of dim dh: the first, which every pass uses, from
+	// New, the others from their first use, so a chip whose walk never
+	// splits keeps one scratch and the table grows to the parts of the
+	// largest split.
+	first []int
+	scr   []reference.AttnScratch
+	g, dh int
 }
 
 // newWalk is the walk over cache's slots for g query heads of dim dh per KV
@@ -472,8 +468,7 @@ type walk struct {
 func newWalk(cache *kvcache.Cache, g, dh int) *walk {
 	n := cache.Seqs
 	w := &walk{cache: cache, slots: make([]int, 0, n), depth: make([]int, 0, n),
-		off: make([]int, 1, n+1), pos: make([]int, 1, n+1),
-		scr: make([]reference.AttnScratch, 1), g: g, dh: dh}
+		off: make([]int, 1, n+1), scr: make([]reference.AttnScratch, 1), g: g, dh: dh}
 	w.scratch(0)
 	return w
 }
@@ -486,48 +481,38 @@ func (w *walk) scratch(i int) *reference.AttnScratch {
 	return scr
 }
 
-// split walks the pass's rows: in the caller below minFlops multiply-adds
-// or below two rows, else cut by positions into one contiguous range of
-// rows for each of up to tensor.Workers() pool parts.
-func (w *walk) split(minFlops int) {
-	rows, positions := w.off[len(w.off)-1], w.pos[len(w.pos)-1]
-	w.madds = 2 * positions * w.q.Cols // a score and a weigh per head dim
-	if rows < 2 {
-		w.walkRows(w.scratch(0), 0, rows)
-		return
+// split walks the pass's rows as parts contiguous ranges on the pool, no
+// more parts than rows. A row goes to the part its middle position falls
+// in, of parts of ⌈positions/parts⌉, so rows stay whole, every row is in
+// exactly one part, and each part walks within one row of its share
+// whatever the rows' depths.
+func (w *walk) split(parts int) {
+	rows := w.off[len(w.off)-1]
+	parts = max(min(parts, rows), 1)
+	size := (w.positions + parts - 1) / parts
+	w.first = append(w.first[:0], 0)
+	before := 0 // positions the rows before r walk
+	for i, p := range w.depth {
+		for r := w.off[i]; r < w.off[i+1]; r++ {
+			n := p + r - w.off[i] + 1
+			for k := len(w.first); k < parts && 2*before+n >= 2*k*size; k++ {
+				w.first = append(w.first, r)
+			}
+			before += n
+		}
 	}
-	if rows > len(w.scr) && w.madds >= minFlops {
-		w.scr = append(w.scr, make([]reference.AttnScratch, rows-len(w.scr))...)
+	for len(w.first) <= parts {
+		w.first = append(w.first, rows)
 	}
-	w.claimed.Store(0)
-	tensor.Split(w, positions, w.madds, minFlops)
+	for len(w.scr) < parts {
+		w.scr = append(w.scr, reference.AttnScratch{})
+	}
+	tensor.Split(w, parts, parts)
 }
 
-// row returns the positions the pass's rows before row r walk, and the
-// positions r walks itself: row t of a chunk from depth p walks p + t + 1.
-func (w *walk) row(r int) (before, n int) {
-	i := sort.SearchInts(w.off[1:], r+1) // the slot whose rows end past r
-	t, p := r-w.off[i], w.depth[i]
-	return w.pos[i] + t*p + t*(t+1)/2, p + t + 1
-}
-
-// cut is the first row whose middle position is at or past position x, so
-// a range of positions [lo, hi) walks rows [cut(lo), cut(hi)): every row
-// in exactly one range of a split, and a range's positions within one row
-// of its share.
-func (w *walk) cut(x int) int {
-	return sort.Search(w.off[len(w.off)-1], func(r int) bool {
-		before, n := w.row(r)
-		return 2*before+n >= 2*x
-	})
-}
-
-// Run walks the rows of positions [lo, hi) of the pass in the next
-// unclaimed scratch.
-func (w *walk) Run(_, lo, hi int) {
-	if lo, hi = w.cut(lo), w.cut(hi); lo < hi {
-		w.walkRows(w.scratch(int(w.claimed.Add(1)-1)), lo, hi)
-	}
+// Run walks parts [lo, hi) of the pass in scratch part.
+func (w *walk) Run(part, lo, hi int) {
+	w.walkRows(w.scratch(part), w.first[lo], w.first[hi])
 }
 
 // walkRows walks rows [lo, hi) of the pass in scr. The range may start or

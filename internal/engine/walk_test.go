@@ -24,13 +24,14 @@ import (
 // slots and counts mixing idle slots, decodes and prefill chunks; every
 // fourth shard is one slot with a chunk, behind the prefix on every other
 // one, so the split has more parts than the shard has slots. Each is walked
-// serially, then split across 1–3 workers whatever its size, and the draws
-// must put a range boundary inside a chunk.
+// serially, then split into 1–4 parts whatever its size, some draws more
+// than the pass has rows, and the draws must put a part boundary inside a
+// chunk.
 func TestSplitWalkBitIdentical(t *testing.T) {
 	defer tensor.SetWorkers(tensor.SetWorkers(1))
 	rng := rand.New(rand.NewSource(45))
 	const maxLen = 64
-	cuts := 0 // range boundaries drawn inside a slot's chunk
+	cuts, over := 0, 0 // part boundaries drawn inside a slot's chunk; draws past the rows
 	for c := 0; c < 80; c++ {
 		g := []int{1, 8, 16}[rng.Intn(3)]
 		dh := []int{4, 8, 12, 20, 32}[rng.Intn(5)]
@@ -73,35 +74,33 @@ func TestSplitWalkBitIdentical(t *testing.T) {
 		q := shardActs(rng, rows, kvHeads*g*dh)
 		w := newWalk(cache, g, dh)
 
-		tensor.SetWorkers(1)
+		// One worker: the pass's own walk is serial.
 		want := w.appendAndAttendInto(tensor.New(rows, q.Cols), q, 0, counts, shardActs(rng, rows, width), shardActs(rng, rows, width))
-		for workers := 1; workers <= 3; workers++ {
-			tensor.SetWorkers(workers)
-			w.out = tensor.New(rows, q.Cols)
-			w.split(0)
-			sameShardBits(t, "split walk", w.out, want)
-			if workers > 1 && rows > 1 {
-				cuts += chunkCuts(w, workers)
-			}
+		parts := 1 + rng.Intn(4)
+		w.out = tensor.New(rows, q.Cols)
+		w.split(parts)
+		sameShardBits(t, "split walk", w.out, want)
+		cuts += chunkCuts(w)
+		if parts > rows && rows > 0 {
+			over++
 		}
 		if t.Failed() {
-			t.Fatalf("case %d: g %d, dh %d, %d KV heads, int8 %v, counts %v", c, g, dh, kvHeads, int8KV, counts)
+			t.Fatalf("case %d: g %d, dh %d, %d KV heads, int8 %v, counts %v, %d parts", c, g, dh, kvHeads, int8KV, counts, parts)
 		}
 	}
 	if cuts == 0 {
-		t.Fatal("no split range started inside a slot's chunk")
+		t.Fatal("no part started inside a slot's chunk")
+	}
+	if over == 0 {
+		t.Fatal("no draw asked for more parts than the pass has rows")
 	}
 }
 
-// chunkCuts counts the row boundaries of w's split into parts ranges that
-// fall strictly inside a slot's rows [off[i], off[i+1]): the pool cuts the
-// positions into ranges of ⌈positions/parts⌉, and the walk cuts the rows
-// where those ranges end.
-func chunkCuts(w *walk, parts int) int {
-	n, positions := 0, w.pos[len(w.pos)-1]
-	size := (positions + parts - 1) / parts
-	for x := size; x < positions; x += size {
-		b := w.cut(x)
+// chunkCuts counts the part boundaries of w's last split that fall
+// strictly inside a slot's rows [off[i], off[i+1]).
+func chunkCuts(w *walk) int {
+	n := 0
+	for _, b := range w.first[1 : len(w.first)-1] {
 		for i := 0; i+1 < len(w.off); i++ {
 			if w.off[i] < b && b < w.off[i+1] {
 				n++
@@ -111,22 +110,26 @@ func chunkCuts(w *walk, parts int) int {
 	return n
 }
 
-// partRows records the rows each part of a split walk would walk.
-type partRows struct {
-	w    *walk
-	rows [][2]int // by part
+// rowPositions is how many positions each of the pass's rows walks: row t
+// of a chunk from depth p walks p + t + 1.
+func rowPositions(w *walk) []int {
+	var n []int
+	for i, p := range w.depth {
+		for t := 0; t < w.off[i+1]-w.off[i]; t++ {
+			n = append(n, p+t+1)
+		}
+	}
+	return n
 }
-
-func (p *partRows) Run(part, lo, hi int) { p.rows[part] = [2]int{p.w.cut(lo), p.w.cut(hi)} }
 
 // A split walk cuts its rows where the positions they walk even out, not
 // where the rows do: a cold 1,024-row chunk's two parts, whose later rows
 // walk up to 1,024 positions against its first's one, differ by at most
 // one row's positions (cut equal in rows they walked 1:3), and so do the
 // parts of a chunk behind a cached prefix and of a decode batch of unequal
-// depths. Every row is walked by exactly one part.
+// depths. Every row is walked by exactly one part, the part its middle
+// position falls in when the positions are cut into two halves.
 func TestSplitWalkEvensPositions(t *testing.T) {
-	defer tensor.SetWorkers(tensor.SetWorkers(2))
 	const dh = 4
 	for _, c := range []struct {
 		name         string
@@ -151,25 +154,30 @@ func TestSplitWalkEvensPositions(t *testing.T) {
 		}
 		w := newWalk(cache, 1, dh)
 		w.appendAndAttendInto(tensor.New(rows, dh), shardActs(rng, rows, dh), 0, c.counts, shardActs(rng, rows, dh), shardActs(rng, rows, dh))
-		positions := w.pos[len(w.pos)-1]
-		rec := &partRows{w: w, rows: make([][2]int, 2)}
-		tensor.Split(rec, positions, positions, 0)
-		walked, longest := [2]int{}, 0
-		for part, r := range rec.rows {
-			for i := r[0]; i < r[1]; i++ {
-				_, n := w.row(i)
-				walked[part] += n
-				longest = max(longest, n)
-			}
+		w.split(2)
+		if len(w.first) != 3 || w.first[0] != 0 || w.first[2] != rows {
+			t.Errorf("%s: part bounds %v, want [0 b %d]", c.name, w.first, rows)
+			continue
 		}
-		if rec.rows[0][0] != 0 || rec.rows[0][1] != rec.rows[1][0] || rec.rows[1][1] != rows {
-			t.Errorf("%s: parts walk rows %v, want [0, b) and [b, %d)", c.name, rec.rows, rows)
+		half := (w.positions + 1) / 2
+		walked, longest, before := [2]int{}, 0, 0
+		for r, n := range rowPositions(w) {
+			part := 0
+			if r >= w.first[1] {
+				part = 1
+			}
+			if mid := 2*before + n; (mid >= 2*half) != (part == 1) {
+				t.Errorf("%s: row %d, middle position %g, walks in part %d; the parts cut at %d", c.name, r, float64(mid)/2, part, half)
+			}
+			walked[part] += n
+			longest = max(longest, n)
+			before += n
 		}
 		if d := walked[0] - walked[1]; d > longest || -d > longest {
 			t.Errorf("%s: parts walk %d and %d positions, want within one row's (at most %d)", c.name, walked[0], walked[1], longest)
 		}
-		if walked[0]+walked[1] != positions {
-			t.Errorf("%s: parts walk %d positions in all, the pass %d", c.name, walked[0]+walked[1], positions)
+		if walked[0]+walked[1] != w.positions {
+			t.Errorf("%s: parts walk %d positions in all, the pass %d", c.name, walked[0]+walked[1], w.positions)
 		}
 	}
 }
@@ -265,15 +273,14 @@ func TestSplitWalkGreedyLongContext(t *testing.T) {
 }
 
 // BenchmarkWalkSplit times one attention walk in bench/'s one-chip geometry
-// (one KV head, eight query heads of 32), float and int8 KV, run serially
-// in the caller and split by positions across two workers whatever its
-// size. The shapes are a decode of eight slots at a range of cached
-// depths, one slot's 4–16-row tail over a 1,024-token document (an
-// admission behind a cached prefix), and one slot's cold 32–1,024-row
-// chunk (a prompt or a template prefilled from nothing). Each line
-// reports the walk's multiply-add count as appendAndAttendInto counts it,
-// so where split starts to beat serial is the walk's break-even:
-// walkMinFlops.
+// (one KV head, eight query heads of 32), float and int8 KV, in one part,
+// in the caller, and in two, whatever its size. The shapes are a decode of
+// eight slots at a range of cached depths, one slot's 4–16-row tail over a
+// 1,024-token document (an admission behind a cached prefix), and one
+// slot's cold 32–1,024-row chunk (a prompt or a template prefilled from
+// nothing). Each line reports the walk's multiply-adds as walkMinFlops
+// counts them, so where split starts to beat serial is the walk's
+// break-even.
 func BenchmarkWalkSplit(b *testing.B) {
 	const g, dh = 8, 32
 	type shape struct {
@@ -310,18 +317,20 @@ func BenchmarkWalkSplit(b *testing.B) {
 			q := shardActs(rng, rows, g*dh)
 			w := newWalk(cache, g, dh)
 			w.appendAndAttendInto(tensor.New(rows, q.Cols), q, 0, counts, shardActs(rng, rows, dh), shardActs(rng, rows, dh))
+			// Each slot's add causal rows over past positions walk
+			// add·past + add(add+1)/2, a score and a weigh per head dim.
+			madds := 2 * sh.slots * (sh.add*sh.past + sh.add*(sh.add+1)/2) * g * dh
 			for _, mode := range []struct {
-				name    string
-				workers int
+				name  string
+				parts int
 			}{{"serial", 1}, {"split", 2}} {
 				b.Run(fmt.Sprintf("%s/%s/%s", kind, sh.name, mode.name), func(b *testing.B) {
-					defer tensor.SetWorkers(tensor.SetWorkers(mode.workers))
-					w.split(0) // size every part's scratch
+					w.split(mode.parts) // size every part's scratch
 					b.ResetTimer()
 					for i := 0; i < b.N; i++ {
-						w.split(0)
+						w.split(mode.parts)
 					}
-					b.ReportMetric(float64(w.madds), "madds")
+					b.ReportMetric(float64(madds), "madds")
 				})
 			}
 		}

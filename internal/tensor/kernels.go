@@ -81,7 +81,7 @@ func GemmInto(dst, a *Mat, b simd.GemmB, acc bool) {
 	if strips := (dst.Cols + simd.GemmStrip - 1) / simd.GemmStrip; a.Rows <= tileRows && strips >= 2 {
 		op.strips, units = true, strips
 	}
-	if w := parts(units, a.Rows*a.Cols*dst.Cols, parallelMinFlops); w > 1 {
+	if w := Parts(units, a.Rows*a.Cols*dst.Cols, parallelMinFlops); w > 1 {
 		split(op, units, w)
 		return
 	}
@@ -117,7 +117,7 @@ func MatMulTInto(dst, a, b *Mat) *Mat {
 		panic(fmt.Sprintf("tensor: matmulT shape mismatch %dx%d · (%dx%d)ᵀ", a.Rows, a.Cols, b.Rows, b.Cols))
 	}
 	dst.Reshape(a.Rows, b.Rows)
-	if w := parts(a.Rows, a.Rows*a.Cols*b.Rows, parallelMinFlops); w > 1 {
+	if w := Parts(a.Rows, a.Rows*a.Cols*b.Rows, parallelMinFlops); w > 1 {
 		split(rowOp{dst: *dst, a: *a, bt: *b}, a.Rows, w)
 		return dst
 	}

@@ -8,12 +8,13 @@ import (
 	"esti/internal/simd"
 )
 
-// Worker pool for the GEMM kernels and the engine's attention walk. Work
-// that is large enough splits into one contiguous range per worker — a
-// matmul's rows, a product one tile high its strips, the positions of a
-// chip's attention walk — and runs on a fixed set of long-lived goroutines
-// sized by GOMAXPROCS; small work (and any work when only one worker is
-// configured) runs serially in the caller and never touches the pool.
+// Worker pool for the GEMM kernels and the engine's attention walk. The
+// caller decides a split — Parts, from the work's units, multiply-adds and
+// its kind's measured break-even — and Split runs it: that many contiguous
+// ranges (a matmul's rows, a product one tile high its strips, a chip's
+// attention walk its parts of query rows) on goroutines started by the
+// first split, one per GOMAXPROCS at that time, and never more. Work that
+// Parts keeps whole runs in the caller and never touches the pool.
 //
 // A split pays two channel operations per range handed out and one yield
 // of the caller, and allocates nothing: what to run and the completion
@@ -26,9 +27,7 @@ import (
 // back-off, or once the caller parks in its wait. Yielding once after
 // the sends lets the worker start at once on the caller's P, while the
 // caller, on the global run queue, is taken by the idle P that the send
-// woke (BenchmarkSplitHandoff times what is left). The pool is started lazily
-// on first parallel use and its goroutine count never grows afterwards —
-// the property tests assert repeated splits leak no goroutines.
+// woke (BenchmarkSplitHandoff times what is left).
 
 // parallelMinFlops is the approximate multiply-add count below which
 // splitting a GEMM across workers costs more than it saves. At decode height
@@ -55,11 +54,11 @@ var pool struct {
 	max     atomic.Int32 // configured parallelism; 0 = GOMAXPROCS
 }
 
-// Task is work over units [0, n) that Split can cut into contiguous ranges
-// and run side by side. Run computes units [lo, hi) as range number part of
-// the split: ranges are numbered from 0 in order, each runs on one
-// goroutine, and no two ranges of one split share a number, so a task can
-// keep per-part scratch indexed by it.
+// Task is work over units [0, n) that Split cuts into as many contiguous
+// ranges as its caller asks and runs side by side. Run computes units
+// [lo, hi) as range number part of the split: ranges are numbered from 0
+// in order, each runs on one goroutine, and no two ranges of one split
+// share a number, so a task can keep per-part scratch indexed by it.
 type Task interface {
 	Run(part, lo, hi int)
 }
@@ -90,21 +89,20 @@ type poolTask struct {
 	part, lo, hi int
 }
 
-// SetWorkers bounds how many ranges a split cuts its work into (1 = always
-// serial; below 1, the default: follow GOMAXPROCS) and returns the previous
-// setting in the same terms, so defer SetWorkers(SetWorkers(n)) restores
-// exactly what was set before. It exists for callers that need
-// deterministic execution — allocation tests, embedders running their own
-// scheduler — and for tests that force the parallel path on a single-core
-// machine. Already-started pool goroutines are not stopped; they idle when
-// the bound is lowered.
+// SetWorkers bounds the count Parts answers (1 = always serial; below 1,
+// the default: follow GOMAXPROCS) and returns the previous setting in the
+// same terms, so defer SetWorkers(SetWorkers(n)) restores exactly what was
+// set before. It exists for callers that need deterministic execution —
+// allocation tests, embedders running their own scheduler — and for tests
+// that take the engine's parallel path on a single-core machine. It starts
+// and stops no goroutine: ranges past the pool's queue.
 func SetWorkers(n int) int {
 	return int(pool.max.Swap(int32(max(n, 0))))
 }
 
 // Workers reports the current parallelism bound. A set bound is one atomic
 // load; the default reads GOMAXPROCS, which the runtime serves under its
-// scheduler lock, so parts reads it only for work past the size checks,
+// scheduler lock, so Parts reads it only for work past the size checks,
 // once per candidate split.
 func Workers() int {
 	if max := pool.max.Load(); max != 0 {
@@ -114,18 +112,14 @@ func Workers() int {
 }
 
 // startJob returns the task channel and an idle job record. The worker
-// goroutines start on the first call, capped at GOMAXPROCS at that time
-// (raising SetWorkers beyond it later only affects how many ranges work is
-// cut into, not goroutines); the free list grows to the number of splits
-// ever in flight at once.
-func startJob(want int) (chan poolTask, *job) {
+// goroutines start on the first call, one per GOMAXPROCS at that time; a
+// split cut into more ranges queues the rest on the channel. The free list
+// grows to the number of splits ever in flight at once.
+func startJob() (chan poolTask, *job) {
 	pool.mu.Lock()
 	defer pool.mu.Unlock()
 	if pool.tasks == nil {
 		n := runtime.GOMAXPROCS(0)
-		if want > n {
-			n = want
-		}
 		pool.tasks = make(chan poolTask, 4*n)
 		for i := 0; i < n; i++ {
 			go poolWorker(pool.tasks)
@@ -147,30 +141,31 @@ func poolWorker(tasks chan poolTask) {
 	}
 }
 
-// parts returns how many ranges work of units rows or strips and
-// flops multiply-adds is cut into: min(Workers(), units) when it has two
-// units or more and at least minFlops multiply-adds, its kind's break-even,
-// and 1 — run serially in the caller — otherwise.
-func parts(units, flops, minFlops int) int {
+// Parts decides a split: how many ranges work of units rows, strips or
+// parts and flops multiply-adds is cut into. It is min(Workers(), units)
+// when the work has two units or more and at least minFlops multiply-adds,
+// its kind's break-even as measured by its owner, and 1 — run serially in
+// the caller — otherwise.
+func Parts(units, flops, minFlops int) int {
 	if units < 2 || flops < minFlops {
 		return 1
 	}
 	return min(Workers(), units)
 }
 
-// Split runs t over units [0, units) of about flops multiply-adds: one
-// contiguous range for each of parts(units, flops, minFlops) workers, or,
-// when that is 1, in the caller as t.Run(0, 0, units). minFlops is the size
-// from which splitting t's kind of work pays, as measured by its owner. It
-// returns when every range is done. t must not call Split itself: a worker
-// waiting on a nested split could leave it no worker.
-func Split(t Task, units, flops, minFlops int) {
-	w := parts(units, flops, minFlops)
+// Split runs t over units [0, units) as min(parts, units) contiguous
+// ranges numbered 0, 1, … in order, and returns when every range is done.
+// Below two ranges it runs in the caller as t.Run(0, 0, units). It reads
+// neither a threshold nor Workers(): the count is the caller's, most often
+// Parts'. t must not call Split itself: a worker waiting on a nested split
+// could leave it no worker.
+func Split(t Task, units, parts int) {
+	w := min(parts, units)
 	if w < 2 {
 		t.Run(0, 0, units)
 		return
 	}
-	tasks, j := startJob(w)
+	tasks, j := startJob()
 	j.task = t
 	j.run(tasks, w, units)
 }
@@ -188,31 +183,31 @@ func (op *rowOp) Run(_, lo, hi int) {
 	}
 }
 
-// split computes all units rows, or strips, of op in w ranges across the
-// pool — the caller has checked parts(units, flops, parallelMinFlops) =
-// w > 1.
+// split is Split for a matmul, whose operands travel in the job record by
+// value: all units rows, or strips, of op in w > 1 ranges.
 func split(op rowOp, units, w int) {
-	tasks, j := startJob(w)
+	tasks, j := startJob()
 	j.op = op
 	j.task = &j.op
 	j.run(tasks, w, units)
 }
 
-// run cuts units into one contiguous range for each of up to w ≤ units
-// workers and hands all but the last to the pool. The caller yields once,
-// so that the last worker it readied starts on its P rather than waiting
-// to be stolen (the pool's header), then executes the last range itself,
-// so at least one never waits on the pool. It then returns the record to
-// the free list.
+// run cuts units into w ≤ units contiguous ranges, range k ending at unit
+// ⌈(k+1)·units/w⌉, and hands all but the last to the pool. The caller
+// yields once, so that the last worker it readied starts on its P rather
+// than waiting to be stolen (the pool's header), then executes the last
+// range itself, so at least one never waits on the pool. It then returns
+// the record to the free list.
 func (j *job) run(tasks chan poolTask, w, units int) {
-	chunk := (units + w - 1) / w
-	lo, part := 0, 0
-	for ; lo+chunk < units; lo, part = lo+chunk, part+1 {
+	lo := 0
+	for part := 0; part < w-1; part++ {
+		hi := ((part+1)*units + w - 1) / w
 		j.pending.Add(1)
-		tasks <- poolTask{job: j, part: part, lo: lo, hi: lo + chunk}
+		tasks <- poolTask{job: j, part: part, lo: lo, hi: hi}
+		lo = hi
 	}
 	runtime.Gosched()
-	j.task.Run(part, lo, units)
+	j.task.Run(w-1, lo, units)
 	j.pending.Wait()
 
 	j.task, j.op = nil, rowOp{} // an idle record must not pin a caller's buffers

@@ -15,43 +15,40 @@ import (
 // Splits from several goroutines at once — each chip of a mesh splits its
 // own GEMMs and walk on the one pool — still run every unit of each split
 // once, in ranges numbered in order, and leave no goroutine behind: 4
-// callers, as on a 4-chip mesh, each run 200 splits at 2 and at 3 workers,
-// at GOMAXPROCS 1, 2 and 4.
+// callers, as on a 4-chip mesh, each run 200 splits into 0–3 parts, one
+// more than the units and one more than GOMAXPROCS, at GOMAXPROCS 1, 2 and 4.
 func TestConcurrentSplitsCoverEachUnitOnce(t *testing.T) {
-	defer SetWorkers(SetWorkers(2))
 	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(0))
-	Split(&coverTask{part: make([]int, 2)}, 2, 0, 0) // start the pool
+	Split(&coverTask{part: make([]int, 2)}, 2, 2) // start the pool
 	before := runtime.NumGoroutine()
 	const callers, splits = 4, 200
 	for _, procs := range []int{1, 2, 4} {
 		runtime.GOMAXPROCS(procs)
-		for _, workers := range []int{2, 3} {
-			SetWorkers(workers)
-			errs := make(chan string, callers)
-			var wg sync.WaitGroup
-			for c := 0; c < callers; c++ {
-				wg.Add(1)
-				go func(c int) {
-					defer wg.Done()
-					for i := 0; i < splits; i++ {
-						units := 2 + (c+i)%10
-						task := &coverTask{part: make([]int, units)}
-						for u := range task.part {
-							task.part[u] = -1
-						}
-						Split(task, units, 0, 0)
-						if !numberedInOrder(task.part, min(workers, units)) {
-							errs <- fmt.Sprint(task.part)
-							return
-						}
+		errs := make(chan string, callers)
+		var wg sync.WaitGroup
+		for c := 0; c < callers; c++ {
+			wg.Add(1)
+			go func(c int) {
+				defer wg.Done()
+				for i := 0; i < splits; i++ {
+					units := 2 + (c+i)%10
+					parts := []int{0, 1, 2, 3, units + 1, procs + 1}[(c+i)%6]
+					task := &coverTask{part: make([]int, units)}
+					for u := range task.part {
+						task.part[u] = -1
 					}
-				}(c)
-			}
-			wg.Wait()
-			close(errs)
-			for e := range errs {
-				t.Fatalf("GOMAXPROCS %d, %d workers: parts %s, want every unit once in ranges numbered in order", procs, workers, e)
-			}
+					Split(task, units, parts)
+					if !numberedInOrder(task.part, max(min(parts, units), 1)) {
+						errs <- fmt.Sprintf("%d parts: %v", parts, task.part)
+						return
+					}
+				}
+			}(c)
+		}
+		wg.Wait()
+		close(errs)
+		for e := range errs {
+			t.Fatalf("GOMAXPROCS %d: %s, want every unit once in ranges numbered in order", procs, e)
 		}
 	}
 	if after := runtime.NumGoroutine(); after != before {
@@ -59,8 +56,48 @@ func TestConcurrentSplitsCoverEachUnitOnce(t *testing.T) {
 	}
 }
 
+// The pool's goroutines are one per GOMAXPROCS when the first split starts
+// them, however many parts that split asks for: the ranges beyond them
+// queue, and no goroutine is started that would never exit.
+func TestPoolWorkersCappedAtGOMAXPROCS(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(2))
+	defer SetWorkers(SetWorkers(8))
+	stopPool(t)
+	defer stopPool(t) // the next split starts the pool at the restored GOMAXPROCS
+	before := runtime.NumGoroutine()
+	task := &coverTask{part: make([]int, 8)}
+	Split(task, 8, Parts(8, 1, 0))
+	if !numberedInOrder(task.part, 8) {
+		t.Fatalf("parts %v, want every unit once in 8 ranges numbered in order", task.part)
+	}
+	if pool.started != 2 {
+		t.Errorf("an 8-part split at GOMAXPROCS 2 started %d pool goroutines, want 2", pool.started)
+	}
+	if after := runtime.NumGoroutine(); after > before+2 {
+		t.Errorf("an 8-part split at GOMAXPROCS 2 raised the goroutines from %d to %d, want at most 2 more", before, after)
+	}
+}
+
+// stopPool closes the pool's channel, waits for its goroutines to exit and
+// leaves it to be started again by the next split.
+func stopPool(t *testing.T) {
+	pool.mu.Lock()
+	n := runtime.NumGoroutine() - pool.started
+	if pool.tasks != nil {
+		close(pool.tasks)
+	}
+	pool.tasks, pool.started = nil, 0
+	pool.mu.Unlock()
+	for deadline := time.Now().Add(10 * time.Second); runtime.NumGoroutine() > n; time.Sleep(time.Millisecond) {
+		if time.Now().After(deadline) {
+			t.Fatalf("the pool's goroutines did not exit: %d running, want %d", runtime.NumGoroutine(), n)
+		}
+	}
+}
+
 // numberedInOrder reports whether part, the part that ran each unit, is
-// ranges numbered 0, 1, … in order, none missing and none above parts-1.
+// ranges numbered 0, 1, … in order, none missing and the last parts-1, or
+// no unit at all.
 func numberedInOrder(part []int, parts int) bool {
 	prev := -1
 	for _, p := range part {
@@ -69,7 +106,7 @@ func numberedInOrder(part []int, parts int) bool {
 		}
 		prev = p
 	}
-	return true
+	return len(part) == 0 || prev == parts-1
 }
 
 // spinTask is fixed arithmetic, iters dependent multiply-adds a unit, that
@@ -109,10 +146,9 @@ func BenchmarkSplitHandoff(b *testing.B) {
 	if runtime.GOMAXPROCS(0) < 2 {
 		b.Skip("a split's handoff needs two Ps")
 	}
-	defer SetWorkers(SetWorkers(2))
 	const gapIters, rangeIters = 64_000, 192_000 // about 50 and 150 µs
 	task := &spinTask{iters: rangeIters, start: make([]time.Time, 2), sink: make([]float64, 2)}
-	Split(task, 2, 0, 0) // start the pool
+	Split(task, 2, 2) // start the pool
 	handoffs := make([]time.Duration, 0, b.N)
 	delays := make([]time.Duration, 0, b.N)
 	b.ResetTimer()
@@ -123,7 +159,7 @@ func BenchmarkSplitHandoff(b *testing.B) {
 		t1 := time.Now()
 		task.sink[1] += spin(gapIters)
 		t2 := time.Now()
-		Split(task, 2, 0, 0)
+		Split(task, 2, 2)
 		t3 := time.Now()
 		handoffs = append(handoffs, t3.Sub(t1)-t1.Sub(t0))
 		delays = append(delays, task.start[0].Sub(t2))
@@ -138,12 +174,11 @@ func median(d []time.Duration) time.Duration {
 }
 
 // BenchmarkGemmSplit times a decode-height product (eight rows, the
-// engine's strip-packed weights, float32 and int8) serially in the caller
-// and split by column strips across two workers whatever its size. Each
-// line reports the product's multiply-adds, so where split starts to beat
+// engine's strip-packed weights, float32 and int8) cut by column strips
+// into one part, in the caller, and into two, whatever its size. Each line
+// reports the product's multiply-adds, so where split starts to beat
 // serial is the GEMMs' break-even: parallelMinFlops.
 func BenchmarkGemmSplit(b *testing.B) {
-	defer SetWorkers(SetWorkers(2))
 	rng := rand.New(rand.NewSource(47))
 	for _, int8W := range []bool{false, true} {
 		for _, kn := range [][2]int{{128, 128}, {128, 256}, {256, 256}, {256, 512}, {256, 1024}} {
@@ -159,15 +194,14 @@ func BenchmarkGemmSplit(b *testing.B) {
 				w, kind = simd.GemmB{I8: i8, RowStride: w.RowStride, StripStride: w.StripStride}, "int8"
 			}
 			strips := (n + simd.GemmStrip - 1) / simd.GemmStrip
-			op := rowOp{dst: *dst, a: *a, b: w, strips: true}
-			for _, mode := range []string{"serial", "split"} {
-				b.Run(fmt.Sprintf("%s/%dx%dx%d/%s", kind, m, k, n, mode), func(b *testing.B) {
+			op := &rowOp{dst: *dst, a: *a, b: w, strips: true}
+			for _, mode := range []struct {
+				name  string
+				parts int
+			}{{"serial", 1}, {"split", 2}} {
+				b.Run(fmt.Sprintf("%s/%dx%dx%d/%s", kind, m, k, n, mode.name), func(b *testing.B) {
 					for i := 0; i < b.N; i++ {
-						if mode == "split" {
-							split(op, strips, 2)
-						} else {
-							gemmRows(dst, a, w, 0, m, false)
-						}
+						Split(op, strips, mode.parts)
 					}
 					b.ReportMetric(float64(m*k*n), "madds")
 				})

@@ -114,29 +114,46 @@ func (c *coverTask) Run(part, lo, hi int) {
 	}
 }
 
-// Split runs every unit exactly once, in contiguous ranges numbered 0, 1, …
-// in order, at most min(Workers(), units) of them — a task may index
-// per-part scratch by the number — and serially, as part 0, below the
-// threshold.
+// Split runs every unit exactly once, in exactly min(parts, units)
+// contiguous ranges numbered 0, 1, … in order — a task may index per-part
+// scratch by the number — and below two of them in the caller, as part 0,
+// whatever Workers() is: counts 0 to 3, more than the units and more than
+// GOMAXPROCS, under one worker and four.
 func TestSplitCoversEachUnitOnceInNumberedRanges(t *testing.T) {
 	defer SetWorkers(SetWorkers(1))
-	for workers := 1; workers <= 4; workers++ {
+	for _, workers := range []int{1, 4} {
 		SetWorkers(workers)
 		for units := 0; units <= 11; units++ {
-			for _, flops := range []int{0, parallelMinFlops} {
+			for _, parts := range []int{0, 1, 2, 3, units + 1, runtime.GOMAXPROCS(0) + 1} {
 				c := &coverTask{part: make([]int, units)}
 				for i := range c.part {
 					c.part[i] = -1
 				}
-				Split(c, units, flops, parallelMinFlops)
-				parts := min(workers, units)
-				if flops < parallelMinFlops {
-					parts = min(1, units)
-				}
-				if !numberedInOrder(c.part, parts) {
-					t.Fatalf("%d workers, %d units, %d flops: parts %v, want ranges numbered in order below %d", workers, units, flops, c.part, parts)
+				Split(c, units, parts)
+				if want := max(min(parts, units), 1); !numberedInOrder(c.part, want) {
+					t.Fatalf("%d workers, %d units, %d parts: parts %v, want every unit once in %d ranges numbered in order", workers, units, parts, c.part, want)
 				}
 			}
+		}
+	}
+}
+
+// Parts decides every split: 1, the caller's goroutine, below the work's
+// break-even or for a single unit, and min(Workers(), units) otherwise.
+func TestParts(t *testing.T) {
+	defer SetWorkers(SetWorkers(3))
+	for _, c := range []struct{ units, flops, minFlops, want int }{
+		{8, 99, 100, 1},  // below the threshold
+		{0, 100, 100, 1}, // no unit
+		{1, 1e9, 100, 1}, // a single unit
+		{2, 100, 100, 2}, // at the threshold
+		{8, 1e9, 100, 3}, // Workers() bounds
+		{2, 1e9, 0, 2},   // the units bound
+		{5, 0, 0, 3},     // no threshold at all
+		{8, 100, 1e9, 1}, // far below
+	} {
+		if got := Parts(c.units, c.flops, c.minFlops); got != c.want {
+			t.Errorf("Parts(%d, %d, %d) = %d at 3 workers, want %d", c.units, c.flops, c.minFlops, got, c.want)
 		}
 	}
 }
