@@ -13,6 +13,9 @@ package esti
 import (
 	"fmt"
 	"math"
+	"runtime"
+	"runtime/debug"
+	"sync"
 	"testing"
 	"time"
 
@@ -255,19 +258,63 @@ func BenchmarkMatMulShapes(b *testing.B) {
 }
 
 // TestMatMulShapesAllocateNothing: every BenchmarkMatMulShapes product
-// makes no heap allocation, run serially and with two workers, where the
-// products that clear the pool's threshold split across it (AllocsPerRun
-// measures at GOMAXPROCS 1, where the pool would otherwise stay idle).
+// makes no heap allocation, measured at GOMAXPROCS 1 and 2; at 2 the
+// products that clear the pool's threshold split across it in two.
 func TestMatMulShapesAllocateNothing(t *testing.T) {
-	defer tensor.SetWorkers(tensor.SetWorkers(1))
 	for _, c := range matMulCases() {
 		call, _ := matMulCall(c.shape[0], c.shape[1], c.shape[2], c.weights)
-		for _, workers := range []int{1, 2} {
-			tensor.SetWorkers(workers)
-			if got := testing.AllocsPerRun(20, call); got != 0 {
-				t.Errorf("%v with %d workers allocates %v times a call, want 0", c, workers, got)
+		for _, procs := range []int{1, 2} {
+			if got := allocsAt(procs, 20, call); got != 0 {
+				t.Errorf("%v at GOMAXPROCS %d allocates %v times a call, want 0", c, procs, got)
 			}
 		}
+	}
+}
+
+// allocsAt is testing.AllocsPerRun at GOMAXPROCS procs, which AllocsPerRun
+// pins to 1, where tensor.Parts cuts nothing: f once to warm, then the
+// heap allocations of runs calls over runs, rounded down as AllocsPerRun
+// rounds. Above one P a split's blocked wait can take the runtime's wait
+// record (a sudog) from one P's cache and free it into another's, and the
+// runtime allocates records until the caches balance (about 200 waits),
+// and again after a GC empties the shared cache. So the GC is off while f
+// runs, and spareWaitRecords stocks the caches first.
+func allocsAt(procs, runs int, f func()) float64 {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(procs))
+	defer debug.SetGCPercent(debug.SetGCPercent(-1))
+	spareWaitRecords(512)
+	f()
+	var ms runtime.MemStats
+	runtime.ReadMemStats(&ms)
+	before := ms.Mallocs
+	for i := 0; i < runs; i++ {
+		f()
+	}
+	runtime.ReadMemStats(&ms)
+	return float64((ms.Mallocs - before) / uint64(runs))
+}
+
+// spareWaitRecords parks up to n goroutines on one channel at once and
+// wakes them all, so the runtime has made that many wait records and holds
+// them in its caches, and returns once the goroutines have exited.
+func spareWaitRecords(n int) {
+	base := runtime.NumGoroutine()
+	wake := make(chan struct{})
+	var started, woken sync.WaitGroup
+	started.Add(n)
+	woken.Add(n)
+	for i := 0; i < n; i++ {
+		go func() {
+			started.Done()
+			<-wake
+			woken.Done()
+		}()
+	}
+	started.Wait() // most are parked by now, and twice the need are started
+	close(wake)
+	woken.Wait()
+	for runtime.NumGoroutine() > base {
+		runtime.Gosched()
 	}
 }
 

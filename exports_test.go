@@ -31,13 +31,10 @@ var exportKeep = map[string]string{
 	"tensor.TransposeInto":     "the transpose the MatMulT tests build their expected product with",
 	"quant.Int8Mat.Dequantize": "reference the int8 GEMM and quantizer tests compare against",
 	"simd.ScalarGemm":          "scalar twin the AVX2 tile is held to bit for bit",
-	"simd.AxpyF32":             "row kernel the kernel-equivalence fuzz holds to its scalar twin",
-	"simd.Enabled":             "lets the kernel tests say which dispatch path they ran",
 	"sampling.Sample":          "the top-k/top-p sampling path of §3.5",
 	"sampling.FilterTopKPSort": "sort-based twin FuzzFilterTopKP holds the heap filter to",
 	"pareto.Dominates":         "the dominance relation the frontier tests check the frontier against",
 	"ftdata.All":               "every FasterTransformer table, which the experiments tests sweep",
-	"tensor.SetWorkers":        "pins the worker pool so the parallel kernels' tests cover both paths",
 
 	// The only assertions of a paper result.
 	"commcost.BestFFNLayout":       "the only assertion of Fig. 3's layout crossover",
@@ -54,7 +51,6 @@ var exportKeep = map[string]string{
 	// Accounting the invariant and fuzz tests assert through.
 	"mesh.Chip.BytesSent":                "per-chip traffic counter the mesh accounting tests read",
 	"mesh.Chip.Int8BytesSent":            "per-chip traffic counter the mesh accounting tests read",
-	"mesh.Chip.Mesh":                     "the chip's mesh, which the SPMD tests reach from inside Run",
 	"kvcache.Cache.UsedBytes":            "byte accounting the cache invariant tests read",
 	"kvcache.Cache.RowsK":                "float read-back the cache round-trip and fuzz tests compare rows through",
 	"kvcache.Cache.RowsV":                "float read-back the cache round-trip and fuzz tests compare rows through",
@@ -194,6 +190,116 @@ func TestEveryExportHasACaller(t *testing.T) {
 	for name := range stale {
 		t.Errorf("exportKeep lists %s, which is not declared under internal/", name)
 	}
+}
+
+// TestEveryUnexportedFuncIsReferenced fails when an unexported function or
+// method under internal/ is referenced nowhere, not even by its package's
+// tests: go vet reports no unused method, and TestEveryExportHasACaller
+// reads only exported names. A method is exempt when its receiver
+// implements an interface of its package that declares it, since such
+// methods are called through the interface (a collective payload's send).
+func TestEveryUnexportedFuncIsReferenced(t *testing.T) {
+	if testing.Short() || raceEnabled {
+		t.Skip("type-checks the whole module from source; skipped under -short and -race")
+	}
+	fset := token.NewFileSet()
+	imp := importer.ForCompiler(fset, "source", nil)
+	var unused []string
+	err := filepath.WalkDir("internal", func(dir string, d fs.DirEntry, err error) error {
+		if err != nil || !d.IsDir() {
+			return err
+		}
+		bp, err := build.Default.ImportDir(dir, 0)
+		if err != nil {
+			if _, ok := err.(*build.NoGoError); ok {
+				return nil
+			}
+			return err
+		}
+		var prog, files []*ast.File
+		for i, name := range append(append([]string{}, bp.GoFiles...), bp.TestGoFiles...) {
+			f, err := parser.ParseFile(fset, filepath.Join(dir, name), nil, 0)
+			if err != nil {
+				return err
+			}
+			if i < len(bp.GoFiles) {
+				prog = append(prog, f)
+			}
+			files = append(files, f)
+		}
+		info := &types.Info{
+			Defs:       map[*ast.Ident]types.Object{},
+			Uses:       map[*ast.Ident]types.Object{},
+			Selections: map[*ast.SelectorExpr]*types.Selection{},
+		}
+		pkg, err := (&types.Config{Importer: imp}).Check("esti/"+filepath.ToSlash(dir), fset, files, info)
+		if err != nil {
+			return err
+		}
+		// A generic function or method is used through its instances.
+		used := map[types.Object]bool{}
+		use := func(obj types.Object) {
+			if fn, ok := obj.(*types.Func); ok {
+				obj = fn.Origin()
+			}
+			used[obj] = true
+		}
+		for _, obj := range info.Uses {
+			use(obj)
+		}
+		for _, sel := range info.Selections {
+			use(sel.Obj())
+		}
+		var ifaces []*types.Interface
+		for _, name := range pkg.Scope().Names() {
+			if it, ok := pkg.Scope().Lookup(name).Type().Underlying().(*types.Interface); ok {
+				ifaces = append(ifaces, it)
+			}
+		}
+		for _, f := range prog {
+			for _, dd := range f.Decls {
+				fd, ok := dd.(*ast.FuncDecl)
+				if !ok || fd.Name.IsExported() || fd.Name.Name == "init" {
+					continue
+				}
+				fn := info.Defs[fd.Name].(*types.Func)
+				if used[fn] || fd.Recv != nil && viaInterface(fn, ifaces) {
+					continue
+				}
+				name := bp.Name + "." + fd.Name.Name
+				if fd.Recv != nil {
+					name = bp.Name + "." + recvType(fd.Recv.List[0].Type) + "." + fd.Name.Name
+				}
+				unused = append(unused, name+" ("+fset.Position(fd.Name.Pos()).String()+")")
+			}
+		}
+		return nil
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	sort.Strings(unused)
+	if len(unused) > 0 {
+		t.Errorf("%d unexported functions under internal/ are referenced nowhere, tests included; delete each:\n\t%s",
+			len(unused), strings.Join(unused, "\n\t"))
+	}
+}
+
+// viaInterface reports whether method fn's receiver, as a value or a
+// pointer, implements one of ifaces that declares fn's name.
+func viaInterface(fn *types.Func, ifaces []*types.Interface) bool {
+	recv := fn.Type().(*types.Signature).Recv().Type()
+	if p, ok := recv.(*types.Pointer); ok {
+		recv = p.Elem()
+	}
+	for _, it := range ifaces {
+		for i := 0; i < it.NumMethods(); i++ {
+			if it.Method(i).Name() == fn.Name() && (types.Implements(recv, it) || types.Implements(types.NewPointer(recv), it)) {
+				return true
+			}
+		}
+	}
+	return false
 }
 
 // recvType is the base type name of a method receiver.

@@ -457,5 +457,3 @@ func Simulate(c Config, trace Trace) (Result, error) {
 	}
 	return sched.result(reqs, eligible, rejected), nil
 }
-
-func nan() float64 { return math.NaN() }

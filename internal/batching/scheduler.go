@@ -497,7 +497,7 @@ func (s *Scheduler) result(reqs []Request, eligible []*Request, rejected int) Re
 // latencies (NaN mean when the population is empty).
 func latencyStats(reqs []*Request) (mean, p50, p95, p99 float64) {
 	if len(reqs) == 0 {
-		return nan(), 0, 0, 0
+		return math.NaN(), 0, 0, 0
 	}
 	lat := make([]float64, len(reqs))
 	sum := 0.0

@@ -3,9 +3,11 @@ package collective
 import (
 	"math"
 	"math/rand"
+	"runtime"
 	"sync"
 	"testing"
 	"testing/quick"
+	"time"
 
 	"esti/internal/commcost"
 	"esti/internal/hardware"
@@ -26,7 +28,31 @@ func runSPMD(t hardware.Torus, fn func(c *mesh.Chip) []float32) ([][]float32, *m
 	return out, m
 }
 
+// settleGoroutines fails t unless the goroutine count falls back to base
+// within a second. A chip goroutine may still be exiting for a moment
+// after Run returns (its WaitGroup is done before it is gone), so the
+// count is polled, not read once.
+func settleGoroutines(t testing.TB, base int) {
+	t.Helper()
+	deadline := time.Now().Add(time.Second)
+	for runtime.NumGoroutine() > base {
+		if time.Now().After(deadline) {
+			t.Fatalf("goroutines leaked: %d before, %d after", base, runtime.NumGoroutine())
+		}
+		time.Sleep(time.Millisecond)
+	}
+}
+
+// noLeaks records the goroutine count and checks, when t ends, that it
+// came back: no chip goroutine outlives its Run, and no collective,
+// barrier or streamed, leaves one behind (the mesh tests' check, copied).
+func noLeaks(t testing.TB) {
+	base := runtime.NumGoroutine()
+	t.Cleanup(func() { settleGoroutines(t, base) })
+}
+
 func TestAllGatherConcatenatesInGroupOrder(t *testing.T) {
+	noLeaks(t)
 	tr := hardware.Torus{X: 2, Y: 2, Z: 2}
 	for _, g := range []hardware.AxisGroup{hardware.GroupX, hardware.GroupYZ, hardware.GroupXYZ} {
 		results, _ := runSPMD(tr, func(c *mesh.Chip) []float32 {
@@ -60,6 +86,7 @@ func meshChip0GroupRank(t hardware.Torus, g hardware.AxisGroup) (int, int) {
 }
 
 func TestReduceScatterSumsAndShards(t *testing.T) {
+	noLeaks(t)
 	tr := hardware.Torus{X: 4, Y: 1, Z: 1}
 	const chunk = 3
 	results, _ := runSPMD(tr, func(c *mesh.Chip) []float32 {
@@ -86,6 +113,7 @@ func TestReduceScatterSumsAndShards(t *testing.T) {
 
 // reduce-scatter then all-gather must equal an all-reduce, elementwise.
 func TestAllReduceEqualsSum(t *testing.T) {
+	noLeaks(t)
 	tr := hardware.Torus{X: 2, Y: 2, Z: 1}
 	results, _ := runSPMD(tr, func(c *mesh.Chip) []float32 {
 		full := []float32{float32(c.Rank), 1, -float32(c.Rank), 0.5}
@@ -102,6 +130,7 @@ func TestAllReduceEqualsSum(t *testing.T) {
 }
 
 func TestAllToAllTransposesShards(t *testing.T) {
+	noLeaks(t)
 	tr := hardware.Torus{X: 4, Y: 1, Z: 1}
 	results, _ := runSPMD(tr, func(c *mesh.Chip) []float32 {
 		rank, size := c.GroupRank(hardware.GroupX)
@@ -127,6 +156,7 @@ func TestAllToAllTransposesShards(t *testing.T) {
 
 // Double all-to-all is the identity.
 func TestAllToAllInvolution(t *testing.T) {
+	noLeaks(t)
 	tr := hardware.Torus{X: 2, Y: 2, Z: 1}
 	results, _ := runSPMD(tr, func(c *mesh.Chip) []float32 {
 		rank, size := c.GroupRank(hardware.GroupXY)
@@ -151,6 +181,7 @@ func TestAllToAllInvolution(t *testing.T) {
 // Property: all-gather of shards reassembles exactly the concatenation, for
 // random shard contents and any single-axis group.
 func TestAllGatherProperty(t *testing.T) {
+	noLeaks(t)
 	f := func(seed int64) bool {
 		rng := rand.New(rand.NewSource(seed))
 		tr := hardware.Torus{X: 4, Y: 2, Z: 1}
@@ -186,6 +217,7 @@ func TestAllGatherProperty(t *testing.T) {
 // Measured traffic must equal the analytical volume formulas of Appendix A:
 // ring all-gather and reduce-scatter move exactly D·(K-1)/K bytes per chip.
 func TestMeasuredBytesMatchCostModel(t *testing.T) {
+	noLeaks(t)
 	tr := hardware.Torus{X: 4, Y: 2, Z: 1}
 	const shardLen = 24
 	_, m := runSPMD(tr, func(c *mesh.Chip) []float32 {
@@ -225,6 +257,7 @@ func TestMeasuredBytesMatchCostModel(t *testing.T) {
 }
 
 func TestSingleChipGroupIsNoop(t *testing.T) {
+	noLeaks(t)
 	tr := hardware.Torus{X: 1, Y: 1, Z: 1}
 	results, m := runSPMD(tr, func(c *mesh.Chip) []float32 {
 		ag := AllGather(Op{Chip: c, ID: 1}, hardware.GroupX, []float32{1, 2})
@@ -240,6 +273,7 @@ func TestSingleChipGroupIsNoop(t *testing.T) {
 }
 
 func TestReduceScatterUnevenPanics(t *testing.T) {
+	noLeaks(t)
 	tr := hardware.Torus{X: 2, Y: 1, Z: 1}
 	defer func() {
 		if recover() == nil {
@@ -255,6 +289,7 @@ func TestReduceScatterUnevenPanics(t *testing.T) {
 // Consecutive collectives with distinct op ids must not cross-contaminate
 // even though messages may interleave in inboxes.
 func TestSequentialCollectivesIsolated(t *testing.T) {
+	noLeaks(t)
 	tr := hardware.Torus{X: 4, Y: 1, Z: 1}
 	results, _ := runSPMD(tr, func(c *mesh.Chip) []float32 {
 		rank, _ := c.GroupRank(hardware.GroupX)
@@ -278,6 +313,7 @@ func TestSequentialCollectivesIsolated(t *testing.T) {
 // as every other group size's does: handed back with Recycle, a warm
 // collective over one chip allocates nothing.
 func TestGroupOfOneAllocatesNothing(t *testing.T) {
+	noLeaks(t)
 	c := mesh.New(hardware.Torus{X: 1, Y: 1, Z: 1}).Chip(0)
 	o, g := Op{Chip: c, ID: 1}, hardware.GroupXYZ
 	shard := make([]float32, 64)

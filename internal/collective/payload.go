@@ -5,6 +5,7 @@ import (
 
 	"esti/internal/mesh"
 	"esti/internal/quant"
+	"esti/internal/simd"
 )
 
 // Payload is the wire format a collective's chunks travel in. The
@@ -219,7 +220,7 @@ func (p int8RowsPayload) decode(dst []float32, q []int8, first float32, add bool
 	for i := 0; i < r; i++ {
 		d, s := dst[i*cols:(i+1)*cols], q[i*cols:(i+1)*cols]
 		if add {
-			quant.AxpyF32I8(d, scaleAt(q, at, i, first), s)
+			simd.AxpyF32I8(d, scaleAt(q, at, i, first), s)
 		} else {
 			quant.DequantizeRowInto(d, s, scaleAt(q, at, i, first))
 		}

@@ -3,7 +3,6 @@ package collective
 import (
 	"math"
 	"math/rand"
-	"runtime"
 	"strings"
 	"sync"
 	"testing"
@@ -39,6 +38,7 @@ func adversarialDelay(rng *rand.Rand) {
 // delivered to the consumer — is bitwise equal to the barrier AllGather,
 // for fp32 and int8 payloads, across 1-, 2-, and 8-chip groups.
 func TestAllGatherStreamBitIdenticalToBarrier(t *testing.T) {
+	noLeaks(t)
 	tr := hardware.Torus{X: 2, Y: 2, Z: 2}
 	const chunkLen = 5
 	shardFor := func(rank int) []float32 {
@@ -99,6 +99,7 @@ func TestAllGatherStreamBitIdenticalToBarrier(t *testing.T) {
 // int8 (whose per-hop requantization makes any deviation in fold order or
 // quantization points visible immediately).
 func TestReduceScatterStreamBitIdenticalToBarrier(t *testing.T) {
+	noLeaks(t)
 	tr := hardware.Torus{X: 2, Y: 2, Z: 2}
 	const chunkLen = 4
 	fullFor := func(rank, size int) []float32 {
@@ -153,6 +154,7 @@ func TestReduceScatterStreamBitIdenticalToBarrier(t *testing.T) {
 // long as op ids advance — the id-consumption contract stream.go documents.
 // Each result is checked against its standalone barrier twin.
 func TestStreamInterleavedWithBarrierOps(t *testing.T) {
+	noLeaks(t)
 	tr := hardware.Torus{X: 2, Y: 2, Z: 2}
 	g := hardware.GroupXYZ
 	const chunkLen = 3
@@ -230,6 +232,7 @@ func TestStreamInterleavedWithBarrierOps(t *testing.T) {
 // hits the mesh's tag-collision check, same as a barrier collective would —
 // the op-id discipline audit for the streaming forms.
 func TestStreamTagCollisionPanics(t *testing.T) {
+	noLeaks(t)
 	defer func() {
 		r := recover()
 		if r == nil {
@@ -260,7 +263,7 @@ func TestStreamTagCollisionPanics(t *testing.T) {
 // goroutines — after the mesh run returns, the goroutine count settles back
 // to where it started.
 func TestStreamNoGoroutineLeak(t *testing.T) {
-	before := runtime.NumGoroutine()
+	noLeaks(t)
 	tr := hardware.Torus{X: 2, Y: 2, Z: 2}
 	for iter := 0; iter < 3; iter++ {
 		runSPMD(tr, func(c *mesh.Chip) []float32 {
@@ -278,15 +281,6 @@ func TestStreamNoGoroutineLeak(t *testing.T) {
 			return out
 		})
 	}
-	// Let mesh worker goroutines finish exiting before counting.
-	deadline := time.Now().Add(2 * time.Second)
-	for time.Now().Before(deadline) {
-		if runtime.NumGoroutine() <= before {
-			return
-		}
-		time.Sleep(10 * time.Millisecond)
-	}
-	t.Fatalf("goroutines leaked: %d before, %d after", before, runtime.NumGoroutine())
 }
 
 // TestStreamMeasuresOverlap: consumer work inside the stream window is
@@ -294,6 +288,7 @@ func TestStreamNoGoroutineLeak(t *testing.T) {
 // stays in [0, 1]; ResetCounters clears it. The window opens only for a
 // callback: the same rings without one measure nothing.
 func TestStreamMeasuresOverlap(t *testing.T) {
+	noLeaks(t)
 	tr := hardware.Torus{X: 4, Y: 1, Z: 1}
 	_, m := runSPMD(tr, func(c *mesh.Chip) []float32 {
 		rank, size := c.GroupRank(hardware.GroupX)

@@ -23,6 +23,7 @@ var wireGroups = []hardware.Torus{
 // byte-accurate counters are what make the int8 claims checkable — and the
 // int8 formats must move at most 0.55× the fp32 bytes for every collective.
 func TestWireVolumesMatchCostModelBothFormats(t *testing.T) {
+	noLeaks(t)
 	const shardLen, rowLen = 24, 6
 	formats := []struct {
 		name string
@@ -100,6 +101,7 @@ func TestWireVolumesMatchCostModelBothFormats(t *testing.T) {
 // within half a quantization step of its source values (one quantization
 // at the source, raw relays), and its own chunk exactly.
 func TestInt8AllGatherWithinBound(t *testing.T) {
+	noLeaks(t)
 	for _, tr := range wireGroups {
 		rng := rand.New(rand.NewSource(7))
 		const chunkLen = 17
@@ -142,6 +144,7 @@ func TestInt8AllGatherWithinBound(t *testing.T) {
 // bytes a row on top of the elements — through the ring gather, the
 // reduce-scatter and the all-to-all alike.
 func TestInt8RowsWithinRowBound(t *testing.T) {
+	noLeaks(t)
 	const rows, cols = 3, 5
 	tr := hardware.Torus{X: 2, Y: 2, Z: 1}
 	k := tr.Chips()
@@ -234,6 +237,7 @@ func TestInt8RowsWithinRowBound(t *testing.T) {
 // half-steps (of the running partial-sum magnitude) of the exact sum —
 // the bounded-error contract of fold-in-float32, requantize-per-hop.
 func TestInt8ReduceScatterWithinBound(t *testing.T) {
+	noLeaks(t)
 	for _, tr := range wireGroups {
 		k := tr.Chips()
 		rng := rand.New(rand.NewSource(9))
@@ -279,6 +283,7 @@ func TestInt8ReduceScatterWithinBound(t *testing.T) {
 // Int8 all-to-all: own shard exact, remote shards within one quantization
 // half-step of their source values.
 func TestInt8AllToAllWithinBound(t *testing.T) {
+	noLeaks(t)
 	tr := hardware.Torus{X: 2, Y: 2, Z: 2}
 	k := tr.Chips()
 	const shardLen = 5
@@ -325,6 +330,7 @@ func TestInt8AllToAllWithinBound(t *testing.T) {
 // Mixing payload formats across ops on the same mesh must work: the tag
 // space keeps them apart and each op's format decodes its own messages.
 func TestMixedWireOpsIsolated(t *testing.T) {
+	noLeaks(t)
 	tr := hardware.Torus{X: 4, Y: 1, Z: 1}
 	results, _ := runSPMD(tr, func(c *mesh.Chip) []float32 {
 		rank, _ := c.GroupRank(hardware.GroupX)
@@ -349,6 +355,7 @@ func TestMixedWireOpsIsolated(t *testing.T) {
 // consecutive ids, so ops advanced by that stride never collide — and the
 // composition still equals the sum.
 func TestOpAdvanceReservesIDs(t *testing.T) {
+	noLeaks(t)
 	o := Op{ID: 7}
 	if got := o.Advance(AllReduceIDs).ID; got != 9 {
 		t.Fatalf("Advance(%d) = id %d, want 9", AllReduceIDs, got)
@@ -391,6 +398,7 @@ func TestTagStepGuard(t *testing.T) {
 // larger than their rows, whose step they would otherwise set. A chunk of r
 // rows costs r·(cols+8) bytes.
 func TestInt8RowsStatKeepsStatisticExact(t *testing.T) {
+	noLeaks(t)
 	tr := hardware.Torus{X: 2, Y: 2, Z: 2}
 	k := tr.Chips()
 	const rows, cols = 3, 5
@@ -433,6 +441,7 @@ func TestInt8RowsStatKeepsStatisticExact(t *testing.T) {
 // AllToAllInto fills the caller's table, so a steady-state loop that
 // recycles what it receives allocates nothing beyond the mesh's own run.
 func TestAllToAllIntoAllocatesNothing(t *testing.T) {
+	noLeaks(t)
 	m := mesh.New(hardware.Torus{X: 2, Y: 2, Z: 1})
 	k := m.Chips()
 	outs, shards := make([][][]float32, k), make([][][]float32, k)

@@ -2,6 +2,8 @@ package engine
 
 import (
 	"runtime"
+	"runtime/debug"
+	"sync"
 	"testing"
 
 	"esti/internal/hardware"
@@ -103,10 +105,8 @@ func TestDecodeZeroAllocsHeadShardedSerialBlock(t *testing.T) {
 // and an idle slot costs no row. The chunk's slot is released between
 // passes so the pass repeats at a fixed depth.
 func TestStepRaggedPassZeroAllocs(t *testing.T) {
-	// Two workers, so the pass's seven-row in-projection splits across the
-	// pool by strips inside the measured pass: AllocsPerRun runs at
-	// GOMAXPROCS 1, where the pool would otherwise stay idle.
-	defer tensor.SetWorkers(tensor.SetWorkers(2))
+	// Measured at GOMAXPROCS 2, so the pass's seven-row in-projection
+	// splits across the pool by strips inside the measured pass.
 	cfg := ciConfig()
 	const batch, maxLen = 4, 512
 	w := reference.NewWeights(cfg, 7)
@@ -132,19 +132,21 @@ func TestStepRaggedPassZeroAllocs(t *testing.T) {
 		if logits.Rows != len(toks) {
 			t.Fatalf("%v: %d logits rows for %d tokens", attn, logits.Rows, len(toks))
 		}
-		if avg := testing.AllocsPerRun(100, pass); avg != 0 {
+		if avg := allocsAt(2, 100, pass); avg != 0 {
 			t.Errorf("%v: a warm ragged Step allocates %v times, want 0", attn, avg)
 		}
 	}
 }
 
 // The split attention walk keeps the zero-allocation contract: a warm
-// long-context decode whose walk splits across two workers (the ciConfig
-// decodes above sit below the split threshold) allocates nothing — the walk
-// is a task bound at New, and each part's scratch is sized before its first
-// walk — and starts no goroutine, the warm-up having started the pool.
+// long-context decode whose walk splits in two at GOMAXPROCS 2 (the
+// ciConfig decodes above sit below the split threshold) allocates nothing —
+// the walk is a task bound at New, and each part's scratch is sized before
+// its first walk — and starts no goroutine, the warm-up having started the
+// pool.
 func TestSplitWalkDecodeZeroAllocs(t *testing.T) {
-	defer tensor.SetWorkers(tensor.SetWorkers(2))
+	noLeaks(t)
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(2))
 	e, last, _ := longContextEngine(t)
 	logits := new(tensor.Mat)
 	decode := func() { e.DecodeSlotsInto(logits, last, nil) }
@@ -152,8 +154,11 @@ func TestSplitWalkDecodeZeroAllocs(t *testing.T) {
 		decode()
 	}
 	before := runtime.NumGoroutine()
-	if avg := testing.AllocsPerRun(50, decode); avg != 0 {
+	if avg := allocsAt(2, 50, decode); avg != 0 {
 		t.Errorf("a warm split-walk decode allocates %v times, want 0", avg)
+	}
+	if p := walkParts(e); p != 2 {
+		t.Errorf("the measured decode walked in %d parts, want 2", p)
 	}
 	if after := runtime.NumGoroutine(); after != before {
 		t.Errorf("split-walk decodes left %d goroutines, %d before", after, before)
@@ -162,11 +167,12 @@ func TestSplitWalkDecodeZeroAllocs(t *testing.T) {
 
 // A long-context prefill chunk keeps it too: a warm Step of four rows onto a
 // slot past the 1,024-token document, whose walk cuts its one slot's rows
-// into two parts by the positions they walk, allocates nothing — the
-// scratch table and the part bounds grew to the two parts in the warm-up —
-// and starts no goroutine.
+// into two parts by the positions they walk at GOMAXPROCS 2, allocates
+// nothing — the scratch table and the part bounds grew to the two parts in
+// the warm-up — and starts no goroutine.
 func TestSplitWalkChunkZeroAllocs(t *testing.T) {
-	defer tensor.SetWorkers(tensor.SetWorkers(2))
+	noLeaks(t)
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(2))
 	e, _, _ := longContextEngine(t)
 	const chunk = 4
 	toks := make([]int, chunk)
@@ -182,8 +188,11 @@ func TestSplitWalkChunkZeroAllocs(t *testing.T) {
 		pass()
 	}
 	before := runtime.NumGoroutine()
-	if avg := testing.AllocsPerRun(20, pass); avg != 0 {
+	if avg := allocsAt(2, 20, pass); avg != 0 {
 		t.Errorf("a warm split-walk chunk Step allocates %v times, want 0", avg)
+	}
+	if p := walkParts(e); p != 2 {
+		t.Errorf("the measured chunk walked in %d parts, want 2", p)
 	}
 	if after := runtime.NumGoroutine(); after != before {
 		t.Errorf("split-walk chunk Steps left %d goroutines, %d before", after, before)
@@ -254,3 +263,53 @@ func TestWGDecodeAllocsPerLayer(t *testing.T) {
 		t.Errorf("a warm weight-gathered decode step allocates %.0f times per layer on 8 chips, 2D weight-stationary %.0f", wg, ws)
 	}
 }
+
+// allocsAt is testing.AllocsPerRun at GOMAXPROCS procs, which AllocsPerRun
+// pins to 1, where tensor.Parts cuts nothing: f once to warm, then the
+// heap allocations of runs calls over runs, rounded down as AllocsPerRun
+// rounds. Above one P a split's blocked wait can take the runtime's wait
+// record (a sudog) from one P's cache and free it into another's, and the
+// runtime allocates records until the caches balance (about 200 waits),
+// and again after a GC empties the shared cache. So the GC is off while f
+// runs, and spareWaitRecords stocks the caches first.
+func allocsAt(procs, runs int, f func()) float64 {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(procs))
+	defer debug.SetGCPercent(debug.SetGCPercent(-1))
+	spareWaitRecords(512)
+	f()
+	var ms runtime.MemStats
+	runtime.ReadMemStats(&ms)
+	before := ms.Mallocs
+	for i := 0; i < runs; i++ {
+		f()
+	}
+	runtime.ReadMemStats(&ms)
+	return float64((ms.Mallocs - before) / uint64(runs))
+}
+
+// spareWaitRecords parks up to n goroutines on one channel at once and
+// wakes them all, so the runtime has made that many wait records and holds
+// them in its caches, and returns once the goroutines have exited.
+func spareWaitRecords(n int) {
+	base := runtime.NumGoroutine()
+	wake := make(chan struct{})
+	var started, woken sync.WaitGroup
+	started.Add(n)
+	woken.Add(n)
+	for i := 0; i < n; i++ {
+		go func() {
+			started.Done()
+			<-wake
+			woken.Done()
+		}()
+	}
+	started.Wait() // most are parked by now, and twice the need are started
+	close(wake)
+	woken.Wait()
+	for runtime.NumGoroutine() > base {
+		runtime.Gosched()
+	}
+}
+
+// walkParts is how many parts chip 0's last attention walk ran in.
+func walkParts(e *Engine) int { return len(e.chips[0].walk.first) - 1 }

@@ -289,13 +289,6 @@ func (s shard) cols(lo, hi int) shard {
 	return s
 }
 
-// mulA multiplies activations by the shard into an arena matrix, the
-// multiply form the per-pass code uses, so a steady-state pass allocates
-// nothing.
-func (s shard) mulA(ar *tensor.Arena, a *tensor.Mat) *tensor.Mat {
-	return s.mulInto(ar.Mat(a.Rows, s.n), a)
-}
-
 // mulInto sets dst, reshaped to [a.Rows, n], to a·s and returns it (the
 // streamed down-projection reuses one dst for every chunk).
 func (s shard) mulInto(dst, a *tensor.Mat) *tensor.Mat {

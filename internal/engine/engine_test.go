@@ -136,6 +136,7 @@ func assertClose(t *testing.T, what string, ref, got *tensor.Mat) {
 
 // The core contract, over the full layout matrix.
 func TestShardedMatchesReference(t *testing.T) {
+	noLeaks(t)
 	cases := []struct {
 		name string
 		cfg  model.Config
@@ -330,6 +331,7 @@ func abs(v float64) float64 {
 // The all-to-all cost of batch sharding is the only traffic difference
 // between the two attention layouts — and it is small (Section 3.3).
 func TestBatchShardingAddsOnlySmallAllToAll(t *testing.T) {
+	noLeaks(t)
 	cfg := tinyMQA()
 	w := reference.NewWeights(cfg, 13)
 	const batch = 8

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"runtime"
 	"strings"
 	"testing"
 	"time"
@@ -101,6 +102,36 @@ func TestRejectedCallLeavesMeshUsable(t *testing.T) {
 	}
 }
 
+// settleGoroutines fails t unless the goroutine count falls back to base
+// within a second. A chip goroutine may still be exiting for a moment
+// after Run returns (its WaitGroup is done before it is gone), so the
+// count is polled, not read once.
+func settleGoroutines(t testing.TB, base int) {
+	t.Helper()
+	deadline := time.Now().Add(time.Second)
+	for runtime.NumGoroutine() > base {
+		if time.Now().After(deadline) {
+			t.Fatalf("goroutines leaked: %d before, %d after", base, runtime.NumGoroutine())
+		}
+		time.Sleep(time.Millisecond)
+	}
+}
+
+// noLeaks records the goroutine count and checks, when t ends, that it
+// came back: no chip goroutine outlives its pass (the mesh tests' check,
+// copied). The tensor pool's workers, which the first split in the
+// process starts and which stay, are started first.
+func noLeaks(t testing.TB) {
+	tensor.Split(idleTask{}, 2, 2)
+	base := runtime.NumGoroutine()
+	t.Cleanup(func() { settleGoroutines(t, base) })
+}
+
+// idleTask is a split with no work.
+type idleTask struct{}
+
+func (idleTask) Run(_, _, _ int) {}
+
 // A chip that panics inside a pass does not wedge the next one. Chip 3 of
 // a batch-sharded 2D mesh panics as the pass starts, so its peers block on
 // its first collective, are poisoned and abort before any of them commits:
@@ -110,6 +141,7 @@ func TestRejectedCallLeavesMeshUsable(t *testing.T) {
 // aborted pass left them — with logits bit-equal to those of an engine that
 // never faulted.
 func TestChipPanicLeavesMeshUsable(t *testing.T) {
+	noLeaks(t)
 	cfg := tinyMQA()
 	const batch, maxLen = 8, 8
 	w := reference.NewWeights(cfg, 23)
@@ -414,9 +446,8 @@ func checkWireSchedule(t *testing.T, cfg model.Config, tr hardware.Torus, opts O
 // Admission runs the pass body that decode runs, so on one chip a warm
 // PrefillSlot allocates only the logits it returns.
 func TestPrefillSlotSingleChipAllocatesOnlyResult(t *testing.T) {
-	// Two workers, so the 16-row projections split across the pool by rows
-	// inside the measured admission (AllocsPerRun runs at GOMAXPROCS 1).
-	defer tensor.SetWorkers(tensor.SetWorkers(2))
+	// Measured at GOMAXPROCS 2, so the 16-row projections split across the
+	// pool by rows inside the measured admission.
 	cfg := ciConfig()
 	eng, err := New(reference.NewWeights(cfg, 7), hardware.Torus{X: 1, Y: 1, Z: 1}, Options{
 		FFN: partition.FFN2DWeightStationary, Attn: partition.AttnShardBatch,
@@ -434,7 +465,7 @@ func TestPrefillSlotSingleChipAllocatesOnlyResult(t *testing.T) {
 		admit()
 	}
 	result := testing.AllocsPerRun(20, func() { logits.Clone() })
-	if got := testing.AllocsPerRun(20, admit); got != result {
+	if got := allocsAt(2, 20, admit); got != result {
 		t.Errorf("a warm single-chip PrefillSlot allocates %v times, its result alone %v", got, result)
 	}
 }

@@ -39,6 +39,7 @@ func generateWith(t *testing.T, cfg model.Config, tr hardware.Torus, opts Option
 // chunked accumulation reorders float sums; 1D is bitwise, see
 // TestStreamed1DIsBarrier).
 func TestStreamedTokenExactVsBarrier(t *testing.T) {
+	noLeaks(t)
 	type tcase struct {
 		name string
 		cfg  model.Config
@@ -91,6 +92,7 @@ func TestStreamedTokenExactVsBarrier(t *testing.T) {
 // multiquery and GELU multihead models, on 4 and 8 chips, on both wire
 // formats, with float and int8 weights.
 func TestStreamed1DIsBarrier(t *testing.T) {
+	noLeaks(t)
 	const batch, steps, maxLen = 8, 3, 8
 	for _, cfg := range []model.Config{tinyMQA(), tinyMHA()} {
 		attn := partition.AttnShardBatch
@@ -175,6 +177,7 @@ func TestStreamedSingleChipDecodeZeroAllocs(t *testing.T) {
 // the barrier engine): same transitive correctness contract every other
 // layout test pins.
 func TestStreamedMatchesReference(t *testing.T) {
+	noLeaks(t)
 	for _, tc := range []struct {
 		name string
 		ffn  partition.FFNLayout
@@ -194,6 +197,7 @@ func TestStreamedMatchesReference(t *testing.T) {
 // the barrier engine, on both payload formats — the streamed forms ride the
 // identical ring schedule.
 func TestStreamedWireBytesIdentical(t *testing.T) {
+	noLeaks(t)
 	cfg := tinyMQA()
 	const batch, promptLen, gen = 8, 4, 4
 	w := reference.NewWeights(cfg, 42)

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"runtime"
 	"testing"
 
 	"esti/internal/hardware"
@@ -28,7 +29,6 @@ import (
 // than the pass has rows, and the draws must put a part boundary inside a
 // chunk.
 func TestSplitWalkBitIdentical(t *testing.T) {
-	defer tensor.SetWorkers(tensor.SetWorkers(1))
 	rng := rand.New(rand.NewSource(45))
 	const maxLen = 64
 	cuts, over := 0, 0 // part boundaries drawn inside a slot's chunk; draws past the rows
@@ -74,8 +74,12 @@ func TestSplitWalkBitIdentical(t *testing.T) {
 		q := shardActs(rng, rows, kvHeads*g*dh)
 		w := newWalk(cache, g, dh)
 
-		// One worker: the pass's own walk is serial.
-		want := w.appendAndAttendInto(tensor.New(rows, q.Cols), q, 0, counts, shardActs(rng, rows, width), shardActs(rng, rows, width))
+		// The pass's own walk appends the K/V rows; the serial walk of the
+		// same rows is the reference.
+		w.appendAndAttendInto(tensor.New(rows, q.Cols), q, 0, counts, shardActs(rng, rows, width), shardActs(rng, rows, width))
+		want := tensor.New(rows, q.Cols)
+		w.out = want
+		w.split(1)
 		parts := 1 + rng.Intn(4)
 		w.out = tensor.New(rows, q.Cols)
 		w.split(parts)
@@ -230,21 +234,28 @@ func longContextEngine(t *testing.T) (*Engine, []int, []float32) {
 	return e, last, admitted
 }
 
-// A long-context admission and decode, whose walks split across the pool
-// under two workers — an admission's tail rows cut between the parts —
-// yield the same logits, bit for bit, and so the same greedy tokens as
-// under one worker.
+// A long-context admission and decode, whose walks split in two across the
+// pool at GOMAXPROCS 2 — an admission's tail rows cut between the parts —
+// yield the same logits, bit for bit, and so the same greedy tokens as at
+// GOMAXPROCS 1, where every walk is serial.
 func TestSplitWalkGreedyLongContext(t *testing.T) {
-	defer tensor.SetWorkers(tensor.SetWorkers(1))
+	noLeaks(t)
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
 	const gen = 6
-	run := func(workers int) ([]int, []float32, []float32) {
-		tensor.SetWorkers(workers)
+	run := func(procs int) ([]int, []float32, []float32) {
+		runtime.GOMAXPROCS(procs)
 		e, last, admitted := longContextEngine(t)
+		if p := walkParts(e); p != procs {
+			t.Fatalf("GOMAXPROCS %d: the last admission walked in %d parts", procs, p)
+		}
 		var toks []int
 		var logits []float32
 		dst := new(tensor.Mat)
 		for i := 0; i < gen; i++ {
 			e.DecodeSlotsInto(dst, last, nil)
+			if p := walkParts(e); p != procs {
+				t.Fatalf("GOMAXPROCS %d: decode %d walked in %d parts", procs, i, p)
+			}
 			logits = append(logits, dst.Data...)
 			for s := range last {
 				last[s] = sampling.Greedy(dst.Row(s))
@@ -257,17 +268,17 @@ func TestSplitWalkGreedyLongContext(t *testing.T) {
 	gotToks, gotAdmitted, gotLogits := run(2)
 	for i := range wantAdmitted {
 		if math.Float32bits(gotAdmitted[i]) != math.Float32bits(wantAdmitted[i]) {
-			t.Fatalf("admission logit %d is %g under two workers, %g under one", i, gotAdmitted[i], wantAdmitted[i])
+			t.Fatalf("admission logit %d is %g split, %g serial", i, gotAdmitted[i], wantAdmitted[i])
 		}
 	}
 	for i := range wantToks {
 		if gotToks[i] != wantToks[i] {
-			t.Fatalf("token %d (step %d, slot %d) is %d under two workers, %d under one", i, i/4, i%4, gotToks[i], wantToks[i])
+			t.Fatalf("token %d (step %d, slot %d) is %d split, %d serial", i, i/4, i%4, gotToks[i], wantToks[i])
 		}
 	}
 	for i := range wantLogits {
 		if math.Float32bits(gotLogits[i]) != math.Float32bits(wantLogits[i]) {
-			t.Fatalf("logit %d is %g under two workers, %g under one", i, gotLogits[i], wantLogits[i])
+			t.Fatalf("logit %d is %g split, %g serial", i, gotLogits[i], wantLogits[i])
 		}
 	}
 }

@@ -220,9 +220,10 @@ func squareWaveTrace(n, burst int, period float64, seed int64) batching.Trace {
 // counterpart of the unit-level square-wave test.
 func TestAutoscaleFlappingPrevention(t *testing.T) {
 	trace := squareWaveTrace(300, 25, 3.5, 11)
-	// LeastLoaded spreads each burst evenly so the whole fleet drains
-	// together and the gaps read as genuine slack on every replica.
-	base := Config{Replica: replicaConfig(), Replicas: 3, Policy: LeastLoaded}
+	// Affinity's bounded load spills a burst past the warm replicas once
+	// they carry 1.25x the fleet's average backlog, so the whole fleet
+	// drains together and the gaps read as genuine slack on every replica.
+	base := Config{Replica: replicaConfig(), Replicas: 3, Policy: Affinity}
 
 	damped := base
 	damped.Autoscale = &autoscale.Policy{

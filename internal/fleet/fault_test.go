@@ -250,7 +250,7 @@ func TestStragglerHedging(t *testing.T) {
 func TestBrownoutShedsLowTierFirst(t *testing.T) {
 	var plan faults.Plan
 	plan.Crash(1, 0.2, -1).Crash(2, 0.2, -1).Crash(3, 0.2, -1)
-	c := Config{Replica: replicaConfig(), Replicas: 4, Policy: LeastLoaded, Faults: plan,
+	c := Config{Replica: replicaConfig(), Replicas: 4, Policy: Affinity, Faults: plan,
 		Recovery: RecoveryPolicy{BrownoutBelow: 0.5}}
 	trace := zipfTrace(200, 0.01, 11)
 	for i := range trace.Requests {

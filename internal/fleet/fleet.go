@@ -102,10 +102,9 @@ const (
 	// least-loaded replica overall when no replica is warm or the warm
 	// ones carry more than 1.25x the fleet-average backlog (bounded load:
 	// hot templates replicate onto as many replicas as their traffic
-	// share needs).
+	// share needs). A request without a template, or to a pool without a
+	// prefix cache, goes to the least-loaded replica.
 	Affinity Policy = iota
-	// LeastLoaded ignores templates and balances queue+slot backlog.
-	LeastLoaded
 	// Random routes uniformly at random (seeded) — the baseline that shows
 	// what affinity buys.
 	Random
@@ -116,8 +115,6 @@ func (p Policy) String() string {
 	switch p {
 	case Affinity:
 		return "affinity"
-	case LeastLoaded:
-		return "least-loaded"
 	case Random:
 		return "random"
 	}
@@ -140,7 +137,7 @@ type Config struct {
 	// phases). Ignored when disaggregated.
 	Replicas int
 	// Policy is the routing policy for arrivals; a value other than the
-	// three named policies is invalid.
+	// two named policies is invalid.
 	Policy Policy
 	// PrefillReplicas and DecodeReplicas, when either is set, disaggregate
 	// the fleet into that many prefill-only and decode replicas (both at

@@ -173,7 +173,7 @@ func TestDisaggregatedPools(t *testing.T) {
 }
 
 func TestSLOShedding(t *testing.T) {
-	c := Config{Replica: replicaConfig(), Replicas: 2, Policy: LeastLoaded}
+	c := Config{Replica: replicaConfig(), Replicas: 2, Policy: Affinity}
 	// A burst of simultaneous arrivals with deadlines only the first few can
 	// meet: the router must shed the rest with ErrDeadline, and goodput must
 	// count only in-deadline tokens.
@@ -213,7 +213,7 @@ func TestSLOShedding(t *testing.T) {
 }
 
 func TestQueueCapShedsLowTierOnly(t *testing.T) {
-	c := Config{Replica: replicaConfig(), Replicas: 1, Policy: LeastLoaded, MaxQueue: 4}
+	c := Config{Replica: replicaConfig(), Replicas: 1, Policy: Affinity, MaxQueue: 4}
 	trace := batching.Trace{}
 	for i := 0; i < 120; i++ {
 		r := batching.Request{ID: i, Arrival: 0, Context: 512, Gen: 32, Slot: -1}

@@ -76,11 +76,12 @@ const ringRounds = 2
 // sending the chip's two running values to the next chip and folding in
 // the previous chip's, then one all-to-all round in which every chip
 // sends each peer its own scaling of the values. out[c.Rank] receives
-// what the all-to-all delivered, in peer order. A chip makes 2·ringRounds
-// + 2·(n-1) sends and receives, the sends of each round first.
+// what the all-to-all delivered, in peer order, so out has one entry per
+// chip. A chip makes 2·ringRounds + 2·(n-1) sends and receives, the sends
+// of each round first.
 func exchange(out [][]float32) func(c *Chip) {
+	n := len(out)
 	return func(c *Chip) {
-		n := c.Mesh().Chips()
 		next, prev := (c.Rank+1)%n, (c.Rank+n-1)%n
 		acc := []float32{float32(c.Rank) + 0.5, 1 / float32(c.Rank+3)}
 		for r := 0; r < ringRounds; r++ {

@@ -309,9 +309,6 @@ type Chip struct {
 	groups []groupInfo
 }
 
-// Mesh returns the owning mesh.
-func (c *Chip) Mesh() *Mesh { return c.mesh }
-
 // BytesSent is this chip's total sent wire bytes (read outside Run).
 func (c *Chip) BytesSent() int64 { return c.bytesSent }
 

@@ -72,10 +72,6 @@ type Knobs struct {
 	// HBMBudget is the fraction of per-chip HBM usable for weights plus
 	// KV cache before a configuration is declared infeasible.
 	HBMBudget float64
-	// Roofline, if true, overlaps weight loading with matmul compute
-	// (per-layer time = max(compute, weight mem) + ...). The calibrated
-	// default is additive, which matches the published anchors better.
-	Roofline bool
 }
 
 // DefaultKnobs returns the calibrated constants; their residuals against
@@ -323,15 +319,7 @@ func layerStep(r Request, k Knobs, plan partition.FFNPlan, attn partition.AttnPl
 	// Weight-gathered layouts stream the gathered (larger) working set.
 	layerBytes := c.WeightBytesPerLayer(r.Weights)
 	gathered := layerBytes * float64(plan.GatherFactor()) / n
-	wm := gathered / hbm
-	if k.Roofline {
-		// Weight loads overlap with compute; only the excess is exposed.
-		if wm > b.Compute {
-			b.WeightMem = wm - b.Compute
-		}
-	} else {
-		b.WeightMem = wm
-	}
+	b.WeightMem = gathered / hbm
 
 	// Attention: KV-cache memory traffic and attention einsum compute.
 	kvLogical := float64(r.Batch) * ctx * c.KVBytesPerTokenPerLayerAs(r.KVDType)

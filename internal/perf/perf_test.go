@@ -212,26 +212,6 @@ func TestStepTimeMonotoneInContext(t *testing.T) {
 	}
 }
 
-// Roofline mode (weight load overlapped with compute) must never be slower
-// than the additive default.
-func TestRooflineModeFaster(t *testing.T) {
-	k := DefaultKnobs()
-	kr := k
-	kr.Roofline = true
-	f := func(bRaw uint8) bool {
-		b := 1 << (bRaw % 10)
-		add := Decode(req540(model.BF16, b), k)
-		roof := Decode(req540(model.BF16, b), kr)
-		if !add.Feasible {
-			return true
-		}
-		return roof.Time <= add.Time+1e-12
-	}
-	if err := quick.Check(f, nil); err != nil {
-		t.Error(err)
-	}
-}
-
 // Raising the overlap fraction can only hide communication, never add time.
 func TestOverlapMonotone(t *testing.T) {
 	base := DefaultKnobs()

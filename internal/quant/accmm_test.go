@@ -3,6 +3,7 @@ package quant
 import (
 	"math"
 	"math/rand"
+	"runtime"
 	"testing"
 
 	"esti/internal/tensor"
@@ -80,19 +81,20 @@ func TestMatMulAccRawRowBlocks(t *testing.T) {
 	}
 }
 
-// The parallel accumulate path must agree with the serial one exactly.
+// The parallel accumulate path must agree with the serial one exactly. At
+// GOMAXPROCS 4 the product, the one package tensor's
+// TestParallelGemmAccExact cuts in four, splits.
 func TestParallelMatMulAccRawExact(t *testing.T) {
 	rng := rand.New(rand.NewSource(47))
 	a := randMat(rng, 96, 80)
 	q := Quantize(randMat(rng, 80, 64))
 	base := randMat(rng, 96, 64)
 
-	prev := tensor.SetWorkers(1)
-	defer tensor.SetWorkers(prev)
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
 	serial := base.Clone()
 	accRaw(serial, a, q)
 
-	tensor.SetWorkers(4)
+	runtime.GOMAXPROCS(4)
 	parallel := base.Clone()
 	accRaw(parallel, a, q)
 	for i := range serial.Data {

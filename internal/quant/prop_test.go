@@ -3,6 +3,7 @@ package quant
 import (
 	"math"
 	"math/rand"
+	"runtime"
 	"testing"
 
 	"esti/internal/tensor"
@@ -38,17 +39,17 @@ func TestQuantMatMulMatchesNaive(t *testing.T) {
 }
 
 // The parallel path must agree with the serial kernel exactly (tiles only
-// split output rows).
+// split output rows). At GOMAXPROCS 4 the product, the one package
+// tensor's TestParallelMatMulExactAndLeakFree cuts in four, splits.
 func TestQuantMatMulParallelExact(t *testing.T) {
 	rng := rand.New(rand.NewSource(43))
 	a := tensor.New(96, 80).FillRand(rng, 1)
 	q := Quantize(tensor.New(80, 64).FillRand(rng, 1))
 
-	prev := tensor.SetWorkers(1)
-	defer tensor.SetWorkers(prev)
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
 	serial := MatMulInto(tensor.New(a.Rows, q.Cols), a, q)
 
-	tensor.SetWorkers(4)
+	runtime.GOMAXPROCS(4)
 	for i := 0; i < 10; i++ {
 		if d := tensor.MaxAbsDiff(serial, MatMulInto(tensor.New(a.Rows, q.Cols), a, q)); d != 0 {
 			t.Fatalf("parallel differs from serial by %g", d)

@@ -4,6 +4,9 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"runtime"
+	"runtime/debug"
+	"sync"
 	"testing"
 	"time"
 
@@ -85,19 +88,19 @@ func sameBits(t *testing.T, label string, got, want *tensor.Mat) {
 
 // MatMulInto and raw accumulation (accRaw) equal the retained row-pass
 // kernel on every bit over the tile contract's generated shapes (the same
-// lists as package tensor's float test), serially and — SetWorkers(2), for the
-// shapes past the pool's threshold — split in two; and raw accumulation
+// lists as package tensor's float test), serially and — at GOMAXPROCS 2,
+// for the shapes past the pool's threshold — split in two; and raw accumulation
 // from a cleared dst followed by ScaleColumns still equals MatMulInto. The
 // accumulating form starts from an earlier raw product, as in the engine.
 func TestMatMulBitIdenticalToRowPass(t *testing.T) {
 	rng := rand.New(rand.NewSource(73))
-	defer tensor.SetWorkers(tensor.SetWorkers(1))
-	for _, workers := range []int{1, 2} {
-		tensor.SetWorkers(workers)
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	for _, procs := range []int{1, 2} {
+		runtime.GOMAXPROCS(procs)
 		for _, m := range []int{1, 2, 3, 4, 5, 6, 7, 8, 9, 15, 16, 17, 33} {
 			for _, k := range []int{1, 2, 3, 4, 5, 6, 7, 8, 9, 31, 32, 64, 130} {
 				for _, n := range []int{1, 2, 3, 4, 5, 6, 7, 8, 9, 15, 16, 17, 64, 136} {
-					label := fmt.Sprintf("[%d,%d]·[%d,%d] workers=%d", m, k, k, n, workers)
+					label := fmt.Sprintf("[%d,%d]·[%d,%d] GOMAXPROCS=%d", m, k, k, n, procs)
 					a := genActivations(rng, m, k)
 					q := Quantize(tensor.New(k, n).FillRand(rng, 1))
 
@@ -145,20 +148,66 @@ func TestMatMulZeroRowsStayPositiveZero(t *testing.T) {
 	}
 }
 
-// A quantized matmul split across the pool allocates nothing.
+// A quantized matmul split across the pool allocates nothing: measured at
+// GOMAXPROCS 2, where the [8,256]·[256,1024] product, 2 M multiply-adds,
+// splits in two by strips.
 func TestParallelMatMulAllocatesNothing(t *testing.T) {
 	rng := rand.New(rand.NewSource(83))
 	a := tensor.New(8, 256).FillRand(rng, 1)
 	q := Quantize(tensor.New(256, 1024).FillRand(rng, 1))
 	dst := tensor.New(8, 1024)
-	prev := tensor.SetWorkers(2)
-	defer tensor.SetWorkers(prev)
-	MatMulInto(dst, a, q) // starts the pool, makes the first job record
-	if avg := testing.AllocsPerRun(50, func() { MatMulInto(dst, a, q) }); avg != 0 {
+	if avg := allocsAt(2, 50, func() { MatMulInto(dst, a, q) }); avg != 0 {
 		t.Errorf("parallel MatMulInto allocates %v times", avg)
 	}
-	if avg := testing.AllocsPerRun(50, func() { accRaw(dst, a, q) }); avg != 0 {
+	if avg := allocsAt(2, 50, func() { accRaw(dst, a, q) }); avg != 0 {
 		t.Errorf("parallel raw accumulation allocates %v times", avg)
+	}
+}
+
+// allocsAt is testing.AllocsPerRun at GOMAXPROCS procs, which AllocsPerRun
+// pins to 1, where tensor.Parts cuts nothing: f once to warm, then the
+// heap allocations of runs calls over runs, rounded down as AllocsPerRun
+// rounds. Above one P a split's blocked wait can take the runtime's wait
+// record (a sudog) from one P's cache and free it into another's, and the
+// runtime allocates records until the caches balance (about 200 waits),
+// and again after a GC empties the shared cache. So the GC is off while f
+// runs, and spareWaitRecords stocks the caches first.
+func allocsAt(procs, runs int, f func()) float64 {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(procs))
+	defer debug.SetGCPercent(debug.SetGCPercent(-1))
+	spareWaitRecords(512)
+	f()
+	var ms runtime.MemStats
+	runtime.ReadMemStats(&ms)
+	before := ms.Mallocs
+	for i := 0; i < runs; i++ {
+		f()
+	}
+	runtime.ReadMemStats(&ms)
+	return float64((ms.Mallocs - before) / uint64(runs))
+}
+
+// spareWaitRecords parks up to n goroutines on one channel at once and
+// wakes them all, so the runtime has made that many wait records and holds
+// them in its caches, and returns once the goroutines have exited.
+func spareWaitRecords(n int) {
+	base := runtime.NumGoroutine()
+	wake := make(chan struct{})
+	var started, woken sync.WaitGroup
+	started.Add(n)
+	woken.Add(n)
+	for i := 0; i < n; i++ {
+		go func() {
+			started.Done()
+			<-wake
+			woken.Done()
+		}()
+	}
+	started.Wait() // most are parked by now, and twice the need are started
+	close(wake)
+	woken.Wait()
+	for runtime.NumGoroutine() > base {
+		runtime.Gosched()
 	}
 }
 
@@ -166,7 +215,7 @@ func TestParallelMatMulAllocatesNothing(t *testing.T) {
 // over int8 weights: the retained row-pass kernel and the register tile in
 // alternating bursts on one worker, each side's best burst as GFLOP/s.
 func BenchmarkTileVsRowPass(b *testing.B) {
-	defer tensor.SetWorkers(tensor.SetWorkers(1))
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
 	rng := rand.New(rand.NewSource(1))
 	for _, sh := range [][3]int{
 		{8, 64, 8}, {8, 32, 64}, {8, 32, 128}, {8, 128, 32}, {32, 128, 32}, {8, 64, 64},

@@ -68,9 +68,3 @@ func DequantizeRowInto(dst []float32, src []int8, scale float32) {
 		dst[i] = float32(v) * scale
 	}
 }
-
-// AxpyF32I8 accumulates s·v into dst over v's raw int8 values; the caller
-// folds the row scale into s.
-func AxpyF32I8(dst []float32, s float32, v []int8) {
-	simd.AxpyF32I8(dst, s, v)
-}

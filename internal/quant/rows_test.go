@@ -67,7 +67,8 @@ func TestQuantizeRowClampsNonFinite(t *testing.T) {
 	}
 }
 
-// The shared axpy kernel against its scalar definition, across the unroll
+// The int8 axpy kernel the int8 wire folds received rows with
+// (simd.AxpyF32I8) against its float64 definition, across the unroll
 // boundary lengths.
 func TestAxpyF32I8(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
@@ -85,7 +86,7 @@ func TestAxpyF32I8(t *testing.T) {
 			dst[i] = a[i]
 			ref[i] = float64(a[i]) + s*float64(b[i])
 		}
-		AxpyF32I8(dst, s, b)
+		simd.AxpyF32I8(dst, s, b)
 		for i := range dst {
 			if math.Abs(float64(dst[i])-ref[i]) > 1e-4*math.Max(1, math.Abs(ref[i])) {
 				t.Errorf("n=%d elem %d: axpy %g, want %g", n, i, dst[i], ref[i])

@@ -203,7 +203,7 @@ func attendSeqPerHead(dh int, q *tensor.Mat, cache *kvcache.Cache, layer, slot, 
 			if v.I8 != nil {
 				simd.AxpyF32I8(orow, w(j), v.I8[o:o+dh])
 			} else {
-				simd.AxpyF32(orow, w(j), v.F32[o:o+dh])
+				simd.ScalarAxpyF32(orow, w(j), v.F32[o:o+dh])
 			}
 		}
 	}

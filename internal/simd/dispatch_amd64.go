@@ -45,10 +45,6 @@ func dotF32Asm(a, b []float32) float32 { return dotF32AVX2(&a[0], &b[0], len(a))
 
 func dotF32I8Asm(a []float32, b []int8) float32 { return dotF32I8AVX2(&a[0], &b[0], len(a)) }
 
-func axpyF32Asm(dst []float32, s float32, x []float32) {
-	axpyF32AVX2(&dst[0], s, &x[0], len(dst))
-}
-
 func axpyF32I8Asm(dst []float32, s float32, v []int8) {
 	axpyF32I8AVX2(&dst[0], s, &v[0], len(dst))
 }

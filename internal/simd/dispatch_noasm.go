@@ -10,10 +10,6 @@ func dotF32Asm(a, b []float32) float32 { panic("simd: no asm kernels on this arc
 
 func dotF32I8Asm(a []float32, b []int8) float32 { panic("simd: no asm kernels on this arch") }
 
-func axpyF32Asm(dst []float32, s float32, x []float32) {
-	panic("simd: no asm kernels on this arch")
-}
-
 func axpyF32I8Asm(dst []float32, s float32, v []int8) {
 	panic("simd: no asm kernels on this arch")
 }

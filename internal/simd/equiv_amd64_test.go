@@ -44,18 +44,10 @@ func TestAsmAxpyBitIdentical(t *testing.T) {
 	for _, n := range asmLengths(axpyBlock) {
 		for trial := 0; trial < 16; trial++ {
 			base := randFloats(rng, n, true)
-			x := randFloats(rng, n, true)
 			v := randInt8s(rng, n)
 			s := rng.Float32()*4 - 2
 
 			got, want := append([]float32(nil), base...), append([]float32(nil), base...)
-			axpyF32Asm(got, s, x)
-			ScalarAxpyF32(want, s, x)
-			for i := range got {
-				eqBits(t, "axpyF32AVX2", got[i], want[i])
-			}
-
-			got, want = append([]float32(nil), base...), append([]float32(nil), base...)
 			axpyF32I8Asm(got, s, v)
 			ScalarAxpyF32I8(want, s, v)
 			for i := range got {

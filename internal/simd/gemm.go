@@ -5,8 +5,8 @@ package simd
 // Per output element the arithmetic is the row-pass kernels' own — per
 // group of four contraction steps t = ((a0·b0 + a1·b1) + a2·b2) + a3·b3,
 // acc = acc + t (MulAdd4F32's association), then the last k%4 steps one
-// acc += a·b at a time (AxpyF32's) — so a product is bit-identical to the
-// one a loop over MulAdd4F32 and AxpyF32 produces. What differs is where
+// acc += a·b at a time (ScalarAxpyF32's) — so a product is bit-identical
+// to the one a loop over MulAdd4F32 and ScalarAxpyF32 produces. What differs is where
 // acc lives: a tile of up to eight output rows by eight columns keeps its
 // eight accumulators in YMM registers for the whole contraction, the four
 // weight rows of a k-group are loaded (int8: widened) once per tile

@@ -47,6 +47,7 @@
 // are all this one loop. The Go wrapper runs the n%8 columns and the k%4
 // steps.
 TEXT ·gemmTileAVX2(SB), NOSPLIT, $0-89
+	PCALIGN $64
 	MOVQ  dst+0(FP), DI          // row 0 of the current strip
 	MOVQ  lddBytes+8(FP), R14
 	MOVQ  ldaBytes+24(FP), R8
@@ -200,6 +201,7 @@ gt_stored:
 // multiple of 8. A maximum of non-negative non-NaN values is the same in
 // any order, so the eight lanes and their reduction need no contract.
 TEXT ·maxAbsClampedAVX2(SB), NOSPLIT, $0-28
+	PCALIGN $64
 	MOVQ   src+0(FP), SI
 	MOVQ   n+8(FP), CX
 	BOUNDS(bound+16(FP))
@@ -233,6 +235,7 @@ ma_loop:
 // round to nearest even under the default MXCSR — inside int32 for any
 // finite inv, and the two packs then narrow without saturating.
 TEXT ·quantizeScaledAVX2(SB), NOSPLIT, $0-32
+	PCALIGN $64
 	MOVQ         dst+0(FP), DI
 	MOVQ         src+8(FP), SI
 	MOVQ         n+16(FP), CX

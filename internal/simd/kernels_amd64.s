@@ -22,6 +22,7 @@
 
 // func dotF32AVX2(a, b *float32, n int) float32
 TEXT ·dotF32AVX2(SB), NOSPLIT, $0-28
+	PCALIGN $64
 	MOVQ   a+0(FP), SI
 	MOVQ   b+8(FP), DI
 	MOVQ   n+16(FP), CX
@@ -55,6 +56,7 @@ dotloop:
 
 // func dotF32I8AVX2(a *float32, b *int8, n int) float32
 TEXT ·dotF32I8AVX2(SB), NOSPLIT, $0-28
+	PCALIGN $64
 	MOVQ   a+0(FP), SI
 	MOVQ   b+8(FP), DI
 	MOVQ   n+16(FP), CX
@@ -88,29 +90,9 @@ doti8loop:
 	MOVSS        X0, ret+24(FP)
 	RET
 
-// func axpyF32AVX2(dst *float32, s float32, x *float32, n int)
-TEXT ·axpyF32AVX2(SB), NOSPLIT, $0-32
-	MOVQ         dst+0(FP), DI
-	VBROADCASTSS s+8(FP), Y6
-	MOVQ         x+16(FP), SI
-	MOVQ         n+24(FP), CX
-
-axpyloop:
-	VMOVUPS (SI), Y2
-	VMULPS  Y2, Y6, Y2         // s * x
-	VMOVUPS (DI), Y3
-	VADDPS  Y2, Y3, Y3         // dst + product
-	VMOVUPS Y3, (DI)
-	ADDQ    $32, SI
-	ADDQ    $32, DI
-	SUBQ    $8, CX
-	JNZ     axpyloop
-
-	VZEROUPPER
-	RET
-
 // func axpyF32I8AVX2(dst *float32, s float32, v *int8, n int)
 TEXT ·axpyF32I8AVX2(SB), NOSPLIT, $0-32
+	PCALIGN $64
 	MOVQ         dst+0(FP), DI
 	VBROADCASTSS s+8(FP), Y6
 	MOVQ         v+16(FP), SI
@@ -133,6 +115,7 @@ axpyi8loop:
 
 // func mulAdd4F32AVX2(dst, b0, b1, b2, b3 *float32, a0, a1, a2, a3 float32, n int)
 TEXT ·mulAdd4F32AVX2(SB), NOSPLIT, $0-64
+	PCALIGN $64
 	MOVQ         dst+0(FP), DI
 	MOVQ         b0+8(FP), R8
 	MOVQ         b1+16(FP), R9
@@ -172,6 +155,7 @@ ma4loop:
 
 // func mulAdd4F32I8AVX2(dst *float32, q0, q1, q2, q3 *int8, a0, a1, a2, a3 float32, n int)
 TEXT ·mulAdd4F32I8AVX2(SB), NOSPLIT, $0-64
+	PCALIGN $64
 	MOVQ         dst+0(FP), DI
 	MOVQ         q0+8(FP), R8
 	MOVQ         q1+16(FP), R9

@@ -28,6 +28,7 @@
 // into widen[0:dh] and rowscale = scale·kscales[j]. One head at a time:
 // each score is one 16-lane dot and one horizontal tree.
 TEXT ·scoreRowsAVX2(SB), NOSPLIT, $0-92
+	PCALIGN $64
 	MOVQ  out+0(FP), DI          // &out[j*g+h], one float per head
 	MOVQ  dh+32(FP), R11
 	MOVQ  R11, R13
@@ -154,6 +155,7 @@ sr_scored:
 // Lanes are accumulated in two passes so that they fit the registers:
 // {0-3, 8-11}, which leave u0..u3 = L[j]+L[j+8], then {4-7, 12-15}.
 TEXT ·scoreLanesAVX2(SB), NOSPLIT, $0-92
+	PCALIGN $64
 	MOVQ out+0(FP), R8           // the group's column of out
 	MOVQ maxes+8(FP), R14        // the group's maxes
 	MOVQ qt+24(FP), R15          // the group's [dh][8] queries
@@ -377,6 +379,7 @@ sl_scored:
 // group is loaded — int8 (v8, vf nil) widened — once and applied to all ng
 // accumulators. The Go wrapper runs the dh%8 tail columns.
 TEXT ·weighRowsAVX2(SB), NOSPLIT, $0-80
+	PCALIGN $64
 	MOVQ w+24(FP), R10           // &w[j*ng]
 	MOVQ ng+8(FP), R8
 	SHLQ $2, R8                  // bytes per row of w
@@ -633,6 +636,7 @@ GLOBL exp32c<>(SB), RODATA|NOPTR, $48
 // formed as floor(y) plus one where y-floor(y) >= 0.5: the same integer for
 // every y in range.
 TEXT ·exp32RowsAVX2(SB), NOSPLIT, $0-24
+	PCALIGN $64
 	MOVQ         xs+0(FP), DI
 	MOVQ         n+8(FP), CX
 	XORQ         AX, AX

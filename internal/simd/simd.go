@@ -20,7 +20,7 @@
 //     horizontal reduce the assembly performs.
 //   - The tail (len mod 16) folds into r one element at a time: r += a[i]·b[i].
 //
-// Elementwise kernels (AxpyF32, AxpyF32I8, MulAdd4F32, MulAdd4F32I8,
+// Elementwise kernels (AxpyF32I8, MulAdd4F32, MulAdd4F32I8,
 // Exp32Rows) have no cross-element accumulation, so vector width does not
 // affect their results; they only require that every per-element operation
 // is an individually rounded float32 multiply or add in the written order
@@ -64,9 +64,6 @@ var useASM bool
 
 // kindName describes the selected dispatch for logs and tests.
 var kindName = "scalar"
-
-// Enabled reports whether the vectorized kernels are active.
-func Enabled() bool { return useASM }
 
 // Kind returns the active kernel set: "avx2" or "scalar".
 func Kind() string { return kindName }
@@ -120,26 +117,6 @@ func DotF32I8(a []float32, b []int8) float32 {
 		return r
 	}
 	return ScalarDotF32I8(a, b)
-}
-
-// AxpyF32 accumulates s·x into dst over min(len(dst), len(x)) elements:
-// dst[i] += s·x[i], each product and sum individually rounded.
-func AxpyF32(dst []float32, s float32, x []float32) {
-	if len(x) < len(dst) {
-		dst = dst[:len(x)]
-	}
-	x = x[:len(dst)]
-	if useASM {
-		m := len(dst) &^ (axpyBlock - 1)
-		if m > 0 {
-			axpyF32Asm(dst[:m], s, x[:m])
-		}
-		for i := m; i < len(dst); i++ {
-			dst[i] += s * x[i]
-		}
-		return
-	}
-	ScalarAxpyF32(dst, s, x)
 }
 
 // AxpyF32I8 accumulates s·float32(v[i]) into dst over min(len(dst), len(v)).
@@ -278,7 +255,9 @@ func dotReduceTree(l0, l1, l2, l3, l4, l5, l6, l7, l8, l9, l10, l11, l12, l13, l
 	return w0 + w1
 }
 
-// ScalarAxpyF32 is AxpyF32's pure-Go twin.
+// ScalarAxpyF32 accumulates s·x into dst: dst[i] += s·x[i], each product
+// and sum individually rounded. It has no assembly form; the GEMM's tail
+// k-steps and the weigh kernels' scalar twin call it.
 func ScalarAxpyF32(dst []float32, s float32, x []float32) {
 	x = x[:len(dst)]
 	for i := range dst {
@@ -321,7 +300,7 @@ func ScalarMulAdd4F32I8(dst []float32, q0, q1, q2, q3 []int8, a0, a1, a2, a3 flo
 // so the g heads of a row are contiguous. The package comment has the
 // arithmetic contract: a score is DotF32/DotF32I8 times its scale, an
 // accumulator element takes its rows as MulAdd4F32/MulAdd4F32I8 groups and
-// the last rows%4 as AxpyF32/AxpyF32I8.
+// the last rows%4 as ScalarAxpyF32/AxpyF32I8.
 //
 // When g is a multiple of 8 the score kernels can hold eight heads in the
 // eight lanes of a vector: each of the dot product's 16 lanes becomes one

@@ -3,6 +3,10 @@ package simd
 // Assembly kernel declarations (kernels_amd64.s). All kernels use only
 // VMULPS/VADDPS-class arithmetic — never FMA — so every float32 operation
 // rounds exactly like its Go-source twin.
+//
+// Each kernel in the .s files opens with PCALIGN $64. At offset 0 it pads
+// nothing; it raises the kernel's alignment to 64 bytes, so every loop head
+// keeps its offset within a cache line whatever else the binary holds.
 
 // dotF32AVX2 sums a[i]*b[i] over n elements, n a positive multiple of 16,
 // with the package's fixed 16-lane accumulation and reduction tree.
@@ -15,12 +19,6 @@ func dotF32AVX2(a, b *float32, n int) float32
 //
 //go:noescape
 func dotF32I8AVX2(a *float32, b *int8, n int) float32
-
-// axpyF32AVX2 computes dst[i] += s*x[i] over n elements, n a positive
-// multiple of 8.
-//
-//go:noescape
-func axpyF32AVX2(dst *float32, s float32, x *float32, n int)
 
 // axpyF32I8AVX2 computes dst[i] += s*float32(v[i]) over n elements, n a
 // positive multiple of 8.

@@ -3,6 +3,7 @@ package tensor
 import (
 	"math"
 	"math/rand"
+	"runtime"
 	"testing"
 )
 
@@ -63,12 +64,14 @@ func TestParallelGemmAccExact(t *testing.T) {
 	b := randMatZ(rng, 80, 64)
 	base := randMatZ(rng, 96, 64)
 
-	prev := SetWorkers(1)
-	defer SetWorkers(prev)
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
 	serial := base.Clone()
 	GemmInto(serial, a, rowMajor(b), true)
 
-	SetWorkers(4)
+	runtime.GOMAXPROCS(4)
+	if p := Parts(a.Rows, a.Rows*a.Cols*b.Cols, parallelMinFlops); p != 4 {
+		t.Fatalf("the product is cut into %d parts at GOMAXPROCS 4, want 4", p)
+	}
 	parallel := base.Clone()
 	GemmInto(parallel, a, rowMajor(b), true)
 	for i := range serial.Data {

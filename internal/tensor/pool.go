@@ -3,7 +3,6 @@ package tensor
 import (
 	"runtime"
 	"sync"
-	"sync/atomic"
 
 	"esti/internal/simd"
 )
@@ -49,9 +48,8 @@ const parallelMinFlops = 1 << 17
 var pool struct {
 	mu      sync.Mutex
 	tasks   chan poolTask
-	free    []*job       // idle job records
-	started int          // goroutines running; fixed after first start
-	max     atomic.Int32 // configured parallelism; 0 = GOMAXPROCS
+	free    []*job // idle job records
+	started int    // goroutines running; fixed after first start
 }
 
 // Task is work over units [0, n) that Split cuts into as many contiguous
@@ -89,28 +87,6 @@ type poolTask struct {
 	part, lo, hi int
 }
 
-// SetWorkers bounds the count Parts answers (1 = always serial; below 1,
-// the default: follow GOMAXPROCS) and returns the previous setting in the
-// same terms, so defer SetWorkers(SetWorkers(n)) restores exactly what was
-// set before. It exists for callers that need deterministic execution —
-// allocation tests, embedders running their own scheduler — and for tests
-// that take the engine's parallel path on a single-core machine. It starts
-// and stops no goroutine: ranges past the pool's queue.
-func SetWorkers(n int) int {
-	return int(pool.max.Swap(int32(max(n, 0))))
-}
-
-// Workers reports the current parallelism bound. A set bound is one atomic
-// load; the default reads GOMAXPROCS, which the runtime serves under its
-// scheduler lock, so Parts reads it only for work past the size checks,
-// once per candidate split.
-func Workers() int {
-	if max := pool.max.Load(); max != 0 {
-		return int(max)
-	}
-	return runtime.GOMAXPROCS(0)
-}
-
 // startJob returns the task channel and an idle job record. The worker
 // goroutines start on the first call, one per GOMAXPROCS at that time; a
 // split cut into more ranges queues the rest on the channel. The free list
@@ -142,21 +118,22 @@ func poolWorker(tasks chan poolTask) {
 }
 
 // Parts decides a split: how many ranges work of units rows, strips or
-// parts and flops multiply-adds is cut into. It is min(Workers(), units)
+// parts and flops multiply-adds is cut into. It is min(GOMAXPROCS, units)
 // when the work has two units or more and at least minFlops multiply-adds,
 // its kind's break-even as measured by its owner, and 1 — run serially in
-// the caller — otherwise.
+// the caller — otherwise. The runtime serves GOMAXPROCS under its
+// scheduler lock, so Parts reads it only for work past the size checks.
 func Parts(units, flops, minFlops int) int {
 	if units < 2 || flops < minFlops {
 		return 1
 	}
-	return min(Workers(), units)
+	return min(runtime.GOMAXPROCS(0), units)
 }
 
 // Split runs t over units [0, units) as min(parts, units) contiguous
 // ranges numbered 0, 1, … in order, and returns when every range is done.
 // Below two ranges it runs in the caller as t.Run(0, 0, units). It reads
-// neither a threshold nor Workers(): the count is the caller's, most often
+// neither a threshold nor GOMAXPROCS: the count is the caller's, most often
 // Parts'. t must not call Split itself: a worker waiting on a nested split
 // could leave it no worker.
 func Split(t Task, units, parts int) {

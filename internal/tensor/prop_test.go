@@ -76,17 +76,19 @@ func TestMatMulTMatchesNaive(t *testing.T) {
 
 // The parallel path must agree with the serial path exactly — tiles only
 // split output rows, never the reduction — and must not leak goroutines.
-// SetWorkers forces tiling even on a single-core machine.
+// GOMAXPROCS 4 forces tiling even on a single-core machine.
 func TestParallelMatMulExactAndLeakFree(t *testing.T) {
 	rng := rand.New(rand.NewSource(17))
 	a := randMatZ(rng, 96, 80)
 	b := randMatZ(rng, 80, 64) // 96·80·64 comfortably clears the flops gate
 
-	prev := SetWorkers(1)
-	defer SetWorkers(prev)
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
 	serial := MatMul(a, b)
 
-	SetWorkers(4)
+	runtime.GOMAXPROCS(4)
+	if p := Parts(a.Rows, a.Rows*a.Cols*b.Cols, parallelMinFlops); p != 4 {
+		t.Fatalf("the product is cut into %d parts at GOMAXPROCS 4, want 4", p)
+	}
 	warm := MatMul(a, b) // first call may start the pool
 	if d := MaxAbsDiff(serial, warm); d != 0 {
 		t.Fatalf("parallel result differs from serial by %g", d)
@@ -117,12 +119,12 @@ func (c *coverTask) Run(part, lo, hi int) {
 // Split runs every unit exactly once, in exactly min(parts, units)
 // contiguous ranges numbered 0, 1, … in order — a task may index per-part
 // scratch by the number — and below two of them in the caller, as part 0,
-// whatever Workers() is: counts 0 to 3, more than the units and more than
-// GOMAXPROCS, under one worker and four.
+// whatever GOMAXPROCS is: counts 0 to 3, more than the units and more than
+// GOMAXPROCS, at GOMAXPROCS 1 and 4.
 func TestSplitCoversEachUnitOnceInNumberedRanges(t *testing.T) {
-	defer SetWorkers(SetWorkers(1))
-	for _, workers := range []int{1, 4} {
-		SetWorkers(workers)
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	for _, procs := range []int{1, 4} {
+		runtime.GOMAXPROCS(procs)
 		for units := 0; units <= 11; units++ {
 			for _, parts := range []int{0, 1, 2, 3, units + 1, runtime.GOMAXPROCS(0) + 1} {
 				c := &coverTask{part: make([]int, units)}
@@ -131,7 +133,7 @@ func TestSplitCoversEachUnitOnceInNumberedRanges(t *testing.T) {
 				}
 				Split(c, units, parts)
 				if want := max(min(parts, units), 1); !numberedInOrder(c.part, want) {
-					t.Fatalf("%d workers, %d units, %d parts: parts %v, want every unit once in %d ranges numbered in order", workers, units, parts, c.part, want)
+					t.Fatalf("GOMAXPROCS %d, %d units, %d parts: parts %v, want every unit once in %d ranges numbered in order", procs, units, parts, c.part, want)
 				}
 			}
 		}
@@ -139,66 +141,22 @@ func TestSplitCoversEachUnitOnceInNumberedRanges(t *testing.T) {
 }
 
 // Parts decides every split: 1, the caller's goroutine, below the work's
-// break-even or for a single unit, and min(Workers(), units) otherwise.
+// break-even or for a single unit, and min(GOMAXPROCS, units) otherwise.
 func TestParts(t *testing.T) {
-	defer SetWorkers(SetWorkers(3))
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(3))
 	for _, c := range []struct{ units, flops, minFlops, want int }{
 		{8, 99, 100, 1},  // below the threshold
 		{0, 100, 100, 1}, // no unit
 		{1, 1e9, 100, 1}, // a single unit
 		{2, 100, 100, 2}, // at the threshold
-		{8, 1e9, 100, 3}, // Workers() bounds
+		{8, 1e9, 100, 3}, // GOMAXPROCS bounds
 		{2, 1e9, 0, 2},   // the units bound
 		{5, 0, 0, 3},     // no threshold at all
 		{8, 100, 1e9, 1}, // far below
 	} {
 		if got := Parts(c.units, c.flops, c.minFlops); got != c.want {
-			t.Errorf("Parts(%d, %d, %d) = %d at 3 workers, want %d", c.units, c.flops, c.minFlops, got, c.want)
+			t.Errorf("Parts(%d, %d, %d) = %d at GOMAXPROCS 3, want %d", c.units, c.flops, c.minFlops, got, c.want)
 		}
-	}
-}
-
-// SetWorkers below 1 is the default, following GOMAXPROCS, and the value it
-// returns restores exactly the setting it replaced: the idiom
-// defer SetWorkers(SetWorkers(n)) run from the default must leave the pool
-// following GOMAXPROCS, not pinned at GOMAXPROCS's value at the time, or
-// every later AllocsPerRun (which runs at GOMAXPROCS 1) in the package
-// splits or not depending on test order.
-func TestSetWorkersClampsAndRestores(t *testing.T) {
-	defer SetWorkers(SetWorkers(0))
-	procs := runtime.GOMAXPROCS(0)
-	defer runtime.GOMAXPROCS(procs)
-
-	prev := SetWorkers(3)
-	if got := Workers(); got != 3 {
-		t.Errorf("Workers() = %d after SetWorkers(3)", got)
-	}
-	if prev != 0 {
-		t.Errorf("SetWorkers(3) from the default returned %d, want 0", prev)
-	}
-	for _, n := range []int{0, -2} {
-		if SetWorkers(n); Workers() != procs {
-			t.Errorf("SetWorkers(%d) should follow GOMAXPROCS %d, got %d", n, procs, Workers())
-		}
-	}
-
-	func() {
-		defer SetWorkers(SetWorkers(2))
-		if Workers() != 2 {
-			t.Errorf("Workers() = %d inside SetWorkers(2)", Workers())
-		}
-	}()
-	runtime.GOMAXPROCS(procs + 1)
-	if got := Workers(); got != procs+1 {
-		t.Errorf("after a set-and-restore from the default, Workers() = %d at GOMAXPROCS %d: the restore pinned the pool", got, procs+1)
-	}
-
-	SetWorkers(5)
-	func() {
-		defer SetWorkers(SetWorkers(1))
-	}()
-	if got := Workers(); got != 5 {
-		t.Errorf("a set-and-restore from SetWorkers(5) left Workers() = %d", got)
 	}
 }
 

@@ -12,11 +12,12 @@ import (
 )
 
 // matMulRowPass is the GEMM this package ran before the register tile,
-// kept verbatim as the tile's oracle: i-k-j order, two output rows by four
+// kept as the tile's oracle: i-k-j order, two output rows by four
 // contraction steps per pass, each row pass one simd.MulAdd4F32 call that
 // loads and stores the output row, all-zero activation groups skipped, the
-// last k%4 steps through simd.AxpyF32, then a single-row ladder for an odd
-// last row. The tile must reproduce it bit for bit.
+// last k%4 steps through simd.ScalarAxpyF32 (each product and sum rounded
+// alone, as any vector width rounds them), then a single-row ladder for an
+// odd last row. The tile must reproduce it bit for bit.
 func matMulRowPass(dst, a, b *Mat, lo, hi int, acc bool) {
 	k, n := a.Cols, b.Cols
 	ad, bd, od := a.Data, b.Data, dst.Data
@@ -54,8 +55,8 @@ func matMulRowPass(dst, a, b *Mat, lo, hi int, acc bool) {
 				continue
 			}
 			brow := bd[kk*n : kk*n+n]
-			simd.AxpyF32(orow0, a0, brow)
-			simd.AxpyF32(orow1, a1, brow)
+			simd.ScalarAxpyF32(orow0, a0, brow)
+			simd.ScalarAxpyF32(orow1, a1, brow)
 		}
 	}
 	for ; i < hi; i++ {
@@ -80,7 +81,7 @@ func matMulRowPass(dst, a, b *Mat, lo, hi int, acc bool) {
 			if av == 0 {
 				continue
 			}
-			simd.AxpyF32(orow, av, bd[kk*n:kk*n+n])
+			simd.ScalarAxpyF32(orow, av, bd[kk*n:kk*n+n])
 		}
 	}
 }
@@ -138,17 +139,18 @@ func packStrips(b *Mat) simd.GemmB {
 }
 
 // MatMulInto and GemmInto's accumulating form equal the retained row-pass
-// kernel on every bit, serially and cut across the pool — by rows, and for
-// a product at most one tile high by strips, over row-major and packed
-// weights — on whichever dispatch path the run selected (CI runs this under
-// ESTI_NOSIMD=1 as well).
+// kernel on every bit, serially and cut across the pool in two parts — by
+// rows, and for a product at most one tile high by strips, over row-major
+// and packed weights — on whichever dispatch path the run selected (CI
+// runs this under ESTI_NOSIMD=1 as well). GOMAXPROCS is pinned to 2, so
+// the products past the pool's threshold that GemmInto splits itself split
+// in two on any runner.
 // The accumulating form starts from an earlier product, as every caller in
 // the engine does: such a dst holds no -0, which is what makes multiplying
 // through a zero group the identity the oracle's skip is.
 func TestMatMulBitIdenticalToRowPass(t *testing.T) {
 	rng := rand.New(rand.NewSource(59))
-	prev := SetWorkers(2)
-	defer SetWorkers(prev)
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(2))
 	for _, m := range genMs {
 		for _, k := range genKs {
 			for _, n := range genNs {
@@ -172,13 +174,13 @@ func TestMatMulBitIdenticalToRowPass(t *testing.T) {
 					// product one tile high by strips, over the row-major
 					// operand and over the same weights strip-packed.
 					got = base.Clone()
-					split(rowOp{dst: *got, a: *a, b: rowMajor(b), acc: acc}, m, min(Workers(), m))
+					split(rowOp{dst: *got, a: *a, b: rowMajor(b), acc: acc}, m, min(2, m))
 					sameBits(t, label+" split", got, want)
 					if m <= tileRows {
 						strips := (n + simd.GemmStrip - 1) / simd.GemmStrip
 						for name, op := range map[string]simd.GemmB{"row-major": rowMajor(b), "packed": packStrips(b)} {
 							got = base.Clone()
-							split(rowOp{dst: *got, a: *a, b: op, acc: acc, strips: true}, strips, min(Workers(), strips))
+							split(rowOp{dst: *got, a: *a, b: op, acc: acc, strips: true}, strips, min(2, strips))
 							sameBits(t, label+" strip split "+name, got, want)
 						}
 					}
@@ -230,29 +232,37 @@ func TestMatMulZeroRowsStayPositiveZero(t *testing.T) {
 // behind: its operands and its completion count ride in a recycled job
 // record. Products one tile high (m ∈ {1, 2, 4, 8}, n%8 ≠ 0) split by
 // strips, over row-major and packed weights, and come out equal to the
-// serial product; a taller one splits by rows.
+// serial product; a taller one splits by rows. Each is the split GemmInto
+// or MatMulTInto makes at GOMAXPROCS 2, run in two parts by count, so that
+// AllocsPerRun, which measures at GOMAXPROCS 1, still splits.
 func TestParallelMatMulAllocatesNothing(t *testing.T) {
 	rng := rand.New(rand.NewSource(67))
 	const k, n = 256, 1020
 	b, bt := New(k, n).FillRand(rng, 1), New(n, k).FillRand(rng, 1)
 	packed := packStrips(b)
-	prev := SetWorkers(2)
-	defer SetWorkers(prev)
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(2))
 	cases := map[string]func(){}
 	for _, m := range []int{1, 2, 4, 8, 16} {
 		a, dst, dstT := New(m, k).FillRand(rng, 1), New(m, n), New(m, n)
-		if m*k*n < parallelMinFlops {
-			t.Fatalf("m=%d does not reach the pool", m)
+		units, strips := m, m <= tileRows
+		if strips {
+			units = (n + simd.GemmStrip - 1) / simd.GemmStrip
+		}
+		if p := Parts(units, m*k*n, parallelMinFlops); p != 2 {
+			t.Fatalf("m=%d: GemmInto cuts the product into %d parts at GOMAXPROCS 2, want 2", m, p)
 		}
 		serial := New(m, n)
 		gemmRows(serial, a, rowMajor(b), 0, m, false)
 		for name, op := range map[string]simd.GemmB{"row-major": rowMajor(b), "packed": packed} {
+			op := op                    // each case its own operand (go 1.21 loop variables)
 			GemmInto(dst, a, op, false) // starts the pool, makes the first job record
 			sameBits(t, fmt.Sprintf("m=%d %s", m, name), dst, serial)
-			cases[fmt.Sprintf("m=%d %s", m, name)] = func() { GemmInto(dst, a, op, false) }
+			cases[fmt.Sprintf("m=%d %s", m, name)] = func() { split(rowOp{dst: *dst, a: *a, b: op, strips: strips}, units, 2) }
 		}
-		cases[fmt.Sprintf("m=%d acc", m)] = func() { GemmInto(dst, a, rowMajor(b), true) }
-		cases[fmt.Sprintf("m=%d MatMulTInto", m)] = func() { MatMulTInto(dstT, a, bt) }
+		cases[fmt.Sprintf("m=%d acc", m)] = func() { split(rowOp{dst: *dst, a: *a, b: rowMajor(b), acc: true, strips: strips}, units, 2) }
+		if rows := m; rows > 1 {
+			cases[fmt.Sprintf("m=%d MatMulTInto", m)] = func() { split(rowOp{dst: *dstT, a: *a, bt: *bt}, rows, 2) }
+		}
 	}
 	before := runtime.NumGoroutine()
 	for name, f := range cases {
@@ -301,14 +311,14 @@ var tileShapes = [][3]int{
 }
 
 // BenchmarkTileVsRowPass runs the retained row-pass kernel and the register
-// tile on the same operands in alternating bursts, serially (SetWorkers(1)),
+// tile on the same operands in alternating bursts, serially (GOMAXPROCS 1),
 // and reports each side's best burst as GFLOP/s and their ratio. Best of
 // many short alternating bursts, because this box's speed drifts by more
 // than most of the differences; the README's old/new table is this
 // benchmark's output (`go test ./internal/tensor ./internal/quant -run '^$'
 // -bench TileVsRowPass -benchtime 30x`).
 func BenchmarkTileVsRowPass(b *testing.B) {
-	defer SetWorkers(SetWorkers(1))
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
 	rng := rand.New(rand.NewSource(1))
 	for _, sh := range tileShapes {
 		m, k, n := sh[0], sh[1], sh[2]
