@@ -75,7 +75,7 @@ func benchPaths(b *testing.B, body func(scalar bool) func()) {
 func dotF32I8Sweep(scalar bool) func() {
 	dot := simd.DotF32I8
 	if scalar {
-		dot = simd.ScalarDotF32I8
+		dot = simd.ScalarDot
 	}
 	a := microFloats(microN)
 	q := microInt8s(microRows * microN)
@@ -96,7 +96,7 @@ func BenchmarkDotF32I8(b *testing.B) { benchPaths(b, dotF32I8Sweep) }
 func axpyF32I8Sweep(scalar bool) func() {
 	axpy := simd.AxpyF32I8
 	if scalar {
-		axpy = simd.ScalarAxpyF32I8
+		axpy = simd.ScalarAxpy
 	}
 	dst := microFloats(microN)
 	q := microInt8s(microRows * microN)

@@ -70,9 +70,8 @@ var WireInt8 Payload = int8RowsPayload{}
 // transit is a received chunk in wire form, held between the receive that
 // folded it into the output and the send that relays it onward.
 type transit struct {
-	f     []float32
-	q     []int8
-	scale float32
+	f []float32
+	q []int8
 }
 
 type f32Payload struct{}
@@ -118,9 +117,8 @@ func (f32Payload) recvTake(c *mesh.Chip, src int, tag uint64) []float32 {
 // of one per chunk, for chunks whose rows can differ in magnitude by
 // orders: a raw residual, where one loud token would otherwise set every
 // token's quantization step. Each row keeps WireInt8's error bound on its
-// own max magnitude. The message's scale field carries the first row's
-// scale and the others ride after the elements, four bytes each, so a
-// chunk of r rows costs r·(cols+4) bytes. Chunks must be whole rows.
+// own max magnitude. The scales ride after the elements, four bytes each,
+// so a chunk of r rows costs r·(cols+4) bytes. Chunks must be whole rows.
 func WireInt8Rows(cols int) Payload { return int8RowsPayload{cols: cols} }
 
 // WireInt8RowsStat is WireInt8Rows for a chunk of r rows of cols elements
@@ -132,8 +130,10 @@ func WireInt8Rows(cols int) Payload { return int8RowsPayload{cols: cols} }
 func WireInt8RowsStat(cols int) Payload { return int8RowsPayload{cols: cols, stat: true} }
 
 // int8RowsPayload quantizes each row of cols elements with its own scale;
-// a zero cols makes the whole chunk one row (WireInt8). With stat, each row
-// has one float32 statistic, stored after all the rows.
+// a zero cols makes the whole chunk one row (WireInt8). A payload holds the
+// int8 rows, then one float32 scale per row, then with stat one float32
+// statistic per row. An empty chunk still carries one scale, the empty
+// row's, so every message pays for at least one.
 type int8RowsPayload struct {
 	cols int
 	stat bool
@@ -155,21 +155,13 @@ func (p int8RowsPayload) rows(n int) (r, cols int) {
 
 // elems is how many elements a wire payload of length wire carries.
 func (p int8RowsPayload) elems(wire int) int {
-	if wire == 0 || p.cols == 0 {
-		return wire
+	switch {
+	case p.cols == 0:
+		return wire - 4
+	case p.stat:
+		return wire / (p.cols + 8) * (p.cols + 1)
 	}
-	if p.stat {
-		return (wire + 4) / (p.cols + 8) * (p.cols + 1)
-	}
-	return (wire + 4) * p.cols / (p.cols + 4)
-}
-
-// scale returns row i's scale from a payload whose int8 rows end at q[at].
-func scaleAt(q []int8, at, i int, first float32) float32 {
-	if i == 0 {
-		return first
-	}
-	return getF32(q[at+4*(i-1):])
+	return wire / (p.cols + 4) * p.cols
 }
 
 func getF32(b []int8) float32 {
@@ -192,25 +184,21 @@ func (p int8RowsPayload) send(c *mesh.Chip, dst int, tag uint64, data []float32)
 	if r*cols+stat != n {
 		panic("collective: chunk is not whole rows")
 	}
-	var q []int8
-	first := float32(1) // an empty chunk's, as QuantizeRowInto gives an empty row
-	if r > 0 {
-		q = c.Buffer8(r*cols + 4*(r-1) + 4*stat)
-		first = quant.QuantizeRowInto(q[:cols], data[:cols])
-	}
+	scales := max(r, 1) // an empty chunk sends the empty row's
+	q := c.Buffer8(r*cols + 4*scales + 4*stat)
 	at := r * cols
-	for i := 1; i < r; i++ {
-		putF32(q[at+4*(i-1):], quant.QuantizeRowInto(q[i*cols:(i+1)*cols], data[i*cols:(i+1)*cols]))
+	for i := 0; i < scales; i++ {
+		putF32(q[at+4*i:], quant.QuantizeRowInto(q[i*cols:(i+1)*cols], data[i*cols:(i+1)*cols]))
 	}
 	for i, v := range data[at : at+stat] {
-		putF32(q[at+4*(r-1)+4*i:], v)
+		putF32(q[at+4*r+4*i:], v)
 	}
-	c.SendOwned8(dst, tag, q, first)
+	c.SendOwned8(dst, tag, q)
 }
 
 // decode dequantizes a payload of len(dst) elements into dst, or adds it
 // to dst.
-func (p int8RowsPayload) decode(dst []float32, q []int8, first float32, add bool) {
+func (p int8RowsPayload) decode(dst []float32, q []int8, add bool) {
 	n := len(dst)
 	if p.elems(len(q)) != n {
 		panic("collective: chunk size mismatch")
@@ -218,18 +206,18 @@ func (p int8RowsPayload) decode(dst []float32, q []int8, first float32, add bool
 	r, cols := p.rows(n)
 	at := r * cols
 	for i := 0; i < r; i++ {
-		d, s := dst[i*cols:(i+1)*cols], q[i*cols:(i+1)*cols]
+		d, s, scale := dst[i*cols:(i+1)*cols], q[i*cols:(i+1)*cols], getF32(q[at+4*i:])
 		if add {
-			simd.AxpyF32I8(d, scaleAt(q, at, i, first), s)
+			simd.AxpyF32I8(d, scale, s)
 		} else {
-			quant.DequantizeRowInto(d, s, scaleAt(q, at, i, first))
+			quant.DequantizeRowInto(d, s, scale)
 		}
 	}
 	if !p.stat {
 		return
 	}
 	for i := range dst[at:] {
-		v := getF32(q[at+4*(r-1)+4*i:])
+		v := getF32(q[at+4*r+4*i:])
 		if add {
 			v += dst[at+i]
 		}
@@ -238,13 +226,13 @@ func (p int8RowsPayload) decode(dst []float32, q []int8, first float32, add bool
 }
 
 func (p int8RowsPayload) recvInto(c *mesh.Chip, src int, tag uint64, dst []float32) transit {
-	q, scale := c.Recv8(src, tag)
-	p.decode(dst, q, scale, false)
-	return transit{q: q, scale: scale}
+	q := c.Recv8(src, tag)
+	p.decode(dst, q, false)
+	return transit{q: q}
 }
 
 func (int8RowsPayload) relay(c *mesh.Chip, dst int, tag uint64, t transit) {
-	c.SendOwned8(dst, tag, t.q, t.scale)
+	c.SendOwned8(dst, tag, t.q)
 }
 
 func (int8RowsPayload) drop(c *mesh.Chip, t transit) {
@@ -252,15 +240,15 @@ func (int8RowsPayload) drop(c *mesh.Chip, t transit) {
 }
 
 func (p int8RowsPayload) recvAdd(c *mesh.Chip, src int, tag uint64, dst []float32) {
-	q, scale := c.Recv8(src, tag)
-	p.decode(dst, q, scale, true)
+	q := c.Recv8(src, tag)
+	p.decode(dst, q, true)
 	c.Recycle8(q)
 }
 
 func (p int8RowsPayload) recvTake(c *mesh.Chip, src int, tag uint64) []float32 {
-	q, scale := c.Recv8(src, tag)
+	q := c.Recv8(src, tag)
 	out := c.Buffer(p.elems(len(q)))
-	p.decode(out, q, scale, false)
+	p.decode(out, q, false)
 	c.Recycle8(q)
 	return out
 }

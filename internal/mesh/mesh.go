@@ -5,9 +5,9 @@
 // engine runs an SPMD program on every chip.
 //
 // Messages carry either a float32 payload (4 bytes per element on the
-// wire) or a per-chunk-scaled int8 payload (1 byte per element plus one
-// 4-byte float32 scale per message) — the wire format package collective's
-// int8 payload mode transmits, per the paper's Appendix A charging
+// wire) or an int8 payload (1 byte per element; package collective's int8
+// wire formats carry their float32 scales inside it, four bytes each) —
+// per the paper's Appendix A charging
 // collectives by bytes rather than elements. Each format has its own send
 // and receive calls over one delivery path and one generic recycled buffer
 // pool; the traffic counters record the true wire bytes of whichever format
@@ -43,17 +43,16 @@ type Coord struct {
 }
 
 // Message is a tagged payload between two chips in exactly one of the two
-// wire formats: float32 (Data) or per-chunk-scaled int8 (Data8 + Scale).
+// wire formats: float32 (Data) or int8 (Data8).
 // Tags disambiguate interleaved collectives when a fast sender runs ahead
 // of its receiver.
 type Message struct {
 	Src  int
 	Tag  uint64
 	Data []float32
-	// Data8 is the int8 payload (value ≈ int8 · Scale); Scale travels with
-	// the chunk and is charged as 4 wire bytes.
+	// Data8 is the int8 payload, every byte charged: the sender's format
+	// (package collective) decides what the bytes hold, scales included.
 	Data8 []int8
-	Scale float32
 }
 
 // Mesh is the simulated slice.
@@ -169,7 +168,7 @@ func (m *Mesh) BytesSent() int64 {
 }
 
 // Int8BytesSent is the portion of BytesSent carried by int8 messages
-// (payload bytes plus their chunk scales). Same read contract as
+// (every payload byte, scales included). Same read contract as
 // BytesSent. BytesSent-Int8BytesSent is therefore the float32 portion,
 // which lets tests pin exactly which collectives switched wire format.
 func (m *Mesh) Int8BytesSent() int64 {
@@ -356,12 +355,12 @@ func (c *Chip) SendOwned(dst int, tag uint64, buf []float32) {
 // the receiver with no copy. The int8 ring collectives send and relay with
 // it, forwarding received chunks untouched (so a gathered chunk is
 // quantized exactly once, at its source, however many hops it travels).
-func (c *Chip) SendOwned8(dst int, tag uint64, buf []int8, scale float32) {
-	c.deliver(dst, Message{Tag: tag, Data8: buf, Scale: scale}, true)
+func (c *Chip) SendOwned8(dst int, tag uint64, buf []int8) {
+	c.deliver(dst, Message{Tag: tag, Data8: buf}, true)
 }
 
 // deliver posts m to dst's inbox and charges its true wire bytes: four per
-// float32 element, or one per int8 element plus four for the scale.
+// float32 element, or one per int8 element.
 func (c *Chip) deliver(dst int, m Message, quantized bool) {
 	if c.mesh.fault != nil {
 		c.mesh.fault(c)
@@ -371,7 +370,7 @@ func (c *Chip) deliver(dst int, m Message, quantized bool) {
 	}
 	wire := int64(4 * len(m.Data))
 	if quantized {
-		wire = int64(len(m.Data8)) + 4
+		wire = int64(len(m.Data8))
 		c.bytesSent8 += wire
 	}
 	c.bytesSent += wire
@@ -392,13 +391,13 @@ func (c *Chip) Recv(src int, tag uint64) []float32 {
 }
 
 // Recv8 blocks until an int8 message with the given source and tag arrives
-// and returns its payload and chunk scale.
-func (c *Chip) Recv8(src int, tag uint64) ([]int8, float32) {
+// and returns its payload.
+func (c *Chip) Recv8(src int, tag uint64) []int8 {
 	m := c.take(src, tag)
 	if m.Data != nil {
 		panic(fmt.Sprintf("mesh: float32 message (src %d, tag %#x) received as int8", src, tag))
 	}
-	return m.Data8, m.Scale
+	return m.Data8
 }
 
 // take receives with overlap accounting: inside a streamed-collective

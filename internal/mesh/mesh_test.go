@@ -167,24 +167,24 @@ func TestSendRecv8(t *testing.T) {
 	m := New(hardware.Torus{X: 2, Y: 1, Z: 1})
 	m.Run(func(c *Chip) {
 		peer := 1 - c.Rank
-		c.SendOwned8(peer, 7, []int8{int8(c.Rank), 42, -17}, 0.5)
-		got, scale := c.Recv8(peer, 7)
-		if got[0] != int8(peer) || got[1] != 42 || got[2] != -17 || scale != 0.5 {
-			t.Errorf("chip %d received %v scale %g", c.Rank, got, scale)
+		c.SendOwned8(peer, 7, []int8{int8(c.Rank), 42, -17})
+		got := c.Recv8(peer, 7)
+		if len(got) != 3 || got[0] != int8(peer) || got[1] != 42 || got[2] != -17 {
+			t.Errorf("chip %d received %v", c.Rank, got)
 		}
 		c.Recycle8(got)
 	})
 }
 
-// Int8 messages are charged byte-accurately — one byte per element plus
-// four for the chunk scale — and counted separately from float32 traffic.
+// Int8 messages are charged byte-accurately — one byte per element, the
+// sender's scales among them — and counted separately from float32 traffic.
 func TestByteAccountingPerDType(t *testing.T) {
 	noLeaks(t)
 	m := New(hardware.Torus{X: 2, Y: 1, Z: 1})
 	m.Run(func(c *Chip) {
 		peer := 1 - c.Rank
-		c.Send(peer, 1, make([]float32, 10))       // 40 B
-		c.SendOwned8(peer, 2, make([]int8, 10), 1) // 10 + 4 B
+		c.Send(peer, 1, make([]float32, 10))    // 40 B
+		c.SendOwned8(peer, 2, make([]int8, 14)) // 10 elements + a 4 B scale
 		c.Recv(peer, 1)
 		c.Recv8(peer, 2)
 	})
@@ -215,7 +215,7 @@ func TestRecvWrongFormatPanics(t *testing.T) {
 	}()
 	m.Run(func(c *Chip) {
 		peer := 1 - c.Rank
-		c.SendOwned8(peer, 3, []int8{1}, 1)
+		c.SendOwned8(peer, 3, []int8{1})
 		c.Recv(peer, 3) // int8 message taken as float32
 	})
 }

@@ -19,23 +19,33 @@ import (
 // scalar-vs-scalar and trivially passes; the CI fuzz-smoke job runs on
 // x86-64 where it bites.
 func FuzzKernelEquivalence(f *testing.F) {
-	f.Add([]byte{1, 2, 3, 4, 5, 6, 7, 8}, uint8(3), float32(0.5))
-	f.Add([]byte{0xff, 0xff, 0xff, 0x7f, 0, 0, 0x80, 0x7f}, uint8(16), float32(-2)) // NaN, +Inf bits
-	f.Add(make([]byte, 4*40), uint8(33), float32(1e30))
+	f.Add([]byte{1, 2, 3, 4, 5, 6, 7, 8}, uint8(3), float32(0.5), uint16(0))
+	f.Add([]byte{0xff, 0xff, 0xff, 0x7f, 0, 0, 0x80, 0x7f}, uint8(16), float32(-2), uint16(1)) // NaN, +Inf bits
+	f.Add(make([]byte, 4*40), uint8(33), float32(1e30), uint16(0x0307))
 	// ±rowClampBound, ±MaxFloat32, a subnormal and -0 for the quantizer.
-	f.Add([]byte{0xff, 0xff, 0xff, 0x7e, 0xff, 0xff, 0xff, 0xfe, 0xff, 0xff, 0x7f, 0x7f, 0xff, 0xff, 0x7f, 0xff, 1, 0, 0, 0, 0, 0, 0, 0x80}, uint8(40), float32(3e-37))
+	f.Add([]byte{0xff, 0xff, 0xff, 0x7e, 0xff, 0xff, 0xff, 0xfe, 0xff, 0xff, 0x7f, 0x7f, 0xff, 0xff, 0x7f, 0xff, 1, 0, 0, 0, 0, 0, 0, 0x80}, uint8(40), float32(3e-37), uint16(0))
 	// Lengths whose derived segment geometry is non-degenerate: (g, dh,
-	// rows) = (16, 4, 4), (8, 11, 8), (1, 21, 4), (1, 1, 120), (1, 31, 4).
+	// rows) = (16, 4, 4), (8, 11, 8), (1, 21, 4), (1, 1, 120), (1, 31, 4),
+	// each over tight float32 and tight int8 rows.
 	for _, n := range []uint8{64, 88, 100, 120, 130} {
-		f.Add([]byte{0x80, 0x3f, 0, 0, 0, 0, 0x80, 0xbf, 1, 2, 3, 4}, n-1, float32(0.125))
+		for _, geo := range []uint16{0, 1} {
+			f.Add([]byte{0x80, 0x3f, 0, 0, 0, 0, 0x80, 0xbf, 1, 2, 3, 4}, n-1, float32(0.125), geo)
+		}
 	}
 	// Eight heads to a vector — (g, dh, rows) = (8, 16, 8), (8, 15, 8) and
 	// (16, 8, 8) — over -0, +0, NaN, -Inf and +Inf bit patterns, so the
 	// vector max meets NaN and signed-zero scores.
 	for _, n := range []uint8{128, 123, 129} {
-		f.Add([]byte{0, 0, 0, 0x80, 0, 0, 0, 0, 0, 0, 0xc0, 0x7f, 0, 0, 0x80, 0xff, 0, 0, 0x80, 0x7f, 0, 0, 0, 0x80}, n-1, float32(-1))
+		for _, geo := range []uint16{0, 1} {
+			f.Add([]byte{0, 0, 0, 0x80, 0, 0, 0, 0, 0, 0, 0xc0, 0x7f, 0, 0, 0x80, 0xff, 0, 0, 0x80, 0x7f, 0, 0, 0, 0x80}, n-1, float32(-1), geo)
+		}
 	}
-	f.Fuzz(func(t *testing.T, raw []byte, nbyte uint8, s float32) {
+	// The second KV head of a two-head cache row, as a multihead walk reads
+	// it: 8 heads of 16 over 4 rows of 32 from column 16, float32 and int8.
+	for _, geo := range []uint16{16<<8 | 16<<1, 16<<8 | 16<<1 | 1} {
+		f.Add([]byte{0x80, 0x3f, 0, 0, 0, 0, 0x80, 0xbf, 1, 2, 3, 4}, uint8(127), float32(0.125), geo)
+	}
+	f.Fuzz(func(t *testing.T, raw []byte, nbyte uint8, s float32, geo uint16) {
 		n := int(nbyte)%130 + 1
 		// Activation-side floats from raw bit patterns: every special value
 		// (NaN payloads, ±Inf, subnormals) flows into the kernels as-is.
@@ -68,15 +78,15 @@ func FuzzKernelEquivalence(f *testing.F) {
 				label, math.Float32bits(got), math.Float32bits(want), n)
 		}
 
-		eq("DotF32I8", simd.DotF32I8(a, q), simd.ScalarDotF32I8(a, q))
-		eq("DotF32", simd.DotF32(a, a), simd.ScalarDotF32(a, a))
+		eq("DotF32I8", simd.DotF32I8(a, q), simd.ScalarDot(a, q))
+		eq("DotF32", simd.DotF32(a, a), simd.ScalarDot(a, a))
 
 		dgot := make([]float32, n)
 		dwant := make([]float32, n)
 		copy(dgot, a)
 		copy(dwant, a)
 		simd.AxpyF32I8(dgot, s, q)
-		simd.ScalarAxpyF32I8(dwant, s, q)
+		simd.ScalarAxpy(dwant, s, q)
 		for i := range dgot {
 			eq("AxpyF32I8", dgot[i], dwant[i])
 		}
@@ -92,7 +102,7 @@ func FuzzKernelEquivalence(f *testing.F) {
 			copy(dgot, a)
 			copy(dwant, a)
 			simd.MulAdd4F32I8(dgot[:m], q, q1, q2, q3, s, -s, s*0.5, 2)
-			simd.ScalarMulAdd4F32I8(dwant[:m], q, q1, q2, q3, s, -s, s*0.5, 2)
+			simd.ScalarMulAdd4(dwant[:m], q, q1, q2, q3, s, -s, s*0.5, 2)
 			for i := 0; i < m; i++ {
 				eq("MulAdd4F32I8", dgot[i], dwant[i])
 			}
@@ -101,62 +111,58 @@ func FuzzKernelEquivalence(f *testing.F) {
 			copy(dgot, a)
 			copy(dwant, a)
 			simd.MulAdd4F32(dgot[:m], a, a1, a2, a3, s, -s, s*0.5, 2)
-			simd.ScalarMulAdd4F32(dwant[:m], a, a1, a2, a3, s, -s, s*0.5, 2)
+			simd.ScalarMulAdd4(dwant[:m], a, a1, a2, a3, s, -s, s*0.5, 2)
 			for i := 0; i < m; i++ {
 				eq("MulAdd4F32", dgot[i], dwant[i])
 			}
 		}
 
-		// Segment kernels: a and q reinterpreted as g query vectors, rows
-		// K/V rows of dh and a [rows][g] scratch, so head counts (one, a
-		// few, and one or two whole 8-head vectors, which the assembly
-		// scores eight to a vector), head dims on both sides of the 8- and
-		// 16-lane blocks and row counts on both sides of the four-row
-		// grouping all come from the fuzzed length.
+		// Segment kernels: a reinterpreted as g query vectors, rows K/V
+		// rows of dh and a [rows][g] scratch, so head counts (one, a few,
+		// and one or two whole 8-head vectors, which the assembly scores
+		// eight to a vector), head dims on both sides of the 8- and 16-lane
+		// blocks and row counts on both sides of the four-row grouping all
+		// come from the fuzzed length. geo picks the rest of what the walk
+		// passes: float32 rows (a) or int8 rows (q, scaled by a), a row
+		// stride of up to three heads, and the head's column offset within
+		// the row — a multihead cache's KVWidth and kv·dh.
 		g := []int{1, 2, 3, 8, 16}[n%5]
 		if dh := min(n*7%40+1, n/g); dh > 0 {
-			rows := min(n/dh, n/g)
+			stride := dh + int(geo>>1&0x7f)%(2*dh+1)
+			off := int(geo>>8) % (stride - dh + 1)
+			k := simd.Rows{F32: a, Stride: stride}
+			if geo&1 != 0 {
+				k = simd.Rows{I8: q, Scales: a, Stride: stride}
+			}
+			rows := 0
+			if n >= off+dh {
+				k, rows = k.From(off), min(n/g, (n-off-dh)/stride+1)
+			}
 			qh := a[:g*dh]
 			qt := simd.HeadsInLanes(make([]float32, len(qh)), qh, g)
-			newMax := func() []float32 {
-				m := make([]float32, g)
-				for h := range m {
-					m[h] = float32(math.Inf(-1))
-				}
-				return m
+			got, want := make([]float32, g*rows), make([]float32, g*rows)
+			gotMax, wantMax := make([]float32, g), make([]float32, g)
+			for h := range gotMax {
+				gotMax[h], wantMax[h] = float32(math.Inf(-1)), float32(math.Inf(-1))
 			}
-			for _, int8K := range []bool{false, true} {
-				got, want := make([]float32, g*rows), make([]float32, g*rows)
-				gotMax, wantMax := newMax(), newMax()
-				if int8K {
-					simd.ScoreRowsF32I8(got, gotMax, qh, qt, q, a, dh, rows, s, make([]float32, dh))
-					simd.ScalarScoreRowsF32I8(want, wantMax, qh, q, a, dh, rows, s)
-				} else {
-					simd.ScoreRowsF32(got, gotMax, qh, qt, a, dh, rows, s)
-					simd.ScalarScoreRowsF32(want, wantMax, qh, a, dh, rows, s)
-				}
-				for i := range got {
-					eq("ScoreRows", got[i], want[i])
-				}
-				for h := range gotMax {
-					eq("ScoreRows max", gotMax[h], wantMax[h])
-				}
+			simd.ScoreRows(got, gotMax, qh, qt, k, rows, s, make([]float32, dh))
+			simd.ScalarScoreRows(want, wantMax, qh, k, rows, s)
+			for i := range got {
+				eq("ScoreRows", got[i], want[i])
+			}
+			for h := range gotMax {
+				eq("ScoreRows max", gotMax[h], wantMax[h])
+			}
 
-				got, want = make([]float32, g*dh), make([]float32, g*dh)
-				gotW, wantW := append([]float32(nil), a[:g*rows]...), append([]float32(nil), a[:g*rows]...)
-				if int8K {
-					simd.WeighRowsF32I8(got, gotW, a[:g], q, a, dh, rows)
-					simd.ScalarWeighRowsF32I8(want, wantW, a[:g], q, a, dh, rows)
-				} else {
-					simd.WeighRowsF32(got, gotW, a[:g], a, dh, rows)
-					simd.ScalarWeighRowsF32(want, wantW, a[:g], a, dh, rows)
-				}
-				for i := range got {
-					eq("WeighRows", got[i], want[i])
-				}
-				for i := range gotW {
-					eq("WeighRows weights", gotW[i], wantW[i])
-				}
+			got, want = make([]float32, g*dh), make([]float32, g*dh)
+			gotW, wantW := append([]float32(nil), a[:g*rows]...), append([]float32(nil), a[:g*rows]...)
+			simd.WeighRows(got, gotW, a[:g], k, rows)
+			simd.ScalarWeighRows(want, wantW, a[:g], k, rows)
+			for i := range got {
+				eq("WeighRows", got[i], want[i])
+			}
+			for i := range gotW {
+				eq("WeighRows weights", gotW[i], wantW[i])
 			}
 		}
 

@@ -30,8 +30,8 @@ import (
 // query row's heads are first laid out in lanes (simd.HeadsInLanes) and
 // the score kernel scores them eight to a vector, every score with the
 // bits of its one-head dot. Multihead attention is the g = 1 case of the
-// same loop; a float32 and an int8 cache differ only in which pair of simd
-// segment kernels score and weigh pick.
+// same loop, and a float32 and an int8 cache run the same two simd
+// segment kernels, each over its own operand.
 
 // AttnScratch is the reusable scratch AttendSeqInto scores and runs its
 // softmax in: depth·g floats for the g query heads of one KV head, plus
@@ -96,12 +96,8 @@ func (s *AttnScratch) perHead(g, dh int) (maxes, invSum, widen, lanes []float32)
 // columns [kvo, kvo+dh) and every query head in q (in lanes in qt, or qt
 // nil), raising maxes[h] to head h's largest score.
 func score(s kvcache.Rows, out, maxes, q, qt []float32, kvo, rows int, inv float32, widen []float32) {
-	switch {
-	case rows == 0:
-	case s.I8 != nil:
-		simd.ScoreRowsF32I8(out, maxes, q, qt, s.I8[kvo:], s.Scales, s.Cols, rows, inv, widen)
-	default:
-		simd.ScoreRowsF32(out, maxes, q, qt, s.F32[kvo:], s.Cols, rows, inv)
+	if rows > 0 {
+		simd.ScoreRows(out, maxes, q, qt, operand(s, kvo), rows, inv, widen)
 	}
 }
 
@@ -110,13 +106,14 @@ func score(s kvcache.Rows, out, maxes, q, qt []float32, kvo, rows int, inv float
 // accumulates the first rows rows of s, one of a slot's V segments, so
 // weighted, into the g = len(invSum) output rows in out.
 func weigh(s kvcache.Rows, out, w, invSum []float32, kvo, rows int) {
-	switch {
-	case rows == 0:
-	case s.I8 != nil:
-		simd.WeighRowsF32I8(out, w, invSum, s.I8[kvo:], s.Scales, s.Cols, rows)
-	default:
-		simd.WeighRowsF32(out, w, invSum, s.F32[kvo:], s.Cols, rows)
+	if rows > 0 {
+		simd.WeighRows(out, w, invSum, operand(s, kvo), rows)
 	}
+}
+
+// operand is s from column kvo on, as the segment kernels take it.
+func operand(s kvcache.Rows, kvo int) simd.Rows {
+	return simd.Rows{F32: s.F32, I8: s.I8, Scales: s.Scales, Stride: s.Cols}.From(kvo)
 }
 
 // AttendSeqInto computes masked attention of a single sequence's queries

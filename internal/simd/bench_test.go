@@ -33,7 +33,7 @@ func BenchmarkPkgDotF32(b *testing.B) {
 	b.Run("scalar", func(b *testing.B) {
 		var s float32
 		for i := 0; i < b.N; i++ {
-			s += ScalarDotF32(a, x)
+			s += ScalarDot(a, x)
 		}
 		sink = s
 	})
@@ -51,7 +51,7 @@ func BenchmarkPkgDotF32I8(b *testing.B) {
 	b.Run("scalar", func(b *testing.B) {
 		var s float32
 		for i := 0; i < b.N; i++ {
-			s += ScalarDotF32I8(a, q)
+			s += ScalarDot(a, q)
 		}
 		sink = s
 	})
@@ -66,7 +66,7 @@ func BenchmarkPkgAxpyF32I8(b *testing.B) {
 	})
 	b.Run("scalar", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
-			ScalarAxpyF32I8(a, 0.5, q)
+			ScalarAxpy(a, 0.5, q)
 		}
 	})
 }
@@ -80,7 +80,7 @@ func BenchmarkPkgMulAdd4F32(b *testing.B) {
 	})
 	b.Run("scalar", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
-			ScalarMulAdd4F32(a, x, x, x, x, 0.1, 0.2, 0.3, 0.4)
+			ScalarMulAdd4(a, x, x, x, x, 0.1, 0.2, 0.3, 0.4)
 		}
 	})
 }

@@ -32,8 +32,8 @@ func TestAsmDotBitIdentical(t *testing.T) {
 			a := randFloats(rng, n, true)
 			bf := randFloats(rng, n, true)
 			bi := randInt8s(rng, n)
-			eqBits(t, "dotF32AVX2", dotF32Asm(a, bf), ScalarDotF32(a, bf))
-			eqBits(t, "dotF32I8AVX2", dotF32I8Asm(a, bi), ScalarDotF32I8(a, bi))
+			eqBits(t, "dotF32AVX2", dotF32Asm(a, bf), ScalarDot(a, bf))
+			eqBits(t, "dotF32I8AVX2", dotF32I8Asm(a, bi), ScalarDot(a, bi))
 		}
 	}
 }
@@ -49,7 +49,7 @@ func TestAsmAxpyBitIdentical(t *testing.T) {
 
 			got, want := append([]float32(nil), base...), append([]float32(nil), base...)
 			axpyF32I8Asm(got, s, v)
-			ScalarAxpyF32I8(want, s, v)
+			ScalarAxpy(want, s, v)
 			for i := range got {
 				eqBits(t, "axpyF32I8AVX2", got[i], want[i])
 			}
@@ -74,14 +74,14 @@ func TestAsmMulAdd4BitIdentical(t *testing.T) {
 
 			got, want := append([]float32(nil), base...), append([]float32(nil), base...)
 			mulAdd4F32Asm(got, b[0], b[1], b[2], b[3], a0, a1, a2, a3)
-			ScalarMulAdd4F32(want, b[0], b[1], b[2], b[3], a0, a1, a2, a3)
+			ScalarMulAdd4(want, b[0], b[1], b[2], b[3], a0, a1, a2, a3)
 			for i := range got {
 				eqBits(t, "mulAdd4F32AVX2", got[i], want[i])
 			}
 
 			got, want = append([]float32(nil), base...), append([]float32(nil), base...)
 			mulAdd4F32I8Asm(got, q[0], q[1], q[2], q[3], a0, a1, a2, a3)
-			ScalarMulAdd4F32I8(want, q[0], q[1], q[2], q[3], a0, a1, a2, a3)
+			ScalarMulAdd4(want, q[0], q[1], q[2], q[3], a0, a1, a2, a3)
 			for i := range got {
 				eqBits(t, "mulAdd4F32I8AVX2", got[i], want[i])
 			}
@@ -98,8 +98,8 @@ func TestAsmInt8ExtensionExtremes(t *testing.T) {
 		b[i] = []int8{-128, -127, -1, 0, 1, 127, 64, -64}[i%8]
 		a[i] = 1
 	}
-	eqBits(t, "int8 extremes", dotF32I8Asm(a, b), ScalarDotF32I8(a, b))
-	if got := dotF32I8Asm(a, b); got != ScalarDotF32I8(a, b) {
+	eqBits(t, "int8 extremes", dotF32I8Asm(a, b), ScalarDot(a, b))
+	if got := dotF32I8Asm(a, b); got != ScalarDot(a, b) {
 		t.Fatalf("extension mismatch: %g", got)
 	}
 }
@@ -113,7 +113,7 @@ func TestAsmOverflowIdentical(t *testing.T) {
 		a[i] = math.MaxFloat32
 		b[i] = math.MaxFloat32
 	}
-	eqBits(t, "overflow dot", dotF32Asm(a, b), ScalarDotF32(a, b))
+	eqBits(t, "overflow dot", dotF32Asm(a, b), ScalarDot(a, b))
 	if !math.IsInf(float64(dotF32Asm(a, b)), 1) {
 		t.Fatal("expected +Inf accumulation")
 	}
@@ -161,8 +161,9 @@ func TestAsmSegmentInt8Extremes(t *testing.T) {
 			gotMax[h], wantMax[h] = -1e30, -1e30
 		}
 		qt := HeadsInLanes(make([]float32, len(q)), q, g)
-		ScoreRowsF32I8(got, gotMax, q, qt, k, scales, dh, rows, 1, make([]float32, dh))
-		ScalarScoreRowsF32I8(want, wantMax, q, k, scales, dh, rows, 1)
+		kr := Rows{I8: k, Scales: scales, Stride: dh}
+		ScoreRows(got, gotMax, q, qt, kr, rows, 1, make([]float32, dh))
+		ScalarScoreRows(want, wantMax, q, kr, rows, 1)
 		for i := range got {
 			eqBits(t, fmt.Sprintf("g=%d score extremes", g), got[i], want[i])
 		}

@@ -5,8 +5,8 @@ package simd
 // Per output element the arithmetic is the row-pass kernels' own — per
 // group of four contraction steps t = ((a0·b0 + a1·b1) + a2·b2) + a3·b3,
 // acc = acc + t (MulAdd4F32's association), then the last k%4 steps one
-// acc += a·b at a time (ScalarAxpyF32's) — so a product is bit-identical
-// to the one a loop over MulAdd4F32 and ScalarAxpyF32 produces. What differs is where
+// acc += a·b at a time (ScalarAxpy's) — so a product is bit-identical to
+// the one a loop over MulAdd4F32 and ScalarAxpy produces. What differs is where
 // acc lives: a tile of up to eight output rows by eight columns keeps its
 // eight accumulators in YMM registers for the whole contraction, the four
 // weight rows of a k-group are loaded (int8: widened) once per tile
@@ -58,7 +58,7 @@ func Gemm(dst []float32, ldd int, a []float32, lda int, b GemmB, m, k, n int, ac
 }
 
 // ScalarGemm is Gemm's pure-Go twin: the same tiles and the same skip, every
-// element through ScalarMulAdd4F32/ScalarMulAdd4F32I8 and the scalar axpys.
+// element through ScalarMulAdd4 and ScalarAxpy.
 func ScalarGemm(dst []float32, ldd int, a []float32, lda int, b GemmB, m, k, n int, acc bool) {
 	gemm(dst, ldd, a, lda, b, m, k, n, acc, false)
 }
@@ -74,21 +74,20 @@ func gemm(dst []float32, ldd int, a []float32, lda int, b GemmB, m, k, n int, ac
 			h >>= 1
 		}
 		if b.F32 != nil {
-			gemmTile(dst[i*ldd:], ldd, a[i*lda:], lda, b.F32, b, h, k, n, acc, asm, ScalarMulAdd4F32, ScalarAxpyF32)
+			gemmTile(dst[i*ldd:], ldd, a[i*lda:], lda, b.F32, b, h, k, n, acc, asm)
 		} else {
-			gemmTile(dst[i*ldd:], ldd, a[i*lda:], lda, b.I8, b, h, k, n, acc, asm, ScalarMulAdd4F32I8, ScalarAxpyF32I8)
+			gemmTile(dst[i*ldd:], ldd, a[i*lda:], lda, b.I8, b, h, k, n, acc, asm)
 		}
 		i += h
 	}
 }
 
 // gemmTile is one tile of h ∈ {1, 2, 4, 8} rows. With asm the assembly
-// covers the n&^7 columns and k&^3 steps it can and mulAdd4 and axpy — the
-// scalar row kernels of w's element type — finish the other columns and
-// then the other steps; without it they are the whole tile, row by row.
-func gemmTile[T float32 | int8](dst []float32, ldd int, a []float32, lda int, w []T, b GemmB, h, k, n int, acc, asm bool,
-	mulAdd4 func(dst []float32, b0, b1, b2, b3 []T, a0, a1, a2, a3 float32),
-	axpy func(dst []float32, s float32, x []T)) {
+// covers the n&^7 columns and k&^3 steps it can and the scalar row kernels,
+// ScalarMulAdd4 and ScalarAxpy over w's element type, finish the other
+// columns and then the other steps; without it they are the whole tile,
+// row by row.
+func gemmTile[T float32 | int8](dst []float32, ldd int, a []float32, lda int, w []T, b GemmB, h, k, n int, acc, asm bool) {
 	if tileIsZero(a, lda, h, k) {
 		if !acc {
 			for r := 0; r < h; r++ {
@@ -122,7 +121,7 @@ func gemmTile[T float32 | int8](dst []float32, ldd int, a []float32, lda int, w 
 			o := orow[j:min(j+run, n)]
 			at := j / GemmStrip * b.StripStride
 			for kk := 0; kk < k4; kk += 4 {
-				mulAdd4(o, w[at+kk*b.RowStride:], w[at+(kk+1)*b.RowStride:], w[at+(kk+2)*b.RowStride:], w[at+(kk+3)*b.RowStride:],
+				ScalarMulAdd4(o, w[at+kk*b.RowStride:], w[at+(kk+1)*b.RowStride:], w[at+(kk+2)*b.RowStride:], w[at+(kk+3)*b.RowStride:],
 					arow[kk], arow[kk+1], arow[kk+2], arow[kk+3])
 			}
 		}
@@ -130,7 +129,7 @@ func gemmTile[T float32 | int8](dst []float32, ldd int, a []float32, lda int, w 
 			o := orow[j:min(j+run, n)]
 			at := j / GemmStrip * b.StripStride
 			for kk := k4; kk < k; kk++ {
-				axpy(o, arow[kk], w[at+kk*b.RowStride:])
+				ScalarAxpy(o, arow[kk], w[at+kk*b.RowStride:])
 			}
 		}
 	}

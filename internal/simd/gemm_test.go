@@ -8,10 +8,9 @@ import (
 )
 
 // gemmRowPass is Gemm's oracle: every output row on its own, its k-groups
-// through ScalarMulAdd4F32/ScalarMulAdd4F32I8 and its last k%4 steps through
-// the scalar axpys, the running sums in the output row, the weights
-// gathered into plain rows first so no stride arithmetic is shared with
-// the kernel.
+// through ScalarMulAdd4 and its last k%4 steps through ScalarAxpy, the
+// running sums in the output row, the weights gathered into plain rows
+// first so no stride arithmetic is shared with the kernel.
 func gemmRowPass(dst []float32, ldd int, a []float32, lda int, b GemmB, m, k, n int, acc bool) {
 	rowF := make([][]float32, k)
 	row8 := make([][]int8, k)
@@ -34,16 +33,16 @@ func gemmRowPass(dst []float32, ldd int, a []float32, lda int, b GemmB, m, k, n 
 		kk := 0
 		for ; kk+4 <= k; kk += 4 {
 			if b.F32 != nil {
-				ScalarMulAdd4F32(orow, rowF[kk], rowF[kk+1], rowF[kk+2], rowF[kk+3], arow[kk], arow[kk+1], arow[kk+2], arow[kk+3])
+				ScalarMulAdd4(orow, rowF[kk], rowF[kk+1], rowF[kk+2], rowF[kk+3], arow[kk], arow[kk+1], arow[kk+2], arow[kk+3])
 			} else {
-				ScalarMulAdd4F32I8(orow, row8[kk], row8[kk+1], row8[kk+2], row8[kk+3], arow[kk], arow[kk+1], arow[kk+2], arow[kk+3])
+				ScalarMulAdd4(orow, row8[kk], row8[kk+1], row8[kk+2], row8[kk+3], arow[kk], arow[kk+1], arow[kk+2], arow[kk+3])
 			}
 		}
 		for ; kk < k; kk++ {
 			if b.F32 != nil {
-				ScalarAxpyF32(orow, arow[kk], rowF[kk])
+				ScalarAxpy(orow, arow[kk], rowF[kk])
 			} else {
-				ScalarAxpyF32I8(orow, arow[kk], row8[kk])
+				ScalarAxpy(orow, arow[kk], row8[kk])
 			}
 		}
 	}

@@ -26,9 +26,9 @@
 // is an individually rounded float32 multiply or add in the written order
 // (no FMA contraction — the assembly uses VMULPS+VADDPS, never VFMADD).
 //
-// The segment kernels of the attention walk (ScoreRowsF32, ScoreRowsF32I8,
-// WeighRowsF32, WeighRowsF32I8) cover a whole K or V segment and all the
-// query heads that share it in one call, but each element they produce is
+// The segment kernels of the attention walk (ScoreRows, WeighRows) cover a
+// whole K or V segment, float32 or int8, and all the query heads that
+// share it in one call, but each element they produce is
 // computed by exactly the operations above: a score is a 16-lane,
 // fixed-tree, sequential-tail dot; an accumulator element takes its rows
 // four at a time in MulAdd4's left-to-right association and the last
@@ -43,6 +43,11 @@
 // association, its last k%4 steps as Axpy's. The row quantizer's kernels
 // (MaxAbsClamped, QuantizeScaled, quantize.go) are elementwise apart from a
 // maximum, which is the same in any order.
+//
+// Each operation has one scalar twin, generic over float32 or int8
+// operands (ScalarDot, ScalarAxpy, ScalarMulAdd4), whose only widening is
+// float32(b[i]), which is exact; the segment kernels and the GEMM tile take
+// one operand (Rows, GemmB) that holds either element type.
 //
 // Because SIMD and fallback share this exact structure, results never depend
 // on which machine (or which dispatch decision) ran the code. The
@@ -94,7 +99,7 @@ func DotF32(a, b []float32) float32 {
 		}
 		return r
 	}
-	return ScalarDotF32(a, b)
+	return ScalarDot(a, b)
 }
 
 // DotF32I8 is DotF32 over raw int8 b values: sum of a[i]·float32(b[i]).
@@ -116,7 +121,7 @@ func DotF32I8(a []float32, b []int8) float32 {
 		}
 		return r
 	}
-	return ScalarDotF32I8(a, b)
+	return ScalarDot(a, b)
 }
 
 // AxpyF32I8 accumulates s·float32(v[i]) into dst over min(len(dst), len(v)).
@@ -135,7 +140,7 @@ func AxpyF32I8(dst []float32, s float32, v []int8) {
 		}
 		return
 	}
-	ScalarAxpyF32I8(dst, s, v)
+	ScalarAxpy(dst, s, v)
 }
 
 // MulAdd4F32 is the four-row microkernel, the operation the GEMM tile and
@@ -158,7 +163,7 @@ func MulAdd4F32(dst []float32, b0, b1, b2, b3 []float32, a0, a1, a2, a3 float32)
 		}
 		return
 	}
-	ScalarMulAdd4F32(dst, b0, b1, b2, b3, a0, a1, a2, a3)
+	ScalarMulAdd4(dst, b0, b1, b2, b3, a0, a1, a2, a3)
 }
 
 // MulAdd4F32I8 is MulAdd4F32 over raw int8 rows q0..q3.
@@ -175,45 +180,15 @@ func MulAdd4F32I8(dst []float32, q0, q1, q2, q3 []int8, a0, a1, a2, a3 float32) 
 		}
 		return
 	}
-	ScalarMulAdd4F32I8(dst, q0, q1, q2, q3, a0, a1, a2, a3)
+	ScalarMulAdd4(dst, q0, q1, q2, q3, a0, a1, a2, a3)
 }
 
-// ScalarDotF32 is DotF32's pure-Go twin: the same 16 lanes, the same
-// reduction tree, the same sequential tail. Exported so benchmarks and
+// ScalarDot is DotF32's and DotF32I8's pure-Go twin: the same 16 lanes,
+// the same reduction tree, the same sequential tail, over float32 or raw
+// int8 b (float32(b[i]) is exact). Exported so benchmarks and
 // out-of-package equivalence tests can pin the two paths against each
-// other; production code calls DotF32 and lets dispatch choose.
-func ScalarDotF32(a, b []float32) float32 {
-	b = b[:len(a)]
-	var l0, l1, l2, l3, l4, l5, l6, l7 float32
-	var l8, l9, l10, l11, l12, l13, l14, l15 float32
-	i := 0
-	for ; i+dotBlock <= len(a); i += dotBlock {
-		l0 += a[i] * b[i]
-		l1 += a[i+1] * b[i+1]
-		l2 += a[i+2] * b[i+2]
-		l3 += a[i+3] * b[i+3]
-		l4 += a[i+4] * b[i+4]
-		l5 += a[i+5] * b[i+5]
-		l6 += a[i+6] * b[i+6]
-		l7 += a[i+7] * b[i+7]
-		l8 += a[i+8] * b[i+8]
-		l9 += a[i+9] * b[i+9]
-		l10 += a[i+10] * b[i+10]
-		l11 += a[i+11] * b[i+11]
-		l12 += a[i+12] * b[i+12]
-		l13 += a[i+13] * b[i+13]
-		l14 += a[i+14] * b[i+14]
-		l15 += a[i+15] * b[i+15]
-	}
-	r := dotReduceTree(l0, l1, l2, l3, l4, l5, l6, l7, l8, l9, l10, l11, l12, l13, l14, l15)
-	for ; i < len(a); i++ {
-		r += a[i] * b[i]
-	}
-	return r
-}
-
-// ScalarDotF32I8 is DotF32I8's pure-Go twin.
-func ScalarDotF32I8(a []float32, b []int8) float32 {
+// other; production code calls DotF32 or DotF32I8 and lets dispatch choose.
+func ScalarDot[T float32 | int8](a []float32, b []T) float32 {
 	b = b[:len(a)]
 	var l0, l1, l2, l3, l4, l5, l6, l7 float32
 	var l8, l9, l10, l11, l12, l13, l14, l15 float32
@@ -255,39 +230,23 @@ func dotReduceTree(l0, l1, l2, l3, l4, l5, l6, l7, l8, l9, l10, l11, l12, l13, l
 	return w0 + w1
 }
 
-// ScalarAxpyF32 accumulates s·x into dst: dst[i] += s·x[i], each product
-// and sum individually rounded. It has no assembly form; the GEMM's tail
-// k-steps and the weigh kernels' scalar twin call it.
-func ScalarAxpyF32(dst []float32, s float32, x []float32) {
+// ScalarAxpy accumulates s·x into dst: dst[i] += s·float32(x[i]), each
+// product and sum individually rounded. It is AxpyF32I8's twin; its
+// float32 form has no assembly, and the GEMM's tail k-steps and the weigh
+// kernels' sub-vector columns call it.
+func ScalarAxpy[T float32 | int8](dst []float32, s float32, x []T) {
 	x = x[:len(dst)]
 	for i := range dst {
-		dst[i] += s * x[i]
+		dst[i] += s * float32(x[i])
 	}
 }
 
-// ScalarAxpyF32I8 is AxpyF32I8's pure-Go twin.
-func ScalarAxpyF32I8(dst []float32, s float32, v []int8) {
-	v = v[:len(dst)]
-	for i := range dst {
-		dst[i] += s * float32(v[i])
-	}
-}
-
-// ScalarMulAdd4F32 is MulAdd4F32's pure-Go twin.
-func ScalarMulAdd4F32(dst []float32, b0, b1, b2, b3 []float32, a0, a1, a2, a3 float32) {
+// ScalarMulAdd4 is MulAdd4F32's and MulAdd4F32I8's pure-Go twin.
+func ScalarMulAdd4[T float32 | int8](dst []float32, b0, b1, b2, b3 []T, a0, a1, a2, a3 float32) {
 	n := len(dst)
 	b0, b1, b2, b3 = b0[:n], b1[:n], b2[:n], b3[:n]
 	for j := range dst {
-		dst[j] += a0*b0[j] + a1*b1[j] + a2*b2[j] + a3*b3[j]
-	}
-}
-
-// ScalarMulAdd4F32I8 is MulAdd4F32I8's pure-Go twin.
-func ScalarMulAdd4F32I8(dst []float32, q0, q1, q2, q3 []int8, a0, a1, a2, a3 float32) {
-	n := len(dst)
-	q0, q1, q2, q3 = q0[:n], q1[:n], q2[:n], q3[:n]
-	for j := range dst {
-		dst[j] += a0*float32(q0[j]) + a1*float32(q1[j]) + a2*float32(q2[j]) + a3*float32(q3[j])
+		dst[j] += a0*float32(b0[j]) + a1*float32(b1[j]) + a2*float32(b2[j]) + a3*float32(b3[j])
 	}
 }
 
@@ -300,7 +259,7 @@ func ScalarMulAdd4F32I8(dst []float32, q0, q1, q2, q3 []int8, a0, a1, a2, a3 flo
 // so the g heads of a row are contiguous. The package comment has the
 // arithmetic contract: a score is DotF32/DotF32I8 times its scale, an
 // accumulator element takes its rows as MulAdd4F32/MulAdd4F32I8 groups and
-// the last rows%4 as ScalarAxpyF32/AxpyF32I8.
+// the last rows%4 as ScalarAxpy.
 //
 // When g is a multiple of 8 the score kernels can hold eight heads in the
 // eight lanes of a vector: each of the dot product's 16 lanes becomes one
@@ -334,112 +293,138 @@ func HeadsInLanes(dst, q []float32, g int) []float32 {
 	return dst
 }
 
-// ScoreRowsF32 writes out[j*g+h] = scale·DotF32(q_h, k_j) for the
+// Rows is a segment kernel's K or V operand: rows of dh elements at a fixed
+// Stride, float32 (F32) or raw int8 (I8, F32 nil) with one dequantization
+// scale per row (Scales[j] for row j, value ≈ int8 · scale). Row j is
+// F32[j·Stride:] or I8[j·Stride:], so the dh columns of one head in a
+// wider row are the same stride over a sub-slice (From). As with GemmB, the
+// format is data: one kernel serves either.
+type Rows struct {
+	F32    []float32
+	I8     []int8
+	Scales []float32
+	Stride int
+}
+
+// From is r starting off elements into every row: at off = kv·dh the
+// columns of KV head kv, with the same stride and scales.
+func (r Rows) From(off int) Rows {
+	if r.I8 != nil {
+		r.I8 = r.I8[off:]
+	} else {
+		r.F32 = r.F32[off:]
+	}
+	return r
+}
+
+// asm is r as the assembly takes it: the first float32 or int8 element,
+// the first scale (nil for float32) and the stride in bytes.
+func (r Rows) asm() (f *float32, q *int8, scales *float32, strideBytes int) {
+	if r.I8 != nil {
+		return nil, &r.I8[0], &r.Scales[0], r.Stride
+	}
+	return &r.F32[0], nil, nil, 4 * r.Stride
+}
+
+// ScoreRows writes out[j*g+h] = scale·s_j·Dot(q_h, k_j) for the
 // g = len(maxes) query vectors q_h = q[h*dh:(h+1)*dh], dh = len(q)/g, and
-// the rows K rows k_j = k[j*stride:j*stride+dh], and raises maxes[h] to
-// any larger score of head h. qt is nil or HeadsInLanes(·, q, g): given
-// it, the assembly scores eight heads to a vector.
-func ScoreRowsF32(out, maxes, q, qt, k []float32, stride, rows int, scale float32) {
-	dh := checkScore(len(out), len(maxes), len(q), len(qt), len(k), stride, rows)
+// the first rows rows k_j of k, s_j being k's scale of row j when it is
+// int8 (1 when float32), and raises maxes[h] to any larger score of head h.
+// qt is nil or HeadsInLanes(·, q, g): given it, the assembly scores eight
+// heads to a vector. widen is scratch for one int8 row, at least dh long;
+// float32 rows do not use it.
+func ScoreRows(out, maxes, q, qt []float32, k Rows, rows int, scale float32, widen []float32) {
+	dh := checkScore(len(out), len(maxes), len(q), len(qt), k, rows)
 	if rows == 0 {
 		return
 	}
-	if useASM {
-		scoreRowsAsm(out, maxes, q, qt, dh, &k[0], nil, nil, nil, 4*stride, rows, scale)
+	if !useASM {
+		ScalarScoreRows(out, maxes, q, k, rows, scale)
 		return
 	}
-	ScalarScoreRowsF32(out, maxes, q, k, stride, rows, scale)
+	kf, k8, kscales, strideBytes := k.asm()
+	var w *float32
+	if k8 != nil {
+		w = &widen[:dh][0]
+	}
+	scoreRowsAsm(out, maxes, q, qt, dh, kf, k8, kscales, w, strideBytes, rows, scale)
 }
 
-// ScoreRowsF32I8 is ScoreRowsF32 over raw int8 K rows with one
-// dequantization scale per row: out[j*g+h] = scale·scales[j]·DotF32I8(q_h,
-// k_j). widen is scratch for one row, at least dh long.
-func ScoreRowsF32I8(out, maxes, q, qt []float32, k []int8, scales []float32, stride, rows int, scale float32, widen []float32) {
-	dh := checkScore(len(out), len(maxes), len(q), len(qt), len(k), stride, rows)
-	if rows == 0 {
-		return
-	}
-	scales = scales[:rows]
-	if useASM {
-		widen = widen[:dh]
-		scoreRowsAsm(out, maxes, q, qt, dh, nil, &k[0], &scales[0], &widen[0], stride, rows, scale)
-		return
-	}
-	ScalarScoreRowsF32I8(out, maxes, q, k, scales, stride, rows, scale)
-}
-
-// WeighRowsF32 turns w[j*g+h] into head h's softmax weight of row j,
-// w·invSum[h], in place, and accumulates the rows V rows v_j =
-// v[j*stride:j*stride+dh] so weighted into the g = len(invSum)
+// WeighRows turns w[j*g+h] into head h's softmax weight of row j in place —
+// w·invSum[h], times v's scale of row j when it is int8 — and accumulates
+// the first rows rows of v so weighted into the g = len(invSum)
 // accumulators dst[h*dh:(h+1)*dh], dh = len(dst)/g.
-func WeighRowsF32(dst, w, invSum, v []float32, stride, rows int) {
+func WeighRows(dst, w, invSum []float32, v Rows, rows int) {
 	g := len(invSum)
-	dh := checkSegment(len(w), g, len(dst), len(v), stride, rows)
+	dh := checkSegment(len(w), g, len(dst), v, rows)
 	if rows == 0 {
 		return
 	}
 	if !useASM {
-		ScalarWeighRowsF32(dst, w, invSum, v, stride, rows)
+		ScalarWeighRows(dst, w, invSum, v, rows)
 		return
 	}
-	weighRowsAsm(&dst[0], g, dh, &w[0], &invSum[0], &v[0], nil, nil, 4*stride, rows)
-	scalarWeighRowsF32(dst, g, dh, w, v, stride, rows, dh&^(axpyBlock-1), dh)
-}
-
-// WeighRowsF32I8 is WeighRowsF32 over raw int8 V rows with one
-// dequantization scale per row, folded into the weights:
-// w·invSum[h]·scales[j].
-func WeighRowsF32I8(dst, w, invSum []float32, v []int8, scales []float32, stride, rows int) {
-	g := len(invSum)
-	dh := checkSegment(len(w), g, len(dst), len(v), stride, rows)
-	if rows == 0 {
-		return
-	}
-	scales = scales[:rows]
-	if !useASM {
-		ScalarWeighRowsF32I8(dst, w, invSum, v, scales, stride, rows)
-		return
-	}
-	weighRowsAsm(&dst[0], g, dh, &w[0], &invSum[0], nil, &v[0], &scales[0], stride, rows)
-	scalarWeighRowsF32I8(dst, g, dh, w, v, stride, rows, dh&^(axpyBlock-1), dh)
+	vf, v8, vscales, strideBytes := v.asm()
+	weighRowsAsm(&dst[0], g, dh, &w[0], &invSum[0], vf, v8, vscales, strideBytes, rows)
+	v.accumulate(dst, g, dh, w, rows, dh&^(axpyBlock-1), dh)
 }
 
 // checkSegment validates the shared geometry of a segment kernel call —
 // a [rows][g] scratch of nScratch elements, g vectors of dh = nVec/g
-// elements, rows rows of dh elements at stride in nData — and returns dh.
-// The assembly indexes raw pointers, so nothing may reach it unchecked.
-func checkSegment(nScratch, g, nVec, nData, stride, rows int) int {
+// elements, rows rows of r — and returns dh. The assembly indexes raw
+// pointers, so nothing may reach it unchecked.
+func checkSegment(nScratch, g, nVec int, r Rows, rows int) int {
 	if g <= 0 || nVec == 0 || nVec%g != 0 {
 		panic("simd: segment kernel needs g > 0 vectors of equal non-zero length")
 	}
 	dh := nVec / g
-	if rows < 0 || stride < dh {
+	if rows < 0 || r.Stride < dh {
 		panic("simd: segment kernel rows or stride out of range")
 	}
-	if rows > 0 && (nScratch < rows*g || nData < (rows-1)*stride+dh) {
+	if r.F32 != nil && r.I8 != nil {
+		panic("simd: segment rows are both float32 and int8")
+	}
+	if rows > 0 && (nScratch < rows*g || len(r.F32)+len(r.I8) < (rows-1)*r.Stride+dh) {
 		panic("simd: segment kernel slice too short for its geometry")
+	}
+	if r.I8 != nil && len(r.Scales) < rows {
+		panic("simd: int8 segment rows have fewer scales than rows")
 	}
 	return dh
 }
 
 // checkScore is checkSegment for a score kernel, whose lane-ordered
 // queries, when given, are the nVec queries of a multiple of 8 heads.
-func checkScore(nScratch, g, nVec, nLanes, nData, stride, rows int) int {
-	dh := checkSegment(nScratch, g, nVec, nData, stride, rows)
+func checkScore(nScratch, g, nVec, nLanes int, r Rows, rows int) int {
+	dh := checkSegment(nScratch, g, nVec, r, rows)
 	if nLanes != 0 && (nLanes != nVec || g%laneHeads != 0) {
 		panic("simd: score kernel's lane-ordered queries do not match its heads")
 	}
 	return dh
 }
 
-// ScalarScoreRowsF32 is ScoreRowsF32's pure-Go twin.
-func ScalarScoreRowsF32(out, maxes, q, k []float32, stride, rows int, scale float32) {
+// ScalarScoreRows is ScoreRows's pure-Go twin.
+func ScalarScoreRows(out, maxes, q []float32, k Rows, rows int, scale float32) {
+	if k.I8 != nil {
+		scalarScoreRows(out, maxes, q, k.I8, k.Scales, k.Stride, rows, scale)
+	} else {
+		scalarScoreRows(out, maxes, q, k.F32, nil, k.Stride, rows, scale)
+	}
+}
+
+// scalarScoreRows scores rows rows of k, each times scale·scales[j] when
+// scales is given and times scale alone when it is nil.
+func scalarScoreRows[T float32 | int8](out, maxes, q []float32, k []T, scales []float32, stride, rows int, scale float32) {
 	g := len(maxes)
 	dh := len(q) / g
 	for j := 0; j < rows; j++ {
 		kr := k[j*stride : j*stride+dh]
+		rs := scale
+		if scales != nil {
+			rs *= scales[j]
+		}
 		for h := range maxes {
-			s := scale * ScalarDotF32(q[h*dh:(h+1)*dh], kr)
+			s := rs * ScalarDot(q[h*dh:(h+1)*dh], kr)
 			out[j*g+h] = s
 			if s > maxes[h] {
 				maxes[h] = s
@@ -448,84 +433,47 @@ func ScalarScoreRowsF32(out, maxes, q, k []float32, stride, rows int, scale floa
 	}
 }
 
-// ScalarScoreRowsF32I8 is ScoreRowsF32I8's pure-Go twin.
-func ScalarScoreRowsF32I8(out, maxes, q []float32, k []int8, scales []float32, stride, rows int, scale float32) {
-	g := len(maxes)
-	dh := len(q) / g
-	for j := 0; j < rows; j++ {
-		kr := k[j*stride : j*stride+dh]
-		rs := scale * scales[j]
-		for h := range maxes {
-			s := rs * ScalarDotF32I8(q[h*dh:(h+1)*dh], kr)
-			out[j*g+h] = s
-			if s > maxes[h] {
-				maxes[h] = s
-			}
-		}
-	}
-}
-
-// ScalarWeighRowsF32 is WeighRowsF32's pure-Go twin.
-func ScalarWeighRowsF32(dst, w, invSum, v []float32, stride, rows int) {
+// ScalarWeighRows is WeighRows's pure-Go twin.
+func ScalarWeighRows(dst, w, invSum []float32, v Rows, rows int) {
 	g, dh := len(invSum), len(dst)/len(invSum)
 	for j := 0; j < rows; j++ {
 		wj := w[j*g : (j+1)*g]
 		for h, is := range invSum {
 			wj[h] *= is
+			if v.I8 != nil {
+				wj[h] *= v.Scales[j]
+			}
 		}
 	}
-	scalarWeighRowsF32(dst, g, dh, w, v, stride, rows, 0, dh)
+	v.accumulate(dst, g, dh, w, rows, 0, dh)
 }
 
-// ScalarWeighRowsF32I8 is WeighRowsF32I8's pure-Go twin.
-func ScalarWeighRowsF32I8(dst, w, invSum []float32, v []int8, scales []float32, stride, rows int) {
-	g, dh := len(invSum), len(dst)/len(invSum)
-	for j := 0; j < rows; j++ {
-		wj := w[j*g : (j+1)*g]
-		for h, is := range invSum {
-			wj[h] = wj[h] * is * scales[j]
-		}
-	}
-	scalarWeighRowsF32I8(dst, g, dh, w, v, stride, rows, 0, dh)
-}
-
-// scalarWeighRowsF32 accumulates columns [lo, hi) of every row into every
+// accumulate adds columns [lo, hi) of the first rows rows of v into every
 // accumulator with finished weights: the whole width when dispatch is
 // scalar, the sub-vector tail the assembly leaves otherwise.
-func scalarWeighRowsF32(dst []float32, g, dh int, w, v []float32, stride, rows, lo, hi int) {
-	if lo == hi {
-		return
-	}
-	row := func(j int) []float32 { return v[j*stride+lo : j*stride+hi] }
-	j := 0
-	for ; j+4 <= rows; j += 4 {
-		v0, v1, v2, v3 := row(j), row(j+1), row(j+2), row(j+3)
-		for h := 0; h < g; h++ {
-			ScalarMulAdd4F32(dst[h*dh+lo:h*dh+hi], v0, v1, v2, v3, w[j*g+h], w[(j+1)*g+h], w[(j+2)*g+h], w[(j+3)*g+h])
-		}
-	}
-	for ; j < rows; j++ {
-		for h := 0; h < g; h++ {
-			ScalarAxpyF32(dst[h*dh+lo:h*dh+hi], w[j*g+h], row(j))
-		}
+func (v Rows) accumulate(dst []float32, g, dh int, w []float32, rows, lo, hi int) {
+	if v.I8 != nil {
+		scalarWeighRows(dst, g, dh, w, v.I8, v.Stride, rows, lo, hi)
+	} else {
+		scalarWeighRows(dst, g, dh, w, v.F32, v.Stride, rows, lo, hi)
 	}
 }
 
-func scalarWeighRowsF32I8(dst []float32, g, dh int, w []float32, v []int8, stride, rows, lo, hi int) {
+func scalarWeighRows[T float32 | int8](dst []float32, g, dh int, w []float32, v []T, stride, rows, lo, hi int) {
 	if lo == hi {
 		return
 	}
-	row := func(j int) []int8 { return v[j*stride+lo : j*stride+hi] }
+	row := func(j int) []T { return v[j*stride+lo : j*stride+hi] }
 	j := 0
 	for ; j+4 <= rows; j += 4 {
 		v0, v1, v2, v3 := row(j), row(j+1), row(j+2), row(j+3)
 		for h := 0; h < g; h++ {
-			ScalarMulAdd4F32I8(dst[h*dh+lo:h*dh+hi], v0, v1, v2, v3, w[j*g+h], w[(j+1)*g+h], w[(j+2)*g+h], w[(j+3)*g+h])
+			ScalarMulAdd4(dst[h*dh+lo:h*dh+hi], v0, v1, v2, v3, w[j*g+h], w[(j+1)*g+h], w[(j+2)*g+h], w[(j+3)*g+h])
 		}
 	}
 	for ; j < rows; j++ {
 		for h := 0; h < g; h++ {
-			ScalarAxpyF32I8(dst[h*dh+lo:h*dh+hi], w[j*g+h], row(j))
+			ScalarAxpy(dst[h*dh+lo:h*dh+hi], w[j*g+h], row(j))
 		}
 	}
 }

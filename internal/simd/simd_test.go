@@ -66,8 +66,8 @@ func TestDotMatchesScalarTwin(t *testing.T) {
 			a := randFloats(rng, n, true)
 			bf := randFloats(rng, n, true)
 			bi := randInt8s(rng, n)
-			eqBits(t, "DotF32", DotF32(a, bf), ScalarDotF32(a, bf))
-			eqBits(t, "DotF32I8", DotF32I8(a, bi), ScalarDotF32I8(a, bi))
+			eqBits(t, "DotF32", DotF32(a, bf), ScalarDot(a, bf))
+			eqBits(t, "DotF32I8", DotF32I8(a, bi), ScalarDot(a, bi))
 		}
 	}
 }
@@ -82,7 +82,7 @@ func TestAxpyMatchesScalarTwin(t *testing.T) {
 
 			got, want := append([]float32(nil), base...), append([]float32(nil), base...)
 			AxpyF32I8(got, s, v)
-			ScalarAxpyF32I8(want, s, v)
+			ScalarAxpy(want, s, v)
 			for i := range got {
 				eqBits(t, "AxpyF32I8", got[i], want[i])
 			}
@@ -106,14 +106,14 @@ func TestMulAdd4MatchesScalarTwin(t *testing.T) {
 
 			got, want := append([]float32(nil), base...), append([]float32(nil), base...)
 			MulAdd4F32(got, b[0], b[1], b[2], b[3], a0, a1, a2, a3)
-			ScalarMulAdd4F32(want, b[0], b[1], b[2], b[3], a0, a1, a2, a3)
+			ScalarMulAdd4(want, b[0], b[1], b[2], b[3], a0, a1, a2, a3)
 			for i := range got {
 				eqBits(t, "MulAdd4F32", got[i], want[i])
 			}
 
 			got, want = append([]float32(nil), base...), append([]float32(nil), base...)
 			MulAdd4F32I8(got, q[0], q[1], q[2], q[3], a0, a1, a2, a3)
-			ScalarMulAdd4F32I8(want, q[0], q[1], q[2], q[3], a0, a1, a2, a3)
+			ScalarMulAdd4(want, q[0], q[1], q[2], q[3], a0, a1, a2, a3)
 			for i := range got {
 				eqBits(t, "MulAdd4F32I8", got[i], want[i])
 			}
@@ -172,10 +172,12 @@ func segmentCases() []segmentCase {
 	return cs
 }
 
-// checkSegmentKernels runs all four segment kernels through the exported
-// (dispatching) entry points against their scalar twins on one geometry:
-// the score kernels both with the queries in lanes (when g is a multiple
-// of 8) and one head at a time. The scratch runs past the segment's
+// checkSegmentKernels runs both segment kernels through the exported
+// (dispatching) entry points against their scalar twins on one geometry,
+// over float32 and over int8 rows: the score kernel both with the queries
+// in lanes (when g is a multiple of 8) and one head at a time. The rows
+// start stride-dh columns into their storage, as a KV head past the first
+// does in a multihead cache row. The scratch runs past the segment's
 // [rows][g] block, so a write beyond it shows as a mismatch.
 func checkSegmentKernels(t *testing.T, rng *rand.Rand, c segmentCase) {
 	t.Helper()
@@ -184,17 +186,21 @@ func checkSegmentKernels(t *testing.T, rng *rand.Rand, c segmentCase) {
 	if qt := HeadsInLanes(make([]float32, len(q)), q, c.g); qt != nil {
 		qts = append(qts, qt)
 	}
-	n := c.dh
+	off := c.stride - c.dh
+	n := off + c.dh
 	if c.rows > 0 {
-		n = (c.rows-1)*c.stride + c.dh
+		n = off + (c.rows-1)*c.stride + c.dh
 	}
-	kf, k8 := randFloats(rng, n, true), randInt8s(rng, n)
 	scales := randFloats(rng, c.rows, false)
+	operands := []Rows{
+		Rows{F32: randFloats(rng, n, true), Stride: c.stride}.From(off),
+		Rows{I8: randInt8s(rng, n), Scales: scales, Stride: c.stride}.From(off),
+	}
 	scale := rng.Float32() + 0.1
 	scratch := c.rows*c.g + c.g + 3
 
-	for _, qt := range qts {
-		for _, int8K := range []bool{false, true} {
+	for _, k := range operands {
+		for _, qt := range qts {
 			got, want := randFloats(rng, scratch, false), make([]float32, scratch)
 			copy(want, got)
 			gotMax, wantMax := make([]float32, c.g), make([]float32, c.g)
@@ -202,15 +208,9 @@ func checkSegmentKernels(t *testing.T, rng *rand.Rand, c segmentCase) {
 				gotMax[h] = float32(math.Inf(-1))
 				wantMax[h] = gotMax[h]
 			}
-			label := fmt.Sprintf("ScoreRowsF32 %+v lanes=%v", c, qt != nil)
-			if int8K {
-				label = fmt.Sprintf("ScoreRowsF32I8 %+v lanes=%v", c, qt != nil)
-				ScoreRowsF32I8(got, gotMax, q, qt, k8, scales, c.stride, c.rows, scale, make([]float32, c.dh))
-				ScalarScoreRowsF32I8(want, wantMax, q, k8, scales, c.stride, c.rows, scale)
-			} else {
-				ScoreRowsF32(got, gotMax, q, qt, kf, c.stride, c.rows, scale)
-				ScalarScoreRowsF32(want, wantMax, q, kf, c.stride, c.rows, scale)
-			}
+			label := fmt.Sprintf("ScoreRows int8=%v %+v lanes=%v", k.I8 != nil, c, qt != nil)
+			ScoreRows(got, gotMax, q, qt, k, c.rows, scale, make([]float32, c.dh))
+			ScalarScoreRows(want, wantMax, q, k, c.rows, scale)
 			for i := range got {
 				eqBits(t, label, got[i], want[i])
 			}
@@ -221,19 +221,13 @@ func checkSegmentKernels(t *testing.T, rng *rand.Rand, c segmentCase) {
 	}
 
 	w, invSum := randFloats(rng, scratch, true), randFloats(rng, c.g, false)
-	for _, int8V := range []bool{false, true} {
+	for _, v := range operands {
 		got, want := randFloats(rng, c.g*c.dh, false), make([]float32, c.g*c.dh)
 		copy(want, got)
 		gotW, wantW := append([]float32(nil), w...), append([]float32(nil), w...)
-		label := fmt.Sprintf("WeighRowsF32 %+v", c)
-		if int8V {
-			label = fmt.Sprintf("WeighRowsF32I8 %+v", c)
-			WeighRowsF32I8(got, gotW, invSum, k8, scales, c.stride, c.rows)
-			ScalarWeighRowsF32I8(want, wantW, invSum, k8, scales, c.stride, c.rows)
-		} else {
-			WeighRowsF32(got, gotW, invSum, kf, c.stride, c.rows)
-			ScalarWeighRowsF32(want, wantW, invSum, kf, c.stride, c.rows)
-		}
+		label := fmt.Sprintf("WeighRows int8=%v %+v", v.I8 != nil, c)
+		WeighRows(got, gotW, invSum, v, c.rows)
+		ScalarWeighRows(want, wantW, invSum, v, c.rows)
 		for i := range got {
 			eqBits(t, label, got[i], want[i])
 		}
@@ -261,11 +255,12 @@ func TestSegmentTwinsAreRowKernels(t *testing.T) {
 	scales := randFloats(rng, rows, false)
 	row := func(j int) []int8 { return k8[j*stride : j*stride+dh] }
 
+	k := Rows{I8: k8, Scales: scales, Stride: stride}
 	out, maxes := make([]float32, rows*g), []float32{-1e30, -1e30, -1e30}
-	ScalarScoreRowsF32I8(out, maxes, q, k8, scales, stride, rows, 0.25)
+	ScalarScoreRows(out, maxes, q, k, rows, 0.25)
 	for h := 0; h < g; h++ {
 		for j := 0; j < rows; j++ {
-			eqBits(t, "score", out[j*g+h], 0.25*scales[j]*ScalarDotF32I8(q[h*dh:(h+1)*dh], row(j)))
+			eqBits(t, "score", out[j*g+h], 0.25*scales[j]*ScalarDot(q[h*dh:(h+1)*dh], row(j)))
 		}
 	}
 
@@ -277,12 +272,12 @@ func TestSegmentTwinsAreRowKernels(t *testing.T) {
 			fin[j*g+h] = w[j*g+h] * invSum[h] * scales[j]
 		}
 	}
-	ScalarWeighRowsF32I8(got, w, invSum, k8, scales, stride, rows)
+	ScalarWeighRows(got, w, invSum, k, rows)
 	for h := 0; h < g; h++ {
 		d, wh := want[h*dh:(h+1)*dh], func(j int) float32 { return fin[j*g+h] }
-		ScalarMulAdd4F32I8(d, row(0), row(1), row(2), row(3), wh(0), wh(1), wh(2), wh(3))
+		ScalarMulAdd4(d, row(0), row(1), row(2), row(3), wh(0), wh(1), wh(2), wh(3))
 		for j := 4; j < rows; j++ {
-			ScalarAxpyF32I8(d, wh(j), row(j))
+			ScalarAxpy(d, wh(j), row(j))
 		}
 	}
 	for i := range got {
@@ -319,18 +314,24 @@ func TestHeadsInLanes(t *testing.T) {
 // Geometry the raw-pointer assembly must never see is rejected up front.
 func TestSegmentKernelsRejectBadGeometry(t *testing.T) {
 	f := func(n int) []float32 { return make([]float32, n) }
+	rf := func(n, stride int) Rows { return Rows{F32: f(n), Stride: stride} }
+	r8 := func(n, scales, stride int) Rows { return Rows{I8: make([]int8, n), Scales: f(scales), Stride: stride} }
+	both := Rows{F32: f(32), I8: make([]int8, 32), Scales: f(4), Stride: 8}
 	for name, call := range map[string]func(){
-		"short K":       func() { ScoreRowsF32(f(8), f(2), f(16), nil, f(8*3+7), 8, 4, 1) },
-		"short scratch": func() { ScoreRowsF32(f(7), f(2), f(16), nil, f(32), 8, 4, 1) },
-		"ragged q":      func() { ScoreRowsF32(f(8), f(2), f(15), nil, f(32), 8, 4, 1) },
-		"negative rows": func() { ScoreRowsF32(f(8), f(2), f(16), nil, f(32), 8, -1, 1) },
-		"lanes not q":   func() { ScoreRowsF32(f(32), f(8), f(64), f(56), f(32), 8, 4, 1) },
-		"lanes for 2":   func() { ScoreRowsF32(f(8), f(2), f(16), f(16), f(32), 8, 4, 1) },
-		"short scales":  func() { ScoreRowsF32I8(f(8), f(2), f(16), nil, make([]int8, 32), f(3), 8, 4, 1, f(8)) },
-		"short V":       func() { WeighRowsF32I8(f(16), f(8), f(2), make([]int8, 31), f(4), 8, 4) },
-		"short V scale": func() { WeighRowsF32I8(f(16), f(8), f(2), make([]int8, 32), f(3), 8, 4) },
-		"short weights": func() { WeighRowsF32(f(16), f(7), f(2), f(32), 8, 4) },
-		"stride < dh":   func() { WeighRowsF32(f(16), f(8), f(2), f(32), 7, 4) },
+		"short K":          func() { ScoreRows(f(8), f(2), f(16), nil, rf(8*3+7, 8), 4, 1, nil) },
+		"short scratch":    func() { ScoreRows(f(7), f(2), f(16), nil, rf(32, 8), 4, 1, nil) },
+		"ragged q":         func() { ScoreRows(f(8), f(2), f(15), nil, rf(32, 8), 4, 1, nil) },
+		"negative rows":    func() { ScoreRows(f(8), f(2), f(16), nil, rf(32, 8), -1, 1, nil) },
+		"lanes not q":      func() { ScoreRows(f(32), f(8), f(64), f(56), rf(32, 8), 4, 1, nil) },
+		"lanes for 2":      func() { ScoreRows(f(8), f(2), f(16), f(16), rf(32, 8), 4, 1, nil) },
+		"short scales":     func() { ScoreRows(f(8), f(2), f(16), nil, r8(32, 3, 8), 4, 1, f(8)) },
+		"both dtypes K":    func() { ScoreRows(f(8), f(2), f(16), nil, both, 4, 1, f(8)) },
+		"short V":          func() { WeighRows(f(16), f(8), f(2), r8(31, 4, 8), 4) },
+		"short V scale":    func() { WeighRows(f(16), f(8), f(2), r8(32, 3, 8), 4) },
+		"both dtypes V":    func() { WeighRows(f(16), f(8), f(2), both, 4) },
+		"short weights":    func() { WeighRows(f(16), f(7), f(2), rf(32, 8), 4) },
+		"stride < dh":      func() { WeighRows(f(16), f(8), f(2), rf(32, 7), 4) },
+		"offset past rows": func() { WeighRows(f(16), f(8), f(2), rf(32, 8).From(1), 4) },
 	} {
 		func() {
 			defer func() {

@@ -15,7 +15,7 @@ import (
 // kept as the tile's oracle: i-k-j order, two output rows by four
 // contraction steps per pass, each row pass one simd.MulAdd4F32 call that
 // loads and stores the output row, all-zero activation groups skipped, the
-// last k%4 steps through simd.ScalarAxpyF32 (each product and sum rounded
+// last k%4 steps through simd.ScalarAxpy (each product and sum rounded
 // alone, as any vector width rounds them), then a single-row ladder for an
 // odd last row. The tile must reproduce it bit for bit.
 func matMulRowPass(dst, a, b *Mat, lo, hi int, acc bool) {
@@ -55,8 +55,8 @@ func matMulRowPass(dst, a, b *Mat, lo, hi int, acc bool) {
 				continue
 			}
 			brow := bd[kk*n : kk*n+n]
-			simd.ScalarAxpyF32(orow0, a0, brow)
-			simd.ScalarAxpyF32(orow1, a1, brow)
+			simd.ScalarAxpy(orow0, a0, brow)
+			simd.ScalarAxpy(orow1, a1, brow)
 		}
 	}
 	for ; i < hi; i++ {
@@ -81,7 +81,7 @@ func matMulRowPass(dst, a, b *Mat, lo, hi int, acc bool) {
 			if av == 0 {
 				continue
 			}
-			simd.ScalarAxpyF32(orow, av, bd[kk*n:kk*n+n])
+			simd.ScalarAxpy(orow, av, bd[kk*n:kk*n+n])
 		}
 	}
 }
